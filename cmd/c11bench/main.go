@@ -7,17 +7,16 @@
 // committed numbers track the hot-path trajectory across PRs.
 //
 // The scheduler dimension of the paper's Figure 14 is exposed directly:
-// -handoff selects the handoff regime (channel ≈ swapcontext fibers, cond ≈
-// condition-variable sequencing, osthread ≈ kernel-thread sequencing),
-// -respawn disables the fiber pool, and -fig14 appends the full regime ×
-// {pooled, respawn} matrix to the artifact.
+// -handoff selects the handoff regime (fiber ≈ swapcontext fibers, osthread
+// ≈ condition-variable sequencing on kernel threads), and -fig14 appends the
+// measurement of every regime to the artifact.
 //
 // Examples:
 //
 //	go run ./cmd/c11bench                         # full matrix, 30 execs/cell
 //	go run ./cmd/c11bench -tools c11tester -bench ms-queue -runs 200
 //	go run ./cmd/c11bench -litmus none -runs 100 -json ''
-//	go run ./cmd/c11bench -handoff cond -q        # Figure 14 cond regime
+//	go run ./cmd/c11bench -handoff osthread -q    # Figure 14 kernel-thread regime
 //	go run ./cmd/c11bench -tools c11tester -litmus SB+rlx,CoRR,MP+rlx -bench none -fig14
 package main
 
@@ -46,9 +45,8 @@ func run(args []string, out *os.File) int {
 		warmup   = fs.Int("warmup", 1, "unmeasured warmup sweeps of the measured seed range per cell (0 for none)")
 		seed     = fs.Int64("seed", 1, "seed base; execution i runs with seed+i")
 		jsonPath = fs.String("json", "BENCH_perf.json", "perf artifact path ('' disables)")
-		handoff  = fs.String("handoff", "channel", "scheduler handoff regime: channel, cond, or osthread (Figure 14)")
-		respawn  = fs.Bool("respawn", false, "disable the fiber pool: respawn worker goroutines per execution (Figure 14)")
-		fig14    = fs.Bool("fig14", false, "append the Figure 14 handoff × scheduler matrix over the selected programs")
+		handoff  = fs.String("handoff", "fiber", "scheduler handoff regime: fiber or osthread (Figure 14)")
+		fig14    = fs.Bool("fig14", false, "append the Figure 14 handoff-regime matrix over the selected programs")
 		rngSrc   = fs.String("rng", "pcg", "random source behind every tool decision: pcg (O(1) seed) or legacy (math/rand)")
 		compare  = fs.String("compare", "", "diff two perf artifacts: -compare old.json new.json (or old.json,new.json); exits 2 on regression")
 		nsTol    = fs.Float64("ns-tol", 20, "-compare: ns/exec tolerance band in percent (negative disables the timing leg)")
@@ -67,10 +65,10 @@ func run(args []string, out *os.File) int {
 		return 1
 	}
 
-	toolOpts := campaign.ToolOptions{Handoff: *handoff, Respawn: *respawn, RNG: *rngSrc}
+	toolOpts := campaign.ToolOptions{Handoff: *handoff, RNG: *rngSrc}
 	spec := campaign.PerfSpec{
 		Runs: *runs, Warmup: *warmup, SeedBase: *seed,
-		Handoff: *handoff, Respawn: *respawn, RNG: *rngSrc,
+		Handoff: *handoff, RNG: *rngSrc,
 	}
 	if *warmup == 0 {
 		spec.Warmup = -1 // flag 0 means literally none; PerfSpec 0 means default

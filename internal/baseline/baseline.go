@@ -19,7 +19,7 @@
 //   - tsan11 does not control the schedule: threads run under the OS
 //     scheduler. On the engine's sequentialized substrate this is modelled
 //     by quantum scheduling (a thread runs a geometrically distributed
-//     number of operations before being preempted) over the cheap channel
+//     number of operations before being preempted) over the cheap fiber
 //     handoff.
 //
 //   - tsan11rec sequentializes visible operations across kernel threads
@@ -298,7 +298,7 @@ type Options struct {
 	// (see CommitModel.SetConservativeSync); on by default to match the
 	// tools' measured behaviour.
 	PreciseSync bool
-	// FastHandoff runs tsan11rec on the cheap channel handoff instead of
+	// FastHandoff runs tsan11rec on the cheap fiber handoff instead of
 	// kernel threads (useful in tests; performance experiments use the
 	// faithful regime).
 	FastHandoff bool
@@ -307,8 +307,6 @@ type Options struct {
 	// Unknown names panic — validate with sched.ParseHandoff first, as
 	// campaign.StandardTool does.
 	Handoff string
-	// Respawn disables the scheduler's fiber pool (see sched.Config.Respawn).
-	Respawn bool
 	// RNG selects the random source behind the tool's strategy and workload
 	// draws (rng.PCG default, rng.Legacy for pre-PCG stream reproduction).
 	RNG rng.Kind
@@ -317,12 +315,10 @@ type Options struct {
 // schedConfig resolves the options' scheduler configuration from the tool's
 // default regime.
 func (o Options) schedConfig(def sched.Config) sched.Config {
-	cfg := def
 	if o.Handoff != "" {
-		cfg = sched.MustHandoff(o.Handoff)
+		return sched.MustHandoff(o.Handoff)
 	}
-	cfg.Respawn = o.Respawn
-	return cfg
+	return def
 }
 
 // NewTsan11 builds the tsan11 baseline: commit-order memory model,
@@ -349,7 +345,7 @@ func NewTsan11(opts Options) *core.Engine {
 func NewTsan11rec(opts Options) *core.Engine {
 	m := NewCommitModel(opts.HistoryLimit, true)
 	m.SetConservativeSync(!opts.PreciseSync)
-	def := sched.Config{LockOSThread: true, CondHandoff: true}
+	def := sched.Config{LockOSThread: true}
 	if opts.FastHandoff {
 		def = sched.Config{}
 	}

@@ -104,7 +104,7 @@ func testZeroAllocSteadyState(t *testing.T, rngSource string) {
 // TestHandoffRegimeEquivalence pins the Figure 14 invariant that makes the
 // handoff matrix a pure performance comparison: scheduling decisions are
 // driven by the strategy alone, so campaign outcomes are byte-identical
-// across every handoff regime × {pooled, respawn} scheduler combination.
+// across the fiber and osthread handoff regimes.
 func TestHandoffRegimeEquivalence(t *testing.T) {
 	benches, err := SelectBenchmarks("ms-queue")
 	if err != nil {
@@ -141,13 +141,10 @@ func TestHandoffRegimeEquivalence(t *testing.T) {
 
 	base := digestsFor(ToolOptions{})
 	for _, regime := range sched.HandoffRegimes() {
-		for _, respawn := range []bool{false, true} {
-			got := digestsFor(ToolOptions{Handoff: regime, Respawn: respawn})
-			for i := range base {
-				if diff := digestEqual(base[i], got[i]); diff != "" {
-					t.Fatalf("%s/respawn=%v: execution %d diverged from the default regime: %s",
-						regime, respawn, i, diff)
-				}
+		got := digestsFor(ToolOptions{Handoff: regime})
+		for i := range base {
+			if diff := digestEqual(base[i], got[i]); diff != "" {
+				t.Fatalf("%s: execution %d diverged from the default regime: %s", regime, i, diff)
 			}
 		}
 	}
@@ -165,34 +162,28 @@ func TestRunHandoffMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != len(sched.HandoffRegimes())*2 {
-		t.Fatalf("matrix has %d cells, want %d", len(cells), len(sched.HandoffRegimes())*2)
+	if len(cells) != len(sched.HandoffRegimes()) {
+		t.Fatalf("matrix has %d cells, want %d", len(cells), len(sched.HandoffRegimes()))
 	}
 	seen := map[string]bool{}
 	for _, c := range cells {
 		if c.Execs != 2 || c.NsPerExec <= 0 {
 			t.Errorf("cell %+v: want 2 execs and positive ns/exec", c)
 		}
-		key := c.Handoff
-		if c.Pooled {
-			key += "/pooled"
-		} else {
-			key += "/respawn"
+		if seen[c.Handoff] {
+			t.Errorf("duplicate matrix cell %s", c.Handoff)
 		}
-		if seen[key] {
-			t.Errorf("duplicate matrix cell %s", key)
-		}
-		seen[key] = true
+		seen[c.Handoff] = true
 	}
 	if HandoffMatrixString(cells) == "" {
 		t.Error("empty matrix table")
 	}
 
 	// A prior summary over the same spec short-circuits its own regime
-	// combination instead of re-measuring it.
+	// instead of re-measuring it.
 	prior := &PerfSummary{
 		SchemaVersion: PerfSchemaVersion,
-		Spec:          PerfSpecInfo{Handoff: "channel", Pooled: true},
+		Spec:          PerfSpecInfo{Handoff: "fiber"},
 		Tools:         []PerfToolSummary{{Tool: "c11tester", Execs: 99, NsPerExec: 123}},
 	}
 	cells, err = RunHandoffMatrix(PerfSpec{Litmus: lits, Runs: 2, Warmup: 1, SeedBase: 1},
@@ -201,7 +192,7 @@ func TestRunHandoffMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cells {
-		if c.Handoff == "channel" && c.Pooled {
+		if c.Handoff == "fiber" {
 			if c.Execs != 99 || c.NsPerExec != 123 {
 				t.Errorf("prior aggregate not reused: %+v", c)
 			}

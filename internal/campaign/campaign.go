@@ -20,11 +20,13 @@
 // Under the uniform policy, shards — contiguous execution-index ranges of
 // one cell — are the unit of work; under an adaptive policy the unit is a
 // whole-cell grant, run chunk-by-chunk with convergence checks between
-// chunks. Either way each unit constructs a fresh tool instance from its
-// ToolSpec factory (tool instances are stateful and not goroutine-safe) and
-// runs its execution indices serially. Aggregation merges fragments with
-// order-independent operations only — sums, histogram unions, and
-// min-by-execution-index winners for race reproduction metadata.
+// chunks. Either way each unit runs its execution indices serially on its
+// worker's own instance of the cell's tool (tool instances are stateful and
+// not goroutine-safe). Each worker keeps one warm instance per tool for the
+// whole campaign and rearms it at every unit start (core.Engine.Rearm), so a
+// unit observes exactly what a freshly constructed tool would. Aggregation
+// merges fragments with order-independent operations only — sums, histogram
+// unions, and min-by-execution-index winners for race reproduction metadata.
 package campaign
 
 import (
@@ -51,7 +53,8 @@ import (
 // ToolSpec names a tool and knows how to build fresh instances of it.
 type ToolSpec struct {
 	Name string
-	// New constructs a fresh tool instance. Each shard calls it once, so
+	// New constructs a fresh tool instance. Every campaign worker calls it
+	// once (once per unit for tools without a Rearm method), so
 	// implementations must be safe to call concurrently (the instances
 	// themselves are confined to one worker).
 	New func() capi.Tool
@@ -410,6 +413,7 @@ func Run(spec Spec) *Summary {
 	start := time.Now()
 
 	ck := &ckState{path: spec.CheckpointPath, hook: spec.checkpointHook}
+	tools := newWorkerTools(spec)
 	var jobs []job
 	var frags []fragment
 	var budgets map[cellKey]*BudgetSummary
@@ -421,11 +425,12 @@ func Run(spec Spec) *Summary {
 		// checkpoint without re-running anything.
 		jobs, frags, budgets = restoreComplete(spec, spec.Resume, !uniform)
 	case uniform:
-		jobs, frags = runUniform(spec, tel)
+		jobs, frags = runUniform(spec, tel, tools)
 		ck.save(spec, tel, 1, true, nil, jobs, frags)
 	default:
-		jobs, frags, budgets = runAdaptive(spec, tel, ck)
+		jobs, frags, budgets = runAdaptive(spec, tel, ck, tools)
 	}
+	tools.close()
 
 	wall := time.Since(start)
 	var ms1 runtime.MemStats
@@ -470,10 +475,11 @@ func totalExecs(s *Summary) int {
 	return n
 }
 
-// runPool executes jobs[i] for every i via fn across the spec's worker pool.
-// Each worker writes only its own jobs' fragment slots, so the slice needs no
+// runPool executes jobs[i] for every i via fn(w, i) across the spec's worker
+// pool, where w < spec.Workers is the worker slot running the job. Each
+// worker writes only its own jobs' fragment slots, so the slice needs no
 // lock; the caller merges after the barrier, in job order.
-func runPool(spec Spec, n int, fn func(i int)) {
+func runPool(spec Spec, n int, fn func(w, i int)) {
 	next := make(chan int)
 	var wg sync.WaitGroup
 	workers := spec.Workers
@@ -488,7 +494,7 @@ func runPool(spec Spec, n int, fn func(i int)) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}
@@ -505,7 +511,7 @@ func runPool(spec Spec, n int, fn func(i int)) {
 // sequence is dealt round-robin and only this shard's deal is run — the K
 // shard runs partition the exact job set of the unsharded run, which is what
 // makes the merged artifact byte-identical to it.
-func runUniform(spec Spec, tel *Telemetry) ([]job, []fragment) {
+func runUniform(spec Spec, tel *Telemetry, tools workerTools) ([]job, []fragment) {
 	var jobs []job
 	shard := func(kind jobKind, tool, cell int) {
 		ord := 0
@@ -530,11 +536,10 @@ func runUniform(spec Spec, tel *Telemetry) ([]job, []fragment) {
 	}
 	tel.waveStart(1, len(jobs))
 	frags := make([]fragment, len(jobs))
-	runPool(spec, len(jobs), func(i int) {
+	runPool(spec, len(jobs), func(w, i int) {
 		tel.unitStart(1, jobs[i], jobs[i].hi-jobs[i].lo)
-		r := newCellRunner(spec, jobs[i])
+		r := newCellRunner(spec, jobs[i], tools.get(spec, w, jobs[i].tool))
 		r.run(jobs[i].lo, jobs[i].hi, nil)
-		r.close()
 		frags[i] = r.frag
 		tel.unitDone(1, jobs[i], &frags[i])
 	})
@@ -564,7 +569,7 @@ type cellPlan struct {
 // or every cell converged. The total never exceeds Runs × cells, and every
 // decision happens at a barrier from per-cell-deterministic state, so the
 // result is independent of the worker count.
-func runAdaptive(spec Spec, tel *Telemetry, ck *ckState) ([]job, []fragment, map[cellKey]*BudgetSummary) {
+func runAdaptive(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]job, []fragment, map[cellKey]*BudgetSummary) {
 	chunk := spec.Policy.Chunk()
 	if chunk <= 0 || chunk > spec.Runs {
 		chunk = spec.Runs
@@ -609,11 +614,10 @@ func runAdaptive(spec Spec, tel *Telemetry, ck *ckState) ([]job, []fragment, map
 		for i, g := range grants {
 			waveJobs[i] = job{kind: g.plan.kind, tool: g.plan.tool, cell: g.plan.cell, lo: g.plan.used}
 		}
-		runPool(spec, len(grants), func(i int) {
+		runPool(spec, len(grants), func(w, i int) {
 			tel.unitStart(wave, waveJobs[i], grants[i].budget)
-			r := newCellRunner(spec, waveJobs[i])
+			r := newCellRunner(spec, waveJobs[i], tools.get(spec, w, waveJobs[i].tool))
 			used[i] = r.runChunked(waveJobs[i].lo, grants[i].budget, chunk, grants[i].plan.tracker)
-			r.close()
 			waveFrags[i] = r.frag
 			waveJobs[i].hi = waveJobs[i].lo + used[i]
 			tel.unitDone(wave, waveJobs[i], &waveFrags[i])
@@ -731,8 +735,8 @@ type cellAnalyzer struct {
 	ix int
 }
 
-// cellRunner executes a range of one cell's executions with a fresh tool
-// instance, folding results into its fragment.
+// cellRunner executes a range of one cell's executions on a fresh or rearmed
+// tool instance, folding results into its fragment.
 type cellRunner struct {
 	spec Spec
 	j    job
@@ -776,9 +780,8 @@ type cellRunner struct {
 	out   string        // litmus outcome cell
 }
 
-func newCellRunner(spec Spec, j job) *cellRunner {
-	r := &cellRunner{spec: spec, j: j, frag: fragment{races: map[string]raceHit{}}}
-	r.tool = spec.Tools[j.tool].New()
+func newCellRunner(spec Spec, j job, tool capi.Tool) *cellRunner {
+	r := &cellRunner{spec: spec, j: j, tool: tool, frag: fragment{races: map[string]raceHit{}}}
 	switch j.kind {
 	case jobBench:
 		r.bench = spec.Benchmarks[j.cell]
@@ -901,16 +904,52 @@ func (r *cellRunner) programName() string {
 
 // closeTool releases a tool instance: engines retire their fiber-pool
 // workers (core.Engine.Close), so long-lived processes do not accumulate
-// parked goroutines across the many tool instances campaigns and perf runs
-// construct.
+// parked workers. Campaigns close their warm tools when the workers exit at
+// the end of Run; perf runs and flight-recorder captures close theirs after
+// each cell.
 func closeTool(t capi.Tool) {
 	if c, ok := t.(interface{ Close() }); ok {
 		c.Close()
 	}
 }
 
-// close releases the runner's tool instance once its unit of work is done.
-func (r *cellRunner) close() { closeTool(r.tool) }
+// workerTools holds every campaign worker's warm tool instances, indexed by
+// worker slot and Spec.Tools index. Each worker keeps its instances for the
+// whole Run — across shards, cells and adaptive waves — so tool
+// construction and fiber-pool warmup are paid once per worker, not per unit.
+type workerTools [][]capi.Tool
+
+func newWorkerTools(spec Spec) workerTools {
+	wt := make(workerTools, spec.Workers)
+	for w := range wt {
+		wt[w] = make([]capi.Tool, len(spec.Tools))
+	}
+	return wt
+}
+
+// get returns worker w's instance of tool ti for a new unit of work: the
+// warm instance rearmed to its constructed state, or a fresh one when the
+// tool cannot be rearmed (or the worker has none yet).
+func (wt workerTools) get(spec Spec, w, ti int) capi.Tool {
+	t := wt[w][ti]
+	if r, ok := t.(interface{ Rearm() }); ok {
+		r.Rearm()
+		return t
+	}
+	closeTool(t) // nil-safe: a nil tool has no Close method
+	t = spec.Tools[ti].New()
+	wt[w][ti] = t
+	return t
+}
+
+// close releases every worker's tools once the campaign's workers are done.
+func (wt workerTools) close() {
+	for _, tools := range wt {
+		for _, t := range tools {
+			closeTool(t)
+		}
+	}
+}
 
 // recordFailure folds one aborted execution into the fragment.
 func (r *cellRunner) recordFailure(i int, err string) {

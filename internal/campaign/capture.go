@@ -110,8 +110,9 @@ func captureTrace(spec Spec, j job, seed int64) (string, error) {
 	sub.Resume = nil
 	sub.checkpointHook = nil
 	sub.Shard = ShardSel{}
-	cr := newCellRunner(sub, j)
-	defer cr.close()
+	tool := spec.Tools[j.tool].New()
+	defer closeTool(tool)
+	cr := newCellRunner(sub, j, tool)
 	if cr.eng == nil {
 		return "", fmt.Errorf("tool %s cannot record traces (not an engine)", spec.Tools[j.tool].Name)
 	}

@@ -8,6 +8,8 @@ import (
 
 	"c11tester/internal/capi"
 	"c11tester/internal/core"
+	"c11tester/internal/litmus"
+	"c11tester/internal/structures"
 	"c11tester/internal/trace"
 )
 
@@ -105,13 +107,13 @@ func newTracedTool(spec ToolSpec) (capi.Tool, *core.Engine, *trace.Recorder) {
 	return tool, eng, rec
 }
 
-// TestPooledEngineArenaEquivalence pins the tentpole invariant of the
-// execution arenas and the fiber pool: N sequential Execute calls on ONE
-// engine (exercising the recycled Action/clock-vector/mo-graph state and the
+// TestPooledEngineArenaEquivalence pins the invariant of the execution
+// arenas and the fiber pool: N sequential Execute calls on ONE engine
+// (exercising the recycled Action/clock-vector/mo-graph state and the
 // re-bound pool workers) produce byte-identical race keys, outcomes, final
-// values, and serialized traces to N fresh engines AND to a
-// respawning-scheduler engine (sched.Config.Respawn) running the same
-// executions, across every tool × program cell of the standard matrix.
+// values, and serialized traces to N fresh engines, across every tool ×
+// program cell of the standard matrix. The rearm case extends it across
+// units of work: one engine rearmed between units ≡ a fresh engine per unit.
 func TestPooledEngineArenaEquivalence(t *testing.T) {
 	const runs = 3
 	benches, err := SelectBenchmarks("all")
@@ -125,10 +127,6 @@ func TestPooledEngineArenaEquivalence(t *testing.T) {
 
 	for _, name := range StandardToolNames() {
 		spec, err := StandardTool(name, ToolOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		respawnSpec, err := StandardTool(name, ToolOptions{Respawn: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,6 +151,7 @@ func TestPooledEngineArenaEquivalence(t *testing.T) {
 			})
 		}
 
+		t.Run(name+"/rearm", func(t *testing.T) { testRearmEquivalence(t, spec) })
 		for _, c := range cells {
 			t.Run(name+"/"+c.name, func(t *testing.T) {
 				pooledTool, pooledEng, pooledRec := newTracedTool(spec)
@@ -175,21 +174,122 @@ func TestPooledEngineArenaEquivalence(t *testing.T) {
 						t.Fatalf("execution %d (seed %d): pooled engine diverged from fresh engine: %s", i, i+1, diff)
 					}
 				}
-				// The fiber pool must be observationally invisible next to
-				// the goroutine-respawning scheduler: same engine-level
-				// recycling, workers respawned per execution.
-				respawnTool, respawnEng, respawnRec := newTracedTool(respawnSpec)
-				for i := 0; i < runs; i++ {
-					if c.reset != nil {
-						c.reset()
-					}
-					res := respawnTool.Execute(c.prog, int64(i+1))
-					respawn := digestOf(t, respawnEng, respawnRec, res, c.name, c.isLit, c.outStr(), int64(i+1))
-					if diff := digestEqual(pooled[i], respawn); diff != "" {
-						t.Fatalf("execution %d (seed %d): pooled scheduler diverged from respawning scheduler: %s", i, i+1, diff)
-					}
-				}
 			})
 		}
 	}
+}
+
+// rearmUnit is one unit of work in the rearm equivalence case: a program run
+// over seeds 1..runs with the strategy wrappers a campaign unit may install.
+type rearmUnit struct {
+	program string
+	runs    int
+	// record interposes a trace.Recorder and turns tracing on (for models
+	// with total modification orders); guide installs a PrefixGuide along
+	// the given schedule.
+	record bool
+	guide  *trace.Schedule
+}
+
+// deadlockProg deadlocks every execution: main holds m and joins a child
+// blocked on m, so the engine aborts with both threads Blocked.
+var deadlockProg = capi.Program{Name: "deadlock", Run: func(env capi.Env) {
+	m := env.NewMutex("m")
+	env.Lock(m)
+	env.Join(env.Spawn("child", func(env capi.Env) { env.Lock(m) }))
+}}
+
+// runRearmUnit runs one unit on eng and renders every execution's observable
+// outcome: every race with its execution index, the deduplicated NewRaces,
+// the litmus outcome, final values, termination, trace length, and — when
+// the unit records — the serialized trace.
+func runRearmUnit(t *testing.T, eng *core.Engine, u rearmUnit) []string {
+	t.Helper()
+	var prog capi.Program
+	out := new(string)
+	isLit := false
+	switch lit, ok := litmus.ByName(u.program); {
+	case u.program == deadlockProg.Name:
+		prog = deadlockProg
+	case ok:
+		prog, isLit = lit.Make(out), true
+	default:
+		prog = mustBench(t, u.program).New()
+	}
+	if u.guide != nil {
+		pg := trace.NewPrefixGuide(eng.Strategy())
+		pg.SetSchedule(*u.guide)
+		eng.SetStrategy(pg)
+	}
+	var rec *trace.Recorder
+	_, hasMO := eng.Model().(core.MOProvider)
+	if u.record {
+		rec = trace.NewRecorder(eng.Strategy())
+		eng.SetStrategy(rec)
+		eng.SetTrace(hasMO)
+	}
+	var got []string
+	for seed := int64(1); seed <= int64(u.runs); seed++ {
+		*out = ""
+		res := eng.Execute(prog, seed)
+		line := fmt.Sprintf("seed %d: outcome %q deadlocked %v trace %d asserts %d finals %v",
+			seed, *out, res.Deadlocked, len(eng.Trace()), len(res.AssertFailures), eng.FinalValues())
+		for _, r := range res.Races {
+			line += fmt.Sprintf(" race[%s@%d]", r.Key(), r.Execution)
+		}
+		for _, r := range res.NewRaces {
+			line += fmt.Sprintf(" new[%s@%d]", r.Key(), r.Execution)
+		}
+		if rec != nil && hasMO {
+			line += " " + digestOf(t, eng, rec, res, u.program, isLit, *out, seed).TraceJSON
+		}
+		got = append(got, line)
+	}
+	return got
+}
+
+// testRearmEquivalence runs a unit sequence that alternates programs
+// (litmus → abort → structure → litmus → structure), with recording and
+// guided units in between, on ONE engine rearmed at every unit start, and
+// requires every execution to match a fresh engine per unit.
+func testRearmEquivalence(t *testing.T, spec ToolSpec) {
+	guideEng := spec.New().(*core.Engine)
+	defer guideEng.Close()
+	rec := trace.NewRecorder(guideEng.Strategy())
+	guideEng.SetStrategy(rec)
+	guideEng.Execute(mustBench(t, "ms-queue").New(), 7)
+	guide := rec.Schedule()
+
+	units := []rearmUnit{
+		{program: "MP+rlx", runs: 3, record: true},
+		{program: deadlockProg.Name, runs: 2},
+		{program: "ms-queue", runs: 3, guide: &guide},
+		{program: "SB+rlx", runs: 3},
+		{program: "ms-queue", runs: 3, record: true},
+		{program: "ms-queue", runs: 2},
+	}
+	rearmed := spec.New().(*core.Engine)
+	defer rearmed.Close()
+	for ui, u := range units {
+		rearmed.Rearm()
+		got := runRearmUnit(t, rearmed, u)
+		fresh := spec.New().(*core.Engine)
+		want := runRearmUnit(t, fresh, u)
+		fresh.Close()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("unit %d (%s) execution %d: rearmed engine diverged from a fresh one:\n got %s\nwant %s",
+					ui, u.program, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func mustBench(t *testing.T, name string) structures.Benchmark {
+	t.Helper()
+	b, err := structures.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"c11tester/internal/capi"
@@ -30,9 +31,14 @@ import (
 // work each execution does, so artifacts from different sources are only
 // compared with a warning (like handoff regimes). Pre-v3 artifacts were
 // measured on the legacy source.
+//
+// Schema v4 (the coroutine-scheduler PR) drops the pool dimension (the
+// spec's and the matrix cells' "pooled"): every regime now runs on pooled
+// workers. The handoff is one of sched.HandoffRegimes — "fiber" or
+// "osthread" — and LoadPerfSummary refuses a v4 artifact naming any other.
 const (
 	PerfSchemaName    = "c11tester/perf"
-	PerfSchemaVersion = 3
+	PerfSchemaVersion = 4
 )
 
 // PerfSpec describes a perf measurement run. Unlike a campaign, it is always
@@ -56,13 +62,12 @@ type PerfSpec struct {
 	// sweeps replay the same seeds), mirroring the campaign runner's seeding
 	// invariant.
 	SeedBase int64
-	// Handoff, Respawn, and RNG echo the scheduler regime and random source
-	// the spec's tools were built with (ToolOptions.Handoff/Respawn/RNG)
-	// into the artifact, so two BENCH_perf.json files are only compared like
-	// for like. They do not themselves configure the tools — the ToolSpec
+	// Handoff and RNG echo the scheduler regime and random source the
+	// spec's tools were built with (ToolOptions.Handoff/RNG) into the
+	// artifact, so two BENCH_perf.json files are only compared like for
+	// like. They do not themselves configure the tools — the ToolSpec
 	// factories do.
 	Handoff string
-	Respawn bool
 	RNG     string
 	// Progress, when non-nil, receives live counters as the sweep runs (cells
 	// planned/done, executions) for a -status-addr server. The per-execution
@@ -107,9 +112,9 @@ type PerfToolSummary struct {
 }
 
 // PerfSpecInfo echoes the measurement parameters into the artifact. Handoff
-// and Pooled (schema v2) name the scheduler regime the main matrix ran in;
-// artifacts from different regimes are not comparable and the perf gate
-// warns on a mismatch.
+// (schema v2) names the scheduler regime the main matrix ran in; artifacts
+// from different regimes are not comparable and the perf gate warns on a
+// mismatch.
 type PerfSpecInfo struct {
 	Tools    []string `json:"tools"`
 	Programs []string `json:"programs"`
@@ -117,22 +122,18 @@ type PerfSpecInfo struct {
 	Warmup   int      `json:"warmup"`
 	SeedBase int64    `json:"seed_base"`
 	Handoff  string   `json:"handoff,omitempty"`
-	Pooled   bool     `json:"pooled,omitempty"`
 	// RNG names the random source (schema v3): "pcg" or "legacy". Pre-v3
 	// artifacts omit it and were measured on the legacy source.
 	RNG string `json:"rng,omitempty"`
 }
 
 // HandoffCell is one aggregated measurement of the Figure 14 handoff matrix:
-// one tool measured over the spec's programs under one handoff regime ×
-// scheduler (pooled fiber workers vs goroutine respawn) combination. The
-// matrix reproduces the paper's Figure 14 comparison — user-level switches
-// (channel ≈ swapcontext fibers) against condition-variable sequencing on
-// green and kernel threads — with the pool dimension isolating what worker
-// reuse itself buys.
+// one tool measured over the spec's programs under one handoff regime. The
+// matrix reproduces the paper's Figure 14 comparison — user-level coroutine
+// switches (≈ swapcontext fibers) against condition-variable sequencing on
+// kernel threads.
 type HandoffCell struct {
 	Handoff string `json:"handoff"`
-	Pooled  bool   `json:"pooled"`
 	Tool    string `json:"tool"`
 	Execs   int    `json:"execs"`
 
@@ -166,9 +167,9 @@ func RunPerf(spec PerfSpec) *PerfSummary {
 		GoVersion:     runtime.Version(),
 		Spec: PerfSpecInfo{
 			Runs: spec.Runs, Warmup: spec.Warmup, SeedBase: spec.SeedBase,
-			Handoff: handoffOrDefault(spec.Handoff), Pooled: !spec.Respawn,
-			RNG:   rng.Canonical(spec.RNG),
-			Tools: []string{}, Programs: []string{},
+			Handoff: handoffOrDefault(spec.Handoff),
+			RNG:     rng.Canonical(spec.RNG),
+			Tools:   []string{}, Programs: []string{},
 		},
 	}
 	for _, t := range spec.Tools {
@@ -296,54 +297,41 @@ func rngOrDefault(name string, schemaVersion int) string {
 	return name
 }
 
-// schedLabel renders the pool dimension of a scheduler regime.
-func schedLabel(pooled bool) string {
-	if pooled {
-		return "pooled"
-	}
-	return "respawn"
-}
-
 // RunHandoffMatrix measures the Figure 14 design space: every handoff regime
-// (channel, cond, osthread) × {pooled, respawn} scheduler, for each named
-// tool, over the spec's programs. Each combination reuses the serial RunPerf
-// machinery with tools rebuilt under the regime, and is aggregated to one
-// HandoffCell. base supplies the non-scheduler tool options. prior, when
-// non-nil, is a summary already measured over the same spec (cmd/c11bench's
-// main run); its regime combination is copied from its per-tool aggregates
-// instead of being measured a second time.
+// (fiber, osthread), for each named tool, over the spec's programs. Each
+// regime reuses the serial RunPerf machinery with tools rebuilt under the
+// regime, and is aggregated to one HandoffCell. base supplies the
+// non-scheduler tool options. prior, when non-nil, is a summary already
+// measured over the same spec (cmd/c11bench's main run); its regime is copied
+// from its per-tool aggregates instead of being measured a second time.
 func RunHandoffMatrix(spec PerfSpec, toolNames []string, base ToolOptions, prior *PerfSummary) ([]HandoffCell, error) {
 	var out []HandoffCell
 	for _, regime := range sched.HandoffRegimes() {
-		for _, pooled := range []bool{true, false} {
-			for _, name := range toolNames {
-				if cell, ok := priorCell(prior, regime, pooled, name); ok {
-					out = append(out, cell)
-					continue
-				}
-				opts := base
-				opts.Handoff = regime
-				opts.Respawn = !pooled
-				ts, err := StandardTool(name, opts)
-				if err != nil {
-					return nil, err
-				}
-				sub := spec
-				sub.Tools = []ToolSpec{ts}
-				sub.Handoff = regime
-				sub.Respawn = !pooled
-				sum := RunPerf(sub)
-				out = append(out, cellFromAgg(regime, pooled, sum.Tools[0]))
+		for _, name := range toolNames {
+			if cell, ok := priorCell(prior, regime, name); ok {
+				out = append(out, cell)
+				continue
 			}
+			opts := base
+			opts.Handoff = regime
+			ts, err := StandardTool(name, opts)
+			if err != nil {
+				return nil, err
+			}
+			sub := spec
+			sub.Tools = []ToolSpec{ts}
+			sub.Handoff = regime
+			sum := RunPerf(sub)
+			out = append(out, cellFromAgg(regime, sum.Tools[0]))
 		}
 	}
 	return out, nil
 }
 
 // cellFromAgg builds a matrix cell from a per-tool RunPerf aggregate.
-func cellFromAgg(regime string, pooled bool, agg PerfToolSummary) HandoffCell {
+func cellFromAgg(regime string, agg PerfToolSummary) HandoffCell {
 	return HandoffCell{
-		Handoff: regime, Pooled: pooled, Tool: agg.Tool,
+		Handoff: regime, Tool: agg.Tool,
 		Execs:               agg.Execs,
 		NsPerExec:           agg.NsPerExec,
 		AllocBytesPerExec:   agg.AllocBytesPerExec,
@@ -351,15 +339,15 @@ func cellFromAgg(regime string, pooled bool, agg PerfToolSummary) HandoffCell {
 	}
 }
 
-// priorCell extracts the (regime, pooled, tool) matrix cell from an
+// priorCell extracts the (regime, tool) matrix cell from an
 // already-measured summary, if it covers that combination.
-func priorCell(prior *PerfSummary, regime string, pooled bool, tool string) (HandoffCell, bool) {
-	if prior == nil || handoffOrDefault(prior.Spec.Handoff) != regime || prior.Spec.Pooled != pooled {
+func priorCell(prior *PerfSummary, regime string, tool string) (HandoffCell, bool) {
+	if prior == nil || handoffOrDefault(prior.Spec.Handoff) != regime {
 		return HandoffCell{}, false
 	}
 	for _, agg := range prior.Tools {
 		if agg.Tool == tool {
-			return cellFromAgg(regime, pooled, agg), true
+			return cellFromAgg(regime, agg), true
 		}
 	}
 	return HandoffCell{}, false
@@ -367,9 +355,9 @@ func priorCell(prior *PerfSummary, regime string, pooled bool, tool string) (Han
 
 // HandoffMatrixString renders the Figure 14 matrix table.
 func HandoffMatrixString(cells []HandoffCell) string {
-	tb := &harness.Table{Header: []string{"handoff", "scheduler", "tool", "ns/exec", "bytes/exec", "objects/exec"}}
+	tb := &harness.Table{Header: []string{"handoff", "tool", "ns/exec", "bytes/exec", "objects/exec"}}
 	for _, c := range cells {
-		tb.AddRow(c.Handoff, schedLabel(c.Pooled), c.Tool,
+		tb.AddRow(c.Handoff, c.Tool,
 			fmt.Sprintf("%.0f", c.NsPerExec),
 			fmt.Sprintf("%.0f", c.AllocBytesPerExec),
 			fmt.Sprintf("%.1f", c.AllocObjectsPerExec))
@@ -379,13 +367,8 @@ func HandoffMatrixString(cells []HandoffCell) string {
 
 // String renders the human-readable perf report.
 func (s *PerfSummary) String() string {
-	regime := handoffOrDefault(s.Spec.Handoff)
-	schedName := schedLabel(s.Spec.Pooled)
-	if s.SchemaVersion == 1 {
-		schedName = "pre-pool" // v1 artifacts predate the fiber pool
-	}
-	out := fmt.Sprintf("perf: %d tool(s) × %d program(s), %d measured execs/cell (%d warmup), seed base %d, %s handoff (%s), %s rng, %s\n\n",
-		len(s.Spec.Tools), len(s.Spec.Programs), s.Spec.Runs, s.Spec.Warmup, s.Spec.SeedBase, regime, schedName, rngOrDefault(s.Spec.RNG, s.SchemaVersion), s.GoVersion)
+	out := fmt.Sprintf("perf: %d tool(s) × %d program(s), %d measured execs/cell (%d warmup), seed base %d, %s handoff, %s rng, %s\n\n",
+		len(s.Spec.Tools), len(s.Spec.Programs), s.Spec.Runs, s.Spec.Warmup, s.Spec.SeedBase, handoffOrDefault(s.Spec.Handoff), rngOrDefault(s.Spec.RNG, s.SchemaVersion), s.GoVersion)
 	tb := &harness.Table{Header: []string{"tool", "execs", "ns/exec", "bytes/exec", "objects/exec", "execs/sec"}}
 	for _, ts := range s.Tools {
 		tb.AddRow(ts.Tool,
@@ -437,6 +420,17 @@ func LoadPerfSummary(path string) (*PerfSummary, error) {
 	if s.SchemaVersion < 1 || s.SchemaVersion > PerfSchemaVersion {
 		return nil, fmt.Errorf("campaign: %s: schema version %d, this build understands 1..%d",
 			path, s.SchemaVersion, PerfSchemaVersion)
+	}
+	if s.SchemaVersion >= 4 {
+		regimes := []string{handoffOrDefault(s.Spec.Handoff)}
+		for _, c := range s.HandoffMatrix {
+			regimes = append(regimes, c.Handoff)
+		}
+		for _, r := range regimes {
+			if !slices.Contains(sched.HandoffRegimes(), r) {
+				return nil, fmt.Errorf("campaign: %s: handoff regime %q, want one of %v", path, r, sched.HandoffRegimes())
+			}
+		}
 	}
 	return &s, nil
 }

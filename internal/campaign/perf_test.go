@@ -69,3 +69,28 @@ func TestLoadPerfSummaryRejectsWrongSchema(t *testing.T) {
 		t.Fatal("wrong schema must be rejected")
 	}
 }
+
+// TestLoadPerfSummaryRejectsRetiredRegimes pins the schema v4 handoff rule:
+// the spec and every matrix cell must name fiber or osthread, while pre-v4
+// artifacts keep loading with their historical regime names.
+func TestLoadPerfSummaryRejectsRetiredRegimes(t *testing.T) {
+	for _, tc := range []struct {
+		sum PerfSummary
+		ok  bool
+	}{
+		{PerfSummary{SchemaVersion: 4, Spec: PerfSpecInfo{Handoff: "osthread"}, HandoffMatrix: []HandoffCell{{Handoff: "fiber"}}}, true},
+		{PerfSummary{SchemaVersion: 4, Spec: PerfSpecInfo{Handoff: "channel"}}, false},
+		{PerfSummary{SchemaVersion: 4, HandoffMatrix: []HandoffCell{{Handoff: "cond"}}}, false},
+		{PerfSummary{SchemaVersion: 3, Spec: PerfSpecInfo{Handoff: "cond"}}, true},
+	} {
+		tc.sum.Schema = PerfSchemaName
+		path := filepath.Join(t.TempDir(), "perf.json")
+		if err := tc.sum.WriteJSON(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadPerfSummary(path); (err == nil) != tc.ok {
+			t.Errorf("v%d spec %q matrix %v: load error %v, want ok=%v",
+				tc.sum.SchemaVersion, tc.sum.Spec.Handoff, tc.sum.HandoffMatrix, err, tc.ok)
+		}
+	}
+}

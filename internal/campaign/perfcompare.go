@@ -65,9 +65,9 @@ type PerfComparison struct {
 	// comparable between identical Go versions.
 	GoVersionOld string `json:"go_version_old"`
 	GoVersionNew string `json:"go_version_new"`
-	// RegimeOld/New flag scheduler-regime skew ("<handoff>/<pooled|respawn>",
-	// schema v2): comparing artifacts from different handoff regimes measures
-	// the regime, not the code change.
+	// RegimeOld/New flag scheduler-regime skew (the handoff regime, schema
+	// v2): comparing artifacts from different handoff regimes measures the
+	// regime, not the code change.
 	RegimeOld string `json:"regime_old,omitempty"`
 	RegimeNew string `json:"regime_new,omitempty"`
 	// RNGOld/New flag random-source skew (schema v3): changing the source
@@ -82,7 +82,7 @@ func regimeOf(s *PerfSummary) string {
 	if s.SchemaVersion < 2 {
 		return ""
 	}
-	return handoffOrDefault(s.Spec.Handoff) + "/" + schedLabel(s.Spec.Pooled)
+	return handoffOrDefault(s.Spec.Handoff)
 }
 
 // rngSourceOf resolves the random source a perf artifact was measured on:

@@ -80,18 +80,14 @@ type ToolOptions struct {
 	// MaxSteps caps execution length; 0 keeps each tool's default.
 	MaxSteps uint64
 	// FaithfulHandoff runs tsan11rec on kernel-thread condition-variable
-	// handoff (the Figure 14 regime) instead of the cheap channel handoff.
+	// handoff (the Figure 14 regime) instead of the cheap fiber handoff.
 	FaithfulHandoff bool
 	// Handoff, when non-empty, overrides every tool's scheduler handoff
-	// regime ("channel", "cond", "osthread" — see sched.ParseHandoff); it
-	// takes precedence over FaithfulHandoff. Scheduling decisions and
-	// campaign outcomes are identical across regimes; only the handoff cost
-	// changes (the Figure 14 dimension cmd/c11bench measures).
+	// regime ("fiber" or "osthread" — see sched.ParseHandoff); it takes
+	// precedence over FaithfulHandoff. Scheduling decisions and campaign
+	// outcomes are identical across regimes; only the handoff cost changes
+	// (the Figure 14 dimension cmd/c11bench measures).
 	Handoff string
-	// Respawn disables the scheduler's fiber pool (fresh goroutine per model
-	// thread per execution, see sched.Config.Respawn) — the pre-pool regime,
-	// kept as the second Figure 14 benchmark dimension.
-	Respawn bool
 	// RNG selects the random source behind every decision the tools make
 	// ("pcg" — the default splitmix-seeded PCG — or "legacy", math/rand).
 	// Changing the source changes every scheduling and reads-from decision,
@@ -278,10 +274,8 @@ func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
 			} else {
 				strat = core.NewRandomStrategyKind(rngKind)
 			}
-			schedCfg := sched.MustHandoff(opts.Handoff) // "" is the channel default
-			schedCfg.Respawn = opts.Respawn
 			return core.New(name, core.NewC11Model(), core.Config{
-				Sched:      schedCfg,
+				Sched:      sched.MustHandoff(opts.Handoff), // "" is the fiber default
 				StoreBurst: true,
 				Prune:      opts.Prune,
 				Strategy:   strat,
@@ -295,7 +289,6 @@ func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
 				QuantumMean: opts.QuantumMean,
 				MaxSteps:    opts.MaxSteps,
 				Handoff:     opts.Handoff,
-				Respawn:     opts.Respawn,
 				RNG:         rngKind,
 			})
 		}}, nil
@@ -305,7 +298,6 @@ func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
 				MaxSteps:    opts.MaxSteps,
 				FastHandoff: !opts.FaithfulHandoff,
 				Handoff:     opts.Handoff,
-				Respawn:     opts.Respawn,
 				RNG:         rngKind,
 			})
 		}}, nil

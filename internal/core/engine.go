@@ -238,6 +238,9 @@ type Engine struct {
 	cfg   Config
 	name  string
 	model MemModel
+	// base is the constructed configuration (strategy and trace switch
+	// included) that Rearm restores.
+	base Config
 
 	// Persistent tool state across executions. seenRaces is keyed by a
 	// comparable struct rather than RaceReport.Key()'s string so the
@@ -315,12 +318,29 @@ type Engine struct {
 
 // New returns an engine running the given memory model.
 func New(name string, model MemModel, cfg Config) *Engine {
+	cfg = cfg.withDefaults()
 	return &Engine{
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
+		base:      cfg,
 		name:      name,
 		model:     model,
 		seenRaces: map[raceKey]struct{}{},
 	}
+}
+
+// Rearm returns the engine to the observable state of a freshly constructed
+// one, so a warm instance can serve a new unit of work: race deduplication
+// and the execution index start over, and the constructed strategy, trace
+// switch and (off) timing settings replace whatever SetStrategy, SetTrace,
+// SetHandoffTiming and SetPhaseTiming installed. Everything else an engine
+// keeps across executions — the scheduler's workers, state pools, arenas —
+// is reset by every Execute anyway, and stays warm.
+func (e *Engine) Rearm() {
+	clear(e.seenRaces)
+	e.execIndex = 0
+	e.cfg = e.base
+	e.SetHandoffTiming(false)
+	e.SetPhaseTiming(false)
 }
 
 // Name implements capi.Tool.
@@ -541,10 +561,11 @@ func (e *Engine) resetExecState(seed int64) {
 }
 
 // Close retires the engine's scheduler workers (see sched.Shutdown), so
-// discarding a pooled engine does not leave parked goroutines behind in a
-// long-lived process. Campaign runners close every tool instance when its
-// unit of work completes. Close is idempotent; a later Execute transparently
-// builds a fresh scheduler (and pool) again.
+// discarding a pooled engine does not leave parked workers behind in a
+// long-lived process. Campaign runners keep one warm engine per worker and
+// tool for the whole campaign (Rearm separates its units of work) and close
+// it when the worker exits. Close is idempotent; a later Execute
+// transparently builds a fresh scheduler (and pool) again.
 func (e *Engine) Close() {
 	if e.sch != nil {
 		e.sch.Shutdown()
@@ -553,9 +574,9 @@ func (e *Engine) Close() {
 }
 
 // Workers returns the number of live pooled scheduler workers (0 before the
-// first execution) and WorkerSpawns the number of goroutines the scheduler
-// has ever started. The fiber-pool tests pin the tentpole invariant with
-// them: spawns stop growing once the pool is warm, and retirements (panics)
+// first execution) and WorkerSpawns the number of workers the scheduler has
+// ever started. The fiber-pool tests pin the pool invariant with them:
+// spawns stop growing once the pool is warm, and retirements (panics)
 // replace workers instead of leaking them.
 func (e *Engine) Workers() int {
 	if e.sch == nil {
@@ -564,7 +585,7 @@ func (e *Engine) Workers() int {
 	return e.sch.WorkerCount()
 }
 
-// WorkerSpawns returns the scheduler's lifetime goroutine-start count; see
+// WorkerSpawns returns the scheduler's lifetime worker-start count; see
 // Workers.
 func (e *Engine) WorkerSpawns() int {
 	if e.sch == nil {

@@ -269,15 +269,18 @@ func (t *convergeTracker) windowStats() windowStats {
 		if priorTot == 0 {
 			s.priorTotZero = true
 		} else {
+			// Σ |n/tot − (n−w)/priorTot| over a common denominator: the
+			// numerator is an exact integer sum, so the result does not
+			// depend on map iteration order.
+			num := int64(0)
 			for out, n := range t.outcomes {
-				p := float64(n) / float64(tot)
-				q := float64(n-s.outcomes[out]) / float64(priorTot)
-				if d := p - q; d >= 0 {
-					s.l1 += d
-				} else {
-					s.l1 -= d
+				d := int64(n)*int64(priorTot) - int64(n-s.outcomes[out])*int64(tot)
+				if d < 0 {
+					d = -d
 				}
+				num += d
 			}
+			s.l1 = float64(num) / (float64(tot) * float64(priorTot))
 		}
 	}
 	return s

@@ -2,6 +2,8 @@ package explore
 
 import (
 	"fmt"
+	"math"
+	"math/big"
 	"testing"
 )
 
@@ -226,6 +228,41 @@ func TestTrackerStateIntrospection(t *testing.T) {
 	}
 	if st.Execs != 65 {
 		t.Fatalf("execs = %d, want 65", st.Execs)
+	}
+}
+
+// TestOutcomeL1OrderIndependent pins the determinism of the L1 leg: with
+// many distinct outcomes the histogram map iterates in a different order on
+// every call, yet repeated State() calls must return a bit-identical
+// OutcomeL1, equal to the exact distance rounded once.
+func TestOutcomeL1OrderIndependent(t *testing.T) {
+	c := Converge{MinExecs: 20, Window: 10, Epsilon: 0.02}
+	tr := c.NewTracker()
+	for i := 0; i < 97; i++ {
+		tr.Observe(Obs{Outcome: fmt.Sprintf("o%d", (i*i+3*i)%13)})
+	}
+	in := tr.(Introspector)
+	st := in.State()
+
+	// The exact distance Σ |n/tot − (n−w)/priorTot| in rational arithmetic.
+	tot, priorTot := int64(0), int64(0)
+	for out, n := range st.Outcomes {
+		tot += int64(n)
+		priorTot += int64(n - st.WindowOutcomes[out])
+	}
+	exact := new(big.Rat)
+	for out, n := range st.Outcomes {
+		d := new(big.Rat).Sub(big.NewRat(int64(n), tot), big.NewRat(int64(n-st.WindowOutcomes[out]), priorTot))
+		exact.Add(exact, d.Abs(d))
+	}
+	want, _ := exact.Float64()
+	if st.OutcomeL1 != want || want == 0 {
+		t.Fatalf("OutcomeL1 = %v, want the correctly rounded %v", st.OutcomeL1, want)
+	}
+	for i := 0; i < 200; i++ {
+		if got := in.State().OutcomeL1; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: OutcomeL1 = %v, want bit-identical %v", i, got, want)
+		}
 	}
 }
 

@@ -1,30 +1,31 @@
 // Package sched implements the controlled scheduler that stands in for
 // C11Tester's fibers (Sections 7.3–7.4 of the paper).
 //
-// Every thread of the program under test runs in a worker goroutine, but at
-// most one of them executes at a time: a thread runs until its next visible
+// Every thread of the program under test runs on its own worker, but at most
+// one of them executes at a time: a thread runs until its next visible
 // operation, parks itself while handing the operation to the tool, and
 // resumes only when the tool replies. The tool (engine) therefore has full
 // control of the interleaving, exactly like C11Tester's fiber scheduler.
 //
-// Workers form a fiber pool: a Scheduler creates each worker goroutine once
-// and parks it between executions; NewThread re-binds a parked worker to a
-// fresh (name, body) instead of spawning a goroutine. Steady-state executions
-// therefore start zero goroutines and allocate nothing — the analogue of
-// C11Tester reusing its fiber stacks across executions rather than paying
-// thread creation per run (Section 7.3). Config.Respawn restores the
-// spawn-per-thread regime as a benchmark dimension.
+// Workers form a pool: a Scheduler creates each worker once and parks it
+// between executions; NewThread re-binds a parked worker to a fresh (name,
+// body). Steady-state executions therefore start no goroutines and allocate
+// nothing — the analogue of C11Tester reusing its fiber stacks across
+// executions rather than paying thread creation per run (Section 7.3). The
+// workers live as long as the scheduler: a tool keeps them warm across every
+// execution it runs, and Shutdown ends them when the tool is closed.
 //
-// The handoff mechanism is configurable, mirroring the design space the
-// paper measures in Figure 14:
+// The handoff is one of the two regimes the paper's Figure 14 compares:
 //
-//   - channel handoff between ordinary goroutines (the default) is the
-//     analogue of swapcontext fibers — a cheap user-level switch;
-//   - condition-variable handoff ("cond") swaps the resume path for a
-//     sync.Cond, the pthread-condvar sequencing discipline on green threads;
-//   - condition-variable handoff between goroutines pinned to kernel threads
-//     ("osthread", LockOSThread) makes every handoff a real OS context
-//     switch, the regime tsan11rec operates in.
+//   - fiber (the default): each worker is a coroutine (iter.Pull), and a
+//     handoff is a direct coroutine switch between the tool and the thread
+//     that never passes through the Go run queue — the analogue of
+//     C11Tester's swapcontext fibers;
+//   - osthread: each worker is a goroutine pinned to its own kernel thread
+//     (LockOSThread) and handoffs go through condition variables, so every
+//     handoff is a real OS context switch — the regime tsan11rec operates
+//     in. Coroutines always run on their resumer's kernel thread, so this
+//     regime cannot be built from them.
 package sched
 
 import (
@@ -67,43 +68,30 @@ func (s State) String() string {
 // scheduler aborts the execution (step-limit hit or deadlock).
 type abortSignal struct{}
 
-// Config selects the handoff regime and the worker lifecycle. The named
-// Figure 14 regimes are the supported LockOSThread/CondHandoff combinations
-// (see ParseHandoff): LockOSThread without CondHandoff is not a named regime
-// and HandoffName does not distinguish it from "osthread".
+// Config selects the handoff regime; the zero value is the fiber regime.
 type Config struct {
-	// LockOSThread pins every program thread to its own kernel thread, so
-	// each handoff costs a real OS context switch (the kernel-thread regime
-	// of tsan11rec).
+	// LockOSThread selects the osthread regime: every program thread runs on
+	// a goroutine pinned to its own kernel thread, with condition-variable
+	// handoffs, so each handoff costs a real OS context switch (the
+	// kernel-thread regime of tsan11rec).
 	LockOSThread bool
-	// CondHandoff switches the resume path from an unbuffered channel to a
-	// sync.Cond, the analogue of pthread condition-variable sequencing.
-	CondHandoff bool
-	// Respawn disables the fiber pool: every NewThread starts a fresh
-	// goroutine that exits when its body returns, instead of re-binding a
-	// parked worker. This is the pre-pool regime, kept as a benchmark
-	// dimension of the Figure 14 handoff matrix (pooled vs respawn).
-	Respawn bool
 }
 
 // HandoffRegimes lists the Figure 14 handoff regime names in the paper's
-// order: user-level switches first, full kernel-thread sequencing last.
-func HandoffRegimes() []string { return []string{"channel", "cond", "osthread"} }
+// order: user-level switches first, kernel-thread sequencing last.
+func HandoffRegimes() []string { return []string{"fiber", "osthread"} }
 
 // ParseHandoff maps a handoff regime name onto a scheduler configuration:
-// "channel" (or "") is the default channel handoff, "cond" condition-variable
-// handoff on green threads, "osthread" condition-variable handoff on pinned
-// kernel threads. The Respawn bit is orthogonal and left false.
+// "fiber" (or "") is the default coroutine handoff, "osthread"
+// condition-variable handoff on pinned kernel threads.
 func ParseHandoff(name string) (Config, error) {
 	switch name {
-	case "", "channel":
+	case "", "fiber":
 		return Config{}, nil
-	case "cond":
-		return Config{CondHandoff: true}, nil
 	case "osthread":
-		return Config{LockOSThread: true, CondHandoff: true}, nil
+		return Config{LockOSThread: true}, nil
 	}
-	return Config{}, fmt.Errorf("sched: unknown handoff regime %q (want channel, cond, or osthread)", name)
+	return Config{}, fmt.Errorf("sched: unknown handoff regime %q (want fiber or osthread)", name)
 }
 
 // MustHandoff is ParseHandoff for already-validated names; it panics on an
@@ -116,22 +104,17 @@ func MustHandoff(name string) Config {
 	return cfg
 }
 
-// HandoffName renders a Config's handoff regime as its ParseHandoff name. It
-// is only an inverse of ParseHandoff for the named regimes (see Config);
-// hand-built hybrid configs collapse to the nearest name.
+// HandoffName renders a Config's handoff regime as its ParseHandoff name.
 func HandoffName(cfg Config) string {
-	switch {
-	case cfg.LockOSThread:
+	if cfg.LockOSThread {
 		return "osthread"
-	case cfg.CondHandoff:
-		return "cond"
 	}
-	return "channel"
+	return "fiber"
 }
 
-// Thread is one managed thread of the program under test. In pooled mode the
-// handle owns a persistent worker goroutine that serves one thread binding
-// per execution and parks between executions.
+// Thread is one managed thread of the program under test. The handle owns a
+// persistent worker that serves one thread binding per execution and parks
+// between executions.
 type Thread struct {
 	ID   memmodel.TID
 	Name string
@@ -140,24 +123,23 @@ type Thread struct {
 	state   State
 	pending *capi.Op
 
-	// body is the worker's current binding; NewThread sets it before waking
-	// the worker and the worker clears it when the binding finishes. A nil
-	// body at wakeup is the retirement sentinel (Shutdown).
+	// body is the worker's pending binding: NewThread sets it before resuming
+	// the worker, and the worker clears it when the binding finishes. A nil
+	// body at resumption ends the worker (Shutdown).
 	body func(*Thread)
 
-	// dead marks a retired worker: its goroutine has exited (a non-abort
-	// panic escaped the body, or Shutdown retired it) and the handle must
-	// not be re-bound. Written by the worker before its finish event (or by
-	// Shutdown while the worker is parked), read by the tool goroutine after
-	// receiving that event — the events channel orders the two.
-	dead bool
+	// live reports whether the worker is running. The worker clears it as it
+	// exits (Shutdown, or a non-abort panic retired it), before its final
+	// handoff; NewThread starts a replacement for a handle that is not live.
+	live bool
 
-	// Channel handoff.
-	replyCh chan struct{}
-	// Cond handoff.
-	mu      sync.Mutex
-	cond    *sync.Cond
-	replied bool
+	// Fiber regime: next resumes the worker coroutine (tool side), yield
+	// suspends it (thread side).
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	// osthread regime: the worker waits on cond (over Scheduler.mu) until the
+	// scheduler hands it the turn.
+	cond *sync.Cond
 
 	// PanicValue records a non-abort panic that escaped the thread's
 	// function, so the tool can surface it instead of crashing the host.
@@ -172,136 +154,130 @@ func (t *Thread) State() State { return t.state }
 func (t *Thread) Pending() *capi.Op { return t.pending }
 
 // Call hands op to the tool and parks until the tool replies. It must be
-// called from t's own goroutine. If the execution is aborting, Call unwinds
-// the thread instead of returning.
+// called from t's own worker. If the execution is aborting, Call unwinds the
+// thread instead of returning.
 func (t *Thread) Call(op *capi.Op) {
 	if t.sched.aborting {
 		panic(abortSignal{})
 	}
 	t.pending = op
 	t.state = Ready
-	t.sched.events <- t
-	t.awaitReply()
+	t.park()
 	if t.sched.aborting {
 		panic(abortSignal{})
 	}
 }
 
-func (t *Thread) awaitReply() {
-	if t.sched.cfg.CondHandoff {
-		t.mu.Lock()
-		for !t.replied {
-			t.cond.Wait()
-		}
-		t.replied = false
-		t.mu.Unlock()
-		return
+// serve is the body of a worker: run the bound function, park as Finished,
+// and repeat for every new binding, until Shutdown clears the binding or a
+// non-abort panic retires the worker. A retired worker's stack may have
+// unwound through arbitrary program state, so it is replaced rather than
+// recycled (the tool observes the retirement through Thread.PanicValue).
+func (t *Thread) serve() {
+	for t.body != nil && !t.runOnce() {
+		t.park()
 	}
-	<-t.replyCh
-}
-
-func (t *Thread) signalReply() {
-	if t.sched.cfg.CondHandoff {
-		t.mu.Lock()
-		t.replied = true
-		t.cond.Signal()
-		t.mu.Unlock()
-		return
-	}
-	t.replyCh <- struct{}{}
-}
-
-// workerLoop is the body of a pooled worker goroutine: park until NewThread
-// binds a thread function, run it, and park again. The loop exits when the
-// binding signal carries no body (Shutdown) or when a non-abort panic escaped
-// the body — the goroutine's stack may then hold arbitrary half-unwound
-// program state, so it is retired rather than recycled (the tool observes
-// the retirement through Thread.PanicValue and the pool replaces the worker
-// on the next binding).
-func (t *Thread) workerLoop() {
-	if t.sched.cfg.LockOSThread {
-		runtime.LockOSThread()
-	}
-	for {
-		t.awaitReply()
-		if t.body == nil {
-			return // Shutdown retired this worker while it was parked.
-		}
-		if t.runOnce() {
-			return
-		}
-	}
-}
-
-// runRespawn is the body of a respawn-mode goroutine: one binding, then exit.
-func (t *Thread) runRespawn() {
-	if t.sched.cfg.LockOSThread {
-		runtime.LockOSThread()
-	}
-	t.runOnce()
+	t.live = false
 }
 
 // runOnce runs the worker's current binding to completion, converting an
 // abort unwind into a clean finish, and reports whether the worker must be
-// retired. Everything the tool goroutine may read — state, PanicValue, dead —
-// is written before the finish event is sent, so the events channel carries
-// the happens-before edge.
+// retired.
 func (t *Thread) runOnce() (retire bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(abortSignal); !ok {
 				t.PanicValue = r
-				t.dead = true
 				retire = true
 			}
 		}
 		t.body = nil
 		t.state = Finished
 		t.pending = nil
-		t.sched.events <- t
 	}()
 	t.body(t)
 	return
 }
 
+// park hands the turn back to the tool and returns when the tool resumes t.
+func (t *Thread) park() {
+	if !t.sched.cfg.LockOSThread {
+		t.yield(struct{}{})
+		return
+	}
+	t.handBack()
+	t.await()
+}
+
+// osWorker is the body of an osthread-regime worker goroutine.
+func (t *Thread) osWorker() {
+	runtime.LockOSThread()
+	t.await()
+	t.serve()
+	t.handBack()
+}
+
+// await blocks an osthread worker until the scheduler hands it the turn.
+func (t *Thread) await() {
+	s := t.sched
+	s.mu.Lock()
+	for s.running != t {
+		t.cond.Wait()
+	}
+	s.mu.Unlock()
+}
+
+// handBack returns the turn from an osthread worker to the tool.
+func (t *Thread) handBack() {
+	s := t.sched
+	s.mu.Lock()
+	s.running = nil
+	s.toolCond.Signal()
+	s.mu.Unlock()
+}
+
 // Scheduler sequences the threads of one execution. One Scheduler instance
-// serves many executions in sequence: its fiber pool keeps one parked worker
-// goroutine per thread slot, and Reset + NewThread re-bind those workers (and
-// their handoff channels / condition variables) to the next execution's
-// threads, so steady-state executions start no goroutines and allocate
-// nothing.
+// serves many executions in sequence: its pool keeps one parked worker per
+// thread slot, and Reset + NewThread re-bind those workers to the next
+// execution's threads, so steady-state executions start no goroutines and
+// allocate nothing.
 type Scheduler struct {
 	cfg      Config
 	threads  []*Thread
-	events   chan *Thread
 	aborting bool
 
-	// pool recycles Thread handles (and, in pooled mode, their worker
-	// goroutines) across executions; pool[i] serves TID i. All threads of
-	// the previous execution have settled as Finished by the time Reset
-	// hands a slot out again.
+	// pool recycles Thread handles and their workers across executions;
+	// pool[i] serves TID i. All threads of the previous execution have
+	// settled as Finished by the time Reset hands a slot out again.
 	pool []*Thread
 
-	// spawns counts goroutines started over the scheduler's lifetime. In
-	// pooled mode it stops growing once the pool covers the program's thread
-	// count — the tentpole invariant the fiber-pool tests pin.
+	// spawns counts workers started over the scheduler's lifetime. It stops
+	// growing once the pool covers the program's thread count — the
+	// invariant the pool tests pin.
 	spawns int
 
-	// measureWait, when set, times every waitSettle park — the tool-side
-	// half of a handoff, where the tool goroutine waits for the program
-	// thread to reach its next visible operation — accumulating into waitNS.
-	// Opt-in because it costs two monotonic clock reads per visible
-	// operation; campaign telemetry enables it, raw perf sweeps do not.
-	// time.Now/Since never allocate, so the instrumented handoff stays
-	// inside the zero-alloc steady state.
+	// measureWait, when set, times every resume — the tool-side half of a
+	// handoff, where the tool waits for the program thread to reach its next
+	// visible operation — accumulating into waitNS. Opt-in because it costs
+	// two monotonic clock reads per visible operation; campaign telemetry
+	// enables it, raw perf sweeps do not. time.Now/Since never allocate, so
+	// the instrumented handoff stays inside the zero-alloc steady state.
 	measureWait bool
 	waitNS      int64
+
+	// osthread regime: running is the thread holding the turn (nil while the
+	// tool holds it); the tool waits on toolCond for the turn to come back.
+	mu       sync.Mutex
+	toolCond sync.Cond
+	running  *Thread
 }
 
 // New returns a scheduler. The same instance is reused across executions via
 // Reset; call Shutdown when discarding it so the pooled workers exit.
 func New(cfg Config) *Scheduler {
-	return &Scheduler{cfg: cfg, events: make(chan *Thread)}
+	s := &Scheduler{cfg: cfg}
+	s.toolCond.L = &s.mu
+	return s
 }
 
 // Config returns the scheduler's configuration.
@@ -309,9 +285,8 @@ func (s *Scheduler) Config() Config { return s.cfg }
 
 // Reset prepares the scheduler for a new execution. It must only be called
 // after the previous execution fully ended (all threads Finished, via normal
-// completion or Abort); the events channel is empty and every pooled worker
-// is parked then, so the recycled scheduler starts from a clean handoff
-// state.
+// completion or Abort); every pooled worker is parked then, so the recycled
+// scheduler starts from a clean handoff state.
 func (s *Scheduler) Reset() {
 	s.threads = s.threads[:0]
 	s.aborting = false
@@ -322,8 +297,8 @@ func (s *Scheduler) Reset() {
 func (s *Scheduler) SetMeasureWait(on bool) { s.measureWait = on }
 
 // WaitNS returns the accumulated handoff wait of the current (or last)
-// execution: total time the tool goroutine spent parked in waitSettle while
-// program threads ran to their next visible operation. Zero unless
+// execution: total time the tool goroutine spent resuming program threads
+// until they reached their next visible operation. Zero unless
 // SetMeasureWait enabled timing.
 func (s *Scheduler) WaitNS() int64 { return s.waitNS }
 
@@ -358,76 +333,74 @@ func (s *Scheduler) AliveCount() int {
 func (s *Scheduler) WorkerCount() int {
 	n := 0
 	for _, t := range s.pool {
-		if !t.dead {
+		if t.live {
 			n++
 		}
 	}
 	return n
 }
 
-// Spawns returns the number of goroutines the scheduler has ever started. In
-// pooled mode it is constant across steady-state executions; in respawn mode
-// it grows by the thread count every execution.
+// Spawns returns the number of workers the scheduler has ever started; it is
+// constant across steady-state executions.
 func (s *Scheduler) Spawns() int { return s.spawns }
 
 // NewThread creates a managed thread running body and blocks until it
 // settles (parks on its first operation, or finishes). body receives the
 // thread handle so the tool can wire up its Env.
 //
-// In pooled mode the thread is served by the slot's parked worker goroutine;
-// a goroutine (and its handoff channel or condition variable) is only
-// created when the slot is new or its previous worker was retired.
+// The thread is served by the slot's parked worker; a worker is only started
+// when the slot is new or its previous worker was retired.
 func (s *Scheduler) NewThread(name string, body func(*Thread)) *Thread {
 	idx := len(s.threads)
-	var t *Thread
-	fresh := true
-	if idx < len(s.pool) && (s.cfg.Respawn || !s.pool[idx].dead) {
-		t = s.pool[idx]
-		t.ID = memmodel.TID(idx)
-		t.Name = name
-		t.state = Ready
-		t.pending = nil
-		t.PanicValue = nil
-		t.dead = false
-		fresh = false
-		// t.replied is deliberately not touched: every signal is consumed by
-		// the worker before it parks (Call, abort unwind, or retirement), so
-		// the flag is false here — and the worker may concurrently be taking
-		// t.mu to park, so only the signal protocol itself may write it.
-	} else {
-		t = &Thread{
-			ID:    memmodel.TID(idx),
-			Name:  name,
-			sched: s,
+	if idx == len(s.pool) {
+		t := &Thread{sched: s}
+		if s.cfg.LockOSThread {
+			t.cond = sync.NewCond(&s.mu)
 		}
-		if s.cfg.CondHandoff {
-			t.cond = sync.NewCond(&t.mu)
-		} else {
-			t.replyCh = make(chan struct{})
-		}
-		if idx < len(s.pool) {
-			s.pool[idx] = t // replace a retired worker's handle
-		} else {
-			s.pool = append(s.pool, t)
-		}
+		s.pool = append(s.pool, t)
 	}
-	s.threads = append(s.threads, t)
+	t := s.pool[idx]
+	t.ID = memmodel.TID(idx)
+	t.Name = name
+	t.state = Ready
+	t.pending = nil
+	t.PanicValue = nil
 	t.body = body
-	if s.cfg.Respawn {
+	s.threads = append(s.threads, t)
+	if !t.live {
 		s.spawns++
-		go t.runRespawn()
-	} else {
-		if fresh {
-			s.spawns++
-			go t.workerLoop()
+		t.live = true
+		if s.cfg.LockOSThread {
+			go t.osWorker()
+		} else {
+			t.startFiber()
 		}
-		// Hand the binding to the parked worker. For a fresh worker the
-		// channel send simply waits until the goroutine reaches its first
-		// park; the cond path records the signal in the replied flag.
-		t.signalReply()
 	}
-	s.waitSettle(t)
+	s.resume(t)
 	return t
+}
+
+// resume runs t until it parks again: on its next visible operation, at the
+// end of its binding, or as its worker exits.
+func (s *Scheduler) resume(t *Thread) {
+	var t0 time.Time
+	if s.measureWait {
+		t0 = time.Now()
+	}
+	if s.cfg.LockOSThread {
+		s.mu.Lock()
+		s.running = t
+		t.cond.Signal()
+		for s.running != nil {
+			s.toolCond.Wait()
+		}
+		s.mu.Unlock()
+	} else {
+		t.next()
+	}
+	if s.measureWait {
+		s.waitNS += int64(time.Since(t0))
+	}
 }
 
 // Block marks t suspended. The tool must not reply to a blocked thread until
@@ -447,25 +420,8 @@ func (s *Scheduler) Reply(t *Thread) State {
 	}
 	t.pending = nil
 	t.state = Blocked // transient until the thread settles
-	t.signalReply()
-	s.waitSettle(t)
+	s.resume(t)
 	return t.state
-}
-
-// waitSettle consumes the next settle event, which must come from t: only
-// one program thread runs at a time, so no other thread can settle.
-func (s *Scheduler) waitSettle(t *Thread) {
-	var ev *Thread
-	if s.measureWait {
-		t0 := time.Now()
-		ev = <-s.events
-		s.waitNS += int64(time.Since(t0))
-	} else {
-		ev = <-s.events
-	}
-	if ev != t {
-		panic(fmt.Sprintf("sched: thread %d settled while waiting for %d", ev.ID, t.ID))
-	}
 }
 
 // Abort unwinds every unfinished thread. After Abort returns, all threads
@@ -477,30 +433,24 @@ func (s *Scheduler) waitSettle(t *Thread) {
 func (s *Scheduler) Abort() {
 	s.aborting = true
 	for _, t := range s.threads {
-		if t.state == Finished {
-			continue
+		if t.state != Finished {
+			s.resume(t)
 		}
-		t.signalReply()
-		s.waitSettle(t)
 	}
 }
 
-// Shutdown retires every pooled worker goroutine. Like Reset, it must only
-// be called in the quiescent all-threads-finished state. The scheduler must
-// not run further executions afterwards; tools call it when an engine is
-// discarded so long-lived processes (campaign runners) do not accumulate
-// parked goroutines.
+// Shutdown ends every pooled worker. Threads still parked mid-binding (an
+// execution a propagating panic cut short) are unwound first. The scheduler
+// must not run further executions afterwards; tools call it when an engine
+// is closed so long-lived processes do not accumulate parked workers.
 func (s *Scheduler) Shutdown() {
-	if !s.cfg.Respawn {
-		for _, t := range s.pool {
-			if t.dead {
-				continue
-			}
-			t.dead = true
+	s.Abort()
+	for _, t := range s.pool {
+		if t.live {
 			t.body = nil
-			t.signalReply() // nil body: the worker exits its loop
+			s.resume(t)
 		}
 	}
-	s.pool = s.pool[:0]
-	s.threads = s.threads[:0]
+	s.pool = nil
+	s.threads = nil
 }

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"c11tester/internal/capi"
@@ -54,16 +56,19 @@ func TestSingleThreadOpsInOrder(t *testing.T) {
 	}
 }
 
+// TestCondHandoffAndOSThreads drives the osthread regime — goroutine workers
+// pinned to kernel threads, condition-variable handoffs — through spawn,
+// reply, block, and abort.
 func TestCondHandoffAndOSThreads(t *testing.T) {
-	for _, cfg := range []Config{{CondHandoff: true}, {LockOSThread: true}, {CondHandoff: true, LockOSThread: true}} {
-		got := drive(t, cfg, func(th *Thread) {
-			th.Call(&capi.Op{Kind: memmodel.KLoad})
-			th.Call(&capi.Op{Kind: memmodel.KStore})
-		}, first)
-		if len(got) != 2 {
-			t.Fatalf("cfg %+v: processed %d ops", cfg, len(got))
-		}
+	cfg := Config{LockOSThread: true}
+	got := drive(t, cfg, func(th *Thread) {
+		th.Call(&capi.Op{Kind: memmodel.KLoad})
+		th.Call(&capi.Op{Kind: memmodel.KStore})
+	}, first)
+	if len(got) != 2 {
+		t.Fatalf("processed %d ops, want 2", len(got))
 	}
+	testAbortReadyAndBlocked(t, New(cfg))
 }
 
 func TestBlockAndWake(t *testing.T) {
@@ -135,6 +140,46 @@ func TestAbortUnwindsThreads(t *testing.T) {
 	if !cleanedUp {
 		t.Fatal("thread defers must run during abort")
 	}
+	testAbortReadyAndBlocked(t, s)
+}
+
+// testAbortReadyAndBlocked aborts an execution holding one Ready and one
+// Blocked thread on s, then checks that both unwound through their defers and
+// that the next execution reuses their workers.
+func testAbortReadyAndBlocked(t *testing.T, s *Scheduler) {
+	t.Helper()
+	s.Reset()
+	unwound := 0
+	loop := func(th *Thread) {
+		defer func() { unwound++ }()
+		for {
+			th.Call(&capi.Op{Kind: memmodel.KMutexLock})
+		}
+	}
+	ready := s.NewThread("ready", loop)
+	blocked := s.NewThread("blocked", loop)
+	s.Block(blocked)
+	if ready.State() != Ready || blocked.State() != Blocked {
+		t.Fatalf("states %v/%v before abort, want ready/blocked", ready.State(), blocked.State())
+	}
+	s.Abort()
+	if unwound != 2 || s.AliveCount() != 0 {
+		t.Fatalf("abort unwound %d threads, %d alive; want 2 unwound, 0 alive", unwound, s.AliveCount())
+	}
+	if ready.PanicValue != nil || blocked.PanicValue != nil {
+		t.Fatalf("abort surfaced as a panic: %v / %v", ready.PanicValue, blocked.PanicValue)
+	}
+	spawns := s.Spawns()
+	s.Reset()
+	for i := 0; i < 2; i++ {
+		if th := s.NewThread("again", func(*Thread) {}); th.State() != Finished {
+			t.Fatalf("thread %d state %v after an empty body", i, th.State())
+		}
+	}
+	if s.Spawns() != spawns || s.WorkerCount() != 2 {
+		t.Fatalf("aborted workers not reused: spawns %d → %d, %d live", spawns, s.Spawns(), s.WorkerCount())
+	}
+	s.Shutdown()
 }
 
 func TestPanicCaptured(t *testing.T) {
@@ -150,13 +195,12 @@ func TestPanicCaptured(t *testing.T) {
 	}
 }
 
-// TestFiberPoolReusesWorkers pins the tentpole invariant: after the first
-// execution warms the pool, further executions start zero goroutines, in
-// every handoff regime. Respawn mode, by contrast, spawns per thread per
-// execution.
+// TestFiberPoolReusesWorkers pins the pool invariant: after the first
+// execution warms the pool, further executions start zero workers, in every
+// handoff regime.
 func TestFiberPoolReusesWorkers(t *testing.T) {
-	regimes := []Config{{}, {CondHandoff: true}, {CondHandoff: true, LockOSThread: true}}
-	for _, cfg := range regimes {
+	for _, name := range HandoffRegimes() {
+		cfg := MustHandoff(name)
 		s := New(cfg)
 		runOnce := func() {
 			for i := 0; i < 3; i++ {
@@ -187,23 +231,49 @@ func TestFiberPoolReusesWorkers(t *testing.T) {
 		if got := s.WorkerCount(); got != 0 {
 			t.Errorf("%s: worker count after shutdown = %d, want 0", HandoffName(cfg), got)
 		}
+	}
+}
 
-		s = New(Config{CondHandoff: cfg.CondHandoff, LockOSThread: cfg.LockOSThread, Respawn: true})
-		runOnce()
-		s.Reset()
-		runOnce()
-		if got := s.Spawns(); got != 6 {
-			t.Errorf("%s respawn: spawns = %d, want 6 (one per thread per execution)", HandoffName(cfg), got)
-		}
-		s.Shutdown()
+// fiberGoroutines counts the goroutines currently serving as fiber-regime
+// coroutine workers. Coroutine exit is synchronous with the final switch, so
+// the count is exact as soon as the call that ended a worker returns, and
+// osthread workers of other tests, which exit asynchronously, never match.
+func fiberGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("sched.(*Thread).startFiber.func1("))
+}
+
+// TestShutdownEndsCoroutines pins worker lifetime in the fiber regime:
+// Shutdown ends every coroutine — those parked between bindings and those
+// still parked mid-binding — and the goroutine count returns to its
+// baseline.
+func TestShutdownEndsCoroutines(t *testing.T) {
+	base := fiberGoroutines()
+	s := New(Config{})
+	for i := 0; i < 4; i++ {
+		s.NewThread("t", func(th *Thread) { th.Call(&capi.Op{Kind: memmodel.KYield}) })
+	}
+	if got := fiberGoroutines(); got != base+4 {
+		t.Fatalf("coroutine goroutines = %d with 4 parked workers, want %d", got, base+4)
+	}
+	// Finish two bindings; the other two stay parked mid-binding.
+	s.Reply(s.Threads()[0])
+	s.Reply(s.Threads()[1])
+	s.Shutdown()
+	if got := fiberGoroutines(); got != base {
+		t.Fatalf("coroutine goroutines = %d after Shutdown, want baseline %d", got, base)
+	}
+	if s.WorkerCount() != 0 {
+		t.Fatalf("worker count %d after Shutdown", s.WorkerCount())
 	}
 }
 
 // TestWorkerRetiredAfterPanic pins the retirement rule: a worker whose body
-// escaped with a non-abort panic must not be recycled — the next execution
-// replaces it with a fresh goroutine — while abort unwinds keep workers
-// pooled.
+// escaped with a non-abort panic must not be recycled — its coroutine ends
+// and the next execution replaces it with a fresh one — while abort unwinds
+// keep workers pooled.
 func TestWorkerRetiredAfterPanic(t *testing.T) {
+	base := fiberGoroutines()
 	s := New(Config{})
 	th := s.NewThread("bomb", func(th *Thread) {
 		panic("boom")
@@ -213,6 +283,9 @@ func TestWorkerRetiredAfterPanic(t *testing.T) {
 	}
 	if got := s.WorkerCount(); got != 0 {
 		t.Fatalf("worker count after panic = %d, want 0 (retired)", got)
+	}
+	if got := fiberGoroutines(); got != base {
+		t.Fatalf("coroutine goroutines = %d after the panic, want baseline %d (retired)", got, base)
 	}
 	spawnsAfterPanic := s.Spawns()
 
