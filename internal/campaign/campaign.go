@@ -25,8 +25,10 @@
 // not goroutine-safe). Each worker keeps one warm instance per tool for the
 // whole campaign and rearms it at every unit start (core.Engine.Rearm), so a
 // unit observes exactly what a freshly constructed tool would. Aggregation
-// merges fragments with order-independent operations only — sums, histogram
-// unions, and min-by-execution-index winners for race reproduction metadata.
+// merges fragments with order-independent operations only — sums, unions,
+// min-by-execution-index winners for reproduction metadata, and sample lists
+// capped to their smallest execution indices (fragment.merge). That one fold
+// serves workers, checkpoints and shard merges alike.
 package campaign
 
 import (
@@ -219,6 +221,8 @@ type job struct {
 	lo, hi int // execution indices [lo, hi)
 }
 
+func (j job) key() cellKey { return cellKey{kind: j.kind, tool: j.tool, cell: j.cell} }
+
 // raceHit is a deduplicated race with the earliest execution that showed it.
 // It carries the report's rendered description rather than the
 // capi.RaceReport itself: tools recycle their race-report storage across
@@ -233,6 +237,7 @@ type raceHit struct {
 // execFailure is one execution the tool itself aborted (core.InfeasibleError
 // surfaced through capi.Result.EngineError, or an infeasible
 // modification-order lifting hit while validating/recording the execution).
+// Axiom-violation samples reuse it: err is then the first violation.
 type execFailure struct {
 	run int // global execution index (seed = SeedBase+run)
 	err string
@@ -268,10 +273,11 @@ type fragment struct {
 	forbidden map[string]int // outcome → earliest global execution index
 	weak      map[string]int
 	// engine failures (see execFailure): failed counts them, failures
-	// samples the earliest few.
+	// samples the earliest few by run.
 	failed   int
 	failures []execFailure
 	// guided-exploration statistics (cells running under a PrefixGuide):
+	guideTraces    int // traces guiding the cell
 	guidedExecs    int
 	prefixDepth    int64 // summed intended depths
 	prefixConsumed int64 // summed choices consumed before handoff
@@ -280,14 +286,13 @@ type fragment struct {
 	checked    int
 	skipped    int
 	violations int
-	vioSamples []string
+	vioSamples []execFailure // earliest few by run
 	recorded   int
 	recordErrs int
 	// analyzer findings (Spec.Analyzers), deduplicated per (analyzer, key)
 	// with min-run winners; nil when no analyzer stage is composed.
 	findings map[findingID]findingHit
-	// flight-recorder captures (Spec.CaptureDir), in execution-index order
-	// within the unit.
+	// flight-recorder captures (Spec.CaptureDir), in execution-index order.
 	captures []obs.CaptureRecord
 	// allocation counters: global heap-allocation deltas observed around
 	// this unit. Under concurrent workers they include other units'
@@ -301,12 +306,14 @@ type fragment struct {
 // carried per fragment and per tool summary.
 const maxViolationSamples = 5
 
-// merge folds src into dst with the same order-independent operations (and
-// the same sample caps, applied in the same order) as cellAcc.merge, so a
-// checkpoint that collapses a cell's completed jobs into one fragment
-// aggregates byte-identically to the original job sequence. Callers merge in
-// job order — execution-index order within a cell — which keeps the capped
-// sample lists deterministic.
+// merge folds src into dst. It is the campaign's only fold of results:
+// worker units into cells, a cell's completed jobs into its checkpoint
+// state, and shard partials' cell states into the merged summary all go
+// through it. Fragments cover disjoint execution indices, and every field
+// folds order-independently — sums, unions, min-run winners, max for the
+// guide-trace count, and run-ordered lists capped to their smallest runs —
+// so any merge order and any grouping of the same executions yield the same
+// fragment.
 func (dst *fragment) merge(src *fragment) {
 	dst.execs += src.execs
 	dst.detected += src.detected
@@ -315,7 +322,11 @@ func (dst *fragment) merge(src *fragment) {
 	if dst.races == nil {
 		dst.races = map[string]raceHit{}
 	}
-	mergeRaces(dst.races, src.races)
+	for key, hit := range src.races {
+		if cur, seen := dst.races[key]; !seen || hit.run < cur.run {
+			dst.races[key] = hit
+		}
+	}
 	for out, n := range src.outcomes {
 		if dst.outcomes == nil {
 			dst.outcomes = map[string]int{}
@@ -337,12 +348,8 @@ func (dst *fragment) merge(src *fragment) {
 		dst.weak[out] += n
 	}
 	dst.failed += src.failed
-	for _, fl := range src.failures {
-		if len(dst.failures) >= maxViolationSamples {
-			break
-		}
-		dst.failures = append(dst.failures, fl)
-	}
+	dst.failures = mergeRuns(dst.failures, src.failures, execFailure.runOf, maxViolationSamples)
+	dst.guideTraces = max(dst.guideTraces, src.guideTraces)
 	dst.guidedExecs += src.guidedExecs
 	dst.prefixDepth += src.prefixDepth
 	dst.prefixConsumed += src.prefixConsumed
@@ -350,12 +357,7 @@ func (dst *fragment) merge(src *fragment) {
 	dst.checked += src.checked
 	dst.skipped += src.skipped
 	dst.violations += src.violations
-	for _, s := range src.vioSamples {
-		if len(dst.vioSamples) >= maxViolationSamples {
-			break
-		}
-		dst.vioSamples = append(dst.vioSamples, s)
-	}
+	dst.vioSamples = mergeRuns(dst.vioSamples, src.vioSamples, execFailure.runOf, maxViolationSamples)
 	dst.recorded += src.recorded
 	dst.recordErrs += src.recordErrs
 	for id, hit := range src.findings {
@@ -372,9 +374,31 @@ func (dst *fragment) merge(src *fragment) {
 			dst.findings[id] = hit
 		}
 	}
-	dst.captures = append(dst.captures, src.captures...)
+	dst.captures = mergeRuns(dst.captures, src.captures, func(c obs.CaptureRecord) int { return c.Index },
+		len(dst.captures)+len(src.captures))
 	dst.allocBytes += src.allocBytes
 	dst.allocObjs += src.allocObjs
+}
+
+func (f execFailure) runOf() int { return f.run }
+
+// mergeRuns merges two run-ordered lists into a new one holding at most
+// limit entries, the smallest runs first. Runs never repeat across the two
+// lists (fragments cover disjoint executions), so the result does not depend
+// on which list is which.
+func mergeRuns[T any](a, b []T, run func(T) int, limit int) []T {
+	if len(a)+len(b) == 0 {
+		return nil
+	}
+	out := make([]T, 0, min(len(a)+len(b), limit))
+	for len(out) < limit && len(a)+len(b) > 0 {
+		if len(b) == 0 || (len(a) > 0 && run(a[0]) <= run(b[0])) {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return out
 }
 
 // readAllocCounters reads the process-wide heap allocation counters (cheap,
@@ -441,11 +465,16 @@ func Run(spec Spec) *Summary {
 		NumGC:        ms1.NumGC - ms0.NumGC,
 		PauseTotalNS: ms1.PauseTotalNs - ms0.PauseTotalNs,
 	}
-	sum := aggregate(spec, jobs, frags, budgets, wall, gc)
+	meta, cells := metaOf(spec), foldCells(spec, jobs, frags)
+	sum := aggregate(meta, cells, budgets)
+	sum.WallNS, sum.GC, sum.Provenance = int64(wall), gc, BuildProvenance()
 	sum.CheckpointErrors = ck.errs
 	if spec.Shard.Count > 1 {
+		// A partial carries the fold's input — its per-cell fragment state —
+		// so MergeSummaries can re-run the single-machine fold and render.
 		sum.Shard = &ShardInfo{Index: spec.Shard.Index, Count: spec.Shard.Count,
-			SpecDigest: SpecDigest(spec)}
+			SpecDigest: SpecDigest(spec), ReproFlags: meta.reproFlags,
+			Cells: checkpointCells(spec, cells, nil)}
 	}
 	if spec.CaptureDir != "" {
 		// Write the canonical capture manifest (an empty one when nothing
@@ -478,7 +507,7 @@ func totalExecs(s *Summary) int {
 // runPool executes jobs[i] for every i via fn(w, i) across the spec's worker
 // pool, where w < spec.Workers is the worker slot running the job. Each
 // worker writes only its own jobs' fragment slots, so the slice needs no
-// lock; the caller merges after the barrier, in job order.
+// lock; the caller merges after the barrier.
 func runPool(spec Spec, n int, fn func(w, i int)) {
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -513,25 +542,10 @@ func runPool(spec Spec, n int, fn func(w, i int)) {
 // makes the merged artifact byte-identical to it.
 func runUniform(spec Spec, tel *Telemetry, tools workerTools) ([]job, []fragment) {
 	var jobs []job
-	shard := func(kind jobKind, tool, cell int) {
-		ord := 0
-		for lo := 0; lo < spec.Runs; lo += spec.ShardSize {
-			hi := lo + spec.ShardSize
-			if hi > spec.Runs {
-				hi = spec.Runs
-			}
-			if spec.Shard.Count <= 1 || ord%spec.Shard.Count == spec.Shard.Index {
-				jobs = append(jobs, job{kind: kind, tool: tool, cell: cell, lo: lo, hi: hi})
-			}
-			ord++
-		}
-	}
-	for t := range spec.Tools {
-		for b := range spec.Benchmarks {
-			shard(jobBench, t, b)
-		}
-		for l := range spec.Litmus {
-			shard(jobLitmus, t, l)
+	deal := chunkDeal(spec)
+	for _, k := range matrixCells(spec) {
+		for _, c := range deal {
+			jobs = append(jobs, job{kind: k.kind, tool: k.tool, cell: k.cell, lo: c[0], hi: c[1]})
 		}
 	}
 	tel.waveStart(1, len(jobs))
@@ -551,11 +565,48 @@ func runUniform(spec Spec, tel *Telemetry, tools workerTools) ([]job, []fragment
 	return jobs, frags
 }
 
+// chunkDeal returns the [lo, hi) execution-index chunks every uniform cell
+// runs under spec.Shard: the cell's sequence of ShardSize chunks, dealt
+// round-robin across the shards (all of them when unsharded). The uniform
+// jobs, the shard manifest's seed ranges and the telemetry plan all come
+// from this one deal, so they cannot drift apart.
+func chunkDeal(spec Spec) [][2]int {
+	var chunks [][2]int
+	for lo, ord := 0, 0; lo < spec.Runs; lo, ord = lo+spec.ShardSize, ord+1 {
+		if spec.Shard.Count <= 1 || ord%spec.Shard.Count == spec.Shard.Index {
+			chunks = append(chunks, [2]int{lo, min(lo+spec.ShardSize, spec.Runs)})
+		}
+	}
+	return chunks
+}
+
+// matrixCells lists the campaign's cells in matrix order — tool-major,
+// benchmarks before litmus tests — the order of uniform jobs, adaptive plans,
+// checkpoint cells and every per-tool list of the summary.
+func matrixCells(spec Spec) []cellKey {
+	keys := make([]cellKey, 0, len(spec.Tools)*(len(spec.Benchmarks)+len(spec.Litmus)))
+	for t := range spec.Tools {
+		for b := range spec.Benchmarks {
+			keys = append(keys, cellKey{kind: jobBench, tool: t, cell: b})
+		}
+		for l := range spec.Litmus {
+			keys = append(keys, cellKey{kind: jobLitmus, tool: t, cell: l})
+		}
+	}
+	return keys
+}
+
+// programOf names cell k's program.
+func (s Spec) programOf(k cellKey) string {
+	if k.kind == jobLitmus {
+		return s.Litmus[k.cell].Name
+	}
+	return s.Benchmarks[k.cell].Name
+}
+
 // cellPlan tracks one cell's budget state across adaptive waves.
 type cellPlan struct {
-	kind    jobKind
-	tool    int
-	cell    int
+	cellKey
 	tracker explore.Tracker
 	used    int
 	stopped bool // converged: excluded from further grants
@@ -576,13 +627,8 @@ func runAdaptive(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]j
 	}
 
 	var plans []*cellPlan
-	for t := range spec.Tools {
-		for b := range spec.Benchmarks {
-			plans = append(plans, &cellPlan{kind: jobBench, tool: t, cell: b, tracker: spec.Policy.NewTracker()})
-		}
-		for l := range spec.Litmus {
-			plans = append(plans, &cellPlan{kind: jobLitmus, tool: t, cell: l, tracker: spec.Policy.NewTracker()})
-		}
+	for _, k := range matrixCells(spec) {
+		plans = append(plans, &cellPlan{cellKey: k, tracker: spec.Policy.NewTracker()})
 	}
 
 	var jobs []job
@@ -603,7 +649,7 @@ func runAdaptive(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]j
 		// checkpointed merged fragment. aggregate folds both shapes
 		// identically, so the finished artifact cannot tell the difference.
 		wave = spec.Resume.Wave
-		restoreAdaptive(spec, spec.Resume, plans, &jobs, &frags)
+		restoreAdaptive(spec.Resume, plans, &jobs, &frags)
 	}
 	runWave := func(grants []grant) {
 		wave++
@@ -695,7 +741,7 @@ func runAdaptive(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]j
 		if extended < 0 {
 			extended = 0
 		}
-		budgets[cellKey{kind: p.kind, tool: p.tool, cell: p.cell}] = &BudgetSummary{
+		budgets[p.cellKey] = &BudgetSummary{
 			Planned:   spec.Runs,
 			Used:      p.used,
 			Extended:  extended,
@@ -818,6 +864,7 @@ func newCellRunner(spec Spec, j job, tool capi.Tool) *cellRunner {
 	if r.eng != nil && spec.Guides != nil {
 		r.guides = spec.Guides.For(spec.Tools[j.tool].Name, r.programName())
 		if len(r.guides) > 0 {
+			r.frag.guideTraces = len(r.guides)
 			r.pg = trace.NewPrefixGuide(r.eng.Strategy())
 			if spec.GuideMinFrac > 0 {
 				r.pg.MinFrac = spec.GuideMinFrac
@@ -1130,9 +1177,7 @@ func (r *cellRunner) stageValidate() {
 	if len(vs) > 0 {
 		r.frag.violations += len(vs)
 		if len(r.frag.vioSamples) < maxViolationSamples {
-			r.frag.vioSamples = append(r.frag.vioSamples,
-				fmt.Sprintf("%s/%s seed %d: %v", r.tool.Name(), r.programName(),
-					r.spec.SeedBase+int64(i), vs[0]))
+			r.frag.vioSamples = append(r.frag.vioSamples, execFailure{run: i, err: fmt.Sprint(vs[0])})
 		}
 	}
 }
@@ -1272,15 +1317,6 @@ func isForbidden(t *litmus.Test, outcome string, baseline bool) bool {
 		return true
 	}
 	return baseline && t.BaselineForbidden[outcome]
-}
-
-// mergeRaces folds src into dst, keeping the earliest run per key.
-func mergeRaces(dst map[string]raceHit, src map[string]raceHit) {
-	for key, hit := range src {
-		if cur, seen := dst[key]; !seen || hit.run < cur.run {
-			dst[key] = hit
-		}
-	}
 }
 
 // Validate reports the first problem with the spec, or nil.

@@ -1,15 +1,17 @@
 // checkpoint.go is the crash-safety core of the campaign runner: seed-slice
 // sharding (ShardSel), the spec digest that gates merging and resuming, and
-// the wave-barrier checkpoint (Checkpoint) a killed campaign resumes from.
+// the per-cell fragment state (CellCheckpoint) that both a wave-barrier
+// checkpoint and a shard partial carry.
 //
 // The design leans entirely on the package invariant that every execution is
 // a pure function of (tool, program, seed) and that all budget decisions
 // happen at deterministic wave barriers. A checkpoint therefore only has to
-// persist barrier state — per-cell budgets, converge-tracker state, and one
-// merged result fragment per cell — and a resumed run re-enters the wave loop
-// as if the completed waves had just run: the synthetic whole-range job per
-// cell folds into the aggregate exactly like the original job sequence, so
-// the finished artifact is byte-identical (Summary.Canonical) to an
+// persist barrier state — per-cell budgets, converge-tracker state, and each
+// cell's folded fragment — and a resumed run re-enters the wave loop as if
+// the completed waves had just run. fragment.merge is order-independent and
+// indifferent to how executions are grouped, so the synthetic whole-range
+// job per cell folds exactly like the original job sequence, and the
+// finished artifact is byte-identical (Summary.Canonical) to an
 // uninterrupted run.
 package campaign
 
@@ -18,12 +20,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"c11tester/internal/explore"
+	"c11tester/internal/harness"
 	"c11tester/internal/obs"
 	"c11tester/internal/safeio"
 	"c11tester/internal/trace"
@@ -63,6 +65,12 @@ type ShardInfo struct {
 	Index      int    `json:"index"`
 	Count      int    `json:"count"`
 	SpecDigest string `json:"spec_digest"`
+	// ReproFlags (one entry per tool) and Cells (one per matrix cell, in
+	// matrix order) are the input of the single-machine fold and render:
+	// MergeSummaries folds the partials' cells with fragment.merge instead
+	// of re-folding their rendered summaries.
+	ReproFlags []string         `json:"repro_flags,omitempty"`
+	Cells      []CellCheckpoint `json:"cells,omitempty"`
 }
 
 // SpecDigest fingerprints every outcome-affecting campaign parameter: the
@@ -139,7 +147,7 @@ func SpecDigest(spec Spec) string {
 // Schema identifiers of the serialized checkpoint.
 const (
 	CheckpointSchemaName    = "c11tester/checkpoint"
-	CheckpointSchemaVersion = 1
+	CheckpointSchemaVersion = 2
 )
 
 // Checkpoint is the wave-barrier state of a campaign: everything a resumed
@@ -169,8 +177,8 @@ type Checkpoint struct {
 }
 
 // CellCheckpoint is one cell's barrier state: its budget accounting, its
-// converge-tracker snapshot (adaptive policies), and its merged result
-// fragment.
+// converge-tracker snapshot (adaptive policies), and its folded result
+// fragment. Shard partials carry the same form (ShardInfo.Cells).
 type CellCheckpoint struct {
 	Kind    string `json:"kind"` // "bench" or "litmus"
 	Tool    int    `json:"tool"`
@@ -191,7 +199,8 @@ type RaceState struct {
 	Run  int    `json:"run"`
 }
 
-// FailureState is one sampled engine failure of a checkpointed fragment.
+// FailureState is one sampled engine failure or axiom violation of a
+// checkpointed fragment.
 type FailureState struct {
 	Run int    `json:"run"`
 	Err string `json:"err"`
@@ -209,7 +218,8 @@ type FindingState struct {
 
 // FragState is the serialized form of a cell's merged result fragment —
 // field-for-field the unexported fragment type, with races flattened to a
-// key-sorted list so the encoding is canonical.
+// key-sorted list so the encoding is canonical. Version 2 carries violation
+// samples with their runs and the guide-trace count.
 type FragState struct {
 	Execs          int                 `json:"execs"`
 	Detected       int                 `json:"detected,omitempty"`
@@ -222,6 +232,7 @@ type FragState struct {
 	Weak           map[string]int      `json:"weak,omitempty"`
 	Failed         int                 `json:"failed,omitempty"`
 	Failures       []FailureState      `json:"failures,omitempty"`
+	GuideTraces    int                 `json:"guide_traces,omitempty"`
 	GuidedExecs    int                 `json:"guided_execs,omitempty"`
 	PrefixDepth    int64               `json:"prefix_depth,omitempty"`
 	PrefixConsumed int64               `json:"prefix_consumed,omitempty"`
@@ -229,7 +240,7 @@ type FragState struct {
 	Checked        int                 `json:"checked,omitempty"`
 	Skipped        int                 `json:"skipped,omitempty"`
 	Violations     int                 `json:"violations,omitempty"`
-	VioSamples     []string            `json:"vio_samples,omitempty"`
+	VioSamples     []FailureState      `json:"vio_samples,omitempty"`
 	Recorded       int                 `json:"recorded,omitempty"`
 	RecordErrs     int                 `json:"record_errs,omitempty"`
 	Captures       []obs.CaptureRecord `json:"captures,omitempty"`
@@ -246,20 +257,18 @@ func fragState(f *fragment) FragState {
 		ElapsedNS: int64(f.elapsed),
 		Outcomes:  f.outcomes, Forbidden: f.forbidden, Weak: f.weak,
 		Failed:      f.failed,
-		GuidedExecs: f.guidedExecs, PrefixDepth: f.prefixDepth,
-		PrefixConsumed: f.prefixConsumed, Divergences: f.divergences,
-		Checked: f.checked, Skipped: f.skipped, Violations: f.violations,
-		VioSamples: f.vioSamples,
-		Recorded:   f.recorded, RecordErrs: f.recordErrs,
+		GuideTraces: f.guideTraces, GuidedExecs: f.guidedExecs,
+		PrefixDepth: f.prefixDepth, PrefixConsumed: f.prefixConsumed,
+		Divergences: f.divergences,
+		Checked:     f.checked, Skipped: f.skipped, Violations: f.violations,
+		Failures: failureStates(f.failures), VioSamples: failureStates(f.vioSamples),
+		Recorded: f.recorded, RecordErrs: f.recordErrs,
 		Captures:   f.captures,
 		AllocBytes: f.allocBytes, AllocObjs: f.allocObjs,
 	}
-	for _, key := range sortedStringKeys(f.races) {
+	for _, key := range harness.SortedKeys(f.races) {
 		hit := f.races[key]
 		s.Races = append(s.Races, RaceState{Key: key, Desc: hit.desc, Run: hit.run})
-	}
-	for _, fl := range f.failures {
-		s.Failures = append(s.Failures, FailureState{Run: fl.run, Err: fl.err})
 	}
 	for _, id := range sortedFindingIDs(f.findings) {
 		hit := f.findings[id]
@@ -277,11 +286,12 @@ func (s *FragState) fragment() fragment {
 		races:    map[string]raceHit{},
 		outcomes: s.Outcomes, forbidden: s.Forbidden, weak: s.Weak,
 		failed:      s.Failed,
-		guidedExecs: s.GuidedExecs, prefixDepth: s.PrefixDepth,
-		prefixConsumed: s.PrefixConsumed, divergences: s.Divergences,
-		checked: s.Checked, skipped: s.Skipped, violations: s.Violations,
-		vioSamples: s.VioSamples,
-		recorded:   s.Recorded, recordErrs: s.RecordErrs,
+		guideTraces: s.GuideTraces, guidedExecs: s.GuidedExecs,
+		prefixDepth: s.PrefixDepth, prefixConsumed: s.PrefixConsumed,
+		divergences: s.Divergences,
+		checked:     s.Checked, skipped: s.Skipped, violations: s.Violations,
+		failures: execFailures(s.Failures), vioSamples: execFailures(s.VioSamples),
+		recorded: s.Recorded, recordErrs: s.RecordErrs,
 		captures:   s.Captures,
 		allocBytes: s.AllocBytes, allocObjs: s.AllocObjs,
 	}
@@ -289,9 +299,6 @@ func (s *FragState) fragment() fragment {
 	f.ops.NormalOps = s.NormalOps
 	for _, r := range s.Races {
 		f.races[r.Key] = raceHit{desc: r.Desc, run: r.Run}
-	}
-	for _, fl := range s.Failures {
-		f.failures = append(f.failures, execFailure{run: fl.Run, err: fl.Err})
 	}
 	for _, fd := range s.Findings {
 		if f.findings == nil {
@@ -303,13 +310,20 @@ func (s *FragState) fragment() fragment {
 	return f
 }
 
-func sortedStringKeys(m map[string]raceHit) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+func failureStates(fs []execFailure) []FailureState {
+	var out []FailureState
+	for _, fl := range fs {
+		out = append(out, FailureState{Run: fl.run, Err: fl.err})
 	}
-	sort.Strings(keys)
-	return keys
+	return out
+}
+
+func execFailures(fs []FailureState) []execFailure {
+	var out []execFailure
+	for _, fl := range fs {
+		out = append(out, execFailure{run: fl.Run, err: fl.Err})
+	}
+	return out
 }
 
 const (
@@ -331,11 +345,9 @@ func kindOf(name string) jobKind {
 	return jobBench
 }
 
-// buildCheckpoint folds the completed work into one CellCheckpoint per cell,
-// in matrix order, merging each cell's job fragments in job order (execution-
-// index order within a cell) so the capped sample lists stay deterministic.
-// plans supplies budget/tracker state under an adaptive policy; nil (uniform)
-// derives the cell list from the jobs.
+// buildCheckpoint folds the completed work into one CellCheckpoint per
+// matrix cell. plans supplies budget/tracker state under an adaptive policy;
+// nil means uniform.
 func buildCheckpoint(spec Spec, tel *Telemetry, wave int, complete bool, plans []*cellPlan, jobs []job, frags []fragment) *Checkpoint {
 	c := &Checkpoint{
 		Schema: CheckpointSchemaName, SchemaVersion: CheckpointSchemaVersion,
@@ -343,60 +355,36 @@ func buildCheckpoint(spec Spec, tel *Telemetry, wave int, complete bool, plans [
 		Provenance: BuildProvenance(),
 		Wave:       wave, Complete: complete,
 		EventsEmitted: tel.EventsEmitted(), EventsDropped: tel.EventsDropped(),
-		Cells: []CellCheckpoint{},
+		Cells: checkpointCells(spec, foldCells(spec, jobs, frags), plans),
 	}
-	merged := map[cellKey]*fragment{}
-	hi := map[cellKey]int{}
-	var order []cellKey
-	if plans != nil {
-		for _, p := range plans {
-			order = append(order, cellKey{kind: p.kind, tool: p.tool, cell: p.cell})
-		}
+	for i := range c.Cells {
+		c.Captures += len(c.Cells[i].Frag.Captures)
 	}
-	for i := range jobs {
-		key := cellKey{kind: jobs[i].kind, tool: jobs[i].tool, cell: jobs[i].cell}
-		f := merged[key]
-		if f == nil {
-			f = &fragment{}
-			merged[key] = f
-			if plans == nil {
-				order = append(order, key)
-			}
-		}
-		f.merge(&frags[i])
-		if jobs[i].hi > hi[key] {
-			hi[key] = jobs[i].hi
-		}
-	}
-	planOf := map[cellKey]*cellPlan{}
-	for _, p := range plans {
-		planOf[cellKey{kind: p.kind, tool: p.tool, cell: p.cell}] = p
-	}
-	for _, key := range order {
+	return c
+}
+
+// checkpointCells renders folded cells (foldCells) in their checkpoint form.
+// plans, when non-nil, are the adaptive plans in matrix order and supply the
+// budget and tracker state; otherwise a cell's Used is the end of the
+// highest execution range it ran.
+func checkpointCells(spec Spec, cells []cellFold, plans []*cellPlan) []CellCheckpoint {
+	out := make([]CellCheckpoint, len(cells))
+	for i, k := range matrixCells(spec) {
 		cc := CellCheckpoint{
-			Kind: kindName(key.kind), Tool: key.tool, Cell: key.cell,
-			ToolRef: spec.Tools[key.tool].Name,
-			Used:    hi[key],
+			Kind: kindName(k.kind), Tool: k.tool, Cell: k.cell,
+			ToolRef: spec.Tools[k.tool].Name, Program: spec.programOf(k),
+			Used: cells[i].hi, Frag: fragState(&cells[i].frag),
 		}
-		if key.kind == jobLitmus {
-			cc.Program = spec.Litmus[key.cell].Name
-		} else {
-			cc.Program = spec.Benchmarks[key.cell].Name
-		}
-		if p := planOf[key]; p != nil {
-			cc.Used = p.used
-			cc.Stopped = p.stopped
+		if plans != nil {
+			p := plans[i]
+			cc.Used, cc.Stopped = p.used, p.stopped
 			if s, ok := p.tracker.(explore.Snapshotter); ok {
 				cc.Tracker = s.Snapshot()
 			}
 		}
-		if f := merged[key]; f != nil {
-			cc.Frag = fragState(f)
-			c.Captures += len(f.captures)
-		}
-		c.Cells = append(c.Cells, cc)
+		out[i] = cc
 	}
-	return c
+	return out
 }
 
 // ckState carries the checkpoint duty through the runner: the target path
@@ -436,8 +424,8 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if c.Schema != CheckpointSchemaName {
 		return nil, fmt.Errorf("campaign: %s: schema %q, want %q", path, c.Schema, CheckpointSchemaName)
 	}
-	if c.SchemaVersion < 1 || c.SchemaVersion > CheckpointSchemaVersion {
-		return nil, fmt.Errorf("campaign: %s: unsupported checkpoint schema version %d", path, c.SchemaVersion)
+	if c.SchemaVersion != CheckpointSchemaVersion {
+		return nil, fmt.Errorf("campaign: %s: checkpoint schema version %d, this build resumes only version %d", path, c.SchemaVersion, CheckpointSchemaVersion)
 	}
 	return &c, nil
 }
@@ -457,28 +445,23 @@ func (c *Checkpoint) ValidateAgainst(spec Spec) error {
 
 // restoreAdaptive pushes a checkpoint's barrier state back into the adaptive
 // runner: plan budgets, tracker snapshots, and one synthetic whole-range job
-// per cell carrying the merged fragment.
-func restoreAdaptive(spec Spec, c *Checkpoint, plans []*cellPlan, jobs *[]job, frags *[]fragment) {
-	planOf := map[cellKey]*cellPlan{}
-	for _, p := range plans {
-		planOf[cellKey{kind: p.kind, tool: p.tool, cell: p.cell}] = p
+// per cell carrying the merged fragment. Checkpoint cells and plans are both
+// in matrix order.
+func restoreAdaptive(c *Checkpoint, plans []*cellPlan, jobs *[]job, frags *[]fragment) {
+	if len(c.Cells) != len(plans) {
+		// Unreachable behind ValidateAgainst (the digest pins the matrix);
+		// skipping beats corrupting plan state.
+		return
 	}
-	for i := range c.Cells {
+	for i, p := range plans {
 		cc := &c.Cells[i]
-		key := cellKey{kind: kindOf(cc.Kind), tool: cc.Tool, cell: cc.Cell}
-		p := planOf[key]
-		if p == nil {
-			// Unreachable behind ValidateAgainst (the digest pins the matrix);
-			// skipping beats corrupting plan state.
-			continue
-		}
 		p.used = cc.Used
 		p.stopped = cc.Stopped
 		if s, ok := p.tracker.(explore.Snapshotter); ok {
 			s.Restore(cc.Tracker)
 		}
 		if cc.Used > 0 {
-			*jobs = append(*jobs, job{kind: key.kind, tool: key.tool, cell: key.cell, lo: 0, hi: cc.Used})
+			*jobs = append(*jobs, job{kind: p.kind, tool: p.tool, cell: p.cell, lo: 0, hi: cc.Used})
 			*frags = append(*frags, cc.Frag.fragment())
 		}
 	}

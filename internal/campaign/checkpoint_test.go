@@ -3,13 +3,16 @@ package campaign
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"c11tester/internal/explore"
 	"c11tester/internal/litmus"
+	"c11tester/internal/obs"
 	"c11tester/internal/safeio"
 )
 
@@ -88,62 +91,195 @@ func TestValidateCrashOptions(t *testing.T) {
 // merge the partials, and the merged summary must be byte-identical — modulo
 // Canonical, which strips machine-local timing — to an unsharded run.
 func TestShardMergeByteIdentical(t *testing.T) {
-	build := func(workers int) Spec {
-		return Spec{
-			Tools: []ToolSpec{
-				mustTool(t, "c11tester", ToolOptions{}),
-				mustTool(t, "tsan11", ToolOptions{}),
-			},
-			Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue"), benchSpec(t, "seqlock")},
-			Litmus:     []*litmus.Test{mustLitmus(t, "MP+rlx"), mustLitmus(t, "CoRR")},
-			Runs:       30,
-			SeedBase:   500,
-			Workers:    workers,
-			// Does not divide Runs: the ragged tail chunk lands in a shard too.
-			ShardSize:      4,
-			ValidateAxioms: true,
-		}
-	}
-	single := Run(build(1))
-
-	const shards = 3
-	var parts []*Summary
-	for i := 0; i < shards; i++ {
-		spec := build(i + 2)
-		spec.Shard = ShardSel{Index: i, Count: shards}
-		part := Run(spec)
-		if part.Shard == nil || part.Shard.Index != i || part.Shard.SpecDigest == "" {
-			t.Fatalf("shard %d summary carries no shard header: %+v", i, part.Shard)
-		}
-		parts = append(parts, part)
-	}
-	// The digest must not depend on shard selection or worker count.
-	if d := SpecDigest(build(1)); parts[0].Shard.SpecDigest != d {
-		t.Fatalf("shard digest %s != unsharded spec digest %s", parts[0].Shard.SpecDigest, d)
-	}
-
-	// Every execution runs in exactly one shard.
-	var total int
-	for _, p := range parts {
-		for _, ts := range p.Tools {
-			total += ts.Execs
-		}
-	}
-	var want int
-	for _, ts := range single.Tools {
-		want += ts.Execs
-	}
-	if total != want {
-		t.Fatalf("shards ran %d executions in total, single run %d", total, want)
-	}
-
-	// Merge order must not matter.
-	merged, err := MergeSummaries([]*Summary{parts[2], parts[0], parts[1]}, false)
+	guideDir := t.TempDir()
+	Run(Spec{
+		Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
+		Benchmarks: []BenchmarkSpec{benchSpec(t, "dekker-fences")},
+		Litmus:     []*litmus.Test{mustLitmus(t, "MP+rlx")},
+		Runs:       4,
+		SeedBase:   1,
+		RecordDir:  guideDir,
+		RecordAll:  true,
+	})
+	guides, err := LoadGuides(guideDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, wantJSON := canonicalJSON(t, merged), canonicalJSON(t, single); got != wantJSON {
-		t.Fatalf("merged summary differs from single-machine run:\nmerged: %s\nsingle: %s", got, wantJSON)
+
+	cases := []struct {
+		name  string
+		build func(workers int) Spec
+		// check rejects a single-machine run that does not exercise the
+		// case's feature (a vacuous comparison).
+		check func(t *testing.T, single *Summary)
+	}{
+		{name: "validated", build: func(workers int) Spec {
+			return Spec{
+				Tools: []ToolSpec{
+					mustTool(t, "c11tester", ToolOptions{}),
+					mustTool(t, "tsan11", ToolOptions{}),
+				},
+				Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue"), benchSpec(t, "seqlock")},
+				Litmus:     []*litmus.Test{mustLitmus(t, "MP+rlx"), mustLitmus(t, "CoRR")},
+				Runs:       30,
+				SeedBase:   500,
+				Workers:    workers,
+				// Does not divide Runs: the ragged tail chunk lands in a shard too.
+				ShardSize:      4,
+				ValidateAxioms: true,
+			}
+		}},
+		{name: "guided", build: func(workers int) Spec {
+			return Spec{
+				Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
+				Benchmarks: []BenchmarkSpec{benchSpec(t, "dekker-fences")},
+				Litmus:     []*litmus.Test{mustLitmus(t, "MP+rlx")},
+				Runs:       30,
+				SeedBase:   100,
+				Workers:    workers,
+				ShardSize:  7,
+				Guides:     guides,
+			}
+		}, check: func(t *testing.T, single *Summary) {
+			g := single.Tools[0].Benchmarks[0].Guided
+			if g == nil || g.Traces == 0 || g.PrefixDepthSum == 0 || single.Tools[0].Litmus[0].Guided == nil {
+				t.Fatalf("guided case ran unguided: %+v", g)
+			}
+		}},
+		{name: "analyzers+validate", build: func(workers int) Spec {
+			return Spec{
+				Tools:          []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
+				Benchmarks:     []BenchmarkSpec{benchSpec(t, "atomic-counter"), benchSpec(t, "ms-queue")},
+				Litmus:         []*litmus.Test{mustLitmus(t, "SB+rlx"), mustLitmus(t, "CoRR")},
+				Runs:           30,
+				SeedBase:       1,
+				Workers:        workers,
+				ShardSize:      4,
+				Analyzers:      ParseAnalyzers("all"),
+				ValidateAxioms: true,
+			}
+		}, check: func(t *testing.T, single *Summary) {
+			if single.FindingCount() == 0 || single.Tools[0].Validation.Checked == 0 {
+				t.Fatal("analyzer case found nothing or validated nothing")
+			}
+		}},
+		{name: "empty-shards", build: func(workers int) Spec {
+			// One chunk per cell: shards 1 and 2 run no chunk of any cell.
+			return Spec{
+				Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
+				Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
+				Litmus:     []*litmus.Test{mustLitmus(t, "MP+rlx")},
+				Runs:       4,
+				SeedBase:   9,
+				Workers:    workers,
+				ShardSize:  4,
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := tc.build
+			single := Run(build(1))
+			if tc.check != nil {
+				tc.check(t, single)
+			}
+
+			const shards = 3
+			var parts []*Summary
+			for i := 0; i < shards; i++ {
+				spec := build(i + 2)
+				spec.Shard = ShardSel{Index: i, Count: shards}
+				part := Run(spec)
+				if part.Shard == nil || part.Shard.Index != i || part.Shard.SpecDigest == "" {
+					t.Fatalf("shard %d summary carries no shard header: %+v", i, part.Shard)
+				}
+				parts = append(parts, part)
+			}
+			// The digest must not depend on shard selection or worker count.
+			if d := SpecDigest(build(1)); parts[0].Shard.SpecDigest != d {
+				t.Fatalf("shard digest %s != unsharded spec digest %s", parts[0].Shard.SpecDigest, d)
+			}
+
+			// Every execution runs in exactly one shard.
+			var total int
+			for _, p := range parts {
+				for _, ts := range p.Tools {
+					total += ts.Execs
+				}
+			}
+			var want int
+			for _, ts := range single.Tools {
+				want += ts.Execs
+			}
+			if total != want {
+				t.Fatalf("shards ran %d executions in total, single run %d", total, want)
+			}
+
+			// Merge order must not matter.
+			merged, err := MergeSummaries([]*Summary{parts[2], parts[0], parts[1]}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, wantJSON := canonicalJSON(t, merged), canonicalJSON(t, single); got != wantJSON {
+				t.Fatalf("merged summary differs from single-machine run:\nmerged: %s\nsingle: %s", got, wantJSON)
+			}
+		})
+	}
+}
+
+// TestFragmentMergeOrderIndependent pins the fold every merge path shares:
+// two fragments whose failures and violation samples interleave by run
+// merge to the same fragment either way round, and to the same fragment as
+// folding the executions one by one in run order. The capped lists hold the
+// five smallest runs, whichever fragment they came from.
+func TestFragmentMergeOrderIndependent(t *testing.T) {
+	exec := func(run int) *fragment {
+		return &fragment{execs: 1, failed: 1, violations: 1, guideTraces: 2,
+			races:      map[string]raceHit{fmt.Sprintf("race%d", run%3): {desc: fmt.Sprint(run), run: run}},
+			failures:   []execFailure{{run: run, err: fmt.Sprintf("fail %d", run)}},
+			vioSamples: []execFailure{{run: run, err: fmt.Sprintf("vio %d", run)}},
+			captures:   []obs.CaptureRecord{{Seed: int64(run), Index: run}},
+		}
+	}
+	unit := func(runs ...int) fragment {
+		var f fragment
+		for _, r := range runs {
+			f.merge(exec(r))
+		}
+		return f
+	}
+	// Two units dealt alternating chunks of three runs, as shards are.
+	a := func() fragment { return unit(0, 1, 2, 6, 7, 8) }
+	b := func() fragment { return unit(3, 4, 5, 9, 10, 11) }
+	ab, bPart := a(), b()
+	ab.merge(&bPart)
+	ba, aPart := b(), a()
+	ba.merge(&aPart)
+	serial := unit(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
+
+	want := fragState(&serial)
+	if got := fragState(&ab); !reflect.DeepEqual(got, want) {
+		t.Errorf("a.merge(b) = %+v\nwant %+v", got, want)
+	}
+	if got := fragState(&ba); !reflect.DeepEqual(got, want) {
+		t.Errorf("b.merge(a) = %+v\nwant %+v", got, want)
+	}
+	runs := func(fs []FailureState) []int {
+		var out []int
+		for _, f := range fs {
+			out = append(out, f.Run)
+		}
+		return out
+	}
+	smallest := []int{0, 1, 2, 3, 4}
+	if got := runs(want.Failures); !reflect.DeepEqual(got, smallest) {
+		t.Errorf("failure samples hold runs %v, want %v", got, smallest)
+	}
+	if got := runs(want.VioSamples); !reflect.DeepEqual(got, smallest) {
+		t.Errorf("violation samples hold runs %v, want %v", got, smallest)
+	}
+	if want.Execs != 12 || want.Failed != 12 || want.GuideTraces != 2 || len(want.Captures) != 12 {
+		t.Errorf("folded counts = %+v", want)
 	}
 }
 
@@ -191,6 +327,15 @@ func TestMergeSummariesRefusals(t *testing.T) {
 	}
 	if _, err := MergeSummaries([]*Summary{p0, skewed}, true); err != nil {
 		t.Errorf("force did not override provenance skew: %v", err)
+	}
+	// A partial from a build whose shard header carries no per-cell state
+	// cannot be folded; it must be regenerated, not re-folded from its
+	// rendered summary.
+	stale := shardRun(build(1), 1, 2)
+	stale.Shard.Cells = nil
+	if _, err := MergeSummaries([]*Summary{p0, stale}, false); err == nil ||
+		!strings.Contains(err.Error(), "regenerate the shards") {
+		t.Errorf("partial without per-cell state not refused: %v", err)
 	}
 	// Schema-version drift refuses.
 	old := shardRun(build(1), 1, 2)

@@ -1,14 +1,11 @@
 // merge.go folds the partial artifacts of a sharded campaign — summaries,
 // capture manifests, event streams — back into the single-machine artifact.
 // Shards partition the execution set (each seed runs in exactly one shard),
-// and every summary statistic is either a sum, a sorted union, or a
-// min-by-(cell order, seed) winner, so the merge is exact: the merged summary
-// is byte-identical (Summary.Canonical) to the summary of an unsharded run.
-// The capped sample lists (races keep a min-winner per key; violation and
-// failure samples keep the first five by (cell order, seed)) stay exact too:
-// any element of the global first-five necessarily ranks in the first five of
-// its own shard, so a sorted union of the partials' lists, truncated to five,
-// reproduces the single-machine list.
+// and every partial carries its per-cell fragment state (ShardInfo.Cells).
+// MergeSummaries folds those cells with fragment.merge and renders them with
+// aggregate, exactly as Run does on one machine, so the merged summary is
+// byte-identical (Summary.Canonical) to the summary of an unsharded run by
+// construction.
 //
 // Merging refuses partials that were not cut from the same campaign: every
 // partial carries its spec digest (ShardInfo.SpecDigest) and build
@@ -20,21 +17,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
-	"time"
 
-	"c11tester/internal/capi"
-	"c11tester/internal/harness"
 	"c11tester/internal/obs"
 	"c11tester/internal/safeio"
 )
 
 // MergeSummaries folds K shard partials into the whole-campaign summary.
 // Parts may be given in any order; they are validated (same spec digest, same
-// shard count, indices exactly 0..K-1, schema v7, uniform policy) and merged
-// deterministically. force skips the provenance-skew refusal (never the
-// digest checks).
+// shard count, indices exactly 0..K-1, this schema version, uniform policy,
+// per-cell state present) and then folded and rendered like a single-machine
+// run. force skips the provenance-skew refusal (never the digest checks).
 func MergeSummaries(parts []*Summary, force bool) (*Summary, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("campaign: merge: no partial summaries")
@@ -51,12 +44,18 @@ func MergeSummaries(parts []*Summary, force bool) (*Summary, error) {
 		if p.Shard == nil {
 			return nil, fmt.Errorf("campaign: merge: summary has no shard header (not a partial — was it produced with -shard?)")
 		}
+		if p.Shard.Cells == nil {
+			return nil, fmt.Errorf("campaign: merge: shard %d carries no per-cell fragment state (written by an older build); regenerate the shards with this build", p.Shard.Index)
+		}
 	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Shard.Index < sorted[j].Shard.Index })
 	first := sorted[0]
 	if len(sorted) != first.Shard.Count {
 		return nil, fmt.Errorf("campaign: merge: have %d partial(s), shard headers say count=%d", len(sorted), first.Shard.Count)
 	}
+	info := first.Spec
+	nb, nl := len(info.Benchmarks), len(info.Litmus)
+	ncells := len(info.Tools) * (nb + nl)
 	for i, p := range sorted {
 		if p.Shard.Index != i {
 			return nil, fmt.Errorf("campaign: merge: shard indices are not exactly 0..%d (duplicate or missing shard %d)", first.Shard.Count-1, i)
@@ -70,16 +69,56 @@ func MergeSummaries(parts []*Summary, force bool) (*Summary, error) {
 		if skew := first.Provenance.Skew(p.Provenance); len(skew) > 0 && !force {
 			return nil, fmt.Errorf("campaign: merge: shard %d build provenance skew (%s); pass -force to merge anyway", p.Shard.Index, strings.Join(skew, "; "))
 		}
+		if len(p.Shard.Cells) != ncells || len(p.Shard.ReproFlags) != len(info.Tools) {
+			return nil, fmt.Errorf("campaign: merge: shard %d header has %d cell(s) and %d tool flag set(s), the matrix needs %d and %d", p.Shard.Index, len(p.Shard.Cells), len(p.Shard.ReproFlags), ncells, len(info.Tools))
+		}
+		for t, name := range info.Tools {
+			if t >= len(p.Tools) || p.Tools[t].Tool != name ||
+				len(p.Tools[t].Benchmarks) != nb || len(p.Tools[t].Litmus) != nl {
+				return nil, fmt.Errorf("campaign: merge: shard %d tool matrix mismatch at %q (digest collision?)", p.Shard.Index, name)
+			}
+		}
 	}
 
-	m := &Summary{
-		Schema: SchemaName, SchemaVersion: SchemaVersion,
-		Spec:       first.Spec,
-		Provenance: first.Provenance,
+	cells := make([]cellFold, ncells)
+	for _, p := range sorted {
+		for c := range p.Shard.Cells {
+			f := p.Shard.Cells[c].Frag.fragment()
+			cells[c].frag.merge(&f)
+		}
 	}
+	// Timing and phase histograms are telemetry, not fragment state: they
+	// fold from the partials' rendered cells.
+	hists := func(k cellKey) (timing *obs.HistogramSnapshot, phases map[string]*obs.HistogramSnapshot) {
+		for _, p := range sorted {
+			var h *obs.HistogramSnapshot
+			var ph map[string]*obs.HistogramSnapshot
+			if ts := &p.Tools[k.tool]; k.kind == jobLitmus {
+				h, ph = ts.Litmus[k.cell].Timing, ts.Litmus[k.cell].Phases
+			} else {
+				h, ph = ts.Benchmarks[k.cell].Timing, ts.Benchmarks[k.cell].Phases
+			}
+			timing = mergeSnapshot(timing, h)
+			for name, h := range ph {
+				if phases == nil {
+					phases = map[string]*obs.HistogramSnapshot{}
+				}
+				phases[name] = mergeSnapshot(phases[name], h)
+			}
+		}
+		return timing, phases
+	}
+	meta := summaryMeta{info: info, reproFlags: first.Shard.ReproFlags, hists: hists}
 	// Workers describes one machine's pool; a merged artifact has no single
 	// meaningful value. Canonical zeroes it anyway.
-	m.Spec.Workers = 0
+	meta.info.Workers = 0
+	if len(info.Tools) > 0 {
+		for _, ls := range first.Tools[0].Litmus {
+			meta.weakDefined = append(meta.weakDefined, ls.WeakDefined)
+		}
+	}
+	m := aggregate(meta, cells, nil)
+	m.Provenance = first.Provenance
 	var obsAcc ObsSummary
 	haveObs := false
 	for _, p := range sorted {
@@ -98,399 +137,19 @@ func MergeSummaries(parts []*Summary, force bool) (*Summary, error) {
 	if haveObs {
 		m.Obs = &obsAcc
 	}
-
-	cellOrder := cellOrderOf(first.Spec)
-	for t := range first.Tools {
-		var partTools []*ToolSummary
-		for _, p := range sorted {
-			if t >= len(p.Tools) || p.Tools[t].Tool != first.Tools[t].Tool {
-				return nil, fmt.Errorf("campaign: merge: tool matrix mismatch at %q (digest collision?)", first.Tools[t].Tool)
-			}
-			partTools = append(partTools, &p.Tools[t])
-		}
-		ts, err := mergeToolSummaries(first.Spec, cellOrder, partTools)
-		if err != nil {
-			return nil, err
-		}
-		m.Tools = append(m.Tools, *ts)
-	}
 	return m, nil
 }
 
-// cellOrderOf maps a program name to its matrix position — benchmarks first,
-// then litmus tests — the order every capped sample list is built in.
-func cellOrderOf(info SpecInfo) map[string]int {
-	order := map[string]int{}
-	for i, b := range info.Benchmarks {
-		order[b] = i
+// mergeSnapshot folds src into dst, allocating dst on first use.
+func mergeSnapshot(dst, src *obs.HistogramSnapshot) *obs.HistogramSnapshot {
+	if src == nil {
+		return dst
 	}
-	for i, l := range info.Litmus {
-		order["litmus/"+l] = len(info.Benchmarks) + i
+	if dst == nil {
+		dst = &obs.HistogramSnapshot{}
 	}
-	return order
-}
-
-func cellRank(order map[string]int, program string, litmus bool) int {
-	if litmus {
-		return order["litmus/"+program]
-	}
-	return order[program]
-}
-
-func mergeToolSummaries(info SpecInfo, order map[string]int, parts []*ToolSummary) (*ToolSummary, error) {
-	first := parts[0]
-	ts := &ToolSummary{Tool: first.Tool, Races: []harness.RaceSummary{}}
-	for _, p := range parts {
-		ts.Execs += p.Execs
-		ts.WorkNS += p.WorkNS
-		ts.AtomicOps += p.AtomicOps
-		ts.NormalOps += p.NormalOps
-		ts.Perf.AllocBytes += p.Perf.AllocBytes
-		ts.Perf.AllocObjects += p.Perf.AllocObjects
-		ts.RecordedTraces += p.RecordedTraces
-		ts.RecordErrors += p.RecordErrors
-		ts.EngineFailures += p.EngineFailures
-		ts.Captures += p.Captures
-		ts.CaptureErrors += p.CaptureErrors
-	}
-	ts.ExecsPerSec = harness.ExecsPerSec(ts.Execs, time.Duration(ts.WorkNS))
-	if ts.Execs > 0 {
-		ts.Perf.BytesPerExec = float64(ts.Perf.AllocBytes) / float64(ts.Execs)
-	}
-
-	// Validation: all-or-none across shards (the duty is part of the digest).
-	if first.Validation != nil {
-		val := &ValidationSummary{}
-		type vioSample struct {
-			text string
-			cell int
-			seed int64
-		}
-		var samples []vioSample
-		for _, p := range parts {
-			if p.Validation == nil {
-				return nil, fmt.Errorf("campaign: merge: tool %s has validation results in some shards but not others", first.Tool)
-			}
-			val.Checked += p.Validation.Checked
-			val.Skipped += p.Validation.Skipped
-			val.Violations += p.Validation.Violations
-			for _, s := range p.Validation.Samples {
-				cell, seed, err := parseVioSample(order, first.Tool, s)
-				if err != nil {
-					return nil, err
-				}
-				samples = append(samples, vioSample{text: s, cell: cell, seed: seed})
-			}
-		}
-		sort.Slice(samples, func(i, j int) bool {
-			if samples[i].cell != samples[j].cell {
-				return samples[i].cell < samples[j].cell
-			}
-			return samples[i].seed < samples[j].seed
-		})
-		for _, s := range samples {
-			if len(val.Samples) >= maxViolationSamples {
-				break
-			}
-			val.Samples = append(val.Samples, s.text)
-		}
-		ts.Validation = val
-	}
-
-	// Engine-failure samples: first five by (cell order, seed), reconstructed
-	// from the structured repro triples.
-	var fails []EngineFailure
-	for _, p := range parts {
-		fails = append(fails, p.FailureSamples...)
-	}
-	sort.Slice(fails, func(i, j int) bool {
-		ci := cellRank(order, fails[i].Repro.Program, fails[i].Repro.Litmus)
-		cj := cellRank(order, fails[j].Repro.Program, fails[j].Repro.Litmus)
-		if ci != cj {
-			return ci < cj
-		}
-		return fails[i].Repro.Seed < fails[j].Repro.Seed
-	})
-	for _, f := range fails {
-		if len(ts.FailureSamples) >= maxViolationSamples {
-			break
-		}
-		ts.FailureSamples = append(ts.FailureSamples, f)
-	}
-
-	// Per-cell summaries merge element-wise: the digest pins the matrix, so
-	// every shard has the same cells in the same order.
-	for b := range first.Benchmarks {
-		var cells []*CellSummary
-		for _, p := range parts {
-			cells = append(cells, &p.Benchmarks[b])
-		}
-		ts.Benchmarks = append(ts.Benchmarks, *mergeCells(cells))
-	}
-	for l := range first.Litmus {
-		var cells []*LitmusSummary
-		for _, p := range parts {
-			cells = append(cells, &p.Litmus[l])
-		}
-		ts.Litmus = append(ts.Litmus, *mergeLitmus(cells))
-	}
-
-	ts.Races = mergeRaceSummaries(order, parts, func(p *ToolSummary) []harness.RaceSummary { return p.Races })
-	ts.UnexpectedRaces = mergeRaceSummaries(order, parts, func(p *ToolSummary) []harness.RaceSummary { return p.UnexpectedRaces })
-	if len(ts.UnexpectedRaces) == 0 {
-		ts.UnexpectedRaces = nil
-	}
-
-	// Analyzer findings: the analyzer set is digest material, so every shard
-	// ran the same pipeline; counts sum and the earliest (cell order, seed)
-	// occurrence keeps the description and repro, exactly like races. The
-	// rollups are recomputed from the merged finding list.
-	ts.Findings = mergeFindingSummaries(order, parts)
-	for _, name := range info.Analyzers {
-		as := AnalyzerSummary{Analyzer: name}
-		for _, f := range ts.Findings {
-			if f.Analyzer == name {
-				as.Distinct++
-				as.Count += f.Count
-			}
-		}
-		ts.Analyzers = append(ts.Analyzers, as)
-	}
-	return ts, nil
-}
-
-// mergeFindingSummaries unions the partials' deduplicated analyzer findings.
-// Finding identity is (analyzer, cell, key) — unlike races, which dedup
-// campaign-wide by key — and the merged list is re-sorted by (analyzer, cell
-// order, key), the order the single-machine aggregation emits.
-func mergeFindingSummaries(order map[string]int, parts []*ToolSummary) []FindingSummary {
-	type fkey struct {
-		analyzer string
-		program  string
-		litmus   bool
-		key      string
-	}
-	type winner struct {
-		f    FindingSummary
-		cell int
-	}
-	best := map[fkey]winner{}
-	var keys []fkey
-	for _, p := range parts {
-		for _, f := range p.Findings {
-			k := fkey{analyzer: f.Analyzer, program: f.Program, litmus: f.Litmus, key: f.Key}
-			cand := winner{f: f, cell: cellRank(order, f.Program, f.Litmus)}
-			cur, seen := best[k]
-			if !seen {
-				keys = append(keys, k)
-				best[k] = cand
-				continue
-			}
-			if cand.cell < cur.cell || (cand.cell == cur.cell && cand.f.Repro.Seed < cur.f.Repro.Seed) {
-				cand.f.Count += cur.f.Count
-				best[k] = cand
-			} else {
-				cur.f.Count += cand.f.Count
-				best[k] = cur
-			}
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.analyzer != b.analyzer {
-			return a.analyzer < b.analyzer
-		}
-		ca, cb := cellRank(order, a.program, a.litmus), cellRank(order, b.program, b.litmus)
-		if ca != cb {
-			return ca < cb
-		}
-		return a.key < b.key
-	})
-	var out []FindingSummary
-	for _, k := range keys {
-		out = append(out, best[k].f)
-	}
-	return out
-}
-
-// mergeRaceSummaries unions the partials' deduplicated races, keeping the
-// earliest winner per key by (cell order, seed) — the same total order the
-// single-machine aggregation uses.
-func mergeRaceSummaries(order map[string]int, parts []*ToolSummary, get func(*ToolSummary) []harness.RaceSummary) []harness.RaceSummary {
-	type winner struct {
-		r    harness.RaceSummary
-		cell int
-	}
-	best := map[string]winner{}
-	for _, p := range parts {
-		for _, r := range get(p) {
-			cand := winner{r: r, cell: cellRank(order, r.Repro.Program, r.Repro.Litmus)}
-			cur, seen := best[r.Key]
-			if !seen || cand.cell < cur.cell ||
-				(cand.cell == cur.cell && cand.r.Repro.Seed < cur.r.Repro.Seed) {
-				best[r.Key] = cand
-			}
-		}
-	}
-	out := []harness.RaceSummary{}
-	for _, key := range harness.SortedKeys(best) {
-		out = append(out, best[key].r)
-	}
-	return out
-}
-
-func mergeGuided(parts []*GuideStats) *GuideStats {
-	var g *GuideStats
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if g == nil {
-			g = &GuideStats{Traces: p.Traces}
-		}
-		g.GuidedExecs += p.GuidedExecs
-		g.Divergences += p.Divergences
-		g.PrefixDepthSum += p.PrefixDepthSum
-		g.ConsumedSum += p.ConsumedSum
-	}
-	if g != nil && g.GuidedExecs > 0 {
-		n := float64(g.GuidedExecs)
-		g.MeanPrefixDepth = float64(g.PrefixDepthSum) / n
-		g.MeanConsumed = float64(g.ConsumedSum) / n
-	}
-	return g
-}
-
-func mergeCells(parts []*CellSummary) *CellSummary {
-	first := parts[0]
-	cell := &CellSummary{Program: first.Program}
-	det := harness.Detection{}
-	var timeWeighted int64
-	keys := map[string]bool{}
-	var guided []*GuideStats
-	for _, p := range parts {
-		det.Runs += p.Detection.Runs
-		det.Detected += p.Detection.Detected
-		det.Ops.Add(capi.OpStats{AtomicOps: p.Detection.AtomicOps, NormalOps: p.Detection.NormalOps})
-		timeWeighted += p.Detection.MeanTimeNS * int64(p.Detection.Runs)
-		for _, k := range p.RaceKeys {
-			keys[k] = true
-		}
-		cell.Failed += p.Failed
-		guided = append(guided, p.Guided)
-		if p.Timing != nil {
-			if cell.Timing == nil {
-				cell.Timing = &obs.HistogramSnapshot{}
-			}
-			cell.Timing.Merge(p.Timing)
-		}
-		for name, h := range p.Phases {
-			if cell.Phases == nil {
-				cell.Phases = map[string]*obs.HistogramSnapshot{}
-			}
-			if cell.Phases[name] == nil {
-				cell.Phases[name] = &obs.HistogramSnapshot{}
-			}
-			cell.Phases[name].Merge(h)
-		}
-	}
-	if det.Runs > 0 {
-		det.Time = time.Duration(timeWeighted / int64(det.Runs))
-	}
-	cell.Detection = det.Summary()
-	cell.RaceKeys = harness.SortedKeys(keys)
-	cell.Guided = mergeGuided(guided)
-	return cell
-}
-
-func mergeLitmus(parts []*LitmusSummary) *LitmusSummary {
-	first := parts[0]
-	ls := &LitmusSummary{
-		Test: first.Test, Outcomes: map[string]int{},
-		WeakSeen: []string{}, WeakDefined: first.WeakDefined,
-	}
-	weak := map[string]bool{}
-	type forb struct {
-		repro harness.Repro
-	}
-	forbidden := map[string]forb{}
-	var guided []*GuideStats
-	for _, p := range parts {
-		ls.Execs += p.Execs
-		ls.Failed += p.Failed
-		for out, n := range p.Outcomes {
-			ls.Outcomes[out] += n
-		}
-		for _, w := range p.WeakSeen {
-			weak[w] = true
-		}
-		for _, f := range p.ForbiddenSeen {
-			if cur, seen := forbidden[f.Outcome]; !seen || f.Repro.Seed < cur.repro.Seed {
-				forbidden[f.Outcome] = forb{repro: f.Repro}
-			}
-		}
-		guided = append(guided, p.Guided)
-		if p.Timing != nil {
-			if ls.Timing == nil {
-				ls.Timing = &obs.HistogramSnapshot{}
-			}
-			ls.Timing.Merge(p.Timing)
-		}
-		for name, h := range p.Phases {
-			if ls.Phases == nil {
-				ls.Phases = map[string]*obs.HistogramSnapshot{}
-			}
-			if ls.Phases[name] == nil {
-				ls.Phases[name] = &obs.HistogramSnapshot{}
-			}
-			ls.Phases[name].Merge(h)
-		}
-	}
-	ls.WeakSeen = harness.SortedKeys(weak)
-	for _, out := range harness.SortedKeys(forbidden) {
-		ls.ForbiddenSeen = append(ls.ForbiddenSeen, ForbiddenOutcome{
-			Test: first.Test, Outcome: out,
-			// Every occurrence of a forbidden outcome lands in its shard's
-			// ForbiddenSeen (forbidden-ness is a pure predicate of the
-			// outcome), so the merged count is the merged outcome count.
-			Count: ls.Outcomes[out],
-			Repro: forbidden[out].repro,
-		})
-	}
-	ls.Guided = mergeGuided(guided)
-	return ls
-}
-
-// parseVioSample recovers the (cell, seed) sort key from a violation sample
-// line ("tool/program seed N: ..."). Samples are rendered by this package, so
-// a parse failure means a corrupt artifact.
-func parseVioSample(order map[string]int, tool, s string) (cell int, seed int64, err error) {
-	rest, ok := strings.CutPrefix(s, tool+"/")
-	if !ok {
-		return 0, 0, fmt.Errorf("campaign: merge: malformed violation sample %q (want %q prefix)", s, tool+"/")
-	}
-	program, rest, ok := strings.Cut(rest, " seed ")
-	if !ok {
-		return 0, 0, fmt.Errorf("campaign: merge: malformed violation sample %q", s)
-	}
-	num, _, ok := strings.Cut(rest, ":")
-	if !ok {
-		return 0, 0, fmt.Errorf("campaign: merge: malformed violation sample %q", s)
-	}
-	seed, err = strconv.ParseInt(strings.TrimSpace(num), 10, 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("campaign: merge: malformed violation sample %q: %v", s, err)
-	}
-	// Validation runs on engine cells; litmus programs and benchmarks share
-	// one name space in practice, and benchmarks come first in cell order —
-	// prefer the benchmark slot, fall back to the litmus slot.
-	if c, ok := order[program]; ok {
-		return c, seed, nil
-	}
-	if c, ok := order["litmus/"+program]; ok {
-		return c, seed, nil
-	}
-	return 0, 0, fmt.Errorf("campaign: merge: violation sample names unknown program %q", program)
+	dst.Merge(src)
+	return dst
 }
 
 // MergeManifests folds the shards' capture manifests into one, re-sorted
@@ -588,18 +247,12 @@ func BuildShardManifest(spec Spec, sum *Summary) *ShardManifest {
 		SeedRanges: [][2]int64{},
 	}
 	if sum.Shard != nil {
-		m.Shard = *sum.Shard
+		// The manifest audits the slice; the per-cell state stays in the
+		// partial summary.
+		m.Shard = ShardInfo{Index: sum.Shard.Index, Count: sum.Shard.Count, SpecDigest: sum.Shard.SpecDigest}
 	}
-	ord := 0
-	for lo := 0; lo < spec.Runs; lo += spec.ShardSize {
-		hi := lo + spec.ShardSize
-		if hi > spec.Runs {
-			hi = spec.Runs
-		}
-		if spec.Shard.Count <= 1 || ord%spec.Shard.Count == spec.Shard.Index {
-			m.SeedRanges = append(m.SeedRanges, [2]int64{spec.SeedBase + int64(lo), spec.SeedBase + int64(hi)})
-		}
-		ord++
+	for _, c := range chunkDeal(spec) {
+		m.SeedRanges = append(m.SeedRanges, [2]int64{spec.SeedBase + int64(c[0]), spec.SeedBase + int64(c[1])})
 	}
 	for _, ts := range sum.Tools {
 		m.Execs += ts.Execs

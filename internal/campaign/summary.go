@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"c11tester/internal/capi"
 	"c11tester/internal/harness"
 	"c11tester/internal/obs"
 	"c11tester/internal/rng"
@@ -337,112 +336,58 @@ type Summary struct {
 	CheckpointErrors int `json:"checkpoint_errors,omitempty"`
 }
 
-// cellAcc accumulates the fragments of one cell.
-type cellAcc struct {
-	execs     int
-	detected  int
-	ops       capi.OpStats
-	elapsed   time.Duration
-	races     map[string]raceHit
-	outcomes  map[string]int
-	forbidden map[string]int
-	weak      map[string]int
-	findings  map[findingID]findingHit
-
-	checked    int
-	skipped    int
-	violations int
-	vioSamples []string
-	recorded   int
-	recordErrs int
-	allocBytes uint64
-	allocObjs  uint64
-
-	failed   int
-	failures []execFailure
-
-	captures    int
-	captureErrs int
-
-	guidedExecs    int
-	prefixDepth    int64
-	prefixConsumed int64
-	divergences    int
+// cellFold is one matrix cell's folded result: the fragment.merge of every
+// job of the cell, and the end of the highest execution range it ran.
+type cellFold struct {
+	frag fragment
+	hi   int
 }
 
-func newCellAcc() *cellAcc {
-	return &cellAcc{
-		races:     map[string]raceHit{},
-		outcomes:  map[string]int{},
-		forbidden: map[string]int{},
-		weak:      map[string]int{},
-		findings:  map[findingID]findingHit{},
+// index is the cell's position in matrix order (see matrixCells) in a
+// matrix of nb benchmarks and nl litmus tests per tool.
+func (k cellKey) index(nb, nl int) int {
+	i := k.tool*(nb+nl) + k.cell
+	if k.kind == jobLitmus {
+		i += nb
 	}
+	return i
 }
 
-func (a *cellAcc) merge(f fragment) {
-	a.execs += f.execs
-	a.detected += f.detected
-	a.ops.Add(f.ops)
-	a.elapsed += f.elapsed
-	mergeRaces(a.races, f.races)
-	for out, n := range f.outcomes {
-		a.outcomes[out] += n
+// foldCells merges every job's fragment into its matrix cell: the per-cell
+// fold behind the summary, checkpoints and shard partials. The result is in
+// matrix order; cells without jobs stay empty.
+func foldCells(spec Spec, jobs []job, frags []fragment) []cellFold {
+	nb, nl := len(spec.Benchmarks), len(spec.Litmus)
+	cells := make([]cellFold, len(spec.Tools)*(nb+nl))
+	for i := range jobs {
+		c := &cells[jobs[i].key().index(nb, nl)]
+		c.frag.merge(&frags[i])
+		c.hi = max(c.hi, jobs[i].hi)
 	}
-	for out, first := range f.forbidden {
-		if cur, seen := a.forbidden[out]; !seen || first < cur {
-			a.forbidden[out] = first
-		}
+	return cells
+}
+
+// summaryMeta is what aggregate renders besides the folded cells: the spec
+// echo, each tool's repro flags, each litmus test's weak-outcome count, and
+// the source of the per-cell timing and phase histograms, which are
+// telemetry rather than fragment state. Run takes it from the Spec (metaOf);
+// MergeSummaries takes it from the partials.
+type summaryMeta struct {
+	info        SpecInfo
+	reproFlags  []string // per tool
+	weakDefined []int    // per litmus test
+	hists       func(cellKey) (*obs.HistogramSnapshot, map[string]*obs.HistogramSnapshot)
+}
+
+func metaOf(spec Spec) summaryMeta {
+	m := summaryMeta{info: specInfo(spec), hists: spec.Telemetry.cellSnapshots}
+	for _, t := range spec.Tools {
+		m.reproFlags = append(m.reproFlags, t.ReproFlags)
 	}
-	for out, n := range f.weak {
-		a.weak[out] += n
+	for _, l := range spec.Litmus {
+		m.weakDefined = append(m.weakDefined, len(l.Weak))
 	}
-	// Findings fold like races: counts sum, the earliest run wins the
-	// description (fragments merge in execution-index order).
-	for id, hit := range f.findings {
-		if cur, seen := a.findings[id]; seen {
-			if hit.run < cur.run {
-				cur.desc, cur.run = hit.desc, hit.run
-			}
-			cur.count += hit.count
-			a.findings[id] = cur
-		} else {
-			a.findings[id] = hit
-		}
-	}
-	a.checked += f.checked
-	a.skipped += f.skipped
-	a.violations += f.violations
-	for _, s := range f.vioSamples {
-		if len(a.vioSamples) >= maxViolationSamples {
-			break
-		}
-		a.vioSamples = append(a.vioSamples, s)
-	}
-	a.recorded += f.recorded
-	a.recordErrs += f.recordErrs
-	a.allocBytes += f.allocBytes
-	a.allocObjs += f.allocObjs
-	a.failed += f.failed
-	// Keep the earliest-run failure samples; fragments merge in job order
-	// (execution-index order within a cell), so insertion order is already
-	// by run, independent of worker scheduling.
-	for _, fl := range f.failures {
-		if len(a.failures) >= maxViolationSamples {
-			break
-		}
-		a.failures = append(a.failures, fl)
-	}
-	a.guidedExecs += f.guidedExecs
-	a.prefixDepth += f.prefixDepth
-	a.prefixConsumed += f.prefixConsumed
-	a.divergences += f.divergences
-	a.captures += len(f.captures)
-	for i := range f.captures {
-		if f.captures[i].Err != "" {
-			a.captureErrs++
-		}
-	}
+	return m
 }
 
 // specInfo echoes the campaign parameters into their summary form; the same
@@ -476,38 +421,20 @@ func specInfo(spec Spec) SpecInfo {
 	return info
 }
 
-// aggregate folds the shard fragments into the Summary. Every merge is
-// order-independent (sums, histogram unions, min-by-index winners), so the
-// result does not depend on how jobs were scheduled across workers. budgets
-// carries the per-cell budget accounting of an adaptive policy (nil under
-// uniform).
-func aggregate(spec Spec, jobs []job, frags []fragment, budgets map[cellKey]*BudgetSummary, wall time.Duration, gc GCSummary) *Summary {
-	benchAcc := make([][]*cellAcc, len(spec.Tools))
-	litAcc := make([][]*cellAcc, len(spec.Tools))
-	for t := range spec.Tools {
-		benchAcc[t] = make([]*cellAcc, len(spec.Benchmarks))
-		for b := range benchAcc[t] {
-			benchAcc[t][b] = newCellAcc()
+// aggregate renders the folded cells (matrix order, see foldCells) into the
+// Summary. It reads only the cells, the metadata and the adaptive budgets
+// (nil under uniform), so a single-machine run and a shard merge render
+// through the same code. Wall clock, GC and provenance are the caller's.
+func aggregate(m summaryMeta, cells []cellFold, budgets map[cellKey]*BudgetSummary) *Summary {
+	info := m.info
+	nb, nl := len(info.Benchmarks), len(info.Litmus)
+	sum := &Summary{Schema: SchemaName, SchemaVersion: SchemaVersion, Spec: info}
+	for t, tool := range info.Tools {
+		repro := func(program string, inLitmus bool, run int) harness.Repro {
+			return harness.Repro{Tool: tool, Program: program,
+				Seed: info.SeedBase + int64(run), Litmus: inLitmus, Flags: m.reproFlags[t]}
 		}
-		litAcc[t] = make([]*cellAcc, len(spec.Litmus))
-		for l := range litAcc[t] {
-			litAcc[t][l] = newCellAcc()
-		}
-	}
-	for i, j := range jobs {
-		switch j.kind {
-		case jobBench:
-			benchAcc[j.tool][j.cell].merge(frags[i])
-		case jobLitmus:
-			litAcc[j.tool][j.cell].merge(frags[i])
-		}
-	}
-
-	sum := &Summary{Schema: SchemaName, SchemaVersion: SchemaVersion,
-		Spec: specInfo(spec), WallNS: int64(wall), GC: gc,
-		Provenance: BuildProvenance()}
-	for t, toolSpec := range spec.Tools {
-		ts := ToolSummary{Tool: toolSpec.Name, Races: []harness.RaceSummary{}}
+		ts := ToolSummary{Tool: tool, Races: []harness.RaceSummary{}}
 		var val ValidationSummary
 		// Campaign-wide race dedup: first winner by (cell order, run index).
 		type toolRace struct {
@@ -520,11 +447,8 @@ func aggregate(spec Spec, jobs []job, frags []fragment, budgets map[cellKey]*Bud
 		// so the outcome is independent of merge order.
 		addRaces := func(dst map[string]toolRace, cellIdx int, program string, inLitmus bool, races map[string]raceHit) {
 			for key, hit := range races {
-				repro := harness.Repro{Tool: toolSpec.Name, Program: program,
-					Seed: spec.SeedBase + int64(hit.run), Litmus: inLitmus,
-					Flags: toolSpec.ReproFlags}
 				cand := toolRace{summary: harness.RaceSummary{Key: key,
-					Description: hit.desc, Repro: repro},
+					Description: hit.desc, Repro: repro(program, inLitmus, hit.run)},
 					cell: cellIdx, run: hit.run}
 				if cur, seen := dst[key]; !seen ||
 					cand.cell < cur.cell || (cand.cell == cur.cell && cand.run < cur.run) {
@@ -534,8 +458,7 @@ func aggregate(spec Spec, jobs []job, frags []fragment, budgets map[cellKey]*Bud
 		}
 		toolRaces := map[string]toolRace{}
 
-		// addFindings renders a cell's deduplicated analyzer findings. The
-		// finding identity includes the cell (unlike races, which dedup
+		// The finding identity includes the cell (unlike races, which dedup
 		// campaign-wide), so cells contribute disjoint entries; cellIdx ranks
 		// benchmarks before litmus cells for the final sort.
 		type toolFinding struct {
@@ -543,107 +466,110 @@ func aggregate(spec Spec, jobs []job, frags []fragment, budgets map[cellKey]*Bud
 			cell    int
 		}
 		var toolFindings []toolFinding
-		addFindings := func(cellIdx int, program string, inLitmus bool, findings map[findingID]findingHit) {
-			for _, id := range sortedFindingIDs(findings) {
-				hit := findings[id]
-				flags := strings.TrimSpace(toolSpec.ReproFlags + " -analyzers " + id.analyzer)
+
+		// addCell folds one cell's findings, failure and violation samples,
+		// and totals into the tool summary. Cells are visited in matrix order
+		// and their samples are already in run order, so every capped list
+		// is deterministic.
+		addCell := func(cellIdx int, program string, inLitmus bool, f *fragment) {
+			for _, id := range sortedFindingIDs(f.findings) {
+				hit := f.findings[id]
+				r := repro(program, inLitmus, hit.run)
+				r.Flags = strings.TrimSpace(r.Flags + " -analyzers " + id.analyzer)
 				toolFindings = append(toolFindings, toolFinding{
 					summary: FindingSummary{Analyzer: id.analyzer, Key: id.key,
 						Description: hit.desc, Program: program, Litmus: inLitmus,
-						Count: hit.count,
-						Repro: harness.Repro{Tool: toolSpec.Name, Program: program,
-							Seed: spec.SeedBase + int64(hit.run), Litmus: inLitmus,
-							Flags: flags}},
+						Count: hit.count, Repro: r},
 					cell: cellIdx})
 			}
-		}
-
-		// addFailures folds a cell's sampled engine failures into the tool
-		// summary with their repro triples (cells visited in matrix order,
-		// samples already in run order, so the result is deterministic).
-		addFailures := func(program string, inLitmus bool, acc *cellAcc) {
-			ts.EngineFailures += acc.failed
-			for _, fl := range acc.failures {
+			ts.EngineFailures += f.failed
+			for _, fl := range f.failures {
 				if len(ts.FailureSamples) >= maxViolationSamples {
 					break
 				}
-				ts.FailureSamples = append(ts.FailureSamples, EngineFailure{
-					Error: fl.err,
-					Repro: harness.Repro{Tool: toolSpec.Name, Program: program,
-						Seed: spec.SeedBase + int64(fl.run), Litmus: inLitmus,
-						Flags: toolSpec.ReproFlags},
-				})
+				ts.FailureSamples = append(ts.FailureSamples,
+					EngineFailure{Error: fl.err, Repro: repro(program, inLitmus, fl.run)})
+			}
+			for _, s := range f.vioSamples {
+				if len(val.Samples) >= maxViolationSamples {
+					break
+				}
+				val.Samples = append(val.Samples, fmt.Sprintf("%s/%s seed %d: %s",
+					tool, program, info.SeedBase+int64(s.run), s.err))
+			}
+			val.Checked += f.checked
+			val.Skipped += f.skipped
+			val.Violations += f.violations
+			ts.Execs += f.execs
+			ts.WorkNS += int64(f.elapsed)
+			ts.AtomicOps += f.ops.AtomicOps
+			ts.NormalOps += f.ops.NormalOps
+			ts.Perf.AllocBytes += f.allocBytes
+			ts.Perf.AllocObjects += f.allocObjs
+			ts.RecordedTraces += f.recorded
+			ts.RecordErrors += f.recordErrs
+			ts.Captures += len(f.captures)
+			for i := range f.captures {
+				if f.captures[i].Err != "" {
+					ts.CaptureErrors++
+				}
 			}
 		}
 
-		for b, bench := range spec.Benchmarks {
-			acc := benchAcc[t][b]
+		for b, program := range info.Benchmarks {
+			k := cellKey{kind: jobBench, tool: t, cell: b}
+			f := &cells[k.index(nb, nl)].frag
 			meanTime := time.Duration(0)
-			if acc.execs > 0 {
-				meanTime = acc.elapsed / time.Duration(acc.execs)
+			if f.execs > 0 {
+				meanTime = f.elapsed / time.Duration(f.execs)
 			}
 			cell := CellSummary{
-				Program: bench.Name,
+				Program: program,
 				Detection: harness.Detection{
-					Runs: acc.execs, Detected: acc.detected,
-					Time: meanTime, Ops: acc.ops,
+					Runs: f.execs, Detected: f.detected,
+					Time: meanTime, Ops: f.ops,
 				}.Summary(),
-				RaceKeys: harness.SortedKeys(acc.races),
-				Budget:   budgets[cellKey{kind: jobBench, tool: t, cell: b}],
-				Guided:   guideStatsOf(spec, toolSpec.Name, bench.Name, acc),
-				Failed:   acc.failed,
+				RaceKeys: harness.SortedKeys(f.races),
+				Budget:   budgets[k],
+				Guided:   guideStatsOf(f),
+				Failed:   f.failed,
 			}
-			if spec.Telemetry != nil {
-				cell.Timing = spec.Telemetry.timingSnapshot(jobBench, t, b)
-				cell.Phases = spec.Telemetry.phaseSnapshots(jobBench, t, b)
-			}
+			cell.Timing, cell.Phases = m.hists(k)
 			ts.Benchmarks = append(ts.Benchmarks, cell)
-			addRaces(toolRaces, b, bench.Name, false, acc.races)
-			addFindings(b, bench.Name, false, acc.findings)
-			addFailures(bench.Name, false, acc)
-			ts.Execs += acc.execs
-			ts.WorkNS += int64(acc.elapsed)
-			ts.AtomicOps += acc.ops.AtomicOps
-			ts.NormalOps += acc.ops.NormalOps
-			addToolAcc(&ts, &val, acc)
+			addRaces(toolRaces, b, program, false, f.races)
+			addCell(b, program, false, f)
 		}
 		for _, key := range harness.SortedKeys(toolRaces) {
 			ts.Races = append(ts.Races, toolRaces[key].summary)
 		}
 
 		unexpected := map[string]toolRace{}
-		for l, test := range spec.Litmus {
-			acc := litAcc[t][l]
+		for l, test := range info.Litmus {
+			k := cellKey{kind: jobLitmus, tool: t, cell: l}
+			f := &cells[k.index(nb, nl)].frag
+			outcomes := f.outcomes
+			if outcomes == nil {
+				outcomes = map[string]int{}
+			}
 			ls := LitmusSummary{
-				Test: test.Name, Execs: acc.execs,
-				Outcomes:    acc.outcomes,
-				WeakSeen:    harness.SortedKeys(acc.weak),
-				WeakDefined: len(test.Weak),
-				Budget:      budgets[cellKey{kind: jobLitmus, tool: t, cell: l}],
-				Guided:      guideStatsOf(spec, toolSpec.Name, test.Name, acc),
-				Failed:      acc.failed,
+				Test: test, Execs: f.execs,
+				Outcomes:    outcomes,
+				WeakSeen:    harness.SortedKeys(f.weak),
+				WeakDefined: m.weakDefined[l],
+				Budget:      budgets[k],
+				Guided:      guideStatsOf(f),
+				Failed:      f.failed,
 			}
-			if spec.Telemetry != nil {
-				ls.Timing = spec.Telemetry.timingSnapshot(jobLitmus, t, l)
-				ls.Phases = spec.Telemetry.phaseSnapshots(jobLitmus, t, l)
-			}
-			for _, out := range harness.SortedKeys(acc.forbidden) {
+			ls.Timing, ls.Phases = m.hists(k)
+			for _, out := range harness.SortedKeys(f.forbidden) {
 				ls.ForbiddenSeen = append(ls.ForbiddenSeen, ForbiddenOutcome{
-					Test: test.Name, Outcome: out, Count: acc.outcomes[out],
-					Repro: harness.Repro{Tool: toolSpec.Name, Program: test.Name,
-						Seed: spec.SeedBase + int64(acc.forbidden[out]), Litmus: true,
-						Flags: toolSpec.ReproFlags},
+					Test: test, Outcome: out, Count: outcomes[out],
+					Repro: repro(test, true, f.forbidden[out]),
 				})
 			}
 			ts.Litmus = append(ts.Litmus, ls)
-			addRaces(unexpected, l, test.Name, true, acc.races)
-			addFindings(len(spec.Benchmarks)+l, test.Name, true, acc.findings)
-			addFailures(test.Name, true, acc)
-			ts.Execs += acc.execs
-			ts.WorkNS += int64(acc.elapsed)
-			ts.AtomicOps += acc.ops.AtomicOps
-			ts.NormalOps += acc.ops.NormalOps
-			addToolAcc(&ts, &val, acc)
+			addRaces(unexpected, l, test, true, f.races)
+			addCell(nb+l, test, true, f)
 		}
 		for _, key := range harness.SortedKeys(unexpected) {
 			ts.UnexpectedRaces = append(ts.UnexpectedRaces, unexpected[key].summary)
@@ -664,7 +590,7 @@ func aggregate(spec Spec, jobs []job, frags []fragment, budgets map[cellKey]*Bud
 		for _, tf := range toolFindings {
 			ts.Findings = append(ts.Findings, tf.summary)
 		}
-		for _, name := range spec.Analyzers {
+		for _, name := range info.Analyzers {
 			as := AnalyzerSummary{Analyzer: name}
 			for _, f := range ts.Findings {
 				if f.Analyzer == name {
@@ -678,32 +604,12 @@ func aggregate(spec Spec, jobs []job, frags []fragment, budgets map[cellKey]*Bud
 		if ts.Execs > 0 {
 			ts.Perf.BytesPerExec = float64(ts.Perf.AllocBytes) / float64(ts.Execs)
 		}
-		if spec.ValidateAxioms {
+		if info.Validate {
 			ts.Validation = &val
 		}
 		sum.Tools = append(sum.Tools, ts)
 	}
 	return sum
-}
-
-// addToolAcc folds one cell's trace/validation/allocation aggregates into
-// the tool summary.
-func addToolAcc(ts *ToolSummary, val *ValidationSummary, acc *cellAcc) {
-	ts.Perf.AllocBytes += acc.allocBytes
-	ts.Perf.AllocObjects += acc.allocObjs
-	ts.RecordedTraces += acc.recorded
-	ts.RecordErrors += acc.recordErrs
-	ts.Captures += acc.captures
-	ts.CaptureErrors += acc.captureErrs
-	val.Checked += acc.checked
-	val.Skipped += acc.skipped
-	val.Violations += acc.violations
-	for _, s := range acc.vioSamples {
-		if len(val.Samples) >= maxViolationSamples {
-			break
-		}
-		val.Samples = append(val.Samples, s)
-	}
 }
 
 // sortedFindingIDs orders a findings map by (analyzer, key), the iteration
@@ -724,20 +630,19 @@ func sortedFindingIDs(m map[findingID]findingHit) []findingID {
 
 // guideStatsOf renders a cell's guided-exploration statistics, or nil when
 // the cell did not run guided.
-func guideStatsOf(spec Spec, tool, program string, acc *cellAcc) *GuideStats {
-	traces := spec.Guides.For(tool, program)
-	if len(traces) == 0 || acc.guidedExecs == 0 {
+func guideStatsOf(f *fragment) *GuideStats {
+	if f.guideTraces == 0 || f.guidedExecs == 0 {
 		return nil
 	}
-	n := float64(acc.guidedExecs)
+	n := float64(f.guidedExecs)
 	return &GuideStats{
-		Traces:          len(traces),
-		GuidedExecs:     acc.guidedExecs,
-		MeanPrefixDepth: float64(acc.prefixDepth) / n,
-		MeanConsumed:    float64(acc.prefixConsumed) / n,
-		Divergences:     acc.divergences,
-		PrefixDepthSum:  acc.prefixDepth,
-		ConsumedSum:     acc.prefixConsumed,
+		Traces:          f.guideTraces,
+		GuidedExecs:     f.guidedExecs,
+		MeanPrefixDepth: float64(f.prefixDepth) / n,
+		MeanConsumed:    float64(f.prefixConsumed) / n,
+		Divergences:     f.divergences,
+		PrefixDepthSum:  f.prefixDepth,
+		ConsumedSum:     f.prefixConsumed,
 	}
 }
 

@@ -235,22 +235,11 @@ func (t *Telemetry) bind(spec Spec) {
 			t.litMet[i][l] = newCell(tool.Name, test.Name)
 		}
 	}
-	cellExecs := spec.Runs
-	if spec.Shard.Count > 1 {
-		// A sharded run only plans its round-robin share of each cell's chunk
-		// sequence (every cell deals identically, so one cell's share scales).
-		cellExecs = 0
-		ord := 0
-		for lo := 0; lo < spec.Runs; lo += spec.ShardSize {
-			hi := lo + spec.ShardSize
-			if hi > spec.Runs {
-				hi = spec.Runs
-			}
-			if ord%spec.Shard.Count == spec.Shard.Index {
-				cellExecs += hi - lo
-			}
-			ord++
-		}
+	// A sharded run only plans its share of each cell's chunk sequence (every
+	// cell deals identically, so one cell's share scales).
+	cellExecs := 0
+	for _, c := range chunkDeal(spec) {
+		cellExecs += c[1] - c[0]
 	}
 	t.execsPlanned = cellExecs * len(spec.Tools) * (len(spec.Benchmarks) + len(spec.Litmus))
 	t.plannedG.Set(int64(t.execsPlanned))
@@ -350,15 +339,8 @@ func (t *Telemetry) campaignStart(info SpecInfo) {
 // end lands in cell_end.
 func (t *Telemetry) unitStart(wave int, j job, budget int) {
 	t.emit(Event{Type: "cell_start", Wave: wave,
-		Tool: t.spec.Tools[j.tool].Name, Program: t.programOf(j), Litmus: j.kind == jobLitmus,
+		Tool: t.spec.Tools[j.tool].Name, Program: t.spec.programOf(j.key()), Litmus: j.kind == jobLitmus,
 		Lo: j.lo, Hi: j.lo + budget})
-}
-
-func (t *Telemetry) programOf(j job) string {
-	if j.kind == jobLitmus {
-		return t.spec.Litmus[j.cell].Name
-	}
-	return t.spec.Benchmarks[j.cell].Name
 }
 
 // unitDone folds one completed unit into the campaign-level progress state
@@ -371,7 +353,7 @@ func (t *Telemetry) programOf(j job) string {
 // so the event set is identical for any worker count; only line order varies.
 func (t *Telemetry) unitDone(wave int, j job, frag *fragment) {
 	toolSpec := t.spec.Tools[j.tool]
-	program := t.programOf(j)
+	program := t.spec.programOf(j.key())
 	litmus := j.kind == jobLitmus
 
 	repro := func(run int) string {
@@ -483,7 +465,7 @@ func (t *Telemetry) cellConverged(wave int, j job, used int) {
 		extended = 0
 	}
 	t.emit(Event{Type: "cell_converged", Wave: wave,
-		Tool: t.spec.Tools[j.tool].Name, Program: t.programOf(j), Litmus: j.kind == jobLitmus,
+		Tool: t.spec.Tools[j.tool].Name, Program: t.spec.programOf(j.key()), Litmus: j.kind == jobLitmus,
 		Budget: &BudgetSummary{Planned: t.spec.Runs, Used: used, Extended: extended, Converged: true}})
 }
 
@@ -504,7 +486,7 @@ func (t *Telemetry) convergeState(wave int, j job, tracker explore.Tracker) {
 	t.convergeSnaps[key] = &st
 	t.mu.Unlock()
 	t.emit(Event{Type: "cell_converge_state", Wave: wave,
-		Tool: t.spec.Tools[j.tool].Name, Program: t.programOf(j), Litmus: j.kind == jobLitmus,
+		Tool: t.spec.Tools[j.tool].Name, Program: t.spec.programOf(j.key()), Litmus: j.kind == jobLitmus,
 		Converge: &st})
 }
 
@@ -683,46 +665,27 @@ func meanOf(h *obs.Histogram) uint64 {
 	return 0
 }
 
-// timingSnapshot returns the final ns/exec histogram snapshot of one cell
-// (the schema v4 summary payload), or nil for an unbound telemetry.
-func (t *Telemetry) timingSnapshot(kind jobKind, tool, cell int) *obs.HistogramSnapshot {
-	if !t.bound {
-		return nil
+// cellSnapshots returns one cell's final ns/exec histogram (the schema v4
+// summary payload) and its per-phase span histograms keyed by phase name
+// (schema v5). Phases with no observations — every phase when phase timing
+// was off, validate/record when the campaign had no such duties — are
+// omitted; phases is nil when nothing was observed at all. Both are nil for
+// an unbound telemetry.
+func (t *Telemetry) cellSnapshots(k cellKey) (timing *obs.HistogramSnapshot, phases map[string]*obs.HistogramSnapshot) {
+	m := t.cellMetrics(job{kind: k.kind, tool: k.tool, cell: k.cell})
+	if m == nil {
+		return nil, nil
 	}
-	var m *CellMetrics
-	if kind == jobLitmus {
-		m = t.litMet[tool][cell]
-	} else {
-		m = t.benchMet[tool][cell]
-	}
-	return m.ExecNS.Snapshot()
-}
-
-// phaseSnapshots returns one cell's per-phase span histograms keyed by phase
-// name (the schema v5 summary payload). Phases with no observations — every
-// phase when phase timing was off, validate/record when the campaign had no
-// such duties — are omitted; nil when nothing was observed at all.
-func (t *Telemetry) phaseSnapshots(kind jobKind, tool, cell int) map[string]*obs.HistogramSnapshot {
-	if !t.bound {
-		return nil
-	}
-	var m *CellMetrics
-	if kind == jobLitmus {
-		m = t.litMet[tool][cell]
-	} else {
-		m = t.benchMet[tool][cell]
-	}
-	var out map[string]*obs.HistogramSnapshot
 	for p := 0; p < core.NumPhases; p++ {
 		if m.PhaseNS[p].Count() == 0 {
 			continue
 		}
-		if out == nil {
-			out = make(map[string]*obs.HistogramSnapshot, core.NumPhases)
+		if phases == nil {
+			phases = make(map[string]*obs.HistogramSnapshot, core.NumPhases)
 		}
-		out[core.Phase(p).String()] = m.PhaseNS[p].Snapshot()
+		phases[core.Phase(p).String()] = m.PhaseNS[p].Snapshot()
 	}
-	return out
+	return m.ExecNS.Snapshot(), phases
 }
 
 // WriteEngineFailures prints every sampled engine-failure repro triple of a
