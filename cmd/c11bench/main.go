@@ -39,7 +39,7 @@ func run(args []string, out *os.File) int {
 	fs.SetOutput(out)
 	var (
 		tools    = fs.String("tools", "c11tester,tsan11,tsan11rec", "comma-separated tools to measure")
-		bench    = fs.String("bench", "all", "comma-separated benchmarks, 'all', or 'none'")
+		bench    = fs.String("bench", "all", "comma-separated benchmarks ('all' adds the paper's set), or 'none'")
 		lit      = fs.String("litmus", "all", "comma-separated litmus tests, 'all', or 'none'")
 		runs     = fs.Int("runs", 30, "measured executions per (tool, program) cell")
 		warmup   = fs.Int("warmup", 1, "unmeasured warmup sweeps of the measured seed range per cell (0 for none)")

@@ -41,7 +41,7 @@ func run(args []string, out *os.File) int {
 	fs.SetOutput(out)
 	var (
 		tools     = fs.String("tools", strings.Join(campaign.StandardToolNames(), ","), "comma-separated tools to run")
-		bench     = fs.String("bench", "all", "comma-separated benchmarks, 'all', or 'none'")
+		bench     = fs.String("bench", "all", "comma-separated benchmarks ('all' adds the paper's set), or 'none'")
 		lit       = fs.String("litmus", "all", "comma-separated litmus tests, 'all', or 'none'")
 		runs      = fs.Int("runs", 100, "executions per (tool, program) cell")
 		workers   = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")

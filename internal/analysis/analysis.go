@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 
+	"c11tester/internal/axiom"
 	"c11tester/internal/capi"
 	"c11tester/internal/core"
 )
@@ -24,8 +25,9 @@ import (
 // Exec is one finished execution as presented to analyzers. The campaign
 // runner reuses a single Exec per cell, rewriting the fields between
 // executions; everything reachable from it — the Result, the engine's trace
-// and modification order — is only valid for the duration of Observe, per
-// the capi.Result ownership rules. Analyzers copy what they keep.
+// and modification order, the lifted execution — is only valid for the
+// duration of Observe, per the capi.Result ownership rules. Analyzers copy
+// what they keep.
 type Exec struct {
 	// Result is the execution's outcome (races, assertion failures, block
 	// annotations, op counts). Never nil.
@@ -48,6 +50,12 @@ type Exec struct {
 	// keeps no concrete modification order.
 	Engine *core.Engine
 	MO     core.MOProvider
+	// Lifted is the execution already lifted for the axiomatic model
+	// (axiom.Execution) when the caller has one — the campaign lifts each
+	// execution once and shares it between validation and every analyzer
+	// that needs the modification order — or nil, in which case such an
+	// analyzer lifts Engine and MO itself.
+	Lifted *axiom.Execution
 }
 
 // Finding is one keyed analyzer observation. Key deduplicates findings

@@ -17,21 +17,31 @@ func init() {
 	Register("sc-robustness", func() Analyzer { return &scRobustness{} })
 }
 
-type scRobustness struct{}
+// scRobustness keeps its own workspace for callers that hand it no lifted
+// execution.
+type scRobustness struct {
+	ws axiom.Execution
+}
 
 func (*scRobustness) Name() string     { return "sc-robustness" }
 func (*scRobustness) NeedsTrace() bool { return true }
 func (*scRobustness) NeedsMO() bool    { return true }
 
-// Observe lifts the execution and checks SC-explainability. Findings are
-// keyed by the litmus outcome when there is one — each distinct non-SC
-// outcome of a litmus cell is its own finding — and by a single per-cell key
-// for benchmarks, where outcomes have no canonical rendering.
-func (*scRobustness) Observe(x *Exec) []Finding {
-	if x.Engine == nil || x.MO == nil {
-		return nil
+// Observe checks SC-explainability of the lifted execution, lifting it
+// first when x carries none. Findings are keyed by the litmus outcome when
+// there is one — each distinct non-SC outcome of a litmus cell is its own
+// finding — and by a single per-cell key for benchmarks, where outcomes
+// have no canonical rendering.
+func (s *scRobustness) Observe(x *Exec) []Finding {
+	ex := x.Lifted
+	if ex == nil {
+		if x.Engine == nil || x.MO == nil {
+			return nil
+		}
+		s.ws.Lift(x.Engine, x.MO)
+		ex = &s.ws
 	}
-	if axiom.SCExplainable(axiom.FromEngine(x.Engine, x.MO)) {
+	if axiom.SCExplainable(ex) {
 		return nil
 	}
 	if x.Outcome != "" {

@@ -9,29 +9,152 @@
 package axiom
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"c11tester/internal/core"
 	"c11tester/internal/memmodel"
 )
 
-// Execution is a lifted execution: the recorded trace plus one concrete
-// modification order per location (a linear extension of the engine's
-// mo-graph, Section A.2).
-type Execution struct {
-	Trace []*core.Action
-	MO    map[memmodel.LocID][]*core.Action
+// LocMO is one location's concrete modification order, mo-first.
+type LocMO struct {
+	Loc    memmodel.LocID
+	Stores []*core.Action
 }
 
-// FromEngine lifts the engine's last traced execution. m is the engine's
-// memory model, which must expose a concrete total modification order per
-// location (the C11 model does; the commit-order baselines do not).
+// Execution is a lifted execution: the recorded trace plus one concrete
+// modification order per location (a linear extension of the engine's
+// mo-graph, Section A.2). Lifting resolves every action pointer to an
+// integer id once — a trace action's id is its trace position — so Check
+// and SCExplainable run over position-indexed arrays.
+//
+// An Execution is also a reusable workspace: Lift refills it in place, and
+// the pointer map, the position arrays, the happens-before matrix and the SC
+// graph all keep their capacity, so a caller that lifts every execution into
+// one Execution allocates nothing once the buffers have grown. The zero value
+// is an empty workspace. An Execution is not safe for concurrent use, and a
+// lifted one references the engine's actions: it is valid only until the
+// engine's next Execute.
+type Execution struct {
+	trace []*core.Action
+	mo    []LocMO // ascending Loc
+
+	// id resolves action pointers; acts is its inverse: the trace, then any
+	// reads-from source or mo entry outside the trace.
+	id      map[*core.Action]int32
+	acts    []*core.Action
+	rf      []int32 // per id: id of the store read from, or -1
+	moIx    []int32 // per id: position in its location's mo, or -1
+	moIDs   []int32 // the ids of mo's stores, location after location
+	moOff   []int32 // mo[k]'s ids are moIDs[moOff[k]:moOff[k+1]]
+	threads int     // clock width: the highest TID in the trace + 1
+
+	// Lift's backing arrays for the model's locations and mo lists.
+	locBuf []memmodel.LocID
+	moBuf  []*core.Action
+
+	chk checkScratch
+	sc  scGraph
+}
+
+// FromEngine lifts the engine's last traced execution into a fresh
+// Execution. m is the engine's memory model, which must expose a concrete
+// total modification order per location (the C11 model does; the
+// commit-order baselines do not).
 func FromEngine(e *core.Engine, m core.MOProvider) *Execution {
-	mo := map[memmodel.LocID][]*core.Action{}
-	for _, loc := range m.Locations() {
-		mo[loc] = m.TotalMO(loc)
+	ex := new(Execution)
+	ex.Lift(e, m)
+	return ex
+}
+
+// Lift refills ex with the engine's last traced execution, reusing ex's
+// buffers; m is as for FromEngine. The model's AppendTotalMO may panic with
+// a *core.InfeasibleError, in which case ex must be lifted again before use.
+func (ex *Execution) Lift(e *core.Engine, m core.MOProvider) {
+	ex.locBuf = m.AppendLocations(ex.locBuf[:0])
+	ex.moBuf, ex.mo = ex.moBuf[:0], ex.mo[:0]
+	for _, loc := range ex.locBuf {
+		n := len(ex.moBuf)
+		ex.moBuf = m.AppendTotalMO(ex.moBuf, loc)
+		ex.mo = append(ex.mo, LocMO{Loc: loc, Stores: ex.moBuf[n:]})
 	}
-	return &Execution{Trace: e.Trace(), MO: mo}
+	// Appending may have moved moBuf: re-point every list at the final array.
+	off := 0
+	for k := range ex.mo {
+		n := len(ex.mo[k].Stores)
+		ex.mo[k].Stores = ex.moBuf[off : off+n : off+n]
+		off += n
+	}
+	ex.trace = e.Trace()
+	ex.index()
+}
+
+// NewExecution builds an execution from a trace and per-location
+// modification orders given in any location order, one entry per location
+// — a deserialized trace or a hand-built test case.
+func NewExecution(trace []*core.Action, mo []LocMO) *Execution {
+	ex := &Execution{trace: trace, mo: slices.Clone(mo)}
+	slices.SortStableFunc(ex.mo, func(a, b LocMO) int { return cmp.Compare(a.Loc, b.Loc) })
+	ex.index()
+	return ex
+}
+
+// index resolves the trace and mo pointers to ids.
+func (ex *Execution) index() {
+	if ex.id == nil {
+		ex.id = make(map[*core.Action]int32, len(ex.trace))
+	} else {
+		clear(ex.id)
+	}
+	ex.acts = append(ex.acts[:0], ex.trace...)
+	ex.moIx = ex.moIx[:0]
+	ex.threads = 0
+	for i, a := range ex.trace {
+		ex.id[a] = int32(i)
+		ex.moIx = append(ex.moIx, -1)
+		ex.threads = max(ex.threads, int(a.TID)+1)
+	}
+	ex.moIDs, ex.moOff = ex.moIDs[:0], append(ex.moOff[:0], 0)
+	for _, l := range ex.mo {
+		for i, s := range l.Stores {
+			d := ex.resolve(s)
+			ex.moIx[d] = int32(i)
+			ex.moIDs = append(ex.moIDs, d)
+		}
+		ex.moOff = append(ex.moOff, int32(len(ex.moIDs)))
+	}
+	// Resolving a source outside the trace appends it to acts, so the loop
+	// covers its own source too.
+	ex.rf = ex.rf[:0]
+	for i := 0; i < len(ex.acts); i++ {
+		r := int32(-1)
+		if src := ex.acts[i].RF; src != nil {
+			r = ex.resolve(src)
+		}
+		ex.rf = append(ex.rf, r)
+	}
+}
+
+// resolve returns a's id, assigning the next one to an action first seen.
+func (ex *Execution) resolve(a *core.Action) int32 {
+	if d, ok := ex.id[a]; ok {
+		return d
+	}
+	d := int32(len(ex.acts))
+	ex.id[a] = d
+	ex.acts = append(ex.acts, a)
+	ex.moIx = append(ex.moIx, -1)
+	return d
+}
+
+// moOf returns the ids of loc's modification order, or nil.
+func (ex *Execution) moOf(loc memmodel.LocID) []int32 {
+	k, ok := slices.BinarySearchFunc(ex.mo, loc, func(l LocMO, loc memmodel.LocID) int { return cmp.Compare(l.Loc, loc) })
+	if !ok {
+		return nil
+	}
+	return ex.moIDs[ex.moOff[k]:ex.moOff[k+1]]
 }
 
 // Violation describes one failed consistency predicate.
@@ -42,29 +165,46 @@ type Violation struct {
 
 func (v Violation) String() string { return v.Rule + ": " + v.Detail }
 
-// checker carries the derived relations.
-type checker struct {
-	ex   *Execution
-	vs   []Violation
-	hb   map[*core.Action]*memmodel.ClockVector
-	moIx map[*core.Action]int // position in its location's modification order
+// checkScratch is Check's working set, reused across executions.
+type checkScratch struct {
+	hb     []memmodel.SeqNum // row i (threads wide): trace action i's hb clock
+	rel    []memmodel.SeqNum // row i: the clock readers of store i acquire
+	thr    []hbThread
+	rows   []memmodel.SeqNum // backing array of thr's clocks
+	acc    []uint64          // Loc<<32 | position of each read and write, sorted
+	grp    []int32           // per trace position: its location group, or -1
+	lastSC []int32           // per group: the last SC store so far, or -1
+	readBy []int32           // per id: the RMW that read from it, or -1
+	scOps  []int32
 }
 
-// Check validates the execution and returns all violations found.
+// hbThread is one thread's state while computeHB walks the trace.
+type hbThread struct {
+	clock    []memmodel.SeqNum // after the thread's last action
+	relFence []memmodel.SeqNum // at the thread's last release fence
+	// acqFence accumulates release clocks of stores read by relaxed loads,
+	// to be claimed by a later acquire fence.
+	acqFence []memmodel.SeqNum
+	child    []memmodel.SeqNum // the creator's clock, joined when the thread starts
+	finished []memmodel.SeqNum
+	started  bool
+}
+
+// checker accumulates one Check call's violations.
+type checker struct {
+	ex *Execution
+	vs []Violation
+}
+
+// Check validates the execution and returns all violations found, in rule
+// order; within a rule, locations come in ascending order and actions in
+// trace or modification order, so the result is deterministic.
 func Check(ex *Execution) []Violation {
-	c := &checker{
-		ex:   ex,
-		hb:   map[*core.Action]*memmodel.ClockVector{},
-		moIx: map[*core.Action]int{},
-	}
-	for _, moList := range ex.MO {
-		for i, a := range moList {
-			c.moIx[a] = i
-		}
-	}
+	c := checker{ex: ex}
 	c.checkForwardEdges()
-	c.computeHB()
+	ex.computeHB()
 	c.checkReadsFrom()
+	ex.groupAccesses()
 	c.checkCoherence()
 	c.checkRMWAtomicity()
 	c.checkSeqCst()
@@ -75,29 +215,46 @@ func (c *checker) fail(rule, format string, args ...any) {
 	c.vs = append(c.vs, Violation{Rule: rule, Detail: fmt.Sprintf(format, args...)})
 }
 
-// hbBefore reports a hb→ b using the recomputed clocks.
-func (c *checker) hbBefore(a, b *core.Action) bool {
-	cv := c.hb[b]
-	return cv != nil && a != b && cv.Synchronized(a.TID, a.Seq)
+// hbBefore reports x hb→ y using the recomputed clocks; only trace actions
+// have clocks.
+func (ex *Execution) hbBefore(x, y int32) bool {
+	if x == y || int(y) >= len(ex.trace) {
+		return false
+	}
+	a := ex.acts[x]
+	var c memmodel.SeqNum
+	if t := int(a.TID); t >= 0 && t < ex.threads {
+		c = ex.chk.hb[int(y)*ex.threads+t]
+	}
+	return c >= a.Seq
 }
 
-// moBefore reports a mo→ b; both must be stores to the same location.
-func (c *checker) moBefore(a, b *core.Action) bool {
-	return a.Loc == b.Loc && c.moIx[a] < c.moIx[b]
+// moBefore reports x mo→ y; both must be stores to the same location. A
+// store outside every mo list counts as position 0.
+func (ex *Execution) moBefore(x, y int32) bool {
+	return ex.acts[x].Loc == ex.acts[y].Loc && max(ex.moIx[x], 0) < max(ex.moIx[y], 0)
+}
+
+// writeOf maps the access at trace position p to the store whose mo
+// position constrains it: the action itself for writes, the store read from
+// for reads (-1 for a read of the initial value).
+func (ex *Execution) writeOf(p int32) int32 {
+	if ex.trace[p].Kind.IsWrite() {
+		return p
+	}
+	return ex.rf[p]
 }
 
 // checkForwardEdges verifies hb ∪ sc ∪ rf acyclicity (Section 2.2 change 2)
 // structurally: the trace order must linearize sb, rf, and sc, i.e. every
 // such edge points backwards to an already-executed event.
 func (c *checker) checkForwardEdges() {
-	pos := map[*core.Action]int{}
+	ex := c.ex
 	lastSC := -1
-	for i, a := range c.ex.Trace {
-		pos[a] = i
-		if a.RF != nil {
-			if j, ok := pos[a.RF]; !ok || j >= i {
-				c.fail("acyclicity", "%v reads from a store not yet executed", a)
-			}
+	for i, a := range ex.trace {
+		// A source outside the trace has an id past every trace position.
+		if a.RF != nil && int(ex.rf[i]) >= i {
+			c.fail("acyclicity", "%v reads from a store not yet executed", a)
 		}
 		if a.IsSC() {
 			if a.SCIdx <= lastSC {
@@ -108,128 +265,127 @@ func (c *checker) checkForwardEdges() {
 	}
 }
 
-// releaseHead returns the head of the release sequence a store belongs to
-// under the C++20 definition (Section 2.2 change 1): an RMW is part of the
-// release sequence of the store it reads from; walking rf links from an RMW
-// reaches the head, which contributes synchronization only if it is a
-// release operation.
-func releaseHead(s *core.Action) *core.Action {
-	for s.Kind == memmodel.KRMW && s.RF != nil {
-		s = s.RF
-	}
-	return s
-}
-
 // computeHB recomputes happens-before from scratch: hb is the transitive
 // closure of sequenced-before, additional-synchronizes-with (thread create
 // and join), and synchronizes-with (release/acquire pairs, including the
-// fence variants of Figure 9, over C++20 release sequences).
-func (c *checker) computeHB() {
-	type threadInfo struct {
-		clock *memmodel.ClockVector // clock after the thread's last action
-		// relFence is the clock at the thread's last release fence.
-		relFence *memmodel.ClockVector
-		// acqFence accumulates release clocks of stores read by relaxed
-		// loads, to be claimed by a later acquire fence.
-		acqFence *memmodel.ClockVector
-		started  bool
-	}
-	threads := map[memmodel.TID]*threadInfo{}
-	// pending child clocks: create actions whose child has not started yet.
-	pendingChild := map[memmodel.TID]*memmodel.ClockVector{}
-	finished := map[memmodel.TID]*memmodel.ClockVector{}
-	// relClock[s] is the clock transferred to readers of store s through
-	// its release sequence.
-	relClock := map[*core.Action]*memmodel.ClockVector{}
-
-	info := func(t memmodel.TID) *threadInfo {
-		ti := threads[t]
-		if ti == nil {
-			ti = &threadInfo{
-				clock:    memmodel.NewClockVector(int(t) + 1),
-				acqFence: memmodel.NewClockVector(0),
-			}
-			threads[t] = ti
+// fence variants of Figure 9, over C++20 release sequences). Under C++20
+// (Section 2.2 change 1) an RMW is part of the release sequence of the store
+// it reads from, so an RMW's release clock includes its source's.
+//
+// Every clock starts all-zero and joining an all-zero clock changes
+// nothing, so a clock that was never set — a thread's release fence before
+// its first one, the release clock of a store not yet executed or of a
+// non-store — needs no flag.
+func (ex *Execution) computeHB() {
+	s := &ex.chk
+	n, w := len(ex.trace), ex.threads
+	s.hb = resize(s.hb, n*w)
+	s.rel = resize(s.rel, n*w)
+	clear(s.rel)
+	s.rows = resize(s.rows, 5*w*w)
+	clear(s.rows)
+	s.thr = resize(s.thr, w)
+	for t := range s.thr {
+		r := s.rows[5*w*t:]
+		s.thr[t] = hbThread{
+			clock: r[:w:w], relFence: r[w : 2*w : 2*w], acqFence: r[2*w : 3*w : 3*w],
+			child: r[3*w : 4*w : 4*w], finished: r[4*w : 5*w : 5*w],
 		}
-		return ti
+	}
+	// rel returns the release clock of the trace action with id d: the
+	// clock readers of that store acquire.
+	rel := func(d int32) []memmodel.SeqNum {
+		if d < 0 || int(d) >= n {
+			return nil
+		}
+		return s.rel[int(d)*w : int(d+1)*w]
+	}
+	thread := func(v memmodel.Value) *hbThread {
+		if t := int(memmodel.TID(v)); t >= 0 && t < w {
+			return &s.thr[t]
+		}
+		return nil
+	}
+	acquire := func(ti *hbThread, a *core.Action, src []memmodel.SeqNum) {
+		if a.MO.IsAcquire() {
+			join(ti.clock, src)
+		} else {
+			join(ti.acqFence, src)
+		}
 	}
 
-	for _, a := range c.ex.Trace {
-		ti := info(a.TID)
+	for i, a := range ex.trace {
+		ti := &s.thr[a.TID]
 		if !ti.started {
 			ti.started = true
-			if base, ok := pendingChild[a.TID]; ok {
-				ti.clock.Merge(base)
-			}
+			join(ti.clock, ti.child)
 		}
-		ti.clock.Set(a.TID, a.Seq)
+		ti.clock[a.TID] = a.Seq
 
 		switch a.Kind {
 		case memmodel.KThreadCreate:
-			pendingChild[memmodel.TID(a.Value)] = ti.clock.Clone()
+			if ch := thread(a.Value); ch != nil {
+				copy(ch.child, ti.clock)
+			}
 		case memmodel.KThreadJoin:
-			if fc := finished[memmodel.TID(a.Value)]; fc != nil {
-				ti.clock.Merge(fc)
+			if ch := thread(a.Value); ch != nil {
+				join(ti.clock, ch.finished)
 			}
 		case memmodel.KThreadFinish:
-			finished[a.TID] = ti.clock.Clone()
+			copy(ti.finished, ti.clock)
 		case memmodel.KStore, memmodel.KRMW, memmodel.KNAStore:
 			// The clock a reader synchronizes with: for a release store,
 			// the store's own clock; for a relaxed store, the clock of the
 			// thread's last release fence (fence-release rule); for an RMW,
 			// additionally everything transferred by the store it reads
 			// from (release-sequence continuation).
-			var rc *memmodel.ClockVector
+			rc := rel(int32(i))
 			if a.MO.IsRelease() {
-				rc = ti.clock.Clone()
-			} else if ti.relFence != nil {
-				rc = ti.relFence.Clone()
+				copy(rc, ti.clock)
 			} else {
-				rc = memmodel.NewClockVector(0)
+				copy(rc, ti.relFence)
 			}
-			if a.Kind == memmodel.KRMW && a.RF != nil {
-				if prev := relClock[a.RF]; prev != nil {
-					rc.Merge(prev)
-				}
-			}
-			relClock[a] = rc
-			if a.Kind == memmodel.KRMW && a.RF != nil {
+			if a.Kind == memmodel.KRMW {
+				join(rc, rel(ex.rf[i]))
 				// The load half of the RMW acquires like a load.
-				if src := relClock[a.RF]; src != nil {
-					if a.MO.IsAcquire() {
-						ti.clock.Merge(src)
-					} else {
-						ti.acqFence.Merge(src)
-					}
-				}
+				acquire(ti, a, rel(ex.rf[i]))
 			}
 		case memmodel.KLoad:
-			if a.RF != nil {
-				if src := relClock[a.RF]; src != nil {
-					if a.MO.IsAcquire() {
-						ti.clock.Merge(src)
-					} else {
-						ti.acqFence.Merge(src)
-					}
-				}
-			}
+			acquire(ti, a, rel(ex.rf[i]))
 		case memmodel.KFence:
 			if a.MO.IsAcquire() {
-				ti.clock.Merge(ti.acqFence)
+				join(ti.clock, ti.acqFence)
 			}
 			if a.MO.IsRelease() {
-				ti.relFence = ti.clock.Clone()
+				copy(ti.relFence, ti.clock)
 			}
 		}
-		c.hb[a] = ti.clock.Clone()
+		copy(s.hb[i*w:(i+1)*w], ti.clock)
 	}
+}
+
+// join sets dst to the pointwise maximum of dst and src.
+func join(dst, src []memmodel.SeqNum) {
+	for t, v := range src {
+		dst[t] = max(dst[t], v)
+	}
+}
+
+// resize returns buf with length n, reusing its capacity; the contents are
+// unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // checkReadsFrom verifies every rf edge: same location, matching value, and
 // the store is not hidden by coherence (no intervening same-location store
 // between rf(b) and b in happens-before).
 func (c *checker) checkReadsFrom() {
-	for _, a := range c.ex.Trace {
+	ex := c.ex
+	for i, a := range ex.trace {
 		if !a.Kind.IsRead() || a.RF == nil {
 			continue
 		}
@@ -240,77 +396,121 @@ func (c *checker) checkReadsFrom() {
 		if a.Kind == memmodel.KLoad && a.Value != s.Value {
 			c.fail("rf-value", "%v read %d but %v wrote %d", a, a.Value, s, s.Value)
 		}
-		if c.hbBefore(a, s) {
+		if ex.hbBefore(int32(i), ex.rf[i]) {
 			c.fail("rf-hb", "%v reads from hb-later store %v", a, s)
 		}
 	}
 }
 
+// groupAccesses sorts the trace's reads and writes by (Loc, position),
+// which groups them by ascending location in trace order, and numbers the
+// groups.
+func (ex *Execution) groupAccesses() {
+	s := &ex.chk
+	s.acc = s.acc[:0]
+	for i, a := range ex.trace {
+		if a.Kind.IsRead() || a.Kind.IsWrite() {
+			s.acc = append(s.acc, uint64(a.Loc)<<32|uint64(i))
+		}
+	}
+	slices.Sort(s.acc)
+	s.grp = resize(s.grp, len(ex.trace))
+	for i := range s.grp {
+		s.grp[i] = -1
+	}
+	g := int32(-1)
+	for k, key := range s.acc {
+		if k == 0 || key>>32 != s.acc[k-1]>>32 {
+			g++
+		}
+		s.grp[uint32(key)] = g
+	}
+	s.lastSC = resize(s.lastSC, int(g+1))
+}
+
 // checkCoherence verifies the four coherence shapes of Figure 5 against the
 // concrete modification order.
 func (c *checker) checkCoherence() {
-	byLoc := map[memmodel.LocID][]*core.Action{}
-	for _, a := range c.ex.Trace {
-		if a.Loc != memmodel.NoLoc && (a.Kind.IsWrite() || a.Kind.IsRead()) {
-			byLoc[a.Loc] = append(byLoc[a.Loc], a)
+	acc := c.ex.chk.acc
+	for lo := 0; lo < len(acc); {
+		hi := lo + 1
+		for hi < len(acc) && acc[hi]>>32 == acc[lo]>>32 {
+			hi++
 		}
+		if memmodel.LocID(acc[lo]>>32) != memmodel.NoLoc {
+			c.checkLocCoherence(acc[lo:hi])
+		}
+		lo = hi
 	}
-	for _, acts := range byLoc {
-		for i, x := range acts {
-			for _, y := range acts[i+1:] {
-				if !c.hbBefore(x, y) {
-					continue
+}
+
+// checkLocCoherence checks every hb-ordered pair of one location's accesses,
+// given as groupAccesses keys.
+func (c *checker) checkLocCoherence(keys []uint64) {
+	ex := c.ex
+	hb, w := ex.chk.hb, ex.threads
+	for i, xk := range keys {
+		xp := int32(uint32(xk))
+		x, wx := ex.trace[xp], ex.writeOf(xp)
+		if wx < 0 {
+			continue
+		}
+		// x hb→ y iff y's clock has reached x in x's thread: hbBefore
+		// with x's column hoisted out of the loop.
+		col, seq := int(x.TID), x.Seq
+		for _, yk := range keys[i+1:] {
+			yp := int32(uint32(yk))
+			if hb[int(yp)*w+col] < seq {
+				continue
+			}
+			wy := ex.writeOf(yp)
+			if wy < 0 {
+				continue
+			}
+			y := ex.trace[yp]
+			switch {
+			case x.Kind.IsWrite() && y.Kind.IsWrite():
+				if !ex.moBefore(wx, wy) {
+					c.fail("CoWW", "%v hb %v but mo disagrees", x, y)
 				}
-				wx, wy := writeOf(x), writeOf(y)
-				if wx == nil || wy == nil {
-					continue
+			case x.Kind.IsWrite() && !y.Kind.IsWrite():
+				if wx != wy && ex.moBefore(wy, wx) {
+					c.fail("CoWR", "%v hb %v but %v reads mo-earlier %v", x, y, y, ex.acts[wy])
 				}
-				switch {
-				case x.Kind.IsWrite() && y.Kind.IsWrite():
-					if !c.moBefore(wx, wy) {
-						c.fail("CoWW", "%v hb %v but mo disagrees", x, y)
-					}
-				case x.Kind.IsWrite() && !y.Kind.IsWrite():
-					if wx != wy && c.moBefore(wy, wx) {
-						c.fail("CoWR", "%v hb %v but %v reads mo-earlier %v", x, y, y, wy)
-					}
-				case !x.Kind.IsWrite() && y.Kind.IsWrite():
-					if wx != wy && c.moBefore(wy, wx) {
-						c.fail("CoRW", "%v hb %v but store is mo-before the read's source", x, y)
-					}
-				default:
-					if wx != wy && c.moBefore(wy, wx) {
-						c.fail("CoRR", "%v hb %v but reads go backwards in mo", x, y)
-					}
+			case !x.Kind.IsWrite() && y.Kind.IsWrite():
+				if wx != wy && ex.moBefore(wy, wx) {
+					c.fail("CoRW", "%v hb %v but store is mo-before the read's source", x, y)
+				}
+			default:
+				if wx != wy && ex.moBefore(wy, wx) {
+					c.fail("CoRR", "%v hb %v but reads go backwards in mo", x, y)
 				}
 			}
 		}
 	}
-}
-
-// writeOf maps an access to the store whose mo position constrains it: the
-// action itself for writes, the store read from for reads.
-func writeOf(a *core.Action) *core.Action {
-	if a.Kind.IsWrite() {
-		return a
-	}
-	return a.RF
 }
 
 // checkRMWAtomicity verifies that every RMW immediately follows the store
 // it read from in modification order and that no store feeds two RMWs.
 func (c *checker) checkRMWAtomicity() {
-	readBy := map[*core.Action]*core.Action{}
-	for _, moList := range c.ex.MO {
-		for i, a := range moList {
+	ex := c.ex
+	readBy := resize(ex.chk.readBy, len(ex.acts))
+	ex.chk.readBy = readBy
+	for i := range readBy {
+		readBy[i] = -1
+	}
+	for k, l := range ex.mo {
+		ids := ex.moIDs[ex.moOff[k]:ex.moOff[k+1]]
+		for i, a := range l.Stores {
 			if a.Kind != memmodel.KRMW || a.RF == nil {
 				continue
 			}
-			if prev := readBy[a.RF]; prev != nil {
-				c.fail("rmw-unique", "store %v read by RMWs %v and %v", a.RF, prev, a)
+			src := ex.rf[ids[i]]
+			if prev := readBy[src]; prev >= 0 {
+				c.fail("rmw-unique", "store %v read by RMWs %v and %v", a.RF, ex.acts[prev], a)
 			}
-			readBy[a.RF] = a
-			if i == 0 || moList[i-1] != a.RF {
+			readBy[src] = ids[i]
+			if i == 0 || ids[i-1] != src {
 				c.fail("rmw-atomic", "%v does not immediately follow %v in mo", a, a.RF)
 			}
 		}
@@ -322,38 +522,45 @@ func (c *checker) checkRMWAtomicity() {
 // reads either the last SC store sc-before it or a store that does not
 // happen before that store (C++11 29.3p3).
 func (c *checker) checkSeqCst() {
-	var scOps []*core.Action
-	for _, a := range c.ex.Trace {
+	ex := c.ex
+	s := &ex.chk
+	s.scOps = s.scOps[:0]
+	for i, a := range ex.trace {
 		if a.IsSC() {
-			scOps = append(scOps, a)
+			s.scOps = append(s.scOps, int32(i))
 		}
 	}
 	// SC ∪ mo consistency for same-location stores.
-	for i, x := range scOps {
+	for i, xp := range s.scOps {
+		x := ex.trace[xp]
 		if !x.Kind.IsWrite() {
 			continue
 		}
-		for _, y := range scOps[i+1:] {
-			if y.Kind.IsWrite() && y.Loc == x.Loc && c.moBefore(y, x) {
+		for _, yp := range s.scOps[i+1:] {
+			if y := ex.trace[yp]; y.Kind.IsWrite() && y.Loc == x.Loc && ex.moBefore(yp, xp) {
 				c.fail("sc-mo", "SC order %v before %v contradicts mo", x, y)
 			}
 		}
 	}
 	// SC read restriction.
-	lastSCStore := map[memmodel.LocID]*core.Action{}
-	for _, a := range scOps {
+	for i := range s.lastSC {
+		s.lastSC[i] = -1
+	}
+	for _, p := range s.scOps {
+		a := ex.trace[p]
 		if a.Kind.IsRead() && a.RF != nil {
-			if last := lastSCStore[a.Loc]; last != nil && a.RF != last {
-				if a.RF.IsSC() && a.RF.SCIdx < last.SCIdx {
-					c.fail("sc-read", "%v reads SC store %v older than last SC store %v", a, a.RF, last)
+			if last := s.lastSC[s.grp[p]]; last >= 0 && ex.rf[p] != last {
+				l := ex.trace[last]
+				if a.RF.IsSC() && a.RF.SCIdx < l.SCIdx {
+					c.fail("sc-read", "%v reads SC store %v older than last SC store %v", a, a.RF, l)
 				}
-				if c.hbBefore(a.RF, last) {
-					c.fail("sc-read-hb", "%v reads %v which happens before last SC store %v", a, a.RF, last)
+				if ex.hbBefore(ex.rf[p], last) {
+					c.fail("sc-read-hb", "%v reads %v which happens before last SC store %v", a, a.RF, l)
 				}
 			}
 		}
 		if a.Kind.IsWrite() {
-			lastSCStore[a.Loc] = a
+			s.lastSC[s.grp[p]] = p
 		}
 	}
 }

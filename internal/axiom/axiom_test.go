@@ -180,12 +180,8 @@ func TestChaosLongRunsUnderPruning(t *testing.T) {
 func TestCheckerDetectsCoWWViolation(t *testing.T) {
 	s1 := &core.Action{Seq: 1, TID: 0, Kind: memmodel.KStore, MO: memmodel.Relaxed, Loc: 1, Value: 1, SCIdx: -1}
 	s2 := &core.Action{Seq: 2, TID: 0, Kind: memmodel.KStore, MO: memmodel.Relaxed, Loc: 1, Value: 2, SCIdx: -1}
-	ex := &Execution{
-		Trace: []*core.Action{s1, s2},
-		// mo contradicts sb: s2 before s1.
-		MO: map[memmodel.LocID][]*core.Action{1: {s2, s1}},
-	}
-	vs := Check(ex)
+	// mo contradicts sb: s2 before s1.
+	vs := Check(NewExecution([]*core.Action{s1, s2}, []LocMO{{Loc: 1, Stores: []*core.Action{s2, s1}}}))
 	found := false
 	for _, v := range vs {
 		if v.Rule == "CoWW" {
@@ -200,11 +196,7 @@ func TestCheckerDetectsCoWWViolation(t *testing.T) {
 func TestCheckerDetectsRFValueViolation(t *testing.T) {
 	s := &core.Action{Seq: 1, TID: 0, Kind: memmodel.KStore, MO: memmodel.Relaxed, Loc: 1, Value: 1, SCIdx: -1}
 	l := &core.Action{Seq: 2, TID: 1, Kind: memmodel.KLoad, MO: memmodel.Relaxed, Loc: 1, Value: 99, RF: s, SCIdx: -1}
-	ex := &Execution{
-		Trace: []*core.Action{s, l},
-		MO:    map[memmodel.LocID][]*core.Action{1: {s}},
-	}
-	vs := Check(ex)
+	vs := Check(NewExecution([]*core.Action{s, l}, []LocMO{{Loc: 1, Stores: []*core.Action{s}}}))
 	found := false
 	for _, v := range vs {
 		if v.Rule == "rf-value" {
@@ -220,12 +212,8 @@ func TestCheckerDetectsRMWAtomicityViolation(t *testing.T) {
 	s1 := &core.Action{Seq: 1, TID: 0, Kind: memmodel.KStore, MO: memmodel.Relaxed, Loc: 1, Value: 1, SCIdx: -1}
 	s2 := &core.Action{Seq: 2, TID: 1, Kind: memmodel.KStore, MO: memmodel.Relaxed, Loc: 1, Value: 2, SCIdx: -1}
 	rmw := &core.Action{Seq: 3, TID: 2, Kind: memmodel.KRMW, MO: memmodel.Relaxed, Loc: 1, Value: 3, RF: s1, SCIdx: -1}
-	ex := &Execution{
-		Trace: []*core.Action{s1, s2, rmw},
-		// s2 intervenes between the RMW and the store it read from.
-		MO: map[memmodel.LocID][]*core.Action{1: {s1, s2, rmw}},
-	}
-	vs := Check(ex)
+	// s2 intervenes between the RMW and the store it read from.
+	vs := Check(NewExecution([]*core.Action{s1, s2, rmw}, []LocMO{{Loc: 1, Stores: []*core.Action{s1, s2, rmw}}}))
 	found := false
 	for _, v := range vs {
 		if v.Rule == "rmw-atomic" {

@@ -17,77 +17,90 @@
 // store-buffering result r1=0 ∧ r2=0 is a four-edge sb/fr cycle.
 package axiom
 
-import (
-	"c11tester/internal/core"
-	"c11tester/internal/memmodel"
-)
+import "c11tester/internal/memmodel"
+
+// scGraph is SCExplainable's working set, reused across executions: the
+// graph over trace positions and the DFS state.
+type scGraph struct {
+	adj         [][]int32
+	first, last []int32 // per thread: first and last trace position, or -1
+	color       []byte
+	stack       []dfsFrame
+}
+
+type dfsFrame struct {
+	node int32
+	next int32 // index into adj[node] of the next edge to follow
+}
 
 // SCExplainable reports whether the execution's outcome is explainable under
-// sequential consistency. It reuses the lifted form FromEngine builds for the
-// axiomatic checker; executions with an empty trace are trivially SC.
+// sequential consistency. It runs over the same lifted execution Check
+// does; executions with an empty trace are trivially SC.
 func SCExplainable(ex *Execution) bool {
-	n := len(ex.Trace)
+	n := len(ex.trace)
 	if n == 0 {
 		return true
 	}
-	pos := make(map[*core.Action]int, n)
-	for i, a := range ex.Trace {
-		pos[a] = i
+	g := &ex.sc
+	if len(g.adj) < n {
+		g.adj = append(g.adj, make([][]int32, n-len(g.adj))...)
 	}
-	moIx := map[*core.Action]int{}
-	for _, moList := range ex.MO {
-		for i, a := range moList {
-			moIx[a] = i
-		}
+	for i := range g.adj[:n] {
+		g.adj[i] = g.adj[i][:0]
 	}
-
-	adj := make([][]int, n)
-	addEdge := func(from, to *core.Action) {
-		i, iok := pos[from]
-		j, jok := pos[to]
-		if !iok || !jok || i == j {
-			return
+	// edge adds from → to between two distinct trace actions.
+	edge := func(from, to int32) {
+		if int(from) < n && int(to) < n && from != to {
+			g.adj[from] = append(g.adj[from], to)
 		}
-		adj[i] = append(adj[i], j)
 	}
 
 	// sb: successive actions of the same thread (trace order is a linear
 	// extension of every thread's program order), plus the thread
 	// create/join synchronization edges — both are orderings any SC
 	// interleaving must respect.
-	lastOf := map[memmodel.TID]*core.Action{}
-	firstOf := map[memmodel.TID]*core.Action{}
-	for _, a := range ex.Trace {
-		if prev := lastOf[a.TID]; prev != nil {
-			addEdge(prev, a)
-		} else {
-			firstOf[a.TID] = a
-		}
-		lastOf[a.TID] = a
+	g.first, g.last = resize(g.first, ex.threads), resize(g.last, ex.threads)
+	for t := range g.first {
+		g.first[t], g.last[t] = -1, -1
 	}
-	for _, a := range ex.Trace {
+	for i, a := range ex.trace {
+		if prev := g.last[a.TID]; prev >= 0 {
+			edge(prev, int32(i))
+		} else {
+			g.first[a.TID] = int32(i)
+		}
+		g.last[a.TID] = int32(i)
+	}
+	of := func(pos []int32, v memmodel.Value) int32 {
+		if t := int(memmodel.TID(v)); t >= 0 && t < len(pos) {
+			return pos[t]
+		}
+		return -1
+	}
+	for i, a := range ex.trace {
 		switch a.Kind {
 		case memmodel.KThreadCreate:
-			if first := firstOf[memmodel.TID(a.Value)]; first != nil {
-				addEdge(a, first)
+			if first := of(g.first, a.Value); first >= 0 {
+				edge(int32(i), first)
 			}
 		case memmodel.KThreadJoin:
-			if last := lastOf[memmodel.TID(a.Value)]; last != nil {
-				addEdge(last, a)
+			if last := of(g.last, a.Value); last >= 0 {
+				edge(last, int32(i))
 			}
 		}
 	}
 
 	// rf and mo: a read follows its source store; each location's stores
 	// follow their modification order.
-	for _, a := range ex.Trace {
-		if a.Kind.IsRead() && a.RF != nil {
-			addEdge(a.RF, a)
+	for i, a := range ex.trace {
+		if a.Kind.IsRead() && ex.rf[i] >= 0 {
+			edge(ex.rf[i], int32(i))
 		}
 	}
-	for _, moList := range ex.MO {
-		for i := 1; i < len(moList); i++ {
-			addEdge(moList[i-1], moList[i])
+	for k := range ex.mo {
+		ids := ex.moIDs[ex.moOff[k]:ex.moOff[k+1]]
+		for i := 1; i < len(ids); i++ {
+			edge(ids[i-1], ids[i])
 		}
 	}
 
@@ -97,66 +110,63 @@ func SCExplainable(ex *Execution) bool {
 	// precedes the location's first store. The RMW reading from w *is* w's
 	// mo-successor (rmw-atomic); skipping the self-edge leaves exactly the
 	// mo edges, which are already present.
-	for _, a := range ex.Trace {
+	for i, a := range ex.trace {
 		if !a.Kind.IsRead() {
 			continue
 		}
-		var succ *core.Action
-		if a.RF != nil {
-			ix, ok := moIx[a.RF]
-			if !ok {
+		succ := int32(-1)
+		if r := ex.rf[i]; r >= 0 {
+			ix := ex.moIx[r]
+			if ix < 0 {
 				continue
 			}
-			if moList := ex.MO[a.RF.Loc]; ix+1 < len(moList) {
-				succ = moList[ix+1]
+			if ids := ex.moOf(ex.acts[r].Loc); int(ix)+1 < len(ids) {
+				succ = ids[ix+1]
 			}
-		} else if moList := ex.MO[a.Loc]; len(moList) > 0 {
-			succ = moList[0]
+		} else if ids := ex.moOf(a.Loc); len(ids) > 0 {
+			succ = ids[0]
 		}
-		if succ != nil && succ != a {
-			addEdge(a, succ)
+		if succ >= 0 {
+			edge(int32(i), succ)
 		}
 	}
 
-	return acyclic(adj)
+	return g.acyclic(n)
 }
 
-// acyclic reports whether the adjacency list has no directed cycle, via an
-// iterative three-color DFS (the trace can be long; no recursion).
-func acyclic(adj [][]int) bool {
+// acyclic reports whether the graph over the first n nodes has no directed
+// cycle, via an iterative three-color DFS (the trace can be long; no
+// recursion).
+func (g *scGraph) acyclic(n int) bool {
 	const (
 		white = 0 // unvisited
 		grey  = 1 // on the DFS stack
 		black = 2 // done
 	)
-	color := make([]byte, len(adj))
-	type frame struct {
-		node int
-		next int // index into adj[node] of the next edge to follow
-	}
-	var stack []frame
-	for start := range adj {
-		if color[start] != white {
+	g.color = resize(g.color, n)
+	clear(g.color)
+	for start := range g.color {
+		if g.color[start] != white {
 			continue
 		}
-		color[start] = grey
-		stack = append(stack[:0], frame{node: start})
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.next < len(adj[f.node]) {
-				to := adj[f.node][f.next]
+		g.color[start] = grey
+		g.stack = append(g.stack[:0], dfsFrame{node: int32(start)})
+		for len(g.stack) > 0 {
+			f := &g.stack[len(g.stack)-1]
+			if out := g.adj[f.node]; int(f.next) < len(out) {
+				to := out[f.next]
 				f.next++
-				switch color[to] {
+				switch g.color[to] {
 				case grey:
 					return false
 				case white:
-					color[to] = grey
-					stack = append(stack, frame{node: to})
+					g.color[to] = grey
+					g.stack = append(g.stack, dfsFrame{node: to})
 				}
 				continue
 			}
-			color[f.node] = black
-			stack = stack[:len(stack)-1]
+			g.color[f.node] = black
+			g.stack = g.stack[:len(g.stack)-1]
 		}
 	}
 	return true

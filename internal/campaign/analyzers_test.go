@@ -137,6 +137,24 @@ func TestAnalyzerDeterminismUnderSharding(t *testing.T) {
 	}
 }
 
+// TestValidationSharesItsLift pins the one-lift pipeline: with validation
+// on, the analyzers observe the execution validation lifted into the
+// worker's workspace, and their findings must equal those of a campaign
+// whose analyzer stage lifts for itself.
+func TestValidationSharesItsLift(t *testing.T) {
+	own := canonicalize(Run(analyzerSpec(t, 1)))
+	spec := analyzerSpec(t, 4)
+	spec.ValidateAxioms = true
+	shared := canonicalize(Run(spec))
+	if val := shared.Tools[0].Validation; val == nil || val.Checked != 3*spec.Runs || val.Violations != 0 {
+		t.Fatalf("validation = %+v, want %d clean checks", val, 3*spec.Runs)
+	}
+	if !reflect.DeepEqual(own.Tools[0].Findings, shared.Tools[0].Findings) {
+		t.Errorf("findings differ when validation shares its lift:\nown lift: %+v\nshared:   %+v",
+			own.Tools[0].Findings, shared.Tools[0].Findings)
+	}
+}
+
 // TestAnalyzerShardMergeByteIdentical is the shard-merge satellite: cutting
 // an analyzer campaign into three shards and merging the partials must fold
 // per-analyzer finding sets with the same min-by-(cell, seed) winner algebra

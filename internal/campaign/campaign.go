@@ -552,7 +552,7 @@ func runUniform(spec Spec, tel *Telemetry, tools workerTools) ([]job, []fragment
 	frags := make([]fragment, len(jobs))
 	runPool(spec, len(jobs), func(w, i int) {
 		tel.unitStart(1, jobs[i], jobs[i].hi-jobs[i].lo)
-		r := newCellRunner(spec, jobs[i], tools.get(spec, w, jobs[i].tool))
+		r := tools.unit(spec, w, jobs[i])
 		r.run(jobs[i].lo, jobs[i].hi, nil)
 		frags[i] = r.frag
 		tel.unitDone(1, jobs[i], &frags[i])
@@ -662,7 +662,7 @@ func runAdaptive(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]j
 		}
 		runPool(spec, len(grants), func(w, i int) {
 			tel.unitStart(wave, waveJobs[i], grants[i].budget)
-			r := newCellRunner(spec, waveJobs[i], tools.get(spec, w, waveJobs[i].tool))
+			r := tools.unit(spec, w, waveJobs[i])
 			used[i] = r.runChunked(waveJobs[i].lo, grants[i].budget, chunk, grants[i].plan.tracker)
 			waveFrags[i] = r.frag
 			waveJobs[i].hi = waveJobs[i].lo + used[i]
@@ -765,7 +765,9 @@ type execCtx struct {
 	// modification-order lifting): later stages that would lift it again
 	// are skipped.
 	abort bool
-	obs   explore.Obs
+	// lifted marks the runner's workspace as holding this execution.
+	lifted bool
+	obs    explore.Obs
 }
 
 // stage is one pipeline step run over every completed execution. Stages are
@@ -806,9 +808,11 @@ type cellRunner struct {
 	// is unarmed.
 	fr *obs.FlightRecorder
 
-	// Engine plumbing (trace duties, guided exploration).
+	// Engine plumbing (trace duties, guided exploration). lift is the
+	// worker's axiom workspace, which validation and the analyzers share.
 	eng    *core.Engine
 	mo     core.MOProvider
+	lift   *axiom.Execution
 	rec    *trace.Recorder
 	pg     *trace.PrefixGuide
 	guides []*trace.Trace
@@ -826,8 +830,11 @@ type cellRunner struct {
 	out   string        // litmus outcome cell
 }
 
-func newCellRunner(spec Spec, j job, tool capi.Tool) *cellRunner {
-	r := &cellRunner{spec: spec, j: j, tool: tool, frag: fragment{races: map[string]raceHit{}}}
+// newCellRunner builds the runner for job j on tool. lift is the axiom
+// workspace the validation and analyzer stages lift into; it may be nil when
+// the spec asks for neither.
+func newCellRunner(spec Spec, j job, tool capi.Tool, lift *axiom.Execution) *cellRunner {
+	r := &cellRunner{spec: spec, j: j, tool: tool, lift: lift, frag: fragment{races: map[string]raceHit{}}}
 	switch j.kind {
 	case jobBench:
 		r.bench = spec.Benchmarks[j.cell]
@@ -960,39 +967,48 @@ func closeTool(t capi.Tool) {
 	}
 }
 
-// workerTools holds every campaign worker's warm tool instances, indexed by
-// worker slot and Spec.Tools index. Each worker keeps its instances for the
-// whole Run — across shards, cells and adaptive waves — so tool
-// construction and fiber-pool warmup are paid once per worker, not per unit.
-type workerTools [][]capi.Tool
+// workerTools holds every campaign worker's warm state, indexed by worker
+// slot: one tool instance per Spec.Tools entry and one axiom workspace that
+// every execution the worker validates or analyzes is lifted into. Each
+// worker keeps both for the whole Run — across shards, cells and adaptive
+// waves — so tool construction, fiber-pool warmup and workspace growth are
+// paid once per worker, not per unit.
+type workerTools []workerSlot
+
+type workerSlot struct {
+	tools []capi.Tool
+	lift  axiom.Execution
+}
 
 func newWorkerTools(spec Spec) workerTools {
 	wt := make(workerTools, spec.Workers)
 	for w := range wt {
-		wt[w] = make([]capi.Tool, len(spec.Tools))
+		wt[w].tools = make([]capi.Tool, len(spec.Tools))
 	}
 	return wt
 }
 
-// get returns worker w's instance of tool ti for a new unit of work: the
-// warm instance rearmed to its constructed state, or a fresh one when the
-// tool cannot be rearmed (or the worker has none yet).
-func (wt workerTools) get(spec Spec, w, ti int) capi.Tool {
-	t := wt[w][ti]
+// unit returns a runner for job j on worker w: the worker's instance of j's
+// tool — the warm one rearmed to its constructed state, or a fresh one when
+// the tool cannot be rearmed (or the worker has none yet) — and the worker's
+// workspace.
+func (wt workerTools) unit(spec Spec, w int, j job) *cellRunner {
+	slot := &wt[w]
+	t := slot.tools[j.tool]
 	if r, ok := t.(interface{ Rearm() }); ok {
 		r.Rearm()
-		return t
+	} else {
+		closeTool(t) // nil-safe: a nil tool has no Close method
+		t = spec.Tools[j.tool].New()
+		slot.tools[j.tool] = t
 	}
-	closeTool(t) // nil-safe: a nil tool has no Close method
-	t = spec.Tools[ti].New()
-	wt[w][ti] = t
-	return t
+	return newCellRunner(spec, j, t, &slot.lift)
 }
 
 // close releases every worker's tools once the campaign's workers are done.
 func (wt workerTools) close() {
-	for _, tools := range wt {
-		for _, t := range tools {
+	for _, slot := range wt {
+		for _, t := range slot.tools {
 			closeTool(t)
 		}
 	}
@@ -1143,8 +1159,9 @@ func (r *cellRunner) stageLitmus() {
 	r.x.obs.Outcome = r.out
 }
 
-// stageValidate checks the execution against the axiomatic model. The
-// lifting (the model's TotalMO) can itself hit an infeasible state — a
+// stageValidate lifts the execution into the worker's workspace and checks
+// it against the axiomatic model; the analyzer stage reuses the lift. The
+// lifting (the model's AppendTotalMO) can itself hit an infeasible state — a
 // modification-order cycle; RecoverInfeasible converts that into a recorded
 // failure, and abort tells the later trace-lifting stages (analyzers,
 // recording) to skip this execution.
@@ -1161,7 +1178,8 @@ func (r *cellRunner) stageValidate() {
 	// per-cell phase histograms as the engine's reset/run/race spans.
 	vt0 := time.Now()
 	ie := core.RecoverInfeasible(func() {
-		vs = axiom.Check(axiom.FromEngine(r.eng, r.mo))
+		r.lift.Lift(r.eng, r.mo)
+		vs = axiom.Check(r.lift)
 	})
 	r.observePhase(core.PhaseValidate, vt0)
 	if ie != nil {
@@ -1174,6 +1192,7 @@ func (r *cellRunner) stageValidate() {
 		}
 		return
 	}
+	r.x.lifted = true
 	if len(vs) > 0 {
 		r.frag.violations += len(vs)
 		if len(r.frag.vioSamples) < maxViolationSamples {
@@ -1183,9 +1202,11 @@ func (r *cellRunner) stageValidate() {
 }
 
 // stageAnalyze hands the finished execution to the cell's analyzer
-// instances and folds their findings into the fragment. Each Observe is
-// individually recovered: an infeasible lifting inside one analyzer records
-// a failure and moves on to the next.
+// instances and folds their findings into the fragment. Analyzers that need
+// the modification order share one lifted execution: validation's, or one
+// lifted here for the first analyzer that needs it. Each Observe, lift
+// included, is individually recovered: an infeasible lifting or state inside
+// one analyzer records a failure and moves on to the next.
 func (r *cellRunner) stageAnalyze() {
 	if r.x.abort {
 		return
@@ -1196,9 +1217,16 @@ func (r *cellRunner) stageAnalyze() {
 		Litmus: r.test != nil, Outcome: r.x.outcome,
 		Engine: r.eng, MO: r.mo,
 	}
+	if r.x.lifted {
+		r.ax.Lifted = r.lift
+	}
 	for _, ca := range r.analyzers {
 		var fs []analysis.Finding
 		ie := core.RecoverInfeasible(func() {
+			if ca.NeedsMO() && r.ax.Lifted == nil {
+				r.lift.Lift(r.eng, r.mo)
+				r.ax.Lifted = r.lift
+			}
 			fs = ca.Observe(&r.ax)
 		})
 		if ie != nil {

@@ -498,3 +498,48 @@ func TestSpecValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectBenchmarksExpandsAll checks that "all" is one more list element
+// of -bench: expanded in place to the paper's benchmarks, with any name the
+// list repeats kept at its first position.
+func TestSelectBenchmarksExpandsAll(t *testing.T) {
+	var paper []string
+	for _, b := range structures.All() {
+		paper = append(paper, b.Name)
+	}
+	for sel, want := range map[string][]string{
+		"all":                     paper,
+		"all,atomic-counter":      append(append([]string{}, paper...), "atomic-counter"),
+		"seqlock,all":             append([]string{"seqlock"}, without(paper, "seqlock")...),
+		"ms-queue,all,ms-queue":   append([]string{"ms-queue"}, without(paper, "ms-queue")...),
+		"atomic-counter,ms-queue": {"atomic-counter", "ms-queue"},
+		"none":                    nil,
+		"":                        nil,
+	} {
+		specs, err := SelectBenchmarks(sel)
+		if err != nil {
+			t.Fatalf("SelectBenchmarks(%q): %v", sel, err)
+		}
+		var got []string
+		for _, s := range specs {
+			got = append(got, s.Name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("SelectBenchmarks(%q) = %v, want %v", sel, got, want)
+		}
+	}
+	if _, err := SelectBenchmarks("all,nope"); err == nil {
+		t.Error("unknown benchmark inside a list accepted")
+	}
+}
+
+// without returns names minus drop, in order.
+func without(names []string, drop string) []string {
+	var out []string
+	for _, n := range names {
+		if n != drop {
+			out = append(out, n)
+		}
+	}
+	return out
+}

@@ -112,7 +112,7 @@ func captureTrace(spec Spec, j job, seed int64) (string, error) {
 	sub.Shard = ShardSel{}
 	tool := spec.Tools[j.tool].New()
 	defer closeTool(tool)
-	cr := newCellRunner(sub, j, tool)
+	cr := newCellRunner(sub, j, tool, nil)
 	if cr.eng == nil {
 		return "", fmt.Errorf("tool %s cannot record traces (not an engine)", spec.Tools[j.tool].Name)
 	}

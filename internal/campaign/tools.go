@@ -173,34 +173,40 @@ func ParsePrune(s string) (core.PruneMode, error) {
 	return core.PruneOff, fmt.Errorf("unknown prune mode %q (want off, conservative, or aggressive)", s)
 }
 
-// SelectBenchmarks resolves a -bench flag value ("all", "none"/"", or a
-// comma-separated name list) into benchmark specs with the right detection
-// signal per suite (races for the data structures, assertion violations for
-// the injected-bug suite).
+// SelectBenchmarks resolves a -bench flag value ("none"/"", or a
+// comma-separated list of names, where "all" stands for the paper's
+// benchmarks) into benchmark specs, in list order without duplicates, with
+// the right detection signal per suite (races for the data structures,
+// assertion violations for the injected-bug suite).
 func SelectBenchmarks(sel string) ([]BenchmarkSpec, error) {
+	if sel == "none" {
+		return nil, nil
+	}
 	var specs []BenchmarkSpec
+	seen := map[string]bool{}
 	add := func(b structures.Benchmark) {
+		if seen[b.Name] {
+			return
+		}
+		seen[b.Name] = true
 		sig := harness.SignalRace
 		if structures.IsInjected(b.Name) {
 			sig = harness.SignalAssert
 		}
 		specs = append(specs, BenchmarkSpec{Name: b.Name, New: b.New, Signal: sig})
 	}
-	switch sel {
-	case "none", "":
-		return nil, nil
-	case "all":
-		for _, b := range structures.All() {
-			add(b)
-		}
-	default:
-		for _, name := range SplitList(sel) {
-			b, err := structures.ByName(name)
-			if err != nil {
-				return nil, err
+	for _, name := range SplitList(sel) {
+		if name == "all" {
+			for _, b := range structures.All() {
+				add(b)
 			}
-			add(b)
+			continue
 		}
+		b, err := structures.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		add(b)
 	}
 	return specs, nil
 }

@@ -383,10 +383,13 @@ func (e *Engine) FinalValues() map[string]memmodel.Value {
 // per-location modification order for the last execution (the lifting of
 // Section A.2). The C11 model implements it; the commit-order baselines keep
 // only bounded histories and do not. The axiomatic validator and the trace
-// recorder require it.
+// recorder require it. Both methods append to dst and return the extended
+// slice, so a caller that lifts every execution reuses one backing array:
+// AppendLocations appends the locations in ascending order, AppendTotalMO
+// one location's stores in modification order.
 type MOProvider interface {
-	Locations() []memmodel.LocID
-	TotalMO(loc memmodel.LocID) []*Action
+	AppendLocations(dst []memmodel.LocID) []memmodel.LocID
+	AppendTotalMO(dst []*Action, loc memmodel.LocID) []*Action
 }
 
 // Threads returns the threads of the current (or last) execution.
@@ -478,8 +481,8 @@ func (e *Engine) PhaseTiming() bool { return e.phases.Enabled() }
 // Executing resets the engine's execution-lifetime arenas: every *Action,
 // clock-vector snapshot, and mo-graph node of the previous execution is
 // reclaimed here. Anything read from the engine after an execution (Trace,
-// FinalValues, a model's TotalMO) must be consumed — or deep-copied, as the
-// trace recorder does — before the next Execute call.
+// FinalValues, a model's AppendTotalMO) must be consumed — or deep-copied, as
+// the trace recorder does — before the next Execute call.
 //
 // If the memory model reaches an infeasible state mid-execution (see
 // InfeasibleError), Execute recovers the panic, unwinds the execution's

@@ -651,7 +651,7 @@ func TestConservativePruningBoundsMemoryAndKeepsSemantics(t *testing.T) {
 		t.Fatal("truncated")
 	}
 	// Without pruning the location would hold ~4000 stores.
-	for _, loc := range model.Locations() {
+	for _, loc := range model.AppendLocations(nil) {
 		if n := model.StoreCount(loc); n > 200 {
 			t.Errorf("loc %d retains %d stores; pruning ineffective", loc, n)
 		}
@@ -682,7 +682,7 @@ func TestAggressivePruningKeepsCoherence(t *testing.T) {
 	if len(res.AssertFailures) > 0 {
 		t.Fatalf("%v", res.AssertFailures[0])
 	}
-	for _, loc := range model.Locations() {
+	for _, loc := range model.AppendLocations(nil) {
 		if n := model.StoreCount(loc); n > 120 {
 			t.Errorf("loc %d retains %d stores; window not enforced", loc, n)
 		}

@@ -33,10 +33,10 @@ func (e *InfeasibleError) Error() string {
 // RecoverInfeasible converts a panicking *InfeasibleError into a returned
 // error and re-raises anything else. Callers that invoke model methods
 // outside Engine.Execute — the trace recorder and the axiomatic validator
-// both call TotalMO after the execution — use it to turn a lifting failure
-// into a recordable result instead of a dead goroutine:
+// both call AppendTotalMO after the execution — use it to turn a lifting
+// failure into a recordable result instead of a dead goroutine:
 //
-//	err := core.RecoverInfeasible(func() { ... mp.TotalMO(loc) ... })
+//	err := core.RecoverInfeasible(func() { ... mp.AppendTotalMO(dst, loc) ... })
 func RecoverInfeasible(f func()) (err *InfeasibleError) {
 	defer func() {
 		if r := recover(); r != nil {

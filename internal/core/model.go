@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"c11tester/internal/capi"
@@ -111,6 +113,10 @@ type C11Model struct {
 	candBuf []*Action
 	priRBuf []*Action
 	priWBuf []*Action
+
+	// mo is AppendTotalMO's working set, reused across locations and
+	// executions.
+	mo moScratch
 }
 
 // NewC11Model returns the C11Tester memory model.
@@ -579,79 +585,55 @@ func (m *C11Model) rmwWriteFeasible(t *ThreadState, al *aloc, isSC bool, s *Acti
 	return true
 }
 
-// TotalMO returns one modification order for loc consistent with the
-// constraint graph: a linear extension of the mo edges in which every RMW
-// immediately follows the store it read from (Section A.2's lifting). To
-// honour the adjacency constraint, each store and its chain of RMW readers
-// is contracted into one group before the topological sort; groups are
-// emitted head-first with ties broken by head sequence number. It is used
-// by the axiomatic validator.
-func (m *C11Model) TotalMO(loc memmodel.LocID) []*Action {
+// AppendTotalMO appends to dst one modification order for loc consistent
+// with the constraint graph: a linear extension of the mo edges in which
+// every RMW immediately follows the store it read from (Section A.2's
+// lifting). To honour the adjacency constraint, each store and its chain of
+// RMW readers is contracted into one group before the topological sort;
+// groups are emitted head-first with ties broken by head sequence number. It
+// is used by the axiomatic validator and the trace recorder, and allocates
+// nothing once dst and the model's scratch have grown.
+func (m *C11Model) AppendTotalMO(dst []*Action, loc memmodel.LocID) []*Action {
 	if int(loc) >= len(m.alocs) || m.alocs[loc] == nil {
-		return nil
+		return dst
 	}
-	al := m.alocs[loc]
-	var stores []*Action
-	byNode := map[*mograph.Node]*Action{}
-	for _, list := range al.storesBy {
-		for _, a := range list {
-			stores = append(stores, a)
-			byNode[a.Node] = a
-		}
-	}
-	// rep maps each action to the head of its store/RMW chain.
-	rep := map[*Action]*Action{}
-	var headOf func(a *Action) *Action
-	headOf = func(a *Action) *Action {
-		if h, ok := rep[a]; ok {
-			return h
-		}
-		h := a
-		if a.Kind == memmodel.KRMW && a.RF != nil && a.RF.RMWReader == a {
-			if _, inGraph := byNode[a.RF.Node]; inGraph {
-				h = headOf(a.RF)
-			}
-		}
-		rep[a] = h
-		return h
-	}
-	indeg := map[*Action]int{}
-	for _, a := range stores {
-		ha := headOf(a)
+	s := &m.mo
+	s.load(m.alocs[loc])
+	for i, a := range s.stores {
+		ha := s.headOf(int32(i))
 		for _, e := range a.Node.Edges() {
-			if dst, ok := byNode[e]; ok {
-				if hd := headOf(dst); hd != ha {
-					indeg[hd]++
+			if d := s.index(e); d >= 0 {
+				if hd := s.headOf(d); hd != ha {
+					s.indeg[hd]++
 				}
 			}
 		}
 	}
-	var frontier []*Action
-	for _, a := range stores {
-		if headOf(a) == a && indeg[a] == 0 {
-			frontier = append(frontier, a)
+	frontier := s.frontier[:0]
+	for i := range s.stores {
+		if s.headOf(int32(i)) == int32(i) && s.indeg[i] == 0 {
+			frontier = append(frontier, int32(i))
 		}
 	}
-	var out []*Action
 	emitted := 0
 	for len(frontier) > 0 {
 		best := 0
 		for i := 1; i < len(frontier); i++ {
-			if frontier[i].Seq < frontier[best].Seq {
+			if s.stores[frontier[i]].Seq < s.stores[frontier[best]].Seq {
 				best = i
 			}
 		}
 		head := frontier[best]
 		frontier = append(frontier[:best], frontier[best+1:]...)
 		// Emit the whole chain, then release the edges of all its members.
-		for a := head; a != nil; a = chainNext(a, byNode) {
-			out = append(out, a)
+		for a := s.stores[head]; a != nil; a = s.chainNext(a) {
+			dst = append(dst, a)
 			emitted++
 			for _, e := range a.Node.Edges() {
-				if dst, ok := byNode[e]; ok {
-					if hd := headOf(dst); hd != head {
-						indeg[hd]--
-						if indeg[hd] == 0 {
+				if d := s.index(e); d >= 0 {
+					if hd := s.headOf(d); hd != head {
+						s.indeg[hd]--
+						if s.indeg[hd] == 0 {
 							frontier = append(frontier, hd)
 						}
 					}
@@ -659,33 +641,103 @@ func (m *C11Model) TotalMO(loc memmodel.LocID) []*Action {
 			}
 		}
 	}
-	if emitted != len(stores) {
+	s.frontier = frontier[:0]
+	if emitted != len(s.stores) {
 		panic(&InfeasibleError{Stage: "total-mo", Loc: loc,
-			Detail: fmt.Sprintf("modification order contains a cycle (%d of %d stores ordered)", emitted, len(stores))})
+			Detail: fmt.Sprintf("modification order contains a cycle (%d of %d stores ordered)", emitted, len(s.stores))})
 	}
-	return out
+	return dst
+}
+
+// moScratch is AppendTotalMO's working set for one location. Everything is
+// indexed by position in stores (the location's stores in per-thread list
+// order); bySeq orders those positions by node sequence number, which is how
+// a mo-graph edge's target node is resolved to its store without a map.
+type moScratch struct {
+	stores   []*Action
+	bySeq    []int32
+	head     []int32 // head of the store/RMW chain; -1 until computed
+	indeg    []int32 // in-degree of each chain head in the contracted graph
+	frontier []int32
+}
+
+// load resets the scratch to the stores of al.
+func (s *moScratch) load(al *aloc) {
+	s.stores = s.stores[:0]
+	for _, list := range al.storesBy {
+		s.stores = append(s.stores, list...)
+	}
+	n := len(s.stores)
+	s.bySeq, s.head, s.indeg = s.bySeq[:0], s.head[:0], s.indeg[:0]
+	for i := 0; i < n; i++ {
+		s.bySeq = append(s.bySeq, int32(i))
+		s.head = append(s.head, -1)
+		s.indeg = append(s.indeg, 0)
+	}
+	slices.SortFunc(s.bySeq, func(i, j int32) int {
+		return cmp.Compare(s.stores[i].Node.Seq, s.stores[j].Node.Seq)
+	})
+}
+
+// index returns the position of the store whose mo-graph node is n, or -1
+// when n is nil or not one of this location's stores.
+func (s *moScratch) index(n *mograph.Node) int32 {
+	if n == nil {
+		return -1
+	}
+	lo, hi := 0, len(s.bySeq)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.stores[s.bySeq[mid]].Node.Seq < n.Seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for ; lo < len(s.bySeq); lo++ {
+		i := s.bySeq[lo]
+		if s.stores[i].Node == n {
+			return i
+		}
+		if s.stores[i].Node.Seq != n.Seq {
+			break
+		}
+	}
+	return -1
+}
+
+// headOf returns the position of the head of store i's store/RMW chain.
+func (s *moScratch) headOf(i int32) int32 {
+	if h := s.head[i]; h >= 0 {
+		return h
+	}
+	h := i
+	if a := s.stores[i]; a.Kind == memmodel.KRMW && a.RF != nil && a.RF.RMWReader == a {
+		if rf := s.index(a.RF.Node); rf >= 0 {
+			h = s.headOf(rf)
+		}
+	}
+	s.head[i] = h
+	return h
 }
 
 // chainNext returns the RMW that extends a's chain, if it is part of this
 // location's graph.
-func chainNext(a *Action, byNode map[*mograph.Node]*Action) *Action {
+func (s *moScratch) chainNext(a *Action) *Action {
 	r := a.RMWReader
-	if r == nil {
-		return nil
-	}
-	if _, ok := byNode[r.Node]; !ok {
+	if r == nil || s.index(r.Node) < 0 {
 		return nil
 	}
 	return r
 }
 
-// Locations returns the ids of all atomic locations the model has seen.
-func (m *C11Model) Locations() []memmodel.LocID {
-	var ids []memmodel.LocID
+// AppendLocations appends the ids of all atomic locations the model has
+// seen to dst, in ascending order.
+func (m *C11Model) AppendLocations(dst []memmodel.LocID) []memmodel.LocID {
 	for id, al := range m.alocs {
 		if al != nil {
-			ids = append(ids, memmodel.LocID(id))
+			dst = append(dst, memmodel.LocID(id))
 		}
 	}
-	return ids
+	return dst
 }

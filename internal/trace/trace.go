@@ -191,8 +191,8 @@ func Record(eng *core.Engine, res *capi.Result, sched Schedule, meta Meta) (*Tra
 	}
 	tr.MO = map[string][]int{}
 	tr.Locs = map[string]string{}
-	for _, loc := range mp.Locations() {
-		mo := mp.TotalMO(loc)
+	for _, loc := range mp.AppendLocations(nil) {
+		mo := mp.AppendTotalMO(nil, loc)
 		ids := make([]int, len(mo))
 		for i, a := range mo {
 			j, ok := index[a]
@@ -268,7 +268,7 @@ func (tr *Trace) Execution() (*axiom.Execution, error) {
 			acts[i].RF = acts[ev.RF]
 		}
 	}
-	mo := map[memmodel.LocID][]*core.Action{}
+	mo := make([]axiom.LocMO, 0, len(tr.MO))
 	for key, ids := range tr.MO {
 		var loc memmodel.LocID
 		if _, err := fmt.Sscanf(key, "%d", &loc); err != nil {
@@ -281,11 +281,11 @@ func (tr *Trace) Execution() (*axiom.Execution, error) {
 			}
 			list[i] = acts[id]
 		}
-		mo[loc] = list
+		mo = append(mo, axiom.LocMO{Loc: loc, Stores: list})
 	}
 	// RMWReader links are needed by nothing in the checker, but rebuild the
 	// per-store uniqueness the checker verifies from RF alone.
-	return &axiom.Execution{Trace: acts, MO: mo}, nil
+	return axiom.NewExecution(acts, mo), nil
 }
 
 // Validate runs the offline axiomatic checker over the serialized trace.
