@@ -852,16 +852,10 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, lift *axiom.Execution) *cel
 		r.mo, _ = r.eng.Model().(core.MOProvider)
 	}
 	if spec.Telemetry != nil {
+		// runOne switches handoff-wait timing and phase spans per execution
+		// index (sampleTiming). Raw perf sweeps (RunPerf) construct tools
+		// without a Telemetry and keep both off.
 		r.met = spec.Telemetry.cellMetrics(j)
-		if r.eng != nil {
-			// Campaign executions always run with handoff-wait timing and
-			// phase spans: both measurements are allocation-free and feed the
-			// per-cell c11_cell_handoff_wait_ns and c11_cell_phase_ns
-			// histograms. Raw perf sweeps (RunPerf) construct tools without a
-			// Telemetry and keep both off.
-			r.eng.SetHandoffTiming(true)
-			r.eng.SetPhaseTiming(true)
-		}
 	}
 	if spec.CaptureDir != "" {
 		r.fr = obs.NewFlightRecorder(obs.FlightRecorderConfig{SlowNS: spec.CaptureSlowNS})
@@ -1067,9 +1061,13 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 	if r.test != nil {
 		r.out = ""
 	}
-	// The per-execution instrumentation below — two monotonic clock reads
-	// plus CellMetrics.ObserveExec — allocates nothing; the zero-alloc test
-	// pins this exact path with metrics enabled.
+	// The per-execution instrumentation below — the timing toggle, two
+	// monotonic clock reads plus CellMetrics.ObserveExec — allocates nothing;
+	// the zero-alloc test pins this exact path with metrics enabled, on a
+	// sampled and an unsampled index.
+	if r.met != nil && r.eng != nil {
+		sampleTiming(r.eng, i)
+	}
 	execStart := time.Now()
 	res := r.tool.Execute(r.prog, r.spec.SeedBase+int64(i))
 	execDur := time.Since(execStart)
@@ -1176,7 +1174,7 @@ func (r *cellRunner) stageValidate() {
 	// The engine cannot see the campaign's validation duty, so the
 	// campaign brackets the PhaseValidate span itself, feeding the same
 	// per-cell phase histograms as the engine's reset/run/race spans.
-	vt0 := time.Now()
+	vt0 := r.phaseStart()
 	ie := core.RecoverInfeasible(func() {
 		r.lift.Lift(r.eng, r.mo)
 		vs = axiom.Check(r.lift)
@@ -1277,7 +1275,7 @@ func (r *cellRunner) stageRecord() {
 	var err error
 	// PhaseRecord span: trace serialization + file write, campaign-
 	// bracketed like PhaseValidate above.
-	rt0 := time.Now()
+	rt0 := r.phaseStart()
 	ie := core.RecoverInfeasible(func() {
 		tr, err = trace.Record(r.eng, r.x.res, r.rec.Schedule(), meta)
 	})
@@ -1302,10 +1300,40 @@ func (r *cellRunner) stageRecord() {
 	}
 }
 
-// observePhase folds a campaign-bracketed phase span (validate, record) into
-// the cell's phase histograms.
+// timingSample is the campaign's timing sample interval: execution i of a
+// cell runs with handoff-wait timing and phase spans iff i%timingSample == 0.
+// Each timed execution pays dozens to hundreds of clock reads (two per
+// handoff, two per race-bearing access), which cost a campaign ~30% of its
+// throughput when every execution paid them. The sample is a pure function
+// of the global execution index, so the sampled histograms' counts are as
+// deterministic under workers, shards and resume as the outcomes, and every
+// cell with at least one execution (index 0) gets at least one sample.
+const timingSample = 16
+
+// sampleTiming switches eng's handoff-wait timing and phase spans for
+// execution index i.
+func sampleTiming(eng *core.Engine, i int) {
+	on := i%timingSample == 0
+	eng.SetHandoffTiming(on)
+	eng.SetPhaseTiming(on)
+}
+
+// phaseStart opens a campaign-bracketed phase span (validate, record) of the
+// current execution: the start stamp when the execution is timed (runOne
+// switched the engine's phase spans on), the zero time — and no clock read —
+// otherwise.
+func (r *cellRunner) phaseStart() time.Time {
+	if r.met != nil && r.eng.PhaseTiming() {
+		return time.Now()
+	}
+	return time.Time{}
+}
+
+// observePhase folds a campaign-bracketed phase span opened by phaseStart
+// into the cell's phase histograms; a zero t0 (untimed execution) is
+// skipped, so every phase histogram shares the engine phases' denominator.
 func (r *cellRunner) observePhase(p core.Phase, t0 time.Time) {
-	if r.met != nil {
+	if !t0.IsZero() {
 		r.met.PhaseNS[p].Observe(uint64(time.Since(t0)))
 	}
 }

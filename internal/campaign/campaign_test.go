@@ -11,6 +11,7 @@ import (
 	"c11tester/internal/capi"
 	"c11tester/internal/harness"
 	"c11tester/internal/litmus"
+	"c11tester/internal/obs"
 	"c11tester/internal/structures"
 	"c11tester/internal/trace"
 )
@@ -85,6 +86,92 @@ func canonicalize(s *Summary) *Summary {
 	return &c
 }
 
+// phaseCounts maps every cell's "tool/program/phase" to its phase histogram
+// count — the number of timed executions. The timing sample is a pure
+// function of the execution index, so these counts must be as deterministic
+// under workers, shards and resume as the outcomes themselves.
+func phaseCounts(s *Summary) map[string]uint64 {
+	out := map[string]uint64{}
+	add := func(tool, program string, phases map[string]*obs.HistogramSnapshot) {
+		for name, h := range phases {
+			out[tool+"/"+program+"/"+name] = h.Count
+		}
+	}
+	for _, ts := range s.Tools {
+		for _, c := range ts.Benchmarks {
+			add(ts.Tool, c.Program, c.Phases)
+		}
+		for _, c := range ts.Litmus {
+			add(ts.Tool, c.Test, c.Phases)
+		}
+	}
+	return out
+}
+
+// sampledIn counts the timed execution indices in [lo, hi).
+func sampledIn(lo, hi int) uint64 {
+	var n uint64
+	for i := lo; i < hi; i++ {
+		if i%timingSample == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// checkSampledCounts asserts that every cell of s ran its reset, run and
+// race spans — and its validate span, when present — on exactly the timed
+// indices among its executions: [lo, lo+n), where lo is first(tool,
+// program) (0 unless the process resumed mid-cell) and n is the cell's
+// timing count. The record span is left out: it counts only the timed
+// executions that owed a trace.
+func checkSampledCounts(t *testing.T, s *Summary, first func(tool, program string) int) {
+	t.Helper()
+	check := func(tool, program string, failed int, timing *obs.HistogramSnapshot, phases map[string]*obs.HistogramSnapshot) {
+		t.Helper()
+		if failed > 0 {
+			t.Fatalf("%s/%s: %d failed executions leave gaps in the index range", tool, program, failed)
+		}
+		if timing == nil || timing.Count == 0 {
+			return
+		}
+		lo := first(tool, program)
+		want := sampledIn(lo, lo+int(timing.Count))
+		for _, name := range []string{"reset", "run", "race", "validate"} {
+			h := phases[name]
+			if h == nil {
+				if name != "validate" && want > 0 {
+					t.Errorf("%s/%s: no %s phase histogram", tool, program, name)
+				}
+				continue
+			}
+			if h.Count != want {
+				t.Errorf("%s/%s: %s phase count %d, want %d (timed indices in [%d, %d))",
+					tool, program, name, h.Count, want, lo, lo+int(timing.Count))
+			}
+		}
+	}
+	for _, ts := range s.Tools {
+		for _, c := range ts.Benchmarks {
+			check(ts.Tool, c.Program, c.Failed, c.Timing, c.Phases)
+		}
+		for _, c := range ts.Litmus {
+			check(ts.Tool, c.Test, c.Failed, c.Timing, c.Phases)
+		}
+	}
+}
+
+// fromZero is checkSampledCounts' first for a campaign that ran every index.
+func fromZero(string, string) int { return 0 }
+
+// checkSameSamples asserts two runs of one campaign timed the same executions.
+func checkSameSamples(t *testing.T, a, b *Summary) {
+	t.Helper()
+	if ac, bc := phaseCounts(a), phaseCounts(b); !reflect.DeepEqual(ac, bc) {
+		t.Errorf("phase sample counts differ:\n%v\n%v", ac, bc)
+	}
+}
+
 // TestDeterminismUnderSharding is the acceptance-criterion test: the same
 // (tools, programs, runs, seedBase) campaign must yield identical
 // aggregated race keys, detection counts, reproduction seeds, and litmus
@@ -115,8 +202,10 @@ func TestDeterminismUnderSharding(t *testing.T) {
 		}
 	}
 
-	serial := canonicalize(Run(build(1, 60)))
-	sharded := canonicalize(Run(build(4, 7)))
+	serialRaw, shardedRaw := Run(build(1, 60)), Run(build(4, 7))
+	checkSampledCounts(t, serialRaw, fromZero)
+	checkSameSamples(t, serialRaw, shardedRaw)
+	serial, sharded := canonicalize(serialRaw), canonicalize(shardedRaw)
 
 	sj, err := json.Marshal(serial)
 	if err != nil {

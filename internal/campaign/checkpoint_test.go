@@ -223,6 +223,8 @@ func TestShardMergeByteIdentical(t *testing.T) {
 			if got, wantJSON := canonicalJSON(t, merged), canonicalJSON(t, single); got != wantJSON {
 				t.Fatalf("merged summary differs from single-machine run:\nmerged: %s\nsingle: %s", got, wantJSON)
 			}
+			checkSampledCounts(t, single, fromZero)
+			checkSameSamples(t, single, merged)
 		})
 	}
 }
@@ -388,14 +390,28 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 		t.Fatal("final checkpoint not marked complete")
 	}
 
+	checkSampledCounts(t, baseline, fromZero)
+
 	for i, ck := range checkpoints {
 		resumed := build(3) // different worker count: must not matter
 		resumed.Resume = ck
-		got := canonicalJSON(t, Run(resumed))
+		sum := Run(resumed)
+		got := canonicalJSON(t, sum)
 		if got != want {
 			t.Fatalf("resume from checkpoint %d (wave %d, complete=%v) diverged from the uninterrupted run:\nresumed: %s\nwant:    %s",
 				i, ck.Wave, ck.Complete, got, want)
 		}
+		// Timing histograms are not checkpointed: a resumed process times
+		// the indices it runs itself, from each cell's checkpointed Used on,
+		// by the same index rule — so resuming twice samples identically.
+		used := map[string]int{}
+		for _, cc := range ck.Cells {
+			used[cc.ToolRef+"/"+cc.Program] = cc.Used
+		}
+		checkSampledCounts(t, sum, func(tool, program string) int { return used[tool+"/"+program] })
+		again := build(2)
+		again.Resume = ck
+		checkSameSamples(t, sum, Run(again))
 	}
 }
 

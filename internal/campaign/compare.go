@@ -135,6 +135,36 @@ type Comparison struct {
 	// disagree (schema v5). Report-only: wall-clock comparisons across builds
 	// are already flagged as incomparable, and skew alone is not a regression.
 	ProvenanceSkew []string `json:"provenance_skew,omitempty"`
+	// SpecSkew lists the outcome-affecting spec-echo fields on which the two
+	// artifacts differ (runs, seeds, shard size, policy, rng, tools,
+	// programs, analyzers, validation). Report-only, like ProvenanceSkew:
+	// comparing two different program sets can be deliberate, but movement
+	// across skewed specs is not movement of the tools, so the report prints
+	// the skew before anything else.
+	SpecSkew []string `json:"spec_skew,omitempty"`
+}
+
+// specSkew lists the outcome-affecting fields on which two spec echoes
+// disagree, rendered as "field: old → new" lines; empty when they match.
+// Workers and the output paths are left out: they never change outcomes.
+func specSkew(a, b SpecInfo) []string {
+	var out []string
+	diff := func(name string, x, y any) {
+		if xs, ys := fmt.Sprint(x), fmt.Sprint(y); xs != ys {
+			out = append(out, fmt.Sprintf("%s: %s → %s", name, xs, ys))
+		}
+	}
+	diff("runs", a.Runs, b.Runs)
+	diff("seed_base", a.SeedBase, b.SeedBase)
+	diff("shard_size", a.ShardSize, b.ShardSize)
+	diff("policy", a.Policy, b.Policy)
+	diff("rng", a.RNG, b.RNG)
+	diff("tools", a.Tools, b.Tools)
+	diff("benchmarks", a.Benchmarks, b.Benchmarks)
+	diff("litmus", a.Litmus, b.Litmus)
+	diff("analyzers", a.Analyzers, b.Analyzers)
+	diff("validate", a.Validate, b.Validate)
+	return out
 }
 
 // Compare diffs two campaign summaries.
@@ -150,6 +180,7 @@ func Compare(old, new *Summary) *Comparison {
 		c.NewDropped = new.Obs.EventsDropped
 	}
 	c.ProvenanceSkew = old.Provenance.Skew(new.Provenance)
+	c.SpecSkew = specSkew(old.Spec, new.Spec)
 	oldTools := map[string]*ToolSummary{}
 	for i := range old.Tools {
 		oldTools[old.Tools[i].Tool] = &old.Tools[i]
@@ -352,6 +383,9 @@ func (c *Comparison) String() string {
 	out := fmt.Sprintf("campaign comparison (old schema v%d, new schema v%d)\nwall clock: %s → %s\n",
 		c.OldSchemaVer, c.NewSchemaVer,
 		harness.FmtDuration(time.Duration(c.OldWall)), harness.FmtDuration(time.Duration(c.NewWall)))
+	for _, skew := range c.SpecSkew {
+		out += fmt.Sprintf("WARNING: campaign spec skew: %s — the artifacts ran different campaigns\n", skew)
+	}
 
 	tb := &harness.Table{Header: []string{"tool", "execs/sec old", "execs/sec new", "ratio", "new races", "lost races"}}
 	for _, td := range c.Tools {

@@ -160,3 +160,34 @@ func TestCompareValidationCounts(t *testing.T) {
 		t.Errorf("one-sided validation produced a delta: %+v", d.Tools[0].Validation)
 	}
 }
+
+// TestCompareReportsSpecSkew pins that comparing artifacts of different
+// campaigns — a 30-run against a 300-run artifact, say — is flagged first in
+// the report, field by field, without gating Regressed.
+func TestCompareReportsSpecSkew(t *testing.T) {
+	old := mkSummary(1000, 80, "a/x/y")
+	new := mkSummary(1000, 80, "a/x/y")
+	old.Spec = SpecInfo{Tools: []string{"c11tester"}, Benchmarks: []string{"ms-queue"}, Litmus: []string{},
+		Runs: 30, SeedBase: 1, Workers: 1, ShardSize: 25, Policy: "uniform", RNG: "pcg"}
+	new.Spec = old.Spec
+	if c := Compare(old, new); len(c.SpecSkew) != 0 {
+		t.Fatalf("identical specs report skew %v", c.SpecSkew)
+	}
+	new.Spec.Workers = 4 // not outcome-affecting
+	new.Spec.Runs = 300
+	new.Spec.Litmus = []string{"MP+rlx"}
+	new.Spec.Validate = true
+	c := Compare(old, new)
+	want := []string{"runs: 30 → 300", "litmus: [] → [MP+rlx]", "validate: false → true"}
+	if strings.Join(c.SpecSkew, "|") != strings.Join(want, "|") {
+		t.Fatalf("spec skew = %q, want %q", c.SpecSkew, want)
+	}
+	if c.Regressed() {
+		t.Error("spec skew alone must not count as a regression")
+	}
+	text := c.String()
+	first := strings.Index(text, "WARNING: campaign spec skew: runs: 30 → 300")
+	if first < 0 || first > strings.Index(text, "execs/sec old") {
+		t.Errorf("spec skew not printed first:\n%s", text)
+	}
+}

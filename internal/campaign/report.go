@@ -148,17 +148,21 @@ func writeSlowCells(w io.Writer, sum *Summary, top int) {
 			harness.FmtDuration(time.Duration(c.timing.P50)),
 			harness.FmtDuration(time.Duration(c.timing.P99)),
 			fmt.Sprintf("%d", c.timing.Count),
-			phaseBreakdown(c.phases))
+			phaseBreakdown(c.phases, c.timing.Count))
 	}
 	fmt.Fprint(w, tb.String())
 }
 
-// phaseBreakdown renders the per-phase means in canonical phase order.
-func phaseBreakdown(phases map[string]*obs.HistogramSnapshot) string {
+// phaseBreakdown renders the per-phase means in canonical phase order,
+// followed by their sample size against the cell's execs: phase spans are
+// timed on every timingSample-th execution index only, so the means cover n
+// of the execs executions.
+func phaseBreakdown(phases map[string]*obs.HistogramSnapshot, execs uint64) string {
 	if len(phases) == 0 {
 		return "(no phase spans)"
 	}
 	out := ""
+	var n uint64
 	for p := 0; p < core.NumPhases; p++ {
 		h := phases[core.Phase(p).String()]
 		if h == nil || h.Count == 0 {
@@ -168,8 +172,9 @@ func phaseBreakdown(phases map[string]*obs.HistogramSnapshot) string {
 			out += "  "
 		}
 		out += fmt.Sprintf("%s %s", core.Phase(p), harness.FmtDuration(time.Duration(h.Sum/h.Count)))
+		n = max(n, h.Count)
 	}
-	return out
+	return out + fmt.Sprintf(" (n=%d of %d)", n, execs)
 }
 
 // writeRaceTimeline renders when each distinct race was first seen: the

@@ -53,6 +53,7 @@ func TestReportEndToEnd(t *testing.T) {
 		"repro: go run ./cmd/c11trace replay ",
 		"phase breakdown (mean)",
 		"reset ",
+		" of ", // the phase means' sample size, "(n=… of …)"
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q\n--- report ---\n%s", want, out)
@@ -115,5 +116,19 @@ func TestWriteReportDegradesWithoutSidecars(t *testing.T) {
 		if strings.Contains(out, absent) {
 			t.Errorf("section %q rendered with no backing data:\n%s", absent, out)
 		}
+	}
+}
+
+// TestPhaseBreakdownStatesSampleSize pins that the phase means carry their
+// sample size: the phase histograms count the timed executions only, and
+// the record span may count fewer still.
+func TestPhaseBreakdownStatesSampleSize(t *testing.T) {
+	got := phaseBreakdown(map[string]*obs.HistogramSnapshot{
+		"reset":  {Count: 2, Sum: 2000},
+		"run":    {Count: 2, Sum: 18000},
+		"record": {Count: 1, Sum: 5000},
+	}, 30)
+	if want := "reset 1.0µs  run 9.0µs  record 5.0µs (n=2 of 30)"; got != want {
+		t.Errorf("phaseBreakdown = %q, want %q", got, want)
 	}
 }

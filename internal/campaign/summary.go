@@ -155,7 +155,9 @@ type CellSummary struct {
 	Timing *obs.HistogramSnapshot `json:"timing,omitempty"`
 	// Phases are the cell's per-phase span histograms keyed by phase name
 	// (schema v5; present when the tool is an engine — phase timing rides the
-	// telemetry fabric).
+	// telemetry fabric). They cover the timed executions only, every
+	// timingSample-th execution index, so each histogram's count is the
+	// sample size.
 	Phases map[string]*obs.HistogramSnapshot `json:"phases,omitempty"`
 }
 

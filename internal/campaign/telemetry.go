@@ -21,6 +21,10 @@ var (
 	stepsBuckets = obs.ExpBuckets(8, 20)
 )
 
+// sampledHelp ends the /metrics help text of the histograms fed only by
+// timed executions.
+var sampledHelp = fmt.Sprintf(", sampled every %dth execution index", timingSample)
+
 // CellMetrics is the pre-bound metric handle set of one (tool, program)
 // cell, registered at campaign setup. Shards of the same cell share one
 // handle set (the counters are atomic), and the per-execution observation
@@ -38,10 +42,11 @@ type CellMetrics struct {
 	HandoffNS *obs.Histogram
 
 	// PhaseNS are the per-phase span histograms (schema v5 forensics),
-	// indexed by core.Phase. The engine phases (reset, run, race) are fed by
-	// ObserveExec when the engine measures them; validate and record are
-	// campaign duties observed by the runner's post step, so their counts
-	// track duty executions rather than all executions.
+	// indexed by core.Phase. Like HandoffNS they observe only the timed
+	// executions — every timingSample-th execution index. The engine phases
+	// (reset, run, race) are fed by ObserveExec; validate and record are
+	// campaign duties observed by the runner's stages, so their counts track
+	// timed duty executions.
 	PhaseNS [core.NumPhases]*obs.Histogram
 
 	// Findings counts analyzer finding hits, parallel to Spec.Analyzers
@@ -52,9 +57,11 @@ type CellMetrics struct {
 }
 
 // ObserveExec folds one completed execution into the cell's metrics: its
-// wall time, and — when the tool is an engine — its schedule length, choice
-// count, and handoff wait. The same method serves the campaign hot path and
-// the zero-alloc test, so the pinned path is exactly the shipped path.
+// wall time, and — when the tool is an engine — its schedule length and
+// choice count, plus its handoff wait and engine phase spans when the
+// execution was timed (sampleTiming). The same method serves the campaign hot
+// path and the zero-alloc test, so the pinned path is exactly the shipped
+// path.
 func (m *CellMetrics) ObserveExec(d time.Duration, eng *core.Engine) {
 	m.Execs.Inc()
 	m.ExecNS.Observe(uint64(d))
@@ -62,8 +69,8 @@ func (m *CellMetrics) ObserveExec(d time.Duration, eng *core.Engine) {
 		st := eng.ExecStats()
 		m.SchedLen.Observe(st.Steps)
 		m.Choices.Observe(st.Choices)
-		m.HandoffNS.Observe(uint64(st.HandoffWaitNS))
 		if eng.PhaseTiming() {
+			m.HandoffNS.Observe(uint64(st.HandoffWaitNS))
 			m.PhaseNS[core.PhaseReset].Observe(uint64(st.PhaseNS[core.PhaseReset]))
 			m.PhaseNS[core.PhaseRun].Observe(uint64(st.PhaseNS[core.PhaseRun]))
 			m.PhaseNS[core.PhaseRace].Observe(uint64(st.PhaseNS[core.PhaseRace]))
@@ -211,10 +218,10 @@ func (t *Telemetry) bind(spec Spec) {
 			ExecNS:    t.reg.Histogram("c11_cell_exec_ns", "wall time per execution (ns)", nsBuckets, lt, lp),
 			SchedLen:  t.reg.Histogram("c11_cell_sched_len", "schedule length (visible operations) per execution", stepsBuckets, lt, lp),
 			Choices:   t.reg.Histogram("c11_cell_choices", "strategy decisions per execution", stepsBuckets, lt, lp),
-			HandoffNS: t.reg.Histogram("c11_cell_handoff_wait_ns", "scheduler handoff wait per execution (ns)", nsBuckets, lt, lp),
+			HandoffNS: t.reg.Histogram("c11_cell_handoff_wait_ns", "scheduler handoff wait per execution (ns)"+sampledHelp, nsBuckets, lt, lp),
 		}
 		for p := 0; p < core.NumPhases; p++ {
-			m.PhaseNS[p] = t.reg.Histogram("c11_cell_phase_ns", "per-phase span time per execution (ns)",
+			m.PhaseNS[p] = t.reg.Histogram("c11_cell_phase_ns", "per-phase span time per execution (ns)"+sampledHelp,
 				nsBuckets, lt, lp, obs.Label{Name: "phase", Value: core.Phase(p).String()})
 		}
 		for _, name := range spec.Analyzers {

@@ -193,3 +193,41 @@ func TestInstrumentedDeterminismUnderSharding(t *testing.T) {
 		}
 	}
 }
+
+// TestTimingSampledPerIndex pins the timing sample: only every
+// timingSample-th execution index of a cell runs timed, a one-execution cell
+// still gets its one sample, and the handoff-wait histogram shares the phase
+// histograms' denominator.
+func TestTimingSampledPerIndex(t *testing.T) {
+	for _, runs := range []int{1, 33} {
+		tel := NewTelemetry(TelemetryOptions{})
+		sum := Run(Spec{
+			Tools:          []ToolSpec{mustTool(t, "c11tester", ToolOptions{}), mustTool(t, "tsan11", ToolOptions{})},
+			Benchmarks:     []BenchmarkSpec{benchSpec(t, "ms-queue")},
+			Litmus:         []*litmus.Test{mustLitmus(t, "MP+rlx")},
+			Runs:           runs,
+			SeedBase:       1,
+			Workers:        2,
+			ShardSize:      5,
+			ValidateAxioms: true,
+			Telemetry:      tel,
+		})
+		checkSampledCounts(t, sum, fromZero)
+		want := sampledIn(0, runs)
+		for key, n := range phaseCounts(sum) {
+			if n != want {
+				t.Errorf("runs=%d: %s counted %d samples, want %d", runs, key, n, want)
+			}
+		}
+		if _, ok := phaseCounts(sum)["c11tester/MP+rlx/validate"]; !ok {
+			t.Errorf("runs=%d: validation ran untimed on every index", runs)
+		}
+		for tool := range sum.Tools {
+			m := tel.cellMetrics(job{kind: jobBench, tool: tool, cell: 0})
+			if got := m.HandoffNS.Count(); got != want {
+				t.Errorf("runs=%d: %s handoff-wait histogram counted %d executions, want %d",
+					runs, sum.Tools[tool].Tool, got, want)
+			}
+		}
+	}
+}

@@ -457,8 +457,9 @@ func (e *Engine) ExecStats() ExecStats {
 
 // SetHandoffTiming toggles the scheduler's handoff-wait measurement for
 // subsequent executions (see sched.SetMeasureWait). It costs two monotonic
-// clock reads per visible operation and allocates nothing, so campaign
-// telemetry leaves it on; raw perf sweeps keep it off.
+// clock reads per visible operation and allocates nothing. Campaign telemetry
+// toggles it before every execution, on for a deterministic sample of each
+// cell's executions and off otherwise; raw perf sweeps keep it off.
 func (e *Engine) SetHandoffTiming(on bool) {
 	e.measureWait = on
 	if e.sch != nil {
@@ -469,8 +470,8 @@ func (e *Engine) SetHandoffTiming(on bool) {
 // SetPhaseTiming toggles the forensics phase spans (PhaseTimer) for
 // subsequent executions. Like handoff timing it is a handful of monotonic
 // clock reads per execution plus two per race-bearing access, allocates
-// nothing, and is left on by campaign telemetry while raw perf sweeps keep
-// it off.
+// nothing, and is sampled by campaign telemetry together with handoff timing
+// while raw perf sweeps keep it off.
 func (e *Engine) SetPhaseTiming(on bool) { e.phases.SetEnabled(on) }
 
 // PhaseTiming reports whether phase spans are being measured.

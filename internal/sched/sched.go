@@ -260,7 +260,8 @@ type Scheduler struct {
 	// handoff, where the tool waits for the program thread to reach its next
 	// visible operation — accumulating into waitNS. Opt-in because it costs
 	// two monotonic clock reads per visible operation; campaign telemetry
-	// enables it, raw perf sweeps do not. time.Now/Since never allocate, so
+	// enables it for a deterministic sample of executions, raw perf sweeps
+	// not at all. time.Now/Since never allocate, so
 	// the instrumented handoff stays inside the zero-alloc steady state.
 	measureWait bool
 	waitNS      int64
