@@ -302,23 +302,9 @@ type Options struct {
 	// kernel threads (useful in tests; performance experiments use the
 	// faithful regime).
 	FastHandoff bool
-	// Handoff, when non-empty, overrides the tool's handoff regime outright
-	// (sched.ParseHandoff names; it takes precedence over FastHandoff).
-	// Unknown names panic — validate with sched.ParseHandoff first, as
-	// campaign.StandardTool does.
-	Handoff string
 	// RNG selects the random source behind the tool's strategy and workload
 	// draws (rng.PCG default, rng.Legacy for pre-PCG stream reproduction).
 	RNG rng.Kind
-}
-
-// schedConfig resolves the options' scheduler configuration from the tool's
-// default regime.
-func (o Options) schedConfig(def sched.Config) sched.Config {
-	if o.Handoff != "" {
-		return sched.MustHandoff(o.Handoff)
-	}
-	return def
 }
 
 // NewTsan11 builds the tsan11 baseline: commit-order memory model,
@@ -331,7 +317,6 @@ func NewTsan11(opts Options) *core.Engine {
 	m := NewCommitModel(opts.HistoryLimit, false)
 	m.SetConservativeSync(!opts.PreciseSync)
 	return core.New("tsan11", m, core.Config{
-		Sched:          opts.schedConfig(sched.Config{}),
 		Strategy:       core.NewQuantumStrategyKind(opts.RNG, mean),
 		MaxSteps:       opts.MaxSteps,
 		VolatileAcqRel: opts.VolatileAcqRel,
@@ -345,14 +330,10 @@ func NewTsan11(opts Options) *core.Engine {
 func NewTsan11rec(opts Options) *core.Engine {
 	m := NewCommitModel(opts.HistoryLimit, true)
 	m.SetConservativeSync(!opts.PreciseSync)
-	def := sched.Config{LockOSThread: true}
-	if opts.FastHandoff {
-		def = sched.Config{}
-	}
 	// Strategy stays nil: Config.withDefaults builds the default random
 	// strategy on Config.RNG, so the rng source follows the option.
 	return core.New("tsan11rec", m, core.Config{
-		Sched:          opts.schedConfig(def),
+		Sched:          sched.Config{LockOSThread: !opts.FastHandoff},
 		MaxSteps:       opts.MaxSteps,
 		VolatileAcqRel: opts.VolatileAcqRel,
 		RNG:            opts.RNG,

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"fmt"
 	"testing"
 	"time"
 	"unsafe"
@@ -17,7 +18,7 @@ import (
 // warm, an execution allocates NOTHING — no goroutines, closures, results,
 // race reports, or outcome strings — on every tool × program cell of the
 // standard matrix. testing.AllocsPerRun counts mallocs exactly (unlike the
-// span-granular runtime/metrics counters BENCH_perf.json reports), so this
+// span-granular runtime/metrics counters), so this
 // is the strictest form of the ≤ 64 B/exec acceptance gate.
 //
 // The measured loop carries the full campaign telemetry instrumentation —
@@ -123,102 +124,60 @@ func TestCellRunnerSizeClass(t *testing.T) {
 }
 
 // TestHandoffRegimeEquivalence pins the Figure 14 invariant that makes the
-// handoff matrix a pure performance comparison: scheduling decisions are
-// driven by the strategy alone, so campaign outcomes are byte-identical
-// across the fiber and osthread handoff regimes.
+// handoff regimes a pure performance comparison: scheduling decisions are
+// driven by the strategy alone, so outcomes are byte-identical across the
+// fiber and osthread handoffs. c11tester is built exactly as StandardTool
+// builds it, once per scheduler configuration; tsan11rec is checked across
+// -faithful-handoff, the one regime switch the CLIs expose.
 func TestHandoffRegimeEquivalence(t *testing.T) {
-	benches, err := SelectBenchmarks("ms-queue")
+	benches, err := SelectBenchmarks("ms-queue,seqlock")
 	if err != nil {
 		t.Fatal(err)
 	}
-	lits, err := SelectLitmus("IRIW+acq")
+	lits, err := SelectLitmus("IRIW+acq,SB+rlx,MP+rlx")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const runs = 3
-	type cellDigests []execDigest
-	digestsFor := func(opts ToolOptions) cellDigests {
-		spec, err := StandardTool("c11tester", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+	const seeds = 5
+	digestsFor := func(spec ToolSpec) []execDigest {
 		var out []execDigest
 		tool, eng, rec := newTracedTool(spec)
-		prog := benches[0].New()
-		for i := 0; i < runs; i++ {
-			res := tool.Execute(prog, int64(i+1))
-			out = append(out, digestOf(t, eng, rec, res, benches[0].Name, false, "", int64(i+1)))
+		defer eng.Close()
+		for _, bench := range benches {
+			prog := bench.New()
+			for seed := int64(1); seed <= seeds; seed++ {
+				res := tool.Execute(prog, seed)
+				out = append(out, digestOf(t, eng, rec, res, bench.Name, false, "", seed))
+			}
 		}
-		var lit string
-		litProg := lits[0].Make(&lit)
-		for i := 0; i < runs; i++ {
-			lit = ""
-			res := tool.Execute(litProg, int64(i+1))
-			out = append(out, digestOf(t, eng, rec, res, lits[0].Name, true, lit, int64(i+1)))
+		for _, lit := range lits {
+			var outcome string
+			prog := lit.Make(&outcome)
+			for seed := int64(1); seed <= seeds; seed++ {
+				outcome = ""
+				res := tool.Execute(prog, seed)
+				out = append(out, digestOf(t, eng, rec, res, lit.Name, true, outcome, seed))
+			}
 		}
-		eng.Close()
 		return out
 	}
-
-	base := digestsFor(ToolOptions{})
-	for _, regime := range sched.HandoffRegimes() {
-		got := digestsFor(ToolOptions{Handoff: regime})
+	same := func(label string, base, got []execDigest) {
+		t.Helper()
 		for i := range base {
 			if diff := digestEqual(base[i], got[i]); diff != "" {
-				t.Fatalf("%s: execution %d diverged from the default regime: %s", regime, i, diff)
+				t.Fatalf("%s: execution %d diverged from the default regime: %s", label, i, diff)
 			}
 		}
 	}
-}
 
-// TestRunHandoffMatrix exercises the Figure 14 measurement path end to end
-// at a tiny run count.
-func TestRunHandoffMatrix(t *testing.T) {
-	lits, err := SelectLitmus("SB+rlx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, err := RunHandoffMatrix(PerfSpec{Litmus: lits, Runs: 2, Warmup: 1, SeedBase: 1},
-		[]string{"c11tester"}, ToolOptions{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != len(sched.HandoffRegimes()) {
-		t.Fatalf("matrix has %d cells, want %d", len(cells), len(sched.HandoffRegimes()))
-	}
-	seen := map[string]bool{}
-	for _, c := range cells {
-		if c.Execs != 2 || c.NsPerExec <= 0 {
-			t.Errorf("cell %+v: want 2 execs and positive ns/exec", c)
-		}
-		if seen[c.Handoff] {
-			t.Errorf("duplicate matrix cell %s", c.Handoff)
-		}
-		seen[c.Handoff] = true
-	}
-	if HandoffMatrixString(cells) == "" {
-		t.Error("empty matrix table")
+	base := digestsFor(mustTool(t, "c11tester", ToolOptions{}))
+	for _, cfg := range []sched.Config{{}, {LockOSThread: true}} {
+		spec := ToolSpec{Name: "c11tester", New: func() capi.Tool {
+			return core.New("c11tester", core.NewC11Model(), core.Config{Sched: cfg, StoreBurst: true})
+		}}
+		same(fmt.Sprintf("c11tester %+v", cfg), base, digestsFor(spec))
 	}
 
-	// A prior summary over the same spec short-circuits its own regime
-	// instead of re-measuring it.
-	prior := &PerfSummary{
-		SchemaVersion: PerfSchemaVersion,
-		Spec:          PerfSpecInfo{Handoff: "fiber"},
-		Tools:         []PerfToolSummary{{Tool: "c11tester", Execs: 99, NsPerExec: 123}},
-	}
-	cells, err = RunHandoffMatrix(PerfSpec{Litmus: lits, Runs: 2, Warmup: 1, SeedBase: 1},
-		[]string{"c11tester"}, ToolOptions{}, prior)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cells {
-		if c.Handoff == "fiber" {
-			if c.Execs != 99 || c.NsPerExec != 123 {
-				t.Errorf("prior aggregate not reused: %+v", c)
-			}
-		} else if c.Execs != 2 {
-			t.Errorf("non-prior cell not measured: %+v", c)
-		}
-	}
+	base = digestsFor(mustTool(t, "tsan11rec", ToolOptions{}))
+	same("tsan11rec -faithful-handoff", base, digestsFor(mustTool(t, "tsan11rec", ToolOptions{FaithfulHandoff: true})))
 }

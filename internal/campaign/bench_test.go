@@ -4,7 +4,8 @@ import "testing"
 
 // Full-matrix and litmus-heavy campaign shapes, benchmarked end to end
 // (shard loop, tool construction, aggregation). Workers=1 keeps the numbers
-// serial and comparable to cmd/c11bench's per-execution costs.
+// serial and comparable to BenchmarkSingleExecutionSteadyState's
+// per-execution cost.
 
 func mkBenchCampaign(b *testing.B, tools string, benchSel, litSel string, runs int) Spec {
 	b.Helper()
@@ -52,7 +53,7 @@ func BenchmarkCampaignLitmusHeavy(b *testing.B) {
 }
 
 // BenchmarkSingleExecutionSteadyState is the per-execution cost on a pooled
-// engine, the number BENCH_perf.json tracks.
+// engine; TestZeroAllocSteadyState gates its allocations exactly.
 func BenchmarkSingleExecutionSteadyState(b *testing.B) {
 	spec, err := StandardTool("c11tester", ToolOptions{})
 	if err != nil {

@@ -143,9 +143,9 @@ type Spec struct {
 	ValidateAxioms bool
 	// RNG echoes the random source the spec's tools were built with ("pcg"
 	// or "legacy"; empty means pcg) into the summary and the spec digest.
-	// Like PerfSpec.Handoff it does not itself configure the tools — the
-	// ToolSpec factories do (ToolOptions.RNG) — but Validate rejects unknown
-	// names so a typo fails fast instead of silently echoing the default.
+	// It does not itself configure the tools — the ToolSpec factories do
+	// (ToolOptions.RNG) — but Validate rejects unknown names so a typo
+	// fails fast instead of silently echoing the default.
 	RNG string
 	// Analyzers names the internal/analysis plug-ins to run over every
 	// finished execution (e.g. "sc-robustness", "atomicity"). Each cell
@@ -853,8 +853,7 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, lift *axiom.Execution) *cel
 	}
 	if spec.Telemetry != nil {
 		// runOne switches handoff-wait timing and phase spans per execution
-		// index (sampleTiming). Raw perf sweeps (RunPerf) construct tools
-		// without a Telemetry and keep both off.
+		// index (sampleTiming); without a Telemetry both stay off.
 		r.met = spec.Telemetry.cellMetrics(j)
 	}
 	if spec.CaptureDir != "" {
@@ -953,8 +952,7 @@ func (r *cellRunner) programName() string {
 // closeTool releases a tool instance: engines retire their fiber-pool
 // workers (core.Engine.Close), so long-lived processes do not accumulate
 // parked workers. Campaigns close their warm tools when the workers exit at
-// the end of Run; perf runs and flight-recorder captures close theirs after
-// each cell.
+// the end of Run; flight-recorder captures close theirs after each cell.
 func closeTool(t capi.Tool) {
 	if c, ok := t.(interface{ Close() }); ok {
 		c.Close()
@@ -1408,7 +1406,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("campaign: sharding is incompatible with checkpoint/resume (resume the whole campaign, or re-run the one lost shard)")
 		}
 	}
-	if s.GuideMinFrac < 0 || s.GuideMinFrac > 1 || s.GuideMaxFrac > 1 ||
+	if s.GuideMinFrac < 0 || s.GuideMaxFrac < 0 || s.GuideMinFrac > 1 || s.GuideMaxFrac > 1 ||
 		(s.GuideMaxFrac > 0 && s.GuideMinFrac > s.GuideMaxFrac) {
 		return fmt.Errorf("campaign: guide prefix fractions [%g, %g] outside 0 ≤ min ≤ max ≤ 1",
 			s.GuideMinFrac, s.GuideMaxFrac)

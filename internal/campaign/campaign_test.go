@@ -588,6 +588,37 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestValidateGuideFractions pins the guide prefix bounds: both fractions
+// lie in [0, 1] and min ≤ max, where max 0 means the default.
+func TestValidateGuideFractions(t *testing.T) {
+	base := Spec{
+		Tools:      []ToolSpec{{Name: "t", New: func() capi.Tool { return fixedTool{"t"} }}},
+		Benchmarks: []BenchmarkSpec{{Name: "b"}},
+		Runs:       1,
+	}
+	cases := []struct {
+		name     string
+		min, max float64
+		ok       bool
+	}{
+		{"min < 0", -0.5, 0, false},
+		{"max < 0", 0, -0.5, false},
+		{"max > 1", 0, 1.5, false},
+		{"min > max", 0.8, 0.4, false},
+		{"valid", 0.2, 0.6, true},
+	}
+	for _, c := range cases {
+		s := base
+		s.GuideMinFrac, s.GuideMaxFrac = c.min, c.max
+		err := s.Validate()
+		if (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
+		} else if err != nil && !strings.Contains(err.Error(), "guide prefix fractions") {
+			t.Errorf("%s: Validate() = %v, want the guide prefix fractions error", c.name, err)
+		}
+	}
+}
+
 // TestSelectBenchmarksExpandsAll checks that "all" is one more list element
 // of -bench: expanded in place to the paper's benchmarks, with any name the
 // list repeats kept at its first position.

@@ -11,8 +11,8 @@ import (
 	"c11tester/internal/safeio"
 )
 
-// SplitComparePaths resolves the -compare argument convention shared by
-// cmd/c11tester and cmd/c11bench: the new artifact either follows as a
+// SplitComparePaths resolves cmd/c11tester's -compare argument
+// convention: the new artifact either follows as a
 // positional argument ("-compare old.json new.json") or is joined with a
 // comma ("-compare old.json,new.json").
 func SplitComparePaths(oldArg string, positional []string) (oldPath, newPath string, err error) {

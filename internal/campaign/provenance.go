@@ -9,10 +9,9 @@ import (
 // Provenance identifies the build that produced an artifact: toolchain,
 // module, and target. Campaign summaries (schema v5) and the /progress
 // snapshot embed it so artifacts compared across machines or checkouts can be
-// flagged — Compare warns on skew the way ComparePerf already warns on
-// Go-version skew. Every field is machine-stable (no wall-clock, no
-// hostnames), so embedding it does not disturb the byte-identity of
-// same-process determinism comparisons.
+// flagged: Compare warns on any skew. Every field is machine-stable (no
+// wall-clock, no hostnames), so embedding it does not disturb the
+// byte-identity of same-process determinism comparisons.
 type Provenance struct {
 	GoVersion     string `json:"go_version"`
 	GOOS          string `json:"goos"`

@@ -709,58 +709,3 @@ func WriteEngineFailures(w io.Writer, s *Summary) int {
 	}
 	return total
 }
-
-// PerfProgress is the lightweight telemetry of a c11bench perf run: cell and
-// execution counters RunPerf updates, registered on reg so a -status-addr
-// server can serve them. The per-execution increment is one atomic add —
-// nothing that would disturb the measured allocation window.
-type PerfProgress struct {
-	CellsTotal *obs.Gauge
-	CellsDone  *obs.Counter
-	Execs      *obs.Counter
-
-	mu      sync.Mutex
-	start   time.Time
-	current string
-}
-
-// NewPerfProgress registers the perf-run instruments on reg.
-func NewPerfProgress(reg *obs.Registry) *PerfProgress {
-	return &PerfProgress{
-		CellsTotal: reg.Gauge("c11bench_cells", "cells in the perf sweep"),
-		CellsDone:  reg.Counter("c11bench_cells_done_total", "cells measured so far"),
-		Execs:      reg.Counter("c11bench_execs_total", "executions run (warmup + measured)"),
-	}
-}
-
-func (p *PerfProgress) begin(cells int) {
-	p.mu.Lock()
-	p.start = time.Now()
-	p.mu.Unlock()
-	p.CellsTotal.Set(int64(cells))
-}
-
-func (p *PerfProgress) setCurrent(name string) {
-	p.mu.Lock()
-	p.current = name
-	p.mu.Unlock()
-}
-
-// Snapshot is the /progress payload of a perf run.
-func (p *PerfProgress) Snapshot() any {
-	p.mu.Lock()
-	current := p.current
-	var wall int64
-	if !p.start.IsZero() {
-		wall = int64(time.Since(p.start))
-	}
-	p.mu.Unlock()
-	return map[string]any{
-		"running":    current != "",
-		"wall_ns":    wall,
-		"cells":      p.CellsTotal.Load(),
-		"cells_done": p.CellsDone.Load(),
-		"execs_done": p.Execs.Load(),
-		"current":    current,
-	}
-}

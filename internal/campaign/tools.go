@@ -12,7 +12,6 @@ import (
 	"c11tester/internal/harness"
 	"c11tester/internal/litmus"
 	"c11tester/internal/rng"
-	"c11tester/internal/sched"
 	"c11tester/internal/structures"
 	"c11tester/internal/trace"
 )
@@ -82,12 +81,6 @@ type ToolOptions struct {
 	// FaithfulHandoff runs tsan11rec on kernel-thread condition-variable
 	// handoff (the Figure 14 regime) instead of the cheap fiber handoff.
 	FaithfulHandoff bool
-	// Handoff, when non-empty, overrides every tool's scheduler handoff
-	// regime ("fiber" or "osthread" — see sched.ParseHandoff); it takes
-	// precedence over FaithfulHandoff. Scheduling decisions and campaign
-	// outcomes are identical across regimes; only the handoff cost changes
-	// (the Figure 14 dimension cmd/c11bench measures).
-	Handoff string
 	// RNG selects the random source behind every decision the tools make
 	// ("pcg" — the default splitmix-seeded PCG — or "legacy", math/rand).
 	// Changing the source changes every scheduling and reads-from decision,
@@ -251,11 +244,8 @@ func StandardToolNames() []string {
 
 // StandardTool builds the ToolSpec for one of the paper's three tools.
 func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
-	// Validate the handoff and rng overrides once here; the factories below
-	// run on worker goroutines where an error has nowhere to go.
-	if _, err := sched.ParseHandoff(opts.Handoff); err != nil {
-		return ToolSpec{}, err
-	}
+	// Validate the rng override once here; the factories below run on
+	// worker goroutines where an error has nowhere to go.
 	rngKind, err := rng.Parse(opts.RNG)
 	if err != nil {
 		return ToolSpec{}, err
@@ -281,7 +271,6 @@ func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
 				strat = core.NewRandomStrategyKind(rngKind)
 			}
 			return core.New(name, core.NewC11Model(), core.Config{
-				Sched:      sched.MustHandoff(opts.Handoff), // "" is the fiber default
 				StoreBurst: true,
 				Prune:      opts.Prune,
 				Strategy:   strat,
@@ -294,7 +283,6 @@ func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
 			return baseline.NewTsan11(baseline.Options{
 				QuantumMean: opts.QuantumMean,
 				MaxSteps:    opts.MaxSteps,
-				Handoff:     opts.Handoff,
 				RNG:         rngKind,
 			})
 		}}, nil
@@ -303,7 +291,6 @@ func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
 			return baseline.NewTsan11rec(baseline.Options{
 				MaxSteps:    opts.MaxSteps,
 				FastHandoff: !opts.FaithfulHandoff,
-				Handoff:     opts.Handoff,
 				RNG:         rngKind,
 			})
 		}}, nil

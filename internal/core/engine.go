@@ -459,7 +459,7 @@ func (e *Engine) ExecStats() ExecStats {
 // subsequent executions (see sched.SetMeasureWait). It costs two monotonic
 // clock reads per visible operation and allocates nothing. Campaign telemetry
 // toggles it before every execution, on for a deterministic sample of each
-// cell's executions and off otherwise; raw perf sweeps keep it off.
+// cell's executions and off otherwise; bare runs keep it off.
 func (e *Engine) SetHandoffTiming(on bool) {
 	e.measureWait = on
 	if e.sch != nil {
@@ -471,7 +471,7 @@ func (e *Engine) SetHandoffTiming(on bool) {
 // subsequent executions. Like handoff timing it is a handful of monotonic
 // clock reads per execution plus two per race-bearing access, allocates
 // nothing, and is sampled by campaign telemetry together with handoff timing
-// while raw perf sweeps keep it off.
+// while bare runs keep it off.
 func (e *Engine) SetPhaseTiming(on bool) { e.phases.SetEnabled(on) }
 
 // PhaseTiming reports whether phase spans are being measured.

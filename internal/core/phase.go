@@ -48,8 +48,8 @@ func (p Phase) String() string {
 // the engine can carry one unconditionally without disturbing the 0 B / 0 obj
 // steady state. Like the scheduler's handoff-wait measurement it is opt-in
 // (Engine.SetPhaseTiming): campaign telemetry turns it on for a
-// deterministic sample of each cell's executions and off for the rest; raw
-// perf sweeps leave it off.
+// deterministic sample of each cell's executions and off for the rest; bare
+// runs leave it off.
 //
 // Phases may nest (PhaseRace inside PhaseRun) because each phase has its own
 // start stamp; a phase must not nest inside itself.

@@ -223,7 +223,7 @@ func TestSummariesJSON(t *testing.T) {
 		Ops: capi.OpStats{AtomicOps: 7}}
 	ps := p.Summary()
 	if ps.Runs != 2 || ps.MeanTimeNS != int64(2*time.Millisecond) || ps.AtomicOps != 7 {
-		t.Fatalf("PerfSummary = %+v", ps)
+		t.Fatalf("TimingSummary = %+v", ps)
 	}
 }
 

@@ -66,8 +66,8 @@ func (d Detection) Summary() DetectionSummary {
 	}
 }
 
-// PerfSummary is the JSON-serializable view of a Perf.
-type PerfSummary struct {
+// TimingSummary is the JSON-serializable view of a Perf.
+type TimingSummary struct {
 	Runs       int     `json:"runs"`
 	MeanTimeNS int64   `json:"mean_time_ns"`
 	RSDTimePct float64 `json:"rsd_time_pct"`
@@ -78,8 +78,8 @@ type PerfSummary struct {
 }
 
 // Summary converts p into its JSON-serializable form.
-func (p Perf) Summary() PerfSummary {
-	return PerfSummary{
+func (p Perf) Summary() TimingSummary {
+	return TimingSummary{
 		Runs:       len(p.Times),
 		MeanTimeNS: int64(p.MeanTime()),
 		RSDTimePct: p.RSDTime(),

@@ -77,41 +77,6 @@ type Config struct {
 	LockOSThread bool
 }
 
-// HandoffRegimes lists the Figure 14 handoff regime names in the paper's
-// order: user-level switches first, kernel-thread sequencing last.
-func HandoffRegimes() []string { return []string{"fiber", "osthread"} }
-
-// ParseHandoff maps a handoff regime name onto a scheduler configuration:
-// "fiber" (or "") is the default coroutine handoff, "osthread"
-// condition-variable handoff on pinned kernel threads.
-func ParseHandoff(name string) (Config, error) {
-	switch name {
-	case "", "fiber":
-		return Config{}, nil
-	case "osthread":
-		return Config{LockOSThread: true}, nil
-	}
-	return Config{}, fmt.Errorf("sched: unknown handoff regime %q (want fiber or osthread)", name)
-}
-
-// MustHandoff is ParseHandoff for already-validated names; it panics on an
-// unknown regime.
-func MustHandoff(name string) Config {
-	cfg, err := ParseHandoff(name)
-	if err != nil {
-		panic(err)
-	}
-	return cfg
-}
-
-// HandoffName renders a Config's handoff regime as its ParseHandoff name.
-func HandoffName(cfg Config) string {
-	if cfg.LockOSThread {
-		return "osthread"
-	}
-	return "fiber"
-}
-
 // Thread is one managed thread of the program under test. The handle owns a
 // persistent worker that serves one thread binding per execution and parks
 // between executions.
@@ -260,9 +225,9 @@ type Scheduler struct {
 	// handoff, where the tool waits for the program thread to reach its next
 	// visible operation — accumulating into waitNS. Opt-in because it costs
 	// two monotonic clock reads per visible operation; campaign telemetry
-	// enables it for a deterministic sample of executions, raw perf sweeps
-	// not at all. time.Now/Since never allocate, so
-	// the instrumented handoff stays inside the zero-alloc steady state.
+	// enables it for a deterministic sample of executions, bare runs not
+	// at all. time.Now/Since never allocate, so the instrumented handoff
+	// stays inside the zero-alloc steady state.
 	measureWait bool
 	waitNS      int64
 

@@ -35,6 +35,16 @@ func drive(t *testing.T, cfg Config, body func(*Thread), pick func([]*Thread) *T
 
 func first(ready []*Thread) *Thread { return ready[0] }
 
+// regimes are the two handoff regimes of the paper's Figure 14, in its
+// order: user-level switches first, kernel-thread sequencing last.
+var regimes = []struct {
+	name string
+	cfg  Config
+}{
+	{"fiber", Config{}},
+	{"osthread", Config{LockOSThread: true}},
+}
+
 func TestSingleThreadOpsInOrder(t *testing.T) {
 	kinds := []memmodel.Kind{memmodel.KLoad, memmodel.KStore, memmodel.KFence}
 	got := drive(t, Config{}, func(th *Thread) {
@@ -199,9 +209,8 @@ func TestPanicCaptured(t *testing.T) {
 // execution warms the pool, further executions start zero workers, in every
 // handoff regime.
 func TestFiberPoolReusesWorkers(t *testing.T) {
-	for _, name := range HandoffRegimes() {
-		cfg := MustHandoff(name)
-		s := New(cfg)
+	for _, r := range regimes {
+		s := New(r.cfg)
 		runOnce := func() {
 			for i := 0; i < 3; i++ {
 				s.NewThread("t", func(t *Thread) {
@@ -215,21 +224,21 @@ func TestFiberPoolReusesWorkers(t *testing.T) {
 		runOnce()
 		warm := s.Spawns()
 		if warm != 3 {
-			t.Fatalf("%s: first execution spawned %d goroutines, want 3", HandoffName(cfg), warm)
+			t.Fatalf("%s: first execution spawned %d goroutines, want 3", r.name, warm)
 		}
 		for i := 0; i < 5; i++ {
 			s.Reset()
 			runOnce()
 		}
 		if got := s.Spawns(); got != warm {
-			t.Errorf("%s: steady state spawned %d extra goroutines, want 0", HandoffName(cfg), got-warm)
+			t.Errorf("%s: steady state spawned %d extra goroutines, want 0", r.name, got-warm)
 		}
 		if got := s.WorkerCount(); got != 3 {
-			t.Errorf("%s: worker count = %d, want 3", HandoffName(cfg), got)
+			t.Errorf("%s: worker count = %d, want 3", r.name, got)
 		}
 		s.Shutdown()
 		if got := s.WorkerCount(); got != 0 {
-			t.Errorf("%s: worker count after shutdown = %d, want 0", HandoffName(cfg), got)
+			t.Errorf("%s: worker count after shutdown = %d, want 0", r.name, got)
 		}
 	}
 }
