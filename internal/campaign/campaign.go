@@ -17,12 +17,14 @@
 // worker-count-independent as uniform ones. Trace-guided cells preserve it
 // too: the replayed prefix depth is derived from the execution's seed.
 //
-// Under the uniform policy, shards — contiguous execution-index ranges of
-// one cell — are the unit of work; under an adaptive policy the unit is a
-// whole-cell grant, run chunk-by-chunk with convergence checks between
-// chunks. Either way each unit runs its execution indices serially on its
-// worker's own instance of the cell's tool (tool instances are stateful and
-// not goroutine-safe). Each worker keeps one warm instance per tool for the
+// One wave loop runs every campaign: each wave grants cells budgets, runs
+// them across the worker pool, and meets at a barrier. A grant splits into
+// shards — contiguous ShardSize execution-index ranges of one cell — only
+// when the policy never stops a cell early (uniform); otherwise it is one
+// unit, run chunk-by-chunk with convergence checks between chunks. Either
+// way each unit runs its execution indices serially on its worker's own
+// instance of the cell's tool (tool instances are stateful and not
+// goroutine-safe). Each worker keeps one warm instance per tool for the
 // whole campaign and rearms it at every unit start (core.Engine.Rearm), so a
 // unit observes exactly what a freshly constructed tool would. Aggregation
 // merges fragments with order-independent operations only — sums, unions,
@@ -165,7 +167,8 @@ type Spec struct {
 	// serves exactly one Run.
 	Telemetry *Telemetry `json:"-"`
 	// Shard restricts the campaign to shard Index of Count (uniform policy
-	// only): each cell's chunk sequence is dealt round-robin across the
+	// only: its grants split into chunks because it never stops a cell
+	// early): each cell's chunk sequence is dealt round-robin across the
 	// shards, so the K partial runs cover exactly the seed set of the
 	// single-machine run. The zero value (Count ≤ 1) runs everything. A
 	// sharded summary carries a ShardInfo header; cmd/c11merge folds K
@@ -438,22 +441,7 @@ func Run(spec Spec) *Summary {
 
 	ck := &ckState{path: spec.CheckpointPath, hook: spec.checkpointHook}
 	tools := newWorkerTools(spec)
-	var jobs []job
-	var frags []fragment
-	var budgets map[cellKey]*BudgetSummary
-	_, uniform := spec.Policy.(explore.Uniform)
-	switch {
-	case spec.Resume != nil && spec.Resume.Complete:
-		// The previous run finished its matrix and checkpointed Complete but
-		// died before (or while) writing the artifacts: rebuild them from the
-		// checkpoint without re-running anything.
-		jobs, frags, budgets = restoreComplete(spec, spec.Resume, !uniform)
-	case uniform:
-		jobs, frags = runUniform(spec, tel, tools)
-		ck.save(spec, tel, 1, true, nil, jobs, frags)
-	default:
-		jobs, frags, budgets = runAdaptive(spec, tel, ck, tools)
-	}
+	jobs, frags, budgets := runWaves(spec, tel, ck, tools)
 	tools.close()
 
 	wall := time.Since(start)
@@ -534,42 +522,11 @@ func runPool(spec Spec, n int, fn func(w, i int)) {
 	wg.Wait()
 }
 
-// runUniform is the fixed-budget path: every cell is split into shards of
-// ShardSize executions, and shards are distributed over the worker pool. The
-// whole pass is one telemetry wave. Under Spec.Shard, each cell's chunk
-// sequence is dealt round-robin and only this shard's deal is run — the K
-// shard runs partition the exact job set of the unsharded run, which is what
-// makes the merged artifact byte-identical to it.
-func runUniform(spec Spec, tel *Telemetry, tools workerTools) ([]job, []fragment) {
-	var jobs []job
-	deal := chunkDeal(spec)
-	for _, k := range matrixCells(spec) {
-		for _, c := range deal {
-			jobs = append(jobs, job{kind: k.kind, tool: k.tool, cell: k.cell, lo: c[0], hi: c[1]})
-		}
-	}
-	tel.waveStart(1, len(jobs))
-	frags := make([]fragment, len(jobs))
-	runPool(spec, len(jobs), func(w, i int) {
-		tel.unitStart(1, jobs[i], jobs[i].hi-jobs[i].lo)
-		r := tools.unit(spec, w, jobs[i])
-		r.run(jobs[i].lo, jobs[i].hi, nil)
-		frags[i] = r.frag
-		tel.unitDone(1, jobs[i], &frags[i])
-	})
-	waveExecs := 0
-	for i := range frags {
-		waveExecs += frags[i].execs
-	}
-	tel.waveEnd(1, len(jobs), waveExecs)
-	return jobs, frags
-}
-
-// chunkDeal returns the [lo, hi) execution-index chunks every uniform cell
-// runs under spec.Shard: the cell's sequence of ShardSize chunks, dealt
-// round-robin across the shards (all of them when unsharded). The uniform
-// jobs, the shard manifest's seed ranges and the telemetry plan all come
-// from this one deal, so they cannot drift apart.
+// chunkDeal returns the [lo, hi) execution-index chunks a split grant of
+// Runs executions runs under spec.Shard: the cell's sequence of ShardSize
+// chunks, dealt round-robin across the shards (all of them when unsharded).
+// The split units, the shard manifest's seed ranges and the telemetry plan
+// all come from this one deal, so they cannot drift apart.
 func chunkDeal(spec Spec) [][2]int {
 	var chunks [][2]int
 	for lo, ord := 0, 0; lo < spec.Runs; lo, ord = lo+spec.ShardSize, ord+1 {
@@ -581,7 +538,7 @@ func chunkDeal(spec Spec) [][2]int {
 }
 
 // matrixCells lists the campaign's cells in matrix order — tool-major,
-// benchmarks before litmus tests — the order of uniform jobs, adaptive plans,
+// benchmarks before litmus tests — the order of the wave loop's plans,
 // checkpoint cells and every per-tool list of the summary.
 func matrixCells(spec Spec) []cellKey {
 	keys := make([]cellKey, 0, len(spec.Tools)*(len(spec.Benchmarks)+len(spec.Litmus)))
@@ -604,7 +561,7 @@ func (s Spec) programOf(k cellKey) string {
 	return s.Benchmarks[k.cell].Name
 }
 
-// cellPlan tracks one cell's budget state across adaptive waves.
+// cellPlan tracks one cell's budget state across waves.
 type cellPlan struct {
 	cellKey
 	tracker explore.Tracker
@@ -612,19 +569,27 @@ type cellPlan struct {
 	stopped bool // converged: excluded from further grants
 }
 
-// runAdaptive is the adaptive-budget path. Wave 0 gives every cell its
-// initial budget of Runs executions, run chunk-by-chunk with a convergence
-// check between chunks; cells that converge stop early. The unspent budget
-// of converged cells forms a pool that later waves grant, one chunk per
+// runWaves is the campaign's run loop. Wave 1 grants every cell its initial
+// budget of Runs executions. A policy that never stops a cell early
+// (Chunk() == 0, uniform) has independent executions, so each grant splits
+// into the chunkDeal units — ShardSize chunks, only this shard's deal under
+// Spec.Shard — that spread over the worker pool; several units of one cell
+// run at once, so none feeds the tracker. Under any other policy a grant is
+// one serial unit, run chunk-by-chunk with a convergence check between
+// chunks, and cells that converge stop early. The unspent budget of
+// converged cells forms a pool that later waves grant, one chunk per
 // still-diverging cell per wave in matrix order, until the pool is exhausted
 // or every cell converged. The total never exceeds Runs × cells, and every
 // decision happens at a barrier from per-cell-deterministic state, so the
 // result is independent of the worker count.
-func runAdaptive(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]job, []fragment, map[cellKey]*BudgetSummary) {
+func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]job, []fragment, map[cellKey]*BudgetSummary) {
 	chunk := spec.Policy.Chunk()
+	split := chunk == 0
+	deal := chunkDeal(spec)
 	if chunk <= 0 || chunk > spec.Runs {
 		chunk = spec.Runs
 	}
+	nb, nl := len(spec.Benchmarks), len(spec.Litmus)
 
 	var plans []*cellPlan
 	for _, k := range matrixCells(spec) {
@@ -637,67 +602,87 @@ func runAdaptive(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]j
 		plan   *cellPlan
 		budget int
 	}
-	// runWave executes one grant per selected plan across the worker pool
-	// and folds the results into jobs/frags in plan order. Each wave emits
-	// its barrier events: unit events from the workers as grants complete,
-	// cell_converged and wave_end from the deterministic post-barrier state.
 	wave := 0
 	if spec.Resume != nil {
 		// Re-enter at the last completed wave: plans get their used/stopped
 		// budgets and tracker state back, and the completed work re-enters the
 		// job list as one synthetic whole-range job per cell carrying the
 		// checkpointed merged fragment. aggregate folds both shapes
-		// identically, so the finished artifact cannot tell the difference.
+		// identically, so the finished artifact cannot tell the difference. A
+		// Complete checkpoint (the previous run died before or while writing
+		// the artifacts) leaves no budget to grant, so nothing re-runs.
 		wave = spec.Resume.Wave
-		restoreAdaptive(spec.Resume, plans, &jobs, &frags)
+		jobs, frags = restore(spec.Resume, plans)
 	}
+	// runWave appends the grants' units to jobs and runs them across the
+	// worker pool, each worker writing its unit's fragment in place. Each wave
+	// emits its barrier events: unit events from the workers as units
+	// complete, cell_converged and wave_end from the deterministic
+	// post-barrier state.
 	runWave := func(grants []grant) {
 		wave++
-		tel.waveStart(wave, len(grants))
-		waveJobs := make([]job, len(grants))
-		waveFrags := make([]fragment, len(grants))
-		used := make([]int, len(grants))
-		for i, g := range grants {
-			waveJobs[i] = job{kind: g.plan.kind, tool: g.plan.tool, cell: g.plan.cell, lo: g.plan.used}
+		base := len(jobs)
+		for _, g := range grants {
+			k, lo := g.plan.cellKey, g.plan.used
+			if !split {
+				jobs = append(jobs, job{kind: k.kind, tool: k.tool, cell: k.cell, lo: lo, hi: lo + g.budget})
+				continue
+			}
+			// A split grant is always a cell's whole Runs budget — a policy
+			// that never stops early frees no budget for later waves — so
+			// the deal covers it exactly.
+			for _, c := range deal {
+				jobs = append(jobs, job{kind: k.kind, tool: k.tool, cell: k.cell, lo: lo + c[0], hi: lo + c[1]})
+			}
 		}
-		runPool(spec, len(grants), func(w, i int) {
-			tel.unitStart(wave, waveJobs[i], grants[i].budget)
-			r := tools.unit(spec, w, waveJobs[i])
-			used[i] = r.runChunked(waveJobs[i].lo, grants[i].budget, chunk, grants[i].plan.tracker)
-			waveFrags[i] = r.frag
-			waveJobs[i].hi = waveJobs[i].lo + used[i]
-			tel.unitDone(wave, waveJobs[i], &waveFrags[i])
+		frags = append(frags, make([]fragment, len(jobs)-base)...)
+		tel.waveStart(wave, len(jobs)-base)
+		runPool(spec, len(jobs)-base, func(w, i int) {
+			j := &jobs[base+i]
+			tel.unitStart(wave, *j, j.hi-j.lo)
+			r := tools.unit(spec, w, *j)
+			if split {
+				r.run(j.lo, j.hi, nil)
+			} else {
+				j.hi = j.lo + r.runChunked(j.lo, j.hi-j.lo, chunk, plans[j.key().index(nb, nl)].tracker)
+			}
+			frags[base+i] = r.frag
+			tel.unitDone(wave, *j, &frags[base+i])
 		})
 		waveExecs := 0
-		for i, g := range grants {
-			waveJobs[i].hi = waveJobs[i].lo + used[i]
-			g.plan.used += used[i]
+		for i := base; i < len(frags); i++ {
+			waveExecs += frags[i].execs
+		}
+		for gi, g := range grants {
+			if split {
+				// Every index of the grant ran, on this shard or another.
+				g.plan.used += g.budget
+			} else {
+				g.plan.used = jobs[base+gi].hi
+			}
 			wasStopped := g.plan.stopped
 			g.plan.stopped = g.plan.tracker.Converged()
 			// Convergence introspection happens here — at the barrier, from
 			// per-cell-deterministic tracker state — so the snapshot stream
 			// (and /debug/converge) is identical for any worker count.
-			tel.convergeState(wave, waveJobs[i], g.plan.tracker)
+			tel.convergeState(wave, g.plan.cellKey, g.plan.tracker)
 			if g.plan.stopped && !wasStopped {
-				tel.cellConverged(wave, waveJobs[i], g.plan.used)
+				tel.cellConverged(wave, g.plan.cellKey, g.plan.used)
 			}
-			jobs = append(jobs, waveJobs[i])
-			frags = append(frags, waveFrags[i])
-			waveExecs += waveFrags[i].execs
 		}
-		tel.waveEnd(wave, len(grants), waveExecs)
+		tel.waveEnd(wave, len(jobs)-base, waveExecs)
 		// The wave barrier is the checkpoint point: every decision below this
 		// line is a pure function of the state being persisted.
 		ck.save(spec, tel, wave, false, plans, jobs, frags)
 	}
 
 	if spec.Resume == nil {
-		// Wave 0: initial budgets.
-		wave0 := make([]grant, len(plans))
+		// Wave 1: initial budgets.
+		wave1 := make([]grant, len(plans))
 		for i, p := range plans {
-			wave0[i] = grant{plan: p, budget: spec.Runs}
+			wave1[i] = grant{plan: p, budget: spec.Runs}
 		}
-		runWave(wave0)
+		runWave(wave1)
 	}
 
 	// Freed budget: what converged cells left unspent.
@@ -735,6 +720,10 @@ func runAdaptive(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]j
 
 	ck.save(spec, tel, wave, true, plans, jobs, frags)
 
+	if split {
+		// A policy that cannot stop early has no budget to report.
+		return jobs, frags, nil
+	}
 	budgets := map[cellKey]*BudgetSummary{}
 	for _, p := range plans {
 		extended := p.used - spec.Runs
@@ -962,9 +951,9 @@ func closeTool(t capi.Tool) {
 // workerTools holds every campaign worker's warm state, indexed by worker
 // slot: one tool instance per Spec.Tools entry and one axiom workspace that
 // every execution the worker validates or analyzes is lifted into. Each
-// worker keeps both for the whole Run — across shards, cells and adaptive
-// waves — so tool construction, fiber-pool warmup and workspace growth are
-// paid once per worker, not per unit.
+// worker keeps both for the whole Run — across shards, cells and waves — so
+// tool construction, fiber-pool warmup and workspace growth are paid once
+// per worker, not per unit.
 type workerTools []workerSlot
 
 type workerSlot struct {
@@ -1389,6 +1378,9 @@ func (s Spec) Validate() error {
 	}
 	if s.Runs <= 0 {
 		return fmt.Errorf("campaign: runs must be positive, got %d", s.Runs)
+	}
+	if s.Workers < 0 || s.ShardSize < 0 {
+		return fmt.Errorf("campaign: workers and shard size must be ≥ 0 (0 = default), got %d and %d", s.Workers, s.ShardSize)
 	}
 	if _, err := rng.Parse(s.RNG); err != nil {
 		return fmt.Errorf("campaign: %v", err)

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -580,10 +581,47 @@ func TestSpecValidate(t *testing.T) {
 		{"dup tool", Spec{Tools: []ToolSpec{tool, tool}, Benchmarks: []BenchmarkSpec{bench}, Runs: 1}, false},
 		{"dup bench", Spec{Tools: []ToolSpec{tool}, Benchmarks: []BenchmarkSpec{bench, bench}, Runs: 1}, false},
 		{"dup litmus", Spec{Tools: []ToolSpec{tool}, Litmus: []*litmus.Test{constLitmus("l", "x"), constLitmus("l", "x")}, Runs: 1}, false},
+		{"negative shard size", Spec{Tools: []ToolSpec{tool}, Benchmarks: []BenchmarkSpec{bench}, Runs: 1, ShardSize: -4}, false},
+		{"negative workers", Spec{Tools: []ToolSpec{tool}, Benchmarks: []BenchmarkSpec{bench}, Runs: 1, Workers: -2}, false},
 	}
 	for _, c := range cases {
 		if err := c.spec.Validate(); (err == nil) != c.ok {
 			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
+// TestParsePolicy pins the -policy flag boundary: both policy names parse,
+// zero converge parameters mean the defaults, and negative (or NaN)
+// parameters are refused instead of silently replaced by the defaults.
+func TestParsePolicy(t *testing.T) {
+	cases := []struct {
+		name             string
+		policy           string
+		minExecs, window int
+		epsilon          float64
+		want             string // Policy.Name(); "" means an error
+	}{
+		{"default", "", 0, 0, 0, "uniform"},
+		{"uniform", "uniform", 0, 0, 0, "uniform"},
+		{"converge defaults", "converge", 0, 0, 0, "converge(min=20,window=10,eps=0.02)"},
+		{"converge explicit", "converge", 40, 5, 0.1, "converge(min=40,window=5,eps=0.1)"},
+		{"unknown", "adaptive", 0, 0, 0, ""},
+		{"negative min-execs", "converge", -2, 0, 0, ""},
+		{"negative window", "converge", 0, -3, 0, ""},
+		{"negative epsilon", "converge", 0, 0, -0.5, ""},
+		{"NaN epsilon", "converge", 0, 0, math.NaN(), ""},
+		{"negative under uniform", "uniform", 0, -3, 0, ""},
+	}
+	for _, c := range cases {
+		p, err := ParsePolicy(c.policy, c.minExecs, c.window, c.epsilon)
+		switch {
+		case c.want == "" && err == nil:
+			t.Errorf("%s: ParsePolicy = %s, want an error", c.name, p.Name())
+		case c.want != "" && err != nil:
+			t.Errorf("%s: ParsePolicy: %v", c.name, err)
+		case c.want != "" && p.Name() != c.want:
+			t.Errorf("%s: ParsePolicy = %s, want %s", c.name, p.Name(), c.want)
 		}
 	}
 }

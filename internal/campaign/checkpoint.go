@@ -338,16 +338,8 @@ func kindName(k jobKind) string {
 	return cellKindBench
 }
 
-func kindOf(name string) jobKind {
-	if name == cellKindLitmus {
-		return jobLitmus
-	}
-	return jobBench
-}
-
 // buildCheckpoint folds the completed work into one CellCheckpoint per
-// matrix cell. plans supplies budget/tracker state under an adaptive policy;
-// nil means uniform.
+// matrix cell, with budget and tracker state from the wave loop's plans.
 func buildCheckpoint(spec Spec, tel *Telemetry, wave int, complete bool, plans []*cellPlan, jobs []job, frags []fragment) *Checkpoint {
 	c := &Checkpoint{
 		Schema: CheckpointSchemaName, SchemaVersion: CheckpointSchemaVersion,
@@ -364,9 +356,9 @@ func buildCheckpoint(spec Spec, tel *Telemetry, wave int, complete bool, plans [
 }
 
 // checkpointCells renders folded cells (foldCells) in their checkpoint form.
-// plans, when non-nil, are the adaptive plans in matrix order and supply the
-// budget and tracker state; otherwise a cell's Used is the end of the
-// highest execution range it ran.
+// plans, when non-nil, are the wave loop's plans in matrix order and supply
+// the budget and tracker state; otherwise (shard partials) a cell's Used is
+// the end of the highest execution range it ran.
 func checkpointCells(spec Spec, cells []cellFold, plans []*cellPlan) []CellCheckpoint {
 	out := make([]CellCheckpoint, len(cells))
 	for i, k := range matrixCells(spec) {
@@ -443,16 +435,18 @@ func (c *Checkpoint) ValidateAgainst(spec Spec) error {
 	return nil
 }
 
-// restoreAdaptive pushes a checkpoint's barrier state back into the adaptive
-// runner: plan budgets, tracker snapshots, and one synthetic whole-range job
-// per cell carrying the merged fragment. Checkpoint cells and plans are both
-// in matrix order.
-func restoreAdaptive(c *Checkpoint, plans []*cellPlan, jobs *[]job, frags *[]fragment) {
+// restore pushes a checkpoint's barrier state back into the wave loop: plan
+// budgets, tracker snapshots, and one synthetic whole-range job per cell
+// carrying the merged fragment. Checkpoint cells and plans are both in matrix
+// order.
+func restore(c *Checkpoint, plans []*cellPlan) ([]job, []fragment) {
 	if len(c.Cells) != len(plans) {
 		// Unreachable behind ValidateAgainst (the digest pins the matrix);
 		// skipping beats corrupting plan state.
-		return
+		return nil, nil
 	}
+	var jobs []job
+	var frags []fragment
 	for i, p := range plans {
 		cc := &c.Cells[i]
 		p.used = cc.Used
@@ -461,39 +455,9 @@ func restoreAdaptive(c *Checkpoint, plans []*cellPlan, jobs *[]job, frags *[]fra
 			s.Restore(cc.Tracker)
 		}
 		if cc.Used > 0 {
-			*jobs = append(*jobs, job{kind: p.kind, tool: p.tool, cell: p.cell, lo: 0, hi: cc.Used})
-			*frags = append(*frags, cc.Frag.fragment())
-		}
-	}
-}
-
-// restoreComplete rebuilds the aggregate inputs of a finished campaign from
-// its Complete checkpoint, without re-running anything. adaptive additionally
-// rebuilds the per-cell budget reports.
-func restoreComplete(spec Spec, c *Checkpoint, adaptive bool) ([]job, []fragment, map[cellKey]*BudgetSummary) {
-	var jobs []job
-	var frags []fragment
-	var budgets map[cellKey]*BudgetSummary
-	if adaptive {
-		budgets = map[cellKey]*BudgetSummary{}
-	}
-	for i := range c.Cells {
-		cc := &c.Cells[i]
-		key := cellKey{kind: kindOf(cc.Kind), tool: cc.Tool, cell: cc.Cell}
-		if cc.Used > 0 {
-			jobs = append(jobs, job{kind: key.kind, tool: key.tool, cell: key.cell, lo: 0, hi: cc.Used})
+			jobs = append(jobs, job{kind: p.kind, tool: p.tool, cell: p.cell, lo: 0, hi: cc.Used})
 			frags = append(frags, cc.Frag.fragment())
 		}
-		if adaptive {
-			extended := cc.Used - spec.Runs
-			if extended < 0 {
-				extended = 0
-			}
-			budgets[key] = &BudgetSummary{
-				Planned: spec.Runs, Used: cc.Used,
-				Extended: extended, Converged: cc.Stopped,
-			}
-		}
 	}
-	return jobs, frags, budgets
+	return jobs, frags
 }

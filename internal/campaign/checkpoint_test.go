@@ -8,8 +8,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"c11tester/internal/capi"
 	"c11tester/internal/explore"
 	"c11tester/internal/litmus"
 	"c11tester/internal/obs"
@@ -415,38 +417,70 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestUniformCheckpointResume covers the uniform-policy path: the checkpoint
-// is written once at completion, and resuming from it replays the summary
-// without re-running anything.
+// TestUniformCheckpointResume covers the uniform policy's pass through the
+// wave loop: a uniform campaign is a single wave, so it checkpoints at the
+// wave-1 barrier and again at completion. Resuming from either checkpoint, at
+// any worker count, replays the summary byte-identically without re-running
+// anything — not even constructing a tool.
 func TestUniformCheckpointResume(t *testing.T) {
-	build := func() Spec {
+	var built atomic.Int64
+	tool := mustTool(t, "c11tester", ToolOptions{})
+	newTool := tool.New
+	tool.New = func() capi.Tool { built.Add(1); return newTool() }
+	build := func(workers int) Spec {
 		return Spec{
-			Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
+			Tools:      []ToolSpec{tool},
 			Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
 			Litmus:     []*litmus.Test{mustLitmus(t, "SB+sc")},
 			Runs:       8,
 			SeedBase:   7,
+			ShardSize:  3,
+			Workers:    workers,
 		}
 	}
-	path := filepath.Join(t.TempDir(), "ck.json")
-	spec := build()
-	spec.CheckpointPath = path
+	var checkpoints []*Checkpoint
+	spec := build(2)
+	spec.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
+	spec.checkpointHook = func(c *Checkpoint) {
+		data, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var copied Checkpoint
+		if err := json.Unmarshal(data, &copied); err != nil {
+			t.Fatal(err)
+		}
+		checkpoints = append(checkpoints, &copied)
+	}
 	want := canonicalJSON(t, Run(spec))
-
-	ck, err := LoadCheckpoint(path)
+	if built.Load() == 0 {
+		t.Fatal("the counting tool factory was never called")
+	}
+	if len(checkpoints) != 2 || checkpoints[0].Complete || !checkpoints[1].Complete ||
+		checkpoints[0].Wave != 1 || checkpoints[1].Wave != 1 {
+		t.Fatalf("uniform campaign should checkpoint at the wave-1 barrier, then complete; got %d checkpoint(s)", len(checkpoints))
+	}
+	// The persisted file is the last (complete) checkpoint.
+	ck, err := LoadCheckpoint(spec.CheckpointPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ck.Complete {
 		t.Fatalf("uniform campaign checkpoint not complete: %+v", ck)
 	}
-	if err := ck.ValidateAgainst(build()); err != nil {
+	if err := ck.ValidateAgainst(build(1)); err != nil {
 		t.Fatalf("checkpoint does not validate against its own spec: %v", err)
 	}
-	resumed := build()
-	resumed.Resume = ck
-	if got := canonicalJSON(t, Run(resumed)); got != want {
-		t.Fatalf("resume from complete checkpoint diverged:\n%s\nwant:\n%s", got, want)
+	for i, ck := range append(checkpoints, ck) {
+		built.Store(0)
+		resumed := build(1 + i) // different worker counts: must not matter
+		resumed.Resume = ck
+		if got := canonicalJSON(t, Run(resumed)); got != want {
+			t.Fatalf("resume from checkpoint %d (complete=%v) diverged:\n%s\nwant:\n%s", i, ck.Complete, got, want)
+		}
+		if n := built.Load(); n != 0 {
+			t.Errorf("resume from checkpoint %d (complete=%v) constructed %d tool(s); a finished uniform wave must run nothing", i, ck.Complete, n)
+		}
 	}
 }
 

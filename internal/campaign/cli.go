@@ -94,7 +94,7 @@ type CrashFlags struct {
 // Register binds the crash-safety flags onto fs.
 func (f *CrashFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Shard, "shard", "", "run shard i/N of the campaign (e.g. 0/3): each shard executes a disjoint deterministic slice of every cell's seed range and writes a partial summary plus a .shard.json manifest for c11merge ('' disables)")
-	fs.StringVar(&f.Checkpoint, "checkpoint", "", "write an atomic checkpoint of completed-wave state to this file at every wave barrier ('' disables)")
+	fs.StringVar(&f.Checkpoint, "checkpoint", "", "write an atomic checkpoint of completed-wave state to this file at every wave barrier ('' disables); a uniform campaign is one wave, so its checkpoint lands only at completion")
 	fs.StringVar(&f.Resume, "resume", "", "resume an interrupted campaign from this checkpoint file; a missing file starts fresh with a warning")
 }
 

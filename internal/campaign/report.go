@@ -212,7 +212,7 @@ func writeRaceTimeline(w io.Writer, events []Event) {
 }
 
 // writeConvergence renders each cell's convergence curve: the
-// cell_converge_state snapshots the adaptive planner emitted at its wave
+// cell_converge_state snapshots the wave loop emitted at its wave
 // barriers, in wave order per cell.
 func writeConvergence(w io.Writer, events []Event) {
 	type curve struct {

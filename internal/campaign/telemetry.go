@@ -341,9 +341,9 @@ func (t *Telemetry) campaignStart(info SpecInfo) {
 	t.emit(Event{Type: "campaign_start", Spec: &info})
 }
 
-// unitStart emits the cell_start event for one unit of work (a shard or an
-// adaptive grant). budget is the unit's execution-index budget; the actual
-// end lands in cell_end.
+// unitStart emits the cell_start event for one unit of work (a shard of a
+// split grant, or a whole grant). budget is the unit's execution-index
+// budget; the actual end lands in cell_end.
 func (t *Telemetry) unitStart(wave int, j job, budget int) {
 	t.emit(Event{Type: "cell_start", Wave: wave,
 		Tool: t.spec.Tools[j.tool].Name, Program: t.spec.programOf(j.key()), Litmus: j.kind == jobLitmus,
@@ -461,10 +461,9 @@ func (t *Telemetry) waveStart(wave, jobs int) {
 
 // cellConverged records a newly converged cell and emits its event with the
 // budget report so far.
-func (t *Telemetry) cellConverged(wave int, j job, used int) {
-	key := cellKey{kind: j.kind, tool: j.tool, cell: j.cell}
+func (t *Telemetry) cellConverged(wave int, k cellKey, used int) {
 	t.mu.Lock()
-	t.converged[key] = true
+	t.converged[k] = true
 	t.convergedG.Set(int64(len(t.converged)))
 	t.mu.Unlock()
 	extended := used - t.spec.Runs
@@ -472,28 +471,27 @@ func (t *Telemetry) cellConverged(wave int, j job, used int) {
 		extended = 0
 	}
 	t.emit(Event{Type: "cell_converged", Wave: wave,
-		Tool: t.spec.Tools[j.tool].Name, Program: t.spec.programOf(j.key()), Litmus: j.kind == jobLitmus,
+		Tool: t.spec.Tools[k.tool].Name, Program: t.spec.programOf(k), Litmus: k.kind == jobLitmus,
 		Budget: &BudgetSummary{Planned: t.spec.Runs, Used: used, Extended: extended, Converged: true}})
 }
 
 // convergeState snapshots one cell's tracker for /debug/converge and emits
-// the cell_converge_state event. The adaptive planner calls it at the wave
+// the cell_converge_state event. The wave loop calls it at the wave
 // barrier — a single-threaded point where the tracker has folded exactly the
 // wave's observations in index order — so the snapshot (and the event) is a
 // pure function of the cell's observation stream, identical for any worker
 // count. Trackers that cannot explain themselves (Uniform) are skipped.
-func (t *Telemetry) convergeState(wave int, j job, tracker explore.Tracker) {
+func (t *Telemetry) convergeState(wave int, k cellKey, tracker explore.Tracker) {
 	in, ok := tracker.(explore.Introspector)
 	if !ok {
 		return
 	}
 	st := in.State()
-	key := cellKey{kind: j.kind, tool: j.tool, cell: j.cell}
 	t.mu.Lock()
-	t.convergeSnaps[key] = &st
+	t.convergeSnaps[k] = &st
 	t.mu.Unlock()
 	t.emit(Event{Type: "cell_converge_state", Wave: wave,
-		Tool: t.spec.Tools[j.tool].Name, Program: t.spec.programOf(j.key()), Litmus: j.kind == jobLitmus,
+		Tool: t.spec.Tools[k.tool].Name, Program: t.spec.programOf(k), Litmus: k.kind == jobLitmus,
 		Converge: &st})
 }
 

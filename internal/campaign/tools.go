@@ -142,8 +142,13 @@ func StandardToolFromConfig(tc trace.ToolConfig) (ToolSpec, error) {
 
 // ParsePolicy parses a -policy flag value into a budget policy. minExecs,
 // window, and epsilon parameterize the converge policy; zero values mean its
-// defaults.
+// defaults, and negative ones (or a NaN epsilon) are refused rather than
+// silently defaulted.
 func ParsePolicy(name string, minExecs, window int, epsilon float64) (explore.Policy, error) {
+	if minExecs < 0 || window < 0 || !(epsilon >= 0) {
+		return nil, fmt.Errorf("policy parameters must be ≥ 0 (0 = default): -min-execs %d, -window %d, -epsilon %g",
+			minExecs, window, epsilon)
+	}
 	switch name {
 	case "", "uniform":
 		return explore.Uniform{}, nil

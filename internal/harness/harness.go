@@ -1,13 +1,14 @@
-// Package harness runs programs under tools and aggregates the metrics the
-// paper reports: bug/race detection rates over repeated executions
-// (Section 8.1, Table 2), execution time and throughput statistics with
-// relative standard deviations (Table 1, Table 4), operation counts
-// (Table 3), and the geometric-mean speedups of Figure 15.
+// Package harness runs programs under tools and holds the vocabulary the
+// campaign reports share: bug/race detection rates over repeated executions
+// (Section 8.1, Table 2) with their mean time and operation counts (Tables
+// 1 and 3), reproduction commands, the throughput conversion, and text
+// tables and unit formatting. Per-cell timing distributions come from the
+// campaign's telemetry and wall-time benchmarking from bench/, not from
+// here.
 package harness
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -73,104 +74,6 @@ func MeasureDetection(tool capi.Tool, prog capi.Program, runs int, seedBase int6
 		d.Time = time.Since(start) / time.Duration(runs)
 	}
 	return d
-}
-
-// Perf aggregates a timed experiment.
-type Perf struct {
-	Times []time.Duration
-	// Ops are the operation counts of the last execution.
-	Ops capi.OpStats
-	// Work is the application-reported work metric per run (throughput
-	// numerator), when the workload provides one.
-	Work []float64
-}
-
-// MeasurePerf executes prog runs times under tool, timing each execution.
-// work, if non-nil, extracts the run's application-level work metric.
-func MeasurePerf(tool capi.Tool, prog capi.Program, runs int, seedBase int64, work func() float64) Perf {
-	var p Perf
-	for i := 0; i < runs; i++ {
-		start := time.Now()
-		res := tool.Execute(prog, seedBase+int64(i))
-		p.Times = append(p.Times, time.Since(start))
-		p.Ops = res.Stats
-		if work != nil {
-			p.Work = append(p.Work, work())
-		}
-	}
-	return p
-}
-
-// MeanTime returns the mean execution time.
-func (p Perf) MeanTime() time.Duration {
-	if len(p.Times) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, t := range p.Times {
-		sum += t
-	}
-	return sum / time.Duration(len(p.Times))
-}
-
-// RSDTime returns the relative standard deviation of execution times in
-// percent (the parenthesised numbers of Table 1).
-func (p Perf) RSDTime() float64 {
-	return rsd(durationsToFloats(p.Times))
-}
-
-// MeanWork and RSDWork aggregate the throughput metric.
-func (p Perf) MeanWork() float64 { return mean(p.Work) }
-func (p Perf) RSDWork() float64  { return rsd(p.Work) }
-
-func durationsToFloats(ts []time.Duration) []float64 {
-	out := make([]float64, len(ts))
-	for i, t := range ts {
-		out[i] = float64(t)
-	}
-	return out
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-func rsd(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := mean(xs)
-	if m == 0 {
-		return 0
-	}
-	var ss float64
-	for _, x := range xs {
-		ss += (x - m) * (x - m)
-	}
-	return 100 * math.Sqrt(ss/float64(len(xs)-1)) / m
-}
-
-// Geomean returns the geometric mean of positive values (Figure 15's
-// cross-benchmark aggregation).
-func Geomean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
 }
 
 // Table is a simple fixed-width text table for experiment output.

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/json"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -77,66 +76,6 @@ func TestMeasureDetectionZeroRuns(t *testing.T) {
 	d := MeasureDetection(&stubTool{}, nopProg, 0, 0, SignalRace)
 	if d.Rate() != 0 || d.Time != 0 {
 		t.Fatalf("zero-run detection should be zero-valued: %+v", d)
-	}
-}
-
-func TestMeasurePerfDeterminism(t *testing.T) {
-	work := 0.0
-	p1 := MeasurePerf(&stubTool{}, nopProg, 5, 7, func() float64 { work++; return work })
-	p2 := MeasurePerf(&stubTool{}, nopProg, 5, 7, nil)
-	if len(p1.Times) != 5 || len(p1.Work) != 5 {
-		t.Fatalf("Times/Work lengths: %d/%d, want 5/5", len(p1.Times), len(p1.Work))
-	}
-	if p2.Work != nil {
-		t.Fatalf("nil work fn must not collect Work, got %v", p2.Work)
-	}
-	// Ops are the last execution's stats: seed 11 → 11%7+1 = 5 atomics.
-	if p1.Ops != p2.Ops || p1.Ops.AtomicOps != 5 {
-		t.Fatalf("Ops not deterministic: %+v vs %+v", p1.Ops, p2.Ops)
-	}
-	if p1.MeanWork() != 3 {
-		t.Fatalf("MeanWork = %v, want 3", p1.MeanWork())
-	}
-}
-
-func TestPerfEmpty(t *testing.T) {
-	var p Perf
-	if p.MeanTime() != 0 || p.RSDTime() != 0 || p.MeanWork() != 0 || p.RSDWork() != 0 {
-		t.Fatalf("empty Perf aggregates should be zero")
-	}
-}
-
-func TestGeomean(t *testing.T) {
-	cases := []struct {
-		xs   []float64
-		want float64
-	}{
-		{nil, 0},
-		{[]float64{5}, 5},
-		{[]float64{2, 8}, 4},
-		{[]float64{1, -1}, 0}, // nonpositive values: undefined, reported as 0
-		{[]float64{3, 0}, 0},
-	}
-	for _, c := range cases {
-		if got := Geomean(c.xs); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Geomean(%v) = %v, want %v", c.xs, got, c.want)
-		}
-	}
-}
-
-func TestRSDEdgeCases(t *testing.T) {
-	if got := rsd(nil); got != 0 {
-		t.Errorf("rsd(empty) = %v, want 0", got)
-	}
-	if got := rsd([]float64{42}); got != 0 {
-		t.Errorf("rsd(single) = %v, want 0", got)
-	}
-	if got := rsd([]float64{0, 0}); got != 0 {
-		t.Errorf("rsd(zero mean) = %v, want 0", got)
-	}
-	// mean 10, sample stddev sqrt(2) → rsd = 10*sqrt(2) %.
-	if got, want := rsd([]float64{9, 11}), 100*math.Sqrt2/10; math.Abs(got-want) > 1e-9 {
-		t.Errorf("rsd([9 11]) = %v, want %v", got, want)
 	}
 }
 
@@ -217,13 +156,6 @@ func TestSummariesJSON(t *testing.T) {
 	}
 	if ds.RatePct != 25 || ds.MeanTimeNS != int64(time.Millisecond) || ds.AtomicOps != 10 {
 		t.Fatalf("round-tripped DetectionSummary = %+v", ds)
-	}
-
-	p := Perf{Times: []time.Duration{time.Millisecond, 3 * time.Millisecond},
-		Ops: capi.OpStats{AtomicOps: 7}}
-	ps := p.Summary()
-	if ps.Runs != 2 || ps.MeanTimeNS != int64(2*time.Millisecond) || ps.AtomicOps != 7 {
-		t.Fatalf("TimingSummary = %+v", ps)
 	}
 }
 

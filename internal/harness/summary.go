@@ -66,30 +66,6 @@ func (d Detection) Summary() DetectionSummary {
 	}
 }
 
-// TimingSummary is the JSON-serializable view of a Perf.
-type TimingSummary struct {
-	Runs       int     `json:"runs"`
-	MeanTimeNS int64   `json:"mean_time_ns"`
-	RSDTimePct float64 `json:"rsd_time_pct"`
-	MeanWork   float64 `json:"mean_work,omitempty"`
-	RSDWorkPct float64 `json:"rsd_work_pct,omitempty"`
-	AtomicOps  uint64  `json:"atomic_ops"`
-	NormalOps  uint64  `json:"normal_ops"`
-}
-
-// Summary converts p into its JSON-serializable form.
-func (p Perf) Summary() TimingSummary {
-	return TimingSummary{
-		Runs:       len(p.Times),
-		MeanTimeNS: int64(p.MeanTime()),
-		RSDTimePct: p.RSDTime(),
-		MeanWork:   p.MeanWork(),
-		RSDWorkPct: p.RSDWork(),
-		AtomicOps:  p.Ops.AtomicOps,
-		NormalOps:  p.Ops.NormalOps,
-	}
-}
-
 // ExecsPerSec converts a total execution count and wall-clock time into the
 // throughput figure the campaign summaries report.
 func ExecsPerSec(execs int, wall time.Duration) float64 {
