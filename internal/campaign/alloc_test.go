@@ -112,14 +112,68 @@ func testZeroAllocSteadyState(t *testing.T, rngSource string) {
 	}
 }
 
+// TestRunnerZeroAllocSteadyState extends the zero-alloc bar from
+// tool.Execute to the campaign runner's whole per-execution path: runOne,
+// with its signal stage (detection or litmus verdict), race dedup
+// (recordRaces), the execution's race keys (raceKeysOf), the pre-bound cell
+// metrics and the flight-recorder check. Validation and analyzers stay off;
+// they are duties with their own costs. One runner per tool × program cell
+// is warmed over several indices, so its fragment maps, the worker's
+// race-key intern table and the tool's pools are settled, and then one
+// sampled and one unsampled index must allocate nothing.
+func TestRunnerZeroAllocSteadyState(t *testing.T) {
+	benches, err := SelectBenchmarks("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lits, err := SelectLitmus("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range StandardToolNames() {
+		tel := NewTelemetry(TelemetryOptions{})
+		spec := Spec{
+			Tools:      []ToolSpec{mustTool(t, name, ToolOptions{})},
+			Benchmarks: benches,
+			Litmus:     lits,
+			Workers:    1,
+			Telemetry:  tel,
+		}
+		tel.bind(spec)
+		wt := newWorkerTools(spec)
+		check := func(j job, program string) {
+			r := wt.unit(spec, 0, j)
+			for i := 0; i <= 6; i++ {
+				r.runOne(i)
+			}
+			for _, i := range []int{0, 3} {
+				if n := testing.AllocsPerRun(10, func() { r.runOne(i) }); n != 0 {
+					t.Errorf("%s/%s index %d (sampled=%v): %.1f allocs/exec in runOne, want 0",
+						name, program, i, i%timingSample == 0, n)
+				}
+			}
+		}
+		for b, bench := range benches {
+			check(job{kind: jobBench, cell: b}, bench.Name)
+		}
+		for l, lit := range lits {
+			check(job{kind: jobLitmus, cell: l}, lit.Name)
+		}
+		wt.close()
+	}
+}
+
 // TestCellRunnerSizeClass pins cellRunner inside the 1024 B malloc size
-// class. Every campaign unit allocates one runner; one field past 1024 B
-// moves it into the next size class (1152 B), which costs the litmus
-// workload ~5% alloc_bytes_per_exec. That is why the timing sample is
-// derived from the execution index instead of a per-runner flag.
+// class. Every campaign unit allocates one runner, and since Go 1.22 an
+// object over 512 B that holds pointers carries an 8-byte malloc header, so
+// the runner itself may use at most 1024 − 8 = 1016 B. One field more moves
+// it into the next size class (1152 B), which costs the litmus workload ~5%
+// alloc_bytes_per_exec. That is why the timing sample is derived from the
+// execution index instead of a per-runner flag, and why one workerSlot
+// pointer reaches both the axiom workspace and the race-key intern table.
 func TestCellRunnerSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(cellRunner{}); n > 1024 {
-		t.Fatalf("cellRunner is %d B, past the 1024 B size class", n)
+	if n := unsafe.Sizeof(cellRunner{}); n > 1016 {
+		t.Fatalf("cellRunner is %d B; with the 8 B malloc header it is past the 1024 B size class", n)
 	}
 }
 

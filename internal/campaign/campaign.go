@@ -39,6 +39,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/metrics"
+	"slices"
 	"sync"
 	"time"
 
@@ -797,11 +798,13 @@ type cellRunner struct {
 	// is unarmed.
 	fr *obs.FlightRecorder
 
-	// Engine plumbing (trace duties, guided exploration). lift is the
-	// worker's axiom workspace, which validation and the analyzers share.
+	// Engine plumbing (trace duties, guided exploration). slot is the
+	// worker's warm state: the axiom workspace validation and the analyzers
+	// share, and the race-key intern table. One pointer reaches both, which
+	// keeps the runner inside its malloc size class (TestCellRunnerSizeClass).
 	eng    *core.Engine
 	mo     core.MOProvider
-	lift   *axiom.Execution
+	slot   *workerSlot
 	rec    *trace.Recorder
 	pg     *trace.PrefixGuide
 	guides []*trace.Trace
@@ -819,11 +822,11 @@ type cellRunner struct {
 	out   string        // litmus outcome cell
 }
 
-// newCellRunner builds the runner for job j on tool. lift is the axiom
-// workspace the validation and analyzer stages lift into; it may be nil when
-// the spec asks for neither.
-func newCellRunner(spec Spec, j job, tool capi.Tool, lift *axiom.Execution) *cellRunner {
-	r := &cellRunner{spec: spec, j: j, tool: tool, lift: lift, frag: fragment{races: map[string]raceHit{}}}
+// newCellRunner builds the runner for job j on tool. slot is the worker
+// state runOne's stages use; it may be nil for a runner that never runs an
+// execution through runOne (captureTrace).
+func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunner {
+	r := &cellRunner{spec: spec, j: j, tool: tool, slot: slot, frag: fragment{races: map[string]raceHit{}}}
 	switch j.kind {
 	case jobBench:
 		r.bench = spec.Benchmarks[j.cell]
@@ -949,16 +952,41 @@ func closeTool(t capi.Tool) {
 }
 
 // workerTools holds every campaign worker's warm state, indexed by worker
-// slot: one tool instance per Spec.Tools entry and one axiom workspace that
-// every execution the worker validates or analyzes is lifted into. Each
-// worker keeps both for the whole Run — across shards, cells and waves — so
-// tool construction, fiber-pool warmup and workspace growth are paid once
-// per worker, not per unit.
+// slot: one tool instance per Spec.Tools entry, one axiom workspace that
+// every execution the worker validates or analyzes is lifted into, and one
+// race-key intern table. Each worker keeps them for the whole Run — across
+// shards, cells and waves — so tool construction, fiber-pool warmup,
+// workspace growth and key formatting are paid once per worker, not per
+// unit or per execution.
 type workerTools []workerSlot
 
 type workerSlot struct {
 	tools []capi.Tool
 	lift  axiom.Execution
+	keys  keyIntern
+}
+
+// keyIntern renders each race identity's key (RaceReport.Key) once per
+// worker: the campaign keys races by string, and formatting one per report
+// per execution was most of a racy execution's allocations. buf is
+// raceKeysOf's reused result.
+type keyIntern struct {
+	keys map[capi.RaceID]string
+	buf  []string
+}
+
+// key returns r's interned key.
+func (k *keyIntern) key(r *capi.RaceReport) string {
+	id := r.ID()
+	s, ok := k.keys[id]
+	if !ok {
+		if k.keys == nil {
+			k.keys = map[capi.RaceID]string{}
+		}
+		s = id.Key()
+		k.keys[id] = s
+	}
+	return s
 }
 
 func newWorkerTools(spec Spec) workerTools {
@@ -983,7 +1011,7 @@ func (wt workerTools) unit(spec Spec, w int, j job) *cellRunner {
 		t = spec.Tools[j.tool].New()
 		slot.tools[j.tool] = t
 	}
-	return newCellRunner(spec, j, t, &slot.lift)
+	return newCellRunner(spec, j, t, slot)
 }
 
 // close releases every worker's tools once the campaign's workers are done.
@@ -1092,7 +1120,7 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 	// unconditional tail: the detection metric and the flight-recorder
 	// check fire whether or not a stage aborted.
 	r.x = execCtx{res: res, i: i}
-	r.x.obs.RaceKeys = raceKeysOf(res)
+	r.x.obs.RaceKeys = raceKeysOf(&r.slot.keys, res)
 	for _, st := range r.stages {
 		st(r)
 	}
@@ -1112,7 +1140,7 @@ func (r *cellRunner) stageBench() {
 		r.frag.detected++
 	}
 	r.frag.ops.Add(res.Stats)
-	recordRaces(&r.frag, res, i)
+	recordRaces(&r.frag, &r.slot.keys, res, i)
 	r.x.hit = hit || len(res.Races) > 0
 	r.x.obs.Detected = hit
 }
@@ -1124,7 +1152,7 @@ func (r *cellRunner) stageLitmus() {
 	r.frag.ops.Add(res.Stats)
 	// Litmus programs only touch shared state atomically, so any race
 	// here is a detector soundness bug, not a finding.
-	recordRaces(&r.frag, res, i)
+	recordRaces(&r.frag, &r.slot.keys, res, i)
 	forbidden := false
 	if r.out != "" {
 		r.frag.outcomes[r.out]++
@@ -1163,8 +1191,8 @@ func (r *cellRunner) stageValidate() {
 	// per-cell phase histograms as the engine's reset/run/race spans.
 	vt0 := r.phaseStart()
 	ie := core.RecoverInfeasible(func() {
-		r.lift.Lift(r.eng, r.mo)
-		vs = axiom.Check(r.lift)
+		r.slot.lift.Lift(r.eng, r.mo)
+		vs = axiom.Check(&r.slot.lift)
 	})
 	r.observePhase(core.PhaseValidate, vt0)
 	if ie != nil {
@@ -1202,15 +1230,16 @@ func (r *cellRunner) stageAnalyze() {
 		Litmus: r.test != nil, Outcome: r.x.outcome,
 		Engine: r.eng, MO: r.mo,
 	}
+	lift := &r.slot.lift
 	if r.x.lifted {
-		r.ax.Lifted = r.lift
+		r.ax.Lifted = lift
 	}
 	for _, ca := range r.analyzers {
 		var fs []analysis.Finding
 		ie := core.RecoverInfeasible(func() {
 			if ca.NeedsMO() && r.ax.Lifted == nil {
-				r.lift.Lift(r.eng, r.mo)
-				r.ax.Lifted = r.lift
+				lift.Lift(r.eng, r.mo)
+				r.ax.Lifted = lift
 			}
 			fs = ca.Observe(&r.ax)
 		})
@@ -1325,27 +1354,30 @@ func (r *cellRunner) observePhase(p core.Phase, t0 time.Time) {
 	}
 }
 
-// raceKeysOf returns the deduplicated race keys of one execution.
-func raceKeysOf(res *capi.Result) []string {
+// raceKeysOf returns the deduplicated race keys of one execution, in
+// first-occurrence order. The slice aliases keys' reused buffer and is valid
+// until the next call: the tracker keeps only the strings, and capture
+// copies the slice.
+func raceKeysOf(keys *keyIntern, res *capi.Result) []string {
 	if len(res.Races) == 0 {
 		return nil
 	}
-	seen := map[string]bool{}
-	var keys []string
-	for _, r := range res.Races {
-		if k := r.Key(); !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
+	out := keys.buf[:0]
+	for i := range res.Races {
+		if k := keys.key(&res.Races[i]); !slices.Contains(out, k) {
+			out = append(out, k)
 		}
 	}
-	return keys
+	keys.buf = out
+	return out
 }
 
 // recordRaces folds an execution's races into the fragment, keeping the
 // earliest execution index per race key.
-func recordRaces(frag *fragment, res *capi.Result, run int) {
-	for _, r := range res.Races {
-		key := r.Key()
+func recordRaces(frag *fragment, keys *keyIntern, res *capi.Result, run int) {
+	for i := range res.Races {
+		r := &res.Races[i]
+		key := keys.key(r)
 		if hit, seen := frag.races[key]; !seen || run < hit.run {
 			frag.races[key] = raceHit{desc: r.String(), run: run}
 		}

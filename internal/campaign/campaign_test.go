@@ -12,6 +12,7 @@ import (
 	"c11tester/internal/capi"
 	"c11tester/internal/harness"
 	"c11tester/internal/litmus"
+	"c11tester/internal/memmodel"
 	"c11tester/internal/obs"
 	"c11tester/internal/structures"
 	"c11tester/internal/trace"
@@ -700,4 +701,69 @@ func without(names []string, drop string) []string {
 		}
 	}
 	return out
+}
+
+// TestRaceKeysOf pins the worker's race-key interning: an execution's keys
+// are its distinct RaceReport.Key()s in first-occurrence order, a warm intern
+// table renders nothing, and recordRaces keeps the earliest execution per key
+// whatever order the executions arrive in.
+func TestRaceKeysOf(t *testing.T) {
+	race := func(loc string, prior, kind memmodel.Kind, tid memmodel.TID) capi.RaceReport {
+		return capi.RaceReport{LocName: loc, PriorKind: prior, Kind: kind, TID: tid}
+	}
+	a := race("x", memmodel.KNAStore, memmodel.KNALoad, 1)
+	a2 := race("x", memmodel.KNAStore, memmodel.KNALoad, 2) // a's identity, another thread
+	b := race("x", memmodel.KNALoad, memmodel.KNAStore, 1)
+	b2 := race("x", memmodel.KNALoad, memmodel.KNAStore, 2)
+	c := race("y", memmodel.KNAStore, memmodel.KNAStore, 2)
+
+	// One intern table across the cases, as a worker keeps one across its
+	// executions: the reused result buffer must not leak between calls.
+	var keys keyIntern
+	for _, tc := range []struct {
+		name  string
+		races []capi.RaceReport
+		want  []capi.RaceReport // the first occurrence of each identity
+	}{
+		{"none", nil, nil},
+		{"one", []capi.RaceReport{a}, []capi.RaceReport{a}},
+		{"duplicates", []capi.RaceReport{a, a2, a}, []capi.RaceReport{a}},
+		{"first-occurrence order", []capi.RaceReport{c, a, b, a2, c, b2}, []capi.RaceReport{c, a, b}},
+		{"kind pair is ordered", []capi.RaceReport{b, a}, []capi.RaceReport{b, a}},
+	} {
+		res := &capi.Result{Races: tc.races}
+		got := raceKeysOf(&keys, res)
+		var want []string
+		for _, r := range tc.want {
+			want = append(want, r.Key())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: raceKeysOf = %q, want %q", tc.name, got, want)
+		}
+		if n := testing.AllocsPerRun(10, func() { raceKeysOf(&keys, res) }); n != 0 {
+			t.Errorf("%s: warm raceKeysOf allocates %.1f times, want 0", tc.name, n)
+		}
+	}
+
+	frag := fragment{races: map[string]raceHit{}}
+	for _, e := range []struct {
+		run   int
+		races []capi.RaceReport
+	}{
+		{5, []capi.RaceReport{a, b}},
+		{2, []capi.RaceReport{b2, b}}, // earlier: b's winner becomes run 2's first report
+		{7, []capi.RaceReport{a, c}},
+		{3, []capi.RaceReport{a2}},
+		{4, []capi.RaceReport{a, b}}, // later than both winners: no change
+	} {
+		recordRaces(&frag, &keys, &capi.Result{Races: e.races}, e.run)
+	}
+	want := map[string]raceHit{
+		a.Key(): {desc: a2.String(), run: 3},
+		b.Key(): {desc: b2.String(), run: 2},
+		c.Key(): {desc: c.String(), run: 7},
+	}
+	if !reflect.DeepEqual(frag.races, want) {
+		t.Errorf("recordRaces = %+v, want %+v", frag.races, want)
+	}
 }

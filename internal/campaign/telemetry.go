@@ -125,7 +125,7 @@ type Telemetry struct {
 	start         time.Time
 	running       bool
 	waves         int
-	raceKeys      map[string]bool // "tool\x00key" — campaign-distinct races
+	raceKeys      map[[2]string]bool // {tool, key} — campaign-distinct races
 	failures      int
 	converged     map[cellKey]bool
 	convergeSnaps map[cellKey]*explore.TrackerState
@@ -152,7 +152,7 @@ func NewTelemetry(opts TelemetryOptions) *Telemetry {
 	t := &Telemetry{
 		opts:          opts,
 		reg:           obs.NewRegistry(),
-		raceKeys:      map[string]bool{},
+		raceKeys:      map[[2]string]bool{},
 		converged:     map[cellKey]bool{},
 		convergeSnaps: map[cellKey]*explore.TrackerState{},
 		provenance:    BuildProvenance(),
@@ -351,14 +351,44 @@ func (t *Telemetry) unitStart(wave int, j job, budget int) {
 }
 
 // unitDone folds one completed unit into the campaign-level progress state
-// and emits its events: race_first_seen (per race key new to the unit's tool
-// instance, with the repro triple of the unit's earliest execution showing
-// it), analyzer_finding (per deduplicated finding, repro flags including the
-// -analyzers selection), forbidden_outcome, engine_failure, trace_recorded,
-// and cell_end. All
-// event contents derive from the fragment — a pure function of the job —
-// so the event set is identical for any worker count; only line order varies.
+// and, when an event stream is open, emits its events (emitUnit).
 func (t *Telemetry) unitDone(wave int, j job, frag *fragment) {
+	if t.stream != nil {
+		t.emitUnit(wave, j, frag)
+	}
+	tool := t.spec.Tools[j.tool].Name
+	t.mu.Lock()
+	for key := range frag.races {
+		t.raceKeys[[2]string{tool, key}] = true
+	}
+	t.racesG.Set(int64(len(t.raceKeys)))
+	t.failures += frag.failed
+	done := t.execsDoneLocked()
+	t.samples = append(t.samples, progressSample{at: time.Now(), execs: done})
+	if len(t.samples) > progressSampleRing {
+		t.samples = t.samples[len(t.samples)-progressSampleRing:]
+	}
+	var line string
+	if t.opts.Progress != nil && t.lineEvery > 0 && int(done)-t.lastLine >= t.lineEvery {
+		t.lastLine = int(done)
+		line = fmt.Sprintf("progress: %d/%d execs, %d distinct race(s), %d failure(s)\n",
+			done, t.execsPlanned, len(t.raceKeys), t.failures)
+	}
+	t.mu.Unlock()
+	if line != "" {
+		fmt.Fprint(t.opts.Progress, line)
+	}
+}
+
+// emitUnit emits one completed unit's events: race_first_seen (per race key
+// new to the unit's tool instance, with the repro triple of the unit's
+// earliest execution showing it), analyzer_finding (per deduplicated
+// finding, repro flags including the -analyzers selection),
+// forbidden_outcome, engine_failure, trace_recorded, capture and cell_end.
+// All event contents derive from the fragment — a pure function of the job —
+// so the event set is identical for any worker count; only line order
+// varies.
+func (t *Telemetry) emitUnit(wave int, j job, frag *fragment) {
 	toolSpec := t.spec.Tools[j.tool]
 	program := t.spec.programOf(j.key())
 	litmus := j.kind == jobLitmus
@@ -413,28 +443,6 @@ func (t *Telemetry) unitDone(wave int, j job, frag *fragment) {
 		Tool: toolSpec.Name, Program: program, Litmus: litmus,
 		Lo: j.lo, Hi: j.hi, Execs: frag.execs, Races: len(frag.races),
 		Detected: frag.detected, Failures: frag.failed})
-
-	t.mu.Lock()
-	for key := range frag.races {
-		t.raceKeys[toolSpec.Name+"\x00"+key] = true
-	}
-	t.racesG.Set(int64(len(t.raceKeys)))
-	t.failures += frag.failed
-	done := t.execsDoneLocked()
-	t.samples = append(t.samples, progressSample{at: time.Now(), execs: done})
-	if len(t.samples) > progressSampleRing {
-		t.samples = t.samples[len(t.samples)-progressSampleRing:]
-	}
-	var line string
-	if t.opts.Progress != nil && t.lineEvery > 0 && int(done)-t.lastLine >= t.lineEvery {
-		t.lastLine = int(done)
-		line = fmt.Sprintf("progress: %d/%d execs, %d distinct race(s), %d failure(s)\n",
-			done, t.execsPlanned, len(t.raceKeys), t.failures)
-	}
-	t.mu.Unlock()
-	if line != "" {
-		fmt.Fprint(t.opts.Progress, line)
-	}
 }
 
 // execsDoneLocked sums the per-cell execution counters (caller holds mu; the

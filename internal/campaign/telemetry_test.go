@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"reflect"
 	"sort"
 	"strings"
@@ -229,5 +230,64 @@ func TestTimingSampledPerIndex(t *testing.T) {
 					runs, sum.Tools[tool].Tool, got, want)
 			}
 		}
+	}
+}
+
+// TestTelemetryFoldWithoutStream pins unitDone's two halves apart: the same
+// units folded with and without an event stream leave the same
+// distinct-races gauge, failure count and progress, and the gauge counts the
+// stream's distinct (tool, race key) pairs — a key two tools both find
+// counts twice.
+func TestTelemetryFoldWithoutStream(t *testing.T) {
+	run := func(sink io.Writer) (*Telemetry, string) {
+		var progress bytes.Buffer
+		tel := NewTelemetry(TelemetryOptions{EventSink: sink, Progress: &progress})
+		// One worker keeps the periodic progress lines deterministic.
+		Run(eventSpec(t, 1, tel))
+		return tel, progress.String()
+	}
+	var events bytes.Buffer
+	streamed, streamedLines := run(&events)
+	quiet, quietLines := run(nil)
+
+	if s, q := streamed.racesG.Load(), quiet.racesG.Load(); s != q {
+		t.Errorf("distinct-races gauge: %d with a stream, %d without", s, q)
+	}
+	sp, qp := streamed.Progress(), quiet.Progress()
+	if sp.DistinctRaces != qp.DistinctRaces || sp.Failures != qp.Failures || sp.ExecsDone != qp.ExecsDone {
+		t.Errorf("progress with a stream {races %d, failures %d, execs %d}, without {races %d, failures %d, execs %d}",
+			sp.DistinctRaces, sp.Failures, sp.ExecsDone, qp.DistinctRaces, qp.Failures, qp.ExecsDone)
+	}
+	if streamedLines != quietLines {
+		t.Errorf("progress lines differ:\nwith a stream:\n%swithout:\n%s", streamedLines, quietLines)
+	}
+	if !strings.Contains(quietLines, "progress: ") {
+		t.Errorf("no periodic progress line:\n%s", quietLines)
+	}
+
+	pairs := map[[2]string]bool{}
+	tools := map[string]map[string]bool{} // key → tools that found it
+	for _, line := range canonicalEvents(t, events.Bytes()) {
+		var ev Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Type == "race_first_seen" {
+			pairs[[2]string{ev.Tool, ev.Key}] = true
+			if tools[ev.Key] == nil {
+				tools[ev.Key] = map[string]bool{}
+			}
+			tools[ev.Key][ev.Tool] = true
+		}
+	}
+	if len(pairs) == 0 || int64(len(pairs)) != quiet.racesG.Load() {
+		t.Errorf("gauge = %d, stream has %d distinct (tool, key) pairs", quiet.racesG.Load(), len(pairs))
+	}
+	shared := false
+	for _, ts := range tools {
+		shared = shared || len(ts) > 1
+	}
+	if !shared {
+		t.Error("no race key found by two tools: the (tool, key) pairing is untested")
 	}
 }

@@ -143,10 +143,26 @@ type RaceReport struct {
 	Execution int // execution index (0-based) in which the race was first seen
 }
 
-// Key identifies a race for cross-execution deduplication.
-func (r RaceReport) Key() string {
-	return fmt.Sprintf("%s/%v/%v", r.LocName, r.PriorKind, r.Kind)
+// RaceID is a race's cross-execution identity (Section 7.6): the location
+// name and the access-kind pair. It is comparable, so deduplicating by it
+// costs no formatting; Key renders it.
+type RaceID struct {
+	Loc         string
+	Prior, Kind memmodel.Kind
 }
+
+// Key renders the identity as "loc/prior/kind".
+func (id RaceID) Key() string {
+	return fmt.Sprintf("%s/%v/%v", id.Loc, id.Prior, id.Kind)
+}
+
+// ID returns the race's cross-execution identity.
+func (r RaceReport) ID() RaceID {
+	return RaceID{Loc: r.LocName, Prior: r.PriorKind, Kind: r.Kind}
+}
+
+// Key identifies a race for cross-execution deduplication.
+func (r RaceReport) Key() string { return r.ID().Key() }
 
 func (r RaceReport) String() string {
 	return fmt.Sprintf("data race on %s: %v by thread %d vs %v by thread %d",

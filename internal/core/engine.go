@@ -242,11 +242,11 @@ type Engine struct {
 	// included) that Rearm restores.
 	base Config
 
-	// Persistent tool state across executions. seenRaces is keyed by a
-	// comparable struct rather than RaceReport.Key()'s string so the
+	// Persistent tool state across executions. seenRaces is keyed by the
+	// comparable capi.RaceID rather than RaceReport.Key()'s string so the
 	// per-conflict dedup check never formats (and never allocates) on the
 	// hot path.
-	seenRaces map[raceKey]struct{}
+	seenRaces map[capi.RaceID]struct{}
 	execIndex int
 
 	// Per-execution state.
@@ -324,7 +324,7 @@ func New(name string, model MemModel, cfg Config) *Engine {
 		base:      cfg,
 		name:      name,
 		model:     model,
-		seenRaces: map[raceKey]struct{}{},
+		seenRaces: map[capi.RaceID]struct{}{},
 	}
 }
 
@@ -870,14 +870,6 @@ func (e *Engine) LocName(id memmodel.LocID) string {
 	return fmt.Sprintf("loc#%d", id)
 }
 
-// raceKey is the comparable form of capi.RaceReport.Key(): the cross-
-// execution race identity (location name, access-kind pair). Using a struct
-// map key keeps the per-conflict dedup lookup allocation-free.
-type raceKey struct {
-	loc         string
-	prior, kind memmodel.Kind
-}
-
 // reportConflicts converts race-detector conflicts on loc into reports,
 // deduplicating across executions (Section 7.6: races are reported once).
 func (e *Engine) reportConflicts(ts *ThreadState, l *locState, kind memmodel.Kind, conflicts []raceConflict) {
@@ -901,7 +893,7 @@ func (e *Engine) reportConflicts(ts *ThreadState, l *locState, kind memmodel.Kin
 			Execution: e.execIndex,
 		}
 		e.result.Races = append(e.result.Races, r)
-		k := raceKey{loc: l.name, prior: priorKind, kind: kind}
+		k := r.ID()
 		if _, seen := e.seenRaces[k]; !seen {
 			e.seenRaces[k] = struct{}{}
 			e.result.NewRaces = append(e.result.NewRaces, r)

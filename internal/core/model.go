@@ -106,13 +106,14 @@ type C11Model struct {
 	alocPool []*aloc
 
 	// Scratch buffers for the per-operation hot path: the may-read-from
-	// candidate set and the read/write prior sets of Figure 13. Their
-	// lifetimes never overlap with a second use of the same buffer (cands is
-	// live across prior-set computation, and the read and write prior sets
-	// can be live at once inside AtomicRMW, hence three distinct buffers).
-	candBuf []*Action
-	priRBuf []*Action
-	priWBuf []*Action
+	// candidate set, the per-thread prior writes of Figure 13 (priBuf for
+	// the operation's memory order, priFailBuf for a compare-exchange's
+	// failure order when its seq_cst-ness differs) and the write prior set.
+	// All are live at once inside AtomicRMW, hence distinct buffers.
+	candBuf    []*Action
+	priBuf     []*Action
+	priFailBuf []*Action
+	priWBuf    []*Action
 
 	// mo is AppendTotalMO's working set, reused across locations and
 	// executions.
@@ -217,7 +218,9 @@ func (m *C11Model) AtomicStore(t *ThreadState, op *capi.Op) {
 		act.SCIdx = m.e.nextSCIndex()
 		act.CVSnap = m.e.CloneCV(t.C)
 	}
-	pset := m.writePriorSet(t, al, act.MO.IsSeqCst())
+	isSC := op.MO.IsSeqCst()
+	m.priBuf = m.priorWrites(m.priBuf[:0], t, al, isSC)
+	pset := m.writePriorSet(al, isSC, m.priBuf)
 	act.RFCV = StoreRFCV(t, op.MO)
 	act.Node = m.g.NewNode(t.ID, act.Seq, op.Loc)
 	m.addEdges(pset, act.Node)
@@ -231,11 +234,12 @@ func (m *C11Model) AtomicStore(t *ThreadState, op *capi.Op) {
 func (m *C11Model) AtomicLoad(t *ThreadState, op *capi.Op) memmodel.Value {
 	al := m.aloc(op.Loc)
 	cands := m.mayReadFrom(t, al, op.MO, false)
+	m.priBuf = m.priorWrites(m.priBuf[:0], t, al, op.MO.IsSeqCst())
+	pset := m.priBuf
 	for len(cands) > 0 {
 		i := m.e.PickIndex(len(cands))
 		s := cands[i]
-		pset, ok := m.readPriorSet(t, al, op.MO.IsSeqCst(), s)
-		if !ok {
+		if !m.readPriorSet(pset, s) {
 			cands[i] = cands[len(cands)-1]
 			cands = cands[:len(cands)-1]
 			continue
@@ -260,7 +264,13 @@ func (m *C11Model) AtomicLoad(t *ThreadState, op *capi.Op) memmodel.Value {
 func (m *C11Model) AtomicRMW(t *ThreadState, op *capi.Op) (memmodel.Value, bool) {
 	al := m.aloc(op.Loc)
 	isCAS := op.RMW == capi.RMWCas
+	isSC := op.MO.IsSeqCst()
 	cands := m.mayReadFrom(t, al, op.MO, !isCAS)
+	// The prior writes depend on the operation only through its seq_cst-ness,
+	// so a failing compare-exchange shares them unless its failure order
+	// differs in that; that set is computed on the first failing candidate.
+	m.priBuf = m.priorWrites(m.priBuf[:0], t, al, isSC)
+	failPri, haveFailPri := m.priBuf, false
 	for len(cands) > 0 {
 		i := m.e.PickIndex(len(cands))
 		s := cands[i]
@@ -276,12 +286,16 @@ func (m *C11Model) AtomicRMW(t *ThreadState, op *capi.Op) (memmodel.Value, bool)
 			drop()
 			continue
 		}
-		mo := op.MO
+		mo, pset := op.MO, m.priBuf
 		if isCAS && !matches {
 			mo = op.FailMO
+			if !haveFailPri && mo.IsSeqCst() != isSC {
+				m.priFailBuf = m.priorWrites(m.priFailBuf[:0], t, al, mo.IsSeqCst())
+				failPri = m.priFailBuf
+			}
+			pset, haveFailPri = failPri, true
 		}
-		pset, ok := m.readPriorSet(t, al, mo.IsSeqCst(), s)
-		if !ok {
+		if !m.readPriorSet(pset, s) {
 			drop()
 			continue
 		}
@@ -304,7 +318,7 @@ func (m *C11Model) AtomicRMW(t *ThreadState, op *capi.Op) (memmodel.Value, bool)
 		// after migration also carries the read store's outgoing edges.
 		// Reject the candidate if such an edge would close a cycle (the
 		// paper's pseudocode only checks the read prior set).
-		if !m.rmwWriteFeasible(t, al, op.MO.IsSeqCst(), s) {
+		if !m.rmwWriteFeasible(al, isSC, pset, s) {
 			drop()
 			continue
 		}
@@ -312,7 +326,7 @@ func (m *C11Model) AtomicRMW(t *ThreadState, op *capi.Op) (memmodel.Value, bool)
 		act.Seq, act.TID, act.Kind, act.MO = t.opSeq, t.ID, memmodel.KRMW, op.MO
 		act.Loc, act.Value, act.RF = op.Loc, rmwNewValue(op, s.Value), s
 		ApplyLoadClocks(t, op.MO, s)
-		if op.MO.IsSeqCst() {
+		if isSC {
 			act.SCIdx = m.e.nextSCIndex()
 			act.CVSnap = m.e.CloneCV(t.C)
 		}
@@ -323,8 +337,12 @@ func (m *C11Model) AtomicRMW(t *ThreadState, op *capi.Op) (memmodel.Value, bool)
 		act.Node = m.g.NewNode(t.ID, act.Seq, op.Loc)
 		m.addEdges(pset, s.Node)
 		m.g.AddRMWEdge(s.Node, act.Node)
-		wpset := m.writePriorSet(t, al, op.MO.IsSeqCst())
-		m.addEdges(wpset, act.Node)
+		if op.MO.IsAcquire() {
+			// The acquire merged s's clock into t.C, which moves the
+			// hb-before accesses the prior writes are drawn from.
+			m.priBuf = m.priorWrites(m.priBuf[:0], t, al, isSC)
+		}
+		m.addEdges(m.writePriorSet(al, isSC, m.priBuf), act.Node)
 		s.RMWReader = act
 		al.appendStore(act)
 		m.e.TraceAppend(act)
@@ -526,59 +544,64 @@ func (m *C11Model) priorWrite(t *ThreadState, al *aloc, u *ThreadState, fCur *Ac
 	return getWrite(maxSeq(s1, s2, s3, s4))
 }
 
-// readPriorSet implements ReadPriorSet of Figure 13: the set of stores that
-// must be modification-ordered before s if the current load reads from s,
-// and whether establishing the rf edge keeps the constraints satisfiable.
-// The returned slice aliases the model's read-prior scratch buffer and is
-// valid until the next readPriorSet call.
-func (m *C11Model) readPriorSet(t *ThreadState, al *aloc, isSCLoad bool, s *Action) ([]*Action, bool) {
-	fl := t.LastSCFence()
-	pri := m.priRBuf[:0]
+// priorWrites appends every thread's non-nil priorWrite to dst, in thread
+// order. It does not depend on the store being read, so an operation
+// computes it once before trying its may-read-from candidates.
+func (m *C11Model) priorWrites(dst []*Action, t *ThreadState, al *aloc, isSC bool) []*Action {
+	fCur := t.LastSCFence()
 	for _, u := range m.e.threads {
-		if a := m.priorWrite(t, al, u, fl, isSCLoad); a != nil && a != s {
-			pri = append(pri, a)
+		if a := m.priorWrite(t, al, u, fCur, isSC); a != nil {
+			dst = append(dst, a)
 		}
 	}
-	m.priRBuf = pri[:0]
+	return dst
+}
+
+// readPriorSet implements ReadPriorSet of Figure 13 for a load reading from
+// s: the stores that must be modification-ordered before s are the prior
+// writes pri minus s itself (addEdges skips s's own node), and it reports
+// whether establishing the rf edge keeps the constraints satisfiable.
+func (m *C11Model) readPriorSet(pri []*Action, s *Action) bool {
 	for _, a := range pri {
+		if a == s {
+			continue
+		}
 		end := chainEnd(a.Node)
 		if end == s.Node {
 			continue
 		}
 		if m.g.Reachable(s.Node, end) {
-			return nil, false
+			return false
 		}
 	}
-	return pri, true
+	return true
 }
 
 // writePriorSet implements WritePriorSet of Figure 13 for a store that is
-// about to be appended (it is not in the location lists yet). The returned
-// slice aliases the model's write-prior scratch buffer — distinct from the
-// read buffer, because AtomicRMW holds both sets live at once.
-func (m *C11Model) writePriorSet(t *ThreadState, al *aloc, isSC bool) []*Action {
-	fs := t.LastSCFence()
-	pri := m.priWBuf[:0]
+// about to be appended (it is not in the location lists yet): the last
+// seq_cst store when the store is seq_cst, then the prior writes pri. The
+// returned slice aliases the model's write-prior scratch buffer.
+func (m *C11Model) writePriorSet(al *aloc, isSC bool, pri []*Action) []*Action {
+	w := m.priWBuf[:0]
 	if isSC && al.lastSCStore != nil {
-		pri = append(pri, al.lastSCStore)
+		w = append(w, al.lastSCStore)
 	}
-	for _, u := range m.e.threads {
-		if a := m.priorWrite(t, al, u, fs, isSC); a != nil {
-			pri = append(pri, a)
-		}
-	}
-	m.priWBuf = pri[:0]
-	return pri
+	w = append(w, pri...)
+	m.priWBuf = w[:0]
+	return w
 }
 
 // rmwWriteFeasible rejects an RMW read candidate whose write-part edges
 // would close a cycle through the RMW's migrated successors (see AtomicRMW).
-func (m *C11Model) rmwWriteFeasible(t *ThreadState, al *aloc, isSC bool, s *Action) bool {
-	for _, a := range m.writePriorSet(t, al, isSC) {
-		if a == s {
-			continue
+// The write prior set is the last seq_cst store (when isSC) plus pri.
+func (m *C11Model) rmwWriteFeasible(al *aloc, isSC bool, pri []*Action, s *Action) bool {
+	if isSC {
+		if a := al.lastSCStore; a != nil && a != s && m.g.Reachable(s.Node, chainEnd(a.Node)) {
+			return false
 		}
-		if m.g.Reachable(s.Node, chainEnd(a.Node)) {
+	}
+	for _, a := range pri {
+		if a != s && m.g.Reachable(s.Node, chainEnd(a.Node)) {
 			return false
 		}
 	}
