@@ -270,6 +270,10 @@ type Engine struct {
 	choices   uint64 // strategy decisions (PickThread + PickIndex) this execution
 	trace     []*Action
 	burstT    *ThreadState // thread eligible for a store burst
+	// checkDue defers the upkeep (MaxSteps guard, memory limiter) of a step
+	// that granted a thread to the next step's entry, when that thread has
+	// reached its next operation.
+	checkDue bool
 
 	// measureWait mirrors sched.SetMeasureWait across scheduler rebuilds
 	// (Close discards the scheduler; the next Execute makes a fresh one).
@@ -432,9 +436,15 @@ type ExecStats struct {
 	// Choices is the number of strategy decisions made: PickThread calls
 	// plus PickIndex calls routed through Engine.PickIndex.
 	Choices uint64
-	// HandoffWaitNS is the total time the tool goroutine spent waiting for
-	// program threads during scheduler handoffs; 0 unless SetHandoffTiming
-	// enabled the measurement.
+	// Resumes is the number of tool-side thread resumes (sched.Resumes):
+	// spawns, resumes of a granted thread that had parked, and abort unwinds.
+	// In the fiber regime a step that grants the thread running it costs no
+	// resume, so Resumes falls below Steps; in the osthread regime every
+	// granted operation costs one.
+	Resumes uint64
+	// HandoffWaitNS is the total time the tool spent waiting for program
+	// threads during scheduler handoffs, excluding the tool steps a thread
+	// ran inline; 0 unless SetHandoffTiming enabled the measurement.
 	HandoffWaitNS int64
 	// PhaseNS is the per-phase wall time of the execution (indexed by Phase);
 	// all zero unless SetPhaseTiming enabled the measurement. Only the
@@ -448,11 +458,11 @@ type ExecStats struct {
 // execution. Like Trace and FinalValues, it must be read before the next
 // Execute call.
 func (e *Engine) ExecStats() ExecStats {
-	var wait int64
+	st := ExecStats{Steps: e.steps, Choices: e.choices, PhaseNS: e.phases.Durations()}
 	if e.sch != nil {
-		wait = e.sch.WaitNS()
+		st.Resumes, st.HandoffWaitNS = uint64(e.sch.Resumes()), e.sch.WaitNS()
 	}
-	return ExecStats{Steps: e.steps, Choices: e.choices, HandoffWaitNS: wait, PhaseNS: e.phases.Durations()}
+	return st
 }
 
 // SetHandoffTiming toggles the scheduler's handoff-wait measurement for
@@ -504,10 +514,10 @@ func (e *Engine) Execute(p capi.Program, seed int64) (res *capi.Result) {
 		if !ok {
 			panic(r)
 		}
-		// The panic unwound the exploration loop on this goroutine while the
-		// program's threads are still parked awaiting a reply; Abort unwinds
-		// them all, restoring the all-goroutines-finished state the next
-		// resetExecState relies on.
+		// The panic unwound the driver loop (Resume re-raises one a fiber's
+		// inline step recovered) while the program's threads are still
+		// parked; Abort unwinds them all, restoring the all-threads-finished
+		// state the next resetExecState relies on.
 		e.phases.End(PhaseRun)
 		e.result.EngineError = ie
 		e.sch.Abort()
@@ -534,6 +544,7 @@ func (e *Engine) resetExecState(seed int64) {
 	if e.sch == nil {
 		e.sch = sched.New(e.cfg.Sched)
 		e.sch.SetMeasureWait(e.measureWait)
+		e.sch.SetStep(e.step)
 	} else {
 		e.sch.Reset()
 	}
@@ -550,6 +561,7 @@ func (e *Engine) resetExecState(seed int64) {
 	e.choices = 0
 	e.trace = e.trace[:0]
 	e.burstT = nil
+	e.checkDue = false
 	e.actions.reset()
 	e.cvs.Reset()
 	e.rngSeed = seed
@@ -637,45 +649,99 @@ func (e *Engine) spawnThread(name string, fn func(capi.Env), parent *ThreadState
 	return ts
 }
 
-// loop is the Explore procedure of Figure 3: while threads are enabled,
-// select one, select its operation's behaviour, and execute it.
+// loop drives an execution: it resumes the thread the last step granted and
+// takes the next step, until a step ends the execution. In the fiber regime
+// the resumed thread takes the steps itself while they grant it (see
+// sched.Thread.Call) and hands back the choice of the first step that does
+// not; in the osthread regime every step runs here. Deadlock and truncation
+// abort here too: a fiber cannot resume itself to unwind.
 func (e *Engine) loop() {
+	next := e.step()
+	for next != nil {
+		thr, stepped := e.sch.Resume(next)
+		switch {
+		case stepped:
+			next = thr
+		case next.State() == sched.Finished:
+			e.finishThread(e.threads[next.ID])
+			next = e.step()
+		default:
+			next = e.step()
+		}
+	}
+	if e.result.Deadlocked || e.result.Truncated {
+		e.sch.Abort()
+	}
+}
+
+// step is one round of the Explore procedure of Figure 3: select an enabled
+// thread, select its operation's behaviour, and execute it, repeating while
+// the operation blocks. It returns the thread whose operation completed, or
+// nil when the execution is over: every thread finished, a deadlock, or the
+// step limit. The driver calls it, and so does a fiber from
+// sched.Thread.Call.
+func (e *Engine) step() *sched.Thread {
+	if e.checkDue {
+		e.checkDue = false
+		if e.upkeep() {
+			return nil
+		}
+	}
 	for {
-		// Store-burst rule (Section 3): consecutive relaxed/release stores
-		// by the same thread execute without a scheduling decision.
-		var t *ThreadState
-		if e.cfg.StoreBurst && e.burstT != nil && e.schedulable(e.burstT) && isBurstableStore(e.burstT.thr.Pending()) {
-			t = e.burstT
-		} else {
-			ready := e.readyBuf[:0]
-			for _, ts := range e.threads {
-				if e.schedulable(ts) {
-					ready = append(ready, ts)
-				}
-			}
-			e.readyBuf = ready
-			if len(ready) == 0 {
-				if e.sch.AliveCount() == 0 {
-					return
-				}
-				e.result.Deadlocked = true
-				e.sch.Abort()
-				return
-			}
-			t = e.cfg.Strategy.PickThread(ready)
-			e.choices++
+		t := e.pick()
+		if t == nil {
+			return nil
 		}
 		e.dispatch(t)
 		e.steps++
-		if e.steps >= e.cfg.MaxSteps {
-			e.result.Truncated = true
-			e.sch.Abort()
-			return
+		if t.thr.State() == sched.Running {
+			e.checkDue = true
+			return t.thr
 		}
-		if e.cfg.Prune != PruneOff && e.steps%e.cfg.PruneInterval == 0 {
-			e.model.Maintain(e)
+		if e.upkeep() {
+			return nil
 		}
 	}
+}
+
+// pick selects the next thread to dispatch, or returns nil when none is
+// enabled, recording a deadlock if some thread is still alive.
+func (e *Engine) pick() *ThreadState {
+	// Store-burst rule (Section 3): consecutive relaxed/release stores by
+	// the same thread execute without a scheduling decision.
+	if e.cfg.StoreBurst && e.burstT != nil && e.schedulable(e.burstT) && isBurstableStore(e.burstT.thr.Pending()) {
+		return e.burstT
+	}
+	ready := e.readyBuf[:0]
+	for _, ts := range e.threads {
+		if e.schedulable(ts) {
+			ready = append(ready, ts)
+		}
+	}
+	e.readyBuf = ready
+	if len(ready) == 0 {
+		if e.sch.AliveCount() != 0 {
+			e.result.Deadlocked = true
+		}
+		return nil
+	}
+	t := e.cfg.Strategy.PickThread(ready)
+	e.choices++
+	return t
+}
+
+// upkeep runs what is due after a dispatch, once the dispatched thread has
+// settled: it reports whether the MaxSteps livelock guard ends the
+// execution, and otherwise runs the memory limiter when its interval is up.
+func (e *Engine) upkeep() bool {
+	if e.steps >= e.cfg.MaxSteps {
+		e.result.Truncated = true
+		return true
+	}
+	if e.cfg.Prune != PruneOff && e.steps%e.cfg.PruneInterval == 0 {
+		e.model.Maintain(e)
+	}
+	return false
 }
 
 func (e *Engine) schedulable(ts *ThreadState) bool {
@@ -712,13 +778,11 @@ func (e *Engine) nextSCIndex() int {
 	return e.scCount - 1
 }
 
-// complete replies to ts, letting it run to its next operation, and handles
-// thread termination.
+// complete grants ts: its operation is done, and it runs on to its next
+// operation once the step returns it (see loop).
 func (e *Engine) complete(ts *ThreadState) {
 	ts.woken = false
-	if e.sch.Reply(ts.thr) == sched.Finished {
-		e.finishThread(ts)
-	}
+	e.sch.Grant(ts.thr)
 }
 
 // block suspends ts on its current operation; it stays suspended until a

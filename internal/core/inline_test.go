@@ -1,0 +1,234 @@
+package core
+
+import (
+	"errors"
+	"reflect"
+	"strings"
+	"testing"
+
+	"c11tester/internal/capi"
+	"c11tester/internal/memmodel"
+	"c11tester/internal/sched"
+	"c11tester/internal/structures"
+)
+
+// regimeConfigs are the two handoff regimes of the paper's Figure 14.
+var regimeConfigs = []struct {
+	name string
+	cfg  sched.Config
+}{
+	{"fiber", sched.Config{}},
+	{"osthread", sched.Config{LockOSThread: true}},
+}
+
+// loadsProg is a single-thread program of k relaxed loads after the
+// location's allocation: with one thread, every step after the first grants
+// the thread that is running it.
+func loadsProg(k int) capi.Program {
+	return capi.Program{Name: "loads", Run: func(env capi.Env) {
+		x := env.NewAtomic("x", 0)
+		for i := 0; i < k; i++ {
+			env.Load(x, rlx)
+		}
+	}}
+}
+
+func mustBench(t *testing.T, name string) capi.Program {
+	t.Helper()
+	b, err := structures.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.New()
+}
+
+// TestInlineContinuationResumes pins ExecStats.Resumes in both regimes. In the
+// fiber regime a single thread costs one resume to spawn and one to start
+// after the first step, however many operations it issues; in the osthread
+// regime every granted operation costs a resume. On the paper's structures
+// the fiber regime resumes fewer times than it steps, while the steps and
+// results match the osthread regime's.
+func TestInlineContinuationResumes(t *testing.T) {
+	for _, k := range []int{1, 8, 64} {
+		for _, r := range regimeConfigs {
+			eng := newTool(Config{Sched: r.cfg})
+			st := eng.Execute(loadsProg(k), 1)
+			stats := eng.ExecStats()
+			want := uint64(2)
+			if r.cfg.LockOSThread {
+				want = uint64(k + 2)
+			}
+			if stats.Steps != uint64(k+1) || stats.Resumes != want {
+				t.Errorf("%s, %d loads: steps %d, resumes %d; want %d, %d",
+					r.name, k, stats.Steps, stats.Resumes, k+1, want)
+			}
+			if st.Deadlocked || st.Truncated || st.Stats.AtomicOps != uint64(k+1) {
+				t.Errorf("%s, %d loads: result %+v", r.name, k, st)
+			}
+			eng.Close()
+		}
+	}
+
+	fiber := newTool(Config{})
+	osthread := newTool(Config{Sched: sched.Config{LockOSThread: true}})
+	defer fiber.Close()
+	defer osthread.Close()
+	for _, name := range []string{"ms-queue", "seqlock"} {
+		prog := mustBench(t, name)
+		for seed := int64(1); seed <= 20; seed++ {
+			got := poolDigestOf(fiber, fiber.Execute(prog, seed))
+			fs := fiber.ExecStats()
+			want := poolDigestOf(osthread, osthread.Execute(prog, seed))
+			os := osthread.ExecStats()
+			if !reflect.DeepEqual(got, want) || fs.Steps != os.Steps || fs.Choices != os.Choices {
+				t.Fatalf("%s seed %d: fiber %+v (steps %d, choices %d) != osthread %+v (steps %d, choices %d)",
+					name, seed, got, fs.Steps, fs.Choices, want, os.Steps, os.Choices)
+			}
+			if fs.Resumes >= fs.Steps {
+				t.Errorf("%s seed %d: fiber resumes %d, not below its %d steps", name, seed, fs.Resumes, fs.Steps)
+			}
+		}
+	}
+}
+
+// TestHandoffWaitDisjointFromModelWork pins the handoff-wait accounting: the
+// wait (switches and program code) and the race checks are disjoint
+// sub-intervals of the run phase, even though a fiber runs engine steps,
+// race checks included, inside the driver's timed resume.
+func TestHandoffWaitDisjointFromModelWork(t *testing.T) {
+	eng := newTool(Config{})
+	defer eng.Close()
+	eng.SetHandoffTiming(true)
+	eng.SetPhaseTiming(true)
+	for _, name := range []string{"ms-queue", "seqlock", "mcs-lock"} {
+		prog := mustBench(t, name)
+		for seed := int64(1); seed <= 50; seed++ {
+			eng.Execute(prog, seed)
+			st := eng.ExecStats()
+			wait, race, run := st.HandoffWaitNS, st.PhaseNS[PhaseRace], st.PhaseNS[PhaseRun]
+			if wait < 0 || wait+race > run {
+				t.Fatalf("%s seed %d: handoff wait %d ns + race %d ns vs run %d ns; want wait ≥ 0 and the sum ≤ run",
+					name, seed, wait, race, run)
+			}
+		}
+	}
+}
+
+// panickyModel panics with value on the nth atomic load.
+type panickyModel struct {
+	*C11Model
+	loads, n int
+	value    any
+}
+
+func (m *panickyModel) AtomicLoad(t *ThreadState, op *capi.Op) memmodel.Value {
+	if m.loads++; m.loads == m.n {
+		panic(m.value)
+	}
+	return m.C11Model.AtomicLoad(t, op)
+}
+
+// TestInlineStepFailurePaths drives the failure paths of a step that runs on
+// a program thread's fiber. Single-thread programs make every step after the
+// first one inline. An engine failure there must surface exactly as it does
+// from the driver: an infeasible state as EngineError, any other panic out of
+// Execute, truncation and deadlock as result flags; and none of them may pass
+// for a panic of the program, which would retire the worker.
+func TestInlineStepFailurePaths(t *testing.T) {
+	t.Run("infeasible", func(t *testing.T) {
+		fm := &faultyModel{C11Model: NewC11Model()}
+		eng := New("c11tester", fm, Config{StoreBurst: true})
+		defer eng.Close()
+		prog := loadsProg(4)
+		eng.Execute(prog, 1)
+		spawns := eng.WorkerSpawns()
+
+		fm.failLoad, fm.loads = 2, 0
+		res := eng.Execute(prog, 2)
+		var ie *InfeasibleError
+		if !errors.As(res.EngineError, &ie) {
+			t.Fatalf("EngineError = %v, want the injected *InfeasibleError", res.EngineError)
+		}
+		for _, f := range res.AssertFailures {
+			if strings.Contains(f.Message, "panic in thread") {
+				t.Fatalf("engine failure reported as a program panic: %s", f.Message)
+			}
+		}
+		if eng.WorkerSpawns() != spawns || eng.Workers() != 1 {
+			t.Fatalf("recovery retired the worker: spawns %d → %d, %d live", spawns, eng.WorkerSpawns(), eng.Workers())
+		}
+
+		fm.failLoad = 0
+		for seed := int64(3); seed < 8; seed++ {
+			for _, p := range []capi.Program{prog, cleanCrossProg} {
+				fresh := newTool(Config{})
+				want := poolDigestOf(fresh, fresh.Execute(p, seed))
+				wantStats := fresh.ExecStats()
+				fresh.Close()
+				got := poolDigestOf(eng, eng.Execute(p, seed))
+				gotStats := eng.ExecStats()
+				if !reflect.DeepEqual(got, want) || gotStats.Steps != wantStats.Steps || gotStats.Resumes != wantStats.Resumes {
+					t.Fatalf("seed %d %s: after recovery %+v %+v != fresh %+v %+v", seed, p.Name, got, gotStats, want, wantStats)
+				}
+			}
+		}
+		if eng.WorkerSpawns() != spawns+1 {
+			t.Fatalf("clean executions spawned workers: %d → %d (cross program needs one more)", spawns, eng.WorkerSpawns())
+		}
+	})
+
+	t.Run("model-panic", func(t *testing.T) {
+		type bug struct{ detail string }
+		value := &bug{"model bug"}
+		eng := New("c11tester", &panickyModel{C11Model: NewC11Model(), n: 3, value: value}, Config{StoreBurst: true})
+		defer eng.Close()
+		defer func() {
+			if r := recover(); r != value {
+				t.Fatalf("Execute panicked with %v, want the model's own value", r)
+			}
+		}()
+		eng.Execute(loadsProg(4), 1)
+		t.Fatal("a model panic did not propagate out of Execute")
+	})
+
+	t.Run("truncation", func(t *testing.T) {
+		eng := newTool(Config{MaxSteps: 50})
+		defer eng.Close()
+		spin := capi.Program{Name: "spin", Run: func(env capi.Env) {
+			x := env.NewAtomic("x", 0)
+			for {
+				env.Load(x, rlx)
+			}
+		}}
+		for seed := int64(1); seed <= 5; seed++ {
+			res := eng.Execute(spin, seed)
+			if st := eng.ExecStats(); !res.Truncated || st.Steps != 50 || len(res.AssertFailures) != 0 {
+				t.Fatalf("seed %d: truncated %v after %d steps, failures %v; want truncation at 50",
+					seed, res.Truncated, st.Steps, res.AssertFailures)
+			}
+		}
+		if eng.WorkerSpawns() != 1 || eng.Workers() != 1 {
+			t.Fatalf("truncation did not keep the pool warm: %d spawns, %d live", eng.WorkerSpawns(), eng.Workers())
+		}
+	})
+
+	t.Run("self-deadlock", func(t *testing.T) {
+		eng := newTool(Config{})
+		defer eng.Close()
+		relock := capi.Program{Name: "relock", Run: func(env capi.Env) {
+			m := env.NewMutex("m")
+			env.Lock(m)
+			env.Lock(m)
+		}}
+		for seed := int64(1); seed <= 5; seed++ {
+			res := eng.Execute(relock, seed)
+			if !res.Deadlocked || res.Truncated || len(res.AssertFailures) != 0 {
+				t.Fatalf("seed %d: deadlocked %v truncated %v failures %v; want a deadlock",
+					seed, res.Deadlocked, res.Truncated, res.AssertFailures)
+			}
+		}
+		if eng.WorkerSpawns() != 1 || eng.Workers() != 1 {
+			t.Fatalf("deadlock did not keep the pool warm: %d spawns, %d live", eng.WorkerSpawns(), eng.Workers())
+		}
+	})
+}

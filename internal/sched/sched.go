@@ -3,9 +3,19 @@
 //
 // Every thread of the program under test runs on its own worker, but at most
 // one of them executes at a time: a thread runs until its next visible
-// operation, parks itself while handing the operation to the tool, and
-// resumes only when the tool replies. The tool (engine) therefore has full
-// control of the interleaving, exactly like C11Tester's fiber scheduler.
+// operation and hands the operation to the tool, which decides who runs next.
+// The tool (engine) therefore has full control of the interleaving, exactly
+// like C11Tester's fiber scheduler.
+//
+// The tool's driver resumes the thread its last step granted (Resume). In the
+// fiber regime the running thread then takes the tool's steps itself, on its
+// own coroutine (Thread.Call runs the step the tool installed with SetStep):
+// while a step grants the thread that took it, the thread goes straight back
+// to program code with no switch at all, and it parks only when a step
+// chooses another thread, handing that choice to the driver. In the osthread
+// regime every thread parks on every operation and the driver takes each
+// step. Either way one step function decides, so both regimes run the same
+// interleavings.
 //
 // Workers form a pool: a Scheduler creates each worker once and parks it
 // between executions; NewThread re-binds a parked worker to a fresh (name,
@@ -17,10 +27,11 @@
 //
 // The handoff is one of the two regimes the paper's Figure 14 compares:
 //
-//   - fiber (the default): each worker is a coroutine (iter.Pull), and a
-//     handoff is a direct coroutine switch between the tool and the thread
-//     that never passes through the Go run queue — the analogue of
-//     C11Tester's swapcontext fibers;
+//   - fiber (the default): each worker is a coroutine (iter.Pull) that runs
+//     the tool's steps itself, and a handoff is a direct coroutine switch
+//     between the driver and a thread that never passes through the Go run
+//     queue — the analogue of C11Tester's swapcontext fibers. A step that
+//     picks the running thread costs no handoff at all;
 //   - osthread: each worker is a goroutine pinned to its own kernel thread
 //     (LockOSThread) and handoffs go through condition variables, so every
 //     handoff is a real OS context switch — the regime tsan11rec operates
@@ -42,12 +53,15 @@ import (
 type State uint8
 
 const (
-	// Ready means the thread has parked with a pending operation and can be
+	// Ready means the thread has issued a pending operation and can be
 	// scheduled.
 	Ready State = iota
 	// Blocked means the tool has suspended the thread (mutex, cond, join);
-	// it must be woken with Reply after the tool completes its operation.
+	// it stays suspended until the tool completes its operation with Grant.
 	Blocked
+	// Running means the tool granted the thread's operation: the thread runs
+	// on to its next operation (Ready) or the end of its function (Finished).
+	Running
 	// Finished means the thread's function has returned.
 	Finished
 )
@@ -58,6 +72,8 @@ func (s State) String() string {
 		return "ready"
 	case Blocked:
 		return "blocked"
+	case Running:
+		return "running"
 	case Finished:
 		return "finished"
 	}
@@ -115,22 +131,63 @@ type Thread struct {
 // call it.
 func (t *Thread) State() State { return t.state }
 
-// Pending returns the operation the thread is parked on (nil unless Ready).
+// Pending returns the operation the thread is waiting on (nil once granted).
 func (t *Thread) Pending() *capi.Op { return t.pending }
 
-// Call hands op to the tool and parks until the tool replies. It must be
-// called from t's own worker. If the execution is aborting, Call unwinds the
-// thread instead of returning.
+// Call hands op to the tool and returns once the tool has executed it. It
+// must be called from t's own worker. If the execution is aborting, Call
+// unwinds the thread instead of returning.
+//
+// In the fiber regime Call runs the tool's step on t's own coroutine unless
+// the tool is already busy (a thread spawned by a step, for one, parks on its
+// first operation). If the step granted t, Call returns without a switch;
+// otherwise t parks and the driver resumes the thread the step chose. In the
+// osthread regime t always parks and the driver steps.
 func (t *Thread) Call(op *capi.Op) {
-	if t.sched.aborting {
+	s := t.sched
+	if s.aborting {
 		panic(abortSignal{})
 	}
 	t.pending = op
 	t.state = Ready
+	if s.step != nil && !s.busy && s.stepInline(t) {
+		return
+	}
 	t.park()
-	if t.sched.aborting {
+	if s.aborting {
 		panic(abortSignal{})
 	}
+}
+
+// stepInline runs one tool step on t's coroutine and reports whether the step
+// granted t, which then carries on. Otherwise it leaves the step's choice for
+// the driver, to which t's park hands the turn. A panic the step raises is
+// recovered here and re-raised by the driver's Resume: on t's stack it would
+// pass for a panic of the program. The step's time is taken out of the
+// handoff wait, which the enclosing Resume measures, so the wait keeps
+// counting only switches and program code.
+func (s *Scheduler) stepInline(t *Thread) (cont bool) {
+	s.busy = true
+	var t0 time.Time
+	if s.measureWait {
+		t0 = time.Now()
+	}
+	defer func() {
+		if s.measureWait {
+			s.waitNS -= int64(time.Since(t0))
+		}
+		if r := recover(); r != nil {
+			s.chosen, s.stepped, s.stepPanic = nil, true, r
+			cont = false
+		}
+	}()
+	next := s.step()
+	if next == t {
+		s.busy = false
+		return true
+	}
+	s.chosen, s.stepped = next, true
+	return false
 }
 
 // serve is the body of a worker: run the bound function, park as Finished,
@@ -164,7 +221,7 @@ func (t *Thread) runOnce() (retire bool) {
 	return
 }
 
-// park hands the turn back to the tool and returns when the tool resumes t.
+// park hands the turn back to the driver and returns when it resumes t.
 func (t *Thread) park() {
 	if !t.sched.cfg.LockOSThread {
 		t.yield(struct{}{})
@@ -221,10 +278,28 @@ type Scheduler struct {
 	// invariant the pool tests pin.
 	spawns int
 
+	// step is the tool's engine step that Call runs inline (fiber regime
+	// only, see SetStep). busy is set whenever the tool is not inside the
+	// driver's Resume — resetting, spawning the first thread, unwinding, or
+	// already stepping — so a thread started or resumed then parks instead of
+	// stepping. An inline step that chose another thread leaves its choice
+	// (nil: the execution is over) in chosen with stepped set, or the panic
+	// it raised in stepPanic, for Resume to return.
+	step      func() *Thread
+	busy      bool
+	stepped   bool
+	chosen    *Thread
+	stepPanic any
+
+	// resumes counts the execution's tool-side thread resumes: spawns,
+	// driver resumes and abort unwinds.
+	resumes int
+
 	// measureWait, when set, times every resume — the tool-side half of a
 	// handoff, where the tool waits for the program thread to reach its next
-	// visible operation — accumulating into waitNS. Opt-in because it costs
-	// two monotonic clock reads per visible operation; campaign telemetry
+	// visible operation — accumulating into waitNS, and takes the inline
+	// steps a resumed thread runs back out. Opt-in because it costs two
+	// monotonic clock reads per resume and per inline step; campaign telemetry
 	// enables it for a deterministic sample of executions, bare runs not
 	// at all. time.Now/Since never allocate, so the instrumented handoff
 	// stays inside the zero-alloc steady state.
@@ -241,7 +316,7 @@ type Scheduler struct {
 // New returns a scheduler. The same instance is reused across executions via
 // Reset; call Shutdown when discarding it so the pooled workers exit.
 func New(cfg Config) *Scheduler {
-	s := &Scheduler{cfg: cfg}
+	s := &Scheduler{cfg: cfg, busy: true}
 	s.toolCond.L = &s.mu
 	return s
 }
@@ -256,22 +331,39 @@ func (s *Scheduler) Config() Config { return s.cfg }
 func (s *Scheduler) Reset() {
 	s.threads = s.threads[:0]
 	s.aborting = false
+	s.busy = true
 	s.waitNS = 0
+	s.resumes = 0
+}
+
+// SetStep installs the tool's engine step, which a fiber-regime thread runs
+// inline on its own coroutine from Call: the step picks a thread, executes
+// its operation and returns the granted thread (nil when the execution is
+// over). The osthread regime ignores it; its driver takes every step.
+func (s *Scheduler) SetStep(step func() *Thread) {
+	if !s.cfg.LockOSThread {
+		s.step = step
+	}
 }
 
 // SetMeasureWait toggles handoff-wait timing for subsequent executions.
 func (s *Scheduler) SetMeasureWait(on bool) { s.measureWait = on }
 
 // WaitNS returns the accumulated handoff wait of the current (or last)
-// execution: total time the tool goroutine spent resuming program threads
-// until they reached their next visible operation. Zero unless
-// SetMeasureWait enabled timing.
+// execution: total time the tool spent resuming program threads until the
+// turn came back, less the tool steps the threads ran inline meanwhile. Zero
+// unless SetMeasureWait enabled timing.
 func (s *Scheduler) WaitNS() int64 { return s.waitNS }
+
+// Resumes returns the number of tool-side thread resumes of the current (or
+// last) execution: one per spawn, per driver Resume and per thread an abort
+// unwinds. Same-thread continuations inside Call are not resumes.
+func (s *Scheduler) Resumes() int { return s.resumes }
 
 // Threads returns all threads created so far, indexed by TID.
 func (s *Scheduler) Threads() []*Thread { return s.threads }
 
-// Ready appends to dst the threads that are parked with a pending operation.
+// Ready appends to dst the threads that wait with a pending operation.
 func (s *Scheduler) Ready(dst []*Thread) []*Thread {
 	for _, t := range s.threads {
 		if t.state == Ready {
@@ -349,6 +441,7 @@ func (s *Scheduler) NewThread(name string, body func(*Thread)) *Thread {
 // resume runs t until it parks again: on its next visible operation, at the
 // end of its binding, or as its worker exits.
 func (s *Scheduler) resume(t *Thread) {
+	s.resumes++
 	var t0 time.Time
 	if s.measureWait {
 		t0 = time.Now()
@@ -369,8 +462,8 @@ func (s *Scheduler) resume(t *Thread) {
 	}
 }
 
-// Block marks t suspended. The tool must not reply to a blocked thread until
-// it completes the thread's pending operation; Reply wakes it.
+// Block marks t suspended. The tool must not grant a blocked thread until it
+// completes the thread's pending operation.
 func (s *Scheduler) Block(t *Thread) {
 	if t.state != Ready {
 		panic(fmt.Sprintf("sched: blocking %s thread %d", t.state, t.ID))
@@ -378,16 +471,36 @@ func (s *Scheduler) Block(t *Thread) {
 	t.state = Blocked
 }
 
-// Reply resumes t after its pending operation was processed and blocks until
-// t settles again. It returns t's new state (Ready or Finished).
-func (s *Scheduler) Reply(t *Thread) State {
-	if t.state == Finished {
-		panic(fmt.Sprintf("sched: replying to finished thread %d", t.ID))
+// Grant marks t's pending operation as executed: t is Running and may go on
+// to its next operation. Granting resumes nothing. A thread that granted
+// itself from an inline step carries on by itself; any other granted thread
+// runs when the driver resumes it.
+func (s *Scheduler) Grant(t *Thread) {
+	if t.state != Ready && t.state != Blocked {
+		panic(fmt.Sprintf("sched: granting %s thread %d", t.state, t.ID))
 	}
 	t.pending = nil
-	t.state = Blocked // transient until the thread settles
+	t.state = Running
+}
+
+// Resume is the driver's handoff: it runs the granted thread t until the turn
+// comes back — t parked on its next operation, finished, or (fiber regime)
+// took inline steps until one chose another thread. In that last case
+// stepped is true and next is that step's choice, nil when the execution is
+// over; a panic the step raised is re-raised here instead.
+func (s *Scheduler) Resume(t *Thread) (next *Thread, stepped bool) {
+	if t.state != Running {
+		panic(fmt.Sprintf("sched: resuming %s thread %d", t.state, t.ID))
+	}
+	s.busy = false
 	s.resume(t)
-	return t.state
+	s.busy = true
+	next, stepped, r := s.chosen, s.stepped, s.stepPanic
+	s.chosen, s.stepped, s.stepPanic = nil, false, nil
+	if r != nil {
+		panic(r)
+	}
+	return next, stepped
 }
 
 // Abort unwinds every unfinished thread. After Abort returns, all threads

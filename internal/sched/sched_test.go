@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -29,11 +30,126 @@ func drive(t *testing.T, cfg Config, body func(*Thread), pick func([]*Thread) *T
 		op := th.Pending()
 		processed = append(processed, op.Kind)
 		op.Val = memmodel.Value(len(processed))
-		s.Reply(th)
+		reply(s, th)
 	}
 }
 
 func first(ready []*Thread) *Thread { return ready[0] }
+
+// reply is the driver's handoff with no inline step installed: grant th's
+// pending operation and resume th until it settles again.
+func reply(s *Scheduler, th *Thread) State {
+	s.Grant(th)
+	s.Resume(th)
+	return th.State()
+}
+
+// driveInline runs main under an engine-shaped driver with step installed as
+// the inline step: resume the granted thread, take its handed-off choice, or
+// step on the driver when it returns without one.
+func driveInline(s *Scheduler, main func(*Thread), step func() *Thread) {
+	s.SetStep(step)
+	s.NewThread("main", main)
+	next := step()
+	for next != nil {
+		thr, stepped := s.Resume(next)
+		if stepped {
+			next = thr
+		} else {
+			next = step()
+		}
+	}
+}
+
+// TestInlineStepHandoff pins the fiber regime's inline path: a step that
+// chooses another thread parks the caller and hands the choice to the
+// driver, and a thread started inside a step parks on its first operation
+// instead of stepping. (Same-thread continuations are pinned end to end by
+// core's TestInlineContinuationResumes.)
+func TestInlineStepHandoff(t *testing.T) {
+	s := New(Config{})
+	var order []memmodel.TID
+	var last *Thread
+	step := func() *Thread {
+		ready := s.Ready(nil)
+		if len(ready) == 0 {
+			return nil
+		}
+		th := ready[0]
+		if th == last && len(ready) > 1 {
+			th = ready[1]
+		}
+		last = th
+		order = append(order, th.ID)
+		s.Grant(th)
+		return th
+	}
+	var child *Thread
+	driveInline(s, func(th *Thread) {
+		th.Call(&capi.Op{Kind: memmodel.KThreadCreate})
+		th.Call(&capi.Op{Kind: memmodel.KYield})
+		th.Call(&capi.Op{Kind: memmodel.KYield})
+	}, func() *Thread {
+		if child == nil {
+			// A thread started inside a step parks on its first operation
+			// rather than stepping (the scheduler is busy).
+			child = s.NewThread("child", func(th *Thread) {
+				th.Call(&capi.Op{Kind: memmodel.KYield})
+				th.Call(&capi.Op{Kind: memmodel.KYield})
+			})
+			if child.State() != Ready {
+				t.Fatalf("child spawned by a step is %v, want ready", child.State())
+			}
+		}
+		return step()
+	})
+	want := []memmodel.TID{0, 1, 0, 1, 0}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("step order %v, want %v", order, want)
+	}
+	if s.AliveCount() != 0 {
+		t.Fatalf("%d threads alive at the end", s.AliveCount())
+	}
+	s.Shutdown()
+}
+
+// TestInlineStepPanicReachesDriver pins the failure path of an inline step:
+// its panic is re-raised by the driver's Resume — not recorded as a panic of
+// the program thread, whose worker stays pooled — and Abort then unwinds the
+// thread that ran the step.
+func TestInlineStepPanicReachesDriver(t *testing.T) {
+	s := New(Config{})
+	calls := 0
+	s.SetStep(func() *Thread {
+		if calls++; calls == 3 {
+			panic("step failed")
+		}
+		th := s.Threads()[0]
+		s.Grant(th)
+		return th
+	})
+	main := s.NewThread("main", func(th *Thread) {
+		for {
+			th.Call(&capi.Op{Kind: memmodel.KLoad})
+		}
+	})
+	s.Grant(main)
+	func() {
+		defer func() {
+			if r := recover(); r != "step failed" {
+				t.Fatalf("Resume panicked with %v, want the step's panic", r)
+			}
+		}()
+		s.Resume(main)
+		t.Fatal("Resume returned despite the step's panic")
+	}()
+	s.Abort()
+	if main.State() != Finished || main.PanicValue != nil || s.WorkerCount() != 1 {
+		t.Fatalf("after abort: state %v, panic %v, %d workers; want finished, none, 1",
+			main.State(), main.PanicValue, s.WorkerCount())
+	}
+	s.Shutdown()
+}
 
 // regimes are the two handoff regimes of the paper's Figure 14, in its
 // order: user-level switches first, kernel-thread sequencing last.
@@ -99,7 +215,7 @@ func TestBlockAndWake(t *testing.T) {
 	if got := s.Ready(nil); len(got) != 0 {
 		t.Fatal("blocked thread must not be ready")
 	}
-	if st := s.Reply(main); st != Finished {
+	if st := reply(s, main); st != Finished {
 		t.Fatalf("main should have finished, state %v", st)
 	}
 	if len(order) != 1 {
@@ -126,10 +242,10 @@ func TestNestedSpawn(t *testing.T) {
 	if child.State() != Ready || child.ID != 1 {
 		t.Fatalf("child state %v id %d", child.State(), child.ID)
 	}
-	if st := s.Reply(main); st != Finished {
+	if st := reply(s, main); st != Finished {
 		t.Fatalf("main state %v", st)
 	}
-	if st := s.Reply(child); st != Finished {
+	if st := reply(s, child); st != Finished {
 		t.Fatalf("child state %v", st)
 	}
 }
@@ -218,7 +334,7 @@ func TestFiberPoolReusesWorkers(t *testing.T) {
 				})
 			}
 			for _, th := range s.Threads() {
-				s.Reply(th)
+				reply(s, th)
 			}
 		}
 		runOnce()
@@ -266,8 +382,8 @@ func TestShutdownEndsCoroutines(t *testing.T) {
 		t.Fatalf("coroutine goroutines = %d with 4 parked workers, want %d", got, base+4)
 	}
 	// Finish two bindings; the other two stay parked mid-binding.
-	s.Reply(s.Threads()[0])
-	s.Reply(s.Threads()[1])
+	reply(s, s.Threads()[0])
+	reply(s, s.Threads()[1])
 	s.Shutdown()
 	if got := fiberGoroutines(); got != base {
 		t.Fatalf("coroutine goroutines = %d after Shutdown, want baseline %d", got, base)
@@ -310,7 +426,7 @@ func TestWorkerRetiredAfterPanic(t *testing.T) {
 	if s.Spawns() != spawnsAfterPanic+1 {
 		t.Fatalf("replacement worker not spawned: spawns %d → %d", spawnsAfterPanic, s.Spawns())
 	}
-	if st := s.Reply(th2); st != Finished {
+	if st := reply(s, th2); st != Finished {
 		t.Fatalf("clean thread state %v", st)
 	}
 	if got := s.WorkerCount(); got != 1 {
@@ -354,7 +470,7 @@ func TestSchedulerResetRecyclesThreads(t *testing.T) {
 			if th.State() != Ready {
 				t.Fatalf("thread %d state %v, want ready", th.ID, th.State())
 			}
-			if st := s.Reply(th); st != Finished {
+			if st := reply(s, th); st != Finished {
 				t.Fatalf("thread %d state after reply %v, want finished", th.ID, st)
 			}
 		}
