@@ -17,9 +17,9 @@ import (
 // a tool instance's pools, arenas, fiber workers, and program instance are
 // warm, an execution allocates NOTHING — no goroutines, closures, results,
 // race reports, or outcome strings — on every tool × program cell of the
-// standard matrix. testing.AllocsPerRun counts mallocs exactly (unlike the
-// span-granular runtime/metrics counters), so this
-// is the strictest form of the ≤ 64 B/exec acceptance gate.
+// standard matrix. testing.AllocsPerRun counts mallocs exactly (unlike
+// process-wide heap counters, which also see other goroutines), so this is
+// the strictest form of the ≤ 64 B/exec acceptance gate.
 //
 // The measured loop carries the full campaign telemetry instrumentation —
 // pre-bound CellMetrics handles, wall-clock timing, engine exec stats with

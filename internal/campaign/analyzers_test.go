@@ -1,12 +1,16 @@
 package campaign
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"c11tester/internal/analysis"
+	"c11tester/internal/capi"
 	"c11tester/internal/litmus"
+	"c11tester/internal/obs"
 )
 
 // analyzerSpec builds the matrix the analyzer-pipeline tests run: one cell
@@ -181,20 +185,47 @@ func TestAnalyzerShardMergeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTripsFindings pins the FragState leg: in-flight finding
-// state survives a checkpoint encode/decode cycle.
+// TestCheckpointRoundTripsFindings pins the fragment's own encoding, the
+// form checkpoints and shard partials carry: a fragment with every field set
+// survives a JSON encode/decode cycle unchanged. A field left untagged
+// survives too, but one tagged "-" or unexported comes back zero and fails
+// here. Finding ids encode as "analyzer/key" and split at the first "/", so
+// keys that contain one round-trip.
 func TestCheckpointRoundTripsFindings(t *testing.T) {
-	f := &fragment{findings: map[findingID]findingHit{
-		{analyzer: "atomicity", key: "block/b"}:    {desc: "d1", run: 7, count: 3},
-		{analyzer: "sc-robustness", key: "non-sc"}: {desc: "d2", run: 2, count: 1},
-	}}
-	st := fragState(f)
-	if len(st.Findings) != 2 || st.Findings[0].Analyzer != "atomicity" {
-		t.Fatalf("fragState findings = %+v, want 2 sorted entries", st.Findings)
+	f := fragment{
+		Execs: 9, Detected: 4,
+		Ops:      capi.OpStats{AtomicOps: 11, NormalOps: 12},
+		Elapsed:  13 * time.Microsecond,
+		Races:    map[string]raceHit{"race/a": {Desc: "r", Run: 3}},
+		Outcomes: map[string]int{"r0=0": 5}, Forbidden: map[string]int{"r0=1": 2},
+		Weak:   map[string]int{"r0=0": 1},
+		Failed: 1, Failures: []execFailure{{Run: 4, Err: "infeasible"}},
+		GuideTraces: 2, GuidedExecs: 3, PrefixDepth: 14, PrefixConsumed: 15, Divergences: 1,
+		Checked: 6, Skipped: 1, Violations: 1,
+		VioSamples: []execFailure{{Run: 5, Err: "cycle"}},
+		Recorded:   2, RecordErrs: 1,
+		Findings: map[findingID]findingHit{
+			{analyzer: "atomicity", key: "block/b"}:    {Desc: "d1", Run: 7, Count: 3},
+			{analyzer: "sc-robustness", key: "non-sc"}: {Desc: "d2", Run: 2, Count: 1},
+		},
+		Captures: []obs.CaptureRecord{{Tool: "c11tester", Program: "p", Seed: 8, Index: 7, Trigger: "race"}},
 	}
-	back := st.fragment()
-	if !reflect.DeepEqual(back.findings, f.findings) {
-		t.Fatalf("findings did not round-trip: %+v vs %+v", back.findings, f.findings)
+	v := reflect.ValueOf(f)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("fragment.%s is zero: set it so the round trip covers it", v.Type().Field(i).Name)
+		}
+	}
+	data, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back fragment
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, f) {
+		t.Fatalf("fragment did not round-trip through %s:\ngot  %+v\nwant %+v", data, back, f)
 	}
 }
 

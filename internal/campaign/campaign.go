@@ -38,8 +38,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/metrics"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -234,76 +234,89 @@ func (j job) key() cellKey { return cellKey{kind: j.kind, tool: j.tool, cell: j.
 // memory. Rendering happens only on first sight (or an earlier-run upgrade),
 // never in the steady state.
 type raceHit struct {
-	desc string // RaceReport.String() of the winning sighting
-	run  int    // global execution index (seed = SeedBase+run)
+	Desc string `json:"desc"` // RaceReport.String() of the winning sighting
+	Run  int    `json:"run"`  // global execution index (seed = SeedBase+run)
 }
 
 // execFailure is one execution the tool itself aborted (core.InfeasibleError
 // surfaced through capi.Result.EngineError, or an infeasible
 // modification-order lifting hit while validating/recording the execution).
-// Axiom-violation samples reuse it: err is then the first violation.
+// Axiom-violation samples reuse it: Err is then the first violation.
 type execFailure struct {
-	run int // global execution index (seed = SeedBase+run)
-	err string
+	Run int    `json:"run"` // global execution index (seed = SeedBase+run)
+	Err string `json:"err"`
 }
 
 // findingID identifies one deduplicated analyzer finding within a cell —
-// the analyzer's name plus the finding's key (analysis.Finding.Key).
+// the analyzer's name plus the finding's key (analysis.Finding.Key). Its
+// text form, "analyzer/key", keys the findings map in a fragment's JSON.
 type findingID struct {
 	analyzer string
 	key      string
+}
+
+// MarshalText renders the id as "analyzer/key". Analyzer names hold no "/",
+// so the first "/" separates the two even when the key contains one.
+func (id findingID) MarshalText() ([]byte, error) {
+	return []byte(id.analyzer + "/" + id.key), nil
+}
+
+// UnmarshalText parses MarshalText's form.
+func (id *findingID) UnmarshalText(b []byte) error {
+	analyzer, key, ok := strings.Cut(string(b), "/")
+	if !ok {
+		return fmt.Errorf("campaign: finding id %q: want \"analyzer/key\"", b)
+	}
+	id.analyzer, id.key = analyzer, key
+	return nil
 }
 
 // findingHit is a deduplicated analyzer finding: the description of the
 // earliest execution that showed it (the repro winner, like raceHit) plus
 // the number of executions that reproduced it.
 type findingHit struct {
-	desc  string
-	run   int // global execution index of the winner (seed = SeedBase+run)
-	count int
+	Desc  string `json:"desc"`
+	Run   int    `json:"run"` // global execution index of the winner (seed = SeedBase+run)
+	Count int    `json:"count"`
 }
 
 // fragment is the result of one unit of work. Fields are aggregated with
 // order-independent merges only, which is what keeps the campaign
-// deterministic under any worker count.
+// deterministic under any worker count. Its JSON encoding is the form
+// checkpoints and shard partials carry (CellCheckpoint.Frag): maps encode
+// with sorted keys, so the encoding is canonical.
 type fragment struct {
-	execs    int
-	detected int
-	ops      capi.OpStats
-	elapsed  time.Duration
-	races    map[string]raceHit // keyed by RaceReport.Key()
+	Execs    int                `json:"execs"`
+	Detected int                `json:"detected,omitempty"`
+	Ops      capi.OpStats       `json:"ops"`
+	Elapsed  time.Duration      `json:"elapsed_ns,omitempty"`
+	Races    map[string]raceHit `json:"races,omitempty"` // keyed by RaceReport.Key()
 	// litmus only:
-	outcomes  map[string]int
-	forbidden map[string]int // outcome → earliest global execution index
-	weak      map[string]int
-	// engine failures (see execFailure): failed counts them, failures
+	Outcomes  map[string]int `json:"outcomes,omitempty"`
+	Forbidden map[string]int `json:"forbidden,omitempty"` // outcome → earliest global execution index
+	Weak      map[string]int `json:"weak,omitempty"`
+	// engine failures (see execFailure): Failed counts them, Failures
 	// samples the earliest few by run.
-	failed   int
-	failures []execFailure
+	Failed   int           `json:"failed,omitempty"`
+	Failures []execFailure `json:"failures,omitempty"`
 	// guided-exploration statistics (cells running under a PrefixGuide):
-	guideTraces    int // traces guiding the cell
-	guidedExecs    int
-	prefixDepth    int64 // summed intended depths
-	prefixConsumed int64 // summed choices consumed before handoff
-	divergences    int   // executions whose prefix diverged
+	GuideTraces    int   `json:"guide_traces,omitempty"` // traces guiding the cell
+	GuidedExecs    int   `json:"guided_execs,omitempty"`
+	PrefixDepth    int64 `json:"prefix_depth,omitempty"`    // summed intended depths
+	PrefixConsumed int64 `json:"prefix_consumed,omitempty"` // summed choices consumed before handoff
+	Divergences    int   `json:"divergences,omitempty"`     // executions whose prefix diverged
 	// trace/validation duties (Spec.RecordDir / Spec.ValidateAxioms):
-	checked    int
-	skipped    int
-	violations int
-	vioSamples []execFailure // earliest few by run
-	recorded   int
-	recordErrs int
+	Checked    int           `json:"checked,omitempty"`
+	Skipped    int           `json:"skipped,omitempty"`
+	Violations int           `json:"violations,omitempty"`
+	VioSamples []execFailure `json:"vio_samples,omitempty"` // earliest few by run
+	Recorded   int           `json:"recorded,omitempty"`
+	RecordErrs int           `json:"record_errs,omitempty"`
 	// analyzer findings (Spec.Analyzers), deduplicated per (analyzer, key)
 	// with min-run winners; nil when no analyzer stage is composed.
-	findings map[findingID]findingHit
+	Findings map[findingID]findingHit `json:"findings,omitempty"`
 	// flight-recorder captures (Spec.CaptureDir), in execution-index order.
-	captures []obs.CaptureRecord
-	// allocation counters: global heap-allocation deltas observed around
-	// this unit. Under concurrent workers they include other units'
-	// allocations; they are exact at Workers=1 and a regression signal
-	// otherwise (like the wall-clock they sit next to).
-	allocBytes uint64
-	allocObjs  uint64
+	Captures []obs.CaptureRecord `json:"captures,omitempty"`
 }
 
 // maxViolationSamples caps the axiom-violation and engine-failure details
@@ -319,72 +332,70 @@ const maxViolationSamples = 5
 // so any merge order and any grouping of the same executions yield the same
 // fragment.
 func (dst *fragment) merge(src *fragment) {
-	dst.execs += src.execs
-	dst.detected += src.detected
-	dst.ops.Add(src.ops)
-	dst.elapsed += src.elapsed
-	if dst.races == nil {
-		dst.races = map[string]raceHit{}
+	dst.Execs += src.Execs
+	dst.Detected += src.Detected
+	dst.Ops.Add(src.Ops)
+	dst.Elapsed += src.Elapsed
+	if dst.Races == nil {
+		dst.Races = map[string]raceHit{}
 	}
-	for key, hit := range src.races {
-		if cur, seen := dst.races[key]; !seen || hit.run < cur.run {
-			dst.races[key] = hit
-		}
-	}
-	for out, n := range src.outcomes {
-		if dst.outcomes == nil {
-			dst.outcomes = map[string]int{}
-		}
-		dst.outcomes[out] += n
-	}
-	for out, first := range src.forbidden {
-		if dst.forbidden == nil {
-			dst.forbidden = map[string]int{}
-		}
-		if cur, seen := dst.forbidden[out]; !seen || first < cur {
-			dst.forbidden[out] = first
+	for key, hit := range src.Races {
+		if cur, seen := dst.Races[key]; !seen || hit.Run < cur.Run {
+			dst.Races[key] = hit
 		}
 	}
-	for out, n := range src.weak {
-		if dst.weak == nil {
-			dst.weak = map[string]int{}
+	for out, n := range src.Outcomes {
+		if dst.Outcomes == nil {
+			dst.Outcomes = map[string]int{}
 		}
-		dst.weak[out] += n
+		dst.Outcomes[out] += n
 	}
-	dst.failed += src.failed
-	dst.failures = mergeRuns(dst.failures, src.failures, execFailure.runOf, maxViolationSamples)
-	dst.guideTraces = max(dst.guideTraces, src.guideTraces)
-	dst.guidedExecs += src.guidedExecs
-	dst.prefixDepth += src.prefixDepth
-	dst.prefixConsumed += src.prefixConsumed
-	dst.divergences += src.divergences
-	dst.checked += src.checked
-	dst.skipped += src.skipped
-	dst.violations += src.violations
-	dst.vioSamples = mergeRuns(dst.vioSamples, src.vioSamples, execFailure.runOf, maxViolationSamples)
-	dst.recorded += src.recorded
-	dst.recordErrs += src.recordErrs
-	for id, hit := range src.findings {
-		if dst.findings == nil {
-			dst.findings = map[findingID]findingHit{}
+	for out, first := range src.Forbidden {
+		if dst.Forbidden == nil {
+			dst.Forbidden = map[string]int{}
 		}
-		if cur, seen := dst.findings[id]; seen {
-			if hit.run < cur.run {
-				cur.desc, cur.run = hit.desc, hit.run
+		if cur, seen := dst.Forbidden[out]; !seen || first < cur {
+			dst.Forbidden[out] = first
+		}
+	}
+	for out, n := range src.Weak {
+		if dst.Weak == nil {
+			dst.Weak = map[string]int{}
+		}
+		dst.Weak[out] += n
+	}
+	dst.Failed += src.Failed
+	dst.Failures = mergeRuns(dst.Failures, src.Failures, execFailure.runOf, maxViolationSamples)
+	dst.GuideTraces = max(dst.GuideTraces, src.GuideTraces)
+	dst.GuidedExecs += src.GuidedExecs
+	dst.PrefixDepth += src.PrefixDepth
+	dst.PrefixConsumed += src.PrefixConsumed
+	dst.Divergences += src.Divergences
+	dst.Checked += src.Checked
+	dst.Skipped += src.Skipped
+	dst.Violations += src.Violations
+	dst.VioSamples = mergeRuns(dst.VioSamples, src.VioSamples, execFailure.runOf, maxViolationSamples)
+	dst.Recorded += src.Recorded
+	dst.RecordErrs += src.RecordErrs
+	for id, hit := range src.Findings {
+		if dst.Findings == nil {
+			dst.Findings = map[findingID]findingHit{}
+		}
+		if cur, seen := dst.Findings[id]; seen {
+			if hit.Run < cur.Run {
+				cur.Desc, cur.Run = hit.Desc, hit.Run
 			}
-			cur.count += hit.count
-			dst.findings[id] = cur
+			cur.Count += hit.Count
+			dst.Findings[id] = cur
 		} else {
-			dst.findings[id] = hit
+			dst.Findings[id] = hit
 		}
 	}
-	dst.captures = mergeRuns(dst.captures, src.captures, func(c obs.CaptureRecord) int { return c.Index },
-		len(dst.captures)+len(src.captures))
-	dst.allocBytes += src.allocBytes
-	dst.allocObjs += src.allocObjs
+	dst.Captures = mergeRuns(dst.Captures, src.Captures, func(c obs.CaptureRecord) int { return c.Index },
+		len(dst.Captures)+len(src.Captures))
 }
 
-func (f execFailure) runOf() int { return f.run }
+func (f execFailure) runOf() int { return f.Run }
 
 // mergeRuns merges two run-ordered lists into a new one holding at most
 // limit entries, the smallest runs first. Runs never repeat across the two
@@ -403,17 +414,6 @@ func mergeRuns[T any](a, b []T, run func(T) int, limit int) []T {
 		}
 	}
 	return out
-}
-
-// readAllocCounters reads the process-wide heap allocation counters (cheap,
-// no stop-the-world).
-func readAllocCounters() (bytes, objects uint64) {
-	s := []metrics.Sample{
-		{Name: "/gc/heap/allocs:bytes"},
-		{Name: "/gc/heap/allocs:objects"},
-	}
-	metrics.Read(s)
-	return s[0].Value.Uint64(), s[1].Value.Uint64()
 }
 
 // Run executes the campaign and aggregates the results.
@@ -652,7 +652,7 @@ func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]job,
 		})
 		waveExecs := 0
 		for i := base; i < len(frags); i++ {
-			waveExecs += frags[i].execs
+			waveExecs += frags[i].Execs
 		}
 		for gi, g := range grants {
 			if split {
@@ -826,7 +826,7 @@ type cellRunner struct {
 // state runOne's stages use; it may be nil for a runner that never runs an
 // execution through runOne (captureTrace).
 func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunner {
-	r := &cellRunner{spec: spec, j: j, tool: tool, slot: slot, frag: fragment{races: map[string]raceHit{}}}
+	r := &cellRunner{spec: spec, j: j, tool: tool, slot: slot, frag: fragment{Races: map[string]raceHit{}}}
 	switch j.kind {
 	case jobBench:
 		r.bench = spec.Benchmarks[j.cell]
@@ -834,9 +834,9 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 	case jobLitmus:
 		r.test = spec.Litmus[j.cell]
 		r.prog = r.test.Make(&r.out)
-		r.frag.outcomes = map[string]int{}
-		r.frag.forbidden = map[string]int{}
-		r.frag.weak = map[string]int{}
+		r.frag.Outcomes = map[string]int{}
+		r.frag.Forbidden = map[string]int{}
+		r.frag.Weak = map[string]int{}
 	}
 
 	r.eng, _ = r.tool.(*core.Engine)
@@ -856,7 +856,7 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 	if r.eng != nil && spec.Guides != nil {
 		r.guides = spec.Guides.For(spec.Tools[j.tool].Name, r.programName())
 		if len(r.guides) > 0 {
-			r.frag.guideTraces = len(r.guides)
+			r.frag.GuideTraces = len(r.guides)
 			r.pg = trace.NewPrefixGuide(r.eng.Strategy())
 			if spec.GuideMinFrac > 0 {
 				r.pg.MinFrac = spec.GuideMinFrac
@@ -1025,9 +1025,9 @@ func (wt workerTools) close() {
 
 // recordFailure folds one aborted execution into the fragment.
 func (r *cellRunner) recordFailure(i int, err string) {
-	r.frag.failed++
-	if len(r.frag.failures) < maxViolationSamples {
-		r.frag.failures = append(r.frag.failures, execFailure{run: i, err: err})
+	r.frag.Failed++
+	if len(r.frag.Failures) < maxViolationSamples {
+		r.frag.Failures = append(r.frag.Failures, execFailure{Run: i, Err: err})
 	}
 }
 
@@ -1035,7 +1035,6 @@ func (r *cellRunner) recordFailure(i int, err string) {
 // into the fragment. observe, when non-nil, receives each execution's
 // observation in index order (the budget-policy feed).
 func (r *cellRunner) run(lo, hi int, observe func(explore.Obs)) {
-	a0bytes, a0objs := readAllocCounters()
 	start := time.Now()
 	for i := lo; i < hi; i++ {
 		obs := r.runOne(i)
@@ -1043,10 +1042,7 @@ func (r *cellRunner) run(lo, hi int, observe func(explore.Obs)) {
 			observe(obs)
 		}
 	}
-	r.frag.elapsed += time.Since(start)
-	a1bytes, a1objs := readAllocCounters()
-	r.frag.allocBytes += a1bytes - a0bytes
-	r.frag.allocObjs += a1objs - a0objs
+	r.frag.Elapsed += time.Since(start)
 }
 
 // runChunked executes up to budget executions starting at global index lo,
@@ -1099,7 +1095,7 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 		r.flightFail(i)
 		return explore.Obs{}
 	}
-	r.frag.execs++
+	r.frag.Execs++
 	if r.met != nil {
 		r.met.ObserveExec(execDur, r.eng)
 		if len(res.NewRaces) > 0 {
@@ -1108,11 +1104,11 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 	}
 	if r.pg != nil {
 		depth, consumed, diverged := r.pg.Handoff()
-		r.frag.guidedExecs++
-		r.frag.prefixDepth += int64(depth)
-		r.frag.prefixConsumed += int64(consumed)
+		r.frag.GuidedExecs++
+		r.frag.PrefixDepth += int64(depth)
+		r.frag.PrefixConsumed += int64(consumed)
 		if diverged {
-			r.frag.divergences++
+			r.frag.Divergences++
 		}
 	}
 
@@ -1137,9 +1133,9 @@ func (r *cellRunner) stageBench() {
 	res, i := r.x.res, r.x.i
 	hit := r.bench.Signal.Hit(res)
 	if hit {
-		r.frag.detected++
+		r.frag.Detected++
 	}
-	r.frag.ops.Add(res.Stats)
+	r.frag.Ops.Add(res.Stats)
 	recordRaces(&r.frag, &r.slot.keys, res, i)
 	r.x.hit = hit || len(res.Races) > 0
 	r.x.obs.Detected = hit
@@ -1149,21 +1145,21 @@ func (r *cellRunner) stageBench() {
 // forbidden/weak verdicts, and race dedup.
 func (r *cellRunner) stageLitmus() {
 	res, i := r.x.res, r.x.i
-	r.frag.ops.Add(res.Stats)
+	r.frag.Ops.Add(res.Stats)
 	// Litmus programs only touch shared state atomically, so any race
 	// here is a detector soundness bug, not a finding.
 	recordRaces(&r.frag, &r.slot.keys, res, i)
 	forbidden := false
 	if r.out != "" {
-		r.frag.outcomes[r.out]++
+		r.frag.Outcomes[r.out]++
 		if isForbidden(r.test, r.out, r.spec.Tools[r.j.tool].Baseline) {
 			forbidden = true
-			if first, seen := r.frag.forbidden[r.out]; !seen || i < first {
-				r.frag.forbidden[r.out] = i
+			if first, seen := r.frag.Forbidden[r.out]; !seen || i < first {
+				r.frag.Forbidden[r.out] = i
 			}
 		}
 		if r.test.Weak[r.out] {
-			r.frag.weak[r.out]++
+			r.frag.Weak[r.out]++
 		}
 	}
 	r.x.outcome = r.out
@@ -1180,11 +1176,11 @@ func (r *cellRunner) stageLitmus() {
 // recording) to skip this execution.
 func (r *cellRunner) stageValidate() {
 	if r.mo == nil {
-		r.frag.skipped++
+		r.frag.Skipped++
 		return
 	}
 	i := r.x.i
-	r.frag.checked++
+	r.frag.Checked++
 	var vs []axiom.Violation
 	// The engine cannot see the campaign's validation duty, so the
 	// campaign brackets the PhaseValidate span itself, feeding the same
@@ -1201,15 +1197,15 @@ func (r *cellRunner) stageValidate() {
 		// The record stage would hit the same infeasible lifting; if this
 		// execution's trace was owed, count it as dropped.
 		if r.rec != nil && (r.x.hit || r.spec.RecordAll) {
-			r.frag.recordErrs++
+			r.frag.RecordErrs++
 		}
 		return
 	}
 	r.x.lifted = true
 	if len(vs) > 0 {
-		r.frag.violations += len(vs)
-		if len(r.frag.vioSamples) < maxViolationSamples {
-			r.frag.vioSamples = append(r.frag.vioSamples, execFailure{run: i, err: fmt.Sprint(vs[0])})
+		r.frag.Violations += len(vs)
+		if len(r.frag.VioSamples) < maxViolationSamples {
+			r.frag.VioSamples = append(r.frag.VioSamples, execFailure{Run: i, Err: fmt.Sprint(vs[0])})
 		}
 	}
 }
@@ -1257,18 +1253,18 @@ func (r *cellRunner) stageAnalyze() {
 // per (analyzer, key), counts summed — and bumps the analyzer's pre-bound
 // findings counter.
 func (r *cellRunner) addFinding(ca cellAnalyzer, f analysis.Finding) {
-	if r.frag.findings == nil {
-		r.frag.findings = map[findingID]findingHit{}
+	if r.frag.Findings == nil {
+		r.frag.Findings = map[findingID]findingHit{}
 	}
 	id := findingID{analyzer: ca.Name(), key: f.Key}
-	hit, seen := r.frag.findings[id]
+	hit, seen := r.frag.Findings[id]
 	if !seen {
-		hit = findingHit{desc: f.Desc, run: r.x.i}
-	} else if r.x.i < hit.run {
-		hit.desc, hit.run = f.Desc, r.x.i
+		hit = findingHit{Desc: f.Desc, Run: r.x.i}
+	} else if r.x.i < hit.Run {
+		hit.Desc, hit.Run = f.Desc, r.x.i
 	}
-	hit.count++
-	r.frag.findings[id] = hit
+	hit.Count++
+	r.frag.Findings[id] = hit
 	if r.met != nil && ca.ix < len(r.met.Findings) {
 		r.met.Findings[ca.ix].Inc()
 	}
@@ -1298,7 +1294,7 @@ func (r *cellRunner) stageRecord() {
 	if ie != nil {
 		r.observePhase(core.PhaseRecord, rt0)
 		r.recordFailure(i, ie.Error())
-		r.frag.recordErrs++
+		r.frag.RecordErrs++
 		r.x.abort = true
 		return
 	}
@@ -1308,11 +1304,11 @@ func (r *cellRunner) stageRecord() {
 	}
 	r.observePhase(core.PhaseRecord, rt0)
 	if err == nil {
-		r.frag.recorded++
+		r.frag.Recorded++
 	} else {
 		// Counted and surfaced in the summary: a campaign asked to
 		// persist traces must not drop them silently.
-		r.frag.recordErrs++
+		r.frag.RecordErrs++
 	}
 }
 
@@ -1378,8 +1374,8 @@ func recordRaces(frag *fragment, keys *keyIntern, res *capi.Result, run int) {
 	for i := range res.Races {
 		r := &res.Races[i]
 		key := keys.key(r)
-		if hit, seen := frag.races[key]; !seen || run < hit.run {
-			frag.races[key] = raceHit{desc: r.String(), run: run}
+		if hit, seen := frag.Races[key]; !seen || run < hit.Run {
+			frag.Races[key] = raceHit{Desc: r.String(), Run: run}
 		}
 	}
 }

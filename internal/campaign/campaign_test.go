@@ -50,7 +50,7 @@ func benchSpec(t *testing.T, name string) BenchmarkSpec {
 }
 
 // canonicalize strips the fields that legitimately vary run to run — wall
-// clock, per-shard work time, allocation/GC measurements, and everything
+// clock, per-shard work time, GC measurements, and everything
 // derived from them — leaving exactly the aggregates the determinism
 // guarantee covers.
 func canonicalize(s *Summary) *Summary {
@@ -70,7 +70,6 @@ func canonicalize(s *Summary) *Summary {
 		ts := &c.Tools[i]
 		ts.WorkNS = 0
 		ts.ExecsPerSec = 0
-		ts.Perf = ToolPerf{}
 		ts.Benchmarks = append([]CellSummary(nil), ts.Benchmarks...)
 		for j := range ts.Benchmarks {
 			ts.Benchmarks[j].Detection.MeanTimeNS = 0
@@ -745,7 +744,7 @@ func TestRaceKeysOf(t *testing.T) {
 		}
 	}
 
-	frag := fragment{races: map[string]raceHit{}}
+	frag := fragment{Races: map[string]raceHit{}}
 	for _, e := range []struct {
 		run   int
 		races []capi.RaceReport
@@ -759,11 +758,11 @@ func TestRaceKeysOf(t *testing.T) {
 		recordRaces(&frag, &keys, &capi.Result{Races: e.races}, e.run)
 	}
 	want := map[string]raceHit{
-		a.Key(): {desc: a2.String(), run: 3},
-		b.Key(): {desc: b2.String(), run: 2},
-		c.Key(): {desc: c.String(), run: 7},
+		a.Key(): {Desc: a2.String(), Run: 3},
+		b.Key(): {Desc: b2.String(), Run: 2},
+		c.Key(): {Desc: c.String(), Run: 7},
 	}
-	if !reflect.DeepEqual(frag.races, want) {
-		t.Errorf("recordRaces = %+v, want %+v", frag.races, want)
+	if !reflect.DeepEqual(frag.Races, want) {
+		t.Errorf("recordRaces = %+v, want %+v", frag.Races, want)
 	}
 }

@@ -89,7 +89,7 @@ func (r *cellRunner) capture(trig obs.Trigger, d obs.ExecDigest, raceKeys []stri
 	} else {
 		rec.File = file
 	}
-	r.frag.captures = append(r.frag.captures, rec)
+	r.frag.Captures = append(r.frag.Captures, rec)
 }
 
 // captureTrace re-runs one seed with a trace recorder attached and writes the
@@ -157,7 +157,7 @@ func captureManifest(frags []fragment) *obs.Manifest {
 	m := obs.NewManifest()
 	m.Captures = []obs.CaptureRecord{}
 	for i := range frags {
-		m.Captures = append(m.Captures, frags[i].captures...)
+		m.Captures = append(m.Captures, frags[i].Captures...)
 	}
 	m.Sort()
 	return m

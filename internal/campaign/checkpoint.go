@@ -22,11 +22,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"c11tester/internal/explore"
-	"c11tester/internal/harness"
-	"c11tester/internal/obs"
 	"c11tester/internal/safeio"
 	"c11tester/internal/trace"
 )
@@ -144,10 +141,14 @@ func SpecDigest(spec Spec) string {
 	return fmt.Sprintf("%x", sha256.Sum256(b))
 }
 
-// Schema identifiers of the serialized checkpoint.
+// Schema identifiers of the serialized checkpoint. Version 2 carries
+// violation samples with their runs and the guide-trace count. Version 3
+// carries each cell's fragment in the fragment's own JSON encoding: races and
+// findings are objects keyed by race key and "analyzer/key", op counts sit
+// under "ops", and the per-unit allocation counters are gone.
 const (
 	CheckpointSchemaName    = "c11tester/checkpoint"
-	CheckpointSchemaVersion = 2
+	CheckpointSchemaVersion = 3
 )
 
 // Checkpoint is the wave-barrier state of a campaign: everything a resumed
@@ -189,141 +190,7 @@ type CellCheckpoint struct {
 	Stopped bool   `json:"stopped,omitempty"`
 
 	Tracker *explore.TrackerSnapshot `json:"tracker,omitempty"`
-	Frag    FragState                `json:"frag"`
-}
-
-// RaceState is one deduplicated race of a checkpointed fragment.
-type RaceState struct {
-	Key  string `json:"key"`
-	Desc string `json:"desc"`
-	Run  int    `json:"run"`
-}
-
-// FailureState is one sampled engine failure or axiom violation of a
-// checkpointed fragment.
-type FailureState struct {
-	Run int    `json:"run"`
-	Err string `json:"err"`
-}
-
-// FindingState is one deduplicated analyzer finding of a checkpointed
-// fragment (schema v7 campaigns).
-type FindingState struct {
-	Analyzer string `json:"analyzer"`
-	Key      string `json:"key"`
-	Desc     string `json:"desc"`
-	Run      int    `json:"run"`
-	Count    int    `json:"count"`
-}
-
-// FragState is the serialized form of a cell's merged result fragment —
-// field-for-field the unexported fragment type, with races flattened to a
-// key-sorted list so the encoding is canonical. Version 2 carries violation
-// samples with their runs and the guide-trace count.
-type FragState struct {
-	Execs          int                 `json:"execs"`
-	Detected       int                 `json:"detected,omitempty"`
-	AtomicOps      uint64              `json:"atomic_ops,omitempty"`
-	NormalOps      uint64              `json:"normal_ops,omitempty"`
-	ElapsedNS      int64               `json:"elapsed_ns,omitempty"`
-	Races          []RaceState         `json:"races,omitempty"`
-	Outcomes       map[string]int      `json:"outcomes,omitempty"`
-	Forbidden      map[string]int      `json:"forbidden,omitempty"`
-	Weak           map[string]int      `json:"weak,omitempty"`
-	Failed         int                 `json:"failed,omitempty"`
-	Failures       []FailureState      `json:"failures,omitempty"`
-	GuideTraces    int                 `json:"guide_traces,omitempty"`
-	GuidedExecs    int                 `json:"guided_execs,omitempty"`
-	PrefixDepth    int64               `json:"prefix_depth,omitempty"`
-	PrefixConsumed int64               `json:"prefix_consumed,omitempty"`
-	Divergences    int                 `json:"divergences,omitempty"`
-	Checked        int                 `json:"checked,omitempty"`
-	Skipped        int                 `json:"skipped,omitempty"`
-	Violations     int                 `json:"violations,omitempty"`
-	VioSamples     []FailureState      `json:"vio_samples,omitempty"`
-	Recorded       int                 `json:"recorded,omitempty"`
-	RecordErrs     int                 `json:"record_errs,omitempty"`
-	Captures       []obs.CaptureRecord `json:"captures,omitempty"`
-	AllocBytes     uint64              `json:"alloc_bytes,omitempty"`
-	AllocObjs      uint64              `json:"alloc_objs,omitempty"`
-	Findings       []FindingState      `json:"findings,omitempty"`
-}
-
-// fragState serializes a merged fragment.
-func fragState(f *fragment) FragState {
-	s := FragState{
-		Execs: f.execs, Detected: f.detected,
-		AtomicOps: f.ops.AtomicOps, NormalOps: f.ops.NormalOps,
-		ElapsedNS: int64(f.elapsed),
-		Outcomes:  f.outcomes, Forbidden: f.forbidden, Weak: f.weak,
-		Failed:      f.failed,
-		GuideTraces: f.guideTraces, GuidedExecs: f.guidedExecs,
-		PrefixDepth: f.prefixDepth, PrefixConsumed: f.prefixConsumed,
-		Divergences: f.divergences,
-		Checked:     f.checked, Skipped: f.skipped, Violations: f.violations,
-		Failures: failureStates(f.failures), VioSamples: failureStates(f.vioSamples),
-		Recorded: f.recorded, RecordErrs: f.recordErrs,
-		Captures:   f.captures,
-		AllocBytes: f.allocBytes, AllocObjs: f.allocObjs,
-	}
-	for _, key := range harness.SortedKeys(f.races) {
-		hit := f.races[key]
-		s.Races = append(s.Races, RaceState{Key: key, Desc: hit.desc, Run: hit.run})
-	}
-	for _, id := range sortedFindingIDs(f.findings) {
-		hit := f.findings[id]
-		s.Findings = append(s.Findings, FindingState{Analyzer: id.analyzer,
-			Key: id.key, Desc: hit.desc, Run: hit.run, Count: hit.count})
-	}
-	return s
-}
-
-// fragment rebuilds the in-memory fragment a FragState serialized.
-func (s *FragState) fragment() fragment {
-	f := fragment{
-		execs: s.Execs, detected: s.Detected,
-		elapsed:  time.Duration(s.ElapsedNS),
-		races:    map[string]raceHit{},
-		outcomes: s.Outcomes, forbidden: s.Forbidden, weak: s.Weak,
-		failed:      s.Failed,
-		guideTraces: s.GuideTraces, guidedExecs: s.GuidedExecs,
-		prefixDepth: s.PrefixDepth, prefixConsumed: s.PrefixConsumed,
-		divergences: s.Divergences,
-		checked:     s.Checked, skipped: s.Skipped, violations: s.Violations,
-		failures: execFailures(s.Failures), vioSamples: execFailures(s.VioSamples),
-		recorded: s.Recorded, recordErrs: s.RecordErrs,
-		captures:   s.Captures,
-		allocBytes: s.AllocBytes, allocObjs: s.AllocObjs,
-	}
-	f.ops.AtomicOps = s.AtomicOps
-	f.ops.NormalOps = s.NormalOps
-	for _, r := range s.Races {
-		f.races[r.Key] = raceHit{desc: r.Desc, run: r.Run}
-	}
-	for _, fd := range s.Findings {
-		if f.findings == nil {
-			f.findings = map[findingID]findingHit{}
-		}
-		f.findings[findingID{analyzer: fd.Analyzer, key: fd.Key}] =
-			findingHit{desc: fd.Desc, run: fd.Run, count: fd.Count}
-	}
-	return f
-}
-
-func failureStates(fs []execFailure) []FailureState {
-	var out []FailureState
-	for _, fl := range fs {
-		out = append(out, FailureState{Run: fl.run, Err: fl.err})
-	}
-	return out
-}
-
-func execFailures(fs []FailureState) []execFailure {
-	var out []execFailure
-	for _, fl := range fs {
-		out = append(out, execFailure{run: fl.Run, err: fl.Err})
-	}
-	return out
+	Frag    fragment                 `json:"frag"`
 }
 
 const (
@@ -365,7 +232,7 @@ func checkpointCells(spec Spec, cells []cellFold, plans []*cellPlan) []CellCheck
 		cc := CellCheckpoint{
 			Kind: kindName(k.kind), Tool: k.tool, Cell: k.cell,
 			ToolRef: spec.Tools[k.tool].Name, Program: spec.programOf(k),
-			Used: cells[i].hi, Frag: fragState(&cells[i].frag),
+			Used: cells[i].hi, Frag: cells[i].frag,
 		}
 		if plans != nil {
 			p := plans[i]
@@ -456,7 +323,7 @@ func restore(c *Checkpoint, plans []*cellPlan) ([]job, []fragment) {
 		}
 		if cc.Used > 0 {
 			jobs = append(jobs, job{kind: p.kind, tool: p.tool, cell: p.cell, lo: 0, hi: cc.Used})
-			frags = append(frags, cc.Frag.fragment())
+			frags = append(frags, cc.Frag)
 		}
 	}
 	return jobs, frags

@@ -238,11 +238,11 @@ func TestShardMergeByteIdentical(t *testing.T) {
 // five smallest runs, whichever fragment they came from.
 func TestFragmentMergeOrderIndependent(t *testing.T) {
 	exec := func(run int) *fragment {
-		return &fragment{execs: 1, failed: 1, violations: 1, guideTraces: 2,
-			races:      map[string]raceHit{fmt.Sprintf("race%d", run%3): {desc: fmt.Sprint(run), run: run}},
-			failures:   []execFailure{{run: run, err: fmt.Sprintf("fail %d", run)}},
-			vioSamples: []execFailure{{run: run, err: fmt.Sprintf("vio %d", run)}},
-			captures:   []obs.CaptureRecord{{Seed: int64(run), Index: run}},
+		return &fragment{Execs: 1, Failed: 1, Violations: 1, GuideTraces: 2,
+			Races:      map[string]raceHit{fmt.Sprintf("race%d", run%3): {Desc: fmt.Sprint(run), Run: run}},
+			Failures:   []execFailure{{Run: run, Err: fmt.Sprintf("fail %d", run)}},
+			VioSamples: []execFailure{{Run: run, Err: fmt.Sprintf("vio %d", run)}},
+			Captures:   []obs.CaptureRecord{{Seed: int64(run), Index: run}},
 		}
 	}
 	unit := func(runs ...int) fragment {
@@ -261,14 +261,14 @@ func TestFragmentMergeOrderIndependent(t *testing.T) {
 	ba.merge(&aPart)
 	serial := unit(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
 
-	want := fragState(&serial)
-	if got := fragState(&ab); !reflect.DeepEqual(got, want) {
-		t.Errorf("a.merge(b) = %+v\nwant %+v", got, want)
+	want := serial
+	if !reflect.DeepEqual(ab, want) {
+		t.Errorf("a.merge(b) = %+v\nwant %+v", ab, want)
 	}
-	if got := fragState(&ba); !reflect.DeepEqual(got, want) {
-		t.Errorf("b.merge(a) = %+v\nwant %+v", got, want)
+	if !reflect.DeepEqual(ba, want) {
+		t.Errorf("b.merge(a) = %+v\nwant %+v", ba, want)
 	}
-	runs := func(fs []FailureState) []int {
+	runs := func(fs []execFailure) []int {
 		var out []int
 		for _, f := range fs {
 			out = append(out, f.Run)
@@ -589,6 +589,51 @@ func TestLoadCheckpointCorrupt(t *testing.T) {
 	}
 	if _, err := LoadCheckpoint(wrong); err == nil {
 		t.Error("foreign schema accepted as a checkpoint")
+	}
+}
+
+// TestStaleCheckpointRefused pins that a checkpoint of the previous schema
+// version is refused with a named error, both by LoadCheckpoint and by
+// -resume, rather than being taken for a missing file and silently
+// restarted from scratch.
+func TestStaleCheckpointRefused(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ck.json")
+	spec := Spec{
+		Tools:          []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
+		Benchmarks:     []BenchmarkSpec{benchSpec(t, "ms-queue")},
+		Runs:           4,
+		CheckpointPath: path,
+	}
+	Run(spec)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw["schema_version"] = CheckpointSchemaVersion - 1
+	stale := filepath.Join(dir, "stale.json")
+	if data, err = json.Marshal(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stale, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("resumes only version %d", CheckpointSchemaVersion)
+	if _, err := LoadCheckpoint(stale); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("LoadCheckpoint(stale) = %v, want an error naming %q", err, want)
+	}
+	var warn strings.Builder
+	resumed := spec
+	err = CrashFlags{Resume: stale}.Apply(&resumed, "", &warn)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("-resume of a stale checkpoint: err = %v, want an error naming %q", err, want)
+	}
+	if resumed.Resume != nil || strings.Contains(warn.String(), "starting fresh") {
+		t.Errorf("-resume of a stale checkpoint started fresh (warnings %q)", warn.String())
 	}
 }
 

@@ -83,8 +83,7 @@ func MergeSummaries(parts []*Summary, force bool) (*Summary, error) {
 	cells := make([]cellFold, ncells)
 	for _, p := range sorted {
 		for c := range p.Shard.Cells {
-			f := p.Shard.Cells[c].Frag.fragment()
-			cells[c].frag.merge(&f)
+			cells[c].frag.merge(&p.Shard.Cells[c].Frag)
 		}
 	}
 	// Timing and phase histograms are telemetry, not fragment state: they

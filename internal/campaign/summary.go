@@ -54,9 +54,15 @@ import (
 // v8: the rng-source echo ("rng" in the spec): campaigns name the random
 // source their decision streams were drawn from ("pcg", the splitmix-seeded
 // PCG subsystem, or "legacy", math/rand — reproduces pre-v8 artifacts).
+//
+// v9: perf removed; shard cells carry the fragment's own encoding. The
+// per-tool "perf" block is gone (it measured process-wide heap deltas, so
+// concurrent workers charged each other's allocations; the campaign-level
+// "gc" block stays). The shard header's cells hold each cell's fragment in
+// checkpoint v3's encoding.
 const (
 	SchemaName    = "c11tester/campaign"
-	SchemaVersion = 8
+	SchemaVersion = 9
 )
 
 // SpecInfo echoes the campaign parameters into the summary, making every
@@ -196,16 +202,6 @@ type LitmusSummary struct {
 	Phases map[string]*obs.HistogramSnapshot `json:"phases,omitempty"`
 }
 
-// ToolPerf carries the allocation counters of one tool's campaign: global
-// heap-allocation deltas summed over the tool's shards. Exact at Workers=1;
-// under concurrent workers they include co-scheduled shards' allocations and
-// serve as a regression signal, like the shard wall-clock they accompany.
-type ToolPerf struct {
-	AllocBytes   uint64  `json:"alloc_bytes"`
-	AllocObjects uint64  `json:"alloc_objects"`
-	BytesPerExec float64 `json:"bytes_per_exec"`
-}
-
 // ValidationSummary reports the per-tool axiomatic-validation results of a
 // -validate campaign: how many executions were checked against the Appendix
 // A model, how many were skipped (the tool's memory model exposes no total
@@ -266,8 +262,6 @@ type ToolSummary struct {
 	AtomicOps   uint64  `json:"atomic_ops"`
 	NormalOps   uint64  `json:"normal_ops"`
 
-	// Perf carries the allocation counters (schema v2).
-	Perf ToolPerf `json:"perf"`
 	// Validation is present when the campaign ran with ValidateAxioms.
 	Validation *ValidationSummary `json:"validation,omitempty"`
 	// RecordedTraces counts the trace files this tool persisted (RecordDir);
@@ -450,8 +444,8 @@ func aggregate(m summaryMeta, cells []cellFold, budgets map[cellKey]*BudgetSumma
 		addRaces := func(dst map[string]toolRace, cellIdx int, program string, inLitmus bool, races map[string]raceHit) {
 			for key, hit := range races {
 				cand := toolRace{summary: harness.RaceSummary{Key: key,
-					Description: hit.desc, Repro: repro(program, inLitmus, hit.run)},
-					cell: cellIdx, run: hit.run}
+					Description: hit.Desc, Repro: repro(program, inLitmus, hit.Run)},
+					cell: cellIdx, run: hit.Run}
 				if cur, seen := dst[key]; !seen ||
 					cand.cell < cur.cell || (cand.cell == cur.cell && cand.run < cur.run) {
 					dst[key] = cand
@@ -474,45 +468,43 @@ func aggregate(m summaryMeta, cells []cellFold, budgets map[cellKey]*BudgetSumma
 		// and their samples are already in run order, so every capped list
 		// is deterministic.
 		addCell := func(cellIdx int, program string, inLitmus bool, f *fragment) {
-			for _, id := range sortedFindingIDs(f.findings) {
-				hit := f.findings[id]
-				r := repro(program, inLitmus, hit.run)
+			for _, id := range sortedFindingIDs(f.Findings) {
+				hit := f.Findings[id]
+				r := repro(program, inLitmus, hit.Run)
 				r.Flags = strings.TrimSpace(r.Flags + " -analyzers " + id.analyzer)
 				toolFindings = append(toolFindings, toolFinding{
 					summary: FindingSummary{Analyzer: id.analyzer, Key: id.key,
-						Description: hit.desc, Program: program, Litmus: inLitmus,
-						Count: hit.count, Repro: r},
+						Description: hit.Desc, Program: program, Litmus: inLitmus,
+						Count: hit.Count, Repro: r},
 					cell: cellIdx})
 			}
-			ts.EngineFailures += f.failed
-			for _, fl := range f.failures {
+			ts.EngineFailures += f.Failed
+			for _, fl := range f.Failures {
 				if len(ts.FailureSamples) >= maxViolationSamples {
 					break
 				}
 				ts.FailureSamples = append(ts.FailureSamples,
-					EngineFailure{Error: fl.err, Repro: repro(program, inLitmus, fl.run)})
+					EngineFailure{Error: fl.Err, Repro: repro(program, inLitmus, fl.Run)})
 			}
-			for _, s := range f.vioSamples {
+			for _, s := range f.VioSamples {
 				if len(val.Samples) >= maxViolationSamples {
 					break
 				}
 				val.Samples = append(val.Samples, fmt.Sprintf("%s/%s seed %d: %s",
-					tool, program, info.SeedBase+int64(s.run), s.err))
+					tool, program, info.SeedBase+int64(s.Run), s.Err))
 			}
-			val.Checked += f.checked
-			val.Skipped += f.skipped
-			val.Violations += f.violations
-			ts.Execs += f.execs
-			ts.WorkNS += int64(f.elapsed)
-			ts.AtomicOps += f.ops.AtomicOps
-			ts.NormalOps += f.ops.NormalOps
-			ts.Perf.AllocBytes += f.allocBytes
-			ts.Perf.AllocObjects += f.allocObjs
-			ts.RecordedTraces += f.recorded
-			ts.RecordErrors += f.recordErrs
-			ts.Captures += len(f.captures)
-			for i := range f.captures {
-				if f.captures[i].Err != "" {
+			val.Checked += f.Checked
+			val.Skipped += f.Skipped
+			val.Violations += f.Violations
+			ts.Execs += f.Execs
+			ts.WorkNS += int64(f.Elapsed)
+			ts.AtomicOps += f.Ops.AtomicOps
+			ts.NormalOps += f.Ops.NormalOps
+			ts.RecordedTraces += f.Recorded
+			ts.RecordErrors += f.RecordErrs
+			ts.Captures += len(f.Captures)
+			for i := range f.Captures {
+				if f.Captures[i].Err != "" {
 					ts.CaptureErrors++
 				}
 			}
@@ -522,23 +514,23 @@ func aggregate(m summaryMeta, cells []cellFold, budgets map[cellKey]*BudgetSumma
 			k := cellKey{kind: jobBench, tool: t, cell: b}
 			f := &cells[k.index(nb, nl)].frag
 			meanTime := time.Duration(0)
-			if f.execs > 0 {
-				meanTime = f.elapsed / time.Duration(f.execs)
+			if f.Execs > 0 {
+				meanTime = f.Elapsed / time.Duration(f.Execs)
 			}
 			cell := CellSummary{
 				Program: program,
 				Detection: harness.Detection{
-					Runs: f.execs, Detected: f.detected,
-					Time: meanTime, Ops: f.ops,
+					Runs: f.Execs, Detected: f.Detected,
+					Time: meanTime, Ops: f.Ops,
 				}.Summary(),
-				RaceKeys: harness.SortedKeys(f.races),
+				RaceKeys: harness.SortedKeys(f.Races),
 				Budget:   budgets[k],
 				Guided:   guideStatsOf(f),
-				Failed:   f.failed,
+				Failed:   f.Failed,
 			}
 			cell.Timing, cell.Phases = m.hists(k)
 			ts.Benchmarks = append(ts.Benchmarks, cell)
-			addRaces(toolRaces, b, program, false, f.races)
+			addRaces(toolRaces, b, program, false, f.Races)
 			addCell(b, program, false, f)
 		}
 		for _, key := range harness.SortedKeys(toolRaces) {
@@ -549,28 +541,28 @@ func aggregate(m summaryMeta, cells []cellFold, budgets map[cellKey]*BudgetSumma
 		for l, test := range info.Litmus {
 			k := cellKey{kind: jobLitmus, tool: t, cell: l}
 			f := &cells[k.index(nb, nl)].frag
-			outcomes := f.outcomes
+			outcomes := f.Outcomes
 			if outcomes == nil {
 				outcomes = map[string]int{}
 			}
 			ls := LitmusSummary{
-				Test: test, Execs: f.execs,
+				Test: test, Execs: f.Execs,
 				Outcomes:    outcomes,
-				WeakSeen:    harness.SortedKeys(f.weak),
+				WeakSeen:    harness.SortedKeys(f.Weak),
 				WeakDefined: m.weakDefined[l],
 				Budget:      budgets[k],
 				Guided:      guideStatsOf(f),
-				Failed:      f.failed,
+				Failed:      f.Failed,
 			}
 			ls.Timing, ls.Phases = m.hists(k)
-			for _, out := range harness.SortedKeys(f.forbidden) {
+			for _, out := range harness.SortedKeys(f.Forbidden) {
 				ls.ForbiddenSeen = append(ls.ForbiddenSeen, ForbiddenOutcome{
 					Test: test, Outcome: out, Count: outcomes[out],
-					Repro: repro(test, true, f.forbidden[out]),
+					Repro: repro(test, true, f.Forbidden[out]),
 				})
 			}
 			ts.Litmus = append(ts.Litmus, ls)
-			addRaces(unexpected, l, test, true, f.races)
+			addRaces(unexpected, l, test, true, f.Races)
 			addCell(nb+l, test, true, f)
 		}
 		for _, key := range harness.SortedKeys(unexpected) {
@@ -603,9 +595,6 @@ func aggregate(m summaryMeta, cells []cellFold, budgets map[cellKey]*BudgetSumma
 			ts.Analyzers = append(ts.Analyzers, as)
 		}
 		ts.ExecsPerSec = harness.ExecsPerSec(ts.Execs, time.Duration(ts.WorkNS))
-		if ts.Execs > 0 {
-			ts.Perf.BytesPerExec = float64(ts.Perf.AllocBytes) / float64(ts.Execs)
-		}
 		if info.Validate {
 			ts.Validation = &val
 		}
@@ -615,7 +604,7 @@ func aggregate(m summaryMeta, cells []cellFold, budgets map[cellKey]*BudgetSumma
 }
 
 // sortedFindingIDs orders a findings map by (analyzer, key), the iteration
-// order every consumer (aggregate, checkpoint, events) uses.
+// order every consumer (aggregate, events) uses.
 func sortedFindingIDs(m map[findingID]findingHit) []findingID {
 	ids := make([]findingID, 0, len(m))
 	for id := range m {
@@ -633,18 +622,18 @@ func sortedFindingIDs(m map[findingID]findingHit) []findingID {
 // guideStatsOf renders a cell's guided-exploration statistics, or nil when
 // the cell did not run guided.
 func guideStatsOf(f *fragment) *GuideStats {
-	if f.guideTraces == 0 || f.guidedExecs == 0 {
+	if f.GuideTraces == 0 || f.GuidedExecs == 0 {
 		return nil
 	}
-	n := float64(f.guidedExecs)
+	n := float64(f.GuidedExecs)
 	return &GuideStats{
-		Traces:          f.guideTraces,
-		GuidedExecs:     f.guidedExecs,
-		MeanPrefixDepth: float64(f.prefixDepth) / n,
-		MeanConsumed:    float64(f.prefixConsumed) / n,
-		Divergences:     f.divergences,
-		PrefixDepthSum:  f.prefixDepth,
-		ConsumedSum:     f.prefixConsumed,
+		Traces:          f.GuideTraces,
+		GuidedExecs:     f.GuidedExecs,
+		MeanPrefixDepth: float64(f.PrefixDepth) / n,
+		MeanConsumed:    float64(f.PrefixConsumed) / n,
+		Divergences:     f.Divergences,
+		PrefixDepthSum:  f.PrefixDepth,
+		ConsumedSum:     f.PrefixConsumed,
 	}
 }
 
@@ -761,18 +750,17 @@ func (s *Summary) LitmusTable() *harness.Table {
 	return tb
 }
 
-// ThroughputTable renders per-tool execution throughput and allocation
-// pressure.
+// ThroughputTable renders per-tool execution throughput and operation
+// counts.
 func (s *Summary) ThroughputTable() *harness.Table {
-	tb := &harness.Table{Header: []string{"tool", "execs", "work", "execs/sec", "atomic ops", "normal ops", "alloc/exec"}}
+	tb := &harness.Table{Header: []string{"tool", "execs", "work", "execs/sec", "atomic ops", "normal ops"}}
 	for _, ts := range s.Tools {
 		tb.AddRow(ts.Tool,
 			fmt.Sprintf("%d", ts.Execs),
 			harness.FmtDuration(time.Duration(ts.WorkNS)),
 			fmt.Sprintf("%.0f", ts.ExecsPerSec),
 			harness.FmtOps(ts.AtomicOps),
-			harness.FmtOps(ts.NormalOps),
-			harness.FmtBytes(uint64(ts.Perf.BytesPerExec)))
+			harness.FmtOps(ts.NormalOps))
 	}
 	return tb
 }
@@ -903,7 +891,7 @@ func (s *Summary) WriteJSON(path string) error {
 // package's byte-identity guarantees hold: workers=1 vs workers=K, merged
 // shard partials vs the single-machine run, and a SIGKILL-then-resume run vs
 // an uninterrupted one all marshal to identical bytes after Canonical.
-// Zeroed: wall clock, GC and allocation counters, per-cell mean times and
+// Zeroed: wall clock, the GC block, per-cell mean times and
 // timing/phase histograms, per-tool work time and throughput, event-stream
 // accounting, and the run-shape echoes (Workers, artifact directories) plus
 // the shard header, checkpoint accounting, and build provenance (`go run`
@@ -934,7 +922,6 @@ func (s *Summary) Canonical() *Summary {
 		ts := &c.Tools[t]
 		ts.WorkNS = 0
 		ts.ExecsPerSec = 0
-		ts.Perf = ToolPerf{}
 		for b := range ts.Benchmarks {
 			cell := &ts.Benchmarks[b]
 			cell.Detection.MeanTimeNS = 0

@@ -358,11 +358,11 @@ func (t *Telemetry) unitDone(wave int, j job, frag *fragment) {
 	}
 	tool := t.spec.Tools[j.tool].Name
 	t.mu.Lock()
-	for key := range frag.races {
+	for key := range frag.Races {
 		t.raceKeys[[2]string{tool, key}] = true
 	}
 	t.racesG.Set(int64(len(t.raceKeys)))
-	t.failures += frag.failed
+	t.failures += frag.Failed
 	done := t.execsDoneLocked()
 	t.samples = append(t.samples, progressSample{at: time.Now(), execs: done})
 	if len(t.samples) > progressSampleRing {
@@ -398,42 +398,42 @@ func (t *Telemetry) emitUnit(wave int, j job, frag *fragment) {
 			Seed: t.spec.SeedBase + int64(run), Litmus: litmus,
 			Flags: toolSpec.ReproFlags}.Command()
 	}
-	for _, key := range harness.SortedKeys(frag.races) {
-		hit := frag.races[key]
+	for _, key := range harness.SortedKeys(frag.Races) {
+		hit := frag.Races[key]
 		t.emit(Event{Type: "race_first_seen", Wave: wave,
 			Tool: toolSpec.Name, Program: program, Litmus: litmus,
-			Key: key, Desc: hit.desc,
-			Seed: t.spec.SeedBase + int64(hit.run), Repro: repro(hit.run)})
+			Key: key, Desc: hit.Desc,
+			Seed: t.spec.SeedBase + int64(hit.Run), Repro: repro(hit.Run)})
 	}
-	for _, id := range sortedFindingIDs(frag.findings) {
-		hit := frag.findings[id]
+	for _, id := range sortedFindingIDs(frag.Findings) {
+		hit := frag.Findings[id]
 		t.emit(Event{Type: "analyzer_finding", Wave: wave,
 			Tool: toolSpec.Name, Program: program, Litmus: litmus,
-			Analyzer: id.analyzer, Key: id.key, Desc: hit.desc, Count: hit.count,
-			Seed: t.spec.SeedBase + int64(hit.run),
+			Analyzer: id.analyzer, Key: id.key, Desc: hit.Desc, Count: hit.Count,
+			Seed: t.spec.SeedBase + int64(hit.Run),
 			Repro: harness.Repro{Tool: toolSpec.Name, Program: program,
-				Seed: t.spec.SeedBase + int64(hit.run), Litmus: litmus,
+				Seed: t.spec.SeedBase + int64(hit.Run), Litmus: litmus,
 				Flags: strings.TrimSpace(toolSpec.ReproFlags + " -analyzers " + id.analyzer)}.Command()})
 	}
-	for _, out := range harness.SortedKeys(frag.forbidden) {
-		first := frag.forbidden[out]
+	for _, out := range harness.SortedKeys(frag.Forbidden) {
+		first := frag.Forbidden[out]
 		t.emit(Event{Type: "forbidden_outcome", Wave: wave,
 			Tool: toolSpec.Name, Program: program, Litmus: true,
-			Outcome: out, Count: frag.outcomes[out],
+			Outcome: out, Count: frag.Outcomes[out],
 			Seed: t.spec.SeedBase + int64(first), Repro: repro(first)})
 	}
-	for _, fl := range frag.failures {
+	for _, fl := range frag.Failures {
 		t.emit(Event{Type: "engine_failure", Wave: wave,
 			Tool: toolSpec.Name, Program: program, Litmus: litmus,
-			Err: fl.err, Seed: t.spec.SeedBase + int64(fl.run), Repro: repro(fl.run)})
+			Err: fl.Err, Seed: t.spec.SeedBase + int64(fl.Run), Repro: repro(fl.Run)})
 	}
-	if frag.recorded > 0 {
+	if frag.Recorded > 0 {
 		t.emit(Event{Type: "trace_recorded", Wave: wave,
 			Tool: toolSpec.Name, Program: program, Litmus: litmus,
-			Recorded: frag.recorded, Lo: j.lo, Hi: j.hi})
+			Recorded: frag.Recorded, Lo: j.lo, Hi: j.hi})
 	}
-	for i := range frag.captures {
-		c := &frag.captures[i]
+	for i := range frag.Captures {
+		c := &frag.Captures[i]
 		t.emit(Event{Type: "capture", Wave: wave,
 			Tool: c.Tool, Program: c.Program, Litmus: c.Litmus,
 			Seed: c.Seed, Trigger: c.Trigger, File: c.File,
@@ -441,8 +441,8 @@ func (t *Telemetry) emitUnit(wave int, j job, frag *fragment) {
 	}
 	t.emit(Event{Type: "cell_end", Wave: wave,
 		Tool: toolSpec.Name, Program: program, Litmus: litmus,
-		Lo: j.lo, Hi: j.hi, Execs: frag.execs, Races: len(frag.races),
-		Detected: frag.detected, Failures: frag.failed})
+		Lo: j.lo, Hi: j.hi, Execs: frag.Execs, Races: len(frag.Races),
+		Detected: frag.Detected, Failures: frag.Failed})
 }
 
 // execsDoneLocked sums the per-cell execution counters (caller holds mu; the

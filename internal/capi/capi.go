@@ -195,8 +195,8 @@ type BlockSpan struct {
 // OpStats counts the operations one execution performed, mirroring the
 // paper's Table 3 columns.
 type OpStats struct {
-	AtomicOps uint64 // atomic loads/stores/RMWs, fences, and sync operations
-	NormalOps uint64 // non-atomic accesses to shared memory
+	AtomicOps uint64 `json:"atomic_ops"` // atomic loads/stores/RMWs, fences, and sync operations
+	NormalOps uint64 `json:"normal_ops"` // non-atomic accesses to shared memory
 }
 
 // Add accumulates other into s.

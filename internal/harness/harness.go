@@ -134,18 +134,6 @@ func FmtDuration(d time.Duration) string {
 	}
 }
 
-// FmtBytes renders a byte count in compact binary units.
-func FmtBytes(n uint64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
-}
-
 // FmtOps renders an operation count the way Table 3 does (e.g. "63.7M").
 func FmtOps(n uint64) string {
 	switch {
