@@ -28,7 +28,6 @@ import (
 	"c11tester/internal/analysis"
 	"c11tester/internal/campaign"
 	"c11tester/internal/litmus"
-	"c11tester/internal/rng"
 	"c11tester/internal/structures"
 )
 
@@ -52,12 +51,9 @@ func run(args []string, out *os.File) int {
 		quantum   = fs.Int("quantum", 0, "mean scheduling quantum for quantum strategies (0 = default)")
 		maxSteps  = fs.Uint64("max-steps", 0, "per-execution visible-operation cap (0 = default)")
 		faithful  = fs.Bool("faithful-handoff", false, "run tsan11rec on kernel-thread handoff (Figure 14 regime)")
-		rngSrc    = fs.String("rng", "pcg", "random source behind every tool decision: pcg (O(1) seed) or legacy (math/rand, reproduces pre-PCG artifacts)")
 		jsonPath  = fs.String("json", "BENCH_campaign.json", "campaign artifact path ('' disables)")
 		policy    = fs.String("policy", "uniform", "per-cell budget policy: uniform, or converge (stop a cell early once its statistics stabilize and reassign the freed budget)")
-		minExecs  = fs.Int("min-execs", 0, "converge policy: executions per cell before convergence may be declared (0 = default)")
-		window    = fs.Int("window", 0, "converge policy: trailing window size of the convergence test (0 = default)")
-		epsilon   = fs.Float64("epsilon", 0, "converge policy: max detection-rate/outcome-histogram movement the window may cause (0 = default)")
+		epsilon   = fs.Float64("epsilon", 0, "converge policy: ε, its one parameter — a cell stops only after ⌈3/ε⌉ executions with no new race key or outcome, so a key seen in ≥ ε of executions is kept with ≥ 95% probability (0 = default 0.02)")
 		guide     = fs.String("guide", "", "directory of recorded traces for trace-guided exploration: matching cells replay a schedule prefix before exploring live ('' disables)")
 		guideMin  = fs.Float64("guide-min", 0, "guided prefix depth lower bound, as a fraction of the recorded schedule (0 = default)")
 		guideMax  = fs.Float64("guide-max", 0, "guided prefix depth upper bound, as a fraction of the recorded schedule (0 = default)")
@@ -87,7 +83,6 @@ func run(args []string, out *os.File) int {
 		fmt.Fprintf(out, "benchmarks: %s\n", strings.Join(structures.Names(), " "))
 		fmt.Fprintf(out, "litmus:     %s\n", strings.Join(litmus.Names(), " "))
 		fmt.Fprintf(out, "analyzers:  %s\n", strings.Join(analysis.Names(), " "))
-		fmt.Fprintf(out, "rng-sources: %s\n", strings.Join(rng.Names(), " "))
 		return 0
 	}
 
@@ -102,7 +97,6 @@ func run(args []string, out *os.File) int {
 		QuantumMean:     *quantum,
 		MaxSteps:        *maxSteps,
 		FaithfulHandoff: *faithful,
-		RNG:             *rngSrc,
 	}
 
 	if *record != "" {
@@ -111,7 +105,7 @@ func run(args []string, out *os.File) int {
 			return 1
 		}
 	}
-	pol, err := campaign.ParsePolicy(*policy, *minExecs, *window, *epsilon)
+	pol, err := campaign.ParsePolicy(*policy, *epsilon)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "c11tester:", err)
 		return 1
@@ -119,7 +113,6 @@ func run(args []string, out *os.File) int {
 	spec := campaign.Spec{
 		Runs: *runs, SeedBase: *seed,
 		Workers: *workers, ShardSize: *shardSz,
-		RNG:          *rngSrc,
 		Policy:       pol,
 		GuideMinFrac: *guideMin, GuideMaxFrac: *guideMax,
 		RecordDir: *record, RecordAll: *recAll,

@@ -86,3 +86,16 @@ func TestCorruptTraceInputsExitStructured(t *testing.T) {
 		t.Fatalf("missing trace = exit %d, want 1", code)
 	}
 }
+
+// TestLegacyTraceRefused pins that every subcommand refuses a trace recorded
+// under the removed -rng legacy source (exit 1) instead of replaying it on
+// the PCG source and silently diverging.
+func TestLegacyTraceRefused(t *testing.T) {
+	out := devNull(t)
+	legacy := "../../internal/trace/testdata/legacy/trace_c11tester_SB+sc_1.json"
+	for _, sub := range []string{"show", "validate", "replay", "minimize"} {
+		if code := run([]string{sub, legacy}, out); code != 1 {
+			t.Errorf("%s on a legacy-rng trace = exit %d, want 1", sub, code)
+		}
+	}
+}

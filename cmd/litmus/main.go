@@ -36,10 +36,7 @@ func run(args []string, out *os.File) int {
 		seed      = fs.Int64("seed", 1, "seed base; execution i runs with seed+i")
 		policy    = fs.String("policy", "uniform", "per-cell budget policy: uniform or converge")
 		analyzers = fs.String("analyzers", "", "comma-separated execution analyzers to run per cell, 'all', or 'none'")
-		minExecs  = fs.Int("min-execs", 0, "converge policy: executions per cell before convergence may be declared (0 = default)")
-		window    = fs.Int("window", 0, "converge policy: trailing window size (0 = default)")
-		epsilon   = fs.Float64("epsilon", 0, "converge policy: max statistic movement per window (0 = default)")
-		rngSrc    = fs.String("rng", "pcg", "random source behind every tool decision: pcg (O(1) seed) or legacy (math/rand)")
+		epsilon   = fs.Float64("epsilon", 0, "converge policy: ε, its one parameter — a cell stops only after ⌈3/ε⌉ executions with no new race key or outcome, so a key seen in ≥ ε of executions is kept with ≥ 95% probability (0 = default 0.02)")
 		quiet     = fs.Bool("q", false, "suppress progress lines on stderr")
 		list      = fs.Bool("list", false, "list the litmus suite and exit")
 	)
@@ -58,16 +55,15 @@ func run(args []string, out *os.File) int {
 		return 0
 	}
 
-	pol, err := campaign.ParsePolicy(*policy, *minExecs, *window, *epsilon)
+	pol, err := campaign.ParsePolicy(*policy, *epsilon)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "litmus:", err)
 		return 1
 	}
 	spec := campaign.Spec{Runs: *runs, SeedBase: *seed, Workers: *workers, Policy: pol,
-		RNG:       *rngSrc,
 		Analyzers: campaign.ParseAnalyzers(*analyzers)}
 	for _, name := range campaign.SplitList(*tools) {
-		ts, err := campaign.StandardTool(name, campaign.ToolOptions{RNG: *rngSrc})
+		ts, err := campaign.StandardTool(name, campaign.ToolOptions{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "litmus:", err)
 			return 1

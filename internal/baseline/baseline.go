@@ -33,7 +33,6 @@ import (
 	"c11tester/internal/capi"
 	"c11tester/internal/core"
 	"c11tester/internal/memmodel"
-	"c11tester/internal/rng"
 	"c11tester/internal/sched"
 )
 
@@ -302,9 +301,6 @@ type Options struct {
 	// kernel threads (useful in tests; performance experiments use the
 	// faithful regime).
 	FastHandoff bool
-	// RNG selects the random source behind the tool's strategy and workload
-	// draws (rng.PCG default, rng.Legacy for pre-PCG stream reproduction).
-	RNG rng.Kind
 }
 
 // NewTsan11 builds the tsan11 baseline: commit-order memory model,
@@ -317,10 +313,9 @@ func NewTsan11(opts Options) *core.Engine {
 	m := NewCommitModel(opts.HistoryLimit, false)
 	m.SetConservativeSync(!opts.PreciseSync)
 	return core.New("tsan11", m, core.Config{
-		Strategy:       core.NewQuantumStrategyKind(opts.RNG, mean),
+		Strategy:       core.NewQuantumStrategy(mean),
 		MaxSteps:       opts.MaxSteps,
 		VolatileAcqRel: opts.VolatileAcqRel,
-		RNG:            opts.RNG,
 	})
 }
 
@@ -331,11 +326,10 @@ func NewTsan11rec(opts Options) *core.Engine {
 	m := NewCommitModel(opts.HistoryLimit, true)
 	m.SetConservativeSync(!opts.PreciseSync)
 	// Strategy stays nil: Config.withDefaults builds the default random
-	// strategy on Config.RNG, so the rng source follows the option.
+	// strategy.
 	return core.New("tsan11rec", m, core.Config{
 		Sched:          sched.Config{LockOSThread: !opts.FastHandoff},
 		MaxSteps:       opts.MaxSteps,
 		VolatileAcqRel: opts.VolatileAcqRel,
-		RNG:            opts.RNG,
 	})
 }

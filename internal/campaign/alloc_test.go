@@ -9,7 +9,6 @@ import (
 	"c11tester/internal/capi"
 	"c11tester/internal/core"
 	"c11tester/internal/obs"
-	"c11tester/internal/rng"
 	"c11tester/internal/sched"
 )
 
@@ -28,16 +27,8 @@ import (
 // per execution — so the observability fabric is itself held to the
 // zero-alloc bar the runner's hot path relies on, exactly as a -capture
 // campaign runs it. Both paths are measured: a sampled (timed) index and an
-// unsampled one. Both rng sources must hold the bar: the pcg fast path is
-// allocation-free by construction, and the legacy source reuses its
-// materialized math/rand state across re-seeds.
+// unsampled one.
 func TestZeroAllocSteadyState(t *testing.T) {
-	for _, src := range rng.Names() {
-		t.Run(src, func(t *testing.T) { testZeroAllocSteadyState(t, src) })
-	}
-}
-
-func testZeroAllocSteadyState(t *testing.T, rngSource string) {
 	benches, err := SelectBenchmarks("all")
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +38,7 @@ func testZeroAllocSteadyState(t *testing.T, rngSource string) {
 		t.Fatal(err)
 	}
 	for _, name := range StandardToolNames() {
-		spec, err := StandardTool(name, ToolOptions{RNG: rngSource})
+		spec, err := StandardTool(name, ToolOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

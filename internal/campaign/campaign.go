@@ -51,7 +51,6 @@ import (
 	"c11tester/internal/harness"
 	"c11tester/internal/litmus"
 	"c11tester/internal/obs"
-	"c11tester/internal/rng"
 	"c11tester/internal/trace"
 )
 
@@ -144,12 +143,6 @@ type Spec struct {
 	// axiomatic model of Appendix A, counting violations in the summary;
 	// executions of other tools are counted as skipped.
 	ValidateAxioms bool
-	// RNG echoes the random source the spec's tools were built with ("pcg"
-	// or "legacy"; empty means pcg) into the summary and the spec digest.
-	// It does not itself configure the tools — the ToolSpec factories do
-	// (ToolOptions.RNG) — but Validate rejects unknown names so a typo
-	// fails fast instead of silently echoing the default.
-	RNG string
 	// Analyzers names the internal/analysis plug-ins to run over every
 	// finished execution (e.g. "sc-robustness", "atomicity"). Each cell
 	// builds its own instances; analyzers whose trace or modification-order
@@ -1409,9 +1402,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Workers < 0 || s.ShardSize < 0 {
 		return fmt.Errorf("campaign: workers and shard size must be ≥ 0 (0 = default), got %d and %d", s.Workers, s.ShardSize)
-	}
-	if _, err := rng.Parse(s.RNG); err != nil {
-		return fmt.Errorf("campaign: %v", err)
 	}
 	if s.Shard.Count != 0 || s.Shard.Index != 0 {
 		if s.Shard.Count < 1 || s.Shard.Index < 0 || s.Shard.Index >= s.Shard.Count {

@@ -592,29 +592,26 @@ func TestSpecValidate(t *testing.T) {
 }
 
 // TestParsePolicy pins the -policy flag boundary: both policy names parse,
-// zero converge parameters mean the defaults, and negative (or NaN)
-// parameters are refused instead of silently replaced by the defaults.
+// a zero epsilon means the default, and a negative (or NaN) epsilon is
+// refused instead of silently replaced by the default.
 func TestParsePolicy(t *testing.T) {
 	cases := []struct {
-		name             string
-		policy           string
-		minExecs, window int
-		epsilon          float64
-		want             string // Policy.Name(); "" means an error
+		name    string
+		policy  string
+		epsilon float64
+		want    string // Policy.Name(); "" means an error
 	}{
-		{"default", "", 0, 0, 0, "uniform"},
-		{"uniform", "uniform", 0, 0, 0, "uniform"},
-		{"converge defaults", "converge", 0, 0, 0, "converge(min=20,window=10,eps=0.02)"},
-		{"converge explicit", "converge", 40, 5, 0.1, "converge(min=40,window=5,eps=0.1)"},
-		{"unknown", "adaptive", 0, 0, 0, ""},
-		{"negative min-execs", "converge", -2, 0, 0, ""},
-		{"negative window", "converge", 0, -3, 0, ""},
-		{"negative epsilon", "converge", 0, 0, -0.5, ""},
-		{"NaN epsilon", "converge", 0, 0, math.NaN(), ""},
-		{"negative under uniform", "uniform", 0, -3, 0, ""},
+		{"default", "", 0, "uniform"},
+		{"uniform", "uniform", 0, "uniform"},
+		{"converge defaults", "converge", 0, "converge(eps=0.02)"},
+		{"converge explicit", "converge", 0.1, "converge(eps=0.1)"},
+		{"unknown", "adaptive", 0, ""},
+		{"negative epsilon", "converge", -0.5, ""},
+		{"NaN epsilon", "converge", math.NaN(), ""},
+		{"negative under uniform", "uniform", -3, ""},
 	}
 	for _, c := range cases {
-		p, err := ParsePolicy(c.policy, c.minExecs, c.window, c.epsilon)
+		p, err := ParsePolicy(c.policy, c.epsilon)
 		switch {
 		case c.want == "" && err == nil:
 			t.Errorf("%s: ParsePolicy = %s, want an error", c.name, p.Name())

@@ -29,7 +29,7 @@ var campaignArgs = []string{
 	"-bench", "ms-queue,seqlock",
 	"-litmus", "MP+rlx,CoRR",
 	"-runs", "300",
-	"-policy", "converge", "-min-execs", "120", "-window", "40",
+	"-policy", "converge", "-epsilon", "0.075", // L = 40: a wave barrier every 40 executions
 	"-seed", "77",
 	"-workers", "2",
 	"-q",

@@ -363,7 +363,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			Runs:       32,
 			SeedBase:   100,
 			Workers:    workers,
-			Policy:     explore.Converge{MinExecs: 16, Window: 8, Epsilon: 0.05},
+			Policy:     explore.Converge{Epsilon: 0.375}, // L = 8
 		}
 	}
 
@@ -527,7 +527,7 @@ func TestCheckpointWriteFailureDoesNotAbort(t *testing.T) {
 			Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
 			Runs:       16,
 			SeedBase:   3,
-			Policy:     explore.Converge{MinExecs: 8, Window: 4, Epsilon: 0.05},
+			Policy:     explore.Converge{Epsilon: 0.75}, // L = 4
 		}
 	}
 	want := canonicalJSON(t, Run(build()))

@@ -136,7 +136,7 @@ type Comparison struct {
 	// are already flagged as incomparable, and skew alone is not a regression.
 	ProvenanceSkew []string `json:"provenance_skew,omitempty"`
 	// SpecSkew lists the outcome-affecting spec-echo fields on which the two
-	// artifacts differ (runs, seeds, shard size, policy, rng, tools,
+	// artifacts differ (runs, seeds, shard size, policy, tools,
 	// programs, analyzers, validation). Report-only, like ProvenanceSkew:
 	// comparing two different program sets can be deliberate, but movement
 	// across skewed specs is not movement of the tools, so the report prints
@@ -158,7 +158,6 @@ func specSkew(a, b SpecInfo) []string {
 	diff("seed_base", a.SeedBase, b.SeedBase)
 	diff("shard_size", a.ShardSize, b.ShardSize)
 	diff("policy", a.Policy, b.Policy)
-	diff("rng", a.RNG, b.RNG)
 	diff("tools", a.Tools, b.Tools)
 	diff("benchmarks", a.Benchmarks, b.Benchmarks)
 	diff("litmus", a.Litmus, b.Litmus)

@@ -168,7 +168,7 @@ func TestCompareReportsSpecSkew(t *testing.T) {
 	old := mkSummary(1000, 80, "a/x/y")
 	new := mkSummary(1000, 80, "a/x/y")
 	old.Spec = SpecInfo{Tools: []string{"c11tester"}, Benchmarks: []string{"ms-queue"}, Litmus: []string{},
-		Runs: 30, SeedBase: 1, Workers: 1, ShardSize: 25, Policy: "uniform", RNG: "pcg"}
+		Runs: 30, SeedBase: 1, Workers: 1, ShardSize: 25, Policy: "uniform"}
 	new.Spec = old.Spec
 	if c := Compare(old, new); len(c.SpecSkew) != 0 {
 		t.Fatalf("identical specs report skew %v", c.SpecSkew)

@@ -13,19 +13,16 @@ import (
 )
 
 // convergeSpec is a matrix whose every cell converges under the default
-// Converge parameters: ms-queue races unconditionally, seqlock's rate is
+// Converge parameter: ms-queue races unconditionally, seqlock's rate is
 // stable, and the two litmus tests have small, quickly-saturated outcome
-// histograms. The convergence-timing assertions downstream (which race keys
-// surface within a budget, which cells converge early) are statistical
-// coincidences of one specific decision stream, so the spec pins the legacy
-// rng source — the stream they were tuned against.
+// histograms. Runs is well above the default L = 150, the floor below which
+// no cell can stop early.
 func convergeSpec(t *testing.T, workers, shardSize int, policy explore.Policy) Spec {
 	return Spec{
 		Tools: []ToolSpec{
-			mustTool(t, "c11tester", ToolOptions{RNG: "legacy"}),
-			mustTool(t, "tsan11", ToolOptions{RNG: "legacy"}),
+			mustTool(t, "c11tester", ToolOptions{}),
+			mustTool(t, "tsan11", ToolOptions{}),
 		},
-		RNG: "legacy",
 		Benchmarks: []BenchmarkSpec{
 			benchSpec(t, "ms-queue"),
 			benchSpec(t, "seqlock"),
@@ -34,11 +31,50 @@ func convergeSpec(t *testing.T, workers, shardSize int, policy explore.Policy) S
 			mustLitmus(t, "MP+rel+acq"),
 			mustLitmus(t, "SB+sc"),
 		},
-		Runs:      100,
+		Runs:      1000,
 		SeedBase:  1,
 		Workers:   workers,
 		ShardSize: shardSize,
 		Policy:    policy,
+	}
+}
+
+// convergeFinds lists everything a campaign found: each tool's race keys
+// per benchmark and its outcomes per litmus test.
+func convergeFinds(sum *Summary) map[string]bool {
+	found := map[string]bool{}
+	for _, ts := range sum.Tools {
+		for _, b := range ts.Benchmarks {
+			for _, k := range b.RaceKeys {
+				found[ts.Tool+" "+b.Program+" race "+k] = true
+			}
+		}
+		for _, l := range ts.Litmus {
+			for o := range l.Outcomes {
+				found[ts.Tool+" "+l.Test+" outcome "+o] = true
+			}
+		}
+	}
+	return found
+}
+
+// TestConvergeKeepsUniformFinds is the regression test for a converge
+// policy that stopped cells after 10 quiet executions: on this matrix it
+// lost tsan11's msq.len/na-load/na-store at seed bases 1000, 6000 and 7000,
+// and c11tester's SB+sc outcome "r1=1 r2=0" at 9000. With the L = ⌈3/ε⌉ run,
+// converge must keep every race key and litmus outcome uniform finds.
+func TestConvergeKeepsUniformFinds(t *testing.T) {
+	for _, seed := range []int64{1000, 6000, 7000, 9000} {
+		spec := convergeSpec(t, 2, 0, nil)
+		spec.Runs, spec.SeedBase = 500, seed
+		uniform := convergeFinds(Run(spec))
+		spec.Policy = explore.Converge{}
+		adaptive := convergeFinds(Run(spec))
+		for k := range uniform {
+			if !adaptive[k] {
+				t.Errorf("seed base %d: converge lost %s", seed, k)
+			}
+		}
 	}
 }
 
@@ -89,6 +125,13 @@ func TestConvergeReproducesUniformVerdictsAtLowerBudget(t *testing.T) {
 			t.Errorf("%s: race sets differ: uniform %v, converge %v", ut.Tool, uk, ak)
 		}
 	}
+	// Every litmus outcome uniform saw.
+	af := convergeFinds(adaptive)
+	for k := range convergeFinds(uniform) {
+		if !af[k] {
+			t.Errorf("converge lost %s", k)
+		}
+	}
 	// Same forbidden-outcome verdict (none, for a sound model).
 	if uf, af := len(uniform.Forbidden()), len(adaptive.Forbidden()); uf != af {
 		t.Errorf("forbidden verdicts differ: uniform %d, converge %d", uf, af)
@@ -121,15 +164,13 @@ func TestConvergeReproducesUniformVerdictsAtLowerBudget(t *testing.T) {
 // budget, keep the total at the uniform level, and mark only the converging
 // cell as such.
 func TestConvergeRedistributesFreedBudget(t *testing.T) {
-	// Pinned to the legacy stream like convergeSpec: which cell converges
-	// first is a property of the decision stream, not of the policy.
+	// Runs is well above L = 150, so SB+sc has room to stop early.
 	spec := Spec{
-		Tools:    []ToolSpec{mustTool(t, "c11tester", ToolOptions{RNG: "legacy"})},
+		Tools:    []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
 		Litmus:   []*litmus.Test{mustLitmus(t, "SB+sc"), mustLitmus(t, "IRIW+acq")},
-		Runs:     100,
+		Runs:     1000,
 		SeedBase: 1,
 		Workers:  2,
-		RNG:      "legacy",
 		Policy:   explore.Converge{},
 	}
 	sum := Run(spec)
@@ -326,12 +367,12 @@ func TestSchemaArtifactRoundTrip(t *testing.T) {
 		Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
 		Runs:       30,
 		SeedBase:   1,
-		Policy:     explore.Converge{},
+		Policy:     explore.Converge{Epsilon: 0.3}, // L = 10: room to converge within 30 runs
 	})
 	if sum.SchemaVersion != SchemaVersion {
 		t.Fatalf("schema version = %d, want %d", sum.SchemaVersion, SchemaVersion)
 	}
-	if want := "converge(min=20,window=10,eps=0.02)"; sum.Spec.Policy != want {
+	if want := "converge(eps=0.3)"; sum.Spec.Policy != want {
 		t.Fatalf("policy echo = %q, want %q", sum.Spec.Policy, want)
 	}
 	if sum.Obs == nil || sum.Obs.EventsDropped != 0 {
@@ -362,5 +403,15 @@ func TestSchemaArtifactRoundTrip(t *testing.T) {
 	}
 	if rt.Provenance == nil || rt.Provenance.GoVersion == "" {
 		t.Fatalf("provenance did not round-trip: %+v", rt.Provenance)
+	}
+}
+
+// TestLoadGuidesRefusesLegacyTrace pins that a guide directory holding a
+// trace recorded under the removed -rng legacy source is refused by name:
+// guiding from it would silently replay a different workload stream.
+func TestLoadGuidesRefusesLegacyTrace(t *testing.T) {
+	_, err := LoadGuides("../trace/testdata/legacy")
+	if err == nil || !strings.Contains(err.Error(), "-rng legacy") {
+		t.Fatalf("LoadGuides(legacy trace) = %v, want an error naming -rng legacy", err)
 	}
 }

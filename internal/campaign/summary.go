@@ -9,7 +9,6 @@ import (
 
 	"c11tester/internal/harness"
 	"c11tester/internal/obs"
-	"c11tester/internal/rng"
 	"c11tester/internal/safeio"
 )
 
@@ -60,9 +59,14 @@ import (
 // concurrent workers charged each other's allocations; the campaign-level
 // "gc" block stays). The shard header's cells hold each cell's fragment in
 // checkpoint v3's encoding.
+//
+// v10: one random source. The spec's "rng" echo is gone with -rng legacy;
+// every decision stream is drawn from the PCG source, as v8 and v9
+// artifacts with "rng":"pcg" already were. Converge's policy echo is
+// "converge(eps=…)": ε is its only parameter.
 const (
 	SchemaName    = "c11tester/campaign"
-	SchemaVersion = 9
+	SchemaVersion = 10
 )
 
 // SpecInfo echoes the campaign parameters into the summary, making every
@@ -92,10 +96,6 @@ type SpecInfo struct {
 	CaptureSlowNS bool   `json:"capture_slow_ns,omitempty"`
 	// Analyzers echoes the analyzer pipeline composed per cell (schema v7).
 	Analyzers []string `json:"analyzers,omitempty"`
-	// RNG names the random source behind every decision stream (schema v8):
-	// "pcg" (default) or "legacy". Pre-v8 artifacts omit it and were drawn
-	// from the legacy source.
-	RNG string `json:"rng,omitempty"`
 }
 
 // BudgetSummary is the budget accounting of one cell under an adaptive
@@ -399,7 +399,6 @@ func specInfo(spec Spec) SpecInfo {
 		Validate:   spec.ValidateAxioms,
 		CaptureDir: spec.CaptureDir, CaptureSlowNS: spec.CaptureSlowNS,
 		Analyzers: spec.Analyzers,
-		RNG:       rng.Canonical(spec.RNG),
 	}
 	if spec.Guides != nil {
 		info.GuideDir = spec.Guides.Dir()

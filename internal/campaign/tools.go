@@ -11,7 +11,6 @@ import (
 	"c11tester/internal/explore"
 	"c11tester/internal/harness"
 	"c11tester/internal/litmus"
-	"c11tester/internal/rng"
 	"c11tester/internal/structures"
 	"c11tester/internal/trace"
 )
@@ -58,9 +57,6 @@ func (o ToolOptions) reproFlags(tool string) string {
 	if o.MaxSteps != 0 {
 		parts = append(parts, fmt.Sprintf("-max-steps %d", o.MaxSteps))
 	}
-	if r := rng.Canonical(o.RNG); r != "pcg" {
-		parts = append(parts, "-rng "+r)
-	}
 	return strings.Join(parts, " ")
 }
 
@@ -81,13 +77,6 @@ type ToolOptions struct {
 	// FaithfulHandoff runs tsan11rec on kernel-thread condition-variable
 	// handoff (the Figure 14 regime) instead of the cheap fiber handoff.
 	FaithfulHandoff bool
-	// RNG selects the random source behind every decision the tools make
-	// ("pcg" — the default splitmix-seeded PCG — or "legacy", math/rand).
-	// Changing the source changes every scheduling and reads-from decision,
-	// so it is part of the tool identity: repro flags, trace configs, and
-	// the spec digest all carry it, and "legacy" reproduces pre-PCG
-	// artifacts bit for bit.
-	RNG string
 }
 
 // pruneName renders a PruneMode as its -prune flag value ("" for off).
@@ -118,9 +107,6 @@ func (o ToolOptions) traceConfig(tool string) trace.ToolConfig {
 	case "tsan11rec":
 		tc.FaithfulHandoff = o.FaithfulHandoff
 	}
-	if r := rng.Canonical(o.RNG); r != "pcg" {
-		tc.RNG = r
-	}
 	return tc
 }
 
@@ -136,24 +122,21 @@ func StandardToolFromConfig(tc trace.ToolConfig) (ToolSpec, error) {
 		QuantumMean:     tc.QuantumMean,
 		MaxSteps:        tc.MaxSteps,
 		FaithfulHandoff: tc.FaithfulHandoff,
-		RNG:             tc.RNG,
 	})
 }
 
-// ParsePolicy parses a -policy flag value into a budget policy. minExecs,
-// window, and epsilon parameterize the converge policy; zero values mean its
-// defaults, and negative ones (or a NaN epsilon) are refused rather than
-// silently defaulted.
-func ParsePolicy(name string, minExecs, window int, epsilon float64) (explore.Policy, error) {
-	if minExecs < 0 || window < 0 || !(epsilon >= 0) {
-		return nil, fmt.Errorf("policy parameters must be ≥ 0 (0 = default): -min-execs %d, -window %d, -epsilon %g",
-			minExecs, window, epsilon)
+// ParsePolicy parses a -policy flag value into a budget policy. epsilon
+// parameterizes the converge policy; 0 means its default, and a negative or
+// NaN epsilon is refused rather than silently defaulted.
+func ParsePolicy(name string, epsilon float64) (explore.Policy, error) {
+	if !(epsilon >= 0) {
+		return nil, fmt.Errorf("policy parameter must be ≥ 0 (0 = default): -epsilon %g", epsilon)
 	}
 	switch name {
 	case "", "uniform":
 		return explore.Uniform{}, nil
 	case "converge":
-		return explore.Converge{MinExecs: minExecs, Window: window, Epsilon: epsilon}, nil
+		return explore.Converge{Epsilon: epsilon}, nil
 	}
 	return nil, fmt.Errorf("unknown policy %q (want uniform or converge)", name)
 }
@@ -249,12 +232,6 @@ func StandardToolNames() []string {
 
 // StandardTool builds the ToolSpec for one of the paper's three tools.
 func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
-	// Validate the rng override once here; the factories below run on
-	// worker goroutines where an error has nowhere to go.
-	rngKind, err := rng.Parse(opts.RNG)
-	if err != nil {
-		return ToolSpec{}, err
-	}
 	switch name {
 	case "c11tester":
 		strategy := opts.Strategy
@@ -271,16 +248,15 @@ func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
 				if mean == 0 {
 					mean = 150
 				}
-				strat = core.NewQuantumStrategyKind(rngKind, mean)
+				strat = core.NewQuantumStrategy(mean)
 			} else {
-				strat = core.NewRandomStrategyKind(rngKind)
+				strat = core.NewRandomStrategy()
 			}
 			return core.New(name, core.NewC11Model(), core.Config{
 				StoreBurst: true,
 				Prune:      opts.Prune,
 				Strategy:   strat,
 				MaxSteps:   opts.MaxSteps,
-				RNG:        rngKind,
 			})
 		}}, nil
 	case "tsan11":
@@ -288,7 +264,6 @@ func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
 			return baseline.NewTsan11(baseline.Options{
 				QuantumMean: opts.QuantumMean,
 				MaxSteps:    opts.MaxSteps,
-				RNG:         rngKind,
 			})
 		}}, nil
 	case "tsan11rec":
@@ -296,7 +271,6 @@ func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
 			return baseline.NewTsan11rec(baseline.Options{
 				MaxSteps:    opts.MaxSteps,
 				FastHandoff: !opts.FaithfulHandoff,
-				RNG:         rngKind,
 			})
 		}}, nil
 	}

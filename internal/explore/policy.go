@@ -14,7 +14,10 @@
 // invariant that workers=1 and workers=K aggregate identically.
 package explore
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Obs is the per-execution observation a tracker consumes, in execution
 // index order.
@@ -58,7 +61,7 @@ type TrackerState struct {
 	// litmus-outcome histogram ("" excluded).
 	DistinctRaces int            `json:"distinct_races"`
 	Outcomes      map[string]int `json:"outcomes,omitempty"`
-	// Window is the configured trailing-window size and WindowFilled how
+	// Window is the trailing-window size L = ⌈3/ε⌉ and WindowFilled how
 	// much of it has been observed; WindowDetected and WindowOutcomes are
 	// the window's contents, and WindowNewInfo reports whether any window
 	// execution introduced a never-seen race key or outcome.
@@ -74,9 +77,8 @@ type TrackerState struct {
 	// history, no outcomes).
 	RateShift float64 `json:"rate_shift"`
 	OutcomeL1 float64 `json:"outcome_l1"`
-	// MinExecs and Epsilon echo the policy thresholds the verdict applied.
-	MinExecs int     `json:"min_execs"`
-	Epsilon  float64 `json:"epsilon"`
+	// Epsilon echoes the policy threshold the verdict applied.
+	Epsilon float64 `json:"epsilon"`
 	// Converged is the tracker's current verdict.
 	Converged bool `json:"converged"`
 }
@@ -117,57 +119,54 @@ type neverConverged struct{}
 func (neverConverged) Observe(Obs)     {}
 func (neverConverged) Converged() bool { return false }
 
-// Converge stops a cell once its race-detection rate and litmus-outcome
-// histogram converge. The zero value means the defaults below.
+// Converge stops a cell once it has gone L = ⌈3/ε⌉ consecutive executions
+// without a new race key or litmus outcome and its detection rate and
+// outcome histogram have stabilized. ε is the one parameter; the zero value
+// means DefaultConvergeEpsilon.
+//
+// The run length is what makes the stop sound: a key (or outcome) that
+// occurs in an execution with probability p ≥ ε is lost only if the first L
+// executions all miss it, which happens with probability
+// (1−ε)^L ≤ e^−3 < 5% per key per cell.
 type Converge struct {
-	// MinExecs is the floor before convergence may be declared (default 20).
-	MinExecs int
-	// Window is the trailing window the convergence test compares against
-	// the preceding history (default 10).
-	Window int
-	// Epsilon bounds the movement the trailing window may cause: the
-	// detection rate (as a fraction) may shift by at most Epsilon, and the
-	// L1 distance between the normalized outcome distributions with and
-	// without the window must stay within Epsilon (default 0.02).
+	// Epsilon is both the per-execution frequency above which a key is kept
+	// with ≥ 95% probability and the movement the trailing window may
+	// cause: removing it may shift the detection rate (as a fraction) by at
+	// most Epsilon, and the L1 distance between the normalized outcome
+	// distributions with and without it must stay within Epsilon
+	// (default 0.02).
 	Epsilon float64
 }
 
-// DefaultConverge are the Converge defaults.
-const (
-	DefaultConvergeMinExecs = 20
-	DefaultConvergeWindow   = 10
-	DefaultConvergeEpsilon  = 0.02
-)
+// DefaultConvergeEpsilon is the Converge default ε.
+const DefaultConvergeEpsilon = 0.02
 
 func (c Converge) withDefaults() Converge {
-	if c.MinExecs <= 0 {
-		c.MinExecs = DefaultConvergeMinExecs
-	}
-	if c.Window <= 0 {
-		c.Window = DefaultConvergeWindow
-	}
 	if c.Epsilon <= 0 {
 		c.Epsilon = DefaultConvergeEpsilon
-	}
-	if c.MinExecs < c.Window {
-		c.MinExecs = c.Window
 	}
 	return c
 }
 
 // Name implements Policy.
 func (c Converge) Name() string {
-	c = c.withDefaults()
-	return fmt.Sprintf("converge(min=%d,window=%d,eps=%g)", c.MinExecs, c.Window, c.Epsilon)
+	return fmt.Sprintf("converge(eps=%g)", c.withDefaults().Epsilon)
 }
 
-// Chunk implements Policy.
-func (c Converge) Chunk() int { return c.withDefaults().Window }
+// Chunk implements Policy. It is L = ⌈3/ε⌉, which is also the trailing
+// window the convergence test reads and the floor before a cell may stop.
+func (c Converge) Chunk() int {
+	l := math.Ceil(3 / c.withDefaults().Epsilon)
+	if l > math.MaxInt32 {
+		return math.MaxInt32
+	}
+	return int(l)
+}
 
 // NewTracker implements Policy.
 func (c Converge) NewTracker() Tracker {
 	c = c.withDefaults()
-	return &convergeTracker{cfg: c, raceSeen: map[string]bool{}, outcomes: map[string]int{}}
+	return &convergeTracker{eps: c.Epsilon, window: c.Chunk(), raceSeen: map[string]bool{}, outcomes: map[string]int{}}
 }
 
 // windowObs is the digest of one observed execution kept in the trailing
@@ -180,14 +179,15 @@ type windowObs struct {
 }
 
 type convergeTracker struct {
-	cfg Converge
+	eps    float64
+	window int
 
 	n        int
 	detected int
 	raceSeen map[string]bool
 	outcomes map[string]int // full histogram, "" excluded
 
-	// ring holds the trailing Window observations.
+	// ring holds the trailing window observations.
 	ring []windowObs
 	next int
 }
@@ -211,7 +211,7 @@ func (t *convergeTracker) Observe(o Obs) {
 	if o.Detected {
 		t.detected++
 	}
-	if len(t.ring) < t.cfg.Window {
+	if len(t.ring) < t.window {
 		t.ring = append(t.ring, w)
 	} else {
 		t.ring[t.next] = w
@@ -286,28 +286,27 @@ func (t *convergeTracker) windowStats() windowStats {
 	return s
 }
 
-// Converged implements Tracker: the cell has run its floor, the trailing
-// window introduced no new race key or outcome, and removing the window
-// moves neither the detection rate nor the outcome distribution by more
-// than Epsilon. (With no history before the window there is no rate to
-// compare, and the leg is skipped; the new-information test still vetoes
-// windows that introduced unseen race keys or outcomes. Cells with no
-// outcomes at all — benchmarks — skip the L1 leg.)
+// Converged implements Tracker: the trailing window is full (the cell has
+// run at least L executions), introduced no new race key or outcome, and
+// removing it moves neither the detection rate nor the outcome distribution
+// by more than Epsilon. (With no history before the window there is no rate
+// to compare, and the leg is skipped. Cells with no outcomes at all —
+// benchmarks — skip the L1 leg.)
 func (t *convergeTracker) Converged() bool {
-	if t.n < t.cfg.MinExecs || len(t.ring) < t.cfg.Window {
+	if len(t.ring) < t.window {
 		return false
 	}
 	s := t.windowStats()
 	if s.newInfo {
 		return false
 	}
-	if s.haveRate && (s.rateShift > t.cfg.Epsilon || s.rateShift < -t.cfg.Epsilon) {
+	if s.haveRate && (s.rateShift > t.eps || s.rateShift < -t.eps) {
 		return false
 	}
 	if s.priorTotZero {
 		return false // all outcomes arrived inside the window
 	}
-	if s.haveL1 && s.l1 > t.cfg.Epsilon {
+	if s.haveL1 && s.l1 > t.eps {
 		return false
 	}
 	return true
@@ -320,14 +319,13 @@ func (t *convergeTracker) State() TrackerState {
 		Execs:          t.n,
 		Detected:       t.detected,
 		DistinctRaces:  len(t.raceSeen),
-		Window:         t.cfg.Window,
+		Window:         t.window,
 		WindowFilled:   len(t.ring),
 		WindowDetected: s.detected,
 		WindowNewInfo:  s.newInfo,
 		RateShift:      s.rateShift,
 		OutcomeL1:      s.l1,
-		MinExecs:       t.cfg.MinExecs,
-		Epsilon:        t.cfg.Epsilon,
+		Epsilon:        t.eps,
 		Converged:      t.Converged(),
 	}
 	if t.n > 0 {

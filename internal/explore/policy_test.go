@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/big"
 	"testing"
+
+	"c11tester/internal/rng"
 )
 
 func TestUniformNeverConverges(t *testing.T) {
@@ -21,25 +23,123 @@ func TestUniformNeverConverges(t *testing.T) {
 	}
 }
 
-func TestConvergeStableStreamConvergesAtFloor(t *testing.T) {
-	c := Converge{MinExecs: 20, Window: 10, Epsilon: 0.02}
-	tr := c.NewTracker()
-	for i := 0; i < 19; i++ {
-		tr.Observe(Obs{Detected: true, RaceKeys: []string{"r1"}, Outcome: "a"})
-		if tr.Converged() {
-			t.Fatalf("converged after %d < MinExecs observations", i+1)
+// TestConvergeWindowFromEpsilon pins L = ⌈3/ε⌉ for a few ε: the trailing
+// window, the floor and the chunk are all L, and the tracker state echoes it.
+func TestConvergeWindowFromEpsilon(t *testing.T) {
+	for _, c := range []struct {
+		eps  float64
+		want int
+	}{{0.02, 150}, {0.05, 60}, {0.1, 30}, {0.07, 43}} {
+		p := Converge{Epsilon: c.eps}
+		if p.Chunk() != c.want {
+			t.Errorf("ε=%g: Chunk() = %d, want L = %d", c.eps, p.Chunk(), c.want)
+		}
+		if st := p.NewTracker().(Introspector).State(); st.Window != c.want || st.Epsilon != c.eps {
+			t.Errorf("ε=%g: state echoes window %d, ε %g", c.eps, st.Window, st.Epsilon)
 		}
 	}
-	tr.Observe(Obs{Detected: true, RaceKeys: []string{"r1"}, Outcome: "a"})
+}
+
+func TestConvergeStableStreamConvergesAtFloor(t *testing.T) {
+	c := Converge{}
+	L := c.Chunk()
+	// A stream with nothing to find converges as soon as the window is full.
+	tr := c.NewTracker()
+	for i := 0; i < L-1; i++ {
+		tr.Observe(Obs{})
+		if tr.Converged() {
+			t.Fatalf("converged after %d < L = %d observations", i+1, L)
+		}
+	}
+	tr.Observe(Obs{})
 	if !tr.Converged() {
-		t.Fatal("perfectly stable stream did not converge at the MinExecs floor")
+		t.Fatal("empty stream did not converge at the L floor")
+	}
+	// A stable keyed stream found its key and outcome in execution 0, so
+	// it needs L executions after that one.
+	tr = c.NewTracker()
+	stable := Obs{Detected: true, RaceKeys: []string{"r1"}, Outcome: "a"}
+	for i := 0; i < L; i++ {
+		tr.Observe(stable)
+		if tr.Converged() {
+			t.Fatalf("converged after %d observations with execution 0's news in the window", i+1)
+		}
+	}
+	tr.Observe(stable)
+	if !tr.Converged() {
+		t.Fatal("perfectly stable stream did not converge L executions after its last news")
+	}
+}
+
+// TestConvergeLateKeyDelaysStop pins the run-length rule at its edge: a key
+// first seen at execution L−1 (the last one the floor covers) blocks the stop
+// at L, and the cell may stop only once L executions have followed it.
+func TestConvergeLateKeyDelaysStop(t *testing.T) {
+	c := Converge{}
+	L := c.Chunk()
+	tr := c.NewTracker()
+	for i := 0; i < L-1; i++ {
+		tr.Observe(Obs{})
+	}
+	tr.Observe(Obs{Detected: true, RaceKeys: []string{"late"}})
+	if tr.Converged() {
+		t.Fatalf("converged at L = %d with a new key at execution L−1", L)
+	}
+	for i := 0; i < L-1; i++ {
+		tr.Observe(Obs{})
+		if tr.Converged() {
+			t.Fatalf("converged at %d, only %d executions after the new key", L+i+1, i+1)
+		}
+	}
+	tr.Observe(Obs{})
+	if !tr.Converged() {
+		t.Fatalf("did not converge at 2L = %d, L executions after the new key", 2*L)
+	}
+}
+
+// TestConvergeKeepsFrequentKeys checks the guarantee end to end on a
+// simulated cell: a key that occurs in each execution with probability ε is
+// lost — the cell converges before ever seeing it — in at most 5% of cells,
+// as (1−ε)^L ≤ e^−3 promises. Checks run every Chunk() executions, as the
+// campaign's wave loop runs them.
+func TestConvergeKeepsFrequentKeys(t *testing.T) {
+	for _, eps := range []float64{0.02, 0.05, 0.1} {
+		c := Converge{Epsilon: eps}
+		const cells = 2000
+		lost := 0
+		var r rng.Rand
+		for cell := 0; cell < cells; cell++ {
+			r.Seed(int64(cell))
+			tr := c.NewTracker()
+			seen := false
+			for n := 1; n <= 20*c.Chunk(); n++ {
+				hit := float64(r.Uint64()>>11)/(1<<53) < eps
+				seen = seen || hit
+				o := Obs{Detected: hit}
+				if hit {
+					o.RaceKeys = []string{"k"}
+				}
+				tr.Observe(o)
+				if n%c.Chunk() == 0 && tr.Converged() {
+					break
+				}
+			}
+			if !seen {
+				lost++
+			}
+		}
+		t.Logf("ε=%g: lost in %d of %d cells", eps, lost, cells)
+		if rate := float64(lost) / cells; rate > 0.05 {
+			t.Errorf("ε=%g: key of frequency ε lost in %d of %d cells (%.1f%% > 5%%)", eps, lost, cells, 100*rate)
+		}
 	}
 }
 
 func TestConvergeNewRaceKeyInWindowBlocksConvergence(t *testing.T) {
-	c := Converge{MinExecs: 20, Window: 10, Epsilon: 1} // epsilon wide open
+	c := Converge{Epsilon: 0.1}
+	L := c.Chunk()
 	tr := c.NewTracker()
-	for i := 0; i < 25; i++ {
+	for i := 0; i < 2*L; i++ {
 		tr.Observe(Obs{Detected: true, RaceKeys: []string{"r1"}})
 	}
 	if !tr.Converged() {
@@ -50,7 +150,7 @@ func TestConvergeNewRaceKeyInWindowBlocksConvergence(t *testing.T) {
 		t.Fatal("a first-seen race key inside the window must block convergence")
 	}
 	// Once the novelty leaves the trailing window, convergence returns.
-	for i := 0; i < 10; i++ {
+	for i := 0; i < L; i++ {
 		tr.Observe(Obs{Detected: true, RaceKeys: []string{"r1", "r2"}})
 	}
 	if !tr.Converged() {
@@ -59,9 +159,9 @@ func TestConvergeNewRaceKeyInWindowBlocksConvergence(t *testing.T) {
 }
 
 func TestConvergeNewOutcomeInWindowBlocksConvergence(t *testing.T) {
-	c := Converge{MinExecs: 20, Window: 10, Epsilon: 1}
+	c := Converge{Epsilon: 0.1}
 	tr := c.NewTracker()
-	for i := 0; i < 30; i++ {
+	for i := 0; i < 3*c.Chunk(); i++ {
 		tr.Observe(Obs{Outcome: fmt.Sprintf("o%d", i%2)})
 	}
 	if !tr.Converged() {
@@ -74,18 +174,20 @@ func TestConvergeNewOutcomeInWindowBlocksConvergence(t *testing.T) {
 }
 
 func TestConvergeRateDriftBlocksConvergence(t *testing.T) {
-	c := Converge{MinExecs: 20, Window: 10, Epsilon: 0.02}
+	c := Converge{Epsilon: 0.1}
+	L := c.Chunk()
 	tr := c.NewTracker()
-	// 20 undetected executions, then a trailing window full of detections:
-	// the rate is still climbing, so the cell must not stop.
-	for i := 0; i < 20; i++ {
+	// 2L undetected executions, then a trailing window full of detections
+	// (with no race key, so only the rate leg can object): the rate is still
+	// climbing, so the cell must not stop.
+	for i := 0; i < 2*L; i++ {
 		tr.Observe(Obs{})
 	}
 	if !tr.Converged() {
 		t.Fatal("flat zero-rate stream did not converge")
 	}
-	for i := 0; i < 10; i++ {
-		tr.Observe(Obs{Detected: true, RaceKeys: []string{"r"}})
+	for i := 0; i < L; i++ {
+		tr.Observe(Obs{Detected: true})
 	}
 	if tr.Converged() {
 		t.Fatal("rate climbing through the window must block convergence")
@@ -93,17 +195,18 @@ func TestConvergeRateDriftBlocksConvergence(t *testing.T) {
 }
 
 func TestConvergeOutcomeDistributionDriftBlocksConvergence(t *testing.T) {
-	c := Converge{MinExecs: 40, Window: 20, Epsilon: 0.05}
+	c := Converge{Epsilon: 0.05}
+	L := c.Chunk()
 	tr := c.NewTracker()
-	// 40 executions split 50/50 over two outcomes...
-	for i := 0; i < 40; i++ {
+	// 2L executions split 50/50 over two outcomes...
+	for i := 0; i < 2*L; i++ {
 		tr.Observe(Obs{Outcome: fmt.Sprintf("o%d", i%2)})
 	}
 	if !tr.Converged() {
 		t.Fatal("balanced histogram did not converge")
 	}
 	// ...then a window that is all o0: the distribution is shifting.
-	for i := 0; i < 20; i++ {
+	for i := 0; i < L; i++ {
 		tr.Observe(Obs{Outcome: "o0"})
 	}
 	if tr.Converged() {
@@ -113,24 +216,14 @@ func TestConvergeOutcomeDistributionDriftBlocksConvergence(t *testing.T) {
 
 func TestConvergeDefaultsAndName(t *testing.T) {
 	var c Converge
-	if c.Chunk() != DefaultConvergeWindow {
-		t.Errorf("zero-value Chunk() = %d, want %d", c.Chunk(), DefaultConvergeWindow)
+	if c.Chunk() != 150 {
+		t.Errorf("zero-value Chunk() = %d, want L = ⌈3/%g⌉ = 150", c.Chunk(), DefaultConvergeEpsilon)
 	}
-	if want := "converge(min=20,window=10,eps=0.02)"; c.Name() != want {
+	if want := "converge(eps=0.02)"; c.Name() != want {
 		t.Errorf("Name() = %q, want %q", c.Name(), want)
 	}
-	// MinExecs below Window is raised to Window.
-	c = Converge{MinExecs: 3, Window: 10}
-	tr := c.NewTracker()
-	for i := 0; i < 9; i++ {
-		tr.Observe(Obs{})
-		if tr.Converged() {
-			t.Fatal("converged before a full window was observed")
-		}
-	}
-	tr.Observe(Obs{})
-	if !tr.Converged() {
-		t.Fatal("flat stream with a full window did not converge")
+	if want := "converge(eps=0.05)"; (Converge{Epsilon: 0.05}).Name() != want {
+		t.Errorf("Name() = %q, want %q", (Converge{Epsilon: 0.05}).Name(), want)
 	}
 }
 
@@ -164,7 +257,7 @@ func TestTrackerStateIntrospection(t *testing.T) {
 	if _, ok := (Uniform{}).NewTracker().(Introspector); ok {
 		t.Fatal("uniform tracker claims introspection with nothing to explain")
 	}
-	c := Converge{MinExecs: 20, Window: 10, Epsilon: 0.02}
+	c := Converge{Epsilon: 0.3} // L = 10
 	tr := c.NewTracker()
 	in, ok := tr.(Introspector)
 	if !ok {
@@ -176,7 +269,7 @@ func TestTrackerStateIntrospection(t *testing.T) {
 	if st.Execs != 0 || st.DetectionRate != 0 || st.WindowFilled != 0 || st.Converged {
 		t.Fatalf("zero-stream state = %+v", st)
 	}
-	if st.Window != 10 || st.MinExecs != 20 || st.Epsilon != 0.02 {
+	if st.Window != 10 || st.Epsilon != 0.3 {
 		t.Fatalf("state does not echo policy thresholds: %+v", st)
 	}
 
@@ -236,7 +329,7 @@ func TestTrackerStateIntrospection(t *testing.T) {
 // every call, yet repeated State() calls must return a bit-identical
 // OutcomeL1, equal to the exact distance rounded once.
 func TestOutcomeL1OrderIndependent(t *testing.T) {
-	c := Converge{MinExecs: 20, Window: 10, Epsilon: 0.02}
+	c := Converge{Epsilon: 0.3} // L = 10
 	tr := c.NewTracker()
 	for i := 0; i < 97; i++ {
 		tr.Observe(Obs{Outcome: fmt.Sprintf("o%d", (i*i+3*i)%13)})

@@ -63,7 +63,7 @@ func (t *convergeTracker) Snapshot() *TrackerSnapshot {
 		}
 	}
 	ordered := t.ring
-	if len(t.ring) == t.cfg.Window && t.next != 0 {
+	if len(t.ring) == t.window && t.next != 0 {
 		ordered = append(append([]windowObs{}, t.ring[t.next:]...), t.ring[:t.next]...)
 	}
 	for _, w := range ordered {

@@ -28,7 +28,7 @@ func syntheticObs(n int) []Obs {
 // stream, and their verdicts and introspection state must agree step for
 // step.
 func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
-	pol := Converge{MinExecs: 10, Window: 6, Epsilon: 0.05}
+	pol := Converge{Epsilon: 0.5} // L = 6
 	stream := syntheticObs(40)
 	for cut := 0; cut <= len(stream); cut++ {
 		orig := pol.NewTracker()
@@ -69,8 +69,8 @@ func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
 // snapshot to identical bytes regardless of the ring cursor position —
 // checkpoints of equivalent campaigns must be comparable bytewise.
 func TestSnapshotCanonicalEncoding(t *testing.T) {
-	pol := Converge{MinExecs: 4, Window: 4, Epsilon: 0.1}
-	stream := syntheticObs(11) // 11 % 4 != 0: the ring cursor sits mid-ring
+	pol := Converge{Epsilon: 0.75} // L = 4
+	stream := syntheticObs(11)     // 11 % L != 0: the ring cursor sits mid-ring
 
 	direct := pol.NewTracker()
 	for _, o := range stream {

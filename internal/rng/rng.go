@@ -4,90 +4,20 @@
 // campaign hot path — a campaign re-seeds once per execution and short
 // litmus executions make only a handful of draws, so seeding cost dominates.
 //
-// Two sources are provided:
-//
-//   - PCG (the default): a 128-bit PCG-DXSM generator seeded in O(1) by
-//     splitmix64 expansion of the int64 seed. Uint64 draws are served from a
-//     small fixed buffer refilled in a tight loop, so the per-decision fast
-//     path is a load and an increment; Intn uses Lemire's multiply-shift
-//     bounded reduction, which divides only on the (rare) rejection path.
-//     The stream is a pure function of the seed, pinned by golden-value
-//     tests so it cannot drift across Go versions.
-//
-//   - Legacy: math/rand's lagged-Fibonacci source, re-seeded in place (the
-//     pattern previously duplicated across the core strategies and
-//     Engine.Rand). Its reseed walks a 607-entry state table (~10 µs — more
-//     than half of a short litmus execution), which is exactly the cost the
-//     PCG source removes; it is kept behind -rng legacy so pre-PCG campaign
-//     artifacts remain reproducible bit for bit.
+// The source is a 128-bit PCG-DXSM generator seeded in O(1) by splitmix64
+// expansion of the int64 seed. Uint64 draws are served from a small fixed
+// buffer refilled in a tight loop, so the per-decision fast path is a load
+// and an increment; Intn uses Lemire's multiply-shift bounded reduction,
+// which divides only on the (rare) rejection path. The stream is a pure
+// function of the seed, pinned by golden-value tests so it cannot drift
+// across Go versions.
 //
 // A Rand is a value type: embed it directly (strategies and the engine do)
 // so the PCG state and draw buffer live inline and seeding allocates
-// nothing. The zero value is an unseeded PCG source; call Seed before
-// drawing.
+// nothing. The zero value is unseeded; call Seed before drawing.
 package rng
 
-import (
-	"fmt"
-	"math/bits"
-	mrand "math/rand"
-)
-
-// Kind selects the random source backing a Rand.
-type Kind uint8
-
-const (
-	// PCG is the default source: splitmix64-seeded PCG-DXSM with the
-	// buffered fast path.
-	PCG Kind = iota
-	// Legacy is math/rand's lagged-Fibonacci source, kept as a comparison
-	// dimension and for reproducing pre-PCG artifacts.
-	Legacy
-)
-
-// String returns the -rng flag name of the kind.
-func (k Kind) String() string {
-	if k == Legacy {
-		return "legacy"
-	}
-	return "pcg"
-}
-
-// Parse resolves a -rng flag value. The empty string is the default source.
-func Parse(name string) (Kind, error) {
-	switch name {
-	case "", "pcg":
-		return PCG, nil
-	case "legacy":
-		return Legacy, nil
-	}
-	return PCG, fmt.Errorf("unknown rng source %q (want pcg or legacy)", name)
-}
-
-// Canonical normalizes a -rng flag value to its canonical name; unknown
-// names normalize to the default (validate with Parse first).
-func Canonical(name string) string {
-	k, _ := Parse(name)
-	return k.String()
-}
-
-// Names lists the selectable sources for -list output.
-func Names() []string { return []string{"pcg", "legacy"} }
-
-// Kinded is implemented by decision sources that can report which rng source
-// they draw from; wrappers (trace guides, recorders) use it to keep their
-// auxiliary draws on the same source as the strategy they wrap.
-type Kinded interface {
-	RNGKind() Kind
-}
-
-// KindOf reports the rng source behind v (via Kinded), or the default.
-func KindOf(v any) Kind {
-	if k, ok := v.(Kinded); ok {
-		return k.RNGKind()
-	}
-	return PCG
-}
+import "math/bits"
 
 // bufLen is the decision buffer size: 32 raw 64-bit draws (256 bytes of
 // inline state). Short litmus executions make ~20–40 combined decisions, so
@@ -97,8 +27,6 @@ const bufLen = 32
 // Rand is a seedable random source. It is not safe for concurrent use; like
 // the engine state it feeds, a Rand is confined to one worker.
 type Rand struct {
-	kind Kind
-
 	// PCG-DXSM state: a 128-bit linear congruential step whose output is
 	// scrambled by a double-xorshift-multiply. hi/lo are the state words.
 	hi, lo uint64
@@ -108,27 +36,7 @@ type Rand struct {
 	// O(1) even when no draw follows.
 	buf [bufLen]uint64
 	i   int
-
-	// legacy is the math/rand source, materialized on the first legacy
-	// Seed and re-seeded in place afterwards.
-	legacy *mrand.Rand
 }
-
-// New returns a seeded Rand of the given kind. The initial seed is 1,
-// matching the historical rand.NewSource(1) strategy default.
-func New(kind Kind) *Rand {
-	r := &Rand{kind: kind}
-	r.Seed(1)
-	return r
-}
-
-// Kind reports the source backing this Rand.
-func (r *Rand) Kind() Kind { return r.kind }
-
-// SetKind switches the source kind; it takes effect at the next Seed.
-// (Engine-embedded Rands are re-kinded and re-seeded together at each
-// execution reset.)
-func (r *Rand) SetKind(k Kind) { r.kind = k }
 
 // splitmix64 is the seed-expansion step: a Weyl increment followed by a
 // finalizer. It turns correlated int64 seeds (campaigns use base+i) into
@@ -141,21 +49,9 @@ func splitmix64(x uint64) uint64 {
 	return x ^ x>>31
 }
 
-// Seed re-seeds the source for a new execution. For PCG this is O(1): two
-// splitmix64 expansions and a buffer invalidation. For Legacy it re-seeds
-// the math/rand source in place — the exact state of a fresh
-// rand.New(rand.NewSource(seed)) without re-allocating its state table —
-// which is the single shared implementation of the reseed pattern the core
-// strategies and Engine.Rand previously each carried.
+// Seed re-seeds the source for a new execution in O(1): two splitmix64
+// expansions and a buffer invalidation.
 func (r *Rand) Seed(seed int64) {
-	if r.kind == Legacy {
-		if r.legacy == nil {
-			r.legacy = mrand.New(mrand.NewSource(seed))
-			return
-		}
-		r.legacy.Seed(seed)
-		return
-	}
 	// Two Weyl steps of the splitmix increment (the second is 2γ mod 2^64)
 	// expand the seed into independent state words.
 	s := uint64(seed)
@@ -201,12 +97,9 @@ func (r *Rand) refill() {
 	r.i = 0
 }
 
-// Uint64 returns the next raw 64-bit draw. On the PCG fast path this is a
+// Uint64 returns the next raw 64-bit draw. On the fast path this is a
 // buffer load and cursor increment.
 func (r *Rand) Uint64() uint64 {
-	if r.kind == Legacy {
-		return r.legacy.Uint64()
-	}
 	if r.i == bufLen {
 		r.refill()
 	}
@@ -216,7 +109,7 @@ func (r *Rand) Uint64() uint64 {
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0, matching
-// math/rand. The PCG path uses Lemire's multiply-shift reduction: the
+// math/rand. It uses Lemire's multiply-shift reduction: the
 // quotient of a 64×64→128 multiply is the bounded value, and the modulo
 // (the only division) runs only when the low half lands in the rejection
 // zone — with probability n/2^64, i.e. essentially never for scheduler-sized
@@ -224,9 +117,6 @@ func (r *Rand) Uint64() uint64 {
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn called with non-positive n")
-	}
-	if r.kind == Legacy {
-		return r.legacy.Intn(n)
 	}
 	un := uint64(n)
 	hi, lo := bits.Mul64(r.Uint64(), un)

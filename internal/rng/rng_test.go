@@ -1,9 +1,6 @@
 package rng
 
-import (
-	mrand "math/rand"
-	"testing"
-)
+import "testing"
 
 // goldenPCG pins the PCG stream bit for bit: the campaign determinism
 // invariant (every execution is a pure function of its seed) extends to the
@@ -22,7 +19,7 @@ var goldenIntn10 = []int{2, 6, 6, 9, 1, 8, 6, 5, 1, 0, 5, 4, 3, 8, 1, 3}
 
 func TestGoldenStream(t *testing.T) {
 	for seed, want := range goldenPCG {
-		r := New(PCG)
+		r := new(Rand)
 		r.Seed(seed)
 		for i, w := range want {
 			if got := r.Uint64(); got != w {
@@ -30,7 +27,7 @@ func TestGoldenStream(t *testing.T) {
 			}
 		}
 	}
-	r := New(PCG)
+	r := new(Rand)
 	r.Seed(1)
 	for i, w := range goldenIntn10 {
 		if got := r.Intn(10); got != w {
@@ -40,46 +37,23 @@ func TestGoldenStream(t *testing.T) {
 }
 
 // TestReseedReproduces pins the O(1)-reseed contract: re-seeding an
-// already-used Rand must reproduce the stream of a fresh one exactly, for
-// both sources (the legacy source's in-place reseed is the hoisted pattern
-// the strategies share).
+// already-used Rand must reproduce the stream of a fresh one exactly.
 func TestReseedReproduces(t *testing.T) {
-	for _, kind := range []Kind{PCG, Legacy} {
-		used := New(kind)
-		used.Seed(99)
-		for i := 0; i < 100; i++ {
-			used.Uint64()
-			used.Intn(7)
-		}
-		used.Seed(5)
-		fresh := New(kind)
-		fresh.Seed(5)
-		for i := 0; i < 200; i++ {
-			if g, w := used.Uint64(), fresh.Uint64(); g != w {
-				t.Fatalf("%v: reseeded draw %d: got %#x, want %#x", kind, i, g, w)
-			}
-			if g, w := used.Intn(13), fresh.Intn(13); g != w {
-				t.Fatalf("%v: reseeded Intn %d: got %d, want %d", kind, i, g, w)
-			}
-		}
+	used := new(Rand)
+	used.Seed(99)
+	for i := 0; i < 100; i++ {
+		used.Uint64()
+		used.Intn(7)
 	}
-}
-
-// TestLegacyMatchesMathRand pins the -rng legacy reproduction guarantee:
-// the legacy source's stream is exactly math/rand's, draw for draw, so
-// pre-PCG campaign artifacts reproduce bit for bit.
-func TestLegacyMatchesMathRand(t *testing.T) {
-	for _, seed := range []int64{1, 7, 1042, -3} {
-		r := New(Legacy)
-		r.Seed(seed)
-		ref := mrand.New(mrand.NewSource(seed))
-		for i := 0; i < 500; i++ {
-			if g, w := r.Uint64(), ref.Uint64(); g != w {
-				t.Fatalf("seed %d draw %d: got %#x, want %#x", seed, i, g, w)
-			}
-			if g, w := r.Intn(i+1), ref.Intn(i+1); g != w {
-				t.Fatalf("seed %d Intn draw %d: got %d, want %d", seed, i, g, w)
-			}
+	used.Seed(5)
+	fresh := new(Rand)
+	fresh.Seed(5)
+	for i := 0; i < 200; i++ {
+		if g, w := used.Uint64(), fresh.Uint64(); g != w {
+			t.Fatalf("reseeded draw %d: got %#x, want %#x", i, g, w)
+		}
+		if g, w := used.Intn(13), fresh.Intn(13); g != w {
+			t.Fatalf("reseeded Intn %d: got %d, want %d", i, g, w)
 		}
 	}
 }
@@ -90,7 +64,7 @@ func TestLegacyMatchesMathRand(t *testing.T) {
 func TestIntnUniformity(t *testing.T) {
 	const draws = 200000
 	for _, n := range []int{2, 3, 7, 10, 16, 61} {
-		r := New(PCG)
+		r := new(Rand)
 		r.Seed(12345)
 		counts := make([]int, n)
 		for i := 0; i < draws; i++ {
@@ -110,7 +84,7 @@ func TestIntnUniformity(t *testing.T) {
 }
 
 func TestIntnBounds(t *testing.T) {
-	r := New(PCG)
+	r := new(Rand)
 	r.Seed(1)
 	for i := 0; i < 1000; i++ {
 		if v := r.Intn(1); v != 0 {
@@ -132,58 +106,30 @@ func TestIntnBounds(t *testing.T) {
 	r.Intn(0)
 }
 
-func TestParse(t *testing.T) {
-	for name, want := range map[string]Kind{"": PCG, "pcg": PCG, "legacy": Legacy} {
-		k, err := Parse(name)
-		if err != nil || k != want {
-			t.Fatalf("Parse(%q) = %v, %v; want %v", name, k, err, want)
-		}
-	}
-	if _, err := Parse("mersenne"); err == nil {
-		t.Fatal("Parse accepted an unknown source name")
-	}
-	if got := Canonical(""); got != "pcg" {
-		t.Fatalf("Canonical(\"\") = %q", got)
-	}
-}
-
-// BenchmarkSeed measures the per-execution reseed cost — the fixed cost the
-// PCG source exists to remove (legacy's lagged-Fibonacci reseed walks a
-// 607-entry table; PCG's is two multiplies).
+// BenchmarkSeed measures the per-execution reseed cost: two splitmix64
+// expansions and a buffer invalidation, no table fill.
 func BenchmarkSeed(b *testing.B) {
-	for _, kind := range []Kind{PCG, Legacy} {
-		b.Run(kind.String(), func(b *testing.B) {
-			r := New(kind)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r.Seed(int64(i))
-			}
-		})
+	r := new(Rand)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Seed(int64(i))
 	}
 }
 
 func BenchmarkUint64(b *testing.B) {
-	for _, kind := range []Kind{PCG, Legacy} {
-		b.Run(kind.String(), func(b *testing.B) {
-			r := New(kind)
-			r.Seed(1)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r.Uint64()
-			}
-		})
+	r := new(Rand)
+	r.Seed(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Uint64()
 	}
 }
 
 func BenchmarkIntn(b *testing.B) {
-	for _, kind := range []Kind{PCG, Legacy} {
-		b.Run(kind.String(), func(b *testing.B) {
-			r := New(kind)
-			r.Seed(1)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r.Intn(3)
-			}
-		})
+	r := new(Rand)
+	r.Seed(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Intn(3)
 	}
 }

@@ -46,9 +46,9 @@ type ToolConfig struct {
 	QuantumMean     int    `json:"quantum_mean,omitempty"`
 	MaxSteps        uint64 `json:"max_steps,omitempty"`
 	FaithfulHandoff bool   `json:"faithful_handoff,omitempty"`
-	// RNG names a non-default random source ("legacy"); empty means the
-	// default PCG source. Replay must rebuild the tool on the same source:
-	// workload draws (env.RandUint64) depend on it.
+	// RNG is set only by traces recorded under the removed -rng legacy
+	// source. Replay cannot rebuild that source (workload draws through
+	// env.RandUint64 depend on it), so ReadFile refuses such traces.
 	RNG string `json:"rng,omitempty"`
 }
 
@@ -320,6 +320,9 @@ func ReadFile(path string) (*Trace, error) {
 	}
 	if tr.SchemaVersion != SchemaVersion {
 		return nil, fmt.Errorf("trace: %s: schema version %d, want %d", path, tr.SchemaVersion, SchemaVersion)
+	}
+	if tr.Tool.RNG != "" {
+		return nil, fmt.Errorf("trace: %s: recorded on rng source %q; -rng legacy was removed and its traces cannot be replayed", path, tr.Tool.RNG)
 	}
 	return &tr, nil
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"c11tester/internal/baseline"
@@ -168,6 +169,17 @@ func TestSerializationRoundTripAndOfflineValidation(t *testing.T) {
 	}
 	if len(vs) == 0 {
 		t.Fatal("offline validator missed a corrupted rf value")
+	}
+}
+
+// legacyFixture is a trace whose tool config names the removed -rng legacy
+// source. Replay cannot rebuild that source, so every reader must refuse it.
+const legacyFixture = "testdata/legacy/trace_c11tester_SB+sc_1.json"
+
+func TestReadFileRefusesLegacyRNG(t *testing.T) {
+	_, err := ReadFile(legacyFixture)
+	if err == nil || !strings.Contains(err.Error(), "-rng legacy") {
+		t.Fatalf("ReadFile(legacy trace) = %v, want an error naming -rng legacy", err)
 	}
 }
 
