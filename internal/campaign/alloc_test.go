@@ -27,8 +27,13 @@ import (
 // per execution — so the observability fabric is itself held to the
 // zero-alloc bar the runner's hot path relies on, exactly as a -capture
 // campaign runs it. Both paths are measured: a sampled (timed) index and an
-// unsampled one.
+// unsampled one. The subtest is named for the run's random source, the
+// PCG-DXSM generator of internal/rng.
 func TestZeroAllocSteadyState(t *testing.T) {
+	t.Run("pcg", testZeroAllocSteadyState)
+}
+
+func testZeroAllocSteadyState(t *testing.T) {
 	benches, err := SelectBenchmarks("all")
 	if err != nil {
 		t.Fatal(err)
