@@ -29,20 +29,28 @@ type LocMO struct {
 // integer id once — a trace action's id is its trace position — so Check
 // and SCExplainable run over position-indexed arrays.
 //
+// Each stage is near-linear in the trace length n. Lift is O(n) past the
+// model's AppendTotalMO: it resolves pointers through an open-addressed
+// table sized to this trace, not a map sized to the largest trace ever
+// lifted. Check groups accesses by location with a counting pass, and checks
+// coherence in O(k·w) for a location with k accesses and w threads (see
+// sweepCoherence); the O(k²) pair loop runs only to report violations.
+//
 // An Execution is also a reusable workspace: Lift refills it in place, and
-// the pointer map, the position arrays, the happens-before matrix and the SC
-// graph all keep their capacity, so a caller that lifts every execution into
-// one Execution allocates nothing once the buffers have grown. The zero value
-// is an empty workspace. An Execution is not safe for concurrent use, and a
-// lifted one references the engine's actions: it is valid only until the
-// engine's next Execute.
+// the pointer table, the position arrays, the happens-before matrix and the
+// SC graph all keep their capacity, so a caller that lifts every execution
+// into one Execution allocates nothing once the buffers have grown. The zero
+// value is an empty workspace. An Execution is not safe for concurrent use,
+// and a lifted one references the engine's actions: it is valid only until
+// the engine's next Execute.
 type Execution struct {
 	trace []*core.Action
 	mo    []LocMO // ascending Loc
 
-	// id resolves action pointers; acts is its inverse: the trace, then any
-	// reads-from source or mo entry outside the trace.
-	id      map[*core.Action]int32
+	// slots resolves action pointers: an open-addressed table of id+1, 0
+	// for empty, with a power-of-two length. acts is its inverse: the
+	// trace, then any reads-from source or mo entry outside the trace.
+	slots   []int32
 	acts    []*core.Action
 	rf      []int32 // per id: id of the store read from, or -1
 	moIx    []int32 // per id: position in its location's mo, or -1
@@ -54,7 +62,9 @@ type Execution struct {
 	locBuf []memmodel.LocID
 	moBuf  []*core.Action
 
-	chk checkScratch
+	// chk is Check's working set, allocated by the first Check: a workspace
+	// that only ever answers SCExplainable stays small.
+	chk *checkScratch
 	sc  scGraph
 }
 
@@ -102,16 +112,15 @@ func NewExecution(trace []*core.Action, mo []LocMO) *Execution {
 
 // index resolves the trace and mo pointers to ids.
 func (ex *Execution) index() {
-	if ex.id == nil {
-		ex.id = make(map[*core.Action]int32, len(ex.trace))
-	} else {
-		clear(ex.id)
+	n := len(ex.trace)
+	for _, l := range ex.mo {
+		n += len(l.Stores)
 	}
 	ex.acts = append(ex.acts[:0], ex.trace...)
+	ex.rehash(n)
 	ex.moIx = ex.moIx[:0]
 	ex.threads = 0
-	for i, a := range ex.trace {
-		ex.id[a] = int32(i)
+	for _, a := range ex.trace {
 		ex.moIx = append(ex.moIx, -1)
 		ex.threads = max(ex.threads, int(a.TID)+1)
 	}
@@ -136,15 +145,48 @@ func (ex *Execution) index() {
 	}
 }
 
+// rehash empties the pointer table, sizes it for n actions at a load of at
+// most one half, and enters every action in acts under its position there.
+// Should a pointer recur in the trace, its later position wins.
+func (ex *Execution) rehash(n int) {
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	ex.slots = resize(ex.slots, size)
+	clear(ex.slots)
+	for d, a := range ex.acts {
+		ex.slots[ex.slot(a)] = int32(d) + 1
+	}
+}
+
+// slot returns the table slot that holds a, or the empty slot where a
+// belongs. The hash mixes the action's sequence number and thread, which
+// are unique within an engine's execution; equality is pointer identity, so
+// a hand-built trace that repeats them is slower but still correct.
+func (ex *Execution) slot(a *core.Action) int {
+	mask := len(ex.slots) - 1
+	h := (uint64(a.Seq) ^ uint64(uint32(a.TID))<<40) * 0x9e3779b97f4a7c15
+	for i := int(h>>32) & mask; ; i = (i + 1) & mask {
+		if d := ex.slots[i]; d == 0 || ex.acts[d-1] == a {
+			return i
+		}
+	}
+}
+
 // resolve returns a's id, assigning the next one to an action first seen.
 func (ex *Execution) resolve(a *core.Action) int32 {
-	if d, ok := ex.id[a]; ok {
-		return d
+	i := ex.slot(a)
+	if d := ex.slots[i]; d != 0 {
+		return d - 1
 	}
 	d := int32(len(ex.acts))
-	ex.id[a] = d
+	ex.slots[i] = d + 1
 	ex.acts = append(ex.acts, a)
 	ex.moIx = append(ex.moIx, -1)
+	if 2*len(ex.acts) > len(ex.slots) {
+		ex.rehash(len(ex.acts))
+	}
 	return d
 }
 
@@ -172,10 +214,21 @@ type checkScratch struct {
 	thr    []hbThread
 	rows   []memmodel.SeqNum // backing array of thr's clocks
 	acc    []uint64          // Loc<<32 | position of each read and write, sorted
+	locEnd []int32           // per LocID: groupAccesses' counting-pass cursor
 	grp    []int32           // per trace position: its location group, or -1
 	lastSC []int32           // per group: the last SC store so far, or -1
 	readBy []int32           // per id: the RMW that read from it, or -1
 	scOps  []int32
+
+	// Coherence sweep state. Thread t's accesses at the location being
+	// swept occupy sweep[thrOff[t]:thrOff[t]+fill[t]]; thrOff bounds each
+	// thread by its access count over the whole trace. cur[u*w+t] counts
+	// how many of thread t's accesses happen before thread u's latest one.
+	sweep  []sweepEntry
+	thrOff []int32
+	fill   []int32
+	cur    []int32
+	paths  coherencePaths
 }
 
 // hbThread is one thread's state while computeHB walks the trace.
@@ -200,6 +253,9 @@ type checker struct {
 // order; within a rule, locations come in ascending order and actions in
 // trace or modification order, so the result is deterministic.
 func Check(ex *Execution) []Violation {
+	if ex.chk == nil {
+		ex.chk = new(checkScratch)
+	}
 	c := checker{ex: ex}
 	c.checkForwardEdges()
 	ex.computeHB()
@@ -277,7 +333,7 @@ func (c *checker) checkForwardEdges() {
 // its first one, the release clock of a store not yet executed or of a
 // non-store — needs no flag.
 func (ex *Execution) computeHB() {
-	s := &ex.chk
+	s := ex.chk
 	n, w := len(ex.trace), ex.threads
 	s.hb = resize(s.hb, n*w)
 	s.rel = resize(s.rel, n*w)
@@ -404,16 +460,55 @@ func (c *checker) checkReadsFrom() {
 
 // groupAccesses sorts the trace's reads and writes by (Loc, position),
 // which groups them by ascending location in trace order, and numbers the
-// groups.
+// groups. LocIDs are dense, so a counting pass over them does the sort in
+// O(n); when the largest LocID is out of proportion to n, it sorts instead.
+// It also counts each thread's accesses, which bound the coherence sweep's
+// per-thread regions.
 func (ex *Execution) groupAccesses() {
-	s := &ex.chk
-	s.acc = s.acc[:0]
-	for i, a := range ex.trace {
+	s := ex.chk
+	w := ex.threads
+	s.thrOff = resize(s.thrOff, w+1)
+	clear(s.thrOff)
+	n, top := 0, memmodel.LocID(0)
+	for _, a := range ex.trace {
 		if a.Kind.IsRead() || a.Kind.IsWrite() {
-			s.acc = append(s.acc, uint64(a.Loc)<<32|uint64(i))
+			n++
+			top = max(top, a.Loc)
+			s.thrOff[a.TID+1]++
 		}
 	}
-	slices.Sort(s.acc)
+	for t := 0; t < w; t++ {
+		s.thrOff[t+1] += s.thrOff[t]
+	}
+	s.acc = resize(s.acc, n)
+	if int(top) < 2*n+64 {
+		s.locEnd = resize(s.locEnd, int(top)+1)
+		clear(s.locEnd)
+		for _, a := range ex.trace {
+			if a.Kind.IsRead() || a.Kind.IsWrite() {
+				s.locEnd[a.Loc]++
+			}
+		}
+		start := int32(0)
+		for l, c := range s.locEnd {
+			s.locEnd[l] = start
+			start += c
+		}
+		for i, a := range ex.trace {
+			if a.Kind.IsRead() || a.Kind.IsWrite() {
+				s.acc[s.locEnd[a.Loc]] = uint64(a.Loc)<<32 | uint64(i)
+				s.locEnd[a.Loc]++
+			}
+		}
+	} else {
+		s.acc = s.acc[:0]
+		for i, a := range ex.trace {
+			if a.Kind.IsRead() || a.Kind.IsWrite() {
+				s.acc = append(s.acc, uint64(a.Loc)<<32|uint64(i))
+			}
+		}
+		slices.Sort(s.acc)
+	}
 	s.grp = resize(s.grp, len(ex.trace))
 	for i := range s.grp {
 		s.grp[i] = -1
@@ -428,20 +523,132 @@ func (ex *Execution) groupAccesses() {
 	s.lastSC = resize(s.lastSC, int(g+1))
 }
 
+// coherencePaths counts, over a workspace's life, how checkCoherence
+// settled each location: the sweep accepted it, or the sweep bailed out
+// because its prefix argument does not apply, or the pair loop ran (after
+// a bail, after the sweep rejected, or for a location too small to sweep).
+type coherencePaths struct {
+	accepted, bailed, reported int
+}
+
 // checkCoherence verifies the four coherence shapes of Figure 5 against the
-// concrete modification order.
+// concrete modification order. A location whose accesses the sweep proves
+// coherent needs nothing more; any other goes through the pair loop, which
+// finds and reports its violations. A location with at most two accesses
+// per thread goes straight to the pair loop, which costs no more there.
 func (c *checker) checkCoherence() {
-	acc := c.ex.chk.acc
+	ex := c.ex
+	s, w := ex.chk, ex.threads
+	acc := s.acc
 	for lo := 0; lo < len(acc); {
 		hi := lo + 1
 		for hi < len(acc) && acc[hi]>>32 == acc[lo]>>32 {
 			hi++
 		}
 		if memmodel.LocID(acc[lo]>>32) != memmodel.NoLoc {
-			c.checkLocCoherence(acc[lo:hi])
+			keys := acc[lo:hi]
+			if len(keys) > 2*w {
+				switch ex.sweepCoherence(keys) {
+				case sweepCoherent:
+					s.paths.accepted++
+					lo = hi
+					continue
+				case sweepBailed:
+					s.paths.bailed++
+				}
+			}
+			s.paths.reported++
+			c.checkLocCoherence(keys)
 		}
 		lo = hi
 	}
+}
+
+// sweepVerdict is the coherence sweep's answer for one location.
+type sweepVerdict uint8
+
+const (
+	sweepCoherent sweepVerdict = iota // no pair violates coherence
+	sweepRejected                     // some pair may violate it
+	sweepBailed                       // the sweep's prefix argument does not apply
+)
+
+// sweepEntry is one access in its thread's list: its Seq, and the running
+// maxima of mo position over the list up to it — of every access's store
+// (all) and of the writes alone (wr, -1 before the first write).
+type sweepEntry struct {
+	seq     memmodel.SeqNum
+	all, wr int32
+}
+
+// sweepCoherence decides in O(k·w) whether one location's accesses, given
+// as groupAccesses keys, satisfy coherence. With pos(s) = max(moIx[s], 0) as
+// moBefore reads it, the four shapes of Figure 5 together say: for x hb→ y,
+// pos(writeOf(x)) ≤ pos(writeOf(y)), strictly when both are writes. Walking
+// the accesses in trace order, the hb-predecessors of y from thread t are
+// the prefix of t's list whose Seq is at most y's clock entry for t, so the
+// running maxima at the end of each prefix bound every pair at once. The
+// cursor that finds a prefix's end only moves forward: computeHB changes
+// another thread's entry in u's clock only by joins, and u's own entry is
+// y's Seq. Two shapes break that argument, and the sweep bails on them: a
+// thread whose Seq does not increase along its list (a promoted non-atomic
+// store carries its original epoch), and a read whose store is at another
+// location.
+func (ex *Execution) sweepCoherence(keys []uint64) sweepVerdict {
+	s := ex.chk
+	w := ex.threads
+	hb := s.hb
+	loc := ex.trace[uint32(keys[0])].Loc
+	s.sweep = resize(s.sweep, int(s.thrOff[w]))
+	s.fill = resize(s.fill, w)
+	clear(s.fill)
+	s.cur = resize(s.cur, w*w)
+	clear(s.cur)
+	for _, k := range keys {
+		p := int32(uint32(k))
+		wy := ex.writeOf(p)
+		if wy < 0 {
+			continue
+		}
+		if ex.acts[wy].Loc != loc {
+			return sweepBailed
+		}
+		y := ex.trace[p]
+		u := int(y.TID)
+		py := max(ex.moIx[wy], 0)
+		all, wr := int32(-1), int32(-1)
+		cur := s.cur[u*w : (u+1)*w]
+		for t, bound := range hb[int(p)*w : int(p+1)*w] {
+			list := s.sweep[s.thrOff[t] : s.thrOff[t]+s.fill[t]]
+			c := cur[t]
+			for int(c) < len(list) && list[c].seq <= bound {
+				c++
+			}
+			cur[t] = c
+			if c > 0 {
+				all, wr = max(all, list[c-1].all), max(wr, list[c-1].wr)
+			}
+		}
+		isWrite := y.Kind.IsWrite()
+		if all > py || isWrite && wr >= py {
+			return sweepRejected
+		}
+		e := sweepEntry{seq: y.Seq, all: py, wr: -1}
+		if isWrite {
+			e.wr = py
+		}
+		end := s.thrOff[u] + s.fill[u]
+		if s.fill[u] > 0 {
+			last := s.sweep[end-1]
+			if last.seq >= y.Seq {
+				return sweepBailed
+			}
+			e.all, e.wr = max(e.all, last.all), max(e.wr, last.wr)
+		}
+		s.sweep[end] = e
+		s.fill[u]++
+	}
+	return sweepCoherent
 }
 
 // checkLocCoherence checks every hb-ordered pair of one location's accesses,
@@ -523,7 +730,7 @@ func (c *checker) checkRMWAtomicity() {
 // happen before that store (C++11 29.3p3).
 func (c *checker) checkSeqCst() {
 	ex := c.ex
-	s := &ex.chk
+	s := ex.chk
 	s.scOps = s.scOps[:0]
 	for i, a := range ex.trace {
 		if a.IsSC() {

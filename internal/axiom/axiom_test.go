@@ -109,6 +109,85 @@ func genChaosProgram(r *rand.Rand) capi.Program {
 	}
 }
 
+// genHotProgram builds a random program with the shape the coherence sweep
+// is for: 4–5 threads that together pile 150 or more accesses onto one hot
+// location — spin loads that wait for the value to move, RMWs and stores,
+// all with random memory orders — plus plain stores to it, each of which
+// the next atomic access promotes into the modification order (the hot
+// location itself starts with a plain store too). A second location carries
+// occasional flag traffic, so the trace has more than one group.
+func genHotProgram(r *rand.Rand) capi.Program {
+	nThreads := 4 + r.Intn(2)
+	specs := make([][]opSpec, nThreads)
+	val := memmodel.Value(1)
+	for ti := range specs {
+		nOps := 40 + r.Intn(10)
+		for k := 0; k < nOps; k++ {
+			s := opSpec{mo: chaosOrders[r.Intn(len(chaosOrders))]}
+			if r.Intn(8) == 0 {
+				s.loc = 1
+			}
+			switch r.Intn(10) {
+			case 0, 1, 2, 3:
+				s.kind = memmodel.KLoad // spin: see below
+			case 4, 5:
+				s.kind = memmodel.KRMW
+				s.rmw = capi.RMWAdd
+				s.val = 1
+			case 6:
+				s.kind = memmodel.KRMW
+				s.rmw = capi.RMWCas
+				s.val = val
+				val++
+			case 7, 8:
+				s.kind = memmodel.KStore
+				s.val = val
+				val++
+			case 9:
+				s.kind = memmodel.KNAStore
+				s.loc = 0
+				s.val = val
+				val++
+			}
+			specs[ti] = append(specs[ti], s)
+		}
+	}
+	return capi.Program{
+		Name: "hot",
+		Run: func(env capi.Env) {
+			locs := []capi.Loc{env.NewLoc("hot", 0), env.NewAtomic("flag", 0)}
+			var threads []capi.Thread
+			for _, spec := range specs {
+				spec := spec
+				threads = append(threads, env.Spawn("worker", func(env capi.Env) {
+					for _, s := range spec {
+						l := locs[s.loc]
+						switch s.kind {
+						case memmodel.KLoad:
+							first := env.Load(l, s.mo)
+							for i := 0; i < 4 && env.Load(l, s.mo) == first; i++ {
+							}
+						case memmodel.KStore:
+							env.Store(l, s.val, s.mo)
+						case memmodel.KNAStore:
+							env.Write(l, s.val)
+						case memmodel.KRMW:
+							if s.rmw == capi.RMWAdd {
+								env.FetchAdd(l, s.val, s.mo)
+							} else {
+								env.CompareExchange(l, val, s.val, s.mo, memmodel.Relaxed)
+							}
+						}
+					}
+				}))
+			}
+			for _, th := range threads {
+				env.Join(th)
+			}
+		},
+	}
+}
+
 // TestChaosExecutionsValidate runs hundreds of random atomics programs
 // through the engine and validates every lifted execution against the
 // independent axiomatic checker (the equivalence of Appendix A).

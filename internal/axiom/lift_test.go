@@ -110,15 +110,42 @@ func mutate(r *rand.Rand, ex *refExecution, swap bool) {
 	a.RF = ex.Trace[r.Intn(len(ex.Trace))]
 }
 
+// dropMO removes one random entry from a random location's modification
+// order, so the store counts as position 0 — level with the location's
+// first store, the one shape where coherence between two writes hinges on
+// CoWW's strict inequality.
+func dropMO(r *rand.Rand, ex *refExecution) {
+	var locs []memmodel.LocID
+	for loc, list := range ex.MO {
+		if len(list) >= 2 {
+			locs = append(locs, loc)
+		}
+	}
+	if len(locs) == 0 {
+		return
+	}
+	slices.Sort(locs)
+	loc := locs[r.Intn(len(locs))]
+	i := 1 + r.Intn(len(ex.MO[loc])-1)
+	ex.MO[loc] = slices.Delete(ex.MO[loc], i, i+1)
+}
+
 // TestDenseMatchesReference holds the position-indexed checker to the
 // map-keyed reference on chaos executions — as lifted from the engine into
 // one reused workspace, and under mo-entry swaps and rf retargets that make
 // most of them inconsistent: identical violations (compared sorted) and
 // identical SC verdicts.
+//
+// A second phase runs the same comparison on genHotProgram's executions,
+// whose hot location is long enough for checkCoherence to sweep it, under
+// swaps, retargets (which may point a read at another location, so the
+// sweep must bail) and mo-entry drops. Every way coherence gets settled —
+// the sweep accepts, the sweep bails, the pair loop reports — must occur.
 func TestDenseMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(2025))
 	var ws Execution
 	checks, violating, nonSC := 0, 0, 0
+	var paths coherencePaths
 	compare := func(what string, got *Execution, ref *refExecution) {
 		t.Helper()
 		checks++
@@ -137,6 +164,10 @@ func TestDenseMatchesReference(t *testing.T) {
 		if !sc {
 			nonSC++
 		}
+		paths.accepted += got.chk.paths.accepted
+		paths.bailed += got.chk.paths.bailed
+		paths.reported += got.chk.paths.reported
+		got.chk.paths = coherencePaths{}
 	}
 	for i := 0; i < 250; i++ {
 		prog := genChaosProgram(r)
@@ -161,6 +192,47 @@ func TestDenseMatchesReference(t *testing.T) {
 	t.Logf("%d checks, %d with violations, %d not SC-explainable", checks, violating, nonSC)
 	if violating < checks/2 || nonSC == 0 {
 		t.Fatalf("mutations too weak: %d of %d checks violating, %d non-SC", violating, checks, nonSC)
+	}
+
+	paths = coherencePaths{}
+	hot := 0
+	for i := 0; i < 40; i++ {
+		prog := genHotProgram(r)
+		model := core.NewC11Model()
+		tool := core.New("c11tester", model, core.Config{Trace: true, StoreBurst: true})
+		for seed := int64(0); seed < 2; seed++ {
+			if res := tool.Execute(prog, seed); res.Truncated || res.Deadlocked {
+				t.Fatalf("hot program %d seed %d: truncated/deadlocked", i, seed)
+			}
+			ws.Lift(tool, model)
+			compare("hot lifted", &ws, snapshot(&ws))
+			for lo, acc := 0, ws.chk.acc; lo < len(acc); {
+				hi := lo
+				for hi < len(acc) && acc[hi]>>32 == acc[lo]>>32 {
+					hi++
+				}
+				hot = max(hot, hi-lo)
+				lo = hi
+			}
+			for m := 0; m < 6; m++ {
+				ref := snapshot(&ws)
+				switch m % 3 {
+				case 0:
+					mutate(r, ref, true)
+				case 1:
+					mutate(r, ref, false)
+				case 2:
+					dropMO(r, ref)
+				}
+				compare("hot mutated", dense(ref), ref)
+			}
+		}
+		tool.Close()
+	}
+	t.Logf("hot phase: longest location %d accesses; sweep accepted %d, bailed %d; pair loop ran %d",
+		hot, paths.accepted, paths.bailed, paths.reported)
+	if hot < 150 || paths.accepted == 0 || paths.bailed == 0 || paths.reported == 0 {
+		t.Fatalf("hot phase misses a path: longest location %d accesses, %+v", hot, paths)
 	}
 }
 
@@ -290,11 +362,17 @@ func TestLiftCheckZeroAllocSteadyState(t *testing.T) {
 
 // BenchmarkLiftCheck prices the validation duty per execution — lifting a
 // recorded execution into a warm workspace and checking it — on a
-// benchmark-sized (ms-queue) and a litmus-sized (SB+rlx) execution.
+// benchmark-sized (ms-queue) and a litmus-sized (SB+rlx) execution, and on
+// spinning executions of mpmc-queue, rwlock and linuxrwlocks, whose hot
+// location holds 208, 251 and 417 accesses at the recorded seed: the shape
+// where checking every same-location pair would be quadratic.
 func BenchmarkLiftCheck(b *testing.B) {
-	for _, name := range []string{"ms-queue", "SB+rlx"} {
-		b.Run(name, func(b *testing.B) {
-			eng, model := record(cellByName(b, name), 1)
+	for _, bc := range []struct {
+		name string
+		seed int64
+	}{{"ms-queue", 1}, {"SB+rlx", 1}, {"mpmc-queue", 2}, {"rwlock", 3}, {"linuxrwlocks", 67}} {
+		b.Run(bc.name, func(b *testing.B) {
+			eng, model := record(cellByName(b, bc.name), bc.seed)
 			defer eng.Close()
 			var ex Execution
 			b.ReportAllocs()
@@ -322,5 +400,79 @@ func BenchmarkSCExplainable(b *testing.B) {
 				sinkSC = SCExplainable(&ex)
 			}
 		})
+	}
+}
+
+// TestSweepBailsOnNonIncreasingSeq builds the one shape where a thread's
+// accesses at a location are not in Seq order — a store at Seq 10 followed
+// in the trace by one at Seq 5, as a promoted non-atomic store carrying its
+// original epoch can be — and makes the Seq-5 store happen before a
+// later store that mo puts first. A cursor walking that thread's list stops
+// at Seq 10 and would miss the violating pair; the sweep must bail so the
+// pair loop reports it exactly as the reference does.
+func TestSweepBailsOnNonIncreasingSeq(t *testing.T) {
+	act := func(seq memmodel.SeqNum, tid memmodel.TID, kind memmodel.Kind, mo memmodel.MemoryOrder, loc memmodel.LocID, rf *core.Action) *core.Action {
+		return &core.Action{Seq: seq, TID: tid, Kind: kind, MO: mo, Loc: loc, RF: rf, SCIdx: -1}
+	}
+	a := act(10, 0, memmodel.KStore, memmodel.Relaxed, 1, nil)
+	b := act(5, 0, memmodel.KNAStore, memmodel.Relaxed, 1, nil)
+	flag := act(7, 0, memmodel.KStore, memmodel.Release, 2, nil)
+	trace := []*core.Action{a, b, flag}
+	// Loads of the initial value pad the location past the sweep's
+	// minimum size without constraining anything.
+	for seq := memmodel.SeqNum(11); seq <= 13; seq++ {
+		trace = append(trace, act(seq, 1, memmodel.KLoad, memmodel.Relaxed, 1, nil))
+	}
+	sync := act(14, 1, memmodel.KLoad, memmodel.Acquire, 2, flag)
+	c := act(15, 1, memmodel.KStore, memmodel.Relaxed, 1, nil)
+	trace = append(trace, sync, c)
+	ref := &refExecution{Trace: trace, MO: map[memmodel.LocID][]*core.Action{1: {c, b, a}, 2: {flag}}}
+
+	ex := dense(ref)
+	got := canonical(violationStrings(Check(ex)))
+	want := canonical(violationStrings(refCheck(ref)))
+	if !slices.Equal(got, want) {
+		t.Fatalf("violations differ\n got %q\nwant %q", got, want)
+	}
+	if len(want) != 1 || !strings.HasPrefix(want[0], "CoWW: na-store") {
+		t.Fatalf("reference reports %q, want the one CoWW of the Seq-5 store", want)
+	}
+	if ex.chk.paths != (coherencePaths{bailed: 1, reported: 2}) {
+		t.Fatalf("coherence paths %+v, want the sweep to bail on location 1", ex.chk.paths)
+	}
+}
+
+// TestSparseLocIDsMatchReference spreads chaos executions' LocIDs far
+// apart, past what groupAccesses' counting pass takes, so the grouping falls
+// back to sorting: the violations must still match the reference's, on
+// lifted and mutated executions alike.
+func TestSparseLocIDsMatchReference(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	var ws Execution
+	for i := 0; i < 40; i++ {
+		prog := genChaosProgram(r)
+		model := core.NewC11Model()
+		tool := core.New("c11tester", model, core.Config{Trace: true, StoreBurst: true})
+		tool.Execute(prog, int64(i))
+		ws.Lift(tool, model)
+		ref := snapshot(&ws)
+		mutate(r, ref, i%2 == 0)
+		spread := map[memmodel.LocID][]*core.Action{}
+		for loc, list := range ref.MO {
+			spread[loc<<24] = list
+		}
+		ref.MO = spread
+		for _, a := range ref.Trace {
+			a.Loc <<= 24
+		}
+		ex := dense(ref)
+		want := canonical(violationStrings(refCheck(ref)))
+		if have := canonical(violationStrings(Check(ex))); !slices.Equal(have, want) {
+			t.Fatalf("program %d: violations differ\n got %q\nwant %q", i, have, want)
+		}
+		if len(ex.chk.locEnd) != 0 {
+			t.Fatalf("program %d: the counting pass ran on LocIDs up to %d", i, 1<<26)
+		}
+		tool.Close()
 	}
 }

@@ -90,7 +90,11 @@ type Env interface {
 	Spawn(name string, fn func(Env)) Thread
 	// Join blocks until t has finished.
 	Join(t Thread)
-	// Yield is a scheduling hint with no memory-model effect.
+	// Yield is a visible operation with no memory-model effect: like any
+	// other it is one schedule point, after which the tool's strategy
+	// picks the next thread from every enabled one — the yielding thread
+	// included, so it is no hint to run another thread first. Making it
+	// one is ROADMAP item 6.
 	Yield()
 
 	// NewMutex, Lock, TryLock, Unlock model a pthread mutex.

@@ -137,6 +137,9 @@ func (v *env) Join(t capi.Thread) {
 	v.call(op)
 }
 
+// Yield is a plain schedule point: the engine gives KYield a sequence
+// number and completes it like any other operation, so the strategy may
+// pick the yielding thread again at once (see capi.Env.Yield).
 func (v *env) Yield() {
 	op := v.prep()
 	op.Kind = memmodel.KYield

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 
 	"c11tester/internal/capi"
@@ -674,57 +672,44 @@ func (m *C11Model) AppendTotalMO(dst []*Action, loc memmodel.LocID) []*Action {
 
 // moScratch is AppendTotalMO's working set for one location. Everything is
 // indexed by position in stores (the location's stores in per-thread list
-// order); bySeq orders those positions by node sequence number, which is how
-// a mo-graph edge's target node is resolved to its store without a map.
+// order); pos maps a mo-graph node's arena index to that position, which is
+// how an edge's target node is resolved to its store without a map.
 type moScratch struct {
 	stores   []*Action
-	bySeq    []int32
+	pos      []int32 // per node index: position in stores, valid if stores agrees
 	head     []int32 // head of the store/RMW chain; -1 until computed
 	indeg    []int32 // in-degree of each chain head in the contracted graph
 	frontier []int32
 }
 
-// load resets the scratch to the stores of al.
+// load resets the scratch to the stores of al. pos keeps entries from
+// earlier locations and executions: index trusts an entry only when the
+// store at that position has the node in question, so nothing is cleared.
 func (s *moScratch) load(al *aloc) {
 	s.stores = s.stores[:0]
 	for _, list := range al.storesBy {
 		s.stores = append(s.stores, list...)
 	}
-	n := len(s.stores)
-	s.bySeq, s.head, s.indeg = s.bySeq[:0], s.head[:0], s.indeg[:0]
-	for i := 0; i < n; i++ {
-		s.bySeq = append(s.bySeq, int32(i))
+	s.head, s.indeg = s.head[:0], s.indeg[:0]
+	for i, a := range s.stores {
+		ix := a.Node.Index()
+		if ix >= len(s.pos) {
+			s.pos = append(s.pos, make([]int32, ix+1-len(s.pos))...)
+		}
+		s.pos[ix] = int32(i)
 		s.head = append(s.head, -1)
 		s.indeg = append(s.indeg, 0)
 	}
-	slices.SortFunc(s.bySeq, func(i, j int32) int {
-		return cmp.Compare(s.stores[i].Node.Seq, s.stores[j].Node.Seq)
-	})
 }
 
 // index returns the position of the store whose mo-graph node is n, or -1
 // when n is nil or not one of this location's stores.
 func (s *moScratch) index(n *mograph.Node) int32 {
-	if n == nil {
+	if n == nil || n.Index() >= len(s.pos) {
 		return -1
 	}
-	lo, hi := 0, len(s.bySeq)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.stores[s.bySeq[mid]].Node.Seq < n.Seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	for ; lo < len(s.bySeq); lo++ {
-		i := s.bySeq[lo]
-		if s.stores[i].Node == n {
-			return i
-		}
-		if s.stores[i].Node.Seq != n.Seq {
-			break
-		}
+	if i := s.pos[n.Index()]; int(i) < len(s.stores) && s.stores[i].Node == n {
+		return i
 	}
 	return -1
 }

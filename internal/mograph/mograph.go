@@ -28,6 +28,7 @@ type Node struct {
 	Seq memmodel.SeqNum
 	Loc memmodel.LocID
 
+	ix     int32 // position in the graph's arena
 	cv     *memmodel.ClockVector
 	edges  []*Node // outgoing mo edges
 	rmw    *Node   // the RMW that reads from this node, if any
@@ -37,6 +38,11 @@ type Node struct {
 // CV returns the node's mo-graph clock vector. The returned vector is live:
 // it changes as edges are added. Callers must not mutate it.
 func (n *Node) CV() *memmodel.ClockVector { return n.cv }
+
+// Index returns the node's position in its graph's arena: nodes are
+// numbered densely from 0 in creation order, and the numbering restarts at
+// every Reset, so an index identifies a node only within one execution.
+func (n *Node) Index() int { return int(n.ix) }
 
 // RMW returns the RMW node that immediately follows n in modification order,
 // or nil.
@@ -111,6 +117,7 @@ func (g *Graph) NewNode(t memmodel.TID, s memmodel.SeqNum, loc memmodel.LocID) *
 		g.chunks = append(g.chunks, make([]Node, nodeChunk))
 	}
 	n := &g.chunks[g.ci][g.used]
+	n.ix = int32(g.ci*nodeChunk + g.used)
 	g.used++
 	if g.used == nodeChunk {
 		g.ci++

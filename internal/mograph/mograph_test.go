@@ -339,3 +339,23 @@ func TestGraphResetEquivalentToFreshGraph(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeIndexIsDenseArenaPosition checks that Index numbers nodes 0, 1, …
+// in creation order across arena chunks, survives Retire, and restarts at
+// Reset — the contract AppendTotalMO's position array relies on.
+func TestNodeIndexIsDenseArenaPosition(t *testing.T) {
+	g := New()
+	for r := 0; r < 2; r++ {
+		g.Reset()
+		var nodes []*Node
+		for i := 0; i < 3*nodeChunk+5; i++ {
+			nodes = append(nodes, g.NewNode(memmodel.TID(i%3), memmodel.SeqNum(i+1), 1))
+		}
+		g.Retire(nodes[7])
+		for i, n := range nodes {
+			if n.Index() != i {
+				t.Fatalf("round %d: node %d has Index %d", r, i, n.Index())
+			}
+		}
+	}
+}
