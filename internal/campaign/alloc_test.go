@@ -8,6 +8,7 @@ import (
 
 	"c11tester/internal/capi"
 	"c11tester/internal/core"
+	"c11tester/internal/memmodel"
 	"c11tester/internal/obs"
 	"c11tester/internal/sched"
 )
@@ -173,12 +174,56 @@ func TestCellRunnerSizeClass(t *testing.T) {
 	}
 }
 
+// startShapes are programs whose threads start on something other than a
+// plain first operation: a first operation that blocks on a held mutex, one
+// that joins a thread that may not have started, and a thread spawned by a
+// thread other than main.
+var startShapes = []capi.Program{
+	{Name: "first-op-blocks", Run: func(env capi.Env) {
+		m := env.NewMutex("m")
+		d := env.NewLoc("d", 0)
+		env.Lock(m)
+		env.Spawn("w", func(env capi.Env) {
+			env.Lock(m)
+			env.Write(d, env.Read(d)+1)
+			env.Unlock(m)
+		})
+		env.Write(d, 1)
+		env.Unlock(m)
+	}},
+	{Name: "first-op-join", Run: func(env capi.Env) {
+		x := env.NewAtomic("x", 0)
+		a := env.Spawn("a", func(env capi.Env) { env.Store(x, 1, memmodel.Relaxed) })
+		b := env.Spawn("b", func(env capi.Env) {
+			env.Join(a)
+			env.Store(x, env.Load(x, memmodel.Relaxed)+1, memmodel.Release)
+		})
+		env.Load(x, memmodel.Acquire)
+		env.Join(b)
+	}},
+	{Name: "nested-spawn", Run: func(env capi.Env) {
+		x := env.NewAtomic("x", 0)
+		d := env.NewLoc("d", 0)
+		env.Join(env.Spawn("parent", func(env capi.Env) {
+			env.Write(d, 1)
+			c := env.Spawn("child", func(env capi.Env) {
+				env.Write(d, 2)
+				env.Store(x, 1, memmodel.Release)
+			})
+			env.Load(x, memmodel.Acquire)
+			env.Join(c)
+		}))
+		env.Read(d)
+	}},
+}
+
 // TestHandoffRegimeEquivalence pins the Figure 14 invariant that makes the
 // handoff regimes a pure performance comparison: scheduling decisions are
 // driven by the strategy alone, so outcomes are byte-identical across the
 // fiber and osthread handoffs. c11tester is built exactly as StandardTool
 // builds it, once per scheduler configuration; tsan11rec is checked across
-// -faithful-handoff, the one regime switch the CLIs expose.
+// -faithful-handoff, the one regime switch the CLIs expose. Besides the
+// paper's programs it runs startShapes.
 func TestHandoffRegimeEquivalence(t *testing.T) {
 	benches, err := SelectBenchmarks("ms-queue,seqlock")
 	if err != nil {
@@ -207,6 +252,12 @@ func TestHandoffRegimeEquivalence(t *testing.T) {
 				outcome = ""
 				res := tool.Execute(prog, seed)
 				out = append(out, digestOf(t, eng, rec, res, lit.Name, true, outcome, seed))
+			}
+		}
+		for _, prog := range startShapes {
+			for seed := int64(1); seed <= 4*seeds; seed++ {
+				res := tool.Execute(prog, seed)
+				out = append(out, digestOf(t, eng, rec, res, prog.Name, false, "", seed))
 			}
 		}
 		return out

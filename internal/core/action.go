@@ -225,12 +225,7 @@ func (t *ThreadState) LastSCFence() *Action {
 // actions they create).
 func (t *ThreadState) OpSeq() memmodel.SeqNum { return t.opSeq }
 
-// runBody is the thread's scheduler binding: it wires the sched handle into
-// the ThreadState and runs the thread's current program function. spawnThread
-// caches one method value of it per pooled ThreadState (bodyFn) and re-binds
-// fn per execution.
-func (t *ThreadState) runBody(thr *sched.Thread) {
-	t.thr = thr
-	t.ID = thr.ID
-	t.fn(&t.envv)
-}
+// runBody is the thread's scheduler binding: it runs the thread's current
+// program function. spawnThread caches one method value of it per pooled
+// ThreadState (bodyFn) and re-binds fn per execution.
+func (t *ThreadState) runBody(*sched.Thread) { t.fn(&t.envv) }

@@ -128,6 +128,59 @@ func BenchmarkExecutePruneConservative(b *testing.B) {
 	benchExecute(b, newTool(Config{Prune: PruneConservative, PruneInterval: 64}), benchProgStoreHeavy(256))
 }
 
+// spawnJoin is a program whose main spawns n threads that each do one
+// relaxed store, then joins them. The child body and the handles live on the
+// program value, so its executions allocate nothing.
+type spawnJoin struct {
+	n       int
+	x       capi.Loc
+	child   func(capi.Env)
+	threads [3]capi.Thread
+}
+
+func spawnJoinProg(n int) capi.Program {
+	p := &spawnJoin{n: n}
+	p.child = func(env capi.Env) { env.Store(p.x, 1, rlx) }
+	return capi.Program{Name: "spawn-join", Run: p.run}
+}
+
+func (p *spawnJoin) run(env capi.Env) {
+	p.x = env.NewAtomic("x", 0)
+	for i := 0; i < p.n; i++ {
+		p.threads[i] = env.Spawn("w", p.child)
+	}
+	for i := 0; i < p.n; i++ {
+		env.Join(p.threads[i])
+	}
+}
+
+// BenchmarkSpawnJoin prices thread start and join, the fixed per-thread
+// cost of short executions: one execution of spawnJoinProg on a warm engine
+// per iteration, reported as ns/exec and resumes/exec (one per thread's
+// start plus one per handoff back to a thread that parked).
+func BenchmarkSpawnJoin(b *testing.B) {
+	for _, n := range []int{1, 3} {
+		b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
+			eng := newTool(Config{})
+			defer eng.Close()
+			prog := spawnJoinProg(n)
+			for i := 0; i < 3; i++ {
+				eng.Execute(prog, int64(i))
+			}
+			var resumes uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Execute(prog, int64(i))
+				resumes += eng.ExecStats().Resumes
+			}
+			b.StopTimer() // the deferred Close is not an execution
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/exec")
+			b.ReportMetric(float64(resumes)/float64(b.N), "resumes/exec")
+		})
+	}
+}
+
 // TestArenaSteadyStateStopsGrowing pins the arena contract: after the first
 // execution of a program, repeated executions re-use the arena storage
 // instead of growing it.

@@ -248,6 +248,11 @@ type Engine struct {
 	// that granted a thread to the next step's entry, when that thread has
 	// reached its next operation.
 	checkDue bool
+	// start is the unstarted thread the last step picked and returned to be
+	// resumed: the step its first Call takes dispatches its operation without
+	// a second pick (nil once dispatched, or once the thread finished
+	// without issuing one).
+	start *ThreadState
 
 	// measureWait mirrors sched.SetMeasureWait across scheduler rebuilds
 	// (Close discards the scheduler; the next Execute makes a fresh one).
@@ -410,10 +415,12 @@ type ExecStats struct {
 	// plus PickIndex calls routed through Engine.PickIndex.
 	Choices uint64
 	// Resumes is the number of tool-side thread resumes (sched.Resumes):
-	// spawns, resumes of a granted thread that had parked, and abort unwinds.
-	// In the fiber regime a step that grants the thread running it costs no
-	// resume, so Resumes falls below Steps; in the osthread regime every
-	// granted operation costs one.
+	// resumes of a granted thread that had parked, each thread's start on its
+	// first pick, and abort unwinds of started threads. Spawning costs none:
+	// a thread's start is the resume that runs its first operation. In the
+	// fiber regime a step that grants the thread running it costs no resume,
+	// so Resumes falls below Steps; in the osthread regime every granted
+	// operation costs one.
 	Resumes uint64
 	// HandoffWaitNS is the total time the tool spent waiting for program
 	// threads during scheduler handoffs, excluding the tool steps a thread
@@ -535,6 +542,7 @@ func (e *Engine) resetExecState(seed int64) {
 	e.trace = e.trace[:0]
 	e.burstT = nil
 	e.checkDue = false
+	e.start = nil
 	e.actions.reset()
 	e.cvs.Reset()
 	e.rngSeed = seed
@@ -590,6 +598,11 @@ func (e *Engine) WorkerSpawns() int {
 // execution have settled by the time Execute reuses them. The sched binding
 // is the ThreadState's cached runBody method value — re-binding a pooled
 // thread to a new fn allocates nothing.
+//
+// The thread is bound, not run: it is schedulable from here on, and its code
+// first runs when a step picks it and the driver resumes it (see step). A
+// thread that issues no visible operation is therefore a scheduling choice
+// until it is picked.
 func (e *Engine) spawnThread(name string, fn func(capi.Env), parent *ThreadState) *ThreadState {
 	idx := len(e.threads)
 	var ts *ThreadState
@@ -610,24 +623,19 @@ func (e *Engine) spawnThread(name string, fn func(capi.Env), parent *ThreadState
 	if parent != nil {
 		ts.C.Merge(parent.C)
 	}
-	// The handle must be wired up inside the body (runBody): the thread runs
-	// to its first operation before NewThread returns.
-	e.sch.NewThread(name, ts.bodyFn)
-	ts.thr = e.sch.Threads()[len(e.sch.Threads())-1]
+	ts.thr = e.sch.NewThread(name, ts.bodyFn)
 	ts.ID = ts.thr.ID
 	e.threads = append(e.threads, ts)
-	if ts.thr.State() == sched.Finished {
-		e.finishThread(ts)
-	}
 	return ts
 }
 
-// loop drives an execution: it resumes the thread the last step granted and
-// takes the next step, until a step ends the execution. In the fiber regime
-// the resumed thread takes the steps itself while they grant it (see
-// sched.Thread.Call) and hands back the choice of the first step that does
-// not; in the osthread regime every step runs here. Deadlock and truncation
-// abort here too: a fiber cannot resume itself to unwind.
+// loop drives an execution: it resumes the thread the last step chose — the
+// thread it granted, or an unstarted one it picked — and takes the next step,
+// until a step ends the execution. In the fiber regime the resumed thread
+// takes the steps itself while they grant it (see sched.Thread.Call) and
+// hands back the choice of the first step that does not; in the osthread
+// regime every step runs here. Deadlock and truncation abort here too: a
+// fiber cannot resume itself to unwind.
 func (e *Engine) loop() {
 	next := e.step()
 	for next != nil {
@@ -653,6 +661,13 @@ func (e *Engine) loop() {
 // nil when the execution is over: every thread finished, a deadlock, or the
 // step limit. The driver calls it, and so does a fiber from
 // sched.Thread.Call.
+//
+// A picked thread that has not started has no operation to execute yet.
+// The step records it (start) and returns it for the driver to resume; the
+// thread runs to its first operation, and the step taken there — inline on
+// its fiber, or by the driver in the osthread regime — dispatches that
+// operation without picking again. The strategy thus sees the same ready
+// set at the same points as if the thread had started at its spawn.
 func (e *Engine) step() *sched.Thread {
 	if e.checkDue {
 		e.checkDue = false
@@ -660,10 +675,17 @@ func (e *Engine) step() *sched.Thread {
 			return nil
 		}
 	}
+	t := e.start
+	e.start = nil
 	for {
-		t := e.pick()
 		if t == nil {
-			return nil
+			if t = e.pick(); t == nil {
+				return nil
+			}
+			if t.thr.Unstarted() {
+				e.start = t
+				return t.thr
+			}
 		}
 		e.dispatch(t)
 		e.steps++
@@ -674,6 +696,7 @@ func (e *Engine) step() *sched.Thread {
 		if e.upkeep() {
 			return nil
 		}
+		t = nil
 	}
 }
 
@@ -771,6 +794,7 @@ func (e *Engine) block(ts *ThreadState) {
 
 func (e *Engine) finishThread(ts *ThreadState) {
 	ts.finished = true
+	e.start = nil // ts, if it finished without issuing an operation
 	if ts.thr.PanicValue != nil {
 		e.result.AssertFailures = append(e.result.AssertFailures, capi.AssertFailure{
 			TID:       ts.ID,

@@ -232,15 +232,12 @@ func (e *Engine) doFence(ts *ThreadState, op *capi.Op) {
 
 func (e *Engine) doSpawn(ts *ThreadState, op *capi.Op) {
 	e.assignSeq(ts)
-	if e.cfg.Trace {
-		a := e.NewAction()
-		a.Seq, a.TID, a.Kind = ts.opSeq, ts.ID, memmodel.KThreadCreate
-		e.trace = append(e.trace, a)
-	}
 	child := e.spawnThread(op.SpawnName, op.SpawnFn, ts)
 	op.Val = memmodel.Value(child.ID)
 	if e.cfg.Trace {
-		e.trace[len(e.trace)-1].Value = memmodel.Value(child.ID)
+		a := e.NewAction()
+		a.Seq, a.TID, a.Kind, a.Value = ts.opSeq, ts.ID, memmodel.KThreadCreate, op.Val
+		e.trace = append(e.trace, a)
 	}
 	e.result.Stats.AtomicOps++
 	e.complete(ts)

@@ -21,16 +21,16 @@ const (
 // until both finish — so every handoff passes the turn to the other thread.
 //
 // A handoff is one resume: the driver hands the turn to a thread and waits
-// until the thread parks on its next operation (or finishes). Spawning a
-// thread runs it to its first operation, so each thread costs
-// handoffYields+1 of them. The reported ns/handoff is the wall time of an
-// iteration divided by its handoff count.
+// until the thread parks on its next operation (or finishes). A thread's
+// first resume starts it and runs it to its first operation, so each thread
+// costs handoffYields+1 of them. The reported ns/handoff is the wall time of
+// an iteration divided by its handoff count.
 //
 // The fiber-inline row is the fiber regime with an inline step installed
 // that grants its caller, the case of a schedule that picks the thread that
-// just ran. After its spawn and its first resume a thread runs every further
-// operation inline and returns to program code with no switch, so there a
-// handoff is mostly a same-thread continuation, at the same handoff count.
+// just ran. From its first resume on a thread runs every operation inline
+// and returns to program code with no switch, so there a handoff is a
+// same-thread continuation, at the same handoff count.
 func BenchmarkHandoff(b *testing.B) {
 	for _, r := range regimes {
 		b.Run(r.name, func(b *testing.B) { benchHandoff(b, r.cfg, false) })
@@ -67,7 +67,9 @@ func benchHandoff(b *testing.B, cfg Config, inline bool) {
 			live = false
 			for _, th := range s.Threads() {
 				if th.State() != Finished {
-					s.Grant(th)
+					if !th.Unstarted() {
+						s.Grant(th)
+					}
 					s.Resume(th)
 					live = true
 				}

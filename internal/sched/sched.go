@@ -7,7 +7,7 @@
 // The tool (engine) therefore has full control of the interleaving, exactly
 // like C11Tester's fiber scheduler.
 //
-// The tool's driver resumes the thread its last step granted (Resume). In the
+// The tool's driver resumes the thread its last step chose (Resume). In the
 // fiber regime the running thread then takes the tool's steps itself, on its
 // own coroutine (Thread.Call runs the step the tool installed with SetStep):
 // while a step grants the thread that took it, the thread goes straight back
@@ -16,6 +16,13 @@
 // regime every thread parks on every operation and the driver takes each
 // step. Either way one step function decides, so both regimes run the same
 // interleavings.
+//
+// A new thread is bound but not run. NewThread makes it schedulable at once —
+// Ready, with no pending operation (Unstarted) — and it first runs when the
+// driver resumes it after a step picked it. Its first Call then hands the
+// tool the operation it was picked for, so starting a thread costs no handoff
+// of its own: as in C11Tester, a thread's start is a scheduling point. A step
+// therefore never resumes a thread; only the driver does.
 //
 // Workers form a pool: a Scheduler creates each worker once and parks it
 // between executions; NewThread re-binds a parked worker to a fresh (name,
@@ -53,8 +60,8 @@ import (
 type State uint8
 
 const (
-	// Ready means the thread has issued a pending operation and can be
-	// scheduled.
+	// Ready means the thread can be scheduled: it has issued a pending
+	// operation, or it has not started yet (see Thread.Unstarted).
 	Ready State = iota
 	// Blocked means the tool has suspended the thread (mutex, cond, join);
 	// it stays suspended until the tool completes its operation with Grant.
@@ -104,9 +111,9 @@ type Thread struct {
 	state   State
 	pending *capi.Op
 
-	// body is the worker's pending binding: NewThread sets it before resuming
-	// the worker, and the worker clears it when the binding finishes. A nil
-	// body at resumption ends the worker (Shutdown).
+	// body is the worker's pending binding: NewThread sets it, the first
+	// resume runs it, and the worker clears it when the binding finishes. A
+	// nil body at resumption ends the worker (Shutdown).
 	body func(*Thread)
 
 	// live reports whether the worker is running. The worker clears it as it
@@ -131,18 +138,23 @@ type Thread struct {
 // call it.
 func (t *Thread) State() State { return t.state }
 
-// Pending returns the operation the thread is waiting on (nil once granted).
+// Pending returns the operation the thread is waiting on (nil once granted,
+// and before the thread started).
 func (t *Thread) Pending() *capi.Op { return t.pending }
+
+// Unstarted reports whether t is bound but has not run yet: it is Ready with
+// no pending operation until the driver first resumes it.
+func (t *Thread) Unstarted() bool { return t.state == Ready && t.pending == nil }
 
 // Call hands op to the tool and returns once the tool has executed it. It
 // must be called from t's own worker. If the execution is aborting, Call
 // unwinds the thread instead of returning.
 //
-// In the fiber regime Call runs the tool's step on t's own coroutine unless
-// the tool is already busy (a thread spawned by a step, for one, parks on its
-// first operation). If the step granted t, Call returns without a switch;
-// otherwise t parks and the driver resumes the thread the step chose. In the
-// osthread regime t always parks and the driver steps.
+// In the fiber regime Call runs the tool's step on t's own coroutine; for a
+// thread's first Call that is the step that dispatches the operation the
+// thread was picked for. If the step granted t, Call returns without a
+// switch; otherwise t parks and the driver resumes the thread the step
+// chose. In the osthread regime t always parks and the driver steps.
 func (t *Thread) Call(op *capi.Op) {
 	s := t.sched
 	if s.aborting {
@@ -150,7 +162,7 @@ func (t *Thread) Call(op *capi.Op) {
 	}
 	t.pending = op
 	t.state = Ready
-	if s.step != nil && !s.busy && s.stepInline(t) {
+	if s.step != nil && s.stepInline(t) {
 		return
 	}
 	t.park()
@@ -167,7 +179,6 @@ func (t *Thread) Call(op *capi.Op) {
 // handoff wait, which the enclosing Resume measures, so the wait keeps
 // counting only switches and program code.
 func (s *Scheduler) stepInline(t *Thread) (cont bool) {
-	s.busy = true
 	var t0 time.Time
 	if s.measureWait {
 		t0 = time.Now()
@@ -183,7 +194,6 @@ func (s *Scheduler) stepInline(t *Thread) (cont bool) {
 	}()
 	next := s.step()
 	if next == t {
-		s.busy = false
 		return true
 	}
 	s.chosen, s.stepped = next, true
@@ -279,20 +289,18 @@ type Scheduler struct {
 	spawns int
 
 	// step is the tool's engine step that Call runs inline (fiber regime
-	// only, see SetStep). busy is set whenever the tool is not inside the
-	// driver's Resume — resetting, spawning the first thread, unwinding, or
-	// already stepping — so a thread started or resumed then parks instead of
-	// stepping. An inline step that chose another thread leaves its choice
-	// (nil: the execution is over) in chosen with stepped set, or the panic
-	// it raised in stepPanic, for Resume to return.
+	// only, see SetStep). Only the driver's Resume runs a thread (Abort and
+	// Shutdown run one only to unwind or end it), so every Call that reaches
+	// the step is inside a Resume. An inline step that chose another thread
+	// leaves its choice (nil: the execution is over) in chosen with stepped
+	// set, or the panic it raised in stepPanic, for Resume to return.
 	step      func() *Thread
-	busy      bool
 	stepped   bool
 	chosen    *Thread
 	stepPanic any
 
-	// resumes counts the execution's tool-side thread resumes: spawns,
-	// driver resumes and abort unwinds.
+	// resumes counts the execution's tool-side thread resumes: driver
+	// resumes and abort unwinds.
 	resumes int
 
 	// measureWait, when set, times every resume — the tool-side half of a
@@ -316,7 +324,7 @@ type Scheduler struct {
 // New returns a scheduler. The same instance is reused across executions via
 // Reset; call Shutdown when discarding it so the pooled workers exit.
 func New(cfg Config) *Scheduler {
-	s := &Scheduler{cfg: cfg, busy: true}
+	s := &Scheduler{cfg: cfg}
 	s.toolCond.L = &s.mu
 	return s
 }
@@ -331,7 +339,6 @@ func (s *Scheduler) Config() Config { return s.cfg }
 func (s *Scheduler) Reset() {
 	s.threads = s.threads[:0]
 	s.aborting = false
-	s.busy = true
 	s.waitNS = 0
 	s.resumes = 0
 }
@@ -356,14 +363,16 @@ func (s *Scheduler) SetMeasureWait(on bool) { s.measureWait = on }
 func (s *Scheduler) WaitNS() int64 { return s.waitNS }
 
 // Resumes returns the number of tool-side thread resumes of the current (or
-// last) execution: one per spawn, per driver Resume and per thread an abort
-// unwinds. Same-thread continuations inside Call are not resumes.
+// last) execution: one per driver Resume — a thread's start included — and
+// one per started thread an abort unwinds. Spawning a thread and same-thread
+// continuations inside Call are not resumes.
 func (s *Scheduler) Resumes() int { return s.resumes }
 
 // Threads returns all threads created so far, indexed by TID.
 func (s *Scheduler) Threads() []*Thread { return s.threads }
 
-// Ready appends to dst the threads that wait with a pending operation.
+// Ready appends to dst the threads that can be scheduled: those that wait
+// with a pending operation and those not started yet.
 func (s *Scheduler) Ready(dst []*Thread) []*Thread {
 	for _, t := range s.threads {
 		if t.state == Ready {
@@ -402,12 +411,13 @@ func (s *Scheduler) WorkerCount() int {
 // constant across steady-state executions.
 func (s *Scheduler) Spawns() int { return s.spawns }
 
-// NewThread creates a managed thread running body and blocks until it
-// settles (parks on its first operation, or finishes). body receives the
-// thread handle so the tool can wire up its Env.
+// NewThread binds a managed thread to body and returns it unstarted: it is
+// Ready with no pending operation, and body runs nothing until the driver
+// first resumes the thread (see Resume). body receives the thread handle.
 //
 // The thread is served by the slot's parked worker; a worker is only started
-// when the slot is new or its previous worker was retired.
+// when the slot is new or its previous worker was retired. Either way the
+// worker stays parked until that first resume.
 func (s *Scheduler) NewThread(name string, body func(*Thread)) *Thread {
 	idx := len(s.threads)
 	if idx == len(s.pool) {
@@ -434,7 +444,6 @@ func (s *Scheduler) NewThread(name string, body func(*Thread)) *Thread {
 			t.startFiber()
 		}
 	}
-	s.resume(t)
 	return t
 }
 
@@ -479,22 +488,24 @@ func (s *Scheduler) Grant(t *Thread) {
 	if t.state != Ready && t.state != Blocked {
 		panic(fmt.Sprintf("sched: granting %s thread %d", t.state, t.ID))
 	}
+	if t.pending == nil {
+		panic(fmt.Sprintf("sched: granting unstarted thread %d", t.ID))
+	}
 	t.pending = nil
 	t.state = Running
 }
 
-// Resume is the driver's handoff: it runs the granted thread t until the turn
-// comes back — t parked on its next operation, finished, or (fiber regime)
-// took inline steps until one chose another thread. In that last case
-// stepped is true and next is that step's choice, nil when the execution is
-// over; a panic the step raised is re-raised here instead.
+// Resume is the driver's handoff: it runs t — a granted thread, or an
+// unstarted one, which starts here — until the turn comes back: t parked on
+// its next operation, finished, or (fiber regime) took inline steps until one
+// chose another thread. In that last case stepped is true and next is that
+// step's choice, nil when the execution is over; a panic the step raised is
+// re-raised here instead.
 func (s *Scheduler) Resume(t *Thread) (next *Thread, stepped bool) {
-	if t.state != Running {
+	if t.state != Running && !t.Unstarted() {
 		panic(fmt.Sprintf("sched: resuming %s thread %d", t.state, t.ID))
 	}
-	s.busy = false
 	s.resume(t)
-	s.busy = true
 	next, stepped, r := s.chosen, s.stepped, s.stepPanic
 	s.chosen, s.stepped, s.stepPanic = nil, false, nil
 	if r != nil {
@@ -503,16 +514,21 @@ func (s *Scheduler) Resume(t *Thread) (next *Thread, stepped bool) {
 	return next, stepped
 }
 
-// Abort unwinds every unfinished thread. After Abort returns, all threads
-// have finished and every pooled worker is parked again awaiting its next
-// binding; the execution is over and the scheduler must not be used again
-// until Reset recycles it for the next execution (Reset relies on exactly
-// this all-settled state). Workers unwound by an abort are recycled — only a
-// non-abort panic retires one.
+// Abort unwinds every unfinished thread. A thread that never started
+// finishes without running: its worker has not left its park, and its binding
+// is dropped. After Abort returns, all threads have finished and every pooled
+// worker is parked again awaiting its next binding; the execution is over and
+// the scheduler must not be used again until Reset recycles it for the next
+// execution (Reset relies on exactly this all-settled state). Workers unwound
+// by an abort are recycled — only a non-abort panic retires one.
 func (s *Scheduler) Abort() {
 	s.aborting = true
 	for _, t := range s.threads {
-		if t.state != Finished {
+		switch {
+		case t.Unstarted():
+			t.body = nil
+			t.state = Finished
+		case t.state != Finished:
 			s.resume(t)
 		}
 	}

@@ -11,8 +11,9 @@ import (
 )
 
 // drive runs a trivial tool loop over the scheduler: process pending ops in
-// the order pick() dictates until all threads finish. Each op's Val result
-// is set to its own sequence in processing order.
+// the order pick() dictates until all threads finish. A picked thread that
+// has not started is started first (see start). Each op's Val result is set
+// to its own sequence in processing order.
 func drive(t *testing.T, cfg Config, body func(*Thread), pick func([]*Thread) *Thread) []memmodel.Kind {
 	t.Helper()
 	s := New(cfg)
@@ -27,6 +28,10 @@ func drive(t *testing.T, cfg Config, body func(*Thread), pick func([]*Thread) *T
 			t.Fatal("deadlock: threads alive but none ready")
 		}
 		th := pick(ready)
+		if th.Unstarted() {
+			start(t, s, th)
+			continue
+		}
 		op := th.Pending()
 		processed = append(processed, op.Kind)
 		op.Val = memmodel.Value(len(processed))
@@ -35,6 +40,22 @@ func drive(t *testing.T, cfg Config, body func(*Thread), pick func([]*Thread) *T
 }
 
 func first(ready []*Thread) *Thread { return ready[0] }
+
+// start is the driver's first resume of th, which NewThread left unstarted:
+// th runs to its first operation (or to its end) and settles there.
+func start(t *testing.T, s *Scheduler, th *Thread) State {
+	t.Helper()
+	if !th.Unstarted() {
+		t.Fatalf("thread %d is %v with pending %v, want unstarted", th.ID, th.State(), th.Pending())
+	}
+	s.Resume(th)
+	return th.State()
+}
+
+// mustNotRun is a thread body for threads that must never start.
+func mustNotRun(t *testing.T) func(*Thread) {
+	return func(th *Thread) { t.Errorf("thread %d (%s) ran", th.ID, th.Name) }
+}
 
 // reply is the driver's handoff with no inline step installed: grant th's
 // pending operation and resume th until it settles again.
@@ -45,8 +66,9 @@ func reply(s *Scheduler, th *Thread) State {
 }
 
 // driveInline runs main under an engine-shaped driver with step installed as
-// the inline step: resume the granted thread, take its handed-off choice, or
-// step on the driver when it returns without one.
+// the inline step: resume the thread the last step chose (granted, or picked
+// unstarted), take its handed-off choice, or step on the driver when it
+// returns without one.
 func driveInline(s *Scheduler, main func(*Thread), step func() *Thread) {
 	s.SetStep(step)
 	s.NewThread("main", main)
@@ -63,52 +85,62 @@ func driveInline(s *Scheduler, main func(*Thread), step func() *Thread) {
 
 // TestInlineStepHandoff pins the fiber regime's inline path: a step that
 // chooses another thread parks the caller and hands the choice to the
-// driver, and a thread started inside a step parks on its first operation
-// instead of stepping. (Same-thread continuations are pinned end to end by
-// core's TestInlineContinuationResumes.)
+// driver; a thread spawned inside a step stays unstarted and runs nothing
+// until the driver resumes it; and the step its first Call takes executes
+// the operation it was picked for without picking again, so each start is
+// the one resume that runs the thread's first operation. (Same-thread
+// continuations are pinned end to end by core's
+// TestInlineContinuationResumes.)
 func TestInlineStepHandoff(t *testing.T) {
 	s := New(Config{})
 	var order []memmodel.TID
-	var last *Thread
+	var last, picked, child *Thread
+	childRan := false
 	step := func() *Thread {
-		ready := s.Ready(nil)
-		if len(ready) == 0 {
-			return nil
+		th := picked
+		picked = nil
+		if th == nil {
+			ready := s.Ready(nil)
+			if len(ready) == 0 {
+				return nil
+			}
+			th = ready[0]
+			if th == last && len(ready) > 1 {
+				th = ready[1]
+			}
+			last = th
+			if th.Unstarted() {
+				picked = th
+				return th
+			}
 		}
-		th := ready[0]
-		if th == last && len(ready) > 1 {
-			th = ready[1]
+		if th.Pending().Kind == memmodel.KThreadCreate {
+			child = s.NewThread("child", func(th *Thread) {
+				childRan = true
+				th.Call(&capi.Op{Kind: memmodel.KYield})
+				th.Call(&capi.Op{Kind: memmodel.KYield})
+			})
+			if !child.Unstarted() || childRan {
+				t.Fatalf("child spawned by a step: state %v, ran %v; want unstarted, not run", child.State(), childRan)
+			}
 		}
-		last = th
 		order = append(order, th.ID)
 		s.Grant(th)
 		return th
 	}
-	var child *Thread
 	driveInline(s, func(th *Thread) {
 		th.Call(&capi.Op{Kind: memmodel.KThreadCreate})
 		th.Call(&capi.Op{Kind: memmodel.KYield})
 		th.Call(&capi.Op{Kind: memmodel.KYield})
-	}, func() *Thread {
-		if child == nil {
-			// A thread started inside a step parks on its first operation
-			// rather than stepping (the scheduler is busy).
-			child = s.NewThread("child", func(th *Thread) {
-				th.Call(&capi.Op{Kind: memmodel.KYield})
-				th.Call(&capi.Op{Kind: memmodel.KYield})
-			})
-			if child.State() != Ready {
-				t.Fatalf("child spawned by a step is %v, want ready", child.State())
-			}
-		}
-		return step()
-	})
+	}, step)
 	want := []memmodel.TID{0, 1, 0, 1, 0}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("step order %v, want %v", order, want)
 	}
-	if s.AliveCount() != 0 {
-		t.Fatalf("%d threads alive at the end", s.AliveCount())
+	// One resume per handoff: main's start, the child's start, then main,
+	// the child and main again after each step that chose the other thread.
+	if s.AliveCount() != 0 || !childRan || s.Resumes() != 5 {
+		t.Fatalf("%d threads alive, child ran %v, %d resumes; want 0, true, 5", s.AliveCount(), childRan, s.Resumes())
 	}
 	s.Shutdown()
 }
@@ -133,7 +165,6 @@ func TestInlineStepPanicReachesDriver(t *testing.T) {
 			th.Call(&capi.Op{Kind: memmodel.KLoad})
 		}
 	})
-	s.Grant(main)
 	func() {
 		defer func() {
 			if r := recover(); r != "step failed" {
@@ -204,8 +235,8 @@ func TestBlockAndWake(t *testing.T) {
 		th.Call(&capi.Op{Kind: memmodel.KMutexLock})
 		order = append(order, "main-after-lock")
 	})
-	// Main parks on the lock op; block it, then wake it.
-	if main.State() != Ready {
+	// Main starts and parks on the lock op; block it, then wake it.
+	if start(t, s, main) != Ready {
 		t.Fatal("main must be ready")
 	}
 	s.Block(main)
@@ -230,20 +261,22 @@ func TestNestedSpawn(t *testing.T) {
 		op := &capi.Op{Kind: memmodel.KThreadCreate}
 		th.Call(op)
 	})
-	// Process main's spawn op by creating the child; the child runs to its
-	// first op before NewThread returns.
+	start(t, s, main)
+	// Process main's spawn op by creating the child: the child is bound and
+	// schedulable, but it runs nothing until its first resume.
 	child := s.NewThread("child", func(th *Thread) {
 		childSeen = true
 		th.Call(&capi.Op{Kind: memmodel.KLoad})
 	})
-	if !childSeen {
-		t.Fatal("child must run to its first op during NewThread")
-	}
-	if child.State() != Ready || child.ID != 1 {
-		t.Fatalf("child state %v id %d", child.State(), child.ID)
+	if childSeen || !child.Unstarted() || child.ID != 1 || len(s.Ready(nil)) != 2 {
+		t.Fatalf("child ran %v, state %v, id %d, %d ready; want an unstarted, schedulable thread 1",
+			childSeen, child.State(), child.ID, len(s.Ready(nil)))
 	}
 	if st := reply(s, main); st != Finished {
 		t.Fatalf("main state %v", st)
+	}
+	if st := start(t, s, child); st != Ready || !childSeen {
+		t.Fatalf("child state %v after its start, ran %v", st, childSeen)
 	}
 	if st := reply(s, child); st != Finished {
 		t.Fatalf("child state %v", st)
@@ -253,12 +286,13 @@ func TestNestedSpawn(t *testing.T) {
 func TestAbortUnwindsThreads(t *testing.T) {
 	s := New(Config{})
 	cleanedUp := false
-	s.NewThread("main", func(th *Thread) {
+	main := s.NewThread("main", func(th *Thread) {
 		defer func() { cleanedUp = true }()
 		for {
 			th.Call(&capi.Op{Kind: memmodel.KLoad})
 		}
 	})
+	start(t, s, main)
 	s.Abort()
 	if s.AliveCount() != 0 {
 		t.Fatal("all threads must be finished after abort")
@@ -269,9 +303,11 @@ func TestAbortUnwindsThreads(t *testing.T) {
 	testAbortReadyAndBlocked(t, s)
 }
 
-// testAbortReadyAndBlocked aborts an execution holding one Ready and one
-// Blocked thread on s, then checks that both unwound through their defers and
-// that the next execution reuses their workers.
+// testAbortReadyAndBlocked aborts an execution holding one Ready, one
+// Blocked and one unstarted thread on s, then checks that the first two
+// unwound through their defers, that the unstarted one finished without
+// running, that the abort resumed only the started threads, and that the
+// next execution reuses all three workers.
 func testAbortReadyAndBlocked(t *testing.T, s *Scheduler) {
 	t.Helper()
 	s.Reset()
@@ -284,25 +320,30 @@ func testAbortReadyAndBlocked(t *testing.T, s *Scheduler) {
 	}
 	ready := s.NewThread("ready", loop)
 	blocked := s.NewThread("blocked", loop)
+	unstarted := s.NewThread("unstarted", mustNotRun(t))
+	start(t, s, ready)
+	start(t, s, blocked)
 	s.Block(blocked)
-	if ready.State() != Ready || blocked.State() != Blocked {
-		t.Fatalf("states %v/%v before abort, want ready/blocked", ready.State(), blocked.State())
+	if ready.State() != Ready || blocked.State() != Blocked || !unstarted.Unstarted() {
+		t.Fatalf("states %v/%v/%v before abort, want ready/blocked/unstarted", ready.State(), blocked.State(), unstarted.State())
 	}
+	resumes := s.Resumes()
 	s.Abort()
-	if unwound != 2 || s.AliveCount() != 0 {
-		t.Fatalf("abort unwound %d threads, %d alive; want 2 unwound, 0 alive", unwound, s.AliveCount())
+	if unwound != 2 || s.AliveCount() != 0 || s.Resumes() != resumes+2 {
+		t.Fatalf("abort unwound %d threads with %d resumes, %d alive; want 2 unwound, 2 resumes, 0 alive",
+			unwound, s.Resumes()-resumes, s.AliveCount())
 	}
-	if ready.PanicValue != nil || blocked.PanicValue != nil {
-		t.Fatalf("abort surfaced as a panic: %v / %v", ready.PanicValue, blocked.PanicValue)
+	if ready.PanicValue != nil || blocked.PanicValue != nil || unstarted.PanicValue != nil {
+		t.Fatalf("abort surfaced as a panic: %v / %v / %v", ready.PanicValue, blocked.PanicValue, unstarted.PanicValue)
 	}
 	spawns := s.Spawns()
 	s.Reset()
-	for i := 0; i < 2; i++ {
-		if th := s.NewThread("again", func(*Thread) {}); th.State() != Finished {
-			t.Fatalf("thread %d state %v after an empty body", i, th.State())
+	for i := 0; i < 3; i++ {
+		if st := start(t, s, s.NewThread("again", func(*Thread) {})); st != Finished {
+			t.Fatalf("thread %d state %v after an empty body", i, st)
 		}
 	}
-	if s.Spawns() != spawns || s.WorkerCount() != 2 {
+	if s.Spawns() != spawns || s.WorkerCount() != 3 {
 		t.Fatalf("aborted workers not reused: spawns %d → %d, %d live", spawns, s.Spawns(), s.WorkerCount())
 	}
 	s.Shutdown()
@@ -313,7 +354,7 @@ func TestPanicCaptured(t *testing.T) {
 	th := s.NewThread("main", func(th *Thread) {
 		panic("boom")
 	})
-	if th.State() != Finished {
+	if start(t, s, th) != Finished {
 		t.Fatal("panicking thread must settle as finished")
 	}
 	if th.PanicValue != "boom" {
@@ -334,6 +375,7 @@ func TestFiberPoolReusesWorkers(t *testing.T) {
 				})
 			}
 			for _, th := range s.Threads() {
+				start(t, s, th)
 				reply(s, th)
 			}
 		}
@@ -360,26 +402,29 @@ func TestFiberPoolReusesWorkers(t *testing.T) {
 }
 
 // fiberGoroutines counts the goroutines currently serving as fiber-regime
-// coroutine workers. Coroutine exit is synchronous with the final switch, so
+// coroutine workers, started or not (the scheduler is this package's only
+// iter.Pull user). Coroutine exit is synchronous with the final switch, so
 // the count is exact as soon as the call that ended a worker returns, and
 // osthread workers of other tests, which exit asynchronously, never match.
 func fiberGoroutines() int {
 	buf := make([]byte, 1<<20)
-	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("sched.(*Thread).startFiber.func1("))
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("created by iter.Pull["))
 }
 
 // TestShutdownEndsCoroutines pins worker lifetime in the fiber regime:
-// Shutdown ends every coroutine — those parked between bindings and those
-// still parked mid-binding — and the goroutine count returns to its
-// baseline.
+// Shutdown ends every coroutine — those parked between bindings, those
+// still parked mid-binding and those whose thread never started — and the
+// goroutine count returns to its baseline.
 func TestShutdownEndsCoroutines(t *testing.T) {
 	base := fiberGoroutines()
 	s := New(Config{})
 	for i := 0; i < 4; i++ {
-		s.NewThread("t", func(th *Thread) { th.Call(&capi.Op{Kind: memmodel.KYield}) })
+		th := s.NewThread("t", func(th *Thread) { th.Call(&capi.Op{Kind: memmodel.KYield}) })
+		start(t, s, th)
 	}
-	if got := fiberGoroutines(); got != base+4 {
-		t.Fatalf("coroutine goroutines = %d with 4 parked workers, want %d", got, base+4)
+	s.NewThread("never", mustNotRun(t))
+	if got := fiberGoroutines(); got != base+5 {
+		t.Fatalf("coroutine goroutines = %d with 5 parked workers, want %d", got, base+5)
 	}
 	// Finish two bindings; the other two stay parked mid-binding.
 	reply(s, s.Threads()[0])
@@ -403,7 +448,7 @@ func TestWorkerRetiredAfterPanic(t *testing.T) {
 	th := s.NewThread("bomb", func(th *Thread) {
 		panic("boom")
 	})
-	if th.State() != Finished || th.PanicValue != "boom" {
+	if start(t, s, th) != Finished || th.PanicValue != "boom" {
 		t.Fatalf("panicking thread state %v panic %v", th.State(), th.PanicValue)
 	}
 	if got := s.WorkerCount(); got != 0 {
@@ -426,6 +471,7 @@ func TestWorkerRetiredAfterPanic(t *testing.T) {
 	if s.Spawns() != spawnsAfterPanic+1 {
 		t.Fatalf("replacement worker not spawned: spawns %d → %d", spawnsAfterPanic, s.Spawns())
 	}
+	start(t, s, th2)
 	if st := reply(s, th2); st != Finished {
 		t.Fatalf("clean thread state %v", st)
 	}
@@ -435,11 +481,11 @@ func TestWorkerRetiredAfterPanic(t *testing.T) {
 
 	// Abort unwinds, by contrast, recycle the worker.
 	s.Reset()
-	s.NewThread("loop", func(th *Thread) {
+	start(t, s, s.NewThread("loop", func(th *Thread) {
 		for {
 			th.Call(&capi.Op{Kind: memmodel.KLoad})
 		}
-	})
+	}))
 	s.Abort()
 	if got := s.WorkerCount(); got != 1 {
 		t.Fatalf("worker count after abort = %d, want 1 (abort must not retire)", got)
@@ -467,8 +513,8 @@ func TestSchedulerResetRecyclesThreads(t *testing.T) {
 			}
 		}
 		for _, th := range handles {
-			if th.State() != Ready {
-				t.Fatalf("thread %d state %v, want ready", th.ID, th.State())
+			if st := start(t, s, th); st != Ready {
+				t.Fatalf("thread %d state %v, want ready", th.ID, st)
 			}
 			if st := reply(s, th); st != Finished {
 				t.Fatalf("thread %d state after reply %v, want finished", th.ID, st)
