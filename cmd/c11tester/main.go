@@ -161,9 +161,9 @@ func run(args []string, out *os.File) int {
 		return 1
 	}
 
-	// Telemetry fabric: per-wave progress lines, the structured event
-	// stream, and the live serving surface all hang off one Telemetry,
-	// wired by the helper shared with cmd/litmus.
+	// Telemetry fabric: per-wave progress lines and the structured event
+	// stream hang off one Telemetry, wired by the helper shared with
+	// cmd/litmus.
 	tel, cleanup, err := campaign.SetupTelemetry("c11tester", tflags)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -95,8 +95,8 @@ func run(args []string, out *os.File) int {
 		return 1
 	}
 
-	// The telemetry wiring (-status-addr, -events, -v) is the helper shared
-	// with cmd/c11tester, so both commands expose the same serving surface.
+	// The telemetry wiring (-events, -v, progress lines) is the helper
+	// shared with cmd/c11tester, so both commands expose the same telemetry.
 	tel, cleanup, err := campaign.SetupTelemetry("litmus", tflags)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

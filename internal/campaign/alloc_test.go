@@ -21,8 +21,9 @@ import (
 // process-wide heap counters, which also see other goroutines), so this is
 // the strictest form of the ≤ 64 B/exec acceptance gate.
 //
-// The measured loop carries the full campaign telemetry instrumentation —
-// pre-bound CellMetrics handles, wall-clock timing, engine exec stats with
+// The measured loop carries the full campaign instrumentation — the
+// worker slot's per-cell histogram accumulator fed by the runner's own
+// hists.observe, wall-clock timing on timed indices, engine exec stats with
 // handoff-wait and per-phase span measurement toggled per execution index by
 // the runner's own sampleTiming, plus an armed flight recorder fed a digest
 // per execution — so the observability fabric is itself held to the
@@ -48,18 +49,19 @@ func testZeroAllocSteadyState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// One telemetry fabric over the whole matrix, bound exactly as
-		// campaign.Run binds it: every handle exists before the hot loop.
-		tel := NewTelemetry(TelemetryOptions{})
-		tel.bind(Spec{
+		// One worker slot over the whole matrix, built exactly as
+		// campaign.Run builds it: every accumulator exists before the hot
+		// loop.
+		wt := newWorkerTools(Spec{
 			Tools:      []ToolSpec{spec},
 			Benchmarks: benches,
 			Litmus:     lits,
+			Workers:    1,
 		})
 		check := func(j job, program string, prog capi.Program, reset func()) {
 			tool := spec.New()
 			defer closeTool(tool)
-			met := tel.cellMetrics(j)
+			met := &wt[0].hists[j.key().index(len(benches), len(lits))]
 			eng, _ := tool.(*core.Engine)
 			fr := obs.NewFlightRecorder(obs.FlightRecorderConfig{})
 			// run executes seed as execution index seed of the cell.
@@ -70,10 +72,16 @@ func testZeroAllocSteadyState(t *testing.T) {
 				if eng != nil {
 					sampleTiming(eng, int(seed))
 				}
-				t0 := time.Now()
-				res := tool.Execute(prog, seed)
-				dur := time.Since(t0)
-				met.ObserveExec(dur, eng)
+				var dur time.Duration
+				var res *capi.Result
+				if seed%timingSample == 0 {
+					t0 := time.Now()
+					res = tool.Execute(prog, seed)
+					dur = time.Since(t0)
+				} else {
+					res = tool.Execute(prog, seed)
+				}
+				met.observe(int(seed), dur, eng)
 				d := obs.ExecDigest{Index: int(seed), NS: int64(dur),
 					NewRace: len(res.NewRaces) > 0}
 				if eng != nil {
@@ -112,8 +120,8 @@ func testZeroAllocSteadyState(t *testing.T) {
 // TestRunnerZeroAllocSteadyState extends the zero-alloc bar from
 // tool.Execute to the campaign runner's whole per-execution path: runOne,
 // with its signal stage (detection or litmus verdict), race dedup
-// (recordRaces), the execution's race keys (raceKeysOf), the pre-bound cell
-// metrics and the flight-recorder check. Validation and analyzers stay off;
+// (recordRaces), the execution's race keys (raceKeysOf), the worker slot's
+// cell histograms and the flight-recorder check. Validation and analyzers stay off;
 // they are duties with their own costs. One runner per tool × program cell
 // is warmed over several indices, so its fragment maps, the worker's
 // race-key intern table and the tool's pools are settled, and then one
@@ -128,15 +136,12 @@ func TestRunnerZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range StandardToolNames() {
-		tel := NewTelemetry(TelemetryOptions{})
 		spec := Spec{
 			Tools:      []ToolSpec{mustTool(t, name, ToolOptions{})},
 			Benchmarks: benches,
 			Litmus:     lits,
 			Workers:    1,
-			Telemetry:  tel,
 		}
-		tel.bind(spec)
 		wt := newWorkerTools(spec)
 		check := func(j job, program string) {
 			r := wt.unit(spec, 0, j)

@@ -192,6 +192,14 @@ func TestAnalyzerShardMergeByteIdentical(t *testing.T) {
 // here. Finding ids encode as "analyzer/key" and split at the first "/", so
 // keys that contain one round-trip.
 func TestCheckpointRoundTripsFindings(t *testing.T) {
+	h := blankHists
+	h.ExecNS.Observe(2000)
+	h.HandoffNS.Observe(3000)
+	for p := range h.PhaseNS {
+		h.PhaseNS[p].Observe(uint64(1000 * (p + 1)))
+	}
+	h.SchedLen.Observe(40)
+	h.Choices.Observe(9)
 	f := fragment{
 		Execs: 9, Detected: 4,
 		Ops:      capi.OpStats{AtomicOps: 11, NormalOps: 12},
@@ -209,6 +217,7 @@ func TestCheckpointRoundTripsFindings(t *testing.T) {
 			{analyzer: "sc-robustness", key: "non-sc"}: {Desc: "d2", Run: 2, Count: 1},
 		},
 		Captures: []obs.CaptureRecord{{Tool: "c11tester", Program: "p", Seed: 8, Index: 7, Trigger: "race"}},
+		Hists:    &h,
 	}
 	v := reflect.ValueOf(f)
 	for i := 0; i < v.NumField(); i++ {

@@ -30,7 +30,8 @@
 // merges fragments with order-independent operations only — sums, unions,
 // min-by-execution-index winners for reproduction metadata, and sample lists
 // capped to their smallest execution indices (fragment.merge). That one fold
-// serves workers, checkpoints and shard merges alike.
+// serves workers, checkpoints and shard merges alike, and it carries the
+// per-cell histograms too (see hists).
 package campaign
 
 import (
@@ -153,12 +154,10 @@ type Spec struct {
 	// analyzer stage — the default pipeline is byte-identical to the
 	// pre-analyzer runner, and stays allocation-free.
 	Analyzers []string
-	// Telemetry is the campaign's observability fabric (metrics registry,
-	// event stream, live progress). Nil means Run builds a quiet internal
-	// one — the metrics core is always on (it is allocation-free and the
-	// summary's timing histograms come from it); event emission and progress
-	// lines only happen when the caller configures them. One Telemetry
-	// serves exactly one Run.
+	// Telemetry is the campaign's observability fabric (event stream and
+	// progress lines). Nil means Run builds a quiet internal one; event
+	// emission and progress lines only happen when the caller configures
+	// them. One Telemetry serves exactly one Run.
 	Telemetry *Telemetry `json:"-"`
 	// Shard restricts the campaign to shard Index of Count (uniform policy
 	// only: its grants split into chunks because it never stops a cell
@@ -310,6 +309,10 @@ type fragment struct {
 	Findings map[findingID]findingHit `json:"findings,omitempty"`
 	// flight-recorder captures (Spec.CaptureDir), in execution-index order.
 	Captures []obs.CaptureRecord `json:"captures,omitempty"`
+	// Hists are the cell's summary histograms. Unit fragments leave them nil
+	// (a unit observes into its worker's per-cell hists instead); foldCells
+	// adds the workers' hists into the folded cell.
+	Hists *hists `json:"hists,omitempty"`
 }
 
 // maxViolationSamples caps the axiom-violation and engine-failure details
@@ -386,6 +389,19 @@ func (dst *fragment) merge(src *fragment) {
 	}
 	dst.Captures = mergeRuns(dst.Captures, src.Captures, func(c obs.CaptureRecord) int { return c.Index },
 		len(dst.Captures)+len(src.Captures))
+	if src.Hists != nil {
+		dst.addHists(src.Hists)
+	}
+}
+
+// addHists adds h into the fragment's histograms, allocating them on first
+// use: the fragment never aliases h.
+func (dst *fragment) addHists(h *hists) {
+	if dst.Hists == nil {
+		blank := blankHists
+		dst.Hists = &blank
+	}
+	dst.Hists.add(h)
 }
 
 func (f execFailure) runOf() int { return f.Run }
@@ -423,9 +439,6 @@ func Run(spec Spec) *Summary {
 		tel = NewTelemetry(TelemetryOptions{})
 		spec.Telemetry = tel
 	}
-	// Register the per-cell metric handles before the measured window so
-	// registration (the only allocating part of the metrics core) never
-	// shows up in the campaign's GC summary.
 	tel.bind(spec)
 	tel.campaignStart(specInfo(spec))
 
@@ -447,7 +460,7 @@ func Run(spec Spec) *Summary {
 		NumGC:        ms1.NumGC - ms0.NumGC,
 		PauseTotalNS: ms1.PauseTotalNs - ms0.PauseTotalNs,
 	}
-	meta, cells := metaOf(spec), foldCells(spec, jobs, frags)
+	meta, cells := metaOf(spec), foldCells(spec, jobs, frags, tools)
 	sum := aggregate(meta, cells, budgets)
 	sum.WallNS, sum.GC, sum.Provenance = int64(wall), gc, BuildProvenance()
 	sum.CheckpointErrors = ck.errs
@@ -658,7 +671,7 @@ func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]job,
 			g.plan.stopped = g.plan.tracker.Converged()
 			// Convergence introspection happens here — at the barrier, from
 			// per-cell-deterministic tracker state — so the snapshot stream
-			// (and /debug/converge) is identical for any worker count.
+			// is identical for any worker count.
 			tel.convergeState(wave, g.plan.cellKey, g.plan.tracker)
 			if g.plan.stopped && !wasStopped {
 				tel.cellConverged(wave, g.plan.cellKey, g.plan.used)
@@ -667,7 +680,7 @@ func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]job,
 		tel.waveEnd(wave, len(jobs)-base, waveExecs)
 		// The wave barrier is the checkpoint point: every decision below this
 		// line is a pure function of the state being persisted.
-		ck.save(spec, tel, wave, false, plans, jobs, frags)
+		ck.save(spec, tel, wave, false, plans, jobs, frags, tools)
 	}
 
 	if spec.Resume == nil {
@@ -712,7 +725,7 @@ func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]job,
 		}
 	}
 
-	ck.save(spec, tel, wave, true, plans, jobs, frags)
+	ck.save(spec, tel, wave, true, plans, jobs, frags, tools)
 
 	if split {
 		// A policy that cannot stop early has no budget to report.
@@ -759,13 +772,6 @@ type execCtx struct {
 // per-execution path.
 type stage func(*cellRunner)
 
-// cellAnalyzer is one analysis plug-in instance bound to a cell, carrying
-// its position in Spec.Analyzers (the pre-bound metric slot).
-type cellAnalyzer struct {
-	analysis.Analyzer
-	ix int
-}
-
 // cellRunner executes a range of one cell's executions on a fresh or rearmed
 // tool instance, folding results into its fragment.
 type cellRunner struct {
@@ -783,9 +789,9 @@ type cellRunner struct {
 	// through.
 	x execCtx
 
-	// met is the cell's pre-bound metric handle set (nil only when the
-	// runner is constructed outside a campaign, e.g. directly in tests).
-	met *CellMetrics
+	// met is the worker's histogram accumulator for this cell (nil only for
+	// a runner built without a worker slot: captureTrace's re-runs).
+	met *hists
 
 	// fr is the unit's flight recorder (Spec.CaptureDir); nil when capture
 	// is unarmed.
@@ -805,7 +811,7 @@ type cellRunner struct {
 	// analyzers are the cell's analysis plug-in instances (cell-confined;
 	// see analysis.Analyzer), minus the ones this cell's tool cannot feed;
 	// ax is the reused Exec handed to them.
-	analyzers []cellAnalyzer
+	analyzers []analysis.Analyzer
 	ax        analysis.Exec
 
 	// Program under test.
@@ -836,10 +842,10 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 	if r.eng != nil {
 		r.mo, _ = r.eng.Model().(core.MOProvider)
 	}
-	if spec.Telemetry != nil {
+	if slot != nil {
 		// runOne switches handoff-wait timing and phase spans per execution
-		// index (sampleTiming); without a Telemetry both stay off.
-		r.met = spec.Telemetry.cellMetrics(j)
+		// index (sampleTiming); without an accumulator both stay off.
+		r.met = &slot.hists[j.key().index(len(spec.Benchmarks), len(spec.Litmus))]
 	}
 	if spec.CaptureDir != "" {
 		r.fr = obs.NewFlightRecorder(obs.FlightRecorderConfig{SlowNS: spec.CaptureSlowNS})
@@ -872,7 +878,7 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 	// names were refused by Spec.Validate; a name slipping past it here is
 	// skipped rather than crashed on (workers have nowhere to return an
 	// error).
-	for ix, name := range spec.Analyzers {
+	for _, name := range spec.Analyzers {
 		a, err := analysis.New(name)
 		if err != nil {
 			continue
@@ -883,7 +889,7 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 		if a.NeedsMO() && r.mo == nil {
 			continue
 		}
-		r.analyzers = append(r.analyzers, cellAnalyzer{Analyzer: a, ix: ix})
+		r.analyzers = append(r.analyzers, a)
 	}
 	// Trace duties: engines whose model exposes total modification orders
 	// run in trace mode for validation and event recording, and any
@@ -891,8 +897,8 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 	// recorder strategy wrapper captures the (effective, guided included)
 	// schedule of every execution.
 	needTrace := r.mo != nil && (spec.ValidateAxioms || spec.RecordDir != "")
-	for _, ca := range r.analyzers {
-		if ca.NeedsTrace() {
+	for _, a := range r.analyzers {
+		if a.NeedsTrace() {
 			needTrace = true
 		}
 	}
@@ -946,17 +952,18 @@ func closeTool(t capi.Tool) {
 
 // workerTools holds every campaign worker's warm state, indexed by worker
 // slot: one tool instance per Spec.Tools entry, one axiom workspace that
-// every execution the worker validates or analyzes is lifted into, and one
-// race-key intern table. Each worker keeps them for the whole Run — across
-// shards, cells and waves — so tool construction, fiber-pool warmup,
-// workspace growth and key formatting are paid once per worker, not per
-// unit or per execution.
+// every execution the worker validates or analyzes is lifted into, one
+// race-key intern table, and one histogram accumulator per matrix cell. Each
+// worker keeps them for the whole Run — across shards, cells and waves — so
+// tool construction, fiber-pool warmup, workspace growth and key formatting
+// are paid once per worker, not per unit or per execution.
 type workerTools []workerSlot
 
 type workerSlot struct {
 	tools []capi.Tool
 	lift  axiom.Execution
 	keys  keyIntern
+	hists []hists // matrix order (see matrixCells)
 }
 
 // keyIntern renders each race identity's key (RaceReport.Key) once per
@@ -984,8 +991,13 @@ func (k *keyIntern) key(r *capi.RaceReport) string {
 
 func newWorkerTools(spec Spec) workerTools {
 	wt := make(workerTools, spec.Workers)
+	ncells := len(spec.Tools) * (len(spec.Benchmarks) + len(spec.Litmus))
 	for w := range wt {
 		wt[w].tools = make([]capi.Tool, len(spec.Tools))
+		wt[w].hists = make([]hists, ncells)
+		for c := range wt[w].hists {
+			wt[w].hists[c] = blankHists
+		}
 	}
 	return wt
 }
@@ -1065,16 +1077,24 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 	if r.test != nil {
 		r.out = ""
 	}
-	// The per-execution instrumentation below — the timing toggle, two
-	// monotonic clock reads plus CellMetrics.ObserveExec — allocates nothing;
-	// the zero-alloc test pins this exact path with metrics enabled, on a
-	// sampled and an unsampled index.
+	// The per-execution instrumentation below — the timing toggle, the
+	// clock reads and hists.observe — allocates nothing; the zero-alloc test
+	// pins this exact path, on a sampled and an unsampled index. The clock is
+	// read only on a timed index, or for the flight recorder's opt-in
+	// wall-clock trigger.
 	if r.met != nil && r.eng != nil {
 		sampleTiming(r.eng, i)
 	}
-	execStart := time.Now()
+	clock := (r.met != nil && i%timingSample == 0) || r.spec.CaptureSlowNS
+	var execStart time.Time
+	if clock {
+		execStart = time.Now()
+	}
 	res := r.tool.Execute(r.prog, r.spec.SeedBase+int64(i))
-	execDur := time.Since(execStart)
+	var execDur time.Duration
+	if clock {
+		execDur = time.Since(execStart)
+	}
 	if res.EngineError != nil {
 		// The tool aborted the execution (core.InfeasibleError). The partial
 		// result carries no trustworthy model state: record the failure with
@@ -1082,18 +1102,12 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 		// execution is excluded from execs (the Detection.Runs denominator);
 		// failures are accounted separately.
 		r.recordFailure(i, res.EngineError.Error())
-		if r.met != nil {
-			r.met.Failures.Inc()
-		}
 		r.flightFail(i)
 		return explore.Obs{}
 	}
 	r.frag.Execs++
 	if r.met != nil {
-		r.met.ObserveExec(execDur, r.eng)
-		if len(res.NewRaces) > 0 {
-			r.met.Races.Add(uint64(len(res.NewRaces)))
-		}
+		r.met.observe(i, execDur, r.eng)
 	}
 	if r.pg != nil {
 		depth, consumed, diverged := r.pg.Handoff()
@@ -1112,9 +1126,6 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 	r.x.obs.RaceKeys = raceKeysOf(&r.slot.keys, res)
 	for _, st := range r.stages {
 		st(r)
-	}
-	if r.met != nil && r.x.obs.Detected {
-		r.met.Detected.Inc()
 	}
 	r.flightCheck(i, execDur, len(res.NewRaces) > 0, r.x.obs)
 	return r.x.obs
@@ -1223,33 +1234,32 @@ func (r *cellRunner) stageAnalyze() {
 	if r.x.lifted {
 		r.ax.Lifted = lift
 	}
-	for _, ca := range r.analyzers {
+	for _, a := range r.analyzers {
 		var fs []analysis.Finding
 		ie := core.RecoverInfeasible(func() {
-			if ca.NeedsMO() && r.ax.Lifted == nil {
+			if a.NeedsMO() && r.ax.Lifted == nil {
 				lift.Lift(r.eng, r.mo)
 				r.ax.Lifted = lift
 			}
-			fs = ca.Observe(&r.ax)
+			fs = a.Observe(&r.ax)
 		})
 		if ie != nil {
 			r.recordFailure(r.x.i, ie.Error())
 			continue
 		}
 		for _, f := range fs {
-			r.addFinding(ca, f)
+			r.addFinding(a, f)
 		}
 	}
 }
 
 // addFinding folds one analyzer finding into the fragment — min-run winner
-// per (analyzer, key), counts summed — and bumps the analyzer's pre-bound
-// findings counter.
-func (r *cellRunner) addFinding(ca cellAnalyzer, f analysis.Finding) {
+// per (analyzer, key), counts summed.
+func (r *cellRunner) addFinding(a analysis.Analyzer, f analysis.Finding) {
 	if r.frag.Findings == nil {
 		r.frag.Findings = map[findingID]findingHit{}
 	}
-	id := findingID{analyzer: ca.Name(), key: f.Key}
+	id := findingID{analyzer: a.Name(), key: f.Key}
 	hit, seen := r.frag.Findings[id]
 	if !seen {
 		hit = findingHit{Desc: f.Desc, Run: r.x.i}
@@ -1258,9 +1268,6 @@ func (r *cellRunner) addFinding(ca cellAnalyzer, f analysis.Finding) {
 	}
 	hit.Count++
 	r.frag.Findings[id] = hit
-	if r.met != nil && ca.ix < len(r.met.Findings) {
-		r.met.Findings[ca.ix].Inc()
-	}
 }
 
 // stageRecord persists the execution's portable trace when one is owed (a

@@ -73,15 +73,13 @@ func canonicalize(s *Summary) *Summary {
 		ts.Benchmarks = append([]CellSummary(nil), ts.Benchmarks...)
 		for j := range ts.Benchmarks {
 			ts.Benchmarks[j].Detection.MeanTimeNS = 0
-			// Timing and phase histograms are wall-clock measurements
-			// (schema v4/v5).
-			ts.Benchmarks[j].Timing = nil
-			ts.Benchmarks[j].Phases = nil
+			// Timing, phase and handoff histograms are wall-clock
+			// measurements; schedule length and choices stay.
+			ts.Benchmarks[j].dropWallClock()
 		}
 		ts.Litmus = append([]LitmusSummary(nil), ts.Litmus...)
 		for j := range ts.Litmus {
-			ts.Litmus[j].Timing = nil
-			ts.Litmus[j].Phases = nil
+			ts.Litmus[j].dropWallClock()
 		}
 	}
 	return &c
@@ -120,50 +118,53 @@ func sampledIn(lo, hi int) uint64 {
 	return n
 }
 
-// checkSampledCounts asserts that every cell of s ran its reset, run and
-// race spans — and its validate span, when present — on exactly the timed
-// indices among its executions: [lo, lo+n), where lo is first(tool,
-// program) (0 unless the process resumed mid-cell) and n is the cell's
-// timing count. The record span is left out: it counts only the timed
-// executions that owed a trace.
-func checkSampledCounts(t *testing.T, s *Summary, first func(tool, program string) int) {
+// checkSampledCounts asserts that every cell of s timed its execution, its
+// handoff wait and its reset, run and race spans — and its validate span,
+// when present — on exactly the timed indices among its n executions,
+// [0, n); and that it observed the schedule length and choices of all n.
+// The record span is left out: it counts only the timed executions that
+// owed a trace.
+func checkSampledCounts(t *testing.T, s *Summary) {
 	t.Helper()
-	check := func(tool, program string, failed int, timing *obs.HistogramSnapshot, phases map[string]*obs.HistogramSnapshot) {
+	count := func(h *obs.HistogramSnapshot) uint64 {
+		if h == nil {
+			return 0
+		}
+		return h.Count
+	}
+	check := func(tool, program string, execs, failed int, h CellHists) {
 		t.Helper()
 		if failed > 0 {
 			t.Fatalf("%s/%s: %d failed executions leave gaps in the index range", tool, program, failed)
 		}
-		if timing == nil || timing.Count == 0 {
-			return
-		}
-		lo := first(tool, program)
-		want := sampledIn(lo, lo+int(timing.Count))
+		want := sampledIn(0, execs)
+		timed := map[string]*obs.HistogramSnapshot{"timing": h.Timing, "handoff": h.Handoff}
 		for _, name := range []string{"reset", "run", "race", "validate"} {
-			h := phases[name]
-			if h == nil {
-				if name != "validate" && want > 0 {
-					t.Errorf("%s/%s: no %s phase histogram", tool, program, name)
-				}
-				continue
+			if p, ok := h.Phases[name]; ok || name != "validate" {
+				timed[name] = p
 			}
-			if h.Count != want {
-				t.Errorf("%s/%s: %s phase count %d, want %d (timed indices in [%d, %d))",
-					tool, program, name, h.Count, want, lo, lo+int(timing.Count))
+		}
+		for name, hist := range timed {
+			if got := count(hist); got != want {
+				t.Errorf("%s/%s: %s count %d, want %d (timed indices in [0, %d))",
+					tool, program, name, got, want, execs)
+			}
+		}
+		for name, hist := range map[string]*obs.HistogramSnapshot{"sched_len": h.SchedLen, "choices": h.Choices} {
+			if got := count(hist); got != uint64(execs) {
+				t.Errorf("%s/%s: %s count %d, want every one of %d executions", tool, program, name, got, execs)
 			}
 		}
 	}
 	for _, ts := range s.Tools {
 		for _, c := range ts.Benchmarks {
-			check(ts.Tool, c.Program, c.Failed, c.Timing, c.Phases)
+			check(ts.Tool, c.Program, c.Detection.Runs, c.Failed, c.CellHists)
 		}
 		for _, c := range ts.Litmus {
-			check(ts.Tool, c.Test, c.Failed, c.Timing, c.Phases)
+			check(ts.Tool, c.Test, c.Execs, c.Failed, c.CellHists)
 		}
 	}
 }
-
-// fromZero is checkSampledCounts' first for a campaign that ran every index.
-func fromZero(string, string) int { return 0 }
 
 // checkSameSamples asserts two runs of one campaign timed the same executions.
 func checkSameSamples(t *testing.T, a, b *Summary) {
@@ -204,7 +205,7 @@ func TestDeterminismUnderSharding(t *testing.T) {
 	}
 
 	serialRaw, shardedRaw := Run(build(1, 60)), Run(build(4, 7))
-	checkSampledCounts(t, serialRaw, fromZero)
+	checkSampledCounts(t, serialRaw)
 	checkSameSamples(t, serialRaw, shardedRaw)
 	serial, sharded := canonicalize(serialRaw), canonicalize(shardedRaw)
 

@@ -145,10 +145,12 @@ func SpecDigest(spec Spec) string {
 // violation samples with their runs and the guide-trace count. Version 3
 // carries each cell's fragment in the fragment's own JSON encoding: races and
 // findings are objects keyed by race key and "analyzer/key", op counts sit
-// under "ops", and the per-unit allocation counters are gone.
+// under "ops", and the per-unit allocation counters are gone. Version 4 adds
+// each cell's histograms to its fragment ("hists"), so a resumed run's
+// summary histograms cover every execution of the campaign.
 const (
 	CheckpointSchemaName    = "c11tester/checkpoint"
-	CheckpointSchemaVersion = 3
+	CheckpointSchemaVersion = 4
 )
 
 // Checkpoint is the wave-barrier state of a campaign: everything a resumed
@@ -207,14 +209,14 @@ func kindName(k jobKind) string {
 
 // buildCheckpoint folds the completed work into one CellCheckpoint per
 // matrix cell, with budget and tracker state from the wave loop's plans.
-func buildCheckpoint(spec Spec, tel *Telemetry, wave int, complete bool, plans []*cellPlan, jobs []job, frags []fragment) *Checkpoint {
+func buildCheckpoint(spec Spec, tel *Telemetry, wave int, complete bool, plans []*cellPlan, jobs []job, frags []fragment, wt workerTools) *Checkpoint {
 	c := &Checkpoint{
 		Schema: CheckpointSchemaName, SchemaVersion: CheckpointSchemaVersion,
 		SpecDigest: SpecDigest(spec), Spec: specInfo(spec),
 		Provenance: BuildProvenance(),
 		Wave:       wave, Complete: complete,
 		EventsEmitted: tel.EventsEmitted(), EventsDropped: tel.EventsDropped(),
-		Cells: checkpointCells(spec, foldCells(spec, jobs, frags), plans),
+		Cells: checkpointCells(spec, foldCells(spec, jobs, frags, wt), plans),
 	}
 	for i := range c.Cells {
 		c.Captures += len(c.Cells[i].Frag.Captures)
@@ -256,14 +258,14 @@ type ckState struct {
 	errs int
 }
 
-func (ck *ckState) save(spec Spec, tel *Telemetry, wave int, complete bool, plans []*cellPlan, jobs []job, frags []fragment) {
+func (ck *ckState) save(spec Spec, tel *Telemetry, wave int, complete bool, plans []*cellPlan, jobs []job, frags []fragment, wt workerTools) {
 	if ck.path == "" {
 		return
 	}
 	// The checkpoint's event cursor must not run ahead of the durable stream:
 	// flush queued event lines before persisting the barrier state.
 	tel.syncEvents()
-	c := buildCheckpoint(spec, tel, wave, complete, plans, jobs, frags)
+	c := buildCheckpoint(spec, tel, wave, complete, plans, jobs, frags, wt)
 	if ck.hook != nil {
 		ck.hook(c)
 	}

@@ -225,7 +225,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 			if got, wantJSON := canonicalJSON(t, merged), canonicalJSON(t, single); got != wantJSON {
 				t.Fatalf("merged summary differs from single-machine run:\nmerged: %s\nsingle: %s", got, wantJSON)
 			}
-			checkSampledCounts(t, single, fromZero)
+			checkSampledCounts(t, single)
 			checkSameSamples(t, single, merged)
 		})
 	}
@@ -392,7 +392,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 		t.Fatal("final checkpoint not marked complete")
 	}
 
-	checkSampledCounts(t, baseline, fromZero)
+	checkSampledCounts(t, baseline)
 
 	for i, ck := range checkpoints {
 		resumed := build(3) // different worker count: must not matter
@@ -403,17 +403,10 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			t.Fatalf("resume from checkpoint %d (wave %d, complete=%v) diverged from the uninterrupted run:\nresumed: %s\nwant:    %s",
 				i, ck.Wave, ck.Complete, got, want)
 		}
-		// Timing histograms are not checkpointed: a resumed process times
-		// the indices it runs itself, from each cell's checkpointed Used on,
-		// by the same index rule — so resuming twice samples identically.
-		used := map[string]int{}
-		for _, cc := range ck.Cells {
-			used[cc.ToolRef+"/"+cc.Program] = cc.Used
-		}
-		checkSampledCounts(t, sum, func(tool, program string) int { return used[tool+"/"+program] })
-		again := build(2)
-		again.Resume = ck
-		checkSameSamples(t, sum, Run(again))
+		// The histograms ride the checkpointed fragments, so a resumed
+		// summary samples exactly the uninterrupted run's indices, and its
+		// deterministic histograms (kept by Canonical) matched above.
+		checkSampledCounts(t, sum)
 	}
 }
 

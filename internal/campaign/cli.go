@@ -1,8 +1,7 @@
 // cli.go holds the telemetry wiring shared by the campaign CLIs
 // (cmd/c11tester and cmd/litmus): the flag set, the event-stream file, the
-// status server with its /metrics, /progress, and /debug/converge endpoints,
-// and the cleanup sequencing. Both commands route through SetupTelemetry so
-// the serving surface cannot drift between them.
+// stderr progress and event echo, and the cleanup sequencing. Both commands
+// route through SetupTelemetry so their telemetry cannot drift apart.
 package campaign
 
 import (
@@ -12,7 +11,6 @@ import (
 	"io"
 	"os"
 
-	"c11tester/internal/obs"
 	"c11tester/internal/safeio"
 )
 
@@ -20,7 +18,6 @@ import (
 // a FlagSet; Quiet is owned by the caller (the commands differ on what -q
 // silences beyond progress lines).
 type TelemetryFlags struct {
-	StatusAddr string
 	EventsPath string
 	CaptureDir string
 	SlowNS     bool
@@ -30,7 +27,6 @@ type TelemetryFlags struct {
 
 // Register binds the shared telemetry flags onto fs.
 func (f *TelemetryFlags) Register(fs *flag.FlagSet) {
-	fs.StringVar(&f.StatusAddr, "status-addr", "", "serve /metrics (Prometheus text), /progress and /debug/converge (JSON), and /debug/pprof on this address while the campaign runs ('' disables)")
 	fs.StringVar(&f.EventsPath, "events", "", "append the structured JSONL event stream to this file ('' disables)")
 	fs.StringVar(&f.CaptureDir, "capture", "", "arm the flight recorder: write full traces of anomalous executions (slow outliers, first-seen races, forbidden outcomes, engine failures) plus a manifest.json to this directory ('' disables)")
 	fs.BoolVar(&f.SlowNS, "capture-slow-ns", false, "with -capture, also trigger on wall-clock latency outliers (non-deterministic across machines; the default slow trigger uses schedule steps)")
@@ -38,11 +34,10 @@ func (f *TelemetryFlags) Register(fs *flag.FlagSet) {
 }
 
 // SetupTelemetry builds the telemetry fabric the shared flags describe: the
-// Telemetry for Spec.Telemetry, an events file if requested, and a status
-// server if requested. The returned cleanup stops the server and closes the
-// events file; call it after Run returns (Run itself flushes and closes the
-// event stream). name prefixes the diagnostics, matching each command's
-// error style.
+// Telemetry for Spec.Telemetry and an events file if requested. The returned
+// cleanup closes the events file; call it after Run returns (Run itself
+// flushes and closes the event stream). name prefixes the diagnostics,
+// matching each command's error style.
 func SetupTelemetry(name string, f TelemetryFlags) (*Telemetry, func(), error) {
 	topts := TelemetryOptions{Timestamps: true}
 	if !f.Quiet {
@@ -51,35 +46,16 @@ func SetupTelemetry(name string, f TelemetryFlags) (*Telemetry, func(), error) {
 	if f.Verbose {
 		topts.EventEcho = os.Stderr
 	}
-	var cleanups []func()
-	cleanup := func() {
-		for i := len(cleanups) - 1; i >= 0; i-- {
-			cleanups[i]()
-		}
-	}
+	cleanup := func() {}
 	if f.EventsPath != "" {
 		ef, err := os.OpenFile(f.EventsPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: -events: %v", name, err)
 		}
-		cleanups = append(cleanups, func() { ef.Close() })
+		cleanup = func() { ef.Close() }
 		topts.EventSink = ef
 	}
-	tel := NewTelemetry(topts)
-	if f.StatusAddr != "" {
-		srv := obs.NewServer(tel.Registry(), func() any { return tel.Progress() })
-		srv.Handle("/debug/converge", func() any { return tel.ConvergeSnapshot() })
-		addr, err := srv.Start(f.StatusAddr)
-		if err != nil {
-			cleanup()
-			return nil, nil, fmt.Errorf("%s: -status-addr: %v", name, err)
-		}
-		cleanups = append(cleanups, func() { srv.Stop() })
-		if !f.Quiet {
-			fmt.Fprintf(os.Stderr, "%s: serving /metrics, /progress, and /debug/converge on http://%s\n", name, addr)
-		}
-	}
-	return tel, cleanup, nil
+	return NewTelemetry(topts), cleanup, nil
 }
 
 // CrashFlags are the shared crash-safety CLI options: shard selection,

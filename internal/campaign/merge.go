@@ -86,28 +86,7 @@ func MergeSummaries(parts []*Summary, force bool) (*Summary, error) {
 			cells[c].frag.merge(&p.Shard.Cells[c].Frag)
 		}
 	}
-	// Timing and phase histograms are telemetry, not fragment state: they
-	// fold from the partials' rendered cells.
-	hists := func(k cellKey) (timing *obs.HistogramSnapshot, phases map[string]*obs.HistogramSnapshot) {
-		for _, p := range sorted {
-			var h *obs.HistogramSnapshot
-			var ph map[string]*obs.HistogramSnapshot
-			if ts := &p.Tools[k.tool]; k.kind == jobLitmus {
-				h, ph = ts.Litmus[k.cell].Timing, ts.Litmus[k.cell].Phases
-			} else {
-				h, ph = ts.Benchmarks[k.cell].Timing, ts.Benchmarks[k.cell].Phases
-			}
-			timing = mergeSnapshot(timing, h)
-			for name, h := range ph {
-				if phases == nil {
-					phases = map[string]*obs.HistogramSnapshot{}
-				}
-				phases[name] = mergeSnapshot(phases[name], h)
-			}
-		}
-		return timing, phases
-	}
-	meta := summaryMeta{info: info, reproFlags: first.Shard.ReproFlags, hists: hists}
+	meta := summaryMeta{info: info, reproFlags: first.Shard.ReproFlags}
 	// Workers describes one machine's pool; a merged artifact has no single
 	// meaningful value. Canonical zeroes it anyway.
 	meta.info.Workers = 0
@@ -137,18 +116,6 @@ func MergeSummaries(parts []*Summary, force bool) (*Summary, error) {
 		m.Obs = &obsAcc
 	}
 	return m, nil
-}
-
-// mergeSnapshot folds src into dst, allocating dst on first use.
-func mergeSnapshot(dst, src *obs.HistogramSnapshot) *obs.HistogramSnapshot {
-	if src == nil {
-		return dst
-	}
-	if dst == nil {
-		dst = &obs.HistogramSnapshot{}
-	}
-	dst.Merge(src)
-	return dst
 }
 
 // MergeManifests folds the shards' capture manifests into one, re-sorted

@@ -7,9 +7,9 @@ import (
 )
 
 // Provenance identifies the build that produced an artifact: toolchain,
-// module, and target. Campaign summaries (schema v5) and the /progress
-// snapshot embed it so artifacts compared across machines or checkouts can be
-// flagged: Compare warns on any skew. Every field is machine-stable (no
+// module, and target. Campaign summaries (schema v5) and checkpoints embed it
+// so artifacts compared across machines or checkouts can be flagged: Compare
+// warns on any skew, and resume refuses it. Every field is machine-stable (no
 // wall-clock, no hostnames), so embedding it does not disturb the
 // byte-identity of same-process determinism comparisons.
 type Provenance struct {

@@ -49,12 +49,12 @@ type ReportOptions struct {
 	CaptureDir string
 }
 
-// slowCell is one row of the slow-cell table: a cell joined with its timing
-// and phase snapshots from the summary.
+// slowCell is one row of the slow-cell table: a cell's execution count and
+// histograms from the summary.
 type slowCell struct {
 	tool, program string
-	timing        *obs.HistogramSnapshot
-	phases        map[string]*obs.HistogramSnapshot
+	execs         int
+	CellHists
 }
 
 // WriteReport renders the forensics report. sum is required; events and man
@@ -110,19 +110,21 @@ func writeFindings(w io.Writer, sum *Summary) {
 	}
 }
 
-// writeSlowCells renders the top cells by p99 ns/exec with their per-phase
-// mean breakdowns (phase mean = histogram Sum/Count).
+// writeSlowCells renders the top cells by p99 ns/exec with their execution
+// counts, schedule-length quantiles and per-phase mean breakdowns (phase
+// mean = histogram Sum/Count). The schedule length tells a tail of longer
+// schedules from a tail of dearer steps.
 func writeSlowCells(w io.Writer, sum *Summary, top int) {
 	var cells []slowCell
 	for _, ts := range sum.Tools {
-		for i := range ts.Benchmarks {
-			if c := ts.Benchmarks[i]; c.Timing != nil {
-				cells = append(cells, slowCell{ts.Tool, c.Program, c.Timing, c.Phases})
+		for _, c := range ts.Benchmarks {
+			if c.Timing != nil {
+				cells = append(cells, slowCell{ts.Tool, c.Program, c.Detection.Runs, c.CellHists})
 			}
 		}
-		for i := range ts.Litmus {
-			if c := ts.Litmus[i]; c.Timing != nil {
-				cells = append(cells, slowCell{ts.Tool, c.Test, c.Timing, c.Phases})
+		for _, c := range ts.Litmus {
+			if c.Timing != nil {
+				cells = append(cells, slowCell{ts.Tool, c.Test, c.Execs, c.CellHists})
 			}
 		}
 	}
@@ -130,8 +132,8 @@ func writeSlowCells(w io.Writer, sum *Summary, top int) {
 		return
 	}
 	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].timing.P99 != cells[j].timing.P99 {
-			return cells[i].timing.P99 > cells[j].timing.P99
+		if cells[i].Timing.P99 != cells[j].Timing.P99 {
+			return cells[i].Timing.P99 > cells[j].Timing.P99
 		}
 		if cells[i].tool != cells[j].tool {
 			return cells[i].tool < cells[j].tool
@@ -142,13 +144,18 @@ func writeSlowCells(w io.Writer, sum *Summary, top int) {
 		cells = cells[:top]
 	}
 	fmt.Fprintf(w, "\ntop %d cell(s) by p99 ns/exec:\n", len(cells))
-	tb := &harness.Table{Header: []string{"tool", "program", "p50", "p99", "execs", "phase breakdown (mean)"}}
+	tb := &harness.Table{Header: []string{"tool", "program", "p50", "p99", "execs", "sched_len p50/p99", "phase breakdown (mean)"}}
 	for _, c := range cells {
+		schedLen := "-"
+		if h := c.SchedLen; h != nil {
+			schedLen = fmt.Sprintf("%d/%d", h.P50, h.P99)
+		}
 		tb.AddRow(c.tool, c.program,
-			harness.FmtDuration(time.Duration(c.timing.P50)),
-			harness.FmtDuration(time.Duration(c.timing.P99)),
-			fmt.Sprintf("%d", c.timing.Count),
-			phaseBreakdown(c.phases, c.timing.Count))
+			harness.FmtDuration(time.Duration(c.Timing.P50)),
+			harness.FmtDuration(time.Duration(c.Timing.P99)),
+			fmt.Sprintf("%d", c.execs),
+			schedLen,
+			phaseBreakdown(c.Phases, c.execs))
 	}
 	fmt.Fprint(w, tb.String())
 }
@@ -157,7 +164,7 @@ func writeSlowCells(w io.Writer, sum *Summary, top int) {
 // followed by their sample size against the cell's execs: phase spans are
 // timed on every timingSample-th execution index only, so the means cover n
 // of the execs executions.
-func phaseBreakdown(phases map[string]*obs.HistogramSnapshot, execs uint64) string {
+func phaseBreakdown(phases map[string]*obs.HistogramSnapshot, execs int) string {
 	if len(phases) == 0 {
 		return "(no phase spans)"
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"c11tester/internal/harness"
-	"c11tester/internal/obs"
 	"c11tester/internal/safeio"
 )
 
@@ -64,9 +63,16 @@ import (
 // every decision stream is drawn from the PCG source, as v8 and v9
 // artifacts with "rng":"pcg" already were. Converge's policy echo is
 // "converge(eps=…)": ε is its only parameter.
+//
+// v11: one fold for every histogram. Each cell gains "handoff" (handoff wait
+// per timed execution), "sched_len" and "choices" (per execution) next to
+// "timing" and "phases", and all five are rendered from the cell's folded
+// result, so they survive checkpoint/resume and shard merges like every
+// other cell result. "timing" now covers the timed executions only (every
+// 16th execution index), like "phases"; its count is the sample size.
 const (
 	SchemaName    = "c11tester/campaign"
-	SchemaVersion = 10
+	SchemaVersion = 11
 )
 
 // SpecInfo echoes the campaign parameters into the summary, making every
@@ -155,16 +161,7 @@ type CellSummary struct {
 	Guided *GuideStats `json:"guided,omitempty"`
 	// Failed counts executions the tool itself aborted (schema v3).
 	Failed int `json:"failed,omitempty"`
-	// Timing is the cell's ns/exec histogram snapshot from the telemetry
-	// fabric (schema v4; present when the campaign ran with telemetry, which
-	// Run always enables).
-	Timing *obs.HistogramSnapshot `json:"timing,omitempty"`
-	// Phases are the cell's per-phase span histograms keyed by phase name
-	// (schema v5; present when the tool is an engine — phase timing rides the
-	// telemetry fabric). They cover the timed executions only, every
-	// timingSample-th execution index, so each histogram's count is the
-	// sample size.
-	Phases map[string]*obs.HistogramSnapshot `json:"phases,omitempty"`
+	CellHists
 }
 
 // ForbiddenOutcome is one observed litmus outcome the memory model must
@@ -196,10 +193,7 @@ type LitmusSummary struct {
 	Budget *BudgetSummary `json:"budget,omitempty"`
 	Guided *GuideStats    `json:"guided,omitempty"`
 	Failed int            `json:"failed,omitempty"`
-	// Timing mirrors CellSummary's schema v4 ns/exec histogram snapshot.
-	Timing *obs.HistogramSnapshot `json:"timing,omitempty"`
-	// Phases mirrors CellSummary's schema v5 per-phase span histograms.
-	Phases map[string]*obs.HistogramSnapshot `json:"phases,omitempty"`
+	CellHists
 }
 
 // ValidationSummary reports the per-tool axiomatic-validation results of a
@@ -349,10 +343,12 @@ func (k cellKey) index(nb, nl int) int {
 	return i
 }
 
-// foldCells merges every job's fragment into its matrix cell: the per-cell
-// fold behind the summary, checkpoints and shard partials. The result is in
-// matrix order; cells without jobs stay empty.
-func foldCells(spec Spec, jobs []job, frags []fragment) []cellFold {
+// foldCells merges every job's fragment into its matrix cell, and every
+// worker's per-cell histograms into the cell's fragment: the per-cell fold
+// behind the summary, checkpoints and shard partials. The result is in
+// matrix order; cells without jobs stay empty. It runs at barriers, when no
+// worker is observing.
+func foldCells(spec Spec, jobs []job, frags []fragment, wt workerTools) []cellFold {
 	nb, nl := len(spec.Benchmarks), len(spec.Litmus)
 	cells := make([]cellFold, len(spec.Tools)*(nb+nl))
 	for i := range jobs {
@@ -360,23 +356,28 @@ func foldCells(spec Spec, jobs []job, frags []fragment) []cellFold {
 		c.frag.merge(&frags[i])
 		c.hi = max(c.hi, jobs[i].hi)
 	}
+	for w := range wt {
+		for c := range wt[w].hists {
+			if h := &wt[w].hists[c]; *h != blankHists {
+				cells[c].frag.addHists(h)
+			}
+		}
+	}
 	return cells
 }
 
 // summaryMeta is what aggregate renders besides the folded cells: the spec
-// echo, each tool's repro flags, each litmus test's weak-outcome count, and
-// the source of the per-cell timing and phase histograms, which are
-// telemetry rather than fragment state. Run takes it from the Spec (metaOf);
-// MergeSummaries takes it from the partials.
+// echo, each tool's repro flags and each litmus test's weak-outcome count.
+// Run takes it from the Spec (metaOf); MergeSummaries takes it from the
+// partials.
 type summaryMeta struct {
 	info        SpecInfo
 	reproFlags  []string // per tool
 	weakDefined []int    // per litmus test
-	hists       func(cellKey) (*obs.HistogramSnapshot, map[string]*obs.HistogramSnapshot)
 }
 
 func metaOf(spec Spec) summaryMeta {
-	m := summaryMeta{info: specInfo(spec), hists: spec.Telemetry.cellSnapshots}
+	m := summaryMeta{info: specInfo(spec)}
 	for _, t := range spec.Tools {
 		m.reproFlags = append(m.reproFlags, t.ReproFlags)
 	}
@@ -522,12 +523,12 @@ func aggregate(m summaryMeta, cells []cellFold, budgets map[cellKey]*BudgetSumma
 					Runs: f.Execs, Detected: f.Detected,
 					Time: meanTime, Ops: f.Ops,
 				}.Summary(),
-				RaceKeys: harness.SortedKeys(f.Races),
-				Budget:   budgets[k],
-				Guided:   guideStatsOf(f),
-				Failed:   f.Failed,
+				RaceKeys:  harness.SortedKeys(f.Races),
+				Budget:    budgets[k],
+				Guided:    guideStatsOf(f),
+				Failed:    f.Failed,
+				CellHists: f.Hists.render(),
 			}
-			cell.Timing, cell.Phases = m.hists(k)
 			ts.Benchmarks = append(ts.Benchmarks, cell)
 			addRaces(toolRaces, b, program, false, f.Races)
 			addCell(b, program, false, f)
@@ -552,8 +553,8 @@ func aggregate(m summaryMeta, cells []cellFold, budgets map[cellKey]*BudgetSumma
 				Budget:      budgets[k],
 				Guided:      guideStatsOf(f),
 				Failed:      f.Failed,
+				CellHists:   f.Hists.render(),
 			}
-			ls.Timing, ls.Phases = m.hists(k)
 			for _, out := range harness.SortedKeys(f.Forbidden) {
 				ls.ForbiddenSeen = append(ls.ForbiddenSeen, ForbiddenOutcome{
 					Test: test, Outcome: out, Count: outcomes[out],
@@ -890,14 +891,15 @@ func (s *Summary) WriteJSON(path string) error {
 // package's byte-identity guarantees hold: workers=1 vs workers=K, merged
 // shard partials vs the single-machine run, and a SIGKILL-then-resume run vs
 // an uninterrupted one all marshal to identical bytes after Canonical.
-// Zeroed: wall clock, the GC block, per-cell mean times and
-// timing/phase histograms, per-tool work time and throughput, event-stream
-// accounting, and the run-shape echoes (Workers, artifact directories) plus
-// the shard header, checkpoint accounting, and build provenance (`go run`
-// and `go build` of the same tree stamp different VCS metadata, and the
-// guarantee must hold across binaries; skew is surfaced by Compare and
-// refused by MergeSummaries instead). Kept: everything the model produced —
-// detections, races, outcomes, budgets, guide sums, validation.
+// Zeroed: wall clock, the GC block, per-cell mean times and the wall-clock
+// histograms (timing, phases, handoff), per-tool work time and throughput,
+// event-stream accounting, and the run-shape echoes (Workers, artifact
+// directories) plus the shard header, checkpoint accounting, and build
+// provenance (`go run` and `go build` of the same tree stamp different VCS
+// metadata, and the guarantee must hold across binaries; skew is surfaced by
+// Compare and refused by MergeSummaries instead). Kept: everything the model produced —
+// detections, races, outcomes, budgets, guide sums, validation, and the
+// schedule-length and choices histograms.
 func (s *Summary) Canonical() *Summary {
 	data, err := json.Marshal(s)
 	if err != nil {
@@ -924,13 +926,10 @@ func (s *Summary) Canonical() *Summary {
 		for b := range ts.Benchmarks {
 			cell := &ts.Benchmarks[b]
 			cell.Detection.MeanTimeNS = 0
-			cell.Timing = nil
-			cell.Phases = nil
+			cell.dropWallClock()
 		}
 		for l := range ts.Litmus {
-			ls := &ts.Litmus[l]
-			ls.Timing = nil
-			ls.Phases = nil
+			ts.Litmus[l].dropWallClock()
 		}
 	}
 	return &c

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"reflect"
 	"sort"
@@ -76,8 +77,8 @@ func canonicalEvents(t *testing.T, raw []byte) []string {
 }
 
 // TestInstrumentedDeterminismUnderSharding extends the campaign determinism
-// guarantee to the telemetry fabric: with metrics and the structured event
-// stream enabled, workers=1 and workers=4 must produce byte-identical
+// guarantee to the telemetry fabric: with the structured event stream
+// enabled, workers=1 and workers=4 must produce byte-identical
 // canonicalized summaries AND identical event streams up to line ordering,
 // with zero dropped events — and must match an uninstrumented-sink run.
 func TestInstrumentedDeterminismUnderSharding(t *testing.T) {
@@ -181,18 +182,6 @@ func TestInstrumentedDeterminismUnderSharding(t *testing.T) {
 		t.Errorf("instrumented and quiet aggregates differ:\ninstrumented: %s\nquiet:        %s",
 			serialJSON, quietJSON)
 	}
-
-	// The metric registry renders non-empty Prometheus text with the per-cell
-	// families bound at setup.
-	var prom bytes.Buffer
-	serialTel.Registry().WritePrometheus(&prom)
-	for _, family := range []string{"c11_cell_execs_total", "c11_cell_exec_ns",
-		"c11_campaign_waves_total", "c11_campaign_execs_planned",
-		"c11_analyzer_findings_total"} {
-		if !strings.Contains(prom.String(), family) {
-			t.Errorf("metric family %q missing from exposition", family)
-		}
-	}
 }
 
 // TestTimingSampledPerIndex pins the timing sample: only every
@@ -201,7 +190,6 @@ func TestInstrumentedDeterminismUnderSharding(t *testing.T) {
 // histograms' denominator.
 func TestTimingSampledPerIndex(t *testing.T) {
 	for _, runs := range []int{1, 33} {
-		tel := NewTelemetry(TelemetryOptions{})
 		sum := Run(Spec{
 			Tools:          []ToolSpec{mustTool(t, "c11tester", ToolOptions{}), mustTool(t, "tsan11", ToolOptions{})},
 			Benchmarks:     []BenchmarkSpec{benchSpec(t, "ms-queue")},
@@ -211,9 +199,8 @@ func TestTimingSampledPerIndex(t *testing.T) {
 			Workers:        2,
 			ShardSize:      5,
 			ValidateAxioms: true,
-			Telemetry:      tel,
 		})
-		checkSampledCounts(t, sum, fromZero)
+		checkSampledCounts(t, sum)
 		want := sampledIn(0, runs)
 		for key, n := range phaseCounts(sum) {
 			if n != want {
@@ -223,41 +210,31 @@ func TestTimingSampledPerIndex(t *testing.T) {
 		if _, ok := phaseCounts(sum)["c11tester/MP+rlx/validate"]; !ok {
 			t.Errorf("runs=%d: validation ran untimed on every index", runs)
 		}
-		for tool := range sum.Tools {
-			m := tel.cellMetrics(job{kind: jobBench, tool: tool, cell: 0})
-			if got := m.HandoffNS.Count(); got != want {
-				t.Errorf("runs=%d: %s handoff-wait histogram counted %d executions, want %d",
-					runs, sum.Tools[tool].Tool, got, want)
+		for _, ts := range sum.Tools {
+			if h := ts.Benchmarks[0].Handoff; h == nil || h.Count != want {
+				t.Errorf("runs=%d: %s handoff-wait histogram = %+v, want %d samples",
+					runs, ts.Tool, h, want)
 			}
 		}
 	}
 }
 
 // TestTelemetryFoldWithoutStream pins unitDone's two halves apart: the same
-// units folded with and without an event stream leave the same
-// distinct-races gauge, failure count and progress, and the gauge counts the
-// stream's distinct (tool, race key) pairs — a key two tools both find
-// counts twice.
+// units folded with and without an event stream print the same progress
+// lines, and their distinct-race count is the stream's distinct (tool, race
+// key) pairs — a key two tools both find counts twice.
 func TestTelemetryFoldWithoutStream(t *testing.T) {
-	run := func(sink io.Writer) (*Telemetry, string) {
+	run := func(sink io.Writer) string {
 		var progress bytes.Buffer
 		tel := NewTelemetry(TelemetryOptions{EventSink: sink, Progress: &progress})
 		// One worker keeps the periodic progress lines deterministic.
 		Run(eventSpec(t, 1, tel))
-		return tel, progress.String()
+		return progress.String()
 	}
 	var events bytes.Buffer
-	streamed, streamedLines := run(&events)
-	quiet, quietLines := run(nil)
+	streamedLines := run(&events)
+	quietLines := run(nil)
 
-	if s, q := streamed.racesG.Load(), quiet.racesG.Load(); s != q {
-		t.Errorf("distinct-races gauge: %d with a stream, %d without", s, q)
-	}
-	sp, qp := streamed.Progress(), quiet.Progress()
-	if sp.DistinctRaces != qp.DistinctRaces || sp.Failures != qp.Failures || sp.ExecsDone != qp.ExecsDone {
-		t.Errorf("progress with a stream {races %d, failures %d, execs %d}, without {races %d, failures %d, execs %d}",
-			sp.DistinctRaces, sp.Failures, sp.ExecsDone, qp.DistinctRaces, qp.Failures, qp.ExecsDone)
-	}
 	if streamedLines != quietLines {
 		t.Errorf("progress lines differ:\nwith a stream:\n%swithout:\n%s", streamedLines, quietLines)
 	}
@@ -280,8 +257,15 @@ func TestTelemetryFoldWithoutStream(t *testing.T) {
 			tools[ev.Key][ev.Tool] = true
 		}
 	}
-	if len(pairs) == 0 || int64(len(pairs)) != quiet.racesG.Load() {
-		t.Errorf("gauge = %d, stream has %d distinct (tool, key) pairs", quiet.racesG.Load(), len(pairs))
+	// The last wave line carries the campaign's final distinct-race count.
+	lines := strings.Split(strings.TrimSpace(quietLines), "\n")
+	var wave, done, planned, conv, cells, races, fails int
+	if _, err := fmt.Sscanf(lines[len(lines)-1], "wave %d: %d/%d execs, %d/%d cells converged, %d distinct race(s), %d failure(s)",
+		&wave, &done, &planned, &conv, &cells, &races, &fails); err != nil {
+		t.Fatalf("last progress line %q: %v", lines[len(lines)-1], err)
+	}
+	if len(pairs) == 0 || len(pairs) != races {
+		t.Errorf("progress reports %d distinct race(s), stream has %d distinct (tool, key) pairs", races, len(pairs))
 	}
 	shared := false
 	for _, ts := range tools {

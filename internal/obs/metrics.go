@@ -1,112 +1,72 @@
-// Package obs is the campaign telemetry fabric: a zero-alloc-compatible
-// metrics core (preallocated atomic counters, gauges, and fixed-bucket
-// histograms), a structured JSONL event stream drained off a bounded channel,
-// and the HTTP serving surface behind the CLIs' -status-addr flag (/metrics
-// in Prometheus text format, /progress as a JSON snapshot, net/http/pprof).
+// Package obs is the campaign telemetry fabric: plain fixed-bucket
+// histograms with their serializable snapshots (the campaign summary's
+// timing, phase, handoff, schedule-length and choices histograms), a
+// structured JSONL event stream drained off a bounded channel, and the
+// anomaly-triggered flight recorder.
 //
-// The design rule that keeps the engine's steady state at exactly 0 B /
-// 0 objs per execution: all registration happens at campaign setup, and the
-// hot path touches only pre-bound handles — a Counter.Inc is one atomic add,
-// a Histogram.Observe is a bounded linear scan over fixed bucket bounds plus
-// two atomic adds. No maps, no interface conversions, no formatting on the
-// instrumented path; rendering (Prometheus text, JSON snapshots) walks the
-// registry outside the hot path.
+// A Histogram is a value with no locks, no atomics and no heap state: each
+// campaign worker owns one set per matrix cell, observes into it on the hot
+// path without allocating, and the campaign sums the workers' sets with Add
+// at its deterministic barriers. Rendering (snapshots, quantiles) happens
+// only after that fold, outside the hot path.
 package obs
 
 import (
 	"fmt"
-	"io"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
-// Counter is a monotonically increasing metric. The zero value is usable,
-// but campaign code obtains counters from a Registry so they render.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Load returns the current value.
-func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
+// HistBuckets is the number of finite buckets of every Histogram.
+const HistBuckets = 20
 
 // Histogram is a fixed-bucket histogram of uint64 observations (nanoseconds,
-// step counts). Bucket bounds are fixed at registration; counts[i] holds
-// observations ≤ bounds[i], with one implicit +Inf overflow bucket at the
-// end. Observe is goroutine-safe and allocation-free.
+// step counts). Bucket i counts observations ≤ Base<<i, and N[HistBuckets]
+// is the +Inf overflow bucket. It is not goroutine-safe: every observer owns
+// its histograms, and histograms from different observers meet only through
+// Add. Its JSON encoding carries Base, so a decoded histogram folds like the
+// one that was encoded.
 type Histogram struct {
-	bounds []uint64
-	counts []atomic.Uint64 // len(bounds)+1; last is +Inf
-	sum    atomic.Uint64
+	Base uint64                  `json:"base"`
+	N    [HistBuckets + 1]uint64 `json:"n"`
+	Sum  uint64                  `json:"sum"`
 }
 
-// NewHistogram returns a standalone histogram with the given ascending
-// bucket upper bounds (campaign code normally registers through a Registry).
-func NewHistogram(bounds []uint64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram bounds not ascending at %d", i))
-		}
-	}
-	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
-}
-
-// Observe records one value. The bucket scan is linear: bound slices are
-// short (≲ 24 entries) and the scan touches no heap, keeping the hot path
-// free of allocation and of the function-value indirection sort.Search
-// would cost.
+// Observe records one value. The bucket scan is a bounded linear walk over
+// the bucket bounds; it touches no heap and allocates nothing.
 func (h *Histogram) Observe(v uint64) {
 	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
+	for i < HistBuckets && v > h.Base<<uint(i) {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.sum.Add(v)
+	h.N[i]++
+	h.Sum += v
 }
 
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 {
 	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
+	for _, c := range h.N {
+		n += c
 	}
 	return n
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
-// ExpBuckets returns n ascending bucket bounds starting at start and
-// doubling: start, start*2, ..., start<<(n-1). It is the standard bound set
-// for the campaign's latency and step-count histograms.
-func ExpBuckets(start uint64, n int) []uint64 {
-	b := make([]uint64, n)
-	for i := range b {
-		b[i] = start << uint(i)
+// Add folds o into h. Both must share a Base: the fold of one metric across
+// workers, shards and checkpoints always does.
+func (h *Histogram) Add(o *Histogram) {
+	if h.Base != o.Base {
+		panic(fmt.Sprintf("obs: adding a base-%d histogram to a base-%d one", o.Base, h.Base))
 	}
-	return b
+	for i, c := range o.N {
+		h.N[i] += c
+	}
+	h.Sum += o.Sum
 }
 
-// HistogramSnapshot is the serializable point-in-time state of a histogram,
-// embedded in campaign summaries (schema v4). Le/N are parallel arrays of
-// the non-empty buckets' upper bounds and (non-cumulative) counts; an Le of
-// 0 marks the +Inf overflow bucket. P50/P90/P99 are quantiles estimated by
+// HistogramSnapshot is the serializable rendering of a histogram, embedded
+// in campaign summaries (schema v4). Le/N are parallel arrays of the
+// non-empty buckets' upper bounds and (non-cumulative) counts; an Le of 0
+// marks the +Inf overflow bucket. P50/P90/P99 are quantiles estimated by
 // linear interpolation inside the bucket.
 type HistogramSnapshot struct {
 	Count uint64   `json:"count"`
@@ -118,23 +78,25 @@ type HistogramSnapshot struct {
 	P99   uint64   `json:"p99,omitempty"`
 }
 
-// Snapshot captures the histogram's current state.
+// Snapshot renders the histogram, or returns nil when it holds no
+// observations.
 func (h *Histogram) Snapshot() *HistogramSnapshot {
-	s := &HistogramSnapshot{}
-	for i := range h.counts {
-		n := h.counts[i].Load()
+	s := &HistogramSnapshot{Sum: h.Sum}
+	for i, n := range h.N {
 		if n == 0 {
 			continue
 		}
 		le := uint64(0) // +Inf
-		if i < len(h.bounds) {
-			le = h.bounds[i]
+		if i < HistBuckets {
+			le = h.Base << uint(i)
 		}
 		s.Le = append(s.Le, le)
 		s.N = append(s.N, n)
 		s.Count += n
 	}
-	s.Sum = h.sum.Load()
+	if s.Count == 0 {
+		return nil
+	}
 	s.P50 = s.Quantile(0.50)
 	s.P90 = s.Quantile(0.90)
 	s.P99 = s.Quantile(0.99)
@@ -179,8 +141,8 @@ func (s *HistogramSnapshot) Quantile(q float64) uint64 {
 }
 
 // Merge folds other into s, summing bucket counts by bound (both sides must
-// come from histograms registered with the same bound set, which holds for
-// any one metric family) and recomputing the quantiles.
+// come from histograms of the same Base, which holds for any one metric)
+// and recomputing the quantiles. Compare uses it to pool a tool's cells.
 func (s *HistogramSnapshot) Merge(other *HistogramSnapshot) {
 	if other == nil {
 		return
@@ -215,171 +177,4 @@ func (s *HistogramSnapshot) Merge(other *HistogramSnapshot) {
 	s.P50 = s.Quantile(0.50)
 	s.P90 = s.Quantile(0.90)
 	s.P99 = s.Quantile(0.99)
-}
-
-// Label is one Prometheus label pair.
-type Label struct{ Name, Value string }
-
-// series is one labeled instance of a metric family; exactly one of c/g/h
-// is set, matching the family's type.
-type series struct {
-	labels []Label
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
-}
-
-// family is one named metric with its help text, type, and series.
-type family struct {
-	name, help, typ string
-	bounds          []uint64 // histogram families only
-	series          []*series
-}
-
-// Registry holds metric families and renders them. Registration happens at
-// setup and takes a lock; the returned handles are lock-free.
-type Registry struct {
-	mu       sync.Mutex
-	families []*family
-	byName   map[string]*family
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: map[string]*family{}}
-}
-
-func (r *Registry) familyOf(name, help, typ string) *family {
-	f := r.byName[name]
-	if f == nil {
-		f = &family{name: name, help: help, typ: typ}
-		r.byName[name] = f
-		r.families = append(r.families, f)
-	} else if f.typ != typ {
-		panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, f.typ, typ))
-	}
-	return f
-}
-
-// Counter registers (or extends) a counter family and returns the handle for
-// the given label set.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyOf(name, help, "counter")
-	c := &Counter{}
-	f.series = append(f.series, &series{labels: labels, c: c})
-	return c
-}
-
-// Gauge registers (or extends) a gauge family and returns the handle.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyOf(name, help, "gauge")
-	g := &Gauge{}
-	f.series = append(f.series, &series{labels: labels, g: g})
-	return g
-}
-
-// Histogram registers (or extends) a histogram family and returns the
-// handle. Every series of one family must use the same bounds; the first
-// registration fixes them.
-func (r *Registry) Histogram(name, help string, bounds []uint64, labels ...Label) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyOf(name, help, "histogram")
-	if f.bounds == nil {
-		f.bounds = bounds
-	}
-	h := NewHistogram(f.bounds)
-	f.series = append(f.series, &series{labels: labels, h: h})
-	return h
-}
-
-// WritePrometheus renders the registry in the Prometheus text exposition
-// format. It runs entirely outside the hot path: values are atomic loads,
-// and concurrent Observe/Inc calls simply land in this or the next scrape.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	fams := make([]*family, len(r.families))
-	copy(fams, r.families)
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	for _, f := range fams {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ); err != nil {
-			return err
-		}
-		for _, s := range f.series {
-			var err error
-			switch f.typ {
-			case "counter":
-				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, renderLabels(s.labels, "", 0), s.c.Load())
-			case "gauge":
-				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, renderLabels(s.labels, "", 0), s.g.Load())
-			case "histogram":
-				err = writePromHistogram(w, f.name, s)
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func writePromHistogram(w io.Writer, name string, s *series) error {
-	var cum uint64
-	for i, b := range s.h.bounds {
-		cum += s.h.counts[i].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, renderLabels(s.labels, "le", b), cum); err != nil {
-			return err
-		}
-	}
-	cum += s.h.counts[len(s.h.bounds)].Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, renderLabelsInf(s.labels), cum); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %d\n", name, renderLabels(s.labels, "", 0), s.h.Sum()); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, renderLabels(s.labels, "", 0), cum)
-	return err
-}
-
-// renderLabels renders a label set, optionally with a trailing numeric le
-// label (leName non-empty).
-func renderLabels(labels []Label, leName string, le uint64) string {
-	if len(labels) == 0 && leName == "" {
-		return ""
-	}
-	out := "{"
-	for i, l := range labels {
-		if i > 0 {
-			out += ","
-		}
-		out += fmt.Sprintf("%s=%q", l.Name, l.Value)
-	}
-	if leName != "" {
-		if len(labels) > 0 {
-			out += ","
-		}
-		out += fmt.Sprintf("%s=\"%d\"", leName, le)
-	}
-	return out + "}"
-}
-
-func renderLabelsInf(labels []Label) string {
-	out := "{"
-	for i, l := range labels {
-		if i > 0 {
-			out += ","
-		}
-		out += fmt.Sprintf("%s=%q", l.Name, l.Value)
-	}
-	if len(labels) > 0 {
-		out += ","
-	}
-	return out + `le="+Inf"}`
 }

@@ -2,46 +2,30 @@ package obs
 
 import (
 	"bytes"
-	"net/http"
+	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
-func TestCounterGauge(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c11_test_total", "test counter", Label{"tool", "c11tester"})
-	g := r.Gauge("c11_test_gauge", "test gauge")
-	c.Inc()
-	c.Add(4)
-	if got := c.Load(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Load(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
-	}
-}
-
 func TestHistogramBucketsAndSnapshot(t *testing.T) {
-	h := NewHistogram(ExpBuckets(1, 4)) // bounds 1,2,4,8
-	for _, v := range []uint64{1, 2, 3, 9, 100} {
+	h := Histogram{Base: 1} // bounds 1, 2, 4, …, 1<<19
+	for _, v := range []uint64{1, 2, 3, 9, 1 << 20, 1 << 30} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
+	if h.Count() != 6 {
+		t.Fatalf("count = %d, want 6", h.Count())
 	}
-	if h.Sum() != 115 {
-		t.Fatalf("sum = %d, want 115", h.Sum())
+	if want := uint64(15 + 1<<20 + 1<<30); h.Sum != want {
+		t.Fatalf("sum = %d, want %d", h.Sum, want)
 	}
 	s := h.Snapshot()
-	if s.Count != 5 || s.Sum != 115 {
+	if s.Count != 6 || s.Sum != h.Sum {
 		t.Fatalf("snapshot count/sum = %d/%d", s.Count, s.Sum)
 	}
-	// Buckets: ≤1:1, ≤2:1, ≤4:1, +Inf:2 (9 and 100 overflow past bound 8).
-	wantLe := []uint64{1, 2, 4, 0}
-	wantN := []uint64{1, 1, 1, 2}
+	// Buckets: ≤1:1, ≤2:1, ≤4:1, ≤16:1, +Inf:2 (1<<20 and 1<<30 overflow
+	// past the last bound, 1<<19).
+	wantLe := []uint64{1, 2, 4, 16, 0}
+	wantN := []uint64{1, 1, 1, 1, 2}
 	if len(s.Le) != len(wantLe) {
 		t.Fatalf("snapshot buckets = %v/%v", s.Le, s.N)
 	}
@@ -53,19 +37,28 @@ func TestHistogramBucketsAndSnapshot(t *testing.T) {
 	if s.P50 == 0 || s.P99 == 0 {
 		t.Fatalf("quantiles not computed: %+v", s)
 	}
+	if empty := (&Histogram{Base: 1}).Snapshot(); empty != nil {
+		t.Fatalf("empty histogram rendered %+v, want nil", empty)
+	}
 }
 
+// TestHistogramMerge pins the two folds: Add of the plain histograms (the
+// campaign's fold) and Merge of their snapshots (Compare's pooling) agree
+// with each other and with observing everything into one histogram.
 func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(ExpBuckets(1, 4))
-	b := NewHistogram(ExpBuckets(1, 4))
-	a.Observe(1)
-	a.Observe(8)
-	b.Observe(1)
-	b.Observe(100)
+	a, b, direct := Histogram{Base: 1}, Histogram{Base: 1}, Histogram{Base: 1}
+	for _, v := range []uint64{1, 8} {
+		a.Observe(v)
+		direct.Observe(v)
+	}
+	for _, v := range []uint64{1, 100, 1 << 25} {
+		b.Observe(v)
+		direct.Observe(v)
+	}
 	sa, sb := a.Snapshot(), b.Snapshot()
 	sa.Merge(sb)
-	if sa.Count != 4 || sa.Sum != 110 {
-		t.Fatalf("merged count/sum = %d/%d, want 4/110", sa.Count, sa.Sum)
+	if sa.Count != 5 || sa.Sum != 110+1<<25 {
+		t.Fatalf("merged count/sum = %d/%d, want 5/%d", sa.Count, sa.Sum, 110+1<<25)
 	}
 	if sa.Le[0] != 1 || sa.N[0] != 2 {
 		t.Fatalf("merged first bucket = (%d,%d), want (1,2)", sa.Le[0], sa.N[0])
@@ -74,49 +67,26 @@ func TestHistogramMerge(t *testing.T) {
 	if sa.Le[len(sa.Le)-1] != 0 {
 		t.Fatalf("merged +Inf bucket not last: %v", sa.Le)
 	}
+	a.Add(&b)
+	if a != direct {
+		t.Fatalf("Add = %+v, direct observation = %+v", a, direct)
+	}
+	if !reflect.DeepEqual(a.Snapshot(), sa) {
+		t.Fatalf("snapshot of Add %+v != merged snapshots %+v", a.Snapshot(), sa)
+	}
 }
 
-// TestHotPathZeroAlloc pins the instrumentation primitives at zero
+// TestHotPathZeroAlloc pins the histogram's observation and fold at zero
 // allocations, the property that lets the campaign thread them through the
 // engine's steady state without breaking the 0 B / 0 objs invariant.
 func TestHotPathZeroAlloc(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c11_test_total", "t")
-	h := r.Histogram("c11_test_ns", "t", ExpBuckets(1024, 20))
+	var h, sum Histogram
+	h.Base, sum.Base = 1024, 1024
 	if n := testing.AllocsPerRun(100, func() {
-		c.Inc()
 		h.Observe(123456)
+		sum.Add(&h)
 	}); n != 0 {
 		t.Fatalf("hot path allocates %.1f objs/op, want 0", n)
-	}
-}
-
-func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c11_execs_total", "executions", Label{"tool", "c11tester"}, Label{"program", "ms-queue"})
-	c.Add(42)
-	h := r.Histogram("c11_exec_ns", "ns per execution", ExpBuckets(1, 2), Label{"tool", "c11tester"})
-	h.Observe(1)
-	h.Observe(5)
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# HELP c11_execs_total executions",
-		"# TYPE c11_execs_total counter",
-		`c11_execs_total{tool="c11tester",program="ms-queue"} 42`,
-		"# TYPE c11_exec_ns histogram",
-		`c11_exec_ns_bucket{tool="c11tester",le="1"} 1`,
-		`c11_exec_ns_bucket{tool="c11tester",le="2"} 1`,
-		`c11_exec_ns_bucket{tool="c11tester",le="+Inf"} 2`,
-		`c11_exec_ns_sum{tool="c11tester"} 6`,
-		`c11_exec_ns_count{tool="c11tester"} 2`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("prometheus output missing %q:\n%s", want, out)
-		}
 	}
 }
 
@@ -175,45 +145,5 @@ func TestStreamDropsWhenFull(t *testing.T) {
 	close(w.release)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestServerEndpoints(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c11_execs_total", "executions")
-	c.Add(3)
-	srv := NewServer(r, func() any {
-		return map[string]any{"execs_done": 3, "execs_planned": 10}
-	})
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Stop()
-
-	get := func(path string) string {
-		cl := http.Client{Timeout: 5 * time.Second}
-		resp, err := cl.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, buf.String())
-		}
-		return buf.String()
-	}
-	if out := get("/metrics"); !strings.Contains(out, "c11_execs_total 3") {
-		t.Fatalf("/metrics missing counter:\n%s", out)
-	}
-	if out := get("/progress"); !strings.Contains(out, `"execs_planned": 10`) {
-		t.Fatalf("/progress missing snapshot:\n%s", out)
-	}
-	if out := get("/debug/pprof/cmdline"); out == "" {
-		t.Fatalf("/debug/pprof/cmdline empty")
 	}
 }
