@@ -9,8 +9,8 @@
 // The contract mirrors the race detector's determinism rules: an execution
 // is a pure function of (tool, program, seed), so Observe must be a pure
 // function of the Exec it is handed — no randomness, no wall-clock, no state
-// shared across cells — which is what keeps workers=1 ≡ workers=K
-// byte-identical per-analyzer findings.
+// carried from one execution to the next — which is what keeps workers=1 ≡
+// workers=K byte-identical per-analyzer findings.
 package analysis
 
 import (
@@ -23,7 +23,7 @@ import (
 )
 
 // Exec is one finished execution as presented to analyzers. The campaign
-// runner reuses a single Exec per cell, rewriting the fields between
+// runner reuses a single Exec per worker and cell, rewriting the fields between
 // executions; everything reachable from it — the Result, the engine's trace
 // and modification order, the lifted execution — is only valid for the
 // duration of Observe, per the capi.Result ownership rules. Analyzers copy
@@ -68,10 +68,15 @@ type Finding struct {
 	Desc string
 }
 
-// Analyzer observes finished executions and emits findings. Implementations
-// are cell-confined: the campaign builds one instance per (tool, program)
-// cell via the registry, so an Analyzer may keep per-cell state (e.g. a
-// dedup set) but must not share state across cells or goroutines.
+// Analyzer observes finished executions and emits findings. The campaign
+// builds one instance per worker and (tool, program) cell via the registry,
+// and that instance observes every execution of every unit of the cell the
+// worker runs — which units those are depends on scheduling. Instance state
+// may therefore only be reusable scratch that Observe rebuilds for each
+// execution (like scRobustness.ws, the lifted-execution workspace): state
+// that carries from one execution to the next, such as a dedup set, would
+// make findings depend on which worker ran which unit. Deduplication is the
+// campaign's job. Instances must not share state across cells or goroutines.
 type Analyzer interface {
 	// Name is the registry key, the -analyzers flag value, and the label on
 	// findings, events, and metrics.
@@ -94,7 +99,8 @@ type Analyzer interface {
 var factories = map[string]func() Analyzer{}
 
 // Register adds an analyzer factory under its name. The factory is invoked
-// once per campaign cell, so instances are worker-confined by construction.
+// once per campaign worker and cell, so instances are worker-confined by
+// construction.
 // Registering a duplicate name panics: names are a flag surface, and a
 // silent overwrite would repoint existing repro commands.
 func Register(name string, factory func() Analyzer) {

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"testing"
 	"time"
-	"unsafe"
 
 	"c11tester/internal/capi"
 	"c11tester/internal/core"
+	"c11tester/internal/litmus"
 	"c11tester/internal/memmodel"
 	"c11tester/internal/obs"
 	"c11tester/internal/sched"
@@ -165,17 +165,42 @@ func TestRunnerZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestCellRunnerSizeClass pins cellRunner inside the 1024 B malloc size
-// class. Every campaign unit allocates one runner, and since Go 1.22 an
-// object over 512 B that holds pointers carries an 8-byte malloc header, so
-// the runner itself may use at most 1024 − 8 = 1016 B. One field more moves
-// it into the next size class (1152 B), which costs the litmus workload ~5%
-// alloc_bytes_per_exec. That is why the timing sample is derived from the
-// execution index instead of a per-runner flag, and why one workerSlot
-// pointer reaches both the axiom workspace and the race-key intern table.
-func TestCellRunnerSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(cellRunner{}); n > 1016 {
-		t.Fatalf("cellRunner is %d B; with the 8 B malloc header it is past the 1024 B size class", n)
+// TestUnitStartZeroAlloc pins runner reuse: once a worker has run one unit
+// of a cell, each later unit of that cell allocates nothing. Each measured
+// unit starts as a campaign unit starts, with the tool's Rearm and the
+// runner's arm, which empties the unit's fragment, execution context and
+// strategy wrappers in place. It then runs 25 executions, timed index
+// included, and folds the finished fragment into the runner's accumulator as
+// the wave loop does. The cells are a litmus test and a benchmark that
+// reports no race: a race's description is rendered once per unit that
+// first sees it, by design.
+func TestUnitStartZeroAlloc(t *testing.T) {
+	spec := Spec{
+		Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
+		Benchmarks: []BenchmarkSpec{benchSpec(t, "seqlock")},
+		Litmus:     []*litmus.Test{mustLitmus(t, "SB+rlx")},
+		Workers:    1,
+	}
+	wt := newWorkerTools(spec)
+	defer wt.close()
+	for _, j := range []job{{kind: jobBench, hi: 25}, {kind: jobLitmus, hi: 25}} {
+		var r *cellRunner
+		unit := func() {
+			r = wt.unit(spec, 0, j)
+			r.run(j.lo, j.hi, nil)
+			r.acc.add(&r.frag, j.hi)
+		}
+		unit()
+		first := r
+		if n := testing.AllocsPerRun(5, unit); n != 0 {
+			t.Errorf("%s: %.1f allocs per unit after the first, want 0", spec.programOf(j.key()), n)
+		}
+		if r != first {
+			t.Errorf("%s: the worker built a second runner for the cell", spec.programOf(j.key()))
+		}
+		if want := 7 * 25; r.acc.frag.Execs != want {
+			t.Errorf("%s: accumulator holds %d executions, want %d", spec.programOf(j.key()), r.acc.frag.Execs, want)
+		}
 	}
 }
 

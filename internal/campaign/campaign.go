@@ -26,12 +26,16 @@
 // instance of the cell's tool (tool instances are stateful and not
 // goroutine-safe). Each worker keeps one warm instance per tool for the
 // whole campaign and rearms it at every unit start (core.Engine.Rearm), so a
-// unit observes exactly what a freshly constructed tool would. Aggregation
-// merges fragments with order-independent operations only — sums, unions,
+// unit observes exactly what a freshly constructed tool would. Each worker
+// likewise keeps one runner per cell — its program instance, analyzers and
+// stage list built on the cell's first unit — and arms it again at every
+// later unit start (cellRunner.arm). A unit's fragment folds into its
+// runner's per-cell accumulator as the unit ends. Aggregation merges
+// fragments with order-independent operations only — sums, unions,
 // min-by-execution-index winners for reproduction metadata, and sample lists
 // capped to their smallest execution indices (fragment.merge). That one fold
-// serves workers, checkpoints and shard merges alike, and it carries the
-// per-cell histograms too (see hists).
+// serves units, workers, checkpoints and shard merges alike, and it carries
+// the per-cell histograms too (see hists).
 package campaign
 
 import (
@@ -80,8 +84,8 @@ type ToolSpec struct {
 type BenchmarkSpec struct {
 	Name string
 	// New builds a fresh program instance. Instances carry reusable state
-	// across executions (see structures.Benchmark), so each unit of work
-	// builds its own, exactly as it builds its own tool instance.
+	// across executions (see structures.Benchmark), so each campaign worker
+	// builds its own per cell, exactly as it builds its own tool instance.
 	New func() capi.Program
 	// Signal selects which bug signal counts as a detection for this
 	// benchmark (races for the data-structure suite, assertion violations
@@ -145,8 +149,8 @@ type Spec struct {
 	// executions of other tools are counted as skipped.
 	ValidateAxioms bool
 	// Analyzers names the internal/analysis plug-ins to run over every
-	// finished execution (e.g. "sc-robustness", "atomicity"). Each cell
-	// builds its own instances; analyzers whose trace or modification-order
+	// finished execution (e.g. "sc-robustness", "atomicity"). Each worker
+	// builds one instance per cell; analyzers whose trace or modification-order
 	// needs the cell's tool cannot meet are skipped on that cell, mirroring
 	// how validation skips non-MOProvider tools. Findings are deduplicated
 	// per (analyzer, cell, key) with min-seed repro winners and merged
@@ -309,9 +313,9 @@ type fragment struct {
 	Findings map[findingID]findingHit `json:"findings,omitempty"`
 	// flight-recorder captures (Spec.CaptureDir), in execution-index order.
 	Captures []obs.CaptureRecord `json:"captures,omitempty"`
-	// Hists are the cell's summary histograms. Unit fragments leave them nil
-	// (a unit observes into its worker's per-cell hists instead); foldCells
-	// adds the workers' hists into the folded cell.
+	// Hists are the cell's summary histograms. Unit fragments and runner
+	// accumulators leave them nil (a unit observes into its worker's per-cell
+	// hists instead); foldCells adds the workers' hists into the folded cell.
 	Hists *hists `json:"hists,omitempty"`
 }
 
@@ -406,13 +410,16 @@ func (dst *fragment) addHists(h *hists) {
 
 func (f execFailure) runOf() int { return f.Run }
 
-// mergeRuns merges two run-ordered lists into a new one holding at most
-// limit entries, the smallest runs first. Runs never repeat across the two
-// lists (fragments cover disjoint executions), so the result does not depend
-// on which list is which.
+// mergeRuns merges two run-ordered lists into one holding at most limit
+// entries, the smallest runs first. Runs never repeat across the two lists
+// (fragments cover disjoint executions), so the result does not depend on
+// which list is which. When b adds nothing — it is empty, or a is full and
+// b's runs all come later — a is returned untouched; otherwise the result is
+// a new list, so it never aliases b (a unit fragment's lists are reused by
+// its next unit).
 func mergeRuns[T any](a, b []T, run func(T) int, limit int) []T {
-	if len(a)+len(b) == 0 {
-		return nil
+	if len(b) == 0 || (len(a) >= limit && run(b[0]) > run(a[len(a)-1])) {
+		return a
 	}
 	out := make([]T, 0, min(len(a)+len(b), limit))
 	for len(out) < limit && len(a)+len(b) > 0 {
@@ -448,7 +455,7 @@ func Run(spec Spec) *Summary {
 
 	ck := &ckState{path: spec.CheckpointPath, hook: spec.checkpointHook}
 	tools := newWorkerTools(spec)
-	jobs, frags, budgets := runWaves(spec, tel, ck, tools)
+	restored, budgets := runWaves(spec, tel, ck, tools)
 	tools.close()
 
 	wall := time.Since(start)
@@ -460,7 +467,7 @@ func Run(spec Spec) *Summary {
 		NumGC:        ms1.NumGC - ms0.NumGC,
 		PauseTotalNS: ms1.PauseTotalNs - ms0.PauseTotalNs,
 	}
-	meta, cells := metaOf(spec), foldCells(spec, jobs, frags, tools)
+	meta, cells := metaOf(spec), foldCells(spec, restored, tools)
 	sum := aggregate(meta, cells, budgets)
 	sum.WallNS, sum.GC, sum.Provenance = int64(wall), gc, BuildProvenance()
 	sum.CheckpointErrors = ck.errs
@@ -476,7 +483,7 @@ func Run(spec Spec) *Summary {
 		// triggered — consumers rely on the file existing). The manifest is
 		// sorted by (tool, litmus, program, seed), so it is byte-identical
 		// for any worker count.
-		if err := captureManifest(frags).WriteFile(filepath.Join(spec.CaptureDir, obs.ManifestFileName)); err != nil {
+		if err := captureManifest(cells).WriteFile(filepath.Join(spec.CaptureDir, obs.ManifestFileName)); err != nil {
 			fmt.Fprintf(os.Stderr, "campaign: write capture manifest: %v\n", err)
 		}
 	}
@@ -501,8 +508,8 @@ func totalExecs(s *Summary) int {
 
 // runPool executes jobs[i] for every i via fn(w, i) across the spec's worker
 // pool, where w < spec.Workers is the worker slot running the job. Each
-// worker writes only its own jobs' fragment slots, so the slice needs no
-// lock; the caller merges after the barrier.
+// worker writes only its own slot's runners, so they need no lock; the
+// caller folds them after the barrier.
 func runPool(spec Spec, n int, fn func(w, i int)) {
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -588,8 +595,10 @@ type cellPlan struct {
 // still-diverging cell per wave in matrix order, until the pool is exhausted
 // or every cell converged. The total never exceeds Runs × cells, and every
 // decision happens at a barrier from per-cell-deterministic state, so the
-// result is independent of the worker count.
-func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]job, []fragment, map[cellKey]*BudgetSummary) {
+// result is independent of the worker count. Results accumulate in the
+// workers' cell runners; runWaves returns the cells a resumed run restored
+// (nil otherwise), which foldCells folds together with them.
+func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]cellFold, map[cellKey]*BudgetSummary) {
 	chunk := spec.Policy.Chunk()
 	split := chunk == 0
 	deal := chunkDeal(spec)
@@ -603,8 +612,7 @@ func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]job,
 		plans = append(plans, &cellPlan{cellKey: k, tracker: spec.Policy.NewTracker()})
 	}
 
-	var jobs []job
-	var frags []fragment
+	var restored []cellFold
 	type grant struct {
 		plan   *cellPlan
 		budget int
@@ -612,23 +620,27 @@ func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]job,
 	wave := 0
 	if spec.Resume != nil {
 		// Re-enter at the last completed wave: plans get their used/stopped
-		// budgets and tracker state back, and the completed work re-enters the
-		// job list as one synthetic whole-range job per cell carrying the
-		// checkpointed merged fragment. aggregate folds both shapes
-		// identically, so the finished artifact cannot tell the difference. A
-		// Complete checkpoint (the previous run died before or while writing
-		// the artifacts) leaves no budget to grant, so nothing re-runs.
+		// budgets and tracker state back, and the completed work comes back as
+		// each cell's checkpointed merged fragment. foldCells folds it with
+		// the workers' accumulators exactly as it folds those with each other,
+		// so the finished artifact cannot tell the difference. A Complete
+		// checkpoint (the previous run died before or while writing the
+		// artifacts) leaves no budget to grant, so nothing re-runs.
 		wave = spec.Resume.Wave
-		jobs, frags = restore(spec.Resume, plans)
+		restored = restore(spec.Resume, plans)
 	}
-	// runWave appends the grants' units to jobs and runs them across the
-	// worker pool, each worker writing its unit's fragment in place. Each wave
-	// emits its barrier events: unit events from the workers as units
-	// complete, cell_converged and wave_end from the deterministic
+	// runWave cuts the grants into units and runs them across the worker
+	// pool; each unit folds into its worker's runner for the cell as it ends.
+	// Each wave emits its barrier events: unit events from the workers as
+	// units complete, cell_converged and wave_end from the deterministic
 	// post-barrier state.
 	runWave := func(grants []grant) {
 		wave++
-		base := len(jobs)
+		n := len(grants)
+		if split {
+			n *= len(deal)
+		}
+		jobs := make([]job, 0, n)
 		for _, g := range grants {
 			k, lo := g.plan.cellKey, g.plan.used
 			if !split {
@@ -642,10 +654,10 @@ func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]job,
 				jobs = append(jobs, job{kind: k.kind, tool: k.tool, cell: k.cell, lo: lo + c[0], hi: lo + c[1]})
 			}
 		}
-		frags = append(frags, make([]fragment, len(jobs)-base)...)
-		tel.waveStart(wave, len(jobs)-base)
-		runPool(spec, len(jobs)-base, func(w, i int) {
-			j := &jobs[base+i]
+		tel.waveStart(wave, len(jobs))
+		before := tools.execs()
+		runPool(spec, len(jobs), func(w, i int) {
+			j := &jobs[i]
 			tel.unitStart(wave, *j, j.hi-j.lo)
 			r := tools.unit(spec, w, *j)
 			if split {
@@ -653,19 +665,16 @@ func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]job,
 			} else {
 				j.hi = j.lo + r.runChunked(j.lo, j.hi-j.lo, chunk, plans[j.key().index(nb, nl)].tracker)
 			}
-			frags[base+i] = r.frag
-			tel.unitDone(wave, *j, &frags[base+i])
+			tel.unitDone(wave, *j, &r.frag)
+			r.acc.add(&r.frag, j.hi)
 		})
-		waveExecs := 0
-		for i := base; i < len(frags); i++ {
-			waveExecs += frags[i].Execs
-		}
+		waveExecs := tools.execs() - before
 		for gi, g := range grants {
 			if split {
 				// Every index of the grant ran, on this shard or another.
 				g.plan.used += g.budget
 			} else {
-				g.plan.used = jobs[base+gi].hi
+				g.plan.used = jobs[gi].hi
 			}
 			wasStopped := g.plan.stopped
 			g.plan.stopped = g.plan.tracker.Converged()
@@ -677,10 +686,10 @@ func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]job,
 				tel.cellConverged(wave, g.plan.cellKey, g.plan.used)
 			}
 		}
-		tel.waveEnd(wave, len(jobs)-base, waveExecs)
+		tel.waveEnd(wave, len(jobs), waveExecs)
 		// The wave barrier is the checkpoint point: every decision below this
 		// line is a pure function of the state being persisted.
-		ck.save(spec, tel, wave, false, plans, jobs, frags, tools)
+		ck.save(spec, tel, wave, false, plans, restored, tools)
 	}
 
 	if spec.Resume == nil {
@@ -725,11 +734,11 @@ func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]job,
 		}
 	}
 
-	ck.save(spec, tel, wave, true, plans, jobs, frags, tools)
+	ck.save(spec, tel, wave, true, plans, restored, tools)
 
 	if split {
 		// A policy that cannot stop early has no budget to report.
-		return jobs, frags, nil
+		return restored, nil
 	}
 	budgets := map[cellKey]*BudgetSummary{}
 	for _, p := range plans {
@@ -744,12 +753,12 @@ func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]job,
 			Converged: p.stopped,
 		}
 	}
-	return jobs, frags, budgets
+	return restored, budgets
 }
 
 // execCtx is the per-execution state threaded through the pipeline stages.
-// The cellRunner reuses one instance (rewritten at the top of runOne), so
-// composing stages costs no per-execution allocation.
+// The cellRunner reuses one instance (rewritten at the top of runOne, and
+// emptied by arm), so composing stages costs no per-execution allocation.
 type execCtx struct {
 	res     *capi.Result
 	i       int    // global execution index (seed = SeedBase+i)
@@ -767,18 +776,25 @@ type execCtx struct {
 }
 
 // stage is one pipeline step run over every completed execution. Stages are
-// method expressions composed once per cell in newCellRunner — which duties
+// method expressions composed once per runner in newCellRunner — which duties
 // run, and in what order, is a property of the spec, not a branch in the
 // per-execution path.
 type stage func(*cellRunner)
 
-// cellRunner executes a range of one cell's executions on a fresh or rearmed
-// tool instance, folding results into its fragment.
+// cellRunner executes one cell's units of work on one worker, each a range
+// of executions on the worker's fresh or rearmed instance of the cell's
+// tool. The worker builds it on the cell's first unit and arms it again at
+// every later one: the program instance, the analyzers and the stage list
+// live as long as the worker.
 type cellRunner struct {
 	spec Spec
-	j    job
+	j    job // the current unit
 	tool capi.Tool
+	// frag is the current unit's fragment, emptied in place by arm. As the
+	// unit ends the wave loop reads it for the unit's events and folds it
+	// into acc, the cell's accumulator on this worker (see foldCells).
 	frag fragment
+	acc  cellFold
 
 	// stages is the cell's composed pipeline, run in order after every
 	// completed execution: the cell-kind signal stage (benchmark detection
@@ -799,17 +815,19 @@ type cellRunner struct {
 
 	// Engine plumbing (trace duties, guided exploration). slot is the
 	// worker's warm state: the axiom workspace validation and the analyzers
-	// share, and the race-key intern table. One pointer reaches both, which
-	// keeps the runner inside its malloc size class (TestCellRunnerSizeClass).
-	eng    *core.Engine
-	mo     core.MOProvider
-	slot   *workerSlot
-	rec    *trace.Recorder
-	pg     *trace.PrefixGuide
-	guides []*trace.Trace
+	// share, and the race-key intern table. rec and pg are the strategy
+	// wrappers arm installs at every unit start; needTrace turns the
+	// engine's action trace on.
+	eng       *core.Engine
+	mo        core.MOProvider
+	slot      *workerSlot
+	rec       *trace.Recorder
+	pg        *trace.PrefixGuide
+	guides    []*trace.Trace
+	needTrace bool
 
-	// analyzers are the cell's analysis plug-in instances (cell-confined;
-	// see analysis.Analyzer), minus the ones this cell's tool cannot feed;
+	// analyzers are the cell's analysis plug-in instances on this worker
+	// (see analysis.Analyzer), minus the ones this cell's tool cannot feed;
 	// ax is the reused Exec handed to them.
 	analyzers []analysis.Analyzer
 	ax        analysis.Exec
@@ -821,11 +839,11 @@ type cellRunner struct {
 	out   string        // litmus outcome cell
 }
 
-// newCellRunner builds the runner for job j on tool. slot is the worker
-// state runOne's stages use; it may be nil for a runner that never runs an
-// execution through runOne (captureTrace).
+// newCellRunner builds the runner for job j's cell and arms it for j on
+// tool. slot is the worker state runOne's stages use; it may be nil for a
+// runner that never runs an execution through runOne (captureTrace).
 func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunner {
-	r := &cellRunner{spec: spec, j: j, tool: tool, slot: slot, frag: fragment{Races: map[string]raceHit{}}}
+	r := &cellRunner{spec: spec, slot: slot, frag: fragment{Races: map[string]raceHit{}}}
 	switch j.kind {
 	case jobBench:
 		r.bench = spec.Benchmarks[j.cell]
@@ -838,7 +856,10 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 		r.frag.Weak = map[string]int{}
 	}
 
-	r.eng, _ = r.tool.(*core.Engine)
+	// An engine is never replaced, only rearmed (it has Rearm), so the
+	// runner's engine and model are fixed at construction; arm re-points
+	// only a tool without Rearm, which is no engine.
+	r.eng, _ = tool.(*core.Engine)
 	if r.eng != nil {
 		r.mo, _ = r.eng.Model().(core.MOProvider)
 	}
@@ -851,11 +872,10 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 		r.fr = obs.NewFlightRecorder(obs.FlightRecorderConfig{SlowNS: spec.CaptureSlowNS})
 	}
 	// Guided exploration: wrap the tool's live strategy in a PrefixGuide
-	// when the guide set has traces for this cell.
+	// when the guide set has traces for this cell; arm installs it.
 	if r.eng != nil && spec.Guides != nil {
 		r.guides = spec.Guides.For(spec.Tools[j.tool].Name, r.programName())
 		if len(r.guides) > 0 {
-			r.frag.GuideTraces = len(r.guides)
 			r.pg = trace.NewPrefixGuide(r.eng.Strategy())
 			if spec.GuideMinFrac > 0 {
 				r.pg.MinFrac = spec.GuideMinFrac
@@ -868,10 +888,9 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 					r.pg.MinFrac = 0
 				}
 			}
-			r.eng.SetStrategy(r.pg)
 		}
 	}
-	// Analyzer plug-ins: one fresh instance per cell. An analyzer whose
+	// Analyzer plug-ins: one fresh instance per runner. An analyzer whose
 	// needs this cell's tool cannot meet — a trace needs the engine, a
 	// modification order needs an MOProvider model — is skipped on this
 	// cell, the way axiom validation skips non-MOProvider tools. Unknown
@@ -896,18 +915,11 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 	// analyzer that reads the action trace turns tracing on too; the
 	// recorder strategy wrapper captures the (effective, guided included)
 	// schedule of every execution.
-	needTrace := r.mo != nil && (spec.ValidateAxioms || spec.RecordDir != "")
+	r.needTrace = r.mo != nil && (spec.ValidateAxioms || spec.RecordDir != "")
 	for _, a := range r.analyzers {
 		if a.NeedsTrace() {
-			needTrace = true
+			r.needTrace = true
 		}
-	}
-	if r.eng != nil && needTrace {
-		r.eng.SetTrace(true)
-	}
-	if r.eng != nil && spec.RecordDir != "" {
-		r.rec = trace.NewRecorder(r.eng.Strategy())
-		r.eng.SetStrategy(r.rec)
 	}
 	// Compose the pipeline. The stage set and order are fixed per cell:
 	// signal first (it computes hit, the trace-owed flag), then validation
@@ -927,10 +939,45 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 	if len(r.analyzers) > 0 {
 		r.stages = append(r.stages, (*cellRunner).stageAnalyze)
 	}
-	if r.rec != nil {
+	if r.eng != nil && spec.RecordDir != "" {
+		if r.pg != nil {
+			r.rec = trace.NewRecorder(r.pg)
+		} else {
+			r.rec = trace.NewRecorder(r.eng.Strategy())
+		}
 		r.stages = append(r.stages, (*cellRunner).stageRecord)
 	}
+	r.arm(j, tool)
 	return r
+}
+
+// arm points the runner at unit j on tool — the worker's instance of the
+// cell's tool, just built or rearmed to its constructed state — and empties
+// the unit's state in place: the fragment (its maps keep their buckets, its
+// lists their arrays), the execution context and the flight recorder. On an
+// engine it re-installs the cell's trace switch and strategy wrappers, which
+// construction and Rearm leave off. A unit on an armed runner therefore
+// observes exactly what it would on a newly built one.
+func (r *cellRunner) arm(j job, tool capi.Tool) {
+	r.j, r.tool = j, tool
+	r.x = execCtx{}
+	r.frag.reset()
+	r.frag.GuideTraces = len(r.guides)
+	if r.fr != nil {
+		r.fr.Reset()
+	}
+	if r.eng == nil {
+		return
+	}
+	if r.needTrace {
+		r.eng.SetTrace(true)
+	}
+	if r.pg != nil {
+		r.eng.SetStrategy(r.pg)
+	}
+	if r.rec != nil {
+		r.eng.SetStrategy(r.rec)
+	}
 }
 
 func (r *cellRunner) programName() string {
@@ -953,17 +1000,19 @@ func closeTool(t capi.Tool) {
 // workerTools holds every campaign worker's warm state, indexed by worker
 // slot: one tool instance per Spec.Tools entry, one axiom workspace that
 // every execution the worker validates or analyzes is lifted into, one
-// race-key intern table, and one histogram accumulator per matrix cell. Each
-// worker keeps them for the whole Run — across shards, cells and waves — so
-// tool construction, fiber-pool warmup, workspace growth and key formatting
-// are paid once per worker, not per unit or per execution.
+// race-key intern table, and per matrix cell one histogram accumulator and
+// one runner (built on the worker's first unit of the cell). Each worker
+// keeps them for the whole Run — across shards, cells and waves — so tool,
+// program and analyzer construction, fiber-pool warmup, workspace growth and
+// key formatting are paid once per worker, not per unit or per execution.
 type workerTools []workerSlot
 
 type workerSlot struct {
-	tools []capi.Tool
-	lift  axiom.Execution
-	keys  keyIntern
-	hists []hists // matrix order (see matrixCells)
+	tools   []capi.Tool
+	lift    axiom.Execution
+	keys    keyIntern
+	hists   []hists       // matrix order (see matrixCells)
+	runners []*cellRunner // matrix order; nil until the cell's first unit
 }
 
 // keyIntern renders each race identity's key (RaceReport.Key) once per
@@ -994,6 +1043,7 @@ func newWorkerTools(spec Spec) workerTools {
 	ncells := len(spec.Tools) * (len(spec.Benchmarks) + len(spec.Litmus))
 	for w := range wt {
 		wt[w].tools = make([]capi.Tool, len(spec.Tools))
+		wt[w].runners = make([]*cellRunner, ncells)
 		wt[w].hists = make([]hists, ncells)
 		for c := range wt[w].hists {
 			wt[w].hists[c] = blankHists
@@ -1002,10 +1052,10 @@ func newWorkerTools(spec Spec) workerTools {
 	return wt
 }
 
-// unit returns a runner for job j on worker w: the worker's instance of j's
-// tool — the warm one rearmed to its constructed state, or a fresh one when
-// the tool cannot be rearmed (or the worker has none yet) — and the worker's
-// workspace.
+// unit returns worker w's runner for j's cell, armed for unit j on the
+// worker's instance of j's tool — the warm one rearmed to its constructed
+// state, or a fresh one when the tool cannot be rearmed (or the worker has
+// none yet). The runner is built on the worker's first unit of the cell.
 func (wt workerTools) unit(spec Spec, w int, j job) *cellRunner {
 	slot := &wt[w]
 	t := slot.tools[j.tool]
@@ -1016,7 +1066,27 @@ func (wt workerTools) unit(spec Spec, w int, j job) *cellRunner {
 		t = spec.Tools[j.tool].New()
 		slot.tools[j.tool] = t
 	}
-	return newCellRunner(spec, j, t, slot)
+	c := j.key().index(len(spec.Benchmarks), len(spec.Litmus))
+	if r := slot.runners[c]; r != nil {
+		r.arm(j, t)
+		return r
+	}
+	r := newCellRunner(spec, j, t, slot)
+	slot.runners[c] = r
+	return r
+}
+
+// execs counts the executions folded into every worker's runners.
+func (wt workerTools) execs() int {
+	n := 0
+	for _, slot := range wt {
+		for _, r := range slot.runners {
+			if r != nil {
+				n += r.acc.frag.Execs
+			}
+		}
+	}
+	return n
 }
 
 // close releases every worker's tools once the campaign's workers are done.
@@ -1026,6 +1096,19 @@ func (wt workerTools) close() {
 			closeTool(t)
 		}
 	}
+}
+
+// reset empties the fragment for the runner's next unit, keeping its maps'
+// buckets and its lists' backing arrays.
+func (f *fragment) reset() {
+	clear(f.Races)
+	clear(f.Outcomes)
+	clear(f.Forbidden)
+	clear(f.Weak)
+	clear(f.Findings)
+	*f = fragment{Races: f.Races, Outcomes: f.Outcomes, Forbidden: f.Forbidden, Weak: f.Weak,
+		Findings: f.Findings, Failures: f.Failures[:0], VioSamples: f.VioSamples[:0],
+		Captures: f.Captures[:0]}
 }
 
 // recordFailure folds one aborted execution into the fragment.

@@ -1,7 +1,8 @@
 // capture.go wires the obs flight recorder (internal/obs/forensics.go) into
-// the campaign runner. Each unit of work carries its own recorder — the unit
-// set is a pure function of the spec, so trigger decisions (and therefore the
-// capture set) are identical for workers=1 and workers=K. A granted trigger
+// the campaign runner. Each cell runner carries one recorder and resets it at
+// every unit start, so each unit of work sees a recorder of its own — the
+// unit set is a pure function of the spec, so trigger decisions (and
+// therefore the capture set) are identical for workers=1 and workers=K. A granted trigger
 // re-runs the exact seed on a *fresh* tool instance with a trace.Recorder
 // attached: re-executing on the campaign's own engine would perturb its
 // race-dedup state and change NewRaces for the unit's later executions, and
@@ -151,13 +152,13 @@ func captureTrace(spec Spec, j job, seed int64) (string, error) {
 	return name, nil
 }
 
-// captureManifest folds every fragment's capture records into the canonical
-// manifest Run writes to CaptureDir.
-func captureManifest(frags []fragment) *obs.Manifest {
+// captureManifest folds every cell's capture records (foldCells) into the
+// canonical manifest Run writes to CaptureDir.
+func captureManifest(cells []cellFold) *obs.Manifest {
 	m := obs.NewManifest()
 	m.Captures = []obs.CaptureRecord{}
-	for i := range frags {
-		m.Captures = append(m.Captures, frags[i].Captures...)
+	for i := range cells {
+		m.Captures = append(m.Captures, cells[i].frag.Captures...)
 	}
 	m.Sort()
 	return m

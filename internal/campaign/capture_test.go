@@ -158,6 +158,48 @@ func TestCaptureDeterminismUnderSharding(t *testing.T) {
 	}
 }
 
+// TestUniformSlowCapture pins that the deterministic slow trigger fires
+// under the default policy, where a unit is ShardSize (25) executions: the
+// flight recorder arms after 16 digests, not after its 64-digest ring fills.
+// The capture set stays a pure function of the seed indices, so the manifest
+// is byte-identical at one and at two workers.
+func TestUniformSlowCapture(t *testing.T) {
+	run := func(workers int) []byte {
+		dir := t.TempDir()
+		Run(Spec{
+			Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
+			Litmus:     []*litmus.Test{mustLitmus(t, "SB+sc"), mustLitmus(t, "CoRR")},
+			Runs:       3000,
+			SeedBase:   1,
+			Workers:    workers,
+			CaptureDir: dir,
+		})
+		man, err := os.ReadFile(filepath.Join(dir, obs.ManifestFileName))
+		if err != nil {
+			t.Fatalf("workers=%d: no manifest: %v", workers, err)
+		}
+		return man
+	}
+	serial, pooled := run(1), run(2)
+	if !bytes.Equal(serial, pooled) {
+		t.Errorf("capture manifests differ between workers=1 and workers=2:\nworkers=1: %s\nworkers=2: %s", serial, pooled)
+	}
+	var man obs.Manifest
+	if err := json.Unmarshal(serial, &man); err != nil {
+		t.Fatal(err)
+	}
+	slow := 0
+	for _, c := range man.Captures {
+		if c.Trigger == obs.TriggerSlowSteps.String() {
+			slow++
+		}
+	}
+	if slow == 0 {
+		t.Fatalf("no slow_steps capture among %d captures", len(man.Captures))
+	}
+	t.Logf("%d slow_steps captures of %d", slow, len(man.Captures))
+}
+
 // TestCaptureSlowNSRequiresCaptureDir pins the spec validation of the
 // non-deterministic opt-in trigger.
 func TestCaptureSlowNSRequiresCaptureDir(t *testing.T) {

@@ -9,10 +9,9 @@
 // persist barrier state — per-cell budgets, converge-tracker state, and each
 // cell's folded fragment — and a resumed run re-enters the wave loop as if
 // the completed waves had just run. fragment.merge is order-independent and
-// indifferent to how executions are grouped, so the synthetic whole-range
-// job per cell folds exactly like the original job sequence, and the
-// finished artifact is byte-identical (Summary.Canonical) to an
-// uninterrupted run.
+// indifferent to how executions are grouped, so each cell's restored fragment
+// folds exactly like the units it stands for, and the finished artifact is
+// byte-identical (Summary.Canonical) to an uninterrupted run.
 package campaign
 
 import (
@@ -209,14 +208,14 @@ func kindName(k jobKind) string {
 
 // buildCheckpoint folds the completed work into one CellCheckpoint per
 // matrix cell, with budget and tracker state from the wave loop's plans.
-func buildCheckpoint(spec Spec, tel *Telemetry, wave int, complete bool, plans []*cellPlan, jobs []job, frags []fragment, wt workerTools) *Checkpoint {
+func buildCheckpoint(spec Spec, tel *Telemetry, wave int, complete bool, plans []*cellPlan, restored []cellFold, wt workerTools) *Checkpoint {
 	c := &Checkpoint{
 		Schema: CheckpointSchemaName, SchemaVersion: CheckpointSchemaVersion,
 		SpecDigest: SpecDigest(spec), Spec: specInfo(spec),
 		Provenance: BuildProvenance(),
 		Wave:       wave, Complete: complete,
 		EventsEmitted: tel.EventsEmitted(), EventsDropped: tel.EventsDropped(),
-		Cells: checkpointCells(spec, foldCells(spec, jobs, frags, wt), plans),
+		Cells: checkpointCells(spec, foldCells(spec, restored, wt), plans),
 	}
 	for i := range c.Cells {
 		c.Captures += len(c.Cells[i].Frag.Captures)
@@ -258,14 +257,14 @@ type ckState struct {
 	errs int
 }
 
-func (ck *ckState) save(spec Spec, tel *Telemetry, wave int, complete bool, plans []*cellPlan, jobs []job, frags []fragment, wt workerTools) {
+func (ck *ckState) save(spec Spec, tel *Telemetry, wave int, complete bool, plans []*cellPlan, restored []cellFold, wt workerTools) {
 	if ck.path == "" {
 		return
 	}
 	// The checkpoint's event cursor must not run ahead of the durable stream:
 	// flush queued event lines before persisting the barrier state.
 	tel.syncEvents()
-	c := buildCheckpoint(spec, tel, wave, complete, plans, jobs, frags, wt)
+	c := buildCheckpoint(spec, tel, wave, complete, plans, restored, wt)
 	if ck.hook != nil {
 		ck.hook(c)
 	}
@@ -305,17 +304,16 @@ func (c *Checkpoint) ValidateAgainst(spec Spec) error {
 }
 
 // restore pushes a checkpoint's barrier state back into the wave loop: plan
-// budgets, tracker snapshots, and one synthetic whole-range job per cell
-// carrying the merged fragment. Checkpoint cells and plans are both in matrix
-// order.
-func restore(c *Checkpoint, plans []*cellPlan) ([]job, []fragment) {
+// budgets and tracker snapshots. It returns each cell's merged fragment and
+// end, for foldCells. Checkpoint cells, plans and the result are all in
+// matrix order.
+func restore(c *Checkpoint, plans []*cellPlan) []cellFold {
 	if len(c.Cells) != len(plans) {
 		// Unreachable behind ValidateAgainst (the digest pins the matrix);
 		// skipping beats corrupting plan state.
-		return nil, nil
+		return nil
 	}
-	var jobs []job
-	var frags []fragment
+	cells := make([]cellFold, len(plans))
 	for i, p := range plans {
 		cc := &c.Cells[i]
 		p.used = cc.Used
@@ -324,9 +322,8 @@ func restore(c *Checkpoint, plans []*cellPlan) ([]job, []fragment) {
 			s.Restore(cc.Tracker)
 		}
 		if cc.Used > 0 {
-			jobs = append(jobs, job{kind: p.kind, tool: p.tool, cell: p.cell, lo: 0, hi: cc.Used})
-			frags = append(frags, cc.Frag)
+			cells[i] = cellFold{frag: cc.Frag, hi: cc.Used}
 		}
 	}
-	return jobs, frags
+	return cells
 }

@@ -287,6 +287,45 @@ func TestFragmentMergeOrderIndependent(t *testing.T) {
 	}
 }
 
+// TestMergeRunsKeepsAndCopies pins mergeRuns' two list rules, which folding
+// unit fragments into a runner's accumulator relies on. A merge that adds
+// nothing returns dst's list untouched: src is empty, or dst is full and
+// src's runs all come later. A merge that adds something builds a new list,
+// so it never aliases src, whose array the unit's next reset reuses.
+func TestMergeRunsKeepsAndCopies(t *testing.T) {
+	run := execFailure.runOf
+	samples := func(runs ...int) []execFailure {
+		out := make([]execFailure, 0, len(runs))
+		for _, r := range runs {
+			out = append(out, execFailure{Run: r, Err: fmt.Sprint(r)})
+		}
+		return out
+	}
+	same := func(a, b []execFailure) bool { return len(a) > 0 && &a[0] == &b[0] }
+
+	dst := samples(1, 4)
+	if got := mergeRuns(dst, nil, run, maxViolationSamples); !same(got, dst) || len(got) != 2 {
+		t.Errorf("merging an empty list returned %v, want dst's list untouched", got)
+	}
+	full := samples(1, 2, 3, 4, 5)
+	if got := mergeRuns(full, samples(6, 7), run, maxViolationSamples); !same(got, full) || len(got) != 5 {
+		t.Errorf("merging later runs into a full list returned %v, want dst's list untouched", got)
+	}
+	src := samples(2, 3)
+	got := mergeRuns(nil, src, run, maxViolationSamples)
+	if same(got, src) {
+		t.Fatal("merging into an empty list aliased src")
+	}
+	src[0].Run = 99 // the unit's next reset reuses its array
+	if got[0].Run != 2 {
+		t.Errorf("the merged list changed with src: %v", got)
+	}
+	if got := mergeRuns(full, samples(0), run, maxViolationSamples); same(got, full) ||
+		!reflect.DeepEqual(got, samples(0, 1, 2, 3, 4)) || full[0].Run != 1 {
+		t.Errorf("merging an earlier run into a full list = %v (dst now %v), want a new list", got, full)
+	}
+}
+
 func TestMergeSummariesRefusals(t *testing.T) {
 	build := func(seedBase int64) Spec {
 		return Spec{

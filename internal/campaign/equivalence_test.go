@@ -3,7 +3,11 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"c11tester/internal/capi"
@@ -292,4 +296,94 @@ func mustBench(t *testing.T, name string) structures.Benchmark {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// dirFiles reads every file of dir, keyed by name.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
+// TestRunnerReuseIdentity pins that a worker's cell runner, reused across
+// units, is invisible in the artifacts. The campaign is the duty shape —
+// every benchmark plus atomic-counter and every litmus test, validated and
+// analyzed — with -record and a guide set, so arm re-installs the trace
+// switch and both strategy wrappers at every unit start. At ShardSize 1 on 3
+// workers every unit is one execution and every runner serves many units, in
+// an order that depends on scheduling; at ShardSize 25 on 1 worker each cell
+// is one unit. The summaries must agree apart from the shard-size echo, and
+// the recorded traces byte for byte.
+func TestRunnerReuseIdentity(t *testing.T) {
+	benches, err := SelectBenchmarks("all,atomic-counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lits, err := SelectLitmus("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := func(runs int, seed int64) Spec {
+		return Spec{
+			Tools:          []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
+			Benchmarks:     benches,
+			Litmus:         lits,
+			Runs:           runs,
+			SeedBase:       seed,
+			Workers:        1,
+			ValidateAxioms: true,
+			Analyzers:      ParseAnalyzers("all"),
+		}
+	}
+	guideDir := t.TempDir()
+	rec := spec(4, 900)
+	rec.RecordDir = guideDir
+	Run(rec)
+	guides, err := LoadGuides(guideDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers, shardSize int) (string, map[string]string) {
+		s := spec(20, 1)
+		s.Workers, s.ShardSize = workers, shardSize
+		s.Guides = guides
+		s.RecordDir = t.TempDir()
+		sum := Run(s)
+		if sum.Tools[0].Validation == nil || sum.Tools[0].Validation.Violations != 0 {
+			t.Fatalf("workers=%d shard=%d: validation %+v, want 0 violations", workers, shardSize, sum.Tools[0].Validation)
+		}
+		c := canonicalize(sum)
+		c.Spec.RecordDir = "" // a per-run temporary directory
+		data, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data), dirFiles(t, s.RecordDir)
+	}
+	oneUnit, oneRec := run(1, 25)
+	reused, reusedRec := run(3, 1)
+	if oneUnit != reused {
+		t.Errorf("summaries differ between one unit per cell and reused runners:\nworkers=1: %s\nworkers=3: %s", oneUnit, reused)
+	}
+	if len(oneRec) == 0 {
+		t.Fatal("the campaign recorded no traces")
+	}
+	t.Logf("%d recorded traces, %d guide traces", len(oneRec), guides.Len())
+	if !reflect.DeepEqual(oneRec, reusedRec) {
+		t.Errorf("record directories differ: %d vs %d files", len(oneRec), len(reusedRec))
+	}
+	if !strings.Contains(oneUnit, `"guided_execs"`) {
+		t.Error("no cell ran guided")
+	}
 }

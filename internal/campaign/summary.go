@@ -327,10 +327,17 @@ type Summary struct {
 }
 
 // cellFold is one matrix cell's folded result: the fragment.merge of every
-// job of the cell, and the end of the highest execution range it ran.
+// unit of the cell, and the end of the highest execution range it ran. A
+// worker's cell runner keeps one as its accumulator.
 type cellFold struct {
 	frag fragment
 	hi   int
+}
+
+// add folds a fragment covering executions up to hi into the cell.
+func (c *cellFold) add(f *fragment, hi int) {
+	c.frag.merge(f)
+	c.hi = max(c.hi, hi)
 }
 
 // index is the cell's position in matrix order (see matrixCells) in a
@@ -343,20 +350,25 @@ func (k cellKey) index(nb, nl int) int {
 	return i
 }
 
-// foldCells merges every job's fragment into its matrix cell, and every
-// worker's per-cell histograms into the cell's fragment: the per-cell fold
+// foldCells merges the restored cells (a resumed run's checkpointed state,
+// in matrix order; nil otherwise), every worker's cell accumulators and every
+// worker's per-cell histograms into one fold per cell: the per-cell fold
 // behind the summary, checkpoints and shard partials. The result is in
-// matrix order; cells without jobs stay empty. It runs at barriers, when no
-// worker is observing.
-func foldCells(spec Spec, jobs []job, frags []fragment, wt workerTools) []cellFold {
-	nb, nl := len(spec.Benchmarks), len(spec.Litmus)
-	cells := make([]cellFold, len(spec.Tools)*(nb+nl))
-	for i := range jobs {
-		c := &cells[jobs[i].key().index(nb, nl)]
-		c.frag.merge(&frags[i])
-		c.hi = max(c.hi, jobs[i].hi)
+// matrix order; cells that ran nothing stay empty. It runs at barriers, when
+// no worker is observing.
+func foldCells(spec Spec, restored []cellFold, wt workerTools) []cellFold {
+	cells := make([]cellFold, len(spec.Tools)*(len(spec.Benchmarks)+len(spec.Litmus)))
+	for c := range restored {
+		if restored[c].hi > 0 {
+			cells[c].add(&restored[c].frag, restored[c].hi)
+		}
 	}
 	for w := range wt {
+		for c, r := range wt[w].runners {
+			if r != nil {
+				cells[c].add(&r.acc.frag, r.acc.hi)
+			}
+		}
 		for c := range wt[w].hists {
 			if h := &wt[w].hists[c]; *h != blankHists {
 				cells[c].frag.addHists(h)

@@ -4,8 +4,9 @@
 // by watching a bounded ring of per-execution digests and nominating
 // anomalous seed indices for full trace capture.
 //
-// Determinism contract: a FlightRecorder belongs to one unit of work (one
-// cell runner in campaign terms), not to an OS worker. Units are pure
+// Determinism contract: a FlightRecorder watches one unit of work at a time
+// (a campaign cell runner resets it at every unit start), whichever OS
+// worker runs the unit. Units are pure
 // functions of the campaign spec, digests are pushed in seed-index order
 // within a unit, and every default trigger is a pure function of the digest
 // stream — so the set of captured (tool, program, seed) triples is identical
@@ -80,7 +81,9 @@ type ExecDigest struct {
 // FlightRecorderConfig bounds a recorder. The zero value gets defaults.
 type FlightRecorderConfig struct {
 	// Ring is the digest ring size (default 64, capped at 99 — see
-	// trailingP99). Slow triggers arm only once the ring is full.
+	// trailingP99Steps). The slow triggers arm once the recorder holds
+	// min(Ring, slowArm) digests and compare against the maximum of the
+	// digests it holds, so a 25-execution campaign unit can fire them.
 	Ring int
 	// MaxSlow caps slow-trigger captures per recorder (default 2): slow
 	// executions cluster, and one unit of work should not flood the capture
@@ -95,6 +98,11 @@ type FlightRecorderConfig struct {
 	// TriggerSlowNS). Non-deterministic; off by default.
 	SlowNS bool
 }
+
+// slowArm is the digest count at which the slow triggers arm when the ring
+// is larger: enough history that a strict outlier is not just an early
+// execution of an ordinary unit.
+const slowArm = 16
 
 func (c FlightRecorderConfig) withDefaults() FlightRecorderConfig {
 	if c.Ring <= 0 {
@@ -116,7 +124,7 @@ func (c FlightRecorderConfig) withDefaults() FlightRecorderConfig {
 
 // FlightRecorder watches a unit of work's execution digests and decides
 // which seed indices deserve a full trace capture. All state is pre-allocated
-// at construction; Check is allocation-free on every path.
+// at construction; Check and Reset are allocation-free on every path.
 type FlightRecorder struct {
 	cfg      FlightRecorderConfig
 	ring     []ExecDigest
@@ -130,6 +138,13 @@ type FlightRecorder struct {
 func NewFlightRecorder(cfg FlightRecorderConfig) *FlightRecorder {
 	cfg = cfg.withDefaults()
 	return &FlightRecorder{cfg: cfg, ring: make([]ExecDigest, cfg.Ring)}
+}
+
+// Reset empties the recorder for the next unit of work, keeping its ring: a
+// reset recorder decides exactly as a newly constructed one, since the
+// triggers read only the digests pushed since (held).
+func (f *FlightRecorder) Reset() {
+	f.n, f.next, f.slow, f.captures = 0, 0, 0, 0
 }
 
 // Check evaluates the trigger set against d, then archives d in the ring, and
@@ -147,7 +162,7 @@ func (f *FlightRecorder) Check(d ExecDigest) Trigger {
 	case d.NewRace:
 		trig = TriggerNewRace
 	default:
-		if f.n >= len(f.ring) {
+		if f.n >= min(len(f.ring), slowArm) {
 			if f.cfg.SlowNS && d.NS > f.trailingP99NS() {
 				trig = TriggerSlowNS
 			} else if d.Steps > f.trailingP99Steps() {
@@ -176,15 +191,21 @@ func (f *FlightRecorder) Check(d ExecDigest) Trigger {
 	return trig
 }
 
-// trailingP99Steps returns the trailing p99 of schedule length over the ring.
-// The ring holds at most 99 digests and ceil(0.99·n) == n for every n ≤ 99,
-// so the p99 order statistic is exactly the ring maximum — a single
+// held returns the digests the ring holds: its first n slots until it has
+// wrapped, all of them after.
+func (f *FlightRecorder) held() []ExecDigest {
+	return f.ring[:min(f.n, len(f.ring))]
+}
+
+// trailingP99Steps returns the trailing p99 of schedule length over the held
+// digests. The ring holds at most 99 digests and ceil(0.99·n) == n for every
+// n ≤ 99, so the p99 order statistic is exactly their maximum — a single
 // allocation-free scan, no sorting.
 func (f *FlightRecorder) trailingP99Steps() uint64 {
 	var max uint64
-	for i := range f.ring {
-		if f.ring[i].Steps > max {
-			max = f.ring[i].Steps
+	for _, d := range f.held() {
+		if d.Steps > max {
+			max = d.Steps
 		}
 	}
 	return max
@@ -193,9 +214,9 @@ func (f *FlightRecorder) trailingP99Steps() uint64 {
 // trailingP99NS is trailingP99Steps over wall time (SlowNS trigger only).
 func (f *FlightRecorder) trailingP99NS() int64 {
 	var max int64
-	for i := range f.ring {
-		if f.ring[i].NS > max {
-			max = f.ring[i].NS
+	for _, d := range f.held() {
+		if d.NS > max {
+			max = d.NS
 		}
 	}
 	return max

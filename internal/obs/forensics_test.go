@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -40,7 +41,8 @@ func TestFlightRecorderTriggerPriority(t *testing.T) {
 
 func TestFlightRecorderSlowStepsArming(t *testing.T) {
 	f := NewFlightRecorder(FlightRecorderConfig{Ring: 8})
-	// Before the ring fills, even extreme outliers never trigger slow.
+	// Before the recorder holds min(Ring, 16) = 8 digests, even extreme
+	// outliers never trigger slow.
 	for i := 0; i < 7; i++ {
 		if trig := f.Check(ExecDigest{Index: i, Steps: uint64(1000 * (i + 1))}); trig != TriggerNone {
 			t.Fatalf("slow trigger fired at digest %d with a non-full ring: %s", i, trig)
@@ -55,6 +57,62 @@ func TestFlightRecorderSlowStepsArming(t *testing.T) {
 	}
 	if trig := f.Check(ExecDigest{Index: 9, Steps: 7001}); trig != TriggerSlowSteps {
 		t.Fatalf("trigger = %s, want slow_steps for a strict outlier", trig)
+	}
+}
+
+// TestFlightRecorderSlowStepsFiresInUnit pins the arming rule on a ring
+// larger than a campaign unit: with the default 64-digest ring, a 25-digest
+// unit arms the slow triggers after 16 digests, so a step outlier at index
+// 20 fires against the maximum of the 20 digests held.
+func TestFlightRecorderSlowStepsFiresInUnit(t *testing.T) {
+	f := NewFlightRecorder(FlightRecorderConfig{})
+	fired := map[int]Trigger{}
+	for i := 0; i < 25; i++ {
+		steps := uint64(100 + i%3)
+		if i == 20 {
+			steps = 500
+		}
+		if trig := f.Check(ExecDigest{Index: i, Steps: steps}); trig != TriggerNone {
+			fired[i] = trig
+		}
+	}
+	if len(fired) != 1 || fired[20] != TriggerSlowSteps {
+		t.Fatalf("triggers = %v, want only slow_steps at index 20", fired)
+	}
+	// Before the 16th digest nothing slow fires, however large.
+	f = NewFlightRecorder(FlightRecorderConfig{})
+	for i := 0; i < 16; i++ {
+		if trig := f.Check(ExecDigest{Index: i, Steps: uint64(1000 * (i + 1))}); trig != TriggerNone {
+			t.Fatalf("slow trigger fired at digest %d, before the recorder armed: %s", i, trig)
+		}
+	}
+}
+
+// TestFlightRecorderReset pins that a reset recorder decides exactly as a
+// newly constructed one: the digests, slow captures and captures of the
+// previous unit are forgotten, and the reset allocates nothing. The previous
+// unit's schedules are far longer, so a trigger that still saw them would
+// stay silent.
+func TestFlightRecorderReset(t *testing.T) {
+	stream := func(f *FlightRecorder, base uint64) []Trigger {
+		var out []Trigger
+		for i := 0; i < 30; i++ {
+			out = append(out, f.Check(ExecDigest{Index: i, Steps: base + uint64(10*i),
+				NewRace: i%11 == 0}))
+		}
+		return out
+	}
+	fresh := stream(NewFlightRecorder(FlightRecorderConfig{MaxCaptures: 4}), 100)
+	if !slices.Contains(fresh, TriggerSlowSteps) {
+		t.Fatalf("the stream fires no slow trigger: %v", fresh)
+	}
+	f := NewFlightRecorder(FlightRecorderConfig{MaxCaptures: 4})
+	stream(f, 10000)
+	if n := testing.AllocsPerRun(10, f.Reset); n != 0 {
+		t.Fatalf("Reset allocates %.1f objects, want 0", n)
+	}
+	if got := stream(f, 100); !reflect.DeepEqual(got, fresh) {
+		t.Fatalf("reset recorder triggers %v, fresh recorder %v", got, fresh)
 	}
 }
 
