@@ -154,7 +154,8 @@ func TestSlowCellColumns(t *testing.T) {
 	if want := fmt.Sprintf("%d/%d", cell.SchedLen.P50, cell.SchedLen.P99); f[5] != want {
 		t.Errorf("sched_len column = %q, want %q (row %q)", f[5], want, lines[header+2])
 	}
-	if !strings.HasSuffix(strings.TrimSpace(lines[header+2]), "(n=2 of 20)") {
+	// Phase spans are sampled on index 8 of every 16, so once in 20.
+	if !strings.HasSuffix(strings.TrimSpace(lines[header+2]), "(n=1 of 20)") {
 		t.Errorf("phase means do not state their sample against the cell's executions: %q", lines[header+2])
 	}
 }

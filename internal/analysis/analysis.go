@@ -11,6 +11,14 @@
 // function of the Exec it is handed — no randomness, no wall-clock, no state
 // carried from one execution to the next — which is what keeps workers=1 ≡
 // workers=K byte-identical per-analyzer findings.
+//
+// A Finding is data, not text: its key (rendered once per distinct key by
+// the analyzer instance), a static Kind, a subject string the execution
+// already holds, and a small fixed detail. Almost every sighting repeats one
+// an earlier execution made, so the campaign keeps the winning Finding by
+// value and renders its description (Finding.Desc) only at the edges that
+// write it. Together with reusable per-instance scratch, this lets a
+// steady-state Observe allocate nothing.
 package analysis
 
 import (
@@ -58,14 +66,56 @@ type Exec struct {
 	Lifted *axiom.Execution
 }
 
-// Finding is one keyed analyzer observation. Key deduplicates findings
-// across executions of a cell (and across shards), like capi.RaceReport.Key
-// does for races; Desc is the human-readable one-liner. Both must be pure
-// functions of the execution. The strings are copied by the campaign, so a
-// Finding may reference per-execution storage.
+// Kind is a static class of findings: the key prefix its findings share and
+// how one reads. Analyzers declare their kinds as package variables, so a
+// Finding carries a pointer to one, not text.
+type Kind struct {
+	// Prefix starts the key of every finding of the kind; the subject, if
+	// the kind has one, follows it.
+	Prefix string
+	// Describe renders a finding of the kind as a one-line description.
+	Describe func(subject string, detail int) string
+}
+
+// Finding is one analyzer observation. Key deduplicates findings across
+// executions of a cell (and across shards), like capi.RaceReport.Key does
+// for races: it is the Kind's prefix plus Subject, a string the execution
+// already holds, such as a block name or a litmus outcome ("" for a kind
+// without subjects). Detail is a small fixed-size fact about this sighting,
+// such as a cycle length, that only the description shows. Key, Subject and
+// Detail must be pure functions of the execution.
+//
+// A Finding holds no per-sighting text: the analyzer renders each distinct
+// key once (keyMemo) and the description is rendered by Desc, which the
+// campaign calls only where it writes a finding out — the summary, the
+// event stream, checkpoint and shard-partial JSON.
 type Finding struct {
-	Key  string
-	Desc string
+	Key     string
+	Kind    *Kind
+	Subject string
+	Detail  int
+}
+
+// Desc renders the finding's one-line description.
+func (f Finding) Desc() string { return f.Kind.Describe(f.Subject, f.Detail) }
+
+// keyMemo renders a kind's finding keys, prefix plus subject, once per
+// distinct subject. An analyzer instance keeps one per kind across
+// executions, so a key that repeats costs no allocation; being a memo of a
+// pure function, it changes no finding.
+type keyMemo map[string]string
+
+// key returns kind's key for subject.
+func (m *keyMemo) key(kind *Kind, subject string) string {
+	k, ok := (*m)[subject]
+	if !ok {
+		if *m == nil {
+			*m = keyMemo{}
+		}
+		k = kind.Prefix + subject
+		(*m)[subject] = k
+	}
+	return k
 }
 
 // Analyzer observes finished executions and emits findings. The campaign
@@ -73,10 +123,11 @@ type Finding struct {
 // and that instance observes every execution of every unit of the cell the
 // worker runs — which units those are depends on scheduling. Instance state
 // may therefore only be reusable scratch that Observe rebuilds for each
-// execution (like scRobustness.ws, the lifted-execution workspace): state
-// that carries from one execution to the next, such as a dedup set, would
-// make findings depend on which worker ran which unit. Deduplication is the
-// campaign's job. Instances must not share state across cells or goroutines.
+// execution (like scRobustness.ws, the lifted-execution workspace), or a
+// memo of a pure function (like keyMemo): state that changes what a later
+// execution reports, such as a dedup set, would make findings depend on
+// which worker ran which unit. Deduplication is the campaign's job.
+// Instances must not share state across cells or goroutines.
 type Analyzer interface {
 	// Name is the registry key, the -analyzers flag value, and the label on
 	// findings, events, and metrics.
@@ -88,8 +139,10 @@ type Analyzer interface {
 	// cannot provide one, mirroring how axiom validation skips those cells.
 	NeedsTrace() bool
 	NeedsMO() bool
-	// Observe inspects one finished execution. The returned findings (and
-	// the Exec's fields) are valid only until the next Observe call.
+	// Observe inspects one finished execution. The returned slice may be
+	// the instance's reusable storage: it (and the Exec's fields) is valid
+	// only until the next Observe call. The campaign copies the Finding
+	// values it keeps.
 	Observe(x *Exec) []Finding
 }
 

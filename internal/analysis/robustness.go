@@ -17,10 +17,24 @@ func init() {
 	Register("sc-robustness", func() Analyzer { return &scRobustness{} })
 }
 
+// The SC-robustness findings: a litmus cell's non-SC outcome (the subject),
+// and, for benchmarks, where outcomes have no canonical rendering, one
+// subject-less kind per cell.
+var (
+	outcomeKind = Kind{Prefix: "outcome/", Describe: func(outcome string, _ int) string {
+		return fmt.Sprintf("outcome %q is not SC-explainable (sb∪rf∪mo∪fr cycle): the weak memory model was load-bearing", outcome)
+	}}
+	nonSCKind = Kind{Prefix: "non-sc", Describe: func(string, int) string {
+		return "execution is not SC-explainable (sb∪rf∪mo∪fr cycle): the weak memory model was load-bearing"
+	}}
+)
+
 // scRobustness keeps its own workspace for callers that hand it no lifted
-// execution.
+// execution, the storage of the finding it returns, and the outcome keys.
 type scRobustness struct {
-	ws axiom.Execution
+	ws   axiom.Execution
+	out  [1]Finding
+	keys keyMemo
 }
 
 func (*scRobustness) Name() string     { return "sc-robustness" }
@@ -30,8 +44,7 @@ func (*scRobustness) NeedsMO() bool    { return true }
 // Observe checks SC-explainability of the lifted execution, lifting it
 // first when x carries none. Findings are keyed by the litmus outcome when
 // there is one — each distinct non-SC outcome of a litmus cell is its own
-// finding — and by a single per-cell key for benchmarks, where outcomes
-// have no canonical rendering.
+// finding — and by a single per-cell key for benchmarks.
 func (s *scRobustness) Observe(x *Exec) []Finding {
 	ex := x.Lifted
 	if ex == nil {
@@ -45,13 +58,9 @@ func (s *scRobustness) Observe(x *Exec) []Finding {
 		return nil
 	}
 	if x.Outcome != "" {
-		return []Finding{{
-			Key:  "outcome/" + x.Outcome,
-			Desc: fmt.Sprintf("outcome %q is not SC-explainable (sb∪rf∪mo∪fr cycle): the weak memory model was load-bearing", x.Outcome),
-		}}
+		s.out[0] = Finding{Key: s.keys.key(&outcomeKind, x.Outcome), Kind: &outcomeKind, Subject: x.Outcome}
+	} else {
+		s.out[0] = Finding{Key: nonSCKind.Prefix, Kind: &nonSCKind}
 	}
-	return []Finding{{
-		Key:  "non-sc",
-		Desc: "execution is not SC-explainable (sb∪rf∪mo∪fr cycle): the weak memory model was load-bearing",
-	}}
+	return s.out[:]
 }

@@ -428,10 +428,11 @@ func join(dst, src []memmodel.SeqNum) {
 }
 
 // resize returns buf with length n, reusing its capacity; the contents are
-// unspecified.
+// unspecified. It grows geometrically, so executions that keep getting
+// larger reallocate a logarithmic number of times, not once per new size.
 func resize[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(buf)))
 	}
 	return buf[:n]
 }

@@ -20,17 +20,22 @@ package axiom
 import "c11tester/internal/memmodel"
 
 // scGraph is SCExplainable's working set, reused across executions: the
-// graph over trace positions and the DFS state.
+// graph over trace positions and the DFS state. The edges are collected in
+// the order they are added and then laid out as a CSR adjacency: node v's
+// successors are adj[off[v]:off[v+1]].
 type scGraph struct {
-	adj         [][]int32
+	edges       []scEdge
+	off, adj    []int32
 	first, last []int32 // per thread: first and last trace position, or -1
 	color       []byte
 	stack       []dfsFrame
 }
 
+type scEdge struct{ from, to int32 }
+
 type dfsFrame struct {
 	node int32
-	next int32 // index into adj[node] of the next edge to follow
+	next int32 // index into adj of the node's next successor to follow
 }
 
 // SCExplainable reports whether the execution's outcome is explainable under
@@ -42,16 +47,11 @@ func SCExplainable(ex *Execution) bool {
 		return true
 	}
 	g := &ex.sc
-	if len(g.adj) < n {
-		g.adj = append(g.adj, make([][]int32, n-len(g.adj))...)
-	}
-	for i := range g.adj[:n] {
-		g.adj[i] = g.adj[i][:0]
-	}
+	g.edges = g.edges[:0]
 	// edge adds from → to between two distinct trace actions.
 	edge := func(from, to int32) {
 		if int(from) < n && int(to) < n && from != to {
-			g.adj[from] = append(g.adj[from], to)
+			g.edges = append(g.edges, scEdge{from: from, to: to})
 		}
 	}
 
@@ -131,7 +131,30 @@ func SCExplainable(ex *Execution) bool {
 		}
 	}
 
+	g.layout(n)
 	return g.acyclic(n)
+}
+
+// layout sorts the collected edges by source into the CSR adjacency over
+// the first n nodes, keeping each source's edges in the order they were
+// added.
+func (g *scGraph) layout(n int) {
+	g.off = resize(g.off, n+1)
+	clear(g.off)
+	for _, e := range g.edges {
+		g.off[e.from+1]++
+	}
+	for v := 1; v <= n; v++ {
+		g.off[v] += g.off[v-1]
+	}
+	g.adj = resize(g.adj, len(g.edges))
+	for _, e := range g.edges {
+		g.adj[g.off[e.from]] = e.to
+		g.off[e.from]++
+	}
+	// The fill advanced each start to the next node's start.
+	copy(g.off[1:], g.off[:n])
+	g.off[0] = 0
 }
 
 // acyclic reports whether the graph over the first n nodes has no directed
@@ -150,18 +173,18 @@ func (g *scGraph) acyclic(n int) bool {
 			continue
 		}
 		g.color[start] = grey
-		g.stack = append(g.stack[:0], dfsFrame{node: int32(start)})
+		g.stack = append(g.stack[:0], dfsFrame{node: int32(start), next: g.off[start]})
 		for len(g.stack) > 0 {
 			f := &g.stack[len(g.stack)-1]
-			if out := g.adj[f.node]; int(f.next) < len(out) {
-				to := out[f.next]
+			if f.next < g.off[f.node+1] {
+				to := g.adj[f.next]
 				f.next++
 				switch g.color[to] {
 				case grey:
 					return false
 				case white:
 					g.color[to] = grey
-					g.stack = append(g.stack, dfsFrame{node: to})
+					g.stack = append(g.stack, dfsFrame{node: to, next: g.off[to]})
 				}
 				continue
 			}

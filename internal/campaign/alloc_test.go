@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"c11tester/internal/analysis"
 	"c11tester/internal/capi"
 	"c11tester/internal/core"
 	"c11tester/internal/litmus"
@@ -28,8 +29,8 @@ import (
 // the runner's own sampleTiming, plus an armed flight recorder fed a digest
 // per execution — so the observability fabric is itself held to the
 // zero-alloc bar the runner's hot path relies on, exactly as a -capture
-// campaign runs it. Both paths are measured: a sampled (timed) index and an
-// unsampled one. The subtest is named for the run's random source, the
+// campaign runs it. Every path is measured: a wall-time index, a span index
+// and an unsampled one. The subtest is named for the run's random source, the
 // PCG-DXSM generator of internal/rng.
 func TestZeroAllocSteadyState(t *testing.T) {
 	t.Run("pcg", testZeroAllocSteadyState)
@@ -74,7 +75,7 @@ func testZeroAllocSteadyState(t *testing.T) {
 				}
 				var dur time.Duration
 				var res *capi.Result
-				if seed%timingSample == 0 {
+				if wallSampled(int(seed)) {
 					t0 := time.Now()
 					res = tool.Execute(prog, seed)
 					dur = time.Since(t0)
@@ -90,20 +91,20 @@ func testZeroAllocSteadyState(t *testing.T) {
 				}
 				fr.Check(d)
 			}
-			// Warm the pools across several seeds, timed and untimed, so
-			// capacity growth and the race-dedup map are settled before
-			// measuring.
-			for seed := int64(0); seed <= 6; seed++ {
+			// Warm the pools across several seeds, both samples and
+			// unsampled, so capacity growth and the race-dedup map are
+			// settled before measuring.
+			for seed := int64(0); seed <= 8; seed++ {
 				run(seed)
 			}
-			for _, seed := range []int64{0, 3} {
+			for _, seed := range []int64{0, timingSample / 2, 3} {
 				if n := testing.AllocsPerRun(10, func() { run(seed) }); n != 0 {
-					t.Errorf("%s/%s index %d (sampled=%v): %.1f allocs/exec in steady state, want 0",
-						name, program, seed, seed%timingSample == 0, n)
+					t.Errorf("%s/%s index %d (wall=%v spans=%v): %.1f allocs/exec in steady state, want 0",
+						name, program, seed, wallSampled(int(seed)), spansSampled(int(seed)), n)
 				}
 			}
 			if eng != nil && met.PhaseNS[core.PhaseRun].Count() == 0 {
-				t.Errorf("%s/%s: the sampled index ran untimed", name, program)
+				t.Errorf("%s/%s: the span index ran untimed", name, program)
 			}
 		}
 		for b, bench := range benches {
@@ -124,8 +125,8 @@ func testZeroAllocSteadyState(t *testing.T) {
 // cell histograms and the flight-recorder check. Validation and analyzers stay off;
 // they are duties with their own costs. One runner per tool × program cell
 // is warmed over several indices, so its fragment maps, the worker's
-// race-key intern table and the tool's pools are settled, and then one
-// sampled and one unsampled index must allocate nothing.
+// race-key intern table and the tool's pools are settled, and then a
+// wall-time, a span and an unsampled index must allocate nothing.
 func TestRunnerZeroAllocSteadyState(t *testing.T) {
 	benches, err := SelectBenchmarks("all")
 	if err != nil {
@@ -145,13 +146,13 @@ func TestRunnerZeroAllocSteadyState(t *testing.T) {
 		wt := newWorkerTools(spec)
 		check := func(j job, program string) {
 			r := wt.unit(spec, 0, j)
-			for i := 0; i <= 6; i++ {
+			for i := 0; i <= 8; i++ {
 				r.runOne(i)
 			}
-			for _, i := range []int{0, 3} {
+			for _, i := range []int{0, timingSample / 2, 3} {
 				if n := testing.AllocsPerRun(10, func() { r.runOne(i) }); n != 0 {
-					t.Errorf("%s/%s index %d (sampled=%v): %.1f allocs/exec in runOne, want 0",
-						name, program, i, i%timingSample == 0, n)
+					t.Errorf("%s/%s index %d (wall=%v spans=%v): %.1f allocs/exec in runOne, want 0",
+						name, program, i, wallSampled(i), spansSampled(i), n)
 				}
 			}
 		}
@@ -169,38 +170,72 @@ func TestRunnerZeroAllocSteadyState(t *testing.T) {
 // of a cell, each later unit of that cell allocates nothing. Each measured
 // unit starts as a campaign unit starts, with the tool's Rearm and the
 // runner's arm, which empties the unit's fragment, execution context and
-// strategy wrappers in place. It then runs 25 executions, timed index
-// included, and folds the finished fragment into the runner's accumulator as
-// the wave loop does. The cells are a litmus test and a benchmark that
-// reports no race: a race's description is rendered once per unit that
-// first sees it, by design.
+// strategy wrappers in place. It then runs 25 executions, both sampled
+// indices included, and folds the finished fragment into the runner's
+// accumulator as the wave loop does. The cells cover a benchmark that
+// reports no race, a racy one (ms-queue, three race keys: the winning
+// reports are kept by value and described only at the edges), and the duty
+// shape — axiom validation plus every analyzer — on the cells where the
+// analyzers find something (atomic-counter, SB+rlx).
 func TestUnitStartZeroAlloc(t *testing.T) {
-	spec := Spec{
-		Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
-		Benchmarks: []BenchmarkSpec{benchSpec(t, "seqlock")},
-		Litmus:     []*litmus.Test{mustLitmus(t, "SB+rlx")},
-		Workers:    1,
-	}
-	wt := newWorkerTools(spec)
-	defer wt.close()
-	for _, j := range []job{{kind: jobBench, hi: 25}, {kind: jobLitmus, hi: 25}} {
-		var r *cellRunner
-		unit := func() {
-			r = wt.unit(spec, 0, j)
-			r.run(j.lo, j.hi, nil)
-			r.acc.add(&r.frag, j.hi)
+	for _, tc := range []struct {
+		name      string
+		benches   []string
+		litmus    string
+		duties    bool
+		races     int // distinct race keys the first benchmark cell must report
+		findCells bool
+	}{
+		{name: "plain", benches: []string{"seqlock", "ms-queue"}, litmus: "SB+rlx"},
+		{name: "duties", benches: []string{"atomic-counter"}, litmus: "SB+rlx", duties: true},
+	} {
+		spec := Spec{
+			Tools:   []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
+			Litmus:  []*litmus.Test{mustLitmus(t, tc.litmus)},
+			Workers: 1,
 		}
-		unit()
-		first := r
-		if n := testing.AllocsPerRun(5, unit); n != 0 {
-			t.Errorf("%s: %.1f allocs per unit after the first, want 0", spec.programOf(j.key()), n)
+		for _, b := range tc.benches {
+			spec.Benchmarks = append(spec.Benchmarks, benchSpec(t, b))
 		}
-		if r != first {
-			t.Errorf("%s: the worker built a second runner for the cell", spec.programOf(j.key()))
+		if tc.duties {
+			spec.ValidateAxioms = true
+			spec.Analyzers = analysis.Names()
 		}
-		if want := 7 * 25; r.acc.frag.Execs != want {
-			t.Errorf("%s: accumulator holds %d executions, want %d", spec.programOf(j.key()), r.acc.frag.Execs, want)
+		wt := newWorkerTools(spec)
+		jobs := []job{{kind: jobLitmus, hi: 25}}
+		for b := range spec.Benchmarks {
+			jobs = append(jobs, job{kind: jobBench, cell: b, hi: 25})
 		}
+		for _, j := range jobs {
+			program := tc.name + "/" + spec.programOf(j.key())
+			var r *cellRunner
+			unit := func() {
+				r = wt.unit(spec, 0, j)
+				r.run(j.lo, j.hi, nil)
+				r.acc.add(&r.frag, j.hi)
+			}
+			unit()
+			first := r
+			if n := testing.AllocsPerRun(5, unit); n != 0 {
+				t.Errorf("%s: %.1f allocs per unit after the first, want 0", program, n)
+			}
+			if r != first {
+				t.Errorf("%s: the worker built a second runner for the cell", program)
+			}
+			if want := 7 * 25; r.acc.frag.Execs != want {
+				t.Errorf("%s: accumulator holds %d executions, want %d", program, r.acc.frag.Execs, want)
+			}
+			if spec.programOf(j.key()) == "ms-queue" && len(r.acc.frag.Races) != 3 {
+				t.Errorf("%s: %d race keys, want 3", program, len(r.acc.frag.Races))
+			}
+			if tc.duties {
+				if r.acc.frag.Checked == 0 || len(r.acc.frag.Findings) == 0 {
+					t.Errorf("%s: %d executions validated and %d findings; the duty cells must exercise both",
+						program, r.acc.frag.Checked, len(r.acc.frag.Findings))
+				}
+			}
+		}
+		wt.close()
 	}
 }
 

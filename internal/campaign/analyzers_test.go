@@ -204,7 +204,7 @@ func TestCheckpointRoundTripsFindings(t *testing.T) {
 		Execs: 9, Detected: 4,
 		Ops:      capi.OpStats{AtomicOps: 11, NormalOps: 12},
 		Elapsed:  13 * time.Microsecond,
-		Races:    map[string]raceHit{"race/a": {Desc: "r", Run: 3}},
+		Races:    map[string]raceHit{"race/a": {desc: "r", Run: 3}},
 		Outcomes: map[string]int{"r0=0": 5}, Forbidden: map[string]int{"r0=1": 2},
 		Weak:   map[string]int{"r0=0": 1},
 		Failed: 1, Failures: []execFailure{{Run: 4, Err: "infeasible"}},
@@ -213,8 +213,8 @@ func TestCheckpointRoundTripsFindings(t *testing.T) {
 		VioSamples: []execFailure{{Run: 5, Err: "cycle"}},
 		Recorded:   2, RecordErrs: 1,
 		Findings: map[findingID]findingHit{
-			{analyzer: "atomicity", key: "block/b"}:    {Desc: "d1", Run: 7, Count: 3},
-			{analyzer: "sc-robustness", key: "non-sc"}: {Desc: "d2", Run: 2, Count: 1},
+			{analyzer: "atomicity", key: "block/b"}:    {desc: "d1", Run: 7, Count: 3},
+			{analyzer: "sc-robustness", key: "non-sc"}: {desc: "d2", Run: 2, Count: 1},
 		},
 		Captures: []obs.CaptureRecord{{Tool: "c11tester", Program: "p", Seed: 8, Index: 7, Trigger: "race"}},
 		Hists:    &h,

@@ -39,6 +39,7 @@
 package campaign
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -224,14 +225,43 @@ type job struct {
 func (j job) key() cellKey { return cellKey{kind: j.kind, tool: j.tool, cell: j.cell} }
 
 // raceHit is a deduplicated race with the earliest execution that showed it.
-// It carries the report's rendered description rather than the
-// capi.RaceReport itself: tools recycle their race-report storage across
-// Execute calls, so retaining a report beyond runOne would alias mutated
-// memory. Rendering happens only on first sight (or an earlier-run upgrade),
-// never in the steady state.
+// It keeps the winning sighting's report by value: its LocName is a static
+// program string and its other fields are plain values, so the copy aliases
+// none of the storage tools recycle across Execute calls, and keeping it
+// costs no allocation. The description is rendered only where one is
+// written — the summary, the event stream, checkpoint and shard-partial
+// JSON. A hit restored from JSON keeps the rendered description instead.
 type raceHit struct {
-	Desc string `json:"desc"` // RaceReport.String() of the winning sighting
-	Run  int    `json:"run"`  // global execution index (seed = SeedBase+run)
+	report capi.RaceReport // the winning sighting; zero when restored
+	desc   string          // the rendered description, when restored
+	Run    int             // global execution index (seed = SeedBase+run)
+}
+
+// Desc renders the winning sighting's description (RaceReport.String).
+func (h raceHit) Desc() string {
+	if h.report == (capi.RaceReport{}) {
+		return h.desc
+	}
+	return h.report.String()
+}
+
+// raceHitJSON is raceHit's JSON form.
+type raceHitJSON struct {
+	Desc string `json:"desc"`
+	Run  int    `json:"run"`
+}
+
+func (h raceHit) MarshalJSON() ([]byte, error) {
+	return json.Marshal(raceHitJSON{Desc: h.Desc(), Run: h.Run})
+}
+
+func (h *raceHit) UnmarshalJSON(b []byte) error {
+	var j raceHitJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	*h = raceHit{desc: j.Desc, Run: j.Run}
+	return nil
 }
 
 // execFailure is one execution the tool itself aborted (core.InfeasibleError
@@ -267,13 +297,44 @@ func (id *findingID) UnmarshalText(b []byte) error {
 	return nil
 }
 
-// findingHit is a deduplicated analyzer finding: the description of the
-// earliest execution that showed it (the repro winner, like raceHit) plus
-// the number of executions that reproduced it.
+// findingHit is a deduplicated analyzer finding: the earliest execution that
+// showed it (the repro winner, like raceHit) with that sighting's Finding,
+// kept by value and described only where one is written, plus the number of
+// executions that reproduced it. A hit restored from JSON keeps the rendered
+// description instead. The JSON form is {"desc", "run", "count"}.
 type findingHit struct {
+	win   analysis.Finding // the winning sighting; nil Kind when restored
+	desc  string           // the rendered description, when restored
+	Run   int              // global execution index of the winner (seed = SeedBase+run)
+	Count int
+}
+
+// Desc renders the winning sighting's description (analysis.Finding.Desc).
+func (h findingHit) Desc() string {
+	if h.win.Kind == nil {
+		return h.desc
+	}
+	return h.win.Desc()
+}
+
+// findingHitJSON is findingHit's JSON form.
+type findingHitJSON struct {
 	Desc  string `json:"desc"`
-	Run   int    `json:"run"` // global execution index of the winner (seed = SeedBase+run)
+	Run   int    `json:"run"`
 	Count int    `json:"count"`
+}
+
+func (h findingHit) MarshalJSON() ([]byte, error) {
+	return json.Marshal(findingHitJSON{Desc: h.Desc(), Run: h.Run, Count: h.Count})
+}
+
+func (h *findingHit) UnmarshalJSON(b []byte) error {
+	var j findingHitJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	*h = findingHit{desc: j.Desc, Run: j.Run, Count: j.Count}
+	return nil
 }
 
 // fragment is the result of one unit of work. Fields are aggregated with
@@ -383,7 +444,7 @@ func (dst *fragment) merge(src *fragment) {
 		}
 		if cur, seen := dst.Findings[id]; seen {
 			if hit.Run < cur.Run {
-				cur.Desc, cur.Run = hit.Desc, hit.Run
+				cur.win, cur.desc, cur.Run = hit.win, hit.desc, hit.Run
 			}
 			cur.Count += hit.Count
 			dst.Findings[id] = cur
@@ -1162,13 +1223,13 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 	}
 	// The per-execution instrumentation below — the timing toggle, the
 	// clock reads and hists.observe — allocates nothing; the zero-alloc test
-	// pins this exact path, on a sampled and an unsampled index. The clock is
-	// read only on a timed index, or for the flight recorder's opt-in
-	// wall-clock trigger.
+	// pins this exact path, on both sampled indices and an unsampled one. The
+	// clock is read only on a wall-time index, or for the flight recorder's
+	// opt-in wall-clock trigger.
 	if r.met != nil && r.eng != nil {
 		sampleTiming(r.eng, i)
 	}
-	clock := (r.met != nil && i%timingSample == 0) || r.spec.CaptureSlowNS
+	clock := (r.met != nil && wallSampled(i)) || r.spec.CaptureSlowNS
 	var execStart time.Time
 	if clock {
 		execStart = time.Now()
@@ -1337,17 +1398,16 @@ func (r *cellRunner) stageAnalyze() {
 }
 
 // addFinding folds one analyzer finding into the fragment — min-run winner
-// per (analyzer, key), counts summed.
+// per (analyzer, key), counts summed. It renders no text: the key is the
+// analyzer's, and the winner's Finding is kept by value.
 func (r *cellRunner) addFinding(a analysis.Analyzer, f analysis.Finding) {
 	if r.frag.Findings == nil {
 		r.frag.Findings = map[findingID]findingHit{}
 	}
 	id := findingID{analyzer: a.Name(), key: f.Key}
 	hit, seen := r.frag.Findings[id]
-	if !seen {
-		hit = findingHit{Desc: f.Desc, Run: r.x.i}
-	} else if r.x.i < hit.Run {
-		hit.Desc, hit.Run = f.Desc, r.x.i
+	if !seen || r.x.i < hit.Run {
+		hit.win, hit.desc, hit.Run = f, "", r.x.i
 	}
 	hit.Count++
 	r.frag.Findings[id] = hit
@@ -1395,26 +1455,38 @@ func (r *cellRunner) stageRecord() {
 	}
 }
 
-// timingSample is the campaign's timing sample interval: execution i of a
-// cell runs with handoff-wait timing and phase spans iff i%timingSample == 0.
-// Each timed execution pays dozens to hundreds of clock reads (two per
-// handoff, two per race-bearing access), which cost a campaign ~30% of its
-// throughput when every execution paid them. The sample is a pure function
-// of the global execution index, so the sampled histograms' counts are as
-// deterministic under workers, shards and resume as the outcomes, and every
-// cell with at least one execution (index 0) gets at least one sample.
+// timingSample is the campaign's timing sample interval. Two disjoint
+// samples of a cell's execution indices are timed: execution i's own wall
+// time when i%timingSample == 0 (wallSampled), with every inner timer off,
+// and its handoff wait and phase spans when i%timingSample ==
+// timingSample/2 (spansSampled). Each span-timed execution pays dozens to
+// hundreds of clock reads (two per handoff, two per race-bearing access),
+// which cost a campaign ~30% of its throughput when every execution paid
+// them, and which would inflate a wall time taken on the same execution.
+// The samples are pure functions of the global execution index, so the
+// sampled histograms' counts are as deterministic under workers, shards and
+// resume as the outcomes. Every cell with at least one execution (index 0)
+// gets a wall-time sample; a cell needs timingSample/2+1 executions for a
+// span sample.
 const timingSample = 16
+
+// wallSampled reports whether execution i's wall time is sampled.
+func wallSampled(i int) bool { return i%timingSample == 0 }
+
+// spansSampled reports whether execution i runs with the handoff-wait timer
+// and the phase spans on.
+func spansSampled(i int) bool { return i%timingSample == timingSample/2 }
 
 // sampleTiming switches eng's handoff-wait timing and phase spans for
 // execution index i.
 func sampleTiming(eng *core.Engine, i int) {
-	on := i%timingSample == 0
+	on := spansSampled(i)
 	eng.SetHandoffTiming(on)
 	eng.SetPhaseTiming(on)
 }
 
 // phaseStart opens a campaign-bracketed phase span (validate, record) of the
-// current execution: the start stamp when the execution is timed (runOne
+// current execution: the start stamp when its spans are sampled (runOne
 // switched the engine's phase spans on), the zero time — and no clock read —
 // otherwise.
 func (r *cellRunner) phaseStart() time.Time {
@@ -1425,7 +1497,7 @@ func (r *cellRunner) phaseStart() time.Time {
 }
 
 // observePhase folds a campaign-bracketed phase span opened by phaseStart
-// into the cell's phase histograms; a zero t0 (untimed execution) is
+// into the cell's phase histograms; a zero t0 (unsampled execution) is
 // skipped, so every phase histogram shares the engine phases' denominator.
 func (r *cellRunner) observePhase(p core.Phase, t0 time.Time) {
 	if !t0.IsZero() {
@@ -1452,13 +1524,14 @@ func raceKeysOf(keys *keyIntern, res *capi.Result) []string {
 }
 
 // recordRaces folds an execution's races into the fragment, keeping the
-// earliest execution index per race key.
+// earliest execution index per race key and its first report there. It
+// renders no text.
 func recordRaces(frag *fragment, keys *keyIntern, res *capi.Result, run int) {
 	for i := range res.Races {
 		r := &res.Races[i]
 		key := keys.key(r)
 		if hit, seen := frag.Races[key]; !seen || run < hit.Run {
-			frag.Races[key] = raceHit{Desc: r.String(), Run: run}
+			frag.Races[key] = raceHit{report: *r, Run: run}
 		}
 	}
 }

@@ -86,7 +86,7 @@ func canonicalize(s *Summary) *Summary {
 }
 
 // phaseCounts maps every cell's "tool/program/phase" to its phase histogram
-// count — the number of timed executions. The timing sample is a pure
+// count — the number of span-sampled executions. The sample is a pure
 // function of the execution index, so these counts must be as deterministic
 // under workers, shards and resume as the outcomes themselves.
 func phaseCounts(s *Summary) map[string]uint64 {
@@ -107,23 +107,24 @@ func phaseCounts(s *Summary) map[string]uint64 {
 	return out
 }
 
-// sampledIn counts the timed execution indices in [lo, hi).
-func sampledIn(lo, hi int) uint64 {
-	var n uint64
-	for i := lo; i < hi; i++ {
-		if i%timingSample == 0 {
-			n++
+// sampledIn counts the execution indices in [0, n) that sampled picks
+// (wallSampled or spansSampled).
+func sampledIn(n int, sampled func(int) bool) uint64 {
+	var c uint64
+	for i := 0; i < n; i++ {
+		if sampled(i) {
+			c++
 		}
 	}
-	return n
+	return c
 }
 
-// checkSampledCounts asserts that every cell of s timed its execution, its
+// checkSampledCounts asserts that every cell of s timed its wall time on
+// exactly the wall-time indices among its n executions, [0, n), and its
 // handoff wait and its reset, run and race spans — and its validate span,
-// when present — on exactly the timed indices among its n executions,
-// [0, n); and that it observed the schedule length and choices of all n.
-// The record span is left out: it counts only the timed executions that
-// owed a trace.
+// when present — on exactly the span indices; and that it observed the
+// schedule length and choices of all n. The record span is left out: it
+// counts only the span-sampled executions that owed a trace.
 func checkSampledCounts(t *testing.T, s *Summary) {
 	t.Helper()
 	count := func(h *obs.HistogramSnapshot) uint64 {
@@ -137,16 +138,20 @@ func checkSampledCounts(t *testing.T, s *Summary) {
 		if failed > 0 {
 			t.Fatalf("%s/%s: %d failed executions leave gaps in the index range", tool, program, failed)
 		}
-		want := sampledIn(0, execs)
-		timed := map[string]*obs.HistogramSnapshot{"timing": h.Timing, "handoff": h.Handoff}
+		if got, want := count(h.Timing), sampledIn(execs, wallSampled); got != want {
+			t.Errorf("%s/%s: timing count %d, want %d (wall-time indices in [0, %d))",
+				tool, program, got, want, execs)
+		}
+		want := sampledIn(execs, spansSampled)
+		spans := map[string]*obs.HistogramSnapshot{"handoff": h.Handoff}
 		for _, name := range []string{"reset", "run", "race", "validate"} {
 			if p, ok := h.Phases[name]; ok || name != "validate" {
-				timed[name] = p
+				spans[name] = p
 			}
 		}
-		for name, hist := range timed {
+		for name, hist := range spans {
 			if got := count(hist); got != want {
-				t.Errorf("%s/%s: %s count %d, want %d (timed indices in [0, %d))",
+				t.Errorf("%s/%s: %s count %d, want %d (span indices in [0, %d))",
 					tool, program, name, got, want, execs)
 			}
 		}
@@ -756,11 +761,69 @@ func TestRaceKeysOf(t *testing.T) {
 		recordRaces(&frag, &keys, &capi.Result{Races: e.races}, e.run)
 	}
 	want := map[string]raceHit{
-		a.Key(): {Desc: a2.String(), Run: 3},
-		b.Key(): {Desc: b2.String(), Run: 2},
-		c.Key(): {Desc: c.String(), Run: 7},
+		a.Key(): {report: a2, Run: 3},
+		b.Key(): {report: b2, Run: 2},
+		c.Key(): {report: c, Run: 7},
 	}
 	if !reflect.DeepEqual(frag.Races, want) {
 		t.Errorf("recordRaces = %+v, want %+v", frag.Races, want)
+	}
+	for key, hit := range want {
+		if got := frag.Races[key].Desc(); got != hit.report.String() {
+			t.Errorf("%s: description %q, want %q", key, got, hit.report.String())
+		}
+	}
+}
+
+// TestRaceWinnerDescription pins which sighting's description wins now that
+// descriptions are rendered lazily: a race key sighted at run 7 in one unit
+// and at run 3, by other threads, in a unit folded later keeps run 3's
+// description — folded live, folded after either side went through the
+// fragment's JSON (a checkpoint or shard partial), and in the JSON itself,
+// whose form is the rendered {"desc", "run"} it always was.
+func TestRaceWinnerDescription(t *testing.T) {
+	late := capi.RaceReport{LocName: "x", PriorKind: memmodel.KNAStore, Kind: memmodel.KNALoad, PriorTID: 1, TID: 2}
+	early := late
+	early.PriorTID, early.TID = 2, 1
+	if late.Key() != early.Key() || late.String() == early.String() {
+		t.Fatal("the two sightings must share a key and differ in description")
+	}
+	var keys keyIntern
+	unit := func(r capi.RaceReport, run int) fragment {
+		f := fragment{Races: map[string]raceHit{}}
+		recordRaces(&f, &keys, &capi.Result{Races: []capi.RaceReport{r}}, run)
+		return f
+	}
+	restored := func(f fragment) fragment {
+		data, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back fragment
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		return back
+	}
+	first, second := unit(late, 7), unit(early, 3)
+	for name, pair := range map[string][2]fragment{
+		"live":              {first, second},
+		"restored first":    {restored(first), second},
+		"restored second":   {first, restored(second)},
+		"restored both":     {restored(first), restored(second)},
+		"later folded into": {second, first},
+	} {
+		var acc fragment
+		acc.merge(&pair[0])
+		acc.merge(&pair[1])
+		hit := acc.Races[late.Key()]
+		if hit.Run != 3 || hit.Desc() != early.String() {
+			t.Errorf("%s: winner run %d %q, want run 3 %q", name, hit.Run, hit.Desc(), early.String())
+		}
+	}
+
+	want, _ := json.Marshal(map[string]any{"desc": early.String(), "run": 3})
+	if got, _ := json.Marshal(second.Races[early.Key()]); string(got) != string(want) {
+		t.Errorf("live hit encodes as %s, want %s", got, want)
 	}
 }

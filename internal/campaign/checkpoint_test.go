@@ -239,7 +239,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 func TestFragmentMergeOrderIndependent(t *testing.T) {
 	exec := func(run int) *fragment {
 		return &fragment{Execs: 1, Failed: 1, Violations: 1, GuideTraces: 2,
-			Races:      map[string]raceHit{fmt.Sprintf("race%d", run%3): {Desc: fmt.Sprint(run), Run: run}},
+			Races:      map[string]raceHit{fmt.Sprintf("race%d", run%3): {desc: fmt.Sprint(run), Run: run}},
 			Failures:   []execFailure{{Run: run, Err: fmt.Sprintf("fail %d", run)}},
 			VioSamples: []execFailure{{Run: run, Err: fmt.Sprintf("vio %d", run)}},
 			Captures:   []obs.CaptureRecord{{Seed: int64(run), Index: run}},

@@ -17,12 +17,13 @@ const (
 	stepsBase = 8
 )
 
-// hists are one cell's summary histograms. The wall-clock ones — execution
-// time, handoff wait and the phase spans — observe only the timed
-// executions, every timingSample-th execution index; schedule length and
-// choices observe every execution. The engine phases (reset, run, race) and
-// the handoff wait are fed by observe; validate and record are campaign
-// duties observed by the runner's stages, so their counts track timed duty
+// hists are one cell's summary histograms. The wall-clock ones observe two
+// disjoint samples of the execution indices (see timingSample): execution
+// time the wallSampled ones, run with no inner timer on, and handoff wait
+// and the phase spans the spansSampled ones. Schedule length and choices
+// observe every execution. The engine phases (reset, run, race) and the
+// handoff wait are fed by observe; validate and record are campaign duties
+// observed by the runner's stages, so their counts track span-sampled duty
 // executions.
 //
 // Each worker keeps one hists per matrix cell in its workerSlot and observes
@@ -54,13 +55,12 @@ var blankHists = func() hists {
 }()
 
 // observe folds completed execution i into the cell's histograms: its wall
-// time d (read only on timed indices) and, when the tool is an engine, its
-// schedule length and choice count, plus its handoff wait and engine phase
-// spans on timed indices. The same method serves the campaign hot path and
-// the zero-alloc test, so the pinned path is exactly the shipped path.
+// time d (read only on wall-time indices) and, when the tool is an engine,
+// its schedule length and choice count, plus its handoff wait and engine
+// phase spans on span indices. The same method serves the campaign hot path
+// and the zero-alloc test, so the pinned path is exactly the shipped path.
 func (h *hists) observe(i int, d time.Duration, eng *core.Engine) {
-	timed := i%timingSample == 0
-	if timed {
+	if wallSampled(i) {
 		h.ExecNS.Observe(uint64(d))
 	}
 	if eng == nil {
@@ -69,7 +69,7 @@ func (h *hists) observe(i int, d time.Duration, eng *core.Engine) {
 	st := eng.ExecStats()
 	h.SchedLen.Observe(st.Steps)
 	h.Choices.Observe(st.Choices)
-	if timed {
+	if spansSampled(i) {
 		h.HandoffNS.Observe(uint64(st.HandoffWaitNS))
 		h.PhaseNS[core.PhaseReset].Observe(uint64(st.PhaseNS[core.PhaseReset]))
 		h.PhaseNS[core.PhaseRun].Observe(uint64(st.PhaseNS[core.PhaseRun]))
@@ -92,10 +92,11 @@ func (h *hists) add(o *hists) {
 // is the ns/exec histogram and Phases (schema v5) the per-phase span
 // histograms keyed by phase name, omitting phases with no observations.
 // Handoff, SchedLen and Choices (schema v11) are the handoff wait, schedule
-// length and strategy decisions per execution. The wall-clock histograms —
-// Timing, Phases and Handoff — cover the timed executions only, so their
-// count is the cell's sample size; SchedLen and Choices cover every
-// execution and are as deterministic as the outcomes.
+// length and strategy decisions per execution. The wall-clock histograms
+// cover their sampled executions only — Timing the wall-time sample, Phases
+// and Handoff the disjoint span sample — so their counts are the cell's
+// sample sizes; SchedLen and Choices cover every execution and are as
+// deterministic as the outcomes.
 type CellHists struct {
 	Timing   *obs.HistogramSnapshot            `json:"timing,omitempty"`
 	Phases   map[string]*obs.HistogramSnapshot `json:"phases,omitempty"`

@@ -162,8 +162,8 @@ func writeSlowCells(w io.Writer, sum *Summary, top int) {
 
 // phaseBreakdown renders the per-phase means in canonical phase order,
 // followed by their sample size against the cell's execs: phase spans are
-// timed on every timingSample-th execution index only, so the means cover n
-// of the execs executions.
+// timed on one execution index in every timingSample only (spansSampled),
+// so the means cover n of the execs executions.
 func phaseBreakdown(phases map[string]*obs.HistogramSnapshot, execs int) string {
 	if len(phases) == 0 {
 		return "(no phase spans)"

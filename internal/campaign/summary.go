@@ -456,7 +456,7 @@ func aggregate(m summaryMeta, cells []cellFold, budgets map[cellKey]*BudgetSumma
 		addRaces := func(dst map[string]toolRace, cellIdx int, program string, inLitmus bool, races map[string]raceHit) {
 			for key, hit := range races {
 				cand := toolRace{summary: harness.RaceSummary{Key: key,
-					Description: hit.Desc, Repro: repro(program, inLitmus, hit.Run)},
+					Description: hit.Desc(), Repro: repro(program, inLitmus, hit.Run)},
 					cell: cellIdx, run: hit.Run}
 				if cur, seen := dst[key]; !seen ||
 					cand.cell < cur.cell || (cand.cell == cur.cell && cand.run < cur.run) {
@@ -486,7 +486,7 @@ func aggregate(m summaryMeta, cells []cellFold, budgets map[cellKey]*BudgetSumma
 				r.Flags = strings.TrimSpace(r.Flags + " -analyzers " + id.analyzer)
 				toolFindings = append(toolFindings, toolFinding{
 					summary: FindingSummary{Analyzer: id.analyzer, Key: id.key,
-						Description: hit.Desc, Program: program, Litmus: inLitmus,
+						Description: hit.Desc(), Program: program, Litmus: inLitmus,
 						Count: hit.Count, Repro: r},
 					cell: cellIdx})
 			}

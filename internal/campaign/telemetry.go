@@ -236,14 +236,14 @@ func (t *Telemetry) emitUnit(wave int, j job, frag *fragment) {
 		hit := frag.Races[key]
 		t.emit(Event{Type: "race_first_seen", Wave: wave,
 			Tool: toolSpec.Name, Program: program, Litmus: litmus,
-			Key: key, Desc: hit.Desc,
+			Key: key, Desc: hit.Desc(),
 			Seed: t.spec.SeedBase + int64(hit.Run), Repro: repro(hit.Run)})
 	}
 	for _, id := range sortedFindingIDs(frag.Findings) {
 		hit := frag.Findings[id]
 		t.emit(Event{Type: "analyzer_finding", Wave: wave,
 			Tool: toolSpec.Name, Program: program, Litmus: litmus,
-			Analyzer: id.analyzer, Key: id.key, Desc: hit.Desc, Count: hit.Count,
+			Analyzer: id.analyzer, Key: id.key, Desc: hit.Desc(), Count: hit.Count,
 			Seed: t.spec.SeedBase + int64(hit.Run),
 			Repro: harness.Repro{Tool: toolSpec.Name, Program: program,
 				Seed: t.spec.SeedBase + int64(hit.Run), Litmus: litmus,

@@ -184,10 +184,11 @@ func TestInstrumentedDeterminismUnderSharding(t *testing.T) {
 	}
 }
 
-// TestTimingSampledPerIndex pins the timing sample: only every
-// timingSample-th execution index of a cell runs timed, a one-execution cell
-// still gets its one sample, and the handoff-wait histogram shares the phase
-// histograms' denominator.
+// TestTimingSampledPerIndex pins the two timing samples: a cell's wall time
+// is taken on every timingSample-th execution index from 0, and its handoff
+// wait and phase spans on the disjoint indices halfway between, which share
+// one denominator. A one-execution cell gets its one wall-time sample and no
+// span sample.
 func TestTimingSampledPerIndex(t *testing.T) {
 	for _, runs := range []int{1, 33} {
 		sum := Run(Spec{
@@ -201,19 +202,25 @@ func TestTimingSampledPerIndex(t *testing.T) {
 			ValidateAxioms: true,
 		})
 		checkSampledCounts(t, sum)
-		want := sampledIn(0, runs)
+		wall, spans := sampledIn(runs, wallSampled), sampledIn(runs, spansSampled)
 		for key, n := range phaseCounts(sum) {
-			if n != want {
-				t.Errorf("runs=%d: %s counted %d samples, want %d", runs, key, n, want)
+			if n != spans {
+				t.Errorf("runs=%d: %s counted %d samples, want %d", runs, key, n, spans)
 			}
 		}
-		if _, ok := phaseCounts(sum)["c11tester/MP+rlx/validate"]; !ok {
-			t.Errorf("runs=%d: validation ran untimed on every index", runs)
+		_, validated := phaseCounts(sum)["c11tester/MP+rlx/validate"]
+		if validated != (spans > 0) {
+			t.Errorf("runs=%d: validate span present=%v, want it on the %d span-sampled execution(s)",
+				runs, validated, spans)
 		}
 		for _, ts := range sum.Tools {
-			if h := ts.Benchmarks[0].Handoff; h == nil || h.Count != want {
+			c := ts.Benchmarks[0]
+			if c.Timing == nil || c.Timing.Count != wall {
+				t.Errorf("runs=%d: %s timing histogram = %+v, want %d samples", runs, ts.Tool, c.Timing, wall)
+			}
+			if h := c.Handoff; (spans == 0) != (h == nil) || (h != nil && h.Count != spans) {
 				t.Errorf("runs=%d: %s handoff-wait histogram = %+v, want %d samples",
-					runs, ts.Tool, h, want)
+					runs, ts.Tool, h, spans)
 			}
 		}
 	}
