@@ -20,7 +20,10 @@
 //     scheduler. On the engine's sequentialized substrate this is modelled
 //     by quantum scheduling (a thread runs a geometrically distributed
 //     number of operations before being preempted) over the cheap fiber
-//     handoff.
+//     handoff. Each preemption draws its quantum (mean 150, the CLI's
+//     -quantum) with rng.Geometric: one 64-bit draw looked up in a shared
+//     integer table of the geometric tail, exact in law and free of
+//     floating point, so every platform draws the same schedule.
 //
 //   - tsan11rec sequentializes visible operations across kernel threads
 //     and records them for replay. Its threads are pinned to OS threads

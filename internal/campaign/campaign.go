@@ -548,7 +548,7 @@ func Run(spec Spec) *Summary {
 			fmt.Fprintf(os.Stderr, "campaign: write capture manifest: %v\n", err)
 		}
 	}
-	// campaignEnd closes the event stream (flushing everything queued), so
+	// campaignEnd closes the event stream (flushing everything buffered), so
 	// the drop counter folded into the summary is final.
 	tel.campaignEnd(totalExecs(sum))
 	sum.Obs = &ObsSummary{

@@ -126,8 +126,8 @@ type Comparison struct {
 	OldSchemaVer int         `json:"old_schema_version"`
 	NewSchemaVer int         `json:"new_schema_version"`
 	// OldDropped/NewDropped are the artifacts' event-stream drop counters
-	// (schema v4). A nonzero NewDropped means the new run's bounded event
-	// channel overflowed — its JSONL stream is incomplete — and is gated as a
+	// (schema v4). A nonzero NewDropped means events of the new run failed
+	// to marshal — its JSONL stream is incomplete — and is gated as a
 	// regression.
 	OldDropped uint64 `json:"old_events_dropped,omitempty"`
 	NewDropped uint64 `json:"new_events_dropped,omitempty"`

@@ -295,9 +295,9 @@ type ToolSummary struct {
 }
 
 // ObsSummary is the campaign-level event-stream accounting (schema v4).
-// EventsDropped must be zero for a healthy run: a nonzero value means the
-// bounded event channel overflowed and the JSONL stream is incomplete, and
-// Compare treats it as a regression.
+// EventsDropped must be zero for a healthy run: a nonzero value means events
+// failed to marshal and the JSONL stream is incomplete, and Compare treats
+// it as a regression.
 type ObsSummary struct {
 	EventsEmitted uint64 `json:"events_emitted"`
 	EventsDropped uint64 `json:"events_dropped"`

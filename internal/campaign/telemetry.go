@@ -19,8 +19,6 @@ type TelemetryOptions struct {
 	EventSink io.Writer
 	// EventEcho receives a copy of every event line (the CLI -v flag).
 	EventEcho io.Writer
-	// EventDepth bounds the drainer channel; 0 means obs.DefaultStreamDepth.
-	EventDepth int
 	// Progress receives human-readable one-line wave/progress summaries
 	// (the CLI writes stderr here unless -q); nil disables them.
 	Progress io.Writer
@@ -59,7 +57,7 @@ type Telemetry struct {
 func NewTelemetry(opts TelemetryOptions) *Telemetry {
 	t := &Telemetry{opts: opts, raceKeys: map[[2]string]bool{}}
 	if opts.EventSink != nil {
-		t.stream = obs.NewStream(opts.EventSink, opts.EventEcho, opts.EventDepth)
+		t.stream = obs.NewStream(opts.EventSink, opts.EventEcho)
 	}
 	return t
 }
@@ -73,8 +71,8 @@ func (t *Telemetry) EventsEmitted() uint64 {
 	return t.stream.Emitted()
 }
 
-// EventsDropped reports events lost to a full drainer channel; any nonzero
-// value fails the campaign's observability gate.
+// EventsDropped reports events that failed to marshal; any nonzero value
+// fails the campaign's observability gate.
 func (t *Telemetry) EventsDropped() uint64 {
 	if t.stream == nil {
 		return 0
@@ -82,9 +80,9 @@ func (t *Telemetry) EventsDropped() uint64 {
 	return t.stream.Dropped()
 }
 
-// syncEvents flushes every queued event line through to the sink. Checkpoint
-// writes call it so a persisted barrier never references events still in the
-// drainer's buffer.
+// syncEvents flushes every buffered event line through to the sink.
+// Checkpoint writes call it so a persisted barrier never references events
+// still in the stream's buffer.
 func (t *Telemetry) syncEvents() {
 	if t.stream != nil {
 		_ = t.stream.Sync()
@@ -335,8 +333,8 @@ func (t *Telemetry) waveEnd(wave, jobs, waveExecs int) {
 	}
 }
 
-// campaignEnd emits the final event and stops the stream, waiting for the
-// drainer to flush everything queued. Run calls it last.
+// campaignEnd emits the final event and closes the stream, flushing every
+// buffered line. Run calls it last.
 func (t *Telemetry) campaignEnd(execs int) {
 	t.mu.Lock()
 	races, conv, fails := len(t.raceKeys), t.converged, t.failures

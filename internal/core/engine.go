@@ -109,7 +109,7 @@ type PrefixedStrategy interface {
 }
 
 // RandomStrategy is the paper's default plugin: uniform random choices. The
-// rng.Rand is embedded by value, so the decision buffer lives inline and
+// rng.Rand is embedded by value, so the PCG state lives inline and
 // re-seeding allocates nothing; all reseed mechanics live in internal/rng.
 type RandomStrategy struct{ rng rng.Rand }
 
@@ -138,17 +138,15 @@ func (s *RandomStrategy) PickIndex(n int) int { return s.rng.Intn(n) }
 // engine's sequentialized substrate (Section 8's single-core configuration).
 type QuantumStrategy struct {
 	rng       rng.Rand
-	mean      int
+	quantum   rng.Geometric
 	remaining int
 	current   *ThreadState
 }
 
-// NewQuantumStrategy returns a QuantumStrategy with the given mean quantum.
+// NewQuantumStrategy returns a QuantumStrategy with the given mean quantum;
+// means below 1 are taken as 1.
 func NewQuantumStrategy(mean int) *QuantumStrategy {
-	if mean < 1 {
-		mean = 1
-	}
-	s := &QuantumStrategy{mean: mean}
+	s := &QuantumStrategy{quantum: rng.NewGeometric(mean)}
 	s.rng.Seed(1)
 	return s
 }
@@ -171,11 +169,7 @@ func (s *QuantumStrategy) PickThread(ready []*ThreadState) *ThreadState {
 		}
 	}
 	s.current = ready[s.rng.Intn(len(ready))]
-	// Geometric quantum with the configured mean.
-	s.remaining = 1
-	for s.rng.Intn(s.mean) != 0 {
-		s.remaining++
-	}
+	s.remaining = s.quantum.Draw(&s.rng)
 	return s.current
 }
 

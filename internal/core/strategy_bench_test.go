@@ -27,3 +27,16 @@ func BenchmarkStrategySeed(b *testing.B) {
 		s.Seed(int64(i))
 	}
 }
+
+// BenchmarkQuantumPick measures tsan11's scheduling decision at the default
+// mean quantum of 150 over three ready threads: mostly the keep-running fast
+// path, plus one preemption (a thread pick and a quantum draw) per quantum.
+func BenchmarkQuantumPick(b *testing.B) {
+	s := NewQuantumStrategy(150)
+	s.Seed(1)
+	ready := []*ThreadState{{}, {}, {}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.PickThread(ready)
+	}
+}

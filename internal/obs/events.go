@@ -14,159 +14,87 @@ import (
 // per-race consumers) key on it.
 const EventSchemaVersion = 1
 
-// Stream writes structured events as JSONL through a single drainer
-// goroutine fed by a bounded channel. Emit never blocks the instrumented
-// path: when the channel is full the event is counted in Dropped and
-// discarded — campaign summaries surface any nonzero drop count, and the
-// campaign Compare gate fails on it.
-//
-// Events are marshaled on the emitting goroutine (emission happens at unit-
-// of-work boundaries, never inside the per-execution hot path) and written
-// by the drainer, so writer latency never stalls workers.
+// Stream writes structured events as JSONL. Emit marshals the event and
+// writes its line into a buffered writer under the stream's mutex, so no
+// marshalable event is ever lost: events come at unit-of-work boundaries,
+// never inside the per-execution hot path, and the buffer takes most lines
+// without touching the sink. Dropped counts only events that failed to
+// marshal; campaign summaries surface any nonzero count, and the campaign
+// Compare gate fails on it.
 type Stream struct {
-	ch      chan streamItem
-	done    chan struct{}
+	mu      sync.Mutex // guards w, echo, closed and err
 	w       *bufio.Writer
 	echo    io.Writer
+	closed  bool
+	err     error // first write or flush error
 	emitted atomic.Uint64
 	dropped atomic.Uint64
+}
 
-	mu     sync.Mutex
-	closed bool
-
-	errMu sync.Mutex
-	err   error // first write/flush error, guarded by errMu
+// NewStream returns a stream writing JSONL events to w. echo, when non-nil,
+// receives a copy of every line (the CLI -v flag).
+func NewStream(w io.Writer, echo io.Writer) *Stream {
+	return &Stream{w: bufio.NewWriter(w), echo: echo}
 }
 
 func (s *Stream) setErr(err error) {
-	s.errMu.Lock()
-	if s.err == nil {
+	if err != nil && s.err == nil {
 		s.err = err
 	}
-	s.errMu.Unlock()
 }
 
-func (s *Stream) firstErr() error {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return s.err
-}
-
-// streamItem is one drainer message: an event line, or (when flush is
-// non-nil) a Sync barrier the drainer acknowledges by flushing the buffered
-// writer and closing flush.
-type streamItem struct {
-	line  []byte
-	flush chan struct{}
-}
-
-// DefaultStreamDepth is the bounded channel depth of NewStream.
-const DefaultStreamDepth = 1024
-
-// NewStream starts a drainer writing JSONL events to w. echo, when non-nil,
-// receives a copy of every line (the CLI -v flag). depth ≤ 0 means
-// DefaultStreamDepth.
-func NewStream(w io.Writer, echo io.Writer, depth int) *Stream {
-	if depth <= 0 {
-		depth = DefaultStreamDepth
-	}
-	s := &Stream{
-		ch:   make(chan streamItem, depth),
-		done: make(chan struct{}),
-		w:    bufio.NewWriter(w),
-		echo: echo,
-	}
-	go s.drain()
-	return s
-}
-
-func (s *Stream) drain() {
-	defer close(s.done)
-	for item := range s.ch {
-		if item.flush != nil {
-			if err := s.w.Flush(); err != nil {
-				s.setErr(err)
-			}
-			close(item.flush)
-			continue
-		}
-		if _, err := s.w.Write(item.line); err != nil {
-			s.setErr(err)
-		}
-		if s.echo != nil {
-			_, _ = s.echo.Write(item.line)
-		}
-	}
-	if err := s.w.Flush(); err != nil {
-		s.setErr(err)
-	}
-}
-
-// Emit marshals ev and queues it for the drainer. A full channel drops the
-// event (counted); a closed stream drops silently. ev must marshal cleanly —
-// a marshal error counts as a drop.
+// Emit marshals ev and writes its line. A marshal failure is counted in
+// Dropped; an emit after Close is refused silently.
 func (s *Stream) Emit(ev any) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	line, err := json.Marshal(ev)
 	if err != nil {
 		s.dropped.Add(1)
-		s.mu.Unlock()
 		return
 	}
 	line = append(line, '\n')
-	select {
-	case s.ch <- streamItem{line: line}:
-		s.emitted.Add(1)
-	default:
-		s.dropped.Add(1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
 	}
-	s.mu.Unlock()
+	_, err = s.w.Write(line)
+	s.setErr(err)
+	if s.echo != nil {
+		_, _ = s.echo.Write(line)
+	}
+	s.emitted.Add(1)
 }
 
-// Sync blocks until everything emitted before the call has been handed to the
-// underlying writer and the buffered writer flushed. Checkpoint writers call
-// it before persisting event-stream cursors so a checkpoint never references
-// lines still sitting in the drainer's buffer. Sync on a closed stream is a
-// no-op returning the stream's first write error.
+// Sync flushes every line emitted before the call into the underlying
+// writer. Checkpoint writers call it before persisting event-stream cursors
+// so a checkpoint never references lines still sitting in the buffer. It
+// returns the stream's first write error; on a closed stream it only
+// returns that error.
 func (s *Stream) Sync() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return s.firstErr()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.setErr(s.w.Flush())
 	}
-	marker := make(chan struct{})
-	// Blocking send is safe under mu: the drainer always consumes, and Close
-	// (which also takes mu) cannot close the channel while we hold it.
-	s.ch <- streamItem{flush: marker}
-	s.mu.Unlock()
-	<-marker
-	return s.firstErr()
+	return s.err
 }
 
-// Emitted returns the number of events successfully queued.
+// Emitted returns the number of events written.
 func (s *Stream) Emitted() uint64 { return s.emitted.Load() }
 
-// Dropped returns the number of events lost to a full channel (or a marshal
-// failure). A campaign that drops events fails its observability gate.
+// Dropped returns the number of events that failed to marshal. A campaign
+// that drops events fails its observability gate.
 func (s *Stream) Dropped() uint64 { return s.dropped.Load() }
 
-// Close stops accepting events, waits for the drainer to write everything
-// queued, flushes, and returns the first write error (it does not close the
-// underlying writer — the opener owns it). Close is idempotent.
+// Close flushes, stops accepting events and returns the first write error
+// (it does not close the underlying writer — the opener owns it). Close is
+// idempotent.
 func (s *Stream) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		<-s.done
-		return s.firstErr()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.setErr(s.w.Flush())
+		s.closed = true
 	}
-	s.closed = true
-	close(s.ch)
-	s.mu.Unlock()
-	<-s.done
-	return s.firstErr()
+	return s.err
 }

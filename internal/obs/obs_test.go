@@ -98,7 +98,7 @@ type testEvent struct {
 
 func TestStreamDrainAndClose(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewStream(&buf, nil, 8)
+	s := NewStream(&buf, nil)
 	for i := 0; i < 5; i++ {
 		s.Emit(testEvent{V: EventSchemaVersion, Type: "tick", Seq: i})
 	}
@@ -118,12 +118,11 @@ func TestStreamDrainAndClose(t *testing.T) {
 	// Emits after Close are silently ignored.
 	s.Emit(testEvent{Type: "late"})
 	if s.Emitted() != 5 {
-		t.Fatalf("emit after close was queued")
+		t.Fatalf("emit after close was written")
 	}
 }
 
-// blockedWriter blocks until released, forcing the drainer to stall so the
-// bounded channel fills and Emit must drop.
+// blockedWriter blocks until released, stalling the stream's sink.
 type blockedWriter struct{ release chan struct{} }
 
 func (w *blockedWriter) Write(p []byte) (int, error) {
@@ -131,19 +130,24 @@ func (w *blockedWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func TestStreamDropsWhenFull(t *testing.T) {
-	w := &blockedWriter{release: make(chan struct{})}
-	s := NewStream(w, nil, 2)
-	// Buffered writer absorbs nothing here: bufio only flushes at 4096 bytes,
-	// so force enough events that channel depth 2 (+ one in-flight) overflows.
+// TestStreamDropsOnlyMarshalFailures pins what Dropped counts: an event that
+// cannot be marshaled, and nothing else.
+func TestStreamDropsOnlyMarshalFailures(t *testing.T) {
+	var buf bytes.Buffer
+	s := NewStream(&buf, nil)
 	for i := 0; i < 10; i++ {
 		s.Emit(testEvent{Seq: i})
+		if i%4 == 0 {
+			s.Emit(map[string]any{"f": func() {}})
+		}
 	}
-	if s.Dropped() == 0 {
-		t.Fatalf("expected drops with a stalled drainer, got emitted=%d dropped=%d", s.Emitted(), s.Dropped())
-	}
-	close(w.release)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if s.Emitted() != 10 || s.Dropped() != 3 {
+		t.Fatalf("emitted/dropped = %d/%d, want 10/3", s.Emitted(), s.Dropped())
+	}
+	if got := strings.Count(buf.String(), "\n"); got != 10 {
+		t.Fatalf("sink holds %d line(s), want 10", got)
 	}
 }

@@ -5,24 +5,20 @@
 // litmus executions make only a handful of draws, so seeding cost dominates.
 //
 // The source is a 128-bit PCG-DXSM generator seeded in O(1) by splitmix64
-// expansion of the int64 seed. Uint64 draws are served from a small fixed
-// buffer refilled in a tight loop, so the per-decision fast path is a load
-// and an increment; Intn uses Lemire's multiply-shift bounded reduction,
-// which divides only on the (rare) rejection path. The stream is a pure
-// function of the seed, pinned by golden-value tests so it cannot drift
-// across Go versions.
+// expansion of the int64 seed. Each Uint64 is one PCG step: a 64×64→128
+// multiply, two adds and the output permutation, with no buffer to refill
+// or index. Intn uses Lemire's multiply-shift bounded reduction, which
+// divides only on the (rare) rejection path, and Geometric draws a
+// geometric variate with one Uint64 in almost every call. The stream is a
+// pure function of the seed, pinned by golden-value tests so it cannot
+// drift across Go versions or architectures.
 //
-// A Rand is a value type: embed it directly (strategies and the engine do)
-// so the PCG state and draw buffer live inline and seeding allocates
-// nothing. The zero value is unseeded; call Seed before drawing.
+// A Rand is a value type of 16 bytes: embed it directly (strategies and the
+// engine do) so the PCG state lives inline and seeding allocates nothing.
+// The zero value is unseeded; call Seed before drawing.
 package rng
 
 import "math/bits"
-
-// bufLen is the decision buffer size: 32 raw 64-bit draws (256 bytes of
-// inline state). Short litmus executions make ~20–40 combined decisions, so
-// most executions refill at most once beyond the initial fill.
-const bufLen = 32
 
 // Rand is a seedable random source. It is not safe for concurrent use; like
 // the engine state it feeds, a Rand is confined to one worker.
@@ -30,12 +26,6 @@ type Rand struct {
 	// PCG-DXSM state: a 128-bit linear congruential step whose output is
 	// scrambled by a double-xorshift-multiply. hi/lo are the state words.
 	hi, lo uint64
-
-	// buf holds raw Uint64 draws; i is the read cursor. Seed marks the
-	// buffer empty (i = bufLen) rather than refilling, so re-seeding stays
-	// O(1) even when no draw follows.
-	buf [bufLen]uint64
-	i   int
 }
 
 // splitmix64 is the seed-expansion step: a Weyl increment followed by a
@@ -50,7 +40,7 @@ func splitmix64(x uint64) uint64 {
 }
 
 // Seed re-seeds the source for a new execution in O(1): two splitmix64
-// expansions and a buffer invalidation.
+// expansions.
 func (r *Rand) Seed(seed int64) {
 	// Two Weyl steps of the splitmix increment (the second is 2γ mod 2^64)
 	// expand the seed into independent state words.
@@ -61,11 +51,12 @@ func (r *Rand) Seed(seed int64) {
 	// all-zero expansion (impossible with splitmix, but cheap to rule out)
 	// cannot produce a degenerate stream.
 	r.lo |= 1
-	r.i = bufLen
 }
 
-// step advances the 128-bit LCG and returns one DXSM output.
-func (r *Rand) step() uint64 {
+// Uint64 returns the next raw 64-bit draw: it advances the 128-bit LCG and
+// returns one DXSM output. It stays within the compiler's inlining budget,
+// so Intn and Geometric.Draw take a draw without a call.
+func (r *Rand) Uint64() uint64 {
 	// 128-bit multiply-add-increment: state = state*mul + inc. The
 	// multiplier is the 64-bit "cheap multiplier" of the PCG-DXSM variant;
 	// the increment is the classic Knuth MMIX pair.
@@ -74,38 +65,16 @@ func (r *Rand) step() uint64 {
 		incHi = 0x5851f42d4c957f2d
 		incLo = 0x14057b7ef767814f
 	)
-	oldHi, oldLo := r.hi, r.lo
-	carryHi, newLo := bits.Mul64(oldLo, mul)
-	newHi := carryHi + oldHi*mul
+	hi, lo := r.hi, r.lo
+	carry, newLo := bits.Mul64(lo, mul)
 	newLo, c := bits.Add64(newLo, incLo, 0)
-	newHi, _ = bits.Add64(newHi, incHi, c)
-	r.hi, r.lo = newHi, newLo
+	r.hi, _ = bits.Add64(carry+hi*mul, incHi, c)
+	r.lo = newLo
 	// DXSM output permutation over the pre-step state.
-	out := oldHi
-	out ^= out >> 32
-	out *= mul
-	out ^= out >> 48
-	out *= oldLo | 1
-	return out
-}
-
-// refill repopulates the draw buffer in one tight loop.
-func (r *Rand) refill() {
-	for j := range r.buf {
-		r.buf[j] = r.step()
-	}
-	r.i = 0
-}
-
-// Uint64 returns the next raw 64-bit draw. On the fast path this is a
-// buffer load and cursor increment.
-func (r *Rand) Uint64() uint64 {
-	if r.i == bufLen {
-		r.refill()
-	}
-	v := r.buf[r.i]
-	r.i++
-	return v
+	hi ^= hi >> 32
+	hi *= mul
+	hi ^= hi >> 48
+	return hi * (lo | 1)
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0, matching
