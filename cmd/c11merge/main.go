@@ -15,7 +15,8 @@
 //	    dropped, timestamps stripped, lines sorted); a single input
 //	    canonicalizes it, so both sides of a comparison go through this
 //	c11merge -captures merged.json manifest0.json manifest1.json ...
-//	    merge flight-recorder capture manifests
+//	    merge the shards' record manifests (each shard's -record
+//	    directory holds one)
 //	c11merge -equal a.json b.json
 //	    compare two summaries modulo Canonical; exit 0 when identical, 2 when
 //	    they differ
@@ -46,7 +47,7 @@ func run(args []string, out *os.File) int {
 	var (
 		outPath  = fs.String("o", "", "write the merged summary JSON to this file (summaries mode)")
 		events   = fs.String("events", "", "merge the positional JSONL event streams into one canonical stream at this path")
-		captures = fs.String("captures", "", "merge the positional capture manifests into one manifest at this path")
+		captures = fs.String("captures", "", "merge the positional record manifests into one manifest at this path")
 		equal    = fs.Bool("equal", false, "compare two summaries modulo Summary.Canonical; exit 0 identical, 2 different")
 		force    = fs.Bool("force", false, "merge summaries despite build-provenance skew (spec-digest mismatches still refuse)")
 		quiet    = fs.Bool("q", false, "suppress the merged human-readable report")
@@ -99,7 +100,7 @@ func run(args []string, out *os.File) int {
 			return fail(err)
 		}
 		if !*quiet {
-			fmt.Fprintf(out, "wrote %s (%d capture(s) from %d manifest(s))\n", *captures, len(merged.Captures), len(paths))
+			fmt.Fprintf(out, "wrote %s (%d entry(ies) from %d manifest(s))\n", *captures, len(merged.Captures), len(paths))
 		}
 		return 0
 	}

@@ -1,15 +1,15 @@
 // Command c11report renders the offline forensics report of a campaign: it
 // joins the versioned summary artifact (BENCH_campaign.json), the structured
-// JSONL event stream (-events), and the flight-recorder capture directory
-// (-captures) into one view — top slow cells with per-phase breakdowns, the
-// race first-seen timeline, per-cell convergence curves, and a capture index
-// with one-command repro lines.
+// JSONL event stream (-events), and the record directory (-record) into one
+// view — top slow cells with per-phase breakdowns, the tagged litmus outcome
+// histograms, analyzer findings, the race first-seen timeline, per-cell
+// convergence curves, and a record index with one-command repro lines.
 //
 // Examples:
 //
 //	go run ./cmd/c11report -summary BENCH_campaign.json
 //	go run ./cmd/c11report -summary BENCH_campaign.json \
-//	    -events events.jsonl -captures captures/
+//	    -events events.jsonl -record traces/
 //
 // Exit codes: 0 success, 1 usage/IO error.
 package main
@@ -32,10 +32,10 @@ func run(args []string, out *os.File) int {
 	fs := flag.NewFlagSet("c11report", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		summary  = fs.String("summary", "BENCH_campaign.json", "campaign summary artifact")
-		events   = fs.String("events", "", "structured JSONL event stream appended by -events ('' skips the timeline and convergence sections)")
-		captures = fs.String("captures", "", "flight-recorder capture directory holding manifest.json ('' skips the capture index)")
-		top      = fs.Int("top", 5, "rows in the slow-cell table")
+		summary = fs.String("summary", "BENCH_campaign.json", "campaign summary artifact")
+		events  = fs.String("events", "", "structured JSONL event stream appended by -events ('' skips the timeline and convergence sections)")
+		record  = fs.String("record", "", "record directory holding manifest.json, as written by c11tester -record ('' skips the record index)")
+		top     = fs.Int("top", 5, "rows in the slow-cell table")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -58,13 +58,13 @@ func run(args []string, out *os.File) int {
 		}
 	}
 	var man *obs.Manifest
-	if *captures != "" {
-		man, err = obs.ReadManifest(filepath.Join(*captures, obs.ManifestFileName))
+	if *record != "" {
+		man, err = obs.ReadManifest(filepath.Join(*record, obs.ManifestFileName))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "c11report: -captures:", err)
+			fmt.Fprintln(os.Stderr, "c11report: -record:", err)
 			return 1
 		}
 	}
-	campaign.WriteReport(out, sum, evs, man, campaign.ReportOptions{TopSlow: *top, CaptureDir: *captures})
+	campaign.WriteReport(out, sum, evs, man, campaign.ReportOptions{TopSlow: *top, RecordDir: *record})
 	return 0
 }

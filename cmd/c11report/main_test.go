@@ -90,16 +90,16 @@ func TestCorruptArtifactsExitStructured(t *testing.T) {
 		t.Fatal("missing events file did not exit 1")
 	}
 
-	// Corrupt capture manifest: structured failure.
-	capDir := filepath.Join(dir, "captures")
+	// Corrupt record manifest: structured failure.
+	capDir := filepath.Join(dir, "traces")
 	if err := os.MkdirAll(capDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(capDir, "manifest.json"), []byte(`{"schema":`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code := run([]string{"-summary", path, "-captures", capDir}, out); code != 1 {
-		t.Fatal("corrupt capture manifest did not exit 1")
+	if code := run([]string{"-summary", path, "-record", capDir}, out); code != 1 {
+		t.Fatal("corrupt record manifest did not exit 1")
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"c11tester/internal/analysis"
 	"c11tester/internal/campaign"
 	"c11tester/internal/litmus"
+	"c11tester/internal/obs"
 	"c11tester/internal/structures"
 )
 
@@ -57,8 +58,8 @@ func run(args []string, out *os.File) int {
 		guide     = fs.String("guide", "", "directory of recorded traces for trace-guided exploration: matching cells replay a schedule prefix before exploring live ('' disables)")
 		guideMin  = fs.Float64("guide-min", 0, "guided prefix depth lower bound, as a fraction of the recorded schedule (0 = default)")
 		guideMax  = fs.Float64("guide-max", 0, "guided prefix depth upper bound, as a fraction of the recorded schedule (0 = default)")
-		record    = fs.String("record", "", "directory to persist portable traces of racy/forbidden executions ('' disables)")
-		recAll    = fs.Bool("record-all", false, "with -record, persist a trace for every execution")
+		record    = fs.String("record", "", "directory to persist portable traces of the executions -record-on selects, indexed by a manifest.json ('' disables)")
+		recordOn  = fs.String("record-on", "hit", "with -record, comma-separated triggers that owe an execution a trace: hit (a detection signal, race or forbidden outcome), all, new_race, forbidden, infeasible (a trace-less manifest entry), slow_steps (a schedule longer than the unit's trailing p99, at most 2 per unit)")
 		validate  = fs.Bool("validate", false, "axiom-check every explored execution against the Appendix A model")
 		analyzers = fs.String("analyzers", "", "comma-separated execution analyzers to run per cell, 'all', or 'none' (see -list)")
 		compare   = fs.String("compare", "", "diff two campaign artifacts: -compare old.json new.json (or old.json,new.json)")
@@ -99,11 +100,24 @@ func run(args []string, out *os.File) int {
 		FaithfulHandoff: *faithful,
 	}
 
+	recOn, err := obs.ParseTriggers(*recordOn)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "c11tester: -record-on:", err)
+		return 1
+	}
 	if *record != "" {
 		if err := os.MkdirAll(*record, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "c11tester: -record:", err)
 			return 1
 		}
+	} else {
+		set := false
+		fs.Visit(func(f *flag.Flag) { set = set || f.Name == "record-on" })
+		if set {
+			fmt.Fprintln(os.Stderr, "c11tester: -record-on requires -record")
+			return 1
+		}
+		recOn = 0
 	}
 	pol, err := campaign.ParsePolicy(*policy, *epsilon)
 	if err != nil {
@@ -115,7 +129,7 @@ func run(args []string, out *os.File) int {
 		Workers: *workers, ShardSize: *shardSz,
 		Policy:       pol,
 		GuideMinFrac: *guideMin, GuideMaxFrac: *guideMax,
-		RecordDir: *record, RecordAll: *recAll,
+		RecordDir: *record, RecordOn: recOn,
 		ValidateAxioms: *validate,
 		Analyzers:      campaign.ParseAnalyzers(*analyzers),
 	}
@@ -145,10 +159,6 @@ func run(args []string, out *os.File) int {
 		fmt.Fprintln(os.Stderr, "c11tester:", err)
 		return 1
 	}
-	if err := tflags.ApplyCaptureFlags(&spec); err != nil {
-		fmt.Fprintln(os.Stderr, "c11tester:", err)
-		return 1
-	}
 	// Crash-safety flags resolve after the matrix so -resume can validate the
 	// checkpoint's spec digest against the fully-built spec; the rotation of a
 	// previous event stream must also precede SetupTelemetry opening it.
@@ -162,8 +172,7 @@ func run(args []string, out *os.File) int {
 	}
 
 	// Telemetry fabric: per-wave progress lines and the structured event
-	// stream hang off one Telemetry, wired by the helper shared with
-	// cmd/litmus.
+	// stream hang off one Telemetry.
 	tel, cleanup, err := campaign.SetupTelemetry("c11tester", tflags)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"c11tester/internal/campaign"
+	"c11tester/internal/obs"
 )
 
 // recordOneTrace runs a tiny recording campaign and returns one trace file.
@@ -22,7 +23,7 @@ func recordOneTrace(t *testing.T) string {
 	}
 	campaign.Run(campaign.Spec{
 		Tools: []campaign.ToolSpec{tool}, Benchmarks: bench,
-		Runs: 1, SeedBase: 9, RecordDir: dir, RecordAll: true,
+		Runs: 1, SeedBase: 9, RecordDir: dir, RecordOn: obs.Of(obs.TriggerAll),
 	})
 	files, err := filepath.Glob(filepath.Join(dir, "trace_*.json"))
 	if err != nil || len(files) == 0 {

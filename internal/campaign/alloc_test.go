@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -26,9 +28,9 @@ import (
 // worker slot's per-cell histogram accumulator fed by the runner's own
 // hists.observe, wall-clock timing on timed indices, engine exec stats with
 // handoff-wait and per-phase span measurement toggled per execution index by
-// the runner's own sampleTiming, plus an armed flight recorder fed a digest
-// per execution — so the observability fabric is itself held to the
-// zero-alloc bar the runner's hot path relies on, exactly as a -capture
+// the runner's own sampleTiming, plus an armed trace-sink recorder fed a
+// digest per execution — so the observability fabric is itself held to the
+// zero-alloc bar the runner's hot path relies on, exactly as a -record
 // campaign runs it. Every path is measured: a wall-time index, a span index
 // and an unsampled one. The subtest is named for the run's random source, the
 // PCG-DXSM generator of internal/rng.
@@ -64,7 +66,7 @@ func testZeroAllocSteadyState(t *testing.T) {
 			defer closeTool(tool)
 			met := &wt[0].hists[j.key().index(len(benches), len(lits))]
 			eng, _ := tool.(*core.Engine)
-			fr := obs.NewFlightRecorder(obs.FlightRecorderConfig{})
+			fr := obs.NewFlightRecorder(obs.FlightRecorderConfig{On: obs.Of(obs.TriggerSlowSteps)})
 			// run executes seed as execution index seed of the cell.
 			run := func(seed int64) {
 				if reset != nil {
@@ -83,8 +85,7 @@ func testZeroAllocSteadyState(t *testing.T) {
 					res = tool.Execute(prog, seed)
 				}
 				met.observe(int(seed), dur, eng)
-				d := obs.ExecDigest{Index: int(seed), NS: int64(dur),
-					NewRace: len(res.NewRaces) > 0}
+				d := obs.ExecDigest{Index: int(seed), NewRace: len(res.NewRaces) > 0}
 				if eng != nil {
 					st := eng.ExecStats()
 					d.Steps, d.Choices = st.Steps, st.Choices
@@ -122,11 +123,15 @@ func testZeroAllocSteadyState(t *testing.T) {
 // tool.Execute to the campaign runner's whole per-execution path: runOne,
 // with its signal stage (detection or litmus verdict), race dedup
 // (recordRaces), the execution's race keys (raceKeysOf), the worker slot's
-// cell histograms and the flight-recorder check. Validation and analyzers stay off;
+// cell histograms and the armed trace sink: the recorder strategy wrapper
+// logging every choice, the engine's action trace where the model keeps one,
+// and the record stage's trigger check. Validation and analyzers stay off;
 // they are duties with their own costs. One runner per tool × program cell
 // is warmed over several indices, so its fragment maps, the worker's
-// race-key intern table and the tool's pools are settled, and then a
-// wall-time, a span and an unsampled index must allocate nothing.
+// race-key intern table, the wrapper's log and the tool's pools are settled,
+// and then a wall-time, a span and an unsampled index must allocate nothing.
+// The measured indices repeat executions the recorder has seen, so none is
+// a slow_steps outlier: the sink records nothing while it is measured.
 func TestRunnerZeroAllocSteadyState(t *testing.T) {
 	benches, err := SelectBenchmarks("all")
 	if err != nil {
@@ -142,6 +147,8 @@ func TestRunnerZeroAllocSteadyState(t *testing.T) {
 			Benchmarks: benches,
 			Litmus:     lits,
 			Workers:    1,
+			RecordDir:  t.TempDir(),
+			RecordOn:   obs.Of(obs.TriggerSlowSteps),
 		}
 		wt := newWorkerTools(spec)
 		check := func(j job, program string) {
@@ -149,11 +156,15 @@ func TestRunnerZeroAllocSteadyState(t *testing.T) {
 			for i := 0; i <= 8; i++ {
 				r.runOne(i)
 			}
+			recorded := len(r.frag.Captures)
 			for _, i := range []int{0, timingSample / 2, 3} {
 				if n := testing.AllocsPerRun(10, func() { r.runOne(i) }); n != 0 {
 					t.Errorf("%s/%s index %d (wall=%v spans=%v): %.1f allocs/exec in runOne, want 0",
 						name, program, i, wallSampled(i), spansSampled(i), n)
 				}
+			}
+			if len(r.frag.Captures) != recorded {
+				t.Errorf("%s/%s: a measured execution was recorded", name, program)
 			}
 		}
 		for b, bench := range benches {
@@ -176,23 +187,31 @@ func TestRunnerZeroAllocSteadyState(t *testing.T) {
 // reports no race, a racy one (ms-queue, three race keys: the winning
 // reports are kept by value and described only at the edges), and the duty
 // shape — axiom validation plus every analyzer — on the cells where the
-// analyzers find something (atomic-counter, SB+rlx).
+// analyzers find something (atomic-counter, SB+rlx). The sink case runs the
+// plain cells with the trace sink armed on slow_steps: a unit that records
+// nothing must allocate nothing, and a unit that records a trace (seqlock's
+// unit holds one slow outlier) must record the same entries every time.
 func TestUnitStartZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		benches   []string
 		litmus    string
 		duties    bool
+		sink      bool
 		races     int // distinct race keys the first benchmark cell must report
 		findCells bool
 	}{
 		{name: "plain", benches: []string{"seqlock", "ms-queue"}, litmus: "SB+rlx"},
 		{name: "duties", benches: []string{"atomic-counter"}, litmus: "SB+rlx", duties: true},
+		{name: "sink", benches: []string{"seqlock", "ms-queue"}, litmus: "SB+rlx", sink: true},
 	} {
 		spec := Spec{
 			Tools:   []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
 			Litmus:  []*litmus.Test{mustLitmus(t, tc.litmus)},
 			Workers: 1,
+		}
+		if tc.sink {
+			spec.RecordDir, spec.RecordOn = t.TempDir(), obs.Of(obs.TriggerSlowSteps)
 		}
 		for _, b := range tc.benches {
 			spec.Benchmarks = append(spec.Benchmarks, benchSpec(t, b))
@@ -209,20 +228,28 @@ func TestUnitStartZeroAlloc(t *testing.T) {
 		for _, j := range jobs {
 			program := tc.name + "/" + spec.programOf(j.key())
 			var r *cellRunner
+			units := 0
 			unit := func() {
+				units++
 				r = wt.unit(spec, 0, j)
 				r.run(j.lo, j.hi, nil)
 				r.acc.add(&r.frag, j.hi)
 			}
 			unit()
 			first := r
-			if n := testing.AllocsPerRun(5, unit); n != 0 {
+			recorded := slices.Clone(r.frag.Captures)
+			if len(recorded) > 0 {
+				unit()
+				if !reflect.DeepEqual(r.frag.Captures, recorded) {
+					t.Errorf("%s: a later unit recorded %+v, the first %+v", program, r.frag.Captures, recorded)
+				}
+			} else if n := testing.AllocsPerRun(5, unit); n != 0 {
 				t.Errorf("%s: %.1f allocs per unit after the first, want 0", program, n)
 			}
 			if r != first {
 				t.Errorf("%s: the worker built a second runner for the cell", program)
 			}
-			if want := 7 * 25; r.acc.frag.Execs != want {
+			if want := units * 25; r.acc.frag.Execs != want {
 				t.Errorf("%s: accumulator holds %d executions, want %d", program, r.acc.frag.Execs, want)
 			}
 			if spec.programOf(j.key()) == "ms-queue" && len(r.acc.frag.Races) != 3 {

@@ -211,7 +211,6 @@ func TestCheckpointRoundTripsFindings(t *testing.T) {
 		GuideTraces: 2, GuidedExecs: 3, PrefixDepth: 14, PrefixConsumed: 15, Divergences: 1,
 		Checked: 6, Skipped: 1, Violations: 1,
 		VioSamples: []execFailure{{Run: 5, Err: "cycle"}},
-		Recorded:   2, RecordErrs: 1,
 		Findings: map[findingID]findingHit{
 			{analyzer: "atomicity", key: "block/b"}:    {desc: "d1", Run: 7, Count: 3},
 			{analyzer: "sc-robustness", key: "non-sc"}: {desc: "d2", Run: 2, Count: 1},

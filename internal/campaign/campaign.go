@@ -124,26 +124,16 @@ type Spec struct {
 	// fractions of the guiding schedule's choice count; zero means the
 	// trace.DefaultGuideMinFrac/MaxFrac skew-deep range.
 	GuideMinFrac, GuideMaxFrac float64
-	// RecordDir, when non-empty, persists a portable execution trace
-	// (internal/trace) for every execution that exhibited a detection
-	// signal, race, or forbidden outcome. RecordAll persists every
-	// execution instead.
+	// RecordDir, when non-empty, arms the trace sink: every execution a
+	// trigger of RecordOn owes a trace is recorded there as a portable trace
+	// (internal/trace) as it completes, and Run indexes the directory with a
+	// canonical manifest.json (obs.Manifest). RecordOn defaults to
+	// obs.TriggerHit, the executions bearing a detection signal, race or
+	// forbidden outcome; see obs.Trigger for the others. Each unit of work
+	// decides from its own executions' digests, in index order, so the
+	// directory is identical for any worker count.
 	RecordDir string
-	RecordAll bool
-	// CaptureDir arms the anomaly-triggered flight recorder: every unit of
-	// work watches its execution digests, and executions that trip a trigger
-	// (first-seen race key, infeasible model state, forbidden litmus outcome,
-	// schedule length above the unit's trailing p99) are re-run with a trace
-	// recorder attached and written here as portable traces, indexed by a
-	// canonical manifest.json. The capture set is a pure function of the seed
-	// indices, so workers=1 ≡ workers=K yields an identical capture
-	// directory.
-	CaptureDir string
-	// CaptureSlowNS additionally arms the wall-clock slow-execution trigger.
-	// Wall time is not a pure function of the seed, so this trigger breaks
-	// the capture set's worker-count independence; it is a diagnosis aid,
-	// off by default.
-	CaptureSlowNS bool
+	RecordOn  obs.Triggers
 	// ValidateAxioms checks every execution of a tool whose memory model
 	// exposes total modification orders (core.MOProvider) against the
 	// axiomatic model of Appendix A, counting violations in the summary;
@@ -202,6 +192,9 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Policy == nil {
 		s.Policy = explore.Uniform{}
+	}
+	if s.RecordDir != "" && s.RecordOn == 0 {
+		s.RecordOn = obs.Of(obs.TriggerHit)
 	}
 	return s
 }
@@ -362,17 +355,16 @@ type fragment struct {
 	PrefixDepth    int64 `json:"prefix_depth,omitempty"`    // summed intended depths
 	PrefixConsumed int64 `json:"prefix_consumed,omitempty"` // summed choices consumed before handoff
 	Divergences    int   `json:"divergences,omitempty"`     // executions whose prefix diverged
-	// trace/validation duties (Spec.RecordDir / Spec.ValidateAxioms):
+	// validation duty (Spec.ValidateAxioms):
 	Checked    int           `json:"checked,omitempty"`
 	Skipped    int           `json:"skipped,omitempty"`
 	Violations int           `json:"violations,omitempty"`
 	VioSamples []execFailure `json:"vio_samples,omitempty"` // earliest few by run
-	Recorded   int           `json:"recorded,omitempty"`
-	RecordErrs int           `json:"record_errs,omitempty"`
 	// analyzer findings (Spec.Analyzers), deduplicated per (analyzer, key)
 	// with min-run winners; nil when no analyzer stage is composed.
 	Findings map[findingID]findingHit `json:"findings,omitempty"`
-	// flight-recorder captures (Spec.CaptureDir), in execution-index order.
+	// the trace sink's manifest entries (Spec.RecordDir), in execution-index
+	// order.
 	Captures []obs.CaptureRecord `json:"captures,omitempty"`
 	// Hists are the cell's summary histograms. Unit fragments and runner
 	// accumulators leave them nil (a unit observes into its worker's per-cell
@@ -436,8 +428,6 @@ func (dst *fragment) merge(src *fragment) {
 	dst.Skipped += src.Skipped
 	dst.Violations += src.Violations
 	dst.VioSamples = mergeRuns(dst.VioSamples, src.VioSamples, execFailure.runOf, maxViolationSamples)
-	dst.Recorded += src.Recorded
-	dst.RecordErrs += src.RecordErrs
 	for id, hit := range src.Findings {
 		if dst.Findings == nil {
 			dst.Findings = map[findingID]findingHit{}
@@ -475,12 +465,17 @@ func (f execFailure) runOf() int { return f.Run }
 // entries, the smallest runs first. Runs never repeat across the two lists
 // (fragments cover disjoint executions), so the result does not depend on
 // which list is which. When b adds nothing — it is empty, or a is full and
-// b's runs all come later — a is returned untouched; otherwise the result is
-// a new list, so it never aliases b (a unit fragment's lists are reused by
-// its next unit).
+// b's runs all come later — a is returned untouched. When b's runs all come
+// later and fit, they are appended to a (a fragment's lists are its own, so
+// a cell folding its units in run order grows one list in amortized linear
+// time). Otherwise the result is a new list. It never aliases b: a unit
+// fragment's lists are reused by its next unit.
 func mergeRuns[T any](a, b []T, run func(T) int, limit int) []T {
 	if len(b) == 0 || (len(a) >= limit && run(b[0]) > run(a[len(a)-1])) {
 		return a
+	}
+	if len(a)+len(b) <= limit && (len(a) == 0 || run(b[0]) > run(a[len(a)-1])) {
+		return append(a, b...)
 	}
 	out := make([]T, 0, min(len(a)+len(b), limit))
 	for len(out) < limit && len(a)+len(b) > 0 {
@@ -498,9 +493,6 @@ func Run(spec Spec) *Summary {
 	spec = spec.withDefaults()
 	if spec.RecordDir != "" {
 		_ = os.MkdirAll(spec.RecordDir, 0o755)
-	}
-	if spec.CaptureDir != "" {
-		_ = os.MkdirAll(spec.CaptureDir, 0o755)
 	}
 	tel := spec.Telemetry
 	if tel == nil {
@@ -539,13 +531,18 @@ func Run(spec Spec) *Summary {
 			SpecDigest: SpecDigest(spec), ReproFlags: meta.reproFlags,
 			Cells: checkpointCells(spec, cells, nil)}
 	}
-	if spec.CaptureDir != "" {
-		// Write the canonical capture manifest (an empty one when nothing
-		// triggered — consumers rely on the file existing). The manifest is
-		// sorted by (tool, litmus, program, seed), so it is byte-identical
-		// for any worker count.
-		if err := captureManifest(cells).WriteFile(filepath.Join(spec.CaptureDir, obs.ManifestFileName)); err != nil {
-			fmt.Fprintf(os.Stderr, "campaign: write capture manifest: %v\n", err)
+	if spec.RecordDir != "" {
+		// Write the canonical manifest (an empty one when nothing triggered —
+		// consumers rely on the file existing). It is sorted by (tool,
+		// litmus, program, seed), so it is byte-identical for any worker
+		// count.
+		m := obs.NewManifest()
+		m.Captures = []obs.CaptureRecord{}
+		for i := range cells {
+			m.Captures = append(m.Captures, cells[i].frag.Captures...)
+		}
+		if err := m.WriteFile(filepath.Join(spec.RecordDir, obs.ManifestFileName)); err != nil {
+			fmt.Fprintf(os.Stderr, "campaign: write record manifest: %v\n", err)
 		}
 	}
 	// campaignEnd closes the event stream (flushing everything buffered), so
@@ -824,13 +821,13 @@ type execCtx struct {
 	res     *capi.Result
 	i       int    // global execution index (seed = SeedBase+i)
 	outcome string // rendered litmus outcome ("" for benchmarks)
-	// hit marks executions owed a recorded trace: a detection signal, a
-	// race, or a forbidden outcome (the signal stage computes it).
+	// hit marks a signal-bearing execution: a detection signal, a race, or
+	// a forbidden outcome (the signal stage computes it; obs.TriggerHit).
 	hit bool
 	// abort marks the execution's model state untrustworthy (an infeasible
-	// modification-order lifting): later stages that would lift it again
-	// are skipped.
-	abort bool
+	// modification-order lifting) and holds why: later stages that would
+	// lift it again are skipped.
+	abort error
 	// lifted marks the runner's workspace as holding this execution.
 	lifted bool
 	obs    explore.Obs
@@ -866,12 +863,11 @@ type cellRunner struct {
 	// through.
 	x execCtx
 
-	// met is the worker's histogram accumulator for this cell (nil only for
-	// a runner built without a worker slot: captureTrace's re-runs).
+	// met is the worker's histogram accumulator for this cell.
 	met *hists
 
-	// fr is the unit's flight recorder (Spec.CaptureDir); nil when capture
-	// is unarmed.
+	// fr is the trace sink's trigger decision for the current unit
+	// (Spec.RecordOn); nil when the sink is unarmed.
 	fr *obs.FlightRecorder
 
 	// Engine plumbing (trace duties, guided exploration). slot is the
@@ -900,11 +896,11 @@ type cellRunner struct {
 	out   string        // litmus outcome cell
 }
 
-// newCellRunner builds the runner for job j's cell and arms it for j on
-// tool. slot is the worker state runOne's stages use; it may be nil for a
-// runner that never runs an execution through runOne (captureTrace).
+// newCellRunner builds the runner for job j's cell on worker slot and arms
+// it for j on tool.
 func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunner {
-	r := &cellRunner{spec: spec, slot: slot, frag: fragment{Races: map[string]raceHit{}}}
+	r := &cellRunner{spec: spec, slot: slot, frag: fragment{Races: map[string]raceHit{}},
+		met: &slot.hists[j.key().index(len(spec.Benchmarks), len(spec.Litmus))]}
 	switch j.kind {
 	case jobBench:
 		r.bench = spec.Benchmarks[j.cell]
@@ -923,14 +919,6 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 	r.eng, _ = tool.(*core.Engine)
 	if r.eng != nil {
 		r.mo, _ = r.eng.Model().(core.MOProvider)
-	}
-	if slot != nil {
-		// runOne switches handoff-wait timing and phase spans per execution
-		// index (sampleTiming); without an accumulator both stay off.
-		r.met = &slot.hists[j.key().index(len(spec.Benchmarks), len(spec.Litmus))]
-	}
-	if spec.CaptureDir != "" {
-		r.fr = obs.NewFlightRecorder(obs.FlightRecorderConfig{SlowNS: spec.CaptureSlowNS})
 	}
 	// Guided exploration: wrap the tool's live strategy in a PrefixGuide
 	// when the guide set has traces for this cell; arm installs it.
@@ -972,9 +960,9 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 		r.analyzers = append(r.analyzers, a)
 	}
 	// Trace duties: engines whose model exposes total modification orders
-	// run in trace mode for validation and event recording, and any
+	// run in trace mode for validation and trace recording, and any
 	// analyzer that reads the action trace turns tracing on too; the
-	// recorder strategy wrapper captures the (effective, guided included)
+	// recorder strategy wrapper logs the (effective, guided included)
 	// schedule of every execution.
 	r.needTrace = r.mo != nil && (spec.ValidateAxioms || spec.RecordDir != "")
 	for _, a := range r.analyzers {
@@ -983,8 +971,8 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 		}
 	}
 	// Compose the pipeline. The stage set and order are fixed per cell:
-	// signal first (it computes hit, the trace-owed flag), then validation
-	// (it decides abort), then analyzers, then recording. With the default
+	// signal first (it computes hit), then validation (it decides abort),
+	// then analyzers, then the trace sink. With the default
 	// spec — no analyzers, no duties — the pipeline is just the signal
 	// stage, and the composed path mutates the fragment in exactly the
 	// order the pre-pipeline runner did, which is what keeps default
@@ -1006,6 +994,7 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 		} else {
 			r.rec = trace.NewRecorder(r.eng.Strategy())
 		}
+		r.fr = obs.NewFlightRecorder(obs.FlightRecorderConfig{On: spec.withDefaults().RecordOn})
 		r.stages = append(r.stages, (*cellRunner).stageRecord)
 	}
 	r.arm(j, tool)
@@ -1015,7 +1004,7 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 // arm points the runner at unit j on tool — the worker's instance of the
 // cell's tool, just built or rearmed to its constructed state — and empties
 // the unit's state in place: the fragment (its maps keep their buckets, its
-// lists their arrays), the execution context and the flight recorder. On an
+// lists their arrays), the execution context and the sink's recorder. On an
 // engine it re-installs the cell's trace switch and strategy wrappers, which
 // construction and Rearm leave off. A unit on an armed runner therefore
 // observes exactly what it would on a newly built one.
@@ -1051,7 +1040,7 @@ func (r *cellRunner) programName() string {
 // closeTool releases a tool instance: engines retire their fiber-pool
 // workers (core.Engine.Close), so long-lived processes do not accumulate
 // parked workers. Campaigns close their warm tools when the workers exit at
-// the end of Run; flight-recorder captures close theirs after each cell.
+// the end of Run.
 func closeTool(t capi.Tool) {
 	if c, ok := t.(interface{ Close() }); ok {
 		c.Close()
@@ -1224,12 +1213,11 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 	// The per-execution instrumentation below — the timing toggle, the
 	// clock reads and hists.observe — allocates nothing; the zero-alloc test
 	// pins this exact path, on both sampled indices and an unsampled one. The
-	// clock is read only on a wall-time index, or for the flight recorder's
-	// opt-in wall-clock trigger.
-	if r.met != nil && r.eng != nil {
+	// clock is read only on a wall-time index.
+	if r.eng != nil {
 		sampleTiming(r.eng, i)
 	}
-	clock := (r.met != nil && wallSampled(i)) || r.spec.CaptureSlowNS
+	clock := wallSampled(i)
 	var execStart time.Time
 	if clock {
 		execStart = time.Now()
@@ -1246,13 +1234,16 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 		// execution is excluded from execs (the Detection.Runs denominator);
 		// failures are accounted separately.
 		r.recordFailure(i, res.EngineError.Error())
-		r.flightFail(i)
+		if r.fr != nil {
+			d := obs.ExecDigest{Index: i, Infeasible: true}
+			if trig := r.fr.Check(d); trig != obs.TriggerNone {
+				r.frag.Captures = append(r.frag.Captures, r.entry(trig, d))
+			}
+		}
 		return explore.Obs{}
 	}
 	r.frag.Execs++
-	if r.met != nil {
-		r.met.observe(i, execDur, r.eng)
-	}
+	r.met.observe(i, execDur, r.eng)
 	if r.pg != nil {
 		depth, consumed, diverged := r.pg.Handoff()
 		r.frag.GuidedExecs++
@@ -1263,15 +1254,13 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 		}
 	}
 
-	// Run the composed pipeline over the reused execution context, then the
-	// unconditional tail: the detection metric and the flight-recorder
-	// check fire whether or not a stage aborted.
+	// Run the composed pipeline over the reused execution context. Every
+	// stage runs whether or not an earlier one aborted.
 	r.x = execCtx{res: res, i: i}
 	r.x.obs.RaceKeys = raceKeysOf(&r.slot.keys, res)
 	for _, st := range r.stages {
 		st(r)
 	}
-	r.flightCheck(i, execDur, len(res.NewRaces) > 0, r.x.obs)
 	return r.x.obs
 }
 
@@ -1341,12 +1330,7 @@ func (r *cellRunner) stageValidate() {
 	r.observePhase(core.PhaseValidate, vt0)
 	if ie != nil {
 		r.recordFailure(i, ie.Error())
-		r.x.abort = true
-		// The record stage would hit the same infeasible lifting; if this
-		// execution's trace was owed, count it as dropped.
-		if r.rec != nil && (r.x.hit || r.spec.RecordAll) {
-			r.frag.RecordErrs++
-		}
+		r.x.abort = ie
 		return
 	}
 	r.x.lifted = true
@@ -1365,7 +1349,7 @@ func (r *cellRunner) stageValidate() {
 // included, is individually recovered: an infeasible lifting or state inside
 // one analyzer records a failure and moves on to the next.
 func (r *cellRunner) stageAnalyze() {
-	if r.x.abort {
+	if r.x.abort != nil {
 		return
 	}
 	r.ax = analysis.Exec{
@@ -1413,18 +1397,35 @@ func (r *cellRunner) addFinding(a analysis.Analyzer, f analysis.Finding) {
 	r.frag.Findings[id] = hit
 }
 
-// stageRecord persists the execution's portable trace when one is owed (a
-// signal-bearing execution, or every execution under RecordAll).
+// stageRecord is the trace sink. It feeds every completed execution's
+// digest to the unit's recorder, which decides whether one of the spec's
+// triggers owes it a trace, and records each owed trace with its manifest
+// entry.
 func (r *cellRunner) stageRecord() {
-	if r.x.abort || !(r.x.hit || r.spec.RecordAll) {
+	st := r.eng.ExecStats()
+	d := obs.ExecDigest{Index: r.x.i, Steps: st.Steps, Choices: st.Choices,
+		NewRace: len(r.x.res.NewRaces) > 0, Forbidden: r.test != nil && r.x.obs.Detected, Hit: r.x.hit}
+	trig := r.fr.Check(d)
+	if trig == obs.TriggerNone {
 		return
 	}
-	spec := r.spec
-	i := r.x.i
-	seed := spec.SeedBase + int64(i)
+	c := r.entry(trig, d)
+	c.File, c.Err = r.writeTrace(c)
+	r.frag.Captures = append(r.frag.Captures, c)
+}
+
+// writeTrace records the current execution's portable trace into the record
+// directory and returns its file name, or why it wrote none: the validation
+// stage aborted the execution, its lifting hit an infeasible model state, or
+// the write failed. Each reason is counted and surfaced in the summary: a
+// campaign asked to persist traces must not drop them silently.
+func (r *cellRunner) writeTrace(c obs.CaptureRecord) (file, reason string) {
+	if r.x.abort != nil {
+		return "", r.x.abort.Error()
+	}
 	meta := trace.Meta{
-		Tool: spec.Tools[r.j.tool].TraceConfig, Program: r.programName(),
-		Litmus: r.test != nil, Seed: seed, Outcome: r.x.outcome,
+		Tool: r.spec.Tools[r.j.tool].TraceConfig, Program: c.Program,
+		Litmus: c.Litmus, Seed: c.Seed, Outcome: r.x.outcome,
 	}
 	var tr *trace.Trace
 	var err error
@@ -1436,23 +1437,39 @@ func (r *cellRunner) stageRecord() {
 	})
 	if ie != nil {
 		r.observePhase(core.PhaseRecord, rt0)
-		r.recordFailure(i, ie.Error())
-		r.frag.RecordErrs++
-		r.x.abort = true
-		return
+		r.recordFailure(r.x.i, ie.Error())
+		r.x.abort = ie
+		return "", ie.Error()
 	}
+	file = trace.FileName(c.Tool, c.Program, c.Seed)
 	if err == nil {
-		path := filepath.Join(spec.RecordDir, trace.FileName(r.tool.Name(), r.programName(), seed))
-		err = tr.WriteFile(path)
+		err = tr.WriteFile(filepath.Join(r.spec.RecordDir, file))
 	}
 	r.observePhase(core.PhaseRecord, rt0)
-	if err == nil {
-		r.frag.Recorded++
-	} else {
-		// Counted and surfaced in the summary: a campaign asked to
-		// persist traces must not drop them silently.
-		r.frag.RecordErrs++
+	if err != nil {
+		return "", err.Error()
 	}
+	return file, ""
+}
+
+// entry builds the manifest entry of execution d.Index for trigger trig; an
+// aborted execution's entry carries its identity and repro line only.
+func (r *cellRunner) entry(trig obs.Trigger, d obs.ExecDigest) obs.CaptureRecord {
+	toolSpec := r.spec.Tools[r.j.tool]
+	seed := r.spec.SeedBase + int64(d.Index)
+	c := obs.CaptureRecord{
+		Tool: toolSpec.Name, Program: r.programName(), Litmus: r.test != nil,
+		Seed: seed, Index: d.Index, Trigger: trig.String(),
+		Steps: d.Steps, Choices: d.Choices,
+		Repro: harness.Repro{Tool: toolSpec.Name, Program: r.programName(),
+			Seed: seed, Litmus: r.test != nil, Flags: toolSpec.ReproFlags}.Command(),
+	}
+	if !d.Infeasible {
+		c.RaceKeys = slices.Clone(r.x.obs.RaceKeys)
+		slices.Sort(c.RaceKeys)
+		c.Outcome = r.x.obs.Outcome
+	}
+	return c
 }
 
 // timingSample is the campaign's timing sample interval. Two disjoint
@@ -1507,8 +1524,8 @@ func (r *cellRunner) observePhase(p core.Phase, t0 time.Time) {
 
 // raceKeysOf returns the deduplicated race keys of one execution, in
 // first-occurrence order. The slice aliases keys' reused buffer and is valid
-// until the next call: the tracker keeps only the strings, and capture
-// copies the slice.
+// until the next call: the tracker keeps only the strings, and the record
+// stage's manifest entry copies the slice.
 func raceKeysOf(keys *keyIntern, res *capi.Result) []string {
 	if len(res.Races) == 0 {
 		return nil
@@ -1551,11 +1568,8 @@ func (s Spec) Validate() error {
 	if len(s.Tools) == 0 {
 		return fmt.Errorf("campaign: no tools selected")
 	}
-	if s.RecordAll && s.RecordDir == "" {
-		return fmt.Errorf("campaign: RecordAll requires RecordDir")
-	}
-	if s.CaptureSlowNS && s.CaptureDir == "" {
-		return fmt.Errorf("campaign: CaptureSlowNS requires CaptureDir")
+	if s.RecordOn != 0 && s.RecordDir == "" {
+		return fmt.Errorf("campaign: RecordOn requires RecordDir")
 	}
 	if len(s.Benchmarks) == 0 && len(s.Litmus) == 0 {
 		return fmt.Errorf("campaign: no benchmarks or litmus tests selected")

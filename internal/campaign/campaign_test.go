@@ -296,7 +296,7 @@ func TestRecordedCampaignReplaysDeterministically(t *testing.T) {
 		SeedBase:  300,
 		Workers:   4,
 		ShardSize: 3,
-		RecordDir: dir, RecordAll: true,
+		RecordDir: dir, RecordOn: obs.Of(obs.TriggerAll),
 		ValidateAxioms: true,
 	}
 	sum := Run(spec)

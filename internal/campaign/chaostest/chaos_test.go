@@ -3,7 +3,7 @@
 // randomized-but-seeded points mid-campaign, resumes them from their
 // checkpoints until one run finishes, and asserts the survivor is
 // indistinguishable from an uninterrupted campaign — byte-identical canonical
-// summary, zero lost races, and readable (never torn) event and capture
+// summary, zero lost races, and readable (never torn) event and record
 // artifacts.
 package chaostest
 
@@ -83,7 +83,8 @@ func TestKillResumeByteIdentical(t *testing.T) {
 
 	runArgs := func(jsonPath, events, capDir string, extra ...string) []string {
 		args := append([]string{}, campaignArgs...)
-		args = append(args, "-json", jsonPath, "-events", events, "-capture", capDir)
+		args = append(args, "-json", jsonPath, "-events", events,
+			"-record", capDir, "-record-on", "new_race,forbidden,infeasible,slow_steps")
 		return append(args, extra...)
 	}
 
@@ -178,7 +179,7 @@ func TestKillResumeByteIdentical(t *testing.T) {
 		}
 	}
 
-	// The capture manifest must be complete and intact (atomic write), and
+	// The record manifest must be complete and intact (atomic write), and
 	// every referenced trace file must exist — the crash-era attempts must
 	// not have left dangling references.
 	baseMan, err := obs.ReadManifest(filepath.Join(baseCap, obs.ManifestFileName))
@@ -187,17 +188,17 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	}
 	chaosMan, err := obs.ReadManifest(filepath.Join(chaosCap, obs.ManifestFileName))
 	if err != nil {
-		t.Fatalf("chaos capture manifest unreadable: %v", err)
+		t.Fatalf("chaos record manifest unreadable: %v", err)
 	}
 	if len(chaosMan.Captures) != len(baseMan.Captures) {
-		t.Errorf("chaos run captured %d trace(s), baseline %d", len(chaosMan.Captures), len(baseMan.Captures))
+		t.Errorf("chaos run recorded %d execution(s), baseline %d", len(chaosMan.Captures), len(baseMan.Captures))
 	}
 	for _, c := range chaosMan.Captures {
 		if c.File == "" {
 			continue
 		}
 		if _, err := os.Stat(filepath.Join(chaosCap, c.File)); err != nil {
-			t.Errorf("manifest references missing capture file %s: %v", c.File, err)
+			t.Errorf("manifest references missing trace file %s: %v", c.File, err)
 		}
 	}
 

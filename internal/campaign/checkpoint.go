@@ -72,7 +72,7 @@ type ShardInfo struct {
 // SpecDigest fingerprints every outcome-affecting campaign parameter: the
 // tool set (name, repro flags, baseline flavour, trace identity), the program
 // matrix, Runs/SeedBase/ShardSize, the budget policy, the guide configuration,
-// and the validation/record/capture duties. Two specs with equal digests run
+// and the validation/record duties. Two specs with equal digests run
 // identical execution sets with identical duties; Workers and artifact paths
 // deliberately do not participate (they change where and how fast, never
 // what).
@@ -85,22 +85,19 @@ func SpecDigest(spec Spec) string {
 		Trace      trace.ToolConfig `json:"trace"`
 	}
 	d := struct {
-		Tools         []digestTool `json:"tools"`
-		Benchmarks    []string     `json:"benchmarks"`
-		Litmus        []string     `json:"litmus"`
-		Runs          int          `json:"runs"`
-		SeedBase      int64        `json:"seed_base"`
-		ShardSize     int          `json:"shard_size"`
-		Policy        string       `json:"policy"`
-		GuideDir      string       `json:"guide_dir,omitempty"`
-		GuideTraces   int          `json:"guide_traces,omitempty"`
-		GuideMinFrac  float64      `json:"guide_min_frac,omitempty"`
-		GuideMaxFrac  float64      `json:"guide_max_frac,omitempty"`
-		Validate      bool         `json:"validate,omitempty"`
-		Record        bool         `json:"record,omitempty"`
-		RecordAll     bool         `json:"record_all,omitempty"`
-		Capture       bool         `json:"capture,omitempty"`
-		CaptureSlowNS bool         `json:"capture_slow_ns,omitempty"`
+		Tools        []digestTool `json:"tools"`
+		Benchmarks   []string     `json:"benchmarks"`
+		Litmus       []string     `json:"litmus"`
+		Runs         int          `json:"runs"`
+		SeedBase     int64        `json:"seed_base"`
+		ShardSize    int          `json:"shard_size"`
+		Policy       string       `json:"policy"`
+		GuideDir     string       `json:"guide_dir,omitempty"`
+		GuideTraces  int          `json:"guide_traces,omitempty"`
+		GuideMinFrac float64      `json:"guide_min_frac,omitempty"`
+		GuideMaxFrac float64      `json:"guide_max_frac,omitempty"`
+		Validate     bool         `json:"validate,omitempty"`
+		RecordOn     string       `json:"record_on,omitempty"`
 		// Analyzers change what a campaign observes and reports, so they are
 		// digest material; omitempty keeps pre-analyzer digests unchanged.
 		Analyzers []string `json:"analyzers,omitempty"`
@@ -109,8 +106,7 @@ func SpecDigest(spec Spec) string {
 		Runs: spec.Runs, SeedBase: spec.SeedBase, ShardSize: spec.ShardSize,
 		Policy:   spec.Policy.Name(),
 		Validate: spec.ValidateAxioms,
-		Record:   spec.RecordDir != "", RecordAll: spec.RecordAll,
-		Capture: spec.CaptureDir != "", CaptureSlowNS: spec.CaptureSlowNS,
+		RecordOn: spec.RecordOn.String(),
 	}
 	for _, t := range spec.Tools {
 		d.Tools = append(d.Tools, digestTool{Name: t.Name, ReproFlags: t.ReproFlags,
@@ -146,10 +142,13 @@ func SpecDigest(spec Spec) string {
 // findings are objects keyed by race key and "analyzer/key", op counts sit
 // under "ops", and the per-unit allocation counters are gone. Version 4 adds
 // each cell's histograms to its fragment ("hists"), so a resumed run's
-// summary histograms cover every execution of the campaign.
+// summary histograms cover every execution of the campaign. Version 5 echoes
+// the trace sink's trigger set ("record_on") and drops the fragment's
+// recorded/record-error counts: they are counted from its manifest entries
+// ("captures").
 const (
 	CheckpointSchemaName    = "c11tester/checkpoint"
-	CheckpointSchemaVersion = 4
+	CheckpointSchemaVersion = 5
 )
 
 // Checkpoint is the wave-barrier state of a campaign: everything a resumed
@@ -169,8 +168,8 @@ type Checkpoint struct {
 	// anything).
 	Wave     int  `json:"wave"`
 	Complete bool `json:"complete,omitempty"`
-	// Event/capture cursors: accounting of the append-only artifacts at the
-	// barrier, for introspection and post-crash audit.
+	// Event and record-manifest cursors: accounting of the append-only
+	// artifacts at the barrier, for introspection and post-crash audit.
 	EventsEmitted uint64 `json:"events_emitted,omitempty"`
 	EventsDropped uint64 `json:"events_dropped,omitempty"`
 	Captures      int    `json:"captures,omitempty"`

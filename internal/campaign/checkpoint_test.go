@@ -101,7 +101,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 		Runs:       4,
 		SeedBase:   1,
 		RecordDir:  guideDir,
-		RecordAll:  true,
+		RecordOn:   obs.Of(obs.TriggerAll),
 	})
 	guides, err := LoadGuides(guideDir)
 	if err != nil {
@@ -287,11 +287,13 @@ func TestFragmentMergeOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestMergeRunsKeepsAndCopies pins mergeRuns' two list rules, which folding
+// TestMergeRunsKeepsAndCopies pins mergeRuns' list rules, which folding
 // unit fragments into a runner's accumulator relies on. A merge that adds
 // nothing returns dst's list untouched: src is empty, or dst is full and
-// src's runs all come later. A merge that adds something builds a new list,
-// so it never aliases src, whose array the unit's next reset reuses.
+// src's runs all come later. A merge that adds something never aliases src,
+// whose array the unit's next reset reuses, and never rewrites dst's
+// entries: later runs that fit are appended to dst's list, anything else
+// builds a new list.
 func TestMergeRunsKeepsAndCopies(t *testing.T) {
 	run := execFailure.runOf
 	samples := func(runs ...int) []execFailure {
@@ -323,6 +325,12 @@ func TestMergeRunsKeepsAndCopies(t *testing.T) {
 	if got := mergeRuns(full, samples(0), run, maxViolationSamples); same(got, full) ||
 		!reflect.DeepEqual(got, samples(0, 1, 2, 3, 4)) || full[0].Run != 1 {
 		t.Errorf("merging an earlier run into a full list = %v (dst now %v), want a new list", got, full)
+	}
+	short := append(make([]execFailure, 0, maxViolationSamples), samples(1, 4)...)
+	later := samples(6, 7)
+	if got := mergeRuns(short, later, run, maxViolationSamples); !same(got, short) ||
+		!reflect.DeepEqual(got, samples(1, 4, 6, 7)) || same(got[2:], later) {
+		t.Errorf("merging later runs that fit = %v, want them appended to dst's list", got)
 	}
 }
 

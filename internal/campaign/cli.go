@@ -1,7 +1,6 @@
-// cli.go holds the telemetry wiring shared by the campaign CLIs
-// (cmd/c11tester and cmd/litmus): the flag set, the event-stream file, the
-// stderr progress and event echo, and the cleanup sequencing. Both commands
-// route through SetupTelemetry so their telemetry cannot drift apart.
+// cli.go holds the telemetry and crash-safety wiring of the campaign CLI
+// (cmd/c11tester): the flag sets, the event-stream file, the stderr progress
+// and event echo, and the cleanup sequencing.
 package campaign
 
 import (
@@ -14,30 +13,24 @@ import (
 	"c11tester/internal/safeio"
 )
 
-// TelemetryFlags are the shared telemetry CLI options. Register binds them to
-// a FlagSet; Quiet is owned by the caller (the commands differ on what -q
-// silences beyond progress lines).
+// TelemetryFlags are the telemetry CLI options. Register binds them to a
+// FlagSet; Quiet is owned by the caller (-q also silences its report).
 type TelemetryFlags struct {
 	EventsPath string
-	CaptureDir string
-	SlowNS     bool
 	Verbose    bool
 	Quiet      bool
 }
 
-// Register binds the shared telemetry flags onto fs.
+// Register binds the telemetry flags onto fs.
 func (f *TelemetryFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.EventsPath, "events", "", "append the structured JSONL event stream to this file ('' disables)")
-	fs.StringVar(&f.CaptureDir, "capture", "", "arm the flight recorder: write full traces of anomalous executions (slow outliers, first-seen races, forbidden outcomes, engine failures) plus a manifest.json to this directory ('' disables)")
-	fs.BoolVar(&f.SlowNS, "capture-slow-ns", false, "with -capture, also trigger on wall-clock latency outliers (non-deterministic across machines; the default slow trigger uses schedule steps)")
 	fs.BoolVar(&f.Verbose, "v", false, "echo every structured event to stderr as it is emitted")
 }
 
-// SetupTelemetry builds the telemetry fabric the shared flags describe: the
+// SetupTelemetry builds the telemetry fabric the flags describe: the
 // Telemetry for Spec.Telemetry and an events file if requested. The returned
 // cleanup closes the events file; call it after Run returns (Run itself
-// flushes and closes the event stream). name prefixes the diagnostics,
-// matching each command's error style.
+// flushes and closes the event stream). name prefixes the diagnostics.
 func SetupTelemetry(name string, f TelemetryFlags) (*Telemetry, func(), error) {
 	topts := TelemetryOptions{Timestamps: true}
 	if !f.Quiet {
@@ -58,7 +51,7 @@ func SetupTelemetry(name string, f TelemetryFlags) (*Telemetry, func(), error) {
 	return NewTelemetry(topts), cleanup, nil
 }
 
-// CrashFlags are the shared crash-safety CLI options: shard selection,
+// CrashFlags are the crash-safety CLI options: shard selection,
 // checkpointing, and resume. Register binds them to a FlagSet; Apply copies
 // them onto a Spec after the matrix flags are resolved.
 type CrashFlags struct {
@@ -115,22 +108,5 @@ func (f CrashFlags) Apply(spec *Spec, eventsPath string, warn io.Writer) error {
 			fmt.Fprintf(warn, "-resume: rotated previous event stream to %s\n", rotated)
 		}
 	}
-	return nil
-}
-
-// ApplyCaptureFlags copies the flight-recorder flags onto the spec, creating
-// the capture directory.
-func (f TelemetryFlags) ApplyCaptureFlags(spec *Spec) error {
-	if f.CaptureDir == "" {
-		if f.SlowNS {
-			return fmt.Errorf("-capture-slow-ns requires -capture")
-		}
-		return nil
-	}
-	if err := os.MkdirAll(f.CaptureDir, 0o755); err != nil {
-		return fmt.Errorf("-capture: %v", err)
-	}
-	spec.CaptureDir = f.CaptureDir
-	spec.CaptureSlowNS = f.SlowNS
 	return nil
 }

@@ -1,5 +1,5 @@
 // merge.go folds the partial artifacts of a sharded campaign — summaries,
-// capture manifests, event streams — back into the single-machine artifact.
+// record manifests, event streams — back into the single-machine artifact.
 // Shards partition the execution set (each seed runs in exactly one shard),
 // and every partial carries its per-cell fragment state (ShardInfo.Cells).
 // MergeSummaries folds those cells with fragment.merge and renders them with
@@ -118,8 +118,8 @@ func MergeSummaries(parts []*Summary, force bool) (*Summary, error) {
 	return m, nil
 }
 
-// MergeManifests folds the shards' capture manifests into one, re-sorted
-// canonically. Shards capture disjoint seed sets, so concatenation is exact.
+// MergeManifests folds the shards' record manifests into one, re-sorted
+// canonically. Shards record disjoint seed sets, so concatenation is exact.
 func MergeManifests(parts []*obs.Manifest) *obs.Manifest {
 	m := obs.NewManifest()
 	m.Captures = []obs.CaptureRecord{}
@@ -184,7 +184,7 @@ const (
 
 // ShardManifest describes one shard's slice of a campaign: which shard, cut
 // by which spec (digest + echo), built where, covering which seed ranges,
-// with the partial's event/capture accounting. It makes a directory of
+// with the partial's event accounting. It makes a directory of
 // partials auditable before merging.
 type ShardManifest struct {
 	Schema        string      `json:"schema"`
@@ -195,12 +195,11 @@ type ShardManifest struct {
 	// SeedRanges are the [lo, hi) seed sub-ranges this shard ran in every
 	// cell (the round-robin deal of the cell's chunk sequence).
 	SeedRanges [][2]int64 `json:"seed_ranges"`
-	// Execs counts completed executions; events/captures mirror the
+	// Execs counts completed executions; the event counts mirror the
 	// summary's accounting.
 	Execs         int    `json:"execs"`
 	EventsEmitted uint64 `json:"events_emitted,omitempty"`
 	EventsDropped uint64 `json:"events_dropped,omitempty"`
-	Captures      int    `json:"captures,omitempty"`
 }
 
 // BuildShardManifest renders the manifest of one partial summary.
@@ -222,7 +221,6 @@ func BuildShardManifest(spec Spec, sum *Summary) *ShardManifest {
 	}
 	for _, ts := range sum.Tools {
 		m.Execs += ts.Execs
-		m.Captures += ts.Captures
 	}
 	if sum.Obs != nil {
 		m.EventsEmitted = sum.Obs.EventsEmitted

@@ -1,9 +1,9 @@
 // report.go is the offline forensics renderer behind cmd/c11report: it joins
 // the three artifacts a campaign leaves behind — the versioned summary
 // (BENCH_campaign.json), the structured event stream (events.jsonl), and the
-// flight-recorder capture manifest — into one human-readable report. Every
+// record directory's manifest — into one human-readable report. Every
 // section degrades gracefully when its source artifact is absent, so the
-// report is useful on partial evidence (a summary alone, or just a capture
+// report is useful on partial evidence (a summary alone, or just a record
 // directory).
 package campaign
 
@@ -12,11 +12,13 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
 	"c11tester/internal/core"
 	"c11tester/internal/harness"
+	"c11tester/internal/litmus"
 	"c11tester/internal/obs"
 	"c11tester/internal/safeio"
 )
@@ -44,9 +46,10 @@ func ReadEvents(path string) (events []Event, bad int, err error) {
 type ReportOptions struct {
 	// TopSlow bounds the slow-cell table (default 5).
 	TopSlow int
-	// CaptureDir prefixes trace file names in capture repro lines, so the
-	// printed `c11trace replay` command works from the caller's directory.
-	CaptureDir string
+	// RecordDir prefixes trace file names in the record index's repro
+	// lines, so the printed `c11trace replay` command works from the
+	// caller's directory.
+	RecordDir string
 }
 
 // slowCell is one row of the slow-cell table: a cell's execution count and
@@ -79,10 +82,49 @@ func WriteReport(w io.Writer, sum *Summary, events []Event, man *obs.Manifest, o
 	fmt.Fprintf(w, "wall clock: %s\n", harness.FmtDuration(time.Duration(sum.WallNS)))
 
 	writeSlowCells(w, sum, opts.TopSlow)
+	writeOutcomes(w, sum)
 	writeFindings(w, sum)
 	writeRaceTimeline(w, events)
 	writeConvergence(w, events)
-	writeCaptureIndex(w, man, opts.CaptureDir)
+	writeRecordIndex(w, man, opts.RecordDir)
+}
+
+// writeOutcomes renders each litmus cell's outcome histogram, one line per
+// (test, tool), with each outcome tagged by what the test says of it:
+// !FORBIDDEN (forbidden for this tool: a soundness bug), ~fragment-gap
+// (forbidden only for the commit-order baselines, so under the full fragment
+// it is the allowed witness of the gap, Section 1.1), or ~weak (allowed, not
+// SC).
+func writeOutcomes(w io.Writer, sum *Summary) {
+	if len(sum.Spec.Litmus) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "\nlitmus outcome histograms:\n")
+	for l, name := range sum.Spec.Litmus {
+		test, _ := litmus.ByName(name)
+		if test != nil {
+			fmt.Fprintf(w, "  %s — %s\n", name, test.Doc)
+		} else {
+			fmt.Fprintf(w, "  %s\n", name)
+		}
+		for _, ts := range sum.Tools {
+			cell := ts.Litmus[l]
+			fmt.Fprintf(w, "    %-10s", ts.Tool)
+			for _, outcome := range harness.SortedKeys(cell.Outcomes) {
+				tag := ""
+				switch {
+				case slices.ContainsFunc(cell.ForbiddenSeen, func(f ForbiddenOutcome) bool { return f.Outcome == outcome }):
+					tag = "!FORBIDDEN"
+				case test != nil && test.BaselineForbidden[outcome]:
+					tag = "~fragment-gap"
+				case slices.Contains(cell.WeakSeen, outcome):
+					tag = "~weak"
+				}
+				fmt.Fprintf(w, "  %q×%d%s", outcome, cell.Outcomes[outcome], tag)
+			}
+			fmt.Fprintf(w, "  (weak %d/%d)\n", len(cell.WeakSeen), cell.WeakDefined)
+		}
+	}
 }
 
 // writeFindings renders the analyzer pipeline's results (schema v7): the
@@ -264,14 +306,15 @@ func writeConvergence(w io.Writer, events []Event) {
 	}
 }
 
-// writeCaptureIndex renders the flight-recorder manifest with one-command
-// repro lines: the captured trace replays under c11trace, and trace-less
-// captures (engine failures) fall back to the tool repro triple.
-func writeCaptureIndex(w io.Writer, man *obs.Manifest, dir string) {
+// writeRecordIndex renders the record manifest with one-command repro
+// lines: a recorded trace replays under c11trace, and trace-less entries
+// (engine failures, traces that could not be written) fall back to the tool
+// repro triple.
+func writeRecordIndex(w io.Writer, man *obs.Manifest, dir string) {
 	if man == nil || len(man.Captures) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "\ncapture index (%d capture(s)):\n", len(man.Captures))
+	fmt.Fprintf(w, "\nrecord index (%d execution(s)):\n", len(man.Captures))
 	for _, c := range man.Captures {
 		fmt.Fprintf(w, "  %s/%s seed %d — trigger %s", c.Tool, c.Program, c.Seed, c.Trigger)
 		if c.Outcome != "" {

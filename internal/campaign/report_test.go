@@ -2,16 +2,18 @@ package campaign
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"c11tester/internal/harness"
 	"c11tester/internal/obs"
 )
 
 // TestReportEndToEnd drives the full forensics join on a real campaign: run a
-// racy converge-policy matrix with the flight recorder armed and the event
+// racy converge-policy matrix with the trace sink armed and the event
 // stream on, then render the report from the three artifacts and check every
 // section is present and stitched from the right source.
 func TestReportEndToEnd(t *testing.T) {
@@ -40,7 +42,7 @@ func TestReportEndToEnd(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	WriteReport(&buf, sum, evs, man, ReportOptions{TopSlow: 3, CaptureDir: dir})
+	WriteReport(&buf, sum, evs, man, ReportOptions{TopSlow: 3, RecordDir: dir})
 	out := buf.String()
 	for _, want := range []string{
 		"campaign forensics report (schema v",
@@ -49,8 +51,9 @@ func TestReportEndToEnd(t *testing.T) {
 		"top 3 cell(s) by p99 ns/exec:",
 		"race timeline (",
 		"convergence curves (",
-		"capture index (",
+		"record index (",
 		"repro: go run ./cmd/c11trace replay ",
+		"litmus outcome histograms:",
 		"phase breakdown (mean)",
 		"reset ",
 		" of ", // the phase means' sample size, "(n=… of …)"
@@ -59,9 +62,9 @@ func TestReportEndToEnd(t *testing.T) {
 			t.Errorf("report missing %q\n--- report ---\n%s", want, out)
 		}
 	}
-	// The capture index points each trace-backed entry into the capture dir.
+	// The record index points each trace-backed entry into the record dir.
 	if !strings.Contains(out, filepath.Join(dir, "")) {
-		t.Errorf("capture repro lines do not reference the capture dir %s", dir)
+		t.Errorf("record repro lines do not reference the record dir %s", dir)
 	}
 }
 
@@ -112,7 +115,7 @@ func TestWriteReportDegradesWithoutSidecars(t *testing.T) {
 	if !strings.Contains(out, "top 2 cell(s) by p99 ns/exec:") {
 		t.Errorf("slow-cell table missing without sidecars:\n%s", out)
 	}
-	for _, absent := range []string{"race timeline (", "capture index ("} {
+	for _, absent := range []string{"race timeline (", "record index ("} {
 		if strings.Contains(out, absent) {
 			t.Errorf("section %q rendered with no backing data:\n%s", absent, out)
 		}
@@ -130,5 +133,42 @@ func TestPhaseBreakdownStatesSampleSize(t *testing.T) {
 	}, 30)
 	if want := "reset 1.0µs  run 9.0µs  record 5.0µs (n=2 of 30)"; got != want {
 		t.Errorf("phaseBreakdown = %q, want %q", got, want)
+	}
+}
+
+// TestWriteOutcomesTags pins the tags of the litmus outcome histograms on a
+// two-tool summary: CoRR+opposed's "21" is the full fragment's fragment-gap
+// witness under c11tester and a forbidden outcome under the commit-order
+// baseline tsan11, and SB+rlx's weak outcome is tagged weak.
+func TestWriteOutcomesTags(t *testing.T) {
+	sb := mustLitmus(t, "SB+rlx")
+	weak := harness.SortedKeys(sb.Weak)[0]
+	sum := &Summary{
+		Spec: SpecInfo{Litmus: []string{"CoRR+opposed", "SB+rlx"}},
+		Tools: []ToolSummary{
+			{Tool: "c11tester", Litmus: []LitmusSummary{
+				{Test: "CoRR+opposed", Outcomes: map[string]int{"11": 3, "21": 2}, WeakSeen: []string{"21"}, WeakDefined: 1},
+				{Test: "SB+rlx", Outcomes: map[string]int{weak: 4}, WeakSeen: []string{weak}, WeakDefined: len(sb.Weak)},
+			}},
+			{Tool: "tsan11", Litmus: []LitmusSummary{
+				{Test: "CoRR+opposed", Outcomes: map[string]int{"21": 1}, WeakSeen: []string{"21"}, WeakDefined: 1,
+					ForbiddenSeen: []ForbiddenOutcome{{Test: "CoRR+opposed", Outcome: "21", Count: 1}}},
+				{Test: "SB+rlx", Outcomes: map[string]int{}, WeakDefined: len(sb.Weak)},
+			}},
+		},
+	}
+	var buf bytes.Buffer
+	writeOutcomes(&buf, sum)
+	out := buf.String()
+	for _, want := range []string{
+		"\nlitmus outcome histograms:\n",
+		"\n    c11tester   \"11\"×3  \"21\"×2~fragment-gap  (weak 1/1)\n",
+		"\n    tsan11      \"21\"×1!FORBIDDEN  (weak 1/1)\n",
+		fmt.Sprintf("\n    c11tester   %q×4~weak  (weak 1/%d)\n", weak, len(sb.Weak)),
+		fmt.Sprintf("\n    tsan11      (weak 0/%d)\n", len(sb.Weak)),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("histograms lack %q:\n%s", want, out)
+		}
 	}
 }

@@ -70,9 +70,15 @@ import (
 // result, so they survive checkpoint/resume and shard merges like every
 // other cell result. "timing" now covers the timed executions only (every
 // 16th execution index), like "phases"; its count is the sample size.
+//
+// v12: one trace sink. The spec echoes the sink's trigger set ("record_on")
+// in place of "record_all", "capture_dir" and "capture_slow_ns"; the
+// per-tool "captures"/"capture_errors" counts are gone, and
+// "recorded_traces"/"record_errors" are counted from the record
+// directory's manifest entries.
 const (
 	SchemaName    = "c11tester/campaign"
-	SchemaVersion = 11
+	SchemaVersion = 12
 )
 
 // SpecInfo echoes the campaign parameters into the summary, making every
@@ -93,13 +99,11 @@ type SpecInfo struct {
 	// (schema v3).
 	GuideDir    string `json:"guide_dir,omitempty"`
 	GuideTraces int    `json:"guide_traces,omitempty"`
-	RecordDir   string `json:"record_dir,omitempty"`
-	RecordAll   bool   `json:"record_all,omitempty"`
-	Validate    bool   `json:"validate,omitempty"`
-	// CaptureDir and CaptureSlowNS echo the flight-recorder configuration
-	// (schema v5).
-	CaptureDir    string `json:"capture_dir,omitempty"`
-	CaptureSlowNS bool   `json:"capture_slow_ns,omitempty"`
+	// RecordDir and RecordOn echo the trace sink: its directory and its
+	// trigger set (schema v12).
+	RecordDir string `json:"record_dir,omitempty"`
+	RecordOn  string `json:"record_on,omitempty"`
+	Validate  bool   `json:"validate,omitempty"`
 	// Analyzers echoes the analyzer pipeline composed per cell (schema v7).
 	Analyzers []string `json:"analyzers,omitempty"`
 }
@@ -259,8 +263,9 @@ type ToolSummary struct {
 	// Validation is present when the campaign ran with ValidateAxioms.
 	Validation *ValidationSummary `json:"validation,omitempty"`
 	// RecordedTraces counts the trace files this tool persisted (RecordDir);
-	// RecordErrors counts executions whose trace could not be recorded or
-	// written (any nonzero value is surfaced as a warning in the report).
+	// RecordErrors counts executions owed a trace that could not be recorded
+	// or written (any nonzero value is surfaced as a warning in the report).
+	// Both are counted from the record manifest's entries.
 	RecordedTraces int `json:"recorded_traces,omitempty"`
 	RecordErrors   int `json:"record_errors,omitempty"`
 	// EngineFailures counts executions this tool aborted with an infeasible
@@ -270,12 +275,6 @@ type ToolSummary struct {
 	// rest of the matrix still runs.
 	EngineFailures int             `json:"engine_failures,omitempty"`
 	FailureSamples []EngineFailure `json:"failure_samples,omitempty"`
-	// Captures counts the flight-recorder captures this tool triggered
-	// (schema v5; the manifest in Spec.CaptureDir has the details);
-	// CaptureErrors counts captures whose re-run could not produce a trace
-	// file (the manifest entry carries the error).
-	Captures      int `json:"captures,omitempty"`
-	CaptureErrors int `json:"capture_errors,omitempty"`
 	// Analyzers and Findings carry the analyzer pipeline's results (schema
 	// v7): per-analyzer rollups and the deduplicated findings with repro
 	// triples, sorted by (analyzer, cell order, key). Present only when the
@@ -408,9 +407,8 @@ func specInfo(spec Spec) SpecInfo {
 		Workers: spec.Workers, ShardSize: spec.ShardSize,
 		Benchmarks: []string{}, Litmus: []string{},
 		Policy:    spec.Policy.Name(),
-		RecordDir: spec.RecordDir, RecordAll: spec.RecordAll,
-		Validate:   spec.ValidateAxioms,
-		CaptureDir: spec.CaptureDir, CaptureSlowNS: spec.CaptureSlowNS,
+		RecordDir: spec.RecordDir, RecordOn: spec.RecordOn.String(),
+		Validate:  spec.ValidateAxioms,
 		Analyzers: spec.Analyzers,
 	}
 	if spec.Guides != nil {
@@ -512,12 +510,12 @@ func aggregate(m summaryMeta, cells []cellFold, budgets map[cellKey]*BudgetSumma
 			ts.WorkNS += int64(f.Elapsed)
 			ts.AtomicOps += f.Ops.AtomicOps
 			ts.NormalOps += f.Ops.NormalOps
-			ts.RecordedTraces += f.Recorded
-			ts.RecordErrors += f.RecordErrs
-			ts.Captures += len(f.Captures)
 			for i := range f.Captures {
-				if f.Captures[i].Err != "" {
-					ts.CaptureErrors++
+				switch {
+				case f.Captures[i].File != "":
+					ts.RecordedTraces++
+				case f.Captures[i].Err != "":
+					ts.RecordErrors++
 				}
 			}
 		}
@@ -850,13 +848,6 @@ func (s *Summary) String() string {
 		if ts.RecordErrors > 0 {
 			out += fmt.Sprintf("\n%s: WARNING: failed to record %d trace(s) to %s\n", ts.Tool, ts.RecordErrors, s.Spec.RecordDir)
 		}
-		if ts.Captures > 0 {
-			out += fmt.Sprintf("\n%s: flight recorder captured %d execution(s) to %s\n", ts.Tool, ts.Captures, s.Spec.CaptureDir)
-		}
-		if ts.CaptureErrors > 0 {
-			out += fmt.Sprintf("\n%s: WARNING: %d capture(s) failed to produce a trace (see %s)\n",
-				ts.Tool, ts.CaptureErrors, s.Spec.CaptureDir)
-		}
 		if ts.EngineFailures > 0 {
 			out += fmt.Sprintf("\n%s: ENGINE FAILURE: %d execution(s) aborted with an infeasible model state\n",
 				ts.Tool, ts.EngineFailures)
@@ -929,7 +920,6 @@ func (s *Summary) Canonical() *Summary {
 	c.Provenance = nil
 	c.Spec.Workers = 0
 	c.Spec.RecordDir = ""
-	c.Spec.CaptureDir = ""
 	c.Spec.GuideDir = ""
 	for t := range c.Tools {
 		ts := &c.Tools[t]

@@ -150,11 +150,7 @@ type Event struct {
 	// Analyzer labels "analyzer_finding" events (schema v7 campaigns).
 	Analyzer string `json:"analyzer,omitempty"`
 
-	// Trigger and File belong to "capture" events (the flight recorder's
-	// manifest entries, re-emitted on the stream so a live consumer sees
-	// captures as they land); Converge belongs to "cell_converge_state".
-	Trigger  string                `json:"trigger,omitempty"`
-	File     string                `json:"file,omitempty"`
+	// Converge belongs to "cell_converge_state".
 	Converge *explore.TrackerState `json:"converge,omitempty"`
 
 	Budget *BudgetSummary `json:"budget,omitempty"`
@@ -216,7 +212,8 @@ func (t *Telemetry) unitDone(wave int, j job, frag *fragment) {
 // new to the unit's tool instance, with the repro triple of the unit's
 // earliest execution showing it), analyzer_finding (per deduplicated
 // finding, repro flags including the -analyzers selection),
-// forbidden_outcome, engine_failure, trace_recorded, capture and cell_end.
+// forbidden_outcome, engine_failure, trace_recorded (the unit's trace files)
+// and cell_end.
 // All event contents derive from the fragment — a pure function of the job —
 // so the event set is identical for any worker count; only line order
 // varies.
@@ -259,17 +256,16 @@ func (t *Telemetry) emitUnit(wave int, j job, frag *fragment) {
 			Tool: toolSpec.Name, Program: program, Litmus: litmus,
 			Err: fl.Err, Seed: t.spec.SeedBase + int64(fl.Run), Repro: repro(fl.Run)})
 	}
-	if frag.Recorded > 0 {
+	recorded := 0
+	for i := range frag.Captures {
+		if frag.Captures[i].File != "" {
+			recorded++
+		}
+	}
+	if recorded > 0 {
 		t.emit(Event{Type: "trace_recorded", Wave: wave,
 			Tool: toolSpec.Name, Program: program, Litmus: litmus,
-			Recorded: frag.Recorded, Lo: j.lo, Hi: j.hi})
-	}
-	for i := range frag.Captures {
-		c := &frag.Captures[i]
-		t.emit(Event{Type: "capture", Wave: wave,
-			Tool: c.Tool, Program: c.Program, Litmus: c.Litmus,
-			Seed: c.Seed, Trigger: c.Trigger, File: c.File,
-			Outcome: c.Outcome, Err: c.Err, Repro: c.Repro})
+			Recorded: recorded, Lo: j.lo, Hi: j.hi})
 	}
 	t.emit(Event{Type: "cell_end", Wave: wave,
 		Tool: toolSpec.Name, Program: program, Litmus: litmus,

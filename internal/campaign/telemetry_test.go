@@ -46,7 +46,7 @@ func eventSpec(t *testing.T, workers int, tel *Telemetry) Spec {
 
 // canonicalEvents parses, normalizes, and sorts a JSONL event stream. The
 // only run-dependent content is the campaign_start spec echo — the worker
-// count and the (per-TempDir) capture path — which is stripped; every other
+// count and the (per-TempDir) record path — which is stripped; every other
 // event is a pure function of its unit of work, so after sorting the streams
 // must be byte-identical.
 func canonicalEvents(t *testing.T, raw []byte) []string {
@@ -63,7 +63,7 @@ func canonicalEvents(t *testing.T, raw []byte) []string {
 			if spec, ok := m["spec"].(map[string]any); ok {
 				delete(spec, "workers")
 				delete(spec, "shard_size")
-				delete(spec, "capture_dir")
+				delete(spec, "record_dir")
 			}
 		}
 		norm, err := json.Marshal(m)

@@ -1,62 +1,110 @@
-// forensics.go is obs layer 2: the anomaly-triggered flight recorder and the
-// capture manifest. The metrics/event fabric (layer 1) answers "is the
-// campaign healthy"; the flight recorder answers "which executions mattered"
-// by watching a bounded ring of per-execution digests and nominating
-// anomalous seed indices for full trace capture.
+// forensics.go is obs layer 2: the trace sink's trigger decision and its
+// manifest. The metrics/event fabric (layer 1) answers "is the campaign
+// healthy"; the flight recorder answers "which executions mattered" by
+// watching a bounded ring of per-execution digests and naming, for each
+// execution, the trigger (if any) that owes it a recorded trace.
 //
 // Determinism contract: a FlightRecorder watches one unit of work at a time
 // (a campaign cell runner resets it at every unit start), whichever OS
-// worker runs the unit. Units are pure
-// functions of the campaign spec, digests are pushed in seed-index order
-// within a unit, and every default trigger is a pure function of the digest
-// stream — so the set of captured (tool, program, seed) triples is identical
-// for workers=1 and workers=K. The one wall-clock trigger (SlowNS) is
-// explicitly opt-in and documented as non-deterministic.
+// worker runs the unit. Units are pure functions of the campaign spec,
+// digests are pushed in seed-index order within a unit, and every trigger is
+// a pure function of the digest stream — so the set of recorded (tool,
+// program, seed) triples is identical for workers=1 and workers=K.
 package obs
 
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"c11tester/internal/safeio"
 )
 
-// Trigger identifies why the flight recorder nominated an execution for
-// capture.
+// Trigger identifies why the flight recorder owed an execution a trace. The
+// constants are in priority order: when several triggers of a recorder's set
+// hold for one execution, the manifest names the first.
 type Trigger uint8
 
 const (
-	// TriggerNone: no anomaly; the digest was only archived in the ring.
+	// TriggerNone: no trigger of the set holds; the digest was only
+	// archived in the ring.
 	TriggerNone Trigger = iota
-	// TriggerNewRace: the execution reported a race key not seen before by
-	// this tool instance (Result.NewRaces non-empty).
-	TriggerNewRace
-	// TriggerInfeasible: the engine aborted with a core.InfeasibleError.
+	// TriggerInfeasible: the engine aborted with a core.InfeasibleError. Its
+	// manifest entry carries no trace: the repro line is the artifact.
 	TriggerInfeasible
 	// TriggerForbidden: a litmus execution produced an outcome the test
 	// forbids.
 	TriggerForbidden
+	// TriggerNewRace: the execution reported a race key not seen before by
+	// this tool instance (Result.NewRaces non-empty).
+	TriggerNewRace
+	// TriggerHit: the execution bears a detection signal — the benchmark's
+	// signal, any race, or a forbidden litmus outcome.
+	TriggerHit
+	// TriggerAll: every execution the tool completed.
+	TriggerAll
 	// TriggerSlowSteps: the execution's schedule length strictly exceeded the
-	// trailing p99 of the digest ring. Deterministic (steps are a pure
-	// function of the seed), so it is the default slow-execution trigger.
+	// trailing p99 of the digest ring. Steps are a pure function of the
+	// seed, so the trigger is deterministic. It is the one capped trigger
+	// (FlightRecorderConfig.MaxSlow per unit).
 	TriggerSlowSteps
-	// TriggerSlowNS: the execution's wall time strictly exceeded the trailing
-	// p99 of the digest ring. Wall time is not a pure function of the seed,
-	// so this trigger breaks the workers=1 ≡ workers=K capture-set identity;
-	// it is off by default and must be armed explicitly
-	// (FlightRecorderConfig.SlowNS).
-	TriggerSlowNS
+
+	numTriggers
 )
 
-var triggerNames = [...]string{"", "new_race", "infeasible", "forbidden", "slow_steps", "slow_ns"}
+var triggerNames = [numTriggers]string{"", "infeasible", "forbidden", "new_race", "hit", "all", "slow_steps"}
 
-// String returns the stable trigger name used in manifests and events; empty
-// for TriggerNone.
+// String returns the stable trigger name used in manifests and on the
+// command line; empty for TriggerNone.
 func (t Trigger) String() string {
-	if int(t) < len(triggerNames) {
+	if t < numTriggers {
 		return triggerNames[t]
 	}
 	return "unknown"
+}
+
+// Triggers is a set of triggers, one bit per Trigger.
+type Triggers uint8
+
+// Has reports whether t is in the set.
+func (s Triggers) Has(t Trigger) bool { return s&(1<<t) != 0 }
+
+// Of returns the set holding ts.
+func Of(ts ...Trigger) Triggers {
+	var s Triggers
+	for _, t := range ts {
+		s |= 1 << t
+	}
+	return s
+}
+
+// String renders the set as a comma-separated list in priority order, the
+// form ParseTriggers reads back.
+func (s Triggers) String() string {
+	var names []string
+	for t := TriggerNone + 1; t < numTriggers; t++ {
+		if s.Has(t) {
+			names = append(names, t.String())
+		}
+	}
+	return strings.Join(names, ",")
+}
+
+// ParseTriggers parses a comma-separated trigger list (the -record-on flag).
+func ParseTriggers(list string) (Triggers, error) {
+	var s Triggers
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		t := TriggerNone + 1
+		for t < numTriggers && triggerNames[t] != name {
+			t++
+		}
+		if t == numTriggers {
+			return 0, fmt.Errorf("unknown trigger %q (want a list of %s)", name, strings.Join(triggerNames[1:], ", "))
+		}
+		s |= 1 << t
+	}
+	return s, nil
 }
 
 // ExecDigest is the fixed-size per-execution record the flight recorder
@@ -64,9 +112,6 @@ func (t Trigger) String() string {
 type ExecDigest struct {
 	// Index is the global execution index (seed = SeedBase + Index).
 	Index int
-	// NS is the execution's wall time (only consulted by the opt-in SlowNS
-	// trigger).
-	NS int64
 	// Steps is the schedule length; Choices the strategy-decision count.
 	Steps   uint64
 	Choices uint64
@@ -76,30 +121,26 @@ type ExecDigest struct {
 	Infeasible bool
 	// Forbidden marks a litmus execution with a forbidden outcome.
 	Forbidden bool
+	// Hit marks an execution bearing a detection signal (TriggerHit).
+	Hit bool
 }
 
-// FlightRecorderConfig bounds a recorder. The zero value gets defaults.
+// FlightRecorderConfig configures a recorder. Zero sizes get defaults.
 type FlightRecorderConfig struct {
+	// On is the trigger set; a recorder with an empty set fires nothing.
+	On Triggers
 	// Ring is the digest ring size (default 64, capped at 99 — see
-	// trailingP99Steps). The slow triggers arm once the recorder holds
-	// min(Ring, slowArm) digests and compare against the maximum of the
-	// digests it holds, so a 25-execution campaign unit can fire them.
+	// trailingP99Steps). The slow trigger arms once the recorder holds
+	// min(Ring, slowArm) digests and compares against the maximum of the
+	// digests it holds, so a 25-execution campaign unit can fire it.
 	Ring int
-	// MaxSlow caps slow-trigger captures per recorder (default 2): slow
-	// executions cluster, and one unit of work should not flood the capture
-	// directory with near-duplicates.
+	// MaxSlow caps slow-trigger grants per unit (default 2): slow executions
+	// cluster, and one unit of work should not flood the directory with
+	// near-duplicates. The other triggers are uncapped.
 	MaxSlow int
-	// MaxCaptures caps total captures per recorder (default 16), applied in
-	// digest order, so even a pathological unit (every execution infeasible)
-	// produces a bounded capture set. Deterministic: the cap cuts the same
-	// prefix regardless of worker count.
-	MaxCaptures int
-	// SlowNS additionally arms the wall-clock slow trigger (see
-	// TriggerSlowNS). Non-deterministic; off by default.
-	SlowNS bool
 }
 
-// slowArm is the digest count at which the slow triggers arm when the ring
+// slowArm is the digest count at which the slow trigger arms when the ring
 // is larger: enough history that a strict outlier is not just an early
 // execution of an ordinary unit.
 const slowArm = 16
@@ -109,29 +150,25 @@ func (c FlightRecorderConfig) withDefaults() FlightRecorderConfig {
 		c.Ring = 64
 	}
 	// ceil(0.99·n) == n for all n ≤ 99, so capping the ring here is what
-	// licenses trailingP99's max-scan implementation.
+	// licenses trailingP99Steps's max-scan implementation.
 	if c.Ring > 99 {
 		c.Ring = 99
 	}
 	if c.MaxSlow <= 0 {
 		c.MaxSlow = 2
 	}
-	if c.MaxCaptures <= 0 {
-		c.MaxCaptures = 16
-	}
 	return c
 }
 
 // FlightRecorder watches a unit of work's execution digests and decides
-// which seed indices deserve a full trace capture. All state is pre-allocated
-// at construction; Check and Reset are allocation-free on every path.
+// which seed indices are owed a trace. All state is pre-allocated at
+// construction; Check and Reset are allocation-free on every path.
 type FlightRecorder struct {
-	cfg      FlightRecorderConfig
-	ring     []ExecDigest
-	n        int // digests ever pushed
-	next     int // ring write cursor
-	slow     int // slow-trigger captures granted
-	captures int // total captures granted
+	cfg  FlightRecorderConfig
+	ring []ExecDigest
+	n    int // digests ever pushed
+	next int // ring write cursor
+	slow int // slow-trigger grants
 }
 
 // NewFlightRecorder returns an armed recorder.
@@ -142,45 +179,37 @@ func NewFlightRecorder(cfg FlightRecorderConfig) *FlightRecorder {
 
 // Reset empties the recorder for the next unit of work, keeping its ring: a
 // reset recorder decides exactly as a newly constructed one, since the
-// triggers read only the digests pushed since (held).
+// trigger reads only the digests pushed since (held).
 func (f *FlightRecorder) Reset() {
-	f.n, f.next, f.slow, f.captures = 0, 0, 0, 0
+	f.n, f.next, f.slow = 0, 0, 0
 }
 
-// Check evaluates the trigger set against d, then archives d in the ring, and
-// returns the trigger that fired (TriggerNone otherwise). The current digest
-// is evaluated against the ring *before* being pushed, so an execution is
-// never compared with itself. Trigger priority when several conditions hold:
-// infeasible > forbidden > new race > slow.
+// Check evaluates the recorder's trigger set against d, then archives d in
+// the ring, and returns the first trigger of the set, in priority order,
+// that holds (TriggerNone otherwise). An aborted execution can only fire
+// TriggerInfeasible: it has no trace to record. The current digest is
+// evaluated against the ring *before* being pushed, so an execution is never
+// compared with itself.
 func (f *FlightRecorder) Check(d ExecDigest) Trigger {
+	on := f.cfg.On
 	trig := TriggerNone
 	switch {
 	case d.Infeasible:
-		trig = TriggerInfeasible
-	case d.Forbidden:
+		if on.Has(TriggerInfeasible) {
+			trig = TriggerInfeasible
+		}
+	case d.Forbidden && on.Has(TriggerForbidden):
 		trig = TriggerForbidden
-	case d.NewRace:
+	case d.NewRace && on.Has(TriggerNewRace):
 		trig = TriggerNewRace
-	default:
-		if f.n >= min(len(f.ring), slowArm) {
-			if f.cfg.SlowNS && d.NS > f.trailingP99NS() {
-				trig = TriggerSlowNS
-			} else if d.Steps > f.trailingP99Steps() {
-				trig = TriggerSlowSteps
-			}
-			if trig != TriggerNone && f.slow >= f.cfg.MaxSlow {
-				trig = TriggerNone
-			}
-		}
-	}
-	if trig != TriggerNone && f.captures >= f.cfg.MaxCaptures {
-		trig = TriggerNone
-	}
-	if trig != TriggerNone {
-		f.captures++
-		if trig == TriggerSlowSteps || trig == TriggerSlowNS {
-			f.slow++
-		}
+	case d.Hit && on.Has(TriggerHit):
+		trig = TriggerHit
+	case on.Has(TriggerAll):
+		trig = TriggerAll
+	case on.Has(TriggerSlowSteps) && f.slow < f.cfg.MaxSlow &&
+		f.n >= min(len(f.ring), slowArm) && d.Steps > f.trailingP99Steps():
+		trig = TriggerSlowSteps
+		f.slow++
 	}
 	f.ring[f.next] = d
 	f.next++
@@ -211,23 +240,7 @@ func (f *FlightRecorder) trailingP99Steps() uint64 {
 	return max
 }
 
-// trailingP99NS is trailingP99Steps over wall time (SlowNS trigger only).
-func (f *FlightRecorder) trailingP99NS() int64 {
-	var max int64
-	for _, d := range f.held() {
-		if d.NS > max {
-			max = d.NS
-		}
-	}
-	return max
-}
-
-// Checked returns the number of digests pushed; Captures the number of
-// triggers granted.
-func (f *FlightRecorder) Checked() int  { return f.n }
-func (f *FlightRecorder) Captures() int { return f.captures }
-
-// CaptureRecord is one manifest entry: the identity and repro of a captured
+// CaptureRecord is one manifest entry: the identity and repro of a recorded
 // execution. Wall time is deliberately absent — the manifest is part of the
 // workers=1 ≡ workers=K byte-identity contract.
 type CaptureRecord struct {
@@ -239,20 +252,21 @@ type CaptureRecord struct {
 	// Index).
 	Index   int    `json:"index"`
 	Trigger string `json:"trigger"`
-	// RaceKeys are the distinct race keys of the captured execution (not
+	// RaceKeys are the distinct race keys of the recorded execution (not
 	// just first-seen ones), sorted.
 	RaceKeys []string `json:"race_keys,omitempty"`
 	// Outcome is the litmus outcome string, when the cell is a litmus test.
 	Outcome string `json:"outcome,omitempty"`
 	Steps   uint64 `json:"steps,omitempty"`
 	Choices uint64 `json:"choices,omitempty"`
-	// File is the portable trace's file name within the capture directory;
-	// empty when the capture re-run could not produce a trace (see Err).
+	// File is the portable trace's file name within the record directory;
+	// empty when no trace was written: an infeasible execution has none, and
+	// Err says why any other could not be recorded.
 	File string `json:"file,omitempty"`
 	// Repro is the one-command reproduction line.
 	Repro string `json:"repro,omitempty"`
-	// Err records why no trace was written (e.g. the re-run itself was
-	// infeasible, or the tool cannot serialize traces).
+	// Err records why an owed trace was not written (its lifting hit an
+	// infeasible model state, or the write failed).
 	Err string `json:"error,omitempty"`
 }
 
@@ -261,13 +275,13 @@ type CaptureRecord struct {
 const (
 	ManifestSchemaName    = "c11tester/captures"
 	ManifestSchemaVersion = 1
-	// ManifestFileName is the manifest's file name inside a capture
+	// ManifestFileName is the manifest's file name inside a record
 	// directory.
 	ManifestFileName = "manifest.json"
 )
 
-// Manifest is the capture directory's index: every capture the campaign's
-// flight recorders granted, in canonical order.
+// Manifest is the record directory's index: one entry per execution a
+// trigger owed a trace, in canonical order.
 type Manifest struct {
 	Schema        string          `json:"schema"`
 	SchemaVersion int             `json:"schema_version"`
@@ -279,7 +293,7 @@ func NewManifest() *Manifest {
 	return &Manifest{Schema: ManifestSchemaName, SchemaVersion: ManifestSchemaVersion}
 }
 
-// Sort puts the captures in canonical order — (tool, litmus, program, seed) —
+// Sort puts the entries in canonical order — (tool, litmus, program, seed) —
 // so manifests merged from any sharding are byte-identical.
 func (m *Manifest) Sort() {
 	sort.Slice(m.Captures, func(i, j int) bool {
@@ -299,13 +313,13 @@ func (m *Manifest) Sort() {
 
 // WriteFile writes the manifest as indented JSON, sorted canonically. The
 // write is atomic (temp + rename) so a crash mid-campaign never leaves a torn
-// manifest next to valid captures.
+// manifest next to valid traces.
 func (m *Manifest) WriteFile(path string) error {
 	m.Sort()
 	return safeio.WriteJSONAtomic(path, m, 0o644)
 }
 
-// ReadManifest loads a capture manifest. Truncated or corrupt files come back
+// ReadManifest loads a record manifest. Truncated or corrupt files come back
 // as a *safeio.DecodeError naming the byte offset.
 func ReadManifest(path string) (*Manifest, error) {
 	var m Manifest

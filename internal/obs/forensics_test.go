@@ -13,34 +13,87 @@ import (
 	"time"
 )
 
+// anomalies is the trigger set of the anomaly tests: every trigger but hit
+// and all, which would name every execution.
+var anomalies = Of(TriggerInfeasible, TriggerForbidden, TriggerNewRace, TriggerSlowSteps)
+
 // fillRing pushes n uneventful digests with the given step count so the slow
-// triggers arm.
+// trigger arms.
 func fillRing(f *FlightRecorder, n int, steps uint64) {
 	for i := 0; i < n; i++ {
-		if trig := f.Check(ExecDigest{Index: i, Steps: steps, NS: int64(steps)}); trig != TriggerNone {
+		if trig := f.Check(ExecDigest{Index: i, Steps: steps}); trig != TriggerNone {
 			panic(fmt.Sprintf("baseline digest %d triggered %s", i, trig))
 		}
 	}
 }
 
+// TestFlightRecorderTriggerPriority pins the order in which one execution's
+// triggers are named — infeasible > forbidden > new_race > hit > all >
+// slow_steps — and that a recorder names only triggers of its set.
 func TestFlightRecorderTriggerPriority(t *testing.T) {
-	f := NewFlightRecorder(FlightRecorderConfig{})
-	d := ExecDigest{Infeasible: true, Forbidden: true, NewRace: true, Steps: 1 << 40}
-	if trig := f.Check(d); trig != TriggerInfeasible {
-		t.Fatalf("trigger = %s, want infeasible first", trig)
+	every := Of(TriggerInfeasible, TriggerForbidden, TriggerNewRace, TriggerHit, TriggerAll, TriggerSlowSteps)
+	f := NewFlightRecorder(FlightRecorderConfig{On: every})
+	d := ExecDigest{Infeasible: true, Forbidden: true, NewRace: true, Hit: true, Steps: 1 << 40}
+	for _, want := range []Trigger{TriggerInfeasible, TriggerForbidden, TriggerNewRace, TriggerHit, TriggerAll} {
+		if trig := f.Check(d); trig != want {
+			t.Fatalf("digest %+v: trigger = %s, want %s", d, trig, want)
+		}
+		switch want {
+		case TriggerInfeasible:
+			d.Infeasible = false
+		case TriggerForbidden:
+			d.Forbidden = false
+		case TriggerNewRace:
+			d.NewRace = false
+		case TriggerHit:
+			d.Hit = false
+		}
 	}
-	d.Infeasible = false
-	if trig := f.Check(d); trig != TriggerForbidden {
-		t.Fatalf("trigger = %s, want forbidden over new race", trig)
+	// Without all, an uneventful outlier is slow.
+	f = NewFlightRecorder(FlightRecorderConfig{On: every &^ Of(TriggerAll), Ring: 4})
+	fillRing(f, 4, 100)
+	if trig := f.Check(ExecDigest{Steps: 1000}); trig != TriggerSlowSteps {
+		t.Fatalf("outlier trigger = %s, want slow_steps", trig)
 	}
-	d.Forbidden = false
-	if trig := f.Check(d); trig != TriggerNewRace {
-		t.Fatalf("trigger = %s, want new race", trig)
+	// A trigger outside the set yields to the next one in it; an aborted
+	// execution fires only infeasible, having no trace to record.
+	f = NewFlightRecorder(FlightRecorderConfig{On: Of(TriggerHit, TriggerAll)})
+	if trig := f.Check(ExecDigest{Forbidden: true, NewRace: true, Hit: true}); trig != TriggerHit {
+		t.Fatalf("trigger = %s, want hit when forbidden and new_race are off", trig)
+	}
+	if trig := f.Check(ExecDigest{Infeasible: true}); trig != TriggerNone {
+		t.Fatalf("aborted execution fired %s without infeasible in the set", trig)
+	}
+	if trig := NewFlightRecorder(FlightRecorderConfig{}).Check(d); trig != TriggerNone {
+		t.Fatalf("empty set fired %s", trig)
+	}
+}
+
+// TestParseTriggers pins the -record-on syntax: names round-trip through
+// the set's String in priority order, and an unknown name is refused.
+func TestParseTriggers(t *testing.T) {
+	s, err := ParseTriggers("slow_steps, new_race,infeasible,forbidden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s != anomalies {
+		t.Fatalf("parsed %s, want %s", s, anomalies)
+	}
+	if got, want := s.String(), "infeasible,forbidden,new_race,slow_steps"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	if back, err := ParseTriggers(s.String()); err != nil || back != s {
+		t.Fatalf("round trip = %s, %v", back, err)
+	}
+	for _, bad := range []string{"", "hit,", "slow_ns", "capture"} {
+		if _, err := ParseTriggers(bad); err == nil {
+			t.Errorf("ParseTriggers(%q) accepted", bad)
+		}
 	}
 }
 
 func TestFlightRecorderSlowStepsArming(t *testing.T) {
-	f := NewFlightRecorder(FlightRecorderConfig{Ring: 8})
+	f := NewFlightRecorder(FlightRecorderConfig{On: Of(TriggerSlowSteps), Ring: 8})
 	// Before the recorder holds min(Ring, 16) = 8 digests, even extreme
 	// outliers never trigger slow.
 	for i := 0; i < 7; i++ {
@@ -62,10 +115,10 @@ func TestFlightRecorderSlowStepsArming(t *testing.T) {
 
 // TestFlightRecorderSlowStepsFiresInUnit pins the arming rule on a ring
 // larger than a campaign unit: with the default 64-digest ring, a 25-digest
-// unit arms the slow triggers after 16 digests, so a step outlier at index
+// unit arms the slow trigger after 16 digests, so a step outlier at index
 // 20 fires against the maximum of the 20 digests held.
 func TestFlightRecorderSlowStepsFiresInUnit(t *testing.T) {
-	f := NewFlightRecorder(FlightRecorderConfig{})
+	f := NewFlightRecorder(FlightRecorderConfig{On: anomalies})
 	fired := map[int]Trigger{}
 	for i := 0; i < 25; i++ {
 		steps := uint64(100 + i%3)
@@ -80,7 +133,7 @@ func TestFlightRecorderSlowStepsFiresInUnit(t *testing.T) {
 		t.Fatalf("triggers = %v, want only slow_steps at index 20", fired)
 	}
 	// Before the 16th digest nothing slow fires, however large.
-	f = NewFlightRecorder(FlightRecorderConfig{})
+	f = NewFlightRecorder(FlightRecorderConfig{On: anomalies})
 	for i := 0; i < 16; i++ {
 		if trig := f.Check(ExecDigest{Index: i, Steps: uint64(1000 * (i + 1))}); trig != TriggerNone {
 			t.Fatalf("slow trigger fired at digest %d, before the recorder armed: %s", i, trig)
@@ -89,10 +142,10 @@ func TestFlightRecorderSlowStepsFiresInUnit(t *testing.T) {
 }
 
 // TestFlightRecorderReset pins that a reset recorder decides exactly as a
-// newly constructed one: the digests, slow captures and captures of the
-// previous unit are forgotten, and the reset allocates nothing. The previous
-// unit's schedules are far longer, so a trigger that still saw them would
-// stay silent.
+// newly constructed one: the digests and slow grants of the previous unit
+// are forgotten, and the reset allocates nothing. The previous unit's
+// schedules are far longer, so a trigger that still saw them would stay
+// silent.
 func TestFlightRecorderReset(t *testing.T) {
 	stream := func(f *FlightRecorder, base uint64) []Trigger {
 		var out []Trigger
@@ -102,11 +155,11 @@ func TestFlightRecorderReset(t *testing.T) {
 		}
 		return out
 	}
-	fresh := stream(NewFlightRecorder(FlightRecorderConfig{MaxCaptures: 4}), 100)
+	fresh := stream(NewFlightRecorder(FlightRecorderConfig{On: anomalies}), 100)
 	if !slices.Contains(fresh, TriggerSlowSteps) {
 		t.Fatalf("the stream fires no slow trigger: %v", fresh)
 	}
-	f := NewFlightRecorder(FlightRecorderConfig{MaxCaptures: 4})
+	f := NewFlightRecorder(FlightRecorderConfig{On: anomalies})
 	stream(f, 10000)
 	if n := testing.AllocsPerRun(10, f.Reset); n != 0 {
 		t.Fatalf("Reset allocates %.1f objects, want 0", n)
@@ -116,54 +169,38 @@ func TestFlightRecorderReset(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderSlowNSOptIn(t *testing.T) {
-	// Wall-clock outliers are ignored unless SlowNS is armed.
-	f := NewFlightRecorder(FlightRecorderConfig{Ring: 4})
-	fillRing(f, 4, 100)
-	if trig := f.Check(ExecDigest{Steps: 100, NS: 1 << 40}); trig != TriggerNone {
-		t.Fatalf("wall-clock outlier triggered %s without SlowNS", trig)
-	}
-	f = NewFlightRecorder(FlightRecorderConfig{Ring: 4, SlowNS: true})
-	fillRing(f, 4, 100)
-	if trig := f.Check(ExecDigest{Steps: 100, NS: 1 << 40}); trig != TriggerSlowNS {
-		t.Fatalf("trigger = %s, want slow_ns when armed", trig)
-	}
-}
-
+// TestFlightRecorderCaps pins that slow_steps is the one capped trigger:
+// past MaxSlow grants further outliers are suppressed, while the other
+// triggers keep firing on every execution they name.
 func TestFlightRecorderCaps(t *testing.T) {
-	f := NewFlightRecorder(FlightRecorderConfig{Ring: 4, MaxSlow: 1, MaxCaptures: 3})
+	f := NewFlightRecorder(FlightRecorderConfig{On: anomalies, Ring: 4, MaxSlow: 1})
 	fillRing(f, 4, 100)
 	if trig := f.Check(ExecDigest{Steps: 1000}); trig != TriggerSlowSteps {
 		t.Fatalf("first outlier = %s", trig)
 	}
 	// MaxSlow reached: further slow outliers are suppressed...
 	if trig := f.Check(ExecDigest{Steps: 100000}); trig != TriggerNone {
-		t.Fatalf("slow capture beyond MaxSlow granted: %s", trig)
+		t.Fatalf("slow grant beyond MaxSlow: %s", trig)
 	}
-	// ...but anomaly triggers still fire until MaxCaptures.
-	if trig := f.Check(ExecDigest{NewRace: true}); trig != TriggerNewRace {
-		t.Fatalf("new-race trigger = %s after MaxSlow", trig)
-	}
-	if trig := f.Check(ExecDigest{Infeasible: true}); trig != TriggerInfeasible {
-		t.Fatalf("infeasible trigger = %s", trig)
-	}
-	if f.Captures() != 3 {
-		t.Fatalf("captures = %d, want 3", f.Captures())
-	}
-	// MaxCaptures reached: everything is suppressed now.
-	if trig := f.Check(ExecDigest{Infeasible: true}); trig != TriggerNone {
-		t.Fatalf("capture beyond MaxCaptures granted: %s", trig)
+	// ...but the other triggers are uncapped.
+	for i := 0; i < 40; i++ {
+		if trig := f.Check(ExecDigest{NewRace: true}); trig != TriggerNewRace {
+			t.Fatalf("new-race trigger %d = %s", i, trig)
+		}
+		if trig := f.Check(ExecDigest{Infeasible: true}); trig != TriggerInfeasible {
+			t.Fatalf("infeasible trigger %d = %s", i, trig)
+		}
 	}
 }
 
 // TestFlightRecorderCheckZeroAlloc pins the armed recorder's per-execution
 // cost at zero allocations — the property that lets the campaign hot path
-// stay at 0 B / 0 obj with -capture enabled.
+// stay at 0 B / 0 obj with -record enabled.
 func TestFlightRecorderCheckZeroAlloc(t *testing.T) {
-	f := NewFlightRecorder(FlightRecorderConfig{})
+	f := NewFlightRecorder(FlightRecorderConfig{On: anomalies})
 	i := 0
 	if n := testing.AllocsPerRun(200, func() {
-		f.Check(ExecDigest{Index: i, Steps: uint64(100 + i%7), NS: int64(i)})
+		f.Check(ExecDigest{Index: i, Steps: uint64(100 + i%7)})
 		i++
 	}); n != 0 {
 		t.Fatalf("Check allocates %.1f objects per call, want 0", n)

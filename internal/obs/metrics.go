@@ -1,8 +1,8 @@
 // Package obs is the campaign telemetry fabric: plain fixed-bucket
 // histograms with their serializable snapshots (the campaign summary's
 // timing, phase, handoff, schedule-length and choices histograms), a
-// structured JSONL event stream drained off a bounded channel, and the
-// anomaly-triggered flight recorder.
+// structured JSONL event stream written through a buffered writer, and the
+// trace sink's trigger decision (the flight recorder) with its manifest.
 //
 // A Histogram is a value with no locks, no atomics and no heap state: each
 // campaign worker owns one set per matrix cell, observes into it on the hot

@@ -24,10 +24,13 @@ func NewRecorder(inner core.Strategy) *Recorder {
 	return &Recorder{inner: inner}
 }
 
-// Seed implements core.Strategy: re-seed the inner strategy and reset the log.
+// Seed implements core.Strategy: re-seed the inner strategy and reset the
+// log, keeping its arrays — Schedule copies out — so a warm Recorder logs an
+// execution without allocating.
 func (r *Recorder) Seed(seed int64) {
 	r.inner.Seed(seed)
-	r.sched = Schedule{}
+	r.sched.Threads = r.sched.Threads[:0]
+	r.sched.Indices = r.sched.Indices[:0]
 }
 
 // PickThread implements core.Strategy.
