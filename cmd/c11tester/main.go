@@ -48,16 +48,11 @@ func run(args []string, out *os.File) int {
 		shardSz   = fs.Int("shard-size", 0, "executions per work chunk (0 = default)")
 		seed      = fs.Int64("seed", 1, "seed base; execution i runs with seed+i")
 		prune     = fs.String("prune", "off", "c11tester prune mode: off, conservative, or aggressive")
-		sched     = fs.String("sched", "random", "c11tester scheduler strategy: random or quantum")
-		quantum   = fs.Int("quantum", 0, "mean scheduling quantum for quantum strategies (0 = default)")
-		maxSteps  = fs.Uint64("max-steps", 0, "per-execution visible-operation cap (0 = default)")
 		faithful  = fs.Bool("faithful-handoff", false, "run tsan11rec on kernel-thread handoff (Figure 14 regime)")
 		jsonPath  = fs.String("json", "BENCH_campaign.json", "campaign artifact path ('' disables)")
 		policy    = fs.String("policy", "uniform", "per-cell budget policy: uniform, or converge (stop a cell early once its statistics stabilize and reassign the freed budget)")
 		epsilon   = fs.Float64("epsilon", 0, "converge policy: ε, its one parameter — a cell stops only after ⌈3/ε⌉ executions with no new race key or outcome, so a key seen in ≥ ε of executions is kept with ≥ 95% probability (0 = default 0.02)")
-		guide     = fs.String("guide", "", "directory of recorded traces for trace-guided exploration: matching cells replay a schedule prefix before exploring live ('' disables)")
-		guideMin  = fs.Float64("guide-min", 0, "guided prefix depth lower bound, as a fraction of the recorded schedule (0 = default)")
-		guideMax  = fs.Float64("guide-max", 0, "guided prefix depth upper bound, as a fraction of the recorded schedule (0 = default)")
+		guide     = fs.String("guide", "", "directory of recorded traces for trace-guided exploration: matching cells replay the first 50-100% of a recorded schedule before exploring live ('' disables)")
 		record    = fs.String("record", "", "directory to persist portable traces of the executions -record-on selects, indexed by a manifest.json ('' disables)")
 		recordOn  = fs.String("record-on", "hit", "with -record, comma-separated triggers that owe an execution a trace: hit (a detection signal, race or forbidden outcome), all, new_race, forbidden, infeasible (a trace-less manifest entry), slow_steps (a schedule longer than the unit's trailing p99, at most 2 per unit)")
 		validate  = fs.Bool("validate", false, "axiom-check every explored execution against the Appendix A model")
@@ -92,13 +87,7 @@ func run(args []string, out *os.File) int {
 		fmt.Fprintln(os.Stderr, "c11tester:", err)
 		return 1
 	}
-	opts := campaign.ToolOptions{
-		Prune:           pruneMode,
-		Strategy:        *sched,
-		QuantumMean:     *quantum,
-		MaxSteps:        *maxSteps,
-		FaithfulHandoff: *faithful,
-	}
+	opts := campaign.ToolOptions{Prune: pruneMode, FaithfulHandoff: *faithful}
 
 	recOn, err := obs.ParseTriggers(*recordOn)
 	if err != nil {
@@ -127,8 +116,7 @@ func run(args []string, out *os.File) int {
 	spec := campaign.Spec{
 		Runs: *runs, SeedBase: *seed,
 		Workers: *workers, ShardSize: *shardSz,
-		Policy:       pol,
-		GuideMinFrac: *guideMin, GuideMaxFrac: *guideMax,
+		Policy:    pol,
 		RecordDir: *record, RecordOn: recOn,
 		ValidateAxioms: *validate,
 		Analyzers:      campaign.ParseAnalyzers(*analyzers),

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"c11tester/internal/campaign"
@@ -99,4 +100,49 @@ func TestLegacyTraceRefused(t *testing.T) {
 			t.Errorf("%s on a legacy-rng trace = exit %d, want 1", sub, code)
 		}
 	}
+}
+
+// TestRemovedToolFieldsRefused pins that replay refuses a trace whose tool
+// config sets a field of a removed flag (-sched, -quantum, -max-steps),
+// exiting 1 with the field named on stderr, as it refuses -rng legacy.
+func TestRemovedToolFieldsRefused(t *testing.T) {
+	out := devNull(t)
+	legacy, err := os.ReadFile("../../internal/trace/testdata/legacy/trace_c11tester_SB+sc_1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for field, line := range map[string]string{
+		"sched": `"sched": "quantum"`, "quantum_mean": `"quantum_mean": 50`, "max_steps": `"max_steps": 1000`,
+	} {
+		// Neutral file names: the refusal, not the path, must name the field.
+		dir := t.TempDir()
+		path := filepath.Join(dir, "trace.json")
+		data := strings.Replace(string(legacy), `"rng": "legacy"`, line, 1)
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stderr := filepath.Join(dir, "stderr.txt")
+		code := withStderr(t, stderr, func() int { return run([]string{"replay", path}, out) })
+		msg, err := os.ReadFile(stderr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != 1 || !strings.Contains(string(msg), field) {
+			t.Errorf("replay on a trace with %s = exit %d, stderr %q; want exit 1 naming %q", line, code, msg, field)
+		}
+	}
+}
+
+// withStderr runs fn with os.Stderr redirected to the file at path.
+func withStderr(t *testing.T, path string, fn func() int) int {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = saved }()
+	return fn()
 }

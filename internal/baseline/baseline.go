@@ -292,17 +292,14 @@ type Options struct {
 	HistoryLimit int
 	// QuantumMean overrides tsan11's mean scheduling quantum.
 	QuantumMean int
-	// MaxSteps caps execution length.
-	MaxSteps uint64
-	// VolatileAcqRel mirrors core.Config.VolatileAcqRel.
-	VolatileAcqRel bool
 	// PreciseSync disables the conservative tsan-runtime clock treatment
 	// (see CommitModel.SetConservativeSync); on by default to match the
 	// tools' measured behaviour.
 	PreciseSync bool
 	// FastHandoff runs tsan11rec on the cheap fiber handoff instead of
-	// kernel threads (useful in tests; performance experiments use the
-	// faithful regime).
+	// kernel threads. Campaigns, the CLI default and bench/ run tsan11rec on
+	// fibers; the faithful kernel-thread regime is cmd/c11tester
+	// -faithful-handoff and the Figure 14 handoff benchmark.
 	FastHandoff bool
 }
 
@@ -315,11 +312,7 @@ func NewTsan11(opts Options) *core.Engine {
 	}
 	m := NewCommitModel(opts.HistoryLimit, false)
 	m.SetConservativeSync(!opts.PreciseSync)
-	return core.New("tsan11", m, core.Config{
-		Strategy:       core.NewQuantumStrategy(mean),
-		MaxSteps:       opts.MaxSteps,
-		VolatileAcqRel: opts.VolatileAcqRel,
-	})
+	return core.New("tsan11", m, core.Config{Strategy: core.NewQuantumStrategy(mean)})
 }
 
 // NewTsan11rec builds the tsan11rec baseline: commit-order memory model,
@@ -330,9 +323,5 @@ func NewTsan11rec(opts Options) *core.Engine {
 	m.SetConservativeSync(!opts.PreciseSync)
 	// Strategy stays nil: Config.withDefaults builds the default random
 	// strategy.
-	return core.New("tsan11rec", m, core.Config{
-		Sched:          sched.Config{LockOSThread: !opts.FastHandoff},
-		MaxSteps:       opts.MaxSteps,
-		VolatileAcqRel: opts.VolatileAcqRel,
-	})
+	return core.New("tsan11rec", m, core.Config{Sched: sched.Config{LockOSThread: !opts.FastHandoff}})
 }

@@ -72,13 +72,10 @@ type ToolSpec struct {
 	// BaselineForbidden outcomes are forbidden in addition to Forbidden
 	// (the fragment gap of Section 1.1).
 	Baseline bool
-	// ReproFlags are the non-default cmd/c11tester flags needed to rebuild
-	// this tool configuration; they are embedded in every reproduction
-	// command the campaign emits (see harness.Repro.Flags).
-	ReproFlags string
-	// TraceConfig is the portable tool identity embedded in recorded traces
-	// (see internal/trace); StandardTool fills it in.
-	TraceConfig trace.ToolConfig
+	// Config is the tool's configuration: the portable identity embedded in
+	// recorded traces (see internal/trace), from which ReproFlags renders
+	// the flags of every reproduction command. StandardTool fills it in.
+	Config trace.ToolConfig
 }
 
 // BenchmarkSpec is one program cell of the campaign matrix.
@@ -109,21 +106,17 @@ type Spec struct {
 	// ShardSize is the number of executions per shard; 0 means 25.
 	ShardSize int
 	// Policy selects the per-cell budget policy (internal/explore). Nil
-	// means explore.Uniform{}: every cell runs exactly Runs executions. An
-	// adaptive policy may stop a cell early once its statistics converge and
+	// means uniform: every cell runs exactly Runs executions. The converge
+	// policy may stop a cell early once its statistics converge and
 	// reassigns the freed budget to still-diverging cells, keeping the
 	// campaign total at most Runs × cells.
-	Policy explore.Policy
+	Policy *explore.Converge
 	// Guides supplies recorded traces for trace-guided exploration: engine
 	// cells whose (tool, program) matches a loaded trace replay a prefix of
 	// its schedule before handing control to the live strategy (see
 	// trace.PrefixGuide). Execution i of a guided cell follows trace i mod
 	// len(traces), with the prefix depth drawn from the execution's seed.
 	Guides *GuideSet
-	// GuideMinFrac and GuideMaxFrac bound the replayed prefix depth as
-	// fractions of the guiding schedule's choice count; zero means the
-	// trace.DefaultGuideMinFrac/MaxFrac skew-deep range.
-	GuideMinFrac, GuideMaxFrac float64
 	// RecordDir, when non-empty, arms the trace sink: every execution a
 	// trigger of RecordOn owes a trace is recorded there as a portable trace
 	// (internal/trace) as it completes, and Run indexes the directory with a
@@ -189,9 +182,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Runs < 0 {
 		s.Runs = 0
-	}
-	if s.Policy == nil {
-		s.Policy = explore.Uniform{}
 	}
 	if s.RecordDir != "" && s.RecordOn == 0 {
 		s.RecordOn = obs.Of(obs.TriggerHit)
@@ -636,19 +626,19 @@ func (s Spec) programOf(k cellKey) string {
 // cellPlan tracks one cell's budget state across waves.
 type cellPlan struct {
 	cellKey
-	tracker explore.Tracker
+	tracker *explore.Tracker // nil under the uniform policy
 	used    int
 	stopped bool // converged: excluded from further grants
 }
 
 // runWaves is the campaign's run loop. Wave 1 grants every cell its initial
-// budget of Runs executions. A policy that never stops a cell early
-// (Chunk() == 0, uniform) has independent executions, so each grant splits
+// budget of Runs executions. The uniform policy (nil Spec.Policy) never
+// stops a cell early and has independent executions, so each grant splits
 // into the chunkDeal units — ShardSize chunks, only this shard's deal under
 // Spec.Shard — that spread over the worker pool; several units of one cell
-// run at once, so none feeds the tracker. Under any other policy a grant is
-// one serial unit, run chunk-by-chunk with a convergence check between
-// chunks, and cells that converge stop early. The unspent budget of
+// run at once, and the cell holds no tracker. Under the converge policy a
+// grant is one serial unit, run chunk-by-chunk with a convergence check
+// between chunks, and cells that converge stop early. The unspent budget of
 // converged cells forms a pool that later waves grant, one chunk per
 // still-diverging cell per wave in matrix order, until the pool is exhausted
 // or every cell converged. The total never exceeds Runs × cells, and every
@@ -657,17 +647,21 @@ type cellPlan struct {
 // workers' cell runners; runWaves returns the cells a resumed run restored
 // (nil otherwise), which foldCells folds together with them.
 func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]cellFold, map[cellKey]*BudgetSummary) {
-	chunk := spec.Policy.Chunk()
-	split := chunk == 0
+	split := spec.Policy == nil
 	deal := chunkDeal(spec)
-	if chunk <= 0 || chunk > spec.Runs {
-		chunk = spec.Runs
+	chunk := spec.Runs
+	if !split && spec.Policy.Chunk() < chunk {
+		chunk = spec.Policy.Chunk()
 	}
 	nb, nl := len(spec.Benchmarks), len(spec.Litmus)
 
 	var plans []*cellPlan
 	for _, k := range matrixCells(spec) {
-		plans = append(plans, &cellPlan{cellKey: k, tracker: spec.Policy.NewTracker()})
+		p := &cellPlan{cellKey: k}
+		if !split {
+			p.tracker = spec.Policy.NewTracker()
+		}
+		plans = append(plans, p)
 	}
 
 	var restored []cellFold
@@ -733,6 +727,9 @@ func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]cell
 				g.plan.used += g.budget
 			} else {
 				g.plan.used = jobs[gi].hi
+			}
+			if g.plan.tracker == nil {
+				continue
 			}
 			wasStopped := g.plan.stopped
 			g.plan.stopped = g.plan.tracker.Converged()
@@ -926,17 +923,6 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 		r.guides = spec.Guides.For(spec.Tools[j.tool].Name, r.programName())
 		if len(r.guides) > 0 {
 			r.pg = trace.NewPrefixGuide(r.eng.Strategy())
-			if spec.GuideMinFrac > 0 {
-				r.pg.MinFrac = spec.GuideMinFrac
-			}
-			if spec.GuideMaxFrac > 0 {
-				r.pg.MaxFrac = spec.GuideMaxFrac
-				if spec.GuideMinFrac == 0 && r.pg.MaxFrac < r.pg.MinFrac {
-					// An explicit upper bound below the default skew-deep
-					// floor implies the whole shallow range.
-					r.pg.MinFrac = 0
-				}
-			}
 		}
 	}
 	// Analyzer plug-ins: one fresh instance per runner. An analyzer whose
@@ -1186,7 +1172,7 @@ func (r *cellRunner) run(lo, hi int, observe func(explore.Obs)) {
 // runChunked executes up to budget executions starting at global index lo,
 // in chunks, stopping early once the tracker reports convergence. It returns
 // the number of executions actually run.
-func (r *cellRunner) runChunked(lo, budget, chunk int, tracker explore.Tracker) int {
+func (r *cellRunner) runChunked(lo, budget, chunk int, tracker *explore.Tracker) int {
 	i, end := lo, lo+budget
 	for i < end {
 		hi := i + chunk
@@ -1424,7 +1410,7 @@ func (r *cellRunner) writeTrace(c obs.CaptureRecord) (file, reason string) {
 		return "", r.x.abort.Error()
 	}
 	meta := trace.Meta{
-		Tool: r.spec.Tools[r.j.tool].TraceConfig, Program: c.Program,
+		Tool: r.spec.Tools[r.j.tool].Config, Program: c.Program,
 		Litmus: c.Litmus, Seed: c.Seed, Outcome: r.x.outcome,
 	}
 	var tr *trace.Trace
@@ -1462,7 +1448,7 @@ func (r *cellRunner) entry(trig obs.Trigger, d obs.ExecDigest) obs.CaptureRecord
 		Seed: seed, Index: d.Index, Trigger: trig.String(),
 		Steps: d.Steps, Choices: d.Choices,
 		Repro: harness.Repro{Tool: toolSpec.Name, Program: r.programName(),
-			Seed: seed, Litmus: r.test != nil, Flags: toolSpec.ReproFlags}.Command(),
+			Seed: seed, Litmus: r.test != nil, Flags: toolSpec.ReproFlags()}.Command(),
 	}
 	if !d.Infeasible {
 		c.RaceKeys = slices.Clone(r.x.obs.RaceKeys)
@@ -1585,18 +1571,11 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("campaign: shard %s out of range (want 0 ≤ index < count)", s.Shard)
 		}
 		if s.Policy != nil {
-			if _, uniform := s.Policy.(explore.Uniform); !uniform {
-				return fmt.Errorf("campaign: sharding requires the uniform policy (adaptive budgets redistribute across the whole matrix; got %q)", s.Policy.Name())
-			}
+			return fmt.Errorf("campaign: sharding requires the uniform policy (adaptive budgets redistribute across the whole matrix; got %q)", s.Policy.Name())
 		}
 		if s.CheckpointPath != "" || s.Resume != nil {
 			return fmt.Errorf("campaign: sharding is incompatible with checkpoint/resume (resume the whole campaign, or re-run the one lost shard)")
 		}
-	}
-	if s.GuideMinFrac < 0 || s.GuideMaxFrac < 0 || s.GuideMinFrac > 1 || s.GuideMaxFrac > 1 ||
-		(s.GuideMaxFrac > 0 && s.GuideMinFrac > s.GuideMaxFrac) {
-		return fmt.Errorf("campaign: guide prefix fractions [%g, %g] outside 0 ≤ min ≤ max ≤ 1",
-			s.GuideMinFrac, s.GuideMaxFrac)
 	}
 	seenAnalyzer := map[string]bool{}
 	for _, name := range s.Analyzers {

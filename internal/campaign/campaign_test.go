@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"c11tester/internal/capi"
+	"c11tester/internal/core"
 	"c11tester/internal/harness"
 	"c11tester/internal/litmus"
 	"c11tester/internal/memmodel"
@@ -542,16 +543,21 @@ func TestSummaryTables(t *testing.T) {
 // configuration is embedded in every repro command the campaign emits, so
 // replaying reconstructs the same tool (same execution function of seed).
 func TestReproFlagsCarryToolConfiguration(t *testing.T) {
-	opts := ToolOptions{Strategy: "quantum", QuantumMean: 50, MaxSteps: 1000}
+	opts := ToolOptions{Prune: core.PruneAggressive}
 	ts := mustTool(t, "c11tester", opts)
-	if want := "-sched quantum -quantum 50 -max-steps 1000"; ts.ReproFlags != want {
-		t.Fatalf("ReproFlags = %q, want %q", ts.ReproFlags, want)
+	if want := "-prune aggressive"; ts.ReproFlags() != want {
+		t.Fatalf("ReproFlags = %q, want %q", ts.ReproFlags(), want)
 	}
-	if ts := mustTool(t, "c11tester", ToolOptions{}); ts.ReproFlags != "" {
-		t.Fatalf("default config must emit no extra flags, got %q", ts.ReproFlags)
+	if ts := mustTool(t, "c11tester", ToolOptions{}); ts.ReproFlags() != "" {
+		t.Fatalf("default config must emit no extra flags, got %q", ts.ReproFlags())
 	}
-	if ts := mustTool(t, "tsan11rec", ToolOptions{FaithfulHandoff: true}); ts.ReproFlags != "-faithful-handoff" {
-		t.Fatalf("tsan11rec ReproFlags = %q", ts.ReproFlags)
+	if ts := mustTool(t, "tsan11rec", ToolOptions{FaithfulHandoff: true}); ts.ReproFlags() != "-faithful-handoff" {
+		t.Fatalf("tsan11rec ReproFlags = %q", ts.ReproFlags())
+	}
+	// Options a tool does not take leave its configuration, and so its
+	// flags, untouched.
+	if ts := mustTool(t, "tsan11", ToolOptions{Prune: core.PruneAggressive, FaithfulHandoff: true}); ts.ReproFlags() != "" {
+		t.Fatalf("tsan11 ReproFlags = %q, want none", ts.ReproFlags())
 	}
 
 	sum := Run(Spec{
@@ -563,10 +569,10 @@ func TestReproFlagsCarryToolConfiguration(t *testing.T) {
 	if len(races) == 0 {
 		t.Fatal("no races")
 	}
-	if races[0].Repro.Flags != ts.ReproFlags {
-		t.Errorf("race repro flags = %q, want %q", races[0].Repro.Flags, ts.ReproFlags)
+	if races[0].Repro.Flags != ts.ReproFlags() {
+		t.Errorf("race repro flags = %q, want %q", races[0].Repro.Flags, ts.ReproFlags())
 	}
-	if !strings.Contains(races[0].Repro.Command(), "-sched quantum") {
+	if !strings.Contains(races[0].Repro.Command(), "-prune aggressive") {
 		t.Errorf("repro command misses tool config: %q", races[0].Repro.Command())
 	}
 }
@@ -597,15 +603,16 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// TestParsePolicy pins the -policy flag boundary: both policy names parse,
-// a zero epsilon means the default, and a negative (or NaN) epsilon is
-// refused instead of silently replaced by the default.
+// TestParsePolicy pins the -policy flag boundary: both policy names parse
+// (uniform to the nil policy), a zero epsilon means the default, and a
+// negative (or NaN) epsilon is refused instead of silently replaced by the
+// default.
 func TestParsePolicy(t *testing.T) {
 	cases := []struct {
 		name    string
 		policy  string
 		epsilon float64
-		want    string // Policy.Name(); "" means an error
+		want    string // policyName; "" means an error
 	}{
 		{"default", "", 0, "uniform"},
 		{"uniform", "uniform", 0, "uniform"},
@@ -620,42 +627,13 @@ func TestParsePolicy(t *testing.T) {
 		p, err := ParsePolicy(c.policy, c.epsilon)
 		switch {
 		case c.want == "" && err == nil:
-			t.Errorf("%s: ParsePolicy = %s, want an error", c.name, p.Name())
+			t.Errorf("%s: ParsePolicy = %s, want an error", c.name, policyName(p))
 		case c.want != "" && err != nil:
 			t.Errorf("%s: ParsePolicy: %v", c.name, err)
-		case c.want != "" && p.Name() != c.want:
-			t.Errorf("%s: ParsePolicy = %s, want %s", c.name, p.Name(), c.want)
-		}
-	}
-}
-
-// TestValidateGuideFractions pins the guide prefix bounds: both fractions
-// lie in [0, 1] and min ≤ max, where max 0 means the default.
-func TestValidateGuideFractions(t *testing.T) {
-	base := Spec{
-		Tools:      []ToolSpec{{Name: "t", New: func() capi.Tool { return fixedTool{"t"} }}},
-		Benchmarks: []BenchmarkSpec{{Name: "b"}},
-		Runs:       1,
-	}
-	cases := []struct {
-		name     string
-		min, max float64
-		ok       bool
-	}{
-		{"min < 0", -0.5, 0, false},
-		{"max < 0", 0, -0.5, false},
-		{"max > 1", 0, 1.5, false},
-		{"min > max", 0.8, 0.4, false},
-		{"valid", 0.2, 0.6, true},
-	}
-	for _, c := range cases {
-		s := base
-		s.GuideMinFrac, s.GuideMaxFrac = c.min, c.max
-		err := s.Validate()
-		if (err == nil) != c.ok {
-			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
-		} else if err != nil && !strings.Contains(err.Error(), "guide prefix fractions") {
-			t.Errorf("%s: Validate() = %v, want the guide prefix fractions error", c.name, err)
+		case c.want != "" && policyName(p) != c.want:
+			t.Errorf("%s: ParsePolicy = %s, want %s", c.name, policyName(p), c.want)
+		case c.want == "uniform" && p != nil:
+			t.Errorf("%s: ParsePolicy = %+v, want the nil (uniform) policy", c.name, p)
 		}
 	}
 }

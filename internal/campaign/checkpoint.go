@@ -70,47 +70,43 @@ type ShardInfo struct {
 }
 
 // SpecDigest fingerprints every outcome-affecting campaign parameter: the
-// tool set (name, repro flags, baseline flavour, trace identity), the program
-// matrix, Runs/SeedBase/ShardSize, the budget policy, the guide configuration,
-// and the validation/record duties. Two specs with equal digests run
+// tool set (name, baseline flavour, configuration), the program matrix,
+// Runs/SeedBase/ShardSize, the budget policy, the guide configuration, and
+// the validation/record duties. Two specs with equal digests run
 // identical execution sets with identical duties; Workers and artifact paths
 // deliberately do not participate (they change where and how fast, never
 // what).
 func SpecDigest(spec Spec) string {
 	spec = spec.withDefaults()
 	type digestTool struct {
-		Name       string           `json:"name"`
-		ReproFlags string           `json:"repro_flags"`
-		Baseline   bool             `json:"baseline"`
-		Trace      trace.ToolConfig `json:"trace"`
+		Name     string           `json:"name"`
+		Baseline bool             `json:"baseline"`
+		Config   trace.ToolConfig `json:"config"`
 	}
 	d := struct {
-		Tools        []digestTool `json:"tools"`
-		Benchmarks   []string     `json:"benchmarks"`
-		Litmus       []string     `json:"litmus"`
-		Runs         int          `json:"runs"`
-		SeedBase     int64        `json:"seed_base"`
-		ShardSize    int          `json:"shard_size"`
-		Policy       string       `json:"policy"`
-		GuideDir     string       `json:"guide_dir,omitempty"`
-		GuideTraces  int          `json:"guide_traces,omitempty"`
-		GuideMinFrac float64      `json:"guide_min_frac,omitempty"`
-		GuideMaxFrac float64      `json:"guide_max_frac,omitempty"`
-		Validate     bool         `json:"validate,omitempty"`
-		RecordOn     string       `json:"record_on,omitempty"`
+		Tools       []digestTool `json:"tools"`
+		Benchmarks  []string     `json:"benchmarks"`
+		Litmus      []string     `json:"litmus"`
+		Runs        int          `json:"runs"`
+		SeedBase    int64        `json:"seed_base"`
+		ShardSize   int          `json:"shard_size"`
+		Policy      string       `json:"policy"`
+		GuideDir    string       `json:"guide_dir,omitempty"`
+		GuideTraces int          `json:"guide_traces,omitempty"`
+		Validate    bool         `json:"validate,omitempty"`
+		RecordOn    string       `json:"record_on,omitempty"`
 		// Analyzers change what a campaign observes and reports, so they are
 		// digest material; omitempty keeps pre-analyzer digests unchanged.
 		Analyzers []string `json:"analyzers,omitempty"`
 	}{
 		Benchmarks: []string{}, Litmus: []string{},
 		Runs: spec.Runs, SeedBase: spec.SeedBase, ShardSize: spec.ShardSize,
-		Policy:   spec.Policy.Name(),
+		Policy:   policyName(spec.Policy),
 		Validate: spec.ValidateAxioms,
 		RecordOn: spec.RecordOn.String(),
 	}
 	for _, t := range spec.Tools {
-		d.Tools = append(d.Tools, digestTool{Name: t.Name, ReproFlags: t.ReproFlags,
-			Baseline: t.Baseline, Trace: t.TraceConfig})
+		d.Tools = append(d.Tools, digestTool{Name: t.Name, Baseline: t.Baseline, Config: t.Config})
 	}
 	for _, b := range spec.Benchmarks {
 		d.Benchmarks = append(d.Benchmarks, b.Name)
@@ -121,8 +117,6 @@ func SpecDigest(spec Spec) string {
 	if spec.Guides != nil {
 		d.GuideDir = spec.Guides.Dir()
 		d.GuideTraces = spec.Guides.Len()
-		d.GuideMinFrac = spec.GuideMinFrac
-		d.GuideMaxFrac = spec.GuideMaxFrac
 	}
 	if len(spec.Analyzers) > 0 {
 		d.Analyzers = spec.Analyzers
@@ -237,8 +231,8 @@ func checkpointCells(spec Spec, cells []cellFold, plans []*cellPlan) []CellCheck
 		if plans != nil {
 			p := plans[i]
 			cc.Used, cc.Stopped = p.used, p.stopped
-			if s, ok := p.tracker.(explore.Snapshotter); ok {
-				cc.Tracker = s.Snapshot()
+			if p.tracker != nil {
+				cc.Tracker = p.tracker.Snapshot()
 			}
 		}
 		out[i] = cc
@@ -317,8 +311,8 @@ func restore(c *Checkpoint, plans []*cellPlan) []cellFold {
 		cc := &c.Cells[i]
 		p.used = cc.Used
 		p.stopped = cc.Stopped
-		if s, ok := p.tracker.(explore.Snapshotter); ok {
-			s.Restore(cc.Tracker)
+		if p.tracker != nil {
+			p.tracker.Restore(cc.Tracker)
 		}
 		if cc.Used > 0 {
 			cells[i] = cellFold{frag: cc.Frag, hi: cc.Used}

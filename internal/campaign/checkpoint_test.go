@@ -71,7 +71,7 @@ func TestValidateCrashOptions(t *testing.T) {
 	}
 	s = base()
 	s.Shard = ShardSel{Index: 0, Count: 2}
-	s.Policy = explore.Converge{}
+	s.Policy = &explore.Converge{}
 	if err := s.Validate(); err == nil {
 		t.Error("sharding under an adaptive policy accepted; the round-robin deal is only deterministic under uniform budgets")
 	}
@@ -410,7 +410,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			Runs:       32,
 			SeedBase:   100,
 			Workers:    workers,
-			Policy:     explore.Converge{Epsilon: 0.375}, // L = 8
+			Policy:     &explore.Converge{Epsilon: 0.375}, // L = 8
 		}
 	}
 
@@ -461,7 +461,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 // wave loop: a uniform campaign is a single wave, so it checkpoints at the
 // wave-1 barrier and again at completion. Resuming from either checkpoint, at
 // any worker count, replays the summary byte-identically without re-running
-// anything — not even constructing a tool.
+// anything — not even constructing a tool. Its cells carry no tracker.
 func TestUniformCheckpointResume(t *testing.T) {
 	var built atomic.Int64
 	tool := mustTool(t, "c11tester", ToolOptions{})
@@ -507,6 +507,12 @@ func TestUniformCheckpointResume(t *testing.T) {
 	}
 	if !ck.Complete {
 		t.Fatalf("uniform campaign checkpoint not complete: %+v", ck)
+	}
+	// A uniform plan holds no tracker, so its cells checkpoint none.
+	for _, cc := range ck.Cells {
+		if cc.Tracker != nil || cc.Stopped {
+			t.Fatalf("uniform cell %s/%s checkpointed tracker %+v, stopped %v; want none", cc.ToolRef, cc.Program, cc.Tracker, cc.Stopped)
+		}
 	}
 	if err := ck.ValidateAgainst(build(1)); err != nil {
 		t.Fatalf("checkpoint does not validate against its own spec: %v", err)
@@ -567,7 +573,7 @@ func TestCheckpointWriteFailureDoesNotAbort(t *testing.T) {
 			Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
 			Runs:       16,
 			SeedBase:   3,
-			Policy:     explore.Converge{Epsilon: 0.75}, // L = 4
+			Policy:     &explore.Converge{Epsilon: 0.75}, // L = 4
 		}
 	}
 	want := canonicalJSON(t, Run(build()))

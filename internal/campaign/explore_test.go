@@ -17,7 +17,7 @@ import (
 // stable, and the two litmus tests have small, quickly-saturated outcome
 // histograms. Runs is well above the default L = 150, the floor below which
 // no cell can stop early.
-func convergeSpec(t *testing.T, workers, shardSize int, policy explore.Policy) Spec {
+func convergeSpec(t *testing.T, workers, shardSize int, policy *explore.Converge) Spec {
 	return Spec{
 		Tools: []ToolSpec{
 			mustTool(t, "c11tester", ToolOptions{}),
@@ -68,7 +68,7 @@ func TestConvergeKeepsUniformFinds(t *testing.T) {
 		spec := convergeSpec(t, 2, 0, nil)
 		spec.Runs, spec.SeedBase = 500, seed
 		uniform := convergeFinds(Run(spec))
-		spec.Policy = explore.Converge{}
+		spec.Policy = &explore.Converge{}
 		adaptive := convergeFinds(Run(spec))
 		for k := range uniform {
 			if !adaptive[k] {
@@ -82,8 +82,8 @@ func TestConvergeKeepsUniformFinds(t *testing.T) {
 // guarantee to adaptive budgets: a Converge-policy campaign must aggregate
 // identically on one worker and on four.
 func TestConvergeDeterminismUnderSharding(t *testing.T) {
-	serial := canonicalize(Run(convergeSpec(t, 1, 60, explore.Converge{})))
-	sharded := canonicalize(Run(convergeSpec(t, 4, 7, explore.Converge{})))
+	serial := canonicalize(Run(convergeSpec(t, 1, 60, &explore.Converge{})))
+	sharded := canonicalize(Run(convergeSpec(t, 4, 7, &explore.Converge{})))
 
 	sj, err := json.Marshal(serial)
 	if err != nil {
@@ -104,7 +104,7 @@ func TestConvergeDeterminismUnderSharding(t *testing.T) {
 // verdicts with at most 60% of the executions.
 func TestConvergeReproducesUniformVerdictsAtLowerBudget(t *testing.T) {
 	uniform := Run(convergeSpec(t, 2, 0, nil))
-	adaptive := Run(convergeSpec(t, 2, 0, explore.Converge{}))
+	adaptive := Run(convergeSpec(t, 2, 0, &explore.Converge{}))
 
 	var uniExecs, adExecs int
 	for i := range uniform.Tools {
@@ -171,7 +171,7 @@ func TestConvergeRedistributesFreedBudget(t *testing.T) {
 		Runs:     1000,
 		SeedBase: 1,
 		Workers:  2,
-		Policy:   explore.Converge{},
+		Policy:   &explore.Converge{},
 	}
 	sum := Run(spec)
 	sb, iriw := sum.Tools[0].Litmus[0], sum.Tools[0].Litmus[1]
@@ -367,7 +367,7 @@ func TestSchemaArtifactRoundTrip(t *testing.T) {
 		Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
 		Runs:       30,
 		SeedBase:   1,
-		Policy:     explore.Converge{Epsilon: 0.3}, // L = 10: room to converge within 30 runs
+		Policy:     &explore.Converge{Epsilon: 0.3}, // L = 10: room to converge within 30 runs
 	})
 	if sum.SchemaVersion != SchemaVersion {
 		t.Fatalf("schema version = %d, want %d", sum.SchemaVersion, SchemaVersion)

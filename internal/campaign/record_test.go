@@ -37,7 +37,7 @@ func captureSpec(t *testing.T, workers int, dir string, tel *Telemetry) Spec {
 		SeedBase:   500,
 		Workers:    workers,
 		ShardSize:  7,
-		Policy:     explore.Converge{},
+		Policy:     &explore.Converge{},
 		RecordDir:  dir,
 		RecordOn:   anomalies,
 		Telemetry:  tel,
@@ -359,7 +359,7 @@ func TestRecordManifestShardAndResume(t *testing.T) {
 
 	var checkpoints []*Checkpoint
 	spec := build(t.TempDir(), 2)
-	spec.Policy = explore.Converge{Epsilon: 0.375} // L = 8: several wave barriers
+	spec.Policy = &explore.Converge{Epsilon: 0.375} // L = 8: several wave barriers
 	spec.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
 	spec.checkpointHook = func(c *Checkpoint) {
 		data, err := json.Marshal(c)

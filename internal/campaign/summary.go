@@ -390,7 +390,7 @@ type summaryMeta struct {
 func metaOf(spec Spec) summaryMeta {
 	m := summaryMeta{info: specInfo(spec)}
 	for _, t := range spec.Tools {
-		m.reproFlags = append(m.reproFlags, t.ReproFlags)
+		m.reproFlags = append(m.reproFlags, t.ReproFlags())
 	}
 	for _, l := range spec.Litmus {
 		m.weakDefined = append(m.weakDefined, len(l.Weak))
@@ -406,7 +406,7 @@ func specInfo(spec Spec) SpecInfo {
 		Runs: spec.Runs, SeedBase: spec.SeedBase,
 		Workers: spec.Workers, ShardSize: spec.ShardSize,
 		Benchmarks: []string{}, Litmus: []string{},
-		Policy:    spec.Policy.Name(),
+		Policy:    policyName(spec.Policy),
 		RecordDir: spec.RecordDir, RecordOn: spec.RecordOn.String(),
 		Validate:  spec.ValidateAxioms,
 		Analyzers: spec.Analyzers,

@@ -225,7 +225,7 @@ func (t *Telemetry) emitUnit(wave int, j job, frag *fragment) {
 	repro := func(run int) string {
 		return harness.Repro{Tool: toolSpec.Name, Program: program,
 			Seed: t.spec.SeedBase + int64(run), Litmus: litmus,
-			Flags: toolSpec.ReproFlags}.Command()
+			Flags: toolSpec.ReproFlags()}.Command()
 	}
 	for _, key := range harness.SortedKeys(frag.Races) {
 		hit := frag.Races[key]
@@ -242,7 +242,7 @@ func (t *Telemetry) emitUnit(wave int, j job, frag *fragment) {
 			Seed: t.spec.SeedBase + int64(hit.Run),
 			Repro: harness.Repro{Tool: toolSpec.Name, Program: program,
 				Seed: t.spec.SeedBase + int64(hit.Run), Litmus: litmus,
-				Flags: strings.TrimSpace(toolSpec.ReproFlags + " -analyzers " + id.analyzer)}.Command()})
+				Flags: strings.TrimSpace(toolSpec.ReproFlags() + " -analyzers " + id.analyzer)}.Command()})
 	}
 	for _, out := range harness.SortedKeys(frag.Forbidden) {
 		first := frag.Forbidden[out]
@@ -297,14 +297,12 @@ func (t *Telemetry) cellConverged(wave int, k cellKey, used int) {
 // calls it at the wave barrier — a single-threaded point where the tracker
 // has folded exactly the wave's observations in index order — so the event
 // is a pure function of the cell's observation stream, identical for any
-// worker count. Trackers that cannot explain themselves (Uniform) are
-// skipped.
-func (t *Telemetry) convergeState(wave int, k cellKey, tracker explore.Tracker) {
-	in, ok := tracker.(explore.Introspector)
-	if !ok || t.stream == nil {
+// worker count.
+func (t *Telemetry) convergeState(wave int, k cellKey, tracker *explore.Tracker) {
+	if t.stream == nil {
 		return
 	}
-	st := in.State()
+	st := tracker.State()
 	t.emit(Event{Type: "cell_converge_state", Wave: wave,
 		Tool: t.spec.Tools[k.tool].Name, Program: t.spec.programOf(k), Litmus: k.kind == jobLitmus,
 		Converge: &st})
@@ -343,9 +341,8 @@ func (t *Telemetry) campaignEnd(execs int) {
 }
 
 // WriteEngineFailures prints every sampled engine-failure repro triple of a
-// summary to w, one "ENGINE FAILURE" block per sample. It is the shared
-// formatting helper of the c11tester and litmus CLIs (both print to stderr),
-// and returns the total failure count across all tools.
+// summary to w, one "ENGINE FAILURE" block per sample (cmd/c11tester prints
+// them to stderr), and returns the total failure count across all tools.
 func WriteEngineFailures(w io.Writer, s *Summary) int {
 	total := 0
 	for _, ts := range s.Tools {

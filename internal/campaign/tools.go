@@ -27,56 +27,29 @@ func SplitList(s string) []string {
 	return names
 }
 
-// reproFlags renders the non-default cmd/c11tester flags that reconstruct
-// this tool configuration, for embedding in reproduction commands.
-func (o ToolOptions) reproFlags(tool string) string {
-	var parts []string
-	switch tool {
-	case "c11tester":
-		switch o.Prune {
-		case core.PruneConservative:
-			parts = append(parts, "-prune conservative")
-		case core.PruneAggressive:
-			parts = append(parts, "-prune aggressive")
-		}
-		if o.Strategy == "quantum" {
-			parts = append(parts, "-sched quantum")
-			if o.QuantumMean != 0 {
-				parts = append(parts, fmt.Sprintf("-quantum %d", o.QuantumMean))
-			}
-		}
-	case "tsan11":
-		if o.QuantumMean != 0 {
-			parts = append(parts, fmt.Sprintf("-quantum %d", o.QuantumMean))
-		}
-	case "tsan11rec":
-		if o.FaithfulHandoff {
-			parts = append(parts, "-faithful-handoff")
-		}
-	}
-	if o.MaxSteps != 0 {
-		parts = append(parts, fmt.Sprintf("-max-steps %d", o.MaxSteps))
-	}
-	return strings.Join(parts, " ")
-}
-
 // ToolOptions configures the standard tool set. The zero value is the
 // paper's default configuration for every tool.
 type ToolOptions struct {
 	// Prune selects the C11Tester memory limiter mode (Section 7.1); the
 	// baselines keep bounded histories regardless.
 	Prune core.PruneMode
-	// Strategy selects the c11tester exploration strategy: "random" (the
-	// default) or "quantum" (the uncontrolled-scheduler model).
-	Strategy string
-	// QuantumMean overrides the mean scheduling quantum for quantum
-	// strategies (c11tester with Strategy "quantum", and tsan11).
-	QuantumMean int
-	// MaxSteps caps execution length; 0 keeps each tool's default.
-	MaxSteps uint64
 	// FaithfulHandoff runs tsan11rec on kernel-thread condition-variable
 	// handoff (the Figure 14 regime) instead of the cheap fiber handoff.
 	FaithfulHandoff bool
+}
+
+// ReproFlags renders the non-default cmd/c11tester flags that rebuild the
+// tool's configuration, for embedding in reproduction commands (see
+// harness.Repro.Flags).
+func (t ToolSpec) ReproFlags() string {
+	var parts []string
+	if t.Config.Prune != "" {
+		parts = append(parts, "-prune "+t.Config.Prune)
+	}
+	if t.Config.FaithfulHandoff {
+		parts = append(parts, "-faithful-handoff")
+	}
+	return strings.Join(parts, " ")
 }
 
 // pruneName renders a PruneMode as its -prune flag value ("" for off).
@@ -90,55 +63,38 @@ func pruneName(p core.PruneMode) string {
 	return ""
 }
 
-// traceConfig renders the tool configuration into the portable form embedded
-// in recorded traces, from which StandardToolFromConfig rebuilds an
-// identical tool.
-func (o ToolOptions) traceConfig(tool string) trace.ToolConfig {
-	tc := trace.ToolConfig{Name: tool, MaxSteps: o.MaxSteps}
-	switch tool {
-	case "c11tester":
-		tc.Prune = pruneName(o.Prune)
-		if o.Strategy != "" && o.Strategy != "random" {
-			tc.Sched = o.Strategy
-			tc.QuantumMean = o.QuantumMean
-		}
-	case "tsan11":
-		tc.QuantumMean = o.QuantumMean
-	case "tsan11rec":
-		tc.FaithfulHandoff = o.FaithfulHandoff
-	}
-	return tc
-}
-
 // StandardToolFromConfig rebuilds the tool a trace was recorded under.
 func StandardToolFromConfig(tc trace.ToolConfig) (ToolSpec, error) {
 	prune, err := ParsePrune(tc.Prune)
 	if err != nil {
 		return ToolSpec{}, err
 	}
-	return StandardTool(tc.Name, ToolOptions{
-		Prune:           prune,
-		Strategy:        tc.Sched,
-		QuantumMean:     tc.QuantumMean,
-		MaxSteps:        tc.MaxSteps,
-		FaithfulHandoff: tc.FaithfulHandoff,
-	})
+	return StandardTool(tc.Name, ToolOptions{Prune: prune, FaithfulHandoff: tc.FaithfulHandoff})
 }
 
-// ParsePolicy parses a -policy flag value into a budget policy. epsilon
-// parameterizes the converge policy; 0 means its default, and a negative or
-// NaN epsilon is refused rather than silently defaulted.
-func ParsePolicy(name string, epsilon float64) (explore.Policy, error) {
+// ParsePolicy parses a -policy flag value into a budget policy: nil for
+// uniform, the converge policy otherwise. epsilon parameterizes the converge
+// policy; 0 means its default, and a negative or NaN epsilon is refused
+// rather than silently defaulted.
+func ParsePolicy(name string, epsilon float64) (*explore.Converge, error) {
 	if !(epsilon >= 0) {
 		return nil, fmt.Errorf("policy parameter must be ≥ 0 (0 = default): -epsilon %g", epsilon)
 	}
 	switch name {
 	case "", "uniform":
-		return explore.Uniform{}, nil
+		return nil, nil
 	case "converge":
-		return explore.Converge{Epsilon: epsilon}, nil
+		return &explore.Converge{Epsilon: epsilon}, nil
 	}
 	return nil, fmt.Errorf("unknown policy %q (want uniform or converge)", name)
+}
+
+// policyName renders a Spec.Policy for the summary spec echo.
+func policyName(p *explore.Converge) string {
+	if p == nil {
+		return "uniform"
+	}
+	return p.Name()
 }
 
 // ParsePrune parses a -prune flag value.
@@ -234,44 +190,16 @@ func StandardToolNames() []string {
 func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
 	switch name {
 	case "c11tester":
-		strategy := opts.Strategy
-		if strategy == "" {
-			strategy = "random"
-		}
-		if strategy != "random" && strategy != "quantum" {
-			return ToolSpec{}, fmt.Errorf("unknown scheduler strategy %q (want random or quantum)", strategy)
-		}
-		return ToolSpec{Name: name, ReproFlags: opts.reproFlags(name), TraceConfig: opts.traceConfig(name), New: func() capi.Tool {
-			var strat core.Strategy
-			if strategy == "quantum" {
-				mean := opts.QuantumMean
-				if mean == 0 {
-					mean = 150
-				}
-				strat = core.NewQuantumStrategy(mean)
-			} else {
-				strat = core.NewRandomStrategy()
-			}
-			return core.New(name, core.NewC11Model(), core.Config{
-				StoreBurst: true,
-				Prune:      opts.Prune,
-				Strategy:   strat,
-				MaxSteps:   opts.MaxSteps,
-			})
+		return ToolSpec{Name: name, Config: trace.ToolConfig{Name: name, Prune: pruneName(opts.Prune)}, New: func() capi.Tool {
+			return core.New(name, core.NewC11Model(), core.Config{StoreBurst: true, Prune: opts.Prune})
 		}}, nil
 	case "tsan11":
-		return ToolSpec{Name: name, Baseline: true, ReproFlags: opts.reproFlags(name), TraceConfig: opts.traceConfig(name), New: func() capi.Tool {
-			return baseline.NewTsan11(baseline.Options{
-				QuantumMean: opts.QuantumMean,
-				MaxSteps:    opts.MaxSteps,
-			})
+		return ToolSpec{Name: name, Baseline: true, Config: trace.ToolConfig{Name: name}, New: func() capi.Tool {
+			return baseline.NewTsan11(baseline.Options{})
 		}}, nil
 	case "tsan11rec":
-		return ToolSpec{Name: name, Baseline: true, ReproFlags: opts.reproFlags(name), TraceConfig: opts.traceConfig(name), New: func() capi.Tool {
-			return baseline.NewTsan11rec(baseline.Options{
-				MaxSteps:    opts.MaxSteps,
-				FastHandoff: !opts.FaithfulHandoff,
-			})
+		return ToolSpec{Name: name, Baseline: true, Config: trace.ToolConfig{Name: name, FaithfulHandoff: opts.FaithfulHandoff}, New: func() capi.Tool {
+			return baseline.NewTsan11rec(baseline.Options{FastHandoff: !opts.FaithfulHandoff})
 		}}, nil
 	}
 	return ToolSpec{}, fmt.Errorf("unknown tool %q (want one of %v)", name, StandardToolNames())

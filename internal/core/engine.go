@@ -45,9 +45,6 @@ type Config struct {
 	// MaxSteps aborts executions that exceed this many visible operations
 	// (livelock guard). 0 means the default of 4M.
 	MaxSteps uint64
-	// VolatileAcqRel maps volatile loads to acquire and volatile stores to
-	// release instead of relaxed (the Silo experiment of Section 8.2).
-	VolatileAcqRel bool
 	// Prune selects the memory limiter mode.
 	Prune PruneMode
 	// PruneInterval is the number of visible operations between limiter

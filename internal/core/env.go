@@ -101,27 +101,18 @@ func (v *env) Write(l capi.Loc, val memmodel.Value) {
 }
 
 // VolatileLoad and VolatileStore model legacy pre-C11 atomics: C11Tester
-// converts them to atomic accesses with a configurable memory order
-// (Sections 7.2 and 8.2). Because they become atomics, volatile/volatile and
-// volatile/atomic pairs are never reported as races — only volatile/plain
-// conflicts are.
+// converts them to relaxed atomic accesses (Sections 7.2 and 8.2). Because
+// they become atomics, volatile/volatile and volatile/atomic pairs are never
+// reported as races — only volatile/plain conflicts are.
 func (v *env) VolatileLoad(l capi.Loc) memmodel.Value {
-	mo := memmodel.Relaxed
-	if v.e.cfg.VolatileAcqRel {
-		mo = memmodel.Acquire
-	}
 	op := v.prep()
-	op.Kind, op.MO, op.Loc, op.Volatile = memmodel.KLoad, mo, l.ID, true
+	op.Kind, op.MO, op.Loc, op.Volatile = memmodel.KLoad, memmodel.Relaxed, l.ID, true
 	return v.call(op).Val
 }
 
 func (v *env) VolatileStore(l capi.Loc, val memmodel.Value) {
-	mo := memmodel.Relaxed
-	if v.e.cfg.VolatileAcqRel {
-		mo = memmodel.Release
-	}
 	op := v.prep()
-	op.Kind, op.MO, op.Loc, op.Operand, op.Volatile = memmodel.KStore, mo, l.ID, val, true
+	op.Kind, op.MO, op.Loc, op.Operand, op.Volatile = memmodel.KStore, memmodel.Relaxed, l.ID, val, true
 	v.call(op)
 }
 

@@ -1,12 +1,12 @@
-// Package explore implements campaign-level budget policies: the logic that
-// decides how many executions each (tool, program) cell of a campaign matrix
-// deserves. The paper's evaluation (and this repository's campaigns up to
-// summary schema v2) spends a uniform N executions per cell; a Converge
-// policy instead stops a cell once its observable statistics — detection
-// rate, distinct race keys, litmus outcome histogram — have stabilized, and
-// the campaign reassigns the freed budget to cells that are still diverging.
+// Package explore implements the campaign's adaptive budget policy: the
+// logic that decides how many executions each (tool, program) cell of a
+// campaign matrix deserves. The paper's evaluation (and a campaign with no
+// policy) spends a uniform N executions per cell; the Converge policy
+// instead stops a cell once its observable statistics — detection rate,
+// distinct race keys, litmus outcome histogram — have stabilized, and the
+// campaign reassigns the freed budget to cells that are still diverging.
 //
-// Determinism contract: a policy's stopping decision for a cell is a pure
+// Determinism contract: the policy's stopping decision for a cell is a pure
 // function of that cell's own observation stream in execution-index order.
 // Executions themselves are pure functions of (tool, program, seed), so a
 // cell's stop point — and therefore the whole campaign's budget assignment —
@@ -33,24 +33,10 @@ type Obs struct {
 	Outcome string
 }
 
-// Tracker follows one cell's observation stream and decides convergence.
-// Trackers are confined to one cell and observe executions strictly in
-// index order; they are not goroutine-safe.
-type Tracker interface {
-	// Observe folds the next execution's observation into the tracker.
-	Observe(Obs)
-	// Converged reports whether the cell's statistics have stabilized and
-	// further executions may be cut. A converged tracker may keep observing
-	// (budget-reassignment waves re-check convergence) but must stay
-	// deterministic.
-	Converged() bool
-}
-
 // TrackerState is a serializable snapshot of one tracker's internals: the
-// forensics surface behind the /debug/converge endpoint and the
-// cell_converge_state events. Every field is a pure function of the cell's
-// observation stream, so snapshots taken at deterministic points (wave
-// barriers) are identical across worker counts.
+// forensics surface behind the cell_converge_state events. Every field is a
+// pure function of the cell's observation stream, so snapshots taken at
+// deterministic points (wave barriers) are identical across worker counts.
 type TrackerState struct {
 	// Execs and Detected are the full-stream totals; DetectionRate is their
 	// ratio (0 when no executions have been observed).
@@ -83,42 +69,6 @@ type TrackerState struct {
 	Converged bool `json:"converged"`
 }
 
-// Introspector is the optional Tracker extension for trackers that can
-// explain their convergence decision. Converge trackers implement it;
-// Uniform's never-converging tracker has nothing to explain and does not.
-type Introspector interface {
-	State() TrackerState
-}
-
-// Policy decides per-cell budgets.
-type Policy interface {
-	// Name renders the policy and its parameters for the summary spec echo.
-	Name() string
-	// NewTracker returns a fresh tracker for one cell.
-	NewTracker() Tracker
-	// Chunk is the number of executions a cell runs between convergence
-	// checks; 0 means the cell's whole budget at once (no early stopping).
-	Chunk() int
-}
-
-// Uniform is the fixed-budget policy: every cell runs its full budget, the
-// schema v1/v2 behaviour.
-type Uniform struct{}
-
-// Name implements Policy.
-func (Uniform) Name() string { return "uniform" }
-
-// NewTracker implements Policy.
-func (Uniform) NewTracker() Tracker { return neverConverged{} }
-
-// Chunk implements Policy.
-func (Uniform) Chunk() int { return 0 }
-
-type neverConverged struct{}
-
-func (neverConverged) Observe(Obs)     {}
-func (neverConverged) Converged() bool { return false }
-
 // Converge stops a cell once it has gone L = ⌈3/ε⌉ consecutive executions
 // without a new race key or litmus outcome and its detection rate and
 // outcome histogram have stabilized. ε is the one parameter; the zero value
@@ -148,13 +98,14 @@ func (c Converge) withDefaults() Converge {
 	return c
 }
 
-// Name implements Policy.
+// Name renders the policy and its parameter for the summary spec echo.
 func (c Converge) Name() string {
 	return fmt.Sprintf("converge(eps=%g)", c.withDefaults().Epsilon)
 }
 
-// Chunk implements Policy. It is L = ⌈3/ε⌉, which is also the trailing
-// window the convergence test reads and the floor before a cell may stop.
+// Chunk is the number of executions a cell runs between convergence checks.
+// It is L = ⌈3/ε⌉, which is also the trailing window the convergence test
+// reads and the floor before a cell may stop.
 func (c Converge) Chunk() int {
 	l := math.Ceil(3 / c.withDefaults().Epsilon)
 	if l > math.MaxInt32 {
@@ -163,10 +114,10 @@ func (c Converge) Chunk() int {
 	return int(l)
 }
 
-// NewTracker implements Policy.
-func (c Converge) NewTracker() Tracker {
+// NewTracker returns a fresh tracker for one cell.
+func (c Converge) NewTracker() *Tracker {
 	c = c.withDefaults()
-	return &convergeTracker{eps: c.Epsilon, window: c.Chunk(), raceSeen: map[string]bool{}, outcomes: map[string]int{}}
+	return &Tracker{eps: c.Epsilon, window: c.Chunk(), raceSeen: map[string]bool{}, outcomes: map[string]int{}}
 }
 
 // windowObs is the digest of one observed execution kept in the trailing
@@ -178,7 +129,10 @@ type windowObs struct {
 	newInfo  bool
 }
 
-type convergeTracker struct {
+// Tracker follows one cell's observation stream and decides convergence.
+// A tracker is confined to one cell and observes executions strictly in
+// index order; it is not goroutine-safe.
+type Tracker struct {
 	eps    float64
 	window int
 
@@ -192,8 +146,8 @@ type convergeTracker struct {
 	next int
 }
 
-// Observe implements Tracker.
-func (t *convergeTracker) Observe(o Obs) {
+// Observe folds the next execution's observation into the tracker.
+func (t *Tracker) Observe(o Obs) {
 	w := windowObs{detected: o.Detected, outcome: o.Outcome}
 	for _, k := range o.RaceKeys {
 		if !t.raceSeen[k] {
@@ -237,7 +191,7 @@ type windowStats struct {
 	priorTotZero bool
 }
 
-func (t *convergeTracker) windowStats() windowStats {
+func (t *Tracker) windowStats() windowStats {
 	s := windowStats{outcomes: map[string]int{}}
 	for _, w := range t.ring {
 		if w.newInfo {
@@ -286,13 +240,15 @@ func (t *convergeTracker) windowStats() windowStats {
 	return s
 }
 
-// Converged implements Tracker: the trailing window is full (the cell has
+// Converged reports whether the cell's statistics have stabilized and
+// further executions may be cut: the trailing window is full (the cell has
 // run at least L executions), introduced no new race key or outcome, and
 // removing it moves neither the detection rate nor the outcome distribution
 // by more than Epsilon. (With no history before the window there is no rate
 // to compare, and the leg is skipped. Cells with no outcomes at all —
-// benchmarks — skip the L1 leg.)
-func (t *convergeTracker) Converged() bool {
+// benchmarks — skip the L1 leg.) A converged tracker may keep observing
+// (budget-reassignment waves re-check convergence) and stays deterministic.
+func (t *Tracker) Converged() bool {
 	if len(t.ring) < t.window {
 		return false
 	}
@@ -312,8 +268,8 @@ func (t *convergeTracker) Converged() bool {
 	return true
 }
 
-// State implements Introspector.
-func (t *convergeTracker) State() TrackerState {
+// State explains the tracker's convergence decision.
+func (t *Tracker) State() TrackerState {
 	s := t.windowStats()
 	st := TrackerState{
 		Execs:          t.n,

@@ -9,20 +9,6 @@ import (
 	"c11tester/internal/rng"
 )
 
-func TestUniformNeverConverges(t *testing.T) {
-	p := Uniform{}
-	if p.Chunk() != 0 {
-		t.Fatalf("Uniform.Chunk() = %d, want 0 (whole budget)", p.Chunk())
-	}
-	tr := p.NewTracker()
-	for i := 0; i < 1000; i++ {
-		tr.Observe(Obs{Detected: true, Outcome: "x"})
-		if tr.Converged() {
-			t.Fatalf("uniform tracker converged after %d observations", i+1)
-		}
-	}
-}
-
 // TestConvergeWindowFromEpsilon pins L = ⌈3/ε⌉ for a few ε: the trailing
 // window, the floor and the chunk are all L, and the tracker state echoes it.
 func TestConvergeWindowFromEpsilon(t *testing.T) {
@@ -34,7 +20,7 @@ func TestConvergeWindowFromEpsilon(t *testing.T) {
 		if p.Chunk() != c.want {
 			t.Errorf("ε=%g: Chunk() = %d, want L = %d", c.eps, p.Chunk(), c.want)
 		}
-		if st := p.NewTracker().(Introspector).State(); st.Window != c.want || st.Epsilon != c.eps {
+		if st := p.NewTracker().State(); st.Window != c.want || st.Epsilon != c.eps {
 			t.Errorf("ε=%g: state echoes window %d, ε %g", c.eps, st.Window, st.Epsilon)
 		}
 	}
@@ -251,21 +237,13 @@ func TestConvergeDeterministicReplay(t *testing.T) {
 
 // TestTrackerStateIntrospection pins the State snapshot against a known
 // observation stream: the snapshot's aggregates, window contents, and verdict
-// must agree with the tracker's own Converged decision, and Uniform's tracker
-// must not claim introspection at all.
+// must agree with the tracker's own Converged decision.
 func TestTrackerStateIntrospection(t *testing.T) {
-	if _, ok := (Uniform{}).NewTracker().(Introspector); ok {
-		t.Fatal("uniform tracker claims introspection with nothing to explain")
-	}
 	c := Converge{Epsilon: 0.3} // L = 10
 	tr := c.NewTracker()
-	in, ok := tr.(Introspector)
-	if !ok {
-		t.Fatal("converge tracker does not implement Introspector")
-	}
 
 	// Empty tracker: all zero, not converged.
-	st := in.State()
+	st := tr.State()
 	if st.Execs != 0 || st.DetectionRate != 0 || st.WindowFilled != 0 || st.Converged {
 		t.Fatalf("zero-stream state = %+v", st)
 	}
@@ -282,7 +260,7 @@ func TestTrackerStateIntrospection(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Observe(Obs{Detected: false, Outcome: "b"})
 	}
-	st = in.State()
+	st = tr.State()
 	if st.Execs != 25 || st.Detected != 15 || st.DistinctRaces != 1 {
 		t.Fatalf("aggregates = %+v", st)
 	}
@@ -315,7 +293,7 @@ func TestTrackerStateIntrospection(t *testing.T) {
 		}
 		tr.Observe(Obs{Detected: det, Outcome: out, RaceKeys: raceIf(det)})
 	}
-	st = in.State()
+	st = tr.State()
 	if st.Converged != tr.Converged() {
 		t.Fatalf("snapshot verdict %v diverges from Converged() %v", st.Converged, tr.Converged())
 	}
@@ -334,8 +312,7 @@ func TestOutcomeL1OrderIndependent(t *testing.T) {
 	for i := 0; i < 97; i++ {
 		tr.Observe(Obs{Outcome: fmt.Sprintf("o%d", (i*i+3*i)%13)})
 	}
-	in := tr.(Introspector)
-	st := in.State()
+	st := tr.State()
 
 	// The exact distance Σ |n/tot − (n−w)/priorTot| in rational arithmetic.
 	tot, priorTot := int64(0), int64(0)
@@ -353,7 +330,7 @@ func TestOutcomeL1OrderIndependent(t *testing.T) {
 		t.Fatalf("OutcomeL1 = %v, want the correctly rounded %v", st.OutcomeL1, want)
 	}
 	for i := 0; i < 200; i++ {
-		if got := in.State().OutcomeL1; math.Float64bits(got) != math.Float64bits(want) {
+		if got := tr.State().OutcomeL1; math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("call %d: OutcomeL1 = %v, want bit-identical %v", i, got, want)
 		}
 	}

@@ -19,7 +19,7 @@ type WindowObsState struct {
 // TrackerSnapshot is the serializable full state of a converge tracker:
 // everything Observe has folded in, in a canonical encoding (race keys
 // sorted, window oldest→newest) so identical streams snapshot to identical
-// bytes. A nil snapshot denotes a stateless tracker (Uniform's).
+// bytes.
 type TrackerSnapshot struct {
 	N        int              `json:"n"`
 	Detected int              `json:"detected"`
@@ -28,26 +28,10 @@ type TrackerSnapshot struct {
 	Window   []WindowObsState `json:"window,omitempty"`
 }
 
-// Snapshotter is the optional Tracker extension for trackers whose state can
-// be checkpointed and restored. Converge trackers implement it; Uniform's
-// never-converging tracker is stateless and snapshots to nil.
-type Snapshotter interface {
-	// Snapshot serializes the tracker's state; nil means "stateless".
-	Snapshot() *TrackerSnapshot
-	// Restore replaces the tracker's state with the snapshot's. Restoring a
-	// nil snapshot resets to the fresh state.
-	Restore(*TrackerSnapshot)
-}
-
-// Snapshot implements Snapshotter.
-func (neverConverged) Snapshot() *TrackerSnapshot { return nil }
-
-// Restore implements Snapshotter.
-func (neverConverged) Restore(*TrackerSnapshot) {}
-
-// Snapshot implements Snapshotter. The window is emitted oldest→newest
-// regardless of the internal ring cursor, so the encoding is canonical.
-func (t *convergeTracker) Snapshot() *TrackerSnapshot {
+// Snapshot serializes the tracker's state. The window is emitted
+// oldest→newest regardless of the internal ring cursor, so the encoding is
+// canonical.
+func (t *Tracker) Snapshot() *TrackerSnapshot {
 	s := &TrackerSnapshot{N: t.n, Detected: t.detected}
 	if len(t.raceSeen) > 0 {
 		s.RaceKeys = make([]string, 0, len(t.raceSeen))
@@ -72,11 +56,12 @@ func (t *convergeTracker) Snapshot() *TrackerSnapshot {
 	return s
 }
 
-// Restore implements Snapshotter. The restored ring holds the snapshot's
+// Restore replaces the tracker's state with the snapshot's; a nil snapshot
+// resets it to the fresh state. The restored ring holds the snapshot's
 // window oldest-first with the cursor at 0, which is behaviourally identical
 // to the original ring: the next Observe overwrites the oldest entry either
 // way, and window analysis is order-insensitive.
-func (t *convergeTracker) Restore(s *TrackerSnapshot) {
+func (t *Tracker) Restore(s *TrackerSnapshot) {
 	t.n, t.detected = 0, 0
 	t.raceSeen = map[string]bool{}
 	t.outcomes = map[string]int{}

@@ -35,7 +35,7 @@ func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
 		for _, o := range stream[:cut] {
 			orig.Observe(o)
 		}
-		snap := orig.(Snapshotter).Snapshot()
+		snap := orig.Snapshot()
 
 		// The snapshot must survive serialization: a checkpoint round-trips
 		// it through JSON.
@@ -49,15 +49,15 @@ func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
 		}
 
 		restored := pol.NewTracker()
-		restored.(Snapshotter).Restore(decoded)
+		restored.Restore(decoded)
 		for i, o := range stream[cut:] {
 			orig.Observe(o)
 			restored.Observe(o)
 			if orig.Converged() != restored.Converged() {
 				t.Fatalf("cut %d: verdicts diverge %d step(s) after restore", cut, i+1)
 			}
-			so := orig.(Introspector).State()
-			sr := restored.(Introspector).State()
+			so := orig.State()
+			sr := restored.State()
 			if !reflect.DeepEqual(so, sr) {
 				t.Fatalf("cut %d, step %d: state diverged:\norig:     %+v\nrestored: %+v", cut, i+1, so, sr)
 			}
@@ -83,31 +83,14 @@ func TestSnapshotCanonicalEncoding(t *testing.T) {
 		half.Observe(o)
 	}
 	resumed := pol.NewTracker()
-	resumed.(Snapshotter).Restore(half.(Snapshotter).Snapshot())
+	resumed.Restore(half.Snapshot())
 	for _, o := range stream[7:] {
 		resumed.Observe(o)
 	}
 
-	a, _ := json.Marshal(direct.(Snapshotter).Snapshot())
-	b, _ := json.Marshal(resumed.(Snapshotter).Snapshot())
+	a, _ := json.Marshal(direct.Snapshot())
+	b, _ := json.Marshal(resumed.Snapshot())
 	if string(a) != string(b) {
 		t.Fatalf("snapshots of the same stream differ:\ndirect:  %s\nresumed: %s", a, b)
-	}
-}
-
-// TestUniformTrackerSnapshotsToNil pins the stateless tracker contract.
-func TestUniformTrackerSnapshotsToNil(t *testing.T) {
-	tr := Uniform{}.NewTracker()
-	tr.Observe(Obs{Detected: true})
-	sn, ok := tr.(Snapshotter)
-	if !ok {
-		t.Fatal("uniform tracker does not implement Snapshotter")
-	}
-	if s := sn.Snapshot(); s != nil {
-		t.Fatalf("uniform tracker snapshot = %+v, want nil", s)
-	}
-	sn.Restore(nil) // must not panic
-	if tr.Converged() {
-		t.Fatal("uniform tracker must never converge")
 	}
 }

@@ -1,10 +1,9 @@
-// Package harness runs programs under tools and holds the vocabulary the
-// campaign reports share: bug/race detection rates over repeated executions
-// (Section 8.1, Table 2) with their mean time and operation counts (Tables
-// 1 and 3), reproduction commands, the throughput conversion, and text
-// tables and unit formatting. Per-cell timing distributions come from the
-// campaign's telemetry and wall-time benchmarking from bench/, not from
-// here.
+// Package harness holds the vocabulary the campaign reports share: bug/race
+// detection rates over repeated executions (Section 8.1, Table 2) with their
+// mean time and operation counts (Tables 1 and 3), reproduction commands,
+// the throughput conversion, and text tables and unit formatting. Per-cell
+// timing distributions come from the campaign's telemetry and wall-time
+// benchmarking from bench/, not from here.
 package harness
 
 import (
@@ -56,24 +55,6 @@ func (d Detection) Rate() float64 {
 		return 0
 	}
 	return 100 * float64(d.Detected) / float64(d.Runs)
-}
-
-// MeasureDetection executes prog runs times under tool and counts
-// executions exhibiting the signal.
-func MeasureDetection(tool capi.Tool, prog capi.Program, runs int, seedBase int64, signal Signal) Detection {
-	d := Detection{Runs: runs}
-	start := time.Now()
-	for i := 0; i < runs; i++ {
-		res := tool.Execute(prog, seedBase+int64(i))
-		if signal.Hit(res) {
-			d.Detected++
-		}
-		d.Ops.Add(res.Stats)
-	}
-	if runs > 0 {
-		d.Time = time.Since(start) / time.Duration(runs)
-	}
-	return d
 }
 
 // Table is a simple fixed-width text table for experiment output.

@@ -9,73 +9,31 @@ import (
 	"c11tester/internal/capi"
 )
 
-// stubTool is a deterministic capi.Tool: the outcome of an execution is a
-// pure function of the seed, which is exactly the property the harness (and
-// the campaign runner built on it) relies on.
-type stubTool struct {
-	seeds []int64
-}
-
-func (s *stubTool) Name() string { return "stub" }
-
-func (s *stubTool) Execute(p capi.Program, seed int64) *capi.Result {
-	s.seeds = append(s.seeds, seed)
-	res := &capi.Result{Stats: capi.OpStats{AtomicOps: uint64(seed%7) + 1, NormalOps: 2}}
-	if seed%2 == 0 {
-		res.Races = append(res.Races, capi.RaceReport{LocName: "x"})
-	}
-	if seed%3 == 0 {
-		res.AssertFailures = append(res.AssertFailures, capi.AssertFailure{Message: "boom"})
-	}
-	return res
-}
-
-var nopProg = capi.Program{Name: "nop", Run: func(capi.Env) {}}
-
-func TestMeasureDetectionDeterminism(t *testing.T) {
-	run := func() (Detection, []int64) {
-		tool := &stubTool{}
-		d := MeasureDetection(tool, nopProg, 10, 100, SignalRace)
-		return d, tool.seeds
-	}
-	d1, seeds1 := run()
-	d2, seeds2 := run()
-
-	if d1.Runs != 10 || d1.Detected != d2.Detected || d1.Ops != d2.Ops {
-		t.Fatalf("detection not deterministic: %+v vs %+v", d1, d2)
-	}
-	// Seeds must be seedBase+index, in order.
-	for i, s := range seeds1 {
-		if s != 100+int64(i) {
-			t.Fatalf("seed %d = %d, want %d", i, s, 100+i)
+// TestSignalHit pins which executions count as a detection under each
+// signal: races only, assertion violations only, or any bug (races,
+// assertion violations and deadlocks).
+func TestSignalHit(t *testing.T) {
+	race := []capi.RaceReport{{LocName: "x"}}
+	assert := []capi.AssertFailure{{Message: "boom"}}
+	for _, c := range []struct {
+		name              string
+		res               capi.Result
+		race, assert, any bool
+	}{
+		{"clean", capi.Result{}, false, false, false},
+		{"race", capi.Result{Races: race}, true, false, true},
+		{"assert", capi.Result{AssertFailures: assert}, false, true, true},
+		{"deadlock", capi.Result{Deadlocked: true}, false, false, true},
+		{"race+assert", capi.Result{Races: race, AssertFailures: assert}, true, true, true},
+	} {
+		for _, s := range []struct {
+			sig  Signal
+			want bool
+		}{{SignalRace, c.race}, {SignalAssert, c.assert}, {SignalAny, c.any}} {
+			if got := s.sig.Hit(&c.res); got != s.want {
+				t.Errorf("%s: signal %d Hit = %v, want %v", c.name, s.sig, got, s.want)
+			}
 		}
-	}
-	if len(seeds2) != len(seeds1) {
-		t.Fatalf("seed count mismatch: %d vs %d", len(seeds2), len(seeds1))
-	}
-	// seeds 100..109: even seeds race → 5 detections.
-	if d1.Detected != 5 {
-		t.Fatalf("Detected = %d, want 5", d1.Detected)
-	}
-	if got := d1.Rate(); got != 50 {
-		t.Fatalf("Rate = %v, want 50", got)
-	}
-}
-
-func TestMeasureDetectionSignals(t *testing.T) {
-	// seeds 0..5: races on 0,2,4; asserts on 0,3.
-	if d := MeasureDetection(&stubTool{}, nopProg, 6, 0, SignalAssert); d.Detected != 2 {
-		t.Fatalf("SignalAssert Detected = %d, want 2", d.Detected)
-	}
-	if d := MeasureDetection(&stubTool{}, nopProg, 6, 0, SignalAny); d.Detected != 4 {
-		t.Fatalf("SignalAny Detected = %d, want 4", d.Detected)
-	}
-}
-
-func TestMeasureDetectionZeroRuns(t *testing.T) {
-	d := MeasureDetection(&stubTool{}, nopProg, 0, 0, SignalRace)
-	if d.Rate() != 0 || d.Time != 0 {
-		t.Fatalf("zero-run detection should be zero-valued: %+v", d)
 	}
 }
 

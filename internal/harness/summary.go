@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"time"
-
-	"c11tester/internal/capi"
 )
 
 // Repro identifies one execution — which tool ran which program with which
@@ -19,8 +17,8 @@ type Repro struct {
 	// Litmus marks Program as a litmus-test name rather than a benchmark
 	// name, which changes the flag it is replayed through.
 	Litmus bool `json:"litmus,omitempty"`
-	// Flags are the non-default tool-configuration flags (prune mode,
-	// scheduler strategy, ...) the tool ran with. Without them the replay
+	// Flags are the non-default tool-configuration flags (-prune,
+	// -faithful-handoff) the tool ran with. Without them the replay
 	// would derive a different execution from the same seed.
 	Flags string `json:"flags,omitempty"`
 }
@@ -81,9 +79,4 @@ type RaceSummary struct {
 	Key         string `json:"key"`
 	Description string `json:"description"`
 	Repro       Repro  `json:"repro"`
-}
-
-// NewRaceSummary builds a RaceSummary from a report and its repro triple.
-func NewRaceSummary(r capi.RaceReport, repro Repro) RaceSummary {
-	return RaceSummary{Key: r.Key(), Description: r.String(), Repro: repro}
 }

@@ -2,8 +2,8 @@
 // for the capi instrumentation boundary, each with an oracle classifying
 // outcomes as forbidden or as weak (allowed but not sequentially
 // consistent) under the C11Tester memory-model fragment (Section 2.2).
-// They validate the engine, differentiate the baselines, and drive
-// cmd/litmus.
+// They validate the engine and differentiate the baselines; campaigns run
+// them as litmus cells (internal/campaign).
 //
 // Each Test.Make call builds a fresh program *instance*: the location
 // handles, outcome registers, and thread bodies live in the instance (they
@@ -471,19 +471,4 @@ func iriwProgram(w, r memmodel.MemoryOrder) func(out *string) capi.Program {
 			*out = outD4(a1, a2, b1, b2)
 		}}
 	}
-}
-
-// Run executes test under tool for runs executions and histograms outcomes.
-func Run(tool capi.Tool, test *Test, runs int, seedBase int64) map[string]int {
-	hist := map[string]int{}
-	var out string
-	prog := test.Make(&out)
-	for i := 0; i < runs; i++ {
-		out = ""
-		tool.Execute(prog, seedBase+int64(i))
-		if out != "" {
-			hist[out]++
-		}
-	}
-	return hist
 }

@@ -235,16 +235,6 @@ func (g *Graph) AddRMWEdge(from, rmw *Node) {
 	g.propagate(rmw)
 }
 
-// AddEdges adds an mo edge from every node in set to node s (the helper of
-// Figure 7). Nil entries are skipped.
-func (g *Graph) AddEdges(set []*Node, s *Node) {
-	for _, e := range set {
-		if e != nil {
-			g.AddEdge(e, s)
-		}
-	}
-}
-
 // Reachable reports whether b is reachable from a, i.e. whether the
 // constraints imply a mo→ b. Per Theorem 1 this is exactly CV_A ≤ CV_B for
 // same-location nodes in an acyclic graph. a and b must write the same

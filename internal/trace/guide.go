@@ -6,16 +6,6 @@ import (
 	"c11tester/internal/rng"
 )
 
-// Default prefix-depth bounds of a PrefixGuide, as fractions of the recorded
-// schedule's combined choice count. Guided exploration wants to stay *near*
-// the recorded (typically racy) schedule, so the default range skews deep:
-// every guided execution replays at least half the recorded choices before
-// the live strategy takes over.
-const (
-	DefaultGuideMinFrac = 0.5
-	DefaultGuideMaxFrac = 1.0
-)
-
 // PrefixGuide is the trace-guided exploration strategy (core.Strategy, and
 // core.PrefixedStrategy): it re-drives a prefix of a recorded Schedule and
 // then hands control to a live inner strategy at the divergence point, so a
@@ -23,10 +13,10 @@ const (
 // (typically racy) executions instead of sampling uniformly.
 //
 // The prefix depth is drawn per execution from the seed: Seed(s) picks a
-// depth uniformly in [MinFrac·L, MaxFrac·L] of the recorded schedule's L
-// combined choices using a dedicated RNG derived from s, so a guided cell
-// spreads its executions over divergence points while remaining a pure
-// function of (schedule, seed) — the campaign determinism invariant. If a
+// depth uniformly in [L/2, L] of the recorded schedule's L combined choices
+// using a dedicated RNG derived from s, so a guided cell spreads its
+// executions over divergence points while remaining a pure function of
+// (schedule, seed) — the campaign determinism invariant. If a
 // recorded choice inside the prefix is not takeable in the current execution
 // (a thread not ready, an index out of range), the guide hands off early and
 // reports the divergence, rather than forcing the Replayer's deterministic
@@ -36,10 +26,12 @@ const (
 type PrefixGuide struct {
 	inner core.Strategy
 	sched Schedule
-	// MinFrac and MaxFrac bound the per-execution prefix depth as fractions
-	// of the schedule's combined choice count. Zero values mean the
-	// DefaultGuideMinFrac/DefaultGuideMaxFrac skew-deep range.
-	MinFrac, MaxFrac float64
+	// minFrac and maxFrac bound the per-execution prefix depth as fractions
+	// of the schedule's combined choice count. Guided exploration wants to
+	// stay near the recorded (typically racy) schedule, so the range skews
+	// deep: every guided execution replays at least half the recorded
+	// choices before the live strategy takes over.
+	minFrac, maxFrac float64
 
 	depthRng rng.Rand
 	depth    int // combined choices to replay this execution
@@ -56,15 +48,12 @@ func NewPrefixGuide(inner core.Strategy) *PrefixGuide {
 	if inner == nil {
 		inner = core.NewRandomStrategy()
 	}
-	return &PrefixGuide{inner: inner, MinFrac: DefaultGuideMinFrac, MaxFrac: DefaultGuideMaxFrac}
+	return &PrefixGuide{inner: inner, minFrac: 0.5, maxFrac: 1.0}
 }
 
 // SetSchedule installs the recorded schedule to guide along. It takes effect
 // at the next Seed (i.e. the next Engine.Execute).
 func (g *PrefixGuide) SetSchedule(s Schedule) { g.sched = s }
-
-// Inner returns the live strategy the guide hands off to.
-func (g *PrefixGuide) Inner() core.Strategy { return g.inner }
 
 // Seed implements core.Strategy: seed the inner strategy, rewind the prefix,
 // and draw this execution's prefix depth from the seed.
@@ -74,22 +63,9 @@ func (g *PrefixGuide) Seed(seed int64) {
 	g.handed = false
 	g.diverged = false
 
-	lo, hi := g.MinFrac, g.MaxFrac
-	if hi <= 0 {
-		lo, hi = DefaultGuideMinFrac, DefaultGuideMaxFrac
-	}
 	n := g.sched.Len()
-	min := int(lo * float64(n))
-	max := int(hi * float64(n))
-	if min < 0 {
-		min = 0
-	}
-	if max > n {
-		max = n
-	}
-	if max < min {
-		max = min
-	}
+	min := int(g.minFrac * float64(n))
+	max := int(g.maxFrac * float64(n))
 	// A distinct RNG (seed XOR'd with an arbitrary odd constant) keeps the
 	// depth draw from perturbing the inner strategy's choice stream.
 	g.depthRng.Seed(seed ^ 0x5bf03635)

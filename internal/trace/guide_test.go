@@ -82,7 +82,7 @@ func TestPrefixGuideFullDepthReproducesRecordedExecution(t *testing.T) {
 	prog := guideProg(&out)
 	eng := newGuideEngine()
 	pg := NewPrefixGuide(core.NewRandomStrategy())
-	pg.MinFrac, pg.MaxFrac = 1.0, 1.0
+	pg.minFrac, pg.maxFrac = 1.0, 1.0
 	pg.SetSchedule(tr.Schedule)
 	eng.SetStrategy(pg)
 
@@ -106,7 +106,7 @@ func TestPrefixGuideDepthIsSeedDerivedAndBounded(t *testing.T) {
 	prog := guideProg(&out)
 	eng := newGuideEngine()
 	pg := NewPrefixGuide(core.NewRandomStrategy())
-	pg.MinFrac, pg.MaxFrac = 0.25, 0.75
+	pg.minFrac, pg.maxFrac = 0.25, 0.75
 	pg.SetSchedule(tr.Schedule)
 	eng.SetStrategy(pg)
 
@@ -134,7 +134,7 @@ func TestPrefixGuideDepthIsSeedDerivedAndBounded(t *testing.T) {
 	// Same seed, same schedule → same depth (the campaign determinism
 	// invariant extends to guided cells).
 	pg2 := NewPrefixGuide(core.NewRandomStrategy())
-	pg2.MinFrac, pg2.MaxFrac = 0.25, 0.75
+	pg2.minFrac, pg2.maxFrac = 0.25, 0.75
 	pg2.SetSchedule(tr.Schedule)
 	pg2.Seed(17)
 	pg.Seed(17)
@@ -142,6 +142,16 @@ func TestPrefixGuideDepthIsSeedDerivedAndBounded(t *testing.T) {
 	d2, _, _ := pg2.Handoff()
 	if d1 != d2 {
 		t.Fatalf("depth not a pure function of seed: %d vs %d", d1, d2)
+	}
+
+	// The constructed guide draws from the fixed skew-deep range [L/2, L].
+	deep := NewPrefixGuide(core.NewRandomStrategy())
+	deep.SetSchedule(tr.Schedule)
+	for seed := int64(0); seed < 30; seed++ {
+		deep.Seed(seed)
+		if d, _, _ := deep.Handoff(); d < L/2 || d > L {
+			t.Fatalf("seed %d: default depth %d outside [%d, %d]", seed, d, L/2, L)
+		}
 	}
 }
 

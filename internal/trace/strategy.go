@@ -132,9 +132,6 @@ func (r *Replayer) PickIndex(n int) int {
 // Diverged returns the first divergence description, or "".
 func (r *Replayer) Diverged() string { return r.diverged }
 
-// Consumed reports how many recorded choices were consumed.
-func (r *Replayer) Consumed() (threads, indices int) { return r.ti, r.ii }
-
 // Effective returns the choices actually taken, fallbacks included.
 func (r *Replayer) Effective() Schedule {
 	return Schedule{

@@ -42,14 +42,19 @@ const (
 type ToolConfig struct {
 	Name            string `json:"name"`
 	Prune           string `json:"prune,omitempty"`
-	Sched           string `json:"sched,omitempty"`
-	QuantumMean     int    `json:"quantum_mean,omitempty"`
-	MaxSteps        uint64 `json:"max_steps,omitempty"`
 	FaithfulHandoff bool   `json:"faithful_handoff,omitempty"`
-	// RNG is set only by traces recorded under the removed -rng legacy
-	// source. Replay cannot rebuild that source (workload draws through
-	// env.RandUint64 depend on it), so ReadFile refuses such traces.
-	RNG string `json:"rng,omitempty"`
+}
+
+// removedTool holds the tool-config fields of removed cmd/c11tester flags.
+// Replay cannot rebuild a tool configured through them — the -rng legacy
+// source fed workload draws through env.RandUint64, and -sched, -quantum and
+// -max-steps changed the execution each seed derives — so ReadFile refuses a
+// trace that sets any of them.
+type removedTool struct {
+	RNG         string `json:"rng"`
+	Sched       string `json:"sched"`
+	QuantumMean int    `json:"quantum_mean"`
+	MaxSteps    uint64 `json:"max_steps"`
 }
 
 // Schedule is the recorded choice stream of one execution: the thread picked
@@ -311,8 +316,18 @@ func (tr *Trace) WriteFile(path string) error {
 // ReadFile loads and sanity-checks a serialized trace. Truncated or corrupt
 // files come back as a *safeio.DecodeError naming the byte offset.
 func ReadFile(path string) (*Trace, error) {
+	// The outer Tool field shadows Trace.Tool, so the tool object decodes
+	// once, into tr.Tool and the removed fields side by side.
 	var tr Trace
-	if err := safeio.DecodeJSONFile(path, &tr); err != nil {
+	var file struct {
+		*Trace
+		Tool struct {
+			*ToolConfig
+			removedTool
+		} `json:"tool"`
+	}
+	file.Trace, file.Tool.ToolConfig = &tr, &tr.Tool
+	if err := safeio.DecodeJSONFile(path, &file); err != nil {
 		return nil, err
 	}
 	if tr.Schema != SchemaName {
@@ -321,8 +336,20 @@ func ReadFile(path string) (*Trace, error) {
 	if tr.SchemaVersion != SchemaVersion {
 		return nil, fmt.Errorf("trace: %s: schema version %d, want %d", path, tr.SchemaVersion, SchemaVersion)
 	}
-	if tr.Tool.RNG != "" {
-		return nil, fmt.Errorf("trace: %s: recorded on rng source %q; -rng legacy was removed and its traces cannot be replayed", path, tr.Tool.RNG)
+	rm := file.Tool.removedTool
+	for _, f := range []struct {
+		field, flag string
+		val         any
+		set         bool
+	}{
+		{"rng", "-rng", rm.RNG, rm.RNG != ""},
+		{"sched", "-sched", rm.Sched, rm.Sched != ""},
+		{"quantum_mean", "-quantum", rm.QuantumMean, rm.QuantumMean != 0},
+		{"max_steps", "-max-steps", rm.MaxSteps, rm.MaxSteps != 0},
+	} {
+		if f.set {
+			return nil, fmt.Errorf("trace: %s: recorded with %s %v (tool field %q); that flag was removed and its traces cannot be replayed", path, f.flag, f.val, f.field)
+		}
 	}
 	return &tr, nil
 }

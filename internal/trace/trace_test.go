@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -180,6 +181,44 @@ func TestReadFileRefusesLegacyRNG(t *testing.T) {
 	_, err := ReadFile(legacyFixture)
 	if err == nil || !strings.Contains(err.Error(), "-rng legacy") {
 		t.Fatalf("ReadFile(legacy trace) = %v, want an error naming -rng legacy", err)
+	}
+}
+
+// withToolField writes a copy of legacyFixture whose tool config sets field
+// instead of rng ("" sets nothing) and returns its path.
+func withToolField(t *testing.T, field string) string {
+	t.Helper()
+	data, err := os.ReadFile(legacyFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if field != "" {
+		field = ",\n  " + field
+	}
+	fixed := strings.Replace(string(data), ",\n  \"rng\": \"legacy\"", field, 1)
+	if fixed == string(data) {
+		t.Fatal("legacy fixture has no rng field to replace")
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := os.WriteFile(path, []byte(fixed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestReadFileRefusesRemovedToolFields pins that a trace recorded under a
+// removed tool flag (-sched, -quantum, -max-steps) is refused with the field
+// named, like the -rng legacy source: replay cannot rebuild that tool.
+func TestReadFileRefusesRemovedToolFields(t *testing.T) {
+	if _, err := ReadFile(withToolField(t, "")); err != nil {
+		t.Fatalf("ReadFile(fixture without removed fields) = %v", err)
+	}
+	for _, field := range []string{`"sched": "quantum"`, `"quantum_mean": 50`, `"max_steps": 1000`} {
+		name := strings.Trim(strings.SplitN(field, ":", 2)[0], `"`)
+		_, err := ReadFile(withToolField(t, field))
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("ReadFile(trace with %s) = %v, want an error naming %q", field, err, name)
+		}
 	}
 }
 
