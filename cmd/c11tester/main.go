@@ -47,7 +47,6 @@ func run(args []string, out *os.File) int {
 		workers   = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		shardSz   = fs.Int("shard-size", 0, "executions per work chunk (0 = default)")
 		seed      = fs.Int64("seed", 1, "seed base; execution i runs with seed+i")
-		prune     = fs.String("prune", "off", "c11tester prune mode: off, conservative, or aggressive")
 		faithful  = fs.Bool("faithful-handoff", false, "run tsan11rec on kernel-thread handoff (Figure 14 regime)")
 		jsonPath  = fs.String("json", "BENCH_campaign.json", "campaign artifact path ('' disables)")
 		policy    = fs.String("policy", "uniform", "per-cell budget policy: uniform, or converge (stop a cell early once its statistics stabilize and reassign the freed budget)")
@@ -82,12 +81,7 @@ func run(args []string, out *os.File) int {
 		return 0
 	}
 
-	pruneMode, err := campaign.ParsePrune(*prune)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "c11tester:", err)
-		return 1
-	}
-	opts := campaign.ToolOptions{Prune: pruneMode, FaithfulHandoff: *faithful}
+	opts := campaign.ToolOptions{FaithfulHandoff: *faithful}
 
 	recOn, err := obs.ParseTriggers(*recordOn)
 	if err != nil {

@@ -103,8 +103,9 @@ func TestLegacyTraceRefused(t *testing.T) {
 }
 
 // TestRemovedToolFieldsRefused pins that replay refuses a trace whose tool
-// config sets a field of a removed flag (-sched, -quantum, -max-steps),
-// exiting 1 with the field named on stderr, as it refuses -rng legacy.
+// config sets a field of a removed flag (-sched, -quantum, -max-steps,
+// -prune), exiting 1 with the field named on stderr, as it refuses -rng
+// legacy.
 func TestRemovedToolFieldsRefused(t *testing.T) {
 	out := devNull(t)
 	legacy, err := os.ReadFile("../../internal/trace/testdata/legacy/trace_c11tester_SB+sc_1.json")
@@ -113,6 +114,7 @@ func TestRemovedToolFieldsRefused(t *testing.T) {
 	}
 	for field, line := range map[string]string{
 		"sched": `"sched": "quantum"`, "quantum_mean": `"quantum_mean": 50`, "max_steps": `"max_steps": 1000`,
+		"prune": `"prune": "conservative"`,
 	} {
 		// Neutral file names: the refusal, not the path, must name the field.
 		dir := t.TempDir()

@@ -213,18 +213,58 @@ func TestChaosExecutionsValidate(t *testing.T) {
 	}
 }
 
-// TestChaosWithConservativePruning re-runs chaos programs with the
-// conservative pruner active on a tiny interval; behaviours must stay legal
-// (the validator only checks retained actions, but coherence among them
-// must hold).
-func TestChaosLongRunsUnderPruning(t *testing.T) {
-	// Long-running two-thread program with heavy traffic on one location,
-	// pruned conservatively; assertion-checked coherence.
-	prog := capi.Program{Name: "prune-chaos", Run: func(env capi.Env) {
+// longPrograms are two-thread programs whose executions run thousands of
+// visible operations, each asserting read-read coherence on a location
+// that one thread stores to on every iteration.
+func longPrograms() []capi.Program {
+	// Message passing with an acknowledgement: the producer waits for the
+	// consumer to acknowledge each store before the next one.
+	acked := capi.Program{Name: "long-acked", Run: func(env capi.Env) {
+		const iters = 4000
+		x := env.NewAtomic("x", 0)
+		ack := env.NewAtomic("ack", 0)
+		a := env.Spawn("producer", func(env capi.Env) {
+			for i := 1; i <= iters; i++ {
+				env.Store(x, memmodel.Value(i), memmodel.Release)
+				for env.Load(ack, memmodel.Acquire) < memmodel.Value(i) {
+					env.Yield()
+				}
+			}
+		})
+		last := memmodel.Value(0)
+		for i := 1; i <= iters; i++ {
+			v := env.Load(x, memmodel.Acquire)
+			env.Assert(v >= last, "coherence: %d after %d", v, last)
+			last = v
+			env.Store(ack, memmodel.Value(i), memmodel.Release)
+		}
+		env.Join(a)
+	}}
+	// Unsynchronized relaxed stores and loads on one location.
+	relaxed := capi.Program{Name: "long-relaxed", Run: func(env capi.Env) {
+		const iters = 2000
+		x := env.NewAtomic("x", 0)
+		a := env.Spawn("producer", func(env capi.Env) {
+			for i := 1; i <= iters; i++ {
+				env.Store(x, memmodel.Value(i), memmodel.Relaxed)
+			}
+		})
+		last := memmodel.Value(0)
+		for i := 0; i < iters; i++ {
+			v := env.Load(x, memmodel.Relaxed)
+			env.Assert(v >= last, "coherence: %d after %d", v, last)
+			last = v
+		}
+		env.Join(a)
+	}}
+	// A release flag published every 16 stores to x; the reader loads x
+	// only after seeing the flag set.
+	flagged := capi.Program{Name: "long-flagged", Run: func(env capi.Env) {
+		const iters = 1500
 		x := env.NewAtomic("x", 0)
 		y := env.NewAtomic("y", 0)
 		a := env.Spawn("w", func(env capi.Env) {
-			for i := 1; i <= 1500; i++ {
+			for i := 1; i <= iters; i++ {
 				env.Store(x, memmodel.Value(i), memmodel.Release)
 				if i%16 == 0 {
 					env.Store(y, memmodel.Value(i), memmodel.Release)
@@ -232,7 +272,7 @@ func TestChaosLongRunsUnderPruning(t *testing.T) {
 			}
 		})
 		last := memmodel.Value(0)
-		for i := 0; i < 1500; i++ {
+		for i := 0; i < iters; i++ {
 			if env.Load(y, memmodel.Acquire) > 0 {
 				v := env.Load(x, memmodel.Acquire)
 				env.Assert(v >= last, "coherence: %d after %d", v, last)
@@ -241,16 +281,32 @@ func TestChaosLongRunsUnderPruning(t *testing.T) {
 		}
 		env.Join(a)
 	}}
-	for _, mode := range []core.PruneMode{core.PruneConservative, core.PruneAggressive} {
-		tool := core.New("c11tester", core.NewC11Model(), core.Config{
-			Prune: mode, PruneInterval: 128, Window: 24, StoreBurst: true,
-		})
-		for seed := int64(0); seed < 10; seed++ {
+	return []capi.Program{acked, relaxed, flagged}
+}
+
+// TestLongExecutionsValidate puts whole executions of thousands of actions
+// through the axiomatic checker: the engine keeps every action of an
+// execution, so the lifted execution is complete however long it runs.
+func TestLongExecutionsValidate(t *testing.T) {
+	for _, prog := range longPrograms() {
+		model := core.NewC11Model()
+		tool := core.New("c11tester", model, core.Config{Trace: true, StoreBurst: true})
+		for seed := int64(0); seed < 4; seed++ {
 			res := tool.Execute(prog, seed)
 			if len(res.AssertFailures) > 0 {
-				t.Fatalf("mode %d seed %d: %v", mode, seed, res.AssertFailures[0])
+				t.Fatalf("%s seed %d: %v", prog.Name, seed, res.AssertFailures[0])
+			}
+			if res.Truncated || res.Deadlocked {
+				t.Fatalf("%s seed %d: truncated/deadlocked", prog.Name, seed)
+			}
+			if n := len(tool.Trace()); n < 3000 {
+				t.Fatalf("%s seed %d: %d traced actions, want a long execution", prog.Name, seed, n)
+			}
+			if vs := Check(FromEngine(tool, model)); len(vs) > 0 {
+				t.Fatalf("%s seed %d: %d axiom violations, first %v", prog.Name, seed, len(vs), vs[0])
 			}
 		}
+		tool.Close()
 	}
 }
 

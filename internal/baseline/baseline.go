@@ -283,9 +283,6 @@ func (m *CommitModel) PromoteNAStore(t *core.ThreadState, loc memmodel.LocID, wr
 	m.append(b, act)
 }
 
-// Maintain implements core.MemModel; the bounded history needs no limiter.
-func (m *CommitModel) Maintain(*core.Engine) {}
-
 // Options configures baseline construction (exposed for experiments).
 type Options struct {
 	// HistoryLimit overrides the store-history bound.

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"c11tester/internal/capi"
-	"c11tester/internal/core"
 	"c11tester/internal/harness"
 	"c11tester/internal/litmus"
 	"c11tester/internal/memmodel"
@@ -543,25 +542,25 @@ func TestSummaryTables(t *testing.T) {
 // configuration is embedded in every repro command the campaign emits, so
 // replaying reconstructs the same tool (same execution function of seed).
 func TestReproFlagsCarryToolConfiguration(t *testing.T) {
-	opts := ToolOptions{Prune: core.PruneAggressive}
-	ts := mustTool(t, "c11tester", opts)
-	if want := "-prune aggressive"; ts.ReproFlags() != want {
+	ts := mustTool(t, "tsan11rec", ToolOptions{FaithfulHandoff: true})
+	if want := "-faithful-handoff"; ts.ReproFlags() != want {
 		t.Fatalf("ReproFlags = %q, want %q", ts.ReproFlags(), want)
 	}
-	if ts := mustTool(t, "c11tester", ToolOptions{}); ts.ReproFlags() != "" {
-		t.Fatalf("default config must emit no extra flags, got %q", ts.ReproFlags())
-	}
-	if ts := mustTool(t, "tsan11rec", ToolOptions{FaithfulHandoff: true}); ts.ReproFlags() != "-faithful-handoff" {
-		t.Fatalf("tsan11rec ReproFlags = %q", ts.ReproFlags())
+	for _, name := range StandardToolNames() {
+		if ts := mustTool(t, name, ToolOptions{}); ts.ReproFlags() != "" {
+			t.Fatalf("%s: default config must emit no extra flags, got %q", name, ts.ReproFlags())
+		}
 	}
 	// Options a tool does not take leave its configuration, and so its
 	// flags, untouched.
-	if ts := mustTool(t, "tsan11", ToolOptions{Prune: core.PruneAggressive, FaithfulHandoff: true}); ts.ReproFlags() != "" {
-		t.Fatalf("tsan11 ReproFlags = %q, want none", ts.ReproFlags())
+	for _, name := range []string{"c11tester", "tsan11"} {
+		if ts := mustTool(t, name, ToolOptions{FaithfulHandoff: true}); ts.ReproFlags() != "" {
+			t.Fatalf("%s ReproFlags = %q, want none", name, ts.ReproFlags())
+		}
 	}
 
 	sum := Run(Spec{
-		Tools:      []ToolSpec{mustTool(t, "c11tester", opts)},
+		Tools:      []ToolSpec{ts},
 		Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
 		Runs:       5,
 	})
@@ -572,7 +571,7 @@ func TestReproFlagsCarryToolConfiguration(t *testing.T) {
 	if races[0].Repro.Flags != ts.ReproFlags() {
 		t.Errorf("race repro flags = %q, want %q", races[0].Repro.Flags, ts.ReproFlags())
 	}
-	if !strings.Contains(races[0].Repro.Command(), "-prune aggressive") {
+	if !strings.Contains(races[0].Repro.Command(), "-faithful-handoff") {
 		t.Errorf("repro command misses tool config: %q", races[0].Repro.Command())
 	}
 }

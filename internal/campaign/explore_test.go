@@ -304,7 +304,6 @@ func (infeasibleModel) AtomicRMW(ts *core.ThreadState, op *capi.Op) (memmodel.Va
 func (infeasibleModel) Fence(*core.ThreadState, *capi.Op) {}
 func (infeasibleModel) PromoteNAStore(*core.ThreadState, memmodel.LocID, memmodel.TID, memmodel.SeqNum, memmodel.Value) {
 }
-func (infeasibleModel) Maintain(*core.Engine) {}
 
 // TestEngineFailureRecordedAndCampaignContinues pins the infeasible-store
 // hardening: a cell whose every execution hits an infeasible model state is

@@ -30,9 +30,6 @@ func SplitList(s string) []string {
 // ToolOptions configures the standard tool set. The zero value is the
 // paper's default configuration for every tool.
 type ToolOptions struct {
-	// Prune selects the C11Tester memory limiter mode (Section 7.1); the
-	// baselines keep bounded histories regardless.
-	Prune core.PruneMode
 	// FaithfulHandoff runs tsan11rec on kernel-thread condition-variable
 	// handoff (the Figure 14 regime) instead of the cheap fiber handoff.
 	FaithfulHandoff bool
@@ -42,34 +39,15 @@ type ToolOptions struct {
 // tool's configuration, for embedding in reproduction commands (see
 // harness.Repro.Flags).
 func (t ToolSpec) ReproFlags() string {
-	var parts []string
-	if t.Config.Prune != "" {
-		parts = append(parts, "-prune "+t.Config.Prune)
-	}
 	if t.Config.FaithfulHandoff {
-		parts = append(parts, "-faithful-handoff")
-	}
-	return strings.Join(parts, " ")
-}
-
-// pruneName renders a PruneMode as its -prune flag value ("" for off).
-func pruneName(p core.PruneMode) string {
-	switch p {
-	case core.PruneConservative:
-		return "conservative"
-	case core.PruneAggressive:
-		return "aggressive"
+		return "-faithful-handoff"
 	}
 	return ""
 }
 
 // StandardToolFromConfig rebuilds the tool a trace was recorded under.
 func StandardToolFromConfig(tc trace.ToolConfig) (ToolSpec, error) {
-	prune, err := ParsePrune(tc.Prune)
-	if err != nil {
-		return ToolSpec{}, err
-	}
-	return StandardTool(tc.Name, ToolOptions{Prune: prune, FaithfulHandoff: tc.FaithfulHandoff})
+	return StandardTool(tc.Name, ToolOptions{FaithfulHandoff: tc.FaithfulHandoff})
 }
 
 // ParsePolicy parses a -policy flag value into a budget policy: nil for
@@ -95,19 +73,6 @@ func policyName(p *explore.Converge) string {
 		return "uniform"
 	}
 	return p.Name()
-}
-
-// ParsePrune parses a -prune flag value.
-func ParsePrune(s string) (core.PruneMode, error) {
-	switch s {
-	case "", "off":
-		return core.PruneOff, nil
-	case "conservative":
-		return core.PruneConservative, nil
-	case "aggressive":
-		return core.PruneAggressive, nil
-	}
-	return core.PruneOff, fmt.Errorf("unknown prune mode %q (want off, conservative, or aggressive)", s)
 }
 
 // SelectBenchmarks resolves a -bench flag value ("none"/"", or a
@@ -190,8 +155,8 @@ func StandardToolNames() []string {
 func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
 	switch name {
 	case "c11tester":
-		return ToolSpec{Name: name, Config: trace.ToolConfig{Name: name, Prune: pruneName(opts.Prune)}, New: func() capi.Tool {
-			return core.New(name, core.NewC11Model(), core.Config{StoreBurst: true, Prune: opts.Prune})
+		return ToolSpec{Name: name, Config: trace.ToolConfig{Name: name}, New: func() capi.Tool {
+			return core.New(name, core.NewC11Model(), core.Config{StoreBurst: true})
 		}}, nil
 	case "tsan11":
 		return ToolSpec{Name: name, Baseline: true, Config: trace.ToolConfig{Name: name}, New: func() capi.Tool {

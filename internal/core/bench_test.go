@@ -123,11 +123,6 @@ func BenchmarkExecuteTraceMode(b *testing.B) {
 	benchExecute(b, newTool(Config{Trace: true}), benchProgStoreHeavy(64))
 }
 
-// BenchmarkExecutePruneConservative exercises the memory limiter path.
-func BenchmarkExecutePruneConservative(b *testing.B) {
-	benchExecute(b, newTool(Config{Prune: PruneConservative, PruneInterval: 64}), benchProgStoreHeavy(256))
-}
-
 // spawnJoin is a program whose main spawns n threads that each do one
 // relaxed store, then joins them. The child body and the handles live on the
 // program value, so its executions allocate nothing.

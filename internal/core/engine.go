@@ -1,6 +1,6 @@
 // Package core implements the C11Tester engine: the exploration loop of
 // Figure 3, the operational semantics of Figure 11, and the surrounding
-// runtime (race detection, scheduling, pruning, repeated execution).
+// runtime (race detection, scheduling, repeated execution).
 //
 // The engine is shared infrastructure: the memory-model-specific part — how
 // an atomic operation picks the store it reads from and what bookkeeping it
@@ -21,20 +21,6 @@ import (
 	"c11tester/internal/sched"
 )
 
-// PruneMode selects the execution-graph memory limiter of Section 7.1.
-type PruneMode uint8
-
-const (
-	// PruneOff never frees execution-graph state.
-	PruneOff PruneMode = iota
-	// PruneConservative frees only state that provably cannot influence any
-	// future behaviour, preserving the full set of executions.
-	PruneConservative
-	// PruneAggressive keeps a bounded window of stores per location and may
-	// reduce the set of producible executions.
-	PruneAggressive
-)
-
 // Config configures an engine.
 type Config struct {
 	// Sched selects the handoff regime (see internal/sched).
@@ -45,13 +31,6 @@ type Config struct {
 	// MaxSteps aborts executions that exceed this many visible operations
 	// (livelock guard). 0 means the default of 4M.
 	MaxSteps uint64
-	// Prune selects the memory limiter mode.
-	Prune PruneMode
-	// PruneInterval is the number of visible operations between limiter
-	// runs (default 4096).
-	PruneInterval uint64
-	// Window is the aggressive-mode per-location store window (default 64).
-	Window int
 	// Trace records the full execution for the axiomatic validator.
 	Trace bool
 	// StoreBurst enables the consecutive-store scheduling rule of Section 3
@@ -62,12 +41,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxSteps == 0 {
 		c.MaxSteps = 4 << 20
-	}
-	if c.PruneInterval == 0 {
-		c.PruneInterval = 4096
-	}
-	if c.Window == 0 {
-		c.Window = 64
 	}
 	if c.Strategy == nil {
 		c.Strategy = NewRandomStrategy()
@@ -193,8 +166,6 @@ type MemModel interface {
 	// was a non-atomic store by writer at the given epoch; the model must
 	// make it visible to atomics (Section 7.2).
 	PromoteNAStore(t *ThreadState, loc memmodel.LocID, writer memmodel.TID, epoch memmodel.SeqNum, v memmodel.Value)
-	// Maintain runs periodic upkeep (the Section 7.1 memory limiter).
-	Maintain(e *Engine)
 }
 
 // Engine runs programs under a MemModel with controlled scheduling. One
@@ -235,8 +206,8 @@ type Engine struct {
 	choices   uint64 // strategy decisions (PickThread + PickIndex) this execution
 	trace     []*Action
 	burstT    *ThreadState // thread eligible for a store burst
-	// checkDue defers the upkeep (MaxSteps guard, memory limiter) of a step
-	// that granted a thread to the next step's entry, when that thread has
+	// checkDue defers the upkeep (the MaxSteps guard) of a step that
+	// granted a thread to the next step's entry, when that thread has
 	// reached its next operation.
 	checkDue bool
 	// start is the unstarted thread the last step picked and returned to be
@@ -719,14 +690,11 @@ func (e *Engine) pick() *ThreadState {
 
 // upkeep runs what is due after a dispatch, once the dispatched thread has
 // settled: it reports whether the MaxSteps livelock guard ends the
-// execution, and otherwise runs the memory limiter when its interval is up.
+// execution.
 func (e *Engine) upkeep() bool {
 	if e.steps >= e.cfg.MaxSteps {
 		e.result.Truncated = true
 		return true
-	}
-	if e.cfg.Prune != PruneOff && e.steps%e.cfg.PruneInterval == 0 {
-		e.model.Maintain(e)
 	}
 	return false
 }

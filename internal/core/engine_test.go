@@ -616,79 +616,6 @@ func TestRaceDeduplicationAcrossExecutions(t *testing.T) {
 	}
 }
 
-func TestConservativePruningBoundsMemoryAndKeepsSemantics(t *testing.T) {
-	model := NewC11Model()
-	cfg := Config{Prune: PruneConservative, PruneInterval: 256}
-	cfg.StoreBurst = true
-	tool := New("c11tester", model, cfg)
-	const iters = 4000
-	prog := capi.Program{Name: "prune", Run: func(env capi.Env) {
-		x := env.NewAtomic("x", 0)
-		ack := env.NewAtomic("ack", 0)
-		a := env.Spawn("producer", func(env capi.Env) {
-			for i := 1; i <= iters; i++ {
-				env.Store(x, memmodel.Value(i), rel)
-				// Synchronize with the consumer so CVmin advances.
-				for env.Load(ack, acq) < memmodel.Value(i) {
-					env.Yield()
-				}
-			}
-		})
-		last := memmodel.Value(0)
-		for i := 1; i <= iters; i++ {
-			v := env.Load(x, acq)
-			env.Assert(v >= last, "coherence under pruning: %d after %d", v, last)
-			last = v
-			env.Store(ack, memmodel.Value(i), rel)
-		}
-		env.Join(a)
-	}}
-	res := tool.Execute(prog, 7)
-	if len(res.AssertFailures) > 0 {
-		t.Fatalf("%v", res.AssertFailures[0])
-	}
-	if res.Truncated {
-		t.Fatal("truncated")
-	}
-	// Without pruning the location would hold ~4000 stores.
-	for _, loc := range model.AppendLocations(nil) {
-		if n := model.StoreCount(loc); n > 200 {
-			t.Errorf("loc %d retains %d stores; pruning ineffective", loc, n)
-		}
-	}
-}
-
-func TestAggressivePruningKeepsCoherence(t *testing.T) {
-	model := NewC11Model()
-	cfg := Config{Prune: PruneAggressive, PruneInterval: 128, Window: 16}
-	cfg.StoreBurst = true
-	tool := New("c11tester", model, cfg)
-	prog := capi.Program{Name: "prune-agg", Run: func(env capi.Env) {
-		x := env.NewAtomic("x", 0)
-		a := env.Spawn("producer", func(env capi.Env) {
-			for i := 1; i <= 2000; i++ {
-				env.Store(x, memmodel.Value(i), rlx)
-			}
-		})
-		last := memmodel.Value(0)
-		for i := 0; i < 2000; i++ {
-			v := env.Load(x, rlx)
-			env.Assert(v >= last, "coherence under aggressive pruning: %d after %d", v, last)
-			last = v
-		}
-		env.Join(a)
-	}}
-	res := tool.Execute(prog, 11)
-	if len(res.AssertFailures) > 0 {
-		t.Fatalf("%v", res.AssertFailures[0])
-	}
-	for _, loc := range model.AppendLocations(nil) {
-		if n := model.StoreCount(loc); n > 120 {
-			t.Errorf("loc %d retains %d stores; window not enforced", loc, n)
-		}
-	}
-}
-
 func TestOpStatsCounted(t *testing.T) {
 	tool := newTool(Config{})
 	prog := capi.Program{Name: "stats", Run: func(env capi.Env) {

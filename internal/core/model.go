@@ -23,7 +23,6 @@ type aloc struct {
 	// scStoresBy[t] lists thread t's seq_cst stores (sc_stores).
 	scStoresBy  [][]*Action
 	lastSCStore *Action
-	storeCount  int
 }
 
 func (al *aloc) stores(t memmodel.TID) []*Action {
@@ -64,7 +63,6 @@ func (al *aloc) appendStore(a *Action) {
 		al.scStoresBy[a.TID] = append(al.scStoresBy[a.TID], a)
 		al.lastSCStore = a
 	}
-	al.storeCount++
 }
 
 func (al *aloc) appendLoad(a *Action) {
@@ -87,7 +85,6 @@ func (al *aloc) reset(id memmodel.LocID) {
 		al.scStoresBy[i] = al.scStoresBy[i][:0]
 	}
 	al.lastSCStore = nil
-	al.storeCount = 0
 }
 
 // C11Model is the paper's memory model: the fragment of C/C++11 with the
@@ -393,7 +390,6 @@ func (m *C11Model) PromoteNAStore(t *ThreadState, loc memmodel.LocID, writer mem
 		m.g.AddEdge(act.Node, chainStart(al.storesBy[writer][i+1]).Node)
 	}
 	al.accessesBy[writer], _ = insertSorted(al.accessesBy[writer])
-	al.storeCount++
 	m.e.TraceAppend(act)
 }
 

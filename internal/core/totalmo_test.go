@@ -15,7 +15,7 @@ import (
 // TestAppendTotalMOMatchesReference holds AppendTotalMO, which keeps its
 // working set in reused position-indexed scratch, to the map-based TotalMO
 // it replaced: the same stores in the same order for every location, on
-// every benchmark and litmus test, with and without pruning. The trace
+// every benchmark and litmus test. The trace
 // recorder serializes this order, so any drift would change recorded traces.
 func TestAppendTotalMOMatchesReference(t *testing.T) {
 	var progs []capi.Program
@@ -25,31 +25,25 @@ func TestAppendTotalMOMatchesReference(t *testing.T) {
 	for _, lt := range litmus.Tests() {
 		progs = append(progs, lt.Make(new(string)))
 	}
-	configs := []Config{
-		{StoreBurst: true},
-		{StoreBurst: true, Prune: PruneConservative, PruneInterval: 16},
-	}
 	var got []*Action
 	var locs []memmodel.LocID
-	for _, cfg := range configs {
-		for _, prog := range progs {
-			model := NewC11Model()
-			eng := New("c11tester", model, cfg)
-			for seed := int64(1); seed <= 10; seed++ {
-				eng.Execute(prog, seed)
-				locs = model.AppendLocations(locs[:0])
-				if !slices.IsSorted(locs) {
-					t.Fatalf("%s seed %d: locations %v not ascending", prog.Name, seed, locs)
-				}
-				for _, loc := range locs {
-					got = model.AppendTotalMO(got[:0], loc)
-					if want := refTotalMO(model, loc); !slices.Equal(got, want) {
-						t.Fatalf("%s seed %d loc %d (prune %d): AppendTotalMO = %v, want %v", prog.Name, seed, loc, cfg.Prune, got, want)
-					}
+	for _, prog := range progs {
+		model := NewC11Model()
+		eng := New("c11tester", model, Config{StoreBurst: true})
+		for seed := int64(1); seed <= 10; seed++ {
+			eng.Execute(prog, seed)
+			locs = model.AppendLocations(locs[:0])
+			if !slices.IsSorted(locs) {
+				t.Fatalf("%s seed %d: locations %v not ascending", prog.Name, seed, locs)
+			}
+			for _, loc := range locs {
+				got = model.AppendTotalMO(got[:0], loc)
+				if want := refTotalMO(model, loc); !slices.Equal(got, want) {
+					t.Fatalf("%s seed %d loc %d: AppendTotalMO = %v, want %v", prog.Name, seed, loc, got, want)
 				}
 			}
-			eng.Close()
 		}
+		eng.Close()
 	}
 }
 

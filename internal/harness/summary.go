@@ -17,9 +17,9 @@ type Repro struct {
 	// Litmus marks Program as a litmus-test name rather than a benchmark
 	// name, which changes the flag it is replayed through.
 	Litmus bool `json:"litmus,omitempty"`
-	// Flags are the non-default tool-configuration flags (-prune,
-	// -faithful-handoff) the tool ran with. Without them the replay
-	// would derive a different execution from the same seed.
+	// Flags are the non-default tool-configuration flags (-faithful-handoff)
+	// the tool ran with. Without them the replay would derive a different
+	// execution from the same seed.
 	Flags string `json:"flags,omitempty"`
 }
 

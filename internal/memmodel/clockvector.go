@@ -113,28 +113,6 @@ func (cv *ClockVector) Merge(other *ClockVector) bool {
 	return changed
 }
 
-// Intersect sets cv to the pointwise minimum of cv and other (the ∩ operator
-// used to compute CVmin for conservative pruning, Section 7.1). Slots beyond
-// either vector's length are treated as 0.
-func (cv *ClockVector) Intersect(other *ClockVector) {
-	n := len(cv.clock)
-	if other == nil {
-		for i := range cv.clock {
-			cv.clock[i] = 0
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		var o SeqNum
-		if i < len(other.clock) {
-			o = other.clock[i]
-		}
-		if o < cv.clock[i] {
-			cv.clock[i] = o
-		}
-	}
-}
-
 // Leq reports cv ≤ other: every entry of cv is ≤ the corresponding entry of
 // other (Section 4.2). Entries beyond a vector's length are 0.
 func (cv *ClockVector) Leq(other *ClockVector) bool {

@@ -64,24 +64,6 @@ func TestLeqAndSynchronized(t *testing.T) {
 	}
 }
 
-func TestIntersect(t *testing.T) {
-	a := &ClockVector{clock: []SeqNum{5, 3, 9}}
-	b := &ClockVector{clock: []SeqNum{2, 8}}
-	a.Intersect(b)
-	want := []SeqNum{2, 3, 0}
-	for i, w := range want {
-		if a.Get(TID(i)) != w {
-			t.Fatalf("intersect[%d] = %d, want %d", i, a.Get(TID(i)), w)
-		}
-	}
-	a.Intersect(nil)
-	for i := range want {
-		if a.Get(TID(i)) != 0 {
-			t.Fatal("intersect with nil must zero the vector")
-		}
-	}
-}
-
 // randomCV builds a small random clock vector from a generated seed.
 func randomCV(r *rand.Rand) *ClockVector {
 	n := r.Intn(6)
@@ -163,20 +145,6 @@ func TestQuickLeqPartialOrder(t *testing.T) {
 			return false
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Intersect is the greatest lower bound w.r.t. Leq.
-func TestQuickIntersectIsGLB(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a, b := randomCV(r), randomCV(r)
-		glb := a.Clone()
-		glb.Intersect(b)
-		return glb.Leq(a) && glb.Leq(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

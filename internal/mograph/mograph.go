@@ -28,11 +28,10 @@ type Node struct {
 	Seq memmodel.SeqNum
 	Loc memmodel.LocID
 
-	ix     int32 // position in the graph's arena
-	cv     *memmodel.ClockVector
-	edges  []*Node // outgoing mo edges
-	rmw    *Node   // the RMW that reads from this node, if any
-	pruned bool
+	ix    int32 // position in the graph's arena
+	cv    *memmodel.ClockVector
+	edges []*Node // outgoing mo edges
+	rmw   *Node   // the RMW that reads from this node, if any
 }
 
 // CV returns the node's mo-graph clock vector. The returned vector is live:
@@ -51,9 +50,6 @@ func (n *Node) RMW() *Node { return n.rmw }
 // Edges returns the node's outgoing mo edges. Callers must not mutate the
 // returned slice.
 func (n *Node) Edges() []*Node { return n.edges }
-
-// Pruned reports whether the node has been retired by the memory limiter.
-func (n *Node) Pruned() bool { return n.pruned }
 
 func (n *Node) String() string {
 	return fmt.Sprintf("node(loc=%d tid=%d seq=%d)", n.Loc, n.TID, n.Seq)
@@ -126,7 +122,6 @@ func (g *Graph) NewNode(t memmodel.TID, s memmodel.SeqNum, loc memmodel.LocID) *
 	n.TID, n.Seq, n.Loc = t, s, loc
 	n.edges = n.edges[:0]
 	n.rmw = nil
-	n.pruned = false
 	if n.cv == nil {
 		n.cv = memmodel.UnitClockVector(t, s)
 	} else {
@@ -137,8 +132,7 @@ func (g *Graph) NewNode(t memmodel.TID, s memmodel.SeqNum, loc memmodel.LocID) *
 	return n
 }
 
-// NodeCount returns the number of live (non-pruned) nodes ever created minus
-// those retired by Retire.
+// NodeCount returns the number of nodes created since the last Reset.
 func (g *Graph) NodeCount() int { return g.nodeCount }
 
 // EdgeCount returns the number of mo edges currently stored.
@@ -270,30 +264,4 @@ func (g *Graph) ReachableDFS(a, b *Node) bool {
 		}
 	}
 	return false
-}
-
-// Retire marks node n pruned and drops its outgoing edges. The caller is
-// responsible for removing edges *into* n from retained nodes via
-// CompactEdges so that n becomes garbage-collectable (Section 7.1).
-func (g *Graph) Retire(n *Node) {
-	if n.pruned {
-		return
-	}
-	n.pruned = true
-	g.edgeCount -= len(n.edges)
-	n.edges = n.edges[:0] // keep capacity: the arena reuses the node
-	n.rmw = nil
-	g.nodeCount--
-}
-
-// CompactEdges removes edges from n to pruned nodes.
-func (g *Graph) CompactEdges(n *Node) {
-	kept := n.edges[:0]
-	for _, e := range n.edges {
-		if !e.pruned {
-			kept = append(kept, e)
-		}
-	}
-	g.edgeCount -= len(n.edges) - len(kept)
-	n.edges = kept
 }

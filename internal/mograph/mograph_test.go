@@ -109,26 +109,6 @@ func TestAddEdgeFollowsRMWChain(t *testing.T) {
 	}
 }
 
-func TestRetireAndCompact(t *testing.T) {
-	g := New()
-	a := g.NewNode(0, 1, 1)
-	b := g.NewNode(1, 2, 1)
-	g.AddEdge(a, b)
-	nodes, edges := g.NodeCount(), g.EdgeCount()
-	g.Retire(b)
-	if g.NodeCount() != nodes-1 {
-		t.Fatal("retire must decrement node count")
-	}
-	g.Retire(b) // idempotent
-	if g.NodeCount() != nodes-1 {
-		t.Fatal("double retire must be a no-op")
-	}
-	g.CompactEdges(a)
-	if len(a.Edges()) != 0 || g.EdgeCount() != edges-1 {
-		t.Fatalf("compact must drop edges to pruned nodes, edges=%v count=%d", a.Edges(), g.EdgeCount())
-	}
-}
-
 // chainEnd follows a node's rmw chain to its end, mirroring the redirection
 // AddEdge performs (Figure 6 lines 6–12): a constraint from→to really lands
 // on the last RMW glued after from.
@@ -293,8 +273,8 @@ func TestGraphResetRecyclesNodes(t *testing.T) {
 	if a2.TID != 2 || a2.Seq != 7 || a2.Loc != 3 {
 		t.Fatalf("recycled node keeps stale identity: %v", a2)
 	}
-	if len(a2.Edges()) != 0 || a2.RMW() != nil || a2.Pruned() {
-		t.Fatal("recycled node keeps stale edges/rmw/pruned state")
+	if len(a2.Edges()) != 0 || a2.RMW() != nil {
+		t.Fatal("recycled node keeps stale edges/rmw state")
 	}
 	b2 := g.NewNode(0, 9, 3)
 	if g.Reachable(a2, b2) || g.Reachable(b2, a2) {
@@ -341,8 +321,8 @@ func TestGraphResetEquivalentToFreshGraph(t *testing.T) {
 }
 
 // TestNodeIndexIsDenseArenaPosition checks that Index numbers nodes 0, 1, …
-// in creation order across arena chunks, survives Retire, and restarts at
-// Reset — the contract AppendTotalMO's position array relies on.
+// in creation order across arena chunks and restarts at Reset — the
+// contract AppendTotalMO's position array relies on.
 func TestNodeIndexIsDenseArenaPosition(t *testing.T) {
 	g := New()
 	for r := 0; r < 2; r++ {
@@ -351,7 +331,6 @@ func TestNodeIndexIsDenseArenaPosition(t *testing.T) {
 		for i := 0; i < 3*nodeChunk+5; i++ {
 			nodes = append(nodes, g.NewNode(memmodel.TID(i%3), memmodel.SeqNum(i+1), 1))
 		}
-		g.Retire(nodes[7])
 		for i, n := range nodes {
 			if n.Index() != i {
 				t.Fatalf("round %d: node %d has Index %d", r, i, n.Index())

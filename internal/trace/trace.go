@@ -41,20 +41,21 @@ const (
 // seed). Fields mirror the cmd/c11tester flags.
 type ToolConfig struct {
 	Name            string `json:"name"`
-	Prune           string `json:"prune,omitempty"`
 	FaithfulHandoff bool   `json:"faithful_handoff,omitempty"`
 }
 
 // removedTool holds the tool-config fields of removed cmd/c11tester flags.
 // Replay cannot rebuild a tool configured through them — the -rng legacy
-// source fed workload draws through env.RandUint64, and -sched, -quantum and
-// -max-steps changed the execution each seed derives — so ReadFile refuses a
+// source fed workload draws through env.RandUint64; -sched, -quantum and
+// -max-steps changed the execution each seed derives; -prune dropped stores
+// from the lists a load's candidates are drawn from — so ReadFile refuses a
 // trace that sets any of them.
 type removedTool struct {
 	RNG         string `json:"rng"`
 	Sched       string `json:"sched"`
 	QuantumMean int    `json:"quantum_mean"`
 	MaxSteps    uint64 `json:"max_steps"`
+	Prune       string `json:"prune"`
 }
 
 // Schedule is the recorded choice stream of one execution: the thread picked
@@ -346,6 +347,7 @@ func ReadFile(path string) (*Trace, error) {
 		{"sched", "-sched", rm.Sched, rm.Sched != ""},
 		{"quantum_mean", "-quantum", rm.QuantumMean, rm.QuantumMean != 0},
 		{"max_steps", "-max-steps", rm.MaxSteps, rm.MaxSteps != 0},
+		{"prune", "-prune", rm.Prune, rm.Prune != ""},
 	} {
 		if f.set {
 			return nil, fmt.Errorf("trace: %s: recorded with %s %v (tool field %q); that flag was removed and its traces cannot be replayed", path, f.flag, f.val, f.field)

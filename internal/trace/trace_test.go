@@ -207,13 +207,14 @@ func withToolField(t *testing.T, field string) string {
 }
 
 // TestReadFileRefusesRemovedToolFields pins that a trace recorded under a
-// removed tool flag (-sched, -quantum, -max-steps) is refused with the field
-// named, like the -rng legacy source: replay cannot rebuild that tool.
+// removed tool flag (-sched, -quantum, -max-steps, -prune) is refused with
+// the field named, like the -rng legacy source: replay cannot rebuild that
+// tool.
 func TestReadFileRefusesRemovedToolFields(t *testing.T) {
 	if _, err := ReadFile(withToolField(t, "")); err != nil {
 		t.Fatalf("ReadFile(fixture without removed fields) = %v", err)
 	}
-	for _, field := range []string{`"sched": "quantum"`, `"quantum_mean": 50`, `"max_steps": 1000`} {
+	for _, field := range []string{`"sched": "quantum"`, `"quantum_mean": 50`, `"max_steps": 1000`, `"prune": "conservative"`} {
 		name := strings.Trim(strings.SplitN(field, ":", 2)[0], `"`)
 		_, err := ReadFile(withToolField(t, field))
 		if err == nil || !strings.Contains(err.Error(), name) {
