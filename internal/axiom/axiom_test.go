@@ -310,6 +310,33 @@ func TestLongExecutionsValidate(t *testing.T) {
 	}
 }
 
+// TestChaosLongRunsUnderPruning keeps the name of the pruner test this
+// program was written for. It runs the release-flag program over ten seeds
+// on one engine, with every action kept, and asserts coherence in each run;
+// TestLongExecutionsValidate puts its first seeds through the checker.
+func TestChaosLongRunsUnderPruning(t *testing.T) {
+	var prog capi.Program
+	for _, p := range longPrograms() {
+		if p.Name == "long-flagged" {
+			prog = p
+		}
+	}
+	if prog.Run == nil {
+		t.Fatal("long-flagged program not found")
+	}
+	tool := core.New("c11tester", core.NewC11Model(), core.Config{StoreBurst: true})
+	defer tool.Close()
+	for seed := int64(0); seed < 10; seed++ {
+		res := tool.Execute(prog, seed)
+		if len(res.AssertFailures) > 0 {
+			t.Fatalf("seed %d: %v", seed, res.AssertFailures[0])
+		}
+		if res.Truncated || res.Deadlocked {
+			t.Fatalf("seed %d: truncated/deadlocked", seed)
+		}
+	}
+}
+
 // badExecution builds a hand-made execution with a CoWW violation to prove
 // the checker is not vacuous.
 func TestCheckerDetectsCoWWViolation(t *testing.T) {

@@ -616,6 +616,115 @@ func TestRaceDeduplicationAcrossExecutions(t *testing.T) {
 	}
 }
 
+// TestConservativePruningBoundsMemoryAndKeepsSemantics keeps the name of the
+// pruner test this program was written for. The engine no longer prunes: an
+// execution keeps every store, and memory is bounded by the reset at the
+// start of the next execution. The test checks coherence over a 4,000-
+// iteration acknowledged producer/consumer, that each location's
+// modification order holds every store of the execution, and that a second
+// execution on the same engine starts from empty lists rather than adding
+// to the first one's.
+func TestConservativePruningBoundsMemoryAndKeepsSemantics(t *testing.T) {
+	model := NewC11Model()
+	tool := New("c11tester", model, Config{StoreBurst: true})
+	defer tool.Close()
+	const iters = 4000
+	prog := capi.Program{Name: "long-acked", Run: func(env capi.Env) {
+		x := env.NewAtomic("x", 0)
+		ack := env.NewAtomic("ack", 0)
+		a := env.Spawn("producer", func(env capi.Env) {
+			for i := 1; i <= iters; i++ {
+				env.Store(x, memmodel.Value(i), rel)
+				for env.Load(ack, acq) < memmodel.Value(i) {
+					env.Yield()
+				}
+			}
+		})
+		last := memmodel.Value(0)
+		for i := 1; i <= iters; i++ {
+			v := env.Load(x, acq)
+			env.Assert(v >= last, "coherence: %d after %d", v, last)
+			last = v
+			env.Store(ack, memmodel.Value(i), rel)
+		}
+		env.Join(a)
+	}}
+	var mo []*Action
+	var first []int
+	for run, seed := range []int64{7, 8} {
+		res := tool.Execute(prog, seed)
+		if len(res.AssertFailures) > 0 {
+			t.Fatalf("seed %d: %v", seed, res.AssertFailures[0])
+		}
+		if res.Truncated || res.Deadlocked {
+			t.Fatalf("seed %d: truncated/deadlocked", seed)
+		}
+		locs := model.AppendLocations(nil)
+		if len(locs) != 2 {
+			t.Fatalf("seed %d: %d locations, want 2", seed, len(locs))
+		}
+		for i, loc := range locs {
+			mo = model.AppendTotalMO(mo[:0], loc)
+			if len(mo) < iters {
+				t.Errorf("seed %d loc %d: mo holds %d stores, want every one of the %d", seed, loc, len(mo), iters)
+			}
+			if run == 0 {
+				first = append(first, len(mo))
+			} else if len(mo) != first[i] {
+				t.Errorf("seed %d loc %d: mo holds %d stores after a %d-store execution; the reset did not clear it", seed, loc, len(mo), first[i])
+			}
+		}
+	}
+}
+
+// TestAggressivePruningKeepsCoherence keeps the name of the pruner test this
+// program was written for. With every store kept, it checks coherence over
+// 2,000 unsynchronized relaxed loads of a location that one thread stores
+// 1..2,000 to, and that the location's modification order is complete and
+// follows the writer's program order.
+func TestAggressivePruningKeepsCoherence(t *testing.T) {
+	model := NewC11Model()
+	tool := New("c11tester", model, Config{StoreBurst: true})
+	defer tool.Close()
+	const iters = 2000
+	prog := capi.Program{Name: "long-relaxed", Run: func(env capi.Env) {
+		x := env.NewAtomic("x", 0)
+		a := env.Spawn("producer", func(env capi.Env) {
+			for i := 1; i <= iters; i++ {
+				env.Store(x, memmodel.Value(i), rlx)
+			}
+		})
+		last := memmodel.Value(0)
+		for i := 0; i < iters; i++ {
+			v := env.Load(x, rlx)
+			env.Assert(v >= last, "coherence: %d after %d", v, last)
+			last = v
+		}
+		env.Join(a)
+	}}
+	res := tool.Execute(prog, 11)
+	if len(res.AssertFailures) > 0 {
+		t.Fatalf("%v", res.AssertFailures[0])
+	}
+	if res.Truncated || res.Deadlocked {
+		t.Fatal("truncated/deadlocked")
+	}
+	locs := model.AppendLocations(nil)
+	if len(locs) != 1 {
+		t.Fatalf("%d locations, want 1", len(locs))
+	}
+	mo := model.AppendTotalMO(nil, locs[0])
+	if len(mo) < iters {
+		t.Fatalf("mo holds %d stores, want every one of the %d", len(mo), iters)
+	}
+	stored := mo[len(mo)-iters:]
+	for i, s := range stored {
+		if want := memmodel.Value(i + 1); s.Value != want {
+			t.Fatalf("mo position %d holds %d, want %d", len(mo)-iters+i, s.Value, want)
+		}
+	}
+}
+
 func TestOpStatsCounted(t *testing.T) {
 	tool := newTool(Config{})
 	prog := capi.Program{Name: "stats", Run: func(env capi.Env) {
