@@ -155,7 +155,8 @@ type ThreadState struct {
 	thr      *sched.Thread
 	finished bool
 	// woken marks a blocked thread as schedulable again: its pending
-	// operation will be re-dispatched, and may block again.
+	// operation will be re-dispatched, and may block again. Engine.wake
+	// sets it.
 	woken bool
 	// opSeq is the sequence number assigned to the operation currently
 	// being dispatched.

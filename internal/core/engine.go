@@ -54,7 +54,9 @@ func (c Config) withDefaults() Config {
 type Strategy interface {
 	// Seed re-seeds the strategy for a new execution.
 	Seed(seed int64)
-	// PickThread selects the next thread among the schedulable ones.
+	// PickThread selects the next thread among the schedulable ones, given
+	// in creation order. The engine keeps ready between picks, so the
+	// strategy must not modify it.
 	PickThread(ready []*ThreadState) *ThreadState
 	// PickIndex selects an index in [0, n).
 	PickIndex(n int) int
@@ -225,7 +227,13 @@ type Engine struct {
 	// scheduler), so it needs no rebuild mirroring.
 	phases PhaseTimer
 
-	readyBuf []*ThreadState
+	// readyBuf is the list of schedulable threads, in creation order, that
+	// pick hands the strategy. At a pick no thread is running, so the list
+	// changes only when a thread spawns, blocks, is woken or finishes, and at
+	// the execution's reset: those events set readyStale, and pick rebuilds
+	// the list only then.
+	readyBuf   []*ThreadState
+	readyStale bool
 
 	// Dispatch scratch: the race-conflict buffer handed to the shadow-word
 	// checks (conflicts are copied into the result before the next dispatch)
@@ -505,6 +513,7 @@ func (e *Engine) resetExecState(seed int64) {
 	e.burstT = nil
 	e.checkDue = false
 	e.start = nil
+	e.readyStale = true
 	e.actions.reset()
 	e.cvs.Reset()
 	e.rngSeed = seed
@@ -588,6 +597,7 @@ func (e *Engine) spawnThread(name string, fn func(capi.Env), parent *ThreadState
 	ts.thr = e.sch.NewThread(name, ts.bodyFn)
 	ts.ID = ts.thr.ID
 	e.threads = append(e.threads, ts)
+	e.readyStale = true
 	return ts
 }
 
@@ -663,20 +673,22 @@ func (e *Engine) step() *sched.Thread {
 }
 
 // pick selects the next thread to dispatch, or returns nil when none is
-// enabled, recording a deadlock if some thread is still alive.
+// enabled, recording a deadlock if some thread is still alive. The ready list
+// it hands the strategy is kept between picks (see readyBuf).
 func (e *Engine) pick() *ThreadState {
 	// Store-burst rule (Section 3): consecutive relaxed/release stores by
 	// the same thread execute without a scheduling decision.
 	if e.cfg.StoreBurst && e.burstT != nil && e.schedulable(e.burstT) && isBurstableStore(e.burstT.thr.Pending()) {
 		return e.burstT
 	}
-	ready := e.readyBuf[:0]
-	for _, ts := range e.threads {
-		if e.schedulable(ts) {
-			ready = append(ready, ts)
-		}
+	if e.readyStale {
+		e.readyBuf = e.appendReady(e.readyBuf[:0])
+		e.readyStale = false
 	}
-	e.readyBuf = ready
+	ready := e.readyBuf
+	if readyCheck != nil {
+		readyCheck(e, ready)
+	}
 	if len(ready) == 0 {
 		if e.sch.AliveCount() != 0 {
 			e.result.Deadlocked = true
@@ -698,6 +710,20 @@ func (e *Engine) upkeep() bool {
 	}
 	return false
 }
+
+// appendReady appends the schedulable threads to dst in creation order.
+func (e *Engine) appendReady(dst []*ThreadState) []*ThreadState {
+	for _, ts := range e.threads {
+		if e.schedulable(ts) {
+			dst = append(dst, ts)
+		}
+	}
+	return dst
+}
+
+// readyCheck, when set, sees the kept ready list at every pick that uses it.
+// Tests compare it against a fresh appendReady.
+var readyCheck func(e *Engine, kept []*ThreadState)
 
 func (e *Engine) schedulable(ts *ThreadState) bool {
 	if ts.finished {
@@ -749,10 +775,19 @@ func (e *Engine) block(ts *ThreadState) {
 	}
 	ts.woken = false
 	e.burstT = nil
+	e.readyStale = true
+}
+
+// wake marks the blocked ts schedulable again (see ThreadState.woken), which
+// changes the ready list.
+func (e *Engine) wake(ts *ThreadState) {
+	ts.woken = true
+	e.readyStale = true
 }
 
 func (e *Engine) finishThread(ts *ThreadState) {
 	ts.finished = true
+	e.readyStale = true
 	e.start = nil // ts, if it finished without issuing an operation
 	if ts.thr.PanicValue != nil {
 		e.result.AssertFailures = append(e.result.AssertFailures, capi.AssertFailure{
@@ -765,7 +800,7 @@ func (e *Engine) finishThread(ts *ThreadState) {
 	for _, w := range e.threads {
 		if !w.finished && w.thr.State() == sched.Blocked {
 			if op := w.thr.Pending(); op != nil && op.Kind == memmodel.KThreadJoin && op.Target == ts.ID {
-				w.woken = true
+				e.wake(w)
 			}
 		}
 	}

@@ -32,13 +32,6 @@ func (al *aloc) stores(t memmodel.TID) []*Action {
 	return nil
 }
 
-func (al *aloc) accesses(t memmodel.TID) []*Action {
-	if int(t) < len(al.accessesBy) {
-		return al.accessesBy[t]
-	}
-	return nil
-}
-
 func (al *aloc) scStores(t memmodel.TID) []*Action {
 	if int(t) < len(al.scStoresBy) {
 		return al.scStoresBy[t]
@@ -103,16 +96,25 @@ type C11Model struct {
 	// Scratch buffers for the per-operation hot path: the may-read-from
 	// candidate set, the per-thread prior writes of Figure 13 (priBuf for
 	// the operation's memory order, priFailBuf for a compare-exchange's
-	// failure order when its seq_cst-ness differs) and the write prior set.
-	// All are live at once inside AtomicRMW, hence distinct buffers.
-	candBuf    []*Action
-	priBuf     []*Action
-	priFailBuf []*Action
-	priWBuf    []*Action
+	// failure order when its seq_cst-ness differs) with the RMW chain end of
+	// each (priEnds, priFailEnds: entry i belongs to prior write i), and the
+	// write prior set. All are live at once inside AtomicRMW, hence distinct
+	// buffers.
+	candBuf     []*Action
+	priBuf      []*Action
+	priEnds     []*mograph.Node
+	priFailBuf  []*Action
+	priFailEnds []*mograph.Node
+	priWBuf     []*Action
 
 	// mo is AppendTotalMO's working set, reused across locations and
 	// executions.
 	mo moScratch
+
+	// checkPrior, when set, sees every prior-write set and its chain ends as
+	// priorWrites returns them. Tests compare them with the Figure 13 loop
+	// over every thread.
+	checkPrior func(t *ThreadState, al *aloc, isSC bool, pri []*Action, ends []*mograph.Node)
 }
 
 // NewC11Model returns the C11Tester memory model.
@@ -158,14 +160,20 @@ func (m *C11Model) aloc(id memmodel.LocID) *aloc {
 // exported because the baseline memory models use the same happens-before
 // machinery (both tsan11 variants implement C11 release/acquire clocks).
 func ApplyLoadClocks(t *ThreadState, mo memmodel.MemoryOrder, rf *Action) {
+	applyLoadClocks(t, mo, rf)
+}
+
+// applyLoadClocks is ApplyLoadClocks, reporting whether the thread clock
+// changed (only an acquire can change it).
+func applyLoadClocks(t *ThreadState, mo memmodel.MemoryOrder, rf *Action) bool {
 	if rf.RFCV == nil {
-		return // promoted non-atomic store: carries no release sequence
+		return false // promoted non-atomic store: carries no release sequence
 	}
 	if mo.IsAcquire() {
-		t.C.Merge(rf.RFCV)
-	} else {
-		t.acqFence().Merge(rf.RFCV)
+		return t.C.Merge(rf.RFCV)
 	}
+	t.acqFence().Merge(rf.RFCV)
+	return false
 }
 
 // ApplyFenceClocks implements the [ACQUIRE FENCE] / [RELEASE FENCE] rules of
@@ -214,7 +222,7 @@ func (m *C11Model) AtomicStore(t *ThreadState, op *capi.Op) {
 		act.CVSnap = m.e.CloneCV(t.C)
 	}
 	isSC := op.MO.IsSeqCst()
-	m.priBuf = m.priorWrites(m.priBuf[:0], t, al, isSC)
+	m.priBuf, m.priEnds = m.priorWrites(m.priBuf[:0], m.priEnds[:0], t, al, isSC)
 	pset := m.writePriorSet(al, isSC, m.priBuf)
 	act.RFCV = StoreRFCV(t, op.MO)
 	act.Node = m.g.NewNode(t.ID, act.Seq, op.Loc)
@@ -229,12 +237,12 @@ func (m *C11Model) AtomicStore(t *ThreadState, op *capi.Op) {
 func (m *C11Model) AtomicLoad(t *ThreadState, op *capi.Op) memmodel.Value {
 	al := m.aloc(op.Loc)
 	cands := m.mayReadFrom(t, al, op.MO, false)
-	m.priBuf = m.priorWrites(m.priBuf[:0], t, al, op.MO.IsSeqCst())
+	m.priBuf, m.priEnds = m.priorWrites(m.priBuf[:0], m.priEnds[:0], t, al, op.MO.IsSeqCst())
 	pset := m.priBuf
 	for len(cands) > 0 {
 		i := m.e.PickIndex(len(cands))
 		s := cands[i]
-		if !m.readPriorSet(pset, s) {
+		if !m.readPriorSet(pset, m.priEnds, s) {
 			cands[i] = cands[len(cands)-1]
 			cands = cands[:len(cands)-1]
 			continue
@@ -264,8 +272,10 @@ func (m *C11Model) AtomicRMW(t *ThreadState, op *capi.Op) (memmodel.Value, bool)
 	// The prior writes depend on the operation only through its seq_cst-ness,
 	// so a failing compare-exchange shares them unless its failure order
 	// differs in that; that set is computed on the first failing candidate.
-	m.priBuf = m.priorWrites(m.priBuf[:0], t, al, isSC)
-	failPri, haveFailPri := m.priBuf, false
+	// The chain ends of either set stay valid while candidates are tried:
+	// nothing changes an RMW chain before the operation commits.
+	m.priBuf, m.priEnds = m.priorWrites(m.priBuf[:0], m.priEnds[:0], t, al, isSC)
+	failPri, failEnds, haveFailPri := m.priBuf, m.priEnds, false
 	for len(cands) > 0 {
 		i := m.e.PickIndex(len(cands))
 		s := cands[i]
@@ -281,16 +291,16 @@ func (m *C11Model) AtomicRMW(t *ThreadState, op *capi.Op) (memmodel.Value, bool)
 			drop()
 			continue
 		}
-		mo, pset := op.MO, m.priBuf
+		mo, pset, ends := op.MO, m.priBuf, m.priEnds
 		if isCAS && !matches {
 			mo = op.FailMO
 			if !haveFailPri && mo.IsSeqCst() != isSC {
-				m.priFailBuf = m.priorWrites(m.priFailBuf[:0], t, al, mo.IsSeqCst())
-				failPri = m.priFailBuf
+				m.priFailBuf, m.priFailEnds = m.priorWrites(m.priFailBuf[:0], m.priFailEnds[:0], t, al, mo.IsSeqCst())
+				failPri, failEnds = m.priFailBuf, m.priFailEnds
 			}
-			pset, haveFailPri = failPri, true
+			pset, ends, haveFailPri = failPri, failEnds, true
 		}
-		if !m.readPriorSet(pset, s) {
+		if !m.readPriorSet(pset, ends, s) {
 			drop()
 			continue
 		}
@@ -313,14 +323,14 @@ func (m *C11Model) AtomicRMW(t *ThreadState, op *capi.Op) (memmodel.Value, bool)
 		// after migration also carries the read store's outgoing edges.
 		// Reject the candidate if such an edge would close a cycle (the
 		// paper's pseudocode only checks the read prior set).
-		if !m.rmwWriteFeasible(al, isSC, pset, s) {
+		if !m.rmwWriteFeasible(al, isSC, s) {
 			drop()
 			continue
 		}
 		act := m.e.NewAction()
 		act.Seq, act.TID, act.Kind, act.MO = t.opSeq, t.ID, memmodel.KRMW, op.MO
 		act.Loc, act.Value, act.RF = op.Loc, rmwNewValue(op, s.Value), s
-		ApplyLoadClocks(t, op.MO, s)
+		synced := applyLoadClocks(t, op.MO, s)
 		if isSC {
 			act.SCIdx = m.e.nextSCIndex()
 			act.CVSnap = m.e.CloneCV(t.C)
@@ -332,10 +342,10 @@ func (m *C11Model) AtomicRMW(t *ThreadState, op *capi.Op) (memmodel.Value, bool)
 		act.Node = m.g.NewNode(t.ID, act.Seq, op.Loc)
 		m.addEdges(pset, s.Node)
 		m.g.AddRMWEdge(s.Node, act.Node)
-		if op.MO.IsAcquire() {
+		if synced {
 			// The acquire merged s's clock into t.C, which moves the
 			// hb-before accesses the prior writes are drawn from.
-			m.priBuf = m.priorWrites(m.priBuf[:0], t, al, isSC)
+			m.priBuf, m.priEnds = m.priorWrites(m.priBuf[:0], m.priEnds[:0], t, al, isSC)
 		}
 		m.addEdges(m.writePriorSet(al, isSC, m.priBuf), act.Node)
 		s.RMWReader = act
@@ -424,10 +434,12 @@ func (m *C11Model) mayReadFrom(t *ThreadState, al *aloc, mo memmodel.MemoryOrder
 			continue
 		}
 		// Stores that happen before the load form a prefix of the thread's
-		// list; only the last of them remains readable (line 8).
+		// list; only the last of them remains readable (line 8). They are
+		// all the thread's own, so one clock entry decides them.
+		clk := t.C.Get(memmodel.TID(tid))
 		start := -1
 		for i := len(stores) - 1; i >= 0; i-- {
-			if t.C.Synchronized(stores[i].TID, stores[i].Seq) {
+			if stores[i].Seq <= clk {
 				start = i
 				break
 			}
@@ -488,18 +500,6 @@ func lastFenceBefore(fences []*Action, scIdx int) *Action {
 	return nil
 }
 
-// lastHBAccess returns the last access in list that happens before the
-// current point described by clock cv (first hit from the end, since
-// hb-before accesses form a prefix).
-func lastHBAccess(list []*Action, cv *memmodel.ClockVector) *Action {
-	for i := len(list) - 1; i >= 0; i-- {
-		if cv.Synchronized(list[i].TID, list[i].Seq) {
-			return list[i]
-		}
-	}
-	return nil
-}
-
 func getWrite(a *Action) *Action {
 	if a == nil || a.Kind.IsWrite() {
 		return a
@@ -517,10 +517,11 @@ func maxSeq(actions ...*Action) *Action {
 	return best
 }
 
-// priorWrite computes get_write(last{S1,S2,S3,S4}) of Figure 13 for thread
-// u, shared by ReadPriorSet and WritePriorSet: Fcur is the current thread's
-// last seq_cst fence, isSC whether the current operation is seq_cst.
-func (m *C11Model) priorWrite(t *ThreadState, al *aloc, u *ThreadState, fCur *Action, isSC bool) *Action {
+// fencePriorStore computes last{S1,S2,S3} of Figure 13 for thread u: the
+// stores to al that seq_cst fences order before the current operation. Fcur
+// is the current thread's last seq_cst fence, isSC whether the current
+// operation is seq_cst; without either, all three sets are empty.
+func fencePriorStore(al *aloc, u *ThreadState, fCur *Action, isSC bool) *Action {
 	stores := al.stores(u.ID)
 	var s1, s2, s3 *Action
 	if isSC {
@@ -534,37 +535,59 @@ func (m *C11Model) priorWrite(t *ThreadState, al *aloc, u *ThreadState, fCur *Ac
 			s3 = lastStoreBefore(stores, fb.Seq)
 		}
 	}
-	s4 := lastHBAccess(al.accesses(u.ID), t.C)
-	return getWrite(maxSeq(s1, s2, s3, s4))
+	return maxSeq(s1, s2, s3)
 }
 
-// priorWrites appends every thread's non-nil priorWrite to dst, in thread
-// order. It does not depend on the store being read, so an operation
-// computes it once before trying its may-read-from candidates.
-func (m *C11Model) priorWrites(dst []*Action, t *ThreadState, al *aloc, isSC bool) []*Action {
+// priorWrites appends get_write(last{S1,S2,S3,S4}) of Figure 13, shared by
+// ReadPriorSet and WritePriorSet, to dst for every thread where it is
+// non-nil, in thread order, and the end of its RMW chain to ends. It does
+// not depend on the store being read, so an operation computes both once
+// before trying its may-read-from candidates.
+//
+// Only the threads that accessed al contribute: S1–S3 hold stores, and a
+// thread without accesses has none. A thread's accesses are its own, in
+// sequenced-before order, so S4, the last of them that happens before the
+// current operation, is the last one within the current thread's clock
+// entry for that thread (for the current thread, its last access).
+func (m *C11Model) priorWrites(dst []*Action, ends []*mograph.Node, t *ThreadState, al *aloc, isSC bool) ([]*Action, []*mograph.Node) {
 	fCur := t.LastSCFence()
-	for _, u := range m.e.threads {
-		if a := m.priorWrite(t, al, u, fCur, isSC); a != nil {
-			dst = append(dst, a)
+	for u, accs := range al.accessesBy {
+		if len(accs) == 0 {
+			continue
+		}
+		clk := t.C.Get(memmodel.TID(u))
+		var w *Action
+		for i := len(accs) - 1; i >= 0; i-- {
+			if accs[i].Seq <= clk {
+				w = accs[i]
+				break
+			}
+		}
+		if isSC || fCur != nil {
+			if s := fencePriorStore(al, m.e.threads[u], fCur, isSC); s != nil {
+				w = maxSeq(s, w)
+			}
+		}
+		if w = getWrite(w); w != nil {
+			dst = append(dst, w)
+			ends = append(ends, chainEnd(w.Node))
 		}
 	}
-	return dst
+	if m.checkPrior != nil {
+		m.checkPrior(t, al, isSC, dst, ends)
+	}
+	return dst, ends
 }
 
 // readPriorSet implements ReadPriorSet of Figure 13 for a load reading from
 // s: the stores that must be modification-ordered before s are the prior
 // writes pri minus s itself (addEdges skips s's own node), and it reports
-// whether establishing the rf edge keeps the constraints satisfiable.
-func (m *C11Model) readPriorSet(pri []*Action, s *Action) bool {
-	for _, a := range pri {
-		if a == s {
-			continue
-		}
-		end := chainEnd(a.Node)
-		if end == s.Node {
-			continue
-		}
-		if m.g.Reachable(s.Node, end) {
+// whether establishing the rf edge keeps the constraints satisfiable. ends
+// holds the chain end of each prior write, as priorWrites computed them; a
+// chain that ends at s is no cycle, since Reachable(s, s) is false.
+func (m *C11Model) readPriorSet(pri []*Action, ends []*mograph.Node, s *Action) bool {
+	for i, a := range pri {
+		if a != s && m.g.Reachable(s.Node, ends[i]) {
 			return false
 		}
 	}
@@ -587,19 +610,12 @@ func (m *C11Model) writePriorSet(al *aloc, isSC bool, pri []*Action) []*Action {
 
 // rmwWriteFeasible rejects an RMW read candidate whose write-part edges
 // would close a cycle through the RMW's migrated successors (see AtomicRMW).
-// The write prior set is the last seq_cst store (when isSC) plus pri.
-func (m *C11Model) rmwWriteFeasible(al *aloc, isSC bool, pri []*Action, s *Action) bool {
-	if isSC {
-		if a := al.lastSCStore; a != nil && a != s && m.g.Reachable(s.Node, chainEnd(a.Node)) {
-			return false
-		}
-	}
-	for _, a := range pri {
-		if a != s && m.g.Reachable(s.Node, chainEnd(a.Node)) {
-			return false
-		}
-	}
-	return true
+// The write prior set is the last seq_cst store (when isSC) plus the prior
+// writes; the candidate passed readPriorSet, which is the same check on the
+// prior writes, so only the seq_cst store is left to test.
+func (m *C11Model) rmwWriteFeasible(al *aloc, isSC bool, s *Action) bool {
+	a := al.lastSCStore
+	return !isSC || a == nil || a == s || !m.g.Reachable(s.Node, chainEnd(a.Node))
 }
 
 // AppendTotalMO appends to dst one modification order for loc consistent

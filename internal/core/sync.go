@@ -89,9 +89,9 @@ func (e *Engine) wakeMutexWaiters(m *mutexState) {
 		}
 		switch {
 		case op.Kind == memmodel.KMutexLock && op.Loc == m.id:
-			w.woken = true
+			e.wake(w)
 		case op.Kind == memmodel.KCondWait && op.Loc2 == m.id && w.condPhase == condReacquire:
-			w.woken = true
+			e.wake(w)
 		}
 	}
 }
@@ -141,7 +141,7 @@ func (e *Engine) doCondSignal(ts *ThreadState, op *capi.Op, broadcast bool) {
 			for _, w := range c.waiters {
 				w.condPhase = condReacquire
 				w.condSignaled = true
-				w.woken = true
+				e.wake(w)
 			}
 			c.waiters = c.waiters[:0]
 		} else {
@@ -150,7 +150,7 @@ func (e *Engine) doCondSignal(ts *ThreadState, op *capi.Op, broadcast bool) {
 			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
 			w.condPhase = condReacquire
 			w.condSignaled = true
-			w.woken = true
+			e.wake(w)
 		}
 	}
 	e.result.Stats.AtomicOps++
