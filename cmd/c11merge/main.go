@@ -10,10 +10,6 @@
 //	    merge K partial summaries (refuses mismatched spec digests, duplicate
 //	    or missing shard indices, and build-provenance skew; -force overrides
 //	    the skew refusal only)
-//	c11merge -events merged.jsonl ev0.jsonl ev1.jsonl ...
-//	    merge event streams into one canonical stream (lifecycle events
-//	    dropped, timestamps stripped, lines sorted); a single input
-//	    canonicalizes it, so both sides of a comparison go through this
 //	c11merge -captures merged.json manifest0.json manifest1.json ...
 //	    merge the shards' record manifests (each shard's -record
 //	    directory holds one)
@@ -34,7 +30,6 @@ import (
 
 	"c11tester/internal/campaign"
 	"c11tester/internal/obs"
-	"c11tester/internal/safeio"
 )
 
 func main() {
@@ -46,7 +41,6 @@ func run(args []string, out *os.File) int {
 	fs.SetOutput(out)
 	var (
 		outPath  = fs.String("o", "", "write the merged summary JSON to this file (summaries mode)")
-		events   = fs.String("events", "", "merge the positional JSONL event streams into one canonical stream at this path")
 		captures = fs.String("captures", "", "merge the positional record manifests into one manifest at this path")
 		equal    = fs.Bool("equal", false, "compare two summaries modulo Summary.Canonical; exit 0 identical, 2 different")
 		force    = fs.Bool("force", false, "merge summaries despite build-provenance skew (spec-digest mismatches still refuse)")
@@ -66,26 +60,6 @@ func run(args []string, out *os.File) int {
 			return fail(fmt.Errorf("-equal takes exactly two summary files, got %d", len(paths)))
 		}
 		return runEqual(paths[0], paths[1], out)
-	case *events != "":
-		lines, bad, err := campaign.CanonicalEvents(paths...)
-		if err != nil {
-			return fail(err)
-		}
-		if bad > 0 {
-			fmt.Fprintf(os.Stderr, "c11merge: skipped %d torn/corrupt line(s)\n", bad)
-		}
-		var buf bytes.Buffer
-		for _, l := range lines {
-			buf.WriteString(l)
-			buf.WriteByte('\n')
-		}
-		if err := safeio.WriteFileAtomic(*events, buf.Bytes(), 0o644); err != nil {
-			return fail(err)
-		}
-		if !*quiet {
-			fmt.Fprintf(out, "wrote %s (%d canonical event(s) from %d stream(s))\n", *events, len(lines), len(paths))
-		}
-		return 0
 	case *captures != "":
 		var parts []*obs.Manifest
 		for _, p := range paths {

@@ -1,15 +1,15 @@
 // Command c11report renders the offline forensics report of a campaign: it
-// joins the versioned summary artifact (BENCH_campaign.json), the structured
-// JSONL event stream (-events), and the record directory (-record) into one
-// view — top slow cells with per-phase breakdowns, the tagged litmus outcome
-// histograms, analyzer findings, the race first-seen timeline, per-cell
-// convergence curves, and a record index with one-command repro lines.
+// joins the versioned summary artifact (BENCH_campaign.json) and the record
+// directory (-record) into one view — top slow cells with per-phase
+// breakdowns, the tagged litmus outcome histograms, analyzer findings, the
+// race first-seen timeline, the converge cells' convergence curves (all from
+// the summary), and a record index with one-command repro lines (from the
+// record directory's manifest).
 //
 // Examples:
 //
 //	go run ./cmd/c11report -summary BENCH_campaign.json
-//	go run ./cmd/c11report -summary BENCH_campaign.json \
-//	    -events events.jsonl -record traces/
+//	go run ./cmd/c11report -summary BENCH_campaign.json -record traces/
 //
 // Exit codes: 0 success, 1 usage/IO error.
 package main
@@ -33,7 +33,6 @@ func run(args []string, out *os.File) int {
 	fs.SetOutput(out)
 	var (
 		summary = fs.String("summary", "BENCH_campaign.json", "campaign summary artifact")
-		events  = fs.String("events", "", "structured JSONL event stream appended by -events ('' skips the timeline and convergence sections)")
 		record  = fs.String("record", "", "record directory holding manifest.json, as written by c11tester -record ('' skips the record index)")
 		top     = fs.Int("top", 5, "rows in the slow-cell table")
 	)
@@ -45,18 +44,6 @@ func run(args []string, out *os.File) int {
 		fmt.Fprintln(os.Stderr, "c11report:", err)
 		return 1
 	}
-	var evs []campaign.Event
-	if *events != "" {
-		var bad int
-		evs, bad, err = campaign.ReadEvents(*events)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "c11report: -events:", err)
-			return 1
-		}
-		if bad > 0 {
-			fmt.Fprintf(os.Stderr, "c11report: %s: skipped %d unparseable line(s)\n", *events, bad)
-		}
-	}
 	var man *obs.Manifest
 	if *record != "" {
 		man, err = obs.ReadManifest(filepath.Join(*record, obs.ManifestFileName))
@@ -65,6 +52,6 @@ func run(args []string, out *os.File) int {
 			return 1
 		}
 	}
-	campaign.WriteReport(out, sum, evs, man, campaign.ReportOptions{TopSlow: *top, RecordDir: *record})
+	campaign.WriteReport(out, sum, man, campaign.ReportOptions{TopSlow: *top, RecordDir: *record})
 	return 0
 }

@@ -76,18 +76,9 @@ func TestCorruptArtifactsExitStructured(t *testing.T) {
 		}
 	}
 
-	// A torn event stream is lenient (skipped lines), not fatal…
-	events := filepath.Join(dir, "events.jsonl")
-	lines := `{"v":1,"type":"campaign_start"}` + "\n" + `{"v":1,"type":"race_first_seen","key":"k"}` + "\n" + `{"v":1,"type":"torn`
-	if err := os.WriteFile(events, []byte(lines), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code := run([]string{"-summary", path, "-events", events}, out); code != 0 {
-		t.Fatalf("torn event line = exit %d, want lenient 0", code)
-	}
-	// …but an unreadable events path is a structured failure.
-	if code := run([]string{"-summary", path, "-events", filepath.Join(dir, "absent.jsonl")}, out); code != 1 {
-		t.Fatal("missing events file did not exit 1")
+	// The event stream is gone: -events is an unknown flag.
+	if code := run([]string{"-summary", path, "-events", filepath.Join(dir, "events.jsonl")}, out); code != 1 {
+		t.Fatalf("-events = exit %d, want 1 (unknown flag)", code)
 	}
 
 	// Corrupt record manifest: structured failure.

@@ -57,19 +57,16 @@ func run(args []string, out *os.File) int {
 		validate  = fs.Bool("validate", false, "axiom-check every explored execution against the Appendix A model")
 		analyzers = fs.String("analyzers", "", "comma-separated execution analyzers to run per cell, 'all', or 'none' (see -list)")
 		compare   = fs.String("compare", "", "diff two campaign artifacts: -compare old.json new.json (or old.json,new.json)")
-		quiet     = fs.Bool("q", false, "suppress the human-readable report")
+		quiet     = fs.Bool("q", false, "suppress the human-readable report and the stderr progress lines")
 		list      = fs.Bool("list", false, "list selectable tools, benchmarks, and litmus tests")
 		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the campaign to this file")
 		memProf   = fs.String("memprofile", "", "write a pprof heap profile taken after the campaign to this file")
 	)
-	var tflags campaign.TelemetryFlags
-	tflags.Register(fs)
 	var cflags campaign.CrashFlags
 	cflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-	tflags.Quiet = *quiet
 	if *compare != "" {
 		return runCompare(*compare, fs.Args(), out)
 	}
@@ -142,9 +139,8 @@ func run(args []string, out *os.File) int {
 		return 1
 	}
 	// Crash-safety flags resolve after the matrix so -resume can validate the
-	// checkpoint's spec digest against the fully-built spec; the rotation of a
-	// previous event stream must also precede SetupTelemetry opening it.
-	if err := cflags.Apply(&spec, tflags.EventsPath, os.Stderr); err != nil {
+	// checkpoint's spec digest against the fully-built spec.
+	if err := cflags.Apply(&spec, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "c11tester:", err)
 		return 1
 	}
@@ -153,15 +149,9 @@ func run(args []string, out *os.File) int {
 		return 1
 	}
 
-	// Telemetry fabric: per-wave progress lines and the structured event
-	// stream hang off one Telemetry.
-	tel, cleanup, err := campaign.SetupTelemetry("c11tester", tflags)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+	if !*quiet {
+		spec.Progress = os.Stderr
 	}
-	defer cleanup()
-	spec.Telemetry = tel
 
 	// Profiling hooks: make hot-path investigation a one-liner
 	// (go run ./cmd/c11tester -runs 200 -cpuprofile cpu.pb.gz, then

@@ -43,3 +43,18 @@ func TestFlagsDocumented(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamFlagsRejected pins that the event-stream flags are gone: -events
+// and -v are unknown flags, so the parse fails before any campaign runs.
+func TestStreamFlagsRejected(t *testing.T) {
+	out, err := os.Create(filepath.Join(t.TempDir(), "out.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	for _, args := range [][]string{{"-events", "ev.jsonl"}, {"-v"}} {
+		if code := run(args, out); code != 1 {
+			t.Errorf("c11tester %v = exit %d, want 1 (unknown flag)", args, code)
+		}
+	}
+}

@@ -41,6 +41,7 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -142,11 +143,10 @@ type Spec struct {
 	// analyzer stage — the default pipeline is byte-identical to the
 	// pre-analyzer runner, and stays allocation-free.
 	Analyzers []string
-	// Telemetry is the campaign's observability fabric (event stream and
-	// progress lines). Nil means Run builds a quiet internal one; event
-	// emission and progress lines only happen when the caller configures
-	// them. One Telemetry serves exactly one Run.
-	Telemetry *Telemetry `json:"-"`
+	// Progress receives the human-readable progress lines: one per wave
+	// barrier and about ten periodic ones (cmd/c11tester writes stderr here
+	// unless -q). Nil prints none.
+	Progress io.Writer `json:"-"`
 	// Shard restricts the campaign to shard Index of Count (uniform policy
 	// only: its grants split into chunks because it never stops a cell
 	// early): each cell's chunk sequence is dealt round-robin across the
@@ -212,8 +212,8 @@ func (j job) key() cellKey { return cellKey{kind: j.kind, tool: j.tool, cell: j.
 // program string and its other fields are plain values, so the copy aliases
 // none of the storage tools recycle across Execute calls, and keeping it
 // costs no allocation. The description is rendered only where one is
-// written — the summary, the event stream, checkpoint and shard-partial
-// JSON. A hit restored from JSON keeps the rendered description instead.
+// written — the summary, checkpoint and shard-partial JSON. A hit restored
+// from JSON keeps the rendered description instead.
 type raceHit struct {
 	report capi.RaceReport // the winning sighting; zero when restored
 	desc   string          // the rendered description, when restored
@@ -484,13 +484,7 @@ func Run(spec Spec) *Summary {
 	if spec.RecordDir != "" {
 		_ = os.MkdirAll(spec.RecordDir, 0o755)
 	}
-	tel := spec.Telemetry
-	if tel == nil {
-		tel = NewTelemetry(TelemetryOptions{})
-		spec.Telemetry = tel
-	}
-	tel.bind(spec)
-	tel.campaignStart(specInfo(spec))
+	tel := newTelemetry(spec)
 
 	var ms0 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
@@ -535,23 +529,7 @@ func Run(spec Spec) *Summary {
 			fmt.Fprintf(os.Stderr, "campaign: write record manifest: %v\n", err)
 		}
 	}
-	// campaignEnd closes the event stream (flushing everything buffered), so
-	// the drop counter folded into the summary is final.
-	tel.campaignEnd(totalExecs(sum))
-	sum.Obs = &ObsSummary{
-		EventsEmitted: tel.EventsEmitted(),
-		EventsDropped: tel.EventsDropped(),
-	}
 	return sum
-}
-
-// totalExecs sums the per-tool execution counts of a summary.
-func totalExecs(s *Summary) int {
-	n := 0
-	for _, ts := range s.Tools {
-		n += ts.Execs
-	}
-	return n
 }
 
 // runPool executes jobs[i] for every i via fn(w, i) across the spec's worker
@@ -629,6 +607,9 @@ type cellPlan struct {
 	tracker *explore.Tracker // nil under the uniform policy
 	used    int
 	stopped bool // converged: excluded from further grants
+	// curve holds the tracker's state at each wave barrier where the cell
+	// was granted budget (BudgetSummary.Curve).
+	curve []CurvePoint
 }
 
 // runWaves is the campaign's run loop. Wave 1 grants every cell its initial
@@ -646,7 +627,7 @@ type cellPlan struct {
 // result is independent of the worker count. Results accumulate in the
 // workers' cell runners; runWaves returns the cells a resumed run restored
 // (nil otherwise), which foldCells folds together with them.
-func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]cellFold, map[cellKey]*BudgetSummary) {
+func runWaves(spec Spec, tel *telemetry, ck *ckState, tools workerTools) ([]cellFold, map[cellKey]*BudgetSummary) {
 	split := spec.Policy == nil
 	deal := chunkDeal(spec)
 	chunk := spec.Runs
@@ -672,8 +653,8 @@ func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]cell
 	wave := 0
 	if spec.Resume != nil {
 		// Re-enter at the last completed wave: plans get their used/stopped
-		// budgets and tracker state back, and the completed work comes back as
-		// each cell's checkpointed merged fragment. foldCells folds it with
+		// budgets, tracker state and curves back, and the completed work
+		// comes back as each cell's checkpointed merged fragment. foldCells folds it with
 		// the workers' accumulators exactly as it folds those with each other,
 		// so the finished artifact cannot tell the difference. A Complete
 		// checkpoint (the previous run died before or while writing the
@@ -683,9 +664,6 @@ func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]cell
 	}
 	// runWave cuts the grants into units and runs them across the worker
 	// pool; each unit folds into its worker's runner for the cell as it ends.
-	// Each wave emits its barrier events: unit events from the workers as
-	// units complete, cell_converged and wave_end from the deterministic
-	// post-barrier state.
 	runWave := func(grants []grant) {
 		wave++
 		n := len(grants)
@@ -706,21 +684,17 @@ func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]cell
 				jobs = append(jobs, job{kind: k.kind, tool: k.tool, cell: k.cell, lo: lo + c[0], hi: lo + c[1]})
 			}
 		}
-		tel.waveStart(wave, len(jobs))
-		before := tools.execs()
 		runPool(spec, len(jobs), func(w, i int) {
 			j := &jobs[i]
-			tel.unitStart(wave, *j, j.hi-j.lo)
 			r := tools.unit(spec, w, *j)
 			if split {
 				r.run(j.lo, j.hi, nil)
 			} else {
 				j.hi = j.lo + r.runChunked(j.lo, j.hi-j.lo, chunk, plans[j.key().index(nb, nl)].tracker)
 			}
-			tel.unitDone(wave, *j, &r.frag)
+			tel.unitDone(*j, &r.frag)
 			r.acc.add(&r.frag, j.hi)
 		})
-		waveExecs := tools.execs() - before
 		for gi, g := range grants {
 			if split {
 				// Every index of the grant ran, on this shard or another.
@@ -731,20 +705,23 @@ func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]cell
 			if g.plan.tracker == nil {
 				continue
 			}
-			wasStopped := g.plan.stopped
-			g.plan.stopped = g.plan.tracker.Converged()
-			// Convergence introspection happens here — at the barrier, from
-			// per-cell-deterministic tracker state — so the snapshot stream
-			// is identical for any worker count.
-			tel.convergeState(wave, g.plan.cellKey, g.plan.tracker)
-			if g.plan.stopped && !wasStopped {
-				tel.cellConverged(wave, g.plan.cellKey, g.plan.used)
+			// The curve point is taken here — at the barrier, from
+			// per-cell-deterministic tracker state — so the curve is
+			// identical for any worker count.
+			st := g.plan.tracker.State()
+			g.plan.stopped = st.Converged
+			g.plan.curve = append(g.plan.curve, CurvePoint{Wave: wave, TrackerState: st})
+		}
+		converged := 0
+		for _, p := range plans {
+			if p.stopped {
+				converged++
 			}
 		}
-		tel.waveEnd(wave, len(jobs), waveExecs)
+		tel.waveEnd(wave, converged)
 		// The wave barrier is the checkpoint point: every decision below this
 		// line is a pure function of the state being persisted.
-		ck.save(spec, tel, wave, false, plans, restored, tools)
+		ck.save(spec, wave, false, plans, restored, tools)
 	}
 
 	if spec.Resume == nil {
@@ -789,7 +766,7 @@ func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]cell
 		}
 	}
 
-	ck.save(spec, tel, wave, true, plans, restored, tools)
+	ck.save(spec, wave, true, plans, restored, tools)
 
 	if split {
 		// A policy that cannot stop early has no budget to report.
@@ -806,6 +783,7 @@ func runWaves(spec Spec, tel *Telemetry, ck *ckState, tools workerTools) ([]cell
 			Used:      p.used,
 			Extended:  extended,
 			Converged: p.stopped,
+			Curve:     p.curve,
 		}
 	}
 	return restored, budgets
@@ -846,7 +824,7 @@ type cellRunner struct {
 	j    job // the current unit
 	tool capi.Tool
 	// frag is the current unit's fragment, emptied in place by arm. As the
-	// unit ends the wave loop reads it for the unit's events and folds it
+	// unit ends the wave loop reads it for the progress lines and folds it
 	// into acc, the cell's accumulator on this worker (see foldCells).
 	frag fragment
 	acc  cellFold
@@ -1110,19 +1088,6 @@ func (wt workerTools) unit(spec Spec, w int, j job) *cellRunner {
 	r := newCellRunner(spec, j, t, slot)
 	slot.runners[c] = r
 	return r
-}
-
-// execs counts the executions folded into every worker's runners.
-func (wt workerTools) execs() int {
-	n := 0
-	for _, slot := range wt {
-		for _, r := range slot.runners {
-			if r != nil {
-				n += r.acc.frag.Execs
-			}
-		}
-	}
-	return n
 }
 
 // close releases every worker's tools once the campaign's workers are done.

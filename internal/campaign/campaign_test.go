@@ -59,12 +59,6 @@ func canonicalize(s *Summary) *Summary {
 	c.Spec.Workers = 0
 	c.Spec.ShardSize = 0
 	c.GC = GCSummary{}
-	// Event counts are deterministic only up to ordering-independent totals;
-	// keep them, but drop the pointer identity.
-	if s.Obs != nil {
-		obsCopy := *s.Obs
-		c.Obs = &obsCopy
-	}
 	c.Tools = append([]ToolSummary(nil), s.Tools...)
 	for i := range c.Tools {
 		ts := &c.Tools[i]

@@ -3,8 +3,8 @@
 // randomized-but-seeded points mid-campaign, resumes them from their
 // checkpoints until one run finishes, and asserts the survivor is
 // indistinguishable from an uninterrupted campaign — byte-identical canonical
-// summary, zero lost races, and readable (never torn) event and record
-// artifacts.
+// summary (convergence curves included), zero lost races, and a readable,
+// complete record directory.
 package chaostest
 
 import (
@@ -81,19 +81,18 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	bin := buildTester(t, dir)
 
-	runArgs := func(jsonPath, events, capDir string, extra ...string) []string {
+	runArgs := func(jsonPath, capDir string, extra ...string) []string {
 		args := append([]string{}, campaignArgs...)
-		args = append(args, "-json", jsonPath, "-events", events,
+		args = append(args, "-json", jsonPath,
 			"-record", capDir, "-record-on", "new_race,forbidden,infeasible,slow_steps")
 		return append(args, extra...)
 	}
 
 	// Uninterrupted baseline.
 	basePath := filepath.Join(dir, "base.json")
-	baseEvents := filepath.Join(dir, "base-ev.jsonl")
 	baseCap := filepath.Join(dir, "base-cap")
 	start := time.Now()
-	cmd := exec.Command(bin, runArgs(basePath, baseEvents, baseCap)...)
+	cmd := exec.Command(bin, runArgs(basePath, baseCap)...)
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("baseline campaign: %v\n%s", err, out)
 	}
@@ -102,14 +101,13 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	// Chaos loop: seeded kill points spread over the campaign's natural
 	// duration, so kills land in different waves across attempts.
 	chaosPath := filepath.Join(dir, "chaos.json")
-	chaosEvents := filepath.Join(dir, "chaos-ev.jsonl")
 	chaosCap := filepath.Join(dir, "chaos-cap")
 	ckPath := filepath.Join(dir, "ck.json")
 	rng := rand.New(rand.NewSource(42))
 	kills, completed := 0, false
 	const maxAttempts = 60
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		cmd := exec.Command(bin, runArgs(chaosPath, chaosEvents, chaosCap,
+		cmd := exec.Command(bin, runArgs(chaosPath, chaosCap,
 			"-checkpoint", ckPath, "-resume", ckPath)...)
 		cmd.Stderr = nil
 		if err := cmd.Start(); err != nil {
@@ -143,7 +141,8 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	}
 	t.Logf("campaign survived %d SIGKILL(s) before completing", kills)
 
-	// Byte-identical canonical summary: the headline guarantee.
+	// Byte-identical canonical summary: the headline guarantee. Canonical
+	// keeps the converge cells' curves, so they are compared too.
 	base, chaos := canonicalSummary(t, basePath), canonicalSummary(t, chaosPath)
 	if base != chaos {
 		t.Fatalf("resumed campaign differs from uninterrupted run after %d kill(s):\nbase:  %.2000s\nchaos: %.2000s", kills, base, chaos)
@@ -164,20 +163,21 @@ func TestKillResumeByteIdentical(t *testing.T) {
 		}
 	}
 
-	// Every event-stream generation — the final stream and each rotated
-	// crash-era generation — must be readable; torn final lines are counted,
-	// and only the last line of a generation may be torn.
-	streams, err := filepath.Glob(chaosEvents + "*")
-	if err != nil || len(streams) == 0 {
-		t.Fatalf("no chaos event streams (err=%v)", err)
-	}
-	for _, s := range streams {
-		if _, bad, err := campaign.ReadEvents(s); err != nil {
-			t.Errorf("%s: %v", s, err)
-		} else if bad > 1 {
-			t.Errorf("%s: %d torn line(s); an appended stream can tear at most its final line", s, bad)
+	// The curves are there to compare: the baseline's converge cells carry
+	// them.
+	longest := 0
+	for _, ts := range baseSum.Tools {
+		for _, c := range ts.Benchmarks {
+			longest = max(longest, len(c.Budget.Curve))
+		}
+		for _, c := range ts.Litmus {
+			longest = max(longest, len(c.Budget.Curve))
 		}
 	}
+	if longest == 0 {
+		t.Fatal("baseline summary holds no convergence curve: the comparison does not cover them")
+	}
+	t.Logf("longest convergence curve: %d wave(s)", longest)
 
 	// The record manifest must be complete and intact (atomic write), and
 	// every referenced trace file must exist — the crash-era attempts must
@@ -212,7 +212,7 @@ func TestKillResumeByteIdentical(t *testing.T) {
 		t.Fatalf("final checkpoint not complete: wave %d", ck.Wave)
 	}
 	replayPath := filepath.Join(dir, "replay.json")
-	replay := exec.Command(bin, runArgs(replayPath, filepath.Join(dir, "replay-ev.jsonl"), filepath.Join(dir, "replay-cap"),
+	replay := exec.Command(bin, runArgs(replayPath, filepath.Join(dir, "replay-cap"),
 		"-resume", ckPath)...)
 	if out, err := replay.CombinedOutput(); err != nil {
 		t.Fatalf("replay from complete checkpoint: %v\n%s", err, out)

@@ -6,12 +6,13 @@
 // The design leans entirely on the package invariant that every execution is
 // a pure function of (tool, program, seed) and that all budget decisions
 // happen at deterministic wave barriers. A checkpoint therefore only has to
-// persist barrier state — per-cell budgets, converge-tracker state, and each
-// cell's folded fragment — and a resumed run re-enters the wave loop as if
-// the completed waves had just run. fragment.merge is order-independent and
-// indifferent to how executions are grouped, so each cell's restored fragment
-// folds exactly like the units it stands for, and the finished artifact is
-// byte-identical (Summary.Canonical) to an uninterrupted run.
+// persist barrier state — per-cell budgets, converge-tracker state and
+// curves, and each cell's folded fragment — and a resumed run re-enters the
+// wave loop as if the completed waves had just run. fragment.merge is
+// order-independent and indifferent to how executions are grouped, so each
+// cell's restored fragment folds exactly like the units it stands for, and
+// the finished artifact is byte-identical (Summary.Canonical) to an
+// uninterrupted run.
 package campaign
 
 import (
@@ -19,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -139,10 +141,12 @@ func SpecDigest(spec Spec) string {
 // summary histograms cover every execution of the campaign. Version 5 echoes
 // the trace sink's trigger set ("record_on") and drops the fragment's
 // recorded/record-error counts: they are counted from its manifest entries
-// ("captures").
+// ("captures"). Version 6 drops the event-stream cursors
+// ("events_emitted"/"events_dropped") and carries each converge cell's
+// convergence curve ("curve").
 const (
 	CheckpointSchemaName    = "c11tester/checkpoint"
-	CheckpointSchemaVersion = 5
+	CheckpointSchemaVersion = 6
 )
 
 // Checkpoint is the wave-barrier state of a campaign: everything a resumed
@@ -162,18 +166,17 @@ type Checkpoint struct {
 	// anything).
 	Wave     int  `json:"wave"`
 	Complete bool `json:"complete,omitempty"`
-	// Event and record-manifest cursors: accounting of the append-only
-	// artifacts at the barrier, for introspection and post-crash audit.
-	EventsEmitted uint64 `json:"events_emitted,omitempty"`
-	EventsDropped uint64 `json:"events_dropped,omitempty"`
-	Captures      int    `json:"captures,omitempty"`
+	// Captures counts the record-manifest entries at the barrier, for
+	// introspection and post-crash audit.
+	Captures int `json:"captures,omitempty"`
 	// Cells holds one entry per campaign cell, in matrix order.
 	Cells []CellCheckpoint `json:"cells"`
 }
 
 // CellCheckpoint is one cell's barrier state: its budget accounting, its
-// converge-tracker snapshot (adaptive policies), and its folded result
-// fragment. Shard partials carry the same form (ShardInfo.Cells).
+// converge-tracker snapshot and convergence curve (adaptive policies), and
+// its folded result fragment. Shard partials carry the same form
+// (ShardInfo.Cells).
 type CellCheckpoint struct {
 	Kind    string `json:"kind"` // "bench" or "litmus"
 	Tool    int    `json:"tool"`
@@ -184,6 +187,7 @@ type CellCheckpoint struct {
 	Stopped bool   `json:"stopped,omitempty"`
 
 	Tracker *explore.TrackerSnapshot `json:"tracker,omitempty"`
+	Curve   []CurvePoint             `json:"curve,omitempty"`
 	Frag    fragment                 `json:"frag"`
 }
 
@@ -200,14 +204,14 @@ func kindName(k jobKind) string {
 }
 
 // buildCheckpoint folds the completed work into one CellCheckpoint per
-// matrix cell, with budget and tracker state from the wave loop's plans.
-func buildCheckpoint(spec Spec, tel *Telemetry, wave int, complete bool, plans []*cellPlan, restored []cellFold, wt workerTools) *Checkpoint {
+// matrix cell, with budget, tracker and curve state from the wave loop's
+// plans.
+func buildCheckpoint(spec Spec, wave int, complete bool, plans []*cellPlan, restored []cellFold, wt workerTools) *Checkpoint {
 	c := &Checkpoint{
 		Schema: CheckpointSchemaName, SchemaVersion: CheckpointSchemaVersion,
 		SpecDigest: SpecDigest(spec), Spec: specInfo(spec),
 		Provenance: BuildProvenance(),
 		Wave:       wave, Complete: complete,
-		EventsEmitted: tel.EventsEmitted(), EventsDropped: tel.EventsDropped(),
 		Cells: checkpointCells(spec, foldCells(spec, restored, wt), plans),
 	}
 	for i := range c.Cells {
@@ -218,8 +222,8 @@ func buildCheckpoint(spec Spec, tel *Telemetry, wave int, complete bool, plans [
 
 // checkpointCells renders folded cells (foldCells) in their checkpoint form.
 // plans, when non-nil, are the wave loop's plans in matrix order and supply
-// the budget and tracker state; otherwise (shard partials) a cell's Used is
-// the end of the highest execution range it ran.
+// the budget, tracker and curve state; otherwise (shard partials) a cell's
+// Used is the end of the highest execution range it ran.
 func checkpointCells(spec Spec, cells []cellFold, plans []*cellPlan) []CellCheckpoint {
 	out := make([]CellCheckpoint, len(cells))
 	for i, k := range matrixCells(spec) {
@@ -230,7 +234,7 @@ func checkpointCells(spec Spec, cells []cellFold, plans []*cellPlan) []CellCheck
 		}
 		if plans != nil {
 			p := plans[i]
-			cc.Used, cc.Stopped = p.used, p.stopped
+			cc.Used, cc.Stopped, cc.Curve = p.used, p.stopped, p.curve
 			if p.tracker != nil {
 				cc.Tracker = p.tracker.Snapshot()
 			}
@@ -250,14 +254,11 @@ type ckState struct {
 	errs int
 }
 
-func (ck *ckState) save(spec Spec, tel *Telemetry, wave int, complete bool, plans []*cellPlan, restored []cellFold, wt workerTools) {
+func (ck *ckState) save(spec Spec, wave int, complete bool, plans []*cellPlan, restored []cellFold, wt workerTools) {
 	if ck.path == "" {
 		return
 	}
-	// The checkpoint's event cursor must not run ahead of the durable stream:
-	// flush queued event lines before persisting the barrier state.
-	tel.syncEvents()
-	c := buildCheckpoint(spec, tel, wave, complete, plans, restored, wt)
+	c := buildCheckpoint(spec, wave, complete, plans, restored, wt)
 	if ck.hook != nil {
 		ck.hook(c)
 	}
@@ -297,8 +298,8 @@ func (c *Checkpoint) ValidateAgainst(spec Spec) error {
 }
 
 // restore pushes a checkpoint's barrier state back into the wave loop: plan
-// budgets and tracker snapshots. It returns each cell's merged fragment and
-// end, for foldCells. Checkpoint cells, plans and the result are all in
+// budgets, tracker snapshots and convergence curves. It returns each cell's
+// merged fragment and end, for foldCells. Checkpoint cells, plans and the result are all in
 // matrix order.
 func restore(c *Checkpoint, plans []*cellPlan) []cellFold {
 	if len(c.Cells) != len(plans) {
@@ -311,6 +312,7 @@ func restore(c *Checkpoint, plans []*cellPlan) []cellFold {
 		cc := &c.Cells[i]
 		p.used = cc.Used
 		p.stopped = cc.Stopped
+		p.curve = slices.Clone(cc.Curve)
 		if p.tracker != nil {
 			p.tracker.Restore(cc.Tracker)
 		}

@@ -400,17 +400,32 @@ func TestMergeSummariesRefusals(t *testing.T) {
 // TestCheckpointResumeByteIdentical is the other half of the tentpole
 // acceptance criterion: interrupt an adaptive campaign at ANY wave barrier,
 // resume from the checkpoint (with a different worker count), and the
-// finished summary must be byte-identical to the uninterrupted run's.
+// finished summary — convergence curves included — must be byte-identical
+// to the uninterrupted run's. At L = 8 every cell converges in wave 1; at
+// L = 20 and 48 runs two cells are extended into wave 2, so a checkpoint
+// falls between two points of their curves.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
+	for _, c := range []struct {
+		runs  int
+		eps   float64
+		waves int // the most waves one curve must span
+	}{{32, 0.375, 1}, {48, 0.15, 2}} {
+		t.Run(fmt.Sprintf("runs=%d,eps=%g", c.runs, c.eps), func(t *testing.T) {
+			testCheckpointResume(t, c.runs, c.eps, c.waves)
+		})
+	}
+}
+
+func testCheckpointResume(t *testing.T, runs int, eps float64, waves int) {
 	build := func(workers int) Spec {
 		return Spec{
 			Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
 			Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue"), benchSpec(t, "seqlock")},
 			Litmus:     []*litmus.Test{mustLitmus(t, "MP+rlx"), mustLitmus(t, "CoRR")},
-			Runs:       32,
+			Runs:       runs,
 			SeedBase:   100,
 			Workers:    workers,
-			Policy:     &explore.Converge{Epsilon: 0.375}, // L = 8
+			Policy:     &explore.Converge{Epsilon: eps},
 		}
 	}
 
@@ -440,11 +455,21 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 
 	checkSampledCounts(t, baseline)
+	// The curves ride the checkpoints: a cell extended over later waves has
+	// a curve point from a wave before each later checkpoint.
+	if n := checkCurves(t, baseline); n != waves {
+		t.Fatalf("longest curve spans %d wave(s), want %d", n, waves)
+	}
+	wantCurves := curvesOf(baseline)
 
 	for i, ck := range checkpoints {
 		resumed := build(3) // different worker count: must not matter
 		resumed.Resume = ck
 		sum := Run(resumed)
+		if got := curvesOf(sum); !reflect.DeepEqual(got, wantCurves) {
+			t.Fatalf("resume from checkpoint %d (wave %d) changed the convergence curves:\nresumed: %+v\nwant:    %+v",
+				i, ck.Wave, got, wantCurves)
+		}
 		got := canonicalJSON(t, sum)
 		if got != want {
 			t.Fatalf("resume from checkpoint %d (wave %d, complete=%v) diverged from the uninterrupted run:\nresumed: %s\nwant:    %s",
@@ -455,6 +480,20 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 		// deterministic histograms (kept by Canonical) matched above.
 		checkSampledCounts(t, sum)
 	}
+}
+
+// curvesOf collects every cell's convergence curve, in matrix order.
+func curvesOf(sum *Summary) [][]CurvePoint {
+	var out [][]CurvePoint
+	for _, ts := range sum.Tools {
+		for _, c := range ts.Benchmarks {
+			out = append(out, c.Budget.Curve)
+		}
+		for _, c := range ts.Litmus {
+			out = append(out, c.Budget.Curve)
+		}
+	}
+	return out
 }
 
 // TestUniformCheckpointResume covers the uniform policy's pass through the
@@ -674,7 +713,7 @@ func TestStaleCheckpointRefused(t *testing.T) {
 	}
 	var warn strings.Builder
 	resumed := spec
-	err = CrashFlags{Resume: stale}.Apply(&resumed, "", &warn)
+	err = CrashFlags{Resume: stale}.Apply(&resumed, &warn)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("-resume of a stale checkpoint: err = %v, want an error naming %q", err, want)
 	}
@@ -719,61 +758,5 @@ func TestBuildShardManifest(t *testing.T) {
 	}
 	if len(seeds) != 10 {
 		t.Fatalf("shards cover %d seeds, want 10", len(seeds))
-	}
-}
-
-// TestCanonicalEventStreams runs the same campaign sharded (with an event
-// stream per shard) and unsharded, and the canonicalized unit-event sets
-// must be identical.
-func TestCanonicalEventStreams(t *testing.T) {
-	dir := t.TempDir()
-	build := func(events string) (Spec, func() error) {
-		f, err := os.Create(filepath.Join(dir, events))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tel := NewTelemetry(TelemetryOptions{EventSink: f})
-		return Spec{
-			Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
-			Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
-			Litmus:     []*litmus.Test{mustLitmus(t, "MP+rlx")},
-			Runs:       9,
-			SeedBase:   20,
-			ShardSize:  2,
-			Telemetry:  tel,
-		}, f.Close
-	}
-
-	spec, done := build("single.jsonl")
-	Run(spec)
-	if err := done(); err != nil {
-		t.Fatal(err)
-	}
-	var shardPaths []string
-	for i := 0; i < 3; i++ {
-		name := filepath.Join("", "shard"+string(rune('0'+i))+".jsonl")
-		spec, done := build(name)
-		spec.Shard = ShardSel{Index: i, Count: 3}
-		Run(spec)
-		if err := done(); err != nil {
-			t.Fatal(err)
-		}
-		shardPaths = append(shardPaths, filepath.Join(dir, name))
-	}
-
-	single, bad, err := CanonicalEvents(filepath.Join(dir, "single.jsonl"))
-	if err != nil || bad != 0 {
-		t.Fatalf("single stream: bad=%d err=%v", bad, err)
-	}
-	merged, bad, err := CanonicalEvents(shardPaths...)
-	if err != nil || bad != 0 {
-		t.Fatalf("shard streams: bad=%d err=%v", bad, err)
-	}
-	if len(single) == 0 {
-		t.Fatal("canonical stream is empty")
-	}
-	if strings.Join(single, "\n") != strings.Join(merged, "\n") {
-		t.Fatalf("canonical event sets differ:\nsingle (%d): %v\nmerged (%d): %v",
-			len(single), single, len(merged), merged)
 	}
 }

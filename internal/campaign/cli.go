@@ -1,6 +1,5 @@
-// cli.go holds the telemetry and crash-safety wiring of the campaign CLI
-// (cmd/c11tester): the flag sets, the event-stream file, the stderr progress
-// and event echo, and the cleanup sequencing.
+// cli.go holds the crash-safety wiring of the campaign CLI (cmd/c11tester):
+// the shard, checkpoint and resume flags.
 package campaign
 
 import (
@@ -9,47 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"c11tester/internal/safeio"
 )
-
-// TelemetryFlags are the telemetry CLI options. Register binds them to a
-// FlagSet; Quiet is owned by the caller (-q also silences its report).
-type TelemetryFlags struct {
-	EventsPath string
-	Verbose    bool
-	Quiet      bool
-}
-
-// Register binds the telemetry flags onto fs.
-func (f *TelemetryFlags) Register(fs *flag.FlagSet) {
-	fs.StringVar(&f.EventsPath, "events", "", "append the structured JSONL event stream to this file ('' disables)")
-	fs.BoolVar(&f.Verbose, "v", false, "echo every structured event to stderr as it is emitted")
-}
-
-// SetupTelemetry builds the telemetry fabric the flags describe: the
-// Telemetry for Spec.Telemetry and an events file if requested. The returned
-// cleanup closes the events file; call it after Run returns (Run itself
-// flushes and closes the event stream). name prefixes the diagnostics.
-func SetupTelemetry(name string, f TelemetryFlags) (*Telemetry, func(), error) {
-	topts := TelemetryOptions{Timestamps: true}
-	if !f.Quiet {
-		topts.Progress = os.Stderr
-	}
-	if f.Verbose {
-		topts.EventEcho = os.Stderr
-	}
-	cleanup := func() {}
-	if f.EventsPath != "" {
-		ef, err := os.OpenFile(f.EventsPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: -events: %v", name, err)
-		}
-		cleanup = func() { ef.Close() }
-		topts.EventSink = ef
-	}
-	return NewTelemetry(topts), cleanup, nil
-}
 
 // CrashFlags are the crash-safety CLI options: shard selection,
 // checkpointing, and resume. Register binds them to a FlagSet; Apply copies
@@ -69,11 +28,8 @@ func (f *CrashFlags) Register(fs *flag.FlagSet) {
 
 // Apply copies the crash-safety flags onto spec. A -resume file that does not
 // exist yet is a fresh start (warned on warn), so `-checkpoint ck -resume ck`
-// is an idempotent invocation: run it until it succeeds. When a resume is
-// loaded, the previous event stream at eventsPath (the file the interrupted
-// run appended to, possibly ending in a torn line) is rotated aside so the
-// resumed run appends to a clean file.
-func (f CrashFlags) Apply(spec *Spec, eventsPath string, warn io.Writer) error {
+// is an idempotent invocation: run it until it succeeds.
+func (f CrashFlags) Apply(spec *Spec, warn io.Writer) error {
 	if f.Shard != "" {
 		sel, err := ParseShard(f.Shard)
 		if err != nil {
@@ -99,14 +55,5 @@ func (f CrashFlags) Apply(spec *Spec, eventsPath string, warn io.Writer) error {
 		return fmt.Errorf("-resume: %w", err)
 	}
 	spec.Resume = ck
-	if eventsPath != "" {
-		rotated, err := safeio.Rotate(eventsPath)
-		if err != nil {
-			return fmt.Errorf("-resume: rotating %s: %w", eventsPath, err)
-		}
-		if rotated != "" && warn != nil {
-			fmt.Fprintf(warn, "-resume: rotated previous event stream to %s\n", rotated)
-		}
-	}
 	return nil
 }

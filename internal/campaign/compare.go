@@ -125,12 +125,6 @@ type Comparison struct {
 	NewWall      int64       `json:"new_wall_ns"`
 	OldSchemaVer int         `json:"old_schema_version"`
 	NewSchemaVer int         `json:"new_schema_version"`
-	// OldDropped/NewDropped are the artifacts' event-stream drop counters
-	// (schema v4). A nonzero NewDropped means events of the new run failed
-	// to marshal — its JSONL stream is incomplete — and is gated as a
-	// regression.
-	OldDropped uint64 `json:"old_events_dropped,omitempty"`
-	NewDropped uint64 `json:"new_events_dropped,omitempty"`
 	// ProvenanceSkew lists build-provenance fields on which the two artifacts
 	// disagree (schema v5). Report-only: wall-clock comparisons across builds
 	// are already flagged as incomparable, and skew alone is not a regression.
@@ -171,12 +165,6 @@ func Compare(old, new *Summary) *Comparison {
 	c := &Comparison{
 		OldWall: old.WallNS, NewWall: new.WallNS,
 		OldSchemaVer: old.SchemaVersion, NewSchemaVer: new.SchemaVersion,
-	}
-	if old.Obs != nil {
-		c.OldDropped = old.Obs.EventsDropped
-	}
-	if new.Obs != nil {
-		c.NewDropped = new.Obs.EventsDropped
 	}
 	c.ProvenanceSkew = old.Provenance.Skew(new.Provenance)
 	c.SpecSkew = specSkew(old.Spec, new.Spec)
@@ -343,16 +331,12 @@ func diffRaceKeys(old, new []harness.RaceSummary) (added, lost []string) {
 // Regressed reports whether the new artifact lost race keys, lost analyzer
 // findings (schema v7, same-analyzer-set artifacts only), lost more than
 // 10 percentage points of detection rate in any cell, lost litmus
-// weak-outcome coverage, introduced axiomatic violations, or dropped
-// telemetry events — the signals the PR trajectory check keys on. The
-// weak-coverage and validation legs are what keep a perf optimisation from
-// silently trading exploration quality for speed; the drop leg keeps the
-// event stream trustworthy (p99 timing drift, by contrast, is report-only:
-// wall clock is not comparable across machines).
+// weak-outcome coverage, or introduced axiomatic violations — the signals
+// the PR trajectory check keys on. The weak-coverage and validation legs are
+// what keep a perf optimisation from silently trading exploration quality
+// for speed (p99 timing drift, by contrast, is report-only: wall clock is
+// not comparable across machines).
 func (c *Comparison) Regressed() bool {
-	if c.NewDropped > 0 {
-		return true
-	}
 	for _, td := range c.Tools {
 		if len(td.LostRaceKeys) > 0 {
 			return true
@@ -443,9 +427,6 @@ func (c *Comparison) String() string {
 				harness.FmtDuration(time.Duration(td.NewP99NS)))
 		}
 	}
-	if c.NewDropped > 0 {
-		out += fmt.Sprintf("\nWARNING: new artifact dropped %d telemetry event(s) — its event stream is incomplete", c.NewDropped)
-	}
 	for _, skew := range c.ProvenanceSkew {
 		out += fmt.Sprintf("\nWARNING: build provenance skew: %s — wall-clock comparisons are not meaningful", skew)
 	}
@@ -475,7 +456,7 @@ func (c *Comparison) String() string {
 		out += fmt.Sprintf("\ntools only in new artifact: %v", c.UnmatchedNew)
 	}
 	if c.Regressed() {
-		out += "\n\nREGRESSION: lost race keys, lost analyzer findings, a detection-rate drop > 10 points, lost weak-outcome coverage, new axiom violations, or dropped telemetry events\n"
+		out += "\n\nREGRESSION: lost race keys, lost analyzer findings, a detection-rate drop > 10 points, lost weak-outcome coverage, or new axiom violations\n"
 	} else {
 		out += "\n\nno regression detected\n"
 	}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -374,9 +375,6 @@ func TestSchemaArtifactRoundTrip(t *testing.T) {
 	if want := "converge(eps=0.3)"; sum.Spec.Policy != want {
 		t.Fatalf("policy echo = %q, want %q", sum.Spec.Policy, want)
 	}
-	if sum.Obs == nil || sum.Obs.EventsDropped != 0 {
-		t.Fatalf("obs accounting = %+v, want present with zero drops", sum.Obs)
-	}
 	data, err := json.Marshal(sum)
 	if err != nil {
 		t.Fatal(err)
@@ -388,6 +386,9 @@ func TestSchemaArtifactRoundTrip(t *testing.T) {
 	b := rt.Tools[0].Benchmarks[0].Budget
 	if b == nil || !b.Converged || b.Planned != 30 || b.Used == 0 {
 		t.Fatalf("budget did not round-trip: %+v", b)
+	}
+	if !reflect.DeepEqual(b.Curve, sum.Tools[0].Benchmarks[0].Budget.Curve) || len(b.Curve) == 0 {
+		t.Fatalf("convergence curve did not round-trip: %+v", b.Curve)
 	}
 	tm := rt.Tools[0].Benchmarks[0].Timing
 	if tm == nil || tm.Count == 0 || tm.Sum == 0 || tm.P50 == 0 {

@@ -1,5 +1,5 @@
-// merge.go folds the partial artifacts of a sharded campaign — summaries,
-// record manifests, event streams — back into the single-machine artifact.
+// merge.go folds the partial artifacts of a sharded campaign — summaries and
+// record manifests — back into the single-machine artifact.
 // Shards partition the execution set (each seed runs in exactly one shard),
 // and every partial carries its per-cell fragment state (ShardInfo.Cells).
 // MergeSummaries folds those cells with fragment.merge and renders them with
@@ -14,7 +14,6 @@
 package campaign
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -97,8 +96,6 @@ func MergeSummaries(parts []*Summary, force bool) (*Summary, error) {
 	}
 	m := aggregate(meta, cells, nil)
 	m.Provenance = first.Provenance
-	var obsAcc ObsSummary
-	haveObs := false
 	for _, p := range sorted {
 		m.WallNS += p.WallNS
 		m.GC.AllocBytes += p.GC.AllocBytes
@@ -106,14 +103,6 @@ func MergeSummaries(parts []*Summary, force bool) (*Summary, error) {
 		m.GC.NumGC += p.GC.NumGC
 		m.GC.PauseTotalNS += p.GC.PauseTotalNS
 		m.CheckpointErrors += p.CheckpointErrors
-		if p.Obs != nil {
-			haveObs = true
-			obsAcc.EventsEmitted += p.Obs.EventsEmitted
-			obsAcc.EventsDropped += p.Obs.EventsDropped
-		}
-	}
-	if haveObs {
-		m.Obs = &obsAcc
 	}
 	return m, nil
 }
@@ -130,52 +119,6 @@ func MergeManifests(parts []*obs.Manifest) *obs.Manifest {
 	return m
 }
 
-// lifecycleEvents are shard-local: their counts describe one process's run
-// (its own wave barriers and campaign bracket), not the campaign outcome, so
-// the canonical merged stream drops them.
-var lifecycleEvents = map[string]bool{
-	"campaign_start": true,
-	"campaign_end":   true,
-	"wave_start":     true,
-	"wave_end":       true,
-}
-
-// CanonicalEvents reads one or more JSONL event streams and returns the
-// canonical unit-level line set: lifecycle events dropped, timestamps
-// stripped, lines re-marshaled through the Event schema and sorted. Two
-// streams that observed the same executions — one machine or K shards, any
-// worker interleaving — canonicalize to identical line sets. bad counts
-// unparseable (torn) lines across all inputs.
-func CanonicalEvents(paths ...string) (lines []string, bad int, err error) {
-	lines = []string{}
-	for _, path := range paths {
-		b, err := safeio.ForEachJSONLine(path, func(line []byte) bool {
-			var ev Event
-			if json.Unmarshal(line, &ev) != nil || ev.Type == "" {
-				return false
-			}
-			if lifecycleEvents[ev.Type] {
-				return true
-			}
-			ev.T = 0
-			// Re-marshal through the struct: field order is fixed by the
-			// type, so equal events render equal bytes.
-			out, err := json.Marshal(ev)
-			if err != nil {
-				return false
-			}
-			lines = append(lines, string(out))
-			return true
-		})
-		bad += b
-		if err != nil {
-			return nil, bad, err
-		}
-	}
-	sort.Strings(lines)
-	return lines, bad, nil
-}
-
 // Schema identifiers of the shard manifest written next to a partial summary.
 const (
 	ShardManifestSchemaName    = "c11tester/shard"
@@ -184,8 +127,8 @@ const (
 
 // ShardManifest describes one shard's slice of a campaign: which shard, cut
 // by which spec (digest + echo), built where, covering which seed ranges,
-// with the partial's event accounting. It makes a directory of
-// partials auditable before merging.
+// with how many executions. It makes a directory of partials auditable
+// before merging.
 type ShardManifest struct {
 	Schema        string      `json:"schema"`
 	SchemaVersion int         `json:"schema_version"`
@@ -195,11 +138,8 @@ type ShardManifest struct {
 	// SeedRanges are the [lo, hi) seed sub-ranges this shard ran in every
 	// cell (the round-robin deal of the cell's chunk sequence).
 	SeedRanges [][2]int64 `json:"seed_ranges"`
-	// Execs counts completed executions; the event counts mirror the
-	// summary's accounting.
-	Execs         int    `json:"execs"`
-	EventsEmitted uint64 `json:"events_emitted,omitempty"`
-	EventsDropped uint64 `json:"events_dropped,omitempty"`
+	// Execs counts completed executions.
+	Execs int `json:"execs"`
 }
 
 // BuildShardManifest renders the manifest of one partial summary.
@@ -221,10 +161,6 @@ func BuildShardManifest(spec Spec, sum *Summary) *ShardManifest {
 	}
 	for _, ts := range sum.Tools {
 		m.Execs += ts.Execs
-	}
-	if sum.Obs != nil {
-		m.EventsEmitted = sum.Obs.EventsEmitted
-		m.EventsDropped = sum.Obs.EventsDropped
 	}
 	return m
 }

@@ -1,14 +1,11 @@
 // report.go is the offline forensics renderer behind cmd/c11report: it joins
-// the three artifacts a campaign leaves behind — the versioned summary
-// (BENCH_campaign.json), the structured event stream (events.jsonl), and the
-// record directory's manifest — into one human-readable report. Every
-// section degrades gracefully when its source artifact is absent, so the
-// report is useful on partial evidence (a summary alone, or just a record
-// directory).
+// the two artifacts a campaign leaves behind — the versioned summary
+// (BENCH_campaign.json) and the record directory's manifest — into one
+// human-readable report. The record index is skipped when no manifest is
+// given, so the report renders from a summary alone.
 package campaign
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -20,27 +17,7 @@ import (
 	"c11tester/internal/harness"
 	"c11tester/internal/litmus"
 	"c11tester/internal/obs"
-	"c11tester/internal/safeio"
 )
-
-// ReadEvents reads a JSONL event stream appended by -events, through the
-// shared lenient reader (safeio.ForEachJSONLine). Unparseable lines are
-// counted, not fatal: an interrupted campaign may leave a torn final line,
-// and the report should still render the rest.
-func ReadEvents(path string) (events []Event, bad int, err error) {
-	bad, err = safeio.ForEachJSONLine(path, func(line []byte) bool {
-		var ev Event
-		if json.Unmarshal(line, &ev) != nil || ev.Type == "" {
-			return false
-		}
-		events = append(events, ev)
-		return true
-	})
-	if err != nil {
-		return nil, bad, err
-	}
-	return events, bad, nil
-}
 
 // ReportOptions configures WriteReport.
 type ReportOptions struct {
@@ -60,9 +37,9 @@ type slowCell struct {
 	CellHists
 }
 
-// WriteReport renders the forensics report. sum is required; events and man
-// may be nil (their sections are skipped).
-func WriteReport(w io.Writer, sum *Summary, events []Event, man *obs.Manifest, opts ReportOptions) {
+// WriteReport renders the forensics report. sum is required; man may be nil
+// (the record index is skipped).
+func WriteReport(w io.Writer, sum *Summary, man *obs.Manifest, opts ReportOptions) {
 	if opts.TopSlow <= 0 {
 		opts.TopSlow = 5
 	}
@@ -84,8 +61,8 @@ func WriteReport(w io.Writer, sum *Summary, events []Event, man *obs.Manifest, o
 	writeSlowCells(w, sum, opts.TopSlow)
 	writeOutcomes(w, sum)
 	writeFindings(w, sum)
-	writeRaceTimeline(w, events)
-	writeConvergence(w, events)
+	writeRaceTimeline(w, sum)
+	writeConvergence(w, sum)
 	writeRecordIndex(w, man, opts.RecordDir)
 }
 
@@ -226,82 +203,84 @@ func phaseBreakdown(phases map[string]*obs.HistogramSnapshot, execs int) string 
 	return out + fmt.Sprintf(" (n=%d of %d)", n, execs)
 }
 
-// writeRaceTimeline renders when each distinct race was first seen: the
-// race_first_seen events sorted by (wave, seed, tool, key).
-func writeRaceTimeline(w io.Writer, events []Event) {
-	var races []Event
-	for _, ev := range events {
-		if ev.Type == "race_first_seen" {
-			races = append(races, ev)
+// writeRaceTimeline renders when each distinct race was first seen: one row
+// per (tool, race key) — unexpected litmus races included — at the seed and
+// program of its earliest execution, sorted by (seed, tool, key).
+func writeRaceTimeline(w io.Writer, sum *Summary) {
+	type row struct {
+		tool string
+		harness.RaceSummary
+	}
+	var rows []row
+	for _, ts := range sum.Tools {
+		for _, r := range slices.Concat(ts.Races, ts.UnexpectedRaces) {
+			rows = append(rows, row{ts.Tool, r})
 		}
 	}
-	if len(races) == 0 {
+	if len(rows) == 0 {
 		return
 	}
-	sort.Slice(races, func(i, j int) bool {
-		a, b := races[i], races[j]
-		if a.Wave != b.Wave {
-			return a.Wave < b.Wave
+	sort.Slice(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
+		if a.Repro.Seed != b.Repro.Seed {
+			return a.Repro.Seed < b.Repro.Seed
 		}
-		if a.Seed != b.Seed {
-			return a.Seed < b.Seed
-		}
-		if a.Tool != b.Tool {
-			return a.Tool < b.Tool
+		if a.tool != b.tool {
+			return a.tool < b.tool
 		}
 		return a.Key < b.Key
 	})
-	fmt.Fprintf(w, "\nrace timeline (%d first-seen event(s)):\n", len(races))
-	tb := &harness.Table{Header: []string{"wave", "seed", "tool", "program", "race key"}}
-	for _, ev := range races {
-		tb.AddRow(fmt.Sprintf("%d", ev.Wave), fmt.Sprintf("%d", ev.Seed),
-			ev.Tool, ev.Program, ev.Key)
+	fmt.Fprintf(w, "\nrace timeline (%d distinct race(s)):\n", len(rows))
+	tb := &harness.Table{Header: []string{"seed", "tool", "program", "race key"}}
+	for _, r := range rows {
+		tb.AddRow(fmt.Sprintf("%d", r.Repro.Seed), r.tool, r.Repro.Program, r.Key)
 	}
 	fmt.Fprint(w, tb.String())
 }
 
-// writeConvergence renders each cell's convergence curve: the
-// cell_converge_state snapshots the wave loop emitted at its wave
-// barriers, in wave order per cell.
-func writeConvergence(w io.Writer, events []Event) {
+// writeConvergence renders each converge cell's convergence curve: the
+// tracker states its budget carries, one per wave that granted the cell
+// budget, with the cells sorted by (tool, program).
+func writeConvergence(w io.Writer, sum *Summary) {
 	type curve struct {
 		tool, program string
-		points        []Event
+		points        []CurvePoint
 	}
-	byCell := map[string]*curve{}
-	var order []string
-	for _, ev := range events {
-		if ev.Type != "cell_converge_state" || ev.Converge == nil {
-			continue
+	var curves []curve
+	add := func(tool, program string, b *BudgetSummary) {
+		if b != nil && len(b.Curve) > 0 {
+			curves = append(curves, curve{tool, program, b.Curve})
 		}
-		key := ev.Tool + "\x00" + ev.Program
-		c := byCell[key]
-		if c == nil {
-			c = &curve{tool: ev.Tool, program: ev.Program}
-			byCell[key] = c
-			order = append(order, key)
-		}
-		c.points = append(c.points, ev)
 	}
-	if len(order) == 0 {
+	for _, ts := range sum.Tools {
+		for _, c := range ts.Benchmarks {
+			add(ts.Tool, c.Program, c.Budget)
+		}
+		for _, c := range ts.Litmus {
+			add(ts.Tool, c.Test, c.Budget)
+		}
+	}
+	if len(curves) == 0 {
 		return
 	}
-	sort.Strings(order)
-	fmt.Fprintf(w, "\nconvergence curves (%d cell(s)):\n", len(order))
-	for _, key := range order {
-		c := byCell[key]
-		sort.SliceStable(c.points, func(i, j int) bool { return c.points[i].Wave < c.points[j].Wave })
+	sort.Slice(curves, func(i, j int) bool {
+		if curves[i].tool != curves[j].tool {
+			return curves[i].tool < curves[j].tool
+		}
+		return curves[i].program < curves[j].program
+	})
+	fmt.Fprintf(w, "\nconvergence curves (%d cell(s)):\n", len(curves))
+	for _, c := range curves {
 		fmt.Fprintf(w, "  %s/%s:\n", c.tool, c.program)
-		for _, ev := range c.points {
-			st := ev.Converge
+		for _, pt := range c.points {
 			verdict := "diverging"
-			if st.Converged {
+			if pt.Converged {
 				verdict = "CONVERGED"
-			} else if st.WindowNewInfo {
+			} else if pt.WindowNewInfo {
 				verdict = "new info in window"
 			}
 			fmt.Fprintf(w, "    wave %d: %d execs, rate %.2f (shift %+.3f), %d distinct race(s), L1 %.3f — %s\n",
-				ev.Wave, st.Execs, st.DetectionRate, st.RateShift, st.DistinctRaces, st.OutcomeL1, verdict)
+				pt.Wave, pt.Execs, pt.DetectionRate, pt.RateShift, pt.DistinctRaces, pt.OutcomeL1, verdict)
 		}
 	}
 }

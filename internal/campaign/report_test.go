@@ -3,46 +3,29 @@ package campaign
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"c11tester/internal/explore"
 	"c11tester/internal/harness"
 	"c11tester/internal/obs"
 )
 
 // TestReportEndToEnd drives the full forensics join on a real campaign: run a
-// racy converge-policy matrix with the trace sink armed and the event
-// stream on, then render the report from the three artifacts and check every
-// section is present and stitched from the right source.
+// racy converge-policy matrix with the trace sink armed, then render the
+// report from the summary and the record directory and check every section
+// is present and stitched from the right source.
 func TestReportEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	var events bytes.Buffer
-	tel := NewTelemetry(TelemetryOptions{EventSink: &events})
-	sum := Run(captureSpec(t, 2, dir, tel))
-
-	evPath := filepath.Join(t.TempDir(), "events.jsonl")
-	if err := os.WriteFile(evPath, events.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	evs, bad, err := ReadEvents(evPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad != 0 {
-		t.Fatalf("ReadEvents skipped %d lines of a clean stream", bad)
-	}
-	if len(evs) == 0 {
-		t.Fatal("no events read back")
-	}
+	sum := Run(captureSpec(t, 2, dir))
 	man, err := obs.ReadManifest(filepath.Join(dir, obs.ManifestFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var buf bytes.Buffer
-	WriteReport(&buf, sum, evs, man, ReportOptions{TopSlow: 3, RecordDir: dir})
+	WriteReport(&buf, sum, man, ReportOptions{TopSlow: 3, RecordDir: dir})
 	out := buf.String()
 	for _, want := range []string{
 		"campaign forensics report (schema v",
@@ -68,57 +51,79 @@ func TestReportEndToEnd(t *testing.T) {
 	}
 }
 
-// TestReadEventsToleratesTornLines pins the crash-forensics property of the
-// reader: an events file whose final line was cut mid-write (or interleaved
-// by a non-serialized writer) still yields every parseable event, with the
-// damage counted rather than fatal.
-func TestReadEventsToleratesTornLines(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "events.jsonl")
-	raw := `{"type":"campaign_start","wave":0}
-not json at all
-{"seq":3}
-{"type":"exec_slow","tool":"c11tester","program":"ms-queue","seed":7}
-{"type":"capture","trig`
-	if err := os.WriteFile(path, []byte(raw), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	evs, bad, err := ReadEvents(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 2 {
-		t.Fatalf("read %d events, want 2 (campaign_start + exec_slow)", len(evs))
-	}
-	if evs[0].Type != "campaign_start" || evs[1].Type != "exec_slow" {
-		t.Fatalf("events = %q, %q", evs[0].Type, evs[1].Type)
-	}
-	if bad != 3 {
-		t.Fatalf("counted %d bad lines, want 3 (garbage, typeless, torn tail)", bad)
-	}
+// TestWriteReportDegradesWithoutSidecars pins that the report renders from
+// the summary alone: every summary-backed section is there, and the record
+// index, with no manifest behind it, is left out instead of panicking.
+func TestWriteReportDegradesWithoutSidecars(t *testing.T) {
+	sum := Run(captureSpec(t, 1, t.TempDir()))
 
-	if _, _, err := ReadEvents(filepath.Join(t.TempDir(), "missing.jsonl")); err == nil {
-		t.Fatal("missing file must be an error, not an empty stream")
+	var buf bytes.Buffer
+	WriteReport(&buf, sum, nil, ReportOptions{TopSlow: 2})
+	out := buf.String()
+	for _, want := range []string{"top 2 cell(s) by p99 ns/exec:", "race timeline (", "convergence curves ("} {
+		if !strings.Contains(out, want) {
+			t.Errorf("section %q missing from a summary-only report:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "record index (") {
+		t.Errorf("record index rendered with no manifest:\n%s", out)
 	}
 }
 
-// TestWriteReportDegradesWithoutSidecars pins that the report renders from
-// the summary alone: no events and no manifest means the optional sections
-// say so instead of disappearing silently or panicking.
-func TestWriteReportDegradesWithoutSidecars(t *testing.T) {
-	var events bytes.Buffer
-	tel := NewTelemetry(TelemetryOptions{EventSink: &events})
-	sum := Run(captureSpec(t, 1, t.TempDir(), tel))
-
-	var buf bytes.Buffer
-	WriteReport(&buf, sum, nil, nil, ReportOptions{TopSlow: 2})
-	out := buf.String()
-	if !strings.Contains(out, "top 2 cell(s) by p99 ns/exec:") {
-		t.Errorf("slow-cell table missing without sidecars:\n%s", out)
+// TestRaceTimelineAndCurvesFromSummary pins the two summary-backed sections
+// byte for byte on a two-tool summary: the timeline has one row per (tool,
+// race key), unexpected litmus races included, sorted by (seed, tool, key);
+// the curves are sorted by (tool, program), one line per point in wave
+// order; a uniform cell (no budget) has no curve.
+func TestRaceTimelineAndCurvesFromSummary(t *testing.T) {
+	race := func(key, program string, seed int64) harness.RaceSummary {
+		return harness.RaceSummary{Key: key, Repro: harness.Repro{Program: program, Seed: seed}}
 	}
-	for _, absent := range []string{"race timeline (", "record index ("} {
-		if strings.Contains(out, absent) {
-			t.Errorf("section %q rendered with no backing data:\n%s", absent, out)
-		}
+	sum := &Summary{Tools: []ToolSummary{
+		{
+			Tool:            "tsan11",
+			Races:           []harness.RaceSummary{race("q.b", "ms-queue", 12), race("q.a", "ms-queue", 12)},
+			UnexpectedRaces: []harness.RaceSummary{race("x", "MP+rlx", 3)},
+			Benchmarks:      []CellSummary{{Program: "ms-queue"}},
+		},
+		{
+			Tool:  "c11tester",
+			Races: []harness.RaceSummary{race("q.b", "ms-queue", 12), race("s.v", "seqlock", 40)},
+			Benchmarks: []CellSummary{
+				{Program: "seqlock", Budget: &BudgetSummary{Curve: []CurvePoint{
+					{Wave: 1, TrackerState: explore.TrackerState{Execs: 150, DetectionRate: 0.97, DistinctRaces: 1, Converged: true}},
+				}}},
+			},
+			Litmus: []LitmusSummary{
+				{Test: "CoRR", Budget: &BudgetSummary{Curve: []CurvePoint{
+					{Wave: 1, TrackerState: explore.TrackerState{Execs: 400, OutcomeL1: 0.0756, WindowNewInfo: true}},
+					{Wave: 2, TrackerState: explore.TrackerState{Execs: 550, RateShift: -0.0125, OutcomeL1: 0.065}},
+				}}},
+			},
+		},
+	}}
+	var buf bytes.Buffer
+	writeRaceTimeline(&buf, sum)
+	writeConvergence(&buf, sum)
+	want := `
+race timeline (5 distinct race(s)):
+seed  tool       program   race key
+----  ---------  --------  --------
+3     tsan11     MP+rlx    x       
+12    c11tester  ms-queue  q.b     
+12    tsan11     ms-queue  q.a     
+12    tsan11     ms-queue  q.b     
+40    c11tester  seqlock   s.v     
+
+convergence curves (2 cell(s)):
+  c11tester/CoRR:
+    wave 1: 400 execs, rate 0.00 (shift +0.000), 0 distinct race(s), L1 0.076 — new info in window
+    wave 2: 550 execs, rate 0.00 (shift -0.013), 0 distinct race(s), L1 0.065 — diverging
+  c11tester/seqlock:
+    wave 1: 150 execs, rate 0.97 (shift +0.000), 1 distinct race(s), L1 0.000 — CONVERGED
+`
+	if got := buf.String(); got != want {
+		t.Errorf("sections =\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"c11tester/internal/explore"
 	"c11tester/internal/harness"
 	"c11tester/internal/safeio"
 )
@@ -26,9 +27,9 @@ import (
 // samples ("engine_failures"/"failure_samples").
 //
 // v4: observability integration — per-cell ns/exec histogram snapshots
-// ("timing", from the telemetry fabric's fixed-bucket histograms) and the
-// campaign-level event-stream accounting ("obs": events emitted/dropped).
-// Compare gates on nonzero drops and reports p99 ns/exec drift.
+// ("timing", from fixed-bucket histograms) and the campaign-level
+// event-stream accounting ("obs": events emitted/dropped). Compare reports
+// p99 ns/exec drift.
 //
 // v5: execution forensics — per-cell phase-span histograms ("phases":
 // reset/run/race from the engine's phase timer, validate/record from the
@@ -76,9 +77,14 @@ import (
 // per-tool "captures"/"capture_errors" counts are gone, and
 // "recorded_traces"/"record_errors" are counted from the record
 // directory's manifest entries.
+//
+// v13: one artifact. The campaign-level event-stream accounting ("obs") is
+// gone with the JSONL event stream; each converge cell's budget carries its
+// convergence curve ("curve"): the tracker's state at every wave barrier
+// where the cell was granted budget.
 const (
 	SchemaName    = "c11tester/campaign"
-	SchemaVersion = 12
+	SchemaVersion = 13
 )
 
 // SpecInfo echoes the campaign parameters into the summary, making every
@@ -117,6 +123,17 @@ type BudgetSummary struct {
 	Used      int  `json:"used"`
 	Extended  int  `json:"extended,omitempty"`
 	Converged bool `json:"converged"`
+	// Curve is the cell's convergence curve (schema v13): one point per
+	// wave barrier where the cell was granted budget, in wave order. The
+	// last point's verdict is Converged.
+	Curve []CurvePoint `json:"curve,omitempty"`
+}
+
+// CurvePoint is a converge cell's tracker state at the barrier of a wave
+// that granted it budget.
+type CurvePoint struct {
+	Wave int `json:"wave"` // 1-based
+	explore.TrackerState
 }
 
 // GuideStats reports the trace-guided exploration of one cell (schema v3):
@@ -293,15 +310,6 @@ type ToolSummary struct {
 	UnexpectedRaces []harness.RaceSummary `json:"unexpected_races,omitempty"`
 }
 
-// ObsSummary is the campaign-level event-stream accounting (schema v4).
-// EventsDropped must be zero for a healthy run: a nonzero value means events
-// failed to marshal and the JSONL stream is incomplete, and Compare treats
-// it as a regression.
-type ObsSummary struct {
-	EventsEmitted uint64 `json:"events_emitted"`
-	EventsDropped uint64 `json:"events_dropped"`
-}
-
 // Summary is the versioned campaign artifact serialized to
 // BENCH_campaign.json.
 type Summary struct {
@@ -310,8 +318,6 @@ type Summary struct {
 	Spec          SpecInfo  `json:"spec"`
 	WallNS        int64     `json:"wall_ns"`
 	GC            GCSummary `json:"gc"`
-	// Obs carries the event-stream accounting (schema v4).
-	Obs *ObsSummary `json:"obs,omitempty"`
 	// Provenance identifies the build that produced the artifact (schema v5).
 	Provenance *Provenance   `json:"provenance,omitempty"`
 	Tools      []ToolSummary `json:"tools"`
@@ -399,8 +405,7 @@ func metaOf(spec Spec) summaryMeta {
 }
 
 // specInfo echoes the campaign parameters into their summary form; the same
-// echo opens the structured event stream (campaign_start) and heads the
-// serialized artifact.
+// echo heads the serialized artifact and every checkpoint.
 func specInfo(spec Spec) SpecInfo {
 	info := SpecInfo{
 		Runs: spec.Runs, SeedBase: spec.SeedBase,
@@ -896,13 +901,13 @@ func (s *Summary) WriteJSON(path string) error {
 // an uninterrupted one all marshal to identical bytes after Canonical.
 // Zeroed: wall clock, the GC block, per-cell mean times and the wall-clock
 // histograms (timing, phases, handoff), per-tool work time and throughput,
-// event-stream accounting, and the run-shape echoes (Workers, artifact
-// directories) plus the shard header, checkpoint accounting, and build
-// provenance (`go run` and `go build` of the same tree stamp different VCS
-// metadata, and the guarantee must hold across binaries; skew is surfaced by
-// Compare and refused by MergeSummaries instead). Kept: everything the model produced —
-// detections, races, outcomes, budgets, guide sums, validation, and the
-// schedule-length and choices histograms.
+// and the run-shape echoes (Workers, artifact directories) plus the shard
+// header, checkpoint accounting, and build provenance (`go run` and
+// `go build` of the same tree stamp different VCS metadata, and the
+// guarantee must hold across binaries; skew is surfaced by Compare and
+// refused by MergeSummaries instead). Kept: everything the model produced —
+// detections, races, outcomes, budgets and convergence curves, guide sums,
+// validation, and the schedule-length and choices histograms.
 func (s *Summary) Canonical() *Summary {
 	data, err := json.Marshal(s)
 	if err != nil {
@@ -914,7 +919,6 @@ func (s *Summary) Canonical() *Summary {
 	}
 	c.WallNS = 0
 	c.GC = GCSummary{}
-	c.Obs = nil
 	c.Shard = nil
 	c.CheckpointErrors = 0
 	c.Provenance = nil

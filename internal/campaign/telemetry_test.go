@@ -2,21 +2,21 @@ package campaign
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
+	"c11tester/internal/explore"
 	"c11tester/internal/litmus"
 )
 
-// eventSpec builds the fixed matrix the instrumented-determinism tests run:
+// curveSpec builds the fixed matrix the instrumented-determinism tests run:
 // only the worker count varies between invocations, so the unit-of-work set
-// (and therefore the event stream, up to ordering) is identical.
-func eventSpec(t *testing.T, workers int, tel *Telemetry) Spec {
+// is identical. The converge policy at ε = 0.2 (L = 15) stops some cells
+// early and extends others over later waves, so the cells' curves span
+// several wave barriers.
+func curveSpec(t *testing.T, workers int) Spec {
 	return Spec{
 		Tools: []ToolSpec{
 			mustTool(t, "c11tester", ToolOptions{}),
@@ -32,155 +32,63 @@ func eventSpec(t *testing.T, workers int, tel *Telemetry) Spec {
 			mustLitmus(t, "CoRR"),
 		},
 		// The analyzer pipeline participates in the determinism guarantee:
-		// findings and analyzer_finding events must be sharding-independent.
+		// findings must be sharding-independent.
 		Analyzers: []string{"atomicity", "sc-robustness"},
 		Runs:      40,
 		SeedBase:  500,
 		Workers:   workers,
-		// The same ragged shard size on both sides keeps the unit set
-		// identical; only the order units are processed in may differ.
 		ShardSize: 7,
-		Telemetry: tel,
+		Policy:    &explore.Converge{Epsilon: 0.2},
 	}
 }
 
-// canonicalEvents parses, normalizes, and sorts a JSONL event stream. The
-// only run-dependent content is the campaign_start spec echo — the worker
-// count and the (per-TempDir) record path — which is stripped; every other
-// event is a pure function of its unit of work, so after sorting the streams
-// must be byte-identical.
-func canonicalEvents(t *testing.T, raw []byte) []string {
-	var out []string
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		if line == "" {
-			continue
+// checkCurves requires every cell of a converge campaign to carry a
+// non-empty convergence curve in wave order whose last point agrees with
+// the cell's budget, and returns the most waves any one curve spans.
+func checkCurves(t *testing.T, sum *Summary) int {
+	t.Helper()
+	longest := 0
+	check := func(name string, b *BudgetSummary) {
+		if b == nil || len(b.Curve) == 0 {
+			t.Errorf("%s: no convergence curve (budget %+v)", name, b)
+			return
 		}
-		var m map[string]any
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			t.Fatalf("malformed event line %q: %v", line, err)
-		}
-		if m["type"] == "campaign_start" {
-			if spec, ok := m["spec"].(map[string]any); ok {
-				delete(spec, "workers")
-				delete(spec, "shard_size")
-				delete(spec, "record_dir")
+		for i := 1; i < len(b.Curve); i++ {
+			if b.Curve[i].Wave <= b.Curve[i-1].Wave || b.Curve[i].Execs <= b.Curve[i-1].Execs {
+				t.Errorf("%s: curve points %d and %d out of order: %+v", name, i-1, i, b.Curve)
 			}
 		}
-		norm, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
+		last := b.Curve[len(b.Curve)-1]
+		if last.Converged != b.Converged || last.Execs != b.Used {
+			t.Errorf("%s: last curve point %+v disagrees with budget converged=%v used=%d", name, last, b.Converged, b.Used)
 		}
-		out = append(out, string(norm))
+		longest = max(longest, len(b.Curve))
 	}
-	sort.Strings(out)
-	return out
+	for _, ts := range sum.Tools {
+		for _, c := range ts.Benchmarks {
+			check(ts.Tool+"/"+c.Program, c.Budget)
+		}
+		for _, c := range ts.Litmus {
+			check(ts.Tool+"/"+c.Test, c.Budget)
+		}
+	}
+	return longest
 }
 
 // TestInstrumentedDeterminismUnderSharding extends the campaign determinism
-// guarantee to the telemetry fabric: with the structured event stream
-// enabled, workers=1 and workers=4 must produce byte-identical
-// canonicalized summaries AND identical event streams up to line ordering,
-// with zero dropped events — and must match an uninstrumented-sink run.
+// guarantee to the convergence curves: workers=1 and workers=4 must produce
+// byte-identical canonicalized summaries, curves included, and every cell's
+// curve must be present and agree with its budget.
 func TestInstrumentedDeterminismUnderSharding(t *testing.T) {
-	run := func(workers int) (*Summary, *Telemetry, []byte) {
-		var buf bytes.Buffer
-		tel := NewTelemetry(TelemetryOptions{EventSink: &buf})
-		sum := Run(eventSpec(t, workers, tel))
-		return sum, tel, buf.Bytes()
+	serial, sharded := Run(curveSpec(t, 1)), Run(curveSpec(t, 4))
+	if a, b := canonicalJSON(t, serial), canonicalJSON(t, sharded); a != b {
+		t.Errorf("aggregates differ between workers=1 and workers=4:\nserial:  %s\nsharded: %s", a, b)
 	}
-	serialSum, serialTel, serialRaw := run(1)
-	shardSum, shardTel, shardRaw := run(4)
-
-	if n := serialTel.EventsDropped(); n != 0 {
-		t.Fatalf("serial run dropped %d events", n)
+	if n := checkCurves(t, serial); n < 2 {
+		t.Errorf("longest curve spans %d wave(s), want ≥ 2: the extension waves are untested", n)
 	}
-	if n := shardTel.EventsDropped(); n != 0 {
-		t.Fatalf("sharded run dropped %d events", n)
-	}
-	for _, sum := range []*Summary{serialSum, shardSum} {
-		if sum.Obs == nil || sum.Obs.EventsDropped != 0 {
-			t.Fatalf("summary obs accounting = %+v, want zero drops", sum.Obs)
-		}
-	}
-	if serialSum.Obs.EventsEmitted != shardSum.Obs.EventsEmitted {
-		t.Fatalf("event counts differ: serial %d, sharded %d",
-			serialSum.Obs.EventsEmitted, shardSum.Obs.EventsEmitted)
-	}
-
-	serialJSON, _ := json.Marshal(canonicalize(serialSum))
-	shardJSON, _ := json.Marshal(canonicalize(shardSum))
-	if !bytes.Equal(serialJSON, shardJSON) {
-		t.Errorf("instrumented aggregates differ between workers=1 and workers=4:\nserial:  %s\nsharded: %s",
-			serialJSON, shardJSON)
-	}
-
-	serialEv := canonicalEvents(t, serialRaw)
-	shardEv := canonicalEvents(t, shardRaw)
-	if !reflect.DeepEqual(serialEv, shardEv) {
-		max := len(serialEv)
-		if len(shardEv) > max {
-			max = len(shardEv)
-		}
-		for i := 0; i < max; i++ {
-			var a, b string
-			if i < len(serialEv) {
-				a = serialEv[i]
-			}
-			if i < len(shardEv) {
-				b = shardEv[i]
-			}
-			if a != b {
-				t.Errorf("event %d differs:\nserial:  %s\nsharded: %s", i, a, b)
-				break
-			}
-		}
-		t.Fatalf("event streams differ after canonical ordering (%d vs %d lines)",
-			len(serialEv), len(shardEv))
-	}
-	if uint64(len(serialEv)) != serialSum.Obs.EventsEmitted {
-		t.Errorf("stream has %d lines but summary reports %d emitted",
-			len(serialEv), serialSum.Obs.EventsEmitted)
-	}
-
-	// The stream must cover the whole campaign lifecycle.
-	types := map[string]int{}
-	for _, line := range serialEv {
-		var m struct {
-			V    int    `json:"v"`
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			t.Fatal(err)
-		}
-		if m.V != 1 {
-			t.Fatalf("event schema version = %d, want 1: %s", m.V, line)
-		}
-		types[m.Type]++
-	}
-	for _, want := range []string{"campaign_start", "wave_start", "cell_start",
-		"cell_end", "race_first_seen", "analyzer_finding", "wave_end", "campaign_end"} {
-		if types[want] == 0 {
-			t.Errorf("no %q event in stream (types: %v)", want, types)
-		}
-	}
-	if types["campaign_start"] != 1 || types["campaign_end"] != 1 {
-		t.Errorf("campaign lifecycle events duplicated: %v", types)
-	}
-
-	// An events-off run (Run builds its own quiet telemetry) must agree with
-	// the instrumented ones. A sink-less stream emits nothing, so the event
-	// accounting — but only it — is excluded from the comparison.
-	stripObs := func(s *Summary) *Summary {
-		c := canonicalize(s)
-		c.Obs = nil
-		return c
-	}
-	quiet := Run(eventSpec(t, 2, nil))
-	quietJSON, _ := json.Marshal(stripObs(quiet))
-	serialJSON, _ = json.Marshal(stripObs(serialSum))
-	if !bytes.Equal(serialJSON, quietJSON) {
-		t.Errorf("instrumented and quiet aggregates differ:\ninstrumented: %s\nquiet:        %s",
-			serialJSON, quietJSON)
+	if len(serial.Tools[0].Findings) == 0 || len(serial.Tools[0].Races) == 0 {
+		t.Error("matrix found no races or analyzer findings: the determinism check is vacuous for them")
 	}
 }
 
@@ -226,53 +134,47 @@ func TestTimingSampledPerIndex(t *testing.T) {
 	}
 }
 
-// TestTelemetryFoldWithoutStream pins unitDone's two halves apart: the same
-// units folded with and without an event stream print the same progress
-// lines, and their distinct-race count is the stream's distinct (tool, race
-// key) pairs — a key two tools both find counts twice.
+// TestTelemetryFoldWithoutStream pins the progress lines: they do not
+// change the campaign's outcome, and their distinct-race count is the
+// summary's distinct (tool, race key) pairs — a key two tools both find
+// counts twice.
 func TestTelemetryFoldWithoutStream(t *testing.T) {
-	run := func(sink io.Writer) string {
-		var progress bytes.Buffer
-		tel := NewTelemetry(TelemetryOptions{EventSink: sink, Progress: &progress})
-		// One worker keeps the periodic progress lines deterministic.
-		Run(eventSpec(t, 1, tel))
-		return progress.String()
+	var progress bytes.Buffer
+	spec := curveSpec(t, 1) // one worker keeps the periodic lines deterministic
+	spec.Progress = &progress
+	sum := Run(spec)
+	if a, b := canonicalJSON(t, sum), canonicalJSON(t, Run(curveSpec(t, 1))); a != b {
+		t.Errorf("progress lines changed the summary:\nwith:    %s\nwithout: %s", a, b)
 	}
-	var events bytes.Buffer
-	streamedLines := run(&events)
-	quietLines := run(nil)
-
-	if streamedLines != quietLines {
-		t.Errorf("progress lines differ:\nwith a stream:\n%swithout:\n%s", streamedLines, quietLines)
-	}
-	if !strings.Contains(quietLines, "progress: ") {
-		t.Errorf("no periodic progress line:\n%s", quietLines)
+	lines := progress.String()
+	if !strings.Contains(lines, "progress: ") {
+		t.Errorf("no periodic progress line:\n%s", lines)
 	}
 
 	pairs := map[[2]string]bool{}
 	tools := map[string]map[string]bool{} // key → tools that found it
-	for _, line := range canonicalEvents(t, events.Bytes()) {
-		var ev Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatal(err)
-		}
-		if ev.Type == "race_first_seen" {
-			pairs[[2]string{ev.Tool, ev.Key}] = true
-			if tools[ev.Key] == nil {
-				tools[ev.Key] = map[string]bool{}
+	for _, ts := range sum.Tools {
+		for _, r := range slices.Concat(ts.Races, ts.UnexpectedRaces) {
+			pairs[[2]string{ts.Tool, r.Key}] = true
+			if tools[r.Key] == nil {
+				tools[r.Key] = map[string]bool{}
 			}
-			tools[ev.Key][ev.Tool] = true
+			tools[r.Key][ts.Tool] = true
 		}
 	}
 	// The last wave line carries the campaign's final distinct-race count.
-	lines := strings.Split(strings.TrimSpace(quietLines), "\n")
+	all := strings.Split(strings.TrimSpace(lines), "\n")
 	var wave, done, planned, conv, cells, races, fails int
-	if _, err := fmt.Sscanf(lines[len(lines)-1], "wave %d: %d/%d execs, %d/%d cells converged, %d distinct race(s), %d failure(s)",
+	if _, err := fmt.Sscanf(all[len(all)-1], "wave %d: %d/%d execs, %d/%d cells converged, %d distinct race(s), %d failure(s)",
 		&wave, &done, &planned, &conv, &cells, &races, &fails); err != nil {
-		t.Fatalf("last progress line %q: %v", lines[len(lines)-1], err)
+		t.Fatalf("last progress line %q: %v", all[len(all)-1], err)
 	}
 	if len(pairs) == 0 || len(pairs) != races {
-		t.Errorf("progress reports %d distinct race(s), stream has %d distinct (tool, key) pairs", races, len(pairs))
+		t.Errorf("progress reports %d distinct race(s), summary has %d distinct (tool, key) pairs", races, len(pairs))
+	}
+	used, _, converged, _, _ := sum.BudgetReport()
+	if done != used || conv != converged {
+		t.Errorf("last wave line reports %d execs and %d converged cell(s), summary %d and %d", done, conv, used, converged)
 	}
 	shared := false
 	for _, ts := range tools {

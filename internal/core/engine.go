@@ -113,6 +113,10 @@ type QuantumStrategy struct {
 	quantum   rng.Geometric
 	remaining int
 	current   *ThreadState
+	// idx is current's index in the ready list of its last pick. Engine.pick
+	// keeps that list between steps, so the index holds until a rebuild
+	// moves the thread; PickThread checks it before scanning.
+	idx int
 }
 
 // NewQuantumStrategy returns a QuantumStrategy with the given mean quantum;
@@ -133,14 +137,20 @@ func (s *QuantumStrategy) Seed(seed int64) {
 // PickThread implements Strategy.
 func (s *QuantumStrategy) PickThread(ready []*ThreadState) *ThreadState {
 	if s.current != nil && s.remaining > 0 {
-		for _, t := range ready {
+		if s.idx < len(ready) && ready[s.idx] == s.current {
+			s.remaining--
+			return s.current
+		}
+		for i, t := range ready {
 			if t == s.current {
+				s.idx = i
 				s.remaining--
 				return t
 			}
 		}
 	}
-	s.current = ready[s.rng.Intn(len(ready))]
+	s.idx = s.rng.Intn(len(ready))
+	s.current = ready[s.idx]
 	s.remaining = s.quantum.Draw(&s.rng)
 	return s.current
 }

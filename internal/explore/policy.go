@@ -33,39 +33,30 @@ type Obs struct {
 	Outcome string
 }
 
-// TrackerState is a serializable snapshot of one tracker's internals: the
-// forensics surface behind the cell_converge_state events. Every field is a
-// pure function of the cell's observation stream, so snapshots taken at
-// deterministic points (wave barriers) are identical across worker counts.
+// TrackerState is a tracker's convergence verdict and the statistics it
+// read, as of one point in its observation stream. Every field is a pure
+// function of the cell's observation stream, so states taken at
+// deterministic points (wave barriers) are identical across worker counts;
+// the campaign keeps one per wave as the cell's convergence curve.
 type TrackerState struct {
-	// Execs and Detected are the full-stream totals; DetectionRate is their
-	// ratio (0 when no executions have been observed).
+	// Execs counts the observed executions and DetectionRate the fraction
+	// that showed the detection signal (0 when none have been observed).
 	Execs         int     `json:"execs"`
-	Detected      int     `json:"detected"`
 	DetectionRate float64 `json:"detection_rate"`
-	// DistinctRaces counts the race keys ever seen; Outcomes is the full
-	// litmus-outcome histogram ("" excluded).
-	DistinctRaces int            `json:"distinct_races"`
-	Outcomes      map[string]int `json:"outcomes,omitempty"`
-	// Window is the trailing-window size L = ⌈3/ε⌉ and WindowFilled how
-	// much of it has been observed; WindowDetected and WindowOutcomes are
-	// the window's contents, and WindowNewInfo reports whether any window
-	// execution introduced a never-seen race key or outcome.
-	Window         int            `json:"window"`
-	WindowFilled   int            `json:"window_filled"`
-	WindowDetected int            `json:"window_detected"`
-	WindowOutcomes map[string]int `json:"window_outcomes,omitempty"`
-	WindowNewInfo  bool           `json:"window_new_info"`
-	// RateShift is the detection-rate movement the window causes (full-stream
-	// rate minus pre-window rate); OutcomeL1 the L1 distance between the
-	// normalized outcome histograms with and without the window. Both are 0
-	// when the corresponding leg has nothing to compare (no pre-window
-	// history, no outcomes).
+	// RateShift is the detection-rate movement the trailing window causes
+	// (full-stream rate minus pre-window rate); 0 with no pre-window
+	// history.
 	RateShift float64 `json:"rate_shift"`
+	// DistinctRaces counts the race keys ever seen.
+	DistinctRaces int `json:"distinct_races"`
+	// OutcomeL1 is the L1 distance between the normalized outcome
+	// histograms with and without the window; 0 when there is nothing to
+	// compare (no outcomes, or none before the window).
 	OutcomeL1 float64 `json:"outcome_l1"`
-	// Epsilon echoes the policy threshold the verdict applied.
-	Epsilon float64 `json:"epsilon"`
-	// Converged is the tracker's current verdict.
+	// WindowNewInfo reports whether any window execution introduced a
+	// never-seen race key or outcome.
+	WindowNewInfo bool `json:"window_new_info"`
+	// Converged is the tracker's verdict.
 	Converged bool `json:"converged"`
 }
 
@@ -272,29 +263,15 @@ func (t *Tracker) Converged() bool {
 func (t *Tracker) State() TrackerState {
 	s := t.windowStats()
 	st := TrackerState{
-		Execs:          t.n,
-		Detected:       t.detected,
-		DistinctRaces:  len(t.raceSeen),
-		Window:         t.window,
-		WindowFilled:   len(t.ring),
-		WindowDetected: s.detected,
-		WindowNewInfo:  s.newInfo,
-		RateShift:      s.rateShift,
-		OutcomeL1:      s.l1,
-		Epsilon:        t.eps,
-		Converged:      t.Converged(),
+		Execs:         t.n,
+		RateShift:     s.rateShift,
+		DistinctRaces: len(t.raceSeen),
+		OutcomeL1:     s.l1,
+		WindowNewInfo: s.newInfo,
+		Converged:     t.Converged(),
 	}
 	if t.n > 0 {
 		st.DetectionRate = float64(t.detected) / float64(t.n)
-	}
-	if len(t.outcomes) > 0 {
-		st.Outcomes = make(map[string]int, len(t.outcomes))
-		for k, v := range t.outcomes {
-			st.Outcomes[k] = v
-		}
-	}
-	if len(s.outcomes) > 0 {
-		st.WindowOutcomes = s.outcomes
 	}
 	return st
 }

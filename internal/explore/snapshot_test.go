@@ -25,8 +25,8 @@ func syntheticObs(n int) []Obs {
 // TestSnapshotRestoreContinuesIdentically is the checkpoint/resume contract
 // at tracker granularity: snapshot a converge tracker at every prefix of an
 // observation stream, restore into a fresh tracker, feed both the remaining
-// stream, and their verdicts and introspection state must agree step for
-// step.
+// stream, and their verdicts and snapshots (window contents included) must
+// agree step for step.
 func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
 	pol := Converge{Epsilon: 0.5} // L = 6
 	stream := syntheticObs(40)
@@ -56,10 +56,10 @@ func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
 			if orig.Converged() != restored.Converged() {
 				t.Fatalf("cut %d: verdicts diverge %d step(s) after restore", cut, i+1)
 			}
-			so := orig.State()
-			sr := restored.State()
+			so := orig.Snapshot()
+			sr := restored.Snapshot()
 			if !reflect.DeepEqual(so, sr) {
-				t.Fatalf("cut %d, step %d: state diverged:\norig:     %+v\nrestored: %+v", cut, i+1, so, sr)
+				t.Fatalf("cut %d, step %d: snapshot diverged:\norig:     %+v\nrestored: %+v", cut, i+1, so, sr)
 			}
 		}
 	}

@@ -1,8 +1,8 @@
 // forensics.go is obs layer 2: the trace sink's trigger decision and its
-// manifest. The metrics/event fabric (layer 1) answers "is the campaign
-// healthy"; the flight recorder answers "which executions mattered" by
-// watching a bounded ring of per-execution digests and naming, for each
-// execution, the trigger (if any) that owes it a recorded trace.
+// manifest. The histograms (layer 1) answer "is the campaign healthy"; the
+// flight recorder answers "which executions mattered" by watching a bounded
+// ring of per-execution digests and naming, for each execution, the trigger
+// (if any) that owes it a recorded trace.
 //
 // Determinism contract: a FlightRecorder watches one unit of work at a time
 // (a campaign cell runner resets it at every unit start), whichever OS

@@ -1,16 +1,13 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
-	"time"
 )
 
 // anomalies is the trigger set of the anomaly tests: every trigger but hit
@@ -249,65 +246,6 @@ func TestManifestSortAndRoundTrip(t *testing.T) {
 			t.Fatalf("manifest %+v accepted, want schema error", m)
 		}
 	}
-}
-
-// TestStreamBackpressureExactAccounting stalls the sink while one emitter
-// offers more lines than the stream's buffer holds, and checks the contract
-// precisely: Emit waits for the sink instead of dropping, and once the sink
-// drains every offered event is written exactly once, whole and in order.
-func TestStreamBackpressureExactAccounting(t *testing.T) {
-	const offered = 1000 // ~20 KB of lines, several times the 4 KB buffer
-	w := &blockedWriter{release: make(chan struct{})}
-	var buf bytes.Buffer
-	s := NewStream(writerTee{w, &buf}, nil)
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < offered; i++ {
-			s.Emit(testEvent{Seq: i})
-		}
-	}()
-	select {
-	case <-done:
-		t.Fatal("all events emitted into a stalled sink: the buffer cannot hold them, so some were lost")
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(w.release)
-	<-done
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Emitted() != offered || s.Dropped() != 0 {
-		t.Fatalf("emitted/dropped = %d/%d, want %d/0", s.Emitted(), s.Dropped(), offered)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != offered {
-		t.Fatalf("wrote %d lines, want %d", len(lines), offered)
-	}
-	for i, line := range lines {
-		var ev testEvent
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("torn line %q: %v", line, err)
-		}
-		if ev.Seq != i {
-			t.Fatalf("line %d holds Seq %d: events lost, duplicated or reordered", i, ev.Seq)
-		}
-	}
-}
-
-// writerTee lets the blockedWriter stall the stream's sink while the bytes
-// still land in a buffer for inspection.
-type writerTee struct {
-	gate *blockedWriter
-	buf  *bytes.Buffer
-}
-
-func (w writerTee) Write(p []byte) (int, error) {
-	if _, err := w.gate.Write(p); err != nil {
-		return 0, err
-	}
-	return w.buf.Write(p)
 }
 
 // TestHistogramSnapshotMergeEdgeCases covers the quantile corners of Merge:

@@ -1,7 +1,6 @@
-// Package obs is the campaign telemetry fabric: plain fixed-bucket
+// Package obs is the campaign's measurement layer: plain fixed-bucket
 // histograms with their serializable snapshots (the campaign summary's
-// timing, phase, handoff, schedule-length and choices histograms), a
-// structured JSONL event stream written through a buffered writer, and the
+// timing, phase, handoff, schedule-length and choices histograms), and the
 // trace sink's trigger decision (the flight recorder) with its manifest.
 //
 // A Histogram is a value with no locks, no atomics and no heap state: each

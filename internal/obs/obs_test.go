@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -87,67 +85,5 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		sum.Add(&h)
 	}); n != 0 {
 		t.Fatalf("hot path allocates %.1f objs/op, want 0", n)
-	}
-}
-
-type testEvent struct {
-	V    int    `json:"v"`
-	Type string `json:"type"`
-	Seq  int    `json:"seq"`
-}
-
-func TestStreamDrainAndClose(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewStream(&buf, nil)
-	for i := 0; i < 5; i++ {
-		s.Emit(testEvent{V: EventSchemaVersion, Type: "tick", Seq: i})
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("got %d lines, want 5:\n%s", len(lines), buf.String())
-	}
-	if s.Emitted() != 5 || s.Dropped() != 0 {
-		t.Fatalf("emitted/dropped = %d/%d, want 5/0", s.Emitted(), s.Dropped())
-	}
-	if !strings.Contains(lines[0], `"type":"tick"`) || !strings.Contains(lines[0], `"v":1`) {
-		t.Fatalf("unexpected event line: %s", lines[0])
-	}
-	// Emits after Close are silently ignored.
-	s.Emit(testEvent{Type: "late"})
-	if s.Emitted() != 5 {
-		t.Fatalf("emit after close was written")
-	}
-}
-
-// blockedWriter blocks until released, stalling the stream's sink.
-type blockedWriter struct{ release chan struct{} }
-
-func (w *blockedWriter) Write(p []byte) (int, error) {
-	<-w.release
-	return len(p), nil
-}
-
-// TestStreamDropsOnlyMarshalFailures pins what Dropped counts: an event that
-// cannot be marshaled, and nothing else.
-func TestStreamDropsOnlyMarshalFailures(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewStream(&buf, nil)
-	for i := 0; i < 10; i++ {
-		s.Emit(testEvent{Seq: i})
-		if i%4 == 0 {
-			s.Emit(map[string]any{"f": func() {}})
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Emitted() != 10 || s.Dropped() != 3 {
-		t.Fatalf("emitted/dropped = %d/%d, want 10/3", s.Emitted(), s.Dropped())
-	}
-	if got := strings.Count(buf.String(), "\n"); got != 10 {
-		t.Fatalf("sink holds %d line(s), want 10", got)
 	}
 }

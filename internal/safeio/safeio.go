@@ -5,9 +5,7 @@
 // readers see either the old complete artifact or the new complete one.
 // Readers go through DecodeJSONFile, which turns truncation and corruption
 // into named, actionable errors (file, byte offset) instead of bare unmarshal
-// errors, and ForEachJSONLine, the shared lenient JSONL reader that tolerates
-// a torn final line (an interrupted append) by counting it rather than
-// failing.
+// errors.
 //
 // The package also hosts the fault-injection hook the chaos tests use:
 // SetFailpoint makes every atomic write consult a caller-supplied function
@@ -16,7 +14,6 @@
 package safeio
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -172,56 +169,4 @@ func DecodeJSONFile(path string, v any) error {
 		return de
 	}
 	return nil
-}
-
-// MaxJSONLLine bounds one line of a JSONL stream (events, merged streams).
-const MaxJSONLLine = 4 * 1024 * 1024
-
-// ForEachJSONLine streams the non-empty lines of a JSONL file to fn. fn
-// reports whether it accepted the line; rejected lines — a torn final line
-// from an interrupted append, a corrupt line — are counted in bad, never
-// fatal. The line buffer is reused; fn must copy if it retains.
-func ForEachJSONLine(path string, fn func(line []byte) bool) (bad int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), MaxJSONLLine)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if !fn(line) {
-			bad++
-		}
-	}
-	return bad, sc.Err()
-}
-
-// Rotate renames path to the first free "path.N" (N ≥ 1), returning the new
-// name. A resumed campaign rotates its previous event stream aside so the
-// fresh run appends to a clean file while the crash-era lines stay readable.
-// A missing path is not an error ("", nil).
-func Rotate(path string) (string, error) {
-	if _, err := os.Stat(path); err != nil {
-		if os.IsNotExist(err) {
-			return "", nil
-		}
-		return "", err
-	}
-	for n := 1; ; n++ {
-		rotated := fmt.Sprintf("%s.%d", path, n)
-		if _, err := os.Stat(rotated); err == nil {
-			continue
-		} else if !os.IsNotExist(err) {
-			return "", err
-		}
-		if err := os.Rename(path, rotated); err != nil {
-			return "", err
-		}
-		return rotated, nil
-	}
 }

@@ -2,7 +2,6 @@ package safeio
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -113,57 +112,5 @@ func TestDecodeJSONFileErrors(t *testing.T) {
 	err = DecodeJSONFile(filepath.Join(dir, "nope.json"), &v)
 	if !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file: err = %v, want ErrNotExist", err)
-	}
-}
-
-func TestForEachJSONLineToleratesTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ev.jsonl")
-	content := `{"type":"a"}` + "\n" + `{"type":"b"}` + "\n" + `{"type":"c","tr` // torn final line
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	bad, err := ForEachJSONLine(path, func(line []byte) bool {
-		if !strings.HasSuffix(string(line), "}") {
-			return false
-		}
-		got = append(got, string(line))
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || bad != 1 {
-		t.Fatalf("accepted %d line(s), bad=%d; want 2 accepted and 1 torn", len(got), bad)
-	}
-}
-
-func TestRotate(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "events.jsonl")
-
-	// Rotating a missing file is a no-op.
-	if rotated, err := Rotate(path); err != nil || rotated != "" {
-		t.Fatalf("Rotate(missing) = %q, %v", rotated, err)
-	}
-
-	for i := 1; i <= 3; i++ {
-		if err := os.WriteFile(path, []byte(fmt.Sprintf("gen%d", i)), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rotated, err := Rotate(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := fmt.Sprintf("%s.%d", path, i); rotated != want {
-			t.Fatalf("rotation %d landed at %q, want %q", i, rotated, want)
-		}
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Error("original path still exists after rotation")
-	}
-	data, err := os.ReadFile(path + ".2")
-	if err != nil || string(data) != "gen2" {
-		t.Errorf("rotated generation 2 = %q, %v", data, err)
 	}
 }
