@@ -1,24 +1,14 @@
-// Command c11merge folds the partial artifacts of a sharded campaign back
-// into the single-machine artifact. Shards partition the seed set
-// deterministically (c11tester -shard i/N), so the merge is exact: the merged
-// summary is byte-identical — after Summary.Canonical, which strips
-// machine-local timing — to the summary of an unsharded run of the same spec.
+// Command c11merge compares two campaign summaries modulo
+// Summary.Canonical, which strips machine-local timing. It is how the
+// repository checks its byte-identity guarantees from the command line: a
+// K-worker run against a serial one, a resumed run against an uninterrupted
+// one, and a run resumed from K shard checkpoints (c11tester -resume
+// p0.ck,p1.ck,...) against the single-machine run.
 //
-// Modes:
-//
-//	c11merge -o merged.json part0.json part1.json part2.json
-//	    merge K partial summaries (refuses mismatched spec digests, duplicate
-//	    or missing shard indices, and build-provenance skew; -force overrides
-//	    the skew refusal only)
-//	c11merge -captures merged.json manifest0.json manifest1.json ...
-//	    merge the shards' record manifests (each shard's -record
-//	    directory holds one)
 //	c11merge -equal a.json b.json
-//	    compare two summaries modulo Canonical; exit 0 when identical, 2 when
-//	    they differ
 //
-// Exit codes: 0 success/identical, 1 structured error (corrupt input,
-// validation refusal), 2 -equal mismatch.
+// Exit codes: 0 identical, 1 structured error (bad usage, corrupt input),
+// 2 different.
 package main
 
 import (
@@ -29,7 +19,6 @@ import (
 	"os"
 
 	"c11tester/internal/campaign"
-	"c11tester/internal/obs"
 )
 
 func main() {
@@ -39,73 +28,15 @@ func main() {
 func run(args []string, out *os.File) int {
 	fs := flag.NewFlagSet("c11merge", flag.ContinueOnError)
 	fs.SetOutput(out)
-	var (
-		outPath  = fs.String("o", "", "write the merged summary JSON to this file (summaries mode)")
-		captures = fs.String("captures", "", "merge the positional record manifests into one manifest at this path")
-		equal    = fs.Bool("equal", false, "compare two summaries modulo Summary.Canonical; exit 0 identical, 2 different")
-		force    = fs.Bool("force", false, "merge summaries despite build-provenance skew (spec-digest mismatches still refuse)")
-		quiet    = fs.Bool("q", false, "suppress the merged human-readable report")
-	)
+	equal := fs.Bool("equal", false, "compare two summaries modulo Summary.Canonical; exit 0 identical, 2 different")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-	paths := fs.Args()
-	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, "c11merge:", err)
-		return 1
-	}
-	switch {
-	case *equal:
-		if len(paths) != 2 {
-			return fail(fmt.Errorf("-equal takes exactly two summary files, got %d", len(paths)))
-		}
+	if paths := fs.Args(); *equal && len(paths) == 2 {
 		return runEqual(paths[0], paths[1], out)
-	case *captures != "":
-		var parts []*obs.Manifest
-		for _, p := range paths {
-			m, err := obs.ReadManifest(p)
-			if err != nil {
-				return fail(err)
-			}
-			parts = append(parts, m)
-		}
-		merged := campaign.MergeManifests(parts)
-		if err := merged.WriteFile(*captures); err != nil {
-			return fail(err)
-		}
-		if !*quiet {
-			fmt.Fprintf(out, "wrote %s (%d entry(ies) from %d manifest(s))\n", *captures, len(merged.Captures), len(paths))
-		}
-		return 0
 	}
-
-	if len(paths) == 0 {
-		return fail(fmt.Errorf("no partial summaries given (usage: c11merge -o merged.json part0.json part1.json ...)"))
-	}
-	var parts []*campaign.Summary
-	for _, p := range paths {
-		s, err := campaign.LoadSummary(p)
-		if err != nil {
-			return fail(err)
-		}
-		parts = append(parts, s)
-	}
-	merged, err := campaign.MergeSummaries(parts, *force)
-	if err != nil {
-		return fail(err)
-	}
-	if !*quiet {
-		fmt.Fprint(out, merged.String())
-	}
-	if *outPath != "" {
-		if err := merged.WriteJSON(*outPath); err != nil {
-			return fail(err)
-		}
-		if !*quiet {
-			fmt.Fprintf(out, "\nwrote %s (merged from %d shard(s))\n", *outPath, len(parts))
-		}
-	}
-	return 0
+	fmt.Fprintln(os.Stderr, "c11merge: usage: c11merge -equal a.json b.json (shards merge with c11tester -resume p0.ck,p1.ck,...)")
+	return 1
 }
 
 // runEqual compares two summaries modulo Canonical and reports the first

@@ -197,16 +197,6 @@ func run(args []string, out *os.File) int {
 		if !*quiet {
 			fmt.Fprintf(out, "\nwrote %s\n", *jsonPath)
 		}
-		if sum.Shard != nil {
-			manPath := *jsonPath + ".shard.json"
-			if err := campaign.BuildShardManifest(spec, sum).WriteFile(manPath); err != nil {
-				fmt.Fprintln(os.Stderr, "c11tester:", err)
-				return 1
-			}
-			if !*quiet {
-				fmt.Fprintf(out, "wrote %s\n", manPath)
-			}
-		}
 	}
 	if sum.Failed() {
 		campaign.WriteEngineFailures(os.Stderr, sum)

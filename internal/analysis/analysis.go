@@ -88,7 +88,7 @@ type Kind struct {
 // A Finding holds no per-sighting text: the analyzer renders each distinct
 // key once (keyMemo) and the description is rendered by Desc, which the
 // campaign calls only where it writes a finding out — the summary,
-// checkpoint and shard-partial JSON.
+// checkpoint JSON.
 type Finding struct {
 	Key     string
 	Kind    *Kind

@@ -20,16 +20,17 @@
 //     scheduler. On the engine's sequentialized substrate this is modelled
 //     by quantum scheduling (a thread runs a geometrically distributed
 //     number of operations before being preempted) over the cheap fiber
-//     handoff. Each preemption draws its quantum (mean 150, the CLI's
-//     -quantum) with rng.Geometric: one 64-bit draw looked up in a shared
-//     integer table of the geometric tail, exact in law and free of
-//     floating point, so every platform draws the same schedule.
+//     handoff. Each preemption draws its quantum (mean 150) with
+//     rng.Geometric: one 64-bit draw looked up in a shared integer table
+//     of the geometric tail, exact in law and free of floating point, so
+//     every platform draws the same schedule.
 //
 //   - tsan11rec sequentializes visible operations across kernel threads
-//     and records them for replay. Its threads are pinned to OS threads
-//     with condition-variable handoff (every visible operation costs a real
-//     kernel context switch, the regime measured in Figure 14) and every
-//     visible operation is appended to an in-memory record log.
+//     and records them for replay: every visible operation is appended to
+//     an in-memory record log. In its faithful regime its threads are
+//     pinned to OS threads with condition-variable handoff (every visible
+//     operation costs a real kernel context switch, the regime measured in
+//     Figure 14); by default it runs on the fiber handoff.
 package baseline
 
 import (
@@ -283,42 +284,28 @@ func (m *CommitModel) PromoteNAStore(t *core.ThreadState, loc memmodel.LocID, wr
 	m.append(b, act)
 }
 
-// Options configures baseline construction (exposed for experiments).
-type Options struct {
-	// HistoryLimit overrides the store-history bound.
-	HistoryLimit int
-	// QuantumMean overrides tsan11's mean scheduling quantum.
-	QuantumMean int
-	// PreciseSync disables the conservative tsan-runtime clock treatment
-	// (see CommitModel.SetConservativeSync); on by default to match the
-	// tools' measured behaviour.
-	PreciseSync bool
-	// FastHandoff runs tsan11rec on the cheap fiber handoff instead of
-	// kernel threads. Campaigns, the CLI default and bench/ run tsan11rec on
-	// fibers; the faithful kernel-thread regime is cmd/c11tester
-	// -faithful-handoff and the Figure 14 handoff benchmark.
-	FastHandoff bool
+// tsan11Quantum is tsan11's mean scheduling quantum, in visible operations.
+const tsan11Quantum = 150
+
+// NewTsan11 builds the tsan11 baseline: commit-order memory model with the
+// conservative tsan-runtime clocks, uncontrolled (quantum) scheduling, cheap
+// handoff.
+func NewTsan11() *core.Engine {
+	m := NewCommitModel(DefaultHistoryLimit, false)
+	m.SetConservativeSync(true)
+	return core.New("tsan11", m, core.Config{Strategy: core.NewQuantumStrategy(tsan11Quantum)})
 }
 
-// NewTsan11 builds the tsan11 baseline: commit-order memory model,
-// uncontrolled (quantum) scheduling, cheap handoff.
-func NewTsan11(opts Options) *core.Engine {
-	mean := opts.QuantumMean
-	if mean == 0 {
-		mean = 150
-	}
-	m := NewCommitModel(opts.HistoryLimit, false)
-	m.SetConservativeSync(!opts.PreciseSync)
-	return core.New("tsan11", m, core.Config{Strategy: core.NewQuantumStrategy(mean)})
-}
-
-// NewTsan11rec builds the tsan11rec baseline: commit-order memory model,
-// controlled random scheduling of visible operations sequenced across
-// kernel threads, plus the record log.
-func NewTsan11rec(opts Options) *core.Engine {
-	m := NewCommitModel(opts.HistoryLimit, true)
-	m.SetConservativeSync(!opts.PreciseSync)
+// NewTsan11rec builds the tsan11rec baseline: commit-order memory model with
+// the conservative tsan-runtime clocks, controlled random scheduling of
+// visible operations, plus the record log. Campaigns, the CLI default and
+// bench/ run it on the cheap fiber handoff; faithfulHandoff pins its threads
+// to kernel threads with condition-variable handoff instead, the regime of
+// Figure 14 (cmd/c11tester -faithful-handoff).
+func NewTsan11rec(faithfulHandoff bool) *core.Engine {
+	m := NewCommitModel(DefaultHistoryLimit, true)
+	m.SetConservativeSync(true)
 	// Strategy stays nil: Config.withDefaults builds the default random
 	// strategy.
-	return core.New("tsan11rec", m, core.Config{Sched: sched.Config{LockOSThread: !opts.FastHandoff}})
+	return core.New("tsan11rec", m, core.Config{Sched: sched.Config{LockOSThread: faithfulHandoff}})
 }

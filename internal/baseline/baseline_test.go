@@ -32,15 +32,24 @@ func outcomes(t *testing.T, tool capi.Tool, n int, out *string, body func(capi.E
 }
 
 func tools() []capi.Tool {
-	return []capi.Tool{NewTsan11(Options{}), NewTsan11rec(Options{})}
+	return []capi.Tool{NewTsan11(), NewTsan11rec(false)}
+}
+
+// commitModel is the baselines' memory model with the given history bound
+// and record log, under the conservative tsan-runtime clocks or precise C11
+// ones.
+func commitModel(historyLimit int, record, conservative bool) *CommitModel {
+	m := NewCommitModel(historyLimit, record)
+	m.SetConservativeSync(conservative)
+	return m
 }
 
 func TestBaselinesAllowStaleRelaxedReads(t *testing.T) {
 	// With precise C11 clocks, the commit-order model does explore stale
 	// values within its history.
 	for _, tool := range []capi.Tool{
-		NewTsan11(Options{PreciseSync: true}),
-		NewTsan11rec(Options{PreciseSync: true, FastHandoff: true}),
+		core.New("tsan11", commitModel(0, false, false), core.Config{Strategy: core.NewQuantumStrategy(tsan11Quantum)}),
+		core.New("tsan11rec", commitModel(0, true, false), core.Config{}),
 	} {
 		var out string
 		hist := outcomes(t, tool, 400, &out, func(env capi.Env) {
@@ -205,8 +214,10 @@ func TestConservativeSyncHidesRelaxedPublicationRace(t *testing.T) {
 
 func TestBaselinesDetectPlainRaces(t *testing.T) {
 	for _, mk := range []func() capi.Tool{
-		func() capi.Tool { return NewTsan11(Options{QuantumMean: 3}) },
-		func() capi.Tool { return NewTsan11rec(Options{}) },
+		func() capi.Tool {
+			return core.New("tsan11", commitModel(0, false, true), core.Config{Strategy: core.NewQuantumStrategy(3)})
+		},
+		func() capi.Tool { return NewTsan11rec(false) },
 	} {
 		tool := mk()
 		prog := capi.Program{Name: "race", Run: func(env capi.Env) {
@@ -256,7 +267,7 @@ func TestRMWAlwaysReadsCommitLatest(t *testing.T) {
 func TestHistoryBoundEnforced(t *testing.T) {
 	// Reads must never reach past the history bound: with the bound at 4,
 	// a reader can lag at most 4 stores behind.
-	tool := NewTsan11rec(Options{HistoryLimit: 4})
+	tool := core.New("tsan11rec", commitModel(4, true, true), core.Config{})
 	prog := capi.Program{Name: "hist", Run: func(env capi.Env) {
 		x := env.NewAtomic("x", 0)
 		a := env.Spawn("w", func(env capi.Env) {

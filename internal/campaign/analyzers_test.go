@@ -160,33 +160,24 @@ func TestValidationSharesItsLift(t *testing.T) {
 }
 
 // TestAnalyzerShardMergeByteIdentical is the shard-merge satellite: cutting
-// an analyzer campaign into three shards and merging the partials must fold
-// per-analyzer finding sets with the same min-by-(cell, seed) winner algebra
-// as races — byte-identical to the single-machine run.
+// an analyzer campaign into three shards and resuming from their checkpoints
+// must fold per-analyzer finding sets with the same min-by-(cell, seed)
+// winner algebra as races — byte-identical to the single-machine run.
 func TestAnalyzerShardMergeByteIdentical(t *testing.T) {
 	single := Run(analyzerSpec(t, 1))
 	if len(single.Tools[0].Findings) == 0 {
 		t.Fatal("merge test ran with no findings; the seeded cells must trigger the analyzers")
 	}
 
-	const shards = 3
-	var parts []*Summary
-	for i := 0; i < shards; i++ {
-		spec := analyzerSpec(t, i+2)
-		spec.Shard = ShardSel{Index: i, Count: shards}
-		parts = append(parts, Run(spec))
-	}
-	merged, err := MergeSummaries([]*Summary{parts[1], parts[2], parts[0]}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, cks := runShards(t, func(workers int) Spec { return analyzerSpec(t, workers) }, 3)
+	merged := resumeMerged(t, analyzerSpec(t, 1), []*Checkpoint{cks[1], cks[2], cks[0]})
 	if got, want := canonicalJSON(t, merged), canonicalJSON(t, single); got != want {
 		t.Fatalf("merged analyzer findings differ from single-machine run:\nmerged: %s\nsingle: %s", got, want)
 	}
 }
 
 // TestCheckpointRoundTripsFindings pins the fragment's own encoding, the
-// form checkpoints and shard partials carry: a fragment with every field set
+// form checkpoints carry: a fragment with every field set
 // survives a JSON encode/decode cycle unchanged. A field left untagged
 // survives too, but one tagged "-" or unexported comes back zero and fails
 // here. Finding ids encode as "analyzer/key" and split at the first "/", so

@@ -152,8 +152,9 @@ type Spec struct {
 	// early): each cell's chunk sequence is dealt round-robin across the
 	// shards, so the K partial runs cover exactly the seed set of the
 	// single-machine run. The zero value (Count ≤ 1) runs everything. A
-	// sharded summary carries a ShardInfo header; cmd/c11merge folds K
-	// partials back into the single-machine artifact.
+	// sharded run's checkpoint is its partial: MergeCheckpoints folds the K
+	// of them into the checkpoint of the whole campaign, and resuming that
+	// renders the single-machine artifact.
 	Shard ShardSel
 	// CheckpointPath, when non-empty, persists an atomic checkpoint of
 	// completed-wave state there at every deterministic wave barrier, plus a
@@ -166,7 +167,8 @@ type Spec struct {
 	// finished artifact is byte-identical (Summary.Canonical) to an
 	// uninterrupted run. Load with LoadCheckpoint and gate with
 	// Checkpoint.ValidateAgainst — a checkpoint from a different spec refuses
-	// to resume.
+	// to resume; a list of shard checkpoints goes through MergeCheckpoints
+	// first.
 	Resume *Checkpoint `json:"-"`
 	// checkpointHook observes every checkpoint just before it is persisted
 	// (fault-injection tests).
@@ -212,8 +214,8 @@ func (j job) key() cellKey { return cellKey{kind: j.kind, tool: j.tool, cell: j.
 // program string and its other fields are plain values, so the copy aliases
 // none of the storage tools recycle across Execute calls, and keeping it
 // costs no allocation. The description is rendered only where one is
-// written — the summary, checkpoint and shard-partial JSON. A hit restored
-// from JSON keeps the rendered description instead.
+// written — the summary and checkpoint JSON. A hit restored from JSON keeps
+// the rendered description instead.
 type raceHit struct {
 	report capi.RaceReport // the winning sighting; zero when restored
 	desc   string          // the rendered description, when restored
@@ -323,8 +325,8 @@ func (h *findingHit) UnmarshalJSON(b []byte) error {
 // fragment is the result of one unit of work. Fields are aggregated with
 // order-independent merges only, which is what keeps the campaign
 // deterministic under any worker count. Its JSON encoding is the form
-// checkpoints and shard partials carry (CellCheckpoint.Frag): maps encode
-// with sorted keys, so the encoding is canonical.
+// checkpoints carry (CellCheckpoint.Frag): maps encode with sorted keys, so
+// the encoding is canonical.
 type fragment struct {
 	Execs    int                `json:"execs"`
 	Detected int                `json:"detected,omitempty"`
@@ -368,12 +370,12 @@ const maxViolationSamples = 5
 
 // merge folds src into dst. It is the campaign's only fold of results:
 // worker units into cells, a cell's completed jobs into its checkpoint
-// state, and shard partials' cell states into the merged summary all go
-// through it. Fragments cover disjoint execution indices, and every field
-// folds order-independently — sums, unions, min-run winners, max for the
-// guide-trace count, and run-ordered lists capped to their smallest runs —
-// so any merge order and any grouping of the same executions yield the same
-// fragment.
+// state, and shard checkpoints' cells into the whole campaign's
+// (MergeCheckpoints) all go through it. Fragments cover disjoint execution
+// indices, and every field folds order-independently — sums, unions, min-run
+// winners, max for the guide-trace count, and run-ordered lists capped to
+// their smallest runs — so any merge order and any grouping of the same
+// executions yield the same fragment.
 func (dst *fragment) merge(src *fragment) {
 	dst.Execs += src.Execs
 	dst.Detected += src.Detected
@@ -504,17 +506,10 @@ func Run(spec Spec) *Summary {
 		NumGC:        ms1.NumGC - ms0.NumGC,
 		PauseTotalNS: ms1.PauseTotalNs - ms0.PauseTotalNs,
 	}
-	meta, cells := metaOf(spec), foldCells(spec, restored, tools)
-	sum := aggregate(meta, cells, budgets)
+	cells := foldCells(spec, restored, tools)
+	sum := aggregate(spec, cells, budgets)
 	sum.WallNS, sum.GC, sum.Provenance = int64(wall), gc, BuildProvenance()
 	sum.CheckpointErrors = ck.errs
-	if spec.Shard.Count > 1 {
-		// A partial carries the fold's input — its per-cell fragment state —
-		// so MergeSummaries can re-run the single-machine fold and render.
-		sum.Shard = &ShardInfo{Index: spec.Shard.Index, Count: spec.Shard.Count,
-			SpecDigest: SpecDigest(spec), ReproFlags: meta.reproFlags,
-			Cells: checkpointCells(spec, cells, nil)}
-	}
 	if spec.RecordDir != "" {
 		// Write the canonical manifest (an empty one when nothing triggered —
 		// consumers rely on the file existing). It is sorted by (tool,
@@ -565,8 +560,8 @@ func runPool(spec Spec, n int, fn func(w, i int)) {
 // chunkDeal returns the [lo, hi) execution-index chunks a split grant of
 // Runs executions runs under spec.Shard: the cell's sequence of ShardSize
 // chunks, dealt round-robin across the shards (all of them when unsharded).
-// The split units, the shard manifest's seed ranges and the telemetry plan
-// all come from this one deal, so they cannot drift apart.
+// The split units and the telemetry plan both come from this one deal, so
+// they cannot drift apart.
 func chunkDeal(spec Spec) [][2]int {
 	var chunks [][2]int
 	for lo, ord := 0, 0; lo < spec.Runs; lo, ord = lo+spec.ShardSize, ord+1 {
@@ -1538,8 +1533,8 @@ func (s Spec) Validate() error {
 		if s.Policy != nil {
 			return fmt.Errorf("campaign: sharding requires the uniform policy (adaptive budgets redistribute across the whole matrix; got %q)", s.Policy.Name())
 		}
-		if s.CheckpointPath != "" || s.Resume != nil {
-			return fmt.Errorf("campaign: sharding is incompatible with checkpoint/resume (resume the whole campaign, or re-run the one lost shard)")
+		if s.Resume != nil && s.Shard.Count > 1 {
+			return fmt.Errorf("campaign: a sharded run cannot resume (re-run the lost shard, or resume the unsharded campaign from all K shard checkpoints)")
 		}
 	}
 	seenAnalyzer := map[string]bool{}

@@ -750,7 +750,7 @@ func TestRaceKeysOf(t *testing.T) {
 // descriptions are rendered lazily: a race key sighted at run 7 in one unit
 // and at run 3, by other threads, in a unit folded later keeps run 3's
 // description — folded live, folded after either side went through the
-// fragment's JSON (a checkpoint or shard partial), and in the JSON itself,
+// fragment's JSON (a checkpoint), and in the JSON itself,
 // whose form is the rendered {"desc", "run"} it always was.
 func TestRaceWinnerDescription(t *testing.T) {
 	late := capi.RaceReport{LocName: "x", PriorKind: memmodel.KNAStore, Kind: memmodel.KNALoad, PriorTID: 1, TID: 2}

@@ -21,15 +21,18 @@ import (
 	"c11tester/internal/obs"
 )
 
-// campaignArgs is the shared matrix of every run in this harness: adaptive
-// policy (so resume crosses real wave barriers), two benchmark cells and two
-// litmus cells, enough runs that a kill usually lands mid-campaign.
+// campaignArgs is the shared matrix of every run in this harness: the
+// converge policy over every benchmark and litmus test, so resume crosses
+// real wave barriers. With L = ⌈3/ε⌉ = 150, most cells converge in wave 1
+// and free budget that extends the rest, one 150-execution chunk per wave,
+// over eight more waves; the campaign runs long enough (~0.2 s on two CPUs)
+// that kills land between extension waves.
 var campaignArgs = []string{
 	"-tools", "c11tester",
-	"-bench", "ms-queue,seqlock",
-	"-litmus", "MP+rlx,CoRR",
-	"-runs", "300",
-	"-policy", "converge", "-epsilon", "0.075", // L = 40: a wave barrier every 40 executions
+	"-bench", "all",
+	"-litmus", "all",
+	"-runs", "600",
+	"-policy", "converge", "-epsilon", "0.02",
 	"-seed", "77",
 	"-workers", "2",
 	"-q",
@@ -106,7 +109,11 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	kills, completed := 0, false
 	const maxAttempts = 60
+	var resumedFrom []int // the wave of each incomplete checkpoint resumed
 	for attempt := 0; attempt < maxAttempts; attempt++ {
+		if ck, err := campaign.LoadCheckpoint(ckPath); err == nil && !ck.Complete {
+			resumedFrom = append(resumedFrom, ck.Wave)
+		}
 		cmd := exec.Command(bin, runArgs(chaosPath, chaosCap,
 			"-checkpoint", ckPath, "-resume", ckPath)...)
 		cmd.Stderr = nil
@@ -139,7 +146,7 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	if kills == 0 {
 		t.Log("warning: campaign completed before the first kill; resume path not exercised this run")
 	}
-	t.Logf("campaign survived %d SIGKILL(s) before completing", kills)
+	t.Logf("campaign survived %d SIGKILL(s) before completing; resumed from incomplete checkpoints at waves %v", kills, resumedFrom)
 
 	// Byte-identical canonical summary: the headline guarantee. Canonical
 	// keeps the converge cells' curves, so they are compared too.
@@ -174,10 +181,9 @@ func TestKillResumeByteIdentical(t *testing.T) {
 			longest = max(longest, len(c.Budget.Curve))
 		}
 	}
-	if longest == 0 {
-		t.Fatal("baseline summary holds no convergence curve: the comparison does not cover them")
+	if longest < 2 {
+		t.Fatalf("the baseline's longest convergence curve spans %d wave(s): no extension wave to resume between", longest)
 	}
-	t.Logf("longest convergence curve: %d wave(s)", longest)
 
 	// The record manifest must be complete and intact (atomic write), and
 	// every referenced trace file must exist — the crash-era attempts must
@@ -223,9 +229,9 @@ func TestKillResumeByteIdentical(t *testing.T) {
 }
 
 // TestShardFleetMerge drives the sharded half of the tentpole through real
-// subprocesses: a 3-shard fleet plus c11merge must reproduce the
-// single-machine artifact, and a torn partial must be refused with a
-// structured error.
+// subprocesses: a 3-shard fleet, each shard writing its checkpoint, and one
+// run resumed from the three checkpoints must reproduce the single-machine
+// artifact; a torn or missing shard checkpoint must be refused with exit 1.
 func TestShardFleetMerge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess shard harness skipped in -short mode")
@@ -239,57 +245,57 @@ func TestShardFleetMerge(t *testing.T) {
 		t.Fatalf("building c11merge: %v\n%s", err, out)
 	}
 
-	args := []string{
-		"-tools", "c11tester,tsan11",
-		"-bench", "ms-queue",
-		"-litmus", "MP+rlx,CoRR",
-		"-runs", "60", "-seed", "31", "-q",
+	tester := func(extra ...string) ([]byte, error) {
+		args := []string{
+			"-tools", "c11tester,tsan11",
+			"-bench", "ms-queue",
+			"-litmus", "MP+rlx,CoRR",
+			"-runs", "60", "-seed", "31", "-q",
+		}
+		return exec.Command(bin, append(args, extra...)...).CombinedOutput()
 	}
 	singlePath := filepath.Join(dir, "single.json")
-	cmd := exec.Command(bin, append(append([]string{}, args...), "-json", singlePath)...)
-	if out, err := cmd.CombinedOutput(); err != nil {
+	if out, err := tester("-json", singlePath); err != nil {
 		t.Fatalf("single run: %v\n%s", err, out)
 	}
 	var parts []string
 	for i := 0; i < 3; i++ {
-		p := filepath.Join(dir, fmt.Sprintf("part%d.json", i))
-		cmd := exec.Command(bin, append(append([]string{}, args...),
-			"-json", p, "-shard", fmt.Sprintf("%d/3", i))...)
-		if out, err := cmd.CombinedOutput(); err != nil {
+		p := filepath.Join(dir, fmt.Sprintf("part%d.ck", i))
+		if out, err := tester("-json", "", "-shard", fmt.Sprintf("%d/3", i), "-checkpoint", p); err != nil {
 			t.Fatalf("shard %d: %v\n%s", i, err, out)
-		}
-		if _, err := os.Stat(p + ".shard.json"); err != nil {
-			t.Fatalf("shard %d wrote no manifest: %v", i, err)
 		}
 		parts = append(parts, p)
 	}
 
 	mergedPath := filepath.Join(dir, "merged.json")
-	cmd = exec.Command(merge, append([]string{"-o", mergedPath, "-q"}, parts...)...)
-	if out, err := cmd.CombinedOutput(); err != nil {
+	if out, err := tester("-json", mergedPath, "-resume", parts[2]+","+parts[0]+","+parts[1]); err != nil {
 		t.Fatalf("merge: %v\n%s", err, out)
 	}
-	cmd = exec.Command(merge, "-equal", mergedPath, singlePath)
-	if out, err := cmd.CombinedOutput(); err != nil {
+	if out, err := exec.Command(merge, "-equal", mergedPath, singlePath).CombinedOutput(); err != nil {
 		t.Fatalf("merged artifact differs from single-machine run: %v\n%s", err, out)
 	}
 
-	// A torn partial must be refused with a structured error (exit 1), not a
-	// panic and not a bogus merge.
+	// A torn or missing shard checkpoint must be refused with a structured
+	// error (exit 1): not a panic, not a bogus merge, not a fresh campaign.
 	data, err := os.ReadFile(parts[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := filepath.Join(dir, "torn.json")
+	torn := filepath.Join(dir, "torn.ck")
 	if err := os.WriteFile(torn, data[:len(data)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd = exec.Command(merge, "-o", filepath.Join(dir, "bad.json"), parts[0], torn, parts[2])
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("merge accepted a torn partial:\n%s", out)
-	}
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
-		t.Fatalf("torn partial: %v (output %s), want exit 1", err, out)
+	for _, list := range []string{
+		parts[0] + "," + torn + "," + parts[2],
+		parts[0] + "," + filepath.Join(dir, "missing.ck") + "," + parts[2],
+	} {
+		bad := filepath.Join(dir, "bad.json")
+		out, err := tester("-json", bad, "-resume", list)
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Fatalf("-resume %s: %v (output %s), want exit 1", list, err, out)
+		}
+		if _, err := os.Stat(bad); !os.IsNotExist(err) {
+			t.Fatalf("-resume %s wrote an artifact", list)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // checkpoint.go is the crash-safety core of the campaign runner: seed-slice
-// sharding (ShardSel), the spec digest that gates merging and resuming, and
-// the per-cell fragment state (CellCheckpoint) that both a wave-barrier
-// checkpoint and a shard partial carry.
+// sharding (ShardSel), the spec digest that gates resuming, and the
+// per-cell fragment state (CellCheckpoint) a wave-barrier checkpoint
+// carries.
 //
 // The design leans entirely on the package invariant that every execution is
 // a pure function of (tool, program, seed) and that all budget decisions
@@ -13,6 +13,10 @@
 // cell's restored fragment folds exactly like the units it stands for, and
 // the finished artifact is byte-identical (Summary.Canonical) to an
 // uninterrupted run.
+//
+// A shard's partial is its checkpoint: a sharded run checkpoints the cells of
+// its slice, and MergeCheckpoints folds the K complete shard checkpoints into
+// the checkpoint of the whole campaign, which resumes like any other.
 package campaign
 
 import (
@@ -32,8 +36,8 @@ import (
 // ShardSel selects shard Index of Count for a sharded campaign run. The zero
 // value means "unsharded".
 type ShardSel struct {
-	Index int
-	Count int
+	Index int `json:"index"`
+	Count int `json:"count"`
 }
 
 func (s ShardSel) String() string { return fmt.Sprintf("%d/%d", s.Index, s.Count) }
@@ -54,21 +58,6 @@ func ParseShard(s string) (ShardSel, error) {
 		return ShardSel{}, fmt.Errorf("shard %s out of range (want 0 ≤ index < count)", sel)
 	}
 	return sel, nil
-}
-
-// ShardInfo is the shard header a partial summary carries (schema v6): which
-// slice this is and the digest of the spec that cut it. cmd/c11merge refuses
-// partials whose digests differ.
-type ShardInfo struct {
-	Index      int    `json:"index"`
-	Count      int    `json:"count"`
-	SpecDigest string `json:"spec_digest"`
-	// ReproFlags (one entry per tool) and Cells (one per matrix cell, in
-	// matrix order) are the input of the single-machine fold and render:
-	// MergeSummaries folds the partials' cells with fragment.merge instead
-	// of re-folding their rendered summaries.
-	ReproFlags []string         `json:"repro_flags,omitempty"`
-	Cells      []CellCheckpoint `json:"cells,omitempty"`
 }
 
 // SpecDigest fingerprints every outcome-affecting campaign parameter: the
@@ -143,10 +132,11 @@ func SpecDigest(spec Spec) string {
 // recorded/record-error counts: they are counted from its manifest entries
 // ("captures"). Version 6 drops the event-stream cursors
 // ("events_emitted"/"events_dropped") and carries each converge cell's
-// convergence curve ("curve").
+// convergence curve ("curve"). Version 7 records the shard selection of a
+// sharded run ("shard": index and count), whose checkpoint is its partial.
 const (
 	CheckpointSchemaName    = "c11tester/checkpoint"
-	CheckpointSchemaVersion = 6
+	CheckpointSchemaVersion = 7
 )
 
 // Checkpoint is the wave-barrier state of a campaign: everything a resumed
@@ -166,6 +156,9 @@ type Checkpoint struct {
 	// anything).
 	Wave     int  `json:"wave"`
 	Complete bool `json:"complete,omitempty"`
+	// Shard is the slice a sharded run covered; nil for a whole campaign.
+	// MergeCheckpoints folds the K shards of one campaign into a whole.
+	Shard *ShardSel `json:"shard,omitempty"`
 	// Captures counts the record-manifest entries at the barrier, for
 	// introspection and post-crash audit.
 	Captures int `json:"captures,omitempty"`
@@ -175,8 +168,7 @@ type Checkpoint struct {
 
 // CellCheckpoint is one cell's barrier state: its budget accounting, its
 // converge-tracker snapshot and convergence curve (adaptive policies), and
-// its folded result fragment. Shard partials carry the same form
-// (ShardInfo.Cells).
+// its folded result fragment.
 type CellCheckpoint struct {
 	Kind    string `json:"kind"` // "bench" or "litmus"
 	Tool    int    `json:"tool"`
@@ -214,32 +206,32 @@ func buildCheckpoint(spec Spec, wave int, complete bool, plans []*cellPlan, rest
 		Wave:       wave, Complete: complete,
 		Cells: checkpointCells(spec, foldCells(spec, restored, wt), plans),
 	}
+	if spec.Shard.Count > 1 {
+		sel := spec.Shard
+		c.Shard = &sel
+	}
 	for i := range c.Cells {
 		c.Captures += len(c.Cells[i].Frag.Captures)
 	}
 	return c
 }
 
-// checkpointCells renders folded cells (foldCells) in their checkpoint form.
-// plans, when non-nil, are the wave loop's plans in matrix order and supply
-// the budget, tracker and curve state; otherwise (shard partials) a cell's
-// Used is the end of the highest execution range it ran.
+// checkpointCells renders folded cells (foldCells) in their checkpoint form,
+// with the budget, tracker and curve state of the wave loop's plans; cells
+// and plans are in matrix order.
 func checkpointCells(spec Spec, cells []cellFold, plans []*cellPlan) []CellCheckpoint {
 	out := make([]CellCheckpoint, len(cells))
 	for i, k := range matrixCells(spec) {
-		cc := CellCheckpoint{
+		p := plans[i]
+		out[i] = CellCheckpoint{
 			Kind: kindName(k.kind), Tool: k.tool, Cell: k.cell,
 			ToolRef: spec.Tools[k.tool].Name, Program: spec.programOf(k),
-			Used: cells[i].hi, Frag: cells[i].frag,
+			Used: p.used, Stopped: p.stopped, Curve: p.curve,
+			Frag: cells[i].frag,
 		}
-		if plans != nil {
-			p := plans[i]
-			cc.Used, cc.Stopped, cc.Curve = p.used, p.stopped, p.curve
-			if p.tracker != nil {
-				cc.Tracker = p.tracker.Snapshot()
-			}
+		if p.tracker != nil {
+			out[i].Tracker = p.tracker.Snapshot()
 		}
-		out[i] = cc
 	}
 	return out
 }
@@ -282,6 +274,67 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("campaign: %s: checkpoint schema version %d, this build resumes only version %d", path, c.SchemaVersion, CheckpointSchemaVersion)
 	}
 	return &c, nil
+}
+
+// MergeCheckpoints turns the checkpoints a -resume list names into the one a
+// run resumes from. A single unsharded checkpoint is returned as it is. Any
+// other list must be the K complete shard checkpoints of one campaign, in any
+// order: they are folded cell by cell with fragment.merge into the complete
+// checkpoint of the whole campaign. Shards run disjoint slices of every
+// cell's executions, so the fold is the one the workers' units go through,
+// and resuming it renders the single-machine artifact. It refuses an empty
+// list, an unsharded checkpoint in a list, mixed shard counts, a missing or
+// duplicate index, an incomplete shard, a spec-digest mismatch and build
+// provenance skew between the shards; the caller still gates the result with
+// ValidateAgainst.
+func MergeCheckpoints(cks []*Checkpoint) (*Checkpoint, error) {
+	if len(cks) == 0 {
+		return nil, fmt.Errorf("campaign: merge: no checkpoints")
+	}
+	if len(cks) == 1 && cks[0].Shard == nil {
+		return cks[0], nil
+	}
+	byIndex := make([]*Checkpoint, len(cks))
+	for _, c := range cks {
+		switch {
+		case c.Shard == nil:
+			return nil, fmt.Errorf("campaign: merge: a checkpoint of a whole campaign cannot be merged with others (was it written with -shard?)")
+		case c.Shard.Count != cks[0].Shard.Count:
+			return nil, fmt.Errorf("campaign: merge: shards %s and %s were cut into different counts", cks[0].Shard, c.Shard)
+		case c.Shard.Count != len(cks) || c.Shard.Index < 0 || c.Shard.Index >= c.Shard.Count:
+			return nil, fmt.Errorf("campaign: merge: have %d checkpoint(s), the campaign was cut into %d shards", len(cks), c.Shard.Count)
+		case byIndex[c.Shard.Index] != nil:
+			return nil, fmt.Errorf("campaign: merge: shard %s given twice", c.Shard)
+		case !c.Complete:
+			return nil, fmt.Errorf("campaign: merge: shard %s did not complete (wave %d): re-run it", c.Shard, c.Wave)
+		}
+		byIndex[c.Shard.Index] = c
+	}
+	first := byIndex[0]
+	merged := *first
+	merged.Shard, merged.Captures = nil, 0
+	merged.Cells = slices.Clone(first.Cells)
+	for i := range merged.Cells {
+		merged.Cells[i].Frag = fragment{}
+	}
+	for _, c := range byIndex {
+		if c.SpecDigest != first.SpecDigest {
+			return nil, fmt.Errorf("campaign: merge: shard %s was cut from a different campaign spec (digest %.12s… vs %.12s…)", c.Shard, c.SpecDigest, first.SpecDigest)
+		}
+		if skew := first.Provenance.Skew(c.Provenance); len(skew) > 0 {
+			return nil, fmt.Errorf("campaign: merge: shard %s build provenance skew (%s): re-run the shards with one build", c.Shard, strings.Join(skew, "; "))
+		}
+		if len(c.Cells) != len(merged.Cells) {
+			// Equal digests pin the matrix; this keeps an edited file from
+			// indexing past the cells below.
+			return nil, fmt.Errorf("campaign: merge: shard %s has %d cell(s), shard 0/%d has %d", c.Shard, len(c.Cells), first.Shard.Count, len(merged.Cells))
+		}
+		for i := range c.Cells {
+			merged.Cells[i].Frag.merge(&c.Cells[i].Frag)
+			merged.Captures += len(c.Cells[i].Frag.Captures)
+		}
+	}
+	return &merged, nil
 }
 
 // ValidateAgainst reports why the checkpoint cannot resume the given spec:

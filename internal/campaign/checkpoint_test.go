@@ -75,11 +75,18 @@ func TestValidateCrashOptions(t *testing.T) {
 	if err := s.Validate(); err == nil {
 		t.Error("sharding under an adaptive policy accepted; the round-robin deal is only deterministic under uniform budgets")
 	}
+	// A shard's checkpoint is its partial; a sharded run never resumes.
 	s = base()
 	s.Shard = ShardSel{Index: 0, Count: 2}
 	s.CheckpointPath = "ck.json"
+	if err := s.Validate(); err != nil {
+		t.Errorf("sharding combined with -checkpoint rejected: %v", err)
+	}
+	s = base()
+	s.Shard = ShardSel{Index: 0, Count: 2}
+	s.Resume = &Checkpoint{}
 	if err := s.Validate(); err == nil {
-		t.Error("sharding combined with -checkpoint accepted")
+		t.Error("sharded run with -resume accepted")
 	}
 	s = base()
 	s.CheckpointPath = "ck.json"
@@ -88,10 +95,52 @@ func TestValidateCrashOptions(t *testing.T) {
 	}
 }
 
+// runShards runs build's campaign as `shards` shards, shard i at i+2
+// workers, each writing its checkpoint, and returns the shards' summaries
+// and their checkpoints as loaded from disk.
+func runShards(t *testing.T, build func(workers int) Spec, shards int) ([]*Summary, []*Checkpoint) {
+	t.Helper()
+	dir := t.TempDir()
+	var parts []*Summary
+	var cks []*Checkpoint
+	for i := 0; i < shards; i++ {
+		spec := build(i + 2)
+		spec.Shard = ShardSel{Index: i, Count: shards}
+		spec.CheckpointPath = filepath.Join(dir, fmt.Sprintf("part%d.ck", i))
+		parts = append(parts, Run(spec))
+		ck, err := LoadCheckpoint(spec.CheckpointPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ck.Shard == nil || *ck.Shard != spec.Shard || !ck.Complete {
+			t.Fatalf("shard %d checkpoint: shard %+v, complete %v", i, ck.Shard, ck.Complete)
+		}
+		cks = append(cks, ck)
+	}
+	return parts, cks
+}
+
+// resumeMerged resumes spec from the merge of the shard checkpoints, as
+// `c11tester -resume p0.ck,p1.ck,...` does.
+func resumeMerged(t *testing.T, spec Spec, cks []*Checkpoint) *Summary {
+	t.Helper()
+	ck, err := MergeCheckpoints(cks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.ValidateAgainst(spec); err != nil {
+		t.Fatal(err)
+	}
+	spec.Resume = ck
+	return Run(spec)
+}
+
 // TestShardMergeByteIdentical is half the tentpole acceptance criterion: cut
 // a campaign into three shards (each run with a different worker count),
-// merge the partials, and the merged summary must be byte-identical — modulo
-// Canonical, which strips machine-local timing — to an unsharded run.
+// resume the unsharded campaign from the three shard checkpoints, and the
+// summary must be byte-identical — modulo Canonical, which strips
+// machine-local timing — to an unsharded run, whatever order the
+// checkpoints come in.
 func TestShardMergeByteIdentical(t *testing.T) {
 	guideDir := t.TempDir()
 	Run(Spec{
@@ -186,20 +235,10 @@ func TestShardMergeByteIdentical(t *testing.T) {
 				tc.check(t, single)
 			}
 
-			const shards = 3
-			var parts []*Summary
-			for i := 0; i < shards; i++ {
-				spec := build(i + 2)
-				spec.Shard = ShardSel{Index: i, Count: shards}
-				part := Run(spec)
-				if part.Shard == nil || part.Shard.Index != i || part.Shard.SpecDigest == "" {
-					t.Fatalf("shard %d summary carries no shard header: %+v", i, part.Shard)
-				}
-				parts = append(parts, part)
-			}
+			parts, cks := runShards(t, build, 3)
 			// The digest must not depend on shard selection or worker count.
-			if d := SpecDigest(build(1)); parts[0].Shard.SpecDigest != d {
-				t.Fatalf("shard digest %s != unsharded spec digest %s", parts[0].Shard.SpecDigest, d)
+			if d := SpecDigest(build(1)); cks[0].SpecDigest != d {
+				t.Fatalf("shard digest %s != unsharded spec digest %s", cks[0].SpecDigest, d)
 			}
 
 			// Every execution runs in exactly one shard.
@@ -218,15 +257,15 @@ func TestShardMergeByteIdentical(t *testing.T) {
 			}
 
 			// Merge order must not matter.
-			merged, err := MergeSummaries([]*Summary{parts[2], parts[0], parts[1]}, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, wantJSON := canonicalJSON(t, merged), canonicalJSON(t, single); got != wantJSON {
-				t.Fatalf("merged summary differs from single-machine run:\nmerged: %s\nsingle: %s", got, wantJSON)
-			}
+			wantJSON := canonicalJSON(t, single)
 			checkSampledCounts(t, single)
-			checkSameSamples(t, single, merged)
+			for _, order := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+				merged := resumeMerged(t, build(1), []*Checkpoint{cks[order[0]], cks[order[1]], cks[order[2]]})
+				if got := canonicalJSON(t, merged); got != wantJSON {
+					t.Fatalf("summary resumed from shards %v differs from single-machine run:\nmerged: %s\nsingle: %s", order, got, wantJSON)
+				}
+				checkSameSamples(t, single, merged)
+			}
 		})
 	}
 }
@@ -334,67 +373,129 @@ func TestMergeRunsKeepsAndCopies(t *testing.T) {
 	}
 }
 
-func TestMergeSummariesRefusals(t *testing.T) {
-	build := func(seedBase int64) Spec {
+// TestMergeCheckpointsRefusals pins that MergeCheckpoints folds only the
+// complete shard checkpoints of one campaign, built by one build.
+func TestMergeCheckpointsRefusals(t *testing.T) {
+	build := func(seedBase int64) func(int) Spec {
+		return func(workers int) Spec {
+			return Spec{
+				Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
+				Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
+				Runs:       6,
+				SeedBase:   seedBase,
+				Workers:    workers,
+				ShardSize:  2,
+			}
+		}
+	}
+	_, two := runShards(t, build(1), 2)
+	_, three := runShards(t, build(1), 3)
+	_, alien := runShards(t, build(999), 2)
+	p0, p1 := two[0], two[1]
+	refused := func(what string, cks []*Checkpoint, want string) {
+		t.Helper()
+		if _, err := MergeCheckpoints(cks); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one naming %q", what, err, want)
+		}
+	}
+	// A copy of c with its own shard selection, so edits leave c alone.
+	edit := func(c *Checkpoint) *Checkpoint {
+		cp := *c
+		sel := *c.Shard
+		cp.Shard = &sel
+		return &cp
+	}
+
+	refused("empty list", nil, "no checkpoints")
+	refused("1 of 2 shards", []*Checkpoint{p0}, "cut into 2 shards")
+	refused("duplicate index", []*Checkpoint{p0, p0}, "given twice")
+	refused("mixed counts", []*Checkpoint{p0, three[1]}, "different counts")
+	// A shard cut from a different spec (different seed base → different
+	// digest) must refuse even though the matrix shape matches.
+	refused("digest mismatch", []*Checkpoint{p0, alien[1]}, "different campaign spec")
+	skewed := edit(p1)
+	prov := *p1.Provenance
+	prov.GoVersion = "go0.0"
+	skewed.Provenance = &prov
+	refused("provenance skew", []*Checkpoint{p0, skewed}, "provenance skew")
+	incomplete := edit(p1)
+	incomplete.Complete = false
+	refused("incomplete shard", []*Checkpoint{p0, incomplete}, "did not complete")
+	whole := edit(p1)
+	whole.Shard = nil
+	refused("unsharded checkpoint in a list", []*Checkpoint{p0, whole}, "whole campaign")
+
+	// A single unsharded checkpoint is what -resume always took.
+	if got, err := MergeCheckpoints([]*Checkpoint{whole}); err != nil || got != whole {
+		t.Errorf("single unsharded checkpoint: %v, %v", got, err)
+	}
+	// The refusals above left the inputs alone: they still merge.
+	merged, err := MergeCheckpoints([]*Checkpoint{p1, p0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Shard != nil || !merged.Complete || p0.Shard == nil || p1.Shard.Index != 1 {
+		t.Errorf("merged checkpoint shard %+v complete %v; inputs %+v %+v", merged.Shard, merged.Complete, p0.Shard, p1.Shard)
+	}
+	if err := merged.ValidateAgainst(build(1)(1)); err != nil {
+		t.Errorf("merged checkpoint does not validate against the unsharded spec: %v", err)
+	}
+}
+
+// TestResumeListRules pins -resume's file rules: a single missing file starts
+// fresh, but in a list every file must load, and a sharded run never
+// resumes.
+func TestResumeListRules(t *testing.T) {
+	build := func(workers int) Spec {
 		return Spec{
 			Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
 			Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
-			Runs:       6,
-			SeedBase:   seedBase,
+			Runs:       4,
+			SeedBase:   3,
+			Workers:    workers,
 			ShardSize:  2,
 		}
 	}
-	shardRun := func(spec Spec, i, n int) *Summary {
-		spec.Shard = ShardSel{Index: i, Count: n}
-		return Run(spec)
+	dir := t.TempDir()
+	var paths []string
+	for i := 0; i < 2; i++ {
+		spec := build(1)
+		spec.Shard = ShardSel{Index: i, Count: 2}
+		spec.CheckpointPath = filepath.Join(dir, fmt.Sprintf("part%d.ck", i))
+		Run(spec)
+		paths = append(paths, spec.CheckpointPath)
 	}
-	p0, p1 := shardRun(build(1), 0, 2), shardRun(build(1), 1, 2)
+	missing := filepath.Join(dir, "missing.ck")
 
-	if _, err := MergeSummaries(nil, false); err == nil {
-		t.Error("empty part list accepted")
+	var warn strings.Builder
+	spec := build(1)
+	if err := (CrashFlags{Resume: missing}).Apply(&spec, &warn); err != nil || spec.Resume != nil ||
+		!strings.Contains(warn.String(), "starting fresh") {
+		t.Errorf("single missing file: err %v, resume %v, warnings %q; want a warned fresh start", err, spec.Resume != nil, warn.String())
 	}
-	if _, err := MergeSummaries([]*Summary{Run(build(1))}, false); err == nil {
-		t.Error("summary without a shard header accepted as a partial")
+	for _, list := range []string{paths[0] + "," + missing, missing + "," + paths[1]} {
+		warn.Reset()
+		spec := build(1)
+		if err := (CrashFlags{Resume: list}).Apply(&spec, &warn); err == nil || spec.Resume != nil {
+			t.Errorf("-resume %s: err %v; want a refusal, not a fresh start (warnings %q)", list, err, warn.String())
+		}
 	}
-	if _, err := MergeSummaries([]*Summary{p0}, false); err == nil {
-		t.Error("merge of 1 of 2 shards accepted")
+	spec = build(1)
+	if err := (CrashFlags{Resume: paths[0]}).Apply(&spec, nil); err == nil {
+		t.Error("-resume of one shard checkpoint of two accepted")
 	}
-	if _, err := MergeSummaries([]*Summary{p0, p0}, false); err == nil {
-		t.Error("duplicate shard index accepted")
+	spec = build(1)
+	if err := (CrashFlags{Resume: paths[1] + "," + paths[0]}).Apply(&spec, nil); err != nil || spec.Resume == nil {
+		t.Fatalf("-resume of both shard checkpoints: %v", err)
 	}
-	// A shard cut from a different spec (different seed base → different
-	// digest) must refuse even though the matrix shape matches.
-	alien := shardRun(build(999), 1, 2)
-	if _, err := MergeSummaries([]*Summary{p0, alien}, false); err == nil ||
-		!strings.Contains(err.Error(), "different campaign spec") {
-		t.Errorf("digest mismatch not refused: %v", err)
+	spec = build(1)
+	err := (CrashFlags{Shard: "0/2", Resume: paths[1] + "," + paths[0]}).Apply(&spec, nil)
+	if err == nil {
+		err = spec.Validate()
 	}
-	// Provenance skew refuses without -force and merges with it.
-	skewed := shardRun(build(1), 1, 2)
-	skewed.Provenance.GoVersion = "go0.0"
-	if _, err := MergeSummaries([]*Summary{p0, skewed}, false); err == nil ||
-		!strings.Contains(err.Error(), "provenance skew") {
-		t.Errorf("provenance skew not refused: %v", err)
+	if err == nil {
+		t.Error("sharded run with -resume accepted")
 	}
-	if _, err := MergeSummaries([]*Summary{p0, skewed}, true); err != nil {
-		t.Errorf("force did not override provenance skew: %v", err)
-	}
-	// A partial from a build whose shard header carries no per-cell state
-	// cannot be folded; it must be regenerated, not re-folded from its
-	// rendered summary.
-	stale := shardRun(build(1), 1, 2)
-	stale.Shard.Cells = nil
-	if _, err := MergeSummaries([]*Summary{p0, stale}, false); err == nil ||
-		!strings.Contains(err.Error(), "regenerate the shards") {
-		t.Errorf("partial without per-cell state not refused: %v", err)
-	}
-	// Schema-version drift refuses.
-	old := shardRun(build(1), 1, 2)
-	old.SchemaVersion = SchemaVersion - 1
-	if _, err := MergeSummaries([]*Summary{p0, old}, false); err == nil {
-		t.Error("old-schema partial accepted")
-	}
-	_ = p1
 }
 
 // TestCheckpointResumeByteIdentical is the other half of the tentpole
@@ -719,44 +820,5 @@ func TestStaleCheckpointRefused(t *testing.T) {
 	}
 	if resumed.Resume != nil || strings.Contains(warn.String(), "starting fresh") {
 		t.Errorf("-resume of a stale checkpoint started fresh (warnings %q)", warn.String())
-	}
-}
-
-// TestBuildShardManifest pins that the K shard manifests partition every
-// cell's seed range exactly.
-func TestBuildShardManifest(t *testing.T) {
-	build := func(i, n int) Spec {
-		return Spec{
-			Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
-			Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
-			Runs:       10,
-			SeedBase:   50,
-			ShardSize:  3,
-			Shard:      ShardSel{Index: i, Count: n},
-		}
-	}
-	seeds := map[int64]int{}
-	for i := 0; i < 3; i++ {
-		spec := build(i, 3)
-		m := BuildShardManifest(spec, Run(spec))
-		if m.Schema != ShardManifestSchemaName || m.Shard.Index != i {
-			t.Fatalf("manifest header = %+v", m)
-		}
-		if m.Execs == 0 && len(m.SeedRanges) > 0 {
-			t.Errorf("shard %d: seed ranges but zero executions", i)
-		}
-		for _, r := range m.SeedRanges {
-			for s := r[0]; s < r[1]; s++ {
-				seeds[s]++
-			}
-		}
-	}
-	for s := int64(50); s < 60; s++ {
-		if seeds[s] != 1 {
-			t.Fatalf("seed %d covered %d time(s) across shards, want exactly once", s, seeds[s])
-		}
-	}
-	if len(seeds) != 10 {
-		t.Fatalf("shards cover %d seeds, want 10", len(seeds))
 	}
 }

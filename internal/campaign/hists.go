@@ -29,9 +29,9 @@ const (
 // Each worker keeps one hists per matrix cell in its workerSlot and observes
 // into it without locks or allocation. foldCells adds the workers' hists into
 // the cell's folded fragment (fragment.Hists), and from there fragment.merge
-// carries them into checkpoints, shard partials and the summary — the same
-// fold as every other cell result, so resumed and shard-merged histograms
-// equal uninterrupted single-machine ones.
+// carries them into checkpoints (a shard's included) and the summary — the
+// same fold as every other cell result, so resumed and shard-merged
+// histograms equal uninterrupted single-machine ones.
 type hists struct {
 	ExecNS    obs.Histogram                 `json:"exec_ns"`
 	HandoffNS obs.Histogram                 `json:"handoff_ns"`

@@ -273,11 +273,11 @@ func TestRecordHitDefault(t *testing.T) {
 }
 
 // TestRecordManifestShardAndResume extends shard-merge ≡ single-machine and
-// resumed ≡ uninterrupted to the record manifest: the shards' manifests
-// merge (MergeManifests, c11merge -captures) into the single-machine
-// manifest byte for byte, with the same trace files between them, and a
-// campaign resumed from any of its checkpoints writes the uninterrupted
-// campaign's manifest.
+// resumed ≡ uninterrupted to the record manifest: a campaign resumed from
+// the shards' checkpoints writes the single-machine manifest byte for byte,
+// the shards' trace files together are the single run's, and a campaign
+// resumed from any of its checkpoints writes the uninterrupted campaign's
+// manifest.
 func TestRecordManifestShardAndResume(t *testing.T) {
 	build := func(dir string, workers int) Spec {
 		return Spec{
@@ -304,36 +304,27 @@ func TestRecordManifestShardAndResume(t *testing.T) {
 		t.Fatalf("single run recorded %d file(s); the comparison needs traces", len(single))
 	}
 
-	var parts []*obs.Manifest
-	merged := map[string]string{}
-	for i := 0; i < 3; i++ {
-		dir := t.TempDir()
-		spec := build(dir, 2)
-		spec.Shard = ShardSel{Index: i, Count: 3}
-		Run(spec)
-		m, err := obs.ReadManifest(filepath.Join(dir, obs.ManifestFileName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, m)
+	var shardDirs []string
+	_, cks := runShards(t, func(workers int) Spec {
+		shardDirs = append(shardDirs, t.TempDir())
+		return build(shardDirs[len(shardDirs)-1], workers)
+	}, 3)
+	mergeDir := t.TempDir()
+	resumeMerged(t, build(mergeDir, 1), []*Checkpoint{cks[2], cks[0], cks[1]})
+	merged := dirFiles(t, mergeDir)
+	if got := manifest(mergeDir); len(merged) != 1 || !bytes.Equal(got, want) {
+		t.Fatalf("resuming from the shard checkpoints wrote %d file(s) and this manifest:\n%s\nwant only the single-machine one:\n%s", len(merged), got, want)
+	}
+	for _, dir := range shardDirs {
 		for name, data := range dirFiles(t, dir) {
 			if name != obs.ManifestFileName {
 				merged[name] = data
 			}
 		}
 	}
-	out := filepath.Join(t.TempDir(), "merged.json")
-	if err := MergeManifests(parts).WriteFile(out); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("merged shard manifest differs from the single-machine one (err %v)", err)
-	}
-	merged[obs.ManifestFileName] = string(want)
 	if !reflect.DeepEqual(merged, single) {
 		t.Fatalf("shards recorded %d file(s), the single run %d, or their bytes differ", len(merged), len(single))
 	}
-
 	var checkpoints []*Checkpoint
 	spec := build(t.TempDir(), 2)
 	spec.Policy = &explore.Converge{Epsilon: 0.375} // L = 8: several wave barriers

@@ -82,9 +82,13 @@ import (
 // gone with the JSONL event stream; each converge cell's budget carries its
 // convergence curve ("curve"): the tracker's state at every wave barrier
 // where the cell was granted budget.
+//
+// v14: one merge path. The shard header of a partial run ("shard") is gone:
+// a sharded run's partial is its checkpoint (checkpoint v7), and resuming
+// from the K shard checkpoints writes the merged summary.
 const (
 	SchemaName    = "c11tester/campaign"
-	SchemaVersion = 13
+	SchemaVersion = 14
 )
 
 // SpecInfo echoes the campaign parameters into the summary, making every
@@ -148,8 +152,8 @@ type GuideStats struct {
 	MeanConsumed    float64 `json:"mean_consumed"`
 	Divergences     int     `json:"divergences"`
 	// PrefixDepthSum and ConsumedSum are the raw sums behind the means
-	// (schema v6): merging shard partials recomputes exact means from summed
-	// integers instead of averaging averages.
+	// (schema v6): merging shard checkpoints recomputes exact means from
+	// summed integers instead of averaging averages.
 	PrefixDepthSum int64 `json:"prefix_depth_sum,omitempty"`
 	ConsumedSum    int64 `json:"consumed_sum,omitempty"`
 }
@@ -321,10 +325,6 @@ type Summary struct {
 	// Provenance identifies the build that produced the artifact (schema v5).
 	Provenance *Provenance   `json:"provenance,omitempty"`
 	Tools      []ToolSummary `json:"tools"`
-	// Shard marks a partial artifact from a sharded run (schema v6): this is
-	// shard Index of Count, cut by the spec with the given digest. Absent on
-	// whole-campaign artifacts, including merged ones.
-	Shard *ShardInfo `json:"shard,omitempty"`
 	// CheckpointErrors counts checkpoint writes that failed (schema v6).
 	// The campaign still completes — a failed checkpoint costs the resume
 	// point, not the results — but the loss is never silent.
@@ -358,9 +358,9 @@ func (k cellKey) index(nb, nl int) int {
 // foldCells merges the restored cells (a resumed run's checkpointed state,
 // in matrix order; nil otherwise), every worker's cell accumulators and every
 // worker's per-cell histograms into one fold per cell: the per-cell fold
-// behind the summary, checkpoints and shard partials. The result is in
-// matrix order; cells that ran nothing stay empty. It runs at barriers, when
-// no worker is observing.
+// behind the summary and checkpoints. The result is in matrix order; cells
+// that ran nothing stay empty. It runs at barriers, when no worker is
+// observing.
 func foldCells(spec Spec, restored []cellFold, wt workerTools) []cellFold {
 	cells := make([]cellFold, len(spec.Tools)*(len(spec.Benchmarks)+len(spec.Litmus)))
 	for c := range restored {
@@ -381,27 +381,6 @@ func foldCells(spec Spec, restored []cellFold, wt workerTools) []cellFold {
 		}
 	}
 	return cells
-}
-
-// summaryMeta is what aggregate renders besides the folded cells: the spec
-// echo, each tool's repro flags and each litmus test's weak-outcome count.
-// Run takes it from the Spec (metaOf); MergeSummaries takes it from the
-// partials.
-type summaryMeta struct {
-	info        SpecInfo
-	reproFlags  []string // per tool
-	weakDefined []int    // per litmus test
-}
-
-func metaOf(spec Spec) summaryMeta {
-	m := summaryMeta{info: specInfo(spec)}
-	for _, t := range spec.Tools {
-		m.reproFlags = append(m.reproFlags, t.ReproFlags())
-	}
-	for _, l := range spec.Litmus {
-		m.weakDefined = append(m.weakDefined, len(l.Weak))
-	}
-	return m
 }
 
 // specInfo echoes the campaign parameters into their summary form; the same
@@ -433,17 +412,19 @@ func specInfo(spec Spec) SpecInfo {
 }
 
 // aggregate renders the folded cells (matrix order, see foldCells) into the
-// Summary. It reads only the cells, the metadata and the adaptive budgets
-// (nil under uniform), so a single-machine run and a shard merge render
-// through the same code. Wall clock, GC and provenance are the caller's.
-func aggregate(m summaryMeta, cells []cellFold, budgets map[cellKey]*BudgetSummary) *Summary {
-	info := m.info
+// Summary. It reads only the spec, the cells and the adaptive budgets (nil
+// under uniform); a resumed run, shard merges included, renders its restored
+// cells through the same code. Wall clock, GC and provenance are the
+// caller's.
+func aggregate(spec Spec, cells []cellFold, budgets map[cellKey]*BudgetSummary) *Summary {
+	info := specInfo(spec)
 	nb, nl := len(info.Benchmarks), len(info.Litmus)
 	sum := &Summary{Schema: SchemaName, SchemaVersion: SchemaVersion, Spec: info}
 	for t, tool := range info.Tools {
+		flags := spec.Tools[t].ReproFlags()
 		repro := func(program string, inLitmus bool, run int) harness.Repro {
 			return harness.Repro{Tool: tool, Program: program,
-				Seed: info.SeedBase + int64(run), Litmus: inLitmus, Flags: m.reproFlags[t]}
+				Seed: info.SeedBase + int64(run), Litmus: inLitmus, Flags: flags}
 		}
 		ts := ToolSummary{Tool: tool, Races: []harness.RaceSummary{}}
 		var val ValidationSummary
@@ -564,7 +545,7 @@ func aggregate(m summaryMeta, cells []cellFold, budgets map[cellKey]*BudgetSumma
 				Test: test, Execs: f.Execs,
 				Outcomes:    outcomes,
 				WeakSeen:    harness.SortedKeys(f.Weak),
-				WeakDefined: m.weakDefined[l],
+				WeakDefined: len(spec.Litmus[l].Weak),
 				Budget:      budgets[k],
 				Guided:      guideStatsOf(f),
 				Failed:      f.Failed,
@@ -896,18 +877,19 @@ func (s *Summary) WriteJSON(path string) error {
 
 // Canonical returns a deep copy with every wall-clock-derived measurement
 // zeroed, leaving only model outcomes. This is the form in which the
-// package's byte-identity guarantees hold: workers=1 vs workers=K, merged
-// shard partials vs the single-machine run, and a SIGKILL-then-resume run vs
-// an uninterrupted one all marshal to identical bytes after Canonical.
+// package's byte-identity guarantees hold: workers=1 vs workers=K, a run
+// resumed from K shard checkpoints vs the single-machine run, and a
+// SIGKILL-then-resume run vs an uninterrupted one all marshal to identical
+// bytes after Canonical.
 // Zeroed: wall clock, the GC block, per-cell mean times and the wall-clock
 // histograms (timing, phases, handoff), per-tool work time and throughput,
-// and the run-shape echoes (Workers, artifact directories) plus the shard
-// header, checkpoint accounting, and build provenance (`go run` and
-// `go build` of the same tree stamp different VCS metadata, and the
-// guarantee must hold across binaries; skew is surfaced by Compare and
-// refused by MergeSummaries instead). Kept: everything the model produced —
-// detections, races, outcomes, budgets and convergence curves, guide sums,
-// validation, and the schedule-length and choices histograms.
+// and the run-shape echoes (Workers, artifact directories) plus checkpoint
+// accounting and build provenance (`go run` and `go build` of the same tree
+// stamp different VCS metadata, and the guarantee must hold across binaries;
+// skew is surfaced by Compare and refused on resume instead). Kept:
+// everything the model produced — detections, races, outcomes, budgets and
+// convergence curves, guide sums, validation, and the schedule-length and
+// choices histograms.
 func (s *Summary) Canonical() *Summary {
 	data, err := json.Marshal(s)
 	if err != nil {
@@ -919,7 +901,6 @@ func (s *Summary) Canonical() *Summary {
 	}
 	c.WallNS = 0
 	c.GC = GCSummary{}
-	c.Shard = nil
 	c.CheckpointErrors = 0
 	c.Provenance = nil
 	c.Spec.Workers = 0

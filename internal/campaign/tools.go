@@ -160,11 +160,11 @@ func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
 		}}, nil
 	case "tsan11":
 		return ToolSpec{Name: name, Baseline: true, Config: trace.ToolConfig{Name: name}, New: func() capi.Tool {
-			return baseline.NewTsan11(baseline.Options{})
+			return baseline.NewTsan11()
 		}}, nil
 	case "tsan11rec":
 		return ToolSpec{Name: name, Baseline: true, Config: trace.ToolConfig{Name: name, FaithfulHandoff: opts.FaithfulHandoff}, New: func() capi.Tool {
-			return baseline.NewTsan11rec(baseline.Options{FastHandoff: !opts.FaithfulHandoff})
+			return baseline.NewTsan11rec(opts.FaithfulHandoff)
 		}}, nil
 	}
 	return ToolSpec{}, fmt.Errorf("unknown tool %q (want one of %v)", name, StandardToolNames())

@@ -62,24 +62,6 @@ type Strategy interface {
 	PickIndex(n int) int
 }
 
-// PrefixedStrategy is the optional Strategy extension implemented by
-// trace-guided wrappers (internal/trace.PrefixGuide): strategies that drive a
-// recorded schedule prefix and then hand control to a live inner strategy.
-// The engine's per-execution reset runs unconditionally before the strategy's
-// first decision either way — a guided prefix must never observe recycled
-// scheduler, action-arena, or mo-graph state from an earlier pooled
-// execution — and campaign summaries read the handoff statistics through this
-// interface after each guided execution.
-type PrefixedStrategy interface {
-	Strategy
-	// Handoff reports the last execution's prefix statistics: the depth the
-	// strategy intended to replay (in combined choices), how many recorded
-	// choices were actually consumed before control passed to the live
-	// strategy, and whether the prefix diverged (a recorded choice was not
-	// takeable and forced an early handoff).
-	Handoff() (depth, consumed int, diverged bool)
-}
-
 // RandomStrategy is the paper's default plugin: uniform random choices. The
 // rng.Rand is embedded by value, so the PCG state lives inline and
 // re-seeding allocates nothing; all reseed mechanics live in internal/rng.
@@ -498,7 +480,7 @@ func (e *Engine) Execute(p capi.Program, seed int64) (res *capi.Result) {
 // thread/location/mutex/cond pools, execution-lifetime arenas, RNG, strategy,
 // and the model's own bookkeeping (mo-graph included, via Begin). It runs
 // unconditionally at the top of every Execute: pooled engines, trace
-// replayers, and guided prefix strategies (PrefixedStrategy) all rely on the
+// replayers, and guided prefix strategies (trace.PrefixGuide) all rely on the
 // next execution never observing recycled state from the previous one.
 func (e *Engine) resetExecState(seed int64) {
 	if e.sch == nil {

@@ -65,8 +65,8 @@ func TestC11TesterCompleteness(t *testing.T) {
 // must avoid both the common forbidden outcomes and their additional ones.
 func TestBaselineSoundness(t *testing.T) {
 	mk := []func() capi.Tool{
-		func() capi.Tool { return baseline.NewTsan11(baseline.Options{}) },
-		func() capi.Tool { return baseline.NewTsan11rec(baseline.Options{}) },
+		func() capi.Tool { return baseline.NewTsan11() },
+		func() capi.Tool { return baseline.NewTsan11rec(false) },
 	}
 	for _, makeTool := range mk {
 		tool := makeTool()

@@ -6,11 +6,11 @@ import (
 	"c11tester/internal/rng"
 )
 
-// PrefixGuide is the trace-guided exploration strategy (core.Strategy, and
-// core.PrefixedStrategy): it re-drives a prefix of a recorded Schedule and
-// then hands control to a live inner strategy at the divergence point, so a
-// campaign concentrates executions in the schedule neighbourhood of known
-// (typically racy) executions instead of sampling uniformly.
+// PrefixGuide is the trace-guided exploration strategy (a core.Strategy): it
+// re-drives a prefix of a recorded Schedule and then hands control to a live
+// inner strategy at the divergence point, so a campaign concentrates
+// executions in the schedule neighbourhood of known (typically racy)
+// executions instead of sampling uniformly.
 //
 // The prefix depth is drawn per execution from the seed: Seed(s) picks a
 // depth uniformly in [L/2, L] of the recorded schedule's L combined choices
@@ -26,12 +26,6 @@ import (
 type PrefixGuide struct {
 	inner core.Strategy
 	sched Schedule
-	// minFrac and maxFrac bound the per-execution prefix depth as fractions
-	// of the schedule's combined choice count. Guided exploration wants to
-	// stay near the recorded (typically racy) schedule, so the range skews
-	// deep: every guided execution replays at least half the recorded
-	// choices before the live strategy takes over.
-	minFrac, maxFrac float64
 
 	depthRng rng.Rand
 	depth    int // combined choices to replay this execution
@@ -41,6 +35,13 @@ type PrefixGuide struct {
 	diverged bool
 }
 
+// minFrac and maxFrac bound the per-execution prefix depth as fractions of
+// the schedule's combined choice count. Guided exploration wants to stay near
+// the recorded (typically racy) schedule, so the range skews deep: every
+// guided execution replays at least half the recorded choices before the
+// live strategy takes over.
+const minFrac, maxFrac = 0.5, 1.0
+
 // NewPrefixGuide returns a PrefixGuide handing off to inner (nil means the
 // default random strategy). Call SetSchedule before each execution (or once,
 // to guide every execution along the same trace).
@@ -48,7 +49,7 @@ func NewPrefixGuide(inner core.Strategy) *PrefixGuide {
 	if inner == nil {
 		inner = core.NewRandomStrategy()
 	}
-	return &PrefixGuide{inner: inner, minFrac: 0.5, maxFrac: 1.0}
+	return &PrefixGuide{inner: inner}
 }
 
 // SetSchedule installs the recorded schedule to guide along. It takes effect
@@ -64,8 +65,8 @@ func (g *PrefixGuide) Seed(seed int64) {
 	g.diverged = false
 
 	n := g.sched.Len()
-	min := int(g.minFrac * float64(n))
-	max := int(g.maxFrac * float64(n))
+	min := int(minFrac * float64(n))
+	max := int(maxFrac * float64(n))
 	// A distinct RNG (seed XOR'd with an arbitrary odd constant) keeps the
 	// depth draw from perturbing the inner strategy's choice stream.
 	g.depthRng.Seed(seed ^ 0x5bf03635)
@@ -122,11 +123,11 @@ func (g *PrefixGuide) PickIndex(n int) int {
 	return g.inner.PickIndex(n)
 }
 
-// Handoff implements core.PrefixedStrategy: the last execution's intended
-// prefix depth, the combined choices actually consumed before handoff, and
-// whether the prefix diverged.
+// Handoff reports the last execution's prefix statistics: the depth the
+// guide intended to replay (in combined choices), how many recorded choices
+// were actually consumed before control passed to the live strategy, and
+// whether the prefix diverged (a recorded choice was not takeable and forced
+// an early handoff). Campaign summaries read it after each guided execution.
 func (g *PrefixGuide) Handoff() (depth, consumed int, diverged bool) {
 	return g.depth, g.taken, g.diverged
 }
-
-var _ core.PrefixedStrategy = (*PrefixGuide)(nil)

@@ -82,13 +82,20 @@ func TestPrefixGuideFullDepthReproducesRecordedExecution(t *testing.T) {
 	prog := guideProg(&out)
 	eng := newGuideEngine()
 	pg := NewPrefixGuide(core.NewRandomStrategy())
-	pg.minFrac, pg.maxFrac = 1.0, 1.0
 	pg.SetSchedule(tr.Schedule)
 	eng.SetStrategy(pg)
 
-	// Any live seed: with the full prefix replayed, the live strategy never
-	// gets a choice, so the execution is the recorded one regardless.
-	res := eng.Execute(prog, 12345)
+	// Any live seed whose depth draw is the whole schedule: with the full
+	// prefix replayed, the live strategy never gets a choice, so the
+	// execution is the recorded one regardless.
+	seed := int64(12345)
+	for pg.Seed(seed); ; pg.Seed(seed) {
+		if depth, _, _ := pg.Handoff(); depth == tr.Schedule.Len() {
+			break
+		}
+		seed++
+	}
+	res := eng.Execute(prog, seed)
 	got := digestOf(eng, res, out)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("full-depth guided execution %+v != recorded %+v", got, want)
@@ -106,12 +113,12 @@ func TestPrefixGuideDepthIsSeedDerivedAndBounded(t *testing.T) {
 	prog := guideProg(&out)
 	eng := newGuideEngine()
 	pg := NewPrefixGuide(core.NewRandomStrategy())
-	pg.minFrac, pg.maxFrac = 0.25, 0.75
 	pg.SetSchedule(tr.Schedule)
 	eng.SetStrategy(pg)
 
+	// The guide draws from the fixed skew-deep range [L/2, L].
 	L := tr.Schedule.Len()
-	lo, hi := int(0.25*float64(L)), int(0.75*float64(L))
+	lo, hi := L/2, L
 	depths := map[int]bool{}
 	for seed := int64(0); seed < 30; seed++ {
 		res := eng.Execute(prog, seed)
@@ -134,7 +141,6 @@ func TestPrefixGuideDepthIsSeedDerivedAndBounded(t *testing.T) {
 	// Same seed, same schedule → same depth (the campaign determinism
 	// invariant extends to guided cells).
 	pg2 := NewPrefixGuide(core.NewRandomStrategy())
-	pg2.minFrac, pg2.maxFrac = 0.25, 0.75
 	pg2.SetSchedule(tr.Schedule)
 	pg2.Seed(17)
 	pg.Seed(17)
@@ -142,16 +148,6 @@ func TestPrefixGuideDepthIsSeedDerivedAndBounded(t *testing.T) {
 	d2, _, _ := pg2.Handoff()
 	if d1 != d2 {
 		t.Fatalf("depth not a pure function of seed: %d vs %d", d1, d2)
-	}
-
-	// The constructed guide draws from the fixed skew-deep range [L/2, L].
-	deep := NewPrefixGuide(core.NewRandomStrategy())
-	deep.SetSchedule(tr.Schedule)
-	for seed := int64(0); seed < 30; seed++ {
-		deep.Seed(seed)
-		if d, _, _ := deep.Handoff(); d < L/2 || d > L {
-			t.Fatalf("seed %d: default depth %d outside [%d, %d]", seed, d, L/2, L)
-		}
 	}
 }
 

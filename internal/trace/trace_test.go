@@ -247,7 +247,7 @@ func TestVerifyFlagsTamperedSchedule(t *testing.T) {
 }
 
 func TestBaselineScheduleOnlyTraceReplays(t *testing.T) {
-	mk := func() capi.Tool { return baseline.NewTsan11(baseline.Options{}) }
+	mk := func() capi.Tool { return baseline.NewTsan11() }
 	var out string
 	prog := mixProg(&out)
 
