@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,13 +13,14 @@ import (
 
 func writeSummary(t *testing.T, dir string) string {
 	t.Helper()
-	path, _ := writeSummaryRuns(t, dir, 2)
+	path, _ := writeSummaryRuns(t, dir, 2, "")
 	return path
 }
 
-// writeSummaryRuns runs a c11tester × ms-queue campaign of the given runs
-// and writes its summary into dir.
-func writeSummaryRuns(t *testing.T, dir string, runs int) (string, *campaign.Summary) {
+// writeSummaryRuns runs a c11tester × ms-queue campaign of the given runs,
+// recording the executions that hit into recordDir unless it is empty, and
+// writes its summary into dir.
+func writeSummaryRuns(t *testing.T, dir string, runs int, recordDir string) (string, *campaign.Summary) {
 	t.Helper()
 	tool, err := campaign.StandardTool("c11tester", campaign.ToolOptions{})
 	if err != nil {
@@ -30,7 +32,7 @@ func writeSummaryRuns(t *testing.T, dir string, runs int) (string, *campaign.Sum
 	}
 	sum := campaign.Run(campaign.Spec{
 		Tools: []campaign.ToolSpec{tool}, Benchmarks: bench,
-		Runs: runs, SeedBase: 5,
+		Runs: runs, SeedBase: 5, RecordDir: recordDir,
 	})
 	path := filepath.Join(dir, "BENCH_campaign.json")
 	if err := sum.WriteJSON(path); err != nil {
@@ -101,27 +103,17 @@ func TestCorruptArtifactsExitStructured(t *testing.T) {
 // sched_len column must show the quantiles of all 20 schedule lengths.
 func TestSlowCellColumns(t *testing.T) {
 	dir := t.TempDir()
-	path, sum := writeSummaryRuns(t, dir, 20)
+	path, sum := writeSummaryRuns(t, dir, 20, "")
 	cell := sum.Tools[0].Benchmarks[0]
 	if cell.Timing == nil || cell.Timing.Count != 2 || cell.SchedLen == nil || cell.SchedLen.Count != 20 {
 		t.Fatalf("cell histograms: timing %+v, sched_len %+v; want 2 timed and 20 observed executions",
 			cell.Timing, cell.SchedLen)
 	}
-	outPath := filepath.Join(dir, "report.txt")
-	out, err := os.Create(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	code := run([]string{"-summary", path}, out)
-	out.Close()
+	code, report := runCapture(t, "-summary", path)
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	report, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(string(report), "\n")
+	lines := strings.Split(report, "\n")
 	header := -1
 	for i, line := range lines {
 		if strings.HasPrefix(line, "tool ") {
@@ -148,5 +140,135 @@ func TestSlowCellColumns(t *testing.T) {
 	// Phase spans are sampled on index 8 of every 16, so once in 20.
 	if !strings.HasSuffix(strings.TrimSpace(lines[header+2]), "(n=1 of 20)") {
 		t.Errorf("phase means do not state their sample against the cell's executions: %q", lines[header+2])
+	}
+}
+
+// runCapture runs the command with stdout captured to a file and returns
+// the exit code and the output.
+func runCapture(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "out.txt")
+	out, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := run(args, out)
+	out.Close()
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(text)
+}
+
+// writeWithoutRace writes sum to dir/name with the first race key of its
+// first tool removed.
+func writeWithoutRace(t *testing.T, sum *campaign.Summary, dir, name string) string {
+	t.Helper()
+	data, err := json.Marshal(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edited campaign.Summary
+	if err := json.Unmarshal(data, &edited); err != nil {
+		t.Fatal(err)
+	}
+	if len(edited.Tools[0].Races) == 0 {
+		t.Fatal("campaign found no race to remove")
+	}
+	edited.Tools[0].Races = edited.Tools[0].Races[1:]
+	path := filepath.Join(dir, name)
+	if err := edited.WriteJSON(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestEqualExitCodes pins -equal's exit codes: 0 for identical summaries
+// (a re-run of the same campaign differs only in wall-clock fields), 2 for
+// summaries that differ in a race key, 1 for bad usage or input.
+func TestEqualExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	a, sum := writeSummaryRuns(t, dir, 4, "")
+	b, _ := writeSummaryRuns(t, t.TempDir(), 4, "")
+	edited := writeWithoutRace(t, sum, dir, "edited.json")
+
+	if code, out := runCapture(t, "-equal", a, b); code != 0 || !strings.HasPrefix(out, "identical (modulo canonicalization): ") {
+		t.Errorf("-equal on two runs of one campaign = exit %d:\n%s", code, out)
+	}
+	if code, out := runCapture(t, "-equal", a, edited); code != 2 || !strings.HasPrefix(out, "DIFFERENT: first divergence at canonical line ") {
+		t.Errorf("-equal on a summary with a race key removed = exit %d:\n%s", code, out)
+	}
+	for _, args := range [][]string{
+		{"-equal", a},
+		{"-equal", a, b, edited},
+		{"-equal", a, filepath.Join(dir, "missing.json")},
+		{"-equal", "-compare", a, b},
+	} {
+		if code, _ := runCapture(t, args...); code != 1 {
+			t.Errorf("c11report %v = exit %d, want 1", args, code)
+		}
+	}
+}
+
+// TestCompareExitCodes pins -compare's exit codes: 0 on a self-compare, 2
+// when the new summary lost a race key, 1 on bad usage or input.
+func TestCompareExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	a, sum := writeSummaryRuns(t, dir, 4, "")
+	edited := writeWithoutRace(t, sum, dir, "edited.json")
+
+	if code, out := runCapture(t, "-compare", a, a); code != 0 {
+		t.Errorf("-compare self = exit %d:\n%s", code, out)
+	}
+	if code, out := runCapture(t, "-compare", a, edited); code != 2 || !strings.Contains(out, sum.Tools[0].Races[0].Key) {
+		t.Errorf("-compare on a lost race key = exit %d, want 2 naming %s:\n%s", code, sum.Tools[0].Races[0].Key, out)
+	}
+	for _, args := range [][]string{
+		{"-compare", a},
+		{"-compare", a + "," + edited},
+		{"-compare", a, filepath.Join(dir, "missing.json")},
+		{"-summary", a, edited},
+	} {
+		if code, _ := runCapture(t, args...); code != 1 {
+			t.Errorf("c11report %v = exit %d, want 1", args, code)
+		}
+	}
+}
+
+// TestRecordIndexListsMissingTraces deletes one trace from a recorded
+// directory: the report still renders whole, lists the deleted file as
+// missing in place of its repro line, and exits 1.
+func TestRecordIndexListsMissingTraces(t *testing.T) {
+	dir := t.TempDir()
+	rec := filepath.Join(dir, "rec")
+	path, _ := writeSummaryRuns(t, dir, 4, rec)
+	traces, err := filepath.Glob(filepath.Join(rec, "trace_*.json"))
+	if err != nil || len(traces) < 2 {
+		t.Fatalf("recorded %d trace(s) (%v), want at least 2", len(traces), err)
+	}
+	if code, out := runCapture(t, "-summary", path, "-record", rec); code != 0 || strings.Contains(out, "missing: ") {
+		t.Fatalf("intact record directory = exit %d:\n%s", code, out)
+	}
+	if err := os.Remove(traces[0]); err != nil {
+		t.Fatal(err)
+	}
+	code, out := runCapture(t, "-summary", path, "-record", rec)
+	if code != 1 {
+		t.Errorf("record directory missing a trace = exit %d, want 1", code)
+	}
+	if n := strings.Count(out, "    missing: "); n != 1 || !strings.Contains(out, "    missing: "+traces[0]+"\n") {
+		t.Errorf("report lists %d missing file(s), want %s alone:\n%s", n, traces[0], out)
+	}
+	if strings.Contains(out, "replay "+traces[0]) {
+		t.Errorf("report prints a repro line for the missing %s", traces[0])
+	}
+	if n := strings.Count(out, "repro: go run ./cmd/c11trace replay "); n != len(traces)-1 {
+		t.Errorf("report prints %d trace repro line(s), want %d", n, len(traces)-1)
+	}
+	for _, want := range []string{"race timeline (", "soundness: ok", "record index ("} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
 	}
 }

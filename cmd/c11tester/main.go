@@ -1,7 +1,9 @@
 // Command c11tester runs exploration campaigns: (tool × program × N
 // executions) matrices over the paper's benchmark and litmus suites,
 // sharded across worker goroutines (internal/campaign), and writes the
-// versioned BENCH_campaign.json artifact.
+// versioned BENCH_campaign.json artifact. It prints the campaign's headline
+// (matrix shape, wall clock, budget line and soundness verdict); cmd/c11report
+// renders the whole artifact.
 //
 // Examples:
 //
@@ -14,7 +16,8 @@
 // problem: a forbidden litmus outcome, a data race reported inside a litmus
 // program (which only performs atomic accesses), an axiomatic-model
 // violation, or an execution the engine aborted with an infeasible
-// memory-model state.
+// memory-model state. It then prints the headline, with every failure's
+// repro line, on stderr, even under -q.
 package main
 
 import (
@@ -56,8 +59,7 @@ func run(args []string, out *os.File) int {
 		recordOn  = fs.String("record-on", "hit", "with -record, comma-separated triggers that owe an execution a trace: hit (a detection signal, race or forbidden outcome), all, new_race, forbidden, infeasible (a trace-less manifest entry), slow_steps (a schedule longer than the unit's trailing p99, at most 2 per unit)")
 		validate  = fs.Bool("validate", false, "axiom-check every explored execution against the Appendix A model")
 		analyzers = fs.String("analyzers", "", "comma-separated execution analyzers to run per cell, 'all', or 'none' (see -list)")
-		compare   = fs.String("compare", "", "diff two campaign artifacts: -compare old.json new.json (or old.json,new.json)")
-		quiet     = fs.Bool("q", false, "suppress the human-readable report and the stderr progress lines")
+		quiet     = fs.Bool("q", false, "suppress the headline on a passing campaign and the stderr progress lines")
 		list      = fs.Bool("list", false, "list selectable tools, benchmarks, and litmus tests")
 		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the campaign to this file")
 		memProf   = fs.String("memprofile", "", "write a pprof heap profile taken after the campaign to this file")
@@ -66,9 +68,6 @@ func run(args []string, out *os.File) int {
 	cflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 1
-	}
-	if *compare != "" {
-		return runCompare(*compare, fs.Args(), out)
 	}
 	if *list {
 		fmt.Fprintf(out, "tools:      %s\n", strings.Join(campaign.StandardToolNames(), " "))
@@ -85,12 +84,7 @@ func run(args []string, out *os.File) int {
 		fmt.Fprintln(os.Stderr, "c11tester: -record-on:", err)
 		return 1
 	}
-	if *record != "" {
-		if err := os.MkdirAll(*record, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "c11tester: -record:", err)
-			return 1
-		}
-	} else {
+	if *record == "" {
 		set := false
 		fs.Visit(func(f *flag.Flag) { set = set || f.Name == "record-on" })
 		if set {
@@ -148,6 +142,14 @@ func run(args []string, out *os.File) int {
 		fmt.Fprintln(os.Stderr, "c11tester:", err)
 		return 1
 	}
+	// The record directory is made only for a command that will run, so a
+	// refused one leaves nothing behind.
+	if *record != "" {
+		if err := os.MkdirAll(*record, 0o755); err != nil {
+			fmt.Fprintln(os.Stderr, "c11tester: -record:", err)
+			return 1
+		}
+	}
 
 	if !*quiet {
 		spec.Progress = os.Stderr
@@ -186,8 +188,11 @@ func run(args []string, out *os.File) int {
 		}
 	}
 
-	if !*quiet {
-		fmt.Fprint(out, sum.String())
+	switch {
+	case sum.Failed():
+		fmt.Fprint(os.Stderr, sum)
+	case !*quiet:
+		fmt.Fprint(out, sum)
 	}
 	if *jsonPath != "" {
 		if err := sum.WriteJSON(*jsonPath); err != nil {
@@ -199,40 +204,11 @@ func run(args []string, out *os.File) int {
 		}
 	}
 	if sum.Failed() {
-		campaign.WriteEngineFailures(os.Stderr, sum)
-		fmt.Fprintf(os.Stderr, "c11tester: FAILED: %d forbidden outcome(s), %d unexpected race(s), %d axiom violation(s), %d engine failure(s)\n",
-			len(sum.Forbidden()), len(sum.UnexpectedRaces()), sum.AxiomViolations(), sum.EngineFailures())
 		return 2
 	}
 	if n := sum.RecordErrors(); n > 0 {
 		fmt.Fprintf(os.Stderr, "c11tester: failed to record %d trace(s) to %s\n", n, *record)
 		return 1
-	}
-	return 0
-}
-
-// runCompare handles -compare old.json new.json: the new path may follow as
-// a positional argument or be joined with a comma.
-func runCompare(oldArg string, positional []string, out *os.File) int {
-	oldPath, newPath, err := campaign.SplitComparePaths(oldArg, positional)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "c11tester:", err)
-		return 1
-	}
-	oldSum, err := campaign.LoadSummary(oldPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "c11tester:", err)
-		return 1
-	}
-	newSum, err := campaign.LoadSummary(newPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "c11tester:", err)
-		return 1
-	}
-	cmp := campaign.Compare(oldSum, newSum)
-	fmt.Fprint(out, cmp.String())
-	if cmp.Regressed() {
-		return 2
 	}
 	return 0
 }

@@ -2,15 +2,57 @@ package main
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 )
 
-// TestFlagsDocumented requires every flag the CLI registers to appear as
-// -name in README.md, so no flag ships undocumented.
+// TestFlagsDocumented requires every flag that c11tester and c11report
+// register to appear as -name in README.md, so no flag ships undocumented.
+// c11report's usage comes from `go run`, since its run function lives in
+// another main package.
 func TestFlagsDocumented(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c11report := exec.Command("go", "run", "./cmd/c11report", "-h")
+	c11report.Dir = "../.."
+	reportUsage, _ := c11report.Output() // -h exits 1 after printing the usage
+	for _, cmd := range []struct {
+		name     string
+		usage    string
+		minFlags int // the whole flag set, so a parse that finds fewer failed
+	}{
+		{"c11tester", usageOf(t), 23},
+		{"c11report", string(reportUsage), 4},
+	} {
+		// The flag package prints each flag as "  -name" or "  -name type".
+		var flags []string
+		for _, line := range strings.Split(cmd.usage, "\n") {
+			if rest, ok := strings.CutPrefix(line, "  -"); ok {
+				flags = append(flags, strings.Fields(rest)[0])
+			}
+		}
+		if len(flags) < cmd.minFlags {
+			t.Fatalf("%s: parsed %d flags from the usage output, want its whole flag set (%d):\n%s",
+				cmd.name, len(flags), cmd.minFlags, cmd.usage)
+		}
+		for _, name := range flags {
+			// -name must stand alone: -record inside -record-on does not count.
+			re := regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(name) + `([^\w-]|$)`)
+			if !re.Match(readme) {
+				t.Errorf("%s flag -%s is not documented in README.md", cmd.name, name)
+			}
+		}
+	}
+}
+
+// usageOf returns c11tester's -h output.
+func usageOf(t *testing.T) string {
+	t.Helper()
 	usage, err := os.Create(filepath.Join(t.TempDir(), "usage.txt"))
 	if err != nil {
 		t.Fatal(err)
@@ -21,27 +63,7 @@ func TestFlagsDocumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	readme, err := os.ReadFile("../../README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The flag package prints each flag as "  -name" or "  -name type".
-	var flags []string
-	for _, line := range strings.Split(string(text), "\n") {
-		if rest, ok := strings.CutPrefix(line, "  -"); ok {
-			flags = append(flags, strings.Fields(rest)[0])
-		}
-	}
-	if len(flags) < 20 {
-		t.Fatalf("parsed %d flags from the usage output, want the whole flag set:\n%s", len(flags), text)
-	}
-	for _, name := range flags {
-		// -name must stand alone: -record inside -record-on does not count.
-		re := regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(name) + `([^\w-]|$)`)
-		if !re.Match(readme) {
-			t.Errorf("flag -%s is not documented in README.md", name)
-		}
-	}
+	return string(text)
 }
 
 // TestStreamFlagsRejected pins that the event-stream flags are gone: -events
@@ -56,5 +78,26 @@ func TestStreamFlagsRejected(t *testing.T) {
 		if code := run(args, out); code != 1 {
 			t.Errorf("c11tester %v = exit %d, want 1 (unknown flag)", args, code)
 		}
+	}
+}
+
+// TestRefusedCommandLeavesNoRecordDir pins that the -record directory is
+// made only for a command that runs: a command refused for a missing file
+// in its -resume list exits 1 and leaves no directory behind.
+func TestRefusedCommandLeavesNoRecordDir(t *testing.T) {
+	dir := t.TempDir()
+	out, err := os.Create(filepath.Join(dir, "out.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	rec := filepath.Join(dir, "rec")
+	args := []string{"-tools", "c11tester", "-bench", "ms-queue", "-litmus", "none", "-runs", "2", "-json", "",
+		"-resume", filepath.Join(dir, "p0.ck") + "," + filepath.Join(dir, "p1.ck"), "-record", rec}
+	if code := run(args, out); code != 1 {
+		t.Fatalf("c11tester %v = exit %d, want 1", args, code)
+	}
+	if _, err := os.Stat(rec); !os.IsNotExist(err) {
+		t.Errorf("refused command left %s behind (stat: %v)", rec, err)
 	}
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"os"
@@ -524,10 +525,12 @@ func TestSummaryTables(t *testing.T) {
 		Litmus:     []*litmus.Test{mustLitmus(t, "MP+rlx")},
 		Runs:       5,
 	})
-	text := sum.String()
+	var buf bytes.Buffer
+	WriteReport(&buf, sum, nil, "")
+	text := buf.String()
 	for _, want := range []string{"ms-queue", "MP+rlx", "c11tester", "execs/sec"} {
 		if !strings.Contains(text, want) {
-			t.Errorf("summary text missing %q:\n%s", want, text)
+			t.Errorf("report missing %q:\n%s", want, text)
 		}
 	}
 }

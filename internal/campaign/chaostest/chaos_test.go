@@ -101,8 +101,10 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	}
 	baseDur := time.Since(start)
 
-	// Chaos loop: seeded kill points spread over the campaign's natural
-	// duration, so kills land in different waves across attempts.
+	// Chaos loop: the first kill lands on an incomplete checkpoint written
+	// at a wave barrier, so the storm resumes between waves at least once;
+	// later kills land at seeded points spread over the campaign's natural
+	// duration, so they fall in different waves across attempts.
 	chaosPath := filepath.Join(dir, "chaos.json")
 	chaosCap := filepath.Join(dir, "chaos-cap")
 	ckPath := filepath.Join(dir, "ck.json")
@@ -122,6 +124,19 @@ func TestKillResumeByteIdentical(t *testing.T) {
 		}
 		done := make(chan error, 1)
 		go func() { done <- cmd.Wait() }()
+		if attempt == 0 {
+			for !midCampaign(ckPath) {
+				select {
+				case err := <-done:
+					t.Fatalf("campaign finished (%v) before it wrote an incomplete checkpoint", err)
+				case <-time.After(time.Millisecond):
+				}
+			}
+			_ = cmd.Process.Kill()
+			<-done
+			kills++
+			continue
+		}
 		// Kill somewhere inside the campaign's runtime envelope (including
 		// very early, mid-write points).
 		delay := time.Duration(rng.Int63n(int64(baseDur + baseDur/2)))
@@ -143,8 +158,8 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	if !completed {
 		t.Fatalf("no attempt completed within %d kills", kills)
 	}
-	if kills == 0 {
-		t.Log("warning: campaign completed before the first kill; resume path not exercised this run")
+	if len(resumedFrom) == 0 {
+		t.Fatalf("no attempt resumed from an incomplete checkpoint (%d kill(s))", kills)
 	}
 	t.Logf("campaign survived %d SIGKILL(s) before completing; resumed from incomplete checkpoints at waves %v", kills, resumedFrom)
 
@@ -228,6 +243,13 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// midCampaign reports whether path holds an incomplete checkpoint written
+// at a wave barrier.
+func midCampaign(path string) bool {
+	ck, err := campaign.LoadCheckpoint(path)
+	return err == nil && ck.Wave >= 1 && !ck.Complete
+}
+
 // TestShardFleetMerge drives the sharded half of the tentpole through real
 // subprocesses: a 3-shard fleet, each shard writing its checkpoint, and one
 // run resumed from the three checkpoints must reproduce the single-machine
@@ -238,11 +260,11 @@ func TestShardFleetMerge(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bin := buildTester(t, dir)
-	merge := filepath.Join(dir, "c11merge")
-	build := exec.Command("go", "build", "-o", merge, "./cmd/c11merge")
+	report := filepath.Join(dir, "c11report")
+	build := exec.Command("go", "build", "-o", report, "./cmd/c11report")
 	build.Dir = repoRoot(t)
 	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building c11merge: %v\n%s", err, out)
+		t.Fatalf("building c11report: %v\n%s", err, out)
 	}
 
 	tester := func(extra ...string) ([]byte, error) {
@@ -271,7 +293,7 @@ func TestShardFleetMerge(t *testing.T) {
 	if out, err := tester("-json", mergedPath, "-resume", parts[2]+","+parts[0]+","+parts[1]); err != nil {
 		t.Fatalf("merge: %v\n%s", err, out)
 	}
-	if out, err := exec.Command(merge, "-equal", mergedPath, singlePath).CombinedOutput(); err != nil {
+	if out, err := exec.Command(report, "-equal", mergedPath, singlePath).CombinedOutput(); err != nil {
 		t.Fatalf("merged artifact differs from single-machine run: %v\n%s", err, out)
 	}
 

@@ -3,30 +3,12 @@ package campaign
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"c11tester/internal/harness"
 	"c11tester/internal/obs"
 	"c11tester/internal/safeio"
 )
-
-// SplitComparePaths resolves cmd/c11tester's -compare argument
-// convention: the new artifact either follows as a
-// positional argument ("-compare old.json new.json") or is joined with a
-// comma ("-compare old.json,new.json").
-func SplitComparePaths(oldArg string, positional []string) (oldPath, newPath string, err error) {
-	oldPath = oldArg
-	if i := strings.IndexByte(oldArg, ','); i >= 0 {
-		oldPath, newPath = oldArg[:i], oldArg[i+1:]
-	} else if len(positional) == 1 {
-		newPath = positional[0]
-	}
-	if oldPath == "" || newPath == "" {
-		return "", "", fmt.Errorf("-compare needs two artifacts: -compare old.json new.json")
-	}
-	return oldPath, newPath, nil
-}
 
 // LoadSummary reads a serialized campaign artifact (BENCH_campaign.json)
 // and sanity-checks its schema header. Versions 1 through SchemaVersion are

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -355,8 +356,12 @@ func TestEngineFailureRecordedAndCampaignContinues(t *testing.T) {
 	if !sum.Failed() {
 		t.Error("a campaign with engine failures must fail")
 	}
-	if !strings.Contains(sum.String(), "ENGINE FAILURE") {
-		t.Error("report does not surface the engine failures")
+	var report bytes.Buffer
+	WriteReport(&report, sum, nil, "")
+	for name, text := range map[string]string{"headline": sum.String(), "report": report.String()} {
+		if !strings.Contains(text, "ENGINE FAILURE") {
+			t.Errorf("%s does not surface the engine failures:\n%s", name, text)
+		}
 	}
 }
 

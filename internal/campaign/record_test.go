@@ -102,8 +102,10 @@ func TestCaptureDeterminismUnderSharding(t *testing.T) {
 		}
 	}
 
-	// The summary report mentions the recorded traces.
-	if !strings.Contains(serialSum.String(), "recorded") {
+	// The report mentions the recorded traces.
+	var report bytes.Buffer
+	WriteReport(&report, serialSum, nil, "")
+	if !strings.Contains(report.String(), "recorded") {
 		t.Error("report does not surface the recorded traces")
 	}
 	if traced == 0 {

@@ -1,5 +1,5 @@
-// report.go is the offline forensics renderer behind cmd/c11report: it joins
-// the two artifacts a campaign leaves behind — the versioned summary
+// report.go is the renderer behind cmd/c11report: it joins the two
+// artifacts a campaign leaves behind — the versioned summary
 // (BENCH_campaign.json) and the record directory's manifest — into one
 // human-readable report. The record index is skipped when no manifest is
 // given, so the report renders from a summary alone.
@@ -8,9 +8,11 @@ package campaign
 import (
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"c11tester/internal/core"
@@ -19,15 +21,8 @@ import (
 	"c11tester/internal/obs"
 )
 
-// ReportOptions configures WriteReport.
-type ReportOptions struct {
-	// TopSlow bounds the slow-cell table (default 5).
-	TopSlow int
-	// RecordDir prefixes trace file names in the record index's repro
-	// lines, so the printed `c11trace replay` command works from the
-	// caller's directory.
-	RecordDir string
-}
+// topSlow bounds the slow-cell table.
+const topSlow = 5
 
 // slowCell is one row of the slow-cell table: a cell's execution count and
 // histograms from the summary.
@@ -37,15 +32,20 @@ type slowCell struct {
 	CellHists
 }
 
-// WriteReport renders the forensics report. sum is required; man may be nil
-// (the record index is skipped).
-func WriteReport(w io.Writer, sum *Summary, man *obs.Manifest, opts ReportOptions) {
-	if opts.TopSlow <= 0 {
-		opts.TopSlow = 5
-	}
+// WriteReport renders the report. sum is required; man may be nil (the
+// record index is skipped). recordDir is the directory man was read from:
+// it prefixes the trace files in the record index's repro lines, so the
+// printed `c11trace replay` command works from the caller's directory. It
+// returns how many trace files the manifest names that recordDir lacks;
+// each is listed as missing in place of its repro line.
+func WriteReport(w io.Writer, sum *Summary, man *obs.Manifest, recordDir string) (missing int) {
 	fmt.Fprintf(w, "campaign forensics report (schema v%d)\n", sum.SchemaVersion)
 	fmt.Fprintf(w, "matrix: %d tool(s) × (%d benchmark(s) + %d litmus test(s)) × %d runs, seed base %d\n",
 		len(sum.Spec.Tools), len(sum.Spec.Benchmarks), len(sum.Spec.Litmus), sum.Spec.Runs, sum.Spec.SeedBase)
+	fmt.Fprint(w, sum.budgetLine())
+	if sum.Spec.GuideDir != "" {
+		fmt.Fprintf(w, "guided by %d trace(s) from %s\n", sum.Spec.GuideTraces, sum.Spec.GuideDir)
+	}
 	if p := sum.Provenance; p != nil {
 		fmt.Fprintf(w, "build: %s %s/%s", p.GoVersion, p.GOOS, p.GOARCH)
 		if p.Module != "" {
@@ -58,12 +58,17 @@ func WriteReport(w io.Writer, sum *Summary, man *obs.Manifest, opts ReportOption
 	}
 	fmt.Fprintf(w, "wall clock: %s\n", harness.FmtDuration(time.Duration(sum.WallNS)))
 
-	writeSlowCells(w, sum, opts.TopSlow)
+	fmt.Fprintf(w, "\nthroughput:\n%s", sum.ThroughputTable())
+	if len(sum.Spec.Benchmarks) > 0 {
+		fmt.Fprintf(w, "\ndetection rates (Table 2):\n%s", sum.DetectionTable())
+	}
+	writeSlowCells(w, sum)
 	writeOutcomes(w, sum)
 	writeFindings(w, sum)
 	writeRaceTimeline(w, sum)
 	writeConvergence(w, sum)
-	writeRecordIndex(w, man, opts.RecordDir)
+	writeSoundness(w, sum)
+	return writeRecordIndex(w, man, recordDir)
 }
 
 // writeOutcomes renders each litmus cell's outcome histogram, one line per
@@ -133,7 +138,7 @@ func writeFindings(w io.Writer, sum *Summary) {
 // counts, schedule-length quantiles and per-phase mean breakdowns (phase
 // mean = histogram Sum/Count). The schedule length tells a tail of longer
 // schedules from a tail of dearer steps.
-func writeSlowCells(w io.Writer, sum *Summary, top int) {
+func writeSlowCells(w io.Writer, sum *Summary) {
 	var cells []slowCell
 	for _, ts := range sum.Tools {
 		for _, c := range ts.Benchmarks {
@@ -159,8 +164,8 @@ func writeSlowCells(w io.Writer, sum *Summary, top int) {
 		}
 		return cells[i].program < cells[j].program
 	})
-	if len(cells) > top {
-		cells = cells[:top]
+	if len(cells) > topSlow {
+		cells = cells[:topSlow]
 	}
 	fmt.Fprintf(w, "\ntop %d cell(s) by p99 ns/exec:\n", len(cells))
 	tb := &harness.Table{Header: []string{"tool", "program", "p50", "p99", "execs", "sched_len p50/p99", "phase breakdown (mean)"}}
@@ -203,9 +208,11 @@ func phaseBreakdown(phases map[string]*obs.HistogramSnapshot, execs int) string 
 	return out + fmt.Sprintf(" (n=%d of %d)", n, execs)
 }
 
-// writeRaceTimeline renders when each distinct race was first seen: one row
-// per (tool, race key) — unexpected litmus races included — at the seed and
-// program of its earliest execution, sorted by (seed, tool, key).
+// writeRaceTimeline renders when each distinct benchmark race was first
+// seen: one row per (tool, race key) at the seed and program of its earliest
+// execution, sorted by (seed, tool, key), each followed by the race's
+// description and repro line. Unexpected litmus races are soundness
+// failures, rendered by writeSoundness.
 func writeRaceTimeline(w io.Writer, sum *Summary) {
 	type row struct {
 		tool string
@@ -213,7 +220,7 @@ func writeRaceTimeline(w io.Writer, sum *Summary) {
 	}
 	var rows []row
 	for _, ts := range sum.Tools {
-		for _, r := range slices.Concat(ts.Races, ts.UnexpectedRaces) {
+		for _, r := range ts.Races {
 			rows = append(rows, row{ts.Tool, r})
 		}
 	}
@@ -235,7 +242,11 @@ func writeRaceTimeline(w io.Writer, sum *Summary) {
 	for _, r := range rows {
 		tb.AddRow(fmt.Sprintf("%d", r.Repro.Seed), r.tool, r.Repro.Program, r.Key)
 	}
-	fmt.Fprint(w, tb.String())
+	lines := strings.SplitAfter(tb.String(), "\n")
+	fmt.Fprint(w, lines[0], lines[1])
+	for i, r := range rows {
+		fmt.Fprintf(w, "%s  %s\n  repro: %s\n", lines[2+i], r.Description, r.Repro.Command())
+	}
 }
 
 // writeConvergence renders each converge cell's convergence curve: the
@@ -285,13 +296,34 @@ func writeConvergence(w io.Writer, sum *Summary) {
 	}
 }
 
+// writeSoundness renders the soundness section: the verdict with every
+// failure and its repro line (the headline's), then each tool's axiomatic
+// validation counts and recorded-trace and record-error counts.
+func writeSoundness(w io.Writer, sum *Summary) {
+	fmt.Fprintln(w)
+	sum.writeVerdict(w)
+	for _, ts := range sum.Tools {
+		if v := ts.Validation; v != nil {
+			fmt.Fprintf(w, "  %s: axiomatic validation: %d checked, %d skipped, %d violation(s)\n",
+				ts.Tool, v.Checked, v.Skipped, v.Violations)
+		}
+		if ts.RecordedTraces > 0 {
+			fmt.Fprintf(w, "  %s: recorded %d trace(s) to %s\n", ts.Tool, ts.RecordedTraces, sum.Spec.RecordDir)
+		}
+		if ts.RecordErrors > 0 {
+			fmt.Fprintf(w, "  %s: WARNING: failed to record %d trace(s) to %s\n", ts.Tool, ts.RecordErrors, sum.Spec.RecordDir)
+		}
+	}
+}
+
 // writeRecordIndex renders the record manifest with one-command repro
 // lines: a recorded trace replays under c11trace, and trace-less entries
 // (engine failures, traces that could not be written) fall back to the tool
-// repro triple.
-func writeRecordIndex(w io.Writer, man *obs.Manifest, dir string) {
+// repro triple. A trace file missing from dir is listed as missing in place
+// of its repro line, and counted in the result.
+func writeRecordIndex(w io.Writer, man *obs.Manifest, dir string) (missing int) {
 	if man == nil || len(man.Captures) == 0 {
-		return
+		return 0
 	}
 	fmt.Fprintf(w, "\nrecord index (%d execution(s)):\n", len(man.Captures))
 	for _, c := range man.Captures {
@@ -305,11 +337,18 @@ func writeRecordIndex(w io.Writer, man *obs.Manifest, dir string) {
 		fmt.Fprintln(w)
 		switch {
 		case c.File != "":
-			fmt.Fprintf(w, "    repro: go run ./cmd/c11trace replay %s\n", filepath.Join(dir, c.File))
+			path := filepath.Join(dir, c.File)
+			if _, err := os.Stat(path); err != nil {
+				missing++
+				fmt.Fprintf(w, "    missing: %s\n", path)
+				continue
+			}
+			fmt.Fprintf(w, "    repro: go run ./cmd/c11trace replay %s\n", path)
 		case c.Err != "":
 			fmt.Fprintf(w, "    no trace (%s)\n    repro: %s\n", c.Err, c.Repro)
 		default:
 			fmt.Fprintf(w, "    repro: %s\n", c.Repro)
 		}
 	}
+	return missing
 }

@@ -25,13 +25,19 @@ func TestReportEndToEnd(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	WriteReport(&buf, sum, man, ReportOptions{TopSlow: 3, RecordDir: dir})
+	if missing := WriteReport(&buf, sum, man, dir); missing != 0 {
+		t.Fatalf("report counts %d missing trace file(s) in an intact record directory", missing)
+	}
 	out := buf.String()
 	for _, want := range []string{
 		"campaign forensics report (schema v",
 		"matrix: 2 tool(s)",
+		"policy: converge(eps=0.02) — ",
 		"build: go",
-		"top 3 cell(s) by p99 ns/exec:",
+		"throughput:",
+		"execs/sec",
+		"detection rates (Table 2):",
+		"top 4 cell(s) by p99 ns/exec:",
 		"race timeline (",
 		"convergence curves (",
 		"record index (",
@@ -40,6 +46,8 @@ func TestReportEndToEnd(t *testing.T) {
 		"phase breakdown (mean)",
 		"reset ",
 		" of ", // the phase means' sample size, "(n=… of …)"
+		"soundness: ok — 0 forbidden outcome(s), 0 unexpected race(s), 0 axiom violation(s), 0 engine failure(s)\n",
+		"recorded ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q\n--- report ---\n%s", want, out)
@@ -58,9 +66,9 @@ func TestWriteReportDegradesWithoutSidecars(t *testing.T) {
 	sum := Run(captureSpec(t, 1, t.TempDir()))
 
 	var buf bytes.Buffer
-	WriteReport(&buf, sum, nil, ReportOptions{TopSlow: 2})
+	WriteReport(&buf, sum, nil, "")
 	out := buf.String()
-	for _, want := range []string{"top 2 cell(s) by p99 ns/exec:", "race timeline (", "convergence curves ("} {
+	for _, want := range []string{"top 4 cell(s) by p99 ns/exec:", "race timeline (", "convergence curves (", "soundness: "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("section %q missing from a summary-only report:\n%s", want, out)
 		}
@@ -72,23 +80,25 @@ func TestWriteReportDegradesWithoutSidecars(t *testing.T) {
 
 // TestRaceTimelineAndCurvesFromSummary pins the two summary-backed sections
 // byte for byte on a two-tool summary: the timeline has one row per (tool,
-// race key), unexpected litmus races included, sorted by (seed, tool, key);
-// the curves are sorted by (tool, program), one line per point in wave
-// order; a uniform cell (no budget) has no curve.
+// benchmark race key), sorted by (seed, tool, key), each followed by the
+// race's description and repro line; an unexpected litmus race is left to
+// the soundness section; the curves are sorted by (tool, program), one line
+// per point in wave order; a uniform cell (no budget) has no curve.
 func TestRaceTimelineAndCurvesFromSummary(t *testing.T) {
-	race := func(key, program string, seed int64) harness.RaceSummary {
-		return harness.RaceSummary{Key: key, Repro: harness.Repro{Program: program, Seed: seed}}
+	race := func(tool, key, program string, seed int64) harness.RaceSummary {
+		return harness.RaceSummary{Key: key, Description: "race on " + key,
+			Repro: harness.Repro{Tool: tool, Program: program, Seed: seed}}
 	}
 	sum := &Summary{Tools: []ToolSummary{
 		{
 			Tool:            "tsan11",
-			Races:           []harness.RaceSummary{race("q.b", "ms-queue", 12), race("q.a", "ms-queue", 12)},
-			UnexpectedRaces: []harness.RaceSummary{race("x", "MP+rlx", 3)},
+			Races:           []harness.RaceSummary{race("tsan11", "q.b", "ms-queue", 12), race("tsan11", "q.a", "ms-queue", 12)},
+			UnexpectedRaces: []harness.RaceSummary{race("tsan11", "x", "MP+rlx", 3)},
 			Benchmarks:      []CellSummary{{Program: "ms-queue"}},
 		},
 		{
 			Tool:  "c11tester",
-			Races: []harness.RaceSummary{race("q.b", "ms-queue", 12), race("s.v", "seqlock", 40)},
+			Races: []harness.RaceSummary{race("c11tester", "q.b", "ms-queue", 12), race("c11tester", "s.v", "seqlock", 40)},
 			Benchmarks: []CellSummary{
 				{Program: "seqlock", Budget: &BudgetSummary{Curve: []CurvePoint{
 					{Wave: 1, TrackerState: explore.TrackerState{Execs: 150, DetectionRate: 0.97, DistinctRaces: 1, Converged: true}},
@@ -106,14 +116,21 @@ func TestRaceTimelineAndCurvesFromSummary(t *testing.T) {
 	writeRaceTimeline(&buf, sum)
 	writeConvergence(&buf, sum)
 	want := `
-race timeline (5 distinct race(s)):
+race timeline (4 distinct race(s)):
 seed  tool       program   race key
 ----  ---------  --------  --------
-3     tsan11     MP+rlx    x       
 12    c11tester  ms-queue  q.b     
+  race on q.b
+  repro: go run ./cmd/c11tester -tools c11tester -bench ms-queue -litmus none -runs 1 -seed 12 -json ''
 12    tsan11     ms-queue  q.a     
+  race on q.a
+  repro: go run ./cmd/c11tester -tools tsan11 -bench ms-queue -litmus none -runs 1 -seed 12 -json ''
 12    tsan11     ms-queue  q.b     
+  race on q.b
+  repro: go run ./cmd/c11tester -tools tsan11 -bench ms-queue -litmus none -runs 1 -seed 12 -json ''
 40    c11tester  seqlock   s.v     
+  race on s.v
+  repro: go run ./cmd/c11tester -tools c11tester -bench seqlock -litmus none -runs 1 -seed 40 -json ''
 
 convergence curves (2 cell(s)):
   c11tester/CoRR:
@@ -175,5 +192,98 @@ func TestWriteOutcomesTags(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("histograms lack %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestReportRendersEachReproOnce pins that the report loses nothing and
+// repeats nothing: on a converge campaign with races, analyzer findings,
+// validation and a record directory, each race's and each finding's repro
+// line appears exactly once, under its description, and no other campaign
+// repro line is printed but the record index's trace-less entries.
+func TestReportRendersEachReproOnce(t *testing.T) {
+	dir := t.TempDir()
+	spec := captureSpec(t, 2, dir)
+	spec.ValidateAxioms = true
+	spec.Analyzers = ParseAnalyzers("all")
+	sum := Run(spec)
+	man, err := obs.ReadManifest(filepath.Join(dir, obs.ManifestFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	WriteReport(&buf, sum, man, dir)
+	out := buf.String()
+
+	want := 0
+	for _, ts := range sum.Tools {
+		if ts.Validation == nil {
+			t.Fatalf("%s: no validation results", ts.Tool)
+		}
+		for _, r := range ts.Races {
+			if block := "  " + r.Description + "\n  repro: " + r.Repro.Command() + "\n"; strings.Count(out, block) != 1 {
+				t.Errorf("%s race %s: its description and repro appear %d time(s), want 1", ts.Tool, r.Key, strings.Count(out, block))
+			}
+			want++
+		}
+		for _, f := range ts.Findings {
+			if block := f.Description + fmt.Sprintf(" (×%d)\n    repro: ", f.Count) + f.Repro.Command() + "\n"; strings.Count(out, block) != 1 {
+				t.Errorf("%s finding %s: its description and repro appear %d time(s), want 1", ts.Tool, f.Key, strings.Count(out, block))
+			}
+			want++
+		}
+	}
+	for _, c := range man.Captures {
+		if c.File == "" {
+			want++
+		}
+	}
+	if sum.Tools[0].Races == nil || sum.FindingCount() == 0 {
+		t.Fatalf("campaign has %d race(s) and %d finding(s), want both", len(sum.Tools[0].Races), sum.FindingCount())
+	}
+	if got := strings.Count(out, "repro: go run ./cmd/c11tester "); got != want {
+		t.Errorf("report prints %d campaign repro line(s), want %d (one per race, finding and trace-less record entry):\n%s", got, want, out)
+	}
+}
+
+// TestFailedVerdictCarriesRepros pins the headline of a failed campaign: the
+// verdict counts every kind of failure and is followed by each failure's
+// repro line. The report's soundness section prints the same lines, and an
+// unexpected litmus race appears there alone, not in the race timeline.
+func TestFailedVerdictCarriesRepros(t *testing.T) {
+	repro := func(program string, litmus bool, seed int64) harness.Repro {
+		return harness.Repro{Tool: "tsan11", Program: program, Litmus: litmus, Seed: seed}
+	}
+	forbidden := ForbiddenOutcome{Test: "CoRR+opposed", Outcome: "21", Count: 3, Repro: repro("CoRR+opposed", true, 7)}
+	unexpected := harness.RaceSummary{Key: "x", Description: "race on x", Repro: repro("MP+rlx", true, 4)}
+	failure := EngineFailure{Error: "infeasible: no candidate", Repro: repro("ms-queue", false, 9)}
+	sum := &Summary{
+		Spec: SpecInfo{Tools: []string{"tsan11"}, Litmus: []string{"CoRR+opposed"}, Runs: 10},
+		Tools: []ToolSummary{{
+			Tool:            "tsan11",
+			Validation:      &ValidationSummary{Checked: 9, Violations: 1, Samples: []string{"tsan11/CoRR+opposed seed 8: coherence"}},
+			EngineFailures:  2,
+			FailureSamples:  []EngineFailure{failure},
+			UnexpectedRaces: []harness.RaceSummary{unexpected},
+			Litmus:          []LitmusSummary{{Test: "CoRR+opposed", ForbiddenSeen: []ForbiddenOutcome{forbidden}}},
+		}},
+	}
+	lines := []string{
+		"soundness: FAILED — 1 forbidden outcome(s), 1 unexpected race(s), 1 axiom violation(s), 2 engine failure(s)\n",
+		"  FORBIDDEN OUTCOME CoRR+opposed=\"21\" ×3\n    repro: " + forbidden.Repro.Command() + "\n",
+		"  UNEXPECTED RACE in litmus program: race on x\n    repro: " + unexpected.Repro.Command() + "\n",
+		"  tsan11: ENGINE FAILURE: infeasible: no candidate\n    repro: " + failure.Repro.Command() + "\n",
+		"  tsan11: VIOLATION tsan11/CoRR+opposed seed 8: coherence\n",
+	}
+	var report bytes.Buffer
+	WriteReport(&report, sum, nil, "")
+	for name, text := range map[string]string{"headline": sum.String(), "report": report.String()} {
+		for _, want := range lines {
+			if n := strings.Count(text, want); n != 1 {
+				t.Errorf("%s holds %q %d time(s), want 1:\n%s", name, want, n, text)
+			}
+		}
+	}
+	if strings.Contains(report.String(), "race timeline (") {
+		t.Errorf("an unexpected litmus race was put in the race timeline:\n%s", report.String())
 	}
 }

@@ -3,6 +3,7 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -38,7 +39,7 @@ import (
 // provenance header ("provenance"). Compare warns on provenance skew.
 //
 // v6: crash-safe campaigns — the shard header of a partial run ("shard":
-// index/count plus the spec digest cmd/c11merge validates), the
+// index/count plus the spec digest the shard merge validated), the
 // checkpoint-write failure count ("checkpoint_errors"), and exact
 // guided-exploration sums ("prefix_depth_sum"/"consumed_sum" next to the v3
 // means) so merged partials reproduce the single-machine statistics without
@@ -724,28 +725,6 @@ func (s *Summary) DetectionTable() *harness.Table {
 	return tb
 }
 
-// LitmusTable renders the litmus matrix: outcome diversity, weak-outcome
-// coverage, and forbidden-outcome count per (test, tool).
-func (s *Summary) LitmusTable() *harness.Table {
-	tb := &harness.Table{Header: []string{"litmus"}}
-	for _, ts := range s.Tools {
-		tb.Header = append(tb.Header, ts.Tool)
-	}
-	for l, name := range s.Spec.Litmus {
-		row := []string{name}
-		for _, ts := range s.Tools {
-			ls := ts.Litmus[l]
-			cell := fmt.Sprintf("%d outcomes, weak %d/%d", len(ls.Outcomes), len(ls.WeakSeen), ls.WeakDefined)
-			if n := len(ls.ForbiddenSeen); n > 0 {
-				cell += fmt.Sprintf(", FORBIDDEN×%d", n)
-			}
-			row = append(row, cell)
-		}
-		tb.AddRow(row...)
-	}
-	return tb
-}
-
 // ThroughputTable renders per-tool execution throughput and operation
 // counts.
 func (s *Summary) ThroughputTable() *harness.Table {
@@ -788,84 +767,62 @@ func (s *Summary) BudgetReport() (used, planned, converged, cells int, ok bool) 
 	return used, planned, converged, cells, ok
 }
 
-// String renders the human-readable campaign report.
+// String renders the campaign's headline: the matrix shape, the wall clock,
+// an adaptive policy's budget line, and the soundness verdict, followed by
+// every failure's repro line when the campaign failed. cmd/c11report renders
+// the whole summary.
 func (s *Summary) String() string {
-	out := fmt.Sprintf("campaign: %d tool(s) × (%d benchmark(s) + %d litmus test(s)) × %d runs, %d workers, seed base %d\nwall clock: %s\n",
+	var b strings.Builder
+	fmt.Fprintf(&b, "campaign: %d tool(s) × (%d benchmark(s) + %d litmus test(s)) × %d runs, %d workers, seed base %d\nwall clock: %s\n",
 		len(s.Spec.Tools), len(s.Spec.Benchmarks), len(s.Spec.Litmus),
 		s.Spec.Runs, s.Spec.Workers, s.Spec.SeedBase,
 		harness.FmtDuration(time.Duration(s.WallNS)))
-	if p := s.Spec.Policy; p != "" && p != "uniform" {
-		out += fmt.Sprintf("policy: %s", p)
-		if used, planned, converged, cells, ok := s.BudgetReport(); ok && planned > 0 {
-			out += fmt.Sprintf(" — %d/%d executions (%.0f%% of uniform), %d/%d cells converged",
-				used, planned, 100*float64(used)/float64(planned), converged, cells)
-		}
-		out += "\n"
+	b.WriteString(s.budgetLine())
+	s.writeVerdict(&b)
+	return b.String()
+}
+
+// budgetLine renders an adaptive campaign's policy echo and budget
+// accounting as one line; it is empty under the uniform policy.
+func (s *Summary) budgetLine() string {
+	p := s.Spec.Policy
+	if p == "" || p == "uniform" {
+		return ""
 	}
-	if s.Spec.GuideDir != "" {
-		out += fmt.Sprintf("guided by %d trace(s) from %s\n", s.Spec.GuideTraces, s.Spec.GuideDir)
+	line := "policy: " + p
+	if used, planned, converged, cells, ok := s.BudgetReport(); ok && planned > 0 {
+		line += fmt.Sprintf(" — %d/%d executions (%.0f%% of uniform), %d/%d cells converged",
+			used, planned, 100*float64(used)/float64(planned), converged, cells)
 	}
-	out += "\n" + s.ThroughputTable().String()
-	if len(s.Spec.Benchmarks) > 0 {
-		out += "\n" + s.DetectionTable().String()
+	return line + "\n"
+}
+
+// writeVerdict renders the one-line soundness verdict with its counts, then
+// every forbidden outcome, unexpected litmus race and sampled engine failure
+// with its repro line, and every sampled axiom violation.
+func (s *Summary) writeVerdict(w io.Writer) {
+	verdict := "ok"
+	if s.Failed() {
+		verdict = "FAILED"
 	}
-	if len(s.Spec.Litmus) > 0 {
-		out += "\n" + s.LitmusTable().String()
-	}
-	for _, ts := range s.Tools {
-		if len(ts.Races) > 0 {
-			out += fmt.Sprintf("\n%s: %d distinct race(s)\n", ts.Tool, len(ts.Races))
-			for _, r := range ts.Races {
-				out += fmt.Sprintf("  %s\n    repro: %s\n", r.Description, r.Repro.Command())
-			}
-		}
-	}
-	for _, ts := range s.Tools {
-		if v := ts.Validation; v != nil {
-			out += fmt.Sprintf("\n%s: axiomatic validation: %d checked, %d skipped, %d violation(s)\n",
-				ts.Tool, v.Checked, v.Skipped, v.Violations)
-			for _, sample := range v.Samples {
-				out += "  VIOLATION " + sample + "\n"
-			}
-		}
-		if ts.RecordedTraces > 0 {
-			out += fmt.Sprintf("\n%s: recorded %d trace(s) to %s\n", ts.Tool, ts.RecordedTraces, s.Spec.RecordDir)
-		}
-		if ts.RecordErrors > 0 {
-			out += fmt.Sprintf("\n%s: WARNING: failed to record %d trace(s) to %s\n", ts.Tool, ts.RecordErrors, s.Spec.RecordDir)
-		}
-		if ts.EngineFailures > 0 {
-			out += fmt.Sprintf("\n%s: ENGINE FAILURE: %d execution(s) aborted with an infeasible model state\n",
-				ts.Tool, ts.EngineFailures)
-			for _, f := range ts.FailureSamples {
-				out += fmt.Sprintf("  %s\n    repro: %s\n", f.Error, f.Repro.Command())
-			}
-		}
-	}
-	for _, ts := range s.Tools {
-		if len(ts.Analyzers) == 0 {
-			continue
-		}
-		for _, as := range ts.Analyzers {
-			out += fmt.Sprintf("\n%s: analyzer %s: %d distinct finding(s), %d hit(s)\n",
-				ts.Tool, as.Analyzer, as.Distinct, as.Count)
-			for _, f := range ts.Findings {
-				if f.Analyzer != as.Analyzer {
-					continue
-				}
-				out += fmt.Sprintf("  [%s] %s\n    repro: %s\n", f.Program, f.Description, f.Repro.Command())
-			}
-		}
-	}
+	fmt.Fprintf(w, "soundness: %s — %d forbidden outcome(s), %d unexpected race(s), %d axiom violation(s), %d engine failure(s)\n",
+		verdict, len(s.Forbidden()), len(s.UnexpectedRaces()), s.AxiomViolations(), s.EngineFailures())
 	for _, f := range s.Forbidden() {
-		out += fmt.Sprintf("\nFORBIDDEN OUTCOME %s=%q ×%d\n  repro: %s\n",
-			f.Test, f.Outcome, f.Count, f.Repro.Command())
+		fmt.Fprintf(w, "  FORBIDDEN OUTCOME %s=%q ×%d\n    repro: %s\n", f.Test, f.Outcome, f.Count, f.Repro.Command())
 	}
 	for _, r := range s.UnexpectedRaces() {
-		out += fmt.Sprintf("\nUNEXPECTED RACE in litmus program: %s\n  repro: %s\n",
-			r.Description, r.Repro.Command())
+		fmt.Fprintf(w, "  UNEXPECTED RACE in litmus program: %s\n    repro: %s\n", r.Description, r.Repro.Command())
 	}
-	return out
+	for _, ts := range s.Tools {
+		for _, f := range ts.FailureSamples {
+			fmt.Fprintf(w, "  %s: ENGINE FAILURE: %s\n    repro: %s\n", ts.Tool, f.Error, f.Repro.Command())
+		}
+		if v := ts.Validation; v != nil {
+			for _, sample := range v.Samples {
+				fmt.Fprintf(w, "  %s: VIOLATION %s\n", ts.Tool, sample)
+			}
+		}
+	}
 }
 
 // WriteJSON writes the indented artifact file (BENCH_campaign.json)

@@ -82,17 +82,3 @@ func (t *telemetry) waveEnd(wave, converged int) {
 	fmt.Fprintf(t.progress, "wave %d: %d/%d execs, %d/%d cells converged, %d distinct race(s), %d failure(s)\n",
 		wave, done, t.execsPlanned, converged, t.cells(), races, fails)
 }
-
-// WriteEngineFailures prints every sampled engine-failure repro triple of a
-// summary to w, one "ENGINE FAILURE" block per sample (cmd/c11tester prints
-// them to stderr), and returns the total failure count across all tools.
-func WriteEngineFailures(w io.Writer, s *Summary) int {
-	total := 0
-	for _, ts := range s.Tools {
-		total += ts.EngineFailures
-		for _, f := range ts.FailureSamples {
-			fmt.Fprintf(w, "%s: ENGINE FAILURE: %s\n  repro: %s\n", ts.Tool, f.Error, f.Repro.Command())
-		}
-	}
-	return total
-}
