@@ -50,7 +50,6 @@ func run(args []string, out *os.File) int {
 		workers   = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		shardSz   = fs.Int("shard-size", 0, "executions per work chunk (0 = default)")
 		seed      = fs.Int64("seed", 1, "seed base; execution i runs with seed+i")
-		faithful  = fs.Bool("faithful-handoff", false, "run tsan11rec on kernel-thread handoff (Figure 14 regime)")
 		jsonPath  = fs.String("json", "BENCH_campaign.json", "campaign artifact path ('' disables)")
 		policy    = fs.String("policy", "uniform", "per-cell budget policy: uniform, or converge (stop a cell early once its statistics stabilize and reassign the freed budget)")
 		epsilon   = fs.Float64("epsilon", 0, "converge policy: ε, its one parameter — a cell stops only after ⌈3/ε⌉ executions with no new race key or outcome, so a key seen in ≥ ε of executions is kept with ≥ 95% probability (0 = default 0.02)")
@@ -76,8 +75,6 @@ func run(args []string, out *os.File) int {
 		fmt.Fprintf(out, "analyzers:  %s\n", strings.Join(analysis.Names(), " "))
 		return 0
 	}
-
-	opts := campaign.ToolOptions{FaithfulHandoff: *faithful}
 
 	recOn, err := obs.ParseTriggers(*recordOn)
 	if err != nil {
@@ -115,7 +112,7 @@ func run(args []string, out *os.File) int {
 		spec.Guides = guides
 	}
 	for _, name := range campaign.SplitList(*tools) {
-		ts, err := campaign.StandardTool(name, opts)
+		ts, err := campaign.StandardTool(name, campaign.ToolOptions{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "c11tester:", err)
 			return 1

@@ -26,7 +26,7 @@ func TestFlagsDocumented(t *testing.T) {
 		usage    string
 		minFlags int // the whole flag set, so a parse that finds fewer failed
 	}{
-		{"c11tester", usageOf(t), 23},
+		{"c11tester", usageOf(t), 22},
 		{"c11report", string(reportUsage), 4},
 	} {
 		// The flag package prints each flag as "  -name" or "  -name type".

@@ -8,6 +8,7 @@ import (
 
 	"c11tester/internal/campaign"
 	"c11tester/internal/obs"
+	"c11tester/internal/trace"
 )
 
 // recordOneTrace runs a tiny recording campaign and returns one trace file.
@@ -132,6 +133,42 @@ func TestRemovedToolFieldsRefused(t *testing.T) {
 		if code != 1 || !strings.Contains(string(msg), field) {
 			t.Errorf("replay on a trace with %s = exit %d, stderr %q; want exit 1 naming %q", line, code, msg, field)
 		}
+	}
+}
+
+// TestLegacyFaithfulTraceReplays pins that a trace recorded by an older
+// build with tsan11rec on kernel-thread handoff (tool field
+// faithful_handoff) still loads and replays with its schedule verified. The
+// handoff never changed an execution, so, unlike the fields of removed
+// flags above, the field is ignored rather than refused.
+func TestLegacyFaithfulTraceReplays(t *testing.T) {
+	const legacy = "../../internal/trace/testdata/legacy/trace_tsan11rec_MP+rlx_1.json"
+	data, err := os.ReadFile(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"faithful_handoff": true`) {
+		t.Fatal("fixture does not set faithful_handoff")
+	}
+	tr, err := trace.ReadFile(legacy)
+	if err != nil || tr.Tool.Name != "tsan11rec" {
+		t.Fatalf("ReadFile = %+v, %v; want the tsan11rec trace", tr, err)
+	}
+	stdout := filepath.Join(t.TempDir(), "stdout.txt")
+	f, err := os.Create(stdout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if code := run([]string{"replay", legacy}, f); code != 0 {
+		t.Fatalf("replay = exit %d, want 0", code)
+	}
+	got, err := os.ReadFile(stdout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(got), `replay OK: tsan11rec litmus "MP+rlx" seed 1`) {
+		t.Fatalf("replay printed %q, want a verified replay", got)
 	}
 }
 

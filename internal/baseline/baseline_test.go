@@ -32,7 +32,7 @@ func outcomes(t *testing.T, tool capi.Tool, n int, out *string, body func(capi.E
 }
 
 func tools() []capi.Tool {
-	return []capi.Tool{NewTsan11(), NewTsan11rec(false)}
+	return []capi.Tool{NewTsan11(), NewTsan11rec()}
 }
 
 // commitModel is the baselines' memory model with the given history bound
@@ -217,7 +217,7 @@ func TestBaselinesDetectPlainRaces(t *testing.T) {
 		func() capi.Tool {
 			return core.New("tsan11", commitModel(0, false, true), core.Config{Strategy: core.NewQuantumStrategy(3)})
 		},
-		func() capi.Tool { return NewTsan11rec(false) },
+		func() capi.Tool { return NewTsan11rec() },
 	} {
 		tool := mk()
 		prog := capi.Program{Name: "race", Run: func(env capi.Env) {

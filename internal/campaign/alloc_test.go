@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -11,9 +10,7 @@ import (
 	"c11tester/internal/capi"
 	"c11tester/internal/core"
 	"c11tester/internal/litmus"
-	"c11tester/internal/memmodel"
 	"c11tester/internal/obs"
-	"c11tester/internal/sched"
 )
 
 // TestZeroAllocSteadyState pins the fiber-pool tentpole target exactly: once
@@ -264,113 +261,4 @@ func TestUnitStartZeroAlloc(t *testing.T) {
 		}
 		wt.close()
 	}
-}
-
-// startShapes are programs whose threads start on something other than a
-// plain first operation: a first operation that blocks on a held mutex, one
-// that joins a thread that may not have started, and a thread spawned by a
-// thread other than main.
-var startShapes = []capi.Program{
-	{Name: "first-op-blocks", Run: func(env capi.Env) {
-		m := env.NewMutex("m")
-		d := env.NewLoc("d", 0)
-		env.Lock(m)
-		env.Spawn("w", func(env capi.Env) {
-			env.Lock(m)
-			env.Write(d, env.Read(d)+1)
-			env.Unlock(m)
-		})
-		env.Write(d, 1)
-		env.Unlock(m)
-	}},
-	{Name: "first-op-join", Run: func(env capi.Env) {
-		x := env.NewAtomic("x", 0)
-		a := env.Spawn("a", func(env capi.Env) { env.Store(x, 1, memmodel.Relaxed) })
-		b := env.Spawn("b", func(env capi.Env) {
-			env.Join(a)
-			env.Store(x, env.Load(x, memmodel.Relaxed)+1, memmodel.Release)
-		})
-		env.Load(x, memmodel.Acquire)
-		env.Join(b)
-	}},
-	{Name: "nested-spawn", Run: func(env capi.Env) {
-		x := env.NewAtomic("x", 0)
-		d := env.NewLoc("d", 0)
-		env.Join(env.Spawn("parent", func(env capi.Env) {
-			env.Write(d, 1)
-			c := env.Spawn("child", func(env capi.Env) {
-				env.Write(d, 2)
-				env.Store(x, 1, memmodel.Release)
-			})
-			env.Load(x, memmodel.Acquire)
-			env.Join(c)
-		}))
-		env.Read(d)
-	}},
-}
-
-// TestHandoffRegimeEquivalence pins the Figure 14 invariant that makes the
-// handoff regimes a pure performance comparison: scheduling decisions are
-// driven by the strategy alone, so outcomes are byte-identical across the
-// fiber and osthread handoffs. c11tester is built exactly as StandardTool
-// builds it, once per scheduler configuration; tsan11rec is checked across
-// -faithful-handoff, the one regime switch the CLIs expose. Besides the
-// paper's programs it runs startShapes.
-func TestHandoffRegimeEquivalence(t *testing.T) {
-	benches, err := SelectBenchmarks("ms-queue,seqlock")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lits, err := SelectLitmus("IRIW+acq,SB+rlx,MP+rlx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const seeds = 5
-	digestsFor := func(spec ToolSpec) []execDigest {
-		var out []execDigest
-		tool, eng, rec := newTracedTool(spec)
-		defer eng.Close()
-		for _, bench := range benches {
-			prog := bench.New()
-			for seed := int64(1); seed <= seeds; seed++ {
-				res := tool.Execute(prog, seed)
-				out = append(out, digestOf(t, eng, rec, res, bench.Name, false, "", seed))
-			}
-		}
-		for _, lit := range lits {
-			var outcome string
-			prog := lit.Make(&outcome)
-			for seed := int64(1); seed <= seeds; seed++ {
-				outcome = ""
-				res := tool.Execute(prog, seed)
-				out = append(out, digestOf(t, eng, rec, res, lit.Name, true, outcome, seed))
-			}
-		}
-		for _, prog := range startShapes {
-			for seed := int64(1); seed <= 4*seeds; seed++ {
-				res := tool.Execute(prog, seed)
-				out = append(out, digestOf(t, eng, rec, res, prog.Name, false, "", seed))
-			}
-		}
-		return out
-	}
-	same := func(label string, base, got []execDigest) {
-		t.Helper()
-		for i := range base {
-			if diff := digestEqual(base[i], got[i]); diff != "" {
-				t.Fatalf("%s: execution %d diverged from the default regime: %s", label, i, diff)
-			}
-		}
-	}
-
-	base := digestsFor(mustTool(t, "c11tester", ToolOptions{}))
-	for _, cfg := range []sched.Config{{}, {LockOSThread: true}} {
-		spec := ToolSpec{Name: "c11tester", New: func() capi.Tool {
-			return core.New("c11tester", core.NewC11Model(), core.Config{Sched: cfg, StoreBurst: true})
-		}}
-		same(fmt.Sprintf("c11tester %+v", cfg), base, digestsFor(spec))
-	}
-
-	base = digestsFor(mustTool(t, "tsan11rec", ToolOptions{}))
-	same("tsan11rec -faithful-handoff", base, digestsFor(mustTool(t, "tsan11rec", ToolOptions{FaithfulHandoff: true})))
 }

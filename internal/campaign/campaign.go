@@ -73,10 +73,6 @@ type ToolSpec struct {
 	// BaselineForbidden outcomes are forbidden in addition to Forbidden
 	// (the fragment gap of Section 1.1).
 	Baseline bool
-	// Config is the tool's configuration: the portable identity embedded in
-	// recorded traces (see internal/trace), from which ReproFlags renders
-	// the flags of every reproduction command. StandardTool fills it in.
-	Config trace.ToolConfig
 }
 
 // BenchmarkSpec is one program cell of the campaign matrix.
@@ -1370,7 +1366,7 @@ func (r *cellRunner) writeTrace(c obs.CaptureRecord) (file, reason string) {
 		return "", r.x.abort.Error()
 	}
 	meta := trace.Meta{
-		Tool: r.spec.Tools[r.j.tool].Config, Program: c.Program,
+		Tool: trace.ToolConfig{Name: c.Tool}, Program: c.Program,
 		Litmus: c.Litmus, Seed: c.Seed, Outcome: r.x.outcome,
 	}
 	var tr *trace.Trace
@@ -1408,7 +1404,7 @@ func (r *cellRunner) entry(trig obs.Trigger, d obs.ExecDigest) obs.CaptureRecord
 		Seed: seed, Index: d.Index, Trigger: trig.String(),
 		Steps: d.Steps, Choices: d.Choices,
 		Repro: harness.Repro{Tool: toolSpec.Name, Program: r.programName(),
-			Seed: seed, Litmus: r.test != nil, Flags: toolSpec.ReproFlags()}.Command(),
+			Seed: seed, Litmus: r.test != nil}.Command(),
 	}
 	if !d.Infeasible {
 		c.RaceKeys = slices.Clone(r.x.obs.RaceKeys)

@@ -535,44 +535,6 @@ func TestSummaryTables(t *testing.T) {
 	}
 }
 
-// TestReproFlagsCarryToolConfiguration pins that a non-default tool
-// configuration is embedded in every repro command the campaign emits, so
-// replaying reconstructs the same tool (same execution function of seed).
-func TestReproFlagsCarryToolConfiguration(t *testing.T) {
-	ts := mustTool(t, "tsan11rec", ToolOptions{FaithfulHandoff: true})
-	if want := "-faithful-handoff"; ts.ReproFlags() != want {
-		t.Fatalf("ReproFlags = %q, want %q", ts.ReproFlags(), want)
-	}
-	for _, name := range StandardToolNames() {
-		if ts := mustTool(t, name, ToolOptions{}); ts.ReproFlags() != "" {
-			t.Fatalf("%s: default config must emit no extra flags, got %q", name, ts.ReproFlags())
-		}
-	}
-	// Options a tool does not take leave its configuration, and so its
-	// flags, untouched.
-	for _, name := range []string{"c11tester", "tsan11"} {
-		if ts := mustTool(t, name, ToolOptions{FaithfulHandoff: true}); ts.ReproFlags() != "" {
-			t.Fatalf("%s ReproFlags = %q, want none", name, ts.ReproFlags())
-		}
-	}
-
-	sum := Run(Spec{
-		Tools:      []ToolSpec{ts},
-		Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
-		Runs:       5,
-	})
-	races := sum.Tools[0].Races
-	if len(races) == 0 {
-		t.Fatal("no races")
-	}
-	if races[0].Repro.Flags != ts.ReproFlags() {
-		t.Errorf("race repro flags = %q, want %q", races[0].Repro.Flags, ts.ReproFlags())
-	}
-	if !strings.Contains(races[0].Repro.Command(), "-faithful-handoff") {
-		t.Errorf("repro command misses tool config: %q", races[0].Repro.Command())
-	}
-}
-
 func TestSpecValidate(t *testing.T) {
 	tool := ToolSpec{Name: "t", New: func() capi.Tool { return fixedTool{"t"} }}
 	bench := BenchmarkSpec{Name: "b"}

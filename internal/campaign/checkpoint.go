@@ -30,7 +30,6 @@ import (
 
 	"c11tester/internal/explore"
 	"c11tester/internal/safeio"
-	"c11tester/internal/trace"
 )
 
 // ShardSel selects shard Index of Count for a sharded campaign run. The zero
@@ -70,9 +69,8 @@ func ParseShard(s string) (ShardSel, error) {
 func SpecDigest(spec Spec) string {
 	spec = spec.withDefaults()
 	type digestTool struct {
-		Name     string           `json:"name"`
-		Baseline bool             `json:"baseline"`
-		Config   trace.ToolConfig `json:"config"`
+		Name     string `json:"name"`
+		Baseline bool   `json:"baseline"`
 	}
 	d := struct {
 		Tools       []digestTool `json:"tools"`
@@ -97,7 +95,7 @@ func SpecDigest(spec Spec) string {
 		RecordOn: spec.RecordOn.String(),
 	}
 	for _, t := range spec.Tools {
-		d.Tools = append(d.Tools, digestTool{Name: t.Name, Baseline: t.Baseline, Config: t.Config})
+		d.Tools = append(d.Tools, digestTool{Name: t.Name, Baseline: t.Baseline})
 	}
 	for _, b := range spec.Benchmarks {
 		d.Benchmarks = append(d.Benchmarks, b.Name)

@@ -13,7 +13,7 @@ import (
 // in the benchmark or litmus registry. cmd/c11trace and the replay tests use
 // it to close the record → replay loop from a serialized trace alone.
 func TraceSubject(tr *trace.Trace) (trace.Subject, error) {
-	spec, err := StandardToolFromConfig(tr.Tool)
+	spec, err := StandardTool(tr.Tool.Name, ToolOptions{})
 	if err != nil {
 		return trace.Subject{}, err
 	}

@@ -422,10 +422,9 @@ func aggregate(spec Spec, cells []cellFold, budgets map[cellKey]*BudgetSummary) 
 	nb, nl := len(info.Benchmarks), len(info.Litmus)
 	sum := &Summary{Schema: SchemaName, SchemaVersion: SchemaVersion, Spec: info}
 	for t, tool := range info.Tools {
-		flags := spec.Tools[t].ReproFlags()
 		repro := func(program string, inLitmus bool, run int) harness.Repro {
 			return harness.Repro{Tool: tool, Program: program,
-				Seed: info.SeedBase + int64(run), Litmus: inLitmus, Flags: flags}
+				Seed: info.SeedBase + int64(run), Litmus: inLitmus}
 		}
 		ts := ToolSummary{Tool: tool, Races: []harness.RaceSummary{}}
 		var val ValidationSummary
@@ -468,7 +467,7 @@ func aggregate(spec Spec, cells []cellFold, budgets map[cellKey]*BudgetSummary) 
 			for _, id := range sortedFindingIDs(f.Findings) {
 				hit := f.Findings[id]
 				r := repro(program, inLitmus, hit.Run)
-				r.Flags = strings.TrimSpace(r.Flags + " -analyzers " + id.analyzer)
+				r.Flags = "-analyzers " + id.analyzer
 				toolFindings = append(toolFindings, toolFinding{
 					summary: FindingSummary{Analyzer: id.analyzer, Key: id.key,
 						Description: hit.Desc(), Program: program, Litmus: inLitmus,

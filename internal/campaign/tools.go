@@ -12,7 +12,6 @@ import (
 	"c11tester/internal/harness"
 	"c11tester/internal/litmus"
 	"c11tester/internal/structures"
-	"c11tester/internal/trace"
 )
 
 // SplitList parses a comma-separated flag value, trimming whitespace and
@@ -27,28 +26,10 @@ func SplitList(s string) []string {
 	return names
 }
 
-// ToolOptions configures the standard tool set. The zero value is the
-// paper's default configuration for every tool.
-type ToolOptions struct {
-	// FaithfulHandoff runs tsan11rec on kernel-thread condition-variable
-	// handoff (the Figure 14 regime) instead of the cheap fiber handoff.
-	FaithfulHandoff bool
-}
-
-// ReproFlags renders the non-default cmd/c11tester flags that rebuild the
-// tool's configuration, for embedding in reproduction commands (see
-// harness.Repro.Flags).
-func (t ToolSpec) ReproFlags() string {
-	if t.Config.FaithfulHandoff {
-		return "-faithful-handoff"
-	}
-	return ""
-}
-
-// StandardToolFromConfig rebuilds the tool a trace was recorded under.
-func StandardToolFromConfig(tc trace.ToolConfig) (ToolSpec, error) {
-	return StandardTool(tc.Name, ToolOptions{FaithfulHandoff: tc.FaithfulHandoff})
-}
+// ToolOptions configures the standard tool set. Every tool runs in the
+// paper's default configuration, so it has no fields; StandardTool keeps
+// the parameter for its callers.
+type ToolOptions struct{}
 
 // ParsePolicy parses a -policy flag value into a budget policy: nil for
 // uniform, the converge policy otherwise. epsilon parameterizes the converge
@@ -152,19 +133,19 @@ func StandardToolNames() []string {
 }
 
 // StandardTool builds the ToolSpec for one of the paper's three tools.
-func StandardTool(name string, opts ToolOptions) (ToolSpec, error) {
+func StandardTool(name string, _ ToolOptions) (ToolSpec, error) {
 	switch name {
 	case "c11tester":
-		return ToolSpec{Name: name, Config: trace.ToolConfig{Name: name}, New: func() capi.Tool {
+		return ToolSpec{Name: name, New: func() capi.Tool {
 			return core.New(name, core.NewC11Model(), core.Config{StoreBurst: true})
 		}}, nil
 	case "tsan11":
-		return ToolSpec{Name: name, Baseline: true, Config: trace.ToolConfig{Name: name}, New: func() capi.Tool {
+		return ToolSpec{Name: name, Baseline: true, New: func() capi.Tool {
 			return baseline.NewTsan11()
 		}}, nil
 	case "tsan11rec":
-		return ToolSpec{Name: name, Baseline: true, Config: trace.ToolConfig{Name: name, FaithfulHandoff: opts.FaithfulHandoff}, New: func() capi.Tool {
-			return baseline.NewTsan11rec(opts.FaithfulHandoff)
+		return ToolSpec{Name: name, Baseline: true, New: func() capi.Tool {
+			return baseline.NewTsan11rec()
 		}}, nil
 	}
 	return ToolSpec{}, fmt.Errorf("unknown tool %q (want one of %v)", name, StandardToolNames())

@@ -23,8 +23,6 @@ import (
 
 // Config configures an engine.
 type Config struct {
-	// Sched selects the handoff regime (see internal/sched).
-	Sched sched.Config
 	// Strategy plugs in the exploration strategy (Section 3's pluggable
 	// framework). Nil means the default random strategy.
 	Strategy Strategy
@@ -379,10 +377,12 @@ type ExecStats struct {
 	// Resumes is the number of tool-side thread resumes (sched.Resumes):
 	// resumes of a granted thread that had parked, each thread's start on its
 	// first pick, and abort unwinds of started threads. Spawning costs none:
-	// a thread's start is the resume that runs its first operation. In the
-	// fiber regime a step that grants the thread running it costs no resume,
-	// so Resumes falls below Steps; in the osthread regime every granted
-	// operation costs one.
+	// a thread's start is the resume that runs its first operation. A step
+	// that grants the thread running it costs no resume, so Resumes falls
+	// below Steps. A driver that took every step itself, as kernel-thread
+	// sequencing does, would resume once per granted operation — Steps less
+	// the dispatches that blocked — and once per thread start and abort
+	// unwind; README's Figure 14 prices that count.
 	Resumes uint64
 	// HandoffWaitNS is the total time the tool spent waiting for program
 	// threads during scheduler handoffs, excluding the tool steps a thread
@@ -484,7 +484,7 @@ func (e *Engine) Execute(p capi.Program, seed int64) (res *capi.Result) {
 // next execution never observing recycled state from the previous one.
 func (e *Engine) resetExecState(seed int64) {
 	if e.sch == nil {
-		e.sch = sched.New(e.cfg.Sched)
+		e.sch = sched.New()
 		e.sch.SetMeasureWait(e.measureWait)
 		e.sch.SetStep(e.step)
 	} else {
@@ -595,11 +595,11 @@ func (e *Engine) spawnThread(name string, fn func(capi.Env), parent *ThreadState
 
 // loop drives an execution: it resumes the thread the last step chose — the
 // thread it granted, or an unstarted one it picked — and takes the next step,
-// until a step ends the execution. In the fiber regime the resumed thread
-// takes the steps itself while they grant it (see sched.Thread.Call) and
-// hands back the choice of the first step that does not; in the osthread
-// regime every step runs here. Deadlock and truncation abort here too: a
-// fiber cannot resume itself to unwind.
+// until a step ends the execution. The resumed thread takes the steps itself
+// while they grant it (see sched.Thread.Call) and hands back the choice of
+// the first step that does not; only the step after a thread finishes (or
+// every step, when no inline step is installed) runs here. Deadlock and
+// truncation abort here too: a fiber cannot resume itself to unwind.
 func (e *Engine) loop() {
 	next := e.step()
 	for next != nil {
@@ -629,9 +629,9 @@ func (e *Engine) loop() {
 // A picked thread that has not started has no operation to execute yet.
 // The step records it (start) and returns it for the driver to resume; the
 // thread runs to its first operation, and the step taken there — inline on
-// its fiber, or by the driver in the osthread regime — dispatches that
-// operation without picking again. The strategy thus sees the same ready
-// set at the same points as if the thread had started at its spawn.
+// its fiber, or by the driver when no inline step is installed — dispatches
+// that operation without picking again. The strategy thus sees the same
+// ready set at the same points as if the thread had started at its spawn.
 func (e *Engine) step() *sched.Thread {
 	if e.checkDue {
 		e.checkDue = false

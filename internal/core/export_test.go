@@ -3,7 +3,22 @@ package core
 import (
 	"slices"
 	"testing"
+
+	"c11tester/internal/sched"
 )
+
+// DriverStepped makes the driver take every step of e's executions, until e
+// is closed, and returns e: it gives e a scheduler with no inline step, so
+// every program thread parks on every operation. That is the schedule
+// tsan11rec's kernel-thread sequencing runs, and the reference the inline
+// steps are checked against; it resumes once per granted operation and once
+// per thread start.
+func DriverStepped(e *Engine) *Engine {
+	e.Close()
+	e.sch = sched.New()
+	e.sch.SetMeasureWait(e.measureWait)
+	return e
+}
 
 // CheckReadyLists makes every pick that hands the strategy the kept ready
 // list compare it with a fresh rebuild, until the returned function restores

@@ -7,18 +7,34 @@ import (
 	"testing"
 
 	"c11tester/internal/capi"
+	"c11tester/internal/litmus"
 	"c11tester/internal/memmodel"
 	"c11tester/internal/sched"
 	"c11tester/internal/structures"
 )
 
-// regimeConfigs are the two handoff regimes of the paper's Figure 14.
-var regimeConfigs = []struct {
-	name string
-	cfg  sched.Config
-}{
-	{"fiber", sched.Config{}},
-	{"osthread", sched.Config{LockOSThread: true}},
+// regime is one way an engine's steps are taken.
+type regime struct {
+	name   string
+	driver bool
+}
+
+// regimeConfigs are inline, where the program thread that reached an
+// operation takes the step on its own fiber (the engine's way), and
+// driver-stepped, where every thread parks on every operation and the driver
+// takes each step (see DriverStepped) — the schedule tsan11rec's
+// kernel-thread sequencing runs, kept as the reference for the inline steps.
+var regimeConfigs = []regime{{"inline", false}, {"driver-stepped", true}}
+
+// engine builds a c11tester engine for cfg that takes its steps in regime r.
+func (r regime) engine(cfg Config) *Engine { return r.apply(newTool(cfg)) }
+
+// apply makes e take its steps in regime r.
+func (r regime) apply(e *Engine) *Engine {
+	if r.driver {
+		DriverStepped(e)
+	}
+	return e
 }
 
 // loadsProg is a single-thread program of k relaxed loads after the
@@ -42,22 +58,22 @@ func mustBench(t *testing.T, name string) capi.Program {
 	return b.New()
 }
 
-// TestInlineContinuationResumes pins ExecStats.Resumes in both regimes. In the
-// fiber regime a single thread costs one resume, its start, however many
+// TestInlineContinuationResumes pins ExecStats.Resumes in both regimes.
+// Inline, a single thread costs one resume, its start, however many
 // operations it issues: the step its first operation takes on its own fiber
-// dispatches that operation, and every later step grants it inline. In the
-// osthread regime the started thread parks on its first operation, and every
+// dispatches that operation, and every later step grants it inline.
+// Driver-stepped, the started thread parks on its first operation, and every
 // granted operation costs a resume, so there the start adds one. On the
-// paper's structures the fiber regime resumes fewer times than it steps,
-// while the steps and results match the osthread regime's.
+// paper's structures the inline regime resumes fewer times than it steps,
+// while the steps and results match the driver-stepped regime's.
 func TestInlineContinuationResumes(t *testing.T) {
 	for _, k := range []int{1, 8, 64} {
 		for _, r := range regimeConfigs {
-			eng := newTool(Config{Sched: r.cfg})
+			eng := r.engine(Config{})
 			st := eng.Execute(loadsProg(k), 1)
 			stats := eng.ExecStats()
 			want := uint64(1)
-			if r.cfg.LockOSThread {
+			if r.driver {
 				want = uint64(k + 2)
 			}
 			if stats.Steps != uint64(k+1) || stats.Resumes != want {
@@ -71,23 +87,23 @@ func TestInlineContinuationResumes(t *testing.T) {
 		}
 	}
 
-	fiber := newTool(Config{})
-	osthread := newTool(Config{Sched: sched.Config{LockOSThread: true}})
-	defer fiber.Close()
-	defer osthread.Close()
+	inline := newTool(Config{})
+	driver := DriverStepped(newTool(Config{}))
+	defer inline.Close()
+	defer driver.Close()
 	for _, name := range []string{"ms-queue", "seqlock"} {
 		prog := mustBench(t, name)
 		for seed := int64(1); seed <= 20; seed++ {
-			got := poolDigestOf(fiber, fiber.Execute(prog, seed))
-			fs := fiber.ExecStats()
-			want := poolDigestOf(osthread, osthread.Execute(prog, seed))
-			os := osthread.ExecStats()
-			if !reflect.DeepEqual(got, want) || fs.Steps != os.Steps || fs.Choices != os.Choices {
-				t.Fatalf("%s seed %d: fiber %+v (steps %d, choices %d) != osthread %+v (steps %d, choices %d)",
-					name, seed, got, fs.Steps, fs.Choices, want, os.Steps, os.Choices)
+			got := poolDigestOf(inline, inline.Execute(prog, seed))
+			is := inline.ExecStats()
+			want := poolDigestOf(driver, driver.Execute(prog, seed))
+			ds := driver.ExecStats()
+			if !reflect.DeepEqual(got, want) || is.Steps != ds.Steps || is.Choices != ds.Choices {
+				t.Fatalf("%s seed %d: inline %+v (steps %d, choices %d) != driver-stepped %+v (steps %d, choices %d)",
+					name, seed, got, is.Steps, is.Choices, want, ds.Steps, ds.Choices)
 			}
-			if fs.Resumes >= fs.Steps {
-				t.Errorf("%s seed %d: fiber resumes %d, not below its %d steps", name, seed, fs.Resumes, fs.Steps)
+			if is.Resumes >= is.Steps {
+				t.Errorf("%s seed %d: inline resumes %d, not below its %d steps", name, seed, is.Resumes, is.Steps)
 			}
 		}
 	}
@@ -233,4 +249,81 @@ func TestInlineStepFailurePaths(t *testing.T) {
 			t.Fatalf("deadlock did not keep the pool warm: %d spawns, %d live", eng.WorkerSpawns(), eng.Workers())
 		}
 	})
+}
+
+// blockCounter wraps a strategy and counts the dispatches that blocked. A
+// thread blocks only on its own dispatch, and at most one dispatch runs
+// between two strategy picks (a store burst's dispatches never block), so a
+// thread that is blocked and not woken at a pick, but was not at the one
+// before, blocked in between. A dispatch that blocks the last runnable thread
+// is seen by no pick; it ends the execution in a deadlock.
+type blockCounter struct {
+	Strategy
+	eng     *Engine
+	was     []bool
+	blocked uint64
+}
+
+func (c *blockCounter) Seed(seed int64) {
+	c.was, c.blocked = c.was[:0], 0
+	c.Strategy.Seed(seed)
+}
+
+func (c *blockCounter) PickThread(ready []*ThreadState) *ThreadState {
+	for i, ts := range c.eng.threads {
+		if i == len(c.was) {
+			c.was = append(c.was, false)
+		}
+		now := ts.thr.State() == sched.Blocked && !ts.woken
+		if now && !c.was[i] {
+			c.blocked++
+		}
+		c.was[i] = now
+	}
+	return c.Strategy.PickThread(ready)
+}
+
+// TestDriverSteppedResumeCount pins the count README's Figure 14 prices:
+// driver-stepped, an execution in which every thread finishes costs one
+// resume per granted operation and one per thread start, so
+//
+//	Resumes = Steps − blocked dispatches + threads
+//
+// A dispatch that blocks is a step that grants nothing; the thread is
+// re-dispatched, one step more, once it is woken. It runs the 22 programs
+// of the paper matrix, and requires some executions to block so that the
+// blocked term is exercised.
+func TestDriverSteppedResumeCount(t *testing.T) {
+	var out string
+	var progs []capi.Program
+	for _, b := range structures.All() {
+		progs = append(progs, b.New())
+	}
+	for _, lt := range litmus.Tests() {
+		progs = append(progs, lt.Make(&out))
+	}
+	eng := DriverStepped(newTool(Config{}))
+	defer eng.Close()
+	bc := &blockCounter{Strategy: eng.Strategy(), eng: eng}
+	eng.SetStrategy(bc)
+	blocked := 0
+	for _, p := range progs {
+		for seed := int64(1); seed <= 30; seed++ {
+			res := eng.Execute(p, seed)
+			st := eng.ExecStats()
+			if res.Deadlocked || res.Truncated {
+				t.Fatalf("%s seed %d: deadlocked %v, truncated %v", p.Name, seed, res.Deadlocked, res.Truncated)
+			}
+			if want := st.Steps - bc.blocked + uint64(len(eng.threads)); st.Resumes != want {
+				t.Fatalf("%s seed %d: %d resumes; want %d steps − %d blocked + %d threads = %d",
+					p.Name, seed, st.Resumes, st.Steps, bc.blocked, len(eng.threads), want)
+			}
+			if bc.blocked > 0 {
+				blocked++
+			}
+		}
+	}
+	if blocked == 0 {
+		t.Fatal("no execution blocked a dispatch; the blocked term is not covered")
+	}
 }

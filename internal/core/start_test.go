@@ -16,7 +16,7 @@ import (
 // Engine.step). These tests cover the shapes where a thread's start meets
 // something other than a plain first operation.
 
-// regimeRun executes prog on a fresh engine per handoff regime for seeds
+// regimeRun executes prog on a fresh engine per regime for seeds
 // [1, seeds], checks each execution with check, and requires the two regimes
 // to agree execution by execution on the outcome, the steps and the choices.
 func regimeRun(t *testing.T, prog capi.Program, seeds int64, check func(seed int64, res *capi.Result, st ExecStats)) {
@@ -27,7 +27,7 @@ func regimeRun(t *testing.T, prog capi.Program, seeds int64, check func(seed int
 	}
 	var runs [2][]outcome
 	for i, r := range regimeConfigs {
-		eng := newTool(Config{Sched: r.cfg})
+		eng := r.engine(Config{})
 		for seed := int64(1); seed <= seeds; seed++ {
 			res := eng.Execute(prog, seed)
 			st := eng.ExecStats()
@@ -43,7 +43,7 @@ func regimeRun(t *testing.T, prog capi.Program, seeds int64, check func(seed int
 		eng.Close()
 	}
 	if !reflect.DeepEqual(runs[0], runs[1]) {
-		t.Fatalf("%s: the fiber and osthread regimes diverged:\n%+v\n%+v", prog.Name, runs[0], runs[1])
+		t.Fatalf("%s: the inline and driver-stepped regimes diverged:\n%+v\n%+v", prog.Name, runs[0], runs[1])
 	}
 }
 
@@ -106,7 +106,7 @@ func TestPanicBeforeFirstOp(t *testing.T) {
 	}}
 	const execs = 6
 	for _, r := range regimeConfigs {
-		eng := newTool(Config{Sched: r.cfg})
+		eng := r.engine(Config{})
 		for seed := int64(1); seed <= execs; seed++ {
 			res := eng.Execute(bomb, seed)
 			if res.Deadlocked || res.EngineError != nil || len(res.AssertFailures) != 1 ||
@@ -121,7 +121,7 @@ func TestPanicBeforeFirstOp(t *testing.T) {
 			t.Fatalf("%s: %d worker spawns, %d live; want %d, 1", r.name, eng.WorkerSpawns(), eng.Workers(), execs+1)
 		}
 		want := poolDigestOf(eng, eng.Execute(cleanCrossProg, 99))
-		fresh := newTool(Config{Sched: r.cfg})
+		fresh := r.engine(Config{})
 		if got := poolDigestOf(fresh, fresh.Execute(cleanCrossProg, 99)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: after the panics %+v != fresh %+v", r.name, want, got)
 		}
@@ -249,11 +249,11 @@ func TestNeverStartedThreadsPooledEqualsFresh(t *testing.T) {
 			new  func() (*Engine, func())
 		}{
 			{"truncation", func() (*Engine, func()) {
-				return newTool(Config{Sched: r.cfg, MaxSteps: 6}), func() {}
+				return r.engine(Config{MaxSteps: 6}), func() {}
 			}},
 			{"infeasible", func() (*Engine, func()) {
 				fm := &faultyModel{C11Model: NewC11Model(), failLoad: 2}
-				return New("c11tester", fm, Config{Sched: r.cfg, StoreBurst: true}), func() { fm.loads = 0 }
+				return r.apply(New("c11tester", fm, Config{StoreBurst: true})), func() { fm.loads = 0 }
 			}},
 		}
 		for _, c := range cases {
@@ -299,12 +299,13 @@ func (firstReady) PickIndex(int) int                            { return 0 }
 
 // TestStartCostsNoExtraResume pins resumes on a 3-thread MP program under
 // a fixed schedule. Main runs until its first join blocks, a runs to its
-// end, main joins it and blocks on b, b runs to its end, main finishes. In
-// the fiber regime that is 5 resumes: main's start, a's start, main, b's
-// start, main. A spawn that ran the new thread to its first operation would
-// add one per thread, 8 in all. In the osthread regime every granted
-// operation costs a resume (10) and every start one (3): 13, the same as
-// such a spawn, since there a started thread parks on its first operation.
+// end, main joins it and blocks on b, b runs to its end, main finishes.
+// Inline that is 5 resumes: main's start, a's start, main, b's start, main.
+// A spawn that ran the new thread to its first operation would add one per
+// thread, 8 in all. Driver-stepped, every granted operation costs a resume
+// (10: 12 steps less the 2 joins that blocked) and every start one (3): 13,
+// the same as such a spawn, since there a started thread parks on its first
+// operation.
 func TestStartCostsNoExtraResume(t *testing.T) {
 	prog := capi.Program{Name: "mp3", Run: func(env capi.Env) {
 		x := env.NewAtomic("x", 0)
@@ -321,11 +322,11 @@ func TestStartCostsNoExtraResume(t *testing.T) {
 		env.Join(b)
 	}}
 	for _, r := range regimeConfigs {
-		eng := newTool(Config{Sched: r.cfg, Strategy: firstReady{}})
+		eng := r.engine(Config{Strategy: firstReady{}})
 		res := eng.Execute(prog, 1)
 		st := eng.ExecStats()
 		want := uint64(5)
-		if r.cfg.LockOSThread {
+		if r.driver {
 			want = 13
 		}
 		if res.Deadlocked || len(res.AssertFailures) != 0 || st.Resumes != want {

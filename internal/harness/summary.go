@@ -17,9 +17,10 @@ type Repro struct {
 	// Litmus marks Program as a litmus-test name rather than a benchmark
 	// name, which changes the flag it is replayed through.
 	Litmus bool `json:"litmus,omitempty"`
-	// Flags are the non-default tool-configuration flags (-faithful-handoff)
-	// the tool ran with. Without them the replay would derive a different
-	// execution from the same seed.
+	// Flags are extra cmd/c11tester flags the replay needs besides the
+	// program selection: a finding's repro carries -analyzers with the
+	// analyzer that reported it. Every tool runs in its one configuration,
+	// so no flag changes the execution a seed derives.
 	Flags string `json:"flags,omitempty"`
 }
 

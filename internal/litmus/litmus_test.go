@@ -66,7 +66,7 @@ func TestC11TesterCompleteness(t *testing.T) {
 func TestBaselineSoundness(t *testing.T) {
 	mk := []func() capi.Tool{
 		func() capi.Tool { return baseline.NewTsan11() },
-		func() capi.Tool { return baseline.NewTsan11rec(false) },
+		func() capi.Tool { return baseline.NewTsan11rec() },
 	}
 	for _, makeTool := range mk {
 		tool := makeTool()

@@ -7,15 +7,14 @@
 // The tool (engine) therefore has full control of the interleaving, exactly
 // like C11Tester's fiber scheduler.
 //
-// The tool's driver resumes the thread its last step chose (Resume). In the
-// fiber regime the running thread then takes the tool's steps itself, on its
-// own coroutine (Thread.Call runs the step the tool installed with SetStep):
-// while a step grants the thread that took it, the thread goes straight back
-// to program code with no switch at all, and it parks only when a step
-// chooses another thread, handing that choice to the driver. In the osthread
-// regime every thread parks on every operation and the driver takes each
-// step. Either way one step function decides, so both regimes run the same
-// interleavings.
+// The tool's driver resumes the thread its last step chose (Resume). The
+// running thread then takes the tool's steps itself, on its own coroutine
+// (Thread.Call runs the step the tool installed with SetStep): while a step
+// grants the thread that took it, the thread goes straight back to program
+// code with no switch at all, and it parks only when a step chooses another
+// thread, handing that choice to the driver. With no step installed every
+// thread parks on every operation and the driver takes each step; one step
+// function decides either way, so both run the same interleavings.
 //
 // A new thread is bound but not run. NewThread makes it schedulable at once —
 // Ready, with no pending operation (Unstarted) — and it first runs when the
@@ -32,24 +31,18 @@
 // workers live as long as the scheduler: a tool keeps them warm across every
 // execution it runs, and Shutdown ends them when the tool is closed.
 //
-// The handoff is one of the two regimes the paper's Figure 14 compares:
-//
-//   - fiber (the default): each worker is a coroutine (iter.Pull) that runs
-//     the tool's steps itself, and a handoff is a direct coroutine switch
-//     between the driver and a thread that never passes through the Go run
-//     queue — the analogue of C11Tester's swapcontext fibers. A step that
-//     picks the running thread costs no handoff at all;
-//   - osthread: each worker is a goroutine pinned to its own kernel thread
-//     (LockOSThread) and handoffs go through condition variables, so every
-//     handoff is a real OS context switch — the regime tsan11rec operates
-//     in. Coroutines always run on their resumer's kernel thread, so this
-//     regime cannot be built from them.
+// Each worker is a coroutine (iter.Pull), and a handoff is a direct
+// coroutine switch between the driver and a thread that never passes through
+// the Go run queue — the analogue of C11Tester's swapcontext fibers. A step
+// that picks the running thread costs no handoff at all. The paper's Figure
+// 14 compares this with tsan11rec's kernel-thread sequencing, where every
+// handoff is an OS context switch; outcomes do not depend on the handoff, so
+// that comparison is a price per handoff, which BenchmarkHandoff measures for
+// both mechanisms.
 package sched
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"c11tester/internal/capi"
@@ -91,15 +84,6 @@ func (s State) String() string {
 // scheduler aborts the execution (step-limit hit or deadlock).
 type abortSignal struct{}
 
-// Config selects the handoff regime; the zero value is the fiber regime.
-type Config struct {
-	// LockOSThread selects the osthread regime: every program thread runs on
-	// a goroutine pinned to its own kernel thread, with condition-variable
-	// handoffs, so each handoff costs a real OS context switch (the
-	// kernel-thread regime of tsan11rec).
-	LockOSThread bool
-}
-
 // Thread is one managed thread of the program under test. The handle owns a
 // persistent worker that serves one thread binding per execution and parks
 // between executions.
@@ -121,13 +105,10 @@ type Thread struct {
 	// handoff; NewThread starts a replacement for a handle that is not live.
 	live bool
 
-	// Fiber regime: next resumes the worker coroutine (tool side), yield
-	// suspends it (thread side).
+	// next resumes the worker coroutine (tool side), yield suspends it
+	// (thread side).
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
-	// osthread regime: the worker waits on cond (over Scheduler.mu) until the
-	// scheduler hands it the turn.
-	cond *sync.Cond
 
 	// PanicValue records a non-abort panic that escaped the thread's
 	// function, so the tool can surface it instead of crashing the host.
@@ -150,11 +131,11 @@ func (t *Thread) Unstarted() bool { return t.state == Ready && t.pending == nil 
 // must be called from t's own worker. If the execution is aborting, Call
 // unwinds the thread instead of returning.
 //
-// In the fiber regime Call runs the tool's step on t's own coroutine; for a
-// thread's first Call that is the step that dispatches the operation the
-// thread was picked for. If the step granted t, Call returns without a
-// switch; otherwise t parks and the driver resumes the thread the step
-// chose. In the osthread regime t always parks and the driver steps.
+// Call runs the tool's step on t's own coroutine; for a thread's first Call
+// that is the step that dispatches the operation the thread was picked for.
+// If the step granted t, Call returns without a switch; otherwise t parks and
+// the driver resumes the thread the step chose. With no step installed t
+// always parks and the driver steps.
 func (t *Thread) Call(op *capi.Op) {
 	s := t.sched
 	if s.aborting {
@@ -232,41 +213,7 @@ func (t *Thread) runOnce() (retire bool) {
 }
 
 // park hands the turn back to the driver and returns when it resumes t.
-func (t *Thread) park() {
-	if !t.sched.cfg.LockOSThread {
-		t.yield(struct{}{})
-		return
-	}
-	t.handBack()
-	t.await()
-}
-
-// osWorker is the body of an osthread-regime worker goroutine.
-func (t *Thread) osWorker() {
-	runtime.LockOSThread()
-	t.await()
-	t.serve()
-	t.handBack()
-}
-
-// await blocks an osthread worker until the scheduler hands it the turn.
-func (t *Thread) await() {
-	s := t.sched
-	s.mu.Lock()
-	for s.running != t {
-		t.cond.Wait()
-	}
-	s.mu.Unlock()
-}
-
-// handBack returns the turn from an osthread worker to the tool.
-func (t *Thread) handBack() {
-	s := t.sched
-	s.mu.Lock()
-	s.running = nil
-	s.toolCond.Signal()
-	s.mu.Unlock()
-}
+func (t *Thread) park() { t.yield(struct{}{}) }
 
 // Scheduler sequences the threads of one execution. One Scheduler instance
 // serves many executions in sequence: its pool keeps one parked worker per
@@ -274,7 +221,6 @@ func (t *Thread) handBack() {
 // execution's threads, so steady-state executions start no goroutines and
 // allocate nothing.
 type Scheduler struct {
-	cfg      Config
 	threads  []*Thread
 	aborting bool
 
@@ -288,12 +234,12 @@ type Scheduler struct {
 	// invariant the pool tests pin.
 	spawns int
 
-	// step is the tool's engine step that Call runs inline (fiber regime
-	// only, see SetStep). Only the driver's Resume runs a thread (Abort and
-	// Shutdown run one only to unwind or end it), so every Call that reaches
-	// the step is inside a Resume. An inline step that chose another thread
-	// leaves its choice (nil: the execution is over) in chosen with stepped
-	// set, or the panic it raised in stepPanic, for Resume to return.
+	// step is the tool's engine step that Call runs inline (see SetStep).
+	// Only the driver's Resume runs a thread (Abort and Shutdown run one
+	// only to unwind or end it), so every Call that reaches the step is
+	// inside a Resume. An inline step that chose another thread leaves its
+	// choice (nil: the execution is over) in chosen with stepped set, or the
+	// panic it raised in stepPanic, for Resume to return.
 	step      func() *Thread
 	stepped   bool
 	chosen    *Thread
@@ -313,24 +259,11 @@ type Scheduler struct {
 	// stays inside the zero-alloc steady state.
 	measureWait bool
 	waitNS      int64
-
-	// osthread regime: running is the thread holding the turn (nil while the
-	// tool holds it); the tool waits on toolCond for the turn to come back.
-	mu       sync.Mutex
-	toolCond sync.Cond
-	running  *Thread
 }
 
 // New returns a scheduler. The same instance is reused across executions via
 // Reset; call Shutdown when discarding it so the pooled workers exit.
-func New(cfg Config) *Scheduler {
-	s := &Scheduler{cfg: cfg}
-	s.toolCond.L = &s.mu
-	return s
-}
-
-// Config returns the scheduler's configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
+func New() *Scheduler { return &Scheduler{} }
 
 // Reset prepares the scheduler for a new execution. It must only be called
 // after the previous execution fully ended (all threads Finished, via normal
@@ -343,15 +276,11 @@ func (s *Scheduler) Reset() {
 	s.resumes = 0
 }
 
-// SetStep installs the tool's engine step, which a fiber-regime thread runs
-// inline on its own coroutine from Call: the step picks a thread, executes
-// its operation and returns the granted thread (nil when the execution is
-// over). The osthread regime ignores it; its driver takes every step.
-func (s *Scheduler) SetStep(step func() *Thread) {
-	if !s.cfg.LockOSThread {
-		s.step = step
-	}
-}
+// SetStep installs the tool's engine step, which a thread runs inline on its
+// own coroutine from Call: the step picks a thread, executes its operation
+// and returns the granted thread (nil when the execution is over). With no
+// step (nil) the driver takes every step.
+func (s *Scheduler) SetStep(step func() *Thread) { s.step = step }
 
 // SetMeasureWait toggles handoff-wait timing for subsequent executions.
 func (s *Scheduler) SetMeasureWait(on bool) { s.measureWait = on }
@@ -421,11 +350,7 @@ func (s *Scheduler) Spawns() int { return s.spawns }
 func (s *Scheduler) NewThread(name string, body func(*Thread)) *Thread {
 	idx := len(s.threads)
 	if idx == len(s.pool) {
-		t := &Thread{sched: s}
-		if s.cfg.LockOSThread {
-			t.cond = sync.NewCond(&s.mu)
-		}
-		s.pool = append(s.pool, t)
+		s.pool = append(s.pool, &Thread{sched: s})
 	}
 	t := s.pool[idx]
 	t.ID = memmodel.TID(idx)
@@ -438,11 +363,7 @@ func (s *Scheduler) NewThread(name string, body func(*Thread)) *Thread {
 	if !t.live {
 		s.spawns++
 		t.live = true
-		if s.cfg.LockOSThread {
-			go t.osWorker()
-		} else {
-			t.startFiber()
-		}
+		t.startFiber()
 	}
 	return t
 }
@@ -455,17 +376,7 @@ func (s *Scheduler) resume(t *Thread) {
 	if s.measureWait {
 		t0 = time.Now()
 	}
-	if s.cfg.LockOSThread {
-		s.mu.Lock()
-		s.running = t
-		t.cond.Signal()
-		for s.running != nil {
-			s.toolCond.Wait()
-		}
-		s.mu.Unlock()
-	} else {
-		t.next()
-	}
+	t.next()
 	if s.measureWait {
 		s.waitNS += int64(time.Since(t0))
 	}
@@ -497,8 +408,8 @@ func (s *Scheduler) Grant(t *Thread) {
 
 // Resume is the driver's handoff: it runs t — a granted thread, or an
 // unstarted one, which starts here — until the turn comes back: t parked on
-// its next operation, finished, or (fiber regime) took inline steps until one
-// chose another thread. In that last case stepped is true and next is that
+// its next operation, finished, or took inline steps until one chose another
+// thread. In that last case stepped is true and next is that
 // step's choice, nil when the execution is over; a panic the step raised is
 // re-raised here instead.
 func (s *Scheduler) Resume(t *Thread) (next *Thread, stepped bool) {

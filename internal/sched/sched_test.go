@@ -14,9 +14,9 @@ import (
 // the order pick() dictates until all threads finish. A picked thread that
 // has not started is started first (see start). Each op's Val result is set
 // to its own sequence in processing order.
-func drive(t *testing.T, cfg Config, body func(*Thread), pick func([]*Thread) *Thread) []memmodel.Kind {
+func drive(t *testing.T, body func(*Thread), pick func([]*Thread) *Thread) []memmodel.Kind {
 	t.Helper()
-	s := New(cfg)
+	s := New()
 	var processed []memmodel.Kind
 	s.NewThread("main", body)
 	for {
@@ -83,7 +83,7 @@ func driveInline(s *Scheduler, main func(*Thread), step func() *Thread) {
 	}
 }
 
-// TestInlineStepHandoff pins the fiber regime's inline path: a step that
+// TestInlineStepHandoff pins the inline path: a step that
 // chooses another thread parks the caller and hands the choice to the
 // driver; a thread spawned inside a step stays unstarted and runs nothing
 // until the driver resumes it; and the step its first Call takes executes
@@ -92,7 +92,7 @@ func driveInline(s *Scheduler, main func(*Thread), step func() *Thread) {
 // continuations are pinned end to end by core's
 // TestInlineContinuationResumes.)
 func TestInlineStepHandoff(t *testing.T) {
-	s := New(Config{})
+	s := New()
 	var order []memmodel.TID
 	var last, picked, child *Thread
 	childRan := false
@@ -150,7 +150,7 @@ func TestInlineStepHandoff(t *testing.T) {
 // the program thread, whose worker stays pooled — and Abort then unwinds the
 // thread that ran the step.
 func TestInlineStepPanicReachesDriver(t *testing.T) {
-	s := New(Config{})
+	s := New()
 	calls := 0
 	s.SetStep(func() *Thread {
 		if calls++; calls == 3 {
@@ -182,19 +182,9 @@ func TestInlineStepPanicReachesDriver(t *testing.T) {
 	s.Shutdown()
 }
 
-// regimes are the two handoff regimes of the paper's Figure 14, in its
-// order: user-level switches first, kernel-thread sequencing last.
-var regimes = []struct {
-	name string
-	cfg  Config
-}{
-	{"fiber", Config{}},
-	{"osthread", Config{LockOSThread: true}},
-}
-
 func TestSingleThreadOpsInOrder(t *testing.T) {
 	kinds := []memmodel.Kind{memmodel.KLoad, memmodel.KStore, memmodel.KFence}
-	got := drive(t, Config{}, func(th *Thread) {
+	got := drive(t, func(th *Thread) {
 		for _, k := range kinds {
 			op := &capi.Op{Kind: k}
 			th.Call(op)
@@ -213,23 +203,8 @@ func TestSingleThreadOpsInOrder(t *testing.T) {
 	}
 }
 
-// TestCondHandoffAndOSThreads drives the osthread regime — goroutine workers
-// pinned to kernel threads, condition-variable handoffs — through spawn,
-// reply, block, and abort.
-func TestCondHandoffAndOSThreads(t *testing.T) {
-	cfg := Config{LockOSThread: true}
-	got := drive(t, cfg, func(th *Thread) {
-		th.Call(&capi.Op{Kind: memmodel.KLoad})
-		th.Call(&capi.Op{Kind: memmodel.KStore})
-	}, first)
-	if len(got) != 2 {
-		t.Fatalf("processed %d ops, want 2", len(got))
-	}
-	testAbortReadyAndBlocked(t, New(cfg))
-}
-
 func TestBlockAndWake(t *testing.T) {
-	s := New(Config{})
+	s := New()
 	order := []string{}
 	main := s.NewThread("main", func(th *Thread) {
 		th.Call(&capi.Op{Kind: memmodel.KMutexLock})
@@ -255,7 +230,7 @@ func TestBlockAndWake(t *testing.T) {
 }
 
 func TestNestedSpawn(t *testing.T) {
-	s := New(Config{})
+	s := New()
 	var childSeen bool
 	main := s.NewThread("main", func(th *Thread) {
 		op := &capi.Op{Kind: memmodel.KThreadCreate}
@@ -284,7 +259,7 @@ func TestNestedSpawn(t *testing.T) {
 }
 
 func TestAbortUnwindsThreads(t *testing.T) {
-	s := New(Config{})
+	s := New()
 	cleanedUp := false
 	main := s.NewThread("main", func(th *Thread) {
 		defer func() { cleanedUp = true }()
@@ -350,7 +325,7 @@ func testAbortReadyAndBlocked(t *testing.T, s *Scheduler) {
 }
 
 func TestPanicCaptured(t *testing.T) {
-	s := New(Config{})
+	s := New()
 	th := s.NewThread("main", func(th *Thread) {
 		panic("boom")
 	})
@@ -363,61 +338,57 @@ func TestPanicCaptured(t *testing.T) {
 }
 
 // TestFiberPoolReusesWorkers pins the pool invariant: after the first
-// execution warms the pool, further executions start zero workers, in every
-// handoff regime.
+// execution warms the pool, further executions start zero workers.
 func TestFiberPoolReusesWorkers(t *testing.T) {
-	for _, r := range regimes {
-		s := New(r.cfg)
-		runOnce := func() {
-			for i := 0; i < 3; i++ {
-				s.NewThread("t", func(t *Thread) {
-					t.Call(&capi.Op{Kind: memmodel.KYield})
-				})
-			}
-			for _, th := range s.Threads() {
-				start(t, s, th)
-				reply(s, th)
-			}
+	s := New()
+	runOnce := func() {
+		for i := 0; i < 3; i++ {
+			s.NewThread("t", func(t *Thread) {
+				t.Call(&capi.Op{Kind: memmodel.KYield})
+			})
 		}
+		for _, th := range s.Threads() {
+			start(t, s, th)
+			reply(s, th)
+		}
+	}
+	runOnce()
+	warm := s.Spawns()
+	if warm != 3 {
+		t.Fatalf("first execution spawned %d goroutines, want 3", warm)
+	}
+	for i := 0; i < 5; i++ {
+		s.Reset()
 		runOnce()
-		warm := s.Spawns()
-		if warm != 3 {
-			t.Fatalf("%s: first execution spawned %d goroutines, want 3", r.name, warm)
-		}
-		for i := 0; i < 5; i++ {
-			s.Reset()
-			runOnce()
-		}
-		if got := s.Spawns(); got != warm {
-			t.Errorf("%s: steady state spawned %d extra goroutines, want 0", r.name, got-warm)
-		}
-		if got := s.WorkerCount(); got != 3 {
-			t.Errorf("%s: worker count = %d, want 3", r.name, got)
-		}
-		s.Shutdown()
-		if got := s.WorkerCount(); got != 0 {
-			t.Errorf("%s: worker count after shutdown = %d, want 0", r.name, got)
-		}
+	}
+	if got := s.Spawns(); got != warm {
+		t.Errorf("steady state spawned %d extra goroutines, want 0", got-warm)
+	}
+	if got := s.WorkerCount(); got != 3 {
+		t.Errorf("worker count = %d, want 3", got)
+	}
+	s.Shutdown()
+	if got := s.WorkerCount(); got != 0 {
+		t.Errorf("worker count after shutdown = %d, want 0", got)
 	}
 }
 
-// fiberGoroutines counts the goroutines currently serving as fiber-regime
-// coroutine workers, started or not (the scheduler is this package's only
-// iter.Pull user). Coroutine exit is synchronous with the final switch, so
-// the count is exact as soon as the call that ended a worker returns, and
-// osthread workers of other tests, which exit asynchronously, never match.
+// fiberGoroutines counts the goroutines currently serving as coroutine
+// workers, started or not (the scheduler is this package's only iter.Pull
+// user). Coroutine exit is synchronous with the final switch, so the count
+// is exact as soon as the call that ended a worker returns.
 func fiberGoroutines() int {
 	buf := make([]byte, 1<<20)
 	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("created by iter.Pull["))
 }
 
-// TestShutdownEndsCoroutines pins worker lifetime in the fiber regime:
+// TestShutdownEndsCoroutines pins worker lifetime:
 // Shutdown ends every coroutine — those parked between bindings, those
 // still parked mid-binding and those whose thread never started — and the
 // goroutine count returns to its baseline.
 func TestShutdownEndsCoroutines(t *testing.T) {
 	base := fiberGoroutines()
-	s := New(Config{})
+	s := New()
 	for i := 0; i < 4; i++ {
 		th := s.NewThread("t", func(th *Thread) { th.Call(&capi.Op{Kind: memmodel.KYield}) })
 		start(t, s, th)
@@ -444,7 +415,7 @@ func TestShutdownEndsCoroutines(t *testing.T) {
 // keep workers pooled.
 func TestWorkerRetiredAfterPanic(t *testing.T) {
 	base := fiberGoroutines()
-	s := New(Config{})
+	s := New()
 	th := s.NewThread("bomb", func(th *Thread) {
 		panic("boom")
 	})
@@ -500,7 +471,7 @@ func TestWorkerRetiredAfterPanic(t *testing.T) {
 }
 
 func TestSchedulerResetRecyclesThreads(t *testing.T) {
-	s := New(Config{})
+	s := New()
 	runOnce := func(wantRecycled []*Thread) []*Thread {
 		var handles []*Thread
 		for i := 0; i < 3; i++ {

@@ -59,7 +59,7 @@ func (r *Recorder) Schedule() Schedule {
 // recorded stream is exhausted or names a choice the current execution
 // cannot take (a thread that is not ready, an index out of range) it falls
 // back to a fixed deterministic choice — first ready thread, index 0 — and
-// notes the first such divergence. An exact replay of a faithful trace never
+// notes the first such divergence. An exact replay of an unedited trace never
 // diverges; minimization relies on the tolerant fallback to run truncated
 // schedules to completion.
 type Replayer struct {

@@ -38,10 +38,12 @@ const (
 
 // ToolConfig identifies the tool an execution ran under, in enough detail to
 // reconstruct an identical tool for replay (the same execution function of
-// seed). Fields mirror the cmd/c11tester flags.
+// seed). Every tool has one configuration, so its name is enough. A trace
+// from an older build may also record that tsan11rec ran on kernel-thread
+// handoff; the handoff never changed an execution, so such a trace replays
+// as it is and that field is ignored.
 type ToolConfig struct {
-	Name            string `json:"name"`
-	FaithfulHandoff bool   `json:"faithful_handoff,omitempty"`
+	Name string `json:"name"`
 }
 
 // removedTool holds the tool-config fields of removed cmd/c11tester flags.
