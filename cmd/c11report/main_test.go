@@ -96,11 +96,13 @@ func TestCorruptArtifactsExitStructured(t *testing.T) {
 	}
 }
 
-// TestSlowCellColumns pins the slow-cell table's execs and sched_len
+// TestSlowCellColumns pins the slow-cell table's execs, sched_len and layer
 // columns. Execution time is timed on every 16th execution index only, so
 // the timing histogram counts 2 of 20 executions: the execs column must show
-// the cell's 20, the phase means must state their sample against it, and the
-// sched_len column must show the quantiles of all 20 schedule lengths.
+// the cell's 20, the phase means must state their sample against it, the
+// sched_len column must show the quantiles of all 20 schedule lengths, and
+// the layer column the cell's resumes and race checks per execution, from
+// its counts over all 20.
 func TestSlowCellColumns(t *testing.T) {
 	dir := t.TempDir()
 	path, sum := writeSummaryRuns(t, dir, 20, "")
@@ -123,12 +125,13 @@ func TestSlowCellColumns(t *testing.T) {
 	if header < 0 || header+2 >= len(lines) {
 		t.Fatalf("no slow-cell table:\n%s", report)
 	}
-	if want := []string{"execs", "sched_len p50/p99"}; !strings.Contains(lines[header], "  "+want[0]+"  ") ||
-		!strings.Contains(lines[header], want[1]) {
+	if want := []string{"execs", "sched_len p50/p99", "resumes/race checks per exec", "phase breakdown (mean)"}; !strings.Contains(lines[header], "  "+want[0]+"  ") ||
+		!strings.Contains(lines[header], want[1]) || !strings.Contains(lines[header], want[2]) ||
+		!strings.Contains(lines[header], want[3]) {
 		t.Fatalf("header %q lacks the %q columns", lines[header], want)
 	}
 	f := strings.Fields(lines[header+2])
-	if len(f) < 6 || f[0] != "c11tester" || f[1] != "ms-queue" {
+	if len(f) < 7 || f[0] != "c11tester" || f[1] != "ms-queue" {
 		t.Fatalf("slow-cell row %q", lines[header+2])
 	}
 	if f[4] != "20" {
@@ -136,6 +139,11 @@ func TestSlowCellColumns(t *testing.T) {
 	}
 	if want := fmt.Sprintf("%d/%d", cell.SchedLen.P50, cell.SchedLen.P99); f[5] != want {
 		t.Errorf("sched_len column = %q, want %q (row %q)", f[5], want, lines[header+2])
+	}
+	if c := cell.Counts; c == nil || c.RaceChecks == 0 {
+		t.Errorf("cell counts %+v, want race checks", c)
+	} else if want := fmt.Sprintf("%.1f/%.1f", float64(c.Resumes)/20, float64(c.RaceChecks)/20); f[6] != want {
+		t.Errorf("layer column = %q, want %q (row %q)", f[6], want, lines[header+2])
 	}
 	// Phase spans are sampled on index 8 of every 16, so once in 20.
 	if !strings.HasSuffix(strings.TrimSpace(lines[header+2]), "(n=1 of 20)") {

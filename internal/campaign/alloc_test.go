@@ -23,13 +23,13 @@ import (
 //
 // The measured loop carries the full campaign instrumentation — the
 // worker slot's per-cell histogram accumulator fed by the runner's own
-// hists.observe, wall-clock timing on timed indices, engine exec stats with
-// handoff-wait and per-phase span measurement toggled per execution index by
-// the runner's own sampleTiming, plus an armed trace-sink recorder fed a
-// digest per execution — so the observability fabric is itself held to the
-// zero-alloc bar the runner's hot path relies on, exactly as a -record
-// campaign runs it. Every path is measured: a wall-time index, a span index
-// and an unsampled one. The subtest is named for the run's random source, the
+// hists.observe, wall-clock timing on timed indices, engine exec stats and
+// layer counts on every execution, the reset and run spans toggled per
+// execution index by the runner's own sampleTiming (nothing is clocked per
+// operation), plus an armed trace-sink recorder fed a digest per execution —
+// so the observability fabric is itself held to the zero-alloc bar the
+// runner's hot path relies on, exactly as a -record campaign runs it. Every
+// path is measured: a wall-time index, a span index and an unsampled one. The subtest is named for the run's random source, the
 // PCG-DXSM generator of internal/rng.
 func TestZeroAllocSteadyState(t *testing.T) {
 	t.Run("pcg", testZeroAllocSteadyState)

@@ -185,7 +185,7 @@ func TestAnalyzerShardMergeByteIdentical(t *testing.T) {
 func TestCheckpointRoundTripsFindings(t *testing.T) {
 	h := blankHists
 	h.ExecNS.Observe(2000)
-	h.HandoffNS.Observe(3000)
+	h.Counts = LayerCounts{Resumes: 30, RaceChecks: 31, Blocked: 32, Yields: 33}
 	for p := range h.PhaseNS {
 		h.PhaseNS[p].Observe(uint64(1000 * (p + 1)))
 	}

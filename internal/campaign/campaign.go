@@ -1417,11 +1417,12 @@ func (r *cellRunner) entry(trig obs.Trigger, d obs.ExecDigest) obs.CaptureRecord
 // timingSample is the campaign's timing sample interval. Two disjoint
 // samples of a cell's execution indices are timed: execution i's own wall
 // time when i%timingSample == 0 (wallSampled), with every inner timer off,
-// and its handoff wait and phase spans when i%timingSample ==
-// timingSample/2 (spansSampled). Each span-timed execution pays dozens to
-// hundreds of clock reads (two per handoff, two per race-bearing access),
-// which cost a campaign ~30% of its throughput when every execution paid
-// them, and which would inflate a wall time taken on the same execution.
+// and its phase spans when i%timingSample == timingSample/2 (spansSampled).
+// The spans are a few clock reads per execution (reset, run and the
+// campaign duties); nothing is clocked per operation, since a clock pair
+// costs more than most operations: the handoff and race-shadow layers are
+// counted on every execution instead (LayerCounts). The spans would still
+// inflate a wall time taken on the same execution, hence the two samples.
 // The samples are pure functions of the global execution index, so the
 // sampled histograms' counts are as deterministic under workers, shards and
 // resume as the outcomes. Every cell with at least one execution (index 0)
@@ -1432,16 +1433,12 @@ const timingSample = 16
 // wallSampled reports whether execution i's wall time is sampled.
 func wallSampled(i int) bool { return i%timingSample == 0 }
 
-// spansSampled reports whether execution i runs with the handoff-wait timer
-// and the phase spans on.
+// spansSampled reports whether execution i runs with the phase spans on.
 func spansSampled(i int) bool { return i%timingSample == timingSample/2 }
 
-// sampleTiming switches eng's handoff-wait timing and phase spans for
-// execution index i.
+// sampleTiming switches eng's phase spans for execution index i.
 func sampleTiming(eng *core.Engine, i int) {
-	on := spansSampled(i)
-	eng.SetHandoffTiming(on)
-	eng.SetPhaseTiming(on)
+	eng.SetPhaseTiming(spansSampled(i))
 }
 
 // phaseStart opens a campaign-bracketed phase span (validate, record) of the

@@ -116,10 +116,13 @@ func sampledIn(n int, sampled func(int) bool) uint64 {
 
 // checkSampledCounts asserts that every cell of s timed its wall time on
 // exactly the wall-time indices among its n executions, [0, n), and its
-// handoff wait and its reset, run and race spans — and its validate span,
-// when present — on exactly the span indices; and that it observed the
-// schedule length and choices of all n. The record span is left out: it
-// counts only the span-sampled executions that owed a trace.
+// reset and run spans — and its validate span, when present — on exactly the
+// span indices; that nothing timed a race span; that it observed the
+// schedule length and choices of all n; and that it carries layer counts of
+// at least one resume per execution (its main thread's start). The record
+// span is left out: it counts only the span-sampled executions that owed a
+// trace. Canonical keeps the counts, so the callers' identity checks
+// (workers 1 ≡ K, shard merge, resume) compare them exactly.
 func checkSampledCounts(t *testing.T, s *Summary) {
 	t.Helper()
 	count := func(h *obs.HistogramSnapshot) uint64 {
@@ -138,8 +141,8 @@ func checkSampledCounts(t *testing.T, s *Summary) {
 				tool, program, got, want, execs)
 		}
 		want := sampledIn(execs, spansSampled)
-		spans := map[string]*obs.HistogramSnapshot{"handoff": h.Handoff}
-		for _, name := range []string{"reset", "run", "race", "validate"} {
+		spans := map[string]*obs.HistogramSnapshot{}
+		for _, name := range []string{"reset", "run", "validate"} {
 			if p, ok := h.Phases[name]; ok || name != "validate" {
 				spans[name] = p
 			}
@@ -150,10 +153,16 @@ func checkSampledCounts(t *testing.T, s *Summary) {
 					tool, program, name, got, want, execs)
 			}
 		}
+		if _, ok := h.Phases["race"]; ok {
+			t.Errorf("%s/%s: a race span histogram; race checks are counted, not timed", tool, program)
+		}
 		for name, hist := range map[string]*obs.HistogramSnapshot{"sched_len": h.SchedLen, "choices": h.Choices} {
 			if got := count(hist); got != uint64(execs) {
 				t.Errorf("%s/%s: %s count %d, want every one of %d executions", tool, program, name, got, execs)
 			}
+		}
+		if c := h.Counts; c == nil || c.Resumes < uint64(execs) || c.RaceChecks == 0 {
+			t.Errorf("%s/%s: layer counts %+v, want ≥ %d resumes and some race checks", tool, program, c, execs)
 		}
 	}
 	for _, ts := range s.Tools {

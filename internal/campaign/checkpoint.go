@@ -132,9 +132,11 @@ func SpecDigest(spec Spec) string {
 // ("events_emitted"/"events_dropped") and carries each converge cell's
 // convergence curve ("curve"). Version 7 records the shard selection of a
 // sharded run ("shard": index and count), whose checkpoint is its partial.
+// Version 8 drops the handoff-wait histogram and the race span from each
+// fragment's histograms and adds its layer counts ("hists.counts").
 const (
 	CheckpointSchemaName    = "c11tester/checkpoint"
-	CheckpointSchemaVersion = 7
+	CheckpointSchemaVersion = 8
 )
 
 // Checkpoint is the wave-barrier state of a campaign: everything a resumed

@@ -94,6 +94,20 @@ type ToolDelta struct {
 	// so drift is surfaced in the report but never gates Regressed.
 	OldP99NS uint64 `json:"old_p99_ns,omitempty"`
 	NewP99NS uint64 `json:"new_p99_ns,omitempty"`
+	// Counts lists the cells whose layer counts moved (schema v15, on both
+	// sides). Report-only: a perf change names the counter it reduced here,
+	// and a change of decision streams, which moves them too, is caught by
+	// the identity check (c11report -equal) instead.
+	Counts []CountsDelta `json:"counts,omitempty"`
+}
+
+// CountsDelta is the layer-count movement of one (tool, program) cell;
+// litmus programs carry the litmus/ prefix.
+type CountsDelta struct {
+	Tool    string      `json:"tool"`
+	Program string      `json:"program"`
+	Old     LayerCounts `json:"old"`
+	New     LayerCounts `json:"new"`
 }
 
 // Comparison diffs two campaign artifacts for PR-to-PR trajectory tracking.
@@ -221,6 +235,7 @@ func Compare(old, new *Summary) *Comparison {
 		}
 		td.OldP99NS = toolP99(ot)
 		td.NewP99NS = toolP99(nt)
+		td.Counts = diffCounts(ot, nt)
 		c.Tools = append(c.Tools, td)
 	}
 	for _, ot := range old.Tools {
@@ -242,6 +257,36 @@ func toolP99(ts *ToolSummary) uint64 {
 		merged.Merge(ts.Litmus[i].Timing)
 	}
 	return merged.P99
+}
+
+// cellCounts maps a tool's cells that carry layer counts to them, keyed by
+// program (litmus tests with the litmus/ prefix).
+func cellCounts(ts *ToolSummary) map[string]*LayerCounts {
+	out := map[string]*LayerCounts{}
+	for _, c := range ts.Benchmarks {
+		if c.Counts != nil {
+			out[c.Program] = c.Counts
+		}
+	}
+	for _, c := range ts.Litmus {
+		if c.Counts != nil {
+			out["litmus/"+c.Test] = c.Counts
+		}
+	}
+	return out
+}
+
+// diffCounts lists, by program, the cells with layer counts in both
+// artifacts whose counts differ.
+func diffCounts(old, new *ToolSummary) []CountsDelta {
+	oc, nc := cellCounts(old), cellCounts(new)
+	var out []CountsDelta
+	for _, name := range harness.SortedKeys(nc) {
+		if o, ok := oc[name]; ok && *o != *nc[name] {
+			out = append(out, CountsDelta{Tool: new.Tool, Program: name, Old: *o, New: *nc[name]})
+		}
+	}
+	return out
 }
 
 // sameAnalyzers reports whether two artifacts ran the same non-empty
@@ -401,6 +446,20 @@ func (c *Comparison) String() string {
 			out += fmt.Sprintf("\n%s: axiomatic validation: checked %d → %d, violations %d → %d",
 				td.Tool, v.OldChecked, v.NewChecked, v.OldViolations, v.NewViolations)
 		}
+	}
+	var moved []CountsDelta
+	for _, td := range c.Tools {
+		moved = append(moved, td.Counts...)
+	}
+	if len(moved) > 0 {
+		ct := &harness.Table{Header: []string{"tool", "program", "resumes", "race checks", "blocked", "yields"}}
+		arrow := func(o, n uint64) string { return fmt.Sprintf("%d → %d", o, n) }
+		for _, d := range moved {
+			ct.AddRow(d.Tool, d.Program,
+				arrow(d.Old.Resumes, d.New.Resumes), arrow(d.Old.RaceChecks, d.New.RaceChecks),
+				arrow(d.Old.Blocked, d.New.Blocked), arrow(d.Old.Yields, d.New.Yields))
+		}
+		out += "\nlayer-count movement (report-only):\n" + ct.String()
 	}
 	for _, td := range c.Tools {
 		if td.OldP99NS > 0 && td.NewP99NS > 0 {

@@ -191,3 +191,36 @@ func TestCompareReportsSpecSkew(t *testing.T) {
 		t.Errorf("spec skew not printed first:\n%s", text)
 	}
 }
+
+// TestCompareListsMovedCounts pins the layer-count leg of the comparison: a
+// cell whose counts moved is listed with both sides, a cell whose counts
+// held or that lacks them on one side (an artifact older than schema v15) is
+// not, and the movement never counts as a regression.
+func TestCompareListsMovedCounts(t *testing.T) {
+	old := mkSummary(1000, 80, "a/x/y")
+	new := mkSummary(1000, 80, "a/x/y")
+	if d := Compare(old, new).Tools[0].Counts; len(d) != 0 {
+		t.Fatalf("artifacts without counts list movement %+v", d)
+	}
+	old.Tools[0].Benchmarks[0].Counts = &LayerCounts{Resumes: 700, RaceChecks: 1200, Blocked: 3, Yields: 40}
+	if d := Compare(old, new).Tools[0].Counts; len(d) != 0 {
+		t.Fatalf("one-sided counts list movement %+v", d)
+	}
+	moved := *old.Tools[0].Benchmarks[0].Counts
+	moved.Yields = 25
+	new.Tools[0].Benchmarks[0].Counts = &moved
+	c := Compare(old, new)
+	d := c.Tools[0].Counts
+	if len(d) != 1 || d[0].Program != "ms-queue" || d[0].Old.Yields != 40 || d[0].New != moved {
+		t.Fatalf("counts movement = %+v, want ms-queue's yields 40 → 25", d)
+	}
+	if c.Regressed() {
+		t.Error("count movement alone must not count as a regression")
+	}
+	if text := c.String(); !strings.Contains(text, "layer-count movement (report-only):") || !strings.Contains(text, "40 → 25") {
+		t.Errorf("report lacks the moved counts:\n%s", text)
+	}
+	if d := Compare(old, old).Tools[0].Counts; len(d) != 0 {
+		t.Errorf("identical counts list movement %+v", d)
+	}
+}

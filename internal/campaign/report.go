@@ -135,9 +135,10 @@ func writeFindings(w io.Writer, sum *Summary) {
 }
 
 // writeSlowCells renders the top cells by p99 ns/exec with their execution
-// counts, schedule-length quantiles and per-phase mean breakdowns (phase
-// mean = histogram Sum/Count). The schedule length tells a tail of longer
-// schedules from a tail of dearer steps.
+// counts, schedule-length quantiles, per-execution resumes and race checks
+// (the per-operation layers, counted rather than timed) and per-phase mean
+// breakdowns (phase mean = histogram Sum/Count). The schedule length tells a
+// tail of longer schedules from a tail of dearer steps.
 func writeSlowCells(w io.Writer, sum *Summary) {
 	var cells []slowCell
 	for _, ts := range sum.Tools {
@@ -168,17 +169,22 @@ func writeSlowCells(w io.Writer, sum *Summary) {
 		cells = cells[:topSlow]
 	}
 	fmt.Fprintf(w, "\ntop %d cell(s) by p99 ns/exec:\n", len(cells))
-	tb := &harness.Table{Header: []string{"tool", "program", "p50", "p99", "execs", "sched_len p50/p99", "phase breakdown (mean)"}}
+	tb := &harness.Table{Header: []string{"tool", "program", "p50", "p99", "execs", "sched_len p50/p99",
+		"resumes/race checks per exec", "phase breakdown (mean)"}}
 	for _, c := range cells {
-		schedLen := "-"
+		schedLen, layers := "-", "-"
 		if h := c.SchedLen; h != nil {
 			schedLen = fmt.Sprintf("%d/%d", h.P50, h.P99)
+			if k := c.Counts; k != nil && h.Count > 0 {
+				n := float64(h.Count)
+				layers = fmt.Sprintf("%.1f/%.1f", float64(k.Resumes)/n, float64(k.RaceChecks)/n)
+			}
 		}
 		tb.AddRow(c.tool, c.program,
 			harness.FmtDuration(time.Duration(c.Timing.P50)),
 			harness.FmtDuration(time.Duration(c.Timing.P99)),
 			fmt.Sprintf("%d", c.execs),
-			schedLen,
+			schedLen, layers,
 			phaseBreakdown(c.Phases, c.execs))
 	}
 	fmt.Fprint(w, tb.String())
@@ -194,7 +200,7 @@ func phaseBreakdown(phases map[string]*obs.HistogramSnapshot, execs int) string 
 	}
 	out := ""
 	var n uint64
-	for p := 0; p < core.NumPhases; p++ {
+	for p := 0; p < core.NumSpans; p++ {
 		h := phases[core.Phase(p).String()]
 		if h == nil || h.Count == 0 {
 			continue

@@ -87,9 +87,14 @@ import (
 // v14: one merge path. The shard header of a partial run ("shard") is gone:
 // a sharded run's partial is its checkpoint (checkpoint v7), and resuming
 // from the K shard checkpoints writes the merged summary.
+//
+// v15: counted layers. Each engine cell gains "counts" (resumes, race
+// checks, blocked dispatches and yields, summed over every execution); the
+// per-operation clocks they replace are gone, and with them "handoff" and
+// the "race" entry of "phases".
 const (
 	SchemaName    = "c11tester/campaign"
-	SchemaVersion = 14
+	SchemaVersion = 15
 )
 
 // SpecInfo echoes the campaign parameters into the summary, making every
@@ -838,14 +843,14 @@ func (s *Summary) WriteJSON(path string) error {
 // SIGKILL-then-resume run vs an uninterrupted one all marshal to identical
 // bytes after Canonical.
 // Zeroed: wall clock, the GC block, per-cell mean times and the wall-clock
-// histograms (timing, phases, handoff), per-tool work time and throughput,
+// histograms (timing, phases), per-tool work time and throughput,
 // and the run-shape echoes (Workers, artifact directories) plus checkpoint
 // accounting and build provenance (`go run` and `go build` of the same tree
 // stamp different VCS metadata, and the guarantee must hold across binaries;
 // skew is surfaced by Compare and refused on resume instead). Kept:
 // everything the model produced — detections, races, outcomes, budgets and
-// convergence curves, guide sums, validation, and the schedule-length and
-// choices histograms.
+// convergence curves, guide sums, validation, the schedule-length and
+// choices histograms, and the layer counts.
 func (s *Summary) Canonical() *Summary {
 	data, err := json.Marshal(s)
 	if err != nil {

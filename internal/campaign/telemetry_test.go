@@ -93,10 +93,11 @@ func TestInstrumentedDeterminismUnderSharding(t *testing.T) {
 }
 
 // TestTimingSampledPerIndex pins the two timing samples: a cell's wall time
-// is taken on every timingSample-th execution index from 0, and its handoff
-// wait and phase spans on the disjoint indices halfway between, which share
-// one denominator. A one-execution cell gets its one wall-time sample and no
-// span sample.
+// is taken on every timingSample-th execution index from 0, and its phase
+// spans on the disjoint indices halfway between, which share one
+// denominator. A one-execution cell gets its one wall-time sample and no
+// span sample. Nothing is timed per operation: checkSampledCounts finds no
+// race span, and the summary has no handoff-wait histogram.
 func TestTimingSampledPerIndex(t *testing.T) {
 	for _, runs := range []int{1, 33} {
 		sum := Run(Spec{
@@ -125,10 +126,6 @@ func TestTimingSampledPerIndex(t *testing.T) {
 			c := ts.Benchmarks[0]
 			if c.Timing == nil || c.Timing.Count != wall {
 				t.Errorf("runs=%d: %s timing histogram = %+v, want %d samples", runs, ts.Tool, c.Timing, wall)
-			}
-			if h := c.Handoff; (spans == 0) != (h == nil) || (h != nil && h.Count != spans) {
-				t.Errorf("runs=%d: %s handoff-wait histogram = %+v, want %d samples",
-					runs, ts.Tool, h, spans)
 			}
 		}
 	}

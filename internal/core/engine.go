@@ -198,6 +198,11 @@ type Engine struct {
 	choices   uint64 // strategy decisions (PickThread + PickIndex) this execution
 	trace     []*Action
 	burstT    *ThreadState // thread eligible for a store burst
+
+	// raceChecks, blocked and yields are this execution's per-operation
+	// layer counts (see ExecStats).
+	raceChecks, blocked, yields uint64
+
 	// checkDue defers the upkeep (the MaxSteps guard) of a step that
 	// granted a thread to the next step's entry, when that thread has
 	// reached its next operation.
@@ -212,7 +217,7 @@ type Engine struct {
 	// (Close discards the scheduler; the next Execute makes a fresh one).
 	measureWait bool
 
-	// phases is the forensics phase timer (reset/run/race spans), opt-in via
+	// phases is the forensics phase timer (reset/run spans), opt-in via
 	// SetPhaseTiming exactly like measureWait. It lives on the engine (not the
 	// scheduler), so it needs no rebuild mirroring.
 	phases PhaseTimer
@@ -366,7 +371,11 @@ func (e *Engine) PickIndex(n int) int {
 }
 
 // ExecStats is the per-execution instrumentation snapshot behind the
-// campaign's schedule-length, choices, and handoff-wait histograms.
+// campaign's schedule-length and choices histograms and its per-cell layer
+// counts. Steps, Choices, Resumes, RaceChecks, Blocked and Yields are exact
+// counts, filled on every execution at the cost of an increment: the layers
+// that act once per operation (the handoff, the race-shadow check) are
+// priced from them rather than clocked.
 type ExecStats struct {
 	// Steps is the number of visible operations dispatched (the schedule
 	// length of the execution).
@@ -384,15 +393,27 @@ type ExecStats struct {
 	// the dispatches that blocked — and once per thread start and abort
 	// unwind; README's Figure 14 prices that count.
 	Resumes uint64
+	// RaceChecks is the number of race-shadow checks (race.Shadow OnRead and
+	// OnWrite calls): one per allocation, plain access, atomic load and
+	// atomic store, two per RMW that stores (its read and its write), one
+	// per RMW that does not. Fences and thread, mutex and condition
+	// operations check nothing.
+	RaceChecks uint64
+	// Blocked is the number of dispatches that blocked their thread (a
+	// join, lock or condition wait that could not proceed). Each is a step
+	// that grants nothing; the operation is dispatched again once woken.
+	Blocked uint64
+	// Yields is the number of KYield dispatches (capi.Env.Yield).
+	Yields uint64
 	// HandoffWaitNS is the total time the tool spent waiting for program
 	// threads during scheduler handoffs, excluding the tool steps a thread
 	// ran inline; 0 unless SetHandoffTiming enabled the measurement.
 	HandoffWaitNS int64
 	// PhaseNS is the per-phase wall time of the execution (indexed by Phase);
-	// all zero unless SetPhaseTiming enabled the measurement. Only the
-	// engine-bracketed phases (PhaseReset, PhaseRun, PhaseRace) are filled
-	// here — PhaseValidate and PhaseRecord are campaign duties timed by the
-	// campaign runner. PhaseRace is nested inside PhaseRun.
+	// all zero unless SetPhaseTiming enabled the measurement. The engine
+	// fills PhaseReset and PhaseRun; PhaseValidate and PhaseRecord are
+	// campaign duties timed by the campaign runner, and the engine no longer
+	// fills PhaseRace (RaceChecks counts what it timed).
 	PhaseNS [NumPhases]int64
 }
 
@@ -400,7 +421,11 @@ type ExecStats struct {
 // execution. Like Trace and FinalValues, it must be read before the next
 // Execute call.
 func (e *Engine) ExecStats() ExecStats {
-	st := ExecStats{Steps: e.steps, Choices: e.choices, PhaseNS: e.phases.Durations()}
+	st := ExecStats{
+		Steps: e.steps, Choices: e.choices,
+		RaceChecks: e.raceChecks, Blocked: e.blocked, Yields: e.yields,
+		PhaseNS: e.phases.Durations(),
+	}
 	if e.sch != nil {
 		st.Resumes, st.HandoffWaitNS = uint64(e.sch.Resumes()), e.sch.WaitNS()
 	}
@@ -409,9 +434,9 @@ func (e *Engine) ExecStats() ExecStats {
 
 // SetHandoffTiming toggles the scheduler's handoff-wait measurement for
 // subsequent executions (see sched.SetMeasureWait). It costs two monotonic
-// clock reads per visible operation and allocates nothing. Campaign telemetry
-// toggles it before every execution, on for a deterministic sample of each
-// cell's executions and off otherwise; bare runs keep it off.
+// clock reads per resume and allocates nothing. Campaigns never turn it on
+// (they count resumes instead); its one caller is the benchmark's traced
+// pass.
 func (e *Engine) SetHandoffTiming(on bool) {
 	e.measureWait = on
 	if e.sch != nil {
@@ -420,10 +445,9 @@ func (e *Engine) SetHandoffTiming(on bool) {
 }
 
 // SetPhaseTiming toggles the forensics phase spans (PhaseTimer) for
-// subsequent executions. Like handoff timing it is a handful of monotonic
-// clock reads per execution plus two per race-bearing access, allocates
-// nothing, and is sampled by campaign telemetry together with handoff timing
-// while bare runs keep it off.
+// subsequent executions: four monotonic clock reads per execution, and no
+// allocation. Campaign telemetry turns it on for a deterministic sample of
+// each cell's executions; bare runs keep it off.
 func (e *Engine) SetPhaseTiming(on bool) { e.phases.SetEnabled(on) }
 
 // PhaseTiming reports whether phase spans are being measured.
@@ -499,8 +523,8 @@ func (e *Engine) resetExecState(seed int64) {
 	e.conds = append(e.conds, nil)
 	e.nextSeq = 0
 	e.scCount = 0
-	e.steps = 0
-	e.choices = 0
+	e.steps, e.choices = 0, 0
+	e.raceChecks, e.blocked, e.yields = 0, 0, 0
 	e.trace = e.trace[:0]
 	e.burstT = nil
 	e.checkDue = false
@@ -762,6 +786,7 @@ func (e *Engine) complete(ts *ThreadState) {
 // wake marks it schedulable again, at which point the operation is
 // re-dispatched.
 func (e *Engine) block(ts *ThreadState) {
+	e.blocked++
 	if ts.thr.State() == sched.Ready {
 		e.sch.Block(ts.thr)
 	}

@@ -46,6 +46,7 @@ func (e *Engine) dispatch(ts *ThreadState) {
 	case memmodel.KCondBroadcast:
 		e.doCondSignal(ts, op, true)
 	case memmodel.KYield:
+		e.yields++
 		e.assignSeq(ts)
 		e.complete(ts)
 	case memmodel.KAlloc:
@@ -103,9 +104,8 @@ func (e *Engine) doAlloc(ts *ThreadState, op *capi.Op) {
 		// scratch Op (the model reads it synchronously and keeps nothing).
 		e.initOp = capi.Op{Kind: memmodel.KStore, MO: memmodel.Relaxed, Loc: id, Operand: op.Operand}
 		e.assignSeq(ts)
-		e.phases.Begin(PhaseRace)
+		e.raceChecks++
 		e.confBuf = l.shadow.OnWrite(ts.ID, ts.opSeq, true, e.hbCheck(ts), e.confBuf[:0])
-		e.phases.End(PhaseRace)
 		e.model.AtomicStore(ts, &e.initOp)
 		l.naValue = op.Operand
 		l.promoted = true
@@ -114,9 +114,8 @@ func (e *Engine) doAlloc(ts *ThreadState, op *capi.Op) {
 		// atomic_init is implemented as a non-atomic store (Section 7.2);
 		// it may race with concurrent atomic accesses.
 		e.assignSeq(ts)
-		e.phases.Begin(PhaseRace)
+		e.raceChecks++
 		e.confBuf = l.shadow.OnWrite(ts.ID, ts.opSeq, false, e.hbCheck(ts), e.confBuf[:0])
-		e.phases.End(PhaseRace)
 		l.naValue = op.Operand
 		e.result.Stats.NormalOps++
 	}
@@ -126,11 +125,10 @@ func (e *Engine) doAlloc(ts *ThreadState, op *capi.Op) {
 func (e *Engine) doNAStore(ts *ThreadState, op *capi.Op) {
 	e.assignSeq(ts)
 	l := e.loc(op.Loc)
-	e.phases.Begin(PhaseRace)
+	e.raceChecks++
 	conf := l.shadow.OnWrite(ts.ID, ts.opSeq, false, e.hbCheck(ts), e.confBuf[:0])
 	e.confBuf = conf
 	e.reportConflicts(ts, l, memmodel.KNAStore, conf)
-	e.phases.End(PhaseRace)
 	l.naValue = op.Operand
 	l.promoted = false
 	e.result.Stats.NormalOps++
@@ -140,11 +138,10 @@ func (e *Engine) doNAStore(ts *ThreadState, op *capi.Op) {
 func (e *Engine) doNALoad(ts *ThreadState, op *capi.Op) {
 	e.assignSeq(ts)
 	l := e.loc(op.Loc)
-	e.phases.Begin(PhaseRace)
+	e.raceChecks++
 	conf := l.shadow.OnRead(ts.ID, ts.opSeq, false, e.hbCheck(ts), e.confBuf[:0])
 	e.confBuf = conf
 	e.reportConflicts(ts, l, memmodel.KNALoad, conf)
-	e.phases.End(PhaseRace)
 	op.Val = l.naValue
 	e.result.Stats.NormalOps++
 	e.complete(ts)
@@ -154,11 +151,10 @@ func (e *Engine) doAtomicLoad(ts *ThreadState, op *capi.Op) {
 	e.assignSeq(ts)
 	l := e.loc(op.Loc)
 	e.maybePromote(ts, l)
-	e.phases.Begin(PhaseRace)
+	e.raceChecks++
 	conf := l.shadow.OnRead(ts.ID, ts.opSeq, true, e.hbCheck(ts), e.confBuf[:0])
 	e.confBuf = conf
 	e.reportConflicts(ts, l, memmodel.KLoad, conf)
-	e.phases.End(PhaseRace)
 	op.Val = e.model.AtomicLoad(ts, op)
 	e.result.Stats.AtomicOps++
 	e.complete(ts)
@@ -168,11 +164,10 @@ func (e *Engine) doAtomicStore(ts *ThreadState, op *capi.Op) {
 	e.assignSeq(ts)
 	l := e.loc(op.Loc)
 	e.maybePromote(ts, l)
-	e.phases.Begin(PhaseRace)
+	e.raceChecks++
 	conf := l.shadow.OnWrite(ts.ID, ts.opSeq, true, e.hbCheck(ts), e.confBuf[:0])
 	e.confBuf = conf
 	e.reportConflicts(ts, l, memmodel.KStore, conf)
-	e.phases.End(PhaseRace)
 	e.model.AtomicStore(ts, op)
 	l.naValue = op.Operand
 	e.result.Stats.AtomicOps++
@@ -205,20 +200,18 @@ func (e *Engine) doAtomicRMW(ts *ThreadState, op *capi.Op) {
 	l := e.loc(op.Loc)
 	e.maybePromote(ts, l)
 	hb := e.hbCheck(ts)
-	e.phases.Begin(PhaseRace)
+	e.raceChecks++
 	conf := l.shadow.OnRead(ts.ID, ts.opSeq, true, hb, e.confBuf[:0])
-	e.phases.End(PhaseRace)
 	old, stored := e.model.AtomicRMW(ts, op)
 	op.Val = old
 	op.OK = stored
-	e.phases.Begin(PhaseRace)
 	if stored {
+		e.raceChecks++
 		conf = l.shadow.OnWrite(ts.ID, ts.opSeq, true, hb, conf)
 		l.naValue = rmwNewValue(op, old)
 	}
 	e.confBuf = conf
 	e.reportConflicts(ts, l, memmodel.KRMW, conf)
-	e.phases.End(PhaseRace)
 	e.result.Stats.AtomicOps++
 	e.complete(ts)
 }

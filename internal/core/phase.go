@@ -3,11 +3,12 @@ package core
 import "time"
 
 // Phase identifies one clock-bracketed region of an execution for the
-// forensics timing of campaign telemetry. The engine brackets PhaseReset,
-// PhaseRun, and PhaseRace itself; PhaseValidate and PhaseRecord are campaign
-// duties (axiomatic validation, trace recording) that run after Execute
-// returns, so the campaign runner brackets those and feeds them into the same
-// per-cell histograms.
+// forensics timing of campaign telemetry. The engine brackets PhaseReset and
+// PhaseRun itself; PhaseValidate and PhaseRecord are campaign duties
+// (axiomatic validation, trace recording) that run after Execute returns, so
+// the campaign runner brackets those and feeds them into the same per-cell
+// histograms. Work done once per operation is counted, not timed (see
+// ExecStats): a clock pair per operation costs more than most operations.
 type Phase uint8
 
 const (
@@ -15,23 +16,29 @@ const (
 	// recycling, strategy re-seed, model Begin.
 	PhaseReset Phase = iota
 	// PhaseRun is the exploration loop (Figure 3), from spawning the main
-	// thread to the last thread finishing. It includes PhaseRace: the race
-	// spans are nested inside the run span, not disjoint from it.
+	// thread to the last thread finishing: handoffs, model work and the
+	// race-shadow checks alike.
 	PhaseRun
-	// PhaseRace covers the shadow-word checks and conflict reporting on
-	// memory-access dispatch paths. Nested inside PhaseRun.
-	PhaseRace
 	// PhaseValidate is the campaign's offline axiomatic check of the
 	// execution (bracketed by the campaign runner, not the engine).
 	PhaseValidate
 	// PhaseRecord is the campaign's trace serialization duty (bracketed by
 	// the campaign runner, not the engine).
 	PhaseRecord
-	// NumPhases sizes the fixed per-phase arrays.
-	NumPhases int = iota
+	// NumSpans counts the phases above, the ones that are timed.
+	NumSpans int = iota
 )
 
-var phaseNames = [NumPhases]string{"reset", "run", "race", "validate", "record"}
+// PhaseRace names the race-shadow checks, which nothing times:
+// ExecStats.RaceChecks counts them, and README prices the count. It keeps
+// its ExecStats.PhaseNS slot, which reads 0, for readers that index it (the
+// benchmark's traced pass).
+const PhaseRace = Phase(NumSpans)
+
+// NumPhases sizes ExecStats.PhaseNS: the timed spans and PhaseRace.
+const NumPhases = NumSpans + 1
+
+var phaseNames = [NumPhases]string{"reset", "run", "validate", "record", "race"}
 
 // String returns the stable lower-case phase name used as the histogram
 // label and summary key.
@@ -46,13 +53,11 @@ func (p Phase) String() string {
 // stamps. It is deliberately interface-free and allocation-free: Begin/End
 // are two clock reads and an add, and a disabled timer is a single branch, so
 // the engine can carry one unconditionally without disturbing the 0 B / 0 obj
-// steady state. Like the scheduler's handoff-wait measurement it is opt-in
+// steady state. The engine opens two spans per execution, reset and run.
+// Like the scheduler's handoff-wait measurement it is opt-in
 // (Engine.SetPhaseTiming): campaign telemetry turns it on for a
 // deterministic sample of each cell's executions and off for the rest; bare
 // runs leave it off.
-//
-// Phases may nest (PhaseRace inside PhaseRun) because each phase has its own
-// start stamp; a phase must not nest inside itself.
 type PhaseTimer struct {
 	on      bool
 	ns      [NumPhases]int64

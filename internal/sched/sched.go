@@ -253,10 +253,11 @@ type Scheduler struct {
 	// handoff, where the tool waits for the program thread to reach its next
 	// visible operation — accumulating into waitNS, and takes the inline
 	// steps a resumed thread runs back out. Opt-in because it costs two
-	// monotonic clock reads per resume and per inline step; campaign telemetry
-	// enables it for a deterministic sample of executions, bare runs not
-	// at all. time.Now/Since never allocate, so the instrumented handoff
-	// stays inside the zero-alloc steady state.
+	// monotonic clock reads per resume and per inline step, which is most of
+	// what it measures: campaigns count resumes instead and never enable it,
+	// and its one user is the benchmark's traced pass. time.Now/Since never
+	// allocate, so the instrumented handoff stays inside the zero-alloc
+	// steady state.
 	measureWait bool
 	waitNS      int64
 }
@@ -282,7 +283,8 @@ func (s *Scheduler) Reset() {
 // step (nil) the driver takes every step.
 func (s *Scheduler) SetStep(step func() *Thread) { s.step = step }
 
-// SetMeasureWait toggles handoff-wait timing for subsequent executions.
+// SetMeasureWait toggles handoff-wait timing for subsequent executions. Only
+// the benchmark's traced pass turns it on (through core's SetHandoffTiming).
 func (s *Scheduler) SetMeasureWait(on bool) { s.measureWait = on }
 
 // WaitNS returns the accumulated handoff wait of the current (or last)
