@@ -106,10 +106,9 @@ func TestCorruptArtifactsExitStructured(t *testing.T) {
 func TestSlowCellColumns(t *testing.T) {
 	dir := t.TempDir()
 	path, sum := writeSummaryRuns(t, dir, 20, "")
-	cell := sum.Tools[0].Benchmarks[0]
-	if cell.Timing == nil || cell.Timing.Count != 2 || cell.SchedLen == nil || cell.SchedLen.Count != 20 {
-		t.Fatalf("cell histograms: timing %+v, sched_len %+v; want 2 timed and 20 observed executions",
-			cell.Timing, cell.SchedLen)
+	h := sum.Tools[0].Benchmarks[0].Hists
+	if h == nil || h.ExecNS.Count() != 2 || h.SchedLen.Count() != 20 {
+		t.Fatalf("cell histograms %+v; want 2 timed and 20 observed executions", h)
 	}
 	code, report := runCapture(t, "-summary", path)
 	if code != 0 {
@@ -137,10 +136,10 @@ func TestSlowCellColumns(t *testing.T) {
 	if f[4] != "20" {
 		t.Errorf("execs column = %q, want the cell's 20 executions (row %q)", f[4], lines[header+2])
 	}
-	if want := fmt.Sprintf("%d/%d", cell.SchedLen.P50, cell.SchedLen.P99); f[5] != want {
+	if want := fmt.Sprintf("%d/%d", h.SchedLen.Quantile(0.50), h.SchedLen.Quantile(0.99)); f[5] != want {
 		t.Errorf("sched_len column = %q, want %q (row %q)", f[5], want, lines[header+2])
 	}
-	if c := cell.Counts; c == nil || c.RaceChecks == 0 {
+	if c := h.Counts; c.RaceChecks == 0 {
 		t.Errorf("cell counts %+v, want race checks", c)
 	} else if want := fmt.Sprintf("%.1f/%.1f", float64(c.Resumes)/20, float64(c.RaceChecks)/20); f[6] != want {
 		t.Errorf("layer column = %q, want %q (row %q)", f[6], want, lines[header+2])
@@ -277,6 +276,64 @@ func TestRecordIndexListsMissingTraces(t *testing.T) {
 	for _, want := range []string{"race timeline (", "soundness: ok", "record index ("} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestIncompatibleSummaryRefused pins that every mode refuses a summary of
+// the previous schema version (v15 rendered sparse histogram snapshots,
+// which would decode into the folded histograms without an error and give
+// wrong counts) and one whose histograms have another base: report mode,
+// -equal and -compare each exit 1.
+func TestIncompatibleSummaryRefused(t *testing.T) {
+	dir := t.TempDir()
+	path := writeSummary(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	write := func(name string) string {
+		t.Helper()
+		data, err := json.Marshal(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	raw["schema_version"] = campaign.SchemaVersion - 1
+	old := write("v15.json")
+	if _, err := campaign.LoadSummary(old); err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprintf("schema version %d", campaign.SchemaVersion-1)) {
+		t.Fatalf("LoadSummary(v%d) = %v, want an error naming the version", campaign.SchemaVersion-1, err)
+	}
+	// A current summary whose execution-time histogram has another base
+	// would make -compare's fold panic; it is refused by name instead.
+	raw["schema_version"] = campaign.SchemaVersion
+	cell := raw["tools"].([]any)[0].(map[string]any)["benchmarks"].([]any)[0].(map[string]any)
+	cell["hists"].(map[string]any)["exec_ns"].(map[string]any)["base"] = 2048
+	rebased := write("rebased.json")
+	if _, err := campaign.LoadSummary(rebased); err == nil || !strings.Contains(err.Error(), "c11tester/ms-queue: histogram bases") {
+		t.Fatalf("LoadSummary(rebased) = %v, want an error naming the cell's histogram bases", err)
+	}
+	for _, bad := range []string{old, rebased} {
+		for _, args := range [][]string{
+			{"-summary", bad},
+			{"-equal", path, bad},
+			{"-equal", bad, path},
+			{"-compare", bad, path},
+			{"-compare", path, bad},
+		} {
+			if code, _ := runCapture(t, args...); code != 1 {
+				t.Errorf("c11report %v = exit %d, want 1", args, code)
+			}
 		}
 	}
 }

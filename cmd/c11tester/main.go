@@ -130,7 +130,7 @@ func run(args []string, out *os.File) int {
 		return 1
 	}
 	// Crash-safety flags resolve after the matrix so -resume can validate the
-	// checkpoint's spec digest against the fully-built spec.
+	// checkpoint's spec echo against the fully-built spec.
 	if err := cflags.Apply(&spec, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "c11tester:", err)
 		return 1

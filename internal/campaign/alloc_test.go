@@ -63,7 +63,7 @@ func testZeroAllocSteadyState(t *testing.T) {
 			defer closeTool(tool)
 			met := &wt[0].hists[j.key().index(len(benches), len(lits))]
 			eng, _ := tool.(*core.Engine)
-			fr := obs.NewFlightRecorder(obs.FlightRecorderConfig{On: obs.Of(obs.TriggerSlowSteps)})
+			fr := obs.NewFlightRecorder(obs.Of(obs.TriggerSlowSteps))
 			// run executes seed as execution index seed of the cell.
 			run := func(seed int64) {
 				if reset != nil {

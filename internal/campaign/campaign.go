@@ -949,7 +949,7 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 		} else {
 			r.rec = trace.NewRecorder(r.eng.Strategy())
 		}
-		r.fr = obs.NewFlightRecorder(obs.FlightRecorderConfig{On: spec.withDefaults().RecordOn})
+		r.fr = obs.NewFlightRecorder(spec.withDefaults().RecordOn)
 		r.stages = append(r.stages, (*cellRunner).stageRecord)
 	}
 	r.arm(j, tool)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"c11tester/internal/capi"
+	"c11tester/internal/core"
 	"c11tester/internal/harness"
 	"c11tester/internal/litmus"
 	"c11tester/internal/memmodel"
@@ -68,15 +69,26 @@ func canonicalize(s *Summary) *Summary {
 		ts.Benchmarks = append([]CellSummary(nil), ts.Benchmarks...)
 		for j := range ts.Benchmarks {
 			ts.Benchmarks[j].Detection.MeanTimeNS = 0
-			// Timing, phase and handoff histograms are wall-clock
-			// measurements; schedule length and choices stay.
-			ts.Benchmarks[j].dropWallClock()
+			// Timing and phase histograms are wall-clock measurements;
+			// schedule length, choices and counts stay.
+			ts.Benchmarks[j].Hists = withoutWallClock(ts.Benchmarks[j].Hists)
 		}
 		ts.Litmus = append([]LitmusSummary(nil), ts.Litmus...)
 		for j := range ts.Litmus {
-			ts.Litmus[j].dropWallClock()
+			ts.Litmus[j].Hists = withoutWallClock(ts.Litmus[j].Hists)
 		}
 	}
+	return &c
+}
+
+// withoutWallClock returns a copy of h with its wall-clock histograms
+// dropped, leaving the summary h belongs to alone.
+func withoutWallClock(h *hists) *hists {
+	if h == nil {
+		return nil
+	}
+	c := *h
+	c.dropWallClock()
 	return &c
 }
 
@@ -86,17 +98,22 @@ func canonicalize(s *Summary) *Summary {
 // under workers, shards and resume as the outcomes themselves.
 func phaseCounts(s *Summary) map[string]uint64 {
 	out := map[string]uint64{}
-	add := func(tool, program string, phases map[string]*obs.HistogramSnapshot) {
-		for name, h := range phases {
-			out[tool+"/"+program+"/"+name] = h.Count
+	add := func(tool, program string, h *hists) {
+		if h == nil {
+			return
+		}
+		for p := range h.PhaseNS {
+			if n := h.PhaseNS[p].Count(); n > 0 {
+				out[tool+"/"+program+"/"+core.Phase(p).String()] = n
+			}
 		}
 	}
 	for _, ts := range s.Tools {
 		for _, c := range ts.Benchmarks {
-			add(ts.Tool, c.Program, c.Phases)
+			add(ts.Tool, c.Program, c.Hists)
 		}
 		for _, c := range ts.Litmus {
-			add(ts.Tool, c.Test, c.Phases)
+			add(ts.Tool, c.Test, c.Hists)
 		}
 	}
 	return out
@@ -117,60 +134,52 @@ func sampledIn(n int, sampled func(int) bool) uint64 {
 // checkSampledCounts asserts that every cell of s timed its wall time on
 // exactly the wall-time indices among its n executions, [0, n), and its
 // reset and run spans — and its validate span, when present — on exactly the
-// span indices; that nothing timed a race span; that it observed the
-// schedule length and choices of all n; and that it carries layer counts of
+// span indices (the histograms have no race span: race checks are
+// counted); that it observed the schedule length and choices of all n; and that it carries layer counts of
 // at least one resume per execution (its main thread's start). The record
 // span is left out: it counts only the span-sampled executions that owed a
 // trace. Canonical keeps the counts, so the callers' identity checks
 // (workers 1 ≡ K, shard merge, resume) compare them exactly.
 func checkSampledCounts(t *testing.T, s *Summary) {
 	t.Helper()
-	count := func(h *obs.HistogramSnapshot) uint64 {
-		if h == nil {
-			return 0
-		}
-		return h.Count
-	}
-	check := func(tool, program string, execs, failed int, h CellHists) {
+	check := func(tool, program string, execs, failed int, h *hists) {
 		t.Helper()
 		if failed > 0 {
 			t.Fatalf("%s/%s: %d failed executions leave gaps in the index range", tool, program, failed)
 		}
-		if got, want := count(h.Timing), sampledIn(execs, wallSampled); got != want {
+		if h == nil {
+			t.Fatalf("%s/%s: no histograms for %d executions", tool, program, execs)
+		}
+		if got, want := h.ExecNS.Count(), sampledIn(execs, wallSampled); got != want {
 			t.Errorf("%s/%s: timing count %d, want %d (wall-time indices in [0, %d))",
 				tool, program, got, want, execs)
 		}
 		want := sampledIn(execs, spansSampled)
-		spans := map[string]*obs.HistogramSnapshot{}
-		for _, name := range []string{"reset", "run", "validate"} {
-			if p, ok := h.Phases[name]; ok || name != "validate" {
-				spans[name] = p
-			}
+		spans := []core.Phase{core.PhaseReset, core.PhaseRun}
+		if h.PhaseNS[core.PhaseValidate].Count() > 0 {
+			spans = append(spans, core.PhaseValidate)
 		}
-		for name, hist := range spans {
-			if got := count(hist); got != want {
+		for _, p := range spans {
+			if got := h.PhaseNS[p].Count(); got != want {
 				t.Errorf("%s/%s: %s count %d, want %d (span indices in [0, %d))",
-					tool, program, name, got, want, execs)
+					tool, program, p, got, want, execs)
 			}
 		}
-		if _, ok := h.Phases["race"]; ok {
-			t.Errorf("%s/%s: a race span histogram; race checks are counted, not timed", tool, program)
-		}
-		for name, hist := range map[string]*obs.HistogramSnapshot{"sched_len": h.SchedLen, "choices": h.Choices} {
-			if got := count(hist); got != uint64(execs) {
+		for name, hist := range map[string]*obs.Histogram{"sched_len": &h.SchedLen, "choices": &h.Choices} {
+			if got := hist.Count(); got != uint64(execs) {
 				t.Errorf("%s/%s: %s count %d, want every one of %d executions", tool, program, name, got, execs)
 			}
 		}
-		if c := h.Counts; c == nil || c.Resumes < uint64(execs) || c.RaceChecks == 0 {
+		if c := h.Counts; c.Resumes < uint64(execs) || c.RaceChecks == 0 {
 			t.Errorf("%s/%s: layer counts %+v, want ≥ %d resumes and some race checks", tool, program, c, execs)
 		}
 	}
 	for _, ts := range s.Tools {
 		for _, c := range ts.Benchmarks {
-			check(ts.Tool, c.Program, c.Detection.Runs, c.Failed, c.CellHists)
+			check(ts.Tool, c.Program, c.Detection.Runs, c.Failed, c.Hists)
 		}
 		for _, c := range ts.Litmus {
-			check(ts.Tool, c.Test, c.Execs, c.Failed, c.CellHists)
+			check(ts.Tool, c.Test, c.Execs, c.Failed, c.Hists)
 		}
 	}
 }

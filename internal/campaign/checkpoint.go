@@ -1,7 +1,6 @@
 // checkpoint.go is the crash-safety core of the campaign runner: seed-slice
-// sharding (ShardSel), the spec digest that gates resuming, and the
-// per-cell fragment state (CellCheckpoint) a wave-barrier checkpoint
-// carries.
+// sharding (ShardSel), the spec echo that gates resuming, and the per-cell
+// fragment state (CellCheckpoint) a wave-barrier checkpoint carries.
 //
 // The design leans entirely on the package invariant that every execution is
 // a pure function of (tool, program, seed) and that all budget decisions
@@ -20,8 +19,6 @@
 package campaign
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"os"
 	"slices"
@@ -59,66 +56,6 @@ func ParseShard(s string) (ShardSel, error) {
 	return sel, nil
 }
 
-// SpecDigest fingerprints every outcome-affecting campaign parameter: the
-// tool set (name, baseline flavour, configuration), the program matrix,
-// Runs/SeedBase/ShardSize, the budget policy, the guide configuration, and
-// the validation/record duties. Two specs with equal digests run
-// identical execution sets with identical duties; Workers and artifact paths
-// deliberately do not participate (they change where and how fast, never
-// what).
-func SpecDigest(spec Spec) string {
-	spec = spec.withDefaults()
-	type digestTool struct {
-		Name     string `json:"name"`
-		Baseline bool   `json:"baseline"`
-	}
-	d := struct {
-		Tools       []digestTool `json:"tools"`
-		Benchmarks  []string     `json:"benchmarks"`
-		Litmus      []string     `json:"litmus"`
-		Runs        int          `json:"runs"`
-		SeedBase    int64        `json:"seed_base"`
-		ShardSize   int          `json:"shard_size"`
-		Policy      string       `json:"policy"`
-		GuideDir    string       `json:"guide_dir,omitempty"`
-		GuideTraces int          `json:"guide_traces,omitempty"`
-		Validate    bool         `json:"validate,omitempty"`
-		RecordOn    string       `json:"record_on,omitempty"`
-		// Analyzers change what a campaign observes and reports, so they are
-		// digest material; omitempty keeps pre-analyzer digests unchanged.
-		Analyzers []string `json:"analyzers,omitempty"`
-	}{
-		Benchmarks: []string{}, Litmus: []string{},
-		Runs: spec.Runs, SeedBase: spec.SeedBase, ShardSize: spec.ShardSize,
-		Policy:   policyName(spec.Policy),
-		Validate: spec.ValidateAxioms,
-		RecordOn: spec.RecordOn.String(),
-	}
-	for _, t := range spec.Tools {
-		d.Tools = append(d.Tools, digestTool{Name: t.Name, Baseline: t.Baseline})
-	}
-	for _, b := range spec.Benchmarks {
-		d.Benchmarks = append(d.Benchmarks, b.Name)
-	}
-	for _, l := range spec.Litmus {
-		d.Litmus = append(d.Litmus, l.Name)
-	}
-	if spec.Guides != nil {
-		d.GuideDir = spec.Guides.Dir()
-		d.GuideTraces = spec.Guides.Len()
-	}
-	if len(spec.Analyzers) > 0 {
-		d.Analyzers = spec.Analyzers
-	}
-	b, err := json.Marshal(d)
-	if err != nil {
-		// Every field above is a plain value; Marshal cannot fail. Keep the
-		// signature infallible.
-		panic(fmt.Sprintf("campaign: spec digest: %v", err))
-	}
-	return fmt.Sprintf("%x", sha256.Sum256(b))
-}
-
 // Schema identifiers of the serialized checkpoint. Version 2 carries
 // violation samples with their runs and the guide-trace count. Version 3
 // carries each cell's fragment in the fragment's own JSON encoding: races and
@@ -134,19 +71,22 @@ func SpecDigest(spec Spec) string {
 // sharded run ("shard": index and count), whose checkpoint is its partial.
 // Version 8 drops the handoff-wait histogram and the race span from each
 // fragment's histograms and adds its layer counts ("hists.counts").
+// Version 9 drops the spec digest ("spec_digest"): resuming and merging
+// compare the spec echo ("spec") field by field (specSkew).
 const (
 	CheckpointSchemaName    = "c11tester/checkpoint"
-	CheckpointSchemaVersion = 8
+	CheckpointSchemaVersion = 9
 )
 
 // Checkpoint is the wave-barrier state of a campaign: everything a resumed
 // run needs to re-enter at the first incomplete wave and finish with an
 // artifact byte-identical (Summary.Canonical) to an uninterrupted run.
 type Checkpoint struct {
-	Schema        string   `json:"schema"`
-	SchemaVersion int      `json:"schema_version"`
-	SpecDigest    string   `json:"spec_digest"`
-	Spec          SpecInfo `json:"spec"`
+	Schema        string `json:"schema"`
+	SchemaVersion int    `json:"schema_version"`
+	// Spec echoes the campaign parameters; its outcome-affecting fields
+	// (specSkew) gate resuming and merging.
+	Spec SpecInfo `json:"spec"`
 	// Provenance pins the build that wrote the checkpoint; resuming under a
 	// skewed build is refused (a different toolchain may schedule
 	// differently).
@@ -201,7 +141,7 @@ func kindName(k jobKind) string {
 func buildCheckpoint(spec Spec, wave int, complete bool, plans []*cellPlan, restored []cellFold, wt workerTools) *Checkpoint {
 	c := &Checkpoint{
 		Schema: CheckpointSchemaName, SchemaVersion: CheckpointSchemaVersion,
-		SpecDigest: SpecDigest(spec), Spec: specInfo(spec),
+		Spec:       specInfo(spec),
 		Provenance: BuildProvenance(),
 		Wave:       wave, Complete: complete,
 		Cells: checkpointCells(spec, foldCells(spec, restored, wt), plans),
@@ -284,7 +224,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // cell's executions, so the fold is the one the workers' units go through,
 // and resuming it renders the single-machine artifact. It refuses an empty
 // list, an unsharded checkpoint in a list, mixed shard counts, a missing or
-// duplicate index, an incomplete shard, a spec-digest mismatch and build
+// duplicate index, an incomplete shard, spec skew and build
 // provenance skew between the shards; the caller still gates the result with
 // ValidateAgainst.
 func MergeCheckpoints(cks []*Checkpoint) (*Checkpoint, error) {
@@ -318,14 +258,14 @@ func MergeCheckpoints(cks []*Checkpoint) (*Checkpoint, error) {
 		merged.Cells[i].Frag = fragment{}
 	}
 	for _, c := range byIndex {
-		if c.SpecDigest != first.SpecDigest {
-			return nil, fmt.Errorf("campaign: merge: shard %s was cut from a different campaign spec (digest %.12s… vs %.12s…)", c.Shard, c.SpecDigest, first.SpecDigest)
+		if skew := specSkew(first.Spec, c.Spec); len(skew) > 0 {
+			return nil, fmt.Errorf("campaign: merge: shard %s was cut from a different campaign spec (%s)", c.Shard, strings.Join(skew, "; "))
 		}
 		if skew := first.Provenance.Skew(c.Provenance); len(skew) > 0 {
 			return nil, fmt.Errorf("campaign: merge: shard %s build provenance skew (%s): re-run the shards with one build", c.Shard, strings.Join(skew, "; "))
 		}
 		if len(c.Cells) != len(merged.Cells) {
-			// Equal digests pin the matrix; this keeps an edited file from
+			// Equal spec echoes pin the matrix; this keeps an edited file from
 			// indexing past the cells below.
 			return nil, fmt.Errorf("campaign: merge: shard %s has %d cell(s), shard 0/%d has %d", c.Shard, len(c.Cells), first.Shard.Count, len(merged.Cells))
 		}
@@ -338,11 +278,12 @@ func MergeCheckpoints(cks []*Checkpoint) (*Checkpoint, error) {
 }
 
 // ValidateAgainst reports why the checkpoint cannot resume the given spec:
-// a spec-digest mismatch (different execution set or duties) or build
-// provenance skew (a different toolchain cannot promise identical replay).
+// spec skew (a different execution set or different duties, named field by
+// field as "checkpoint → spec") or build provenance skew (a different
+// toolchain cannot promise identical replay).
 func (c *Checkpoint) ValidateAgainst(spec Spec) error {
-	if d := SpecDigest(spec); c.SpecDigest != d {
-		return fmt.Errorf("campaign: checkpoint was cut from a different campaign spec (digest %.12s… vs %.12s…): resuming would mix incompatible runs — point -checkpoint at a fresh path to start over", c.SpecDigest, d)
+	if skew := specSkew(c.Spec, specInfo(spec.withDefaults())); len(skew) > 0 {
+		return fmt.Errorf("campaign: checkpoint was cut from a different campaign spec (%s): resuming would mix incompatible runs — point -checkpoint at a fresh path to start over", strings.Join(skew, "; "))
 	}
 	if skew := BuildProvenance().Skew(c.Provenance); len(skew) > 0 {
 		return fmt.Errorf("campaign: checkpoint build provenance skew (%s): a different build cannot promise byte-identical resume — re-run the campaign from scratch", strings.Join(skew, "; "))
@@ -356,7 +297,7 @@ func (c *Checkpoint) ValidateAgainst(spec Spec) error {
 // matrix order.
 func restore(c *Checkpoint, plans []*cellPlan) []cellFold {
 	if len(c.Cells) != len(plans) {
-		// Unreachable behind ValidateAgainst (the digest pins the matrix);
+		// Unreachable behind ValidateAgainst (the spec echo pins the matrix);
 		// skipping beats corrupting plan state.
 		return nil
 	}

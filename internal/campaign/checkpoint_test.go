@@ -236,9 +236,10 @@ func TestShardMergeByteIdentical(t *testing.T) {
 			}
 
 			parts, cks := runShards(t, build, 3)
-			// The digest must not depend on shard selection or worker count.
-			if d := SpecDigest(build(1)); cks[0].SpecDigest != d {
-				t.Fatalf("shard digest %s != unsharded spec digest %s", cks[0].SpecDigest, d)
+			// The spec echo's outcome-affecting fields must not depend on
+			// shard selection or worker count.
+			if skew := specSkew(cks[0].Spec, specInfo(build(1).withDefaults())); len(skew) > 0 {
+				t.Fatalf("shard spec echo skews from the unsharded spec: %q", skew)
 			}
 
 			// Every execution runs in exactly one shard.
@@ -410,9 +411,9 @@ func TestMergeCheckpointsRefusals(t *testing.T) {
 	refused("1 of 2 shards", []*Checkpoint{p0}, "cut into 2 shards")
 	refused("duplicate index", []*Checkpoint{p0, p0}, "given twice")
 	refused("mixed counts", []*Checkpoint{p0, three[1]}, "different counts")
-	// A shard cut from a different spec (different seed base → different
-	// digest) must refuse even though the matrix shape matches.
-	refused("digest mismatch", []*Checkpoint{p0, alien[1]}, "different campaign spec")
+	// A shard cut from a different spec must refuse, naming the field that
+	// changed, even though the matrix shape matches.
+	refused("spec skew", []*Checkpoint{p0, alien[1]}, "different campaign spec (seed_base: 1 → 999)")
 	skewed := edit(p1)
 	prov := *p1.Provenance
 	prov.GoVersion = "go0.0"
@@ -690,16 +691,36 @@ func TestValidateAgainstDetectsSpecDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := ck.ValidateAgainst(build(5)); err == nil ||
-		!strings.Contains(err.Error(), "digest") {
-		t.Errorf("spec drift (runs 4→5) not refused: %v", err)
+		!strings.Contains(err.Error(), "(runs: 4 → 5)") {
+		t.Errorf("spec drift (runs 4→5) not refused by name: %v", err)
 	}
-	// Worker count and output paths are excluded from the digest: resuming on
-	// a different machine shape is legitimate.
+	// The trigger set and the guide-trace count change what a run records
+	// and how it explores, so they refuse too.
+	recorded := build(4)
+	recorded.RecordDir = t.TempDir()
+	if err := ck.ValidateAgainst(recorded); err == nil ||
+		!strings.Contains(err.Error(), "record_on:  → hit") {
+		t.Errorf("record_on drift not refused by name: %v", err)
+	}
+	guided := *ck
+	guided.Spec.GuideTraces = 3
+	if err := guided.ValidateAgainst(build(4)); err == nil ||
+		!strings.Contains(err.Error(), "guide_traces: 3 → 0") {
+		t.Errorf("guide_traces drift not refused by name: %v", err)
+	}
+	// Worker count and paths are left out of the comparison: resuming on a
+	// different machine shape, or with the guides in another directory, is
+	// legitimate.
 	same := build(4)
 	same.Workers = 13
 	same.RecordDir = ""
 	if err := ck.ValidateAgainst(same); err != nil {
 		t.Errorf("worker-count change refused: %v", err)
+	}
+	moved := *ck
+	moved.Spec.GuideDir = "elsewhere"
+	if err := moved.ValidateAgainst(same); err != nil {
+		t.Errorf("guide-directory change refused: %v", err)
 	}
 }
 
@@ -800,7 +821,10 @@ func TestStaleCheckpointRefused(t *testing.T) {
 	if err := json.Unmarshal(data, &raw); err != nil {
 		t.Fatal(err)
 	}
+	// A version-8 checkpoint also carried the spec digest this version
+	// dropped; the version alone must refuse it.
 	raw["schema_version"] = CheckpointSchemaVersion - 1
+	raw["spec_digest"] = "3f1c2a9b"
 	stale := filepath.Join(dir, "stale.json")
 	if data, err = json.Marshal(raw); err != nil {
 		t.Fatal(err)

@@ -6,15 +6,15 @@ import (
 	"time"
 
 	"c11tester/internal/harness"
-	"c11tester/internal/obs"
 	"c11tester/internal/safeio"
 )
 
 // LoadSummary reads a serialized campaign artifact (BENCH_campaign.json)
-// and sanity-checks its schema header. Versions 1 through SchemaVersion are
-// accepted — comparison only touches fields that exist in every one of them;
-// newer versions are rejected, since a bump signals an incompatible reshape
-// that would silently decode to zero values here.
+// and checks its schema header and histogram bases. Only SchemaVersion is
+// accepted: an older summary's cells carry sparse histogram renderings that
+// would decode into the folded histograms without an error and give wrong
+// counts. A histogram of another base would make obs.Histogram.Add panic
+// when Compare folds it.
 func LoadSummary(path string) (*Summary, error) {
 	var s Summary
 	if err := safeio.DecodeJSONFile(path, &s); err != nil {
@@ -25,9 +25,21 @@ func LoadSummary(path string) (*Summary, error) {
 	if s.Schema != SchemaName {
 		return nil, fmt.Errorf("campaign: %s: schema %q, want %q", path, s.Schema, SchemaName)
 	}
-	if s.SchemaVersion < 1 || s.SchemaVersion > SchemaVersion {
-		return nil, fmt.Errorf("campaign: %s: schema version %d, this build understands 1..%d",
+	if s.SchemaVersion != SchemaVersion {
+		return nil, fmt.Errorf("campaign: %s: schema version %d, this build reads only version %d (regenerate the summary with this build)",
 			path, s.SchemaVersion, SchemaVersion)
+	}
+	for _, ts := range s.Tools {
+		for _, c := range ts.Benchmarks {
+			if !c.Hists.hasBases() {
+				return nil, fmt.Errorf("campaign: %s: %s/%s: histogram bases differ from this build's", path, ts.Tool, c.Program)
+			}
+		}
+		for _, c := range ts.Litmus {
+			if !c.Hists.hasBases() {
+				return nil, fmt.Errorf("campaign: %s: %s/litmus/%s: histogram bases differ from this build's", path, ts.Tool, c.Test)
+			}
+		}
 	}
 	return &s, nil
 }
@@ -88,14 +100,14 @@ type ToolDelta struct {
 	Litmus []LitmusDelta `json:"litmus,omitempty"`
 	// Validation is present when both artifacts carry validation results.
 	Validation *ValidationDelta `json:"validation,omitempty"`
-	// OldP99NS/NewP99NS are the tool's p99 ns/exec from the merged per-cell
-	// timing histograms (schema v4; zero when either artifact predates them).
+	// OldP99NS/NewP99NS are the tool's p99 ns/exec from its cells' folded
+	// execution-time histograms (zero when a side holds no timing sample).
 	// Report-only: wall-clock quantiles are not comparable across machines,
 	// so drift is surfaced in the report but never gates Regressed.
 	OldP99NS uint64 `json:"old_p99_ns,omitempty"`
 	NewP99NS uint64 `json:"new_p99_ns,omitempty"`
-	// Counts lists the cells whose layer counts moved (schema v15, on both
-	// sides). Report-only: a perf change names the counter it reduced here,
+	// Counts lists the cells whose layer counts moved (cells with counts on
+	// both sides). Report-only: a perf change names the counter it reduced here,
 	// and a change of decision streams, which moves them too, is caught by
 	// the identity check (c11report -equal) instead.
 	Counts []CountsDelta `json:"counts,omitempty"`
@@ -127,7 +139,8 @@ type Comparison struct {
 	ProvenanceSkew []string `json:"provenance_skew,omitempty"`
 	// SpecSkew lists the outcome-affecting spec-echo fields on which the two
 	// artifacts differ (runs, seeds, shard size, policy, tools,
-	// programs, analyzers, validation). Report-only, like ProvenanceSkew:
+	// programs, analyzers, validation, guide traces, record triggers; see
+	// specSkew). Report-only, like ProvenanceSkew:
 	// comparing two different program sets can be deliberate, but movement
 	// across skewed specs is not movement of the tools, so the report prints
 	// the skew before anything else.
@@ -135,8 +148,12 @@ type Comparison struct {
 }
 
 // specSkew lists the outcome-affecting fields on which two spec echoes
-// disagree, rendered as "field: old → new" lines; empty when they match.
-// Workers and the output paths are left out: they never change outcomes.
+// disagree, rendered as "field: old → new" lines; empty when they match. It
+// is the one list of those fields: Compare warns on it, and checkpoints
+// refuse to resume or merge on it. Workers and the paths (output and record
+// directories, the guide directory) are left out: they never change
+// outcomes. Tools are compared by name, which fixes their flavour
+// (StandardTool).
 func specSkew(a, b SpecInfo) []string {
 	var out []string
 	diff := func(name string, x, y any) {
@@ -153,6 +170,8 @@ func specSkew(a, b SpecInfo) []string {
 	diff("litmus", a.Litmus, b.Litmus)
 	diff("analyzers", a.Analyzers, b.Analyzers)
 	diff("validate", a.Validate, b.Validate)
+	diff("guide_traces", a.GuideTraces, b.GuideTraces)
+	diff("record_on", a.RecordOn, b.RecordOn)
 	return out
 }
 
@@ -246,32 +265,40 @@ func Compare(old, new *Summary) *Comparison {
 	return c
 }
 
-// toolP99 merges a tool's per-cell ns/exec timing snapshots (schema v4) and
-// returns the merged p99, or 0 when the artifact carries no timing data.
+// toolP99 folds a tool's per-cell execution-time histograms with
+// obs.Histogram.Add and returns the fold's p99, or 0 when no cell holds a
+// timing sample. Cells without a sample are skipped, so the fold never adds
+// a histogram of another base.
 func toolP99(ts *ToolSummary) uint64 {
-	merged := &obs.HistogramSnapshot{}
+	merged := blankHists.ExecNS
+	add := func(h *hists) {
+		if h != nil && h.ExecNS.Count() > 0 {
+			merged.Add(&h.ExecNS)
+		}
+	}
 	for i := range ts.Benchmarks {
-		merged.Merge(ts.Benchmarks[i].Timing)
+		add(ts.Benchmarks[i].Hists)
 	}
 	for i := range ts.Litmus {
-		merged.Merge(ts.Litmus[i].Timing)
+		add(ts.Litmus[i].Hists)
 	}
-	return merged.P99
+	return merged.Quantile(0.99)
 }
 
 // cellCounts maps a tool's cells that carry layer counts to them, keyed by
 // program (litmus tests with the litmus/ prefix).
-func cellCounts(ts *ToolSummary) map[string]*LayerCounts {
-	out := map[string]*LayerCounts{}
-	for _, c := range ts.Benchmarks {
-		if c.Counts != nil {
-			out[c.Program] = c.Counts
+func cellCounts(ts *ToolSummary) map[string]LayerCounts {
+	out := map[string]LayerCounts{}
+	add := func(name string, h *hists) {
+		if h != nil && h.Counts != (LayerCounts{}) {
+			out[name] = h.Counts
 		}
 	}
+	for _, c := range ts.Benchmarks {
+		add(c.Program, c.Hists)
+	}
 	for _, c := range ts.Litmus {
-		if c.Counts != nil {
-			out["litmus/"+c.Test] = c.Counts
-		}
+		add("litmus/"+c.Test, c.Hists)
 	}
 	return out
 }
@@ -282,8 +309,8 @@ func diffCounts(old, new *ToolSummary) []CountsDelta {
 	oc, nc := cellCounts(old), cellCounts(new)
 	var out []CountsDelta
 	for _, name := range harness.SortedKeys(nc) {
-		if o, ok := oc[name]; ok && *o != *nc[name] {
-			out = append(out, CountsDelta{Tool: new.Tool, Program: name, Old: *o, New: *nc[name]})
+		if o, ok := oc[name]; ok && o != nc[name] {
+			out = append(out, CountsDelta{Tool: new.Tool, Program: name, Old: o, New: nc[name]})
 		}
 	}
 	return out

@@ -194,21 +194,24 @@ func TestCompareReportsSpecSkew(t *testing.T) {
 
 // TestCompareListsMovedCounts pins the layer-count leg of the comparison: a
 // cell whose counts moved is listed with both sides, a cell whose counts
-// held or that lacks them on one side (an artifact older than schema v15) is
-// not, and the movement never counts as a regression.
+// held or that lacks them on one side (it observed nothing) is not, and the
+// movement never counts as a regression.
 func TestCompareListsMovedCounts(t *testing.T) {
 	old := mkSummary(1000, 80, "a/x/y")
 	new := mkSummary(1000, 80, "a/x/y")
 	if d := Compare(old, new).Tools[0].Counts; len(d) != 0 {
 		t.Fatalf("artifacts without counts list movement %+v", d)
 	}
-	old.Tools[0].Benchmarks[0].Counts = &LayerCounts{Resumes: 700, RaceChecks: 1200, Blocked: 3, Yields: 40}
+	oh := blankHists
+	oh.Counts = LayerCounts{Resumes: 700, RaceChecks: 1200, Blocked: 3, Yields: 40}
+	old.Tools[0].Benchmarks[0].Hists = &oh
 	if d := Compare(old, new).Tools[0].Counts; len(d) != 0 {
 		t.Fatalf("one-sided counts list movement %+v", d)
 	}
-	moved := *old.Tools[0].Benchmarks[0].Counts
-	moved.Yields = 25
-	new.Tools[0].Benchmarks[0].Counts = &moved
+	nh := oh
+	nh.Counts.Yields = 25
+	moved := nh.Counts
+	new.Tools[0].Benchmarks[0].Hists = &nh
 	c := Compare(old, new)
 	d := c.Tools[0].Counts
 	if len(d) != 1 || d[0].Program != "ms-queue" || d[0].Old.Yields != 40 || d[0].New != moved {
@@ -222,5 +225,47 @@ func TestCompareListsMovedCounts(t *testing.T) {
 	}
 	if d := Compare(old, old).Tools[0].Counts; len(d) != 0 {
 		t.Errorf("identical counts list movement %+v", d)
+	}
+}
+
+// TestCompareToolP99FoldsCells pins the p99 leg of the comparison: a tool's
+// p99 is the quantile of its cells' execution-time histograms folded with
+// Add, cells without a timing sample are skipped (so an empty histogram of
+// another base, which Add would refuse, never reaches it), and a tool with
+// no sample at all reports 0.
+func TestCompareToolP99FoldsCells(t *testing.T) {
+	timed := func(vals ...uint64) *hists {
+		h := blankHists
+		for _, v := range vals {
+			h.ExecNS.Observe(v)
+		}
+		return &h
+	}
+	sum := mkSummary(1000, 80)
+	ts := &sum.Tools[0]
+	ts.Benchmarks = []CellSummary{
+		{Program: "a", Hists: timed(2000, 3000)},
+		{Program: "b"},                                                 // observed nothing
+		{Program: "c", Hists: timed()},                                 // no timing sample
+		{Program: "d", Hists: &hists{Counts: LayerCounts{Resumes: 1}}}, // no base
+		{Program: "e", Hists: timed(500_000)},
+	}
+	ts.Litmus = []LitmusSummary{{Test: "SB", Hists: timed(4000)}}
+	want := timed(2000, 3000, 500_000, 4000).ExecNS.Quantile(0.99)
+	if want == 0 {
+		t.Fatal("reference fold has no p99")
+	}
+	if got := toolP99(ts); got != want {
+		t.Errorf("toolP99 = %d, want %d (the fold of the timed cells)", got, want)
+	}
+	d := Compare(sum, sum).Tools[0]
+	if d.OldP99NS != want || d.NewP99NS != want {
+		t.Errorf("compared p99 = %d → %d, want %d on both sides", d.OldP99NS, d.NewP99NS, want)
+	}
+	if text := Compare(sum, sum).String(); !strings.Contains(text, "p99 ns/exec") {
+		t.Errorf("report lacks the p99 line:\n%s", text)
+	}
+	if got := toolP99(&mkSummary(1000, 80).Tools[0]); got != 0 {
+		t.Errorf("toolP99 without samples = %d, want 0", got)
 	}
 }

@@ -395,15 +395,17 @@ func TestSchemaArtifactRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(b.Curve, sum.Tools[0].Benchmarks[0].Budget.Curve) || len(b.Curve) == 0 {
 		t.Fatalf("convergence curve did not round-trip: %+v", b.Curve)
 	}
-	tm := rt.Tools[0].Benchmarks[0].Timing
-	if tm == nil || tm.Count == 0 || tm.Sum == 0 || tm.P50 == 0 {
-		t.Fatalf("timing snapshot did not round-trip: %+v", tm)
+	h := rt.Tools[0].Benchmarks[0].Hists
+	if h == nil || !reflect.DeepEqual(*h, *sum.Tools[0].Benchmarks[0].Hists) {
+		t.Fatalf("histograms did not round-trip: %+v", h)
 	}
-	ph := rt.Tools[0].Benchmarks[0].Phases
-	if ph == nil || ph["run"] == nil || ph["run"].Count == 0 {
-		t.Fatalf("phase snapshots did not round-trip: %+v", ph)
+	if tm := &h.ExecNS; tm.Count() == 0 || tm.Sum == 0 || tm.Quantile(0.5) == 0 {
+		t.Fatalf("timing histogram did not round-trip: %+v", tm)
 	}
-	if _, ok := ph["validate"]; ok {
+	if h.PhaseNS[core.PhaseRun].Count() == 0 {
+		t.Fatalf("phase histograms did not round-trip: %+v", h.PhaseNS)
+	}
+	if h.PhaseNS[core.PhaseValidate].Count() != 0 {
 		t.Fatal("validate phase present without validation duties")
 	}
 	if rt.Provenance == nil || rt.Provenance.GoVersion == "" {

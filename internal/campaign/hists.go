@@ -1,5 +1,5 @@
-// hists.go holds the per-cell summary histograms: the workers' accumulators,
-// their fold, and their rendering into the summary.
+// hists.go holds the per-cell summary histograms: the workers' accumulators
+// and their fold, which the summary carries as it is.
 package campaign
 
 import (
@@ -29,9 +29,10 @@ const (
 // Each worker keeps one hists per matrix cell in its workerSlot and observes
 // into it without locks or allocation. foldCells adds the workers' hists into
 // the cell's folded fragment (fragment.Hists), and from there fragment.merge
-// carries them into checkpoints (a shard's included) and the summary — the
-// same fold as every other cell result, so resumed and shard-merged
-// histograms and counts equal uninterrupted single-machine ones.
+// carries them into checkpoints (a shard's included); the summary cell points
+// at the folded hists and encodes them as checkpoints do. It is the same fold
+// as every other cell result, so resumed and shard-merged histograms and
+// counts equal uninterrupted single-machine ones.
 type hists struct {
 	ExecNS   obs.Histogram                `json:"exec_ns"`
 	PhaseNS  [core.NumSpans]obs.Histogram `json:"phase_ns"`
@@ -87,6 +88,19 @@ func (h *hists) observe(i int, d time.Duration, eng *core.Engine) {
 	}
 }
 
+// hasBases reports whether h's histograms have the bases of blankHists, as
+// every histogram Add folds must; a nil h holds none and passes.
+func (h *hists) hasBases() bool {
+	if h == nil {
+		return true
+	}
+	ok := h.ExecNS.Base == nsBase && h.SchedLen.Base == stepsBase && h.Choices.Base == stepsBase
+	for p := range h.PhaseNS {
+		ok = ok && h.PhaseNS[p].Base == nsBase
+	}
+	return ok
+}
+
 // add folds o into h.
 func (h *hists) add(o *hists) {
 	h.ExecNS.Add(&o.ExecNS)
@@ -106,52 +120,11 @@ func (c *LayerCounts) add(o LayerCounts) {
 	c.Yields += o.Yields
 }
 
-// CellHists are a cell's rendered histograms and layer counts (see hists).
-// Timing (schema v4) is the ns/exec histogram and Phases (schema v5) the
-// per-phase span histograms keyed by phase name, omitting phases with no
-// observations. SchedLen and Choices (schema v11) are the schedule length
-// and strategy decisions per execution, and Counts (schema v15) the layer
-// counts summed over the cell's executions (engine tools only). The
-// wall-clock histograms cover their sampled executions only — Timing the
-// wall-time sample, Phases the disjoint span sample — so their counts are the
-// cell's sample sizes; SchedLen, Choices and Counts cover every execution and
-// are as deterministic as the outcomes.
-type CellHists struct {
-	Timing   *obs.HistogramSnapshot            `json:"timing,omitempty"`
-	Phases   map[string]*obs.HistogramSnapshot `json:"phases,omitempty"`
-	SchedLen *obs.HistogramSnapshot            `json:"sched_len,omitempty"`
-	Choices  *obs.HistogramSnapshot            `json:"choices,omitempty"`
-	Counts   *LayerCounts                      `json:"counts,omitempty"`
-}
-
-// render snapshots the histograms; a nil h (a cell that observed nothing)
-// renders empty.
-func (h *hists) render() CellHists {
-	if h == nil {
-		return CellHists{}
+// dropWallClock resets the wall-clock histograms (execution time and phase
+// spans) to blank, keeping the deterministic schedule-length and choices
+// histograms and the layer counts. A nil h stays nil.
+func (h *hists) dropWallClock() {
+	if h != nil {
+		h.ExecNS, h.PhaseNS = blankHists.ExecNS, blankHists.PhaseNS
 	}
-	c := CellHists{
-		Timing:   h.ExecNS.Snapshot(),
-		SchedLen: h.SchedLen.Snapshot(),
-		Choices:  h.Choices.Snapshot(),
-	}
-	if h.Counts != (LayerCounts{}) {
-		counts := h.Counts
-		c.Counts = &counts
-	}
-	for p := range h.PhaseNS {
-		if s := h.PhaseNS[p].Snapshot(); s != nil {
-			if c.Phases == nil {
-				c.Phases = make(map[string]*obs.HistogramSnapshot, core.NumSpans)
-			}
-			c.Phases[core.Phase(p).String()] = s
-		}
-	}
-	return c
-}
-
-// dropWallClock zeroes the wall-clock histograms, keeping the deterministic
-// schedule-length and choices histograms and the layer counts.
-func (c *CellHists) dropWallClock() {
-	c.Timing, c.Phases = nil, nil
 }

@@ -24,12 +24,13 @@ import (
 // topSlow bounds the slow-cell table.
 const topSlow = 5
 
-// slowCell is one row of the slow-cell table: a cell's execution count and
-// histograms from the summary.
+// slowCell is one row of the slow-cell table: a cell's execution count,
+// folded histograms and execution-time p99.
 type slowCell struct {
 	tool, program string
 	execs         int
-	CellHists
+	h             *hists
+	p99           uint64
 }
 
 // WriteReport renders the report. sum is required; man may be nil (the
@@ -141,24 +142,25 @@ func writeFindings(w io.Writer, sum *Summary) {
 // tail of longer schedules from a tail of dearer steps.
 func writeSlowCells(w io.Writer, sum *Summary) {
 	var cells []slowCell
+	add := func(tool, program string, execs int, h *hists) {
+		if h != nil && h.ExecNS.Count() > 0 {
+			cells = append(cells, slowCell{tool, program, execs, h, h.ExecNS.Quantile(0.99)})
+		}
+	}
 	for _, ts := range sum.Tools {
 		for _, c := range ts.Benchmarks {
-			if c.Timing != nil {
-				cells = append(cells, slowCell{ts.Tool, c.Program, c.Detection.Runs, c.CellHists})
-			}
+			add(ts.Tool, c.Program, c.Detection.Runs, c.Hists)
 		}
 		for _, c := range ts.Litmus {
-			if c.Timing != nil {
-				cells = append(cells, slowCell{ts.Tool, c.Test, c.Execs, c.CellHists})
-			}
+			add(ts.Tool, c.Test, c.Execs, c.Hists)
 		}
 	}
 	if len(cells) == 0 {
 		return
 	}
 	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].Timing.P99 != cells[j].Timing.P99 {
-			return cells[i].Timing.P99 > cells[j].Timing.P99
+		if cells[i].p99 != cells[j].p99 {
+			return cells[i].p99 > cells[j].p99
 		}
 		if cells[i].tool != cells[j].tool {
 			return cells[i].tool < cells[j].tool
@@ -173,19 +175,19 @@ func writeSlowCells(w io.Writer, sum *Summary) {
 		"resumes/race checks per exec", "phase breakdown (mean)"}}
 	for _, c := range cells {
 		schedLen, layers := "-", "-"
-		if h := c.SchedLen; h != nil {
-			schedLen = fmt.Sprintf("%d/%d", h.P50, h.P99)
-			if k := c.Counts; k != nil && h.Count > 0 {
-				n := float64(h.Count)
+		if h := &c.h.SchedLen; h.Count() > 0 {
+			schedLen = fmt.Sprintf("%d/%d", h.Quantile(0.50), h.Quantile(0.99))
+			if k := c.h.Counts; k != (LayerCounts{}) {
+				n := float64(h.Count())
 				layers = fmt.Sprintf("%.1f/%.1f", float64(k.Resumes)/n, float64(k.RaceChecks)/n)
 			}
 		}
 		tb.AddRow(c.tool, c.program,
-			harness.FmtDuration(time.Duration(c.Timing.P50)),
-			harness.FmtDuration(time.Duration(c.Timing.P99)),
+			harness.FmtDuration(time.Duration(c.h.ExecNS.Quantile(0.50))),
+			harness.FmtDuration(time.Duration(c.p99)),
 			fmt.Sprintf("%d", c.execs),
 			schedLen, layers,
-			phaseBreakdown(c.Phases, c.execs))
+			phaseBreakdown(&c.h.PhaseNS, c.execs))
 	}
 	fmt.Fprint(w, tb.String())
 }
@@ -194,22 +196,23 @@ func writeSlowCells(w io.Writer, sum *Summary) {
 // followed by their sample size against the cell's execs: phase spans are
 // timed on one execution index in every timingSample only (spansSampled),
 // so the means cover n of the execs executions.
-func phaseBreakdown(phases map[string]*obs.HistogramSnapshot, execs int) string {
-	if len(phases) == 0 {
-		return "(no phase spans)"
-	}
+func phaseBreakdown(phases *[core.NumSpans]obs.Histogram, execs int) string {
 	out := ""
 	var n uint64
-	for p := 0; p < core.NumSpans; p++ {
-		h := phases[core.Phase(p).String()]
-		if h == nil || h.Count == 0 {
+	for p := range phases {
+		h := &phases[p]
+		c := h.Count()
+		if c == 0 {
 			continue
 		}
 		if out != "" {
 			out += "  "
 		}
-		out += fmt.Sprintf("%s %s", core.Phase(p), harness.FmtDuration(time.Duration(h.Sum/h.Count)))
-		n = max(n, h.Count)
+		out += fmt.Sprintf("%s %s", core.Phase(p), harness.FmtDuration(time.Duration(h.Sum/c)))
+		n = max(n, c)
+	}
+	if out == "" {
+		return "(no phase spans)"
 	}
 	return out + fmt.Sprintf(" (n=%d of %d)", n, execs)
 }

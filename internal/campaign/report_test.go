@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"c11tester/internal/core"
 	"c11tester/internal/explore"
 	"c11tester/internal/harness"
 	"c11tester/internal/obs"
@@ -148,13 +149,19 @@ convergence curves (2 cell(s)):
 // sample size: the phase histograms count the timed executions only, and
 // the record span may count fewer still.
 func TestPhaseBreakdownStatesSampleSize(t *testing.T) {
-	got := phaseBreakdown(map[string]*obs.HistogramSnapshot{
-		"reset":  {Count: 2, Sum: 2000},
-		"run":    {Count: 2, Sum: 18000},
-		"record": {Count: 1, Sum: 5000},
-	}, 30)
-	if want := "reset 1.0µs  run 9.0µs  record 5.0µs (n=2 of 30)"; got != want {
+	h := blankHists
+	for _, v := range []uint64{500, 1500} {
+		h.PhaseNS[core.PhaseReset].Observe(v)
+	}
+	for _, v := range []uint64{8000, 10000} {
+		h.PhaseNS[core.PhaseRun].Observe(v)
+	}
+	h.PhaseNS[core.PhaseRecord].Observe(5000)
+	if got, want := phaseBreakdown(&h.PhaseNS, 30), "reset 1.0µs  run 9.0µs  record 5.0µs (n=2 of 30)"; got != want {
 		t.Errorf("phaseBreakdown = %q, want %q", got, want)
+	}
+	if got, want := phaseBreakdown(&blankHists.PhaseNS, 30), "(no phase spans)"; got != want {
+		t.Errorf("phaseBreakdown of no spans = %q, want %q", got, want)
 	}
 }
 

@@ -92,9 +92,16 @@ import (
 // checks, blocked dispatches and yields, summed over every execution); the
 // per-operation clocks they replace are gone, and with them "handoff" and
 // the "race" entry of "phases".
+//
+// v16: one histogram form. Each cell's "timing", "phases", "sched_len",
+// "choices" and "counts" are replaced by "hists": the cell's folded
+// histograms and layer counts in the encoding checkpoints carry (every
+// bucket's count, no precomputed quantiles). Readers compute quantiles
+// from the buckets (obs.Histogram.Quantile) and fold cells with
+// obs.Histogram.Add.
 const (
 	SchemaName    = "c11tester/campaign"
-	SchemaVersion = 15
+	SchemaVersion = 16
 )
 
 // SpecInfo echoes the campaign parameters into the summary, making every
@@ -192,7 +199,9 @@ type CellSummary struct {
 	Guided *GuideStats `json:"guided,omitempty"`
 	// Failed counts executions the tool itself aborted (schema v3).
 	Failed int `json:"failed,omitempty"`
-	CellHists
+	// Hists are the cell's folded histograms and layer counts (schema v16),
+	// encoded as checkpoints encode them; nil when the cell observed nothing.
+	Hists *hists `json:"hists,omitempty"`
 }
 
 // ForbiddenOutcome is one observed litmus outcome the memory model must
@@ -220,11 +229,11 @@ type LitmusSummary struct {
 	// is what separates the full fragment from the baselines'.
 	WeakSeen    []string `json:"weak_seen"`
 	WeakDefined int      `json:"weak_defined"`
-	// Budget, Guided, and Failed mirror CellSummary's schema v3 fields.
+	// Budget, Guided, Failed and Hists mirror CellSummary's fields.
 	Budget *BudgetSummary `json:"budget,omitempty"`
 	Guided *GuideStats    `json:"guided,omitempty"`
 	Failed int            `json:"failed,omitempty"`
-	CellHists
+	Hists  *hists         `json:"hists,omitempty"`
 }
 
 // ValidationSummary reports the per-tool axiomatic-validation results of a
@@ -524,11 +533,11 @@ func aggregate(spec Spec, cells []cellFold, budgets map[cellKey]*BudgetSummary) 
 					Runs: f.Execs, Detected: f.Detected,
 					Time: meanTime, Ops: f.Ops,
 				}.Summary(),
-				RaceKeys:  harness.SortedKeys(f.Races),
-				Budget:    budgets[k],
-				Guided:    guideStatsOf(f),
-				Failed:    f.Failed,
-				CellHists: f.Hists.render(),
+				RaceKeys: harness.SortedKeys(f.Races),
+				Budget:   budgets[k],
+				Guided:   guideStatsOf(f),
+				Failed:   f.Failed,
+				Hists:    f.Hists,
 			}
 			ts.Benchmarks = append(ts.Benchmarks, cell)
 			addRaces(toolRaces, b, program, false, f.Races)
@@ -554,7 +563,7 @@ func aggregate(spec Spec, cells []cellFold, budgets map[cellKey]*BudgetSummary) 
 				Budget:      budgets[k],
 				Guided:      guideStatsOf(f),
 				Failed:      f.Failed,
-				CellHists:   f.Hists.render(),
+				Hists:       f.Hists,
 			}
 			for _, out := range harness.SortedKeys(f.Forbidden) {
 				ls.ForbiddenSeen = append(ls.ForbiddenSeen, ForbiddenOutcome{
@@ -843,7 +852,7 @@ func (s *Summary) WriteJSON(path string) error {
 // SIGKILL-then-resume run vs an uninterrupted one all marshal to identical
 // bytes after Canonical.
 // Zeroed: wall clock, the GC block, per-cell mean times and the wall-clock
-// histograms (timing, phases), per-tool work time and throughput,
+// histograms (hists.exec_ns, hists.phase_ns), per-tool work time and throughput,
 // and the run-shape echoes (Workers, artifact directories) plus checkpoint
 // accounting and build provenance (`go run` and `go build` of the same tree
 // stamp different VCS metadata, and the guarantee must hold across binaries;
@@ -874,10 +883,10 @@ func (s *Summary) Canonical() *Summary {
 		for b := range ts.Benchmarks {
 			cell := &ts.Benchmarks[b]
 			cell.Detection.MeanTimeNS = 0
-			cell.dropWallClock()
+			cell.Hists.dropWallClock()
 		}
 		for l := range ts.Litmus {
-			ts.Litmus[l].dropWallClock()
+			ts.Litmus[l].Hists.dropWallClock()
 		}
 	}
 	return &c

@@ -123,9 +123,8 @@ func TestTimingSampledPerIndex(t *testing.T) {
 				runs, validated, spans)
 		}
 		for _, ts := range sum.Tools {
-			c := ts.Benchmarks[0]
-			if c.Timing == nil || c.Timing.Count != wall {
-				t.Errorf("runs=%d: %s timing histogram = %+v, want %d samples", runs, ts.Tool, c.Timing, wall)
+			if h := ts.Benchmarks[0].Hists; h == nil || h.ExecNS.Count() != wall {
+				t.Errorf("runs=%d: %s histograms = %+v, want %d timing samples", runs, ts.Tool, h, wall)
 			}
 		}
 	}

@@ -46,7 +46,7 @@ const (
 	// TriggerSlowSteps: the execution's schedule length strictly exceeded the
 	// trailing p99 of the digest ring. Steps are a pure function of the
 	// seed, so the trigger is deterministic. It is the one capped trigger
-	// (FlightRecorderConfig.MaxSlow per unit).
+	// (maxSlow per unit).
 	TriggerSlowSteps
 
 	numTriggers
@@ -125,56 +125,37 @@ type ExecDigest struct {
 	Hit bool
 }
 
-// FlightRecorderConfig configures a recorder. Zero sizes get defaults.
-type FlightRecorderConfig struct {
-	// On is the trigger set; a recorder with an empty set fires nothing.
-	On Triggers
-	// Ring is the digest ring size (default 64, capped at 99 — see
-	// trailingP99Steps). The slow trigger arms once the recorder holds
-	// min(Ring, slowArm) digests and compares against the maximum of the
-	// digests it holds, so a 25-execution campaign unit can fire it.
-	Ring int
-	// MaxSlow caps slow-trigger grants per unit (default 2): slow executions
-	// cluster, and one unit of work should not flood the directory with
-	// near-duplicates. The other triggers are uncapped.
-	MaxSlow int
-}
+// ringSize is the digest ring size. The slow trigger arms once the recorder
+// holds slowArm digests and compares against the maximum of the digests it
+// holds, so a 25-execution campaign unit can fire it. It must stay at most
+// 99 (see trailingP99Steps).
+const ringSize = 64
 
-// slowArm is the digest count at which the slow trigger arms when the ring
-// is larger: enough history that a strict outlier is not just an early
-// execution of an ordinary unit.
+// slowArm is the digest count at which the slow trigger arms: enough
+// history that a strict outlier is not just an early execution of an
+// ordinary unit.
 const slowArm = 16
 
-func (c FlightRecorderConfig) withDefaults() FlightRecorderConfig {
-	if c.Ring <= 0 {
-		c.Ring = 64
-	}
-	// ceil(0.99·n) == n for all n ≤ 99, so capping the ring here is what
-	// licenses trailingP99Steps's max-scan implementation.
-	if c.Ring > 99 {
-		c.Ring = 99
-	}
-	if c.MaxSlow <= 0 {
-		c.MaxSlow = 2
-	}
-	return c
-}
+// maxSlow caps slow-trigger grants per unit: slow executions cluster, and
+// one unit of work should not flood the directory with near-duplicates. The
+// other triggers are uncapped.
+const maxSlow = 2
 
 // FlightRecorder watches a unit of work's execution digests and decides
-// which seed indices are owed a trace. All state is pre-allocated at
-// construction; Check and Reset are allocation-free on every path.
+// which seed indices are owed a trace. All state is held inline; Check and
+// Reset are allocation-free on every path.
 type FlightRecorder struct {
-	cfg  FlightRecorderConfig
-	ring []ExecDigest
+	on   Triggers
+	ring [ringSize]ExecDigest
 	n    int // digests ever pushed
 	next int // ring write cursor
 	slow int // slow-trigger grants
 }
 
-// NewFlightRecorder returns an armed recorder.
-func NewFlightRecorder(cfg FlightRecorderConfig) *FlightRecorder {
-	cfg = cfg.withDefaults()
-	return &FlightRecorder{cfg: cfg, ring: make([]ExecDigest, cfg.Ring)}
+// NewFlightRecorder returns a recorder armed with the trigger set on; a
+// recorder with an empty set fires nothing.
+func NewFlightRecorder(on Triggers) *FlightRecorder {
+	return &FlightRecorder{on: on}
 }
 
 // Reset empties the recorder for the next unit of work, keeping its ring: a
@@ -191,7 +172,7 @@ func (f *FlightRecorder) Reset() {
 // evaluated against the ring *before* being pushed, so an execution is never
 // compared with itself.
 func (f *FlightRecorder) Check(d ExecDigest) Trigger {
-	on := f.cfg.On
+	on := f.on
 	trig := TriggerNone
 	switch {
 	case d.Infeasible:
@@ -206,8 +187,8 @@ func (f *FlightRecorder) Check(d ExecDigest) Trigger {
 		trig = TriggerHit
 	case on.Has(TriggerAll):
 		trig = TriggerAll
-	case on.Has(TriggerSlowSteps) && f.slow < f.cfg.MaxSlow &&
-		f.n >= min(len(f.ring), slowArm) && d.Steps > f.trailingP99Steps():
+	case on.Has(TriggerSlowSteps) && f.slow < maxSlow &&
+		f.n >= slowArm && d.Steps > f.trailingP99Steps():
 		trig = TriggerSlowSteps
 		f.slow++
 	}
@@ -227,9 +208,9 @@ func (f *FlightRecorder) held() []ExecDigest {
 }
 
 // trailingP99Steps returns the trailing p99 of schedule length over the held
-// digests. The ring holds at most 99 digests and ceil(0.99·n) == n for every
-// n ≤ 99, so the p99 order statistic is exactly their maximum — a single
-// allocation-free scan, no sorting.
+// digests. The ring holds at most ringSize ≤ 99 digests and ceil(0.99·n) ==
+// n for every n ≤ 99, so the p99 order statistic is exactly their maximum —
+// a single allocation-free scan, no sorting.
 func (f *FlightRecorder) trailingP99Steps() uint64 {
 	var max uint64
 	for _, d := range f.held() {

@@ -29,7 +29,7 @@ func fillRing(f *FlightRecorder, n int, steps uint64) {
 // slow_steps — and that a recorder names only triggers of its set.
 func TestFlightRecorderTriggerPriority(t *testing.T) {
 	every := Of(TriggerInfeasible, TriggerForbidden, TriggerNewRace, TriggerHit, TriggerAll, TriggerSlowSteps)
-	f := NewFlightRecorder(FlightRecorderConfig{On: every})
+	f := NewFlightRecorder(every)
 	d := ExecDigest{Infeasible: true, Forbidden: true, NewRace: true, Hit: true, Steps: 1 << 40}
 	for _, want := range []Trigger{TriggerInfeasible, TriggerForbidden, TriggerNewRace, TriggerHit, TriggerAll} {
 		if trig := f.Check(d); trig != want {
@@ -47,21 +47,21 @@ func TestFlightRecorderTriggerPriority(t *testing.T) {
 		}
 	}
 	// Without all, an uneventful outlier is slow.
-	f = NewFlightRecorder(FlightRecorderConfig{On: every &^ Of(TriggerAll), Ring: 4})
-	fillRing(f, 4, 100)
+	f = NewFlightRecorder(every &^ Of(TriggerAll))
+	fillRing(f, slowArm, 100)
 	if trig := f.Check(ExecDigest{Steps: 1000}); trig != TriggerSlowSteps {
 		t.Fatalf("outlier trigger = %s, want slow_steps", trig)
 	}
 	// A trigger outside the set yields to the next one in it; an aborted
 	// execution fires only infeasible, having no trace to record.
-	f = NewFlightRecorder(FlightRecorderConfig{On: Of(TriggerHit, TriggerAll)})
+	f = NewFlightRecorder(Of(TriggerHit, TriggerAll))
 	if trig := f.Check(ExecDigest{Forbidden: true, NewRace: true, Hit: true}); trig != TriggerHit {
 		t.Fatalf("trigger = %s, want hit when forbidden and new_race are off", trig)
 	}
 	if trig := f.Check(ExecDigest{Infeasible: true}); trig != TriggerNone {
 		t.Fatalf("aborted execution fired %s without infeasible in the set", trig)
 	}
-	if trig := NewFlightRecorder(FlightRecorderConfig{}).Check(d); trig != TriggerNone {
+	if trig := NewFlightRecorder(0).Check(d); trig != TriggerNone {
 		t.Fatalf("empty set fired %s", trig)
 	}
 }
@@ -89,33 +89,50 @@ func TestParseTriggers(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderSlowStepsArming pins the slow trigger's window: it arms
+// at the slowArm-th digest, fires only on a strict outlier against the
+// digests held, and forgets a digest once ringSize later ones have
+// overwritten it.
 func TestFlightRecorderSlowStepsArming(t *testing.T) {
-	f := NewFlightRecorder(FlightRecorderConfig{On: Of(TriggerSlowSteps), Ring: 8})
-	// Before the recorder holds min(Ring, 16) = 8 digests, even extreme
-	// outliers never trigger slow.
-	for i := 0; i < 7; i++ {
+	f := NewFlightRecorder(Of(TriggerSlowSteps))
+	// Before the recorder holds slowArm digests, even extreme outliers never
+	// trigger slow.
+	for i := 0; i < slowArm-1; i++ {
 		if trig := f.Check(ExecDigest{Index: i, Steps: uint64(1000 * (i + 1))}); trig != TriggerNone {
-			t.Fatalf("slow trigger fired at digest %d with a non-full ring: %s", i, trig)
+			t.Fatalf("slow trigger fired at digest %d before the recorder armed: %s", i, trig)
 		}
 	}
-	if trig := f.Check(ExecDigest{Index: 7, Steps: 10}); trig != TriggerNone {
-		t.Fatalf("trigger = %s at ring-filling digest", trig)
+	if trig := f.Check(ExecDigest{Index: slowArm - 1, Steps: 10}); trig != TriggerNone {
+		t.Fatalf("trigger = %s at the arming digest", trig)
 	}
-	// Ring full. Equal-to-max must NOT trigger (strictly greater).
-	if trig := f.Check(ExecDigest{Index: 8, Steps: 7000}); trig != TriggerNone {
+	// Armed. Equal-to-max must NOT trigger (strictly greater).
+	top := uint64(1000 * (slowArm - 1))
+	if trig := f.Check(ExecDigest{Index: slowArm, Steps: top}); trig != TriggerNone {
 		t.Fatalf("steps equal to trailing max triggered: %s", trig)
 	}
-	if trig := f.Check(ExecDigest{Index: 9, Steps: 7001}); trig != TriggerSlowSteps {
+	if trig := f.Check(ExecDigest{Index: slowArm + 1, Steps: top + 1}); trig != TriggerSlowSteps {
 		t.Fatalf("trigger = %s, want slow_steps for a strict outlier", trig)
+	}
+
+	// Wrap-around: a long schedule stops counting once ringSize later
+	// digests have overwritten it.
+	f = NewFlightRecorder(Of(TriggerSlowSteps))
+	f.Check(ExecDigest{Index: 0, Steps: 5000})
+	fillRing(f, ringSize-1, 100)
+	if trig := f.Check(ExecDigest{Index: ringSize, Steps: 200}); trig != TriggerNone {
+		t.Fatalf("trigger = %s while the 5000-step digest is still held", trig)
+	}
+	if trig := f.Check(ExecDigest{Index: ringSize + 1, Steps: 300}); trig != TriggerSlowSteps {
+		t.Fatalf("trigger = %s, want slow_steps once the 5000-step digest left the ring", trig)
 	}
 }
 
 // TestFlightRecorderSlowStepsFiresInUnit pins the arming rule on a ring
-// larger than a campaign unit: with the default 64-digest ring, a 25-digest
+// larger than a campaign unit: with the 64-digest ring, a 25-digest
 // unit arms the slow trigger after 16 digests, so a step outlier at index
 // 20 fires against the maximum of the 20 digests held.
 func TestFlightRecorderSlowStepsFiresInUnit(t *testing.T) {
-	f := NewFlightRecorder(FlightRecorderConfig{On: anomalies})
+	f := NewFlightRecorder(anomalies)
 	fired := map[int]Trigger{}
 	for i := 0; i < 25; i++ {
 		steps := uint64(100 + i%3)
@@ -130,7 +147,7 @@ func TestFlightRecorderSlowStepsFiresInUnit(t *testing.T) {
 		t.Fatalf("triggers = %v, want only slow_steps at index 20", fired)
 	}
 	// Before the 16th digest nothing slow fires, however large.
-	f = NewFlightRecorder(FlightRecorderConfig{On: anomalies})
+	f = NewFlightRecorder(anomalies)
 	for i := 0; i < 16; i++ {
 		if trig := f.Check(ExecDigest{Index: i, Steps: uint64(1000 * (i + 1))}); trig != TriggerNone {
 			t.Fatalf("slow trigger fired at digest %d, before the recorder armed: %s", i, trig)
@@ -152,11 +169,11 @@ func TestFlightRecorderReset(t *testing.T) {
 		}
 		return out
 	}
-	fresh := stream(NewFlightRecorder(FlightRecorderConfig{On: anomalies}), 100)
+	fresh := stream(NewFlightRecorder(anomalies), 100)
 	if !slices.Contains(fresh, TriggerSlowSteps) {
 		t.Fatalf("the stream fires no slow trigger: %v", fresh)
 	}
-	f := NewFlightRecorder(FlightRecorderConfig{On: anomalies})
+	f := NewFlightRecorder(anomalies)
 	stream(f, 10000)
 	if n := testing.AllocsPerRun(10, f.Reset); n != 0 {
 		t.Fatalf("Reset allocates %.1f objects, want 0", n)
@@ -167,17 +184,19 @@ func TestFlightRecorderReset(t *testing.T) {
 }
 
 // TestFlightRecorderCaps pins that slow_steps is the one capped trigger:
-// past MaxSlow grants further outliers are suppressed, while the other
+// past maxSlow grants further outliers are suppressed, while the other
 // triggers keep firing on every execution they name.
 func TestFlightRecorderCaps(t *testing.T) {
-	f := NewFlightRecorder(FlightRecorderConfig{On: anomalies, Ring: 4, MaxSlow: 1})
-	fillRing(f, 4, 100)
-	if trig := f.Check(ExecDigest{Steps: 1000}); trig != TriggerSlowSteps {
-		t.Fatalf("first outlier = %s", trig)
+	f := NewFlightRecorder(anomalies)
+	fillRing(f, slowArm, 100)
+	for i := 0; i < maxSlow; i++ {
+		if trig := f.Check(ExecDigest{Steps: uint64(1000 * (i + 1))}); trig != TriggerSlowSteps {
+			t.Fatalf("outlier %d = %s", i, trig)
+		}
 	}
-	// MaxSlow reached: further slow outliers are suppressed...
+	// maxSlow reached: further slow outliers are suppressed...
 	if trig := f.Check(ExecDigest{Steps: 100000}); trig != TriggerNone {
-		t.Fatalf("slow grant beyond MaxSlow: %s", trig)
+		t.Fatalf("slow grant beyond maxSlow: %s", trig)
 	}
 	// ...but the other triggers are uncapped.
 	for i := 0; i < 40; i++ {
@@ -194,7 +213,7 @@ func TestFlightRecorderCaps(t *testing.T) {
 // cost at zero allocations — the property that lets the campaign hot path
 // stay at 0 B / 0 obj with -record enabled.
 func TestFlightRecorderCheckZeroAlloc(t *testing.T) {
-	f := NewFlightRecorder(FlightRecorderConfig{On: anomalies})
+	f := NewFlightRecorder(anomalies)
 	i := 0
 	if n := testing.AllocsPerRun(200, func() {
 		f.Check(ExecDigest{Index: i, Steps: uint64(100 + i%7)})
@@ -246,74 +265,4 @@ func TestManifestSortAndRoundTrip(t *testing.T) {
 			t.Fatalf("manifest %+v accepted, want schema error", m)
 		}
 	}
-}
-
-// TestHistogramSnapshotMergeEdgeCases covers the quantile corners of Merge:
-// merging into/from empties, all mass in one bucket, and associativity of
-// merge-of-merges.
-func TestHistogramSnapshotMergeEdgeCases(t *testing.T) {
-	build := func(vals ...uint64) *HistogramSnapshot {
-		h := Histogram{Base: 1}
-		for _, v := range vals {
-			h.Observe(v)
-		}
-		return h.Snapshot()
-	}
-
-	t.Run("empty into empty", func(t *testing.T) {
-		s := &HistogramSnapshot{}
-		s.Merge(&HistogramSnapshot{})
-		s.Merge(nil)
-		if s.Count != 0 || s.P50 != 0 || s.P99 != 0 {
-			t.Fatalf("empty merge produced mass: %+v", s)
-		}
-	})
-	t.Run("empty into populated", func(t *testing.T) {
-		s := build(4, 8, 16)
-		want := *build(4, 8, 16)
-		s.Merge(&HistogramSnapshot{})
-		if s.Count != want.Count || s.P50 != want.P50 || s.P99 != want.P99 {
-			t.Fatalf("merging an empty snapshot moved quantiles: %+v vs %+v", s, want)
-		}
-	})
-	t.Run("populated into empty", func(t *testing.T) {
-		s := &HistogramSnapshot{}
-		s.Merge(build(4, 8, 16))
-		if s.Count != 3 || s.P50 == 0 {
-			t.Fatalf("merge into zero value lost mass: %+v", s)
-		}
-	})
-	t.Run("single bucket mass", func(t *testing.T) {
-		// All observations land in one bucket: the merged quantiles must
-		// match a direct observation of the same mass, and stay within the
-		// bucket's bound.
-		s := build(3, 3, 3, 3)
-		s.Merge(build(3, 3, 3, 3))
-		if s.Count != 8 {
-			t.Fatalf("count = %d, want 8", s.Count)
-		}
-		if want := build(3, 3, 3, 3, 3, 3, 3, 3); !reflect.DeepEqual(s, want) {
-			t.Fatalf("merged single-bucket snapshot %+v != direct %+v", s, want)
-		}
-		if s.P50 > s.P99 || s.P99 > 4 {
-			t.Fatalf("single-bucket quantiles p50=%d p99=%d escape the bucket", s.P50, s.P99)
-		}
-	})
-	t.Run("merge of merges associativity", func(t *testing.T) {
-		a, b, c := []uint64{1, 2, 300}, []uint64{4, 500, 6}, []uint64{700, 8, 9}
-		left := build(a...)
-		left.Merge(build(b...))
-		left.Merge(build(c...))
-		bc := build(b...)
-		bc.Merge(build(c...))
-		right := build(a...)
-		right.Merge(bc)
-		if !reflect.DeepEqual(left, right) {
-			t.Fatalf("(a+b)+c != a+(b+c):\n%+v\n%+v", left, right)
-		}
-		all := append(append(append([]uint64{}, a...), b...), c...)
-		if direct := build(all...); !reflect.DeepEqual(left, direct) {
-			t.Fatalf("merged != directly observed:\n%+v\n%+v", left, direct)
-		}
-	})
 }

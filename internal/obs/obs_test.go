@@ -1,77 +1,147 @@
 package obs
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
-func TestHistogramBucketsAndSnapshot(t *testing.T) {
-	h := Histogram{Base: 1} // bounds 1, 2, 4, …, 1<<19
-	for _, v := range []uint64{1, 2, 3, 9, 1 << 20, 1 << 30} {
+// observed returns a base-1 histogram holding vals.
+func observed(vals ...uint64) Histogram {
+	h := Histogram{Base: 1}
+	for _, v := range vals {
 		h.Observe(v)
 	}
+	return h
+}
+
+func TestHistogramBucketsAndQuantile(t *testing.T) {
+	h := observed(1, 2, 3, 9, 1<<20, 1<<30) // bounds 1, 2, 4, …, 1<<19
 	if h.Count() != 6 {
 		t.Fatalf("count = %d, want 6", h.Count())
 	}
 	if want := uint64(15 + 1<<20 + 1<<30); h.Sum != want {
 		t.Fatalf("sum = %d, want %d", h.Sum, want)
 	}
-	s := h.Snapshot()
-	if s.Count != 6 || s.Sum != h.Sum {
-		t.Fatalf("snapshot count/sum = %d/%d", s.Count, s.Sum)
-	}
 	// Buckets: ≤1:1, ≤2:1, ≤4:1, ≤16:1, +Inf:2 (1<<20 and 1<<30 overflow
 	// past the last bound, 1<<19).
-	wantLe := []uint64{1, 2, 4, 16, 0}
-	wantN := []uint64{1, 1, 1, 1, 2}
-	if len(s.Le) != len(wantLe) {
-		t.Fatalf("snapshot buckets = %v/%v", s.Le, s.N)
+	var want [HistBuckets + 1]uint64
+	want[0], want[1], want[2], want[4], want[HistBuckets] = 1, 1, 1, 1, 2
+	if h.N != want {
+		t.Fatalf("buckets = %v, want %v", h.N, want)
 	}
-	for i := range wantLe {
-		if s.Le[i] != wantLe[i] || s.N[i] != wantN[i] {
-			t.Fatalf("bucket %d = (%d,%d), want (%d,%d)", i, s.Le[i], s.N[i], wantLe[i], wantN[i])
-		}
-	}
-	if s.P50 == 0 || s.P99 == 0 {
-		t.Fatalf("quantiles not computed: %+v", s)
-	}
-	if empty := (&Histogram{Base: 1}).Snapshot(); empty != nil {
-		t.Fatalf("empty histogram rendered %+v, want nil", empty)
+	// The median falls in the ≤4 bucket, interpolated from the ≤2 bound;
+	// the tail sits in the overflow bucket and clamps to the last non-empty
+	// finite bound, 16.
+	if p50, p99 := h.Quantile(0.50), h.Quantile(0.99); p50 != 4 || p99 != 16 {
+		t.Fatalf("p50/p99 = %d/%d, want 4/16", p50, p99)
 	}
 }
 
-// TestHistogramMerge pins the two folds: Add of the plain histograms (the
-// campaign's fold) and Merge of their snapshots (Compare's pooling) agree
-// with each other and with observing everything into one histogram.
+// TestHistogramQuantileGolden pins Quantile's interpolation rule on
+// hand-built histograms: empty buckets are skipped, so a bucket's
+// interpolation starts at the bound of the last non-empty bucket below it,
+// and the overflow bucket clamps to that bound. The values are those of the
+// summary schema v15 renderer's precomputed p50/p90/p99, which c11report
+// printed, so its numbers stay the same.
+func TestHistogramQuantileGolden(t *testing.T) {
+	build := func(base uint64, counts map[int]uint64) *Histogram {
+		h := &Histogram{Base: base}
+		for i, n := range counts {
+			h.N[i] = n
+		}
+		return h
+	}
+	for _, tc := range []struct {
+		name          string
+		h             *Histogram
+		p50, p90, p99 uint64
+	}{
+		// ≤2: 3 and ≤16: 7, with ≤4 and ≤8 empty between them: the ≤16
+		// bucket interpolates from 2, not from 8.
+		{"empty bucket between", build(1, map[int]uint64{1: 3, 4: 7}), 6, 14, 15},
+		{"overflow only", build(8, map[int]uint64{HistBuckets: 5}), 0, 0, 0},
+		{"single bucket", build(1024, map[int]uint64{3: 10}), 4096, 7372, 8110},
+		{"overflow tail", build(8, map[int]uint64{0: 50, 2: 30, 5: 19, HistBuckets: 1}), 8, 149, 256},
+		{"empty", build(1024, nil), 0, 0, 0},
+	} {
+		got := [3]uint64{tc.h.Quantile(0.50), tc.h.Quantile(0.90), tc.h.Quantile(0.99)}
+		if want := [3]uint64{tc.p50, tc.p90, tc.p99}; got != want {
+			t.Errorf("%s: p50/p90/p99 = %v, want %v", tc.name, got, want)
+		}
+	}
+}
+
+// TestHistogramMerge pins the fold: Add of two histograms equals observing
+// everything into one, and so do its quantiles.
 func TestHistogramMerge(t *testing.T) {
-	a, b, direct := Histogram{Base: 1}, Histogram{Base: 1}, Histogram{Base: 1}
-	for _, v := range []uint64{1, 8} {
-		a.Observe(v)
-		direct.Observe(v)
-	}
-	for _, v := range []uint64{1, 100, 1 << 25} {
-		b.Observe(v)
-		direct.Observe(v)
-	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	if sa.Count != 5 || sa.Sum != 110+1<<25 {
-		t.Fatalf("merged count/sum = %d/%d, want 5/%d", sa.Count, sa.Sum, 110+1<<25)
-	}
-	if sa.Le[0] != 1 || sa.N[0] != 2 {
-		t.Fatalf("merged first bucket = (%d,%d), want (1,2)", sa.Le[0], sa.N[0])
-	}
-	// +Inf bucket must sort last.
-	if sa.Le[len(sa.Le)-1] != 0 {
-		t.Fatalf("merged +Inf bucket not last: %v", sa.Le)
-	}
+	a, b, direct := observed(1, 8), observed(1, 100, 1<<25), observed(1, 8, 1, 100, 1<<25)
 	a.Add(&b)
 	if a != direct {
 		t.Fatalf("Add = %+v, direct observation = %+v", a, direct)
 	}
-	if !reflect.DeepEqual(a.Snapshot(), sa) {
-		t.Fatalf("snapshot of Add %+v != merged snapshots %+v", a.Snapshot(), sa)
+	if a.Count() != 5 || a.Sum != 110+1<<25 || a.N[0] != 2 || a.N[HistBuckets] != 1 {
+		t.Fatalf("folded count/sum/first/overflow = %d/%d/%d/%d, want 5/%d/2/1",
+			a.Count(), a.Sum, a.N[0], a.N[HistBuckets], 110+1<<25)
 	}
+	for _, q := range []float64{0.5, 0.9, 0.99} {
+		if a.Quantile(q) != direct.Quantile(q) {
+			t.Fatalf("q%.2f of the fold %d != direct %d", q, a.Quantile(q), direct.Quantile(q))
+		}
+	}
+}
+
+// TestHistogramSnapshotMergeEdgeCases covers the quantile corners of the
+// histogram fold (Add), which took over from the summary's snapshot merge:
+// folding into and from empties, all mass in one bucket, and associativity
+// of folds of folds.
+func TestHistogramSnapshotMergeEdgeCases(t *testing.T) {
+	t.Run("empty into empty", func(t *testing.T) {
+		s, e := observed(), observed()
+		s.Add(&e)
+		if s.Count() != 0 || s.Quantile(0.5) != 0 || s.Quantile(0.99) != 0 {
+			t.Fatalf("empty fold produced mass: %+v", s)
+		}
+	})
+	t.Run("empty into populated", func(t *testing.T) {
+		s, e, want := observed(4, 8, 16), observed(), observed(4, 8, 16)
+		s.Add(&e)
+		if s != want || s.Quantile(0.5) != want.Quantile(0.5) {
+			t.Fatalf("folding an empty histogram moved it: %+v vs %+v", s, want)
+		}
+	})
+	t.Run("populated into empty", func(t *testing.T) {
+		s, p := observed(), observed(4, 8, 16)
+		s.Add(&p)
+		if s.Count() != 3 || s.Quantile(0.5) == 0 {
+			t.Fatalf("fold into an empty histogram lost mass: %+v", s)
+		}
+	})
+	t.Run("single bucket mass", func(t *testing.T) {
+		// All observations land in one bucket: the fold must equal a direct
+		// observation of the same mass, and its quantiles stay within the
+		// bucket's bound.
+		s, o := observed(3, 3, 3, 3), observed(3, 3, 3, 3)
+		s.Add(&o)
+		if want := observed(3, 3, 3, 3, 3, 3, 3, 3); s != want {
+			t.Fatalf("folded single-bucket histogram %+v != direct %+v", s, want)
+		}
+		if p50, p99 := s.Quantile(0.5), s.Quantile(0.99); p50 > p99 || p99 > 4 {
+			t.Fatalf("single-bucket quantiles p50=%d p99=%d escape the bucket", p50, p99)
+		}
+	})
+	t.Run("merge of merges associativity", func(t *testing.T) {
+		a, b, c := []uint64{1, 2, 300}, []uint64{4, 500, 6}, []uint64{700, 8, 9}
+		left, hb, hc := observed(a...), observed(b...), observed(c...)
+		left.Add(&hb)
+		left.Add(&hc)
+		bc, right := observed(b...), observed(a...)
+		bc.Add(&hc)
+		right.Add(&bc)
+		if left != right {
+			t.Fatalf("(a+b)+c != a+(b+c):\n%+v\n%+v", left, right)
+		}
+		all := append(append(append([]uint64{}, a...), b...), c...)
+		if direct := observed(all...); left != direct {
+			t.Fatalf("folded != directly observed:\n%+v\n%+v", left, direct)
+		}
+	})
 }
 
 // TestHotPathZeroAlloc pins the histogram's observation and fold at zero
