@@ -53,9 +53,8 @@ type Exec struct {
 	Outcome string
 	// Engine exposes the recorded action trace (Engine.Trace, present when
 	// the analyzer asked for it via NeedsTrace); MO the concrete
-	// modification order (when NeedsMO). Engine is nil for tools that are
-	// not built on the core engine; MO is nil for tools whose memory model
-	// keeps no concrete modification order.
+	// modification order (when NeedsMO). MO is nil for tools whose memory
+	// model keeps no concrete modification order.
 	Engine *core.Engine
 	MO     core.MOProvider
 	// Lifted is the execution already lifted for the axiomatic model

@@ -85,7 +85,7 @@ func (*atomicity) NeedsMO() bool    { return false }
 // annotations produce no transactions and therefore no findings.
 func (m *atomicity) Observe(x *Exec) []Finding {
 	blocks := x.Result.Blocks
-	if len(blocks) == 0 || x.Engine == nil {
+	if len(blocks) == 0 {
 		return nil
 	}
 	nodes := m.collect(x.Engine.Trace(), blocks)

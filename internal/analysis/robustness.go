@@ -48,7 +48,7 @@ func (*scRobustness) NeedsMO() bool    { return true }
 func (s *scRobustness) Observe(x *Exec) []Finding {
 	ex := x.Lifted
 	if ex == nil {
-		if x.Engine == nil || x.MO == nil {
+		if x.MO == nil {
 			return nil
 		}
 		s.ws.Lift(x.Engine, x.MO)

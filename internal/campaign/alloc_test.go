@@ -59,35 +59,28 @@ func testZeroAllocSteadyState(t *testing.T) {
 			Workers:    1,
 		})
 		check := func(j job, program string, prog capi.Program, reset func()) {
-			tool := spec.New()
-			defer closeTool(tool)
+			eng := spec.New().(*core.Engine)
+			defer eng.Close()
 			met := &wt[0].hists[j.key().index(len(benches), len(lits))]
-			eng, _ := tool.(*core.Engine)
 			fr := obs.NewFlightRecorder(obs.Of(obs.TriggerSlowSteps))
 			// run executes seed as execution index seed of the cell.
 			run := func(seed int64) {
 				if reset != nil {
 					reset()
 				}
-				if eng != nil {
-					sampleTiming(eng, int(seed))
-				}
+				sampleTiming(eng, int(seed))
 				var dur time.Duration
 				var res *capi.Result
 				if wallSampled(int(seed)) {
 					t0 := time.Now()
-					res = tool.Execute(prog, seed)
+					res = eng.Execute(prog, seed)
 					dur = time.Since(t0)
 				} else {
-					res = tool.Execute(prog, seed)
+					res = eng.Execute(prog, seed)
 				}
 				met.observe(int(seed), dur, eng)
-				d := obs.ExecDigest{Index: int(seed), NewRace: len(res.NewRaces) > 0}
-				if eng != nil {
-					st := eng.ExecStats()
-					d.Steps, d.Choices = st.Steps, st.Choices
-				}
-				fr.Check(d)
+				st := eng.ExecStats()
+				fr.Check(obs.ExecDigest{Index: int(seed), NewRace: len(res.NewRaces) > 0, Steps: st.Steps, Choices: st.Choices})
 			}
 			// Warm the pools across several seeds, both samples and
 			// unsampled, so capacity growth and the race-dedup map are

@@ -64,10 +64,10 @@ import (
 // ToolSpec names a tool and knows how to build fresh instances of it.
 type ToolSpec struct {
 	Name string
-	// New constructs a fresh tool instance. Every campaign worker calls it
-	// once (once per unit for tools without a Rearm method), so
-	// implementations must be safe to call concurrently (the instances
-	// themselves are confined to one worker).
+	// New constructs a fresh tool instance, which must be a *core.Engine.
+	// Every campaign worker calls it once and rearms the instance at every
+	// later unit, so implementations must be safe to call concurrently (the
+	// instances themselves are confined to one worker).
 	New func() capi.Tool
 	// Baseline marks the tsan11-family tools, for which a litmus test's
 	// BaselineForbidden outcomes are forbidden in addition to Forbidden
@@ -813,7 +813,6 @@ type stage func(*cellRunner)
 type cellRunner struct {
 	spec Spec
 	j    job // the current unit
-	tool capi.Tool
 	// frag is the current unit's fragment, emptied in place by arm. As the
 	// unit ends the wave loop reads it for the progress lines and folds it
 	// into acc, the cell's accumulator on this worker (see foldCells).
@@ -836,11 +835,12 @@ type cellRunner struct {
 	// (Spec.RecordOn); nil when the sink is unarmed.
 	fr *obs.FlightRecorder
 
-	// Engine plumbing (trace duties, guided exploration). slot is the
-	// worker's warm state: the axiom workspace validation and the analyzers
-	// share, and the race-key intern table. rec and pg are the strategy
-	// wrappers arm installs at every unit start; needTrace turns the
-	// engine's action trace on.
+	// eng is the worker's instance of the cell's tool. It is never
+	// replaced, only rearmed, so the runner keeps it (and its model) for
+	// good. slot is the worker's warm state: the axiom workspace validation
+	// and the analyzers share, and the race-key intern table. rec and pg are
+	// the strategy wrappers arm installs at every unit start; needTrace
+	// turns the engine's action trace on.
 	eng       *core.Engine
 	mo        core.MOProvider
 	slot      *workerSlot
@@ -862,10 +862,10 @@ type cellRunner struct {
 	out   string        // litmus outcome cell
 }
 
-// newCellRunner builds the runner for job j's cell on worker slot and arms
-// it for j on tool.
-func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunner {
-	r := &cellRunner{spec: spec, slot: slot, frag: fragment{Races: map[string]raceHit{}},
+// newCellRunner builds the runner for job j's cell on worker slot and its
+// instance eng of the cell's tool, and arms it for j.
+func newCellRunner(spec Spec, j job, eng *core.Engine, slot *workerSlot) *cellRunner {
+	r := &cellRunner{spec: spec, eng: eng, slot: slot, frag: fragment{Races: map[string]raceHit{}},
 		met: &slot.hists[j.key().index(len(spec.Benchmarks), len(spec.Litmus))]}
 	switch j.kind {
 	case jobBench:
@@ -879,34 +879,23 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 		r.frag.Weak = map[string]int{}
 	}
 
-	// An engine is never replaced, only rearmed (it has Rearm), so the
-	// runner's engine and model are fixed at construction; arm re-points
-	// only a tool without Rearm, which is no engine.
-	r.eng, _ = tool.(*core.Engine)
-	if r.eng != nil {
-		r.mo, _ = r.eng.Model().(core.MOProvider)
-	}
+	r.mo, _ = eng.Model().(core.MOProvider)
 	// Guided exploration: wrap the tool's live strategy in a PrefixGuide
 	// when the guide set has traces for this cell; arm installs it.
-	if r.eng != nil && spec.Guides != nil {
+	if spec.Guides != nil {
 		r.guides = spec.Guides.For(spec.Tools[j.tool].Name, r.programName())
 		if len(r.guides) > 0 {
 			r.pg = trace.NewPrefixGuide(r.eng.Strategy())
 		}
 	}
-	// Analyzer plug-ins: one fresh instance per runner. An analyzer whose
-	// needs this cell's tool cannot meet — a trace needs the engine, a
-	// modification order needs an MOProvider model — is skipped on this
-	// cell, the way axiom validation skips non-MOProvider tools. Unknown
-	// names were refused by Spec.Validate; a name slipping past it here is
-	// skipped rather than crashed on (workers have nowhere to return an
-	// error).
+	// Analyzer plug-ins: one fresh instance per runner. An analyzer that
+	// needs a modification order is skipped on a cell whose model is no
+	// MOProvider, the way axiom validation skips those cells. Unknown names
+	// were refused by Spec.Validate; a name slipping past it here is skipped
+	// rather than crashed on (workers have nowhere to return an error).
 	for _, name := range spec.Analyzers {
 		a, err := analysis.New(name)
 		if err != nil {
-			continue
-		}
-		if a.NeedsTrace() && r.eng == nil {
 			continue
 		}
 		if a.NeedsMO() && r.mo == nil {
@@ -943,7 +932,7 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 	if len(r.analyzers) > 0 {
 		r.stages = append(r.stages, (*cellRunner).stageAnalyze)
 	}
-	if r.eng != nil && spec.RecordDir != "" {
+	if spec.RecordDir != "" {
 		if r.pg != nil {
 			r.rec = trace.NewRecorder(r.pg)
 		} else {
@@ -952,27 +941,24 @@ func newCellRunner(spec Spec, j job, tool capi.Tool, slot *workerSlot) *cellRunn
 		r.fr = obs.NewFlightRecorder(spec.withDefaults().RecordOn)
 		r.stages = append(r.stages, (*cellRunner).stageRecord)
 	}
-	r.arm(j, tool)
+	r.arm(j)
 	return r
 }
 
-// arm points the runner at unit j on tool — the worker's instance of the
-// cell's tool, just built or rearmed to its constructed state — and empties
-// the unit's state in place: the fragment (its maps keep their buckets, its
-// lists their arrays), the execution context and the sink's recorder. On an
-// engine it re-installs the cell's trace switch and strategy wrappers, which
-// construction and Rearm leave off. A unit on an armed runner therefore
-// observes exactly what it would on a newly built one.
-func (r *cellRunner) arm(j job, tool capi.Tool) {
-	r.j, r.tool = j, tool
+// arm points the runner at unit j — its engine just built or rearmed to its
+// constructed state — and empties the unit's state in place: the fragment
+// (its maps keep their buckets, its lists their arrays), the execution
+// context and the sink's recorder. It re-installs the cell's trace switch
+// and strategy wrappers on the engine, which construction and Rearm leave
+// off. A unit on an armed runner therefore observes exactly what it would on
+// a newly built one.
+func (r *cellRunner) arm(j job) {
+	r.j = j
 	r.x = execCtx{}
 	r.frag.reset()
 	r.frag.GuideTraces = len(r.guides)
 	if r.fr != nil {
 		r.fr.Reset()
-	}
-	if r.eng == nil {
-		return
 	}
 	if r.needTrace {
 		r.eng.SetTrace(true)
@@ -992,16 +978,6 @@ func (r *cellRunner) programName() string {
 	return r.bench.Name
 }
 
-// closeTool releases a tool instance: engines retire their fiber-pool
-// workers (core.Engine.Close), so long-lived processes do not accumulate
-// parked workers. Campaigns close their warm tools when the workers exit at
-// the end of Run.
-func closeTool(t capi.Tool) {
-	if c, ok := t.(interface{ Close() }); ok {
-		c.Close()
-	}
-}
-
 // workerTools holds every campaign worker's warm state, indexed by worker
 // slot: one tool instance per Spec.Tools entry, one axiom workspace that
 // every execution the worker validates or analyzes is lifted into, one
@@ -1013,7 +989,7 @@ func closeTool(t capi.Tool) {
 type workerTools []workerSlot
 
 type workerSlot struct {
-	tools   []capi.Tool
+	tools   []*core.Engine
 	lift    axiom.Execution
 	keys    keyIntern
 	hists   []hists       // matrix order (see matrixCells)
@@ -1047,7 +1023,7 @@ func newWorkerTools(spec Spec) workerTools {
 	wt := make(workerTools, spec.Workers)
 	ncells := len(spec.Tools) * (len(spec.Benchmarks) + len(spec.Litmus))
 	for w := range wt {
-		wt[w].tools = make([]capi.Tool, len(spec.Tools))
+		wt[w].tools = make([]*core.Engine, len(spec.Tools))
 		wt[w].runners = make([]*cellRunner, ncells)
 		wt[w].hists = make([]hists, ncells)
 		for c := range wt[w].hists {
@@ -1059,33 +1035,36 @@ func newWorkerTools(spec Spec) workerTools {
 
 // unit returns worker w's runner for j's cell, armed for unit j on the
 // worker's instance of j's tool — the warm one rearmed to its constructed
-// state, or a fresh one when the tool cannot be rearmed (or the worker has
-// none yet). The runner is built on the worker's first unit of the cell.
+// state, or, on the worker's first unit of the tool, a fresh one. The runner
+// is built on the worker's first unit of the cell.
 func (wt workerTools) unit(spec Spec, w int, j job) *cellRunner {
 	slot := &wt[w]
-	t := slot.tools[j.tool]
-	if r, ok := t.(interface{ Rearm() }); ok {
-		r.Rearm()
+	eng := slot.tools[j.tool]
+	if eng != nil {
+		eng.Rearm()
 	} else {
-		closeTool(t) // nil-safe: a nil tool has no Close method
-		t = spec.Tools[j.tool].New()
-		slot.tools[j.tool] = t
+		eng = spec.Tools[j.tool].New().(*core.Engine)
+		slot.tools[j.tool] = eng
 	}
 	c := j.key().index(len(spec.Benchmarks), len(spec.Litmus))
 	if r := slot.runners[c]; r != nil {
-		r.arm(j, t)
+		r.arm(j)
 		return r
 	}
-	r := newCellRunner(spec, j, t, slot)
+	r := newCellRunner(spec, j, eng, slot)
 	slot.runners[c] = r
 	return r
 }
 
-// close releases every worker's tools once the campaign's workers are done.
+// close retires every worker's engines (core.Engine.Close) once the
+// campaign's workers are done, so long-lived processes do not accumulate
+// parked fiber-pool workers.
 func (wt workerTools) close() {
 	for _, slot := range wt {
-		for _, t := range slot.tools {
-			closeTool(t)
+		for _, eng := range slot.tools {
+			if eng != nil {
+				eng.Close()
+			}
 		}
 	}
 }
@@ -1156,15 +1135,13 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 	// clock reads and hists.observe — allocates nothing; the zero-alloc test
 	// pins this exact path, on both sampled indices and an unsampled one. The
 	// clock is read only on a wall-time index.
-	if r.eng != nil {
-		sampleTiming(r.eng, i)
-	}
+	sampleTiming(r.eng, i)
 	clock := wallSampled(i)
 	var execStart time.Time
 	if clock {
 		execStart = time.Now()
 	}
-	res := r.tool.Execute(r.prog, r.spec.SeedBase+int64(i))
+	res := r.eng.Execute(r.prog, r.spec.SeedBase+int64(i))
 	var execDur time.Duration
 	if clock {
 		execDur = time.Since(execStart)

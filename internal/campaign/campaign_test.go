@@ -383,18 +383,6 @@ func TestValidationSkipsBaselines(t *testing.T) {
 	}
 }
 
-// fixedTool always produces the given result; its litmus outcome is driven
-// by the program itself.
-type fixedTool struct{ name string }
-
-func (f fixedTool) Name() string { return f.name }
-func (f fixedTool) Execute(p capi.Program, seed int64) *capi.Result {
-	if p.Run != nil {
-		p.Run(nil)
-	}
-	return &capi.Result{Stats: capi.OpStats{AtomicOps: 1}}
-}
-
 // constLitmus builds a litmus test whose every execution yields outcome.
 func constLitmus(name, outcome string) *litmus.Test {
 	return &litmus.Test{
@@ -410,7 +398,7 @@ func TestForbiddenOutcomeChecking(t *testing.T) {
 	bad.Forbidden = map[string]bool{"bad": true}
 
 	spec := Spec{
-		Tools:     []ToolSpec{{Name: "stub", New: func() capi.Tool { return fixedTool{"stub"} }}},
+		Tools:     []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
 		Litmus:    []*litmus.Test{bad},
 		Runs:      9,
 		SeedBase:  5,
@@ -430,8 +418,8 @@ func TestForbiddenOutcomeChecking(t *testing.T) {
 		t.Errorf("forbidden outcome = %+v, want outcome 'bad' ×9", f)
 	}
 	// The repro must point at the earliest execution: seed = SeedBase+0.
-	if f.Repro.Seed != 5 || f.Repro.Tool != "stub" || f.Repro.Program != "always-bad" {
-		t.Errorf("forbidden repro = %+v, want stub/always-bad seed=5", f.Repro)
+	if f.Repro.Seed != 5 || f.Repro.Tool != "c11tester" || f.Repro.Program != "always-bad" {
+		t.Errorf("forbidden repro = %+v, want c11tester/always-bad seed=5", f.Repro)
 	}
 }
 
@@ -440,8 +428,10 @@ func TestBaselineForbiddenOnlyAppliesToBaselines(t *testing.T) {
 		weak := constLitmus("fragment-gap", "21")
 		weak.Weak = map[string]bool{"21": true}
 		weak.BaselineForbidden = map[string]bool{"21": true}
+		tool := mustTool(t, "c11tester", ToolOptions{})
+		tool.Baseline = baseline
 		return Run(Spec{
-			Tools:  []ToolSpec{{Name: "stub", Baseline: baseline, New: func() capi.Tool { return fixedTool{"stub"} }}},
+			Tools:  []ToolSpec{tool},
 			Litmus: []*litmus.Test{weak},
 			Runs:   4,
 		})
@@ -554,7 +544,7 @@ func TestSummaryTables(t *testing.T) {
 }
 
 func TestSpecValidate(t *testing.T) {
-	tool := ToolSpec{Name: "t", New: func() capi.Tool { return fixedTool{"t"} }}
+	tool := mustTool(t, "c11tester", ToolOptions{})
 	bench := BenchmarkSpec{Name: "b"}
 	cases := []struct {
 		name string

@@ -195,12 +195,11 @@ type rearmUnit struct {
 	guide  *trace.Schedule
 }
 
-// deadlockProg deadlocks every execution: main holds m and joins a child
-// blocked on m, so the engine aborts with both threads Blocked.
+// deadlockProg deadlocks every execution: main joins a child that joins
+// main, so the engine aborts with both threads Blocked.
 var deadlockProg = capi.Program{Name: "deadlock", Run: func(env capi.Env) {
-	m := env.NewMutex("m")
-	env.Lock(m)
-	env.Join(env.Spawn("child", func(env capi.Env) { env.Lock(m) }))
+	main := capi.Thread{TID: env.TID()}
+	env.Join(env.Spawn("child", func(env capi.Env) { env.Join(main) }))
 }}
 
 // runRearmUnit runs one unit on eng and renders every execution's observable

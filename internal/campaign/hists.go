@@ -66,17 +66,14 @@ var blankHists = func() hists {
 	return h
 }()
 
-// observe folds completed execution i into the cell's histograms: its wall
-// time d (read only on wall-time indices) and, when the tool is an engine,
-// its schedule length, choice count and layer counts, plus its engine phase
-// spans on span indices. The same method serves the campaign hot path and
-// the zero-alloc test, so the pinned path is exactly the shipped path.
+// observe folds completed execution i of eng into the cell's histograms: its
+// wall time d (read only on wall-time indices), its schedule length, choice
+// count and layer counts, plus its engine phase spans on span indices. The
+// same method serves the campaign hot path and the zero-alloc test, so the
+// pinned path is exactly the shipped path.
 func (h *hists) observe(i int, d time.Duration, eng *core.Engine) {
 	if wallSampled(i) {
 		h.ExecNS.Observe(uint64(d))
-	}
-	if eng == nil {
-		return
 	}
 	st := eng.ExecStats()
 	h.SchedLen.Observe(st.Steps)

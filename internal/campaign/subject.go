@@ -3,13 +3,14 @@ package campaign
 import (
 	"fmt"
 
+	"c11tester/internal/core"
 	"c11tester/internal/litmus"
 	"c11tester/internal/structures"
 	"c11tester/internal/trace"
 )
 
-// TraceSubject rebuilds the replay subject of a recorded trace: a fresh tool
-// of the recorded configuration and the recorded program, looked up by name
+// TraceSubject rebuilds the replay subject of a recorded trace: a fresh engine
+// of the recorded tool and the recorded program, looked up by name
 // in the benchmark or litmus registry. cmd/c11trace and the replay tests use
 // it to close the record → replay loop from a serialized trace alone.
 func TraceSubject(tr *trace.Trace) (trace.Subject, error) {
@@ -17,7 +18,7 @@ func TraceSubject(tr *trace.Trace) (trace.Subject, error) {
 	if err != nil {
 		return trace.Subject{}, err
 	}
-	s := trace.Subject{Tool: spec.New()}
+	s := trace.Subject{Engine: spec.New().(*core.Engine)}
 	if tr.Litmus {
 		t, ok := litmus.ByName(tr.Program)
 		if !ok {

@@ -4,9 +4,9 @@
 // C11Tester runtime (Figure 1); here, programs under test are written
 // directly against the Env interface, which exposes exactly that runtime
 // call surface: atomics with explicit memory orders, non-atomic reads and
-// writes, legacy volatile accesses, fences, threads, mutexes, and condition
-// variables (the core language of Figure 8, plus the pthread-level
-// operations the real tool interposes on).
+// writes, fences, and threads (the core language of Figure 8, plus thread
+// creation and join). Every lock in the benchmark set is built from these
+// atomics, so the surface carries no mutex or condition variable.
 //
 // All three tools in this repository — the C11Tester engine and the tsan11
 // and tsan11rec baselines — execute the same programs through this
@@ -24,16 +24,6 @@ import (
 // both atomically and non-atomically; supporting such mixed-mode access is a
 // deliberate feature (Section 7.2: atomic_init, memory reuse, realloc).
 type Loc struct {
-	ID memmodel.LocID
-}
-
-// Mutex is a handle to a model-managed mutex.
-type Mutex struct {
-	ID memmodel.LocID
-}
-
-// Cond is a handle to a model-managed condition variable.
-type Cond struct {
 	ID memmodel.LocID
 }
 
@@ -80,12 +70,6 @@ type Env interface {
 	Read(l Loc) memmodel.Value
 	Write(l Loc, v memmodel.Value)
 
-	// VolatileLoad and VolatileStore model pre-C11 legacy atomics (volatile
-	// accesses, LLVM intrinsics). The tool maps them to atomic accesses with
-	// its configured volatile memory order (Section 8.2, Silo).
-	VolatileLoad(l Loc) memmodel.Value
-	VolatileStore(l Loc, v memmodel.Value)
-
 	// Spawn starts a new model thread running fn and returns its handle.
 	Spawn(name string, fn func(Env)) Thread
 	// Join blocks until t has finished.
@@ -97,26 +81,10 @@ type Env interface {
 	// one is ROADMAP item 6.
 	Yield()
 
-	// NewMutex, Lock, TryLock, Unlock model a pthread mutex.
-	NewMutex(name string) Mutex
-	Lock(m Mutex)
-	TryLock(m Mutex) bool
-	Unlock(m Mutex)
-
-	// NewCond, Wait, Signal, Broadcast model a pthread condition variable.
-	NewCond(name string) Cond
-	Wait(c Cond, m Mutex)
-	Signal(c Cond)
-	Broadcast(c Cond)
-
 	// Assert records an assertion violation when cond is false. Execution
 	// continues (the tool reports the violation), mirroring how C11Tester
 	// reports assertion failures it discovers.
 	Assert(cond bool, format string, args ...any)
-
-	// RandUint64 returns deterministic per-execution randomness for
-	// workloads (seeded by the tool), so runs are reproducible.
-	RandUint64() uint64
 
 	// BeginAtomic and EndAtomic bracket a code block the program intends to
 	// behave atomically, for the atomicity analyzer (conflict-serializability

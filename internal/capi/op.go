@@ -24,12 +24,10 @@ type Op struct {
 	MO     memmodel.MemoryOrder
 	FailMO memmodel.MemoryOrder // CAS failure-load order
 	Loc    memmodel.LocID
-	Loc2   memmodel.LocID // mutex in a cond-wait
 
 	RMW      RMWKind
 	Operand  memmodel.Value // store value / add delta / exchange or CAS-desired value
 	Expected memmodel.Value // CAS expected value
-	Volatile bool
 
 	// Thread management.
 	SpawnFn   func(Env)

@@ -71,49 +71,6 @@ type locState struct {
 	promoted bool
 }
 
-// mutexState models one pthread mutex: ownership, a wait set, and a release
-// clock that transfers happens-before from unlockers to the next locker.
-type mutexState struct {
-	id    memmodel.LocID
-	name  string
-	owner *ThreadState
-	cv    memmodel.ClockVector
-}
-
-// reset recycles a pooled mutexState, keeping its clock's backing array.
-func (m *mutexState) reset(id memmodel.LocID, name string) {
-	m.id = id
-	m.name = name
-	m.owner = nil
-	m.cv.Reset(0)
-}
-
-// condState models one pthread condition variable.
-type condState struct {
-	id      memmodel.LocID
-	name    string
-	waiters []*ThreadState
-	cv      memmodel.ClockVector
-}
-
-// reset recycles a pooled condState, keeping its waiter-slice capacity and
-// its clock's backing array.
-func (c *condState) reset(id memmodel.LocID, name string) {
-	c.id = id
-	c.name = name
-	c.waiters = c.waiters[:0]
-	c.cv.Reset(0)
-}
-
-// condPhase tracks where a thread is inside a cond-wait state machine.
-type condPhase uint8
-
-const (
-	condIdle      condPhase = iota
-	condWaiting             // parked on the condition variable
-	condReacquire           // signaled; re-acquiring the mutex
-)
-
 // ThreadState is the engine-side state of one model thread: the clock
 // vectors of Figure 9, the per-thread seq_cst fence list, and blocking
 // bookkeeping.
@@ -162,9 +119,6 @@ type ThreadState struct {
 	// being dispatched.
 	opSeq memmodel.SeqNum
 
-	condPhase    condPhase
-	condSignaled bool
-
 	// burstable records that the thread's previous operation was a relaxed
 	// or release atomic store, enabling the store-burst scheduling rule of
 	// Section 3.
@@ -190,8 +144,6 @@ func (t *ThreadState) reset(name string, clockSlots int) {
 	t.finished = false
 	t.woken = false
 	t.opSeq = 0
-	t.condPhase = condIdle
-	t.condSignaled = false
 	t.burstable = false
 }
 

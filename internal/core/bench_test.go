@@ -69,21 +69,16 @@ func benchProgMixed() capi.Program {
 	return capi.Program{Name: "bench-mixed", Run: func(env capi.Env) {
 		d := env.NewLoc("data", 0)
 		f := env.NewAtomic("flag", 0)
-		m := env.NewMutex("m")
 		a := env.Spawn("A", func(env capi.Env) {
-			env.Lock(m)
 			env.Write(d, env.Read(d)+1)
-			env.Unlock(m)
 			env.Store(f, 1, rel)
 			env.Fence(sc)
 		})
 		if env.Load(f, acq) == 1 {
 			env.Read(d)
 		}
-		env.Lock(m)
+		env.Join(a) // blocks while A runs
 		env.Write(d, env.Read(d)+1)
-		env.Unlock(m)
-		env.Join(a)
 	}}
 }
 

@@ -48,7 +48,7 @@ func (m *accessCounter) Fence(t *ThreadState, op *capi.Op) {
 // the race layer by, on c11tester over the 22 programs of the paper matrix:
 // allocations, plain accesses, atomic loads and stores each check the
 // location's shadow word once, an RMW checks it once more when it stores,
-// and fences, thread, mutex and condition operations never check. So
+// and fences and thread operations never check. So
 //
 //	RaceChecks = NormalOps + loads + stores + RMWs + stored RMWs
 //

@@ -182,22 +182,13 @@ type Engine struct {
 	sch     *sched.Scheduler
 	threads []*ThreadState
 	locs    []*locState
-	mutexes []*mutexState
-	conds   []*condState
 	nextSeq memmodel.SeqNum
 	scCount int
-	// rng is the workload randomness source behind env.RandUint64, seeded
-	// lazily (rngSeed/rngSeeded): most programs never draw from it, and
-	// even the PCG source's O(1) reseed is work a program that never draws
-	// does not need.
-	rng       rng.Rand
-	rngSeed   int64
-	rngSeeded bool
-	result    *capi.Result
-	steps     uint64
-	choices   uint64 // strategy decisions (PickThread + PickIndex) this execution
-	trace     []*Action
-	burstT    *ThreadState // thread eligible for a store burst
+	result  *capi.Result
+	steps   uint64
+	choices uint64 // strategy decisions (PickThread + PickIndex) this execution
+	trace   []*Action
+	burstT  *ThreadState // thread eligible for a store burst
 
 	// raceChecks, blocked and yields are this execution's per-operation
 	// layer counts (see ExecStats).
@@ -238,17 +229,14 @@ type Engine struct {
 	confBuf []raceConflict
 	initOp  capi.Op
 
-	// State pools: locState, ThreadState, mutexState, and condState objects
-	// (and their clock-vector buffers) are recycled across Execute calls of
-	// one engine instance, so repeated executions inside a campaign shard do
-	// not re-allocate the per-location and per-thread scaffolding (ROADMAP:
-	// batch executions per tool instance to amortize engine allocation). Pool
-	// entry i corresponds to locs[i] / threads[i] / mutexes[i] / conds[i];
-	// entries are reset in place when reused.
+	// State pools: locState and ThreadState objects (and their clock-vector
+	// buffers) are recycled across Execute calls of one engine instance, so
+	// repeated executions inside a campaign shard do not re-allocate the
+	// per-location and per-thread scaffolding (ROADMAP: batch executions per
+	// tool instance to amortize engine allocation). Pool entry i corresponds
+	// to locs[i] / threads[i]; entries are reset in place when reused.
 	locPool    []*locState
 	threadPool []*ThreadState
-	mutexPool  []*mutexState
-	condPool   []*condState
 
 	// resultBuf is the engine-owned capi.Result recycled across Execute
 	// calls; result always points at it. See the ownership rules on
@@ -346,17 +334,6 @@ func (e *Engine) Threads() []*ThreadState { return e.threads }
 // Trace returns the recorded execution when Config.Trace is set.
 func (e *Engine) Trace() []*Action { return e.trace }
 
-// Rand returns the engine's per-execution random source, materializing it on
-// first use in the execution (the source is a pure function of the execution
-// seed either way).
-func (e *Engine) Rand() *rng.Rand {
-	if !e.rngSeeded {
-		e.rng.Seed(e.rngSeed)
-		e.rngSeeded = true
-	}
-	return &e.rng
-}
-
 // Strategy returns the engine's exploration strategy.
 func (e *Engine) Strategy() Strategy { return e.cfg.Strategy }
 
@@ -396,12 +373,11 @@ type ExecStats struct {
 	// RaceChecks is the number of race-shadow checks (race.Shadow OnRead and
 	// OnWrite calls): one per allocation, plain access, atomic load and
 	// atomic store, two per RMW that stores (its read and its write), one
-	// per RMW that does not. Fences and thread, mutex and condition
-	// operations check nothing.
+	// per RMW that does not. Fences and thread operations check nothing.
 	RaceChecks uint64
 	// Blocked is the number of dispatches that blocked their thread (a
-	// join, lock or condition wait that could not proceed). Each is a step
-	// that grants nothing; the operation is dispatched again once woken.
+	// join of an unfinished thread). Each is a step that grants nothing;
+	// the operation is dispatched again once woken.
 	Blocked uint64
 	// Yields is the number of KYield dispatches (capi.Env.Yield).
 	Yields uint64
@@ -501,8 +477,8 @@ func (e *Engine) Execute(p capi.Program, seed int64) (res *capi.Result) {
 }
 
 // resetExecState resets every piece of per-execution state — scheduler,
-// thread/location/mutex/cond pools, execution-lifetime arenas, RNG, strategy,
-// and the model's own bookkeeping (mo-graph included, via Begin). It runs
+// thread/location pools, execution-lifetime arenas, strategy, and the
+// model's own bookkeeping (mo-graph included, via Begin). It runs
 // unconditionally at the top of every Execute: pooled engines, trace
 // replayers, and guided prefix strategies (trace.PrefixGuide) all rely on the
 // next execution never observing recycled state from the previous one.
@@ -517,10 +493,6 @@ func (e *Engine) resetExecState(seed int64) {
 	e.threads = e.threads[:0]
 	e.locs = e.locs[:0]
 	e.locs = append(e.locs, nil) // LocID 0 is NoLoc
-	e.mutexes = e.mutexes[:0]
-	e.mutexes = append(e.mutexes, nil)
-	e.conds = e.conds[:0]
-	e.conds = append(e.conds, nil)
 	e.nextSeq = 0
 	e.scCount = 0
 	e.steps, e.choices = 0, 0
@@ -532,8 +504,6 @@ func (e *Engine) resetExecState(seed int64) {
 	e.readyStale = true
 	e.actions.reset()
 	e.cvs.Reset()
-	e.rngSeed = seed
-	e.rngSeeded = false
 	e.cfg.Strategy.Seed(seed)
 	// The Result is recycled in place: its slices keep their capacity, so a
 	// steady-state execution appends races and assertion failures without
@@ -902,36 +872,6 @@ func (e *Engine) newLocState(id memmodel.LocID, name string) *locState {
 	l.promoted = false
 	l.shadow.Reset()
 	return l
-}
-
-// newMutexState returns a reset mutexState for id, recycled from the
-// engine's pool when a previous execution already allocated one at this slot.
-func (e *Engine) newMutexState(id memmodel.LocID, name string) *mutexState {
-	for len(e.mutexPool) <= int(id) {
-		e.mutexPool = append(e.mutexPool, nil)
-	}
-	m := e.mutexPool[id]
-	if m == nil {
-		m = &mutexState{}
-		e.mutexPool[id] = m
-	}
-	m.reset(id, name)
-	return m
-}
-
-// newCondState returns a reset condState for id, recycled from the engine's
-// pool when a previous execution already allocated one at this slot.
-func (e *Engine) newCondState(id memmodel.LocID, name string) *condState {
-	for len(e.condPool) <= int(id) {
-		e.condPool = append(e.condPool, nil)
-	}
-	c := e.condPool[id]
-	if c == nil {
-		c = &condState{}
-		e.condPool[id] = c
-	}
-	c.reset(id, name)
-	return c
 }
 
 // LocName returns the name a location was created with.

@@ -331,33 +331,6 @@ func TestUnsynchronizedWritesRace(t *testing.T) {
 	}
 }
 
-func TestMutexPreventsRace(t *testing.T) {
-	tool := newTool(Config{})
-	prog := capi.Program{Name: "mutex", Run: func(env capi.Env) {
-		d := env.NewLoc("data", 0)
-		m := env.NewMutex("m")
-		a := env.Spawn("A", func(env capi.Env) {
-			env.Lock(m)
-			env.Write(d, env.Read(d)+1)
-			env.Unlock(m)
-		})
-		env.Lock(m)
-		env.Write(d, env.Read(d)+1)
-		env.Unlock(m)
-		env.Join(a)
-		env.Assert(env.Read(d) == 2, "both increments must land")
-	}}
-	for seed := 0; seed < 100; seed++ {
-		res := tool.Execute(prog, int64(seed))
-		if len(res.Races) > 0 {
-			t.Fatalf("seed %d: mutex-protected accesses raced: %v", seed, res.Races[0])
-		}
-		if len(res.AssertFailures) > 0 {
-			t.Fatalf("seed %d: %v", seed, res.AssertFailures[0])
-		}
-	}
-}
-
 func TestReleaseAcquirePublicationIsRaceFree(t *testing.T) {
 	tool := newTool(Config{})
 	prog := capi.Program{Name: "pub", Run: func(env capi.Env) {
@@ -482,68 +455,37 @@ func TestFenceSynchronization(t *testing.T) {
 	}
 }
 
-func TestCondVarProtocol(t *testing.T) {
-	tool := newTool(Config{})
-	prog := capi.Program{Name: "cond", Run: func(env capi.Env) {
-		m := env.NewMutex("m")
-		c := env.NewCond("c")
-		q := env.NewLoc("q", 0)
-		consumer := env.Spawn("consumer", func(env capi.Env) {
-			env.Lock(m)
-			for env.Read(q) == 0 {
-				env.Wait(c, m)
-			}
-			env.Assert(env.Read(q) == 5, "consumed value")
-			env.Write(q, 0)
-			env.Unlock(m)
-		})
-		env.Lock(m)
-		env.Write(q, 5)
-		env.Signal(c)
-		env.Unlock(m)
-		env.Join(consumer)
-	}}
-	for seed := 0; seed < 200; seed++ {
-		res := tool.Execute(prog, int64(seed))
-		if res.Deadlocked {
-			t.Fatalf("seed %d: deadlock", seed)
-		}
-		if len(res.Races) > 0 || len(res.AssertFailures) > 0 {
-			t.Fatalf("seed %d: %v %v", seed, res.Races, res.AssertFailures)
-		}
-	}
-}
-
+// TestDeadlockDetected: an execution whose unfinished threads are all
+// blocked ends as a deadlock on every seed, and the fiber pool stays warm:
+// a thread joining itself, and main and a child joining each other.
 func TestDeadlockDetected(t *testing.T) {
-	tool := newTool(Config{})
-	prog := capi.Program{Name: "deadlock", Run: func(env capi.Env) {
-		m1 := env.NewMutex("m1")
-		m2 := env.NewMutex("m2")
-		a := env.Spawn("A", func(env capi.Env) {
-			env.Lock(m1)
-			env.Yield()
-			env.Lock(m2)
-			env.Unlock(m2)
-			env.Unlock(m1)
-		})
-		env.Lock(m2)
-		env.Yield()
-		env.Lock(m1)
-		env.Unlock(m1)
-		env.Unlock(m2)
-		env.Join(a)
-	}}
-	deadlocks := 0
-	for seed := 0; seed < 200; seed++ {
-		if tool.Execute(prog, int64(seed)).Deadlocked {
-			deadlocks++
-		}
+	cases := []struct {
+		prog   capi.Program
+		spawns int
+	}{
+		{capi.Program{Name: "self-join", Run: func(env capi.Env) {
+			env.Join(capi.Thread{TID: env.TID()})
+		}}, 1},
+		{capi.Program{Name: "join-cycle", Run: func(env capi.Env) {
+			main := capi.Thread{TID: env.TID()}
+			env.Join(env.Spawn("A", func(env capi.Env) { env.Join(main) }))
+		}}, 2},
 	}
-	if deadlocks == 0 {
-		t.Error("AB-BA locking never deadlocked under controlled scheduling")
+	for _, c := range cases {
+		tool := newTool(Config{})
+		for seed := 0; seed < 20; seed++ {
+			if res := tool.Execute(c.prog, int64(seed)); !res.Deadlocked || res.Truncated {
+				t.Fatalf("%s seed %d: deadlocked %v truncated %v; want a deadlock",
+					c.prog.Name, seed, res.Deadlocked, res.Truncated)
+			}
+		}
+		if tool.WorkerSpawns() != c.spawns || tool.Workers() != c.spawns {
+			t.Errorf("%s: %d worker spawns, %d live; want %d warm workers",
+				c.prog.Name, tool.WorkerSpawns(), tool.Workers(), c.spawns)
+		}
+		tool.Close()
 	}
 }
-
 func TestTruncationGuard(t *testing.T) {
 	tool := newTool(Config{MaxSteps: 1000})
 	prog := capi.Program{Name: "spin", Run: func(env capi.Env) {
@@ -575,23 +517,6 @@ func TestMixedAtomicNonAtomicPromotion(t *testing.T) {
 		}
 		if len(res.Races) > 0 {
 			t.Fatalf("seed %d: same-thread mixed access raced: %v", seed, res.Races[0])
-		}
-	}
-}
-
-func TestVolatileTreatedAsAtomic(t *testing.T) {
-	// Volatile/volatile conflicts are not data races (C11Tester converts
-	// volatiles to atomics and intentionally elides such reports, §8.2).
-	tool := newTool(Config{})
-	prog := capi.Program{Name: "volatile", Run: func(env capi.Env) {
-		x := env.NewAtomic("x", 0)
-		a := env.Spawn("A", func(env capi.Env) { env.VolatileStore(x, 1) })
-		env.VolatileLoad(x)
-		env.Join(a)
-	}}
-	for seed := 0; seed < 50; seed++ {
-		if res := tool.Execute(prog, int64(seed)); len(res.Races) > 0 {
-			t.Fatalf("seed %d: volatile/volatile reported as race: %v", seed, res.Races[0])
 		}
 	}
 }

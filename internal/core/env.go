@@ -100,22 +100,6 @@ func (v *env) Write(l capi.Loc, val memmodel.Value) {
 	v.call(op)
 }
 
-// VolatileLoad and VolatileStore model legacy pre-C11 atomics: C11Tester
-// converts them to relaxed atomic accesses (Sections 7.2 and 8.2). Because
-// they become atomics, volatile/volatile and volatile/atomic pairs are never
-// reported as races — only volatile/plain conflicts are.
-func (v *env) VolatileLoad(l capi.Loc) memmodel.Value {
-	op := v.prep()
-	op.Kind, op.MO, op.Loc, op.Volatile = memmodel.KLoad, memmodel.Relaxed, l.ID, true
-	return v.call(op).Val
-}
-
-func (v *env) VolatileStore(l capi.Loc, val memmodel.Value) {
-	op := v.prep()
-	op.Kind, op.MO, op.Loc, op.Operand, op.Volatile = memmodel.KStore, memmodel.Relaxed, l.ID, val, true
-	v.call(op)
-}
-
 func (v *env) Spawn(name string, fn func(capi.Env)) capi.Thread {
 	op := v.prep()
 	op.Kind, op.SpawnName, op.SpawnFn = memmodel.KThreadCreate, name, fn
@@ -137,54 +121,6 @@ func (v *env) Yield() {
 	v.call(op)
 }
 
-func (v *env) NewMutex(name string) capi.Mutex {
-	op := v.prep()
-	op.Kind, op.NewName = memmodel.KAllocMutex, name
-	return capi.Mutex{ID: memmodel.LocID(v.call(op).Val)}
-}
-
-func (v *env) Lock(m capi.Mutex) {
-	op := v.prep()
-	op.Kind, op.Loc = memmodel.KMutexLock, m.ID
-	v.call(op)
-}
-
-func (v *env) TryLock(m capi.Mutex) bool {
-	op := v.prep()
-	op.Kind, op.Loc = memmodel.KMutexTryLock, m.ID
-	return v.call(op).OK
-}
-
-func (v *env) Unlock(m capi.Mutex) {
-	op := v.prep()
-	op.Kind, op.Loc = memmodel.KMutexUnlock, m.ID
-	v.call(op)
-}
-
-func (v *env) NewCond(name string) capi.Cond {
-	op := v.prep()
-	op.Kind, op.NewName = memmodel.KAllocCond, name
-	return capi.Cond{ID: memmodel.LocID(v.call(op).Val)}
-}
-
-func (v *env) Wait(c capi.Cond, m capi.Mutex) {
-	op := v.prep()
-	op.Kind, op.Loc, op.Loc2 = memmodel.KCondWait, c.ID, m.ID
-	v.call(op)
-}
-
-func (v *env) Signal(c capi.Cond) {
-	op := v.prep()
-	op.Kind, op.Loc = memmodel.KCondSignal, c.ID
-	v.call(op)
-}
-
-func (v *env) Broadcast(c capi.Cond) {
-	op := v.prep()
-	op.Kind, op.Loc = memmodel.KCondBroadcast, c.ID
-	v.call(op)
-}
-
 func (v *env) Assert(cond bool, format string, args ...any) {
 	if cond {
 		return
@@ -198,15 +134,10 @@ func (v *env) Assert(cond bool, format string, args ...any) {
 	v.call(op)
 }
 
-// RandUint64 draws from the engine's per-execution source. Threads run one
-// at a time and are totally ordered by the handoff channels, so the shared
-// source is safe to use here without additional synchronization.
-func (v *env) RandUint64() uint64 { return v.e.Rand().Uint64() }
-
 // BeginAtomic and EndAtomic record block annotations directly on the engine
 // without a dispatch Op: they have no memory-model or scheduling effect, so
 // routing them through the scheduler would only perturb nothing at a handoff
-// cost. Like RandUint64, direct engine access is safe because threads run one
-// at a time, totally ordered by the handoff channels.
+// cost. Direct engine access is safe because threads run one at a time,
+// totally ordered by the handoff channels.
 func (v *env) BeginAtomic(name string) { v.e.beginBlock(v.ts, name) }
 func (v *env) EndAtomic()              { v.e.endBlock(v.ts) }

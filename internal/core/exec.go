@@ -33,34 +33,12 @@ func (e *Engine) dispatch(ts *ThreadState) {
 		e.doSpawn(ts, op)
 	case memmodel.KThreadJoin:
 		e.doJoin(ts, op)
-	case memmodel.KMutexLock:
-		e.doLock(ts, op)
-	case memmodel.KMutexTryLock:
-		e.doTryLock(ts, op)
-	case memmodel.KMutexUnlock:
-		e.doUnlock(ts, op)
-	case memmodel.KCondWait:
-		e.doCondWait(ts, op)
-	case memmodel.KCondSignal:
-		e.doCondSignal(ts, op, false)
-	case memmodel.KCondBroadcast:
-		e.doCondSignal(ts, op, true)
 	case memmodel.KYield:
 		e.yields++
 		e.assignSeq(ts)
 		e.complete(ts)
 	case memmodel.KAlloc:
 		e.doAlloc(ts, op)
-	case memmodel.KAllocMutex:
-		id := memmodel.LocID(len(e.mutexes))
-		e.mutexes = append(e.mutexes, e.newMutexState(id, op.NewName))
-		op.Val = memmodel.Value(id)
-		e.complete(ts)
-	case memmodel.KAllocCond:
-		id := memmodel.LocID(len(e.conds))
-		e.conds = append(e.conds, e.newCondState(id, op.NewName))
-		op.Val = memmodel.Value(id)
-		e.complete(ts)
 	case memmodel.KAssert:
 		e.result.AssertFailures = append(e.result.AssertFailures, capi.AssertFailure{
 			TID: ts.ID, Message: op.AssertMsg, Execution: e.execIndex,

@@ -250,13 +250,12 @@ func TestInlineStepFailurePaths(t *testing.T) {
 	t.Run("self-deadlock", func(t *testing.T) {
 		eng := newTool(Config{})
 		defer eng.Close()
-		relock := capi.Program{Name: "relock", Run: func(env capi.Env) {
-			m := env.NewMutex("m")
-			env.Lock(m)
-			env.Lock(m)
+		selfJoin := capi.Program{Name: "self-join", Run: func(env capi.Env) {
+			env.NewAtomic("x", 0)
+			env.Join(capi.Thread{TID: env.TID()})
 		}}
 		for seed := int64(1); seed <= 5; seed++ {
-			res := eng.Execute(relock, seed)
+			res := eng.Execute(selfJoin, seed)
 			if !res.Deadlocked || res.Truncated || len(res.AssertFailures) != 0 {
 				t.Fatalf("seed %d: deadlocked %v truncated %v failures %v; want a deadlock",
 					seed, res.Deadlocked, res.Truncated, res.AssertFailures)

@@ -59,15 +59,13 @@ func TestReadyListKeptAcrossTools(t *testing.T) {
 	}
 }
 
-// TestReadyListKeptInEngineTests reruns the engine's mutex, condition
-// variable, join, deadlock and abort tests with the same check.
+// TestReadyListKeptInEngineTests reruns the engine's join, deadlock and
+// abort tests with the same check.
 func TestReadyListKeptInEngineTests(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		run  func(*testing.T)
 	}{
-		{"MutexPreventsRace", core.TestMutexPreventsRace},
-		{"CondVarProtocol", core.TestCondVarProtocol},
 		{"DeadlockDetected", core.TestDeadlockDetected},
 		{"TruncationGuard", core.TestTruncationGuard},
 		{"FirstOpBlocksOnHeldMutex", core.TestFirstOpBlocksOnHeldMutex},
@@ -92,21 +90,18 @@ func TestReadyListKeptInEngineTests(t *testing.T) {
 }
 
 // startShapes are programs whose threads start on something other than a
-// plain first operation: a first operation that blocks on a held mutex, one
-// that joins a thread that may not have started, and a thread spawned by a
-// thread other than main.
+// plain first operation: a first operation that blocks on a join of the
+// still-running main, one that joins a thread that may not have started, and
+// a thread spawned by a thread other than main.
 var startShapes = []capi.Program{
 	{Name: "first-op-blocks", Run: func(env capi.Env) {
-		m := env.NewMutex("m")
+		main := capi.Thread{TID: env.TID()}
 		d := env.NewLoc("d", 0)
-		env.Lock(m)
 		env.Spawn("w", func(env capi.Env) {
-			env.Lock(m)
+			env.Join(main)
 			env.Write(d, env.Read(d)+1)
-			env.Unlock(m)
 		})
 		env.Write(d, 1)
-		env.Unlock(m)
 	}},
 	{Name: "first-op-join", Run: func(env capi.Env) {
 		x := env.NewAtomic("x", 0)

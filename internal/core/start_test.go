@@ -130,31 +130,30 @@ func TestPanicBeforeFirstOp(t *testing.T) {
 	}
 }
 
-// TestFirstOpBlocksOnHeldMutex: a thread whose first operation blocks on a
-// mutex main holds is blocked by that first dispatch, woken by the unlock
-// and re-dispatched, exactly like a later operation would be.
+// TestFirstOpBlocksOnHeldMutex: a thread whose first operation blocks is
+// blocked by that first dispatch, woken and re-dispatched, exactly like a
+// later operation would be. The programs have no mutex (the name predates
+// their removal), so the blocking operation is a join of the still-running
+// main, which wakes the thread when main finishes.
 func TestFirstOpBlocksOnHeldMutex(t *testing.T) {
 	prog := capi.Program{Name: "first-op-blocks", Run: func(env capi.Env) {
-		m := env.NewMutex("m")
+		main := capi.Thread{TID: env.TID()}
 		d := env.NewLoc("d", 0)
-		env.Lock(m)
 		env.Spawn("w", func(env capi.Env) {
-			env.Lock(m)
+			env.Join(main)
 			v := env.Read(d)
-			env.Assert(v == 1, "read %d under the lock, want 1", v)
-			env.Unlock(m)
+			env.Assert(v == 1, "read %d after the join, want 1", v)
 		})
 		env.Write(d, 1)
-		env.Unlock(m)
 	}}
-	// Main issues 6 operations and w 3. The lock may block once, and one
+	// Main issues 3 operations and w 2. The join may block once, and one
 	// blocked dispatch is one more step.
 	blocked := 0
 	regimeRun(t, prog, 40, func(seed int64, res *capi.Result, st ExecStats) {
-		if len(res.AssertFailures) != 0 || len(res.Races) != 0 || (st.Steps != 9 && st.Steps != 10) {
-			t.Fatalf("seed %d: failures %v, races %v, %d steps; want none, none, 9 or 10", seed, res.AssertFailures, res.Races, st.Steps)
+		if len(res.AssertFailures) != 0 || len(res.Races) != 0 || (st.Steps != 5 && st.Steps != 6) {
+			t.Fatalf("seed %d: failures %v, races %v, %d steps; want none, none, 5 or 6", seed, res.AssertFailures, res.Races, st.Steps)
 		}
-		if st.Steps == 10 {
+		if st.Steps == 6 {
 			blocked++
 		}
 	})

@@ -22,8 +22,8 @@ type SeqNum uint64
 // (Figure 8) treats them as integers.
 type Value uint64
 
-// LocID identifies a memory location (atomic object, non-atomic variable,
-// mutex, or condition variable) in the model's address space.
+// LocID identifies a memory location (atomic object or non-atomic variable)
+// in the model's address space.
 type LocID uint32
 
 // NoLoc marks an absent location (fences have no location).
@@ -80,24 +80,15 @@ const (
 	KThreadStart
 	KThreadFinish
 	KThreadJoin
-	KMutexLock
-	KMutexUnlock
-	KMutexTryLock
-	KCondWait
-	KCondSignal
-	KCondBroadcast
 	KYield
-	KAlloc      // shared-location creation
-	KAllocMutex // mutex creation
-	KAllocCond  // condition-variable creation
-	KAssert     // failed assertion report
+	KAlloc  // shared-location creation
+	KAssert // failed assertion report
 )
 
 var kindNames = [...]string{
 	"load", "store", "rmw", "fence", "na-load", "na-store",
 	"thread-create", "thread-start", "thread-finish", "thread-join",
-	"lock", "unlock", "trylock", "cond-wait", "cond-signal", "cond-broadcast",
-	"yield", "alloc", "alloc-mutex", "alloc-cond", "assert",
+	"yield", "alloc", "assert",
 }
 
 func (k Kind) String() string {

@@ -49,7 +49,7 @@ func TestKindPredicates(t *testing.T) {
 	if KStore.IsRead() {
 		t.Error("store is not a read")
 	}
-	if KMutexLock.String() != "lock" || Kind(99).String() != "invalid" {
+	if KYield.String() != "yield" || Kind(99).String() != "invalid" {
 		t.Error("kind names wrong")
 	}
 }

@@ -62,10 +62,10 @@ func (h *Histogram) Add(o *Histogram) {
 }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
-// inside the bucket that holds it. Empty buckets are skipped: a bucket's
-// interpolation starts at the bound of the last non-empty bucket below it (0
-// for the first), and observations in the +Inf overflow bucket clamp to that
-// bound. Returns 0 for an empty histogram.
+// inside the bucket that holds it, between the bucket's own bounds: bucket i
+// spans (Base<<(i-1), Base<<i], bucket 0 [0, Base]. Observations in the +Inf
+// overflow bucket clamp to its lower bound, Base<<(HistBuckets-1). Returns 0
+// for an empty histogram.
 func (h *Histogram) Quantile(q float64) uint64 {
 	last := len(h.N) - 1
 	for last >= 0 && h.N[last] == 0 {
@@ -76,13 +76,13 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	}
 	rank := q * float64(h.Count())
 	var cum float64
-	var lower uint64
 	for i, n := range h.N[:last+1] {
-		if n == 0 {
-			continue
-		}
 		next := cum + float64(n)
-		if rank <= next || i == last {
+		if n > 0 && (rank <= next || i == last) {
+			var lower uint64
+			if i > 0 {
+				lower = h.Base << uint(i-1)
+			}
 			if i == HistBuckets {
 				return lower
 			}
@@ -90,7 +90,6 @@ func (h *Histogram) Quantile(q float64) uint64 {
 			return lower + uint64(frac*float64(h.Base<<uint(i)-lower))
 		}
 		cum = next
-		lower = h.Base << uint(i)
 	}
-	return lower
+	panic("unreachable: bucket last is non-empty")
 }

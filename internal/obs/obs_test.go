@@ -26,20 +26,18 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 	if h.N != want {
 		t.Fatalf("buckets = %v, want %v", h.N, want)
 	}
-	// The median falls in the ≤4 bucket, interpolated from the ≤2 bound;
-	// the tail sits in the overflow bucket and clamps to the last non-empty
-	// finite bound, 16.
-	if p50, p99 := h.Quantile(0.50), h.Quantile(0.99); p50 != 4 || p99 != 16 {
-		t.Fatalf("p50/p99 = %d/%d, want 4/16", p50, p99)
+	// The median falls in the ≤4 bucket, interpolated from its lower bound
+	// 2; the tail sits in the overflow bucket and clamps to that bucket's
+	// lower bound, the last finite bound 1<<19.
+	if p50, p99 := h.Quantile(0.50), h.Quantile(0.99); p50 != 4 || p99 != 1<<19 {
+		t.Fatalf("p50/p99 = %d/%d, want 4/%d", p50, p99, 1<<19)
 	}
 }
 
 // TestHistogramQuantileGolden pins Quantile's interpolation rule on
-// hand-built histograms: empty buckets are skipped, so a bucket's
-// interpolation starts at the bound of the last non-empty bucket below it,
-// and the overflow bucket clamps to that bound. The values are those of the
-// summary schema v15 renderer's precomputed p50/p90/p99, which c11report
-// printed, so its numbers stay the same.
+// hand-built histograms: a quantile interpolates between its bucket's own
+// bounds, whatever lies in the buckets below, and the overflow bucket clamps
+// to its lower bound.
 func TestHistogramQuantileGolden(t *testing.T) {
 	build := func(base uint64, counts map[int]uint64) *Histogram {
 		h := &Histogram{Base: base}
@@ -54,11 +52,13 @@ func TestHistogramQuantileGolden(t *testing.T) {
 		p50, p90, p99 uint64
 	}{
 		// ≤2: 3 and ≤16: 7, with ≤4 and ≤8 empty between them: the ≤16
-		// bucket interpolates from 2, not from 8.
-		{"empty bucket between", build(1, map[int]uint64{1: 3, 4: 7}), 6, 14, 15},
-		{"overflow only", build(8, map[int]uint64{HistBuckets: 5}), 0, 0, 0},
-		{"single bucket", build(1024, map[int]uint64{3: 10}), 4096, 7372, 8110},
-		{"overflow tail", build(8, map[int]uint64{0: 50, 2: 30, 5: 19, HistBuckets: 1}), 8, 149, 256},
+		// bucket interpolates from its own lower bound 8, not from 2.
+		{"empty bucket between", build(1, map[int]uint64{1: 3, 4: 7}), 10, 14, 15},
+		{"overflow only", build(8, map[int]uint64{HistBuckets: 5}), 8 << 19, 8 << 19, 8 << 19},
+		{"single bucket", build(1024, map[int]uint64{3: 10}), 6144, 7782, 8151},
+		{"overflow tail", build(8, map[int]uint64{0: 50, 2: 30, 5: 19, HistBuckets: 1}), 8, 195, 256},
+		// Two samples in (65.5, 131.1] µs: p50 is the bucket's midpoint.
+		{"two samples in one bucket", build(1024, map[int]uint64{7: 2}), 98304, 124518, 130416},
 		{"empty", build(1024, nil), 0, 0, 0},
 	} {
 		got := [3]uint64{tc.h.Quantile(0.50), tc.h.Quantile(0.90), tc.h.Quantile(0.99)}

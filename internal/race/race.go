@@ -11,9 +11,9 @@
 // Atomic accesses participate so that mixed atomic/non-atomic races are
 // caught: a race is any pair of conflicting accesses, at least one of them a
 // write and at least one of them non-atomic, that are not ordered by
-// happens-before. Volatile accesses are mapped to atomics by the engine
-// before they reach this package, which is why C11Tester intentionally does
-// not warn about volatile/volatile or volatile/atomic pairs (Section 8.2).
+// happens-before. C11Tester maps legacy volatile accesses to atomics, which
+// is why it does not warn about volatile/volatile or volatile/atomic pairs
+// (Section 8.2); the programs here use C11 atomics only.
 package race
 
 import "c11tester/internal/memmodel"
@@ -158,7 +158,7 @@ func fitsPacked(tid memmodel.TID, clock memmodel.SeqNum) bool {
 
 // OnWrite checks a write access by (tid, clock) against the recorded state,
 // appends any races to conflicts, records the write, and returns the updated
-// conflict slice. atomic marks the access as an atomic (or volatile) store.
+// conflict slice. atomic marks the access as an atomic store.
 // A write races with any prior access that is not happens-before it, unless
 // both accesses are atomic.
 func (s *Shadow) OnWrite(tid memmodel.TID, clock memmodel.SeqNum, atomic bool, hb HB, conflicts []Conflict) []Conflict {

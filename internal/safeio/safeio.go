@@ -14,6 +14,7 @@
 package safeio
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -99,13 +100,64 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 
 // WriteJSONAtomic marshals v indented and writes it atomically, with a
 // trailing newline — the convention of every JSON artifact in this
-// repository.
+// repository. An array whose elements are all numbers (a histogram's bucket
+// counts) is written on one line; everything else keeps MarshalIndent's
+// layout.
 func WriteJSONAtomic(path string, v any, perm os.FileMode) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return fmt.Errorf("safeio: write %s: %w", path, err)
 	}
-	return WriteFileAtomic(path, append(data, '\n'), perm)
+	return WriteFileAtomic(path, append(oneLineNumberArrays(data), '\n'), perm)
+}
+
+// oneLineNumberArrays rewrites MarshalIndent output so that every array of
+// numbers sits on one line: "[\n    1,\n    2\n  ]" becomes "[1, 2]".
+func oneLineNumberArrays(in []byte) []byte {
+	out := make([]byte, 0, len(in))
+	inString := false
+	for i := 0; i < len(in); i++ {
+		c := in[i]
+		switch {
+		case inString && c == '\\':
+			out = append(out, c, in[i+1])
+			i++
+			continue
+		case c == '"':
+			inString = !inString
+		case !inString && c == '[':
+			if end, ok := numberArray(in, i); ok {
+				out = append(out, '[')
+				for j, tok := range bytes.Split(in[i+1:end], []byte{','}) {
+					if j > 0 {
+						out = append(out, ',', ' ')
+					}
+					out = append(out, bytes.TrimSpace(tok)...)
+				}
+				out = append(out, ']')
+				i = end
+				continue
+			}
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// numberArray reports whether the array opening at in[open] holds only
+// numbers, and returns the index of its closing bracket.
+func numberArray(in []byte, open int) (end int, ok bool) {
+	for i := open + 1; i < len(in); i++ {
+		switch c := in[i]; {
+		case c == ']':
+			return i, i > open+1
+		case c == ',' || c == ' ' || c == '\n' || c == '-' || c == '+' || c == '.' ||
+			c == 'e' || c == 'E' || ('0' <= c && c <= '9'):
+		default:
+			return 0, false
+		}
+	}
+	return 0, false
 }
 
 // DecodeError is the named error DecodeJSONFile returns for unreadable JSON

@@ -1,9 +1,11 @@
 package safeio
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -61,6 +63,58 @@ func TestWriteJSONAtomicTrailingNewline(t *testing.T) {
 	}
 	if !strings.HasSuffix(string(data), "}\n") {
 		t.Fatalf("artifact does not end in newline: %q", data)
+	}
+}
+
+// TestWriteJSONAtomicNumberArraysOnOneLine: every array of numbers is
+// written on one line, anything else keeps MarshalIndent's layout, and the
+// file decodes to the same value as MarshalIndent's output.
+func TestWriteJSONAtomicNumberArraysOnOneLine(t *testing.T) {
+	v := map[string]any{
+		"hist":    map[string]any{"base": 1024, "n": []uint64{0, 3, 0, 12}, "sum": 7},
+		"floats":  []float64{-1.5, 0, 2.25e-9, 1e21},
+		"nested":  [][]int{{1, 2}, {}, {3}},
+		"strings": []string{"[1, 2]", `a "quoted" ] , 3`, `back\slash`},
+		"mixed":   []any{1, "two", nil, true},
+		"objects": []map[string][]int{{"n": {4, 5}}},
+		"empty":   []int{},
+	}
+	path := filepath.Join(t.TempDir(), "v.json")
+	if err := WriteJSONAtomic(path, v, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want any
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatalf("artifact does not decode: %v\n%s", err, data)
+	}
+	if err := json.Unmarshal(indented, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %v, MarshalIndent decodes to %v", got, want)
+	}
+	for _, line := range []string{
+		`"n": [0, 3, 0, 12],`,
+		`"floats": [-1.5, 0, 2.25e-9, 1e+21],`,
+		`    [1, 2],`,
+		`    [],`,
+		`    [3]`,
+		`"empty": [],`,
+		`    "[1, 2]",`,
+		`    1,`,
+		`      "n": [4, 5]`,
+	} {
+		if !strings.Contains(string(data), line+"\n") {
+			t.Errorf("artifact lacks the line %q:\n%s", line, data)
+		}
 	}
 }
 

@@ -56,7 +56,7 @@ const (
 	// Ready means the thread can be scheduled: it has issued a pending
 	// operation, or it has not started yet (see Thread.Unstarted).
 	Ready State = iota
-	// Blocked means the tool has suspended the thread (mutex, cond, join);
+	// Blocked means the tool has suspended the thread (an unfinished join);
 	// it stays suspended until the tool completes its operation with Grant.
 	Blocked
 	// Running means the tool granted the thread's operation: the thread runs

@@ -207,10 +207,10 @@ func TestBlockAndWake(t *testing.T) {
 	s := New()
 	order := []string{}
 	main := s.NewThread("main", func(th *Thread) {
-		th.Call(&capi.Op{Kind: memmodel.KMutexLock})
-		order = append(order, "main-after-lock")
+		th.Call(&capi.Op{Kind: memmodel.KYield})
+		order = append(order, "main-after-op")
 	})
-	// Main starts and parks on the lock op; block it, then wake it.
+	// Main starts and parks on its op; block it, then wake it.
 	if start(t, s, main) != Ready {
 		t.Fatal("main must be ready")
 	}
@@ -290,7 +290,7 @@ func testAbortReadyAndBlocked(t *testing.T, s *Scheduler) {
 	loop := func(th *Thread) {
 		defer func() { unwound++ }()
 		for {
-			th.Call(&capi.Op{Kind: memmodel.KMutexLock})
+			th.Call(&capi.Op{Kind: memmodel.KYield})
 		}
 	}
 	ready := s.NewThread("ready", loop)

@@ -44,10 +44,7 @@ func Minimize(tr *Trace, s Subject, budget int) (*Trace, MinimizeStats, error) {
 	if len(tr.RaceKeys) == 0 && tr.Outcome == "" {
 		return nil, stats, fmt.Errorf("trace: nothing to minimize (no race keys and no outcome recorded)")
 	}
-	eng, err := s.engine()
-	if err != nil {
-		return nil, stats, err
-	}
+	eng := s.Engine
 	eng.SetTrace(true)
 
 	satisfies := func(rr *ReplayResult) bool {

@@ -9,23 +9,15 @@ import (
 	"c11tester/internal/core"
 )
 
-// Subject is everything needed to re-execute a trace: a freshly built tool
-// of the recorded configuration and the recorded program. Reset is called
+// Subject is everything needed to re-execute a trace: a freshly built
+// engine of the recorded tool and the recorded program. Reset is called
 // before each execution (litmus programs reset their outcome cell) and
 // Outcome is read after it; both may be nil.
 type Subject struct {
-	Tool    capi.Tool
+	Engine  *core.Engine
 	Prog    capi.Program
 	Reset   func()
 	Outcome func() string
-}
-
-func (s Subject) engine() (*core.Engine, error) {
-	eng, ok := s.Tool.(*core.Engine)
-	if !ok {
-		return nil, fmt.Errorf("trace: tool %q is not a core engine and cannot be replayed", s.Tool.Name())
-	}
-	return eng, nil
 }
 
 // ReplayResult is the observable digest of one replayed execution.
@@ -52,10 +44,7 @@ type ReplayResult struct {
 // of the replayed execution. Use tr.Verify on the result to check that the
 // replay reproduced the recorded execution exactly.
 func Replay(tr *Trace, s Subject) (*ReplayResult, error) {
-	eng, err := s.engine()
-	if err != nil {
-		return nil, err
-	}
+	eng := s.Engine
 	rp := NewReplayer(tr.Schedule)
 	eng.SetStrategy(rp)
 	eng.SetTrace(true)

@@ -48,8 +48,8 @@ type ToolConfig struct {
 
 // removedTool holds the tool-config fields of removed cmd/c11tester flags.
 // Replay cannot rebuild a tool configured through them — the -rng legacy
-// source fed workload draws through env.RandUint64; -sched, -quantum and
-// -max-steps changed the execution each seed derives; -prune dropped stores
+// source fed the workload randomness programs could once draw; -sched,
+// -quantum and -max-steps changed the execution each seed derives; -prune dropped stores
 // from the lists a load's candidates are drawn from — so ReadFile refuses a
 // trace that sets any of them.
 type removedTool struct {

@@ -115,7 +115,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: empty schedule", seed)
 		}
 		rr, err := Replay(tr, Subject{
-			Tool: newEngine(), Prog: prog,
+			Engine: newEngine(), Prog: prog,
 			Reset:   func() { out = "" },
 			Outcome: func() string { return out },
 		})
@@ -234,7 +234,7 @@ func TestVerifyFlagsTamperedSchedule(t *testing.T) {
 	// decisions and must be flagged by Verify.
 	tr.Schedule.Threads = tr.Schedule.Threads[:len(tr.Schedule.Threads)/2]
 	rr, err := Replay(tr, Subject{
-		Tool: newEngine(), Prog: prog,
+		Engine: newEngine(), Prog: prog,
 		Reset:   func() { out = "" },
 		Outcome: func() string { return out },
 	})
@@ -247,11 +247,10 @@ func TestVerifyFlagsTamperedSchedule(t *testing.T) {
 }
 
 func TestBaselineScheduleOnlyTraceReplays(t *testing.T) {
-	mk := func() capi.Tool { return baseline.NewTsan11() }
 	var out string
 	prog := mixProg(&out)
 
-	eng := mk().(*core.Engine)
+	eng := baseline.NewTsan11()
 	rec := NewRecorder(eng.Strategy())
 	eng.SetStrategy(rec)
 	out = ""
@@ -266,7 +265,7 @@ func TestBaselineScheduleOnlyTraceReplays(t *testing.T) {
 		t.Fatal("commit-order baseline must produce a schedule-only trace (no total mo)")
 	}
 	rr, err := Replay(tr, Subject{
-		Tool: mk(), Prog: prog,
+		Engine: baseline.NewTsan11(), Prog: prog,
 		Reset:   func() { out = "" },
 		Outcome: func() string { return out },
 	})
@@ -292,7 +291,7 @@ func TestMinimizeConvergesOnRacyExecution(t *testing.T) {
 		t.Fatal("no seed in 1..50 exhibited the flag-guarded race")
 	}
 
-	min, stats, err := Minimize(tr, Subject{Tool: newEngine(), Prog: prog}, 0)
+	min, stats, err := Minimize(tr, Subject{Engine: newEngine(), Prog: prog}, 0)
 	if err != nil {
 		t.Fatalf("Minimize: %v", err)
 	}
@@ -303,7 +302,7 @@ func TestMinimizeConvergesOnRacyExecution(t *testing.T) {
 		t.Errorf("minimized race keys %v != original %v", min.RaceKeys, tr.RaceKeys)
 	}
 	// The minimized trace must itself be an exactly replayable trace.
-	rr, err := Replay(min, Subject{Tool: newEngine(), Prog: prog})
+	rr, err := Replay(min, Subject{Engine: newEngine(), Prog: prog})
 	if err != nil {
 		t.Fatal(err)
 	}
