@@ -1,19 +1,22 @@
-// Command c11report is the one reader of a campaign's artifacts. By default
-// it renders the report of a summary (BENCH_campaign.json), joined with the
-// record directory (-record) when one is given: the throughput and
-// detection-rate (Table 2) tables, the top slow cells with per-phase
-// breakdowns, the tagged litmus outcome histograms, analyzer findings, the
-// race first-seen timeline, the converge cells' convergence curves and the
-// soundness section (all from the summary), and a record index with
-// one-command repro lines (from the record directory's manifest).
+// Command c11report is the one reader of a campaign's artifacts. It renders
+// every campaign artifact (BENCH_campaign.json, c11tester's -json file) into
+// its summary (campaign.Checkpoint.Summarize) and works on that. By default
+// it renders the report, joined with the record directory (-record) when one
+// is given: the throughput and detection-rate (Table 2) tables, the top slow
+// cells with per-phase breakdowns, the tagged litmus outcome histograms,
+// analyzer findings, the race first-seen timeline, the converge cells'
+// convergence curves and the soundness section (all from the artifact), and
+// a record index with one-command repro lines (from the record directory's
+// manifest). The artifact of a shard, or of a run stopped mid-campaign,
+// renders as a report marked "partial:".
 //
-// -equal compares two summaries modulo Summary.Canonical, which strips
-// machine-local timing: it is how the repository checks its byte-identity
-// guarantees from the command line (a K-worker run against a serial one, a
-// resumed run against an uninterrupted one, and a run resumed from K shard
-// checkpoints against the single-machine run). -compare diffs two summaries
-// for trajectory tracking: detection rates, race keys, weak-outcome
-// coverage, findings and validation.
+// -equal compares two artifacts' summaries modulo Summary.Canonical, which
+// strips machine-local timing: it is how the repository checks its
+// byte-identity guarantees from the command line (a K-worker run against a
+// serial one, a resumed run against an uninterrupted one, and a run resumed
+// from K shard artifacts against the single-machine run). -compare diffs two
+// artifacts for trajectory tracking: detection rates, race keys,
+// weak-outcome coverage, findings and validation.
 //
 // Examples:
 //
@@ -47,10 +50,10 @@ func run(args []string, out *os.File) int {
 	fs := flag.NewFlagSet("c11report", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		summary = fs.String("summary", "BENCH_campaign.json", "campaign summary artifact")
+		summary = fs.String("summary", "BENCH_campaign.json", "campaign artifact (c11tester -json)")
 		record  = fs.String("record", "", "record directory holding manifest.json, as written by c11tester -record ('' skips the record index)")
-		equal   = fs.Bool("equal", false, "compare two summaries a.json b.json modulo Summary.Canonical; exit 0 identical, 2 different")
-		compare = fs.Bool("compare", false, "diff two summaries old.json new.json; exit 2 on a regression")
+		equal   = fs.Bool("equal", false, "compare two artifacts a.json b.json modulo Summary.Canonical; exit 0 identical, 2 different")
+		compare = fs.Bool("compare", false, "diff two artifacts old.json new.json; exit 2 on a regression")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -61,12 +64,12 @@ func run(args []string, out *os.File) int {
 			fmt.Fprintln(os.Stderr, "c11report: usage: c11report -equal a.json b.json, or c11report -compare old.json new.json")
 			return 1
 		}
-		a, err := campaign.LoadSummary(paths[0])
+		a, err := load(paths[0])
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "c11report:", err)
 			return 1
 		}
-		b, err := campaign.LoadSummary(paths[1])
+		b, err := load(paths[1])
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "c11report:", err)
 			return 1
@@ -82,11 +85,11 @@ func run(args []string, out *os.File) int {
 		return 0
 	}
 	if len(paths) > 0 {
-		fmt.Fprintf(os.Stderr, "c11report: unexpected argument %q (two summaries go with -equal or -compare)\n", paths[0])
+		fmt.Fprintf(os.Stderr, "c11report: unexpected argument %q (two artifacts go with -equal or -compare)\n", paths[0])
 		return 1
 	}
 
-	sum, err := campaign.LoadSummary(*summary)
+	sum, err := load(*summary)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "c11report:", err)
 		return 1
@@ -104,6 +107,15 @@ func run(args []string, out *os.File) int {
 		return 1
 	}
 	return 0
+}
+
+// load reads a campaign artifact and renders its summary.
+func load(path string) (*campaign.Summary, error) {
+	ck, err := campaign.LoadCheckpoint(path)
+	if err != nil {
+		return nil, err
+	}
+	return ck.Summarize(), nil
 }
 
 // runEqual compares summaries a and b, read from pathA and pathB, modulo

@@ -19,7 +19,7 @@ func writeSummary(t *testing.T, dir string) string {
 
 // writeSummaryRuns runs a c11tester × ms-queue campaign of the given runs,
 // recording the executions that hit into recordDir unless it is empty, and
-// writes its summary into dir.
+// writes its artifact into dir.
 func writeSummaryRuns(t *testing.T, dir string, runs int, recordDir string) (string, *campaign.Summary) {
 	t.Helper()
 	tool, err := campaign.StandardTool("c11tester", campaign.ToolOptions{})
@@ -30,13 +30,13 @@ func writeSummaryRuns(t *testing.T, dir string, runs int, recordDir string) (str
 	if err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(dir, "BENCH_campaign.json")
 	sum := campaign.Run(campaign.Spec{
 		Tools: []campaign.ToolSpec{tool}, Benchmarks: bench,
-		Runs: runs, SeedBase: 5, RecordDir: recordDir,
+		Runs: runs, SeedBase: 5, RecordDir: recordDir, CheckpointPath: path,
 	})
-	path := filepath.Join(dir, "BENCH_campaign.json")
-	if err := sum.WriteJSON(path); err != nil {
-		t.Fatal(err)
+	if sum.WriteErr != nil {
+		t.Fatal(sum.WriteErr)
 	}
 	return path, sum
 }
@@ -168,24 +168,32 @@ func runCapture(t *testing.T, args ...string) (int, string) {
 	return code, string(text)
 }
 
-// writeWithoutRace writes sum to dir/name with the first race key of its
-// first tool removed.
-func writeWithoutRace(t *testing.T, sum *campaign.Summary, dir, name string) string {
+// writeWithoutRace copies the artifact at src, whose summary is sum, to
+// dir/name with the first race key of its first tool removed from every
+// cell.
+func writeWithoutRace(t *testing.T, src string, sum *campaign.Summary, dir, name string) string {
 	t.Helper()
-	data, err := json.Marshal(sum)
+	if len(sum.Tools[0].Races) == 0 {
+		t.Fatal("campaign found no race to remove")
+	}
+	data, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var edited campaign.Summary
-	if err := json.Unmarshal(data, &edited); err != nil {
+	var raw map[string]any
+	if err := json.Unmarshal(data, &raw); err != nil {
 		t.Fatal(err)
 	}
-	if len(edited.Tools[0].Races) == 0 {
-		t.Fatal("campaign found no race to remove")
+	for _, c := range raw["cells"].([]any) {
+		if races, ok := c.(map[string]any)["frag"].(map[string]any)["races"].(map[string]any); ok {
+			delete(races, sum.Tools[0].Races[0].Key)
+		}
 	}
-	edited.Tools[0].Races = edited.Tools[0].Races[1:]
+	if data, err = json.Marshal(raw); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(dir, name)
-	if err := edited.WriteJSON(path); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -198,7 +206,7 @@ func TestEqualExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	a, sum := writeSummaryRuns(t, dir, 4, "")
 	b, _ := writeSummaryRuns(t, t.TempDir(), 4, "")
-	edited := writeWithoutRace(t, sum, dir, "edited.json")
+	edited := writeWithoutRace(t, a, sum, dir, "edited.json")
 
 	if code, out := runCapture(t, "-equal", a, b); code != 0 || !strings.HasPrefix(out, "identical (modulo canonicalization): ") {
 		t.Errorf("-equal on two runs of one campaign = exit %d:\n%s", code, out)
@@ -223,7 +231,7 @@ func TestEqualExitCodes(t *testing.T) {
 func TestCompareExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	a, sum := writeSummaryRuns(t, dir, 4, "")
-	edited := writeWithoutRace(t, sum, dir, "edited.json")
+	edited := writeWithoutRace(t, a, sum, dir, "edited.json")
 
 	if code, out := runCapture(t, "-compare", a, a); code != 0 {
 		t.Errorf("-compare self = exit %d:\n%s", code, out)
@@ -280,11 +288,10 @@ func TestRecordIndexListsMissingTraces(t *testing.T) {
 	}
 }
 
-// TestIncompatibleSummaryRefused pins that every mode refuses a summary of
-// the previous schema version (v15 rendered sparse histogram snapshots,
-// which would decode into the folded histograms without an error and give
-// wrong counts) and one whose histograms have another base: report mode,
-// -equal and -compare each exit 1.
+// TestIncompatibleSummaryRefused pins that every mode refuses an artifact of
+// the previous schema version (v16 was a rendered summary with no cells) and
+// one whose histograms have another base: report mode, -equal and -compare
+// each exit 1.
 func TestIncompatibleSummaryRefused(t *testing.T) {
 	dir := t.TempDir()
 	path := writeSummary(t, dir)
@@ -309,19 +316,19 @@ func TestIncompatibleSummaryRefused(t *testing.T) {
 		return p
 	}
 	raw["schema_version"] = campaign.SchemaVersion - 1
-	old := write("v15.json")
-	if _, err := campaign.LoadSummary(old); err == nil ||
+	old := write("v16.json")
+	if _, err := campaign.LoadCheckpoint(old); err == nil ||
 		!strings.Contains(err.Error(), fmt.Sprintf("schema version %d", campaign.SchemaVersion-1)) {
-		t.Fatalf("LoadSummary(v%d) = %v, want an error naming the version", campaign.SchemaVersion-1, err)
+		t.Fatalf("LoadCheckpoint(v%d) = %v, want an error naming the version", campaign.SchemaVersion-1, err)
 	}
-	// A current summary whose execution-time histogram has another base
+	// A current artifact whose execution-time histogram has another base
 	// would make -compare's fold panic; it is refused by name instead.
 	raw["schema_version"] = campaign.SchemaVersion
-	cell := raw["tools"].([]any)[0].(map[string]any)["benchmarks"].([]any)[0].(map[string]any)
+	cell := raw["cells"].([]any)[0].(map[string]any)["frag"].(map[string]any)
 	cell["hists"].(map[string]any)["exec_ns"].(map[string]any)["base"] = 2048
 	rebased := write("rebased.json")
-	if _, err := campaign.LoadSummary(rebased); err == nil || !strings.Contains(err.Error(), "c11tester/ms-queue: histogram bases") {
-		t.Fatalf("LoadSummary(rebased) = %v, want an error naming the cell's histogram bases", err)
+	if _, err := campaign.LoadCheckpoint(rebased); err == nil || !strings.Contains(err.Error(), "c11tester/ms-queue: histogram bases") {
+		t.Fatalf("LoadCheckpoint(rebased) = %v, want an error naming the cell's histogram bases", err)
 	}
 	for _, bad := range []string{old, rebased} {
 		for _, args := range [][]string{

@@ -1,7 +1,8 @@
 // Command c11tester runs exploration campaigns: (tool × program × N
 // executions) matrices over the paper's benchmark and litmus suites,
 // sharded across worker goroutines (internal/campaign), and writes the
-// versioned BENCH_campaign.json artifact. It prints the campaign's headline
+// versioned BENCH_campaign.json artifact: the resumable checkpoint of the
+// campaign, rewritten at every wave barrier. It prints the campaign's headline
 // (matrix shape, wall clock, budget line and soundness verdict); cmd/c11report
 // renders the whole artifact.
 //
@@ -50,7 +51,7 @@ func run(args []string, out *os.File) int {
 		workers   = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		shardSz   = fs.Int("shard-size", 0, "executions per work chunk (0 = default)")
 		seed      = fs.Int64("seed", 1, "seed base; execution i runs with seed+i")
-		jsonPath  = fs.String("json", "BENCH_campaign.json", "campaign artifact path ('' disables)")
+		jsonPath  = fs.String("json", "BENCH_campaign.json", "campaign artifact path, written at every wave barrier and resumable with -resume ('' disables)")
 		policy    = fs.String("policy", "uniform", "per-cell budget policy: uniform, or converge (stop a cell early once its statistics stabilize and reassign the freed budget)")
 		epsilon   = fs.Float64("epsilon", 0, "converge policy: ε, its one parameter — a cell stops only after ⌈3/ε⌉ executions with no new race key or outcome, so a key seen in ≥ ε of executions is kept with ≥ 95% probability (0 = default 0.02)")
 		guide     = fs.String("guide", "", "directory of recorded traces for trace-guided exploration: matching cells replay the first 50-100% of a recorded schedule before exploring live ('' disables)")
@@ -102,6 +103,7 @@ func run(args []string, out *os.File) int {
 		RecordDir: *record, RecordOn: recOn,
 		ValidateAxioms: *validate,
 		Analyzers:      campaign.ParseAnalyzers(*analyzers),
+		CheckpointPath: *jsonPath,
 	}
 	if *guide != "" {
 		guides, err := campaign.LoadGuides(*guide)
@@ -130,7 +132,7 @@ func run(args []string, out *os.File) int {
 		return 1
 	}
 	// Crash-safety flags resolve after the matrix so -resume can validate the
-	// checkpoint's spec echo against the fully-built spec.
+	// artifact's spec echo against the fully-built spec.
 	if err := cflags.Apply(&spec, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "c11tester:", err)
 		return 1
@@ -191,14 +193,12 @@ func run(args []string, out *os.File) int {
 	case !*quiet:
 		fmt.Fprint(out, sum)
 	}
-	if *jsonPath != "" {
-		if err := sum.WriteJSON(*jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "c11tester:", err)
-			return 1
-		}
-		if !*quiet {
-			fmt.Fprintf(out, "\nwrote %s\n", *jsonPath)
-		}
+	if sum.WriteErr != nil {
+		fmt.Fprintln(os.Stderr, "c11tester:", sum.WriteErr)
+		return 1
+	}
+	if *jsonPath != "" && !*quiet {
+		fmt.Fprintf(out, "\nwrote %s\n", *jsonPath)
 	}
 	if sum.Failed() {
 		return 2

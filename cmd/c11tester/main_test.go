@@ -26,7 +26,7 @@ func TestFlagsDocumented(t *testing.T) {
 		usage    string
 		minFlags int // the whole flag set, so a parse that finds fewer failed
 	}{
-		{"c11tester", usageOf(t), 22},
+		{"c11tester", usageOf(t), 21},
 		{"c11report", string(reportUsage), 4},
 	} {
 		// The flag package prints each flag as "  -name" or "  -name type".
@@ -99,5 +99,36 @@ func TestRefusedCommandLeavesNoRecordDir(t *testing.T) {
 	}
 	if _, err := os.Stat(rec); !os.IsNotExist(err) {
 		t.Errorf("refused command left %s behind (stat: %v)", rec, err)
+	}
+}
+
+// TestRebasedArtifactRefused pins that -resume refuses an artifact whose
+// cell histograms have another base with exit 1, where folding it would
+// panic.
+func TestRebasedArtifactRefused(t *testing.T) {
+	dir := t.TempDir()
+	out, err := os.Create(filepath.Join(dir, "out.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	ck := filepath.Join(dir, "ck.json")
+	args := []string{"-tools", "c11tester", "-bench", "ms-queue", "-litmus", "none", "-runs", "2", "-q", "-json", ck}
+	if code := run(args, out); code != 0 {
+		t.Fatalf("c11tester %v = exit %d", args, code)
+	}
+	data, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebased := strings.Replace(string(data), `"base": 1024`, `"base": 2048`, 1)
+	if rebased == string(data) {
+		t.Fatal("the artifact holds no base-1024 histogram to rebase")
+	}
+	if err := os.WriteFile(ck, []byte(rebased), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := run(append(args, "-resume", ck), out); code != 1 {
+		t.Errorf("-resume of a rebased artifact = exit %d, want 1", code)
 	}
 }

@@ -86,8 +86,8 @@ type Kind struct {
 //
 // A Finding holds no per-sighting text: the analyzer renders each distinct
 // key once (keyMemo) and the description is rendered by Desc, which the
-// campaign calls only where it writes a finding out — the summary,
-// checkpoint JSON.
+// campaign calls only where it writes a finding out — the summary and the
+// artifact's JSON.
 type Finding struct {
 	Key     string
 	Kind    *Kind

@@ -223,7 +223,7 @@ func TestUnitStartZeroAlloc(t *testing.T) {
 				units++
 				r = wt.unit(spec, 0, j)
 				r.run(j.lo, j.hi, nil)
-				r.acc.add(&r.frag, j.hi)
+				r.acc.merge(&r.frag)
 			}
 			unit()
 			first := r
@@ -239,16 +239,16 @@ func TestUnitStartZeroAlloc(t *testing.T) {
 			if r != first {
 				t.Errorf("%s: the worker built a second runner for the cell", program)
 			}
-			if want := units * 25; r.acc.frag.Execs != want {
-				t.Errorf("%s: accumulator holds %d executions, want %d", program, r.acc.frag.Execs, want)
+			if want := units * 25; r.acc.Execs != want {
+				t.Errorf("%s: accumulator holds %d executions, want %d", program, r.acc.Execs, want)
 			}
-			if spec.programOf(j.key()) == "ms-queue" && len(r.acc.frag.Races) != 3 {
-				t.Errorf("%s: %d race keys, want 3", program, len(r.acc.frag.Races))
+			if spec.programOf(j.key()) == "ms-queue" && len(r.acc.Races) != 3 {
+				t.Errorf("%s: %d race keys, want 3", program, len(r.acc.Races))
 			}
 			if tc.duties {
-				if r.acc.frag.Checked == 0 || len(r.acc.frag.Findings) == 0 {
+				if r.acc.Checked == 0 || len(r.acc.Findings) == 0 {
 					t.Errorf("%s: %d executions validated and %d findings; the duty cells must exercise both",
-						program, r.acc.frag.Checked, len(r.acc.frag.Findings))
+						program, r.acc.Checked, len(r.acc.Findings))
 				}
 			}
 		}

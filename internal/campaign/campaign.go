@@ -34,8 +34,8 @@
 // fragments with order-independent operations only — sums, unions,
 // min-by-execution-index winners for reproduction metadata, and sample lists
 // capped to their smallest execution indices (fragment.merge). That one fold
-// serves units, workers, checkpoints and shard merges alike, and it carries
-// the per-cell histograms too (see hists).
+// serves units, workers, resumed artifacts and shard merges alike, and it
+// carries the per-cell histograms too (see hists).
 package campaign
 
 import (
@@ -148,26 +148,28 @@ type Spec struct {
 	// early): each cell's chunk sequence is dealt round-robin across the
 	// shards, so the K partial runs cover exactly the seed set of the
 	// single-machine run. The zero value (Count ≤ 1) runs everything. A
-	// sharded run's checkpoint is its partial: MergeCheckpoints folds the K
-	// of them into the checkpoint of the whole campaign, and resuming that
+	// sharded run's artifact is its partial: MergeCheckpoints folds the K
+	// of them into the artifact of the whole campaign, and resuming that
 	// renders the single-machine artifact.
 	Shard ShardSel
-	// CheckpointPath, when non-empty, persists an atomic checkpoint of
-	// completed-wave state there at every deterministic wave barrier, plus a
-	// final Complete checkpoint when the campaign ends. Checkpoint write
-	// failures never abort the campaign; they are counted in the summary
-	// (CheckpointErrors) and warned to stderr.
+	// CheckpointPath, when non-empty, is where the campaign artifact
+	// (Checkpoint, the -json file) is written atomically: at every wave
+	// barrier that more waves follow, and once, Complete, when the campaign
+	// ends. With RecordDir set, the record manifest is written before it at
+	// each of those barriers. A failed barrier write never aborts the
+	// campaign; it is counted (CheckpointErrors) and warned to stderr, and a
+	// failed final write is the summary's WriteErr.
 	CheckpointPath string
-	// Resume, when non-nil, restores checkpointed state instead of starting
+	// Resume, when non-nil, restores an artifact's state instead of starting
 	// fresh: the runner re-enters at the first incomplete wave, and the
 	// finished artifact is byte-identical (Summary.Canonical) to an
-	// uninterrupted run. Load with LoadCheckpoint and gate with
-	// Checkpoint.ValidateAgainst — a checkpoint from a different spec refuses
-	// to resume; a list of shard checkpoints goes through MergeCheckpoints
-	// first.
+	// uninterrupted run's. Load with LoadCheckpoint, read the manifest
+	// entries back and fold shards with MergeCheckpoints, and gate with
+	// Checkpoint.ValidateAgainst — an artifact of a different spec refuses to
+	// resume.
 	Resume *Checkpoint `json:"-"`
-	// checkpointHook observes every checkpoint just before it is persisted
-	// (fault-injection tests).
+	// checkpointHook observes every artifact just before it is written,
+	// after the record manifest (fault-injection tests).
 	checkpointHook func(*Checkpoint)
 }
 
@@ -210,7 +212,7 @@ func (j job) key() cellKey { return cellKey{kind: j.kind, tool: j.tool, cell: j.
 // program string and its other fields are plain values, so the copy aliases
 // none of the storage tools recycle across Execute calls, and keeping it
 // costs no allocation. The description is rendered only where one is
-// written — the summary and checkpoint JSON. A hit restored from JSON keeps
+// written — the summary and the artifact's JSON. A hit restored from JSON keeps
 // the rendered description instead.
 type raceHit struct {
 	report capi.RaceReport // the winning sighting; zero when restored
@@ -321,8 +323,8 @@ func (h *findingHit) UnmarshalJSON(b []byte) error {
 // fragment is the result of one unit of work. Fields are aggregated with
 // order-independent merges only, which is what keeps the campaign
 // deterministic under any worker count. Its JSON encoding is the form
-// checkpoints carry (CellCheckpoint.Frag): maps encode with sorted keys, so
-// the encoding is canonical.
+// the artifact carries (CellCheckpoint.Frag): maps encode with sorted keys,
+// so the encoding is canonical.
 type fragment struct {
 	Execs    int                `json:"execs"`
 	Detected int                `json:"detected,omitempty"`
@@ -352,8 +354,12 @@ type fragment struct {
 	// with min-run winners; nil when no analyzer stage is composed.
 	Findings map[findingID]findingHit `json:"findings,omitempty"`
 	// the trace sink's manifest entries (Spec.RecordDir), in execution-index
-	// order.
-	Captures []obs.CaptureRecord `json:"captures,omitempty"`
+	// order. The artifact leaves them to the record directory's manifest
+	// and carries their counts: entries with a trace file, and entries whose
+	// owed trace could not be recorded.
+	Captures     []obs.CaptureRecord `json:"-"`
+	Recorded     int                 `json:"recorded,omitempty"`
+	RecordErrors int                 `json:"record_errors,omitempty"`
 	// Hists are the cell's summary histograms. Unit fragments and runner
 	// accumulators leave them nil (a unit observes into its worker's per-cell
 	// hists instead); foldCells adds the workers' hists into the folded cell.
@@ -365,13 +371,13 @@ type fragment struct {
 const maxViolationSamples = 5
 
 // merge folds src into dst. It is the campaign's only fold of results:
-// worker units into cells, a cell's completed jobs into its checkpoint
-// state, and shard checkpoints' cells into the whole campaign's
-// (MergeCheckpoints) all go through it. Fragments cover disjoint execution
-// indices, and every field folds order-independently — sums, unions, min-run
-// winners, max for the guide-trace count, and run-ordered lists capped to
-// their smallest runs — so any merge order and any grouping of the same
-// executions yield the same fragment.
+// worker units into cells, a cell's completed jobs into its artifact cell,
+// and shard artifacts' cells into the whole campaign's (MergeCheckpoints)
+// all go through it. Fragments cover disjoint execution indices, and every
+// field folds order-independently — sums, unions, min-run winners, max for
+// the guide-trace count, and run-ordered lists capped to their smallest runs
+// — so any merge order and any grouping of the same executions yield the
+// same fragment.
 func (dst *fragment) merge(src *fragment) {
 	dst.Execs += src.Execs
 	dst.Detected += src.Detected
@@ -432,6 +438,8 @@ func (dst *fragment) merge(src *fragment) {
 	}
 	dst.Captures = mergeRuns(dst.Captures, src.Captures, func(c obs.CaptureRecord) int { return c.Index },
 		len(dst.Captures)+len(src.Captures))
+	dst.Recorded += src.Recorded
+	dst.RecordErrors += src.RecordErrors
 	if src.Hists != nil {
 		dst.addHists(src.Hists)
 	}
@@ -476,7 +484,9 @@ func mergeRuns[T any](a, b []T, run func(T) int, limit int) []T {
 	return out
 }
 
-// Run executes the campaign and aggregates the results.
+// Run executes the campaign, writes its artifact and record manifest when
+// the spec names them, and returns its summary, rendered from the final
+// artifact's cells as every reader renders it.
 func Run(spec Spec) *Summary {
 	spec = spec.withDefaults()
 	if spec.RecordDir != "" {
@@ -486,40 +496,23 @@ func Run(spec Spec) *Summary {
 
 	var ms0 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-
-	ck := &ckState{path: spec.CheckpointPath, hook: spec.checkpointHook}
+	ck := &ckState{spec: spec, start: time.Now()}
 	tools := newWorkerTools(spec)
-	restored, budgets := runWaves(spec, tel, ck, tools)
+	plans, restored, wave := runWaves(spec, tel, ck, tools)
 	tools.close()
 
-	wall := time.Since(start)
 	var ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms1)
-	gc := GCSummary{
+	a := ck.artifact(wave, true, plans, restored, tools)
+	a.GC = GCSummary{
 		AllocBytes:   ms1.TotalAlloc - ms0.TotalAlloc,
 		Mallocs:      ms1.Mallocs - ms0.Mallocs,
 		NumGC:        ms1.NumGC - ms0.NumGC,
 		PauseTotalNS: ms1.PauseTotalNs - ms0.PauseTotalNs,
 	}
-	cells := foldCells(spec, restored, tools)
-	sum := aggregate(spec, cells, budgets)
-	sum.WallNS, sum.GC, sum.Provenance = int64(wall), gc, BuildProvenance()
-	sum.CheckpointErrors = ck.errs
-	if spec.RecordDir != "" {
-		// Write the canonical manifest (an empty one when nothing triggered —
-		// consumers rely on the file existing). It is sorted by (tool,
-		// litmus, program, seed), so it is byte-identical for any worker
-		// count.
-		m := obs.NewManifest()
-		m.Captures = []obs.CaptureRecord{}
-		for i := range cells {
-			m.Captures = append(m.Captures, cells[i].frag.Captures...)
-		}
-		if err := m.WriteFile(filepath.Join(spec.RecordDir, obs.ManifestFileName)); err != nil {
-			fmt.Fprintf(os.Stderr, "campaign: write record manifest: %v\n", err)
-		}
-	}
+	err := ck.save(a)
+	sum := a.Summarize()
+	sum.WriteErr = err
 	return sum
 }
 
@@ -570,7 +563,7 @@ func chunkDeal(spec Spec) [][2]int {
 
 // matrixCells lists the campaign's cells in matrix order — tool-major,
 // benchmarks before litmus tests — the order of the wave loop's plans,
-// checkpoint cells and every per-tool list of the summary.
+// artifact cells and every per-tool list of the summary.
 func matrixCells(spec Spec) []cellKey {
 	keys := make([]cellKey, 0, len(spec.Tools)*(len(spec.Benchmarks)+len(spec.Litmus)))
 	for t := range spec.Tools {
@@ -616,9 +609,10 @@ type cellPlan struct {
 // or every cell converged. The total never exceeds Runs × cells, and every
 // decision happens at a barrier from per-cell-deterministic state, so the
 // result is independent of the worker count. Results accumulate in the
-// workers' cell runners; runWaves returns the cells a resumed run restored
-// (nil otherwise), which foldCells folds together with them.
-func runWaves(spec Spec, tel *telemetry, ck *ckState, tools workerTools) ([]cellFold, map[cellKey]*BudgetSummary) {
+// workers' cell runners; runWaves returns the plans, the cells a resumed run
+// restored (nil otherwise), which foldCells folds together with the
+// runners, and the last wave.
+func runWaves(spec Spec, tel *telemetry, ck *ckState, tools workerTools) ([]*cellPlan, []CellCheckpoint, int) {
 	split := spec.Policy == nil
 	deal := chunkDeal(spec)
 	chunk := spec.Runs
@@ -636,23 +630,12 @@ func runWaves(spec Spec, tel *telemetry, ck *ckState, tools workerTools) ([]cell
 		plans = append(plans, p)
 	}
 
-	var restored []cellFold
+	var restored []CellCheckpoint
 	type grant struct {
 		plan   *cellPlan
 		budget int
 	}
 	wave := 0
-	if spec.Resume != nil {
-		// Re-enter at the last completed wave: plans get their used/stopped
-		// budgets, tracker state and curves back, and the completed work
-		// comes back as each cell's checkpointed merged fragment. foldCells folds it with
-		// the workers' accumulators exactly as it folds those with each other,
-		// so the finished artifact cannot tell the difference. A Complete
-		// checkpoint (the previous run died before or while writing the
-		// artifacts) leaves no budget to grant, so nothing re-runs.
-		wave = spec.Resume.Wave
-		restored = restore(spec.Resume, plans)
-	}
 	// runWave cuts the grants into units and runs them across the worker
 	// pool; each unit folds into its worker's runner for the cell as it ends.
 	runWave := func(grants []grant) {
@@ -684,7 +667,7 @@ func runWaves(spec Spec, tel *telemetry, ck *ckState, tools workerTools) ([]cell
 				j.hi = j.lo + r.runChunked(j.lo, j.hi-j.lo, chunk, plans[j.key().index(nb, nl)].tracker)
 			}
 			tel.unitDone(*j, &r.frag)
-			r.acc.add(&r.frag, j.hi)
+			r.acc.merge(&r.frag)
 		})
 		for gi, g := range grants {
 			if split {
@@ -710,74 +693,53 @@ func runWaves(spec Spec, tel *telemetry, ck *ckState, tools workerTools) ([]cell
 			}
 		}
 		tel.waveEnd(wave, converged)
-		// The wave barrier is the checkpoint point: every decision below this
-		// line is a pure function of the state being persisted.
-		ck.save(spec, wave, false, plans, restored, tools)
 	}
-
-	if spec.Resume == nil {
-		// Wave 1: initial budgets.
-		wave1 := make([]grant, len(plans))
-		for i, p := range plans {
-			wave1[i] = grant{plan: p, budget: spec.Runs}
+	// extend grants the freed budget — the total minus what the cells spent,
+	// so a cell that converged mid-grant returns its unspent remainder — one
+	// chunk per still-diverging cell.
+	extend := func() []grant {
+		pool := spec.Runs * len(plans)
+		for _, p := range plans {
+			pool -= p.used
 		}
-		runWave(wave1)
-	}
-
-	// Freed budget: what converged cells left unspent.
-	pool := 0
-	for _, p := range plans {
-		pool += spec.Runs - p.used
-	}
-
-	// Extension waves: grant one chunk per still-diverging cell per wave.
-	for pool > 0 {
 		var grants []grant
 		for _, p := range plans {
 			if p.stopped || pool <= 0 {
 				continue
 			}
-			g := chunk
-			if g > pool {
-				g = pool
-			}
+			g := min(chunk, pool)
 			pool -= g
 			grants = append(grants, grant{plan: p, budget: g})
 		}
-		if len(grants) == 0 {
-			break
-		}
-		runWave(grants)
-		// Recompute the pool from first principles — total budget minus
-		// spent — so a cell that converged mid-grant returns its unspent
-		// remainder.
-		pool = spec.Runs * len(plans)
+		return grants
+	}
+
+	var grants []grant
+	if spec.Resume != nil {
+		// Re-enter at the last completed wave: plans get their used/stopped
+		// budgets, tracker state and curves back, and the completed work
+		// comes back as each cell's restored fragment. foldCells folds it with
+		// the workers' accumulators exactly as it folds those with each other,
+		// so the finished artifact cannot tell the difference. A Complete
+		// artifact leaves no budget to grant, so nothing re-runs.
+		wave = spec.Resume.Wave
+		restored = restore(spec.Resume, plans)
+		grants = extend()
+	} else {
 		for _, p := range plans {
-			pool -= p.used
+			grants = append(grants, grant{plan: p, budget: spec.Runs})
 		}
 	}
-
-	ck.save(spec, wave, true, plans, restored, tools)
-
-	if split {
-		// A policy that cannot stop early has no budget to report.
-		return restored, nil
-	}
-	budgets := map[cellKey]*BudgetSummary{}
-	for _, p := range plans {
-		extended := p.used - spec.Runs
-		if extended < 0 {
-			extended = 0
-		}
-		budgets[p.cellKey] = &BudgetSummary{
-			Planned:   spec.Runs,
-			Used:      p.used,
-			Extended:  extended,
-			Converged: p.stopped,
-			Curve:     p.curve,
+	for len(grants) > 0 {
+		runWave(grants)
+		if grants = extend(); len(grants) > 0 {
+			// The wave barrier is the checkpoint point: every decision after
+			// it is a pure function of the state being persisted. Run writes
+			// the final barrier's.
+			ck.barrier(wave, plans, restored, tools)
 		}
 	}
-	return restored, budgets
+	return plans, restored, wave
 }
 
 // execCtx is the per-execution state threaded through the pipeline stages.
@@ -817,7 +779,7 @@ type cellRunner struct {
 	// unit ends the wave loop reads it for the progress lines and folds it
 	// into acc, the cell's accumulator on this worker (see foldCells).
 	frag fragment
-	acc  cellFold
+	acc  fragment
 
 	// stages is the cell's composed pipeline, run in order after every
 	// completed execution: the cell-kind signal stage (benchmark detection
@@ -1330,6 +1292,12 @@ func (r *cellRunner) stageRecord() {
 	}
 	c := r.entry(trig, d)
 	c.File, c.Err = r.writeTrace(c)
+	switch {
+	case c.File != "":
+		r.frag.Recorded++
+	case c.Err != "":
+		r.frag.RecordErrors++
+	}
 	r.frag.Captures = append(r.frag.Captures, c)
 }
 
@@ -1504,7 +1472,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("campaign: sharding requires the uniform policy (adaptive budgets redistribute across the whole matrix; got %q)", s.Policy.Name())
 		}
 		if s.Resume != nil && s.Shard.Count > 1 {
-			return fmt.Errorf("campaign: a sharded run cannot resume (re-run the lost shard, or resume the unsharded campaign from all K shard checkpoints)")
+			return fmt.Errorf("campaign: a sharded run cannot resume (re-run the lost shard, or resume the unsharded campaign from all K shard artifacts)")
 		}
 	}
 	seenAnalyzer := map[string]bool{}

@@ -479,18 +479,19 @@ func TestUnexpectedLitmusRace(t *testing.T) {
 }
 
 func TestSummaryJSONArtifact(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_campaign.json")
 	spec := Spec{
-		Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
-		Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
-		Litmus:     []*litmus.Test{mustLitmus(t, "MP+rlx")},
-		Runs:       8,
-		SeedBase:   7,
-		Workers:    2,
+		Tools:          []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
+		Benchmarks:     []BenchmarkSpec{benchSpec(t, "ms-queue")},
+		Litmus:         []*litmus.Test{mustLitmus(t, "MP+rlx")},
+		Runs:           8,
+		SeedBase:       7,
+		Workers:        2,
+		CheckpointPath: path,
 	}
 	sum := Run(spec)
-	path := filepath.Join(t.TempDir(), "BENCH_campaign.json")
-	if err := sum.WriteJSON(path); err != nil {
-		t.Fatal(err)
+	if sum.WriteErr != nil {
+		t.Fatal(sum.WriteErr)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -503,17 +504,19 @@ func TestSummaryJSONArtifact(t *testing.T) {
 	if decoded["schema"] != SchemaName || decoded["schema_version"] != float64(SchemaVersion) {
 		t.Errorf("schema header = %v/%v", decoded["schema"], decoded["schema_version"])
 	}
-	if decoded["wall_ns"] == nil {
-		t.Error("artifact missing wall_ns")
+	if decoded["wall_ns"] == nil || decoded["complete"] != true {
+		t.Errorf("artifact wall_ns %v, complete %v", decoded["wall_ns"], decoded["complete"])
 	}
-	var roundTrip Summary
-	if err := json.Unmarshal(data, &roundTrip); err != nil {
+	ck, err := LoadCheckpoint(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if roundTrip.Tools[0].ExecsPerSec <= 0 {
-		t.Errorf("per-tool execs_per_sec = %v, want > 0", roundTrip.Tools[0].ExecsPerSec)
+	roundTrip := ck.Summarize()
+	if roundTrip.Tools[0].ExecsPerSec <= 0 || roundTrip.WallNS != sum.WallNS {
+		t.Errorf("per-tool execs_per_sec = %v, wall %d (live %d); want > 0 and the live wall clock",
+			roundTrip.Tools[0].ExecsPerSec, roundTrip.WallNS, sum.WallNS)
 	}
-	if !reflect.DeepEqual(canonicalize(&roundTrip).Spec, canonicalize(sum).Spec) {
+	if !reflect.DeepEqual(canonicalize(roundTrip).Spec, canonicalize(sum).Spec) {
 		t.Error("spec does not round-trip")
 	}
 	if got := len(roundTrip.Tools[0].Races); got == 0 {

@@ -1,7 +1,7 @@
 // Package chaostest is the fault-injection harness of the crash-safety
 // tentpole: it drives REAL c11tester subprocesses, SIGKILLs them at
 // randomized-but-seeded points mid-campaign, resumes them from their
-// checkpoints until one run finishes, and asserts the survivor is
+// -json artifacts until one run finishes, and asserts the survivor is
 // indistinguishable from an uninterrupted campaign — byte-identical canonical
 // summary (convergence curves included), zero lost races, and a readable,
 // complete record directory.
@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -62,20 +63,26 @@ func repoRoot(t *testing.T) string {
 
 func canonicalSummary(t *testing.T, path string) string {
 	t.Helper()
-	sum, err := campaign.LoadSummary(path)
-	if err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	data, err := json.MarshalIndent(sum.Canonical(), "", "  ")
+	data, err := json.MarshalIndent(loadSummary(t, path).Canonical(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(data)
 }
 
+// loadSummary reads the artifact at path and renders its summary.
+func loadSummary(t *testing.T, path string) *campaign.Summary {
+	t.Helper()
+	ck, err := campaign.LoadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return ck.Summarize()
+}
+
 // TestKillResumeByteIdentical is the harness's central assertion. It runs the
 // campaign uninterrupted once, then runs the identical campaign under a
-// seeded SIGKILL storm — kill, resume from the checkpoint, kill again — until
+// seeded SIGKILL storm — kill, resume from the artifact, kill again — until
 // an attempt completes, and compares artifacts.
 func TestKillResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
@@ -101,23 +108,21 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	}
 	baseDur := time.Since(start)
 
-	// Chaos loop: the first kill lands on an incomplete checkpoint written
-	// at a wave barrier, so the storm resumes between waves at least once;
+	// Chaos loop: the first kill lands on an incomplete artifact written at
+	// a wave barrier, so the storm resumes between waves at least once;
 	// later kills land at seeded points spread over the campaign's natural
 	// duration, so they fall in different waves across attempts.
 	chaosPath := filepath.Join(dir, "chaos.json")
 	chaosCap := filepath.Join(dir, "chaos-cap")
-	ckPath := filepath.Join(dir, "ck.json")
 	rng := rand.New(rand.NewSource(42))
 	kills, completed := 0, false
 	const maxAttempts = 60
-	var resumedFrom []int // the wave of each incomplete checkpoint resumed
+	var resumedFrom []int // the wave of each incomplete artifact resumed
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if ck, err := campaign.LoadCheckpoint(ckPath); err == nil && !ck.Complete {
+		if ck, err := campaign.LoadCheckpoint(chaosPath); err == nil && !ck.Complete {
 			resumedFrom = append(resumedFrom, ck.Wave)
 		}
-		cmd := exec.Command(bin, runArgs(chaosPath, chaosCap,
-			"-checkpoint", ckPath, "-resume", ckPath)...)
+		cmd := exec.Command(bin, runArgs(chaosPath, chaosCap, "-resume", chaosPath)...)
 		cmd.Stderr = nil
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
@@ -125,16 +130,22 @@ func TestKillResumeByteIdentical(t *testing.T) {
 		done := make(chan error, 1)
 		go func() { done <- cmd.Wait() }()
 		if attempt == 0 {
-			for !midCampaign(ckPath) {
+			for !midCampaign(chaosPath) {
 				select {
 				case err := <-done:
-					t.Fatalf("campaign finished (%v) before it wrote an incomplete checkpoint", err)
+					t.Fatalf("campaign finished (%v) before it wrote an incomplete artifact", err)
 				case <-time.After(time.Millisecond):
 				}
 			}
 			_ = cmd.Process.Kill()
 			<-done
 			kills++
+			// The killed run's artifact renders as a partial report.
+			var report strings.Builder
+			campaign.WriteReport(&report, loadSummary(t, chaosPath), nil, "")
+			if !strings.Contains(report.String(), "\npartial: stopped after wave ") {
+				t.Fatalf("the killed run's artifact renders no partial marker:\n%s", report.String())
+			}
 			continue
 		}
 		// Kill somewhere inside the campaign's runtime envelope (including
@@ -159,9 +170,9 @@ func TestKillResumeByteIdentical(t *testing.T) {
 		t.Fatalf("no attempt completed within %d kills", kills)
 	}
 	if len(resumedFrom) == 0 {
-		t.Fatalf("no attempt resumed from an incomplete checkpoint (%d kill(s))", kills)
+		t.Fatalf("no attempt resumed from an incomplete artifact (%d kill(s))", kills)
 	}
-	t.Logf("campaign survived %d SIGKILL(s) before completing; resumed from incomplete checkpoints at waves %v", kills, resumedFrom)
+	t.Logf("campaign survived %d SIGKILL(s) before completing; resumed from incomplete artifacts at waves %v", kills, resumedFrom)
 
 	// Byte-identical canonical summary: the headline guarantee. Canonical
 	// keeps the converge cells' curves, so they are compared too.
@@ -171,14 +182,7 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	}
 
 	// Zero lost races, asserted directly on top of the byte identity.
-	baseSum, err := campaign.LoadSummary(basePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chaosSum, err := campaign.LoadSummary(chaosPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseSum, chaosSum := loadSummary(t, basePath), loadSummary(t, chaosPath)
 	for i, ts := range baseSum.Tools {
 		if got := len(chaosSum.Tools[i].Races); got != len(ts.Races) {
 			t.Errorf("%s: %d race(s) after chaos, want %d", ts.Tool, got, len(ts.Races))
@@ -223,37 +227,37 @@ func TestKillResumeByteIdentical(t *testing.T) {
 		}
 	}
 
-	// The final checkpoint is marked complete, and one more -resume run
+	// The final artifact is marked complete, and one more -resume run
 	// replays the identical summary without re-executing the campaign.
-	ck, err := campaign.LoadCheckpoint(ckPath)
+	ck, err := campaign.LoadCheckpoint(chaosPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ck.Complete {
-		t.Fatalf("final checkpoint not complete: wave %d", ck.Wave)
+		t.Fatalf("final artifact not complete: wave %d", ck.Wave)
 	}
 	replayPath := filepath.Join(dir, "replay.json")
 	replay := exec.Command(bin, runArgs(replayPath, filepath.Join(dir, "replay-cap"),
-		"-resume", ckPath)...)
+		"-resume", chaosPath)...)
 	if out, err := replay.CombinedOutput(); err != nil {
-		t.Fatalf("replay from complete checkpoint: %v\n%s", err, out)
+		t.Fatalf("replay from complete artifact: %v\n%s", err, out)
 	}
 	if got := canonicalSummary(t, replayPath); got != base {
-		t.Error("replay from complete checkpoint differs from baseline")
+		t.Error("replay from complete artifact differs from baseline")
 	}
 }
 
-// midCampaign reports whether path holds an incomplete checkpoint written
-// at a wave barrier.
+// midCampaign reports whether path holds an incomplete artifact written at
+// a wave barrier.
 func midCampaign(path string) bool {
 	ck, err := campaign.LoadCheckpoint(path)
 	return err == nil && ck.Wave >= 1 && !ck.Complete
 }
 
 // TestShardFleetMerge drives the sharded half of the tentpole through real
-// subprocesses: a 3-shard fleet, each shard writing its checkpoint, and one
-// run resumed from the three checkpoints must reproduce the single-machine
-// artifact; a torn or missing shard checkpoint must be refused with exit 1.
+// subprocesses: a 3-shard fleet, each shard writing its artifact, and one
+// run resumed from the three artifacts must reproduce the single-machine
+// artifact; a torn or missing shard artifact must be refused with exit 1.
 func TestShardFleetMerge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess shard harness skipped in -short mode")
@@ -282,8 +286,8 @@ func TestShardFleetMerge(t *testing.T) {
 	}
 	var parts []string
 	for i := 0; i < 3; i++ {
-		p := filepath.Join(dir, fmt.Sprintf("part%d.ck", i))
-		if out, err := tester("-json", "", "-shard", fmt.Sprintf("%d/3", i), "-checkpoint", p); err != nil {
+		p := filepath.Join(dir, fmt.Sprintf("part%d.json", i))
+		if out, err := tester("-json", p, "-shard", fmt.Sprintf("%d/3", i)); err != nil {
 			t.Fatalf("shard %d: %v\n%s", i, err, out)
 		}
 		parts = append(parts, p)
@@ -297,7 +301,7 @@ func TestShardFleetMerge(t *testing.T) {
 		t.Fatalf("merged artifact differs from single-machine run: %v\n%s", err, out)
 	}
 
-	// A torn or missing shard checkpoint must be refused with a structured
+	// A torn or missing shard artifact must be refused with a structured
 	// error (exit 1): not a panic, not a bogus merge, not a fresh campaign.
 	data, err := os.ReadFile(parts[1])
 	if err != nil {

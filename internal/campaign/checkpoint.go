@@ -1,31 +1,41 @@
-// checkpoint.go is the crash-safety core of the campaign runner: seed-slice
-// sharding (ShardSel), the spec echo that gates resuming, and the per-cell
-// fragment state (CellCheckpoint) a wave-barrier checkpoint carries.
+// checkpoint.go is the campaign's one persisted form: the artifact that -json
+// names (Checkpoint), written atomically at every deterministic wave barrier,
+// its loader, and the seed-slice sharding (ShardSel) whose partials it also
+// carries.
 //
 // The design leans entirely on the package invariant that every execution is
 // a pure function of (tool, program, seed) and that all budget decisions
-// happen at deterministic wave barriers. A checkpoint therefore only has to
+// happen at deterministic wave barriers. The artifact therefore only has to
 // persist barrier state — per-cell budgets, converge-tracker state and
 // curves, and each cell's folded fragment — and a resumed run re-enters the
 // wave loop as if the completed waves had just run. fragment.merge is
 // order-independent and indifferent to how executions are grouped, so each
 // cell's restored fragment folds exactly like the units it stands for, and
-// the finished artifact is byte-identical (Summary.Canonical) to an
-// uninterrupted run.
+// the finished artifact renders a summary byte-identical (Summary.Canonical)
+// to an uninterrupted run's. Readers render the summary from the cells
+// (Checkpoint.Summarize), and a run renders its live summary through the same
+// code.
 //
-// A shard's partial is its checkpoint: a sharded run checkpoints the cells of
-// its slice, and MergeCheckpoints folds the K complete shard checkpoints into
-// the checkpoint of the whole campaign, which resumes like any other.
+// Manifest entries are not in the artifact. The record directory's
+// manifest.json holds them, written before the artifact at every barrier, and
+// a resume reads them back from the directory the spec echo names.
+//
+// A shard's partial is its artifact: a sharded run writes the cells of its
+// slice, and MergeCheckpoints folds the K complete shard artifacts into the
+// artifact of the whole campaign, which resumes like any other.
 package campaign
 
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
+	"time"
 
 	"c11tester/internal/explore"
+	"c11tester/internal/obs"
 	"c11tester/internal/safeio"
 )
 
@@ -56,52 +66,56 @@ func ParseShard(s string) (ShardSel, error) {
 	return sel, nil
 }
 
-// Schema identifiers of the serialized checkpoint. Version 2 carries
-// violation samples with their runs and the guide-trace count. Version 3
-// carries each cell's fragment in the fragment's own JSON encoding: races and
-// findings are objects keyed by race key and "analyzer/key", op counts sit
-// under "ops", and the per-unit allocation counters are gone. Version 4 adds
-// each cell's histograms to its fragment ("hists"), so a resumed run's
-// summary histograms cover every execution of the campaign. Version 5 echoes
-// the trace sink's trigger set ("record_on") and drops the fragment's
-// recorded/record-error counts: they are counted from its manifest entries
-// ("captures"). Version 6 drops the event-stream cursors
-// ("events_emitted"/"events_dropped") and carries each converge cell's
-// convergence curve ("curve"). Version 7 records the shard selection of a
-// sharded run ("shard": index and count), whose checkpoint is its partial.
-// Version 8 drops the handoff-wait histogram and the race span from each
-// fragment's histograms and adds its layer counts ("hists.counts").
-// Version 9 drops the spec digest ("spec_digest"): resuming and merging
-// compare the spec echo ("spec") field by field (specSkew).
+// Schema identifiers of the campaign artifact. Bump SchemaVersion on any
+// incompatible change to the JSON shape: LoadCheckpoint reads only the
+// current version, and consumers of the BENCH_campaign.json trajectory key
+// on it. Versions 2–16 were the shape of the rendered summary, grown one
+// duty at a time (validation, budgets, guides, histograms, provenance,
+// analyzers, the trace sink, curves, layer counts); the history of this
+// file holds their notes.
+//
+// v17: one artifact. The file is the resumable checkpoint: the spec echo,
+// provenance, wave and completion, the shard of a partial, and one cell per
+// matrix cell with its budget state and folded fragment, plus the run's wall
+// clock, GC and write-failure counts. Readers render the summary from the
+// cells (Checkpoint.Summarize). Fragments carry recorded/record-error counts
+// in place of the manifest entries, which live only in the record
+// directory's manifest.json.
 const (
-	CheckpointSchemaName    = "c11tester/checkpoint"
-	CheckpointSchemaVersion = 9
+	SchemaName    = "c11tester/campaign"
+	SchemaVersion = 17
 )
 
-// Checkpoint is the wave-barrier state of a campaign: everything a resumed
-// run needs to re-enter at the first incomplete wave and finish with an
-// artifact byte-identical (Summary.Canonical) to an uninterrupted run.
+// Checkpoint is the campaign artifact (BENCH_campaign.json): the wave-barrier
+// state of a campaign, everything a resumed run needs to re-enter at the
+// first incomplete wave and finish with an artifact byte-identical
+// (Summary.Canonical) to an uninterrupted run's, plus the measurements of the
+// run that wrote it.
 type Checkpoint struct {
 	Schema        string `json:"schema"`
 	SchemaVersion int    `json:"schema_version"`
 	// Spec echoes the campaign parameters; its outcome-affecting fields
 	// (specSkew) gate resuming and merging.
 	Spec SpecInfo `json:"spec"`
-	// Provenance pins the build that wrote the checkpoint; resuming under a
+	// Provenance pins the build that wrote the artifact; resuming under a
 	// skewed build is refused (a different toolchain may schedule
 	// differently).
 	Provenance *Provenance `json:"provenance,omitempty"`
 	// Wave is the last completed wave; Complete marks the whole matrix done
-	// (resuming a Complete checkpoint rebuilds the artifacts without running
-	// anything).
+	// (resuming a Complete artifact rewrites it without running anything).
 	Wave     int  `json:"wave"`
 	Complete bool `json:"complete,omitempty"`
 	// Shard is the slice a sharded run covered; nil for a whole campaign.
 	// MergeCheckpoints folds the K shards of one campaign into a whole.
 	Shard *ShardSel `json:"shard,omitempty"`
-	// Captures counts the record-manifest entries at the barrier, for
-	// introspection and post-crash audit.
-	Captures int `json:"captures,omitempty"`
+	// WallNS is the writing run's wall clock up to this barrier, and GC its
+	// heap and GC deltas over the whole run (zero before the final barrier).
+	WallNS int64     `json:"wall_ns"`
+	GC     GCSummary `json:"gc"`
+	// CheckpointErrors counts the writing run's earlier barrier writes that
+	// failed. The campaign still completes — a failed write costs the resume
+	// point, not the results — but the loss is never silent.
+	CheckpointErrors int `json:"checkpoint_errors,omitempty"`
 	// Cells holds one entry per campaign cell, in matrix order.
 	Cells []CellCheckpoint `json:"cells"`
 }
@@ -110,126 +124,206 @@ type Checkpoint struct {
 // converge-tracker snapshot and convergence curve (adaptive policies), and
 // its folded result fragment.
 type CellCheckpoint struct {
-	Kind    string `json:"kind"` // "bench" or "litmus"
-	Tool    int    `json:"tool"`
-	Cell    int    `json:"cell"`
 	ToolRef string `json:"tool_name"`
 	Program string `json:"program"`
-	Used    int    `json:"used"`
-	Stopped bool   `json:"stopped,omitempty"`
+	Litmus  bool   `json:"litmus,omitempty"`
+	// Used is the cell's cursor: its executions are [0, Used), run on this
+	// shard or another.
+	Used    int  `json:"used"`
+	Stopped bool `json:"stopped,omitempty"`
 
 	Tracker *explore.TrackerSnapshot `json:"tracker,omitempty"`
 	Curve   []CurvePoint             `json:"curve,omitempty"`
 	Frag    fragment                 `json:"frag"`
 }
 
-const (
-	cellKindBench  = "bench"
-	cellKindLitmus = "litmus"
-)
-
-func kindName(k jobKind) string {
-	if k == jobLitmus {
-		return cellKindLitmus
+// cellName identifies a cell in messages and matches manifest entries to
+// it: "tool/program", or "tool/litmus/test".
+func cellName(tool, program string, litmus bool) string {
+	if litmus {
+		return tool + "/litmus/" + program
 	}
-	return cellKindBench
+	return tool + "/" + program
 }
 
-// buildCheckpoint folds the completed work into one CellCheckpoint per
-// matrix cell, with budget, tracker and curve state from the wave loop's
-// plans.
-func buildCheckpoint(spec Spec, wave int, complete bool, plans []*cellPlan, restored []cellFold, wt workerTools) *Checkpoint {
+// ckState carries the barrier writes through the runner: the spec (its
+// artifact path, record directory and test hook), the run's start for the
+// wall clock, and the write-failure count the artifact carries as
+// CheckpointErrors. A failed barrier write never aborts a campaign — a full
+// disk costs the resume point, not the run.
+type ckState struct {
+	spec  Spec
+	start time.Time
+	errs  int
+}
+
+// armed reports whether a barrier writes anything: the artifact, or the
+// record manifest.
+func (ck *ckState) armed() bool { return ck.spec.CheckpointPath != "" || ck.spec.RecordDir != "" }
+
+// artifact folds the state at a barrier into the campaign artifact: one cell
+// per matrix cell, with the wave loop's budget state (plans) and the folded
+// fragment. Tracker snapshots are taken only for an artifact that is
+// written.
+func (ck *ckState) artifact(wave int, complete bool, plans []*cellPlan, restored []CellCheckpoint, wt workerTools) *Checkpoint {
 	c := &Checkpoint{
-		Schema: CheckpointSchemaName, SchemaVersion: CheckpointSchemaVersion,
-		Spec:       specInfo(spec),
+		Schema: SchemaName, SchemaVersion: SchemaVersion,
+		Spec:       specInfo(ck.spec),
 		Provenance: BuildProvenance(),
 		Wave:       wave, Complete: complete,
-		Cells: checkpointCells(spec, foldCells(spec, restored, wt), plans),
+		WallNS:           int64(time.Since(ck.start)),
+		CheckpointErrors: ck.errs,
+		Cells:            foldCells(ck.spec, plans, restored, wt),
 	}
-	if spec.Shard.Count > 1 {
-		sel := spec.Shard
+	if ck.spec.Shard.Count > 1 {
+		sel := ck.spec.Shard
 		c.Shard = &sel
 	}
-	for i := range c.Cells {
-		c.Captures += len(c.Cells[i].Frag.Captures)
+	if ck.spec.CheckpointPath != "" {
+		for i, p := range plans {
+			if p.tracker != nil {
+				c.Cells[i].Tracker = p.tracker.Snapshot()
+			}
+		}
 	}
 	return c
 }
 
-// checkpointCells renders folded cells (foldCells) in their checkpoint form,
-// with the budget, tracker and curve state of the wave loop's plans; cells
-// and plans are in matrix order.
-func checkpointCells(spec Spec, cells []cellFold, plans []*cellPlan) []CellCheckpoint {
-	out := make([]CellCheckpoint, len(cells))
-	for i, k := range matrixCells(spec) {
-		p := plans[i]
-		out[i] = CellCheckpoint{
-			Kind: kindName(k.kind), Tool: k.tool, Cell: k.cell,
-			ToolRef: spec.Tools[k.tool].Name, Program: spec.programOf(k),
-			Used: p.used, Stopped: p.stopped, Curve: p.curve,
-			Frag: cells[i].frag,
-		}
-		if p.tracker != nil {
-			out[i].Tracker = p.tracker.Snapshot()
-		}
-	}
-	return out
-}
-
-// ckState carries the checkpoint duty through the runner: the target path
-// (empty = disarmed), the test hook, and the write-failure count surfaced as
-// Summary.CheckpointErrors. Checkpoint failures never abort a campaign — a
-// full disk costs the resume point, not the run.
-type ckState struct {
-	path string
-	hook func(*Checkpoint)
-	errs int
-}
-
-func (ck *ckState) save(spec Spec, wave int, complete bool, plans []*cellPlan, restored []cellFold, wt workerTools) {
-	if ck.path == "" {
+// barrier writes the artifact of a wave barrier that more waves follow.
+// Failures are counted and warned, never fatal.
+func (ck *ckState) barrier(wave int, plans []*cellPlan, restored []CellCheckpoint, wt workerTools) {
+	if !ck.armed() {
 		return
 	}
-	c := buildCheckpoint(spec, wave, complete, plans, restored, wt)
-	if ck.hook != nil {
-		ck.hook(c)
-	}
-	if err := safeio.WriteJSONAtomic(ck.path, c, 0o644); err != nil {
+	if err := ck.save(ck.artifact(wave, false, plans, restored, wt)); err != nil {
 		ck.errs++
 		fmt.Fprintf(os.Stderr, "campaign: checkpoint: %v\n", err)
 	}
 }
 
-// LoadCheckpoint reads and schema-checks a checkpoint. Truncated or corrupt
-// files come back as a *safeio.DecodeError naming the byte offset.
+// save persists a barrier's state, each file atomically: the record
+// manifest first, then the artifact. A manifest that fails to land skips
+// the artifact, so no artifact counts entries its manifest lacks.
+func (ck *ckState) save(c *Checkpoint) error {
+	if ck.spec.RecordDir != "" {
+		// The canonical manifest (an empty one when nothing triggered —
+		// consumers rely on the file existing) is sorted by (tool, litmus,
+		// program, seed), so it is byte-identical for any worker count.
+		m := obs.NewManifest()
+		m.Captures = []obs.CaptureRecord{}
+		for i := range c.Cells {
+			m.Captures = append(m.Captures, c.Cells[i].Frag.Captures...)
+		}
+		if err := m.WriteFile(filepath.Join(ck.spec.RecordDir, obs.ManifestFileName)); err != nil {
+			return fmt.Errorf("record manifest: %w", err)
+		}
+	}
+	if ck.spec.CheckpointPath == "" {
+		return nil
+	}
+	if ck.spec.checkpointHook != nil {
+		ck.spec.checkpointHook(c)
+	}
+	return safeio.WriteJSONAtomic(ck.spec.CheckpointPath, c, 0o644)
+}
+
+// LoadCheckpoint reads a campaign artifact and checks its schema header, its
+// cell count against its spec echo, and its histogram bases: a histogram of
+// another base would make obs.Histogram.Add panic when a resume, a merge or
+// a comparison folds it. Truncated or corrupt files come back as a
+// *safeio.DecodeError naming the byte offset.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	var c Checkpoint
 	if err := safeio.DecodeJSONFile(path, &c); err != nil {
 		return nil, err
 	}
-	if c.Schema != CheckpointSchemaName {
-		return nil, fmt.Errorf("campaign: %s: schema %q, want %q", path, c.Schema, CheckpointSchemaName)
+	if c.Schema != SchemaName {
+		return nil, fmt.Errorf("campaign: %s: schema %q, want %q", path, c.Schema, SchemaName)
 	}
-	if c.SchemaVersion != CheckpointSchemaVersion {
-		return nil, fmt.Errorf("campaign: %s: checkpoint schema version %d, this build resumes only version %d", path, c.SchemaVersion, CheckpointSchemaVersion)
+	if c.SchemaVersion != SchemaVersion {
+		return nil, fmt.Errorf("campaign: %s: schema version %d, this build reads only version %d (regenerate the artifact with this build)",
+			path, c.SchemaVersion, SchemaVersion)
+	}
+	if n := len(c.Spec.Tools) * (len(c.Spec.Benchmarks) + len(c.Spec.Litmus)); len(c.Cells) != n {
+		return nil, fmt.Errorf("campaign: %s: %d cell(s), its spec echo has %d", path, len(c.Cells), n)
+	}
+	for i := range c.Cells {
+		if cc := &c.Cells[i]; !cc.Frag.Hists.hasBases() {
+			return nil, fmt.Errorf("campaign: %s: %s: histogram bases differ from this build's", path, cellName(cc.ToolRef, cc.Program, cc.Litmus))
+		}
 	}
 	return &c, nil
 }
 
-// MergeCheckpoints turns the checkpoints a -resume list names into the one a
-// run resumes from. A single unsharded checkpoint is returned as it is. Any
-// other list must be the K complete shard checkpoints of one campaign, in any
-// order: they are folded cell by cell with fragment.merge into the complete
-// checkpoint of the whole campaign. Shards run disjoint slices of every
-// cell's executions, so the fold is the one the workers' units go through,
-// and resuming it renders the single-machine artifact. It refuses an empty
-// list, an unsharded checkpoint in a list, mixed shard counts, a missing or
-// duplicate index, an incomplete shard, spec skew and build
-// provenance skew between the shards; the caller still gates the result with
-// ValidateAgainst.
+// readCaptures restores the cells' manifest entries from the record
+// directory the spec echo names, keeping each cell's entries with an index
+// below its Used cursor: the executions the artifact covers, even when the
+// manifest is a barrier ahead of it. A missing manifest, an entry of no
+// cell, or entries that disagree with a cell's recorded and record-error
+// counts refuse the resume. Reading again replaces the entries.
+func (c *Checkpoint) readCaptures() error {
+	if c.Spec.RecordDir == "" {
+		return nil
+	}
+	path := filepath.Join(c.Spec.RecordDir, obs.ManifestFileName)
+	m, err := obs.ReadManifest(path)
+	if err != nil {
+		return fmt.Errorf("campaign: the artifact's record manifest: %w", err)
+	}
+	byName := make(map[string]*CellCheckpoint, len(c.Cells))
+	for i := range c.Cells {
+		cc := &c.Cells[i]
+		cc.Frag.Captures = nil
+		byName[cellName(cc.ToolRef, cc.Program, cc.Litmus)] = cc
+	}
+	for _, e := range m.Captures {
+		cc := byName[cellName(e.Tool, e.Program, e.Litmus)]
+		if cc == nil {
+			return fmt.Errorf("campaign: %s: entry %s seed %d is of no cell of the artifact", path, cellName(e.Tool, e.Program, e.Litmus), e.Seed)
+		}
+		if e.Index < cc.Used {
+			cc.Frag.Captures = append(cc.Frag.Captures, e)
+		}
+	}
+	for i := range c.Cells {
+		cc := &c.Cells[i]
+		recorded, failed := 0, 0
+		for _, e := range cc.Frag.Captures {
+			switch {
+			case e.File != "":
+				recorded++
+			case e.Err != "":
+				failed++
+			}
+		}
+		if recorded != cc.Frag.Recorded || failed != cc.Frag.RecordErrors {
+			return fmt.Errorf("campaign: %s does not match the artifact: %s has %d recorded and %d failed entries below execution %d, the artifact counts %d and %d",
+				path, cellName(cc.ToolRef, cc.Program, cc.Litmus), recorded, failed, cc.Used, cc.Frag.Recorded, cc.Frag.RecordErrors)
+		}
+	}
+	return nil
+}
+
+// MergeCheckpoints turns the artifacts a -resume list names into the one a
+// run resumes from, reading each one's manifest entries back from its record
+// directory (readCaptures). A single unsharded artifact is returned as it
+// is. Any other list must be the K complete shard artifacts of one campaign,
+// in any order: they are folded cell by cell with fragment.merge into the
+// complete artifact of the whole campaign. Shards run disjoint slices of
+// every cell's executions, so the fold is the one the workers' units go
+// through, and resuming it renders the single-machine artifact. It refuses
+// an empty list, an unsharded artifact in a list, mixed shard counts, a
+// missing or duplicate index, an incomplete shard, spec skew and build
+// provenance skew between the shards, and a missing manifest; the caller
+// still gates the result with ValidateAgainst.
 func MergeCheckpoints(cks []*Checkpoint) (*Checkpoint, error) {
 	if len(cks) == 0 {
 		return nil, fmt.Errorf("campaign: merge: no checkpoints")
+	}
+	for _, c := range cks {
+		if err := c.readCaptures(); err != nil {
+			return nil, err
+		}
 	}
 	if len(cks) == 1 && cks[0].Shard == nil {
 		return cks[0], nil
@@ -238,11 +332,11 @@ func MergeCheckpoints(cks []*Checkpoint) (*Checkpoint, error) {
 	for _, c := range cks {
 		switch {
 		case c.Shard == nil:
-			return nil, fmt.Errorf("campaign: merge: a checkpoint of a whole campaign cannot be merged with others (was it written with -shard?)")
+			return nil, fmt.Errorf("campaign: merge: the artifact of a whole campaign cannot be merged with others (was it written with -shard?)")
 		case c.Shard.Count != cks[0].Shard.Count:
 			return nil, fmt.Errorf("campaign: merge: shards %s and %s were cut into different counts", cks[0].Shard, c.Shard)
 		case c.Shard.Count != len(cks) || c.Shard.Index < 0 || c.Shard.Index >= c.Shard.Count:
-			return nil, fmt.Errorf("campaign: merge: have %d checkpoint(s), the campaign was cut into %d shards", len(cks), c.Shard.Count)
+			return nil, fmt.Errorf("campaign: merge: have %d artifact(s), the campaign was cut into %d shards", len(cks), c.Shard.Count)
 		case byIndex[c.Shard.Index] != nil:
 			return nil, fmt.Errorf("campaign: merge: shard %s given twice", c.Shard)
 		case !c.Complete:
@@ -252,7 +346,7 @@ func MergeCheckpoints(cks []*Checkpoint) (*Checkpoint, error) {
 	}
 	first := byIndex[0]
 	merged := *first
-	merged.Shard, merged.Captures = nil, 0
+	merged.Shard = nil
 	merged.Cells = slices.Clone(first.Cells)
 	for i := range merged.Cells {
 		merged.Cells[i].Frag = fragment{}
@@ -264,44 +358,34 @@ func MergeCheckpoints(cks []*Checkpoint) (*Checkpoint, error) {
 		if skew := first.Provenance.Skew(c.Provenance); len(skew) > 0 {
 			return nil, fmt.Errorf("campaign: merge: shard %s build provenance skew (%s): re-run the shards with one build", c.Shard, strings.Join(skew, "; "))
 		}
-		if len(c.Cells) != len(merged.Cells) {
-			// Equal spec echoes pin the matrix; this keeps an edited file from
-			// indexing past the cells below.
-			return nil, fmt.Errorf("campaign: merge: shard %s has %d cell(s), shard 0/%d has %d", c.Shard, len(c.Cells), first.Shard.Count, len(merged.Cells))
-		}
+		// Equal spec echoes pin the matrix, and LoadCheckpoint the cells to it.
 		for i := range c.Cells {
 			merged.Cells[i].Frag.merge(&c.Cells[i].Frag)
-			merged.Captures += len(c.Cells[i].Frag.Captures)
 		}
 	}
 	return &merged, nil
 }
 
-// ValidateAgainst reports why the checkpoint cannot resume the given spec:
+// ValidateAgainst reports why the artifact cannot resume the given spec:
 // spec skew (a different execution set or different duties, named field by
-// field as "checkpoint → spec") or build provenance skew (a different
+// field as "artifact → spec") or build provenance skew (a different
 // toolchain cannot promise identical replay).
 func (c *Checkpoint) ValidateAgainst(spec Spec) error {
 	if skew := specSkew(c.Spec, specInfo(spec.withDefaults())); len(skew) > 0 {
-		return fmt.Errorf("campaign: checkpoint was cut from a different campaign spec (%s): resuming would mix incompatible runs — point -checkpoint at a fresh path to start over", strings.Join(skew, "; "))
+		return fmt.Errorf("campaign: the artifact was cut from a different campaign spec (%s): resuming would mix incompatible runs — point -json at a fresh path to start over", strings.Join(skew, "; "))
 	}
 	if skew := BuildProvenance().Skew(c.Provenance); len(skew) > 0 {
-		return fmt.Errorf("campaign: checkpoint build provenance skew (%s): a different build cannot promise byte-identical resume — re-run the campaign from scratch", strings.Join(skew, "; "))
+		return fmt.Errorf("campaign: artifact build provenance skew (%s): a different build cannot promise byte-identical resume — re-run the campaign from scratch", strings.Join(skew, "; "))
 	}
 	return nil
 }
 
-// restore pushes a checkpoint's barrier state back into the wave loop: plan
-// budgets, tracker snapshots and convergence curves. It returns each cell's
-// merged fragment and end, for foldCells. Checkpoint cells, plans and the result are all in
-// matrix order.
-func restore(c *Checkpoint, plans []*cellPlan) []cellFold {
-	if len(c.Cells) != len(plans) {
-		// Unreachable behind ValidateAgainst (the spec echo pins the matrix);
-		// skipping beats corrupting plan state.
-		return nil
-	}
-	cells := make([]cellFold, len(plans))
+// restore pushes an artifact's barrier state back into the wave loop: plan
+// budgets, tracker snapshots and convergence curves. It returns the cells,
+// whose fragments foldCells folds in. Artifact cells and plans are both in
+// matrix order, and of one length: ValidateAgainst pins the spec echo to the
+// matrix, and LoadCheckpoint the cells to the spec echo.
+func restore(c *Checkpoint, plans []*cellPlan) []CellCheckpoint {
 	for i, p := range plans {
 		cc := &c.Cells[i]
 		p.used = cc.Used
@@ -310,9 +394,6 @@ func restore(c *Checkpoint, plans []*cellPlan) []cellFold {
 		if p.tracker != nil {
 			p.tracker.Restore(cc.Tracker)
 		}
-		if cc.Used > 0 {
-			cells[i] = cellFold{frag: cc.Frag, hi: cc.Used}
-		}
 	}
-	return cells
+	return c.Cells
 }

@@ -549,11 +549,14 @@ func testCheckpointResume(t *testing.T, runs int, eps float64, waves int) {
 	}
 	baseline := Run(spec)
 	want := canonicalJSON(t, baseline)
-	if len(checkpoints) < 2 {
-		t.Fatalf("campaign wrote %d checkpoint(s); the test needs several wave barriers", len(checkpoints))
+	// One artifact per wave barrier: the final one only once, complete.
+	if len(checkpoints) != waves {
+		t.Fatalf("campaign wrote %d artifact(s) over %d wave(s), want one per barrier", len(checkpoints), waves)
 	}
-	if !checkpoints[len(checkpoints)-1].Complete {
-		t.Fatal("final checkpoint not marked complete")
+	for i, ck := range checkpoints {
+		if ck.Wave != i+1 || ck.Complete != (i == len(checkpoints)-1) {
+			t.Fatalf("artifact %d: wave %d, complete %v", i, ck.Wave, ck.Complete)
+		}
 	}
 
 	checkSampledCounts(t, baseline)
@@ -599,10 +602,10 @@ func curvesOf(sum *Summary) [][]CurvePoint {
 }
 
 // TestUniformCheckpointResume covers the uniform policy's pass through the
-// wave loop: a uniform campaign is a single wave, so it checkpoints at the
-// wave-1 barrier and again at completion. Resuming from either checkpoint, at
-// any worker count, replays the summary byte-identically without re-running
-// anything — not even constructing a tool. Its cells carry no tracker.
+// wave loop: a uniform campaign is a single wave, so it writes its artifact
+// once, complete. Resuming from it, at any worker count, replays the summary
+// byte-identically without re-running anything — not even constructing a
+// tool. Its cells carry no tracker.
 func TestUniformCheckpointResume(t *testing.T) {
 	var built atomic.Int64
 	tool := mustTool(t, "c11tester", ToolOptions{})
@@ -637,9 +640,8 @@ func TestUniformCheckpointResume(t *testing.T) {
 	if built.Load() == 0 {
 		t.Fatal("the counting tool factory was never called")
 	}
-	if len(checkpoints) != 2 || checkpoints[0].Complete || !checkpoints[1].Complete ||
-		checkpoints[0].Wave != 1 || checkpoints[1].Wave != 1 {
-		t.Fatalf("uniform campaign should checkpoint at the wave-1 barrier, then complete; got %d checkpoint(s)", len(checkpoints))
+	if len(checkpoints) != 1 || !checkpoints[0].Complete || checkpoints[0].Wave != 1 {
+		t.Fatalf("uniform campaign should write one complete wave-1 artifact; got %d artifact(s)", len(checkpoints))
 	}
 	// The persisted file is the last (complete) checkpoint.
 	ck, err := LoadCheckpoint(spec.CheckpointPath)
@@ -725,16 +727,18 @@ func TestValidateAgainstDetectsSpecDrift(t *testing.T) {
 }
 
 // TestCheckpointWriteFailureDoesNotAbort is the ENOSPC fault-injection leg:
-// every checkpoint write fails, the campaign must complete with the identical
-// summary, counting the failures in CheckpointErrors.
+// every artifact write fails, and the campaign must complete with the
+// identical summary, counting the failed barrier writes in the final
+// artifact's CheckpointErrors and returning its failed write as WriteErr.
 func TestCheckpointWriteFailureDoesNotAbort(t *testing.T) {
 	build := func() Spec {
 		return Spec{
 			Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
-			Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
-			Runs:       16,
-			SeedBase:   3,
-			Policy:     &explore.Converge{Epsilon: 0.75}, // L = 4
+			Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue"), benchSpec(t, "seqlock")},
+			Litmus:     []*litmus.Test{mustLitmus(t, "MP+rlx"), mustLitmus(t, "CoRR")},
+			Runs:       48,
+			SeedBase:   100,
+			Policy:     &explore.Converge{Epsilon: 0.15}, // L = 20: two waves
 		}
 	}
 	want := canonicalJSON(t, Run(build()))
@@ -749,15 +753,19 @@ func TestCheckpointWriteFailureDoesNotAbort(t *testing.T) {
 	defer safeio.SetFailpoint(nil)
 	spec := build()
 	spec.CheckpointPath = path
+	var last *Checkpoint
+	spec.checkpointHook = func(c *Checkpoint) { last = c }
 	sum := Run(spec)
-	if sum.CheckpointErrors == 0 {
-		t.Fatal("injected write failures not counted in CheckpointErrors")
+	if last == nil || !last.Complete || last.CheckpointErrors != 1 || sum.WriteErr == nil ||
+		!strings.Contains(sum.WriteErr.Error(), "injected ENOSPC") {
+		t.Fatalf("final artifact %+v, WriteErr %v; want the wave-1 barrier's failure counted in it and its own write's returned",
+			last, sum.WriteErr)
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Error("failed checkpoint writes left a file behind")
+		t.Error("failed artifact writes left a file behind")
 	}
 	if got := canonicalJSON(t, sum); got != want {
-		t.Fatal("campaign outcome changed under checkpoint write failures")
+		t.Fatal("campaign outcome changed under artifact write failures")
 	}
 }
 
@@ -799,7 +807,7 @@ func TestLoadCheckpointCorrupt(t *testing.T) {
 	}
 }
 
-// TestStaleCheckpointRefused pins that a checkpoint of the previous schema
+// TestStaleCheckpointRefused pins that an artifact of the previous schema
 // version is refused with a named error, both by LoadCheckpoint and by
 // -resume, rather than being taken for a missing file and silently
 // restarted from scratch.
@@ -821,10 +829,9 @@ func TestStaleCheckpointRefused(t *testing.T) {
 	if err := json.Unmarshal(data, &raw); err != nil {
 		t.Fatal(err)
 	}
-	// A version-8 checkpoint also carried the spec digest this version
-	// dropped; the version alone must refuse it.
-	raw["schema_version"] = CheckpointSchemaVersion - 1
-	raw["spec_digest"] = "3f1c2a9b"
+	// A version-16 artifact was a rendered summary with no cells to resume
+	// from; the version alone must refuse it.
+	raw["schema_version"] = SchemaVersion - 1
 	stale := filepath.Join(dir, "stale.json")
 	if data, err = json.Marshal(raw); err != nil {
 		t.Fatal(err)
@@ -832,7 +839,7 @@ func TestStaleCheckpointRefused(t *testing.T) {
 	if err := os.WriteFile(stale, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("resumes only version %d", CheckpointSchemaVersion)
+	want := fmt.Sprintf("reads only version %d", SchemaVersion)
 	if _, err := LoadCheckpoint(stale); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("LoadCheckpoint(stale) = %v, want an error naming %q", err, want)
 	}
@@ -844,5 +851,70 @@ func TestStaleCheckpointRefused(t *testing.T) {
 	}
 	if resumed.Resume != nil || strings.Contains(warn.String(), "starting fresh") {
 		t.Errorf("-resume of a stale checkpoint started fresh (warnings %q)", warn.String())
+	}
+}
+
+// TestRebasedHistogramsRefused pins the loader's histogram-base check on
+// the resume paths: an artifact whose cell histogram has another base would
+// make the fold panic (obs: adding a base-2048 histogram to a base-1024
+// one), so -resume refuses it, alone or in a merge list, naming the cell.
+func TestRebasedHistogramsRefused(t *testing.T) {
+	build := func(workers int) Spec {
+		return Spec{
+			Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
+			Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
+			Litmus:     []*litmus.Test{mustLitmus(t, "MP+rlx")},
+			Runs:       4,
+			SeedBase:   3,
+			Workers:    workers,
+			ShardSize:  2,
+		}
+	}
+	_, shards := runShards(t, build, 2)
+	rebase := func(ck *Checkpoint, cell int) string {
+		t.Helper()
+		data, err := json.Marshal(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw map[string]any
+		if err := json.Unmarshal(data, &raw); err != nil {
+			t.Fatal(err)
+		}
+		frag := raw["cells"].([]any)[cell].(map[string]any)["frag"].(map[string]any)
+		frag["hists"].(map[string]any)["exec_ns"].(map[string]any)["base"] = 2048
+		if data, err = json.Marshal(raw); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "rebased.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	whole := filepath.Join(t.TempDir(), "whole.json")
+	spec := build(1)
+	spec.CheckpointPath = whole
+	Run(spec)
+	ck, err := LoadCheckpoint(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part0 := filepath.Join(t.TempDir(), "part0.json")
+	data, err := json.Marshal(shards[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(part0, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ list, cell string }{
+		{rebase(ck, 0), "c11tester/ms-queue: histogram bases"},
+		{part0 + "," + rebase(shards[1], 1), "c11tester/litmus/MP+rlx: histogram bases"},
+	} {
+		spec := build(1)
+		if err := (CrashFlags{Resume: c.list}).Apply(&spec, nil); err == nil || !strings.Contains(err.Error(), c.cell) || spec.Resume != nil {
+			t.Errorf("-resume %s: %v; want a refusal naming %q", c.list, err, c.cell)
+		}
 	}
 }

@@ -1,5 +1,5 @@
 // cli.go holds the crash-safety wiring of the campaign CLI (cmd/c11tester):
-// the shard, checkpoint and resume flags.
+// the shard and resume flags. The artifact path is -json's (Spec.CheckpointPath).
 package campaign
 
 import (
@@ -10,26 +10,24 @@ import (
 	"os"
 )
 
-// CrashFlags are the crash-safety CLI options: shard selection,
-// checkpointing, and resume. Register binds them to a FlagSet; Apply copies
-// them onto a Spec after the matrix flags are resolved.
+// CrashFlags are the crash-safety CLI options: shard selection and resume.
+// Register binds them to a FlagSet; Apply copies them onto a Spec after the
+// matrix flags are resolved.
 type CrashFlags struct {
-	Shard      string
-	Checkpoint string
-	Resume     string
+	Shard  string
+	Resume string
 }
 
 // Register binds the crash-safety flags onto fs.
 func (f *CrashFlags) Register(fs *flag.FlagSet) {
-	fs.StringVar(&f.Shard, "shard", "", "run shard i/N of the campaign (e.g. 0/3): each shard executes a disjoint deterministic slice of every cell's seed range; with -checkpoint it writes its partial, which -resume merges ('' disables)")
-	fs.StringVar(&f.Checkpoint, "checkpoint", "", "write an atomic checkpoint of completed-wave state to this file at every wave barrier ('' disables); a uniform campaign is one wave, so its checkpoint lands only at completion")
-	fs.StringVar(&f.Resume, "resume", "", "resume an interrupted campaign from this checkpoint file (a missing file starts fresh with a warning), or merge a comma-separated list of the complete shard checkpoints of one campaign (every file must load)")
+	fs.StringVar(&f.Shard, "shard", "", "run shard i/N of the campaign (e.g. 0/3): each shard executes a disjoint deterministic slice of every cell's seed range, and its -json artifact is its partial, which -resume merges ('' disables)")
+	fs.StringVar(&f.Resume, "resume", "", "resume an interrupted campaign from this -json artifact (a missing file starts fresh with a warning), or merge a comma-separated list of the complete shard artifacts of one campaign (every file must load); -record entries are read back from each artifact's record directory")
 }
 
 // Apply copies the crash-safety flags onto spec. A single -resume file that
-// does not exist yet is a fresh start (warned on warn), so `-checkpoint ck
-// -resume ck` is an idempotent invocation: run it until it succeeds. In a
-// list every file must load: a lost shard never starts a fresh campaign.
+// does not exist yet is a fresh start (warned on warn), so `-json ck -resume
+// ck` is an idempotent invocation: run it until it succeeds. In a list every
+// file must load: a lost shard never starts a fresh campaign.
 func (f CrashFlags) Apply(spec *Spec, warn io.Writer) error {
 	if f.Shard != "" {
 		sel, err := ParseShard(f.Shard)
@@ -38,7 +36,6 @@ func (f CrashFlags) Apply(spec *Spec, warn io.Writer) error {
 		}
 		spec.Shard = sel
 	}
-	spec.CheckpointPath = f.Checkpoint
 	paths := SplitList(f.Resume)
 	var cks []*Checkpoint
 	for _, path := range paths {

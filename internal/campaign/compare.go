@@ -6,43 +6,7 @@ import (
 	"time"
 
 	"c11tester/internal/harness"
-	"c11tester/internal/safeio"
 )
-
-// LoadSummary reads a serialized campaign artifact (BENCH_campaign.json)
-// and checks its schema header and histogram bases. Only SchemaVersion is
-// accepted: an older summary's cells carry sparse histogram renderings that
-// would decode into the folded histograms without an error and give wrong
-// counts. A histogram of another base would make obs.Histogram.Add panic
-// when Compare folds it.
-func LoadSummary(path string) (*Summary, error) {
-	var s Summary
-	if err := safeio.DecodeJSONFile(path, &s); err != nil {
-		// A truncated artifact (a campaign killed mid-write predates the
-		// atomic writer) comes back named with its byte offset.
-		return nil, err
-	}
-	if s.Schema != SchemaName {
-		return nil, fmt.Errorf("campaign: %s: schema %q, want %q", path, s.Schema, SchemaName)
-	}
-	if s.SchemaVersion != SchemaVersion {
-		return nil, fmt.Errorf("campaign: %s: schema version %d, this build reads only version %d (regenerate the summary with this build)",
-			path, s.SchemaVersion, SchemaVersion)
-	}
-	for _, ts := range s.Tools {
-		for _, c := range ts.Benchmarks {
-			if !c.Hists.hasBases() {
-				return nil, fmt.Errorf("campaign: %s: %s/%s: histogram bases differ from this build's", path, ts.Tool, c.Program)
-			}
-		}
-		for _, c := range ts.Litmus {
-			if !c.Hists.hasBases() {
-				return nil, fmt.Errorf("campaign: %s: %s/litmus/%s: histogram bases differ from this build's", path, ts.Tool, c.Test)
-			}
-		}
-	}
-	return &s, nil
-}
 
 // CellDelta is the detection-rate movement of one (tool, benchmark) cell.
 type CellDelta struct {
@@ -131,8 +95,6 @@ type Comparison struct {
 	UnmatchedNew []string    `json:"unmatched_new,omitempty"`
 	OldWall      int64       `json:"old_wall_ns"`
 	NewWall      int64       `json:"new_wall_ns"`
-	OldSchemaVer int         `json:"old_schema_version"`
-	NewSchemaVer int         `json:"new_schema_version"`
 	// ProvenanceSkew lists build-provenance fields on which the two artifacts
 	// disagree (schema v5). Report-only: wall-clock comparisons across builds
 	// are already flagged as incomparable, and skew alone is not a regression.
@@ -149,7 +111,7 @@ type Comparison struct {
 
 // specSkew lists the outcome-affecting fields on which two spec echoes
 // disagree, rendered as "field: old → new" lines; empty when they match. It
-// is the one list of those fields: Compare warns on it, and checkpoints
+// is the one list of those fields: Compare warns on it, and artifacts
 // refuse to resume or merge on it. Workers and the paths (output and record
 // directories, the guide directory) are left out: they never change
 // outcomes. Tools are compared by name, which fixes their flavour
@@ -179,7 +141,6 @@ func specSkew(a, b SpecInfo) []string {
 func Compare(old, new *Summary) *Comparison {
 	c := &Comparison{
 		OldWall: old.WallNS, NewWall: new.WallNS,
-		OldSchemaVer: old.SchemaVersion, NewSchemaVer: new.SchemaVersion,
 	}
 	c.ProvenanceSkew = old.Provenance.Skew(new.Provenance)
 	c.SpecSkew = specSkew(old.Spec, new.Spec)
@@ -417,8 +378,7 @@ func (c *Comparison) Regressed() bool {
 
 // String renders the human-readable comparison report.
 func (c *Comparison) String() string {
-	out := fmt.Sprintf("campaign comparison (old schema v%d, new schema v%d)\nwall clock: %s → %s\n",
-		c.OldSchemaVer, c.NewSchemaVer,
+	out := fmt.Sprintf("campaign comparison (schema v%d)\nwall clock: %s → %s\n", SchemaVersion,
 		harness.FmtDuration(time.Duration(c.OldWall)), harness.FmtDuration(time.Duration(c.NewWall)))
 	for _, skew := range c.SpecSkew {
 		out += fmt.Sprintf("WARNING: campaign spec skew: %s — the artifacts ran different campaigns\n", skew)

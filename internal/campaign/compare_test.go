@@ -14,7 +14,6 @@ func mkSummary(execsPerSec float64, ratePct float64, raceKeys ...string) *Summar
 		races = append(races, harness.RaceSummary{Key: k})
 	}
 	return &Summary{
-		Schema: SchemaName, SchemaVersion: SchemaVersion,
 		Tools: []ToolSummary{{
 			Tool: "c11tester", ExecsPerSec: execsPerSec, Races: races,
 			Benchmarks: []CellSummary{{
@@ -63,21 +62,19 @@ func TestCompareDetectsMovement(t *testing.T) {
 }
 
 func TestCompareRoundTripsThroughDisk(t *testing.T) {
-	sum := Run(Spec{
-		Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
-		Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
-		Runs:       5,
-		SeedBase:   7,
-	})
 	path := filepath.Join(t.TempDir(), "old.json")
-	if err := sum.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	old, err := LoadSummary(path)
+	sum := Run(Spec{
+		Tools:          []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
+		Benchmarks:     []BenchmarkSpec{benchSpec(t, "ms-queue")},
+		Runs:           5,
+		SeedBase:       7,
+		CheckpointPath: path,
+	})
+	ck, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Compare(old, sum)
+	c := Compare(ck.Summarize(), sum)
 	if c.Regressed() {
 		t.Errorf("self-comparison regressed:\n%s", c)
 	}
@@ -88,7 +85,6 @@ func TestCompareRoundTripsThroughDisk(t *testing.T) {
 
 func mkLitmusSummary(weakSeen []string, validation *ValidationSummary) *Summary {
 	return &Summary{
-		Schema: SchemaName, SchemaVersion: SchemaVersion,
 		Tools: []ToolSummary{{
 			Tool: "c11tester",
 			Litmus: []LitmusSummary{{

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -365,29 +366,30 @@ func TestEngineFailureRecordedAndCampaignContinues(t *testing.T) {
 	}
 }
 
-// TestSchemaArtifactRoundTrip pins the versioned summary fields through JSON.
+// TestSchemaArtifactRoundTrip pins the versioned artifact: the summary
+// rendered from the written and loaded artifact carries the live summary's
+// budgets, curves, histograms and provenance.
 func TestSchemaArtifactRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.json")
 	sum := Run(Spec{
-		Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
-		Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
-		Runs:       30,
-		SeedBase:   1,
-		Policy:     &explore.Converge{Epsilon: 0.3}, // L = 10: room to converge within 30 runs
+		Tools:          []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
+		Benchmarks:     []BenchmarkSpec{benchSpec(t, "ms-queue")},
+		Runs:           30,
+		SeedBase:       1,
+		Policy:         &explore.Converge{Epsilon: 0.3}, // L = 10: room to converge within 30 runs
+		CheckpointPath: path,
 	})
-	if sum.SchemaVersion != SchemaVersion {
-		t.Fatalf("schema version = %d, want %d", sum.SchemaVersion, SchemaVersion)
+	ck, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Schema != SchemaName || ck.SchemaVersion != SchemaVersion {
+		t.Fatalf("schema = %s v%d, want %s v%d", ck.Schema, ck.SchemaVersion, SchemaName, SchemaVersion)
 	}
 	if want := "converge(eps=0.3)"; sum.Spec.Policy != want {
 		t.Fatalf("policy echo = %q, want %q", sum.Spec.Policy, want)
 	}
-	data, err := json.Marshal(sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rt Summary
-	if err := json.Unmarshal(data, &rt); err != nil {
-		t.Fatal(err)
-	}
+	rt := ck.Summarize()
 	b := rt.Tools[0].Benchmarks[0].Budget
 	if b == nil || !b.Converged || b.Planned != 30 || b.Used == 0 {
 		t.Fatalf("budget did not round-trip: %+v", b)

@@ -29,8 +29,8 @@ const (
 // Each worker keeps one hists per matrix cell in its workerSlot and observes
 // into it without locks or allocation. foldCells adds the workers' hists into
 // the cell's folded fragment (fragment.Hists), and from there fragment.merge
-// carries them into checkpoints (a shard's included); the summary cell points
-// at the folded hists and encodes them as checkpoints do. It is the same fold
+// carries them into the artifact (a shard's included); the summary cell
+// points at the folded hists. It is the same fold
 // as every other cell result, so resumed and shard-merged histograms and
 // counts equal uninterrupted single-machine ones.
 type hists struct {

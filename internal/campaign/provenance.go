@@ -7,7 +7,7 @@ import (
 )
 
 // Provenance identifies the build that produced an artifact: toolchain,
-// module, and target. Campaign summaries (schema v5) and checkpoints embed it
+// module, and target. The campaign artifact (schema v5 on) embeds it
 // so artifacts compared across machines or checkouts can be flagged: Compare
 // warns on any skew, and resume refuses it. Every field is machine-stable (no
 // wall-clock, no hostnames), so embedding it does not disturb the

@@ -276,10 +276,11 @@ func TestRecordHitDefault(t *testing.T) {
 
 // TestRecordManifestShardAndResume extends shard-merge ≡ single-machine and
 // resumed ≡ uninterrupted to the record manifest: a campaign resumed from
-// the shards' checkpoints writes the single-machine manifest byte for byte,
-// the shards' trace files together are the single run's, and a campaign
-// resumed from any of its checkpoints writes the uninterrupted campaign's
-// manifest.
+// the shards' artifacts writes the single-machine manifest byte for byte,
+// reading the entries back from each shard's own record directory; the
+// shards' trace files together are the single run's; and a campaign resumed
+// from any of its artifacts, whose entries its finished manifest holds
+// together with later ones, writes the uninterrupted campaign's manifest.
 func TestRecordManifestShardAndResume(t *testing.T) {
 	build := func(dir string, workers int) Spec {
 		return Spec{
@@ -329,7 +330,7 @@ func TestRecordManifestShardAndResume(t *testing.T) {
 	}
 	var checkpoints []*Checkpoint
 	spec := build(t.TempDir(), 2)
-	spec.Policy = &explore.Converge{Epsilon: 0.375} // L = 8: several wave barriers
+	spec.Policy = &explore.Converge{Epsilon: 0.15} // L = 20: a barrier between two waves
 	spec.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
 	spec.checkpointHook = func(c *Checkpoint) {
 		data, err := json.Marshal(c)
@@ -350,10 +351,147 @@ func TestRecordManifestShardAndResume(t *testing.T) {
 	for i, ck := range checkpoints {
 		resumed := build(t.TempDir(), 3)
 		resumed.Policy = spec.Policy
-		resumed.Resume = ck
+		resumed.Resume = mergeOne(t, ck)
 		Run(resumed)
 		if got := manifest(resumed.RecordDir); !bytes.Equal(got, want) {
 			t.Fatalf("resume from checkpoint %d (wave %d) wrote a different manifest:\n%s\nwant:\n%s", i, ck.Wave, got, want)
 		}
 	}
+}
+
+// mergeOne readies one artifact for a resume as -resume does, reading its
+// manifest entries back from its record directory.
+func mergeOne(t *testing.T, ck *Checkpoint) *Checkpoint {
+	t.Helper()
+	merged, err := MergeCheckpoints([]*Checkpoint{ck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return merged
+}
+
+// deepCopy returns c as it would be written and loaded again.
+func deepCopy(t *testing.T, c *Checkpoint) *Checkpoint {
+	t.Helper()
+	data, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var copied Checkpoint
+	if err := json.Unmarshal(data, &copied); err != nil {
+		t.Fatal(err)
+	}
+	return &copied
+}
+
+// TestResumeWithManifestAhead crashes a converge -record campaign between
+// its two writes at a barrier: the manifest of the final barrier has landed,
+// the artifact is still the previous barrier's. Resuming into the crashed
+// record directory must leave it identical, manifest and traces, to the
+// uninterrupted run's. A resume whose record directory has lost its
+// manifest is refused with the manifest's path named.
+func TestResumeWithManifestAhead(t *testing.T) {
+	build := func(dir string, workers int) Spec {
+		return Spec{
+			Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{}), mustTool(t, "tsan11", ToolOptions{})},
+			Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
+			Litmus:     []*litmus.Test{mustLitmus(t, "MP+rlx"), mustLitmus(t, "CoRR")},
+			Runs:       60, SeedBase: 700, Workers: workers, ShardSize: 20,
+			Policy:    &explore.Converge{Epsilon: 0.15}, // L = 20: two waves
+			RecordDir: dir, RecordOn: obs.Of(obs.TriggerAll),
+		}
+	}
+	wantDir := t.TempDir()
+	Run(build(wantDir, 2))
+	want := dirFiles(t, wantDir)
+
+	// The hook runs after a barrier's manifest is written and before its
+	// artifact is: the record directory then is the crashed run's, and the
+	// artifact on disk the previous barrier's.
+	dir := t.TempDir()
+	spec := build(dir, 2)
+	spec.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
+	var cks []*Checkpoint
+	var snaps []map[string]string
+	spec.checkpointHook = func(c *Checkpoint) {
+		cks = append(cks, deepCopy(t, c))
+		snaps = append(snaps, dirFiles(t, dir))
+	}
+	Run(spec)
+	if len(cks) < 2 {
+		t.Fatal("the campaign passed one barrier; the test needs a manifest a barrier ahead")
+	}
+	for i, ck := range cks[:len(cks)-1] {
+		files := snaps[i+1]
+		if files[obs.ManifestFileName] == snaps[i][obs.ManifestFileName] {
+			t.Fatalf("barrier %d's manifest equals barrier %d's: it is not ahead of the artifact", i+2, i+1)
+		}
+		crashDir := t.TempDir()
+		for name, data := range files {
+			if err := os.WriteFile(filepath.Join(crashDir, name), []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ck.Spec.RecordDir = crashDir
+		resumed := build(crashDir, 3)
+		resumed.Resume = mergeOne(t, ck)
+		Run(resumed)
+		if got := dirFiles(t, crashDir); !reflect.DeepEqual(got, want) {
+			t.Fatalf("resume from the wave-%d artifact with the next barrier's manifest left %d file(s), the uninterrupted run %d, or their bytes differ",
+				ck.Wave, len(got), len(want))
+		}
+	}
+
+	// A record directory without its manifest refuses the resume, naming
+	// the manifest it looked for.
+	lost := t.TempDir()
+	ck := cks[0]
+	ck.Spec.RecordDir = lost
+	path := filepath.Join(t.TempDir(), "ck.json")
+	data, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed := build(lost, 1)
+	err = CrashFlags{Resume: path}.Apply(&resumed, nil)
+	if err == nil || !strings.Contains(err.Error(), filepath.Join(lost, obs.ManifestFileName)) || resumed.Resume != nil {
+		t.Fatalf("-resume with no manifest in %s: %v; want a refusal naming the manifest", lost, err)
+	}
+}
+
+// TestRecordAllArtifactSize pins that manifest entries stay out of the
+// artifact: a converge campaign recording every execution writes an
+// artifact within 2× of the same campaign's unarmed one, while its manifest
+// holds an entry per execution.
+func TestRecordAllArtifactSize(t *testing.T) {
+	size := func(recordDir string) (int64, int) {
+		spec := Spec{
+			Tools:          []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
+			Litmus:         []*litmus.Test{mustLitmus(t, "MP+rlx"), mustLitmus(t, "SB+rlx"), mustLitmus(t, "CoRR"), mustLitmus(t, "LB+rlx")},
+			Runs:           200,
+			SeedBase:       1,
+			Workers:        2,
+			Policy:         &explore.Converge{},
+			CheckpointPath: filepath.Join(t.TempDir(), "ck.json"),
+		}
+		if recordDir != "" {
+			spec.RecordDir, spec.RecordOn = recordDir, obs.Of(obs.TriggerAll)
+		}
+		sum := Run(spec)
+		path := spec.CheckpointPath
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size(), sum.Tools[0].RecordedTraces
+	}
+	unarmed, _ := size("")
+	armed, traces := size(t.TempDir())
+	if traces < 400 || armed > 2*unarmed {
+		t.Fatalf("-record-on all artifact is %d bytes for %d traces, the unarmed one %d: want at most 2×", armed, traces, unarmed)
+	}
+	t.Logf("artifact %d bytes armed (%d traces), %d unarmed", armed, traces, unarmed)
 }

@@ -1,8 +1,8 @@
 // report.go is the renderer behind cmd/c11report: it joins the two
-// artifacts a campaign leaves behind — the versioned summary
-// (BENCH_campaign.json) and the record directory's manifest — into one
-// human-readable report. The record index is skipped when no manifest is
-// given, so the report renders from a summary alone.
+// artifacts a campaign leaves behind — the summary rendered from the
+// versioned artifact (BENCH_campaign.json) and the record directory's
+// manifest — into one human-readable report. The record index is skipped
+// when no manifest is given, so the report renders from the artifact alone.
 package campaign
 
 import (
@@ -40,9 +40,12 @@ type slowCell struct {
 // returns how many trace files the manifest names that recordDir lacks;
 // each is listed as missing in place of its repro line.
 func WriteReport(w io.Writer, sum *Summary, man *obs.Manifest, recordDir string) (missing int) {
-	fmt.Fprintf(w, "campaign forensics report (schema v%d)\n", sum.SchemaVersion)
+	fmt.Fprintf(w, "campaign forensics report (schema v%d)\n", SchemaVersion)
 	fmt.Fprintf(w, "matrix: %d tool(s) × (%d benchmark(s) + %d litmus test(s)) × %d runs, seed base %d\n",
 		len(sum.Spec.Tools), len(sum.Spec.Benchmarks), len(sum.Spec.Litmus), sum.Spec.Runs, sum.Spec.SeedBase)
+	if sum.Partial != "" {
+		fmt.Fprintf(w, "partial: %s\n", sum.Partial)
+	}
 	fmt.Fprint(w, sum.budgetLine())
 	if sum.Spec.GuideDir != "" {
 		fmt.Fprintf(w, "guided by %d trace(s) from %s\n", sum.Spec.GuideTraces, sum.Spec.GuideDir)

@@ -10,6 +10,7 @@ import (
 	"c11tester/internal/core"
 	"c11tester/internal/explore"
 	"c11tester/internal/harness"
+	"c11tester/internal/litmus"
 	"c11tester/internal/obs"
 )
 
@@ -292,5 +293,101 @@ func TestFailedVerdictCarriesRepros(t *testing.T) {
 	}
 	if strings.Contains(report.String(), "race timeline (") {
 		t.Errorf("an unexpected litmus race was put in the race timeline:\n%s", report.String())
+	}
+}
+
+// TestReportFromArtifactIdentity pins that the artifact is the whole
+// campaign: the report WriteReport renders from a run's live summary equals,
+// byte for byte, the one rendered from its written and loaded artifact, for
+// the duty shape, the converge shape and a 3-shard merge. It also pins the
+// partial marker: a mid-run artifact and a shard artifact render as
+// partial, a complete one does not.
+func TestReportFromArtifactIdentity(t *testing.T) {
+	report := func(sum *Summary) string {
+		var b bytes.Buffer
+		WriteReport(&b, sum, nil, "")
+		return b.String()
+	}
+	loaded := func(path string) string {
+		ck, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return report(ck.Summarize())
+	}
+	identical := func(name string, spec Spec) {
+		t.Helper()
+		spec.CheckpointPath = filepath.Join(t.TempDir(), name+".json")
+		live := report(Run(spec))
+		if got := loaded(spec.CheckpointPath); got != live {
+			t.Errorf("%s: the artifact's report differs from the live summary's:\nartifact:\n%s\nlive:\n%s", name, got, live)
+		}
+		if strings.Contains(live, "\npartial: ") {
+			t.Errorf("%s: a complete campaign's report is marked partial:\n%s", name, live)
+		}
+	}
+
+	benches, err := SelectBenchmarks("all,atomic-counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	litmusAll, err := SelectLitmus("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	identical("duty", Spec{
+		Tools: []ToolSpec{mustTool(t, "c11tester", ToolOptions{})}, Benchmarks: benches, Litmus: litmusAll,
+		Runs: 20, SeedBase: 1, Workers: 2, ValidateAxioms: true, Analyzers: ParseAnalyzers("all"),
+		RecordDir: t.TempDir(),
+	})
+
+	converge := func(workers int) Spec {
+		return Spec{
+			Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
+			Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue"), benchSpec(t, "seqlock")},
+			Litmus:     []*litmus.Test{mustLitmus(t, "MP+rel+acq"), mustLitmus(t, "SB+sc")},
+			Runs:       400, SeedBase: 1, Workers: workers,
+			Policy: &explore.Converge{},
+		}
+	}
+	identical("converge", converge(2))
+
+	shards := func(workers int) Spec {
+		return Spec{
+			Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{}), mustTool(t, "tsan11", ToolOptions{})},
+			Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue")},
+			Litmus:     []*litmus.Test{mustLitmus(t, "MP+rlx"), mustLitmus(t, "CoRR")},
+			Runs:       60, SeedBase: 31, Workers: workers, Analyzers: ParseAnalyzers("all"),
+		}
+	}
+	parts, cks := runShards(t, shards, 3)
+	merged, err := MergeCheckpoints(cks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := shards(1)
+	spec.Resume = merged
+	identical("merge", spec)
+
+	// A shard's artifact is its partial.
+	shardReport := report(cks[1].Summarize())
+	if !strings.Contains(shardReport, "\npartial: shard 1/3 ") || report(parts[1]) != shardReport {
+		t.Errorf("a shard artifact's report lacks the partial marker, or differs from the shard's live one:\n%s", shardReport)
+	}
+	// So is the artifact of a barrier that more waves follow.
+	var mid []*Checkpoint
+	spec = converge(2)
+	spec.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
+	spec.checkpointHook = func(c *Checkpoint) {
+		if !c.Complete {
+			mid = append(mid, deepCopy(t, c))
+		}
+	}
+	Run(spec)
+	if len(mid) == 0 {
+		t.Fatal("the converge campaign wrote no mid-run artifact")
+	}
+	if got := report(mid[0].Summarize()); !strings.Contains(got, "\npartial: stopped after wave 1: ") {
+		t.Errorf("a mid-run artifact's report lacks the partial marker:\n%s", got)
 	}
 }

@@ -10,98 +10,7 @@ import (
 
 	"c11tester/internal/explore"
 	"c11tester/internal/harness"
-	"c11tester/internal/safeio"
-)
-
-// Schema identifiers of the serialized campaign summary. Bump SchemaVersion
-// on any incompatible change to the JSON shape; consumers of the
-// BENCH_campaign.json trajectory key on it.
-//
-// v2: per-tool allocation counters ("perf"), campaign-level GC stats
-// ("gc"), optional axiomatic-validation results ("validation"), recorded
-// trace counts, and the record/validate spec echo.
-//
-// v3: budget-policy echo ("policy") and per-cell budget accounting
-// ("budget") for adaptive campaigns, trace-guided exploration echo
-// ("guide_dir"/"guide_traces") with per-cell prefix-depth and divergence
-// statistics ("guided"), and per-tool engine-failure counts with repro
-// samples ("engine_failures"/"failure_samples").
-//
-// v4: observability integration — per-cell ns/exec histogram snapshots
-// ("timing", from fixed-bucket histograms) and the campaign-level
-// event-stream accounting ("obs": events emitted/dropped). Compare reports
-// p99 ns/exec drift.
-//
-// v5: execution forensics — per-cell phase-span histograms ("phases":
-// reset/run/race from the engine's phase timer, validate/record from the
-// campaign duties), per-tool flight-recorder capture counts
-// ("captures"/"capture_errors" with the capture spec echo), and the build
-// provenance header ("provenance"). Compare warns on provenance skew.
-//
-// v6: crash-safe campaigns — the shard header of a partial run ("shard":
-// index/count plus the spec digest the shard merge validated), the
-// checkpoint-write failure count ("checkpoint_errors"), and exact
-// guided-exploration sums ("prefix_depth_sum"/"consumed_sum" next to the v3
-// means) so merged partials reproduce the single-machine statistics without
-// floating-point drift.
-//
-// v7: analyzer pipeline — the analyzer-set echo ("analyzers" in the spec),
-// per-tool per-analyzer rollups ("analyzers": distinct keys and total hits),
-// and the deduplicated finding list ("findings") with one-command repro
-// triples, merged across shards by the same min-by-(cell, seed) winner
-// algebra as races.
-//
-// v8: the rng-source echo ("rng" in the spec): campaigns name the random
-// source their decision streams were drawn from ("pcg", the splitmix-seeded
-// PCG subsystem, or "legacy", math/rand — reproduces pre-v8 artifacts).
-//
-// v9: perf removed; shard cells carry the fragment's own encoding. The
-// per-tool "perf" block is gone (it measured process-wide heap deltas, so
-// concurrent workers charged each other's allocations; the campaign-level
-// "gc" block stays). The shard header's cells hold each cell's fragment in
-// checkpoint v3's encoding.
-//
-// v10: one random source. The spec's "rng" echo is gone with -rng legacy;
-// every decision stream is drawn from the PCG source, as v8 and v9
-// artifacts with "rng":"pcg" already were. Converge's policy echo is
-// "converge(eps=…)": ε is its only parameter.
-//
-// v11: one fold for every histogram. Each cell gains "handoff" (handoff wait
-// per timed execution), "sched_len" and "choices" (per execution) next to
-// "timing" and "phases", and all five are rendered from the cell's folded
-// result, so they survive checkpoint/resume and shard merges like every
-// other cell result. "timing" now covers the timed executions only (every
-// 16th execution index), like "phases"; its count is the sample size.
-//
-// v12: one trace sink. The spec echoes the sink's trigger set ("record_on")
-// in place of "record_all", "capture_dir" and "capture_slow_ns"; the
-// per-tool "captures"/"capture_errors" counts are gone, and
-// "recorded_traces"/"record_errors" are counted from the record
-// directory's manifest entries.
-//
-// v13: one artifact. The campaign-level event-stream accounting ("obs") is
-// gone with the JSONL event stream; each converge cell's budget carries its
-// convergence curve ("curve"): the tracker's state at every wave barrier
-// where the cell was granted budget.
-//
-// v14: one merge path. The shard header of a partial run ("shard") is gone:
-// a sharded run's partial is its checkpoint (checkpoint v7), and resuming
-// from the K shard checkpoints writes the merged summary.
-//
-// v15: counted layers. Each engine cell gains "counts" (resumes, race
-// checks, blocked dispatches and yields, summed over every execution); the
-// per-operation clocks they replace are gone, and with them "handoff" and
-// the "race" entry of "phases".
-//
-// v16: one histogram form. Each cell's "timing", "phases", "sched_len",
-// "choices" and "counts" are replaced by "hists": the cell's folded
-// histograms and layer counts in the encoding checkpoints carry (every
-// bucket's count, no precomputed quantiles). Readers compute quantiles
-// from the buckets (obs.Histogram.Quantile) and fold cells with
-// obs.Histogram.Add.
-const (
-	SchemaName    = "c11tester/campaign"
-	SchemaVersion = 16
+	"c11tester/internal/litmus"
 )
 
 // SpecInfo echoes the campaign parameters into the summary, making every
@@ -165,8 +74,7 @@ type GuideStats struct {
 	MeanConsumed    float64 `json:"mean_consumed"`
 	Divergences     int     `json:"divergences"`
 	// PrefixDepthSum and ConsumedSum are the raw sums behind the means
-	// (schema v6): merging shard checkpoints recomputes exact means from
-	// summed integers instead of averaging averages.
+	// (schema v6), kept from the fragment so the means are exact.
 	PrefixDepthSum int64 `json:"prefix_depth_sum,omitempty"`
 	ConsumedSum    int64 `json:"consumed_sum,omitempty"`
 }
@@ -200,7 +108,7 @@ type CellSummary struct {
 	// Failed counts executions the tool itself aborted (schema v3).
 	Failed int `json:"failed,omitempty"`
 	// Hists are the cell's folded histograms and layer counts (schema v16),
-	// encoded as checkpoints encode them; nil when the cell observed nothing.
+	// the artifact fragment's own; nil when the cell observed nothing.
 	Hists *hists `json:"hists,omitempty"`
 }
 
@@ -329,35 +237,23 @@ type ToolSummary struct {
 	UnexpectedRaces []harness.RaceSummary `json:"unexpected_races,omitempty"`
 }
 
-// Summary is the versioned campaign artifact serialized to
-// BENCH_campaign.json.
+// Summary is the rendered campaign: the form the headline, the report and
+// the comparisons read, built in memory from the artifact's cells
+// (Checkpoint.Summarize). Its JSON form exists for Canonical, the form in
+// which the package's byte-identity guarantees are stated and checked.
 type Summary struct {
-	Schema        string    `json:"schema"`
-	SchemaVersion int       `json:"schema_version"`
-	Spec          SpecInfo  `json:"spec"`
-	WallNS        int64     `json:"wall_ns"`
-	GC            GCSummary `json:"gc"`
+	Spec   SpecInfo  `json:"spec"`
+	WallNS int64     `json:"wall_ns"`
+	GC     GCSummary `json:"gc"`
 	// Provenance identifies the build that produced the artifact (schema v5).
 	Provenance *Provenance   `json:"provenance,omitempty"`
 	Tools      []ToolSummary `json:"tools"`
-	// CheckpointErrors counts checkpoint writes that failed (schema v6).
-	// The campaign still completes — a failed checkpoint costs the resume
-	// point, not the results — but the loss is never silent.
-	CheckpointErrors int `json:"checkpoint_errors,omitempty"`
-}
-
-// cellFold is one matrix cell's folded result: the fragment.merge of every
-// unit of the cell, and the end of the highest execution range it ran. A
-// worker's cell runner keeps one as its accumulator.
-type cellFold struct {
-	frag fragment
-	hi   int
-}
-
-// add folds a fragment covering executions up to hi into the cell.
-func (c *cellFold) add(f *fragment, hi int) {
-	c.frag.merge(f)
-	c.hi = max(c.hi, hi)
+	// Partial says why the artifact does not cover the whole campaign: it is
+	// a shard's, or its run stopped mid-campaign. Empty for a whole one.
+	Partial string `json:"partial,omitempty"`
+	// WriteErr is why Run could not write its final artifact or record
+	// manifest; nil when they landed or none was asked for.
+	WriteErr error `json:"-"`
 }
 
 // index is the cell's position in matrix order (see matrixCells) in a
@@ -370,36 +266,40 @@ func (k cellKey) index(nb, nl int) int {
 	return i
 }
 
-// foldCells merges the restored cells (a resumed run's checkpointed state,
-// in matrix order; nil otherwise), every worker's cell accumulators and every
-// worker's per-cell histograms into one fold per cell: the per-cell fold
-// behind the summary and checkpoints. The result is in matrix order; cells
-// that ran nothing stay empty. It runs at barriers, when no worker is
-// observing.
-func foldCells(spec Spec, restored []cellFold, wt workerTools) []cellFold {
-	cells := make([]cellFold, len(spec.Tools)*(len(spec.Benchmarks)+len(spec.Litmus)))
-	for c := range restored {
-		if restored[c].hi > 0 {
-			cells[c].add(&restored[c].frag, restored[c].hi)
+// foldCells folds the restored cells (a resumed run's artifact cells, in
+// matrix order; nil otherwise), every worker's cell accumulators and every
+// worker's per-cell histograms into one artifact cell per matrix cell, with
+// the budget and curve state of the wave loop's plans (matrix order). Cells
+// that ran nothing keep an empty fragment. It runs at barriers, when no
+// worker is observing.
+func foldCells(spec Spec, plans []*cellPlan, restored []CellCheckpoint, wt workerTools) []CellCheckpoint {
+	cells := make([]CellCheckpoint, len(plans))
+	for i, p := range plans {
+		cells[i] = CellCheckpoint{
+			ToolRef: spec.Tools[p.tool].Name, Program: spec.programOf(p.cellKey), Litmus: p.kind == jobLitmus,
+			Used: p.used, Stopped: p.stopped, Curve: p.curve,
+		}
+		if restored != nil && restored[i].Used > 0 {
+			cells[i].Frag.merge(&restored[i].Frag)
 		}
 	}
 	for w := range wt {
 		for c, r := range wt[w].runners {
 			if r != nil {
-				cells[c].add(&r.acc.frag, r.acc.hi)
+				cells[c].Frag.merge(&r.acc)
 			}
 		}
 		for c := range wt[w].hists {
 			if h := &wt[w].hists[c]; *h != blankHists {
-				cells[c].frag.addHists(h)
+				cells[c].Frag.addHists(h)
 			}
 		}
 	}
 	return cells
 }
 
-// specInfo echoes the campaign parameters into their summary form; the same
-// echo heads the serialized artifact and every checkpoint.
+// specInfo echoes the campaign parameters; the echo heads the artifact and
+// the summary rendered from it.
 func specInfo(spec Spec) SpecInfo {
 	info := SpecInfo{
 		Runs: spec.Runs, SeedBase: spec.SeedBase,
@@ -426,15 +326,38 @@ func specInfo(spec Spec) SpecInfo {
 	return info
 }
 
-// aggregate renders the folded cells (matrix order, see foldCells) into the
-// Summary. It reads only the spec, the cells and the adaptive budgets (nil
-// under uniform); a resumed run, shard merges included, renders its restored
-// cells through the same code. Wall clock, GC and provenance are the
-// caller's.
-func aggregate(spec Spec, cells []cellFold, budgets map[cellKey]*BudgetSummary) *Summary {
-	info := specInfo(spec)
+// Summarize renders the artifact into the campaign summary: the cells
+// through aggregate, plus the run's wall clock, GC and provenance, and the
+// partial marker of a shard or of a run stopped mid-campaign. Every reader
+// renders through it, and Run renders its live summary through the same
+// code, so a loaded artifact reports exactly what its run reported.
+func (c *Checkpoint) Summarize() *Summary {
+	sum := aggregate(c.Spec, c.Cells)
+	sum.WallNS, sum.GC, sum.Provenance = c.WallNS, c.GC, c.Provenance
+	switch {
+	case c.Shard != nil:
+		sum.Partial = fmt.Sprintf("shard %s of the campaign: -resume merges the %d shard artifacts", c.Shard, c.Shard.Count)
+	case !c.Complete:
+		sum.Partial = fmt.Sprintf("stopped after wave %d: -resume finishes it", c.Wave)
+	}
+	return sum
+}
+
+// aggregate renders the artifact cells (matrix order, see foldCells) into
+// the Summary. It reads only the spec echo, the cells and the litmus tests'
+// weak-outcome counts; a converge cell's budget follows from its cursor,
+// stop and curve. Wall clock, GC and provenance are the caller's.
+func aggregate(info SpecInfo, cells []CellCheckpoint) *Summary {
 	nb, nl := len(info.Benchmarks), len(info.Litmus)
-	sum := &Summary{Schema: SchemaName, SchemaVersion: SchemaVersion, Spec: info}
+	sum := &Summary{Spec: info}
+	budget := func(cc *CellCheckpoint) *BudgetSummary {
+		if info.Policy == policyName(nil) {
+			// A policy that cannot stop early has no budget to report.
+			return nil
+		}
+		return &BudgetSummary{Planned: info.Runs, Used: cc.Used, Extended: max(cc.Used-info.Runs, 0),
+			Converged: cc.Stopped, Curve: cc.Curve}
+	}
 	for t, tool := range info.Tools {
 		repro := func(program string, inLitmus bool, run int) harness.Repro {
 			return harness.Repro{Tool: tool, Program: program,
@@ -510,19 +433,13 @@ func aggregate(spec Spec, cells []cellFold, budgets map[cellKey]*BudgetSummary) 
 			ts.WorkNS += int64(f.Elapsed)
 			ts.AtomicOps += f.Ops.AtomicOps
 			ts.NormalOps += f.Ops.NormalOps
-			for i := range f.Captures {
-				switch {
-				case f.Captures[i].File != "":
-					ts.RecordedTraces++
-				case f.Captures[i].Err != "":
-					ts.RecordErrors++
-				}
-			}
+			ts.RecordedTraces += f.Recorded
+			ts.RecordErrors += f.RecordErrors
 		}
 
 		for b, program := range info.Benchmarks {
-			k := cellKey{kind: jobBench, tool: t, cell: b}
-			f := &cells[k.index(nb, nl)].frag
+			cc := &cells[cellKey{kind: jobBench, tool: t, cell: b}.index(nb, nl)]
+			f := &cc.Frag
 			meanTime := time.Duration(0)
 			if f.Execs > 0 {
 				meanTime = f.Elapsed / time.Duration(f.Execs)
@@ -534,7 +451,7 @@ func aggregate(spec Spec, cells []cellFold, budgets map[cellKey]*BudgetSummary) 
 					Time: meanTime, Ops: f.Ops,
 				}.Summary(),
 				RaceKeys: harness.SortedKeys(f.Races),
-				Budget:   budgets[k],
+				Budget:   budget(cc),
 				Guided:   guideStatsOf(f),
 				Failed:   f.Failed,
 				Hists:    f.Hists,
@@ -549,21 +466,23 @@ func aggregate(spec Spec, cells []cellFold, budgets map[cellKey]*BudgetSummary) 
 
 		unexpected := map[string]toolRace{}
 		for l, test := range info.Litmus {
-			k := cellKey{kind: jobLitmus, tool: t, cell: l}
-			f := &cells[k.index(nb, nl)].frag
+			cc := &cells[cellKey{kind: jobLitmus, tool: t, cell: l}.index(nb, nl)]
+			f := &cc.Frag
 			outcomes := f.Outcomes
 			if outcomes == nil {
 				outcomes = map[string]int{}
 			}
 			ls := LitmusSummary{
 				Test: test, Execs: f.Execs,
-				Outcomes:    outcomes,
-				WeakSeen:    harness.SortedKeys(f.Weak),
-				WeakDefined: len(spec.Litmus[l].Weak),
-				Budget:      budgets[k],
-				Guided:      guideStatsOf(f),
-				Failed:      f.Failed,
-				Hists:       f.Hists,
+				Outcomes: outcomes,
+				WeakSeen: harness.SortedKeys(f.Weak),
+				Budget:   budget(cc),
+				Guided:   guideStatsOf(f),
+				Failed:   f.Failed,
+				Hists:    f.Hists,
+			}
+			if t, ok := litmus.ByName(test); ok {
+				ls.WeakDefined = len(t.Weak)
 			}
 			for _, out := range harness.SortedKeys(f.Forbidden) {
 				ls.ForbiddenSeen = append(ls.ForbiddenSeen, ForbiddenOutcome{
@@ -790,6 +709,9 @@ func (s *Summary) String() string {
 		len(s.Spec.Tools), len(s.Spec.Benchmarks), len(s.Spec.Litmus),
 		s.Spec.Runs, s.Spec.Workers, s.Spec.SeedBase,
 		harness.FmtDuration(time.Duration(s.WallNS)))
+	if s.Partial != "" {
+		fmt.Fprintf(&b, "partial: %s\n", s.Partial)
+	}
 	b.WriteString(s.budgetLine())
 	s.writeVerdict(&b)
 	return b.String()
@@ -838,23 +760,16 @@ func (s *Summary) writeVerdict(w io.Writer) {
 	}
 }
 
-// WriteJSON writes the indented artifact file (BENCH_campaign.json)
-// atomically: readers never observe a torn summary, even if the writer is
-// killed mid-write.
-func (s *Summary) WriteJSON(path string) error {
-	return safeio.WriteJSONAtomic(path, s, 0o644)
-}
-
 // Canonical returns a deep copy with every wall-clock-derived measurement
 // zeroed, leaving only model outcomes. This is the form in which the
 // package's byte-identity guarantees hold: workers=1 vs workers=K, a run
-// resumed from K shard checkpoints vs the single-machine run, and a
+// resumed from K shard artifacts vs the single-machine run, and a
 // SIGKILL-then-resume run vs an uninterrupted one all marshal to identical
 // bytes after Canonical.
 // Zeroed: wall clock, the GC block, per-cell mean times and the wall-clock
 // histograms (hists.exec_ns, hists.phase_ns), per-tool work time and throughput,
-// and the run-shape echoes (Workers, artifact directories) plus checkpoint
-// accounting and build provenance (`go run` and `go build` of the same tree
+// and the run-shape echoes (Workers, artifact directories) plus build
+// provenance (`go run` and `go build` of the same tree
 // stamp different VCS metadata, and the guarantee must hold across binaries;
 // skew is surfaced by Compare and refused on resume instead). Kept:
 // everything the model produced — detections, races, outcomes, budgets and
@@ -871,7 +786,6 @@ func (s *Summary) Canonical() *Summary {
 	}
 	c.WallNS = 0
 	c.GC = GCSummary{}
-	c.CheckpointErrors = 0
 	c.Provenance = nil
 	c.Spec.Workers = 0
 	c.Spec.RecordDir = ""

@@ -386,9 +386,13 @@ func Tests() []*Test {
 	}
 }
 
+// suite is the suite ByName looks in, built once: a Test never changes
+// after construction, so its callers share one.
+var suite = Tests()
+
 // ByName looks a litmus test up by its Name; ok is false if none matches.
 func ByName(name string) (*Test, bool) {
-	for _, t := range Tests() {
+	for _, t := range suite {
 		if t.Name == name {
 			return t, true
 		}

@@ -50,7 +50,7 @@ func (h *Histogram) Count() uint64 {
 }
 
 // Add folds o into h. Both must share a Base: the fold of one metric across
-// workers, shards and checkpoints always does.
+// workers, shards and resumed artifacts always does.
 func (h *Histogram) Add(o *Histogram) {
 	if h.Base != o.Base {
 		panic(fmt.Sprintf("obs: adding a base-%d histogram to a base-%d one", o.Base, h.Base))
