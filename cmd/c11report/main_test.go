@@ -344,3 +344,35 @@ func TestIncompatibleSummaryRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointErrorsWarned edits an artifact to record two failed barrier
+// writes: its report warns about them in the soundness section and still
+// exits 0, and the unedited artifact's report carries no such warning.
+func TestCheckpointErrorsWarned(t *testing.T) {
+	dir := t.TempDir()
+	path := writeSummary(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw["checkpoint_errors"] = 2
+	if data, err = json.Marshal(raw); err != nil {
+		t.Fatal(err)
+	}
+	edited := filepath.Join(dir, "edited.json")
+	if err := os.WriteFile(edited, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const warning = "  WARNING: 2 barrier write(s) of this artifact failed during its run"
+	code, out := runCapture(t, "-summary", edited)
+	if i := strings.Index(out, "\nsoundness: "); code != 0 || i < 0 || !strings.Contains(out[i:], "\n"+warning) {
+		t.Errorf("report of an artifact with 2 failed barrier writes = exit %d, want 0 and %q in the soundness section:\n%s", code, warning, out)
+	}
+	if code, out := runCapture(t, "-summary", path); code != 0 || strings.Contains(out, "barrier write(s)") {
+		t.Errorf("report of an intact artifact = exit %d, warns of barrier writes:\n%s", code, out)
+	}
+}

@@ -121,8 +121,8 @@ type Checkpoint struct {
 }
 
 // CellCheckpoint is one cell's barrier state: its budget accounting, its
-// converge-tracker snapshot and convergence curve (adaptive policies), and
-// its folded result fragment.
+// converge-tracker snapshot (adaptive policies, until the campaign is
+// complete) and convergence curve, and its folded result fragment.
 type CellCheckpoint struct {
 	ToolRef string `json:"tool_name"`
 	Program string `json:"program"`
@@ -164,7 +164,8 @@ func (ck *ckState) armed() bool { return ck.spec.CheckpointPath != "" || ck.spec
 // artifact folds the state at a barrier into the campaign artifact: one cell
 // per matrix cell, with the wave loop's budget state (plans) and the folded
 // fragment. Tracker snapshots are taken only for an artifact that is
-// written.
+// written and not complete: resuming a complete one grants no budget, so no
+// tracker decides anything.
 func (ck *ckState) artifact(wave int, complete bool, plans []*cellPlan, restored []CellCheckpoint, wt workerTools) *Checkpoint {
 	c := &Checkpoint{
 		Schema: SchemaName, SchemaVersion: SchemaVersion,
@@ -179,7 +180,7 @@ func (ck *ckState) artifact(wave int, complete bool, plans []*cellPlan, restored
 		sel := ck.spec.Shard
 		c.Shard = &sel
 	}
-	if ck.spec.CheckpointPath != "" {
+	if ck.spec.CheckpointPath != "" && !complete {
 		for i, p := range plans {
 			if p.tracker != nil {
 				c.Cells[i].Tracker = p.tracker.Snapshot()

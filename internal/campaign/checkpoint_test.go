@@ -918,3 +918,63 @@ func TestRebasedHistogramsRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestCompleteArtifactDropsTrackers pins the complete artifact of a
+// converge campaign: the barrier artifact between its two waves carries the
+// cells' tracker snapshots, the complete one none, and resuming the complete
+// artifact onto its own path (-json ck -resume ck) writes the same artifact
+// back, wall clock and GC aside.
+func TestCompleteArtifactDropsTrackers(t *testing.T) {
+	spec := Spec{
+		Tools:      []ToolSpec{mustTool(t, "c11tester", ToolOptions{})},
+		Benchmarks: []BenchmarkSpec{benchSpec(t, "ms-queue"), benchSpec(t, "seqlock")},
+		Litmus:     []*litmus.Test{mustLitmus(t, "MP+rlx"), mustLitmus(t, "CoRR")},
+		Runs:       48,
+		SeedBase:   100,
+		Workers:    2,
+		Policy:     &explore.Converge{Epsilon: 0.15},
+	}
+	spec.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
+	barrierTrackers := 0
+	spec.checkpointHook = func(c *Checkpoint) {
+		for _, cc := range c.Cells {
+			if cc.Tracker != nil && !c.Complete {
+				barrierTrackers++
+			}
+		}
+	}
+	Run(spec)
+	if barrierTrackers == 0 {
+		t.Fatal("the barrier artifact between the waves carries no tracker snapshot")
+	}
+	read := func() (*Checkpoint, string) {
+		t.Helper()
+		ck, err := LoadCheckpoint(spec.CheckpointPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := *ck
+		c.WallNS, c.GC = 0, GCSummary{}
+		data, err := json.Marshal(&c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ck, string(data)
+	}
+	ck, want := read()
+	if !ck.Complete {
+		t.Fatal("the campaign's artifact is not complete")
+	}
+	for _, cc := range ck.Cells {
+		if cc.Tracker != nil {
+			t.Fatalf("complete artifact carries the tracker snapshot of %s/%s", cc.ToolRef, cc.Program)
+		}
+	}
+	resumed := spec
+	resumed.checkpointHook = nil
+	resumed.Resume = ck
+	Run(resumed)
+	if _, got := read(); got != want {
+		t.Fatalf("resuming the complete artifact wrote another:\n%s\nwant:\n%s", got, want)
+	}
+}

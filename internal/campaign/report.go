@@ -309,11 +309,15 @@ func writeConvergence(w io.Writer, sum *Summary) {
 }
 
 // writeSoundness renders the soundness section: the verdict with every
-// failure and its repro line (the headline's), then each tool's axiomatic
+// failure and its repro line (the headline's), a warning when barrier
+// writes of the artifact failed during its run, then each tool's axiomatic
 // validation counts and recorded-trace and record-error counts.
 func writeSoundness(w io.Writer, sum *Summary) {
 	fmt.Fprintln(w)
 	sum.writeVerdict(w)
+	if n := sum.CheckpointErrors; n > 0 {
+		fmt.Fprintf(w, "  WARNING: %d barrier write(s) of this artifact failed during its run: the results are whole, but a kill then would have resumed from an earlier wave\n", n)
+	}
 	for _, ts := range sum.Tools {
 		if v := ts.Validation; v != nil {
 			fmt.Fprintf(w, "  %s: axiomatic validation: %d checked, %d skipped, %d violation(s)\n",

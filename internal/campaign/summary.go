@@ -251,6 +251,10 @@ type Summary struct {
 	// Partial says why the artifact does not cover the whole campaign: it is
 	// a shard's, or its run stopped mid-campaign. Empty for a whole one.
 	Partial string `json:"partial,omitempty"`
+	// CheckpointErrors counts the barrier writes of the artifact that failed
+	// during its run (Checkpoint.CheckpointErrors). It says how the run
+	// went, not what it found, so Canonical leaves it out.
+	CheckpointErrors int `json:"-"`
 	// WriteErr is why Run could not write its final artifact or record
 	// manifest; nil when they landed or none was asked for.
 	WriteErr error `json:"-"`
@@ -334,6 +338,7 @@ func specInfo(spec Spec) SpecInfo {
 func (c *Checkpoint) Summarize() *Summary {
 	sum := aggregate(c.Spec, c.Cells)
 	sum.WallNS, sum.GC, sum.Provenance = c.WallNS, c.GC, c.Provenance
+	sum.CheckpointErrors = c.CheckpointErrors
 	switch {
 	case c.Shard != nil:
 		sum.Partial = fmt.Sprintf("shard %s of the campaign: -resume merges the %d shard artifacts", c.Shard, c.Shard.Count)

@@ -115,6 +115,9 @@ type ThreadState struct {
 	// operation will be re-dispatched, and may block again. Engine.wake
 	// sets it.
 	woken bool
+	// joiners lists the threads blocked joining this one, linked through
+	// nextJoiner; its finish wakes them.
+	joiners, nextJoiner *ThreadState
 	// opSeq is the sequence number assigned to the operation currently
 	// being dispatched.
 	opSeq memmodel.SeqNum
@@ -143,6 +146,7 @@ func (t *ThreadState) reset(name string, clockSlots int) {
 	t.fn = nil
 	t.finished = false
 	t.woken = false
+	t.joiners, t.nextJoiner = nil, nil
 	t.opSeq = 0
 	t.burstable = false
 }

@@ -360,12 +360,15 @@ type ExecStats struct {
 	// Choices is the number of strategy decisions made: PickThread calls
 	// plus PickIndex calls routed through Engine.PickIndex.
 	Choices uint64
-	// Resumes is the number of tool-side thread resumes (sched.Resumes):
-	// resumes of a granted thread that had parked, each thread's start on its
-	// first pick, and abort unwinds of started threads. Spawning costs none:
-	// a thread's start is the resume that runs its first operation. A step
-	// that grants the thread running it costs no resume, so Resumes falls
-	// below Steps. A driver that took every step itself, as kernel-thread
+	// Resumes is the number of thread resumes (sched.Resumes): each arrival
+	// of the turn at a thread that a step chose, whether the fiber that took
+	// the step resumed it directly or unwound the fiber stack to it — a
+	// granted thread that had parked, or a thread's start on its first pick —
+	// and each abort unwind of a started thread. Spawning costs none: a
+	// thread's start is the resume that runs its first operation. A step that
+	// grants the thread running it costs no resume, so Resumes falls below
+	// Steps. Each resume costs one coroutine switch, or a few when it unwinds
+	// several fibers. A driver that took every step itself, as kernel-thread
 	// sequencing does, would resume once per granted operation — Steps less
 	// the dispatches that blocked — and once per thread start and abort
 	// unwind; README's Figure 14 prices that count.
@@ -381,9 +384,9 @@ type ExecStats struct {
 	Blocked uint64
 	// Yields is the number of KYield dispatches (capi.Env.Yield).
 	Yields uint64
-	// HandoffWaitNS is the total time the tool spent waiting for program
-	// threads during scheduler handoffs, excluding the tool steps a thread
-	// ran inline; 0 unless SetHandoffTiming enabled the measurement.
+	// HandoffWaitNS is the total time the driver spent waiting while the turn
+	// was on the program's fibers, excluding every tool step, wherever it ran;
+	// 0 unless SetHandoffTiming enabled the measurement.
 	HandoffWaitNS int64
 	// PhaseNS is the per-phase wall time of the execution (indexed by Phase);
 	// all zero unless SetPhaseTiming enabled the measurement. The engine
@@ -410,7 +413,7 @@ func (e *Engine) ExecStats() ExecStats {
 
 // SetHandoffTiming toggles the scheduler's handoff-wait measurement for
 // subsequent executions (see sched.SetMeasureWait). It costs two monotonic
-// clock reads per resume and allocates nothing. Campaigns never turn it on
+// clock reads per step and allocates nothing. Campaigns never turn it on
 // (they count resumes instead); its one caller is the benchmark's traced
 // pass.
 func (e *Engine) SetHandoffTiming(on bool) {
@@ -456,10 +459,11 @@ func (e *Engine) Execute(p capi.Program, seed int64) (res *capi.Result) {
 		if !ok {
 			panic(r)
 		}
-		// The panic unwound the driver loop (Resume re-raises one a fiber's
-		// inline step recovered) while the program's threads are still
-		// parked; Abort unwinds them all, restoring the all-threads-finished
-		// state the next resetExecState relies on.
+		// The panic unwound the driver loop (Drive re-raises one a fiber's
+		// step recovered, once the fiber stack has unwound) while the
+		// program's threads are still parked; Abort unwinds them all,
+		// restoring the all-threads-finished state the next resetExecState
+		// relies on.
 		e.phases.End(PhaseRun)
 		e.result.EngineError = ie
 		e.sch.Abort()
@@ -486,7 +490,7 @@ func (e *Engine) resetExecState(seed int64) {
 	if e.sch == nil {
 		e.sch = sched.New()
 		e.sch.SetMeasureWait(e.measureWait)
-		e.sch.SetStep(e.step)
+		e.sch.SetStep(e.step, true)
 	} else {
 		e.sch.Reset()
 	}
@@ -557,7 +561,7 @@ func (e *Engine) WorkerSpawns() int {
 // thread to a new fn allocates nothing.
 //
 // The thread is bound, not run: it is schedulable from here on, and its code
-// first runs when a step picks it and the driver resumes it (see step). A
+// first runs when a step picks it and the turn reaches it (see step). A
 // thread that issues no visible operation is therefore a scheduling choice
 // until it is picked.
 func (e *Engine) spawnThread(name string, fn func(capi.Env), parent *ThreadState) *ThreadState {
@@ -587,27 +591,14 @@ func (e *Engine) spawnThread(name string, fn func(capi.Env), parent *ThreadState
 	return ts
 }
 
-// loop drives an execution: it resumes the thread the last step chose — the
-// thread it granted, or an unstarted one it picked — and takes the next step,
-// until a step ends the execution. The resumed thread takes the steps itself
-// while they grant it (see sched.Thread.Call) and hands back the choice of
-// the first step that does not; only the step after a thread finishes (or
-// every step, when no inline step is installed) runs here. Deadlock and
-// truncation abort here too: a fiber cannot resume itself to unwind.
+// loop drives an execution: it takes the first step and hands its choice to
+// the scheduler's Drive, which returns once a step ends the execution. The
+// program's fibers take every later step themselves and pass the turn among
+// themselves (see sched.Drive). Deadlock and truncation abort here, on the
+// driver, once the fiber stack has unwound: a fiber cannot resume itself to
+// unwind.
 func (e *Engine) loop() {
-	next := e.step()
-	for next != nil {
-		thr, stepped := e.sch.Resume(next)
-		switch {
-		case stepped:
-			next = thr
-		case next.State() == sched.Finished:
-			e.finishThread(e.threads[next.ID])
-			next = e.step()
-		default:
-			next = e.step()
-		}
-	}
+	e.sch.Drive(e.step(nil))
 	if e.result.Deadlocked || e.result.Truncated {
 		e.sch.Abort()
 	}
@@ -617,16 +608,21 @@ func (e *Engine) loop() {
 // thread, select its operation's behaviour, and execute it, repeating while
 // the operation blocks. It returns the thread whose operation completed, or
 // nil when the execution is over: every thread finished, a deadlock, or the
-// step limit. The driver calls it, and so does a fiber from
-// sched.Thread.Call.
+// step limit. done, when set, is a thread that just finished: the step
+// handles its finish first. A fiber calls it from sched.Thread.Call, or after
+// the thread above it finished; the driver calls it for the first step (and,
+// driver-stepped, for every step).
 //
 // A picked thread that has not started has no operation to execute yet.
-// The step records it (start) and returns it for the driver to resume; the
-// thread runs to its first operation, and the step taken there — inline on
-// its fiber, or by the driver when no inline step is installed — dispatches
-// that operation without picking again. The strategy thus sees the same
-// ready set at the same points as if the thread had started at its spawn.
-func (e *Engine) step() *sched.Thread {
+// The step records it (start) and returns it for the scheduler to resume;
+// the thread runs to its first operation, and the step taken there — inline
+// on its fiber, or by the driver when driver-stepped — dispatches that
+// operation without picking again. The strategy thus sees the same ready set
+// at the same points as if the thread had started at its spawn.
+func (e *Engine) step(done *sched.Thread) *sched.Thread {
+	if done != nil {
+		e.finishThread(e.threads[done.ID])
+	}
 	if e.checkDue {
 		e.checkDue = false
 		if e.upkeep() {
@@ -746,7 +742,7 @@ func (e *Engine) nextSCIndex() int {
 }
 
 // complete grants ts: its operation is done, and it runs on to its next
-// operation once the step returns it (see loop).
+// operation once the step returns it (see step).
 func (e *Engine) complete(ts *ThreadState) {
 	ts.woken = false
 	e.sch.Grant(ts.thr)
@@ -783,14 +779,13 @@ func (e *Engine) finishThread(ts *ThreadState) {
 			Execution: e.execIndex,
 		})
 	}
-	// Wake joiners; their join ops re-dispatch and now succeed.
-	for _, w := range e.threads {
-		if !w.finished && w.thr.State() == sched.Blocked {
-			if op := w.thr.Pending(); op != nil && op.Kind == memmodel.KThreadJoin && op.Target == ts.ID {
-				e.wake(w)
-			}
-		}
+	// Wake the threads blocked joining ts; their joins re-dispatch and now
+	// succeed. Waking only marks them, and the ready list is rebuilt in
+	// creation order, so the order of this list does not matter.
+	for w := ts.joiners; w != nil; w = w.nextJoiner {
+		e.wake(w)
 	}
+	ts.joiners = nil
 	if e.cfg.Trace {
 		a := e.NewAction()
 		a.Seq, a.TID, a.Kind = e.nextSeqPeek(), ts.ID, memmodel.KThreadFinish

@@ -138,6 +138,6 @@ func (v *env) Assert(cond bool, format string, args ...any) {
 // without a dispatch Op: they have no memory-model or scheduling effect, so
 // routing them through the scheduler would only perturb nothing at a handoff
 // cost. Direct engine access is safe because threads run one at a time,
-// totally ordered by the handoff channels.
+// totally ordered by the coroutine switches that pass the turn.
 func (v *env) BeginAtomic(name string) { v.e.beginBlock(v.ts, name) }
 func (v *env) EndAtomic()              { v.e.endBlock(v.ts) }

@@ -223,6 +223,7 @@ func (e *Engine) doJoin(ts *ThreadState, op *capi.Op) {
 	target := e.threads[op.Target]
 	if !target.finished {
 		e.block(ts)
+		ts.nextJoiner, target.joiners = target.joiners, ts
 		return
 	}
 	e.assignSeq(ts)

@@ -8,15 +8,17 @@ import (
 )
 
 // DriverStepped makes the driver take every step of e's executions, until e
-// is closed, and returns e: it gives e a scheduler with no inline step, so
-// every program thread parks on every operation. That is the schedule
-// tsan11rec's kernel-thread sequencing runs, and the reference the inline
-// steps are checked against; it resumes once per granted operation and once
-// per thread start.
+// is closed, and returns e: it gives e a scheduler whose step is not inline,
+// so every program thread parks on every operation and the same Drive takes
+// each step on the driver. That is the schedule tsan11rec's kernel-thread
+// sequencing runs, and the reference the inline steps are checked against;
+// it resumes once per granted operation and once per thread start, each a
+// round trip of two coroutine switches.
 func DriverStepped(e *Engine) *Engine {
 	e.Close()
 	e.sch = sched.New()
 	e.sch.SetMeasureWait(e.measureWait)
+	e.sch.SetStep(e.step, false)
 	return e
 }
 

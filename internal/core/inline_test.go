@@ -124,9 +124,9 @@ func TestInlineContinuationResumes(t *testing.T) {
 
 // TestHandoffWaitDisjointFromModelWork pins the handoff-wait accounting
 // that the benchmark's traced pass reads: the wait (switches and program
-// code) is a sub-interval of the run phase, even though a fiber runs engine
-// steps inside the driver's timed resume, and the engine times no race span
-// (race checks are counted, in ExecStats.RaceChecks).
+// code) is a sub-interval of the run phase, even though the fibers take
+// engine steps inside the driver's timed Drive, and the engine times no race
+// span (race checks are counted, in ExecStats.RaceChecks).
 func TestHandoffWaitDisjointFromModelWork(t *testing.T) {
 	eng := newTool(Config{})
 	defer eng.Close()

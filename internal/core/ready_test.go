@@ -59,8 +59,8 @@ func TestReadyListKeptAcrossTools(t *testing.T) {
 	}
 }
 
-// TestReadyListKeptInEngineTests reruns the engine's join, deadlock and
-// abort tests with the same check.
+// TestReadyListKeptInEngineTests reruns the engine's join, deadlock, abort
+// and stacked-handoff tests with the same check.
 func TestReadyListKeptInEngineTests(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -77,6 +77,9 @@ func TestReadyListKeptInEngineTests(t *testing.T) {
 		{"InfeasiblePanicIsRecoveredAndEngineStaysUsable", core.TestInfeasiblePanicIsRecoveredAndEngineStaysUsable},
 		{"InlineStepFailurePaths", core.TestInlineStepFailurePaths},
 		{"PanickingProgramAlternationOnPooledEngine", core.TestPanickingProgramAlternationOnPooledEngine},
+		{"StackedInfeasible", core.TestStackedInfeasible},
+		{"StackedRetire", core.TestStackedRetire},
+		{"StackedAbort", core.TestStackedAbort},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			picks := 0

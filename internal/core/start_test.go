@@ -164,15 +164,17 @@ func TestFirstOpBlocksOnHeldMutex(t *testing.T) {
 
 // TestFirstOpIsJoin: a thread whose first operation joins another thread
 // blocks until that thread finishes, a target that has not started yet
-// included, and then sees its writes.
+// included, and then sees its writes. Main joins the same thread, so the
+// finish wakes two blocked joiners at once.
 func TestFirstOpIsJoin(t *testing.T) {
-	aRan, early := false, 0
+	aRan, aDone, bJoining, early, both := false, false, false, 0, 0
 	prog := capi.Program{Name: "first-op-join", Run: func(env capi.Env) {
-		aRan = false
+		aRan, aDone, bJoining = false, false, false
 		x := env.NewAtomic("x", 0)
 		a := env.Spawn("a", func(env capi.Env) {
 			aRan = true
 			env.Store(x, 1, rlx)
+			aDone = true
 		})
 		b := env.Spawn("b", func(env capi.Env) {
 			// b's join is dispatched by the step that picked b, so no other
@@ -180,9 +182,15 @@ func TestFirstOpIsJoin(t *testing.T) {
 			if !aRan {
 				early++
 			}
+			bJoining = true
 			env.Join(a)
 			env.Assert(env.Load(x, rlx) == 1, "load after join read the initial value")
 		})
+		env.Load(x, rlx) // a scheduling point, at which b may join a
+		if bJoining && !aDone {
+			both++
+		}
+		env.Join(a)
 		env.Join(b)
 	}}
 	regimeRun(t, prog, 40, func(seed int64, res *capi.Result, _ ExecStats) {
@@ -190,8 +198,8 @@ func TestFirstOpIsJoin(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, res.AssertFailures)
 		}
 	})
-	if early == 0 {
-		t.Fatal("no execution joined a thread that had not started; the shape is not covered")
+	if early == 0 || both == 0 {
+		t.Fatalf("%d execution(s) joined a thread that had not started, %d joined a from main and b at once; want some of each", early, both)
 	}
 }
 

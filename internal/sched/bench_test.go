@@ -12,45 +12,47 @@ import (
 const (
 	handoffThreads = 2
 	handoffYields  = 32
-	handoffs       = handoffThreads * (handoffYields + 1)
+	handoffOps     = handoffThreads * (handoffYields + 1)
 )
 
 // BenchmarkHandoff measures the paper's Figure 14 question: what one
 // scheduler handoff costs as a user-level fiber switch versus as
 // condition-variable sequencing on kernel threads, the regime of tsan11rec.
 // Each fiber iteration runs one execution on a warm scheduler — Reset, spawn
-// two threads that each issue handoffYields KYield operations, and grant and
-// resume them alternately until both finish — so every handoff passes the
-// turn to the other thread.
+// two threads that each issue handoffYields KYield operations, and drive
+// them with an engine-shaped inline step until both finish.
 //
-// A handoff is one resume: the driver hands the turn to a thread and waits
-// until the thread parks on its next operation (or finishes). A thread's
-// first resume starts it and runs it to its first operation, so each thread
-// costs handoffYields+1 of them. The reported ns/handoff is the wall time of
-// an iteration divided by its handoff count.
+// In the fiber row every step passes the turn to the other thread, so every
+// operation after a thread's start is a handoff: the thread that took the
+// step resumes the other directly, or unwinds to it when it is the fiber
+// below, one coroutine switch either way. A handoff is one resume, and the
+// reported ns/handoff is the wall time of an iteration divided by its
+// resumes (Scheduler.Resumes).
 //
-// The fiber-inline row installs an inline step that grants its caller, the
-// case of a schedule that picks the thread that just ran. From its first
-// resume on a thread runs every operation inline and returns to program code
-// with no switch, so there a handoff is a same-thread continuation, at the
-// same handoff count.
+// The fiber-inline row's step grants its caller, the case of a schedule that
+// picks the thread that just ran. From its start on a thread runs every
+// operation inline and returns to program code with no switch, so there a
+// handoff is a same-thread continuation: its ns/handoff divides by the
+// operations and starts, handoffOps.
 //
 // The kernel-thread row is the price of tsan11rec's handoff, which the
 // scheduler does not implement: outcomes do not depend on the handoff, so
 // README prices that regime as resumes times this number (see
 // benchKernelHandoff).
 func BenchmarkHandoff(b *testing.B) {
-	b.Run("fiber", func(b *testing.B) { benchHandoff(b, false) })
-	b.Run("fiber-inline", func(b *testing.B) { benchHandoff(b, true) })
+	b.Run("fiber", func(b *testing.B) { benchHandoff(b, true) })
+	b.Run("fiber-inline", func(b *testing.B) { benchHandoff(b, false) })
 	b.Run("kernel-thread", benchKernelHandoff)
 }
 
-func benchHandoff(b *testing.B, inline bool) {
+func benchHandoff(b *testing.B, alternate bool) {
 	s := New()
 	defer s.Shutdown()
 	// One op per thread slot, so the bodies allocate nothing.
 	var ops [handoffThreads]capi.Op
-	var caller *Thread
+	// caller is the thread whose Call takes the step; picked is an unstarted
+	// thread whose first Call the next step dispatches.
+	var caller, picked *Thread
 	body := func(th *Thread) {
 		op := &ops[th.ID]
 		for i := 0; i < handoffYields; i++ {
@@ -59,31 +61,41 @@ func benchHandoff(b *testing.B, inline bool) {
 			th.Call(op)
 		}
 	}
-	if inline {
-		s.SetStep(func() *Thread {
-			s.Grant(caller)
-			return caller
-		})
-	}
+	other := func(th *Thread) *Thread { return s.Threads()[1-th.ID] }
+	s.SetStep(func(done *Thread) *Thread {
+		th := picked
+		picked = nil
+		switch {
+		case th != nil:
+		case done != nil:
+			if th = other(done); th.State() == Finished {
+				return nil
+			}
+		case alternate && other(caller).State() != Finished:
+			th = other(caller)
+		default:
+			th = caller
+		}
+		if th.Unstarted() {
+			picked = th
+			return th
+		}
+		s.Grant(th)
+		return th
+	}, true)
 	execute := func() {
 		s.Reset()
 		for i := 0; i < handoffThreads; i++ {
 			s.NewThread("yield", body)
 		}
-		for live := true; live; {
-			live = false
-			for _, th := range s.Threads() {
-				if th.State() != Finished {
-					if !th.Unstarted() {
-						s.Grant(th)
-					}
-					s.Resume(th)
-					live = true
-				}
-			}
-		}
+		picked = s.Threads()[0]
+		s.Drive(picked)
 	}
 	execute() // warm the pool: the workers start once
+	handoffs := handoffOps
+	if alternate {
+		handoffs = s.Resumes()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -131,12 +143,12 @@ func benchKernelHandoff(b *testing.B) {
 		}
 		mu.Unlock()
 	}
-	for i := 0; i < 2*handoffs; i++ { // warm both kernel threads
+	for i := 0; i < 2*handoffOps; i++ { // warm both kernel threads
 		resume()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N*handoffs; i++ {
+	for i := 0; i < b.N*handoffOps; i++ {
 		resume()
 	}
 	b.StopTimer()
@@ -145,5 +157,5 @@ func benchKernelHandoff(b *testing.B) {
 	cond.Signal()
 	mu.Unlock()
 	<-exited
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*handoffs), "ns/handoff")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*handoffOps), "ns/handoff")
 }

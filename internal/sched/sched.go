@@ -7,21 +7,31 @@
 // The tool (engine) therefore has full control of the interleaving, exactly
 // like C11Tester's fiber scheduler.
 //
-// The tool's driver resumes the thread its last step chose (Resume). The
-// running thread then takes the tool's steps itself, on its own coroutine
-// (Thread.Call runs the step the tool installed with SetStep): while a step
-// grants the thread that took it, the thread goes straight back to program
-// code with no switch at all, and it parks only when a step chooses another
-// thread, handing that choice to the driver. With no step installed every
-// thread parks on every operation and the driver takes each step; one step
-// function decides either way, so both run the same interleavings.
+// The thread that holds the turn takes the tool's steps itself, on its own
+// coroutine (Thread.Call runs the step the tool installed with SetStep).
+// While a step grants the thread that took it, the thread goes straight back
+// to program code with no switch at all. When a step picks another thread,
+// the fiber passes the turn on itself: a thread that is parked or not yet
+// started is resumed from the fiber, which stays below it, so the driver
+// (Drive) is only the bottom of a stack of fibers. A thread already in that
+// stack gets the turn back by unwinding: each fiber above it parks to the
+// fiber that resumed it. Either way a handoff costs one coroutine switch,
+// where a round trip through the driver cost two. The stack holds only
+// threads that have not finished, so it is at most as deep as the program
+// has live threads. A finished thread parks too, and the fiber below it takes
+// the next step, handling the finish first. A panic a step raises on a fiber
+// unwinds the whole stack, and Drive re-raises it at the driver.
+//
+// Driver-stepped (SetStep with inline off, a test-only reference) every
+// thread parks on every operation and the driver takes each step. That is
+// the schedule of tsan11rec's kernel-thread sequencing; one step function
+// decides either way, so both run the same interleavings.
 //
 // A new thread is bound but not run. NewThread makes it schedulable at once —
 // Ready, with no pending operation (Unstarted) — and it first runs when the
-// driver resumes it after a step picked it. Its first Call then hands the
-// tool the operation it was picked for, so starting a thread costs no handoff
-// of its own: as in C11Tester, a thread's start is a scheduling point. A step
-// therefore never resumes a thread; only the driver does.
+// turn reaches it after a step picked it. Its first Call then hands the tool
+// the operation it was picked for, so starting a thread costs no handoff of
+// its own: as in C11Tester, a thread's start is a scheduling point.
 //
 // Workers form a pool: a Scheduler creates each worker once and parks it
 // between executions; NewThread re-binds a parked worker to a fresh (name,
@@ -32,12 +42,11 @@
 // execution it runs, and Shutdown ends them when the tool is closed.
 //
 // Each worker is a coroutine (iter.Pull), and a handoff is a direct
-// coroutine switch between the driver and a thread that never passes through
-// the Go run queue — the analogue of C11Tester's swapcontext fibers. A step
-// that picks the running thread costs no handoff at all. The paper's Figure
-// 14 compares this with tsan11rec's kernel-thread sequencing, where every
-// handoff is an OS context switch; outcomes do not depend on the handoff, so
-// that comparison is a price per handoff, which BenchmarkHandoff measures for
+// coroutine switch that never passes through the Go run queue — the
+// analogue of C11Tester's swapcontext fibers. The paper's Figure 14 compares
+// this with tsan11rec's kernel-thread sequencing, where every handoff is an
+// OS context switch; outcomes do not depend on the handoff, so that
+// comparison is a price per handoff, which BenchmarkHandoff measures for
 // both mechanisms.
 package sched
 
@@ -105,8 +114,12 @@ type Thread struct {
 	// handoff; NewThread starts a replacement for a handle that is not live.
 	live bool
 
-	// next resumes the worker coroutine (tool side), yield suspends it
-	// (thread side).
+	// resuming reports that t is in the fiber stack below its top: it
+	// resumed the thread above it and waits for the turn to come back.
+	resuming bool
+
+	// next resumes the worker coroutine (resumer side), yield suspends it
+	// (thread side), returning the turn to whoever resumed it.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 
@@ -115,8 +128,8 @@ type Thread struct {
 	PanicValue any
 }
 
-// State returns the thread's scheduling state. Only the tool goroutine may
-// call it.
+// State returns the thread's scheduling state. Only the thread holding the
+// turn may call it.
 func (t *Thread) State() State { return t.state }
 
 // Pending returns the operation the thread is waiting on (nil once granted,
@@ -124,7 +137,7 @@ func (t *Thread) State() State { return t.state }
 func (t *Thread) Pending() *capi.Op { return t.pending }
 
 // Unstarted reports whether t is bound but has not run yet: it is Ready with
-// no pending operation until the driver first resumes it.
+// no pending operation until the turn first reaches it.
 func (t *Thread) Unstarted() bool { return t.state == Ready && t.pending == nil }
 
 // Call hands op to the tool and returns once the tool has executed it. It
@@ -133,9 +146,9 @@ func (t *Thread) Unstarted() bool { return t.state == Ready && t.pending == nil 
 //
 // Call runs the tool's step on t's own coroutine; for a thread's first Call
 // that is the step that dispatches the operation the thread was picked for.
-// If the step granted t, Call returns without a switch; otherwise t parks and
-// the driver resumes the thread the step chose. With no step installed t
-// always parks and the driver steps.
+// If the step granted t, Call returns without a switch; otherwise t passes
+// the turn to the thread the step chose and returns when the turn comes back
+// to it. Driver-stepped, t parks and the driver steps.
 func (t *Thread) Call(op *capi.Op) {
 	s := t.sched
 	if s.aborting {
@@ -143,23 +156,25 @@ func (t *Thread) Call(op *capi.Op) {
 	}
 	t.pending = op
 	t.state = Ready
-	if s.step != nil && s.stepInline(t) {
-		return
+	switch {
+	case !s.inline:
+		t.park()
+	case s.takeStep(nil) != t:
+		s.pass(t)
 	}
-	t.park()
 	if s.aborting {
 		panic(abortSignal{})
 	}
 }
 
-// stepInline runs one tool step on t's coroutine and reports whether the step
-// granted t, which then carries on. Otherwise it leaves the step's choice for
-// the driver, to which t's park hands the turn. A panic the step raises is
-// recovered here and re-raised by the driver's Resume: on t's stack it would
-// pass for a panic of the program. The step's time is taken out of the
-// handoff wait, which the enclosing Resume measures, so the wait keeps
-// counting only switches and program code.
-func (s *Scheduler) stepInline(t *Thread) (cont bool) {
+// takeStep takes one tool step and leaves its choice in turn. done is the
+// thread that just finished, whose finish the step handles first, or nil. A
+// step may run on a program fiber, where a panic it raised would pass for a
+// panic of the program: it is recovered here instead and left in stepPanic,
+// with turn nil so that the fiber stack unwinds to the driver, and Drive
+// re-raises it. The step's time is taken out of the handoff wait Drive
+// measures, so the wait keeps counting only switches and program code.
+func (s *Scheduler) takeStep(done *Thread) *Thread {
 	var t0 time.Time
 	if s.measureWait {
 		t0 = time.Now()
@@ -169,16 +184,51 @@ func (s *Scheduler) stepInline(t *Thread) (cont bool) {
 			s.waitNS -= int64(time.Since(t0))
 		}
 		if r := recover(); r != nil {
-			s.chosen, s.stepped, s.stepPanic = nil, true, r
-			cont = false
+			s.turn, s.stepPanic = nil, r
 		}
 	}()
-	next := s.step()
-	if next == t {
-		return true
+	s.turn = s.step(done)
+	return s.turn
+}
+
+// pass carries the last step's choice (turn) from self, the top of the fiber
+// stack (nil: the driver, with no fiber running), to the chosen thread, and
+// returns once the turn is back at self. A chosen thread that is parked or
+// unstarted is resumed from here, and self stays below it until it parks
+// again. A chosen thread further down the stack, or the end of the execution
+// (nil), is reached by unwinding: self parks, and the fiber below goes on
+// passing. A thread that parks after finishing, or driver-stepped after
+// reaching its next operation, leaves the next step to self.
+//
+// Every arrival of the turn at a thread a step chose counts one resume,
+// whether the thread was resumed directly or unwound to.
+func (s *Scheduler) pass(self *Thread) {
+	for next := s.turn; next != self; next = s.turn {
+		if next == nil || next.resuming {
+			self.park()
+			return
+		}
+		if next.state != Running && !next.Unstarted() {
+			panic(fmt.Sprintf("sched: resuming %s thread %d", next.state, next.ID))
+		}
+		s.resumes++
+		if self != nil {
+			self.resuming = true
+		}
+		s.resume(next)
+		if self != nil {
+			self.resuming = false
+		}
+		switch {
+		case next.state == Finished:
+			s.takeStep(next)
+		case !s.inline:
+			s.takeStep(nil)
+		}
 	}
-	s.chosen, s.stepped = next, true
-	return false
+	if self != nil {
+		s.resumes++
+	}
 }
 
 // serve is the body of a worker: run the bound function, park as Finished,
@@ -186,11 +236,13 @@ func (s *Scheduler) stepInline(t *Thread) (cont bool) {
 // non-abort panic retires the worker. A retired worker's stack may have
 // unwound through arbitrary program state, so it is replaced rather than
 // recycled (the tool observes the retirement through Thread.PanicValue).
+// The worker's exit hands the turn back like a park.
 func (t *Thread) serve() {
 	for t.body != nil && !t.runOnce() {
 		t.park()
 	}
 	t.live = false
+	t.sched.switches++
 }
 
 // runOnce runs the worker's current binding to completion, converting an
@@ -212,8 +264,20 @@ func (t *Thread) runOnce() (retire bool) {
 	return
 }
 
-// park hands the turn back to the driver and returns when it resumes t.
-func (t *Thread) park() { t.yield(struct{}{}) }
+// park hands the turn back to the thread (or driver) that resumed t, and
+// returns when t is resumed again.
+func (t *Thread) park() {
+	t.sched.switches++
+	t.yield(struct{}{})
+}
+
+// resume switches to t's coroutine and returns when t parks again: on its
+// next visible operation, at the end of its binding, as its worker exits, or
+// to pass the turn further down the stack.
+func (s *Scheduler) resume(t *Thread) {
+	s.switches++
+	t.next()
+}
 
 // Scheduler sequences the threads of one execution. One Scheduler instance
 // serves many executions in sequence: its pool keeps one parked worker per
@@ -234,30 +298,30 @@ type Scheduler struct {
 	// invariant the pool tests pin.
 	spawns int
 
-	// step is the tool's engine step that Call runs inline (see SetStep).
-	// Only the driver's Resume runs a thread (Abort and Shutdown run one
-	// only to unwind or end it), so every Call that reaches the step is
-	// inside a Resume. An inline step that chose another thread leaves its
-	// choice (nil: the execution is over) in chosen with stepped set, or the
-	// panic it raised in stepPanic, for Resume to return.
-	step      func() *Thread
-	stepped   bool
-	chosen    *Thread
+	// step is the tool's engine step (see SetStep); inline says whether the
+	// thread reaching an operation takes it (the engine's way) or the driver
+	// does.
+	step   func(done *Thread) *Thread
+	inline bool
+
+	// turn is the last step's choice on its way down the fiber stack to the
+	// thread it names (nil: the execution is over); stepPanic is the panic
+	// a step raised, for Drive to re-raise once the stack has unwound.
+	turn      *Thread
 	stepPanic any
 
-	// resumes counts the execution's tool-side thread resumes: driver
-	// resumes and abort unwinds.
-	resumes int
+	// resumes counts the execution's arrivals of the turn at a thread a step
+	// chose (see pass) and abort unwinds; switches counts its coroutine
+	// switches, resumes and parks alike.
+	resumes, switches int
 
-	// measureWait, when set, times every resume — the tool-side half of a
-	// handoff, where the tool waits for the program thread to reach its next
-	// visible operation — accumulating into waitNS, and takes the inline
-	// steps a resumed thread runs back out. Opt-in because it costs two
-	// monotonic clock reads per resume and per inline step, which is most of
-	// what it measures: campaigns count resumes instead and never enable it,
-	// and its one user is the benchmark's traced pass. time.Now/Since never
-	// allocate, so the instrumented handoff stays inside the zero-alloc
-	// steady state.
+	// measureWait, when set, times Drive — the driver's wait while the turn
+	// is on the program's fibers — accumulating into waitNS, and takes every
+	// step out of it. Opt-in because it costs two monotonic clock reads per
+	// step, which is most of what it measures: campaigns count resumes
+	// instead and never enable it, and its one user is the benchmark's
+	// traced pass. time.Now/Since never allocate, so the instrumented
+	// handoff stays inside the zero-alloc steady state.
 	measureWait bool
 	waitNS      int64
 }
@@ -274,30 +338,42 @@ func (s *Scheduler) Reset() {
 	s.threads = s.threads[:0]
 	s.aborting = false
 	s.waitNS = 0
-	s.resumes = 0
+	s.resumes, s.switches = 0, 0
 }
 
-// SetStep installs the tool's engine step, which a thread runs inline on its
-// own coroutine from Call: the step picks a thread, executes its operation
-// and returns the granted thread (nil when the execution is over). With no
-// step (nil) the driver takes every step.
-func (s *Scheduler) SetStep(step func() *Thread) { s.step = step }
+// SetStep installs the tool's engine step: it handles the finish of done
+// when done is set, picks a thread, executes its operation and returns the
+// granted thread — or an unstarted one it picked, whose first Call the next
+// step dispatches — and nil when the execution is over. Inline, a thread
+// takes the step from Call on its own coroutine; otherwise (driver-stepped,
+// a test-only reference) every thread parks on every operation and the
+// driver takes each step.
+func (s *Scheduler) SetStep(step func(done *Thread) *Thread, inline bool) {
+	s.step, s.inline = step, inline
+}
 
 // SetMeasureWait toggles handoff-wait timing for subsequent executions. Only
 // the benchmark's traced pass turns it on (through core's SetHandoffTiming).
 func (s *Scheduler) SetMeasureWait(on bool) { s.measureWait = on }
 
 // WaitNS returns the accumulated handoff wait of the current (or last)
-// execution: total time the tool spent resuming program threads until the
-// turn came back, less the tool steps the threads ran inline meanwhile. Zero
+// execution: the time the driver spent in Drive while the turn was on the
+// program's fibers, less every step taken meanwhile, wherever it ran. Zero
 // unless SetMeasureWait enabled timing.
 func (s *Scheduler) WaitNS() int64 { return s.waitNS }
 
-// Resumes returns the number of tool-side thread resumes of the current (or
-// last) execution: one per driver Resume — a thread's start included — and
-// one per started thread an abort unwinds. Spawning a thread and same-thread
-// continuations inside Call are not resumes.
+// Resumes returns the number of thread resumes of the current (or last)
+// execution: one each time the turn reaches a thread a step chose — by a
+// direct resume, by unwinding the fiber stack, or as the fiber below a
+// finished thread takes the next step and keeps the turn — thread starts
+// included, and one per started thread an abort unwinds. Spawning a thread
+// and same-thread continuations inside Call are not resumes.
 func (s *Scheduler) Resumes() int { return s.resumes }
+
+// Switches returns the number of coroutine switches of the current (or
+// last) execution: resumes and parks, unwinding included. Tests pin a
+// handoff's cost with it; the engine reports Resumes only.
+func (s *Scheduler) Switches() int { return s.switches }
 
 // Threads returns all threads created so far, indexed by TID.
 func (s *Scheduler) Threads() []*Thread { return s.threads }
@@ -343,8 +419,8 @@ func (s *Scheduler) WorkerCount() int {
 func (s *Scheduler) Spawns() int { return s.spawns }
 
 // NewThread binds a managed thread to body and returns it unstarted: it is
-// Ready with no pending operation, and body runs nothing until the driver
-// first resumes the thread (see Resume). body receives the thread handle.
+// Ready with no pending operation, and body runs nothing until a step picks
+// the thread and the turn reaches it. body receives the thread handle.
 //
 // The thread is served by the slot's parked worker; a worker is only started
 // when the slot is new or its previous worker was retired. Either way the
@@ -370,20 +446,6 @@ func (s *Scheduler) NewThread(name string, body func(*Thread)) *Thread {
 	return t
 }
 
-// resume runs t until it parks again: on its next visible operation, at the
-// end of its binding, or as its worker exits.
-func (s *Scheduler) resume(t *Thread) {
-	s.resumes++
-	var t0 time.Time
-	if s.measureWait {
-		t0 = time.Now()
-	}
-	t.next()
-	if s.measureWait {
-		s.waitNS += int64(time.Since(t0))
-	}
-}
-
 // Block marks t suspended. The tool must not grant a blocked thread until it
 // completes the thread's pending operation.
 func (s *Scheduler) Block(t *Thread) {
@@ -396,7 +458,7 @@ func (s *Scheduler) Block(t *Thread) {
 // Grant marks t's pending operation as executed: t is Running and may go on
 // to its next operation. Granting resumes nothing. A thread that granted
 // itself from an inline step carries on by itself; any other granted thread
-// runs when the driver resumes it.
+// runs when the step returns it and the turn reaches it.
 func (s *Scheduler) Grant(t *Thread) {
 	if t.state != Ready && t.state != Blocked {
 		panic(fmt.Sprintf("sched: granting %s thread %d", t.state, t.ID))
@@ -408,32 +470,38 @@ func (s *Scheduler) Grant(t *Thread) {
 	t.state = Running
 }
 
-// Resume is the driver's handoff: it runs t — a granted thread, or an
-// unstarted one, which starts here — until the turn comes back: t parked on
-// its next operation, finished, or took inline steps until one chose another
-// thread. In that last case stepped is true and next is that
-// step's choice, nil when the execution is over; a panic the step raised is
-// re-raised here instead.
-func (s *Scheduler) Resume(t *Thread) (next *Thread, stepped bool) {
-	if t.state != Running && !t.Unstarted() {
-		panic(fmt.Sprintf("sched: resuming %s thread %d", t.state, t.ID))
+// Drive runs an execution from the driver: it hands the turn to next, the
+// choice of the tool's first step (a granted thread, or an unstarted one,
+// which starts here), and returns once a step ends the execution. Every
+// later step is taken on the program's fibers, which pass the turn among
+// themselves (see pass); the driver takes a step only when the thread at the
+// bottom of the stack finishes, or driver-stepped. A panic a step raised is
+// re-raised here, once the fiber stack has unwound.
+func (s *Scheduler) Drive(next *Thread) {
+	var t0 time.Time
+	if s.measureWait {
+		t0 = time.Now()
 	}
-	s.resume(t)
-	next, stepped, r := s.chosen, s.stepped, s.stepPanic
-	s.chosen, s.stepped, s.stepPanic = nil, false, nil
-	if r != nil {
+	s.turn = next
+	s.pass(nil)
+	if s.measureWait {
+		s.waitNS += int64(time.Since(t0))
+	}
+	if r := s.stepPanic; r != nil {
+		s.stepPanic = nil
 		panic(r)
 	}
-	return next, stepped
 }
 
-// Abort unwinds every unfinished thread. A thread that never started
-// finishes without running: its worker has not left its park, and its binding
-// is dropped. After Abort returns, all threads have finished and every pooled
-// worker is parked again awaiting its next binding; the execution is over and
-// the scheduler must not be used again until Reset recycles it for the next
-// execution (Reset relies on exactly this all-settled state). Workers unwound
-// by an abort are recycled — only a non-abort panic retires one.
+// Abort unwinds every unfinished thread. It runs on the driver once Drive
+// returned or panicked, so no fiber is running. A thread that never started
+// finishes without running: its worker has not left its park, and its
+// binding is dropped. After Abort returns, all threads have finished and
+// every pooled worker is parked again awaiting its next binding; the
+// execution is over and the scheduler must not be used again until Reset
+// recycles it for the next execution (Reset relies on exactly this
+// all-settled state). Workers unwound by an abort are recycled — only a
+// non-abort panic retires one.
 func (s *Scheduler) Abort() {
 	s.aborting = true
 	for _, t := range s.threads {
@@ -442,6 +510,7 @@ func (s *Scheduler) Abort() {
 			t.body = nil
 			t.state = Finished
 		case t.state != Finished:
+			s.resumes++
 			s.resume(t)
 		}
 	}

@@ -10,45 +10,76 @@ import (
 	"c11tester/internal/memmodel"
 )
 
-// drive runs a trivial tool loop over the scheduler: process pending ops in
-// the order pick() dictates until all threads finish. A picked thread that
-// has not started is started first (see start). Each op's Val result is set
-// to its own sequence in processing order.
-func drive(t *testing.T, body func(*Thread), pick func([]*Thread) *Thread) []memmodel.Kind {
+// engineStep returns a step shaped like the engine's: a picked thread that
+// has not started is returned to be resumed, and the step its first Call
+// takes dispatches its operation without picking again; any other picked
+// thread has its pending operation dispatched (run, then granted). pick
+// chooses among the ready threads, or returns nil to end the execution; the
+// step also ends it when none is ready, failing t if some thread is still
+// alive.
+func engineStep(t *testing.T, s *Scheduler, pick func([]*Thread) *Thread, run func(*Thread)) func(*Thread) *Thread {
+	var picked *Thread
+	return func(*Thread) *Thread {
+		th := picked
+		picked = nil
+		if th == nil {
+			ready := s.Ready(nil)
+			if len(ready) == 0 {
+				if s.AliveCount() != 0 {
+					t.Error("deadlock: threads alive but none ready")
+				}
+				return nil
+			}
+			if th = pick(ready); th == nil || th.Unstarted() {
+				picked = th
+				return th
+			}
+		}
+		run(th)
+		s.Grant(th)
+		return th
+	}
+}
+
+// drive runs body as the main thread under an engine-shaped step, inline or
+// driver-stepped, processing pending ops in the order pick() dictates until
+// all threads finish. Each op's Val result is set to its own sequence in
+// processing order.
+func drive(t *testing.T, inline bool, body func(*Thread), pick func([]*Thread) *Thread) []memmodel.Kind {
 	t.Helper()
 	s := New()
+	defer s.Shutdown()
 	var processed []memmodel.Kind
-	s.NewThread("main", body)
-	for {
-		ready := s.Ready(nil)
-		if len(ready) == 0 {
-			if s.AliveCount() == 0 {
-				return processed
-			}
-			t.Fatal("deadlock: threads alive but none ready")
-		}
-		th := pick(ready)
-		if th.Unstarted() {
-			start(t, s, th)
-			continue
-		}
+	step := engineStep(t, s, pick, func(th *Thread) {
 		op := th.Pending()
 		processed = append(processed, op.Kind)
 		op.Val = memmodel.Value(len(processed))
-		reply(s, th)
-	}
+	})
+	s.SetStep(step, inline)
+	s.NewThread("main", body)
+	s.Drive(step(nil))
+	return processed
 }
 
 func first(ready []*Thread) *Thread { return ready[0] }
 
-// start is the driver's first resume of th, which NewThread left unstarted:
-// th runs to its first operation (or to its end) and settles there.
+// newDriven returns a driver-stepped scheduler whose step ends every Drive,
+// for tests that take the tool's part by hand: each Drive runs one thread
+// until it parks again, and the test grants or blocks it in between.
+func newDriven() *Scheduler {
+	s := New()
+	s.SetStep(func(*Thread) *Thread { return nil }, false)
+	return s
+}
+
+// start is the first Drive of th, which NewThread left unstarted: th runs
+// to its first operation (or to its end) and settles there.
 func start(t *testing.T, s *Scheduler, th *Thread) State {
 	t.Helper()
 	if !th.Unstarted() {
 		t.Fatalf("thread %d is %v with pending %v, want unstarted", th.ID, th.State(), th.Pending())
 	}
-	s.Resume(th)
+	s.Drive(th)
 	return th.State()
 }
 
@@ -57,63 +88,33 @@ func mustNotRun(t *testing.T) func(*Thread) {
 	return func(th *Thread) { t.Errorf("thread %d (%s) ran", th.ID, th.Name) }
 }
 
-// reply is the driver's handoff with no inline step installed: grant th's
-// pending operation and resume th until it settles again.
+// reply grants th's pending operation and drives th until it settles again.
 func reply(s *Scheduler, th *Thread) State {
 	s.Grant(th)
-	s.Resume(th)
+	s.Drive(th)
 	return th.State()
 }
 
-// driveInline runs main under an engine-shaped driver with step installed as
-// the inline step: resume the thread the last step chose (granted, or picked
-// unstarted), take its handed-off choice, or step on the driver when it
-// returns without one.
-func driveInline(s *Scheduler, main func(*Thread), step func() *Thread) {
-	s.SetStep(step)
-	s.NewThread("main", main)
-	next := step()
-	for next != nil {
-		thr, stepped := s.Resume(next)
-		if stepped {
-			next = thr
-		} else {
-			next = step()
-		}
-	}
-}
-
-// TestInlineStepHandoff pins the inline path: a step that
-// chooses another thread parks the caller and hands the choice to the
-// driver; a thread spawned inside a step stays unstarted and runs nothing
-// until the driver resumes it; and the step its first Call takes executes
-// the operation it was picked for without picking again, so each start is
-// the one resume that runs the thread's first operation. (Same-thread
-// continuations are pinned end to end by core's
-// TestInlineContinuationResumes.)
+// TestInlineStepHandoff pins the inline path: a step that chooses another
+// thread passes it the turn from the caller's fiber; a thread spawned inside
+// a step stays unstarted and runs nothing until the turn reaches it; and the
+// step its first Call takes executes the operation it was picked for without
+// picking again, so each start is the one resume that runs the thread's
+// first operation. (Same-thread continuations are pinned end to end by
+// core's TestInlineContinuationResumes.)
 func TestInlineStepHandoff(t *testing.T) {
 	s := New()
 	var order []memmodel.TID
-	var last, picked, child *Thread
+	var last, child *Thread
 	childRan := false
-	step := func() *Thread {
-		th := picked
-		picked = nil
-		if th == nil {
-			ready := s.Ready(nil)
-			if len(ready) == 0 {
-				return nil
-			}
-			th = ready[0]
-			if th == last && len(ready) > 1 {
-				th = ready[1]
-			}
-			last = th
-			if th.Unstarted() {
-				picked = th
-				return th
-			}
+	step := engineStep(t, s, func(ready []*Thread) *Thread {
+		th := ready[0]
+		if th == last && len(ready) > 1 {
+			th = ready[1]
 		}
+		last = th
+		return th
+	}, func(th *Thread) {
 		if th.Pending().Kind == memmodel.KThreadCreate {
 			child = s.NewThread("child", func(th *Thread) {
 				childRan = true
@@ -125,41 +126,45 @@ func TestInlineStepHandoff(t *testing.T) {
 			}
 		}
 		order = append(order, th.ID)
-		s.Grant(th)
-		return th
-	}
-	driveInline(s, func(th *Thread) {
+	})
+	s.SetStep(step, true)
+	s.NewThread("main", func(th *Thread) {
 		th.Call(&capi.Op{Kind: memmodel.KThreadCreate})
 		th.Call(&capi.Op{Kind: memmodel.KYield})
 		th.Call(&capi.Op{Kind: memmodel.KYield})
-	}, step)
+	})
+	s.Drive(step(nil))
 	want := []memmodel.TID{0, 1, 0, 1, 0}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("step order %v, want %v", order, want)
 	}
 	// One resume per handoff: main's start, the child's start, then main,
 	// the child and main again after each step that chose the other thread.
-	if s.AliveCount() != 0 || !childRan || s.Resumes() != 5 {
-		t.Fatalf("%d threads alive, child ran %v, %d resumes; want 0, true, 5", s.AliveCount(), childRan, s.Resumes())
+	// The first four cost a switch each. The fifth is main taking the step
+	// after the child's finish, which the child's finishing park already
+	// paid for; main's own finish parks once more.
+	if s.AliveCount() != 0 || !childRan || s.Resumes() != 5 || s.Switches() != 6 {
+		t.Fatalf("%d threads alive, child ran %v, %d resumes, %d switches; want 0, true, 5, 6",
+			s.AliveCount(), childRan, s.Resumes(), s.Switches())
 	}
 	s.Shutdown()
 }
 
 // TestInlineStepPanicReachesDriver pins the failure path of an inline step:
-// its panic is re-raised by the driver's Resume — not recorded as a panic of
-// the program thread, whose worker stays pooled — and Abort then unwinds the
-// thread that ran the step.
+// its panic is re-raised by Drive — not recorded as a panic of the program
+// thread, whose worker stays pooled — and Abort then unwinds the thread that
+// ran the step.
 func TestInlineStepPanicReachesDriver(t *testing.T) {
 	s := New()
 	calls := 0
-	s.SetStep(func() *Thread {
+	s.SetStep(func(*Thread) *Thread {
 		if calls++; calls == 3 {
 			panic("step failed")
 		}
 		th := s.Threads()[0]
 		s.Grant(th)
 		return th
-	})
+	}, true)
 	main := s.NewThread("main", func(th *Thread) {
 		for {
 			th.Call(&capi.Op{Kind: memmodel.KLoad})
@@ -168,11 +173,11 @@ func TestInlineStepPanicReachesDriver(t *testing.T) {
 	func() {
 		defer func() {
 			if r := recover(); r != "step failed" {
-				t.Fatalf("Resume panicked with %v, want the step's panic", r)
+				t.Fatalf("Drive panicked with %v, want the step's panic", r)
 			}
 		}()
-		s.Resume(main)
-		t.Fatal("Resume returned despite the step's panic")
+		s.Drive(main)
+		t.Fatal("Drive returned despite the step's panic")
 	}()
 	s.Abort()
 	if main.State() != Finished || main.PanicValue != nil || s.WorkerCount() != 1 {
@@ -184,27 +189,24 @@ func TestInlineStepPanicReachesDriver(t *testing.T) {
 
 func TestSingleThreadOpsInOrder(t *testing.T) {
 	kinds := []memmodel.Kind{memmodel.KLoad, memmodel.KStore, memmodel.KFence}
-	got := drive(t, func(th *Thread) {
-		for _, k := range kinds {
-			op := &capi.Op{Kind: k}
-			th.Call(op)
-			if op.Val == 0 {
-				t.Error("result not delivered")
+	for _, inline := range []bool{true, false} {
+		got := drive(t, inline, func(th *Thread) {
+			for _, k := range kinds {
+				op := &capi.Op{Kind: k}
+				th.Call(op)
+				if op.Val == 0 {
+					t.Error("result not delivered")
+				}
 			}
-		}
-	}, first)
-	if len(got) != len(kinds) {
-		t.Fatalf("processed %d ops, want %d", len(got), len(kinds))
-	}
-	for i, k := range kinds {
-		if got[i] != k {
-			t.Fatalf("op %d = %v, want %v", i, got[i], k)
+		}, first)
+		if fmt.Sprint(got) != fmt.Sprint(kinds) {
+			t.Fatalf("inline %v: processed %v, want %v", inline, got, kinds)
 		}
 	}
 }
 
 func TestBlockAndWake(t *testing.T) {
-	s := New()
+	s := newDriven()
 	order := []string{}
 	main := s.NewThread("main", func(th *Thread) {
 		th.Call(&capi.Op{Kind: memmodel.KYield})
@@ -230,7 +232,7 @@ func TestBlockAndWake(t *testing.T) {
 }
 
 func TestNestedSpawn(t *testing.T) {
-	s := New()
+	s := newDriven()
 	var childSeen bool
 	main := s.NewThread("main", func(th *Thread) {
 		op := &capi.Op{Kind: memmodel.KThreadCreate}
@@ -259,7 +261,7 @@ func TestNestedSpawn(t *testing.T) {
 }
 
 func TestAbortUnwindsThreads(t *testing.T) {
-	s := New()
+	s := newDriven()
 	cleanedUp := false
 	main := s.NewThread("main", func(th *Thread) {
 		defer func() { cleanedUp = true }()
@@ -325,7 +327,7 @@ func testAbortReadyAndBlocked(t *testing.T, s *Scheduler) {
 }
 
 func TestPanicCaptured(t *testing.T) {
-	s := New()
+	s := newDriven()
 	th := s.NewThread("main", func(th *Thread) {
 		panic("boom")
 	})
@@ -340,7 +342,7 @@ func TestPanicCaptured(t *testing.T) {
 // TestFiberPoolReusesWorkers pins the pool invariant: after the first
 // execution warms the pool, further executions start zero workers.
 func TestFiberPoolReusesWorkers(t *testing.T) {
-	s := New()
+	s := newDriven()
 	runOnce := func() {
 		for i := 0; i < 3; i++ {
 			s.NewThread("t", func(t *Thread) {
@@ -388,7 +390,7 @@ func fiberGoroutines() int {
 // goroutine count returns to its baseline.
 func TestShutdownEndsCoroutines(t *testing.T) {
 	base := fiberGoroutines()
-	s := New()
+	s := newDriven()
 	for i := 0; i < 4; i++ {
 		th := s.NewThread("t", func(th *Thread) { th.Call(&capi.Op{Kind: memmodel.KYield}) })
 		start(t, s, th)
@@ -415,7 +417,7 @@ func TestShutdownEndsCoroutines(t *testing.T) {
 // keep workers pooled.
 func TestWorkerRetiredAfterPanic(t *testing.T) {
 	base := fiberGoroutines()
-	s := New()
+	s := newDriven()
 	th := s.NewThread("bomb", func(th *Thread) {
 		panic("boom")
 	})
@@ -471,7 +473,7 @@ func TestWorkerRetiredAfterPanic(t *testing.T) {
 }
 
 func TestSchedulerResetRecyclesThreads(t *testing.T) {
-	s := New()
+	s := newDriven()
 	runOnce := func(wantRecycled []*Thread) []*Thread {
 		var handles []*Thread
 		for i := 0; i < 3; i++ {
@@ -499,4 +501,246 @@ func TestSchedulerResetRecyclesThreads(t *testing.T) {
 		t.Fatalf("Reset must clear the thread list, got %d", len(s.Threads()))
 	}
 	runOnce(first)
+}
+
+// stackProgram binds the scripted four-thread program the stacked-handoff
+// tests run, inline or driver-stepped: main spawns three children, then yields twice, and each
+// child yields twice — except child bomb (0: none), which panics after its
+// first yield. The step is engine-shaped (see engineStep) and picks the
+// threads in the order script lists them, after which it ends the
+// execution. hook, when set, runs before each dispatch, on whichever fiber
+// took the step, and may panic; count is its 1-based dispatch number.
+func stackProgram(t *testing.T, s *Scheduler, inline bool, script []memmodel.TID, bomb memmodel.TID, hook func(count int)) []memmodel.TID {
+	var order []memmodel.TID
+	child := func(th *Thread) {
+		th.Call(&capi.Op{Kind: memmodel.KYield})
+		if th.ID == bomb {
+			panic("boom")
+		}
+		th.Call(&capi.Op{Kind: memmodel.KYield})
+	}
+	step := engineStep(t, s, func([]*Thread) *Thread {
+		if len(script) == 0 {
+			return nil
+		}
+		th := s.Threads()[script[0]]
+		script = script[1:]
+		return th
+	}, func(th *Thread) {
+		order = append(order, th.ID)
+		if hook != nil {
+			hook(len(order))
+		}
+		if th.Pending().Kind == memmodel.KThreadCreate {
+			s.NewThread("child", child)
+		}
+	})
+	s.SetStep(step, inline)
+	s.NewThread("main", func(th *Thread) {
+		for i := 0; i < 3; i++ {
+			th.Call(&capi.Op{Kind: memmodel.KThreadCreate})
+		}
+		th.Call(&capi.Op{Kind: memmodel.KYield})
+		th.Call(&capi.Op{Kind: memmodel.KYield})
+	})
+	s.Drive(step(nil))
+	return order
+}
+
+// stackScript is stackProgram's full schedule. Each thread resumes the next
+// one directly until the stack holds main, child 1, child 2 and child 3; the
+// step child 3 takes next picks main, three fibers down, and 3, 2 and 1
+// unwind to it. Main then resumes 3, and each child's finish leaves the step
+// to main, which resumes the next child, and at last itself. A thread's
+// first operation is dispatched by the step it takes on starting, which
+// picks nothing, so the dispatch order equals the script.
+var stackScript = []memmodel.TID{0, 0, 0, 1, 2, 3, 0, 3, 2, 1, 0}
+
+// stackDepth counts the fibers below the top of the stack.
+func stackDepth(s *Scheduler) int {
+	n := 0
+	for _, th := range s.Threads() {
+		if th.resuming {
+			n++
+		}
+	}
+	return n
+}
+
+// TestStackedUnwind pins the turn's path through a stack of four fibers: it
+// reaches a thread three fibers down by unwinding, and every arrival counts
+// one resume — nine, as many as a driver resuming each step's choice would
+// count — for fourteen switches where the driver's round trips took
+// eighteen.
+func TestStackedUnwind(t *testing.T) {
+	s := New()
+	defer s.Shutdown()
+	depth := -1
+	order := stackProgram(t, s, true, stackScript, 0, func(count int) {
+		if count == 7 { // child 3's step dispatches main's first yield
+			depth = stackDepth(s)
+		}
+	})
+	if fmt.Sprint(order) != fmt.Sprint(stackScript) {
+		t.Fatalf("dispatch order %v, want %v", order, stackScript)
+	}
+	if depth != 3 {
+		t.Fatalf("%d fibers below the step that picked main, want 3", depth)
+	}
+	if s.AliveCount() != 0 || stackDepth(s) != 0 || s.Resumes() != 9 || s.Switches() != 14 {
+		t.Fatalf("%d alive, depth %d, %d resumes, %d switches; want 0, 0, 9, 14",
+			s.AliveCount(), stackDepth(s), s.Resumes(), s.Switches())
+	}
+}
+
+// TestStackedStepPanic raises a step's panic on the top of a full stack (the
+// engine's InfeasibleError path): it unwinds every fiber to Drive, which
+// re-raises it; Abort then unwinds the four threads, none of which records a
+// program panic, and the next execution reuses all four workers.
+func TestStackedStepPanic(t *testing.T) {
+	s := New()
+	defer s.Shutdown()
+	depth := -1
+	func() {
+		defer func() {
+			if r := recover(); r != "step failed" {
+				t.Fatalf("Drive panicked with %v, want the step's panic", r)
+			}
+		}()
+		stackProgram(t, s, true, stackScript, 0, func(count int) {
+			if count == 7 {
+				depth = stackDepth(s)
+				panic("step failed")
+			}
+		})
+		t.Fatal("Drive returned despite the step's panic")
+	}()
+	if depth != 3 || stackDepth(s) != 0 {
+		t.Fatalf("panic raised %d fibers deep, %d left below after Drive; want 3, 0", depth, stackDepth(s))
+	}
+	testStackAborted(t, s)
+}
+
+// TestStackedAbort ends an execution the way a deadlock or the step limit
+// does, with a step that returns nil on the top of a full stack: the stack
+// unwinds to Drive, which returns, and Abort unwinds the four threads.
+func TestStackedAbort(t *testing.T) {
+	s := New()
+	defer s.Shutdown()
+	depth := -1
+	stackProgram(t, s, true, stackScript[:6], 0, func(count int) {
+		if count == 6 { // child 3's start; its next step ends the execution
+			depth = stackDepth(s)
+		}
+	})
+	if depth != 3 || stackDepth(s) != 0 {
+		t.Fatalf("execution ended %d fibers deep, %d left below after Drive; want 3, 0", depth, stackDepth(s))
+	}
+	testStackAborted(t, s)
+}
+
+// testStackAborted aborts stackProgram's four unfinished threads on s, with
+// one resume each and no program panic recorded, and checks that the next
+// execution reuses every worker.
+func testStackAborted(t *testing.T, s *Scheduler) {
+	t.Helper()
+	if s.AliveCount() != 4 {
+		t.Fatalf("%d threads alive before the abort, want 4", s.AliveCount())
+	}
+	resumes := s.Resumes()
+	s.Abort()
+	if s.AliveCount() != 0 || s.Resumes() != resumes+4 {
+		t.Fatalf("abort left %d alive with %d resumes; want 0 alive, 4 resumes", s.AliveCount(), s.Resumes()-resumes)
+	}
+	for _, th := range s.Threads() {
+		if th.PanicValue != nil {
+			t.Fatalf("thread %d recorded panic %v", th.ID, th.PanicValue)
+		}
+	}
+	spawns := s.Spawns()
+	s.Reset()
+	stackProgram(t, s, true, stackScript, 0, nil)
+	if s.AliveCount() != 0 || s.Spawns() != spawns || s.WorkerCount() != 4 {
+		t.Fatalf("next execution: %d alive, spawns %d → %d, %d workers; want 0, unchanged, 4",
+			s.AliveCount(), spawns, s.Spawns(), s.WorkerCount())
+	}
+}
+
+// TestStackedRetire lets child 3 panic on the top of the stack: its worker
+// retires, the fiber below it (child 2) takes the step after its finish and
+// unwinds to main, and the execution completes. The next execution replaces
+// the retired worker and reuses the other three.
+func TestStackedRetire(t *testing.T) {
+	base := fiberGoroutines()
+	s := New()
+	depth := -1
+	// After 3's panic: 2 dispatches main's first yield, main resumes 2, and
+	// each finish leaves the step to main.
+	script := []memmodel.TID{0, 0, 0, 1, 2, 3, 0, 2, 1, 0}
+	order := stackProgram(t, s, true, script, 3, func(count int) {
+		if count == 7 {
+			depth = stackDepth(s)
+		}
+	})
+	if fmt.Sprint(order) != fmt.Sprint(script) {
+		t.Fatalf("dispatch order %v, want %v", order, script)
+	}
+	bomb := s.Threads()[3]
+	if depth != 2 || s.AliveCount() != 0 || bomb.PanicValue != "boom" || s.WorkerCount() != 3 {
+		t.Fatalf("step after the panic %d fibers deep, %d alive, panic %v, %d workers; want 2, 0, boom, 3",
+			depth, s.AliveCount(), bomb.PanicValue, s.WorkerCount())
+	}
+	spawns := s.Spawns()
+	s.Reset()
+	stackProgram(t, s, true, stackScript, 0, nil)
+	if s.AliveCount() != 0 || s.Spawns() != spawns+1 || s.WorkerCount() != 4 {
+		t.Fatalf("next execution: %d alive, spawns %d → %d, %d workers; want 0, one more, 4",
+			s.AliveCount(), spawns, s.Spawns(), s.WorkerCount())
+	}
+	s.Shutdown()
+	if got := fiberGoroutines(); got != base {
+		t.Fatalf("coroutine goroutines = %d after Shutdown, want baseline %d", got, base)
+	}
+}
+
+// TestShutdownAfterCutShort shuts a scheduler down straight after a step's
+// panic cut an execution short, with no Abort: Shutdown unwinds the four
+// parked threads and ends every coroutine.
+func TestShutdownAfterCutShort(t *testing.T) {
+	base := fiberGoroutines()
+	s := New()
+	func() {
+		defer func() { recover() }()
+		stackProgram(t, s, true, stackScript, 0, func(count int) {
+			if count == 7 {
+				panic("step failed")
+			}
+		})
+	}()
+	if got := fiberGoroutines(); got != base+4 {
+		t.Fatalf("coroutine goroutines = %d with 4 parked workers, want %d", got, base+4)
+	}
+	s.Shutdown()
+	if got := fiberGoroutines(); got != base || s.WorkerCount() != 0 {
+		t.Fatalf("after Shutdown: %d coroutine goroutines, %d workers; want baseline %d, 0", got, s.WorkerCount(), base)
+	}
+}
+
+// TestDriverSteppedDrive runs stackProgram driver-stepped, through the same
+// Drive: the dispatch order is the inline one, but every thread parks to the
+// driver on every operation, so no fiber ever stacks, and a resume is a round
+// trip of two switches. It resumes once per granted operation and once per
+// thread start — 11 + 4 — where inline took 9.
+func TestDriverSteppedDrive(t *testing.T) {
+	s := New()
+	defer s.Shutdown()
+	depth := 0
+	order := stackProgram(t, s, false, stackScript, 0, func(int) { depth = max(depth, stackDepth(s)) })
+	if fmt.Sprint(order) != fmt.Sprint(stackScript) {
+		t.Fatalf("dispatch order %v, want %v", order, stackScript)
+	}
+	if depth != 0 || s.AliveCount() != 0 || s.Resumes() != 15 || s.Switches() != 30 {
+		t.Fatalf("depth %d, %d alive, %d resumes, %d switches; want 0, 0, 15, 30",
+			depth, s.AliveCount(), s.Resumes(), s.Switches())
+	}
 }
