@@ -21,12 +21,13 @@ import (
 // process-wide heap counters, which also see other goroutines), so this is
 // the strictest form of the ≤ 64 B/exec acceptance gate.
 //
-// The measured loop carries the full campaign instrumentation — the
-// worker slot's per-cell histogram accumulator fed by the runner's own
-// hists.observe, wall-clock timing on timed indices, engine exec stats and
-// layer counts on every execution, the reset and run spans toggled per
-// execution index by the runner's own sampleTiming (nothing is clocked per
-// operation), plus an armed trace-sink recorder fed a digest per execution —
+// The measured loop carries the full campaign instrumentation — a cell
+// histogram accumulator fed by the runner's own hists.observe, wall-clock
+// timing on timed indices, engine exec stats and layer counts on every
+// execution, the reset and run spans toggled per execution index by the
+// runner's own sampleTiming (nothing is clocked per operation), the
+// runner's race pass (foldRaces) into a unit fragment, plus an armed
+// trace-sink recorder fed a digest per execution —
 // so the observability fabric is itself held to the zero-alloc bar the
 // runner's hot path relies on, exactly as a -record campaign runs it. Every
 // path is measured: a wall-time index, a span index and an unsampled one. The subtest is named for the run's random source, the
@@ -49,19 +50,12 @@ func testZeroAllocSteadyState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// One worker slot over the whole matrix, built exactly as
-		// campaign.Run builds it: every accumulator exists before the hot
-		// loop.
-		wt := newWorkerTools(Spec{
-			Tools:      []ToolSpec{spec},
-			Benchmarks: benches,
-			Litmus:     lits,
-			Workers:    1,
-		})
-		check := func(j job, program string, prog capi.Program, reset func()) {
+		check := func(program string, prog capi.Program, reset func()) {
 			eng := spec.New().(*core.Engine)
 			defer eng.Close()
-			met := &wt[0].hists[j.key().index(len(benches), len(lits))]
+			met := blankHists
+			frag := fragment{Races: map[string]raceHit{}}
+			var keys keyIntern
 			fr := obs.NewFlightRecorder(obs.Of(obs.TriggerSlowSteps))
 			// run executes seed as execution index seed of the cell.
 			run := func(seed int64) {
@@ -79,12 +73,13 @@ func testZeroAllocSteadyState(t *testing.T) {
 					res = eng.Execute(prog, seed)
 				}
 				met.observe(int(seed), dur, eng)
+				_, newRace := foldRaces(&frag, &keys, res, int(seed))
 				st := eng.ExecStats()
-				fr.Check(obs.ExecDigest{Index: int(seed), NewRace: len(res.NewRaces) > 0, Steps: st.Steps, Choices: st.Choices})
+				fr.Check(obs.ExecDigest{Index: int(seed), NewRace: newRace, Steps: st.Steps, Choices: st.Choices})
 			}
 			// Warm the pools across several seeds, both samples and
-			// unsampled, so capacity growth and the race-dedup map are
-			// settled before measuring.
+			// unsampled, so capacity growth, the fragment's race map and the
+			// key intern table are settled before measuring.
 			for seed := int64(0); seed <= 8; seed++ {
 				run(seed)
 			}
@@ -94,25 +89,25 @@ func testZeroAllocSteadyState(t *testing.T) {
 						name, program, seed, wallSampled(int(seed)), spansSampled(int(seed)), n)
 				}
 			}
-			if eng != nil && met.PhaseNS[core.PhaseRun].Count() == 0 {
+			if met.PhaseNS[core.PhaseRun].Count() == 0 {
 				t.Errorf("%s/%s: the span index ran untimed", name, program)
 			}
 		}
-		for b, bench := range benches {
-			check(job{kind: jobBench, tool: 0, cell: b}, bench.Name, bench.New(), nil)
+		for _, bench := range benches {
+			check(bench.Name, bench.New(), nil)
 		}
-		for l, lit := range lits {
+		for _, lit := range lits {
 			var out string
 			prog := lit.Make(&out)
-			check(job{kind: jobLitmus, tool: 0, cell: l}, lit.Name, prog, func() { out = "" })
+			check(lit.Name, prog, func() { out = "" })
 		}
 	}
 }
 
 // TestRunnerZeroAllocSteadyState extends the zero-alloc bar from
 // tool.Execute to the campaign runner's whole per-execution path: runOne,
-// with its signal stage (detection or litmus verdict), race dedup
-// (recordRaces), the execution's race keys (raceKeysOf), the worker slot's
+// with its race pass (foldRaces: the unit's race fold and the execution's
+// race keys), its signal stage (detection or litmus verdict), the runner's
 // cell histograms and the armed trace sink: the recorder strategy wrapper
 // logging every choice, the engine's action trace where the model keeps one,
 // and the record stage's trigger check. Validation and analyzers stay off;

@@ -23,8 +23,8 @@
 // when the policy never stops a cell early (uniform); otherwise it is one
 // unit, run chunk-by-chunk with convergence checks between chunks. Either
 // way each unit runs its execution indices serially on its worker's own
-// instance of the cell's tool (tool instances are stateful and not
-// goroutine-safe). Each worker keeps one warm instance per tool for the
+// instance of the cell's tool (tool instances reuse their buffers and are
+// not goroutine-safe). Each worker keeps one warm instance per tool for the
 // whole campaign and rearms it at every unit start (core.Engine.Rearm), so a
 // unit observes exactly what a freshly constructed tool would. Each worker
 // likewise keeps one runner per cell — its program instance, analyzers and
@@ -361,8 +361,8 @@ type fragment struct {
 	Recorded     int                 `json:"recorded,omitempty"`
 	RecordErrors int                 `json:"record_errors,omitempty"`
 	// Hists are the cell's summary histograms. Unit fragments and runner
-	// accumulators leave them nil (a unit observes into its worker's per-cell
-	// hists instead); foldCells adds the workers' hists into the folded cell.
+	// accumulators leave them nil (a unit observes into its runner's hists
+	// instead); foldCells adds the runners' hists into the folded cell.
 	Hists *hists `json:"hists,omitempty"`
 }
 
@@ -752,6 +752,9 @@ type execCtx struct {
 	// hit marks a signal-bearing execution: a detection signal, a race, or
 	// a forbidden outcome (the signal stage computes it; obs.TriggerHit).
 	hit bool
+	// newRace marks an execution that gave the unit a race key it had not
+	// seen (foldRaces; obs.TriggerNewRace).
+	newRace bool
 	// abort marks the execution's model state untrustworthy (an infeasible
 	// modification-order lifting) and holds why: later stages that would
 	// lift it again are skipped.
@@ -782,16 +785,18 @@ type cellRunner struct {
 	acc  fragment
 
 	// stages is the cell's composed pipeline, run in order after every
-	// completed execution: the cell-kind signal stage (benchmark detection
-	// or litmus verdict, including race dedup), then — per spec — axiom
+	// completed execution's race pass (foldRaces): the cell-kind signal
+	// stage (benchmark detection or litmus verdict), then — per spec — axiom
 	// validation, the analyzer stage, and trace recording.
 	stages []stage
 	// x is the reused per-execution context the stages communicate
 	// through.
 	x execCtx
 
-	// met is the worker's histogram accumulator for this cell.
-	met *hists
+	// met is the cell's histogram accumulator on this worker, observed into
+	// by every completed execution of every unit; foldCells adds it into the
+	// folded cell.
+	met hists
 
 	// fr is the trace sink's trigger decision for the current unit
 	// (Spec.RecordOn); nil when the sink is unarmed.
@@ -827,8 +832,7 @@ type cellRunner struct {
 // newCellRunner builds the runner for job j's cell on worker slot and its
 // instance eng of the cell's tool, and arms it for j.
 func newCellRunner(spec Spec, j job, eng *core.Engine, slot *workerSlot) *cellRunner {
-	r := &cellRunner{spec: spec, eng: eng, slot: slot, frag: fragment{Races: map[string]raceHit{}},
-		met: &slot.hists[j.key().index(len(spec.Benchmarks), len(spec.Litmus))]}
+	r := &cellRunner{spec: spec, eng: eng, slot: slot, frag: fragment{Races: map[string]raceHit{}}, met: blankHists}
 	switch j.kind {
 	case jobBench:
 		r.bench = spec.Benchmarks[j.cell]
@@ -943,8 +947,8 @@ func (r *cellRunner) programName() string {
 // workerTools holds every campaign worker's warm state, indexed by worker
 // slot: one tool instance per Spec.Tools entry, one axiom workspace that
 // every execution the worker validates or analyzes is lifted into, one
-// race-key intern table, and per matrix cell one histogram accumulator and
-// one runner (built on the worker's first unit of the cell). Each worker
+// race-key intern table, and per matrix cell one runner (built on the
+// worker's first unit of the cell, with its accumulators). Each worker
 // keeps them for the whole Run — across shards, cells and waves — so tool,
 // program and analyzer construction, fiber-pool warmup, workspace growth and
 // key formatting are paid once per worker, not per unit or per execution.
@@ -954,14 +958,13 @@ type workerSlot struct {
 	tools   []*core.Engine
 	lift    axiom.Execution
 	keys    keyIntern
-	hists   []hists       // matrix order (see matrixCells)
 	runners []*cellRunner // matrix order; nil until the cell's first unit
 }
 
 // keyIntern renders each race identity's key (RaceReport.Key) once per
 // worker: the campaign keys races by string, and formatting one per report
 // per execution was most of a racy execution's allocations. buf is
-// raceKeysOf's reused result.
+// foldRaces' reused key list.
 type keyIntern struct {
 	keys map[capi.RaceID]string
 	buf  []string
@@ -987,10 +990,6 @@ func newWorkerTools(spec Spec) workerTools {
 	for w := range wt {
 		wt[w].tools = make([]*core.Engine, len(spec.Tools))
 		wt[w].runners = make([]*cellRunner, ncells)
-		wt[w].hists = make([]hists, ncells)
-		for c := range wt[w].hists {
-			wt[w].hists[c] = blankHists
-		}
 	}
 	return wt
 }
@@ -1138,7 +1137,7 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 	// Run the composed pipeline over the reused execution context. Every
 	// stage runs whether or not an earlier one aborted.
 	r.x = execCtx{res: res, i: i}
-	r.x.obs.RaceKeys = raceKeysOf(&r.slot.keys, res)
+	r.x.obs.RaceKeys, r.x.newRace = foldRaces(&r.frag, &r.slot.keys, res, i)
 	for _, st := range r.stages {
 		st(r)
 	}
@@ -1146,27 +1145,25 @@ func (r *cellRunner) runOne(i int) explore.Obs {
 }
 
 // stageBench is the benchmark-cell signal stage: the suite's detection
-// signal, op accounting, and race dedup.
+// signal and op accounting.
 func (r *cellRunner) stageBench() {
-	res, i := r.x.res, r.x.i
+	res := r.x.res
 	hit := r.bench.Signal.Hit(res)
 	if hit {
 		r.frag.Detected++
 	}
 	r.frag.Ops.Add(res.Stats)
-	recordRaces(&r.frag, &r.slot.keys, res, i)
 	r.x.hit = hit || len(res.Races) > 0
 	r.x.obs.Detected = hit
 }
 
-// stageLitmus is the litmus-cell signal stage: outcome accounting, the
-// forbidden/weak verdicts, and race dedup.
+// stageLitmus is the litmus-cell signal stage: outcome accounting and the
+// forbidden/weak verdicts. Litmus programs only touch shared state
+// atomically, so a race foldRaces folded here is a detector soundness bug,
+// not a finding.
 func (r *cellRunner) stageLitmus() {
 	res, i := r.x.res, r.x.i
 	r.frag.Ops.Add(res.Stats)
-	// Litmus programs only touch shared state atomically, so any race
-	// here is a detector soundness bug, not a finding.
-	recordRaces(&r.frag, &r.slot.keys, res, i)
 	forbidden := false
 	if r.out != "" {
 		r.frag.Outcomes[r.out]++
@@ -1285,7 +1282,7 @@ func (r *cellRunner) addFinding(a analysis.Analyzer, f analysis.Finding) {
 func (r *cellRunner) stageRecord() {
 	st := r.eng.ExecStats()
 	d := obs.ExecDigest{Index: r.x.i, Steps: st.Steps, Choices: st.Choices,
-		NewRace: len(r.x.res.NewRaces) > 0, Forbidden: r.test != nil && r.x.obs.Detected, Hit: r.x.hit}
+		NewRace: r.x.newRace, Forbidden: r.test != nil && r.x.obs.Detected, Hit: r.x.hit}
 	trig := r.fr.Check(d)
 	if trig == obs.TriggerNone {
 		return
@@ -1391,7 +1388,7 @@ func sampleTiming(eng *core.Engine, i int) {
 // switched the engine's phase spans on), the zero time — and no clock read —
 // otherwise.
 func (r *cellRunner) phaseStart() time.Time {
-	if r.met != nil && r.eng.PhaseTiming() {
+	if r.eng.PhaseTiming() {
 		return time.Now()
 	}
 	return time.Time{}
@@ -1406,35 +1403,33 @@ func (r *cellRunner) observePhase(p core.Phase, t0 time.Time) {
 	}
 }
 
-// raceKeysOf returns the deduplicated race keys of one execution, in
-// first-occurrence order. The slice aliases keys' reused buffer and is valid
-// until the next call: the tracker keeps only the strings, and the record
-// stage's manifest entry copies the slice.
-func raceKeysOf(keys *keyIntern, res *capi.Result) []string {
+// foldRaces is the runner's one race pass over completed execution run. It
+// interns each report's key once and folds the report into the unit's
+// fragment, keeping the earliest execution index per key and its first
+// report there. It returns the execution's distinct keys in first-occurrence
+// order, and whether the unit gained a key: a race key first seen in this
+// unit (obs.TriggerNewRace). The key list aliases keys' reused buffer and is
+// valid until the next call: the tracker keeps only the strings, and the
+// record stage's manifest entry copies the list. It renders no text.
+func foldRaces(frag *fragment, keys *keyIntern, res *capi.Result, run int) (execKeys []string, newKey bool) {
 	if len(res.Races) == 0 {
-		return nil
+		return nil, false
 	}
-	out := keys.buf[:0]
-	for i := range res.Races {
-		if k := keys.key(&res.Races[i]); !slices.Contains(out, k) {
-			out = append(out, k)
-		}
-	}
-	keys.buf = out
-	return out
-}
-
-// recordRaces folds an execution's races into the fragment, keeping the
-// earliest execution index per race key and its first report there. It
-// renders no text.
-func recordRaces(frag *fragment, keys *keyIntern, res *capi.Result, run int) {
+	execKeys = keys.buf[:0]
 	for i := range res.Races {
 		r := &res.Races[i]
 		key := keys.key(r)
-		if hit, seen := frag.Races[key]; !seen || run < hit.Run {
+		hit, seen := frag.Races[key]
+		if !seen || run < hit.Run {
 			frag.Races[key] = raceHit{report: *r, Run: run}
+			newKey = newKey || !seen
+		}
+		if !slices.Contains(execKeys, key) {
+			execKeys = append(execKeys, key)
 		}
 	}
+	keys.buf = execKeys
+	return execKeys, newKey
 }
 
 // isForbidden reports whether outcome is forbidden for the given tool

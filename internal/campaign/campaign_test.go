@@ -652,10 +652,11 @@ func without(names []string, drop string) []string {
 	return out
 }
 
-// TestRaceKeysOf pins the worker's race-key interning: an execution's keys
-// are its distinct RaceReport.Key()s in first-occurrence order, a warm intern
-// table renders nothing, and recordRaces keeps the earliest execution per key
-// whatever order the executions arrive in.
+// TestRaceKeysOf pins the runner's one race pass, foldRaces: an
+// execution's keys are its distinct RaceReport.Key()s in first-occurrence
+// order, a warm intern table renders nothing, the fragment keeps the
+// earliest execution per key whatever order the executions arrive in, and
+// an execution is new exactly when it gives the fragment a key.
 func TestRaceKeysOf(t *testing.T) {
 	race := func(loc string, prior, kind memmodel.Kind, tid memmodel.TID) capi.RaceReport {
 		return capi.RaceReport{LocName: loc, PriorKind: prior, Kind: kind, TID: tid}
@@ -681,16 +682,20 @@ func TestRaceKeysOf(t *testing.T) {
 		{"kind pair is ordered", []capi.RaceReport{b, a}, []capi.RaceReport{b, a}},
 	} {
 		res := &capi.Result{Races: tc.races}
-		got := raceKeysOf(&keys, res)
+		frag := fragment{Races: map[string]raceHit{}}
+		got, isNew := foldRaces(&frag, &keys, res, 0)
 		var want []string
 		for _, r := range tc.want {
 			want = append(want, r.Key())
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: raceKeysOf = %q, want %q", tc.name, got, want)
+		if !reflect.DeepEqual(got, want) || isNew != (len(want) > 0) {
+			t.Errorf("%s: foldRaces = %q new %v, want %q new %v", tc.name, got, isNew, want, len(want) > 0)
 		}
-		if n := testing.AllocsPerRun(10, func() { raceKeysOf(&keys, res) }); n != 0 {
-			t.Errorf("%s: warm raceKeysOf allocates %.1f times, want 0", tc.name, n)
+		if _, again := foldRaces(&frag, &keys, res, 1); again {
+			t.Errorf("%s: a repeated execution gave the fragment a new key", tc.name)
+		}
+		if n := testing.AllocsPerRun(10, func() { foldRaces(&frag, &keys, res, 1) }); n != 0 {
+			t.Errorf("%s: warm foldRaces allocates %.1f times, want 0", tc.name, n)
 		}
 	}
 
@@ -698,14 +703,17 @@ func TestRaceKeysOf(t *testing.T) {
 	for _, e := range []struct {
 		run   int
 		races []capi.RaceReport
+		isNew bool
 	}{
-		{5, []capi.RaceReport{a, b}},
-		{2, []capi.RaceReport{b2, b}}, // earlier: b's winner becomes run 2's first report
-		{7, []capi.RaceReport{a, c}},
-		{3, []capi.RaceReport{a2}},
-		{4, []capi.RaceReport{a, b}}, // later than both winners: no change
+		{5, []capi.RaceReport{a, b}, true},
+		{2, []capi.RaceReport{b2, b}, false}, // earlier: b's winner becomes run 2's first report
+		{7, []capi.RaceReport{a, c}, true},
+		{3, []capi.RaceReport{a2}, false},
+		{4, []capi.RaceReport{a, b}, false}, // later than both winners: no change
 	} {
-		recordRaces(&frag, &keys, &capi.Result{Races: e.races}, e.run)
+		if _, isNew := foldRaces(&frag, &keys, &capi.Result{Races: e.races}, e.run); isNew != e.isNew {
+			t.Errorf("run %d: new %v, want %v", e.run, isNew, e.isNew)
+		}
 	}
 	want := map[string]raceHit{
 		a.Key(): {report: a2, Run: 3},
@@ -713,7 +721,7 @@ func TestRaceKeysOf(t *testing.T) {
 		c.Key(): {report: c, Run: 7},
 	}
 	if !reflect.DeepEqual(frag.Races, want) {
-		t.Errorf("recordRaces = %+v, want %+v", frag.Races, want)
+		t.Errorf("foldRaces = %+v, want %+v", frag.Races, want)
 	}
 	for key, hit := range want {
 		if got := frag.Races[key].Desc(); got != hit.report.String() {
@@ -738,7 +746,7 @@ func TestRaceWinnerDescription(t *testing.T) {
 	var keys keyIntern
 	unit := func(r capi.RaceReport, run int) fragment {
 		f := fragment{Races: map[string]raceHit{}}
-		recordRaces(&f, &keys, &capi.Result{Races: []capi.RaceReport{r}}, run)
+		foldRaces(&f, &keys, &capi.Result{Races: []capi.RaceReport{r}}, run)
 		return f
 	}
 	restored := func(f fragment) fragment {

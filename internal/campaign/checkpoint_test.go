@@ -210,7 +210,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 				ValidateAxioms: true,
 			}
 		}, check: func(t *testing.T, single *Summary) {
-			if single.FindingCount() == 0 || single.Tools[0].Validation.Checked == 0 {
+			if len(single.Tools[0].Findings) == 0 || single.Tools[0].Validation.Checked == 0 {
 				t.Fatal("analyzer case found nothing or validated nothing")
 			}
 		}},

@@ -203,8 +203,7 @@ var deadlockProg = capi.Program{Name: "deadlock", Run: func(env capi.Env) {
 }}
 
 // runRearmUnit runs one unit on eng and renders every execution's observable
-// outcome: every race with its execution index, the deduplicated NewRaces,
-// the litmus outcome, final values, termination, trace length, and — when
+// outcome: every race, the litmus outcome, final values, termination, trace length, and — when
 // the unit records — the serialized trace.
 func runRearmUnit(t *testing.T, eng *core.Engine, u rearmUnit) []string {
 	t.Helper()
@@ -238,10 +237,7 @@ func runRearmUnit(t *testing.T, eng *core.Engine, u rearmUnit) []string {
 		line := fmt.Sprintf("seed %d: outcome %q deadlocked %v trace %d asserts %d finals %v",
 			seed, *out, res.Deadlocked, len(eng.Trace()), len(res.AssertFailures), eng.FinalValues())
 		for _, r := range res.Races {
-			line += fmt.Sprintf(" race[%s@%d]", r.Key(), r.Execution)
-		}
-		for _, r := range res.NewRaces {
-			line += fmt.Sprintf(" new[%s@%d]", r.Key(), r.Execution)
+			line += fmt.Sprintf(" race[%s]", r.Key())
 		}
 		if rec != nil && hasMO {
 			line += " " + digestOf(t, eng, rec, res, u.program, isLit, *out, seed).TraceJSON

@@ -26,13 +26,13 @@ const (
 // observe; validate and record are campaign duties observed by the runner's
 // stages, so their counts track span-sampled duty executions.
 //
-// Each worker keeps one hists per matrix cell in its workerSlot and observes
-// into it without locks or allocation. foldCells adds the workers' hists into
-// the cell's folded fragment (fragment.Hists), and from there fragment.merge
-// carries them into the artifact (a shard's included); the summary cell
-// points at the folded hists. It is the same fold
-// as every other cell result, so resumed and shard-merged histograms and
-// counts equal uninterrupted single-machine ones.
+// Each worker's runner for a cell holds one hists (cellRunner.met) and
+// observes into it without locks or allocation. foldCells adds the runners'
+// hists into the cell's folded fragment (fragment.Hists), and from there
+// fragment.merge carries them into the artifact (a shard's included); the
+// summary cell points at the folded hists. It is the same fold as every
+// other cell result, so resumed and shard-merged histograms and counts equal
+// uninterrupted single-machine ones.
 type hists struct {
 	ExecNS   obs.Histogram                `json:"exec_ns"`
 	PhaseNS  [core.NumSpans]obs.Histogram `json:"phase_ns"`

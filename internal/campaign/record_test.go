@@ -495,3 +495,79 @@ func TestRecordAllArtifactSize(t *testing.T) {
 	}
 	t.Logf("artifact %d bytes armed (%d traces), %d unarmed", armed, traces, unarmed)
 }
+
+// TestRaceDeduplicationAcrossExecutions pins the campaign's race
+// deduplication (Section 7.6) on the trace sink's new_race trigger: in a
+// unit where every execution races, an execution is owed a new_race entry
+// exactly when it reports a race key no earlier execution of its unit
+// reported, so the trigger fires once per key per unit. The expected
+// entries come from replaying each seed on a fresh engine, unit by unit.
+func TestRaceDeduplicationAcrossExecutions(t *testing.T) {
+	twoWrites := capi.Program{Name: "two-writes", Run: func(env capi.Env) {
+		d := env.NewLoc("data", 0)
+		e := env.NewLoc("extra", 0)
+		a := env.Spawn("A", func(env capi.Env) {
+			env.Write(d, 1)
+			env.Read(e)
+		})
+		env.Write(d, 2)
+		env.Write(e, 1)
+		env.Join(a)
+	}}
+	tool := mustTool(t, "c11tester", ToolOptions{})
+	for _, shard := range []int{30, 7} {
+		dir := t.TempDir()
+		spec := Spec{
+			Tools: []ToolSpec{tool},
+			Benchmarks: []BenchmarkSpec{
+				{Name: twoWrites.Name, New: func() capi.Program { return twoWrites }},
+				benchSpec(t, "ms-queue"),
+			},
+			Runs: 30, SeedBase: 40, Workers: 2, ShardSize: shard,
+			RecordDir: dir, RecordOn: obs.Of(obs.TriggerNewRace),
+		}
+		Run(spec)
+		man, err := obs.ReadManifest(filepath.Join(dir, obs.ManifestFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string][]int{}
+		for _, c := range man.Captures {
+			if c.Trigger != "new_race" {
+				t.Errorf("shard %d: entry %+v has trigger %q", shard, c, c.Trigger)
+			}
+			got[c.Program] = append(got[c.Program], c.Index)
+		}
+		for _, b := range spec.Benchmarks {
+			eng := tool.New()
+			prog := b.New()
+			var want []int
+			seen := map[string]bool{}
+			for i := 0; i < spec.Runs; i++ {
+				if i%shard == 0 {
+					clear(seen) // a unit starts
+				}
+				res := eng.Execute(prog, spec.SeedBase+int64(i))
+				if len(res.Races) == 0 {
+					t.Fatalf("%s seed %d: no race; every execution of the unit must race", b.Name, spec.SeedBase+int64(i))
+				}
+				isNew := false
+				for _, r := range res.Races {
+					if k := r.Key(); !seen[k] {
+						seen[k], isNew = true, true
+					}
+				}
+				if isNew {
+					want = append(want, i)
+				}
+			}
+			eng.(*core.Engine).Close()
+			if len(want) >= spec.Runs {
+				t.Fatalf("%s: every execution found a new key; the test needs repeats", b.Name)
+			}
+			if !reflect.DeepEqual(got[b.Name], want) {
+				t.Errorf("shard %d, %s: new_race entries at %v, want %v", shard, b.Name, got[b.Name], want)
+			}
+		}
+	}
+}

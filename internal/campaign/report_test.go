@@ -245,8 +245,8 @@ func TestReportRendersEachReproOnce(t *testing.T) {
 			want++
 		}
 	}
-	if sum.Tools[0].Races == nil || sum.FindingCount() == 0 {
-		t.Fatalf("campaign has %d race(s) and %d finding(s), want both", len(sum.Tools[0].Races), sum.FindingCount())
+	if sum.Tools[0].Races == nil || len(sum.Tools[0].Findings) == 0 {
+		t.Fatalf("campaign has %d race(s) and %d finding(s), want both", len(sum.Tools[0].Races), len(sum.Tools[0].Findings))
 	}
 	if got := strings.Count(out, "repro: go run ./cmd/c11tester "); got != want {
 		t.Errorf("report prints %d campaign repro line(s), want %d (one per race, finding and trace-less record entry):\n%s", got, want, out)

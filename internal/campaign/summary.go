@@ -271,8 +271,8 @@ func (k cellKey) index(nb, nl int) int {
 }
 
 // foldCells folds the restored cells (a resumed run's artifact cells, in
-// matrix order; nil otherwise), every worker's cell accumulators and every
-// worker's per-cell histograms into one artifact cell per matrix cell, with
+// matrix order; nil otherwise) and every worker's cell accumulators, the
+// histograms included, into one artifact cell per matrix cell, with
 // the budget and curve state of the wave loop's plans (matrix order). Cells
 // that ran nothing keep an empty fragment. It runs at barriers, when no
 // worker is observing.
@@ -289,13 +289,14 @@ func foldCells(spec Spec, plans []*cellPlan, restored []CellCheckpoint, wt worke
 	}
 	for w := range wt {
 		for c, r := range wt[w].runners {
-			if r != nil {
-				cells[c].Frag.merge(&r.acc)
+			if r == nil {
+				continue
 			}
-		}
-		for c := range wt[w].hists {
-			if h := &wt[w].hists[c]; *h != blankHists {
-				cells[c].Frag.addHists(h)
+			cells[c].Frag.merge(&r.acc)
+			// A cell whose every execution failed observed nothing, and
+			// keeps no histograms.
+			if r.met != blankHists {
+				cells[c].Frag.addHists(&r.met)
 			}
 		}
 	}
@@ -611,16 +612,6 @@ func (s *Summary) AxiomViolations() int {
 		if ts.Validation != nil {
 			n += ts.Validation.Violations
 		}
-	}
-	return n
-}
-
-// FindingCount returns the total number of distinct analyzer findings across
-// all tools (schema v7).
-func (s *Summary) FindingCount() int {
-	n := 0
-	for _, ts := range s.Tools {
-		n += len(ts.Findings)
 	}
 	return n
 }

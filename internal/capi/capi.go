@@ -104,15 +104,14 @@ type Program struct {
 	Run  func(Env)
 }
 
-// RaceReport describes one data race. Tools deduplicate reports across
-// executions (Section 7.6), keyed by Key().
+// RaceReport describes one data race. A campaign reports each race once
+// across its executions (Section 7.6), keyed by Key().
 type RaceReport struct {
 	LocName   string
 	PriorKind memmodel.Kind // the older access
 	Kind      memmodel.Kind // the access that completed the race
 	PriorTID  memmodel.TID
 	TID       memmodel.TID
-	Execution int // execution index (0-based) in which the race was first seen
 }
 
 // RaceID is a race's cross-execution identity (Section 7.6): the location
@@ -143,9 +142,8 @@ func (r RaceReport) String() string {
 
 // AssertFailure describes one failed Env.Assert.
 type AssertFailure struct {
-	TID       memmodel.TID
-	Message   string
-	Execution int
+	TID     memmodel.TID
+	Message string
 }
 
 func (a AssertFailure) String() string {
@@ -177,11 +175,13 @@ func (s *OpStats) Add(other OpStats) {
 	s.NormalOps += other.NormalOps
 }
 
-// Result is the outcome of one execution of a program under a tool.
+// Result is the outcome of one execution of a program under a tool. It
+// depends only on the program and the seed, never on what the tool ran
+// before.
 //
 // Ownership: tools recycle one Result per instance across executions (the
 // engine resets it in place via Reset), so a Result returned by Execute —
-// including its Races/NewRaces/AssertFailures/Blocks backing arrays — is only
+// including its Races/AssertFailures/Blocks backing arrays — is only
 // valid until the same tool's next Execute call. Consumers that keep anything
 // past that point must copy it (the report values themselves are plain
 // values; copying an element or appending it to a consumer-owned slice is
@@ -190,11 +190,9 @@ func (s *OpStats) Add(other OpStats) {
 // Result must be cleared by Reset — TestResetZeroesEveryContainerField
 // enforces this reflectively.
 type Result struct {
-	// Races holds the races observed during this execution (including ones
-	// seen in earlier executions of the same tool instance).
+	// Races holds every race observed during this execution, one report per
+	// conflicting access pair, in the order the accesses completed them.
 	Races []RaceReport
-	// NewRaces holds only races not reported by any earlier execution.
-	NewRaces []RaceReport
 	// AssertFailures holds assertion violations observed this execution.
 	AssertFailures []AssertFailure
 	// Deadlocked reports that the execution ended with all unfinished
@@ -216,18 +214,11 @@ type Result struct {
 	Stats OpStats
 }
 
-// Buggy reports whether this execution exhibited any bug signal — a data
-// race, an assertion violation, or a deadlock.
-func (r *Result) Buggy() bool {
-	return len(r.Races) > 0 || len(r.AssertFailures) > 0 || r.Deadlocked
-}
-
 // Reset recycles the Result for a new execution, truncating the report
 // slices in place so their backing arrays (and capacity) survive. Tools call
 // it at the top of every execution; see the ownership rules above.
 func (r *Result) Reset() {
 	r.Races = r.Races[:0]
-	r.NewRaces = r.NewRaces[:0]
 	r.AssertFailures = r.AssertFailures[:0]
 	r.Blocks = r.Blocks[:0]
 	r.Deadlocked = false
@@ -237,8 +228,10 @@ func (r *Result) Reset() {
 }
 
 // Tool is a testing tool: something that can repeatedly execute a program
-// and report what it found. Implementations keep state across executions
-// (e.g. race deduplication, Section 7.6).
+// and report what it found. An execution is a pure function of the program
+// and the seed: a tool reuses its buffers and pools across executions but
+// carries no outcome from one to the next, so reporting each race once
+// across executions (Section 7.6) is its caller's fold.
 type Tool interface {
 	// Name returns the tool's short name ("c11tester", "tsan11", ...).
 	Name() string

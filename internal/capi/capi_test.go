@@ -9,34 +9,15 @@ import (
 	"c11tester/internal/memmodel"
 )
 
-func TestResultBuggy(t *testing.T) {
-	cases := []struct {
-		name string
-		res  Result
-		want bool
-	}{
-		{"clean", Result{}, false},
-		{"race", Result{Races: []RaceReport{{LocName: "x"}}}, true},
-		{"assert", Result{AssertFailures: []AssertFailure{{Message: "m"}}}, true},
-		{"deadlock", Result{Deadlocked: true}, true},
-		{"truncated only", Result{Truncated: true}, false},
-	}
-	for _, c := range cases {
-		if got := c.res.Buggy(); got != c.want {
-			t.Errorf("%s: Buggy() = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
 func TestRaceReportKey(t *testing.T) {
 	r1 := RaceReport{LocName: "deque.buf3", PriorKind: memmodel.KNAStore,
-		Kind: memmodel.KNALoad, PriorTID: 0, TID: 2, Execution: 17}
-	// Key must not depend on which threads or execution exhibited the race:
-	// it is the cross-execution deduplication key (Section 7.6).
+		Kind: memmodel.KNALoad, PriorTID: 0, TID: 2}
+	// Key must not depend on which threads exhibited the race: it is the
+	// cross-execution deduplication key (Section 7.6).
 	r2 := r1
-	r2.PriorTID, r2.TID, r2.Execution = 5, 6, 99
+	r2.PriorTID, r2.TID = 5, 6
 	if r1.Key() != r2.Key() {
-		t.Fatalf("Key varies with thread/execution identity: %q vs %q", r1.Key(), r2.Key())
+		t.Fatalf("Key varies with thread identity: %q vs %q", r1.Key(), r2.Key())
 	}
 	// Distinct access pairs or locations must have distinct keys.
 	r3 := r1

@@ -161,8 +161,9 @@ type MemModel interface {
 }
 
 // Engine runs programs under a MemModel with controlled scheduling. One
-// Engine instance is one "tool" in the paper's sense: it persists state
-// (race deduplication) across repeated executions (Section 7.6).
+// Engine instance is one "tool" in the paper's sense. It keeps its buffers,
+// pools and arenas warm across repeated executions, but no outcome: each
+// Execute is a pure function of the program and the seed.
 type Engine struct {
 	cfg   Config
 	name  string
@@ -170,13 +171,6 @@ type Engine struct {
 	// base is the constructed configuration (strategy and trace switch
 	// included) that Rearm restores.
 	base Config
-
-	// Persistent tool state across executions. seenRaces is keyed by the
-	// comparable capi.RaceID rather than RaceReport.Key()'s string so the
-	// per-conflict dedup check never formats (and never allocates) on the
-	// hot path.
-	seenRaces map[capi.RaceID]struct{}
-	execIndex int
 
 	// Per-execution state.
 	sch     *sched.Scheduler
@@ -256,24 +250,20 @@ type Engine struct {
 func New(name string, model MemModel, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	return &Engine{
-		cfg:       cfg,
-		base:      cfg,
-		name:      name,
-		model:     model,
-		seenRaces: map[capi.RaceID]struct{}{},
+		cfg:   cfg,
+		base:  cfg,
+		name:  name,
+		model: model,
 	}
 }
 
-// Rearm returns the engine to the observable state of a freshly constructed
-// one, so a warm instance can serve a new unit of work: race deduplication
-// and the execution index start over, and the constructed strategy, trace
-// switch and (off) timing settings replace whatever SetStrategy, SetTrace,
+// Rearm restores the engine's constructed configuration, so a warm instance
+// can serve a new unit of work: the constructed strategy, trace switch and
+// (off) timing settings replace whatever SetStrategy, SetTrace,
 // SetHandoffTiming and SetPhaseTiming installed. Everything else an engine
 // keeps across executions — the scheduler's workers, state pools, arenas —
 // is reset by every Execute anyway, and stays warm.
 func (e *Engine) Rearm() {
-	clear(e.seenRaces)
-	e.execIndex = 0
 	e.cfg = e.base
 	e.SetHandoffTiming(false)
 	e.SetPhaseTiming(false)
@@ -467,7 +457,6 @@ func (e *Engine) Execute(p capi.Program, seed int64) (res *capi.Result) {
 		e.phases.End(PhaseRun)
 		e.result.EngineError = ie
 		e.sch.Abort()
-		e.execIndex++
 		res = e.result
 	}()
 
@@ -476,7 +465,6 @@ func (e *Engine) Execute(p capi.Program, seed int64) (res *capi.Result) {
 	e.loop()
 	e.phases.End(PhaseRun)
 
-	e.execIndex++
 	return e.result
 }
 
@@ -774,9 +762,8 @@ func (e *Engine) finishThread(ts *ThreadState) {
 	e.start = nil // ts, if it finished without issuing an operation
 	if ts.thr.PanicValue != nil {
 		e.result.AssertFailures = append(e.result.AssertFailures, capi.AssertFailure{
-			TID:       ts.ID,
-			Message:   fmt.Sprintf("panic in thread %q: %v", ts.Name, ts.thr.PanicValue),
-			Execution: e.execIndex,
+			TID:     ts.ID,
+			Message: fmt.Sprintf("panic in thread %q: %v", ts.Name, ts.thr.PanicValue),
 		})
 	}
 	// Wake the threads blocked joining ts; their joins re-dispatch and now
@@ -877,8 +864,9 @@ func (e *Engine) LocName(id memmodel.LocID) string {
 	return fmt.Sprintf("loc#%d", id)
 }
 
-// reportConflicts converts race-detector conflicts on loc into reports,
-// deduplicating across executions (Section 7.6: races are reported once).
+// reportConflicts converts race-detector conflicts on loc into this
+// execution's reports. Reporting each race once across executions (Section
+// 7.6) is the campaign's fold, not the engine's.
 func (e *Engine) reportConflicts(ts *ThreadState, l *locState, kind memmodel.Kind, conflicts []raceConflict) {
 	for _, c := range conflicts {
 		priorKind := memmodel.KNALoad
@@ -891,19 +879,12 @@ func (e *Engine) reportConflicts(ts *ThreadState, l *locState, kind memmodel.Kin
 				priorKind = memmodel.KStore
 			}
 		}
-		r := capi.RaceReport{
+		e.result.Races = append(e.result.Races, capi.RaceReport{
 			LocName:   l.name,
 			PriorKind: priorKind,
 			Kind:      kind,
 			PriorTID:  c.PriorTID,
 			TID:       ts.ID,
-			Execution: e.execIndex,
-		}
-		e.result.Races = append(e.result.Races, r)
-		k := r.ID()
-		if _, seen := e.seenRaces[k]; !seen {
-			e.seenRaces[k] = struct{}{}
-			e.result.NewRaces = append(e.result.NewRaces, r)
-		}
+		})
 	}
 }

@@ -521,26 +521,6 @@ func TestMixedAtomicNonAtomicPromotion(t *testing.T) {
 	}
 }
 
-func TestRaceDeduplicationAcrossExecutions(t *testing.T) {
-	tool := newTool(Config{})
-	prog := capi.Program{Name: "dedup", Run: func(env capi.Env) {
-		d := env.NewLoc("data", 0)
-		a := env.Spawn("A", func(env capi.Env) { env.Write(d, 1) })
-		env.Write(d, 2)
-		env.Join(a)
-	}}
-	newCount := 0
-	for seed := 0; seed < 20; seed++ {
-		newCount += len(tool.Execute(prog, int64(seed)).NewRaces)
-	}
-	if newCount == 0 {
-		t.Fatal("race never reported")
-	}
-	if newCount > 2 {
-		t.Errorf("race reported as new %d times; must be deduplicated across executions", newCount)
-	}
-}
-
 // TestConservativePruningBoundsMemoryAndKeepsSemantics keeps the name of the
 // pruner test this program was written for. The engine no longer prunes: an
 // execution keeps every store, and memory is bounded by the reset at the

@@ -41,7 +41,7 @@ func (e *Engine) dispatch(ts *ThreadState) {
 		e.doAlloc(ts, op)
 	case memmodel.KAssert:
 		e.result.AssertFailures = append(e.result.AssertFailures, capi.AssertFailure{
-			TID: ts.ID, Message: op.AssertMsg, Execution: e.execIndex,
+			TID: ts.ID, Message: op.AssertMsg,
 		})
 		e.complete(ts)
 	default:
@@ -239,7 +239,7 @@ func (e *Engine) doJoin(ts *ThreadState, op *capi.Op) {
 
 func (e *Engine) failAssert(ts *ThreadState, msg string) {
 	e.result.AssertFailures = append(e.result.AssertFailures, capi.AssertFailure{
-		TID: ts.ID, Message: msg, Execution: e.execIndex,
+		TID: ts.ID, Message: msg,
 	})
 }
 

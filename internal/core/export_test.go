@@ -31,7 +31,7 @@ func CheckReadyLists(tb testing.TB, picks *int) (restore func()) {
 		*picks++
 		if fresh := e.appendReady(nil); !failed && !slices.Equal(kept, fresh) {
 			failed = true
-			tb.Errorf("execution %d, step %d: kept ready list %v, rebuilt %v", e.execIndex, e.steps, threadIDs(kept), threadIDs(fresh))
+			tb.Errorf("pick %d, step %d: kept ready list %v, rebuilt %v", *picks, e.steps, threadIDs(kept), threadIDs(fresh))
 		}
 	}
 	return func() { readyCheck = nil }

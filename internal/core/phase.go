@@ -87,8 +87,5 @@ func (t *PhaseTimer) End(p Phase) {
 	}
 }
 
-// NS returns the accumulated nanoseconds of p.
-func (t *PhaseTimer) NS(p Phase) int64 { return t.ns[p] }
-
 // Durations returns the accumulated nanoseconds of every phase by value.
 func (t *PhaseTimer) Durations() [NumPhases]int64 { return t.ns }

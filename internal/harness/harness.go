@@ -23,20 +23,14 @@ const (
 	SignalRace Signal = iota
 	// SignalAssert counts executions with assertion violations.
 	SignalAssert
-	// SignalAny counts races, assertion violations, and deadlocks.
-	SignalAny
 )
 
 // Hit reports whether the execution exhibited this signal.
 func (s Signal) Hit(r *capi.Result) bool {
-	switch s {
-	case SignalRace:
-		return len(r.Races) > 0
-	case SignalAssert:
+	if s == SignalAssert {
 		return len(r.AssertFailures) > 0
-	default:
-		return r.Buggy()
 	}
+	return len(r.Races) > 0
 }
 
 // Detection aggregates a detection-rate experiment.

@@ -10,26 +10,25 @@ import (
 )
 
 // TestSignalHit pins which executions count as a detection under each
-// signal: races only, assertion violations only, or any bug (races,
-// assertion violations and deadlocks).
+// signal: races only, or assertion violations only. A deadlock is neither.
 func TestSignalHit(t *testing.T) {
 	race := []capi.RaceReport{{LocName: "x"}}
 	assert := []capi.AssertFailure{{Message: "boom"}}
 	for _, c := range []struct {
-		name              string
-		res               capi.Result
-		race, assert, any bool
+		name         string
+		res          capi.Result
+		race, assert bool
 	}{
-		{"clean", capi.Result{}, false, false, false},
-		{"race", capi.Result{Races: race}, true, false, true},
-		{"assert", capi.Result{AssertFailures: assert}, false, true, true},
-		{"deadlock", capi.Result{Deadlocked: true}, false, false, true},
-		{"race+assert", capi.Result{Races: race, AssertFailures: assert}, true, true, true},
+		{"clean", capi.Result{}, false, false},
+		{"race", capi.Result{Races: race}, true, false},
+		{"assert", capi.Result{AssertFailures: assert}, false, true},
+		{"deadlock", capi.Result{Deadlocked: true}, false, false},
+		{"race+assert", capi.Result{Races: race, AssertFailures: assert}, true, true},
 	} {
 		for _, s := range []struct {
 			sig  Signal
 			want bool
-		}{{SignalRace, c.race}, {SignalAssert, c.assert}, {SignalAny, c.any}} {
+		}{{SignalRace, c.race}, {SignalAssert, c.assert}} {
 			if got := s.sig.Hit(&c.res); got != s.want {
 				t.Errorf("%s: signal %d Hit = %v, want %v", c.name, s.sig, got, s.want)
 			}

@@ -35,8 +35,8 @@ const (
 	// TriggerForbidden: a litmus execution produced an outcome the test
 	// forbids.
 	TriggerForbidden
-	// TriggerNewRace: the execution reported a race key not seen before by
-	// this tool instance (Result.NewRaces non-empty).
+	// TriggerNewRace: the execution reported a race key first seen in this
+	// unit of work.
 	TriggerNewRace
 	// TriggerHit: the execution bears a detection signal — the benchmark's
 	// signal, any race, or a forbidden litmus outcome.
@@ -115,7 +115,8 @@ type ExecDigest struct {
 	// Steps is the schedule length; Choices the strategy-decision count.
 	Steps   uint64
 	Choices uint64
-	// NewRace marks an execution that reported a first-seen race key.
+	// NewRace marks an execution that reported a race key first seen in this
+	// unit of work.
 	NewRace bool
 	// Infeasible marks an execution aborted by core.InfeasibleError.
 	Infeasible bool

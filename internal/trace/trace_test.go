@@ -1,9 +1,12 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -144,6 +147,31 @@ func TestSerializationRoundTripAndOfflineValidation(t *testing.T) {
 	if loaded.Schedule.Len() != tr.Schedule.Len() || len(loaded.Events) != len(tr.Events) {
 		t.Fatalf("round trip lost data: %d/%d choices, %d/%d events",
 			loaded.Schedule.Len(), tr.Schedule.Len(), len(loaded.Events), len(tr.Events))
+	}
+
+	// The file is compact JSON on one line; a trace written indented, as
+	// older builds wrote them, reads back the same.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(data, []byte("\n")); n != 1 || data[len(data)-1] != '\n' {
+		t.Errorf("trace file holds %d newlines, want one line ending in a newline", n)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, data, "", " "); err != nil {
+		t.Fatal(err)
+	}
+	oldPath := filepath.Join(t.TempDir(), "indented.json")
+	if err := os.WriteFile(oldPath, indented.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := ReadFile(oldPath)
+	if err != nil {
+		t.Fatalf("indented trace: %v", err)
+	}
+	if !reflect.DeepEqual(old, loaded) {
+		t.Error("an indented trace reads back different from the compact one")
 	}
 
 	// Offline validation, no live engine: the serialized execution must
